@@ -14,6 +14,19 @@
 // shardedClock), and log records are encoded directly into per-worker
 // double-buffered logs whose flushes never block appenders (§5, wal).
 //
+// Range queries (§3 getrange) are one descent plus a walk of the border-node
+// list (core.ScanInto). Each node is read as a version-validated snapshot of
+// raw slot words — key slice, length class, value-or-layer pointer, suffix
+// pointer — taken only for the slots at or after the resume position; a
+// suffix is dereferenced and a key assembled only for an entry that is
+// emitted, straight into the caller's buffer, which deeper trie layers
+// extend in place. The resume position is a value (slice, length class,
+// start-key tail, or "past this slice"), so a warm scan allocates nothing.
+// core.Scan, kvstore.GetRange/GetRangeInto and the server's OpGetRange are
+// wrappers over that one walker, and so are the checkpoint part writers,
+// the expiry sweep and the open-time seed scan. DESIGN.md states which
+// version validates which read.
+//
 // The transport is protocol v2 (internal/wire): a hello exchange negotiates
 // the version (clients that send no hello speak v1 verbatim), after which
 // every frame carries a sequence tag and many batches ride one connection

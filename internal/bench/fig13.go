@@ -17,6 +17,7 @@ import (
 type masstreeBatcher struct {
 	store    *kvstore.Store
 	sessions []*kvstore.Session
+	ranges   []kvstore.RangeScratch // one per session; a worker's scan results alias it until its next Exec
 }
 
 func newMasstreeBatcher(dir string, workers int) (*masstreeBatcher, error) {
@@ -24,7 +25,7 @@ func newMasstreeBatcher(dir string, workers int) (*masstreeBatcher, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &masstreeBatcher{store: st}
+	m := &masstreeBatcher{store: st, ranges: make([]kvstore.RangeScratch, workers)}
 	for w := 0; w < workers; w++ {
 		m.sessions = append(m.sessions, st.Session(w))
 	}
@@ -37,6 +38,8 @@ func (m *masstreeBatcher) SupportsColumnPut() bool { return true }
 
 func (m *masstreeBatcher) Exec(worker int, ops []othersys.Op) []othersys.Result {
 	sess := m.sessions[worker%len(m.sessions)]
+	rng := &m.ranges[worker%len(m.sessions)]
+	rng.Reset()
 	res := make([]othersys.Result, len(ops))
 	for i := range ops {
 		op := &ops[i]
@@ -48,7 +51,7 @@ func (m *masstreeBatcher) Exec(worker int, ops []othersys.Op) []othersys.Result 
 			sess.Put(op.Key, op.Puts)
 			res[i] = othersys.Result{OK: true}
 		case othersys.OpScan:
-			pairs := sess.GetRange(op.Key, op.N, op.Cols)
+			pairs := sess.GetRangeInto(op.Key, op.N, op.Cols, rng)
 			out := make([]othersys.Pair, len(pairs))
 			for j, p := range pairs {
 				out[j] = othersys.Pair{Key: p.Key, Cols: p.Cols}

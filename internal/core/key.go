@@ -55,15 +55,6 @@ func ordOf(kl uint32) int {
 	return 9
 }
 
-// sliceBytes materializes a slice integer back into at most n bytes (n <= 8).
-func sliceBytes(s uint64, n int) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], s)
-	b := make([]byte, n)
-	copy(b, buf[:n])
-	return b
-}
-
 // appendSliceBytes appends the first n bytes of slice s to dst.
 func appendSliceBytes(dst []byte, s uint64, n int) []byte {
 	var buf [8]byte

@@ -60,7 +60,7 @@ func TestSliceBytesRoundTrip(t *testing.T) {
 		if len(k) > 8 {
 			k = k[:8]
 		}
-		got := sliceBytes(keySlice(k), len(k))
+		got := appendSliceBytes(nil, keySlice(k), len(k))
 		return bytes.Equal(got, k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

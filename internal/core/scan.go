@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -21,16 +22,19 @@ type KV struct {
 //
 // The key passed to fn is a fresh copy the callback may retain.
 func (t *Tree) Scan(start []byte, fn func(key []byte, v *value.Value) bool) {
-	t.scanLayer(t.rootHeader(), start, true, nil, nil, fn)
+	t.ScanInto(start, nil, func(k []byte, v *value.Value) bool {
+		return fn(append(make([]byte, 0, len(k)), k...), v)
+	})
 }
 
 // ScanInto is Scan with a caller-provided key buffer: the key passed to fn
 // aliases buf, is valid only during the callback, and must be copied if
-// retained. It returns the (possibly grown) buffer for reuse, so a caller
-// that scans repeatedly with the same buffer performs no per-key allocations
-// for key assembly.
+// retained. It returns the (possibly grown) buffer for reuse; once the
+// buffer holds the longest key, a scan allocates nothing.
+//
+//masstree:noalloc
 func (t *Tree) ScanInto(start []byte, buf []byte, fn func(key []byte, v *value.Value) bool) []byte {
-	t.scanLayer(t.rootHeader(), start, true, nil, &buf, fn)
+	t.scanLayer(t.rootHeader(), scanFrom(start), 0, &buf, fn)
 	return buf
 }
 
@@ -48,108 +52,132 @@ func (t *Tree) GetRange(start []byte, n int) []KV {
 	return out
 }
 
-// scanEntry is a validated snapshot of one border-node slot.
-type scanEntry struct {
-	rem     []byte // remaining-key bytes within this layer (slice [+suffix])
-	isLayer bool
-	lv      *value.Value
-	layer   *nodeHeader
+// scanPos is a scan's resume position within one trie layer, held by value:
+// the walker emits the entries at or after it. It has three states:
+//
+//	ord 0..8   at the key of that length within slice; every longer key of
+//	           the slice, and every later slice, follows.
+//	ord 9      at the slice's one longer-than-8-bytes entry, bounded below by
+//	           suf (the tail of the caller's start key): a suffix entry is
+//	           emitted if its suffix >= suf, a layer is entered at suf.
+//	ordPast    past the whole slice. An emitted suffix key or a scanned
+//	           sub-layer was the slice's last entry (at most one entry per
+//	           slice is longer than 8 bytes), so a re-find that lands on the
+//	           same node skips the slice instead of walking the layer again.
+type scanPos struct {
+	slice uint64
+	ord   int
+	suf   []byte
 }
 
-// scanLayer walks one trie layer's border-node list from the node containing
-// resume, emitting entries and recursing into deeper layers. resume/inclusive
-// bound the remaining-key space: entries < resume (or == resume when not
-// inclusive) are skipped. prefix holds the key bytes consumed by outer
-// layers. When kbuf is non-nil, emitted keys are assembled into *kbuf and
-// are valid only during fn (ScanInto); when nil, each key is a fresh copy.
-// Returns false if fn aborted the scan.
-func (t *Tree) scanLayer(root *nodeHeader, resume []byte, inclusive bool, prefix []byte, kbuf *[]byte, fn func([]byte, *value.Value) bool) bool {
-	n, v := t.findBorder(root, keySlice(resume))
-	var ents []scanEntry
+const ordPast = 10
+
+// scanFrom is the position of the first key >= k in a layer.
+func scanFrom(k []byte) scanPos {
+	pos := scanPos{slice: keySlice(k), ord: keyOrd(k)}
+	if len(k) > 8 {
+		pos.suf = k[8:]
+	}
+	return pos
+}
+
+// slotSnap is the raw words of one border-node slot. suf is the pointer to
+// the published suffix, not its bytes: published suffixes are replaced, never
+// written in place, so it is dereferenced only after the node version has
+// validated the snapshot, and only for an entry that is emitted.
+type slotSnap struct {
+	ks  uint64
+	kl  uint32
+	lv  unsafe.Pointer
+	suf *[]byte
+}
+
+// scanLayer walks one trie layer's border-node list from the node owning
+// pos, emitting the entries at or after pos and recursing into deeper
+// layers. (*kbuf)[:plen] holds the key bytes consumed by outer layers; each
+// emitted key is assembled behind them, so deeper layers extend the one
+// buffer in place and keys are valid only during fn. Returns false if fn
+// aborted the scan.
+//
+//masstree:noalloc
+func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, fn func([]byte, *value.Value) bool) bool {
+	n, v := t.findBorder(root, pos.slice)
+	var snap [width]slotSnap
 	for {
 		if isDeleted(v) {
+			if n.lowOrd < 0 {
+				// A layer's leftmost node dies only with the layer itself
+				// (collapseLayer), which was then empty. Re-finding from its
+				// root would return this node forever.
+				return true
+			}
 			// Node removed mid-scan: re-find the resume point.
-			n, v = t.findBorder(root, keySlice(resume))
+			n, v = t.findBorder(root, pos.slice)
 			continue
 		}
-		// Snapshot the node's live entries, then validate the version; on
-		// any change re-read. keylen is read on both sides of lv so a layer
-		// transition (§4.6.3, no version change) cannot tear the union.
-		ents = ents[:0]
+		// Snapshot the raw words of the slots at or after pos, then validate
+		// the version; on any change re-read. keylen is read on both sides of
+		// lv so a layer transition (§4.6.3, no version change) cannot tear
+		// the union.
+		m := 0
 		ok := true
 		perm := n.perm()
-		cnt := perm.count()
-		for r := 0; r < cnt && ok; r++ {
+		for r, cnt := 0, perm.count(); r < cnt; r++ {
 			slot := perm.slot(r)
-			kl := n.keylen[slot].Load()
-			lvp := n.loadLV(slot)
-			var suf []byte
-			if kl == klSuffix {
-				if sp := n.suffix[slot].Load(); sp != nil {
-					suf = *sp
-				}
+			ks := n.keyslice[slot].Load()
+			if ks < pos.slice {
+				continue
 			}
-			if kl2 := n.keylen[slot].Load(); kl2 != kl || kl == klUnstable {
+			kl := n.keylen[slot].Load()
+			e := slotSnap{ks: ks, kl: kl, lv: n.loadLV(slot)}
+			if kl == klSuffix {
+				e.suf = n.suffix[slot].Load()
+			}
+			if n.keylen[slot].Load() != kl || kl == klUnstable {
 				ok = false
 				break
 			}
-			ks := n.keyslice[slot].Load()
-			var e scanEntry
-			switch kl {
-			case klLayer:
-				e = scanEntry{rem: sliceBytes(ks, 8), isLayer: true, layer: (*nodeHeader)(lvp)}
-			case klSuffix:
-				rem := appendSliceBytes(make([]byte, 0, 8+len(suf)), ks, 8)
-				e = scanEntry{rem: append(rem, suf...), lv: (*value.Value)(lvp)}
-			default:
-				e = scanEntry{rem: sliceBytes(ks, int(kl)), lv: (*value.Value)(lvp)}
-			}
-			ents = append(ents, e)
+			snap[m] = e
+			m++
 		}
 		next := n.next.Load()
-		if v2 := n.h.version.Load(); !ok || changed(v2, v) {
+		if !ok || changed(n.h.version.Load(), v) {
 			v = n.h.stable()
 			continue
 		}
 
 		// Emit from the validated snapshot.
-		for _, e := range ents {
-			if e.isLayer {
-				substart := []byte(nil)
-				subinc := true
-				if resume != nil {
-					if bytes.HasPrefix(resume, e.rem) {
-						substart = resume[8:]
-						subinc = inclusive
-					} else if bytes.Compare(e.rem, resume) < 0 {
-						continue // every key below this layer precedes resume
-					}
+		for i := 0; i < m; i++ {
+			e := &snap[i]
+			ord := ordOf(e.kl)
+			var bound []byte // what is left of the start key below this entry
+			if e.ks == pos.slice {
+				if ord < pos.ord {
+					continue
 				}
-				sub := append(append([]byte(nil), prefix...), e.rem...)
-				layer := ascendToRoot(e.layer)
-				if !t.scanLayer(layer, substart, subinc, sub, kbuf, fn) {
+				if ord == pos.ord {
+					bound = pos.suf
+				}
+			}
+			if e.kl == klLayer {
+				*kbuf = appendSliceBytes((*kbuf)[:plen], e.ks, 8)
+				if !t.scanLayer(ascendToRoot((*nodeHeader)(e.lv)), scanFrom(bound), plen+8, kbuf, fn) {
 					return false
 				}
 			} else {
-				if resume != nil {
-					if c := bytes.Compare(e.rem, resume); c < 0 || (c == 0 && !inclusive) {
+				k := appendSliceBytes((*kbuf)[:plen], e.ks, min(ord, 8))
+				if e.suf != nil {
+					if bytes.Compare(*e.suf, bound) < 0 {
 						continue
 					}
+					k = append(k, *e.suf...)
 				}
-				var full []byte
-				if kbuf != nil {
-					full = append(append((*kbuf)[:0], prefix...), e.rem...)
-					*kbuf = full
-				} else {
-					full = make([]byte, 0, len(prefix)+len(e.rem))
-					full = append(append(full, prefix...), e.rem...)
-				}
-				if !fn(full, e.lv) {
+				*kbuf = k
+				if !fn(k, (*value.Value)(e.lv)) {
 					return false
 				}
 			}
-			resume = e.rem
-			inclusive = false
+			pos = scanPos{slice: e.ks, ord: ord + 1}
 		}
 
 		if next == nil {

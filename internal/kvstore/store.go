@@ -1311,20 +1311,8 @@ const maxRangeScanVisits = 1 << 16
 //
 //masstree:pinned
 func (s *Store) GetRange(start []byte, n int, cols []int) []Pair {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Pair, 0, n)
-	visited := 0
-	s.tree.Scan(start, func(k []byte, v *value.Value) bool {
-		visited++
-		if expired(v) {
-			return visited < maxRangeScanVisits // lazily dead: skip without counting toward n
-		}
-		out = append(out, Pair{Key: k, Cols: pickCols(v, cols)})
-		return len(out) < n && visited < maxRangeScanVisits
-	})
-	return out
+	var sc RangeScratch // fresh arenas: the result aliases memory nothing else holds
+	return s.GetRangeInto(start, n, cols, &sc)
 }
 
 // RangeScratch holds reusable arenas for GetRangeInto: the pair slice, a
@@ -1336,6 +1324,16 @@ type RangeScratch struct {
 	cols  [][]byte
 	keys  []byte
 	kbuf  []byte
+
+	// The range in progress, read by add.
+	want    []int // requested columns
+	left    int   // pairs still wanted
+	visited int
+
+	// visit is add bound to this scratch, built once rather than per range;
+	// bound is the scratch it was built for, so a copy rebinds.
+	visit func(k []byte, v *value.Value) bool
+	bound *RangeScratch
 }
 
 // Reset forgets accumulated pairs (typically once per request batch). The
@@ -1371,28 +1369,41 @@ func (sc *RangeScratch) Shrink(max int) {
 // hold an epoch pin.
 //
 //masstree:pinned
+//masstree:noalloc
 func (s *Store) GetRangeInto(start []byte, n int, cols []int, sc *RangeScratch) []Pair {
 	if n <= 0 {
 		return nil
 	}
+	if sc.bound != sc {
+		sc.bound = sc
+		sc.visit = sc.add //lint:allow noalloc scratch warm-up: one bound method per scratch, amortized over its lifetime
+	}
 	base := len(sc.pairs)
-	visited := 0
-	sc.kbuf = s.tree.ScanInto(start, sc.kbuf, func(k []byte, v *value.Value) bool {
-		visited++
-		if expired(v) {
-			return visited < maxRangeScanVisits // lazily dead: skip, not counted toward n
-		}
-		ks := len(sc.keys)
-		sc.keys = append(sc.keys, k...)
-		cs := len(sc.cols)
-		sc.cols = AppendCols(sc.cols, v, cols)
-		sc.pairs = append(sc.pairs, Pair{
-			Key:  sc.keys[ks:len(sc.keys):len(sc.keys)],
-			Cols: sc.cols[cs:len(sc.cols):len(sc.cols)],
-		})
-		return len(sc.pairs)-base < n && visited < maxRangeScanVisits
-	})
+	sc.want, sc.left, sc.visited = cols, n, 0
+	sc.kbuf = s.tree.ScanInto(start, sc.kbuf, sc.visit)
+	sc.want = nil
 	return sc.pairs[base:len(sc.pairs):len(sc.pairs)]
+}
+
+// add appends one scanned entry to the range in progress and reports whether
+// the scan goes on.
+//
+//masstree:noalloc
+func (sc *RangeScratch) add(k []byte, v *value.Value) bool {
+	sc.visited++
+	if expired(v) {
+		return sc.visited < maxRangeScanVisits // lazily dead: skip, not counted toward n
+	}
+	ks := len(sc.keys)
+	sc.keys = append(sc.keys, k...)
+	cs := len(sc.cols)
+	sc.cols = AppendCols(sc.cols, v, sc.want)
+	sc.pairs = append(sc.pairs, Pair{
+		Key:  sc.keys[ks:len(sc.keys):len(sc.keys)],
+		Cols: sc.cols[cs:len(sc.cols):len(sc.cols)],
+	})
+	sc.left--
+	return sc.left > 0 && sc.visited < maxRangeScanVisits
 }
 
 // Checkpoint writes a checkpoint of all keys and values, then reclaims log

@@ -133,3 +133,36 @@ func TestServerPutPathAllocs(t *testing.T) {
 		t.Fatalf("server put path allocates %.1f per %d-put batch, want <= %d (one packed value per put)", allocs, batch, batch)
 	}
 }
+
+// TestServerGetRangeAllocFree pins the server's range path at zero
+// allocations in steady state: the store's pairs, the wire pairs and the
+// scanned keys all land in the connection scratch.
+func TestServerGetRangeAllocFree(t *testing.T) {
+	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := New(store, 1)
+	sess := store.Session(0)
+	defer sess.Close()
+	for j := 0; j < 200; j++ {
+		sess.PutSimple([]byte(fmt.Sprintf("range-key-%04d", j)), []byte("column-zero"))
+	}
+
+	reqs := []wire.Request{
+		{Op: wire.OpGetRange, Key: []byte("range-key-0050"), N: 10},
+		{Op: wire.OpGetRange, Key: []byte("range-key-0120"), N: 10, Cols: []int{0}},
+	}
+	sc := &connScratch{}
+	srv.executeBatch(sess, reqs, len(reqs), sc, true) // warm the scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		srv.executeBatch(sess, reqs, len(reqs), sc, true)
+		if len(sc.resps) != 2 || len(sc.resps[1].Pairs) != 10 || string(sc.resps[1].Pairs[0].Key) != "range-key-0120" {
+			t.Fatalf("range responses: %+v", sc.resps)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("server range path allocates %.1f per 2-range batch, want 0", allocs)
+	}
+}

@@ -323,9 +323,9 @@ func TestCasIncrementOverNetwork(t *testing.T) {
 
 // The async client's steady state is allocation-pinned: a Go/Wait/Release
 // cycle reuses the connection's encode buffer, a recycled Pending, and its
-// decode scratch. The measured budget covers the whole process (client,
-// server pipeline, and the runtime's netpoll machinery — the latter is why
-// the bound is not zero).
+// decode scratch. The measurement covers the whole process — the client and
+// the server pipeline, each reading a frame header per round trip — so zero
+// pins a v2 get round trip on both sides.
 func TestConnSteadyStateAllocs(t *testing.T) {
 	_, addr := startServer(t, "")
 	c := dialConn(t, addr)
@@ -351,11 +351,8 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 		roundTrip() // warm every buffer, map bucket, and goroutine stack
 	}
 	allocs := testing.AllocsPerRun(300, roundTrip)
-	// ~2 allocs/op of poller noise is the historical floor for this
-	// process-wide measurement (see BENCH_pipeline.json); 8 leaves slack
-	// without masking a real per-op allocation regression in the client.
-	if allocs > 8 {
-		t.Fatalf("steady-state Go/Wait/Release allocates %.1f per round trip, want <= 8", allocs)
+	if allocs != 0 {
+		t.Fatalf("steady-state Go/Wait/Release allocates %.1f per round trip, want 0", allocs)
 	}
 }
 

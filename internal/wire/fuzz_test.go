@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 )
@@ -106,7 +107,7 @@ func FuzzV2Frame(f *testing.F) {
 		if _, err := ReadHello(bytes.NewReader(b)); err == nil && !isHello {
 			t.Fatal("ReadHello accepted bytes IsHelloPrefix rejects")
 		}
-		tag, n, err := ReadTaggedHeader(bytes.NewReader(b))
+		tag, n, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(b)))
 		_ = tag
 		if err == nil {
 			if isHello {

@@ -7,6 +7,7 @@ package wire
 // tag, and reads the body straight into that request's reusable buffers.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -123,12 +124,21 @@ func finishTaggedFrame(dst []byte, base int) ([]byte, error) {
 // ReadTaggedHeader reads one v2 frame header and returns the frame's tag
 // and remaining body length. A header whose v2 bit is unset (a v1 frame on
 // a negotiated-v2 connection) is a protocol violation and returns an error.
-func ReadTaggedHeader(r io.Reader) (tag uint32, bodyLen int, err error) {
-	var hdr [taggedHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// The header is decoded in r's own buffer: a local array handed to an
+// io.Reader would escape, one heap object per frame.
+//
+//masstree:noalloc
+func ReadTaggedHeader(r *bufio.Reader) (tag uint32, bodyLen int, err error) {
+	hdr, err := r.Peek(taggedHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:4])
+	tag = binary.LittleEndian.Uint32(hdr[4:])
+	r.Discard(taggedHeaderSize) // cannot fail: Peek buffered these bytes
 	if n&v2FrameBit == 0 {
 		return 0, 0, errNotV2
 	}
@@ -139,7 +149,7 @@ func ReadTaggedHeader(r io.Reader) (tag uint32, bodyLen int, err error) {
 	if n < 4 {
 		return 0, 0, errShort
 	}
-	return binary.LittleEndian.Uint32(hdr[4:]), int(n) - 4, nil
+	return tag, int(n) - 4, nil
 }
 
 // ReadTaggedRequestBody reads a request frame's body (after its header was

@@ -64,7 +64,7 @@ func TestV1DecodersRejectV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadTaggedHeader(bytes.NewReader(v1)); err == nil {
+	if _, _, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(v1))); err == nil {
 		t.Fatal("ReadTaggedHeader accepted a v1 frame")
 	}
 }
@@ -84,7 +84,7 @@ func TestTaggedRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(frame)
+	r := bufio.NewReader(bytes.NewReader(frame))
 	tag, n, err := ReadTaggedHeader(r)
 	if err != nil || tag != 0xdeadbeef {
 		t.Fatalf("header: tag=%x err=%v", tag, err)
@@ -114,7 +114,7 @@ func TestTaggedResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bytes.NewReader(frame)
+	r := bufio.NewReader(bytes.NewReader(frame))
 	tag, n, err := ReadTaggedHeader(r)
 	if err != nil || tag != 7 {
 		t.Fatalf("header: tag=%d err=%v", tag, err)
