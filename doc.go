@@ -6,13 +6,21 @@
 //
 // Both halves of the request pipeline are batched and allocation-free in
 // steady state. Reads: scratch-aliasing wire decoding, PALM-style batched
-// lookups (§4.8), and arena-appended responses. Writes: runs of puts
-// descend the tree in key order sharing one border-node lock acquisition
-// per run (core.PutBatchInto), each put builds a single packed value
-// allocation (value.BuildAt), versions come from per-worker loosely
-// synchronized clocks instead of a global counter (§5.1, kvstore's
-// shardedClock), and log records are encoded directly into per-worker
-// double-buffered logs whose flushes never block appenders (§5, wal).
+// lookups (§4.8), and arena-appended responses. Writes: every write entry
+// point — Put, PutTTL, Touch, CasPut, a backend load's install, a batch —
+// is a descriptor handed to one kernel in kvstore (writeOp; step, logWrite,
+// finishWrite). The step runs under the owning border node's lock: it
+// decides once whether the old value still counts as a base (a lapsed one
+// is absent for the compare, the build and the record alike), draws the
+// version from the worker's loosely synchronized clock instead of a global
+// counter (§5.1, kvstore's shardedClock), reads the chain link, and builds
+// a single packed value allocation (value.BuildTTLAt). The log stage picks
+// the record form once and encodes it directly into the worker's
+// double-buffered log, whose flushes never block appenders (§5, wal). Runs
+// of puts descend the tree in key order sharing one border-node lock
+// acquisition per run (core.PutBatchInto) with the same step per key; a
+// decoded request's put list is the store's own type (wire.ColData is
+// value.ColPut), so nothing is converted between the wire and the log.
 //
 // Range queries (§3 getrange) are one descent plus a walk of the border-node
 // list (core.ScanInto). Each node is read as a version-validated snapshot of
@@ -67,8 +75,10 @@
 // logs (committed by rename before any reclamation), so a log vanishing
 // wholesale — which the paper's min-over-logs cutoff cannot see, since a
 // missing log imposes no constraint — surfaces as missing_logs. Both
-// counters ride the server's Stats op. The walchain analyzer proves the
-// draw/read/append window statically, and the multi-writer crash torture
+// counters ride the server's Stats op. The walchain analyzer proves
+// statically that the draw and the prev read happen only in the kernel's
+// step, the chained append only in its log stage, and both inside one
+// worker-lock window, and the multi-writer crash torture
 // (TestCrashTortureMultiWriter) proves end to end that keys whose columns
 // span logs recover to exact applied states at every crash boundary, even
 // with a whole log removed.

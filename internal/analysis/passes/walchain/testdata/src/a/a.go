@@ -1,9 +1,10 @@
-// Package a is the walchain golden fixture: a miniature kvstore write path
-// with the recognition conventions of the real one (tree write methods
-// Update/Apply/PutBatchInto taking func literals, a version-drawing
-// nextVersion method, a worker lock named lockWorker, and a WAL type named
-// Writer with the chained append methods), exercising every diagnostic and
-// the clean shapes.
+// Package a is the walchain golden fixture: a miniature of the kvstore's
+// write kernel with the real one's names (tree write methods
+// Update/Apply/PutBatchInto taking func literals, a step method that alone
+// calls nextVersion and returns a writeResult, a logWrite method that alone
+// makes the single-record chained appends, a worker lock named lockWorker,
+// and a WAL type named Writer), exercising the clean kernel and every
+// diagnostic.
 package a
 
 type Value struct{}
@@ -49,99 +50,163 @@ type Store struct {
 func (s *Store) lockWorker(worker int) *mutex              { return &mutex{} }
 func (s *Store) nextVersion(worker int, old *Value) uint64 { return 2 }
 
-// goodPut is the canonical linked-put shape: prev and ver both drawn inside
-// the Update callback, append under the worker lock.
-func (s *Store) goodPut(worker int, key []byte, puts []ColPut) uint64 {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	var ver, prev uint64
-	s.tree.Update(key, func(old *Value) *Value {
-		prev = old.Version()
-		ver = s.nextVersion(worker, old)
-		return old
-	})
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts)
-	return ver
+type writeOp struct {
+	puts []ColPut
+	ttl  bool
 }
 
-// goodAnchor: the literal 0 is the one legal constant prev.
-func (s *Store) goodAnchor(worker int, key []byte, puts []ColPut, expiry uint64) {
+type writeResult struct {
+	nv        *Value
+	ver, prev uint64
+	insert    bool
+	anchor    bool
+}
+
+// step is the kernel's first stage: the one version draw, the one prev read.
+func (s *Store) step(worker int, op writeOp, old *Value) (r writeResult) {
+	r.prev = old.Version()
+	r.ver = s.nextVersion(worker, old)
+	r.nv = old
+	return r
+}
+
+// logWrite is the kernel's log stage: the record choice, written once. The
+// link is the step's prev or, for an anchor, the literal 0.
+func (s *Store) logWrite(worker int, key []byte, op writeOp, r writeResult) {
+	w := s.logs.Writer(worker)
+	puts, prev := op.puts, r.prev
+	if r.anchor {
+		puts, prev = nil, 0
+	}
+	switch {
+	case r.insert:
+		w.AppendInsert(r.ver, key, puts)
+	case op.ttl:
+		w.AppendPutTTL(r.ver, prev, key, puts, 0)
+	default:
+		w.AppendPut(r.ver, prev, key, puts)
+	}
+}
+
+// write is the clean single-key driver: worker lock, step under the border
+// lock, log stage.
+func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
-	var ver uint64
 	s.tree.Apply(key, func(old *Value) *Value {
-		ver = s.nextVersion(worker, old)
-		return old
+		r = s.step(worker, op, old)
+		return r.nv
 	})
-	s.logs.Writer(worker).AppendPutTTL(ver, 0, key, puts, expiry)
+	s.logWrite(worker, key, op, r)
+	return r
 }
 
 type scratch struct {
+	res         []writeResult
 	vers, prevs []uint64
 	inserts     []bool
 }
 
-// goodBatch: scratch-rooted versions and prev links filled in the batch
-// callback count as drawn under the border lock.
-func (s *Store) goodBatch(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
+// putBatch is the clean batch driver: scratch slices filled from step
+// results count as the step's own, and the handoff fallback goes through the
+// log stage.
+func (s *Store) putBatch(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
+	mu := s.lockWorker(worker)
+	defer mu.Unlock()
+	handoffs := false
+	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
+		r := s.step(worker, writeOp{puts: puts[i]}, old)
+		sc.res[i] = r
+		sc.vers[i], sc.prevs[i], sc.inserts[i] = r.ver, r.prev, r.insert
+		handoffs = handoffs || r.anchor
+		return r.nv
+	})
+	if !handoffs {
+		s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts)
+		return
+	}
+	for i := range keys {
+		s.logWrite(worker, keys[i], writeOp{puts: puts[i]}, sc.res[i])
+	}
+}
+
+// badDraw draws a version outside the step, and runs the step outside any
+// tree write: both are unordered against the value they stamp.
+func (s *Store) badDraw(worker int, key []byte, op writeOp, cur *Value) {
+	mu := s.lockWorker(worker)
+	defer mu.Unlock()
+	_ = s.nextVersion(worker, cur) // want `nextVersion outside the kernel step`
+	r := s.step(worker, op, cur)   // want `step outside a tree-write critical section`
+	s.logWrite(worker, key, op, r)
+}
+
+// badAppendOutside re-spells a chained append outside the log stage.
+func (s *Store) badAppendOutside(worker int, key []byte, op writeOp) {
+	mu := s.lockWorker(worker)
+	defer mu.Unlock()
+	var r writeResult
+	s.tree.Update(key, func(old *Value) *Value {
+		r = s.step(worker, op, old)
+		return r.nv
+	})
+	s.logs.Writer(worker).AppendPut(r.ver, r.prev, key, op.puts) // want `AppendPut outside the log stage`
+}
+
+// badNoLock reaches the log stage, and the batch append, with no worker lock:
+// nothing serializes the draw-to-append window against the next writer.
+func (s *Store) badNoLock(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
+	var r writeResult
+	s.tree.Apply(keys[0], func(old *Value) *Value {
+		r = s.step(worker, writeOp{}, old)
+		sc.vers[0], sc.prevs[0] = r.ver, r.prev
+		return r.nv
+	})
+	s.logWrite(worker, keys[0], writeOp{}, r)                                       // want `logWrite before lockWorker`
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts) // want `AppendPutBatch before lockWorker`
+}
+
+// badLockAfter takes the worker lock only after the append.
+func (s *Store) badLockAfter(worker int, key []byte, op writeOp) {
+	var r writeResult
+	s.tree.Apply(key, func(old *Value) *Value {
+		r = s.step(worker, op, old)
+		return r.nv
+	})
+	s.logWrite(worker, key, op, r) // want `logWrite before lockWorker`
+	mu := s.lockWorker(worker)
+	mu.Unlock()
+}
+
+// badBatchSources fills the batch's version and link slices from something
+// other than the step's result — the prev read the chain invariant forbids.
+func (s *Store) badBatchSources(worker int, keys [][]byte, puts [][]ColPut, sc *scratch, cur *Value) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
 	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
-		sc.prevs[i] = old.Version()
-		sc.vers[i] = s.nextVersion(worker, old)
-		return old
+		r := s.step(worker, writeOp{puts: puts[i]}, old)
+		sc.vers[i] = r.ver + 1
+		sc.prevs[i] = cur.Version()
+		return r.nv
 	})
-	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts)
+	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts) // want `ver sc.vers of AppendPutBatch is not sourced from the step's result` `prev sc.prevs of AppendPutBatch is not sourced from the step's result`
 }
 
-// badPrevOutside reads the prev link before the critical section — the
-// TOCTOU the chain invariant forbids.
-func (s *Store) badPrevOutside(worker int, key []byte, puts []ColPut, cur *Value) {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	prev := cur.Version()
-	var ver uint64
-	s.tree.Update(key, func(old *Value) *Value {
-		ver = s.nextVersion(worker, old)
-		return old
-	})
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts) // want `prev link prev of AppendPut is not read in the border-lock critical section that draws the version`
-}
+type otherStore struct{ logs *Set }
 
-// badNoLock appends outside the worker lock: nothing serializes the
-// draw-to-append window against the next writer.
-func (s *Store) badNoLock(worker int, key []byte, puts []ColPut) {
-	var ver, prev uint64
-	s.tree.Update(key, func(old *Value) *Value {
-		prev = old.Version()
-		ver = s.nextVersion(worker, old)
-		return old
-	})
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts) // want `AppendPut without the worker lock: no lockWorker call precedes the append`
-}
-
-// badLiteralPrev forges a constant chain link.
-func (s *Store) badLiteralPrev(worker int, key []byte, puts []ColPut) {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	var ver uint64
-	s.tree.Update(key, func(old *Value) *Value {
-		ver = s.nextVersion(worker, old)
-		return old
-	})
-	s.logs.Writer(worker).AppendPut(ver, 7, key, puts) // want `constant prev 7 in AppendPut: only 0 \(a chain anchor\) may be a constant link`
-}
-
-// badVersionOutside draws the version outside any tree write, so it is
-// unordered against the value it stamps — and the append's arguments are
-// then both un-drawn.
-func (s *Store) badVersionOutside(worker int, key []byte, puts []ColPut, cur *Value) {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	ver := s.nextVersion(worker, cur) // want `nextVersion outside a tree-write critical section`
-	prev := cur.Version()
-	s.tree.Update(key, func(old *Value) *Value { return old })
-	s.logs.Writer(worker).AppendPut(ver, prev, key, puts) // want `version argument ver of AppendPut is not assigned in the border-lock critical section that draws it` `prev link prev of AppendPut is not read in the border-lock critical section that draws the version`
+// logWrite on another type stands in for a log stage gone wrong: a link
+// laundered through a local that something besides the step's prev feeds,
+// and a forged constant.
+func (o *otherStore) logWrite(worker int, key []byte, op writeOp, r writeResult, cur *Value) {
+	w := o.logs.Writer(worker)
+	prev := r.prev
+	if r.anchor {
+		prev = cur.Version()
+	}
+	w.AppendPut(r.ver, prev, key, op.puts)       // want `prev prev of AppendPut is not sourced from the step's result`
+	w.AppendPutTTL(r.ver, 7, key, op.puts, 0)    // want `constant prev 7 in AppendPutTTL: only 0 \(a chain anchor\) may be a constant link`
+	w.AppendPut(r.prev, r.prev, key, op.puts)    // want `ver r.prev of AppendPut is not sourced from the step's result`
+	w.AppendPutTTL(r.ver, 0, key, op.puts, 0)    // clean: the anchor's literal 0
+	w.AppendPut((r.ver), (r.prev), key, op.puts) // clean: the step's own fields
 }
 
 // goodAllowed: a deliberate exception carries an annotated reason.

@@ -1,27 +1,25 @@
 // Package walchain verifies the WAL version-chain discipline of the
-// kvstore's write paths: the version draw (nextVersion), the prev-link read,
-// and the record append must share one serialized window. The chain
-// invariant — every linked record's prev names exactly the version it
-// replaced — only holds if prev is read in the same border-lock critical
-// section that draws the version (the func literal passed to a tree write
-// method: Update, Apply, PutBatchInto), and if the append happens before the
-// worker lock opens the draw-to-append window to the next writer. A prev
-// read outside that window is a TOCTOU: a racing writer slips between the
-// read and the draw and the logged chain skips a version, which replay then
-// counts as broken.
+// kvstore's write kernel. The chain invariant — every linked record's prev
+// names exactly the version it replaced — holds because one function, the
+// step, draws the version and reads prev in the same border-lock critical
+// section, one function, the log stage, turns its result into a record, and
+// the worker lock spans both. A prev read anywhere else is a TOCTOU: a
+// racing writer slips between the read and the draw, the logged chain skips
+// a version, and replay counts it as broken. So the analyzer asserts the
+// kernel's shape rather than recognising write paths:
 //
-// Concretely, for every call to Writer.AppendPut / AppendPutTTL /
-// AppendPutBatch in the kvstore:
-//
-//   - a lockWorker call must precede the append in the same function (the
-//     worker lock spans draw to append);
-//   - the prev argument must be the literal 0 (a chain anchor: inserts,
-//     cross-log handoffs, Touch) or a value assigned inside a tree-write
-//     func literal that calls nextVersion;
-//   - the version argument must likewise be assigned inside such a literal;
-//   - and every nextVersion call must itself sit inside a func literal
-//     passed to a tree write method — versions drawn outside the border
-//     lock are unordered against the value they stamp.
+//   - nextVersion is called only in the step, and the step only inside a
+//     func literal passed to a tree write method (Update, Apply,
+//     PutBatchInto) — under the border lock of the key it stamps;
+//   - the single-record chained appends (Writer.AppendPut, AppendPutTTL)
+//     occur only in the log stage, so the insert/anchor/linked choice
+//     exists once;
+//   - the version and prev of every chained append (AppendPutBatch
+//     included) are a step result's ver and prev fields — directly, or
+//     through a variable or scratch slice assigned from nothing else — or
+//     prev is the literal 0 (a chain anchor);
+//   - and a lockWorker call precedes every log-stage call and batch append
+//     in its function: the draw-to-append window is serialized.
 //
 // The analysis is syntactic and per-function; values laundered through
 // helper calls are flagged conservatively (//lint:allow walchain with a
@@ -39,17 +37,25 @@ import (
 // Analyzer is the walchain pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "walchain",
-	Doc:      "check that WAL prev links and versions are drawn and appended inside one border-lock critical section",
+	Doc:      "check that WAL versions and prev links are drawn in the write kernel's step and appended by its log stage under the worker lock",
 	Packages: []string{"internal/kvstore"},
 	Run:      run,
 }
+
+// The kernel's names: the step and log-stage methods, and the step's result
+// type, whose ver and prev fields are the only sources a record may draw on.
+const (
+	stepFunc   = "step"
+	logFunc    = "logWrite"
+	resultType = "writeResult"
+)
 
 // treeWrites are the tree methods whose func-literal argument runs under
 // the border lock of the key it mutates.
 var treeWrites = map[string]bool{"Update": true, "Apply": true, "PutBatchInto": true}
 
 // chainAppends maps the checked Writer methods to the argument positions of
-// (version, prev).
+// (version, prev). AppendPutBatch takes them as parallel slices.
 var chainAppends = map[string][2]int{
 	"AppendPut":      {0, 1},
 	"AppendPutTTL":   {0, 1},
@@ -68,57 +74,76 @@ func run(pass *analysis.Pass) {
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	info := pass.Pkg.Info
+	fn := fd.Name.Name
 
-	// Critical sections: func literals passed to tree write methods. A
-	// variable assigned inside one that draws a version is "drawn under the
-	// border lock" — including scratch-rooted stores like sc.prevs[i].
-	crit := map[*types.Var]bool{}
-	var sections [][2]token.Pos
+	// What the checks need from the function: the calls made under a border
+	// lock (inside a func literal passed to a tree write method), its first
+	// lockWorker call, and for every assigned variable or slice element what
+	// it was assigned from (see sourceOf).
+	locked := map[*ast.CallExpr]bool{}
+	lockPos := token.NoPos
+	sources := map[string]map[string]bool{}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || !treeWrites[sel.Sel.Name] {
-			return true
-		}
-		for _, arg := range call.Args {
-			fl, ok := arg.(*ast.FuncLit)
-			if !ok {
-				continue
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if ok && sel.Sel.Name == "lockWorker" && !lockPos.IsValid() {
+				lockPos = n.Pos()
 			}
-			sections = append(sections, [2]token.Pos{fl.Pos(), fl.End()})
-			if !callsNextVersion(fl) {
-				continue
-			}
-			ast.Inspect(fl.Body, func(m ast.Node) bool {
-				if a, ok := m.(*ast.AssignStmt); ok {
-					for _, lhs := range a.Lhs {
-						if v := rootVar(info, lhs); v != nil {
-							crit[v] = true
-						}
+			if ok && treeWrites[sel.Sel.Name] {
+				for _, arg := range n.Args {
+					if fl, ok := arg.(*ast.FuncLit); ok {
+						ast.Inspect(fl, func(m ast.Node) bool {
+							if c, ok := m.(*ast.CallExpr); ok {
+								locked[c] = true
+							}
+							return true
+						})
 					}
 				}
-				return true
-			})
-		}
-		return true
-	})
-
-	// The worker lock's position: the draw-to-append window opens here.
-	lockPos := token.NoPos
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if lockPos.IsValid() {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "lockWorker" {
-				lockPos = call.Pos()
+			}
+		case *ast.AssignStmt:
+			for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
+				key := exprKey(n.Lhs[i])
+				if sources[key] == nil {
+					sources[key] = map[string]bool{}
+				}
+				sources[key][sourceOf(info, n.Rhs[i])] = true
 			}
 		}
 		return true
 	})
+
+	// check reports an append argument that is not the step result's field:
+	// the field itself, or something assigned from it (for prev, also from
+	// 0) and from nothing else. elems selects a slice argument's elements.
+	check := func(e ast.Expr, field, site string, elems bool) {
+		if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok && field == "prev" {
+			if lit.Value != "0" {
+				pass.Reportf(e.Pos(), "constant prev %s in %s: only 0 (a chain anchor) may be a constant link", lit.Value, site)
+			}
+			return
+		}
+		key := exprKey(e)
+		if elems {
+			key += "[]"
+		}
+		ok := sourceOf(info, e) == field
+		for src := range sources[key] {
+			ok = src == field || src == "0" && field == "prev"
+			if !ok {
+				break
+			}
+		}
+		if !ok {
+			pass.Reportf(e.Pos(), "%s %s of %s is not sourced from the step's result: it must be the %s field the step set under the border lock", field, types.ExprString(e), site, field)
+		}
+	}
+	needLock := func(pos token.Pos, what string) {
+		if !lockPos.IsValid() || pos < lockPos {
+			pass.Reportf(pos, "%s before lockWorker: no lockWorker call precedes it, so the draw-to-append window is not serialized", what)
+		}
+	}
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -129,90 +154,57 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		// Version draws outside any tree-write literal are unordered
-		// against the value they stamp.
-		if sel.Sel.Name == "nextVersion" && !inside(sections, call.Pos()) {
-			pass.Reportf(call.Pos(), "nextVersion outside a tree-write critical section: the version draw must run inside the func literal passed to Update/Apply/PutBatchInto")
-			return true
-		}
-		argIdx, checked := chainAppends[sel.Sel.Name]
-		if !checked || !isWriter(info, sel.X) || len(call.Args) <= argIdx[1] {
-			return true
-		}
-		if !lockPos.IsValid() || call.Pos() < lockPos {
-			pass.Reportf(call.Pos(), "%s without the worker lock: no lockWorker call precedes the append, so the draw-to-append window is not serialized", sel.Sel.Name)
-		}
-		verArg, prevArg := call.Args[argIdx[0]], call.Args[argIdx[1]]
-		if v := rootVar(info, verArg); v == nil || !crit[v] {
-			pass.Reportf(verArg.Pos(), "version argument %s of %s is not assigned in the border-lock critical section that draws it", types.ExprString(verArg), sel.Sel.Name)
-		}
-		if lit, ok := ast.Unparen(prevArg).(*ast.BasicLit); ok {
-			if lit.Value != "0" {
-				pass.Reportf(prevArg.Pos(), "constant prev %s in %s: only 0 (a chain anchor) may be a constant link", lit.Value, sel.Sel.Name)
+		name := sel.Sel.Name
+		switch argIdx, chained := chainAppends[name]; {
+		case name == "nextVersion" && fn != stepFunc:
+			pass.Reportf(call.Pos(), "nextVersion outside the kernel step: the only version draw is the one %s makes under the border lock", stepFunc)
+		case name == stepFunc && !locked[call]:
+			pass.Reportf(call.Pos(), "%s outside a tree-write critical section: the step must run inside the func literal passed to Update/Apply/PutBatchInto", stepFunc)
+		case name == logFunc:
+			needLock(call.Pos(), logFunc)
+		case chained && isNamed(info, sel.X, "Writer") && len(call.Args) > argIdx[1]:
+			batch := name == "AppendPutBatch"
+			if fn != logFunc {
+				if !batch {
+					pass.Reportf(call.Pos(), "%s outside the log stage: single-record chained appends belong to %s, where the insert/anchor/linked choice is made once", name, logFunc)
+				}
+				needLock(call.Pos(), name)
 			}
-			return true
-		}
-		if v := rootVar(info, prevArg); v == nil || !crit[v] {
-			pass.Reportf(prevArg.Pos(), "prev link %s of %s is not read in the border-lock critical section that draws the version", types.ExprString(prevArg), sel.Sel.Name)
+			check(call.Args[argIdx[0]], "ver", name, batch)
+			check(call.Args[argIdx[1]], "prev", name, batch)
 		}
 		return true
 	})
 }
 
-// callsNextVersion reports whether the literal's body draws a version.
-func callsNextVersion(fl *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "nextVersion" {
-				found = true
-			}
+// sourceOf classifies what an expression reads: "ver" or "prev" for that
+// field of a step result, "0" for the literal, "other" for anything else.
+func sourceOf(info *types.Info, e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.BasicLit:
+		if x.Value == "0" {
+			return "0"
 		}
-		return !found
-	})
-	return found
-}
-
-// inside reports whether pos falls in any of the ranges.
-func inside(ranges [][2]token.Pos, pos token.Pos) bool {
-	for _, r := range ranges {
-		if r[0] <= pos && pos < r[1] {
-			return true
+	case *ast.SelectorExpr:
+		if (x.Sel.Name == "ver" || x.Sel.Name == "prev") && isNamed(info, x.X, resultType) {
+			return x.Sel.Name
 		}
 	}
-	return false
+	return "other"
 }
 
-// rootVar resolves an expression to the variable at its root: prev -> prev,
-// sc.prevs[i] -> sc, (sc.vers) -> sc. Non-variable roots return nil.
-func rootVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			if v, ok := info.Uses[x].(*types.Var); ok {
-				return v
-			}
-			if v, ok := info.Defs[x].(*types.Var); ok {
-				return v
-			}
-			return nil
-		default:
-			return nil
-		}
+// exprKey names an assignable expression for the sources table: its text,
+// with an element index collapsed to "[]" (sc.prevs[i] -> "sc.prevs[]").
+func exprKey(e ast.Expr) string {
+	if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok {
+		return exprKey(ix.X) + "[]"
 	}
+	return types.ExprString(ast.Unparen(e))
 }
 
-// isWriter reports whether the expression's type is (a pointer to) a named
-// type called Writer — the WAL writer.
-func isWriter(info *types.Info, e ast.Expr) bool {
+// isNamed reports whether the expression's type is (a pointer to) a named
+// type called name — the WAL Writer, the step's result.
+func isNamed(info *types.Info, e ast.Expr, name string) bool {
 	tv, ok := info.Types[e]
 	if !ok {
 		return false
@@ -222,5 +214,5 @@ func isWriter(info *types.Info, e ast.Expr) bool {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == "Writer"
+	return ok && n.Obj().Name() == name
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/epoch"
 	"repro/internal/value"
@@ -19,8 +20,7 @@ type Session struct {
 	worker int
 	h      *epoch.Handle
 
-	put1  [1]value.ColPut // PutSimple scratch (Put does not retain the slice)
-	batch BatchScratch    // GetBatch/GetBatchInto scratch
+	batch BatchScratch // GetBatchInto/PutBatchInto scratch
 }
 
 // Session creates a session bound to the given worker's log.
@@ -40,10 +40,11 @@ func (ss *Session) Close() {
 
 // Get returns the requested columns of key (nil cols = all).
 func (ss *Session) Get(key []byte, cols []int) ([][]byte, bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	ss.s.cache.NoteAccess(ss.worker, key)
-	return ss.s.Get(key, cols)
+	v, ok := ss.GetValue(key)
+	if !ok {
+		return nil, false
+	}
+	return pickCols(v, cols), true
 }
 
 // GetInto is Get appending the columns to dst (see Store.GetInto); with a
@@ -51,29 +52,21 @@ func (ss *Session) Get(key []byte, cols []int) ([][]byte, bool) {
 // additionally records the key's hash into the worker's lossy access ring —
 // an atomic add and store, still allocation-free.)
 func (ss *Session) GetInto(key []byte, cols []int, dst [][]byte) ([][]byte, bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	ss.s.cache.NoteAccess(ss.worker, key)
-	return ss.s.GetInto(key, cols, dst)
+	v, ok := ss.GetValue(key)
+	if !ok {
+		return dst, false
+	}
+	return AppendCols(dst, v, cols), true
 }
 
 // GetBatch retrieves many keys in one epoch-protected critical section,
 // descending in tree order to share cache paths (§4.8). Results are in
 // input order; cols == nil returns all columns.
 func (ss *Session) GetBatch(keys [][]byte, cols []int) ([][][]byte, []bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	if ss.s.cache.EvictionEnabled() {
-		for _, k := range keys {
-			ss.s.cache.NoteAccess(ss.worker, k)
-		}
-	}
-	vals, ok := ss.s.GetBatchInto(keys, &ss.batch)
+	vals, ok := ss.GetBatchInto(keys)
 	// Copy the found flags out of the session scratch: this is the safe
 	// allocating wrapper, so nothing it returns may alias reusable state.
-	found := make([]bool, len(ok))
-	copy(found, ok)
-	return extractBatchCols(vals, ok, cols), found
+	return extractBatchCols(vals, ok, cols), slices.Clone(ok)
 }
 
 // GetBatchInto is the allocation-free batched lookup: results live in the
@@ -102,8 +95,7 @@ func (ss *Session) Put(key []byte, puts []value.ColPut) uint64 {
 
 // PutSimple stores data as column 0. Neither key nor data is retained.
 func (ss *Session) PutSimple(key, data []byte) uint64 {
-	ss.put1[0] = value.ColPut{Col: 0, Data: data}
-	return ss.Put(key, ss.put1[:])
+	return ss.Put(key, []value.ColPut{{Col: 0, Data: data}})
 }
 
 // PutTTL is Put with an expiry deadline in unix nanoseconds (0 = never);
@@ -116,8 +108,7 @@ func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uin
 
 // PutSimpleTTL stores data as column 0 with an expiry deadline.
 func (ss *Session) PutSimpleTTL(key, data []byte, expiresAt uint64) uint64 {
-	ss.put1[0] = value.ColPut{Col: 0, Data: data}
-	return ss.PutTTL(key, ss.put1[:], expiresAt)
+	return ss.PutTTL(key, []value.ColPut{{Col: 0, Data: data}}, expiresAt)
 }
 
 // Touch resets key's expiry without changing its columns; ok is false if
@@ -155,11 +146,7 @@ var ErrNoBackend = errors.New("kvstore: no backend configured")
 // value is a resident expired one served under the MaxStale window; values
 // are immutable, so the result stays readable after the call regardless.
 func (ss *Session) GetOrLoad(ctx context.Context, key []byte) (*value.Value, bool, error) {
-	ss.h.Enter()
-	ss.s.cache.NoteAccess(ss.worker, key)
-	v, ok := ss.s.tree.Get(key)
-	ss.h.Exit()
-	if ok && !expired(v) {
+	if v, ok := ss.GetValue(key); ok {
 		return v, false, nil
 	}
 	// Miss: the epoch is released before the flight — a backend load can
@@ -171,10 +158,11 @@ func (ss *Session) GetOrLoad(ctx context.Context, key []byte) (*value.Value, boo
 	return ss.s.loader.load(ctx, ss, key)
 }
 
-// GetValue returns key's current packed value. Values are immutable and
-// garbage-collected, so the result stays safe to read after the call; the
-// server uses this to surface value versions alongside columns (CAS needs
-// a version to expect).
+// GetValue returns key's current packed value — the session's one point
+// lookup, which Get, GetInto and GetOrLoad's hit path wrap. Values are
+// immutable and garbage-collected, so the result stays safe to read after
+// the call; the server uses this to surface value versions alongside
+// columns (CAS needs a version to expect).
 func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 	ss.h.Enter()
 	defer ss.h.Exit()
@@ -196,10 +184,7 @@ func (ss *Session) PutBatchInto(keys [][]byte, puts [][]value.ColPut) []uint64 {
 
 // PutBatch is PutBatchInto returning a fresh versions slice.
 func (ss *Session) PutBatch(keys [][]byte, puts [][]value.ColPut) []uint64 {
-	vers := ss.PutBatchInto(keys, puts)
-	out := make([]uint64, len(vers))
-	copy(out, vers)
-	return out
+	return slices.Clone(ss.PutBatchInto(keys, puts))
 }
 
 // Remove deletes key via this session's log.

@@ -17,11 +17,14 @@
 // t = min over logs of the log's maximum durable timestamp (§5) — all
 // without the global clock cache line every writer used to bounce.
 //
-// The write path mirrors the read path's batching and allocation
-// discipline: PutBatchInto applies a batch in tree order with one border-
-// node lock acquisition per run of co-located keys (§4.8), each put builds
-// exactly one packed value allocation (value.BuildAt), and log records are
-// encoded directly into the worker's double-buffered log (§5), so the
+// Every write — Put, PutTTL, Touch, CasPut, a backend load's install, a
+// batch — is one kernel in three stages, and the entry points are
+// descriptors of it (writeOp). step, under the owning border node's lock,
+// decides the base once, draws the version, reads the chain link and builds
+// exactly one packed value (§4.7); logWrite appends one record, encoded
+// directly into the worker's own double-buffered log (§5); finishWrite
+// accounts. PutBatchInto runs the same step over a batch in tree order with
+// one border-node lock acquisition per run of co-located keys (§4.8). The
 // steady-state put pipeline allocates only the value itself.
 package kvstore
 
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,6 +124,9 @@ type Store struct {
 	fsys  vfs.FS
 	tree  *core.Tree
 	clock *shardedClock
+	// now is the write kernel's wall clock in unix nanoseconds (see step);
+	// a field so tests can hold it still.
+	now   func() int64
 	logs  *wal.Set // nil when persistence is disabled
 	mgr   epoch.Manager
 	cache *cache.Cache
@@ -220,6 +227,7 @@ func Open(cfg Config) (*Store, error) {
 		fsys:     cfg.FS,
 		tree:     core.New(),
 		clock:    newShardedClock(cfg.Workers),
+		now:      func() int64 { return time.Now().UnixNano() },
 		cache:    cache.New(cfg.Workers, cfg.MaxBytes),
 		workerMu: make([]paddedMutex, cfg.Workers),
 		stop:     make(chan struct{}),
@@ -700,8 +708,8 @@ func expired(v *value.Value) bool {
 //
 //masstree:pinned
 func (s *Store) Get(key []byte, cols []int) ([][]byte, bool) {
-	v, ok := s.tree.Get(key)
-	if !ok || expired(v) {
+	v, ok := s.GetValue(key)
+	if !ok {
 		return nil, false
 	}
 	return pickCols(v, cols), true
@@ -716,17 +724,19 @@ func (s *Store) Get(key []byte, cols []int) ([][]byte, bool) {
 //masstree:pinned
 //masstree:noalloc
 func (s *Store) GetInto(key []byte, cols []int, dst [][]byte) ([][]byte, bool) {
-	v, ok := s.tree.Get(key)
-	if !ok || expired(v) {
+	v, ok := s.GetValue(key)
+	if !ok {
 		return dst, false
 	}
 	return AppendCols(dst, v, cols), true
 }
 
-// GetValue returns the whole value object. The caller must hold an epoch
-// pin.
+// GetValue returns the whole value object — the one point lookup Get and
+// GetInto wrap: a lazily-expired value is absent. The caller must hold an
+// epoch pin.
 //
 //masstree:pinned
+//masstree:noalloc
 func (s *Store) GetValue(key []byte) (*value.Value, bool) {
 	v, ok := s.tree.Get(key)
 	if !ok || expired(v) {
@@ -742,11 +752,10 @@ func (s *Store) GetValue(key []byte) (*value.Value, bool) {
 type BatchScratch struct {
 	vals    []*value.Value
 	found   []bool
-	vers    []uint64
-	sizes   []int          // packed sizes of a put batch's new values (cache admission)
-	inserts []bool         // which batch entries executed against an absent base
-	prevs   []uint64       // replaced-value versions (wal chain links; 0 for inserts)
-	anchors []*value.Value // new values of cross-log handoff entries (nil otherwise)
+	res     []writeResult // a put batch's step results, one per key
+	vers    []uint64      // their versions, prev links and insert flags as the
+	prevs   []uint64      // parallel slices wal.AppendPutBatch takes
+	inserts []bool
 	core    core.BatchScratch
 }
 
@@ -833,35 +842,159 @@ func (s *Store) nextVersion(worker int, old *value.Value) uint64 {
 }
 
 // expireBase implements the write-side half of lazy expiry, under the
-// owning border node's lock. An expired old value reads as absent, so a
-// write over it must behave like a write over an absent key: the new value
-// builds on a nil base (a partial-column put must not resurrect the dead
-// value's other columns) and is logged as an insert record, which replay
-// applies as a replacement (wal.OpInsert) so recovery rebuilds the same
-// columns the live store served. The physical old value still orders the
-// clock — an implicit remove's timestamp is drawn past its version and the
-// remove floor lifted, exactly like Remove — so the caller's subsequent
-// version draw (against the nil base, flooring on removeFloor) lands above
-// everything the dead value logged. Returns the base to build on.
-func (s *Store) expireBase(worker int, old *value.Value) *value.Value {
-	if old == nil || !expired(old) {
-		return old
-	}
+// owning border node's lock, for an old value the step found lapsed. An
+// expired old value reads as absent, so a write over it must behave like a
+// write over an absent key: the new value builds on a nil base (a
+// partial-column put must not resurrect the dead value's other columns) and
+// is logged as an insert record, which replay applies as a replacement
+// (wal.OpInsert) so recovery rebuilds the same columns the live store
+// served. The physical old value still orders the clock — an implicit
+// remove's timestamp is drawn past its version and the remove floor lifted,
+// exactly like Remove — so the step's subsequent version draw (against the
+// nil base, flooring on removeFloor) lands above everything the dead value
+// logged.
+func (s *Store) expireBase(worker int, old *value.Value) {
 	s.clock.noteRemove(s.clock.tick(worker, old.Version()))
-	return nil
 }
 
-// anchorPuts materializes every column of nv as a ColPut slice, for logging
-// a column-complete chain-anchor record (cross-log handoffs, Touch). The
-// Data slices alias nv's immutable packed allocation; the log writer copies
-// them into its buffer. One slice allocation — the handoff path's second
-// alloc, pinned by TestHandoffAnchorAllocs.
-func anchorPuts(nv *value.Value) []value.ColPut {
-	puts := make([]value.ColPut, nv.NumCols())
-	for i := range puts {
-		puts[i] = value.ColPut{Col: i, Data: nv.Col(i)}
+// basePolicy is what a write requires of the value it would replace: beside
+// columns, expiry and expected version, all the write entry points differ in.
+type basePolicy uint8
+
+const (
+	overAny  basePolicy = iota // write over whatever is there (Put, PutTTL, CasPut, batches)
+	onlyLive                   // decline unless a live value is there (Touch: the dead stay dead)
+	onlyDead                   // decline if a live value is there (loads: a racing put wins)
+)
+
+// writeOp describes one key's write to the kernel (step, logWrite,
+// finishWrite); a write entry point is a descriptor and a reading of the result.
+type writeOp struct {
+	puts   []value.ColPut // column modifications; none republishes the base's columns
+	expiry uint64         // the new value's expiry in unix nanoseconds; 0 = never
+	ttl    bool           // the record carries the expiry (OpPutTTL/OpInsertTTL), zero included
+	cas    bool           // apply only if the base's version equals expect
+	expect uint64         // with cas: the version required; 0 = key absent
+	base   basePolicy
+}
+
+// writeResult is what one step decided, drew and built. It travels by
+// value: the border-lock func literal stores it into one stack slot.
+type writeResult struct {
+	nv     *value.Value // the value published; nil when the step declined
+	base   *value.Value // what the write saw as current; nil if absent or lazily expired
+	ver    uint64       // nv's version
+	prev   uint64       // base's version — the record's chain link; 0 for an insert
+	delta  int64        // change in accounted bytes: nv's size less the physical old value's
+	insert bool         // built on no base: logged as an insert record
+	anchor bool         // logged column-complete with prev == 0
+}
+
+// step is the write kernel's first stage and the only place a version is
+// drawn. It runs under the owning border node's lock — inside the func
+// literal a tree write method calls — on the key's physical value old. It
+// decides once what the base is: a lapsed value reads as absent, so it is
+// absent for the version compare, the policy, the build and the record
+// alike, and the clock is read at most once, only for a value carrying an
+// expiry. Then it applies op's expected version and base policy (a nil nv:
+// declined, nothing changed), draws the version, reads the chain link and
+// builds the packed value.
+func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
+	r.base = old
+	if old.ExpiresAt() != 0 && old.Expired(s.now()) {
+		r.base = nil
 	}
-	return puts
+	base := r.base
+	if op.cas && base.Version() != op.expect || // Version is nil-safe: 0 for absent keys
+		op.base == onlyLive && base == nil ||
+		op.base == onlyDead && base != nil {
+		return r
+	}
+	if base != old {
+		s.expireBase(worker, old)
+	}
+	r.insert = base == nil
+	r.prev = base.Version()
+	// A cross-log handoff (see Put) is logged column-complete with prev == 0,
+	// and so is a write with no columns of its own (Touch): its empty delta
+	// would replay as an empty value — found but blank, worse than absent —
+	// were the log holding the key's original put to vanish.
+	r.anchor = base != nil && (base.Worker() != uint32(worker) || op.base == onlyLive)
+	r.ver = s.nextVersion(worker, base)
+	r.nv = value.BuildTTLAt(base, op.puts, r.ver, uint32(worker), op.expiry)
+	r.delta = int64(r.nv.Size() - old.Size())
+	return r
+}
+
+// logWrite is the kernel's second stage and the only place a put's record
+// form is chosen: an insert (built on no base; replays as a replacement), an
+// anchor (every column of the published value, prev == 0), or a delta
+// linked to the version it replaced. Its caller holds the lockWorker window
+// that covered the step, so the record reaches the log before any later
+// draw on this worker.
+func (s *Store) logWrite(worker int, key []byte, op writeOp, r writeResult) {
+	w := s.logs.Writer(worker)
+	puts, prev := op.puts, r.prev
+	if r.anchor {
+		// Every column of the published value. The Data slices alias its
+		// immutable packed allocation; the log writer copies them. One slice
+		// allocation — the handoff path's second, see TestHandoffAnchorAllocs.
+		puts, prev = make([]value.ColPut, r.nv.NumCols()), 0
+		for i := range puts {
+			puts[i] = value.ColPut{Col: i, Data: r.nv.Col(i)}
+		}
+	}
+	switch {
+	case r.insert && op.ttl:
+		w.AppendInsertTTL(r.ver, key, puts, op.expiry)
+	case r.insert:
+		w.AppendInsert(r.ver, key, puts)
+	case op.ttl:
+		w.AppendPutTTL(r.ver, prev, key, puts, op.expiry)
+	default:
+		w.AppendPut(r.ver, prev, key, puts)
+	}
+}
+
+// finishWrite is the kernel's last stage, after the append, over the keys one
+// call wrote and their step results: arm the expiry sweep, tell the
+// read-through tier the keys exist (negative-cache invalidation) and the
+// eviction policy their sizes, account the bytes in one add, help enforce.
+func (s *Store) finishWrite(worker int, keys [][]byte, res []writeResult, expiry uint64) {
+	if expiry != 0 {
+		s.ttlUsed.Store(true)
+	}
+	var delta int64
+	for i := range res {
+		delta += res[i].delta
+		if s.loader != nil {
+			s.loader.noteWrite(keys[i])
+		}
+		s.cache.NotePut(worker, keys[i], res[i].nv.Size())
+	}
+	s.cache.Account(worker, delta)
+	s.cache.HelpEnforce(s.evictKey)
+}
+
+// write drives one key through the kernel: the step under the border lock
+// and then, unless it declined, the record and the accounting — all inside
+// worker's draw-to-append window when logging is on.
+func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
+	if s.logs != nil {
+		mu := s.lockWorker(worker)
+		defer mu.Unlock()
+	}
+	s.tree.Apply(key, func(old *value.Value) *value.Value {
+		r = s.step(worker, op, old)
+		return r.nv
+	})
+	if r.nv != nil {
+		if s.logs != nil {
+			s.logWrite(worker, key, op, r)
+		}
+		s.finishWrite(worker, [][]byte{key}, []writeResult{r}, op.expiry)
+	}
+	return r
 }
 
 // Put applies the column modifications to key atomically, logging through
@@ -876,49 +1009,7 @@ func anchorPuts(nv *value.Value) []value.ColPut {
 // the key's chain in this log. No replay chain ever spans log files without
 // an anchor, so a vanished log is always detectable at recovery.
 func (s *Store) Put(worker int, key []byte, puts []value.ColPut) uint64 {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var ver, prev uint64
-	var delta int64
-	var size int
-	var nv *value.Value
-	insert, handoff := false, false
-	s.tree.Update(key, func(old *value.Value) *value.Value {
-		base := s.expireBase(worker, old)
-		insert = base == nil
-		prev = base.Version() // nil-safe: 0 for absent keys
-		handoff = base != nil && base.Worker() != uint32(worker)
-		ver = s.nextVersion(worker, base)
-		nv = value.BuildAt(base, puts, ver, uint32(worker))
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if s.logs != nil {
-		switch {
-		case insert:
-			s.logs.Writer(worker).AppendInsert(ver, key, puts)
-		case handoff:
-			s.logs.Writer(worker).AppendPut(ver, 0, key, anchorPuts(nv))
-		default:
-			s.logs.Writer(worker).AppendPut(ver, prev, key, puts)
-		}
-	}
-	s.noteWrite(key)
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return ver
-}
-
-// noteWrite tells the read-through tier a key now exists (negative-cache
-// invalidation); free when no backend is configured.
-func (s *Store) noteWrite(key []byte) {
-	if s.loader != nil {
-		s.loader.noteWrite(key)
-	}
+	return s.write(worker, key, writeOp{puts: puts}).ver
 }
 
 // PutTTL is Put with an expiry deadline (unix nanoseconds; 0 behaves like
@@ -929,45 +1020,7 @@ func (s *Store) noteWrite(key []byte) {
 // A write over a lazily-expired value builds on an absent base (see
 // expireBase): dead columns are never resurrected.
 func (s *Store) PutTTL(worker int, key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var ver, prev uint64
-	var delta int64
-	var size int
-	var nv *value.Value
-	insert, handoff := false, false
-	s.tree.Update(key, func(old *value.Value) *value.Value {
-		base := s.expireBase(worker, old)
-		insert = base == nil
-		prev = base.Version() // nil-safe: 0 for absent keys
-		handoff = base != nil && base.Worker() != uint32(worker)
-		ver = s.nextVersion(worker, base)
-		nv = value.BuildTTLAt(base, puts, ver, uint32(worker), expiresAt)
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if s.logs != nil {
-		switch {
-		case insert:
-			s.logs.Writer(worker).AppendInsertTTL(ver, key, puts, expiresAt)
-		case handoff:
-			// Cross-log handoff: anchor the chain in this log (see Put).
-			s.logs.Writer(worker).AppendPutTTL(ver, 0, key, anchorPuts(nv), expiresAt)
-		default:
-			s.logs.Writer(worker).AppendPutTTL(ver, prev, key, puts, expiresAt)
-		}
-	}
-	if expiresAt != 0 {
-		s.ttlUsed.Store(true)
-	}
-	s.noteWrite(key)
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return ver
+	return s.write(worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true}).ver
 }
 
 // Touch resets key's expiry (unix nanoseconds; 0 = never expire again)
@@ -975,44 +1028,8 @@ func (s *Store) PutTTL(worker int, key []byte, puts []value.ColPut, expiresAt ui
 // version. Returns the new version and ok false if the key is absent (or
 // already expired — touching the dead does not revive them).
 func (s *Store) Touch(worker int, key []byte, expiresAt uint64) (ver uint64, ok bool) {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var delta int64
-	var size int
-	var nv *value.Value
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
-		if old == nil || old.Expired(time.Now().UnixNano()) {
-			return nil // absent or already expired: decline
-		}
-		ok = true
-		ver = s.nextVersion(worker, old)
-		nv = value.BuildTTLAt(old, nil, ver, uint32(worker), expiresAt)
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if !ok {
-		return 0, false
-	}
-	if s.logs != nil {
-		// Log the touch column-complete with prev == 0 — a chain anchor:
-		// the record carries every column of the republished value, not an
-		// empty delta. A zero-column OpPutTTL would replay as an empty
-		// value if the log holding the key's original put vanished
-		// wholesale (the vanished-log hole) — recovering found-but-empty,
-		// worse than absent. Carrying the full value keeps Touch out of
-		// that hole entirely, and replay applies the anchor as a
-		// replacement regardless of what precedes it.
-		s.logs.Writer(worker).AppendPutTTL(ver, 0, key, anchorPuts(nv), expiresAt)
-	}
-	if expiresAt != 0 {
-		s.ttlUsed.Store(true)
-	}
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	return ver, true
+	r := s.write(worker, key, writeOp{expiry: expiresAt, ttl: true, base: onlyLive})
+	return r.ver, r.nv != nil
 }
 
 // CasPut is a versioned conditional Put (Deuteronomy-style latch-free
@@ -1025,60 +1042,16 @@ func (s *Store) Touch(worker int, key []byte, expiresAt uint64) (ver uint64, ok 
 // (logged as an ordinary put through worker's log) and returns the new
 // version with ok true; on mismatch nothing changes and it returns the
 // current version (0 if absent) with ok false, letting the caller re-read
-// and rebase. Neither puts nor their Data slices are retained.
+// and rebase. A lazily-expired value reads as absent everywhere, so CAS
+// sees it as absent too: expect == 0 succeeds over it instead of
+// livelocking on a version no read can observe. Neither puts nor their Data
+// slices are retained.
 func (s *Store) CasPut(worker int, key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
+	r := s.write(worker, key, writeOp{puts: puts, cas: true, expect: expect})
+	if r.nv == nil {
+		return r.base.Version(), false
 	}
-	var cur, newVer, prev uint64
-	var delta int64
-	var size int
-	var nv *value.Value
-	insert, handoff := false, false
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
-		// A lazily-expired value reads as absent everywhere, so CAS must
-		// see it as absent too: cur = 0, and expect == 0 (create-if-absent)
-		// succeeds over it instead of livelocking on a version no read can
-		// observe.
-		base := old
-		if old != nil && expired(old) {
-			base = nil
-		}
-		cur = base.Version() // Version is nil-safe: 0 for absent keys
-		if cur != expect {
-			return nil
-		}
-		ok = true
-		base = s.expireBase(worker, old)
-		insert = base == nil
-		prev = base.Version()
-		handoff = base != nil && base.Worker() != uint32(worker)
-		newVer = s.nextVersion(worker, base)
-		nv = value.BuildAt(base, puts, newVer, uint32(worker))
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		return nv
-	})
-	if !ok {
-		return cur, false
-	}
-	if s.logs != nil {
-		switch {
-		case insert:
-			s.logs.Writer(worker).AppendInsert(newVer, key, puts)
-		case handoff:
-			// Cross-log handoff: anchor the chain in this log (see Put).
-			s.logs.Writer(worker).AppendPut(newVer, 0, key, anchorPuts(nv))
-		default:
-			s.logs.Writer(worker).AppendPut(newVer, prev, key, puts)
-		}
-	}
-	s.noteWrite(key)
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return newVer, true
+	return r.ver, true
 }
 
 // installLoaded publishes a backend-loaded value for key: built on an
@@ -1089,47 +1062,15 @@ func (s *Store) CasPut(worker int, key []byte, expect uint64, puts []value.ColPu
 // declines and returns the winner, so a load can never clobber a write that
 // raced past it. Runs under the caller's epoch (see loader.install).
 func (s *Store) installLoaded(worker int, key []byte, cols [][]byte, expiresAt uint64) *value.Value {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
+	puts := make([]value.ColPut, len(cols))
+	for i := range cols {
+		puts[i] = value.ColPut{Col: i, Data: cols[i]}
 	}
-	var out *value.Value
-	var ver uint64
-	var delta int64
-	var size int
-	var puts []value.ColPut
-	installed := false
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
-		if old != nil && !expired(old) {
-			out = old // a concurrent put made the key live: it wins
-			return nil
-		}
-		base := s.expireBase(worker, old) // nil; orders the clock past the corpse
-		ver = s.nextVersion(worker, base)
-		puts = make([]value.ColPut, len(cols))
-		for i := range cols {
-			puts[i] = value.ColPut{Col: i, Data: cols[i]}
-		}
-		nv := value.BuildTTLAt(nil, puts, ver, uint32(worker), expiresAt)
-		out = nv
-		size = nv.Size()
-		delta = int64(size - old.Size())
-		installed = true
-		return nv
-	})
-	if !installed {
-		return out
+	r := s.write(worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true, base: onlyDead})
+	if r.nv == nil {
+		return r.base
 	}
-	if s.logs != nil {
-		s.logs.Writer(worker).AppendInsertTTL(ver, key, puts, expiresAt)
-	}
-	if expiresAt != 0 {
-		s.ttlUsed.Store(true)
-	}
-	s.cache.Account(worker, delta)
-	s.cache.NotePut(worker, key, size)
-	s.cache.HelpEnforce(s.evictKey)
-	return out
+	return r.nv
 }
 
 // lockWorker serializes worker's draw-to-append window; see workerMu.
@@ -1163,45 +1104,15 @@ func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, s
 		defer mu.Unlock()
 	}
 	n := len(keys)
-	if cap(sc.vers) < n {
-		sc.vers = make([]uint64, n)
-	}
-	if cap(sc.sizes) < n {
-		sc.sizes = make([]int, n)
-	}
-	sc.vers = sc.vers[:n]
-	sc.sizes = sc.sizes[:n]
-	if cap(sc.inserts) < n {
-		sc.inserts = make([]bool, n)
-	}
-	sc.inserts = sc.inserts[:n]
-	if cap(sc.prevs) < n {
-		sc.prevs = make([]uint64, n)
-	}
-	sc.prevs = sc.prevs[:n]
-	if cap(sc.anchors) < n {
-		sc.anchors = make([]*value.Value, n)
-	}
-	sc.anchors = sc.anchors[:n]
-	var delta int64
+	sc.res, sc.vers = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.vers[:0], n)[:n]
+	sc.prevs, sc.inserts = slices.Grow(sc.prevs[:0], n)[:n], slices.Grow(sc.inserts[:0], n)[:n]
 	handoffs := false
 	s.tree.PutBatchInto(keys, &sc.core, func(i int, old *value.Value) *value.Value {
-		base := s.expireBase(worker, old)
-		sc.inserts[i] = base == nil
-		sc.prevs[i] = base.Version() // nil-safe: 0 for absent keys
-		ver := s.nextVersion(worker, base)
-		sc.vers[i] = ver
-		nv := value.BuildAt(base, puts[i], ver, uint32(worker))
-		sc.anchors[i] = nil
-		if base != nil && base.Worker() != uint32(worker) {
-			// Cross-log handoff: this entry must be logged column-complete
-			// with prev == 0 (see Put), so remember the built value.
-			sc.anchors[i] = nv
-			handoffs = true
-		}
-		sc.sizes[i] = nv.Size()
-		delta += int64(nv.Size() - old.Size())
-		return nv
+		r := s.step(worker, writeOp{puts: puts[i]}, old)
+		sc.res[i] = r
+		sc.vers[i], sc.prevs[i], sc.inserts[i] = r.ver, r.prev, r.insert
+		handoffs = handoffs || r.anchor
+		return r.nv
 	})
 	if s.logs != nil {
 		if !handoffs {
@@ -1212,43 +1123,21 @@ func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, s
 			// order is preserved; replay orders a key's records by version
 			// anyway, and all records land before workerMu is released, so
 			// the log's durable-timestamp claim stays sound.
-			w := s.logs.Writer(worker)
 			for i := range keys {
-				switch {
-				case sc.inserts[i]:
-					w.AppendInsert(sc.vers[i], keys[i], puts[i])
-				case sc.anchors[i] != nil:
-					w.AppendPut(sc.vers[i], 0, keys[i], anchorPuts(sc.anchors[i]))
-				default:
-					w.AppendPut(sc.vers[i], sc.prevs[i], keys[i], puts[i])
-				}
+				s.logWrite(worker, keys[i], writeOp{puts: puts[i]}, sc.res[i])
 			}
 		}
 	}
-	if s.loader != nil {
-		for i := range keys {
-			s.loader.noteWrite(keys[i])
-		}
-	}
-	// One accounting add covers the whole batch; admissions stay per key.
-	s.cache.Account(worker, delta)
-	if s.cache.EvictionEnabled() {
-		for i := range keys {
-			s.cache.NotePut(worker, keys[i], sc.sizes[i])
-		}
-		s.cache.HelpEnforce(s.evictKey)
-	}
+	s.finishWrite(worker, keys, sc.res, 0)
+	clear(sc.res) // an idle scratch must not pin values later overwritten
 	return sc.vers
 }
 
-// PutBatch is PutBatchInto with an internal scratch, returning a fresh
-// versions slice.
+// PutBatch is PutBatchInto over a fresh scratch, so the returned versions
+// alias memory nothing else holds.
 func (s *Store) PutBatch(worker int, keys [][]byte, puts [][]value.ColPut) []uint64 {
 	var sc BatchScratch
-	vers := s.PutBatchInto(worker, keys, puts, &sc)
-	out := make([]uint64, len(vers))
-	copy(out, vers)
-	return out
+	return s.PutBatchInto(worker, keys, puts, &sc)
 }
 
 // Remove deletes key, logging through the given worker's log.

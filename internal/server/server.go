@@ -24,11 +24,12 @@
 // additionally shares border-node lock acquisitions and log-buffer locks.
 // The request path is built for steady-state zero allocation: each
 // connection owns a connScratch whose wire decode buffers, response slice,
-// column/pair/range arenas, and ColPut scratch are retained across
-// messages, and decoded requests alias the frame body rather than copying
-// it. Put data is not copied either — the store copies it into the packed
-// value and the log buffer — so a put's only steady-state allocation is the
-// value itself.
+// and column/pair/range arenas are retained across messages, and decoded
+// requests alias the frame body rather than copying it. Put data is not
+// copied or converted either — a decoded request's Puts are the store's own
+// put elements (wire.ColData is value.ColPut), and the store copies them
+// into the packed value and the log buffer — so a put's only steady-state
+// allocation is the value itself.
 //
 // Each connection is bound to a worker id (round-robin), which selects the
 // log its puts append to — the paper's per-core logs mapped onto Go's
@@ -46,7 +47,6 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/obs"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -138,8 +138,7 @@ type connScratch struct {
 	resps   []wire.Response      // response slice, one per request
 	cols    [][]byte             // arena backing Response.Cols for this message
 	keys    [][]byte             // key slice handed to batched session calls
-	puts    []value.ColPut       // flat OpPut conversion arena
-	putRuns [][]value.ColPut     // per-request windows into puts for PutBatchInto
+	putRuns [][]wire.ColData     // each request's Puts, handed to PutBatchInto
 	pairs   []wire.Pair          // arena backing Response.Pairs for this message
 	rng     kvstore.RangeScratch // arenas behind Session.GetRangeInto
 
@@ -175,9 +174,6 @@ func (sc *connScratch) shrink() {
 	}
 	if cap(sc.keys)*24 > maxRetainedScratch {
 		sc.keys = nil
-	}
-	if cap(sc.puts)*32 > maxRetainedScratch { // ~sizeof(value.ColPut)
-		sc.puts = nil
 	}
 	if cap(sc.putRuns)*24 > maxRetainedScratch {
 		sc.putRuns = nil
@@ -439,17 +435,10 @@ func (s *Server) executePutRun(sess *kvstore.Session, reqs []wire.Request, resps
 		runStart = time.Now()
 	}
 	sc.keys = sc.keys[:0]
-	sc.puts = sc.puts[:0]
 	sc.putRuns = sc.putRuns[:0]
 	for i := range reqs {
 		sc.keys = append(sc.keys, reqs[i].Key)
-		start := len(sc.puts)
-		for _, p := range reqs[i].Puts {
-			sc.puts = append(sc.puts, value.ColPut{Col: p.Col, Data: p.Data})
-		}
-		// The window stays valid even if sc.puts later reallocates: it
-		// aliases the already-written backing array.
-		sc.putRuns = append(sc.putRuns, sc.puts[start:len(sc.puts):len(sc.puts)])
+		sc.putRuns = append(sc.putRuns, reqs[i].Puts)
 	}
 	vers := sess.PutBatchInto(sc.keys, sc.putRuns)
 	s.batchedPuts.Add(int64(len(reqs)))
@@ -509,51 +498,8 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		sc.cols = kvstore.AppendCols(sc.cols, v, r.Cols)
 		return wire.Response{Status: wire.StatusOK, Version: v.Version(),
 			Cols: sc.cols[start:len(sc.cols):len(sc.cols)]}
-	case wire.OpPut:
-		// The decoded put data aliases the connection's frame buffer; that
-		// is safe because the store copies it into the packed value and the
-		// log buffer before returning.
-		sc.puts = sc.puts[:0]
-		for _, p := range r.Puts {
-			sc.puts = append(sc.puts, value.ColPut{Col: p.Col, Data: p.Data})
-		}
-		ver := sess.Put(r.Key, sc.puts)
-		return wire.Response{Status: wire.StatusOK, Version: ver}
-	case wire.OpCas:
-		// Versioned conditional put: the store compares the current version
-		// with ExpectVersion under the owning border node's lock. Mismatch
-		// answers StatusConflict with the current version so the client can
-		// re-read and retry.
-		sc.puts = sc.puts[:0]
-		for _, p := range r.Puts {
-			sc.puts = append(sc.puts, value.ColPut{Col: p.Col, Data: p.Data})
-		}
-		ver, ok := sess.CasPut(r.Key, r.ExpectVersion, sc.puts)
-		if !ok {
-			return wire.Response{Status: wire.StatusConflict, Version: ver}
-		}
-		return wire.Response{Status: wire.StatusOK, Version: ver}
-	case wire.OpPutTTL:
-		if !ttlOK {
-			s.erroredRequests.Add(1)
-			return wire.Response{Status: wire.StatusError}
-		}
-		sc.puts = sc.puts[:0]
-		for _, p := range r.Puts {
-			sc.puts = append(sc.puts, value.ColPut{Col: p.Col, Data: p.Data})
-		}
-		ver := sess.PutTTL(r.Key, sc.puts, expiryFromTTL(r.TTL))
-		return wire.Response{Status: wire.StatusOK, Version: ver}
-	case wire.OpTouch:
-		if !ttlOK {
-			s.erroredRequests.Add(1)
-			return wire.Response{Status: wire.StatusError}
-		}
-		ver, ok := sess.Touch(r.Key, expiryFromTTL(r.TTL))
-		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		return wire.Response{Status: wire.StatusOK, Version: ver}
+	case wire.OpPut, wire.OpCas, wire.OpPutTTL, wire.OpTouch:
+		return s.executeWrite(sess, r, ttlOK)
 	case wire.OpGetOrLoad:
 		// Read-through get (v2 surface, like the TTL ops): a miss consults
 		// the store's backend tier, with concurrent misses for the same key
@@ -601,6 +547,38 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 	default:
 		return wire.Response{Status: wire.StatusError}
 	}
+}
+
+// executeWrite serves the put family as one branch: the decoded request goes
+// to the session's matching write entry point as it is (its put data aliases
+// the connection's frame buffer; the store copies it into the packed value
+// and the log buffer before returning) and every outcome is a status and a
+// version. A declined write answers with what the client needs to retry: an
+// OpCas whose ExpectVersion mismatched under the border lock is
+// StatusConflict carrying the current version, an OpTouch of an absent or
+// expired key StatusNotFound. The TTL forms are v2 surface (see executeBatch).
+func (s *Server) executeWrite(sess *kvstore.Session, r *wire.Request, ttlOK bool) wire.Response {
+	if !ttlOK && (r.Op == wire.OpPutTTL || r.Op == wire.OpTouch) {
+		s.erroredRequests.Add(1)
+		return wire.Response{Status: wire.StatusError}
+	}
+	var ver uint64
+	ok, declined := true, wire.StatusNotFound
+	switch r.Op {
+	case wire.OpPut:
+		ver = sess.Put(r.Key, r.Puts)
+	case wire.OpCas:
+		ver, ok = sess.CasPut(r.Key, r.ExpectVersion, r.Puts)
+		declined = wire.StatusConflict
+	case wire.OpPutTTL:
+		ver = sess.PutTTL(r.Key, r.Puts, expiryFromTTL(r.TTL))
+	case wire.OpTouch:
+		ver, ok = sess.Touch(r.Key, expiryFromTTL(r.TTL))
+	}
+	if !ok {
+		return wire.Response{Status: declined, Version: ver}
+	}
+	return wire.Response{Status: wire.StatusOK, Version: ver}
 }
 
 // expiryFromTTL converts wire TTL seconds into the store's absolute expiry

@@ -270,17 +270,6 @@ func Apply(old *Value, puts []ColPut) *Value {
 	return BuildAt(old, puts, old.Version()+1, 0)
 }
 
-// ApplyAt is Apply with an explicit new version, used by log replay.
-func ApplyAt(old *Value, puts []ColPut, version uint64) *Value {
-	return BuildAt(old, puts, version, 0)
-}
-
-// ApplyTTLAt is ApplyAt carrying an expiry, used to replay wal.OpPutTTL
-// records and to load checkpoint entries that recorded one.
-func ApplyTTLAt(old *Value, puts []ColPut, version uint64, expiry uint64) *Value {
-	return BuildTTLAt(old, puts, version, 0, expiry)
-}
-
 // Equal reports whether two values have identical columns (versions are not
 // compared; empty and missing columns are identical). Used by tests.
 func Equal(a, b *Value) bool {

@@ -114,8 +114,8 @@ func TestBuildAtWorkerTag(t *testing.T) {
 	}
 }
 
-func TestApplyAt(t *testing.T) {
-	v := ApplyAt(nil, []ColPut{{Col: 0, Data: []byte("x")}}, 42)
+func TestBuildAtVersion(t *testing.T) {
+	v := BuildAt(nil, []ColPut{{Col: 0, Data: []byte("x")}}, 42, 0)
 	if v.Version() != 42 {
 		t.Fatalf("version = %d, want 42", v.Version())
 	}

@@ -176,20 +176,26 @@ func (w *Writer) kickIfBig(n int) {
 	}
 }
 
-// AppendPut queues a put record, encoding it directly into the worker-owned
-// log buffer — no intermediate Record or payload allocation. It does not
-// block on storage; durability arrives with the next flush (group commit).
+// append encodes one record directly into the worker-owned log buffer — no
+// intermediate Record or payload allocation — and wakes the flusher if the
+// buffer has grown large. It does not block on storage; durability arrives
+// with the next flush (group commit). Every Append* form is this.
+func (w *Writer) append(ts, prev uint64, op Op, key []byte, puts []value.ColPut, expiry uint64) {
+	w.mu.Lock()
+	w.buf = appendRecord(w.buf, ts, prev, op, key, puts, expiry)
+	n := len(w.buf)
+	w.mu.Unlock()
+	w.kickIfBig(n)
+}
+
+// AppendPut queues a put record.
 //
 // prev is the version of the value the put was applied over, read under the
 // same border-lock critical section that drew ts. Pass prev == 0 only for a
 // chain anchor: a record whose puts carry every column of the value it
 // published, so replay can apply it as a replacement (see Record.Prev).
 func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []value.ColPut) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, prev, OpPut, key, puts, 0)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	w.append(ts, prev, OpPut, key, puts, 0)
 }
 
 // AppendPutTTL queues a put record carrying an expiry timestamp (see
@@ -197,31 +203,19 @@ func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []value.ColPut) {
 // and the republished value's full column set, so the record is a chain
 // anchor and stands alone at replay.
 func (w *Writer) AppendPutTTL(ts, prev uint64, key []byte, puts []value.ColPut, expiry uint64) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, prev, OpPutTTL, key, puts, expiry)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	w.append(ts, prev, OpPutTTL, key, puts, expiry)
 }
 
 // AppendInsert queues an insert record: a put that executed against an
 // absent or lazily-expired base and must replay as a replacement (see
 // OpInsert). Inserts are chain anchors by op and carry no prev link.
 func (w *Writer) AppendInsert(ts uint64, key []byte, puts []value.ColPut) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, 0, OpInsert, key, puts, 0)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	w.append(ts, 0, OpInsert, key, puts, 0)
 }
 
 // AppendInsertTTL is AppendInsert with an expiry timestamp.
 func (w *Writer) AppendInsertTTL(ts uint64, key []byte, puts []value.ColPut, expiry uint64) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, 0, OpInsertTTL, key, puts, expiry)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	w.append(ts, 0, OpInsertTTL, key, puts, expiry)
 }
 
 // AppendPutBatch queues one put record per key under a single buffer-lock
@@ -248,31 +242,21 @@ func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]value.ColPut, ts, prev [
 
 // AppendRemove queues a remove record.
 func (w *Writer) AppendRemove(ts uint64, key []byte) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, 0, OpRemove, key, nil, 0)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	w.append(ts, 0, OpRemove, key, nil, 0)
 }
 
 // AppendMark queues a timestamp heartbeat (see OpMark). The caller asserts
 // every record this worker acknowledged with a timestamp <= ts has already
 // been appended.
 func (w *Writer) AppendMark(ts uint64) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, 0, OpMark, nil, nil, 0)
-	w.mu.Unlock()
+	w.append(ts, 0, OpMark, nil, nil, 0)
 }
 
 // Append queues r in the log buffer; see AppendPut. Retained for callers
 // that already hold a Record (marks, tests). r.Prev is written as given;
 // r.Unlinked is ignored — the writer always encodes format v2.
 func (w *Writer) Append(r *Record) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, r.TS, r.Prev, r.Op, r.Key, r.Puts, r.Expiry)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	w.append(r.TS, r.Prev, r.Op, r.Key, r.Puts, r.Expiry)
 }
 
 // Flush writes buffered records to the file and, when sync is enabled,

@@ -63,6 +63,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"repro/internal/value"
 )
 
 // OpCode identifies a request type.
@@ -118,11 +120,9 @@ const (
 	StatusStale uint8 = 4
 )
 
-// ColData is a column index with data (for puts and responses).
-type ColData struct {
-	Col  int
-	Data []byte
-}
+// ColData is a column index with data (for puts): the store's own put
+// element, so a decoded request's Puts go to the store as they are.
+type ColData = value.ColPut
 
 // Request is one operation within a batch.
 type Request struct {
