@@ -12,13 +12,16 @@ import (
 //   - interior separators are strictly increasing and route consistently,
 //   - children's parent pointers point back at their interior node,
 //   - border lowkeys bound their contents,
-//   - the border list is correctly doubly linked in key order.
+//   - the border list is correctly doubly linked in key order,
+//   - interior routing agrees with the border list: descending for lowkey(n)
+//     arrives at n, for every live non-leftmost border n,
+//   - no deleted node is reachable from a live interior.
 func checkInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	checkLayerInvariants(t, tr.rootHeader(), 0)
+	checkLayerInvariants(t, tr, tr.rootHeader(), 0)
 }
 
-func checkLayerInvariants(t *testing.T, root *nodeHeader, depth int) {
+func checkLayerInvariants(t *testing.T, tr *Tree, root *nodeHeader, depth int) {
 	t.Helper()
 	if depth > 64 {
 		t.Fatal("layer depth > 64: cycle?")
@@ -50,7 +53,7 @@ func checkLayerInvariants(t *testing.T, root *nodeHeader, depth int) {
 			}
 			if kl := n.keylen[slot].Load(); kl == klLayer {
 				sub := ascendToRoot((*nodeHeader)(n.loadLV(slot)))
-				checkLayerInvariants(t, sub, depth+1)
+				checkLayerInvariants(t, tr, sub, depth+1)
 			}
 		}
 		// Doubly-linked list consistency.
@@ -66,6 +69,11 @@ func checkLayerInvariants(t *testing.T, root *nodeHeader, depth int) {
 		if i > 0 && n.lowOrd < 0 {
 			t.Fatalf("non-leftmost border %p has lowkey -inf", n)
 		}
+		if i > 0 {
+			if got, _ := tr.findBorder(root, n.lowSlice); got != n {
+				t.Fatalf("border %p: routing sends its lowkey %#x to %p", n, n.lowSlice, got)
+			}
+		}
 	}
 }
 
@@ -75,7 +83,7 @@ func collectBorders(t *testing.T, h *nodeHeader, parent *interiorNode, out *[]*b
 	t.Helper()
 	v := h.version.Load()
 	if isDeleted(v) {
-		t.Fatalf("reachable node %p is marked deleted", h)
+		t.Fatalf("node %p, reachable from interior %p, is marked deleted", h, parent)
 	}
 	if parent != nil && h.parent.Load() != parent {
 		t.Fatalf("node %p parent pointer does not match its parent", h)

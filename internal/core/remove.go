@@ -10,10 +10,10 @@ import (
 // remove; §4.6.5). Removal just shrinks the permutation — the key and value
 // memory are not cleared, so a concurrent get may still return the removed
 // value, which is correct for overlapping operations. Border nodes that
-// become empty are unlinked and deleted, along with any resulting empty
-// interior ancestors; the initial (leftmost) node of each B+-tree is never
-// deleted. Empty trie layers are collapsed later by Maintain (the paper's
-// epoch-scheduled reclamation tasks).
+// become empty are unlinked and deleted, except a parent's leftmost child
+// (which includes each B+-tree's initial node): see removeBorder. Empty trie
+// layers are collapsed later by Maintain (the paper's epoch-scheduled
+// reclamation tasks).
 func (t *Tree) Remove(key []byte) (*value.Value, bool) {
 	return t.remove(key, nil)
 }
@@ -124,10 +124,19 @@ func (t *Tree) emptyBorder(n *borderNode, key []byte, depth int) {
 }
 
 // removeBorder unlinks the empty, locked, non-leftmost border node n from
-// the border list and from its parent, deleting empty interior ancestors
-// recursively. Locks are taken left-to-right and then up the tree; when that
-// order cannot be honored directly we release and revalidate, because a
-// concurrent insert may revive the node while it is unlocked.
+// the border list and from its parent — unless n is its parent's leftmost
+// child, in which case it stays in place, empty and revivable, exactly as
+// each tree's leftmost node does. An emptied node's range goes left, to
+// prev; dropping child[0] from an interior would instead route that range
+// right, to n.next, whose lowkey is above it, and lockBorder only walks
+// right. For any other child, prev is the child one to the left under the
+// same parent, so the border list and the interior routing move together.
+//
+// Locks are taken left-to-right and then up the tree (prev, n, parent —
+// ascend's order; nothing takes a border lock while holding an interior);
+// when the border order cannot be honored directly we release and
+// revalidate, because a concurrent insert may revive the node while it is
+// unlocked. All three locks are held across the unlink.
 //
 //masstree:unlocks n
 func (t *Tree) removeBorder(n *borderNode) {
@@ -158,8 +167,19 @@ func (t *Tree) removeBorder(n *borderNode) {
 		break
 	}
 
-	// Holding p's and n's locks: unlink n. next's prev pointer is protected
-	// by n's (its previous sibling's) lock, which we hold.
+	parent := n.h.lockParent()
+	if parent == nil {
+		panic("core: non-leftmost border without a parent") // born in a split
+	}
+	if parent.child[0].Load() == &n.h {
+		parent.h.unlock()
+		p.h.unlock()
+		n.h.unlock()
+		return
+	}
+
+	// Unlink n. next's prev pointer is protected by n's (its previous
+	// sibling's) lock, which we hold.
 	n.h.markSplitting() // range moves to p: readers must retry from the root
 	n.h.markDeleted()
 	next := n.next.Load()
@@ -168,61 +188,29 @@ func (t *Tree) removeBorder(n *borderNode) {
 		next.prev.Store(p)
 	}
 	p.h.unlock()
-
-	parent := n.h.lockParent()
 	n.h.unlock()
 	t.stats.NodeDeletes.Add(1)
-	if parent != nil {
-		t.removeChild(parent, &n.h)
-	}
+	t.removeChild(parent, &n.h)
 }
 
-// removeChild removes the given child from the locked interior node p,
-// shifting keys and children down. If p loses its last child it is deleted
-// and removed from its own parent, recursively. p is unlocked on return.
+// removeChild removes the given child — never child[0], see removeBorder —
+// from the locked interior node p, shifting keys and children down, so the
+// child to its left inherits the range. p is unlocked on return. p holds
+// the child: the caller locked it through child's parent pointer.
 //
 //masstree:unlocks p
 func (t *Tree) removeChild(p *interiorNode, child *nodeHeader) {
 	nk := int(p.nkeys.Load())
-	idx := -1
-	for i := 0; i <= nk; i++ {
-		if p.child[i].Load() == child {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		// The child is no longer linked here (an interior split moved it and
-		// removal raced ahead); nothing to do.
-		p.h.unlock()
-		return
+	idx := 1
+	for p.child[idx].Load() != child {
+		idx++
 	}
 	p.h.markSplitting() // ranges shift: force readers to retry from the root
-	if nk == 0 {
-		// Removing the only child empties p: delete p as well.
-		p.h.markDeleted()
-		gp := p.h.lockParent()
-		p.h.unlock()
-		t.stats.NodeDeletes.Add(1)
-		if gp != nil {
-			t.removeChild(gp, &p.h)
-		}
-		return
+	for i := idx - 1; i < nk-1; i++ {
+		p.keyslice[i].Store(p.keyslice[i+1].Load())
 	}
-	if idx == 0 {
-		for i := 0; i < nk-1; i++ {
-			p.keyslice[i].Store(p.keyslice[i+1].Load())
-		}
-		for i := 0; i < nk; i++ {
-			p.child[i].Store(p.child[i+1].Load())
-		}
-	} else {
-		for i := idx - 1; i < nk-1; i++ {
-			p.keyslice[i].Store(p.keyslice[i+1].Load())
-		}
-		for i := idx; i < nk; i++ {
-			p.child[i].Store(p.child[i+1].Load())
-		}
+	for i := idx; i < nk; i++ {
+		p.child[i].Store(p.child[i+1].Load())
 	}
 	p.nkeys.Store(int32(nk - 1))
 	p.h.unlock()

@@ -216,11 +216,10 @@ func TestScanMatchesSortedModel(t *testing.T) {
 	}
 }
 
-// TestScanConcurrentChurn runs scanners against inserts, updates and layer
-// creation from several goroutines and removes (with layer collapse) from one
-// (remove/insert range ownership is ROADMAP P0). Every scan must come out
-// strictly ascending — hence without duplicates — and hold every key that was
-// present throughout.
+// TestScanConcurrentChurn runs scanners against inserts, updates, layer
+// creation and removes (with layer collapse) from several goroutines. Every
+// scan must come out strictly ascending — hence without duplicates — and hold
+// every key that was present throughout.
 func TestScanConcurrentChurn(t *testing.T) {
 	tr := New()
 	var stable []string
@@ -253,7 +252,7 @@ func TestScanConcurrentChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; !stop.Load(); i++ {
 				switch {
-				case w == 0 && i%2 == 0: // the one remover
+				case i%4 == 0:
 					tr.Remove([]byte(churnKey(rng)))
 					if i%64 == 0 {
 						tr.Maintain()

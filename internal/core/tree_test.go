@@ -204,6 +204,72 @@ func TestRemoveEverythingThenReuse(t *testing.T) {
 	}
 }
 
+// TestRemoveKeepsParentsLeftmostChild empties a non-leftmost border that is
+// its parent's child[0]. Unlinking it would hand its range left in the
+// border list but right in the interior (the dropped separator), so it must
+// stay linked, empty, and take the next put into its old range. Its right
+// neighbour, an ordinary child, is unlinked and its range moves to it.
+func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
+	tr := New()
+	const n = 300 // sequential fill: 20 borders of 15, so the root interior has split
+	for i := 0; i < n; i++ {
+		put(tr, fmt.Sprintf("k%05d", i), "v")
+	}
+	root := tr.rootHeader()
+	if isBorder(root.version.Load()) {
+		t.Fatal("tree has no interior level")
+	}
+	ph := root.interior().child[1].Load()
+	if isBorder(ph.version.Load()) {
+		t.Fatal("tree has one interior level, want two")
+	}
+	parent := ph.interior()
+	b := parent.child[0].Load().border()
+	sibling := parent.child[1].Load().border()
+	if b.lowOrd < 0 || b.next.Load() != sibling {
+		t.Fatal("picked the wrong nodes")
+	}
+	empty := func(x *borderNode) (first string) {
+		var keys []string
+		for p, r := x.perm(), 0; r < p.count(); r++ {
+			slot := p.slot(r)
+			keys = append(keys, string(appendSliceBytes(nil, x.keyslice[slot].Load(), int(x.keylen[slot].Load()))))
+		}
+		for _, k := range keys {
+			if _, ok := tr.Remove([]byte(k)); !ok {
+				t.Fatalf("remove %q failed", k)
+			}
+		}
+		return keys[0]
+	}
+
+	deletes := tr.Stats().NodeDeletes
+	firstKey := empty(b)
+	if isDeleted(b.h.version.Load()) || b.prev.Load().next.Load() != b || parent.child[0].Load() != &b.h {
+		t.Fatal("a parent's leftmost child was unlinked")
+	}
+	if d := tr.Stats().NodeDeletes; d != deletes {
+		t.Fatalf("NodeDeletes moved by %d", d-deletes)
+	}
+	checkInvariants(t, tr)
+
+	siblingKey := empty(sibling)
+	if !isDeleted(sibling.h.version.Load()) || b.next.Load() == sibling || parent.child[1].Load() == &sibling.h {
+		t.Fatal("an ordinary empty child was not unlinked")
+	}
+	checkInvariants(t, tr)
+
+	// Both ranges now belong to b.
+	for _, k := range []string{firstKey, siblingKey} {
+		put(tr, k, "back")
+		mustGet(t, tr, k, "back")
+	}
+	if c := b.perm().count(); c != 2 {
+		t.Fatalf("revived border holds %d keys, want 2", c)
+	}
+	checkInvariants(t, tr)
+}
+
 func TestLayerCollapseMaintenance(t *testing.T) {
 	tr := New()
 	put(tr, "01234567AB", "v1")
