@@ -14,8 +14,8 @@
 //     in place under the inserting dirty bit and force concurrent readers to
 //     retry, which is the plain "B-tree" bar.
 //   - WithPrefetch is accepted for completeness and is a documented no-op:
-//     Go exposes no prefetch intrinsic (DESIGN.md). Node layout is already
-//     four-cache-line sized, so hardware prefetchers see the same pattern.
+//     Go exposes no prefetch intrinsic, and no node here or in internal/core
+//     is the paper's four cache lines (DESIGN.md substitution #1).
 //
 // Gets are lock-free; puts lock only affected nodes; splits use
 // hand-over-hand locking up the tree. Border nodes are B-link-chained with

@@ -43,6 +43,29 @@ func TestGetAllocFree(t *testing.T) {
 	}
 }
 
+// TestLongKeyInsertAllocs pins what a key longer than 8 bytes costs to
+// insert into a node with room: one allocation, the node's new suffix bag
+// (remove, the other half of each run, allocates nothing).
+func TestLongKeyInsertAllocs(t *testing.T) {
+	tree := New()
+	v := value.New([]byte("v"))
+	for i := 0; i < 5; i++ {
+		tree.Put([]byte(fmt.Sprintf("resident-key-%d", i)), v)
+	}
+	key := []byte("resident-key-3-and-then-some")
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, replaced := tree.Put(key, v); replaced {
+			t.Fatal("key was present")
+		}
+		if _, ok := tree.Remove(key); !ok {
+			t.Fatal("key was absent")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("inserting a long key allocates %.1f times, want <= 1", allocs)
+	}
+}
+
 // TestGetBatchIntoAllocFree verifies the batched lookup is allocation-free
 // once its scratch is warmed to the batch size.
 func TestGetBatchIntoAllocFree(t *testing.T) {

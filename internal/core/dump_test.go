@@ -24,18 +24,14 @@ func dumpNode(b *strings.Builder, h *nodeHeader, indent int) {
 		perm := n.perm()
 		for r := 0; r < perm.count(); r++ {
 			slot := perm.slot(r)
-			kl := n.keylen[slot].Load()
+			kl := n.keylen(slot)
 			ks := n.keyslice[slot].Load()
 			switch kl {
 			case klLayer:
 				fmt.Fprintf(b, "%s  [%d] slice=%#x LAYER:\n", pad, r, ks)
 				dumpNode(b, (*nodeHeader)(n.loadLV(slot)), indent+2)
 			case klSuffix:
-				var suf []byte
-				if sp := n.suffix[slot].Load(); sp != nil {
-					suf = *sp
-				}
-				fmt.Fprintf(b, "%s  [%d] slice=%#x suffix=%q\n", pad, r, ks, suf)
+				fmt.Fprintf(b, "%s  [%d] slice=%#x suffix=%q\n", pad, r, ks, n.bag().suffix(slot))
 			default:
 				fmt.Fprintf(b, "%s  [%d] slice=%#x len=%d\n", pad, r, ks, kl)
 			}

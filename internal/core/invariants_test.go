@@ -42,7 +42,7 @@ func checkLayerInvariants(t *testing.T, tr *Tree, root *nodeHeader, depth int) {
 		for r := 0; r < perm.count(); r++ {
 			slot := perm.slot(r)
 			ks := n.keyslice[slot].Load()
-			ko := ordOf(n.keylen[slot].Load())
+			ko := ordOf(n.keylen(slot))
 			if c := cmpKey(prevSlice, prevOrd, ks, ko); c >= 0 && prevOrd != -2 {
 				t.Fatalf("border %p: keys out of order at rank %d: (%#x,%d) then (%#x,%d)\n%s",
 					n, r, prevSlice, prevOrd, ks, ko, dumpBorder(n))
@@ -51,7 +51,7 @@ func checkLayerInvariants(t *testing.T, tr *Tree, root *nodeHeader, depth int) {
 			if n.lowOrd >= 0 && ks < n.lowSlice {
 				t.Fatalf("border %p: key slice %#x below lowkey %#x", n, ks, n.lowSlice)
 			}
-			if kl := n.keylen[slot].Load(); kl == klLayer {
+			if kl := n.keylen(slot); kl == klLayer {
 				sub := ascendToRoot((*nodeHeader)(n.loadLV(slot)))
 				checkLayerInvariants(t, tr, sub, depth+1)
 			}

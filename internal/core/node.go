@@ -1,13 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 	"unsafe"
 )
 
-// width is the B+-tree fanout: keys per node (paper §4.2). Nodes of four
-// 64-byte cache lines allow a fanout of 15, which the paper measured as the
-// best total performance; wide nodes are prefetched in one DRAM round trip.
+// width is the B+-tree fanout: keys per node (paper §4.2). The paper's nodes
+// of four 64-byte cache lines allow a fanout of 15, which it measured as the
+// best total performance, its wide nodes prefetched in one DRAM round trip.
+// Ours are five lines (border, 312 B) and four and a half (interior, 272 B →
+// the 288 B size class) and cannot be prefetched; see borderNode.
 const width = 15
 
 // nodeHeader is the common prefix of interior and border nodes: the version
@@ -45,33 +48,162 @@ type interiorNode struct {
 // remove. A border node's prev pointer is protected by its previous sibling's
 // lock; next by its own.
 //
+// The paper sizes a border node to four prefetched cache lines; Go has no
+// prefetch (DESIGN.md substitution #1), so the only craft left is touching
+// fewer lines. The node is 312 B — the 320 B size class, which is 64-byte
+// aligned, so five lines — and its fields are in the order a lookup reads
+// them: version, permutation, key slices and the key-length word in the
+// first three lines, lv in the next two, and what only scans, writers and
+// long keys need (next, prev, lowkey, the suffix bag) at the end.
+// TestNodeLayout pins the size and the offsets.
+//
 // lv[i] is the paper's link_or_value union: it holds either a *value.Value
-// or, when keylen[i] == klLayer, a *nodeHeader for the next trie layer.
-// keylen discriminates; lv is accessed only with atomic pointer operations.
+// or, when slot i's key length is klLayer, a *nodeHeader for the next trie
+// layer. The key length discriminates; lv is accessed only with atomic
+// pointer operations.
 type borderNode struct {
 	h           nodeHeader
 	permutation atomic.Uint64
-	next        atomic.Pointer[borderNode]
-	prev        atomic.Pointer[borderNode]
+	keyslice    [width]atomic.Uint64
+
+	// keylens packs the fifteen key lengths (0..8, klSuffix, klLayer,
+	// klUnstable) as 4-bit fields, slot i at bits 4i..4i+3. Writers hold
+	// the node lock and load-modify-store; readers load the whole word, so
+	// bracketing lv between two loads of it keeps the §4.6.3
+	// value→UNSTABLE→LAYER transition from tearing the union.
+	keylens atomic.Uint64
+
+	lv [width]unsafe.Pointer
+
+	next atomic.Pointer[borderNode]
+	prev atomic.Pointer[borderNode]
 
 	// lowSlice/lowOrd form lowkey(n), the inclusive lower bound of the
 	// node's key range. lowkey is constant over a node's lifetime (§4.6.4);
 	// lowOrd == -1 means negative infinity (the tree's initial, leftmost
-	// node, which is never deleted while the tree exists).
+	// node, which is never deleted while the tree exists). lowOrd sits
+	// below with usedMask, where it costs no padding.
 	lowSlice uint64
-	lowOrd   int
 
-	keyslice [width]atomic.Uint64
-	keylen   [width]atomic.Uint32
-	suffix   [width]atomic.Pointer[[]byte]
-	lv       [width]unsafe.Pointer
+	// suffixes points at the node's suffix bag (see suffixBag): the bytes
+	// past the slice of every klSuffix key, in one immutable allocation.
+	// nil when no key of the node has ever been longer than 8 bytes.
+	suffixes atomic.Pointer[byte]
 
 	// usedMask tracks slots that have ever held a visible key. Reusing such
 	// a slot must dirty the version (inserting) so concurrent readers that
 	// located the old key in this slot retry (§4.6.5). Protected by the
 	// node lock.
 	usedMask uint16
+	lowOrd   int8
 }
+
+// keylen returns slot's key length. Under the node lock it is exact; an
+// optimistic reader validates it like any other word of the node.
+func (n *borderNode) keylen(slot int) uint32 { return klAt(n.keylens.Load(), slot) }
+
+// klAt extracts slot's key length from a loaded keylens word.
+func klAt(word uint64, slot int) uint32 { return uint32(word >> (4 * uint(slot)) & 0xf) }
+
+// setKeylen stores slot's key length, leaving the other fourteen alone.
+//
+//masstree:locked n
+func (n *borderNode) setKeylen(slot int, kl uint32) {
+	sh := 4 * uint(slot)
+	n.keylens.Store(n.keylens.Load()&^(0xf<<sh) | uint64(kl)<<sh)
+}
+
+// suffixBag is the one allocation that holds a border node's key suffixes.
+// It is pointer-free and published-never-mutated: a writer that adds a long
+// key (insertSlot, splitInsert, makeLayer's new layer) builds a fresh bag
+// from the live klSuffix slots plus the new suffix and stores its address in
+// n.suffixes before the permutation that makes the key visible. Remove and
+// the suffix→layer transition leave the bag alone; their dead bytes go at
+// the next rebuild. So a reader that loads the pointer inside its keylens
+// bracket and then validates the node version holds the suffix of every
+// slot its snapshot saw as klSuffix, and may compare bytes after validating.
+//
+// Layout: byte 0 is w, the width in bytes of an offset (1, 2 or 4 — as
+// narrow as the total allows); then width+1 little-endian offsets; then the
+// bytes. Slot i's suffix is data[off[i]:off[i+1]].
+type suffixBag []byte
+
+// bagHeader is the size of the width byte plus the offsets: where the
+// suffix bytes start in a bag whose offsets are w bytes wide.
+func bagHeader(w int) int { return 1 + (width+1)*w }
+
+// newBag builds the bag holding sufs[slot] for every slot, or returns nil if
+// all are empty. The bytes are copied: the tree never retains a caller's
+// buffer, nor one bag a part of another.
+func newBag(sufs *[width][]byte) *byte {
+	total := 0
+	for _, s := range sufs {
+		total += len(s)
+	}
+	if total == 0 {
+		return nil
+	}
+	w := 1
+	if total > 0xffff {
+		w = 4
+	} else if total > 0xff {
+		w = 2
+	}
+	b := make(suffixBag, bagHeader(w)+total)
+	b[0] = byte(w)
+	data := b[bagHeader(w):]
+	off := 0
+	for i, s := range sufs {
+		b.putOff(i, off)
+		off += copy(data[off:], s)
+	}
+	b.putOff(width, off)
+	return &b[0]
+}
+
+func (b suffixBag) putOff(i, off int) {
+	switch w := int(b[0]); w {
+	case 1:
+		b[1+i] = byte(off)
+	case 2:
+		binary.LittleEndian.PutUint16(b[1+2*i:], uint16(off))
+	default:
+		binary.LittleEndian.PutUint32(b[1+4*i:], uint32(off))
+	}
+}
+
+func (b suffixBag) off(i int) int {
+	switch w := int(b[0]); w {
+	case 1:
+		return int(b[1+i])
+	case 2:
+		return int(binary.LittleEndian.Uint16(b[1+2*i:]))
+	default:
+		return int(binary.LittleEndian.Uint32(b[1+4*i:]))
+	}
+}
+
+// bagAt recovers the bag from the address newBag returned; the header says
+// how long it is.
+func bagAt(p *byte) suffixBag {
+	if p == nil {
+		return nil
+	}
+	hdr := bagHeader(int(*p))
+	return unsafe.Slice(p, hdr+suffixBag(unsafe.Slice(p, hdr)).off(width))
+}
+
+// suffix returns slot's suffix, aliasing the bag; nil if it has none.
+func (b suffixBag) suffix(slot int) []byte {
+	if b == nil {
+		return nil
+	}
+	data := b[bagHeader(int(b[0])):]
+	return data[b.off(slot):b.off(slot+1)]
+}
+
+// bag returns the node's current suffix bag.
+func (n *borderNode) bag() suffixBag { return bagAt(n.suffixes.Load()) }
 
 // newBorder allocates a border node. rootTree marks it the root of a
 // (possibly new) B+-tree layer; locked determines whether it starts locked.
@@ -128,7 +260,7 @@ func (n *borderNode) searchRank(p permutation, slice uint64, ord int) (rank int,
 		if ks > slice {
 			return rank, false
 		}
-		ko := ordOf(n.keylen[slot].Load())
+		ko := ordOf(n.keylen(slot))
 		if ko < ord {
 			continue
 		}

@@ -90,7 +90,7 @@ restart:
 		rank, found := n.searchRank(perm, slice, ord)
 		if found {
 			slot := perm.slot(rank)
-			switch kl := n.keylen[slot].Load(); kl {
+			switch kl := n.keylen(slot); kl {
 			case klLayer:
 				lvp := n.loadLV(slot)
 				n.h.unlock()
@@ -98,10 +98,7 @@ restart:
 				k = k[8:]
 				continue
 			case klSuffix:
-				var suf []byte
-				if sp := n.suffix[slot].Load(); sp != nil {
-					suf = *sp
-				}
+				suf := n.bag().suffix(slot)
 				if bytes.Equal(suf, k[8:]) {
 					old = (*value.Value)(n.loadLV(slot))
 					if stored = f(old); stored != nil {
@@ -161,13 +158,19 @@ func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint6
 	}
 	n.keyslice[slot].Store(slice)
 	if len(k) <= 8 {
-		n.keylen[slot].Store(uint32(len(k)))
-		n.suffix[slot].Store(nil)
+		n.setKeylen(slot, uint32(len(k)))
 	} else {
-		// Copy the suffix so the tree never retains a caller's buffer.
-		suf := append([]byte(nil), k[8:]...)
-		n.suffix[slot].Store(&suf)
-		n.keylen[slot].Store(klSuffix)
+		// A fresh bag: the live suffixes plus this one, and none of the dead.
+		var sufs [width][]byte
+		bag, kw := n.bag(), n.keylens.Load()
+		for r, cnt := 0, perm.count(); r < cnt; r++ {
+			if s := perm.slot(r); klAt(kw, s) == klSuffix {
+				sufs[s] = bag.suffix(s)
+			}
+		}
+		sufs[slot] = k[8:]
+		n.suffixes.Store(newBag(&sufs))
+		n.setKeylen(slot, klSuffix)
 	}
 	n.storeLV(slot, unsafe.Pointer(v))
 	n.usedMask |= 1 << uint(slot)
@@ -178,7 +181,11 @@ func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint6
 // node n with a link to a freshly created trie layer containing that key's
 // remainder (§4.6.3). The slot transitions value→UNSTABLE→LAYER so readers
 // never confuse a value with a layer pointer. Since only one key is
-// affected, neither the version nor the permutation changes.
+// affected, neither the version nor the permutation changes. The protocol
+// is four ordered stores and touches nothing else: the new layer gets its
+// own one-entry bag, a copy of the remainder past its slice, and n's bag is
+// left alone — the slot's suffix stays in it, unread, until the next
+// rebuild.
 //
 //masstree:locked n
 func (t *Tree) makeLayer(n *borderNode, slot int, suf []byte) *nodeHeader {
@@ -187,21 +194,21 @@ func (t *Tree) makeLayer(n *borderNode, slot int, suf []byte) *nodeHeader {
 	s2 := keySlice(suf)
 	p2, sl2 := emptyPermutation().insert(0)
 	n2.keyslice[sl2].Store(s2)
-	if len(suf) <= 8 {
-		n2.keylen[sl2].Store(uint32(len(suf)))
-	} else {
-		rest := suf[8:]
-		n2.suffix[sl2].Store(&rest)
-		n2.keylen[sl2].Store(klSuffix)
+	kl2 := uint32(len(suf))
+	if len(suf) > 8 {
+		kl2 = klSuffix
+		var sufs [width][]byte
+		sufs[sl2] = suf[8:]
+		n2.suffixes.Store(newBag(&sufs))
 	}
+	n2.keylens.Store(uint64(kl2) << (4 * uint(sl2))) // n2 is still private
 	n2.storeLV(sl2, oldv)
 	n2.usedMask |= 1 << uint(sl2)
 	n2.permutation.Store(uint64(p2))
 
-	n.keylen[slot].Store(klUnstable)
+	n.setKeylen(slot, klUnstable)
 	n.storeLV(slot, unsafe.Pointer(&n2.h))
-	n.keylen[slot].Store(klLayer)
-	n.suffix[slot].Store(nil)
+	n.setKeylen(slot, klLayer)
 	t.stats.LayerCreations.Add(1)
 	return &n2.h
 }

@@ -54,7 +54,7 @@ restart:
 		rank, found := n.searchRank(perm, slice, ord)
 		if found {
 			slot := perm.slot(rank)
-			switch kl := n.keylen[slot].Load(); kl {
+			switch kl := n.keylen(slot); kl {
 			case klLayer:
 				lvp := n.loadLV(slot)
 				n.h.unlock()
@@ -63,10 +63,7 @@ restart:
 				depth++
 				continue
 			case klSuffix:
-				var suf []byte
-				if sp := n.suffix[slot].Load(); sp != nil {
-					suf = *sp
-				}
+				suf := n.bag().suffix(slot)
 				if bytes.Equal(suf, k[8:]) {
 					old := (*value.Value)(n.loadLV(slot))
 					if v := apply(idx[pos], old); v != nil {
@@ -143,12 +140,9 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 		rank, found := n.searchRank(perm, slice, ord)
 		if found {
 			slot := perm.slot(rank)
-			switch kl := n.keylen[slot].Load(); kl {
+			switch kl := n.keylen(slot); kl {
 			case klSuffix:
-				var suf []byte
-				if sp := n.suffix[slot].Load(); sp != nil {
-					suf = *sp
-				}
+				suf := n.bag().suffix(slot)
 				if !bytes.Equal(suf, k[8:]) {
 					goto done // needs a push-down; new descent handles it
 				}

@@ -62,7 +62,7 @@ restart:
 			return nil, false
 		}
 		slot := perm.slot(rank)
-		switch kl := n.keylen[slot].Load(); kl {
+		switch kl := n.keylen(slot); kl {
 		case klLayer:
 			lvp := n.loadLV(slot)
 			n.h.unlock()
@@ -71,11 +71,7 @@ restart:
 			depth++
 			continue
 		case klSuffix:
-			var suf []byte
-			if sp := n.suffix[slot].Load(); sp != nil {
-				suf = *sp
-			}
-			if !bytes.Equal(suf, k[8:]) {
+			if !bytes.Equal(n.bag().suffix(slot), k[8:]) {
 				n.h.unlock()
 				return nil, false
 			}
@@ -286,7 +282,7 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 			return false
 		}
 		slot := perm.slot(rank)
-		if n.keylen[slot].Load() != klLayer {
+		if n.keylen(slot) != klLayer {
 			n.h.unlock()
 			return false
 		}

@@ -81,15 +81,12 @@ func scanFrom(k []byte) scanPos {
 	return pos
 }
 
-// slotSnap is the raw words of one border-node slot. suf is the pointer to
-// the published suffix, not its bytes: published suffixes are replaced, never
-// written in place, so it is dereferenced only after the node version has
-// validated the snapshot, and only for an entry that is emitted.
+// slotSnap is the raw words of one border-node slot.
 type slotSnap struct {
-	ks  uint64
-	kl  uint32
-	lv  unsafe.Pointer
-	suf *[]byte
+	slot int
+	ks   uint64
+	kl   uint32
+	lv   unsafe.Pointer
 }
 
 // scanLayer walks one trie layer's border-node list from the node owning
@@ -115,36 +112,39 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, 
 			n, v = t.findBorder(root, pos.slice)
 			continue
 		}
-		// Snapshot the raw words of the slots at or after pos, then validate
-		// the version; on any change re-read. keylen is read on both sides of
-		// lv so a layer transition (§4.6.3, no version change) cannot tear
-		// the union.
+		// Snapshot the raw words of the slots at or after pos, and the bag
+		// pointer once for the node, then validate the version; on any
+		// change re-read. The keylens word is read on both sides of every lv
+		// and of the bag pointer, so a layer transition (§4.6.3, no version
+		// change) can neither tear the union nor pair a slot with a bag
+		// rebuilt after its suffix died.
 		m := 0
 		ok := true
 		perm := n.perm()
+		kw := n.keylens.Load()
+		var snapped uint64 // the keylens fields of the slots in snap
 		for r, cnt := 0, perm.count(); r < cnt; r++ {
 			slot := perm.slot(r)
 			ks := n.keyslice[slot].Load()
 			if ks < pos.slice {
 				continue
 			}
-			kl := n.keylen[slot].Load()
-			e := slotSnap{ks: ks, kl: kl, lv: n.loadLV(slot)}
-			if kl == klSuffix {
-				e.suf = n.suffix[slot].Load()
-			}
-			if n.keylen[slot].Load() != kl || kl == klUnstable {
+			kl := klAt(kw, slot)
+			if kl == klUnstable {
 				ok = false
 				break
 			}
-			snap[m] = e
+			snap[m] = slotSnap{slot: slot, ks: ks, kl: kl, lv: n.loadLV(slot)}
+			snapped |= 0xf << (4 * uint(slot))
 			m++
 		}
+		bag := n.suffixes.Load()
 		next := n.next.Load()
-		if !ok || changed(n.h.version.Load(), v) {
+		if !ok || (n.keylens.Load()^kw)&snapped != 0 || changed(n.h.version.Load(), v) {
 			v = n.h.stable()
 			continue
 		}
+		sufs := bagAt(bag) // immutable: read after validation, like the values
 
 		// Emit from the validated snapshot.
 		for i := 0; i < m; i++ {
@@ -166,11 +166,12 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, 
 				}
 			} else {
 				k := appendSliceBytes((*kbuf)[:plen], e.ks, min(ord, 8))
-				if e.suf != nil {
-					if bytes.Compare(*e.suf, bound) < 0 {
+				if e.kl == klSuffix {
+					suf := sufs.suffix(e.slot)
+					if bytes.Compare(suf, bound) < 0 {
 						continue
 					}
-					k = append(k, *e.suf...)
+					k = append(k, suf...)
 				}
 				*kbuf = k
 				if !fn(k, (*value.Value)(e.lv)) {

@@ -19,9 +19,9 @@ func layer0Keys(n *borderNode) [][]byte {
 	perm := n.perm()
 	for r := 0; r < perm.count(); r++ {
 		slot := perm.slot(r)
-		k := appendSliceBytes(nil, n.keyslice[slot].Load(), min(ordOf(n.keylen[slot].Load()), 8))
-		if sp := n.suffix[slot].Load(); sp != nil {
-			k = append(k, *sp...)
+		k := appendSliceBytes(nil, n.keyslice[slot].Load(), min(ordOf(n.keylen(slot)), 8))
+		if n.keylen(slot) == klSuffix {
+			k = append(k, n.bag().suffix(slot)...)
 		}
 		keys = append(keys, k)
 	}

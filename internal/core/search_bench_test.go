@@ -22,7 +22,7 @@ func (n *borderNode) searchRankBinary(p permutation, slice uint64, ord int) (ran
 	for lo < hi {
 		mid := (lo + hi) / 2
 		slot := p.slot(mid)
-		c := cmpKey(n.keyslice[slot].Load(), ordOf(n.keylen[slot].Load()), slice, ord)
+		c := cmpKey(n.keyslice[slot].Load(), ordOf(n.keylen(slot)), slice, ord)
 		switch {
 		case c < 0:
 			lo = mid + 1

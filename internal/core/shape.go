@@ -95,7 +95,7 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 		perm := n.perm()
 		for r := 0; r < perm.count(); r++ {
 			slot := perm.slot(r)
-			if n.keylen[slot].Load() == klLayer {
+			if n.keylen(slot) == klLayer {
 				s.Layers[depth].LayerLinks++
 				t.shapeWalk(ascendToRoot((*nodeHeader)(n.loadLV(slot))), depth+1, s)
 			} else {

@@ -13,7 +13,7 @@ type borderEntry struct {
 	slot  int
 	slice uint64
 	kl    uint32
-	suf   *[]byte
+	suf   []byte // aliases n's bag, or the caller's key for the pending entry
 	lv    unsafe.Pointer
 }
 
@@ -28,16 +28,17 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 
 	// Gather existing keys plus the pending key, in key order.
 	var ents [width + 1]borderEntry
+	bag, kw := n.bag(), n.keylens.Load()
 	for i := 0; i < cnt; i++ {
 		slot := perm.slot(i)
 		pos := i
 		if i >= rank {
 			pos = i + 1
 		}
-		var suf *[]byte
-		kl := n.keylen[slot].Load()
+		var suf []byte
+		kl := klAt(kw, slot)
 		if kl == klSuffix {
-			suf = n.suffix[slot].Load()
+			suf = bag.suffix(slot)
 		}
 		ents[pos] = borderEntry{
 			slot:  slot,
@@ -51,9 +52,8 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	if len(k) <= 8 {
 		pend.kl = uint32(len(k))
 	} else {
-		suf := append([]byte(nil), k[8:]...)
 		pend.kl = klSuffix
-		pend.suf = &suf
+		pend.suf = k[8:]
 	}
 	ents[rank] = pend
 	total := cnt + 1
@@ -75,16 +75,21 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	n2 := newBorder(false, true) //masstree:acquires n2.h
 	n2.h.markSplitting()
 	n2.lowSlice = right[0].slice
-	n2.lowOrd = ordOf(right[0].kl)
+	n2.lowOrd = int8(ordOf(right[0].kl))
 
-	// Fill the new sibling; it is invisible until linked.
+	// Fill the new sibling; it is invisible until linked. Each side gets a
+	// bag of exactly its own suffixes, stored before its permutation.
+	var sufs [width][]byte
+	var kw2 uint64
 	for i, e := range right {
 		n2.keyslice[i].Store(e.slice)
-		n2.keylen[i].Store(e.kl)
-		n2.suffix[i].Store(e.suf)
+		kw2 |= uint64(e.kl) << (4 * uint(i))
+		sufs[i] = e.suf
 		n2.storeLV(i, e.lv)
 		n2.usedMask |= 1 << uint(i)
 	}
+	n2.keylens.Store(kw2)
+	n2.suffixes.Store(newBag(&sufs))
 	n2.permutation.Store(uint64(identityPerm(len(right))))
 
 	// Rebuild n's side. Entries keep their slots; the pending key (if it
@@ -94,6 +99,7 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	var idx [width]int
 	usedLeft := uint16(0)
 	pendPos := -1
+	sufs = [width][]byte{}
 	for i, e := range left {
 		if e.slot < 0 {
 			pendPos = i
@@ -101,6 +107,7 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 		}
 		idx[i] = e.slot
 		usedLeft |= 1 << uint(e.slot)
+		sufs[e.slot] = e.suf
 	}
 	if pendPos >= 0 {
 		slot := -1
@@ -113,10 +120,11 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 		idx[pendPos] = slot
 		usedLeft |= 1 << uint(slot)
 		n.keyslice[slot].Store(pend.slice)
-		n.keylen[slot].Store(pend.kl)
-		n.suffix[slot].Store(pend.suf)
+		n.setKeylen(slot, pend.kl)
+		sufs[slot] = pend.suf
 		n.storeLV(slot, pend.lv)
 	}
+	n.suffixes.Store(newBag(&sufs))
 	// The permutation's tail is the free list; it must hold exactly the
 	// slots not referenced by the live region or future inserts would claim
 	// live slots.

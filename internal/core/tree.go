@@ -105,22 +105,22 @@ restart:
 		var (
 			kl  uint32
 			lvp unsafe.Pointer
-			suf []byte
+			bag *byte
 		)
 		if found {
 			slot := perm.slot(rank)
-			// Bracket lv between two keylen reads: layer transitions
-			// (§4.6.3) rewrite keylen→UNSTABLE→lv→keylen→LAYER without a
-			// version change, so matching keylen reads guarantee lv was
-			// consistent with the returned keylen.
-			kl = n.keylen[slot].Load()
+			// Bracket lv and the bag pointer between two loads of the
+			// keylens word: layer transitions (§4.6.3) rewrite
+			// keylen→UNSTABLE→lv→keylen→LAYER without a version change, so
+			// matching reads guarantee lv was consistent with the returned
+			// keylen, and that the bag was published while the slot still
+			// held its suffix key (a later rebuild drops that suffix).
+			kl = n.keylen(slot)
 			lvp = n.loadLV(slot)
 			if kl == klSuffix {
-				if sp := n.suffix[slot].Load(); sp != nil {
-					suf = *sp
-				}
+				bag = n.suffixes.Load()
 			}
-			if kl2 := n.keylen[slot].Load(); kl2 != kl {
+			if n.keylen(slot) != kl {
 				kl = klUnstable
 			}
 		}
@@ -151,7 +151,9 @@ restart:
 		case klUnstable:
 			goto forward
 		case klSuffix:
-			if !bytes.Equal(suf, k[8:]) {
+			// The bag is immutable, and the validated snapshot says which
+			// of its suffixes is this slot's: compare only now.
+			if !bytes.Equal(bagAt(bag).suffix(perm.slot(rank)), k[8:]) {
 				return nil, false
 			}
 			return (*value.Value)(lvp), true

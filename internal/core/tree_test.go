@@ -230,17 +230,13 @@ func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
 		t.Fatal("picked the wrong nodes")
 	}
 	empty := func(x *borderNode) (first string) {
-		var keys []string
-		for p, r := x.perm(), 0; r < p.count(); r++ {
-			slot := p.slot(r)
-			keys = append(keys, string(appendSliceBytes(nil, x.keyslice[slot].Load(), int(x.keylen[slot].Load()))))
-		}
+		keys := layer0Keys(x)
 		for _, k := range keys {
-			if _, ok := tr.Remove([]byte(k)); !ok {
+			if _, ok := tr.Remove(k); !ok {
 				t.Fatalf("remove %q failed", k)
 			}
 		}
-		return keys[0]
+		return string(keys[0])
 	}
 
 	deletes := tr.Stats().NodeDeletes
