@@ -86,14 +86,19 @@
 // Cache mode (internal/cache) makes the store the memcached-class server
 // the paper benchmarks against (§1, §6): Config.MaxBytes bounds the
 // accounted live bytes — per-worker cache-line-padded counters fed by the
-// packed value sizes, one atomic add per put or remove — and an
-// S3-FIFO-inspired policy (small probationary FIFO, main FIFO, ghost list
-// of evicted key hashes) evicts cold keys from the maintenance loop, with
-// over-budget writers throttled into helping (HelpEnforce) so the bound
-// holds even when writers outrun the maintenance goroutine. The hot paths
+// packed value sizes, one atomic add per put or remove. A value's size is
+// computed, not stored (value.Value.Size: a 13-byte header, 8 more for an
+// expiry, one end per column as narrow as the data allows, the data — 22
+// bytes for an 8-byte value), and the live deltas and the walk that seeds
+// the total on Open read the same figure. An S3-FIFO-inspired policy (small
+// probationary FIFO, main FIFO, ghost list of evicted key hashes) evicts
+// cold keys from the maintenance loop, with over-budget writers throttled
+// into helping (HelpEnforce) so the bound holds even when writers outrun
+// the maintenance goroutine. The hot paths
 // feed the policy without locks it could contend on: puts append admission
 // events to per-worker double-buffered rings, gets store key hashes into
-// per-worker lossy access rings. TTLs ride in the packed value header
+// per-worker lossy access rings. TTLs ride in the packed value, eight bytes
+// behind the header of a value that has one and none otherwise
 // (value.BuildTTLAt): reads treat a lapsed value as absent immediately
 // (lazy expiry) and an incremental background sweep reclaims it.
 // Protocol v2 carries PutTTL and Touch (v1 semantics are untouched), and

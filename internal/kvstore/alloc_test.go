@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -198,5 +200,57 @@ func TestGetRangeIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Session.GetRangeInto allocates %.1f per %d-pair range, want 0", allocs, n)
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f costs, size class rounding included, as the TotalAlloc delta
+// over runs calls (ReadMemStats flushes every P's allocation cache into the
+// total, so the figure is exact). It is the least of three batches: a stray
+// allocation by the runtime or a leftover goroutine lands in one.
+func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm-up, as AllocsPerRun does
+	least := math.Inf(1)
+	for batch := 0; batch < 3; batch++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc)/float64(runs))
+	}
+	return least
+}
+
+// TestPutAllocBytes pins what a steady-state overwrite costs in heap bytes,
+// beside TestPutSimpleAllocs' count: the one allocation is the packed value,
+// in the size class the value layout was cut to reach for the benchmark's
+// two record shapes — and every key holds one such value, so this is also
+// the value's share of heap_bytes_per_key.
+func TestPutAllocBytes(t *testing.T) {
+	s := newAllocTestStore(t, 1000)
+	sess := s.Session(0)
+	defer sess.Close()
+	key := []byte("alloc-key-000123")
+	ten := make([]value.ColPut, 10)
+	for i := range ten {
+		ten[i] = value.ColPut{Col: i, Data: []byte("4444")}
+	}
+	future := nowNanos() + uint64(time.Hour)
+	for _, tc := range []struct {
+		name  string
+		put   func()
+		class float64
+	}{
+		{"8-byte PutSimple", func() { sess.PutSimple(key, []byte("88888888")) }, 24},
+		{"8-byte PutSimpleTTL", func() { sess.PutSimpleTTL(key, []byte("88888888"), future) }, 32},
+		{"ten 4-byte columns", func() { sess.Put(key, ten) }, 64},
+		{"one 4-byte column of ten", func() { sess.Put(key, ten[3:4]) }, 64},
+	} {
+		if got := allocBytesPerRun(200, tc.put); got > tc.class {
+			t.Errorf("%s allocates %.1f bytes per put, want <= %.0f", tc.name, got, tc.class)
+		}
 	}
 }

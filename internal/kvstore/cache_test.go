@@ -391,3 +391,75 @@ func TestCacheModeAllocs(t *testing.T) {
 		t.Fatalf("cache-mode PutSimpleTTL allocates %.1f times per run, want <= 1", allocs)
 	}
 }
+
+// TestBytesLiveAcrossRestart: the accounted total is a sum of computed
+// Value.Size figures, charged as deltas on the live store and seeded from a
+// tree walk on Open. The two must agree on every shape — narrow and wide
+// column ends, with and without an expiry, grown, shrunk, touched — whether
+// a value comes back from the checkpoint or from the log tail behind it.
+func TestBytesLiveAcrossRestart(t *testing.T) {
+	cfg := Config{Dir: t.TempDir(), Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: 1 << 30}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := nowNanos() + uint64(time.Hour)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("live-%03d", i)) }
+	ten := make([]value.ColPut, 10)
+	for i := range ten {
+		ten[i] = value.ColPut{Col: i, Data: []byte("4444")}
+	}
+	mix := func(w, from, to int) {
+		sess := s.Session(w)
+		defer sess.Close()
+		for i := from; i < to; i++ {
+			switch i % 5 {
+			case 0:
+				sess.PutSimple(key(i), []byte("88888888"))
+			case 1:
+				sess.PutSimpleTTL(key(i), []byte("88888888"), future)
+			case 2:
+				sess.Put(key(i), ten)
+			case 3:
+				sess.PutSimple(key(i), make([]byte, 300)) // 2-byte column ends
+			case 4:
+				sess.PutSimple(key(i), make([]byte, 70000)) // 4-byte column ends
+			}
+		}
+	}
+	mix(0, 0, 100)
+	if _, _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// The tail: new keys, and every kind of size change over checkpointed
+	// ones, half of them through the other worker's log (handoff anchors).
+	mix(1, 100, 150)
+	sess := s.Session(1)
+	for i := 0; i < 100; i += 10 {
+		sess.Put(key(i), ten[4:5])                          // grows columns, or overwrites one
+		sess.PutSimple(key(i+3), []byte("narrow"))          // 2-byte ends back to 1-byte
+		sess.Put(key(i+4), []value.ColPut{{Col: 2}})        // 4-byte ends kept, two empty columns more
+		sess.Touch(key(i+5), future)                        // gains an expiry
+		sess.PutSimple(key(i+6), []byte("no longer a ttl")) // loses one
+		sess.Remove(key(i + 7))
+	}
+	sess.Close()
+	before := s.CacheStats().BytesLive
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var walked int64
+	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
+		walked += int64(v.Size())
+		return true
+	})
+	if after := r.CacheStats().BytesLive; after != before || walked != before {
+		t.Fatalf("BytesLive %d before close, %d after reopen (a tree walk says %d)", before, after, walked)
+	}
+}

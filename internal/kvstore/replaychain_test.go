@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +68,94 @@ func TestV1DirectoryRecovers(t *testing.T) {
 	}
 	if st := r.RecoveryStats(); st.BrokenChains != 0 {
 		t.Fatalf("BrokenChains = %d on an anchored rebuild, want 0", st.BrokenChains)
+	}
+}
+
+// logAsWorker leaves in mem's "d" one generation-1 log, written by fill and
+// named as worker's, and nothing else: the state a larger incarnation's
+// worker left behind. (The log is written as worker 0's and renamed; the
+// logset that would report worker 0's as missing goes.)
+func logAsWorker(t *testing.T, mem *vfs.MemFS, worker int, fill func(w *wal.Writer)) string {
+	t.Helper()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	set, err := wal.OpenSetFS(mem, "d", 1, 1, true, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(set.Writer(0))
+	if err := set.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("d", wal.LogFileName(worker, 1))
+	if err := mem.Rename(filepath.Join("d", wal.LogFileName(0, 1)), path); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Remove(filepath.Join("d", wal.LogSetFileName)); err != nil {
+		t.Fatal(err)
+	}
+	mem.SyncDir("d")
+	return path
+}
+
+// TestWorkerTagRange: the write kernel tells a cross-log handoff from a
+// delta by a value's worker tag, so a worker id must reach the tag exact or
+// not at all. The log of the highest id the tag holds replays under that
+// id, and a write over its value by another worker anchors, so the value
+// survives the log vanishing. One id further, recovery refuses the log
+// rather than replay it as some other worker's, and Open refuses to run
+// that many workers.
+func TestWorkerTagRange(t *testing.T) {
+	key := []byte("k")
+	fill := func(w *wal.Writer) {
+		w.AppendInsert(5, key, []value.ColPut{{Col: 0, Data: []byte("a")}})
+		w.AppendPut(7, 5, key, []value.ColPut{{Col: 1, Data: []byte("b")}})
+	}
+
+	mem := vfs.NewMemFS()
+	path := logAsWorker(t, mem, value.MaxWorker, fill)
+	s, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := s.GetValue(key); !ok || v.Worker() != value.MaxWorker || string(v.Col(0)) != "a" || string(v.Col(1)) != "b" {
+		t.Fatalf("replayed %v tagged worker %d (ok=%v), want {a, b} tagged %d", v, v.Worker(), ok, value.MaxWorker)
+	}
+	s.Put(1, key, []value.ColPut{{Col: 1, Data: []byte("B")}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	mem.SyncDir("d")
+	r, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, ok := r.Get(key, nil)
+	if !ok || len(cols) != 2 || string(cols[0]) != "a" || string(cols[1]) != "B" || r.RecoveryStats().BrokenChains != 0 {
+		t.Fatalf("the write over worker %d's value did not anchor: %q ok=%v (stats %+v)", value.MaxWorker, cols, ok, r.RecoveryStats())
+	}
+	r.Close()
+
+	mem = vfs.NewMemFS()
+	path = logAsWorker(t, mem, value.MaxWorker+1, fill)
+	if s, err := Open(chainCfg(mem)); err == nil {
+		v, _ := s.GetValue(key)
+		s.Close()
+		t.Fatalf("Open replayed %s; its records are tagged worker %d", path, v.Worker())
+	} else if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name %s", err, path)
+	}
+
+	if s, err := Open(Config{Workers: value.MaxWorker + 2, MaintainEvery: -1}); err == nil {
+		s.Close()
+		t.Fatalf("Open accepted %d workers; their ids run past the tag's %d", value.MaxWorker+2, value.MaxWorker)
 	}
 }
 

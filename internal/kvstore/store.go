@@ -216,6 +216,11 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
+	// step tells a cross-log handoff from a delta by comparing a value's
+	// worker tag with the writing worker's id, so every id must fit the tag.
+	if cfg.Workers-1 > value.MaxWorker {
+		return nil, fmt.Errorf("kvstore: %d workers exceed the value worker tag's range (at most %d)", cfg.Workers, value.MaxWorker+1)
+	}
 	if cfg.MaintainEvery == 0 {
 		cfg.MaintainEvery = 50 * time.Millisecond
 	}
@@ -353,6 +358,7 @@ func (s *Store) recover() error {
 					if old != nil && old.Version() >= r.TS {
 						return old // already reflected (e.g. via the checkpoint)
 					}
+					base := old
 					if r.Op.IsInsert() || (!r.Unlinked && r.Prev == 0) {
 						// Chain anchor: executed against an absent (or
 						// lazily-expired) base, or carrying every column of
@@ -360,13 +366,14 @@ func (s *Store) recover() error {
 						// Replace rather than merge, so stale records of a
 						// cleanly-dropped (evicted/swept) predecessor cannot
 						// fold their columns into the recovered value.
-						return value.BuildTTLAt(nil, r.Puts, r.TS, uint32(r.Worker), r.Expiry)
-					}
-					if !r.Unlinked && old.Version() != r.Prev {
+						base = nil
+					} else if !r.Unlinked && old.Version() != r.Prev {
 						broken = true
 						return old // broken chain: hold the anchored prefix
 					}
-					return value.BuildTTLAt(old, r.Puts, r.TS, uint32(r.Worker), r.Expiry)
+					// RecoverDirAboveFS refused any log whose id the tag
+					// cannot hold, so the conversion is exact.
+					return value.BuildTTLAt(base, r.Puts, r.TS, uint32(r.Worker), r.Expiry)
 				})
 			case wal.OpRemove:
 				if v, ok := s.tree.Get(r.Key); ok && v.Version() < r.TS {

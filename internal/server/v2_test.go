@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -376,5 +377,51 @@ func TestConnOversizedBatchFailsAlone(t *testing.T) {
 	}
 	if got, _, ok, err := c.Get([]byte("small"), nil); err != nil || !ok || string(got[0]) != "v" {
 		t.Fatalf("get after oversized batch: %q %v %v", got, ok, err)
+	}
+}
+
+// TestLargestWireValueRoundTrips puts the two extremes a v2 OpPut can reach
+// through a store and reads them back: the widest value (Col is a u16, so a
+// put to column 65 535 makes 65 536 columns, one more than a u16 counts)
+// and the longest column (a request frame of exactly wire.MaxMessage). The
+// packed value picks its field widths from the data; neither may be
+// narrowed away.
+func TestLargestWireValueRoundTrips(t *testing.T) {
+	srv, addr := startServer(t, "")
+	c := dialConn(t, addr)
+
+	const lastCol = 1<<16 - 1
+	wide := []byte("wide-key")
+	if _, err := c.Put(wide, []wire.ColData{{Col: 0, Data: []byte("first")}, {Col: lastCol, Data: []byte("last")}}); err != nil {
+		t.Fatalf("put to column %d: %v", lastCol, err)
+	}
+	got, _, ok, err := c.Get(wide, []int{lastCol, 0, lastCol - 1})
+	if err != nil || !ok || len(got) != 3 || string(got[0]) != "last" || string(got[1]) != "first" || len(got[2]) != 0 {
+		t.Fatalf("get of columns %d, 0, %d: %q ok=%v err=%v", lastCol, lastCol-1, got, ok, err)
+	}
+	if v, _ := srv.store.GetValue(wide); v.NumCols() != lastCol+1 {
+		t.Fatalf("stored value has %d columns, want %d", v.NumCols(), lastCol+1)
+	}
+
+	long := []byte("long-key")
+	put := []wire.Request{{Op: wire.OpPut, Key: long, Puts: []wire.ColData{{Col: 0}}}}
+	frame, err := wire.AppendTaggedRequests(nil, 1, put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, wire.MaxMessage-(len(frame)-4)) // the length word counts everything after itself
+	for i := range data {
+		data[i] = byte(i >> 8)
+	}
+	put[0].Puts[0].Data = data
+	p := c.Go(put)
+	resps, err := p.Wait()
+	if err != nil || len(resps) != 1 || resps[0].Status != wire.StatusOK {
+		t.Fatalf("put of a %d-byte column: %v %v", len(data), resps, err)
+	}
+	p.Release()
+	got, _, ok, err = c.Get(long, nil)
+	if err != nil || !ok || len(got) != 1 || !bytes.Equal(got[0], data) {
+		t.Fatalf("get of a %d-byte column: %d columns, ok=%v err=%v", len(data), len(got), ok, err)
 	}
 }

@@ -14,6 +14,13 @@
 // garbage collector sees one pointer-free object per value instead of a
 // Value header, a column array, and N column slices.
 //
+// The packing is as narrow as each value's own data allows (the layout table
+// below): nothing derivable is stored, an expiry costs bytes only on a value
+// that has one, and column offsets are one byte wide until the columns
+// outgrow them. Every key pays for one value, so bytes here are bytes per
+// record. The layout is private to this file; logs, checkpoints and wire
+// responses are built column by column through NumCols/Col.
+//
 // Sequential updates to a value obtain distinct, increasing version numbers;
 // the version is written to the log and used during recovery to apply a
 // value's updates in order (§5). The worker tag records which worker's
@@ -30,20 +37,44 @@ import (
 // Packed layout, little endian. A *Value points at the first byte of one
 // []byte allocation:
 //
-//	 0  version u64
-//	 8  size    u32  total bytes of the allocation
-//	12  ncols   u32
-//	16  worker  u32  worker whose clock issued the version
-//	20  expiry  u64  unix nanoseconds after which the value is dead; 0 = never
-//	28  end[ncols] u32  cumulative column end offsets into the data section
-//	28+4*ncols  column data, concatenated
+//	 0  version u64  full width: CasPut carries it on the wire
+//	 8  worker  u16  worker whose clock issued the version
+//	10  ncols   u16  low 16 bits of the column count
+//	12  flags   u8   bit 0    an expiry follows the header
+//	                 bits 1-2 log2 of a column end's width in bytes (0, 1, 2)
+//	                 bit 3    bit 16 of the column count: a put to column
+//	                          65 535, the wire's widest, makes 65 536 columns
+//	                 bits 4-7 reserved, zero
+//	13  expiry  u64  unix nanoseconds after which the value is dead; present
+//	                 only when flags bit 0 is set (absent = never)
+//	13|21  end[ncols]  cumulative column end offsets into the data section,
+//	                   1, 2 or 4 bytes each: as narrow as the last one allows
+//	then   column data, concatenated
+//
+// The allocation's size is not stored: it is where the last column ends.
+// An 8-byte single column packs to 13+1+8 = 22 bytes (Go's 24-byte size
+// class), ten 4-byte columns to 13+10+40 = 63 (the 64-byte class).
 const (
 	offVersion = 0
-	offSize    = 8
-	offNCols   = 12
-	offWorker  = 16
-	offExpiry  = 20
-	hdrSize    = 28
+	offWorker  = 8
+	offNCols   = 10
+	offFlags   = 12
+	hdrSize    = 13
+
+	flagExpiry    = 1 << 0
+	flagEndShift  = 1 // bits 1-2
+	flagNColsHigh = 3 // bit 3
+
+	expirySize = 8
+
+	// MaxWorker is the largest worker tag the layout holds. A store must
+	// not run, or replay the log of, a worker beyond it: an aliased tag
+	// would hide a cross-log handoff from the write kernel.
+	MaxWorker = 1<<16 - 1
+	// maxCols and maxData are the layout's other two limits; the wire
+	// reaches 65 536 columns and wire.MaxMessage bytes, far inside both.
+	maxCols = 1<<17 - 1
+	maxData = 1<<32 - 1
 )
 
 // Value is an immutable multi-column value. It is an opaque header over a
@@ -63,25 +94,96 @@ type ColPut struct {
 	Data []byte // new column contents
 }
 
-// buf reconstructs the value's whole packed allocation. Safe because every
-// *Value points at the first byte of an allocation of exactly the recorded
-// size, and the allocation holds no pointers.
-func (v *Value) buf() []byte {
-	size := binary.LittleEndian.Uint32(v.hdr[offSize:])
-	return unsafe.Slice((*byte)(unsafe.Pointer(v)), size)
+// layout decodes the header: where the column-end table starts, the log2 of
+// an end's width, and the column count.
+//masstree:noalloc
+func (v *Value) layout() (table int, shift uint, ncols int) {
+	f := v.hdr[offFlags]
+	table = hdrSize + int(f&flagExpiry)*expirySize
+	shift = uint(f>>flagEndShift) & 3
+	ncols = int(binary.LittleEndian.Uint16(v.hdr[offNCols:])) | int(f>>flagNColsHigh&1)<<16
+	return
+}
+
+// head reconstructs the first n bytes of the value's packed allocation.
+// Safe for any n up to the size the header and the last column end add up
+// to: every *Value points at the first byte of an allocation of exactly
+// that size, and the allocation holds no pointers.
+//masstree:noalloc
+func (v *Value) head(n int) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(v)), n)
+}
+
+// colEnd returns the cumulative data end offset of column i (i == -1 is 0).
+//masstree:noalloc
+func colEnd(b []byte, table int, shift uint, i int) int {
+	if i < 0 {
+		return 0
+	}
+	switch at := table + i<<shift; shift {
+	case 0:
+		return int(b[at])
+	case 1:
+		return int(binary.LittleEndian.Uint16(b[at:]))
+	default:
+		return int(binary.LittleEndian.Uint32(b[at:]))
+	}
+}
+
+// putColEnd stores column i's end. No end exceeds the dataLen alloc picked
+// shift from, so each conversion here is exact.
+func putColEnd(b []byte, table int, shift uint, i, end int) {
+	switch at := table + i<<shift; shift {
+	case 0:
+		b[at] = byte(end)
+	case 1:
+		binary.LittleEndian.PutUint16(b[at:], uint16(end))
+	default:
+		binary.LittleEndian.PutUint32(b[at:], uint32(end))
+	}
+}
+
+// alloc makes the packed allocation for ncols columns holding dataLen bytes
+// in all and fills in its header; the caller fills the column ends and the
+// data, which start at the returned offsets. The end width is picked here,
+// from dataLen, and nothing is narrowed unchecked: a figure the layout
+// cannot hold panics, as a negative column index does.
+func alloc(version uint64, worker uint32, expiry uint64, ncols, dataLen int) (b []byte, table int, shift uint, data int) {
+	if worker > MaxWorker {
+		panic(fmt.Sprintf("value: worker tag %d exceeds %d", worker, MaxWorker))
+	}
+	if ncols > maxCols {
+		panic(fmt.Sprintf("value: %d columns exceed %d", ncols, maxCols))
+	}
+	if uint64(dataLen) > maxData {
+		panic(fmt.Sprintf("value: %d column bytes exceed %d", dataLen, maxData))
+	}
+	if dataLen > 0xffff {
+		shift = 2
+	} else if dataLen > 0xff {
+		shift = 1
+	}
+	flags := byte(shift<<flagEndShift) | byte(ncols>>16)<<flagNColsHigh
+	table = hdrSize
+	if expiry != 0 {
+		flags |= flagExpiry
+		table += expirySize
+	}
+	data = table + ncols<<shift
+	b = make([]byte, data+dataLen)
+	binary.LittleEndian.PutUint64(b[offVersion:], version)
+	binary.LittleEndian.PutUint16(b[offWorker:], uint16(worker))
+	binary.LittleEndian.PutUint16(b[offNCols:], uint16(ncols))
+	b[offFlags] = flags
+	if expiry != 0 {
+		binary.LittleEndian.PutUint64(b[hdrSize:], expiry)
+	}
+	return b, table, shift, data
 }
 
 // finish seals a filled packed buffer as a *Value.
 func finish(b []byte) *Value {
 	return (*Value)(unsafe.Pointer(&b[0]))
-}
-
-// colEnd returns the cumulative data end offset of column i (i == -1 is 0).
-func colEnd(b []byte, i int) int {
-	if i < 0 {
-		return 0
-	}
-	return int(binary.LittleEndian.Uint32(b[hdrSize+4*i:]))
 }
 
 // New returns a fresh Value with version 1 holding copies of the given
@@ -93,19 +195,15 @@ func New(cols ...[]byte) *Value {
 // NewAt is New with an explicit version, used by log replay and checkpoint
 // loading to reconstruct the exact pre-crash version numbers.
 func NewAt(version uint64, cols ...[]byte) *Value {
-	total := hdrSize + 4*len(cols)
+	total := 0
 	for _, c := range cols {
 		total += len(c)
 	}
-	b := make([]byte, total)
-	binary.LittleEndian.PutUint64(b[offVersion:], version)
-	binary.LittleEndian.PutUint32(b[offSize:], uint32(total))
-	binary.LittleEndian.PutUint32(b[offNCols:], uint32(len(cols)))
+	b, table, shift, data := alloc(version, 0, 0, len(cols), total)
 	off := 0
-	data := b[hdrSize+4*len(cols):]
 	for i, c := range cols {
-		off += copy(data[off:], c)
-		binary.LittleEndian.PutUint32(b[hdrSize+4*i:], uint32(off))
+		off += copy(b[data+off:], c)
+		putColEnd(b, table, shift, i, off)
 	}
 	return finish(b)
 }
@@ -126,30 +224,34 @@ func (v *Value) Worker() uint32 {
 	if v == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(v.hdr[offWorker:])
+	return uint32(binary.LittleEndian.Uint16(v.hdr[offWorker:]))
 }
 
 // Size returns the value's packed allocation size in bytes (0 for nil). It
 // is the figure cache-mode byte accounting charges per value: header, offset
-// table, and column data in one number, read straight from the header.
+// table, and column data in one number, computed from the header and the
+// last column end.
 //masstree:noalloc
 func (v *Value) Size() int {
 	if v == nil {
 		return 0
 	}
-	return int(binary.LittleEndian.Uint32(v.hdr[offSize:]))
+	table, shift, ncols := v.layout()
+	data := table + ncols<<shift
+	return data + colEnd(v.head(data), table, shift, ncols-1)
 }
 
 // ExpiresAt returns the value's expiry time in unix nanoseconds, or 0 for a
-// value that never expires. Expiry rides in the packed header so it survives
-// the log (wal.OpPutTTL) and checkpoints, and so reads can test it without
-// touching any structure beyond the value itself.
+// value that never expires. Expiry rides in the packed allocation so it
+// survives the log (wal.OpPutTTL) and checkpoints, and so reads can test it
+// without touching any structure beyond the value itself; a value without
+// one does not pay its eight bytes.
 //masstree:noalloc
 func (v *Value) ExpiresAt() uint64 {
-	if v == nil {
+	if v == nil || v.hdr[offFlags]&flagExpiry == 0 {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(v.hdr[offExpiry:])
+	return binary.LittleEndian.Uint64(v.head(hdrSize + expirySize)[hdrSize:])
 }
 
 // Expired reports whether the value carries an expiry at or before now
@@ -166,7 +268,8 @@ func (v *Value) NumCols() int {
 	if v == nil {
 		return 0
 	}
-	return int(binary.LittleEndian.Uint32(v.hdr[offNCols:]))
+	_, _, ncols := v.layout()
+	return ncols
 }
 
 // Col returns column i, or nil if the column does not exist or is empty.
@@ -174,16 +277,20 @@ func (v *Value) NumCols() int {
 // mutated.
 //masstree:noalloc
 func (v *Value) Col(i int) []byte {
-	if v == nil || i < 0 || i >= v.NumCols() {
+	if v == nil {
 		return nil
 	}
-	b := v.buf()
-	dataOff := hdrSize + 4*v.NumCols()
-	start, end := colEnd(b, i-1), colEnd(b, i)
+	table, shift, ncols := v.layout()
+	if uint(i) >= uint(ncols) {
+		return nil
+	}
+	data := table + ncols<<shift
+	h := v.head(data)
+	start, end := colEnd(h, table, shift, i-1), colEnd(h, table, shift, i)
 	if start == end {
 		return nil
 	}
-	return b[dataOff+start : dataOff+end : dataOff+end]
+	return v.head(data + end)[data+start:]
 }
 
 // Cols materializes all columns as a fresh slice of subslices of the packed
@@ -232,33 +339,27 @@ func BuildAt(old *Value, puts []ColPut, version uint64, worker uint32) *Value {
 }
 
 // BuildTTLAt is BuildAt with an expiry timestamp (unix nanoseconds, 0 =
-// never) stored in the packed header. With puts == nil it rebuilds old's
+// never) stored after the packed header. With puts == nil it rebuilds old's
 // columns unchanged under the new version and expiry — the Touch operation.
 func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry uint64) *Value {
-	width := old.NumCols()
+	ncols := old.NumCols()
 	for _, p := range puts {
 		if p.Col < 0 {
 			panic(fmt.Sprintf("value: negative column index %d", p.Col))
 		}
-		if p.Col+1 > width {
-			width = p.Col + 1
+		if p.Col+1 > ncols {
+			ncols = p.Col + 1
 		}
 	}
-	total := hdrSize + 4*width
-	for i := 0; i < width; i++ {
+	total := 0
+	for i := 0; i < ncols; i++ {
 		total += len(colData(old, puts, i))
 	}
-	b := make([]byte, total)
-	binary.LittleEndian.PutUint64(b[offVersion:], version)
-	binary.LittleEndian.PutUint32(b[offSize:], uint32(total))
-	binary.LittleEndian.PutUint32(b[offNCols:], uint32(width))
-	binary.LittleEndian.PutUint32(b[offWorker:], worker)
-	binary.LittleEndian.PutUint64(b[offExpiry:], expiry)
+	b, table, shift, data := alloc(version, worker, expiry, ncols, total)
 	off := 0
-	data := b[hdrSize+4*width:]
-	for i := 0; i < width; i++ {
-		off += copy(data[off:], colData(old, puts, i))
-		binary.LittleEndian.PutUint32(b[hdrSize+4*i:], uint32(off))
+	for i := 0; i < ncols; i++ {
+		off += copy(b[data+off:], colData(old, puts, i))
+		putColEnd(b, table, shift, i, off)
 	}
 	return finish(b)
 }

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/value"
 	"repro/internal/vfs"
 )
 
@@ -18,7 +19,9 @@ type LogFile struct {
 	Gen    uint64
 }
 
-var logNameRE = regexp.MustCompile(`^log-(\d{4})\.(\d{6})\.wal$`)
+// logNameRE matches LogFileName's output. The worker id is zero-padded to
+// four digits, not cut to them: ids from 10 000 up print five.
+var logNameRE = regexp.MustCompile(`^log-(\d{4,})\.(\d{6})\.wal$`)
 
 // ListLogFilesFS enumerates the log files in dir.
 func ListLogFilesFS(fsys vfs.FS, dir string) ([]LogFile, error) {
@@ -32,7 +35,7 @@ func ListLogFilesFS(fsys vfs.FS, dir string) ([]LogFile, error) {
 		if m == nil {
 			continue
 		}
-		worker, _ := strconv.Atoi(m[1])
+		worker, _ := strconv.Atoi(m[1]) // out of range parses as MaxInt, which recovery refuses
 		gen, _ := strconv.ParseUint(m[2], 10, 64)
 		out = append(out, LogFile{Path: filepath.Join(dir, e.Name()), Worker: worker, Gen: gen})
 	}
@@ -106,6 +109,14 @@ func RecoverDirAboveFS(fsys vfs.FS, dir string, floor uint64) (*RecoveryResult, 
 	files, err := ListLogFilesFS(fsys, dir)
 	if err != nil {
 		return nil, err
+	}
+	// Replay rebuilds each value's worker tag from Record.Worker, and the
+	// tag is what tells a cross-log handoff from a delta: a log whose id the
+	// tag cannot hold is refused, never aliased onto another worker's.
+	for _, lf := range files {
+		if lf.Worker > value.MaxWorker {
+			return nil, fmt.Errorf("%s: worker id exceeds the value worker tag's range (0..%d)", lf.Path, value.MaxWorker)
+		}
 	}
 	res := &RecoveryResult{Cutoff: ^uint64(0)}
 	// Read and parse every file concurrently.
