@@ -360,7 +360,7 @@ func statsGroup(name string) string {
 		return "server"
 	case "bytes_live", "max_bytes", "evictions", "expirations", "ghost_hits", "admit_drops":
 		return "cache"
-	case "flush_errors", "flush_retries", "flush_last_error", "broken_chains", "missing_logs":
+	case "flush_errors", "flush_retries", "flush_buffer_drops", "flush_last_error", "broken_chains", "missing_logs":
 		return "logging"
 	case "loads", "load_errors", "herd_coalesced", "stale_served", "negative_hits",
 		"breaker_state", "breaker_opens", "writebehind_depth", "writebehind_drops":
@@ -474,7 +474,8 @@ func usage() {
                                (lat_<op>_p50/p90/p99/p999, nanoseconds),
                                cache mode (bytes_live, evictions, ...),
                                logging health (flush_errors, flush_retries,
-                               flush_last_error), and the backend tier:
+                               flush_buffer_drops, flush_last_error), and
+                               the backend tier:
                                  loads             values loaded from the backend
                                  load_errors       backend loads that failed
                                  herd_coalesced    misses that joined a key's

@@ -15,8 +15,10 @@
 // version from the worker's loosely synchronized clock instead of a global
 // counter (§5.1, kvstore's shardedClock), reads the chain link, and builds
 // a single packed value allocation (value.BuildTTLAt). The log stage picks
-// the record form once and encodes it directly into the worker's
-// double-buffered log, whose flushes never block appenders (§5, wal). Runs
+// each record's form once and encodes it — one key's or a batch's, under
+// one buffer lock — directly into the worker's double-buffered log, whose
+// flushes never block appenders and whose buffers survive them (§5, wal):
+// the value is all a put allocates. Runs
 // of puts descend the tree in key order sharing one border-node lock
 // acquisition per run (core.PutBatchInto) with the same step per key; a
 // decoded request's put list is the store's own type (wire.ColData is

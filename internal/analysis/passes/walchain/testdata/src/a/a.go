@@ -2,9 +2,8 @@
 // write kernel with the real one's names (tree write methods
 // Update/Apply/PutBatchInto taking func literals, a step method that alone
 // calls nextVersion and returns a writeResult, a logWrite method that alone
-// makes the single-record chained appends, a worker lock named lockWorker,
-// and a WAL type named Writer), exercising the clean kernel and every
-// diagnostic.
+// appends put records, a worker lock named lockWorker, and WAL types named
+// Writer and Batch), exercising the clean kernel and every diagnostic.
 package a
 
 type Value struct{}
@@ -29,10 +28,15 @@ func (t *Tree) PutBatchInto(keys [][]byte, f func(int, *Value) *Value) {}
 
 type Writer struct{}
 
-func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []ColPut)                            {}
-func (w *Writer) AppendPutTTL(ts, prev uint64, key []byte, puts []ColPut, expiry uint64)          {}
-func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]ColPut, ts, prev []uint64, insert []bool) {}
-func (w *Writer) AppendInsert(ts uint64, key []byte, puts []ColPut)                               {}
+func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []ColPut) {}
+func (w *Writer) Begin() Batch                                         { return Batch{} }
+
+type Batch struct{}
+
+func (b Batch) Put(ts, prev uint64, key []byte, puts []ColPut, ttl bool, expiry uint64) {}
+func (b Batch) Insert(ts uint64, key []byte, puts []ColPut, ttl bool, expiry uint64)    {}
+func (b Batch) Anchor(ts uint64, key []byte, v *Value, ttl bool, expiry uint64)         {}
+func (b Batch) End()                                                                    {}
 
 type Set struct{}
 
@@ -70,22 +74,22 @@ func (s *Store) step(worker int, op writeOp, old *Value) (r writeResult) {
 	return r
 }
 
-// logWrite is the kernel's log stage: the record choice, written once. The
-// link is the step's prev or, for an anchor, the literal 0.
-func (s *Store) logWrite(worker int, key []byte, op writeOp, r writeResult) {
-	w := s.logs.Writer(worker)
-	puts, prev := op.puts, r.prev
-	if r.anchor {
-		puts, prev = nil, 0
+// logWrite is the kernel's log stage: the record choice, written once, for
+// one key or a batch. The link is the step's prev; an insert and an anchor
+// carry none.
+func (s *Store) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []writeResult, ttl bool) {
+	b := s.logs.Writer(worker).Begin()
+	for i := range res {
+		switch r := &res[i]; {
+		case r.insert:
+			b.Insert(r.ver, keys[i], puts[i], ttl, 0)
+		case r.anchor:
+			b.Anchor(r.ver, keys[i], r.nv, ttl, 0)
+		default:
+			b.Put(r.ver, r.prev, keys[i], puts[i], ttl, 0)
+		}
 	}
-	switch {
-	case r.insert:
-		w.AppendInsert(r.ver, key, puts)
-	case op.ttl:
-		w.AppendPutTTL(r.ver, prev, key, puts, 0)
-	default:
-		w.AppendPut(r.ver, prev, key, puts)
-	}
+	b.End()
 }
 
 // write is the clean single-key driver: worker lock, step under the border
@@ -97,37 +101,27 @@ func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 		r = s.step(worker, op, old)
 		return r.nv
 	})
-	s.logWrite(worker, key, op, r)
+	s.logWrite(worker, [][]byte{key}, [][]ColPut{op.puts}, []writeResult{r}, op.ttl)
 	return r
 }
 
 type scratch struct {
-	res         []writeResult
-	vers, prevs []uint64
-	inserts     []bool
+	res []writeResult
+	out []uint64
 }
 
-// putBatch is the clean batch driver: scratch slices filled from step
-// results count as the step's own, and the handoff fallback goes through the
-// log stage.
-func (s *Store) putBatch(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
+// putBatch is the clean batch driver: the step results go to the log stage
+// as they are.
+func (s *Store) putBatch(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) []uint64 {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
-	handoffs := false
 	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
 		r := s.step(worker, writeOp{puts: puts[i]}, old)
-		sc.res[i] = r
-		sc.vers[i], sc.prevs[i], sc.inserts[i] = r.ver, r.prev, r.insert
-		handoffs = handoffs || r.anchor
+		sc.res[i], sc.out[i] = r, r.ver
 		return r.nv
 	})
-	if !handoffs {
-		s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts)
-		return
-	}
-	for i := range keys {
-		s.logWrite(worker, keys[i], writeOp{puts: puts[i]}, sc.res[i])
-	}
+	s.logWrite(worker, keys, puts, sc.res, false)
+	return sc.out
 }
 
 // badDraw draws a version outside the step, and runs the step outside any
@@ -137,10 +131,11 @@ func (s *Store) badDraw(worker int, key []byte, op writeOp, cur *Value) {
 	defer mu.Unlock()
 	_ = s.nextVersion(worker, cur) // want `nextVersion outside the kernel step`
 	r := s.step(worker, op, cur)   // want `step outside a tree-write critical section`
-	s.logWrite(worker, key, op, r)
+	s.logWrite(worker, [][]byte{key}, [][]ColPut{op.puts}, []writeResult{r}, op.ttl)
 }
 
-// badAppendOutside re-spells a chained append outside the log stage.
+// badAppendOutside re-spells the record choice outside the log stage, with
+// the one-record append and with a batch of its own.
 func (s *Store) badAppendOutside(worker int, key []byte, op writeOp) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
@@ -149,20 +144,21 @@ func (s *Store) badAppendOutside(worker int, key []byte, op writeOp) {
 		r = s.step(worker, op, old)
 		return r.nv
 	})
-	s.logs.Writer(worker).AppendPut(r.ver, r.prev, key, op.puts) // want `AppendPut outside the log stage`
+	s.logs.Writer(worker).AppendPut(r.ver, r.prev, key, op.puts) // want `Writer.AppendPut outside the log stage`
+	b := s.logs.Writer(worker).Begin()
+	b.Put(r.ver, r.prev, key, op.puts, false, 0) // want `Batch.Put outside the log stage`
+	b.Anchor(r.ver, key, r.nv, false, 0)         // want `Batch.Anchor outside the log stage`
+	b.End()
 }
 
-// badNoLock reaches the log stage, and the batch append, with no worker lock:
-// nothing serializes the draw-to-append window against the next writer.
+// badNoLock reaches the log stage with no worker lock: nothing serializes
+// the draw-to-append window against the next writer.
 func (s *Store) badNoLock(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
-	var r writeResult
-	s.tree.Apply(keys[0], func(old *Value) *Value {
-		r = s.step(worker, writeOp{}, old)
-		sc.vers[0], sc.prevs[0] = r.ver, r.prev
-		return r.nv
+	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
+		sc.res[i] = s.step(worker, writeOp{}, old)
+		return sc.res[i].nv
 	})
-	s.logWrite(worker, keys[0], writeOp{}, r)                                       // want `logWrite before lockWorker`
-	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts) // want `AppendPutBatch before lockWorker`
+	s.logWrite(worker, keys, puts, sc.res, false) // want `logWrite before lockWorker`
 }
 
 // badLockAfter takes the worker lock only after the append.
@@ -172,41 +168,37 @@ func (s *Store) badLockAfter(worker int, key []byte, op writeOp) {
 		r = s.step(worker, op, old)
 		return r.nv
 	})
-	s.logWrite(worker, key, op, r) // want `logWrite before lockWorker`
+	s.logWrite(worker, [][]byte{key}, [][]ColPut{op.puts}, []writeResult{r}, op.ttl) // want `logWrite before lockWorker`
 	mu := s.lockWorker(worker)
 	mu.Unlock()
 }
 
-// badBatchSources fills the batch's version and link slices from something
-// other than the step's result — the prev read the chain invariant forbids.
-func (s *Store) badBatchSources(worker int, keys [][]byte, puts [][]ColPut, sc *scratch, cur *Value) {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
-		r := s.step(worker, writeOp{puts: puts[i]}, old)
-		sc.vers[i] = r.ver + 1
-		sc.prevs[i] = cur.Version()
-		return r.nv
-	})
-	s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts) // want `ver sc.vers of AppendPutBatch is not sourced from the step's result` `prev sc.prevs of AppendPutBatch is not sourced from the step's result`
-}
-
 type otherStore struct{ logs *Set }
 
-// logWrite on another type stands in for a log stage gone wrong: a link
-// laundered through a local that something besides the step's prev feeds,
-// and a forged constant.
-func (o *otherStore) logWrite(worker int, key []byte, op writeOp, r writeResult, cur *Value) {
-	w := o.logs.Writer(worker)
-	prev := r.prev
-	if r.anchor {
-		prev = cur.Version()
+// logWrite on another type stands in for a log stage gone wrong: a link read
+// from the value the caller happens to hold and not from the step's result —
+// the prev the chain invariant forbids — a link laundered through a local
+// that something besides the step's prev feeds, and a forged constant.
+func (o *otherStore) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []writeResult, cur *Value) {
+	b := o.logs.Writer(worker).Begin()
+	for i := range res {
+		r := &res[i]
+		prev := r.prev
+		if r.anchor {
+			prev = cur.Version()
+		}
+		b.Put(r.ver, cur.Version(), keys[i], puts[i], false, 0)   // want `prev cur.Version\(\) of Batch.Put is not sourced from the step's result`
+		b.Put(r.ver, prev, keys[i], puts[i], false, 0)            // want `prev prev of Batch.Put is not sourced from the step's result`
+		b.Put(r.ver, 7, keys[i], puts[i], true, 0)                // want `constant prev 7 in Batch.Put: only 0 \(a chain anchor\) may be a constant link`
+		b.Put(r.prev, r.prev, keys[i], puts[i], false, 0)         // want `ver r.prev of Batch.Put is not sourced from the step's result`
+		b.Insert(r.ver+1, keys[i], puts[i], false, 0)             // want `ver r.ver \+ 1 of Batch.Insert is not sourced from the step's result`
+		b.Anchor(cur.Version(), keys[i], r.nv, false, 0)          // want `ver cur.Version\(\) of Batch.Anchor is not sourced from the step's result`
+		b.Put(r.ver, 0, keys[i], puts[i], true, 0)                // clean: the anchor's literal 0
+		b.Put((res[i].ver), (r.prev), keys[i], puts[i], false, 0) // clean: the step's own fields
 	}
-	w.AppendPut(r.ver, prev, key, op.puts)       // want `prev prev of AppendPut is not sourced from the step's result`
-	w.AppendPutTTL(r.ver, 7, key, op.puts, 0)    // want `constant prev 7 in AppendPutTTL: only 0 \(a chain anchor\) may be a constant link`
-	w.AppendPut(r.prev, r.prev, key, op.puts)    // want `ver r.prev of AppendPut is not sourced from the step's result`
-	w.AppendPutTTL(r.ver, 0, key, op.puts, 0)    // clean: the anchor's literal 0
-	w.AppendPut((r.ver), (r.prev), key, op.puts) // clean: the step's own fields
+	b.End()
+	w := o.logs.Writer(worker)
+	w.AppendPut(res[0].ver, cur.Version(), keys[0], puts[0]) // want `prev cur.Version\(\) of Writer.AppendPut is not sourced from the step's result`
 }
 
 // goodAllowed: a deliberate exception carries an annotated reason.

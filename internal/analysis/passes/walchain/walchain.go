@@ -11,15 +11,15 @@
 //   - nextVersion is called only in the step, and the step only inside a
 //     func literal passed to a tree write method (Update, Apply,
 //     PutBatchInto) — under the border lock of the key it stamps;
-//   - the single-record chained appends (Writer.AppendPut, AppendPutTTL)
-//     occur only in the log stage, so the insert/anchor/linked choice
-//     exists once;
-//   - the version and prev of every chained append (AppendPutBatch
-//     included) are a step result's ver and prev fields — directly, or
-//     through a variable or scratch slice assigned from nothing else — or
-//     prev is the literal 0 (a chain anchor);
-//   - and a lockWorker call precedes every log-stage call and batch append
-//     in its function: the draw-to-append window is serialized.
+//   - a put record is appended (wal.Batch's Put, Insert and Anchor, and the
+//     one-record Writer.AppendPut) only in the log stage, so the
+//     insert/anchor/linked choice exists once, for one key or a batch;
+//   - the version of every such record and the prev of every linked one are
+//     a step result's ver and prev fields — directly, or through a variable
+//     assigned from nothing else — or prev is the literal 0 (a chain
+//     anchor);
+//   - and a lockWorker call precedes every log-stage call in its function:
+//     the draw-to-append window is serialized.
 //
 // The analysis is syntactic and per-function; values laundered through
 // helper calls are flagged conservatively (//lint:allow walchain with a
@@ -54,12 +54,13 @@ const (
 // the border lock of the key it mutates.
 var treeWrites = map[string]bool{"Update": true, "Apply": true, "PutBatchInto": true}
 
-// chainAppends maps the checked Writer methods to the argument positions of
-// (version, prev). AppendPutBatch takes them as parallel slices.
-var chainAppends = map[string][2]int{
-	"AppendPut":      {0, 1},
-	"AppendPutTTL":   {0, 1},
-	"AppendPutBatch": {2, 3},
+// putAppends maps the methods that append a put record, as Type.Method, to
+// the argument positions of (version, prev); -1 for a form with no link.
+var putAppends = map[string][2]int{
+	"Writer.AppendPut": {0, 1},
+	"Batch.Put":        {0, 1},
+	"Batch.Insert":     {0, -1},
+	"Batch.Anchor":     {0, -1},
 }
 
 func run(pass *analysis.Pass) {
@@ -116,20 +117,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 	// check reports an append argument that is not the step result's field:
 	// the field itself, or something assigned from it (for prev, also from
-	// 0) and from nothing else. elems selects a slice argument's elements.
-	check := func(e ast.Expr, field, site string, elems bool) {
+	// 0) and from nothing else.
+	check := func(e ast.Expr, field, site string) {
 		if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok && field == "prev" {
 			if lit.Value != "0" {
 				pass.Reportf(e.Pos(), "constant prev %s in %s: only 0 (a chain anchor) may be a constant link", lit.Value, site)
 			}
 			return
 		}
-		key := exprKey(e)
-		if elems {
-			key += "[]"
-		}
 		ok := sourceOf(info, e) == field
-		for src := range sources[key] {
+		for src := range sources[exprKey(e)] {
 			ok = src == field || src == "0" && field == "prev"
 			if !ok {
 				break
@@ -155,23 +152,27 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		name := sel.Sel.Name
-		switch argIdx, chained := chainAppends[name]; {
+		switch {
 		case name == "nextVersion" && fn != stepFunc:
 			pass.Reportf(call.Pos(), "nextVersion outside the kernel step: the only version draw is the one %s makes under the border lock", stepFunc)
 		case name == stepFunc && !locked[call]:
 			pass.Reportf(call.Pos(), "%s outside a tree-write critical section: the step must run inside the func literal passed to Update/Apply/PutBatchInto", stepFunc)
 		case name == logFunc:
 			needLock(call.Pos(), logFunc)
-		case chained && isNamed(info, sel.X, "Writer") && len(call.Args) > argIdx[1]:
-			batch := name == "AppendPutBatch"
-			if fn != logFunc {
-				if !batch {
-					pass.Reportf(call.Pos(), "%s outside the log stage: single-record chained appends belong to %s, where the insert/anchor/linked choice is made once", name, logFunc)
-				}
-				needLock(call.Pos(), name)
+		default:
+			site := namedType(info, sel.X) + "." + name
+			argIdx, ok := putAppends[site]
+			if !ok || len(call.Args) < 2 {
+				break
 			}
-			check(call.Args[argIdx[0]], "ver", name, batch)
-			check(call.Args[argIdx[1]], "prev", name, batch)
+			if fn != logFunc {
+				pass.Reportf(call.Pos(), "%s outside the log stage: put records belong to %s, where the insert/anchor/linked choice is made once", site, logFunc)
+				needLock(call.Pos(), site)
+			}
+			check(call.Args[argIdx[0]], "ver", site)
+			if argIdx[1] >= 0 {
+				check(call.Args[argIdx[1]], "prev", site)
+			}
 		}
 		return true
 	})
@@ -186,33 +187,29 @@ func sourceOf(info *types.Info, e ast.Expr) string {
 			return "0"
 		}
 	case *ast.SelectorExpr:
-		if (x.Sel.Name == "ver" || x.Sel.Name == "prev") && isNamed(info, x.X, resultType) {
+		if (x.Sel.Name == "ver" || x.Sel.Name == "prev") && namedType(info, x.X) == resultType {
 			return x.Sel.Name
 		}
 	}
 	return "other"
 }
 
-// exprKey names an assignable expression for the sources table: its text,
-// with an element index collapsed to "[]" (sc.prevs[i] -> "sc.prevs[]").
-func exprKey(e ast.Expr) string {
-	if ix, ok := ast.Unparen(e).(*ast.IndexExpr); ok {
-		return exprKey(ix.X) + "[]"
-	}
-	return types.ExprString(ast.Unparen(e))
-}
+// exprKey names an assignable expression for the sources table: its text.
+func exprKey(e ast.Expr) string { return types.ExprString(ast.Unparen(e)) }
 
-// isNamed reports whether the expression's type is (a pointer to) a named
-// type called name — the WAL Writer, the step's result.
-func isNamed(info *types.Info, e ast.Expr, name string) bool {
+// namedType returns the name of the named type the expression's type is (or
+// points to) — the WAL Writer, its Batch, the step's result — or "".
+func namedType(info *types.Info, e ast.Expr) string {
 	tv, ok := info.Types[e]
 	if !ok {
-		return false
+		return ""
 	}
 	t := tv.Type
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Name() == name
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }

@@ -345,7 +345,7 @@ func writeEntry(w *bufio.Writer, e Entry) error {
 	var vh [18]byte
 	binary.LittleEndian.PutUint64(vh[:8], e.Value.Version())
 	binary.LittleEndian.PutUint64(vh[8:16], e.Value.ExpiresAt())
-	binary.LittleEndian.PutUint16(vh[16:], uint16(e.Value.NumCols()))
+	binary.LittleEndian.PutUint16(vh[16:], value.Count16(e.Value.NumCols(), "checkpoint entry"))
 	if _, err := w.Write(vh[:]); err != nil {
 		return err
 	}

@@ -2,12 +2,14 @@ package kvstore
 
 import (
 	"fmt"
+	"io/fs"
 	"math"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/value"
+	"repro/internal/vfs"
 )
 
 // newAllocTestStore returns an in-memory store with background maintenance
@@ -123,7 +125,9 @@ func TestPutSimpleAllocs(t *testing.T) {
 }
 
 // TestPutSimpleLoggedAllocs pins the logged put path: one packed value plus
-// amortized-zero log encoding into the warmed double buffer.
+// log encoding into a buffer that has the room. Its 300 puts never reach the
+// log's kick level, so no background flush swaps a buffer here; what a put
+// costs at the volume where they do is TestPutBatchVolumeAllocBytes' to pin.
 func TestPutSimpleLoggedAllocs(t *testing.T) {
 	s, err := Open(Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1})
 	if err != nil {
@@ -134,7 +138,7 @@ func TestPutSimpleLoggedAllocs(t *testing.T) {
 	defer sess.Close()
 	key := []byte("logged-alloc-key")
 	data := []byte("logged-column-data")
-	// Warm both log buffers past the measured append volume.
+	// Grow both log buffers past the measured append volume.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 300; i++ {
 			sess.PutSimple(key, data)
@@ -252,5 +256,83 @@ func TestPutAllocBytes(t *testing.T) {
 		if got := allocBytesPerRun(200, tc.put); got > tc.class {
 			t.Errorf("%s allocates %.1f bytes per put, want <= %.0f", tc.name, got, tc.class)
 		}
+	}
+}
+
+// nullDevice is a filesystem whose files take every write and keep none.
+type nullDevice struct{ vfs.FS }
+
+type nullFile struct{ vfs.File }
+
+func (d nullDevice) OpenFile(name string, flag int, perm fs.FileMode) (vfs.File, error) {
+	f, err := d.FS.OpenFile(name, flag, perm)
+	return nullFile{f}, err
+}
+
+func (nullFile) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestPutBatchVolumeAllocBytes pins the logged write path at the volume the
+// benchmark runs it at: a million 8-byte puts in sixteen-key batches through
+// two workers' logs with their background flushers live, a hundred-odd
+// kicked flushes per log. A put allocates its packed value (22 B, the 24 B
+// class) and nothing else: the log buffers survive their flushes (no drop is
+// counted), and a batch in which keys changed hands between the workers —
+// about half of these do, and are logged as column-complete anchors — still
+// takes one pass under one log-buffer lock, with no ColPut slice built per
+// anchor. At PR 21 the same run cost 340 B per put. The logs go to a device
+// that never stalls: this loop logs three times what the benchmark can, and a
+// disk that falls a buffer behind it is the case drops exist for.
+func TestPutBatchVolumeAllocBytes(t *testing.T) {
+	mem := vfs.NewMemFS()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Dir: "d", FS: nullDevice{mem}, Workers: 2, MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	const batch = 16
+	const nkeys = 255 * batch // an odd number of batches: the batch-to-worker pattern shifts every cycle
+	keys := make([][]byte, nkeys)
+	puts := make([][]value.ColPut, nkeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("volume-key-%06d", i))
+		puts[i] = []value.ColPut{{Col: 0, Data: []byte("8 bytes!")}}
+	}
+	sess := [2]*Session{s.Session(0), s.Session(1)}
+	defer sess[0].Close()
+	defer sess[1].Close()
+	handoffs, b := 0, 0
+	run := func(nputs int) {
+		for end := b + nputs/batch; b < end; b++ {
+			off := b % (nkeys / batch) * batch
+			ss := sess[b/2%2]
+			if v, ok := ss.GetValue(keys[off]); ok && v.Worker() != uint32(ss.Worker()) {
+				handoffs++
+			}
+			ss.PutBatchInto(keys[off:off+batch], puts[off:off+batch])
+			// A worker returns to its connection between batches; on one
+			// P that is when a kicked flusher gets the core.
+			runtime.Gosched()
+		}
+	}
+	run(200_000) // insert the keys, grow the scratch and the four log buffers
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	handoffs = 0
+	const nputs = 1_000_000
+	run(nputs)
+	runtime.ReadMemStats(&after)
+	if handoffs < nputs/batch/4 {
+		t.Fatalf("%d of %d batches began with a handoff: the run does not exercise anchors", handoffs, nputs/batch)
+	}
+	perPut := float64(after.TotalAlloc-before.TotalAlloc) / nputs
+	t.Logf("%.2f bytes allocated per put; %d of %d batches began with a handoff", perPut, handoffs, nputs/batch)
+	if perPut > 24+8 {
+		t.Errorf("a logged batched put allocates %.1f bytes at volume, want <= 32 (the value's 24-byte class + 8)", perPut)
+	}
+	if n := s.LogBufferDrops(); n != 0 {
+		t.Errorf("LogBufferDrops = %d across the run, want 0: the flushers kept up, so every buffer must survive its flush", n)
 	}
 }

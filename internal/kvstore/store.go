@@ -21,11 +21,12 @@
 // batch — is one kernel in three stages, and the entry points are
 // descriptors of it (writeOp). step, under the owning border node's lock,
 // decides the base once, draws the version, reads the chain link and builds
-// exactly one packed value (§4.7); logWrite appends one record, encoded
-// directly into the worker's own double-buffered log (§5); finishWrite
-// accounts. PutBatchInto runs the same step over a batch in tree order with
-// one border-node lock acquisition per run of co-located keys (§4.8). The
-// steady-state put pipeline allocates only the value itself.
+// exactly one packed value (§4.7); logWrite appends the records, one key's or
+// a batch's under one buffer lock, encoded directly into the worker's own
+// double-buffered log (§5); finishWrite accounts. PutBatchInto runs the same
+// step over a batch in tree order with one border-node lock acquisition per
+// run of co-located keys (§4.8). The put pipeline allocates only the value
+// itself, at any volume: the log's buffers survive their flushes.
 package kvstore
 
 import (
@@ -757,13 +758,11 @@ func (s *Store) GetValue(key []byte) (*value.Value, bool) {
 // worker or connection makes steady-state batched reads and writes
 // allocation-free (beyond the packed values a put must build).
 type BatchScratch struct {
-	vals    []*value.Value
-	found   []bool
-	res     []writeResult // a put batch's step results, one per key
-	vers    []uint64      // their versions, prev links and insert flags as the
-	prevs   []uint64      // parallel slices wal.AppendPutBatch takes
-	inserts []bool
-	core    core.BatchScratch
+	vals  []*value.Value
+	found []bool
+	res   []writeResult // a put batch's step results, one per key
+	out   []uint64      // the versions PutBatchInto returns
+	core  core.BatchScratch
 }
 
 // GetBatch retrieves many keys at once, processing them in tree order to
@@ -934,33 +933,25 @@ func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 }
 
 // logWrite is the kernel's second stage and the only place a put's record
-// form is chosen: an insert (built on no base; replays as a replacement), an
-// anchor (every column of the published value, prev == 0), or a delta
-// linked to the version it replaced. Its caller holds the lockWorker window
-// that covered the step, so the record reaches the log before any later
-// draw on this worker.
-func (s *Store) logWrite(worker int, key []byte, op writeOp, r writeResult) {
-	w := s.logs.Writer(worker)
-	puts, prev := op.puts, r.prev
-	if r.anchor {
-		// Every column of the published value. The Data slices alias its
-		// immutable packed allocation; the log writer copies them. One slice
-		// allocation — the handoff path's second, see TestHandoffAnchorAllocs.
-		puts, prev = make([]value.ColPut, r.nv.NumCols()), 0
-		for i := range puts {
-			puts[i] = value.ColPut{Col: i, Data: r.nv.Col(i)}
+// form is chosen, for one key or a batch alike and under one log-buffer lock:
+// an insert (built on no base; replays as a replacement), an anchor (every
+// column of the published value, read from its packed allocation, prev == 0),
+// or a delta linked to the version it replaced. Its caller holds the
+// lockWorker window that covered the steps, so the records reach the log
+// before any later draw on this worker.
+func (s *Store) logWrite(worker int, keys [][]byte, puts [][]value.ColPut, res []writeResult, ttl bool, expiry uint64) {
+	b := s.logs.Writer(worker).Begin()
+	for i := range res {
+		switch r := &res[i]; {
+		case r.insert:
+			b.Insert(r.ver, keys[i], puts[i], ttl, expiry)
+		case r.anchor:
+			b.Anchor(r.ver, keys[i], r.nv, ttl, expiry)
+		default:
+			b.Put(r.ver, r.prev, keys[i], puts[i], ttl, expiry)
 		}
 	}
-	switch {
-	case r.insert && op.ttl:
-		w.AppendInsertTTL(r.ver, key, puts, op.expiry)
-	case r.insert:
-		w.AppendInsert(r.ver, key, puts)
-	case op.ttl:
-		w.AppendPutTTL(r.ver, prev, key, puts, op.expiry)
-	default:
-		w.AppendPut(r.ver, prev, key, puts)
-	}
+	b.End()
 }
 
 // finishWrite is the kernel's last stage, after the append, over the keys one
@@ -996,10 +987,11 @@ func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 		return r.nv
 	})
 	if r.nv != nil {
+		keys, res := [][]byte{key}, []writeResult{r}
 		if s.logs != nil {
-			s.logWrite(worker, key, op, r)
+			s.logWrite(worker, keys, [][]value.ColPut{op.puts}, res, op.ttl, op.expiry)
 		}
-		s.finishWrite(worker, [][]byte{key}, []writeResult{r}, op.expiry)
+		s.finishWrite(worker, keys, res, op.expiry)
 	}
 	return r
 }
@@ -1111,33 +1103,18 @@ func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, s
 		defer mu.Unlock()
 	}
 	n := len(keys)
-	sc.res, sc.vers = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.vers[:0], n)[:n]
-	sc.prevs, sc.inserts = slices.Grow(sc.prevs[:0], n)[:n], slices.Grow(sc.inserts[:0], n)[:n]
-	handoffs := false
+	sc.res, sc.out = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.out[:0], n)[:n]
 	s.tree.PutBatchInto(keys, &sc.core, func(i int, old *value.Value) *value.Value {
 		r := s.step(worker, writeOp{puts: puts[i]}, old)
-		sc.res[i] = r
-		sc.vers[i], sc.prevs[i], sc.inserts[i] = r.ver, r.prev, r.insert
-		handoffs = handoffs || r.anchor
+		sc.res[i], sc.out[i] = r, r.ver
 		return r.nv
 	})
 	if s.logs != nil {
-		if !handoffs {
-			s.logs.Writer(worker).AppendPutBatch(keys, puts, sc.vers, sc.prevs, sc.inserts)
-		} else {
-			// Handoff entries swap in column-complete anchor puts, so the
-			// batch falls back to per-record appends. Intra-batch record
-			// order is preserved; replay orders a key's records by version
-			// anyway, and all records land before workerMu is released, so
-			// the log's durable-timestamp claim stays sound.
-			for i := range keys {
-				s.logWrite(worker, keys[i], writeOp{puts: puts[i]}, sc.res[i])
-			}
-		}
+		s.logWrite(worker, keys, puts, sc.res, false, 0)
 	}
 	s.finishWrite(worker, keys, sc.res, 0)
 	clear(sc.res) // an idle scratch must not pin values later overwritten
-	return sc.vers
+	return sc.out
 }
 
 // PutBatch is PutBatchInto over a fresh scratch, so the returned versions
@@ -1473,6 +1450,16 @@ func (s *Store) FlushRetries() int64 {
 		return 0
 	}
 	return s.logs.FlushRetries()
+}
+
+// LogBufferDrops reports how many flushed log buffers were released for
+// having outgrown the writers' retain cap. It stays zero while the flushers
+// keep up; when it climbs, puts are paying to regrow their log buffers.
+func (s *Store) LogBufferDrops() int64 {
+	if s.logs == nil {
+		return 0
+	}
+	return s.logs.BufferDrops()
 }
 
 // DrainWriteBehind blocks until the write-behind spill queue is empty or

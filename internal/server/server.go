@@ -597,10 +597,12 @@ func expiryFromTTL(ttl uint32) uint64 {
 // durable — on v2 connections flush_last_error carries the most recent
 // failure's text (the one non-numeric stat; it is withheld from v1 and UDP
 // responses because pre-existing v1 clients parse every stat as an integer
-// and would reject the whole response). bytes_live is the
-// accounted packed-value footprint; evictions, expirations, ghost_hits, and
-// admit_drops are the cache-mode counters (zero unless MaxBytes/TTLs are in
-// use).
+// and would reject the whole response). flush_buffer_drops counts flushed
+// log buffers released for outgrowing the writers' retain cap: zero while
+// the flushers keep up, climbing when puts pay to regrow them. bytes_live
+// is the accounted packed-value footprint; evictions, expirations,
+// ghost_hits, and admit_drops are the cache-mode counters (zero unless
+// MaxBytes/TTLs are in use).
 func (s *Server) statsResponse(v2 bool) wire.Response {
 	stats, _ := s.collectStats()
 	pairs := make([]wire.Pair, 0, len(stats)+1)
@@ -648,6 +650,7 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 		{Name: "expirations", Value: cs.Expirations},
 		{Name: "ghost_hits", Value: cs.GhostHits},
 		{Name: "admit_drops", Value: cs.AdmitDrops},
+		{Name: "flush_buffer_drops", Value: s.store.LogBufferDrops()},
 		{Name: "flush_errors", Value: flushErrs},
 		{Name: "flush_retries", Value: s.store.FlushRetries()},
 		{Name: "broken_chains", Value: s.store.RecoveryStats().BrokenChains},

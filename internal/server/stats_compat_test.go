@@ -88,6 +88,58 @@ func TestFlushLastErrorOnlyOnV2(t *testing.T) {
 	}
 }
 
+// TestFlushBufferDropsStat drives the log's released-buffer count non-zero —
+// one put larger than the writers' retain cap, flushed — and reads it back as
+// the store's accessor and as flush_buffer_drops on the stats surface.
+func TestFlushBufferDropsStat(t *testing.T) {
+	store, err := kvstore.Open(kvstore.Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, 1)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		store.Close()
+	})
+	c, err := client.DialConn(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	drops := func() int64 {
+		t.Helper()
+		stats, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, ok := stats["flush_buffer_drops"]
+		if !ok {
+			t.Fatalf("stats missing flush_buffer_drops: %v", stats)
+		}
+		if n != store.LogBufferDrops() {
+			t.Fatalf("flush_buffer_drops = %d, Store.LogBufferDrops = %d", n, store.LogBufferDrops())
+		}
+		return n
+	}
+	store.PutSimple(0, []byte("small"), []byte("v"))
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := drops(); n != 0 {
+		t.Fatalf("flush_buffer_drops = %d after a small put, want 0", n)
+	}
+	store.PutSimple(0, []byte("huge"), make([]byte, 2<<20))
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := drops(); n != 1 {
+		t.Fatalf("flush_buffer_drops = %d after a 2 MiB put, want 1", n)
+	}
+}
+
 // TestStatsNumericWithBreakerTripped audits the state-machine metrics
 // against the same compatibility rule while they are *non-zero*: with the
 // backend breaker freshly tripped, breaker_state must report its state as

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/client"
+	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -381,16 +382,18 @@ func TestConnOversizedBatchFailsAlone(t *testing.T) {
 }
 
 // TestLargestWireValueRoundTrips puts the two extremes a v2 OpPut can reach
-// through a store and reads them back: the widest value (Col is a u16, so a
-// put to column 65 535 makes 65 536 columns, one more than a u16 counts)
-// and the longest column (a request frame of exactly wire.MaxMessage). The
-// packed value picks its field widths from the data; neither may be
-// narrowed away.
+// through a store and reads them back: the widest value (column 65 534, so
+// 65 535 columns — all a response's u16 can count, which a get of every
+// column has to) and the longest column (a request frame of exactly
+// wire.MaxMessage). The packed value picks its field widths from the data;
+// neither may be narrowed away. Column 65 535 would make one column more
+// than any format counts: it is refused as a malformed request, the requests
+// before it in the batch are served, and nothing of it is stored.
 func TestLargestWireValueRoundTrips(t *testing.T) {
 	srv, addr := startServer(t, "")
 	c := dialConn(t, addr)
 
-	const lastCol = 1<<16 - 1
+	const lastCol = value.MaxCol
 	wide := []byte("wide-key")
 	if _, err := c.Put(wide, []wire.ColData{{Col: 0, Data: []byte("first")}, {Col: lastCol, Data: []byte("last")}}); err != nil {
 		t.Fatalf("put to column %d: %v", lastCol, err)
@@ -399,8 +402,25 @@ func TestLargestWireValueRoundTrips(t *testing.T) {
 	if err != nil || !ok || len(got) != 3 || string(got[0]) != "last" || string(got[1]) != "first" || len(got[2]) != 0 {
 		t.Fatalf("get of columns %d, 0, %d: %q ok=%v err=%v", lastCol, lastCol-1, got, ok, err)
 	}
-	if v, _ := srv.store.GetValue(wide); v.NumCols() != lastCol+1 {
-		t.Fatalf("stored value has %d columns, want %d", v.NumCols(), lastCol+1)
+	got, _, ok, err = c.Get(wide, nil)
+	if err != nil || !ok || len(got) != lastCol+1 || string(got[0]) != "first" || string(got[lastCol]) != "last" {
+		t.Fatalf("get of every column: %d columns, ok=%v err=%v", len(got), ok, err)
+	}
+
+	p := c.Go([]wire.Request{
+		{Op: wire.OpPut, Key: []byte("before"), Puts: []wire.ColData{{Col: 0, Data: []byte("served")}}},
+		{Op: wire.OpPut, Key: []byte("refused"), Puts: []wire.ColData{{Col: 0, Data: []byte("x")}, {Col: lastCol + 1, Data: []byte("y")}}},
+	})
+	resps, err := p.Wait()
+	if err != nil || len(resps) != 2 || resps[0].Status != wire.StatusOK || resps[1].Status != wire.StatusError {
+		t.Fatalf("batch with a put to column %d: %+v %v, want OK then Error", lastCol+1, resps, err)
+	}
+	p.Release()
+	if _, ok := srv.store.GetValue([]byte("refused")); ok {
+		t.Fatalf("a put to column %d was stored", lastCol+1)
+	}
+	if v, ok := srv.store.GetValue([]byte("before")); !ok || string(v.Col(0)) != "served" {
+		t.Fatal("the request before the refused one was not served")
 	}
 
 	long := []byte("long-key")
@@ -414,8 +434,8 @@ func TestLargestWireValueRoundTrips(t *testing.T) {
 		data[i] = byte(i >> 8)
 	}
 	put[0].Puts[0].Data = data
-	p := c.Go(put)
-	resps, err := p.Wait()
+	p = c.Go(put)
+	resps, err = p.Wait()
 	if err != nil || len(resps) != 1 || resps[0].Status != wire.StatusOK {
 		t.Fatalf("put of a %d-byte column: %v %v", len(data), resps, err)
 	}

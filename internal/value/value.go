@@ -42,8 +42,8 @@ import (
 //	10  ncols   u16  low 16 bits of the column count
 //	12  flags   u8   bit 0    an expiry follows the header
 //	                 bits 1-2 log2 of a column end's width in bytes (0, 1, 2)
-//	                 bit 3    bit 16 of the column count: a put to column
-//	                          65 535, the wire's widest, makes 65 536 columns
+//	                 bit 3    bit 16 of the column count: the layout counts
+//	                          past what the formats do (see MaxCol)
 //	                 bits 4-7 reserved, zero
 //	13  expiry  u64  unix nanoseconds after which the value is dead; present
 //	                 only when flags bit 0 is set (absent = never)
@@ -72,10 +72,28 @@ const (
 	// would hide a cross-log handoff from the write kernel.
 	MaxWorker = 1<<16 - 1
 	// maxCols and maxData are the layout's other two limits; the wire
-	// reaches 65 536 columns and wire.MaxMessage bytes, far inside both.
+	// reaches MaxCol+1 columns and wire.MaxMessage bytes, far inside both.
 	maxCols = 1<<17 - 1
 	maxData = 1<<32 - 1
+
+	// MaxCol is the highest column a put from outside may name. The log
+	// record, the checkpoint entry and the wire response each count a
+	// value's columns in a u16, and a put to column 65 535 makes 65 536 of
+	// them — one more than any of the three can say. The wire refuses that
+	// column as a malformed request; the three writers convert through
+	// Count16, so a value that reached them some other way is a loud bug
+	// and never a record that claims no columns.
+	MaxCol = 1<<16 - 2
 )
+
+// Count16 is the checked conversion of a column count to the u16 the named
+// format stores it in.
+func Count16(ncols int, format string) uint16 {
+	if ncols > MaxCol+1 {
+		panic(fmt.Sprintf("value: %d columns do not fit the u16 count of a %s", ncols, format))
+	}
+	return uint16(ncols)
+}
 
 // Value is an immutable multi-column value. It is an opaque header over a
 // packed allocation; never embed or copy a Value, only pass *Value.
@@ -313,8 +331,15 @@ func (v *Value) Cols() [][]byte {
 func (v *Value) Bytes() []byte { return v.Col(0) }
 
 // colData returns the bytes column i will hold after applying puts to old:
-// the last put to i wins, else old's column survives.
-func colData(old *Value, puts []ColPut, i int) []byte {
+// the last put to i wins, else old's column survives. last, when the caller
+// built it, holds for each column one more than the index of that put.
+func colData(old *Value, puts []ColPut, last []int32, i int) []byte {
+	if last != nil {
+		if j := last[i]; j != 0 {
+			return puts[j-1].Data
+		}
+		return old.Col(i)
+	}
 	for j := len(puts) - 1; j >= 0; j-- {
 		if puts[j].Col == i {
 			return puts[j].Data
@@ -351,14 +376,27 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 			ncols = p.Col + 1
 		}
 	}
+	// colData probes the put list once per column, which beats any scratch
+	// for the lists a request carries. A column-complete list — what
+	// recovery passes for a checkpoint entry or an anchor record, up to
+	// 65 535 puts for as many columns — would make that quadratic, seconds
+	// per value: index a long list by column first. (Indexes, not the Data
+	// slices: storing those would make every caller's put data escape.)
+	var last []int32
+	if len(puts) > 16 {
+		last = make([]int32, ncols)
+		for j, p := range puts {
+			last[p.Col] = int32(j + 1)
+		}
+	}
 	total := 0
 	for i := 0; i < ncols; i++ {
-		total += len(colData(old, puts, i))
+		total += len(colData(old, puts, last, i))
 	}
 	b, table, shift, data := alloc(version, worker, expiry, ncols, total)
 	off := 0
 	for i := 0; i < ncols; i++ {
-		off += copy(b[data+off:], colData(old, puts, i))
+		off += copy(b[data+off:], colData(old, puts, last, i))
 		putColEnd(b, table, shift, i, off)
 	}
 	return finish(b)

@@ -190,3 +190,24 @@ func TestApplyQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLongPutListMatchesShort: a put list too long to probe per column is
+// laid out by column first; the value it builds — a repeated column's last
+// put winning, old's untouched columns surviving — is the one the same puts
+// build one at a time.
+func TestLongPutListMatchesShort(t *testing.T) {
+	old := New([]byte("o0"), nil, []byte("o2"), []byte("o3"))
+	var puts []ColPut
+	for i := 0; i < 40; i++ {
+		puts = append(puts, ColPut{Col: (i*7 + 2) % 23, Data: []byte{byte(i)}})
+	}
+	want := old
+	for _, p := range puts {
+		want = Apply(want, []ColPut{p})
+	}
+	got := BuildTTLAt(old, puts, 9, 3, 77)
+	if !Equal(got, want) || got.Version() != 9 || got.Worker() != 3 || got.ExpiresAt() != 77 {
+		t.Fatalf("long list built %v (version %d, worker %d, expiry %d), want %v at 9, 3, 77",
+			got, got.Version(), got.Worker(), got.ExpiresAt(), want)
+	}
+}

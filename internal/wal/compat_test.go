@@ -209,11 +209,11 @@ func TestMissingLogDetection(t *testing.T) {
 func FuzzRecordV2(f *testing.F) {
 	puts := []value.ColPut{{Col: 0, Data: []byte("col0")}, {Col: 3, Data: nil}}
 	seeds := [][]byte{
-		appendRecord(nil, 7, 3, OpPut, []byte("key"), puts, 0),
-		appendRecord(nil, 9, 0, OpPutTTL, []byte("ttl"), puts, 1234),
-		appendRecord(nil, 11, 0, OpInsert, []byte("ins"), puts, 0),
-		appendRecord(nil, 13, 0, OpRemove, []byte("gone"), nil, 0),
-		appendRecord(nil, 15, 0, OpMark, nil, nil, 0),
+		appendRecord(nil, 7, 3, OpPut, []byte("key"), puts, nil, 0),
+		appendRecord(nil, 9, 0, OpPutTTL, []byte("ttl"), puts, nil, 1234),
+		appendRecord(nil, 11, 0, OpInsert, []byte("ins"), puts, nil, 0),
+		appendRecord(nil, 13, 0, OpRemove, []byte("gone"), nil, nil, 0),
+		appendRecord(nil, 15, 0, OpMark, nil, nil, nil, 0),
 		appendRecordV1(nil, 7, OpPut, []byte("key"), puts, 0),
 		appendRecordV1(nil, 9, OpPutTTL, []byte("ttl"), puts, 1234),
 		appendRecordV1(nil, 11, OpInsert, []byte("ins"), puts, 0),
@@ -234,7 +234,7 @@ func FuzzRecordV2(f *testing.F) {
 		if v1 {
 			re = appendRecordV1(nil, r.TS, r.Op, r.Key, r.Puts, r.Expiry)
 		} else {
-			re = appendRecord(nil, r.TS, r.Prev, r.Op, r.Key, r.Puts, r.Expiry)
+			re = appendRecord(nil, r.TS, r.Prev, r.Op, r.Key, r.Puts, nil, r.Expiry)
 		}
 		if !bytes.Equal(re, b[:n]) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, b[:n])

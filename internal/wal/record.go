@@ -146,11 +146,13 @@ var (
 //	         [expiry u64, OpPutTTL/OpInsertTTL only] | keyLen u32 | key |
 //	         ncols u16 | { col u16 | dataLen u32 | data }*
 //
-// The crc and length are backfilled after the payload is written. A torn
-// tail write invalidates the crc, so recovery stops cleanly at the last
-// complete record (group commit may lose the unforced tail, which the paper
-// accepts — those puts were never durable).
-func appendRecord(buf []byte, ts, prev uint64, op Op, key []byte, puts []value.ColPut, expiry uint64) []byte {
+// The columns are puts, or with full non-nil every column of that packed
+// value read in place (a column-complete record: no ColPut slice is built to
+// say what the value already holds). The crc and length are backfilled after
+// the payload is written. A torn tail write invalidates the crc, so recovery
+// stops cleanly at the last complete record (group commit may lose the
+// unforced tail, which the paper accepts — those puts were never durable).
+func appendRecord(buf []byte, ts, prev uint64, op Op, key []byte, puts []value.ColPut, full *value.Value, expiry uint64) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // crc + len, backfilled below
 	buf = binary.LittleEndian.AppendUint64(buf, ts)
@@ -163,16 +165,28 @@ func appendRecord(buf []byte, ts, prev uint64, op Op, key []byte, puts []value.C
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 	buf = append(buf, key...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(puts)))
-	for _, p := range puts {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Col))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Data)))
-		buf = append(buf, p.Data...)
+	if full != nil {
+		n := full.NumCols()
+		buf = binary.LittleEndian.AppendUint16(buf, value.Count16(n, "log record"))
+		for i := 0; i < n; i++ {
+			buf = appendCol(buf, i, full.Col(i))
+		}
+	} else {
+		buf = binary.LittleEndian.AppendUint16(buf, value.Count16(len(puts), "log record"))
+		for _, p := range puts {
+			buf = appendCol(buf, p.Col, p.Data)
+		}
 	}
 	payload := buf[start+8:]
 	binary.LittleEndian.PutUint32(buf[start:], crc32.ChecksumIEEE(payload))
 	binary.LittleEndian.PutUint32(buf[start+4:], uint32(len(payload)))
 	return buf
+}
+
+func appendCol(buf []byte, col int, data []byte) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(col))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(data)))
+	return append(buf, data...)
 }
 
 // parseRecord decodes one record from b, returning the record and the number

@@ -68,6 +68,10 @@ type Writer struct {
 	backoff      time.Duration
 	retryAt      time.Time
 	flushRetries atomic.Int64
+	// bufDrops counts flushed buffers released for having outgrown
+	// maxRetainedLogBuf: zero in steady state (see kickLevel); when it
+	// climbs with the put rate, puts are paying to regrow their buffers.
+	bufDrops atomic.Int64
 
 	// Observability hooks (both nil until Set.Observe): flush latency per
 	// non-empty flush, plus flight-recorder events for retries under backoff
@@ -84,14 +88,21 @@ type Writer struct {
 const DefaultFlushInterval = 200 * time.Millisecond
 
 // maxRetainedLogBuf bounds how much buffer space a log keeps across flushes:
-// one huge put grows the buffers transiently, but they are released after
-// the flush rather than pinned for the writer's lifetime (mirroring the
-// wire layer's scratch caps).
+// one huge put, or a device that stalls while puts keep arriving, grows a
+// buffer transiently, and a flushed buffer found larger than this is
+// released, and counted, rather than pinned for the writer's lifetime.
 const maxRetainedLogBuf = 1 << 20
 
-// kickThreshold is the buffered-bytes level past which an append wakes the
-// flusher early instead of waiting for the interval tick.
-const kickThreshold = 1 << 20
+// kickLevel is the buffered-bytes level past which an append wakes the
+// flusher instead of leaving it to the interval tick: a quarter of the
+// retain cap, because a buffer the flusher was woken for must never be the
+// one it discards. append grows a buffer a quarter at a time, so one that
+// has just crossed kickLevel has a capacity near a third of the cap, and
+// the flusher has until it triples to swap it out. With the two levels equal
+// (PR 14 to 21) every kicked flush found its buffer past the cap and dropped
+// it, and the next megabyte of records regrew one from nothing: five bytes
+// allocated and copied per byte logged.
+const kickLevel = maxRetainedLogBuf / 4
 
 // retryBase and retryMaxBackoff bound the background flusher's retry pacing
 // after a failed flush: the wait doubles from retryBase per consecutive
@@ -165,27 +176,67 @@ func (w *Writer) openFile(dirSync bool) error {
 	return nil
 }
 
-// kickIfBig wakes the flusher when the append buffer has grown large.
-func (w *Writer) kickIfBig(n int) {
-	if n < kickThreshold {
+// Batch is an open append to one worker's log: the buffer lock, taken once
+// by Begin and held until End, and every put record form encoded inside it
+// straight into the worker-owned buffer, in call order. One record or
+// sixteen, an append never blocks on storage; durability arrives with the
+// next flush (group commit). In each form ttl selects the op that carries
+// expiry (OpPutTTL/OpInsertTTL), a zero expiry included.
+type Batch struct{ w *Writer }
+
+// Begin opens a batch. The caller must End it, and must not block between.
+func (w *Writer) Begin() Batch {
+	w.mu.Lock()
+	return Batch{w}
+}
+
+// Put appends a delta: the columns one put wrote, chained to prev, the
+// version of the value it was applied over (see AppendPut).
+func (b Batch) Put(ts, prev uint64, key []byte, puts []value.ColPut, ttl bool, expiry uint64) {
+	b.w.buf = appendRecord(b.w.buf, ts, prev, putOp(OpPut, ttl), key, puts, nil, expiry)
+}
+
+// Insert appends a put that executed against an absent or lazily-expired
+// base: a chain anchor by op (see OpInsert), with no prev link.
+func (b Batch) Insert(ts uint64, key []byte, puts []value.ColPut, ttl bool, expiry uint64) {
+	b.w.buf = appendRecord(b.w.buf, ts, 0, putOp(OpInsert, ttl), key, puts, nil, expiry)
+}
+
+// Anchor appends a column-complete chain anchor (see Record.Prev): every
+// column of v, the value the put published, read in place, with prev == 0.
+func (b Batch) Anchor(ts uint64, key []byte, v *value.Value, ttl bool, expiry uint64) {
+	b.w.buf = appendRecord(b.w.buf, ts, 0, putOp(OpPut, ttl), key, nil, v, expiry)
+}
+
+// End closes the batch and wakes the flusher if the buffer has grown large.
+func (b Batch) End() {
+	n := len(b.w.buf)
+	b.w.mu.Unlock()
+	if n < kickLevel {
 		return
 	}
 	select {
-	case w.flushCh <- struct{}{}:
+	case b.w.flushCh <- struct{}{}:
 	default:
 	}
 }
 
-// append encodes one record directly into the worker-owned log buffer — no
-// intermediate Record or payload allocation — and wakes the flusher if the
-// buffer has grown large. It does not block on storage; durability arrives
-// with the next flush (group commit). Every Append* form is this.
+// putOp is op, or with ttl its expiry-carrying twin.
+func putOp(op Op, ttl bool) Op {
+	switch {
+	case !ttl:
+		return op
+	case op == OpInsert:
+		return OpInsertTTL
+	}
+	return OpPutTTL
+}
+
+// append is a batch of one record of any op. Every Append* form is this.
 func (w *Writer) append(ts, prev uint64, op Op, key []byte, puts []value.ColPut, expiry uint64) {
-	w.mu.Lock()
-	w.buf = appendRecord(w.buf, ts, prev, op, key, puts, expiry)
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
+	b := w.Begin()
+	w.buf = appendRecord(w.buf, ts, prev, op, key, puts, nil, expiry)
+	b.End()
 }
 
 // AppendPut queues a put record.
@@ -198,46 +249,9 @@ func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []value.ColPut) {
 	w.append(ts, prev, OpPut, key, puts, 0)
 }
 
-// AppendPutTTL queues a put record carrying an expiry timestamp (see
-// OpPutTTL). prev is as in AppendPut; Touch logs through here with prev == 0
-// and the republished value's full column set, so the record is a chain
-// anchor and stands alone at replay.
-func (w *Writer) AppendPutTTL(ts, prev uint64, key []byte, puts []value.ColPut, expiry uint64) {
-	w.append(ts, prev, OpPutTTL, key, puts, expiry)
-}
-
-// AppendInsert queues an insert record: a put that executed against an
-// absent or lazily-expired base and must replay as a replacement (see
-// OpInsert). Inserts are chain anchors by op and carry no prev link.
+// AppendInsert queues an insert record (see Batch.Insert).
 func (w *Writer) AppendInsert(ts uint64, key []byte, puts []value.ColPut) {
 	w.append(ts, 0, OpInsert, key, puts, 0)
-}
-
-// AppendInsertTTL is AppendInsert with an expiry timestamp.
-func (w *Writer) AppendInsertTTL(ts uint64, key []byte, puts []value.ColPut, expiry uint64) {
-	w.append(ts, 0, OpInsertTTL, key, puts, expiry)
-}
-
-// AppendPutBatch queues one put record per key under a single buffer-lock
-// acquisition — the logging counterpart of the tree's batched put. keys,
-// puts, ts, prev, and insert are parallel arrays (insert may be nil: all
-// updates); records are encoded in input order, so a key's records keep
-// their version order within this worker's log. insert[i] logs key i as
-// OpInsert (built on an absent base; replays as a replacement); prev[i] is
-// as in AppendPut and is ignored for inserts.
-func (w *Writer) AppendPutBatch(keys [][]byte, puts [][]value.ColPut, ts, prev []uint64, insert []bool) {
-	w.mu.Lock()
-	for i := range keys {
-		op := OpPut
-		p := prev[i]
-		if insert != nil && insert[i] {
-			op, p = OpInsert, 0
-		}
-		w.buf = appendRecord(w.buf, ts[i], p, op, keys[i], puts[i], 0)
-	}
-	n := len(w.buf)
-	w.mu.Unlock()
-	w.kickIfBig(n)
 }
 
 // AppendRemove queues a remove record.
@@ -332,6 +346,7 @@ func (w *Writer) writeOut() error {
 	w.fbufOff = 0
 	if cap(w.fbuf) > maxRetainedLogBuf {
 		w.fbuf = nil
+		w.bufDrops.Add(1)
 	} else {
 		w.fbuf = w.fbuf[:0]
 	}
@@ -390,6 +405,10 @@ func (w *Writer) FlushStats() (errs int64, last error) {
 // FlushRetries reports how many flush attempts were retries made under a
 // pending failure backoff.
 func (w *Writer) FlushRetries() int64 { return w.flushRetries.Load() }
+
+// BufferDrops reports how many flushed buffers were released for having
+// outgrown the retain cap: a huge put, or a flusher that fell far behind.
+func (w *Writer) BufferDrops() int64 { return w.bufDrops.Load() }
 
 func (w *Writer) flushLoop(every time.Duration) {
 	defer w.wg.Done()
@@ -593,6 +612,14 @@ func (s *Set) FlushStats() (errs int64, last error) {
 func (s *Set) FlushRetries() (n int64) {
 	for _, w := range s.writers {
 		n += w.FlushRetries()
+	}
+	return n
+}
+
+// BufferDrops sums released oversized buffers across the set.
+func (s *Set) BufferDrops() (n int64) {
+	for _, w := range s.writers {
+		n += w.BufferDrops()
 	}
 	return n
 }

@@ -158,6 +158,7 @@ var (
 	errTrailingReq  = errors.New("wire: trailing request bytes")
 	errTrailingResp = errors.New("wire: trailing response bytes")
 	errFrameLen     = errors.New("wire: frame length mismatch")
+	errColumn       = errors.New("wire: put column beyond value.MaxCol")
 )
 
 // Minimum encoded sizes, used to sanity-bound batch counts before sizing
@@ -378,6 +379,9 @@ func parseRequestAlias(b []byte, r *Request, d *DecodeBuf) ([]byte, error) {
 			b = b[6:]
 			if len(b) < dlen {
 				return nil, errShort
+			}
+			if col > value.MaxCol {
+				return nil, errColumn
 			}
 			d.puts = append(d.puts, ColData{Col: col, Data: b[:dlen:dlen]})
 			b = b[dlen:]
@@ -811,6 +815,9 @@ func parseRequest(b []byte, r *Request) ([]byte, error) {
 			if len(b) < dlen {
 				return nil, errShort
 			}
+			if r.Puts[i].Col > value.MaxCol {
+				return nil, errColumn
+			}
 			r.Puts[i].Data = append([]byte(nil), b[:dlen]...)
 			b = b[dlen:]
 		}
@@ -830,7 +837,7 @@ func parseRequest(b []byte, r *Request) ([]byte, error) {
 func appendResponse(b []byte, r *Response) []byte {
 	b = append(b, r.Status)
 	b = binary.LittleEndian.AppendUint64(b, r.Version)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Cols)))
+	b = binary.LittleEndian.AppendUint16(b, value.Count16(len(r.Cols), "wire response"))
 	for _, c := range r.Cols {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(c)))
 		b = append(b, c...)
@@ -839,7 +846,7 @@ func appendResponse(b []byte, r *Response) []byte {
 	for _, p := range r.Pairs {
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Key)))
 		b = append(b, p.Key...)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Cols)))
+		b = binary.LittleEndian.AppendUint16(b, value.Count16(len(p.Cols), "wire response"))
 		for _, c := range p.Cols {
 			b = binary.LittleEndian.AppendUint32(b, uint32(len(c)))
 			b = append(b, c...)

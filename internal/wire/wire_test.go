@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/value"
 )
 
 func roundTripRequests(t *testing.T, reqs []Request) []Request {
@@ -136,6 +138,34 @@ func TestUnknownOpcodeErrors(t *testing.T) {
 	b[8] = 99 // clobber the opcode (4B frame len + 4B count)
 	if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(b))); err == nil {
 		t.Fatal("expected error for unknown opcode")
+	}
+}
+
+// TestPutColumnOutOfRangeRefused pins column 65 535 as a malformed request in
+// every request parser — it would make 65 536 columns, which no response,
+// log record or checkpoint entry can count — and column 65 534 as legal.
+func TestPutColumnOutOfRangeRefused(t *testing.T) {
+	for _, op := range []OpCode{OpPut, OpCas, OpPutTTL} {
+		for col, refuse := range map[int]bool{value.MaxCol: false, value.MaxCol + 1: true} {
+			frame, err := AppendRequests(nil, []Request{
+				{Op: OpGet, Key: []byte("a")},
+				{Op: op, Key: []byte("k"), Puts: []ColData{{Col: 0, Data: []byte("x")}, {Col: col, Data: []byte("y")}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d DecodeBuf
+			if _, err := ParseRequests(frame[4:], &d); (err != nil) != refuse {
+				t.Errorf("op %d column %d: ParseRequests error %v, want refused=%v", op, col, err, refuse)
+			}
+			if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); (err != nil) != refuse {
+				t.Errorf("op %d column %d: ReadRequests error %v, want refused=%v", op, col, err, refuse)
+			}
+			got, claimed, err := ParseRequestsLenient(frame[4:], &d)
+			if want := map[bool]int{true: 1, false: 2}[refuse]; err != nil || claimed != 2 || len(got) != want {
+				t.Errorf("op %d column %d: lenient decoded %d of %d (%v), want %d of 2", op, col, len(got), claimed, err, want)
+			}
+		}
 	}
 }
 
