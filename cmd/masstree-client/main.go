@@ -354,7 +354,7 @@ var statsGroupOrder = []string{"tree", "server", "cache", "logging", "backend", 
 func statsGroup(name string) string {
 	switch name {
 	case "keys", "splits", "layer_creations", "layer_collapses", "node_deletes",
-		"root_retries", "local_retries", "slot_reuses":
+		"root_retries", "local_retries", "batch_fallbacks", "slot_reuses":
 		return "tree"
 	case "batched_gets", "batched_puts", "errored_requests":
 		return "server"

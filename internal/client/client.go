@@ -127,6 +127,9 @@ func (c *Client) Put(key []byte, puts []wire.ColData) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if resps[0].Status != wire.StatusOK {
+		return 0, fmt.Errorf("client: put status %d", resps[0].Status)
+	}
 	return resps[0].Version, nil
 }
 

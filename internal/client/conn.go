@@ -533,8 +533,11 @@ func (c *Conn) Put(key []byte, puts []wire.ColData) (uint64, error) {
 		p.Release()
 		return 0, err
 	}
-	ver := resps[0].Version
+	status, ver := resps[0].Status, resps[0].Version
 	p.Release()
+	if status != wire.StatusOK {
+		return 0, fmt.Errorf("client: put status %d", status)
+	}
 	return ver, nil
 }
 

@@ -1,60 +1,28 @@
 package core
 
 import (
-	"sort"
+	"bytes"
+	"unsafe"
 
 	"repro/internal/value"
 )
 
-// BatchScratch holds the reusable ordering state for GetBatchInto so a
+// BatchScratch holds the reusable state of the batched operations so a
 // steady-state caller (one scratch per worker/connection) performs no
-// allocations per batch. It implements sort.Interface over the index
-// permutation so sorting itself is allocation-free (sort.Slice's closure
-// and reflection path both allocate).
+// allocations per batch: the cursors of a wave (see wave), and for
+// PutBatchInto the tree-order index permutation. It implements
+// sort.Interface over that permutation so sorting itself is allocation-free
+// (sort.Slice's closure and reflection path both allocate). The zero value
+// is ready to use.
 type BatchScratch struct {
 	idx    []int
 	slices []uint64
-}
-
-func (sc *BatchScratch) Len() int { return len(sc.idx) }
-
-// Less orders by leading key slice, breaking ties by input index so the
-// order is deterministic and, in particular, duplicate keys within one batch
-// keep their request order (PutBatchInto relies on this to apply repeated
-// puts to a key in submission order).
-func (sc *BatchScratch) Less(a, b int) bool {
-	sa, sb := sc.slices[sc.idx[a]], sc.slices[sc.idx[b]]
-	if sa != sb {
-		return sa < sb
-	}
-	return sc.idx[a] < sc.idx[b]
-}
-func (sc *BatchScratch) Swap(a, b int) { sc.idx[a], sc.idx[b] = sc.idx[b], sc.idx[a] }
-
-// order sorts the index permutation for keys into the scratch; in steady
-// state (scratch warmed to the batch size) it performs no allocations.
-func (sc *BatchScratch) order(keys [][]byte) {
-	n := len(keys)
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-		sc.slices = make([]uint64, n)
-	}
-	sc.idx = sc.idx[:n]
-	sc.slices = sc.slices[:n]
-	for i, k := range keys {
-		sc.idx[i] = i
-		sc.slices[i] = keySlice(k)
-	}
-	sort.Sort(sc)
+	cur    [waveWidth]waveCursor
 }
 
 // GetBatch looks up many keys in one call — the paper's PALM-inspired
-// batched lookup (§4.8). PALM sorts a batch of queries so lookups that
-// touch nearby tree paths run back to back, overlapping their DRAM fetches;
-// Go exposes no prefetch intrinsic, but processing keys in tree order still
-// shares the upper tree levels' cache lines between consecutive descents.
-// The paper measured up to +34% on an Intel machine and nothing on AMD, so
-// this is an optional path; the ablation benchmark quantifies it here.
+// batched lookup (§4.8), which exists to overlap the DRAM fetches of
+// different keys' descents. See GetBatchInto for how.
 //
 // Results are returned in input order: vals[i], found[i] correspond to
 // keys[i]. GetBatch allocates its result slices; hot paths should hold a
@@ -68,17 +36,173 @@ func (t *Tree) GetBatch(keys [][]byte) (vals []*value.Value, found []bool) {
 }
 
 // GetBatchInto is GetBatch writing into caller-provided slices (which must
-// have len(keys) elements) and ordering scratch. In steady state — scratch
-// warmed to the largest batch size — it performs no allocations.
+// have len(keys) elements) and scratch; it performs no allocations.
+//
+// The batch is cut into groups of waveWidth keys and each group descends as
+// one wave: every key's next node is being fetched while the others take
+// their hop. A key whose descent meets a concurrent writer is not retried
+// here: it is looked up again with Get once the wave is over (counted in
+// Stats.BatchFallbacks), so Get remains the one statement of the read
+// protocol, and every result — fast or slow — is one Get would have
+// returned at some instant during the call.
 //
 //masstree:noalloc
 func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc *BatchScratch) {
-	if len(keys) == 0 {
+	for lo := 0; lo < len(keys); lo += waveWidth {
+		group := keys[lo:min(lo+waveWidth, len(keys))]
+		t.wave(group, &sc.cur)
+		for i, k := range group {
+			c := &sc.cur[i]
+			if c.state == waveFallback {
+				t.stats.BatchFallbacks.Add(1)
+				vals[lo+i], found[lo+i] = t.Get(k)
+				continue
+			}
+			vals[lo+i], found[lo+i] = (*value.Value)(c.val), c.state == waveFound
+		}
+	}
+}
+
+// waveWidth is the number of descents a wave keeps in flight. Measured on
+// 2 M keys the per-key cost falls steeply to 8 and is within a tenth of its
+// floor at 16; the paper's clients batch about as many.
+const waveWidth = 16
+
+// A waveCursor is one key's place in its descent. Between rounds n is a
+// node that has been asked for (prefetchNode) but not yet looked at.
+type waveCursor struct {
+	n     *nodeHeader    // the node to examine next
+	p     *nodeHeader    // n's parent; nil when n is a layer's root
+	pv    uint64         // p's version as validated when n was chosen
+	slice uint64         // key[off:]'s leading slice
+	off   int            // bytes of the key consumed by the layers above n
+	val   unsafe.Pointer // the *value.Value found (waveSuffix, waveFound)
+	bag   *byte          // waveSuffix: the bag holding the slot's suffix
+	slot  uint8          // waveSuffix: the slot
+	state waveState
+}
+
+type waveState uint8
+
+const (
+	waveDescend waveState = iota // n is to be examined
+	waveSuffix                   // slice matched; the suffix is still to be compared
+	// The states below are final: the wave is done with the cursor.
+	waveFound    // val is the key's value
+	waveAbsent   // the key is not in the tree
+	waveFallback // met a writer: the caller decides (GetBatchInto: Get)
+)
+
+// wave runs the lookups of up to waveWidth keys level-synchronously: each
+// round advances every unfinished cursor by one hop (hop), and a hop ends by
+// prefetching the node it chose, so a node's lines arrive while the other
+// keys take their turn — §4.2's one-round-trip node fetch and §4.8's
+// overlapped lookups. A lone Get waits out every level's miss in sequence.
+//
+// Each key is validated by exactly the version pairs Get and findBorder
+// check, in the same order, only with more time between a pair's two loads
+// — which the protocol allows any reader (it may be descheduled there). So
+// a key the wave resolves is linearizable for the reason a Get is. Where
+// Get would wait or retry, the wave does neither: the cursor is marked
+// waveFallback. It never spins, never chases next, never repairs a stale
+// root. Cursors are left as they end; a stale one keeps a few nodes
+// reachable until the scratch's next batch and is never read again (every
+// wave begins by overwriting the cursors it uses).
+//
+//masstree:noalloc
+func (t *Tree) wave(keys [][]byte, cur *[waveWidth]waveCursor) {
+	root := t.rootHeader()
+	for i, k := range keys {
+		cur[i] = waveCursor{n: root, slice: keySlice(k)}
+	}
+	for live := len(keys); live > 0; {
+		for i, k := range keys {
+			c := &cur[i]
+			switch c.state {
+			case waveDescend:
+				t.hop(c, k)
+			case waveSuffix:
+				// The bag is immutable and the validated snapshot said which
+				// of its suffixes is this slot's; it was prefetched a round ago.
+				if bytes.Equal(bagAt(c.bag).suffix(int(c.slot)), k[c.off+8:]) {
+					c.state = waveFound
+				} else {
+					c.val, c.state = nil, waveAbsent
+				}
+			default:
+				continue
+			}
+			if c.state > waveSuffix {
+				live--
+			}
+		}
+	}
+}
+
+// hop examines c.n — one iteration of findBorder's loop, or, at a border,
+// the body of Get's — and leaves c at the next node, or finished.
+//
+//masstree:noalloc
+func (t *Tree) hop(c *waveCursor, key []byte) {
+	h := c.n
+	v := h.version.Load()
+	// The child's version is loaded before the parent's is re-checked
+	// (Figure 6); a layer's root has no parent and must still be a root.
+	if isDirty(v) || isDeleted(v) ||
+		(c.p != nil && changed(c.p.version.Load(), c.pv)) || (c.p == nil && !isRoot(v)) {
+		c.state = waveFallback
 		return
 	}
-	// Order the batch by leading key slice (cheap proxy for tree order).
-	sc.order(keys)
-	for _, i := range sc.idx {
-		vals[i], found[i] = t.Get(keys[i])
+	if !isBorder(v) {
+		child := h.interior().childFor(c.slice)
+		if child == nil {
+			c.state = waveFallback
+			return
+		}
+		prefetchNode(unsafe.Pointer(child))
+		c.n, c.p, c.pv = child, h, v
+		return
+	}
+	n := h.border()
+	k := key[c.off:]
+	perm := n.perm()
+	rank, found := n.searchRank(perm, c.slice, keyOrd(k))
+	var (
+		slot int
+		kl   uint32
+		lvp  unsafe.Pointer
+		bag  *byte
+	)
+	if found {
+		// Get's keylens bracket around lv and the bag pointer.
+		slot = perm.slot(rank)
+		kl = n.keylen(slot)
+		lvp = n.loadLV(slot)
+		if kl == klSuffix {
+			bag = n.suffixes.Load()
+		}
+		if n.keylen(slot) != kl {
+			kl = klUnstable
+		}
+	}
+	switch {
+	case changed(h.version.Load(), v) || kl == klUnstable:
+		c.state = waveFallback
+	case !found:
+		c.state = waveAbsent
+	case kl == klLayer:
+		// Re-enter at the layer's root, not yet looked at: if a root split
+		// has left the stored pointer stale the next hop sees a non-root
+		// and leaves the repair to Get.
+		layer := (*nodeHeader)(lvp)
+		prefetchNode(unsafe.Pointer(layer))
+		c.n, c.p, c.off, c.slice = layer, nil, c.off+8, keySlice(k[8:])
+	case kl == klSuffix:
+		prefetchLine(unsafe.Pointer(bag))
+		prefetchLine(lvp)
+		c.val, c.bag, c.slot, c.state = lvp, bag, uint8(slot), waveSuffix
+	default: // keylen 0..8: the whole remaining key is inline
+		prefetchLine(lvp)
+		c.val, c.state = lvp, waveFound
 	}
 }

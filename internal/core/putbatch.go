@@ -2,16 +2,17 @@ package core
 
 import (
 	"bytes"
+	"sort"
 	"unsafe"
 
 	"repro/internal/value"
 )
 
 // PutBatchInto applies read-modify-writes to many keys in one call — the
-// write-path counterpart of GetBatchInto (§4.8's PALM-style batching).
-// Keys are processed in tree order so consecutive descents share the upper
-// trie and B+-tree levels' cache lines, and — the part a sorted get batch
-// cannot do — every maximal run of batch keys that resolves to the same
+// write-path counterpart of GetBatchInto (§4.8's PALM-style batching). It
+// first descends for every key as GetBatchInto does, sixteen at a time, only
+// to have the nodes and values fetched. Then keys are processed in tree
+// order, so that every maximal run of batch keys that resolves to the same
 // border node is applied under a single acquisition of that node's lock,
 // amortizing the lock word's cache-line bounce across the run.
 //
@@ -26,6 +27,11 @@ import (
 func (t *Tree) PutBatchInto(keys [][]byte, sc *BatchScratch, apply func(i int, old *value.Value) *value.Value) {
 	if len(keys) == 0 {
 		return
+	}
+	// Descend once for the fetches alone: what the waves find is discarded,
+	// and the locked pass below takes nothing from them but warm lines.
+	for lo := 0; lo < len(keys); lo += waveWidth {
+		t.wave(keys[lo:min(lo+waveWidth, len(keys))], &sc.cur)
 	}
 	sc.order(keys)
 	for pos := 0; pos < len(keys); {
@@ -174,6 +180,40 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 done:
 	n.h.unlock()
 	return pos
+}
+
+func (sc *BatchScratch) Len() int { return len(sc.idx) }
+
+// Less orders by leading key slice, breaking ties by input index so the
+// order is deterministic and, in particular, duplicate keys within one batch
+// keep their request order (PutBatchInto relies on this to apply repeated
+// puts to a key in submission order).
+func (sc *BatchScratch) Less(a, b int) bool {
+	sa, sb := sc.slices[sc.idx[a]], sc.slices[sc.idx[b]]
+	if sa != sb {
+		return sa < sb
+	}
+	return sc.idx[a] < sc.idx[b]
+}
+func (sc *BatchScratch) Swap(a, b int) { sc.idx[a], sc.idx[b] = sc.idx[b], sc.idx[a] }
+
+// order sorts the index permutation for keys into the scratch — tree order
+// by leading slice, which is what lets PutBatchInto apply a run of keys
+// under one border lock; in steady state (scratch warmed to the batch size)
+// it performs no allocations.
+func (sc *BatchScratch) order(keys [][]byte) {
+	n := len(keys)
+	if cap(sc.idx) < n {
+		sc.idx = make([]int, n)
+		sc.slices = make([]uint64, n)
+	}
+	sc.idx = sc.idx[:n]
+	sc.slices = sc.slices[:n]
+	for i, k := range keys {
+		sc.idx[i] = i
+		sc.slices[i] = keySlice(k)
+	}
+	sort.Sort(sc)
 }
 
 // PutBatch is PutBatchInto with an internal scratch, updating each key with

@@ -13,6 +13,7 @@ type Stats struct {
 	NodeDeletes    atomic.Int64 // border/interior nodes removed (§4.6.5)
 	LayerCollapses atomic.Int64 // empty layers collapsed by maintenance
 	SlotReuses     atomic.Int64 // inserts into previously-used slots (vinsert bumps)
+	BatchFallbacks atomic.Int64 // keys a GetBatchInto wave met a writer on and handed to Get
 }
 
 // StatsSnapshot is a point-in-time copy of Stats.
@@ -24,6 +25,7 @@ type StatsSnapshot struct {
 	NodeDeletes    int64
 	LayerCollapses int64
 	SlotReuses     int64
+	BatchFallbacks int64
 }
 
 func (s *Stats) snapshot() StatsSnapshot {
@@ -35,5 +37,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		NodeDeletes:    s.NodeDeletes.Load(),
 		LayerCollapses: s.LayerCollapses.Load(),
 		SlotReuses:     s.SlotReuses.Load(),
+		BatchFallbacks: s.BatchFallbacks.Load(),
 	}
 }

@@ -60,8 +60,8 @@ func (ss *Session) GetInto(key []byte, cols []int, dst [][]byte) ([][]byte, bool
 }
 
 // GetBatch retrieves many keys in one epoch-protected critical section,
-// descending in tree order to share cache paths (§4.8). Results are in
-// input order; cols == nil returns all columns.
+// their descents overlapped (§4.8; see core.Tree.GetBatchInto). Results are
+// in input order; cols == nil returns all columns.
 func (ss *Session) GetBatch(keys [][]byte, cols []int) ([][][]byte, []bool) {
 	vals, ok := ss.GetBatchInto(keys)
 	// Copy the found flags out of the session scratch: this is the safe

@@ -754,7 +754,7 @@ func (s *Store) GetValue(key []byte) (*value.Value, bool) {
 }
 
 // BatchScratch holds reusable state for GetBatchInto and PutBatchInto: the
-// result slices and the core tree's batch-ordering scratch. One scratch per
+// result slices and the core tree's batch scratch. One scratch per
 // worker or connection makes steady-state batched reads and writes
 // allocation-free (beyond the packed values a put must build).
 type BatchScratch struct {
@@ -765,8 +765,8 @@ type BatchScratch struct {
 	core  core.BatchScratch
 }
 
-// GetBatch retrieves many keys at once, processing them in tree order to
-// share cache paths between descents (§4.8's PALM-style batching). Results
+// GetBatch retrieves many keys at once, overlapping their descents' cache
+// misses (§4.8's PALM-style batching; see core.Tree.GetBatchInto). Results
 // are in input order; cols == nil returns all columns. The caller must hold
 // an epoch pin.
 //

@@ -19,9 +19,9 @@
 // Execution is batch-aware in both directions: a run of consecutive OpGet
 // requests within one message is served through Session.GetBatchInto, and a
 // run of consecutive OpPut requests through Session.PutBatchInto — both
-// descend the tree in key order so consecutive operations share the upper
-// tree levels' cache lines (§4.8's PALM-style batching), and the put run
-// additionally shares border-node lock acquisitions and log-buffer locks.
+// descend sixteen keys at a time with every key's next node being fetched
+// while the others take their hop (§4.8's PALM-style batching), and the put
+// run then shares border-node lock acquisitions and log-buffer locks.
 // The request path is built for steady-state zero allocation: each
 // connection owns a connScratch whose wire decode buffers, response slice,
 // and column/pair/range arenas are retained across messages, and decoded
@@ -640,6 +640,7 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 		{Name: "node_deletes", Value: st.NodeDeletes},
 		{Name: "root_retries", Value: st.RootRetries},
 		{Name: "local_retries", Value: st.LocalRetries},
+		{Name: "batch_fallbacks", Value: st.BatchFallbacks},
 		{Name: "slot_reuses", Value: st.SlotReuses},
 		{Name: "batched_gets", Value: s.batchedGets.Load()},
 		{Name: "batched_puts", Value: s.batchedPuts.Load()},

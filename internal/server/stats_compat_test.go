@@ -252,6 +252,9 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 	if lat == 0 {
 		t.Fatal("v1 stats carry no histogram keys")
 	}
+	if _, ok := raw["batch_fallbacks"]; !ok { // the tree's newest counter, beside local_retries
+		t.Fatal("stats missing batch_fallbacks")
+	}
 	for _, k := range []string{"lat_get_count", "lat_get_p50", "lat_get_p999", "lat_put_count"} {
 		if raw[k] == "" || raw[k] == "0" {
 			t.Fatalf("%s=%q after traffic, want non-zero", k, raw[k])

@@ -332,7 +332,7 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 	_, addr := startServer(t, "")
 	c := dialConn(t, addr)
 
-	const batch = 16
+	const batch = 40 // two full groups of the batched get's wave and a part of one
 	reqs := make([]wire.Request, batch)
 	for i := range reqs {
 		key := []byte(fmt.Sprintf("alloc-key-%04d", i))
@@ -416,6 +416,18 @@ func TestLargestWireValueRoundTrips(t *testing.T) {
 		t.Fatalf("batch with a put to column %d: %+v %v, want OK then Error", lastCol+1, resps, err)
 	}
 	p.Release()
+	// The synchronous faces report the refusal too, not version 0 and no error.
+	if ver, err := c.Put([]byte("refused"), []wire.ColData{{Col: lastCol + 1, Data: []byte("y")}}); err == nil {
+		t.Fatalf("Conn.Put to column %d: version %d and no error", lastCol+1, ver)
+	}
+	v1, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v1.Close()
+	if ver, err := v1.Put([]byte("refused"), []wire.ColData{{Col: lastCol + 1, Data: []byte("y")}}); err == nil {
+		t.Fatalf("Client.Put to column %d: version %d and no error", lastCol+1, ver)
+	}
 	if _, ok := srv.store.GetValue([]byte("refused")); ok {
 		t.Fatalf("a put to column %d was stored", lastCol+1)
 	}
