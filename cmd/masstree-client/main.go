@@ -356,7 +356,7 @@ func statsGroup(name string) string {
 	case "keys", "splits", "layer_creations", "layer_collapses", "node_deletes",
 		"root_retries", "local_retries", "batch_fallbacks", "slot_reuses":
 		return "tree"
-	case "batched_gets", "batched_puts", "errored_requests":
+	case "batched_gets", "batched_puts", "batched_scans", "errored_requests":
 		return "server"
 	case "bytes_live", "max_bytes", "evictions", "expirations", "ghost_hits", "admit_drops":
 		return "cache"

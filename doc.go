@@ -25,17 +25,22 @@
 // value.ColPut), so nothing is converted between the wire and the log.
 //
 // Range queries (§3 getrange) are one descent plus a walk of the border-node
-// list (core.ScanInto). Each node is read as a version-validated snapshot of
+// list (core.ScanNInto). Each node is read as a version-validated snapshot of
 // raw slot words — key slice, length class, value-or-layer pointer, suffix
 // pointer — taken only for the slots at or after the resume position; a
 // suffix is dereferenced and a key assembled only for an entry that is
 // emitted, straight into the caller's buffer, which deeper trie layers
 // extend in place. The resume position is a value (slice, length class,
 // start-key tail, or "past this slice"), so a warm scan allocates nothing.
-// core.Scan, kvstore.GetRange/GetRangeInto and the server's OpGetRange are
-// wrappers over that one walker, and so are the checkpoint part writers,
-// the expiry sweep and the open-time seed scan. DESIGN.md states which
-// version validates which read.
+// A validated snapshot is also where a scan prefetches: the values it is
+// about to hand out and the next border are asked for together, as many as
+// the caller said it wants, so their misses overlap. core.Scan,
+// kvstore.GetRange/GetRangeInto and the server's OpGetRange are wrappers
+// over that one walker, and so are the checkpoint part writers, the expiry
+// sweep and the open-time seed scan; a run of OpGetRanges in one message
+// (Session.GetRangeBatchInto) first sends its start keys down the tree
+// together, as a get batch's keys go, then runs each scan as if alone.
+// DESIGN.md states which version validates which read.
 //
 // The transport is protocol v2 (internal/wire): a hello exchange negotiates
 // the version (clients that send no hello speak v1 verbatim), after which

@@ -185,6 +185,9 @@ func (c *Client) GetRange(start []byte, n int, cols []int) ([]wire.Pair, error) 
 	if err != nil {
 		return nil, err
 	}
+	if resps[0].Status != wire.StatusOK {
+		return nil, fmt.Errorf("client: getrange status %d", resps[0].Status)
+	}
 	return resps[0].Pairs, nil
 }
 

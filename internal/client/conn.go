@@ -635,8 +635,11 @@ func (c *Conn) GetRange(start []byte, n int, cols []int) ([]wire.Pair, error) {
 		p.Release()
 		return nil, err
 	}
-	pairs := clonePairs(resps[0].Pairs)
+	status, pairs := resps[0].Status, clonePairs(resps[0].Pairs)
 	p.Release()
+	if status != wire.StatusOK {
+		return nil, fmt.Errorf("client: getrange status %d", status)
+	}
 	return pairs, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -57,25 +59,41 @@ func hangingServer(t *testing.T) (addr string, stop func()) {
 	}
 }
 
-// echoServer accepts one connection, completes the hello exchange, and
-// answers every tagged frame with a batch of StatusOK responses — just
-// enough protocol to prove a healthy connection stays healthy.
-func echoServer(t *testing.T) (addr string, stop func()) {
+// statusServer accepts connections of either protocol version and answers
+// every request of every frame with the given status and nothing else: just
+// enough protocol to prove a healthy connection stays healthy (StatusOK), or
+// to stand for a server that could decode a frame and would not serve what
+// it asked (StatusError).
+func statusServer(t *testing.T, status uint8) (addr string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c, err := ln.Accept()
+	answer := func(n int) []wire.Response {
+		resps := make([]wire.Response, n)
+		for i := range resps {
+			resps[i].Status = status
+		}
+		return resps
+	}
+	var conns sync.WaitGroup
+	serve := func(c net.Conn) {
+		defer conns.Done()
+		defer c.Close()
+		r, w := bufio.NewReader(c), bufio.NewWriter(c)
+		first, err := r.Peek(4)
 		if err != nil {
 			return
 		}
-		defer c.Close()
-		r := bufio.NewReader(c)
-		w := bufio.NewWriter(c)
+		if !wire.IsHelloPrefix(first) {
+			for {
+				reqs, err := wire.ReadRequests(r)
+				if err != nil || wire.WriteResponses(w, answer(len(reqs))) != nil {
+					return
+				}
+			}
+		}
 		if _, err := wire.ReadHello(r); err != nil {
 			return
 		}
@@ -96,14 +114,7 @@ func echoServer(t *testing.T) (addr string, stop func()) {
 			if err != nil {
 				return
 			}
-			if claimed < len(reqs) {
-				claimed = len(reqs)
-			}
-			resps := make([]wire.Response, claimed)
-			for i := range resps {
-				resps[i] = wire.Response{Status: wire.StatusOK}
-			}
-			out, err := wire.AppendTaggedResponses(nil, tag, resps)
+			out, err := wire.AppendTaggedResponses(nil, tag, answer(max(claimed, len(reqs))))
 			if err != nil {
 				return
 			}
@@ -111,11 +122,25 @@ func echoServer(t *testing.T) (addr string, stop func()) {
 				return
 			}
 		}
-	}()
-	return ln.Addr().String(), func() {
-		ln.Close()
-		<-done
 	}
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			go serve(c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-accepting
+		conns.Wait()
+	})
+	return ln.Addr().String()
 }
 
 // A dead peer must fail every in-flight Pending with one transport error
@@ -213,8 +238,7 @@ func TestWaitCtxCompletes(t *testing.T) {
 func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 	// A live server answers the first batch; the connection then sits idle
 	// for several timeout periods and must still be healthy.
-	addr, stop := echoServer(t)
-	defer stop()
+	addr := statusServer(t, wire.StatusOK)
 	c, err := DialConn(addr, WithTimeout(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -226,5 +250,58 @@ func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // 4x the timeout, idle
 	if _, err := c.Stats(); err != nil {
 		t.Fatalf("idle connection failed: %v", err)
+	}
+}
+
+// A refused range query is an error, not an empty range: through either
+// client, a StatusError reply to GetRange must not read as "no keys there".
+func TestGetRangeReportsRefusal(t *testing.T) {
+	addr := statusServer(t, wire.StatusError)
+	c, err := DialConn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs, err := c.GetRange([]byte("k"), 10, nil); err == nil || !strings.Contains(err.Error(), "status 2") {
+		t.Fatalf("Conn.GetRange against a refusing server: %d pairs, err %v; want an error naming status 2", len(pairs), err)
+	}
+	c.Close()
+	v1, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs, err := v1.GetRange([]byte("k"), 10, nil); err == nil || !strings.Contains(err.Error(), "status 2") {
+		t.Fatalf("Client.GetRange against a refusing server: %d pairs, err %v; want an error naming status 2", len(pairs), err)
+	}
+	v1.Close()
+}
+
+// A count the wire format cannot carry is refused where the request is
+// built, by either client: nothing is sent, the error names the limit, and
+// the connection carries the next request.
+func TestOversizedCountsRefusedBeforeSending(t *testing.T) {
+	addr := statusServer(t, wire.StatusError)
+	c, err := DialConn(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	v1, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v1.Close()
+	tooMany := []wire.Request{{Op: wire.OpGetRange, Key: []byte("k"), N: wire.MaxRangeN + 1}}
+	tooWide := []wire.Request{{Op: wire.OpGet, Key: []byte("k"), Cols: make([]int, wire.MaxColList+1)}}
+	atLimits := []wire.Request{{Op: wire.OpGetRange, Key: []byte("k"), N: wire.MaxRangeN, Cols: make([]int, wire.MaxColList)}}
+	for name, do := range map[string]func([]wire.Request) ([]wire.Response, error){"Conn": c.Do, "Client": v1.Do} {
+		if _, err := do(tooMany); err == nil || !strings.Contains(err.Error(), "65535") {
+			t.Fatalf("%s: a range of %d pairs: err %v, want one naming 65535", name, wire.MaxRangeN+1, err)
+		}
+		if _, err := do(tooWide); err == nil || !strings.Contains(err.Error(), "255") {
+			t.Fatalf("%s: a get of %d columns: err %v, want one naming 255", name, wire.MaxColList+1, err)
+		}
+		if resps, err := do(atLimits); err != nil || len(resps) != 1 {
+			t.Fatalf("%s: a request at both limits after two refusals: %d responses, %v", name, len(resps), err)
+		}
 	}
 }

@@ -63,6 +63,19 @@ func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc
 	}
 }
 
+// Prefetch descends for every key as GetBatchInto does, sixteen at a time,
+// and discards what it finds: what it is for is the nodes on each key's path
+// and the value at its end arriving in cache together, ahead of a caller
+// that will then visit the keys one after another — PutBatchInto's locked
+// pass, a run of range scans starting at them.
+//
+//masstree:noalloc
+func (t *Tree) Prefetch(keys [][]byte, sc *BatchScratch) {
+	for lo := 0; lo < len(keys); lo += waveWidth {
+		t.wave(keys[lo:min(lo+waveWidth, len(keys))], &sc.cur)
+	}
+}
+
 // waveWidth is the number of descents a wave keeps in flight. Measured on
 // 2 M keys the per-key cost falls steeply to 8 and is within a tenth of its
 // floor at 16; the paper's clients batch about as many.

@@ -11,7 +11,7 @@ import (
 // best total performance, its wide nodes prefetched in one DRAM round trip.
 // Ours are five lines (border, 312 B) and four and a half (interior, 272 B →
 // the 288 B size class); prefetchNode fetches either in one round trip, for
-// the batched paths only (see borderNode).
+// the paths that have other work to overlap it with (see borderNode).
 const width = 15
 
 // nodeHeader is the common prefix of interior and border nodes: the version
@@ -49,14 +49,15 @@ type interiorNode struct {
 // remove. A border node's prev pointer is protected by its previous sibling's
 // lock; next by its own.
 //
-// The paper sizes a border node to four prefetched cache lines. Here only a
-// batch prefetches (DESIGN.md substitution #1); a single-key descent does
-// not, so for it the craft is touching fewer lines. The node is 312 B — the
-// 320 B size class, which is 64-byte aligned, so five lines — and its fields
-// are in the order a lookup reads them: version, permutation, key slices and
-// the key-length word in the first three lines, lv in the next two, and what
-// only scans, writers and long keys need (next, prev, lowkey, the suffix
-// bag) at the end.
+// The paper sizes a border node to four prefetched cache lines. Here a wave
+// of batched descents prefetches the node each key goes to next, and a scan
+// its successor border (DESIGN.md substitution #1); a single-key descent
+// does not, so for it the craft is touching fewer lines. The node is 312 B —
+// the 320 B size class, which is 64-byte aligned, so five lines — and its
+// fields are in the order a lookup reads them: version, permutation, key
+// slices and the key-length word in the first three lines, lv in the next
+// two, and what only scans, writers and long keys need (next, prev, lowkey,
+// the suffix bag) at the end.
 // TestNodeLayout pins the size and the offsets.
 //
 // lv[i] is the paper's link_or_value union: it holds either a *value.Value

@@ -28,11 +28,8 @@ func (t *Tree) PutBatchInto(keys [][]byte, sc *BatchScratch, apply func(i int, o
 	if len(keys) == 0 {
 		return
 	}
-	// Descend once for the fetches alone: what the waves find is discarded,
-	// and the locked pass below takes nothing from them but warm lines.
-	for lo := 0; lo < len(keys); lo += waveWidth {
-		t.wave(keys[lo:min(lo+waveWidth, len(keys))], &sc.cur)
-	}
+	// The locked pass below takes nothing from this but warm lines.
+	t.Prefetch(keys, sc)
 	sc.order(keys)
 	for pos := 0; pos < len(keys); {
 		pos = t.putRun(keys, sc.idx, pos, apply)

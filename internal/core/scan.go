@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"unsafe"
 
 	"repro/internal/value"
@@ -34,8 +35,31 @@ func (t *Tree) Scan(start []byte, fn func(key []byte, v *value.Value) bool) {
 //
 //masstree:noalloc
 func (t *Tree) ScanInto(start []byte, buf []byte, fn func(key []byte, v *value.Value) bool) []byte {
-	t.scanLayer(t.rootHeader(), scanFrom(start), 0, &buf, fn)
-	return buf
+	return t.ScanNInto(start, 0, buf, fn)
+}
+
+// ScanAll is ScanNInto's n for a caller that will read every entry's value
+// for as long as the scan goes on.
+const ScanAll = math.MaxInt
+
+// ScanNInto is ScanInto for a caller that says how many entries' values it
+// is going to read: the next n, or with ScanAll every one until fn stops the
+// scan. The scan is the same whatever n is — it ends when fn returns false —
+// n only decides what is fetched ahead of fn (see scanLayer): up to n values,
+// and a border's successor when the border cannot supply the rest, so that a
+// scan of ten does not ask for fifteen values and a second node it will
+// never reach. With n <= 0 the caller has said nothing: the successor is
+// still fetched ahead but no value is, which is right for a callback that
+// reads keys only and costs one that stops early nothing.
+//
+//masstree:noalloc
+func (t *Tree) ScanNInto(start []byte, n int, buf []byte, fn func(key []byte, v *value.Value) bool) []byte {
+	w := scanWalk{kbuf: buf, want: n, values: n > 0, fn: fn}
+	if n <= 0 {
+		w.want = ScanAll // for the successor's sake; values stays false
+	}
+	t.scanLayer(t.rootHeader(), scanFrom(start), 0, &w)
+	return w.kbuf
 }
 
 // GetRange returns up to n key-value pairs starting with the first key at or
@@ -89,15 +113,32 @@ type slotSnap struct {
 	lv   unsafe.Pointer
 }
 
+// scanWalk is what one scan carries through its layers.
+type scanWalk struct {
+	// kbuf[:plen] holds the key bytes consumed by outer layers; each emitted
+	// key is assembled behind them, so deeper layers extend the one buffer
+	// in place and keys are valid only during fn.
+	kbuf []byte
+	// want is how many more entries the caller will take, as far as it
+	// knows: at least 1 while fn returns true. Only the prefetches read it.
+	want   int
+	values bool // the caller gave a count: fetch that many values ahead of fn
+	fn     func([]byte, *value.Value) bool
+}
+
 // scanLayer walks one trie layer's border-node list from the node owning
 // pos, emitting the entries at or after pos and recursing into deeper
-// layers. (*kbuf)[:plen] holds the key bytes consumed by outer layers; each
-// emitted key is assembled behind them, so deeper layers extend the one
-// buffer in place and keys are valid only during fn. Returns false if fn
-// aborted the scan.
+// layers. Returns false if fn aborted the scan.
+//
+// Every address the emit loop will load from — the values it passes to fn,
+// the next border — is known once a node's snapshot validates, so they are
+// all asked for there (prefetchLine, prefetchNode) and their misses overlap
+// instead of being taken one per fn. The prefetches follow the validation
+// and change nothing the protocol reads; w.want keeps them to what the
+// caller will use.
 //
 //masstree:noalloc
-func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, fn func([]byte, *value.Value) bool) bool {
+func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) bool {
 	n, v := t.findBorder(root, pos.slice)
 	var snap [width]slotSnap
 	for {
@@ -144,6 +185,26 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, 
 			v = n.h.stable()
 			continue
 		}
+
+		// Ask for what the emit loop is about to read — the bag first, it is
+		// read first. A layer counts as the one entry it at least holds.
+		if bag != nil {
+			prefetchLine(unsafe.Pointer(bag))
+		}
+		ahead := w.want
+		for i := 0; i < m && ahead > 0; i++ {
+			e := &snap[i]
+			if e.ks == pos.slice && ordOf(e.kl) < pos.ord {
+				continue
+			}
+			if w.values && e.kl != klLayer {
+				prefetchLine(e.lv)
+			}
+			ahead--
+		}
+		if next != nil && ahead > 0 {
+			prefetchNode(unsafe.Pointer(next))
+		}
 		sufs := bagAt(bag) // immutable: read after validation, like the values
 
 		// Emit from the validated snapshot.
@@ -160,12 +221,12 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, 
 				}
 			}
 			if e.kl == klLayer {
-				*kbuf = appendSliceBytes((*kbuf)[:plen], e.ks, 8)
-				if !t.scanLayer(ascendToRoot((*nodeHeader)(e.lv)), scanFrom(bound), plen+8, kbuf, fn) {
+				w.kbuf = appendSliceBytes(w.kbuf[:plen], e.ks, 8)
+				if !t.scanLayer(ascendToRoot((*nodeHeader)(e.lv)), scanFrom(bound), plen+8, w) {
 					return false
 				}
 			} else {
-				k := appendSliceBytes((*kbuf)[:plen], e.ks, min(ord, 8))
+				k := appendSliceBytes(w.kbuf[:plen], e.ks, min(ord, 8))
 				if e.kl == klSuffix {
 					suf := sufs.suffix(e.slot)
 					if bytes.Compare(suf, bound) < 0 {
@@ -173,10 +234,11 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, kbuf *[]byte, 
 					}
 					k = append(k, suf...)
 				}
-				*kbuf = k
-				if !fn(k, (*value.Value)(e.lv)) {
+				w.kbuf = k
+				if !w.fn(k, (*value.Value)(e.lv)) {
 					return false
 				}
+				w.want = max(w.want-1, 1)
 			}
 			pos = scanPos{slice: e.ks, ord: ord + 1}
 		}

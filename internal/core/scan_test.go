@@ -130,6 +130,27 @@ func TestScanIntoAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ScanInto allocates %.1f times per run, want 0", allocs)
 	}
+
+	// A run of sixteen bounded scans behind the start-key wave.
+	var sc BatchScratch
+	starts := make([][]byte, 16)
+	for i := range starts {
+		starts[i] = []byte(fmt.Sprintf("k%04d", 5*i))
+	}
+	ten := func(k []byte, _ *value.Value) bool { n++; return n < 10 }
+	allocs = testing.AllocsPerRun(100, func() {
+		tr.Prefetch(starts, &sc)
+		for _, s := range starts {
+			n = 0
+			buf = tr.ScanNInto(s, 10, buf, ten)
+			if n != 10 {
+				t.Fatalf("scan from %q emitted %d keys, want 10", s, n)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Prefetch and sixteen ScanNInto allocate %.1f times per run, want 0", allocs)
+	}
 }
 
 // scanModelKey draws keys that stress every position the walker compares:
@@ -145,9 +166,11 @@ func scanModelKey(rng *rand.Rand) []byte {
 	return append([]byte(stem), k...)
 }
 
-// TestScanMatchesSortedModel compares Scan, ScanInto and GetRange with a
-// sorted slice for random start keys (nil, empty, present, absent, beyond the
-// last key) and random lengths.
+// TestScanMatchesSortedModel compares Scan, ScanInto, ScanNInto and GetRange
+// with a sorted slice for random start keys (nil, empty, present, absent,
+// beyond the last key) and random lengths. ScanNInto's n is a hint about
+// what to fetch, not a bound: told the truth, a third of it, ten times it or
+// ScanAll, the scan ends where the callback ends it.
 func TestScanMatchesSortedModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -207,7 +230,16 @@ func TestScanMatchesSortedModel(t *testing.T) {
 			for _, kv := range tr.GetRange(start, n) {
 				gotRange = append(gotRange, string(kv.Key))
 			}
-			for name, g := range map[string][]string{"Scan": got, "ScanInto": gotInto, "GetRange": gotRange} {
+			var gotN []string
+			hint := []int{n, n/3 + 1, 10 * n, ScanAll}[i%4]
+			buf = tr.ScanNInto(start, hint, buf, func(k []byte, v *value.Value) bool {
+				if !bytes.Equal(k, v.Bytes()) {
+					t.Fatalf("seed %d: key %q carries value %q", seed, k, v.Bytes())
+				}
+				gotN = append(gotN, string(k))
+				return len(gotN) < n
+			})
+			for name, g := range map[string][]string{"Scan": got, "ScanInto": gotInto, "GetRange": gotRange, "ScanNInto": gotN} {
 				if fmt.Sprintf("%q", g) != fmt.Sprintf("%q", want) {
 					t.Fatalf("seed %d: %s(%q, %d) = %q, want %q", seed, name, start, n, g, want)
 				}

@@ -5,7 +5,8 @@ package core
 //   - linear vs binary search within a border node ("linear search has
 //     higher complexity ... but exhibits better locality"; the paper saw
 //     ±0-5% depending on architecture);
-//   - batched vs one-at-a-time lookups (PALM-style, §4.8);
+//   - batched vs one-at-a-time lookups (PALM-style, §4.8), and short scans
+//     one at a time vs in runs behind a wave over their start keys;
 //   - value update via one atomic pointer write vs full put path.
 import (
 	"fmt"
@@ -127,6 +128,59 @@ func BenchmarkGetVsGetBatch(b *testing.B) {
 		})
 		run("getbatch", func() { tr.GetBatchInto(batch, vals, found, &sc) })
 	}
+}
+
+// BenchmarkScanShort times ten-pair scans from uniformly random start keys
+// on the same tree, in ns per scan: a loop of ScanNInto alone, and runs of
+// 2, 4 and 16 scans whose start keys first descend together (Prefetch).
+// Inside a scan, scanLayer asks for the ten values and the next border at
+// once either way; what the run adds is that sixteen scans' first borders
+// are fetched together instead of one descent after another.
+func BenchmarkScanShort(b *testing.B) {
+	if testing.Short() {
+		b.Skip("loads 2M keys")
+	}
+	tr := New()
+	keys := workload.Keys(workload.Decimal(10), 2_000_000)
+	for _, k := range keys {
+		tr.Put(k, value.New(k))
+	}
+	const pairs = 10
+	var (
+		buf  []byte
+		left int
+		sink uint64
+		sc   BatchScratch
+	)
+	visit := func(_ []byte, v *value.Value) bool {
+		sink += v.Version() // a scan reads what it finds: the value's first line
+		left--
+		return left > 0
+	}
+	for _, size := range []int{1, 2, 4, 16} {
+		name := fmt.Sprintf("wave/run=%d", size)
+		if size == 1 {
+			name = "scan-loop"
+		}
+		b.Run(name, func(b *testing.B) {
+			starts := make([][]byte, size)
+			rng := rand.New(rand.NewSource(int64(size)))
+			for i := 0; i < b.N; i++ {
+				for j := range starts {
+					starts[j] = keys[rng.Intn(len(keys))]
+				}
+				if size > 1 {
+					tr.Prefetch(starts, &sc)
+				}
+				for _, start := range starts {
+					left = pairs
+					buf = tr.ScanNInto(start, pairs, buf, visit)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/scan")
+		})
+	}
+	_ = sink
 }
 
 func BenchmarkValueUpdateInPlace(b *testing.B) {

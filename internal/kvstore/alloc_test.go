@@ -208,6 +208,23 @@ func TestGetRangeIntoAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Session.GetRangeInto allocates %.1f per %d-pair range, want 0", allocs, n)
 	}
+
+	// A run of sixteen behind the start-key wave, in the same scratch.
+	starts, ns, colSets := make([][]byte, 16), make([]int, 16), make([][]int, 16)
+	for i := range starts {
+		starts[i], ns[i], colSets[i] = []byte(fmt.Sprintf("alloc-key-%06d", 50*i)), 10, cols
+	}
+	sess.GetRangeBatchInto(starts, ns, colSets, &sc)
+	allocs = testing.AllocsPerRun(100, func() {
+		sc.Reset()
+		runs := sess.GetRangeBatchInto(starts, ns, colSets, &sc)
+		if len(runs) != 16 || len(runs[15]) != 10 || string(runs[15][0].Key) != "alloc-key-000750" {
+			t.Fatalf("range run: %d windows", len(runs))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Session.GetRangeBatchInto allocates %.1f per 16-range run, want 0", allocs)
+	}
 }
 
 // allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one

@@ -231,7 +231,12 @@ func TestCacheBoundZipfian(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	closed := false
+	defer func() {
+		if !closed {
+			s.Close()
+		}
+	}()
 
 	// One eviction batch is the enforce pass's low-watermark stride plus
 	// whatever lands between an overshoot probe and the wakeup; allow the
@@ -268,6 +273,14 @@ func TestCacheBoundZipfian(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	// The workers are done but the enforcer is not: it evicts on its own
+	// tick, and a total read before a pass and a walk made after it disagree.
+	// Close stops it and waits for it; the tree and the counters of an
+	// in-memory store stay readable.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed = true
 	st := s.CacheStats()
 	t.Logf("bytes_live=%d max_seen=%d bound=%d slack=%d evictions=%d ghost_hits=%d expirations=%d admit_drops=%d keys=%d",
 		st.BytesLive, maxSeen, int64(maxBytes), slack, st.Evictions, st.GhostHits, st.Expirations, st.AdmitDrops, s.Len())

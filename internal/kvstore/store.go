@@ -282,7 +282,7 @@ func (s *Store) seedCache() {
 	var total int64
 	buf := make([]byte, 0, 64)
 	//lint:allow epochguard seedCache runs during Open, before any concurrent access or reclamation exists
-	s.tree.ScanInto(nil, buf, func(k []byte, v *value.Value) bool {
+	s.tree.ScanNInto(nil, core.ScanAll, buf, func(k []byte, v *value.Value) bool {
 		total += int64(v.Size())
 		if v.ExpiresAt() != 0 {
 			s.ttlUsed.Store(true)
@@ -642,7 +642,7 @@ func (s *Store) sweepExpired(now int64) int {
 	if s.sweepBuf == nil {
 		s.sweepBuf = make([]byte, 0, 64)
 	}
-	s.sweepBuf = s.tree.ScanInto(s.sweepCursor, s.sweepBuf, func(k []byte, v *value.Value) bool {
+	s.sweepBuf = s.tree.ScanNInto(s.sweepCursor, sweepBatchKeys, s.sweepBuf, func(k []byte, v *value.Value) bool {
 		seen++
 		if v.Expired(now) {
 			off := len(s.sweepArena)
@@ -1197,6 +1197,7 @@ type RangeScratch struct {
 	cols  [][]byte
 	keys  []byte
 	kbuf  []byte
+	runs  [][]Pair // GetRangeBatchInto's result: one window of pairs per range
 
 	// The range in progress, read by add.
 	want    []int // requested columns
@@ -1232,6 +1233,9 @@ func (sc *RangeScratch) Shrink(max int) {
 	if cap(sc.kbuf) > max {
 		sc.kbuf = nil
 	}
+	if cap(sc.runs)*24 > max {
+		sc.runs = nil
+	}
 }
 
 // GetRangeInto is GetRange appending into sc's reusable arenas instead of
@@ -1253,7 +1257,7 @@ func (s *Store) GetRangeInto(start []byte, n int, cols []int, sc *RangeScratch) 
 	}
 	base := len(sc.pairs)
 	sc.want, sc.left, sc.visited = cols, n, 0
-	sc.kbuf = s.tree.ScanInto(start, sc.kbuf, sc.visit)
+	sc.kbuf = s.tree.ScanNInto(start, n, sc.kbuf, sc.visit)
 	sc.want = nil
 	return sc.pairs[base:len(sc.pairs):len(sc.pairs)]
 }
@@ -1353,7 +1357,7 @@ func (s *Store) CheckpointN(parts int) (path string, n int, err error) {
 		}
 		var emitErr error
 		buf := make([]byte, 0, 64)
-		s.tree.ScanInto(start, buf, func(key []byte, v *value.Value) bool {
+		s.tree.ScanNInto(start, core.ScanAll, buf, func(key []byte, v *value.Value) bool {
 			if end != nil && bytes.Compare(key, end) >= 0 {
 				return false // next part's range
 			}

@@ -97,13 +97,21 @@ func bucketMid(b int) uint64 {
 //
 //masstree:noalloc
 func (h *Hist) Record(worker int, d time.Duration) {
+	h.RecordN(worker, d, 1)
+}
+
+// RecordN adds n observations of d each — a run of n operations timed as one
+// and costing d apiece on average — for the same two atomic adds as one.
+//
+//masstree:noalloc
+func (h *Hist) RecordN(worker int, d time.Duration, n int) {
 	if h == nil {
 		return
 	}
 	sh := &h.shards[uint(worker)%uint(len(h.shards))]
-	atomic.AddUint64(&sh.counts[Bucket(d)], 1)
+	atomic.AddUint64(&sh.counts[Bucket(d)], uint64(n))
 	if d > 0 {
-		atomic.AddUint64(&sh.sum, uint64(d))
+		atomic.AddUint64(&sh.sum, uint64(d)*uint64(n))
 	}
 }
 

@@ -80,6 +80,22 @@ func TestHistNilSafe(t *testing.T) {
 	}
 }
 
+// RecordN(d, n) is n Records of d: same bucket counts, same sum.
+func TestHistRecordNIsNRecords(t *testing.T) {
+	one, many := NewHist("scan", 2), NewHist("scan", 2)
+	for _, d := range []time.Duration{0, 1, 900, 70_000} {
+		for i := 0; i < 16; i++ {
+			one.Record(1, d)
+		}
+		many.RecordN(1, d, 16)
+	}
+	if a, b := one.Snapshot(), many.Snapshot(); a != b || b.Count() != 64 {
+		t.Fatalf("RecordN snapshot %+v, sixteen Records %+v", b, a)
+	}
+	var nilHist *Hist
+	nilHist.RecordN(0, time.Second, 4) // must not panic
+}
+
 func TestHistMergeMatchesCombined(t *testing.T) {
 	a, b, both := NewHist("x", 2), NewHist("x", 2), NewHist("x", 2)
 	durs := []time.Duration{100, 10_000, 1_000_000, 3, 70_000_000}

@@ -29,7 +29,10 @@ func adminWorkout(t *testing.T, srv *Server, sess *kvstore.Session) {
 		reqs[i] = wire.Request{Op: wire.OpGet, Key: reqs[i].Key}
 	}
 	srv.executeBatch(sess, reqs, len(reqs), sc, true) // batched get run
-	for i := range reqs[:4] {                         // singles: alternating ops break the batch runs
+	scan := wire.Request{Op: wire.OpGetRange, Key: []byte("admin-key-"), N: 4}
+	srv.executeBatch(sess, []wire.Request{scan, scan}, 2, sc, true) // batched scan run
+	// Singles: alternating ops break the batch runs.
+	for i := range reqs[:4] {
 		srv.executeBatch(sess, []wire.Request{
 			reqs[i],
 			{Op: wire.OpGetRange, Key: []byte("admin-key-"), N: 4},
@@ -73,6 +76,10 @@ func TestAdminSurfacesAgree(t *testing.T) {
 		wireStats["lat_get_batch_count"] == 0 || wireStats["lat_put_batch_count"] == 0 ||
 		wireStats["lat_scan_count"] == 0 {
 		t.Fatalf("workout left histograms empty: %v", wireStats)
+	}
+	if wireStats["batched_scans"] != 2 || wireStats["lat_scan_count"] != 6 {
+		t.Fatalf("batched_scans=%d lat_scan_count=%d after a run of 2 and 4 singles, want 2 and 6",
+			wireStats["batched_scans"], wireStats["lat_scan_count"])
 	}
 	for _, stem := range []string{"lat_get", "lat_put", "lat_scan"} {
 		if wireStats[stem+"_p50"] == 0 || wireStats[stem+"_p999"] < wireStats[stem+"_p50"] {

@@ -150,19 +150,26 @@ func TestServerGetRangeAllocFree(t *testing.T) {
 		sess.PutSimple([]byte(fmt.Sprintf("range-key-%04d", j)), []byte("column-zero"))
 	}
 
+	// A scan alone, a get to end the run of one, then a run of sixteen.
 	reqs := []wire.Request{
 		{Op: wire.OpGetRange, Key: []byte("range-key-0050"), N: 10},
-		{Op: wire.OpGetRange, Key: []byte("range-key-0120"), N: 10, Cols: []int{0}},
+		{Op: wire.OpGet, Key: []byte("range-key-0050")},
+	}
+	for j := 0; j < 16; j++ {
+		reqs = append(reqs, wire.Request{Op: wire.OpGetRange, Key: []byte(fmt.Sprintf("range-key-%04d", 120+j)), N: 10, Cols: []int{0}})
 	}
 	sc := &connScratch{}
 	srv.executeBatch(sess, reqs, len(reqs), sc, true) // warm the scratch
 	allocs := testing.AllocsPerRun(100, func() {
 		srv.executeBatch(sess, reqs, len(reqs), sc, true)
-		if len(sc.resps) != 2 || len(sc.resps[1].Pairs) != 10 || string(sc.resps[1].Pairs[0].Key) != "range-key-0120" {
+		if len(sc.resps) != 18 || len(sc.resps[0].Pairs) != 10 || len(sc.resps[17].Pairs) != 10 || string(sc.resps[2].Pairs[0].Key) != "range-key-0120" {
 			t.Fatalf("range responses: %+v", sc.resps)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("server range path allocates %.1f per 2-range batch, want 0", allocs)
+		t.Fatalf("server range path allocates %.1f per batch of a single scan and a run of 16, want 0", allocs)
+	}
+	if n := srv.batchedScans.Load(); n < 16*100 || n%16 != 0 {
+		t.Fatalf("batched_scans = %d after 100 and more batches with one run of 16 each", n)
 	}
 }

@@ -16,12 +16,14 @@
 // pipelining client (many tagged frames in flight), neither side ever
 // stalls on the other's round trip.
 //
-// Execution is batch-aware in both directions: a run of consecutive OpGet
-// requests within one message is served through Session.GetBatchInto, and a
-// run of consecutive OpPut requests through Session.PutBatchInto — both
-// descend sixteen keys at a time with every key's next node being fetched
-// while the others take their hop (§4.8's PALM-style batching), and the put
-// run then shares border-node lock acquisitions and log-buffer locks.
+// Execution is batch-aware: a run of consecutive OpGet requests within one
+// message is served through Session.GetBatchInto, a run of consecutive OpPut
+// requests through Session.PutBatchInto, and a run of consecutive OpGetRange
+// requests through Session.GetRangeBatchInto — all three descend sixteen
+// keys at a time with every key's next node being fetched while the others
+// take their hop (§4.8's PALM-style batching). The put run then shares
+// border-node lock acquisitions and log-buffer locks; the scan run starts
+// each of its scans at a border that is already in cache.
 // The request path is built for steady-state zero allocation: each
 // connection owns a connScratch whose wire decode buffers, response slice,
 // and column/pair/range arenas are retained across messages, and decoded
@@ -62,12 +64,14 @@ type Server struct {
 	// batchedGets counts OpGet requests served through the batched
 	// Session.GetBatch path (exported as the "batched_gets" stat);
 	// batchedPuts is its write-side twin for Session.PutBatchInto
-	// ("batched_puts"). erroredRequests counts requests answered with
-	// StatusError because they could not be decoded or executed — a
-	// malformed request inside a decodable frame fails alone instead of
-	// killing its connection ("errored_requests").
+	// ("batched_puts"), batchedScans the OpGetRange requests served through
+	// Session.GetRangeBatchInto ("batched_scans"). erroredRequests counts
+	// requests answered with StatusError because they could not be decoded
+	// or executed — a malformed request inside a decodable frame fails alone
+	// instead of killing its connection ("errored_requests").
 	batchedGets     atomic.Int64
 	batchedPuts     atomic.Int64
+	batchedScans    atomic.Int64
 	erroredRequests atomic.Int64
 
 	mu    sync.Mutex
@@ -139,6 +143,8 @@ type connScratch struct {
 	cols    [][]byte             // arena backing Response.Cols for this message
 	keys    [][]byte             // key slice handed to batched session calls
 	putRuns [][]wire.ColData     // each request's Puts, handed to PutBatchInto
+	ns      []int                // each request's N, handed to GetRangeBatchInto
+	colSets [][]int              // each request's Cols, handed to GetRangeBatchInto
 	pairs   []wire.Pair          // arena backing Response.Pairs for this message
 	rng     kvstore.RangeScratch // arenas behind Session.GetRangeInto
 
@@ -151,8 +157,8 @@ type connScratch struct {
 }
 
 // minBatchRun is the shortest run of consecutive same-op requests routed
-// through a batched path; a single get or put gains nothing from batch
-// ordering.
+// through a batched path; a single get, put or scan has no other descent to
+// overlap its misses with.
 const minBatchRun = 2
 
 // maxRetainedScratch bounds how much scratch one connection keeps between
@@ -177,6 +183,12 @@ func (sc *connScratch) shrink() {
 	}
 	if cap(sc.putRuns)*24 > maxRetainedScratch {
 		sc.putRuns = nil
+	}
+	if cap(sc.ns)*8 > maxRetainedScratch {
+		sc.ns = nil
+	}
+	if cap(sc.colSets)*24 > maxRetainedScratch {
+		sc.colSets = nil
 	}
 	if cap(sc.pairs)*48 > maxRetainedScratch {
 		sc.pairs = nil
@@ -349,8 +361,8 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 // be decoded (unknown opcode, truncated payload) still gets a full batch of
 // responses, the undecodable suffix answered with StatusError, so one bad
 // request fails alone instead of killing the connection mid-batch. Runs of
-// consecutive OpGets (or OpPuts) of length >= minBatchRun are served
-// through the session's batched lookup (or batched put); everything else
+// consecutive OpGets, OpPuts or OpGetRanges of length >= minBatchRun are
+// served through the session's batched lookup, put or scan; everything else
 // executes one at a time. ttlOK admits the cache-mode operations
 // (OpPutTTL/OpTouch/OpGetOrLoad), which are v2 surface: the v1 and UDP paths
 // answer them with StatusError, leaving v1 semantics untouched.
@@ -366,23 +378,26 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 	sc.pairs = sc.pairs[:0]
 	sc.rng.Reset()
 	for i := 0; i < len(reqs); {
-		if op := reqs[i].Op; op == wire.OpGet || op == wire.OpPut {
-			j := i + 1
+		op := reqs[i].Op
+		j := i + 1
+		if op == wire.OpGet || op == wire.OpPut || op == wire.OpGetRange {
 			for j < len(reqs) && reqs[j].Op == op {
 				j++
 			}
-			if j-i >= minBatchRun {
-				if op == wire.OpGet {
-					s.executeGetRun(sess, reqs[i:j], sc.resps[i:j], sc)
-				} else {
-					s.executePutRun(sess, reqs[i:j], sc.resps[i:j], sc)
-				}
-				i = j
-				continue
-			}
 		}
-		sc.resps[i] = s.execute(sess, &reqs[i], sc, ttlOK)
-		i++
+		switch {
+		case j-i < minBatchRun:
+			for k := i; k < j; k++ {
+				sc.resps[k] = s.execute(sess, &reqs[k], sc, ttlOK)
+			}
+		case op == wire.OpGet:
+			s.executeGetRun(sess, reqs[i:j], sc.resps[i:j], sc)
+		case op == wire.OpPut:
+			s.executePutRun(sess, reqs[i:j], sc.resps[i:j], sc)
+		default:
+			s.executeScanRun(sess, reqs[i:j], sc.resps[i:j], sc)
+		}
+		i = j
 	}
 	for i := len(reqs); i < claimed; i++ {
 		sc.resps[i] = wire.Response{Status: wire.StatusError}
@@ -448,6 +463,42 @@ func (s *Server) executePutRun(sess *kvstore.Session, reqs []wire.Request, resps
 	if s.obs != nil {
 		s.obs.Hist(obs.HPutBatch).Record(sess.Worker(), time.Since(runStart))
 	}
+}
+
+// executeScanRun serves a run of OpGetRange requests through
+// Session.GetRangeBatchInto: the start keys descend together, then each scan
+// runs as it would alone. The run is timed once and lands in the scan
+// histogram as one observation per scan, each of the run's mean: lat_scan
+// stays a per-scan latency whichever path served it.
+func (s *Server) executeScanRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
+	var runStart time.Time
+	if s.obs != nil {
+		runStart = time.Now()
+	}
+	sc.keys, sc.ns, sc.colSets = sc.keys[:0], sc.ns[:0], sc.colSets[:0]
+	for i := range reqs {
+		sc.keys = append(sc.keys, reqs[i].Key)
+		sc.ns = append(sc.ns, reqs[i].N)
+		sc.colSets = append(sc.colSets, reqs[i].Cols)
+	}
+	for i, pairs := range sess.GetRangeBatchInto(sc.keys, sc.ns, sc.colSets, &sc.rng) {
+		resps[i] = sc.rangeResponse(pairs)
+	}
+	s.batchedScans.Add(int64(len(reqs)))
+	if s.obs != nil {
+		s.obs.Hist(obs.HScan).RecordN(sess.Worker(), time.Since(runStart)/time.Duration(len(reqs)), len(reqs))
+	}
+}
+
+// rangeResponse answers one range query with pairs, which alias the
+// connection's range arenas (keys, columns, pairs all reused across
+// messages) until the response is encoded.
+func (sc *connScratch) rangeResponse(pairs []kvstore.Pair) wire.Response {
+	start := len(sc.pairs)
+	for _, p := range pairs {
+		sc.pairs = append(sc.pairs, wire.Pair{Key: p.Key, Cols: p.Cols})
+	}
+	return wire.Response{Status: wire.StatusOK, Pairs: sc.pairs[start:len(sc.pairs):len(sc.pairs)]}
 }
 
 // histForOp maps a wire op to its server-side latency histogram; ok is
@@ -533,15 +584,7 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		}
 		return wire.Response{Status: wire.StatusNotFound}
 	case wire.OpGetRange:
-		// Range results are appended into the connection's range arenas
-		// (keys, columns, pairs all reused across messages); the wire pairs
-		// alias them until the response is encoded.
-		pairs := sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng)
-		start := len(sc.pairs)
-		for _, p := range pairs {
-			sc.pairs = append(sc.pairs, wire.Pair{Key: p.Key, Cols: p.Cols})
-		}
-		return wire.Response{Status: wire.StatusOK, Pairs: sc.pairs[start:len(sc.pairs):len(sc.pairs)]}
+		return sc.rangeResponse(sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng))
 	case wire.OpStats:
 		return s.statsResponse(ttlOK)
 	default:
@@ -644,6 +687,7 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 		{Name: "slot_reuses", Value: st.SlotReuses},
 		{Name: "batched_gets", Value: s.batchedGets.Load()},
 		{Name: "batched_puts", Value: s.batchedPuts.Load()},
+		{Name: "batched_scans", Value: s.batchedScans.Load()},
 		{Name: "errored_requests", Value: s.erroredRequests.Load()},
 		{Name: "bytes_live", Value: cs.BytesLive},
 		{Name: "max_bytes", Value: s.store.MaxBytes()},

@@ -11,6 +11,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/vfs"
+	"repro/internal/wire"
 )
 
 // TestFlushLastErrorOnlyOnV2 pins the stats compatibility rule: the one
@@ -236,9 +237,24 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Three scans in one frame are a run; a fourth sent alone is not. Both
+	// count one lat_scan observation per scan.
+	scan := wire.Request{Op: wire.OpGetRange, Key: []byte("compat-key-"), N: 3}
+	if resps, err := c.Do([]wire.Request{scan, scan, scan}); err != nil || len(resps[2].Pairs) != 3 {
+		t.Fatalf("scan run: %+v %v", resps, err)
+	}
+	if pairs, err := c.GetRange(scan.Key, scan.N, nil); err != nil || len(pairs) != 3 {
+		t.Fatalf("single scan: %v %v", pairs, err)
+	}
 	raw, err := c.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if raw["batched_scans"] != "3" || raw["lat_scan_count"] != "4" {
+		t.Fatalf("batched_scans=%q lat_scan_count=%q after a run of 3 and a single, want 3 and 4", raw["batched_scans"], raw["lat_scan_count"])
+	}
+	if raw["batched_gets"] != "0" || raw["batched_puts"] != "0" {
+		t.Fatalf("a scan run moved batched_gets=%q batched_puts=%q", raw["batched_gets"], raw["batched_puts"])
 	}
 	lat := 0
 	for k, v := range raw {

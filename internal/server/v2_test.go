@@ -323,6 +323,67 @@ func TestCasIncrementOverNetwork(t *testing.T) {
 	}
 }
 
+// TestScanRunAnsweredInOrder sends one v2 frame in which three scans form a
+// run between a get and a put, and a fourth follows the put alone. Each
+// response must sit at its request's index and encode to the very bytes the
+// same request gets when sent in a frame of its own — the put aside, whose
+// version moves on — and the scan after the put must see what it wrote.
+func TestScanRunAnsweredInOrder(t *testing.T) {
+	srv, addr := startServer(t, "")
+	c := dialConn(t, addr)
+	for i := 0; i < 60; i++ {
+		k := []byte(fmt.Sprintf("sr%02d", i))
+		if _, err := c.Put(k, []wire.ColData{{Col: 0, Data: append([]byte("v-"), k...)}, {Col: 1, Data: []byte("c1")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frame := []wire.Request{
+		{Op: wire.OpGet, Key: []byte("sr05")},
+		{Op: wire.OpGetRange, Key: []byte("sr10"), N: 20},
+		{Op: wire.OpGetRange, Key: []byte("sr3"), N: 3, Cols: []int{1}},
+		{Op: wire.OpGetRange, Key: []byte("zz"), N: 5},
+		{Op: wire.OpPut, Key: []byte("sr11"), Puts: []wire.ColData{{Col: 0, Data: []byte("rewritten")}}},
+		{Op: wire.OpGetRange, Key: []byte("sr10"), N: 2},
+	}
+	const put = 4
+	do := func(reqs []wire.Request) []wire.Response {
+		t.Helper()
+		resps, err := c.Do(reqs)
+		if err != nil || len(resps) != len(reqs) {
+			t.Fatalf("%d requests: %d responses, %v", len(reqs), len(resps), err)
+		}
+		return resps
+	}
+	// Singly: what precedes the put before the frame is sent, the rest after.
+	alone := make([]wire.Response, len(frame))
+	for i := 0; i < put; i++ {
+		alone[i] = do(frame[i : i+1])[0]
+	}
+	together := do(frame)
+	for i := put; i < len(frame); i++ {
+		alone[i] = do(frame[i : i+1])[0]
+	}
+	if n := srv.batchedScans.Load(); n != 3 {
+		t.Fatalf("batched_scans = %d after a frame with a run of three scans and a single, want 3", n)
+	}
+	if got := together[5].Pairs; len(got) != 2 || string(got[1].Key) != "sr11" || string(got[1].Cols[0]) != "rewritten" {
+		t.Fatalf("scan after the put: %q", got)
+	}
+	for i := range frame {
+		if i == put {
+			if alone[i].Status != wire.StatusOK || together[i].Status != wire.StatusOK || alone[i].Version <= together[i].Version {
+				t.Fatalf("put: together %+v, alone %+v", together[i], alone[i])
+			}
+			continue
+		}
+		a, errA := wire.AppendResponses(nil, []wire.Response{together[i]})
+		b, errB := wire.AppendResponses(nil, []wire.Response{alone[i]})
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("request %d (%q): in the frame %+v, alone %+v", i, frame[i].Key, together[i], alone[i])
+		}
+	}
+}
+
 // The async client's steady state is allocation-pinned: a Go/Wait/Release
 // cycle reuses the connection's encode buffer, a recycled Pending, and its
 // decode scratch. The measurement covers the whole process — the client and
@@ -333,7 +394,8 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 	c := dialConn(t, addr)
 
 	const batch = 40 // two full groups of the batched get's wave and a part of one
-	reqs := make([]wire.Request, batch)
+	const scans = 16 // and a run of scans behind a wave of their own
+	reqs := make([]wire.Request, batch, batch+scans)
 	for i := range reqs {
 		key := []byte(fmt.Sprintf("alloc-key-%04d", i))
 		if _, err := c.PutSimple(key, []byte("alloc-test-value")); err != nil {
@@ -341,10 +403,13 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 		}
 		reqs[i] = wire.Request{Op: wire.OpGet, Key: key}
 	}
+	for i := 0; i < scans; i++ {
+		reqs = append(reqs, wire.Request{Op: wire.OpGetRange, Key: reqs[i].Key, N: 10})
+	}
 	roundTrip := func() {
 		p := c.Go(reqs)
 		resps, err := p.Wait()
-		if err != nil || len(resps) != batch || resps[0].Status != wire.StatusOK {
+		if err != nil || len(resps) != batch+scans || resps[0].Status != wire.StatusOK || len(resps[batch].Pairs) != 10 {
 			t.Fatalf("round trip: %v (%d resps)", err, len(resps))
 		}
 		p.Release()

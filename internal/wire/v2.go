@@ -93,7 +93,10 @@ func AppendTaggedRequests(dst []byte, tag uint32, reqs []Request) ([]byte, error
 	dst = binary.LittleEndian.AppendUint32(dst, tag)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reqs)))
 	for i := range reqs {
-		dst = appendRequest(dst, &reqs[i])
+		var err error
+		if dst, err = appendRequest(dst, &reqs[i]); err != nil {
+			return dst[:base], err
+		}
 	}
 	return finishTaggedFrame(dst, base)
 }

@@ -152,7 +152,17 @@ type Response struct {
 // MaxMessage bounds a message body; larger frames are rejected as corrupt.
 const MaxMessage = 64 << 20
 
+// What a request's counts can say on the wire, beside value.MaxCol for a
+// column's index: an encoder refuses a request past either rather than send
+// its low bits.
+const (
+	MaxRangeN  = 1<<16 - 1 // OpGetRange's N travels as a u16
+	MaxColList = 1<<8 - 1  // a request's column list (Cols or Puts) is counted in one byte
+)
+
 var (
+	errRangeN       = errors.New("wire: getrange N outside 0..MaxRangeN (65535)")
+	errColList      = errors.New("wire: request names more than MaxColList (255) columns")
 	errTooLarge     = errors.New("wire: message exceeds MaxMessage")
 	errShort        = errors.New("wire: short message")
 	errTrailingReq  = errors.New("wire: trailing request bytes")
@@ -546,7 +556,10 @@ func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reqs)))
 	for i := range reqs {
-		dst = appendRequest(dst, &reqs[i])
+		var err error
+		if dst, err = appendRequest(dst, &reqs[i]); err != nil {
+			return dst[:base], err
+		}
 	}
 	return finishFrame(dst, base)
 }
@@ -715,20 +728,32 @@ func readFrameInto(r *bufio.Reader, buf *[]byte) ([]byte, error) {
 	return *buf, nil
 }
 
-func appendRequest(b []byte, r *Request) []byte {
+// appendRequest encodes r behind b, or refuses it part-way (the callers cut
+// dst back): a count the format's field cannot hold would otherwise go out
+// as its low bits and come back as the answer to a different question.
+func appendRequest(b []byte, r *Request) ([]byte, error) {
 	b = append(b, byte(r.Op))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Key)))
 	b = append(b, r.Key...)
 	switch r.Op {
 	case OpGet, OpGetRange, OpGetOrLoad:
+		if len(r.Cols) > MaxColList {
+			return b, errColList
+		}
 		b = append(b, byte(len(r.Cols)))
 		for _, c := range r.Cols {
 			b = binary.LittleEndian.AppendUint16(b, uint16(c))
 		}
 		if r.Op == OpGetRange {
+			if uint(r.N) > MaxRangeN { // negative included
+				return b, errRangeN
+			}
 			b = binary.LittleEndian.AppendUint16(b, uint16(r.N))
 		}
 	case OpPut, OpCas, OpPutTTL:
+		if len(r.Puts) > MaxColList {
+			return b, errColList
+		}
 		if r.Op == OpCas {
 			b = binary.LittleEndian.AppendUint64(b, r.ExpectVersion)
 		}
@@ -745,7 +770,7 @@ func appendRequest(b []byte, r *Request) []byte {
 		b = binary.LittleEndian.AppendUint32(b, r.TTL)
 	case OpRemove, OpStats:
 	}
-	return b
+	return b, nil
 }
 
 func parseRequest(b []byte, r *Request) ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,60 @@ func TestPutColumnOutOfRangeRefused(t *testing.T) {
 			if want := map[bool]int{true: 1, false: 2}[refuse]; err != nil || claimed != 2 || len(got) != want {
 				t.Errorf("op %d column %d: lenient decoded %d of %d (%v), want %d of 2", op, col, len(got), claimed, err, want)
 			}
+		}
+	}
+}
+
+// TestRequestCountsBeyondTheirFieldsRefused pins the two counts a request
+// carries in fields narrower than an int: a range's N (a u16) and the length
+// of a column list, read or put (one byte). At the field's last value the
+// request encodes and decodes to itself in both framings; one past it, both
+// encoders refuse with an error naming the limit and leave dst as it was —
+// not N mod 65 536, not the first 44 of 300 columns.
+func TestRequestCountsBeyondTheirFieldsRefused(t *testing.T) {
+	cols := func(n int) []int { return make([]int, n) }
+	puts := func(n int) []ColData { return make([]ColData, n) }
+	cases := []struct {
+		req    Request
+		refuse string // "" = legal
+	}{
+		{Request{Op: OpGetRange, Key: []byte("k"), N: MaxRangeN}, ""},
+		{Request{Op: OpGetRange, Key: []byte("k"), N: MaxRangeN + 1}, "65535"},
+		{Request{Op: OpGetRange, Key: []byte("k"), N: 70000}, "65535"},
+		{Request{Op: OpGetRange, Key: []byte("k"), N: -1}, "65535"},
+		{Request{Op: OpGetRange, Key: []byte("k"), N: 10, Cols: cols(MaxColList)}, ""},
+		{Request{Op: OpGetRange, Key: []byte("k"), N: 10, Cols: cols(MaxColList + 1)}, "255"},
+		{Request{Op: OpGet, Key: []byte("k"), Cols: cols(MaxColList)}, ""},
+		{Request{Op: OpGet, Key: []byte("k"), Cols: cols(300)}, "255"},
+		{Request{Op: OpPut, Key: []byte("k"), Puts: puts(MaxColList)}, ""},
+		{Request{Op: OpPut, Key: []byte("k"), Puts: puts(MaxColList + 1)}, "255"},
+	}
+	prefix := []byte("kept")
+	for i, c := range cases {
+		batch := []Request{{Op: OpGet, Key: []byte("before")}, c.req}
+		v1, err1 := AppendRequests(prefix, batch)
+		v2, err2 := AppendTaggedRequests(prefix, 7, batch)
+		if c.refuse != "" {
+			for _, err := range []error{err1, err2} {
+				if err == nil || !strings.Contains(err.Error(), c.refuse) {
+					t.Errorf("case %d: error %v, want one naming %s", i, err, c.refuse)
+				}
+			}
+			if string(v1) != "kept" || string(v2) != "kept" {
+				t.Errorf("case %d: a refused batch left %d and %d bytes behind dst", i, len(v1)-4, len(v2)-4)
+			}
+			continue
+		}
+		if err1 != nil || err2 != nil {
+			t.Fatalf("case %d: %v, %v", i, err1, err2)
+		}
+		var d DecodeBuf
+		got, err := ParseRequests(v1[len(prefix)+4:], &d)
+		if err != nil || len(got) != 2 || got[1].N != c.req.N || len(got[1].Cols) != len(c.req.Cols) || len(got[1].Puts) != len(c.req.Puts) {
+			t.Errorf("case %d: decoded %+v (%v)", i, got, err)
+		}
+		if !bytes.Equal(v1[len(prefix)+4:], v2[len(prefix)+8:]) {
+			t.Errorf("case %d: the two framings encode different bodies", i)
 		}
 	}
 }
