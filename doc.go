@@ -18,11 +18,16 @@
 // each record's form once and encodes it — one key's or a batch's, under
 // one buffer lock — directly into the worker's double-buffered log, whose
 // flushes never block appenders and whose buffers survive them (§5, wal):
-// the value is all a put allocates. Runs
-// of puts descend the tree in key order sharing one border-node lock
-// acquisition per run (core.PutBatchInto) with the same step per key; a
-// decoded request's put list is the store's own type (wire.ColData is
-// value.ColPut), so nothing is converted between the wire and the log.
+// the value is all a put allocates. The unit of batching is a frame's
+// stretch of gets and puts, whatever their mix (Session.PointBatchInto over
+// core.BatchInto): every key descends in one wave, sixteen descents in
+// flight; a get is answered from the wave; the puts are applied in key order
+// from the borders the wave found, each locked and checked rather than
+// descended to again, sharing one border-node lock acquisition per run with
+// the same step per key, inside one log window. Operations on one key take
+// effect in frame order, on different keys in none. A decoded request's put
+// list is the store's own type (wire.ColData is value.ColPut), so nothing
+// is converted between the wire and the log.
 //
 // Range queries (§3 getrange) are one descent plus a walk of the border-node
 // list (core.ScanNInto). Each node is read as a version-validated snapshot of

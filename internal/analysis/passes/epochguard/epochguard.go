@@ -12,8 +12,8 @@
 // functions from possibly-unpinned states are themselves flagged, which
 // makes the contract transitive.
 //
-// Tree reads are method calls named Get, GetBatch, GetBatchInto, Prefetch,
-// Scan, ScanInto, ScanNInto, or GetRange on a type named Tree; pins are
+// Tree reads are method calls named Get, GetBatch, GetBatchInto, BatchInto,
+// Prefetch, Scan, ScanInto, ScanNInto, or GetRange on a type named Tree; pins are
 // Enter/Exit on a type named Handle. Function literals are not analyzed
 // (they run at an unknown time); tree reads inside them must live in a
 // named, annotated function.
@@ -36,7 +36,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var treeReads = map[string]bool{
-	"Get": true, "GetBatch": true, "GetBatchInto": true, "Prefetch": true,
+	"Get": true, "GetBatch": true, "GetBatchInto": true, "BatchInto": true, "Prefetch": true,
 	"Scan": true, "ScanInto": true, "ScanNInto": true, "GetRange": true,
 }
 

@@ -10,7 +10,7 @@
 //
 //   - nextVersion is called only in the step, and the step only inside a
 //     func literal passed to a tree write method (Update, Apply,
-//     PutBatchInto) — under the border lock of the key it stamps;
+//     PutBatchInto, BatchInto) — under the border lock of the key it stamps;
 //   - a put record is appended (wal.Batch's Put, Insert and Anchor, and the
 //     one-record Writer.AppendPut) only in the log stage, so the
 //     insert/anchor/linked choice exists once, for one key or a batch;
@@ -52,7 +52,7 @@ const (
 
 // treeWrites are the tree methods whose func-literal argument runs under
 // the border lock of the key it mutates.
-var treeWrites = map[string]bool{"Update": true, "Apply": true, "PutBatchInto": true}
+var treeWrites = map[string]bool{"Update": true, "Apply": true, "PutBatchInto": true, "BatchInto": true}
 
 // putAppends maps the methods that append a put record, as Type.Method, to
 // the argument positions of (version, prev); -1 for a form with no link.
@@ -156,7 +156,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case name == "nextVersion" && fn != stepFunc:
 			pass.Reportf(call.Pos(), "nextVersion outside the kernel step: the only version draw is the one %s makes under the border lock", stepFunc)
 		case name == stepFunc && !locked[call]:
-			pass.Reportf(call.Pos(), "%s outside a tree-write critical section: the step must run inside the func literal passed to Update/Apply/PutBatchInto", stepFunc)
+			pass.Reportf(call.Pos(), "%s outside a tree-write critical section: the step must run inside the func literal passed to Update/Apply/PutBatchInto/BatchInto", stepFunc)
 		case name == logFunc:
 			needLock(call.Pos(), logFunc)
 		default:

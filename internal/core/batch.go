@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"unsafe"
 
 	"repro/internal/value"
@@ -9,20 +10,42 @@ import (
 
 // BatchScratch holds the reusable state of the batched operations so a
 // steady-state caller (one scratch per worker/connection) performs no
-// allocations per batch: the cursors of a wave (see wave), and for
-// PutBatchInto the tree-order index permutation. It implements
-// sort.Interface over that permutation so sorting itself is allocation-free
-// (sort.Slice's closure and reflection path both allocate). The zero value
-// is ready to use.
+// allocations per batch: the cursors of a wave (see wave), and for a batch
+// with puts in it each put's border hint and the puts' tree-order index
+// permutation. It implements sort.Interface over that permutation so
+// sorting itself is allocation-free (sort.Slice's closure and reflection
+// path both allocate). The zero value is ready to use.
 type BatchScratch struct {
-	idx    []int
-	slices []uint64
+	idx    []int        // the batch's puts, as indexes into keys, in tree order
+	slices []uint64     // keySlice(keys[i]) for every put i
+	keys   [][]byte     // the batch's keys while idx is being sorted
+	hints  []borderHint // hints[i] is put i's; zeroed when the batch ends
 	cur    [waveWidth]waveCursor
+}
+
+// A borderHint is what a wave learned about one key that a later pass may
+// start from without trusting: the border its descent ended at, and how many
+// bytes of the key the layers above that border consumed. The zero hint says
+// nothing. A hint is good for the key it was taken for and no other — the
+// offset says which layer n is in only for a key that was routed there — and
+// whoever uses one re-establishes under n's lock (lockHint), or under a
+// version it validates, everything the wave once saw.
+type borderHint struct {
+	n   *borderNode
+	off int
+}
+
+// hint is what a finished cursor has to offer: nothing if it met a writer.
+func (c *waveCursor) hint() borderHint {
+	if c.state == waveFallback {
+		return borderHint{}
+	}
+	return borderHint{n: c.n.border(), off: c.off}
 }
 
 // GetBatch looks up many keys in one call — the paper's PALM-inspired
 // batched lookup (§4.8), which exists to overlap the DRAM fetches of
-// different keys' descents. See GetBatchInto for how.
+// different keys' descents. See BatchInto for how.
 //
 // Results are returned in input order: vals[i], found[i] correspond to
 // keys[i]. GetBatch allocates its result slices; hot paths should hold a
@@ -36,38 +59,88 @@ func (t *Tree) GetBatch(keys [][]byte) (vals []*value.Value, found []bool) {
 }
 
 // GetBatchInto is GetBatch writing into caller-provided slices (which must
-// have len(keys) elements) and scratch; it performs no allocations.
-//
-// The batch is cut into groups of waveWidth keys and each group descends as
-// one wave: every key's next node is being fetched while the others take
-// their hop. A key whose descent meets a concurrent writer is not retried
-// here: it is looked up again with Get once the wave is over (counted in
-// Stats.BatchFallbacks), so Get remains the one statement of the read
-// protocol, and every result — fast or slow — is one Get would have
-// returned at some instant during the call.
+// have len(keys) elements) and scratch; it performs no allocations. It is
+// BatchInto with no put among the keys.
 //
 //masstree:noalloc
 func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc *BatchScratch) {
+	t.BatchInto(keys, nil, vals, found, sc, nil)
+}
+
+// BatchInto is the batched point operation (§4.8's PALM-style batching):
+// lookups and read-modify-writes of many keys in one call, all of whose
+// descents overlap. put[i] says that keys[i] is to be written through apply;
+// the other keys are looked up into vals and found, which must have
+// len(keys) elements. A nil put means no key is a put (GetBatchInto); nil
+// vals and found mean every key is one (PutBatchInto).
+//
+// The batch is cut into groups of waveWidth keys and each group descends as
+// one wave: every key's next node is being fetched while the others take
+// their hop. What a wave finds is a lookup's answer and a put's hint.
+//
+// A lookup whose descent meets a concurrent writer is not retried here: it
+// is looked up again with Get once the wave is over (counted in
+// Stats.BatchFallbacks), so Get remains the one statement of the read
+// protocol, and every result — fast or slow — is one Get would have
+// returned at some instant during the call, before any put of the batch was
+// applied.
+//
+// The puts are then applied in tree order, so that every maximal run of
+// them that resolves to the same border node is applied under a single
+// acquisition of that node's lock, amortizing the lock word's cache-line
+// bounce across the run; and each run begins at the border the wave found
+// for its first key, locked and checked (lockHint), not at the root.
+//
+// apply is called once per put, under the owning border node's lock, with
+// the key's original batch index and its current value (nil if absent), and
+// returns the value to store — exactly Apply's contract (§4.7): returning
+// nil declines the write and leaves the key untouched (conditional puts),
+// so multi-column puts stay atomic and version assignment or version
+// comparison can happen under the lock (§5). Puts of one key are applied in
+// input order (see Less); operations on different keys promise no order.
+// PutBefore tells a caller that wants more — a lookup that sees the batch's
+// own earlier put of its key — which put that is.
+//
+//masstree:noalloc
+func (t *Tree) BatchInto(keys [][]byte, put []bool, vals []*value.Value, found []bool, sc *BatchScratch, apply func(i int, old *value.Value) *value.Value) {
+	allPut := vals == nil
+	if allPut || put != nil {
+		sc.hints = slices.Grow(sc.hints[:0], len(keys))[:len(keys)]
+	}
 	for lo := 0; lo < len(keys); lo += waveWidth {
 		group := keys[lo:min(lo+waveWidth, len(keys))]
 		t.wave(group, &sc.cur)
 		for i, k := range group {
 			c := &sc.cur[i]
-			if c.state == waveFallback {
+			switch {
+			case allPut || put != nil && put[lo+i]:
+				sc.hints[lo+i] = c.hint()
+			case c.state == waveFallback:
 				t.stats.BatchFallbacks.Add(1)
 				vals[lo+i], found[lo+i] = t.Get(k)
-				continue
+			default:
+				vals[lo+i], found[lo+i] = (*value.Value)(c.val), c.state == waveFound
 			}
-			vals[lo+i], found[lo+i] = (*value.Value)(c.val), c.state == waveFound
 		}
 	}
+	if !allPut && put == nil {
+		sc.idx = sc.idx[:0] // no puts: PutBefore has none to find
+		return
+	}
+	sc.order(keys, put)
+	for pos := 0; pos < len(sc.idx); {
+		pos = t.putRun(keys, sc.idx, sc.hints, pos, apply)
+	}
+	// An idle scratch must not keep a batch's worth of borders reachable (the
+	// sixteen cursors, overwritten by the next wave, are the documented rest).
+	clear(sc.hints)
 }
 
-// Prefetch descends for every key as GetBatchInto does, sixteen at a time,
-// and discards what it finds: what it is for is the nodes on each key's path
-// and the value at its end arriving in cache together, ahead of a caller
-// that will then visit the keys one after another — PutBatchInto's locked
-// pass, a run of range scans starting at them.
+// Prefetch descends for every key as BatchInto does, sixteen at a time, and
+// discards what it finds: what it is for is the nodes on each key's path and
+// the value at its end arriving in cache together, ahead of a caller that
+// will then visit the keys one after another — a run of range scans
+// starting at them.
 //
 //masstree:noalloc
 func (t *Tree) Prefetch(keys [][]byte, sc *BatchScratch) {
@@ -103,7 +176,7 @@ const (
 	// The states below are final: the wave is done with the cursor.
 	waveFound    // val is the key's value
 	waveAbsent   // the key is not in the tree
-	waveFallback // met a writer: the caller decides (GetBatchInto: Get)
+	waveFallback // met a writer: the caller decides (a lookup: Get; a put: no hint)
 )
 
 // wave runs the lookups of up to waveWidth keys level-synchronously: each

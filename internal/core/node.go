@@ -285,6 +285,21 @@ func (n *borderNode) keyGEqLowkey(slice uint64) bool {
 	return slice >= n.lowSlice
 }
 
+// owns reports whether slice falls in n's key range: lowkey(n) <= slice, and
+// n's next sibling, if it has one, begins above it. On a locked, undeleted
+// node the answer is final — lowkeys never change, next is written only under
+// n's own lock, and a node leaves its layer only by being marked deleted
+// under its own lock — so such a node is the one a write to slice belongs
+// in, however the caller came by it: lockBorder's chase, a batch's run
+// (extendRun) and a wave's hint (lockHint) all ask this one question.
+func (n *borderNode) owns(slice uint64) bool {
+	if !n.keyGEqLowkey(slice) {
+		return false
+	}
+	next := n.next.Load()
+	return next == nil || !next.keyGEqLowkey(slice)
+}
+
 // childFor returns the child covering the given key slice: child index is
 // the number of keys <= slice, since keyslice[i] is the inclusive lower
 // bound of child[i+1]. Races are validated by the caller's version checks;

@@ -42,11 +42,12 @@ func (t *Tree) Apply(key []byte, f func(old *value.Value) *value.Value) (old, st
 // lockBorder descends from root to the border node responsible for slice
 // and locks it. A split that committed between the descent and the lock may
 // have shifted responsibility for the key to a right sibling, so the border
-// links are chased hand-over-hand under lock. Returns nil — with everything
-// unlocked and the root retry counted — when the node was deleted
-// underneath us and the caller must restart from the tree root. This is the
-// one copy of the writer-side locking protocol, shared by put, putRun, and
-// remove.
+// links are chased hand-over-hand under lock until the node owns the slice
+// (findBorder routed here, so its lowkey is at or below it already). Returns
+// nil — with everything unlocked and the root retry counted — when the node
+// was deleted underneath us and the caller must restart from the tree root.
+// This is the one copy of the writer-side locking protocol, shared by put,
+// putRun, remove and collapseLayer.
 //
 //masstree:returns-locked
 func (t *Tree) lockBorder(root *nodeHeader, slice uint64) *borderNode {
@@ -57,11 +58,8 @@ func (t *Tree) lockBorder(root *nodeHeader, slice uint64) *borderNode {
 		t.stats.RootRetries.Add(1)
 		return nil
 	}
-	for {
+	for !n.owns(slice) {
 		next := n.next.Load()
-		if next == nil || !next.keyGEqLowkey(slice) {
-			return n
-		}
 		next.h.lock()
 		n.h.unlock()
 		n = next
@@ -71,6 +69,30 @@ func (t *Tree) lockBorder(root *nodeHeader, slice uint64) *borderNode {
 			return nil
 		}
 	}
+	return n
+}
+
+// lockHint is lockBorder for a caller that already has a candidate: the
+// border a wave's descent for the key ended at (see borderHint), slice being
+// the key's slice at that border's layer. The wave was a reader and time has
+// passed, so nothing about n is trusted; it is locked and asked the question
+// lockBorder's chase ends on. Not deleted and owning the slice, it is the
+// node lockBorder would have returned (see owns). Anything else — no hint, a
+// node since deleted, a split that moved the slice right — returns nil with
+// nothing locked, and the caller descends from the root as if it had never
+// been given a hint.
+//
+//masstree:returns-locked
+func (t *Tree) lockHint(n *borderNode, slice uint64) *borderNode {
+	if n == nil {
+		return nil
+	}
+	n.h.lock()
+	if isDeleted(n.h.version.Load()) || !n.owns(slice) {
+		n.h.unlock()
+		return nil
+	}
+	return n
 }
 
 // put descends the trie to the border node responsible for key, locks it,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -9,61 +10,43 @@ import (
 )
 
 // PutBatchInto applies read-modify-writes to many keys in one call — the
-// write-path counterpart of GetBatchInto (§4.8's PALM-style batching). It
-// first descends for every key as GetBatchInto does, sixteen at a time, only
-// to have the nodes and values fetched. Then keys are processed in tree
-// order, so that every maximal run of batch keys that resolves to the same
-// border node is applied under a single acquisition of that node's lock,
-// amortizing the lock word's cache-line bounce across the run.
-//
-// apply is called once per key, under the owning border node's lock, with
-// the key's original batch index and its current value (nil if absent), and
-// returns the value to store — exactly Apply's contract (§4.7): returning
-// nil declines the write and leaves the key untouched (conditional puts),
-// so multi-column puts stay atomic and version assignment or version
-// comparison can happen under the lock (§5). Duplicate keys in one batch
-// are applied in input order (BatchScratch.order breaks slice ties by input
-// index).
+// write-path counterpart of GetBatchInto, and like it a case of BatchInto:
+// the one with every key a put. See there for the descent, the locked pass
+// and apply's contract.
 func (t *Tree) PutBatchInto(keys [][]byte, sc *BatchScratch, apply func(i int, old *value.Value) *value.Value) {
-	if len(keys) == 0 {
-		return
-	}
-	// The locked pass below takes nothing from this but warm lines.
-	t.Prefetch(keys, sc)
-	sc.order(keys)
-	for pos := 0; pos < len(keys); {
-		pos = t.putRun(keys, sc.idx, pos, apply)
-	}
+	t.BatchInto(keys, nil, nil, nil, sc, apply)
 }
 
-// putRun performs the put for keys[idx[pos]] — the same descend/lock/chase
-// protocol as put — and then, while the border node lock is still held,
-// greedily applies subsequent batch keys that fall into the same node (see
-// extendRun). Returns the position after the last key applied.
-func (t *Tree) putRun(keys [][]byte, idx []int, pos int, apply func(int, *value.Value) *value.Value) int {
+// putRun performs the put for keys[idx[pos]] — put's protocol, except that
+// the first border tried is the one the wave found (lockHint) — and then,
+// while the border node lock is still held, greedily applies subsequent
+// batch keys that fall into the same node (see extendRun). Returns the
+// position after the last key applied.
+func (t *Tree) putRun(keys [][]byte, idx []int, hints []borderHint, pos int, apply func(int, *value.Value) *value.Value) int {
 	key := keys[idx[pos]]
-restart:
-	root := t.rootHeader()
-	k := key
-	depth := 0
+	// k is what is left of the key at the layer n is in, depth layers down.
+	h := hints[idx[pos]]
+	k, depth := key[h.off:], h.off/8
+	n := t.lockHint(h.n, keySlice(k))
 	for {
-		slice := keySlice(k)
-		ord := keyOrd(k)
-		n := t.lockBorder(root, slice)
 		if n == nil {
-			goto restart
+			// No hint, or a stale one, or a node deleted under lockBorder:
+			// from the root.
+			k, depth = key, 0
+			n = t.lockBorder(t.rootHeader(), keySlice(k))
+			continue
 		}
+		slice := keySlice(k)
 		perm := n.perm()
-		rank, found := n.searchRank(perm, slice, ord)
+		rank, found := n.searchRank(perm, slice, keyOrd(k))
 		if found {
 			slot := perm.slot(rank)
 			switch kl := n.keylen(slot); kl {
 			case klLayer:
 				lvp := n.loadLV(slot)
 				n.h.unlock()
-				root = t.resolveLayer(n, slot, lvp)
-				k = k[8:]
-				depth++
+				k, depth = k[8:], depth+1
+				n = t.lockBorder(t.resolveLayer(n, slot, lvp), keySlice(k))
 				continue
 			case klSuffix:
 				suf := n.bag().suffix(slot)
@@ -78,9 +61,8 @@ restart:
 				// (§4.6.3), then continue inserting into the new layer.
 				layer := t.makeLayer(n, slot, suf)
 				n.h.unlock()
-				root = layer
-				k = k[8:]
-				depth++
+				k, depth = k[8:], depth+1
+				n = t.lockBorder(layer, keySlice(k))
 				continue
 			case klUnstable:
 				panic("core: unstable slot observed under lock")
@@ -114,10 +96,9 @@ restart:
 // depth*8 bytes are the trie prefix that routed the descent to n's layer.
 //
 // A key extends the run only if it (a) shares that prefix (so it descends
-// to the same layer), (b) falls inside n's key range — lowkey(n) <= slice,
-// and n's next sibling does not own the slice — and (c) needs neither a
-// layer descent, a suffix push-down, nor a split. Anything else ends the
-// run; the key is handled by its own fresh descent, which keeps this loop
+// to the same layer), (b) falls inside n's key range (owns) and (c) needs
+// neither a layer descent, a suffix push-down, nor a split. Anything else
+// ends the run; the key is handled by its own putRun, which keeps this loop
 // free of nested locking (no deadlock: at most one node lock is ever held).
 //
 //masstree:unlocks n
@@ -133,10 +114,7 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 		k := full[len(prefix):]
 		slice := keySlice(k)
 		ord := keyOrd(k)
-		if !n.keyGEqLowkey(slice) {
-			break
-		}
-		if next := n.next.Load(); next != nil && next.keyGEqLowkey(slice) {
+		if !n.owns(slice) {
 			break
 		}
 		perm := n.perm()
@@ -181,36 +159,68 @@ done:
 
 func (sc *BatchScratch) Len() int { return len(sc.idx) }
 
-// Less orders by leading key slice, breaking ties by input index so the
-// order is deterministic and, in particular, duplicate keys within one batch
-// keep their request order (PutBatchInto relies on this to apply repeated
-// puts to a key in submission order).
+// Less orders the puts by leading key slice — tree order, as far as runs
+// under one border lock need it — then by whole key, so that the puts of
+// one key are neighbours, then by input index, so that they keep their
+// request order (BatchInto relies on this to apply repeated puts to a key
+// in submission order, PutBefore to find the last of them).
 func (sc *BatchScratch) Less(a, b int) bool {
-	sa, sb := sc.slices[sc.idx[a]], sc.slices[sc.idx[b]]
-	if sa != sb {
-		return sa < sb
-	}
-	return sc.idx[a] < sc.idx[b]
+	return sc.before(sc.keys, sc.idx[a], sc.slices[sc.idx[b]], sc.keys[sc.idx[b]], sc.idx[b])
 }
 func (sc *BatchScratch) Swap(a, b int) { sc.idx[a], sc.idx[b] = sc.idx[b], sc.idx[a] }
 
-// order sorts the index permutation for keys into the scratch — tree order
-// by leading slice, which is what lets PutBatchInto apply a run of keys
-// under one border lock; in steady state (scratch warmed to the batch size)
-// it performs no allocations.
-func (sc *BatchScratch) order(keys [][]byte) {
+// before reports whether put j sorts ahead of (slice, key, i).
+func (sc *BatchScratch) before(keys [][]byte, j int, slice uint64, key []byte, i int) bool {
+	if s := sc.slices[j]; s != slice {
+		return s < slice
+	}
+	if c := bytes.Compare(keys[j], key); c != 0 {
+		return c < 0
+	}
+	return j < i
+}
+
+// order sorts the indexes of the batch's puts (every key, if put is nil)
+// into the scratch; see Less. In steady state (scratch warmed to the batch
+// size) it performs no allocations.
+func (sc *BatchScratch) order(keys [][]byte, put []bool) {
 	n := len(keys)
-	if cap(sc.idx) < n {
-		sc.idx = make([]int, n)
-		sc.slices = make([]uint64, n)
-	}
-	sc.idx = sc.idx[:n]
-	sc.slices = sc.slices[:n]
+	sc.idx = slices.Grow(sc.idx[:0], n)
+	sc.slices = slices.Grow(sc.slices[:0], n)[:n]
 	for i, k := range keys {
-		sc.idx[i] = i
-		sc.slices[i] = keySlice(k)
+		if put == nil || put[i] {
+			sc.idx = append(sc.idx, i)
+			sc.slices[i] = keySlice(k)
+		}
 	}
+	sc.keys = keys
 	sort.Sort(sc)
+	sc.keys = nil
+}
+
+// PutBefore returns the index of the last put ahead of keys[i] in the batch
+// whose key is keys[i]'s, or -1 if there is none: the put whose stored value
+// a lookup of keys[i] has to report if the batch's operations on one key are
+// to take effect in input order (BatchInto answers its lookups from before
+// every put). keys is the batch BatchInto last ran with this scratch. A
+// binary search of the sorted puts, so a batch's lookups cost n log n
+// together however many of its keys share a slice.
+//
+//masstree:noalloc
+func (sc *BatchScratch) PutBefore(keys [][]byte, i int) int {
+	slice := keySlice(keys[i])
+	lo, hi := 0, len(sc.idx)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); sc.before(keys, sc.idx[mid], slice, keys[i], i) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo > 0 && bytes.Equal(keys[sc.idx[lo-1]], keys[i]) {
+		return sc.idx[lo-1]
+	}
+	return -1
 }
 
 // PutBatch is PutBatchInto with an internal scratch, updating each key with

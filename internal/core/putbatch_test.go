@@ -16,10 +16,13 @@ func putBatchSimple(tr *Tree, sc *BatchScratch, keys [][]byte) {
 	})
 }
 
-// TestPutBatchMatchesPut drives a random mixed workload through PutBatchInto
-// and checks the final tree against a reference tree built with individual
-// puts. The key mix exercises inserts, replacements, suffixes, shared
-// 8-byte prefixes (layer descents), node splits, and duplicate keys.
+// TestPutBatchMatchesPut drives a random mixed workload through the hinted
+// batch path and checks the tree against a reference tree built with
+// individual puts. The key mix exercises inserts, replacements, suffix
+// conflicts, shared 8-byte prefixes (layer descents), full borders (splits,
+// under the hints of the batch that caused them) and duplicate keys. Odd
+// rounds go through BatchInto with lookups among the puts: a lookup must
+// report what the reference held before the round.
 func TestPutBatchMatchesPut(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	genKey := func() []byte {
@@ -36,25 +39,42 @@ func TestPutBatchMatchesPut(t *testing.T) {
 	}
 	batched, reference := New(), New()
 	var sc BatchScratch
+	const n = 128
+	put, vals, found := make([]bool, n), make([]*value.Value, n), make([]bool, n)
 	for round := 0; round < 60; round++ {
-		batch := make([][]byte, 0, 128)
-		for i := 0; i < 128; i++ {
+		batch := make([][]byte, 0, n)
+		for i := 0; i < n; i++ {
 			batch = append(batch, genKey())
+			put[i] = round%2 == 0 || rng.Intn(4) != 0
 		}
-		if rng.Intn(4) == 0 && len(batch) > 2 {
-			batch[1] = batch[0] // guaranteed duplicate within the batch
+		if rng.Intn(4) == 0 {
+			batch[1], put[0], put[1] = batch[0], true, true // guaranteed duplicate within the batch
 		}
-		putBatchSimple(batched, &sc, batch)
-		for _, k := range batch {
-			reference.Update(k, func(old *value.Value) *value.Value {
-				return value.Apply(old, []value.ColPut{{Col: 0, Data: k}})
-			})
+		store := func(i int, old *value.Value) *value.Value {
+			return value.Apply(old, []value.ColPut{{Col: 0, Data: batch[i]}})
+		}
+		if round%2 == 0 {
+			batched.PutBatchInto(batch, &sc, store)
+		} else {
+			batched.BatchInto(batch, put, vals, found, &sc, store)
+			for i, k := range batch {
+				if want, ok := reference.Get(k); !put[i] && (ok != found[i] || ok && string(vals[i].Bytes()) != string(want.Bytes())) {
+					t.Fatalf("round %d: lookup of %q found %v (%v), the reference holds %v (%v)", round, k, vals[i], found[i], want, ok)
+				}
+			}
+		}
+		for i, k := range batch {
+			if put[i] {
+				reference.Update(k, func(old *value.Value) *value.Value {
+					return value.Apply(old, []value.ColPut{{Col: 0, Data: k}})
+				})
+			}
 		}
 	}
 	if batched.Len() != reference.Len() {
 		t.Fatalf("batched tree has %d keys, reference %d", batched.Len(), reference.Len())
 	}
-	n := 0
+	scanned := 0
 	reference.Scan(nil, func(k []byte, want *value.Value) bool {
 		got, ok := batched.Get(k)
 		if !ok {
@@ -63,11 +83,15 @@ func TestPutBatchMatchesPut(t *testing.T) {
 		if string(got.Bytes()) != string(want.Bytes()) {
 			t.Fatalf("key %q: %q vs %q", k, got.Bytes(), want.Bytes())
 		}
-		n++
+		scanned++
 		return true
 	})
-	if n != reference.Len() {
-		t.Fatalf("scanned %d keys, want %d", n, reference.Len())
+	if scanned != reference.Len() {
+		t.Fatalf("scanned %d keys, want %d", scanned, reference.Len())
+	}
+	checkInvariants(t, batched)
+	if s := batched.Stats(); s.Splits < 100 || s.LayerCreations < 50 {
+		t.Fatalf("the batches did not split and layer as they were meant to: %+v", s)
 	}
 }
 

@@ -256,24 +256,9 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 	k := prefix
 	for {
 		slice := keySlice(k)
-		n, _ := t.findBorder(root, slice)
-		n.h.lock()
-		if isDeleted(n.h.version.Load()) {
-			n.h.unlock()
-			return false
-		}
-		for {
-			next := n.next.Load()
-			if next == nil || !next.keyGEqLowkey(slice) {
-				break
-			}
-			next.h.lock()
-			n.h.unlock()
-			n = next
-			if isDeleted(n.h.version.Load()) {
-				n.h.unlock()
-				return false
-			}
+		n := t.lockBorder(root, slice)
+		if n == nil {
+			return false // deleted under us: the task is dropped, the layer stays as it is
 		}
 		perm := n.perm()
 		rank, found := n.searchRank(perm, slice, 9)

@@ -185,6 +185,48 @@ func TestPutBatchIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestPointBatchIntoAllocs pins a mixed frame — sixteen requests, gets and
+// puts alternating, one key hit by both — at one packed value per put and
+// nothing per get, logged and unlogged, once the scratch is warm.
+func TestPointBatchIntoAllocs(t *testing.T) {
+	mem := vfs.NewMemFS()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := Open(Config{Dir: "d", FS: nullDevice{mem}, MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { logged.Close() })
+	for name, s := range map[string]*Store{"unlogged": newAllocTestStore(t, 1000), "logged": logged} {
+		sess := s.Session(0)
+		defer sess.Close()
+		const batch, nputs = 16, 7
+		keys, put, puts := make([][]byte, batch), make([]bool, batch), make([][]value.ColPut, batch)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("alloc-key-%06d", i*61%1000))
+			sess.PutSimple(keys[i], []byte("column-zero-data"))
+			if put[i] = i%2 == 1 && i < 2*nputs; put[i] {
+				puts[i] = []value.ColPut{{Col: 0, Data: []byte("mixed-column-data")}}
+			}
+		}
+		keys[6] = keys[5] // a get behind a put of its own key
+		for i := 0; i < 300; i++ {
+			sess.PointBatchInto(keys, put, puts) // warm the scratch and the log buffers
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			vals, found, vers := sess.PointBatchInto(keys, put, puts)
+			if !found[0] || vers[1] == 0 || vals[6].Version() != vers[5] {
+				t.Fatal("mixed batch failed")
+			}
+		})
+		if allocs != nputs {
+			t.Errorf("%s: Session.PointBatchInto allocates %.1f per frame of %d gets and %d puts, want %d (one packed value per put)",
+				name, allocs, batch-nputs, nputs, nputs)
+		}
+	}
+}
+
 // TestGetRangeIntoAllocFree pins a warm range query at zero allocations: the
 // pair slice, key copies and column slices come from the reused scratch, and
 // the core scan assembles keys in the scratch's buffer.

@@ -157,7 +157,8 @@ func TestBackgroundFlushDurability(t *testing.T) {
 	}
 }
 
-// TestRecoveryInterleavedPutBatchRemove drives interleaved batched puts and
+// TestRecoveryInterleavedPutBatchRemove drives interleaved batched puts
+// (every other batch a mixed frame, a third of it gets) and
 // removes through multiple workers, then proves recovery replays to the
 // exact pre-crash state: same key set, same bytes, and — the sharded-clock
 // invariant — every key's recovered version equals its pre-crash version,
@@ -184,15 +185,20 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 			keys := make([][]byte, batch)
 			puts := make([][]value.ColPut, batch)
 			flat := make([]value.ColPut, batch)
+			put := make([]bool, batch)
 			for r := 0; r < rounds; r++ {
 				for i := range keys {
 					// Overlapping key space across workers, layered keys
 					// included; values identify writer and round.
 					keys[i] = []byte(fmt.Sprintf("shared-prefix-%04d", rng.Intn(300)))
 					flat[i] = value.ColPut{Col: 0, Data: []byte(fmt.Sprintf("w%d-r%03d-%d", w, r, i))}
-					puts[i] = flat[i : i+1]
+					puts[i], put[i] = flat[i:i+1], i%3 != 0
 				}
-				sess.PutBatchInto(keys, puts)
+				if r%2 == 0 {
+					sess.PutBatchInto(keys, puts)
+				} else {
+					sess.PointBatchInto(keys, put, puts)
+				}
 				// Interleave removes so re-inserts must version past them.
 				if r%4 == w%4 {
 					sess.Remove([]byte(fmt.Sprintf("shared-prefix-%04d", rng.Intn(300))))

@@ -20,7 +20,7 @@ type Session struct {
 	worker int
 	h      *epoch.Handle
 
-	batch BatchScratch // GetBatchInto/PutBatchInto scratch
+	batch BatchScratch // PointBatchInto's scratch
 }
 
 // Session creates a session bound to the given worker's log.
@@ -70,17 +70,30 @@ func (ss *Session) GetBatch(keys [][]byte, cols []int) ([][][]byte, []bool) {
 }
 
 // GetBatchInto is the allocation-free batched lookup: results live in the
-// session's scratch and are valid until the session's next batched get.
+// session's scratch and are valid until the session's next batched call.
 // Column extraction is the caller's job (see AppendCols).
 func (ss *Session) GetBatchInto(keys [][]byte) ([]*value.Value, []bool) {
+	vals, found, _ := ss.PointBatchInto(keys, nil, nil)
+	return vals, found
+}
+
+// PointBatchInto serves a stretch of gets and puts — put[i] says which
+// keys[i] is, puts[i] what a put writes — in one epoch-protected section,
+// as one wave and one write window through this session's log; see
+// Store.PointBatchInto for the kinds, the results and what order the
+// operations take effect in. The results live in the session's scratch and
+// are valid until the session's next batched call.
+func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColPut) ([]*value.Value, []bool, []uint64) {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	if ss.s.cache.EvictionEnabled() {
-		for _, k := range keys {
-			ss.s.cache.NoteAccess(ss.worker, k)
+	if (put != nil || puts == nil) && ss.s.cache.EvictionEnabled() {
+		for i, k := range keys {
+			if put == nil || !put[i] {
+				ss.s.cache.NoteAccess(ss.worker, k)
+			}
 		}
 	}
-	return ss.s.GetBatchInto(keys, &ss.batch)
+	return ss.s.PointBatchInto(ss.worker, keys, put, puts, &ss.batch)
 }
 
 // Put applies column modifications atomically via this session's log.
@@ -170,16 +183,15 @@ func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 	return ss.s.GetValue(key)
 }
 
-// PutBatchInto applies one put per key in a single epoch-protected batched
-// tree pass, sharing border-node lock acquisitions between co-located keys
-// (§4.8 applied to writes) and encoding all log records under one log-
-// buffer lock. The returned versions (input order) live in the session's
-// scratch and are valid until the session's next batched operation.
-// Duplicate keys apply in input order; no inputs are retained.
+// PutBatchInto applies one put per key as one batch — PointBatchInto with
+// every key a put — sharing border-node lock acquisitions between
+// co-located keys (§4.8 applied to writes) and encoding all log records
+// under one log-buffer lock. The returned versions (input order) live in
+// the session's scratch and are valid until the session's next batched
+// call. Duplicate keys apply in input order; no inputs are retained.
 func (ss *Session) PutBatchInto(keys [][]byte, puts [][]value.ColPut) []uint64 {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.PutBatchInto(ss.worker, keys, puts, &ss.batch)
+	_, _, vers := ss.PointBatchInto(keys, nil, puts)
+	return vers
 }
 
 // PutBatch is PutBatchInto returning a fresh versions slice.

@@ -23,10 +23,13 @@
 // decides the base once, draws the version, reads the chain link and builds
 // exactly one packed value (§4.7); logWrite appends the records, one key's or
 // a batch's under one buffer lock, encoded directly into the worker's own
-// double-buffered log (§5); finishWrite accounts. PutBatchInto runs the same
-// step over a batch in tree order with one border-node lock acquisition per
-// run of co-located keys (§4.8). The put pipeline allocates only the value
-// itself, at any volume: the log's buffers survive their flushes.
+// double-buffered log (§5); finishWrite accounts. PointBatchInto runs the
+// same step over the puts of a batch — a frame's stretch of gets and puts,
+// all descending in one wave (§4.8) — in tree order, from the borders the
+// wave found, with one border-node lock acquisition per run of co-located
+// keys; PutBatchInto is the batch with no get in it. The put pipeline
+// allocates only the value itself, at any volume: the log's buffers survive
+// their flushes.
 package kvstore
 
 import (
@@ -753,15 +756,15 @@ func (s *Store) GetValue(key []byte) (*value.Value, bool) {
 	return v, true
 }
 
-// BatchScratch holds reusable state for GetBatchInto and PutBatchInto: the
-// result slices and the core tree's batch scratch. One scratch per
-// worker or connection makes steady-state batched reads and writes
-// allocation-free (beyond the packed values a put must build).
+// BatchScratch holds reusable state for PointBatchInto and its all-get and
+// all-put faces: the result slices and the core tree's batch scratch. One
+// scratch per worker or connection makes steady-state batched reads and
+// writes allocation-free (beyond the packed values a put must build).
 type BatchScratch struct {
 	vals  []*value.Value
 	found []bool
-	res   []writeResult // a put batch's step results, one per key
-	out   []uint64      // the versions PutBatchInto returns
+	res   []writeResult // the puts' step results, by key; zero for a get
+	out   []uint64      // the puts' versions, by key
 	core  core.BatchScratch
 }
 
@@ -793,25 +796,14 @@ func extractBatchCols(vals []*value.Value, ok []bool, cols []int) [][][]byte {
 // flags are written into sc's reusable slices and remain valid until the
 // next call with the same scratch. Column extraction is left to the caller
 // (each request in a batch may want different columns); use AppendCols.
-// The caller must hold an epoch pin.
+// It is PointBatchInto with no put among the keys. The caller must hold an
+// epoch pin.
 //
 //masstree:pinned
 //masstree:noalloc
 func (s *Store) GetBatchInto(keys [][]byte, sc *BatchScratch) ([]*value.Value, []bool) {
-	n := len(keys)
-	if cap(sc.vals) < n {
-		sc.vals = make([]*value.Value, n) //lint:allow noalloc scratch warm-up: amortized over the scratch lifetime
-		sc.found = make([]bool, n)        //lint:allow noalloc scratch warm-up: amortized over the scratch lifetime
-	}
-	sc.vals = sc.vals[:n]
-	sc.found = sc.found[:n]
-	s.tree.GetBatchInto(keys, sc.vals, sc.found, &sc.core)
-	for i := range sc.found {
-		if sc.found[i] && expired(sc.vals[i]) {
-			sc.vals[i], sc.found[i] = nil, false
-		}
-	}
-	return sc.vals, sc.found
+	vals, found, _ := s.PointBatchInto(0, keys, nil, nil, sc)
+	return vals, found
 }
 
 // AppendCols appends the requested columns of v (nil = all) to dst and
@@ -943,6 +935,7 @@ func (s *Store) logWrite(worker int, keys [][]byte, puts [][]value.ColPut, res [
 	b := s.logs.Writer(worker).Begin()
 	for i := range res {
 		switch r := &res[i]; {
+		case r.nv == nil: // not a write (a get of a mixed batch): no record
 		case r.insert:
 			b.Insert(r.ver, keys[i], puts[i], ttl, expiry)
 		case r.anchor:
@@ -964,6 +957,9 @@ func (s *Store) finishWrite(worker int, keys [][]byte, res []writeResult, expiry
 	}
 	var delta int64
 	for i := range res {
+		if res[i].nv == nil {
+			continue // not a write (a get of a mixed batch)
+		}
 		delta += res[i].delta
 		if s.loader != nil {
 			s.loader.noteWrite(keys[i])
@@ -1090,35 +1086,101 @@ func (s *Store) PutSimple(worker int, key, data []byte) uint64 {
 	return s.Put(worker, key, []value.ColPut{{Col: 0, Data: data}})
 }
 
-// PutBatchInto applies one put per key in a single batched tree pass
-// (§4.8's batching applied to writes): keys are processed in tree order,
-// runs of keys owned by the same border node execute under one lock
-// acquisition, and all log records are encoded under one log-buffer lock.
-// puts[i] lists key i's column modifications; the returned versions (one
-// per key, input order) live in sc and are valid until the next batched
-// call with the same scratch. Duplicate keys apply in input order.
-func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, sc *BatchScratch) []uint64 {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
+// PointBatchInto serves a stretch of point operations — gets and puts, a
+// frame's worth — as one batch (§4.8's batching, for reads and writes at
+// once). put[i] says that keys[i] is a put of the column modifications
+// puts[i]; the other keys are gets. A nil put means the keys are all of one
+// kind: gets if puts is nil too (GetBatchInto), puts otherwise
+// (PutBatchInto).
+//
+// Every key descends in one wave over the whole batch (core.Tree.BatchInto):
+// a get is answered from it, a lazily-expired value as absent; the puts are
+// applied in tree order, each run of them owned by one border node under one
+// acquisition of its lock and starting at the border the wave found, all
+// inside one draw-to-append window, their records encoded under one
+// log-buffer lock and accounted together.
+//
+// Operations on different keys take effect in no particular order — they
+// share one invoke-to-return interval, and the puts are reordered already.
+// Operations on one key take effect in input order: its puts are applied in
+// that order, a get ahead of them all reads what the wave saw, and a get
+// behind one reads the value that put published.
+//
+// vals and found report the gets, vers the puts' versions; all three are
+// indexed as keys is, live in sc and are valid until the next batched call
+// with the same scratch. No inputs are retained. The caller must hold an
+// epoch pin.
+//
+//masstree:pinned
+func (s *Store) PointBatchInto(worker int, keys [][]byte, put []bool, puts [][]value.ColPut, sc *BatchScratch) (vals []*value.Value, found []bool, vers []uint64) {
+	n, nputs := len(keys), 0
+	if put == nil && puts != nil {
+		nputs = n
 	}
-	n := len(keys)
-	sc.res, sc.out = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.out[:0], n)[:n]
-	s.tree.PutBatchInto(keys, &sc.core, func(i int, old *value.Value) *value.Value {
+	for _, p := range put {
+		if p {
+			nputs++
+		}
+	}
+	if nputs == 0 || nputs == n {
+		put = nil // one kind after all: the tree's all-get or all-put case
+	}
+	if nputs < n {
+		sc.vals, sc.found = slices.Grow(sc.vals[:0], n)[:n], slices.Grow(sc.found[:0], n)[:n]
+		vals, found = sc.vals, sc.found
+	}
+	if nputs > 0 {
+		sc.res, sc.out = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.out[:0], n)[:n]
+		vers = sc.out
+		if s.logs != nil {
+			mu := s.lockWorker(worker)
+			defer mu.Unlock()
+		}
+	}
+	s.tree.BatchInto(keys, put, vals, found, &sc.core, func(i int, old *value.Value) *value.Value {
 		r := s.step(worker, writeOp{puts: puts[i]}, old)
 		sc.res[i], sc.out[i] = r, r.ver
 		return r.nv
 	})
-	if s.logs != nil {
-		s.logWrite(worker, keys, puts, sc.res, false, 0)
+	for i := range vals {
+		if put != nil {
+			if put[i] {
+				continue
+			}
+			if j := sc.core.PutBefore(keys, i); j >= 0 {
+				vals[i], found[i] = sc.res[j].nv, true
+			}
+		}
+		if found[i] && expired(vals[i]) {
+			vals[i], found[i] = nil, false
+		}
 	}
-	s.finishWrite(worker, keys, sc.res, 0)
-	clear(sc.res) // an idle scratch must not pin values later overwritten
-	return sc.out
+	if nputs > 0 {
+		if s.logs != nil {
+			s.logWrite(worker, keys, puts, sc.res, false, 0)
+		}
+		s.finishWrite(worker, keys, sc.res, 0)
+		clear(sc.res) // an idle scratch must not pin values later overwritten
+	}
+	return vals, found, vers
+}
+
+// PutBatchInto applies one put per key as one batch: PointBatchInto with
+// every key a put. puts[i] lists key i's column modifications; the returned
+// versions (one per key, input order) live in sc and are valid until the
+// next batched call with the same scratch. Duplicate keys apply in input
+// order. The caller must hold an epoch pin: the puts' descents are a wave's.
+//
+//masstree:pinned
+func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, sc *BatchScratch) []uint64 {
+	_, _, vers := s.PointBatchInto(worker, keys, nil, puts, sc)
+	return vers
 }
 
 // PutBatch is PutBatchInto over a fresh scratch, so the returned versions
-// alias memory nothing else holds.
+// alias memory nothing else holds. The caller must hold an epoch pin.
+//
+//masstree:pinned
 func (s *Store) PutBatch(worker int, keys [][]byte, puts [][]value.ColPut) []uint64 {
 	var sc BatchScratch
 	return s.PutBatchInto(worker, keys, puts, &sc)

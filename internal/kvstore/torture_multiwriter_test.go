@@ -73,6 +73,17 @@ func (tt *torture) workloadMultiWriter() error {
 		tt.putW(i%2, k, value.ColPut{Col: i % 2, Data: []byte(fmt.Sprintf("r2-%d", i))})
 	}
 	tt.removeW(1, "mw00")
+	// Mixed frames trading the same keys between the workers: every put over
+	// the other worker's value is a handoff anchor inside a segment, the
+	// second put of a same-key pair a linked delta right behind it.
+	tt.frame(1,
+		putOp("mw02", value.ColPut{Col: 0, Data: []byte("f2-w1c0")}), getOp("mw02"), getOp("mw00"),
+		putOp("mw02", value.ColPut{Col: 1, Data: []byte("f2-w1c1")}),
+		getOp("mw03"), putOp("mw03", value.ColPut{Col: 1, Data: []byte("f2-w1")}))
+	tt.frame(0,
+		getOp("mw02"), putOp("mw02", value.ColPut{Col: 1, Data: []byte("f2-w0c1")}),
+		putOp("mw04", value.ColPut{Col: 0, Data: []byte("f2-w0")}), getOp("mw04"),
+		putOp("mw04", value.ColPut{Col: 1, Data: []byte("f2-w0-again")}))
 	if err := tt.ack(); err != nil {
 		return err
 	}

@@ -103,6 +103,52 @@ func (tt *torture) putSimple(key, val string) {
 	tt.put(key, value.ColPut{Col: 0, Data: []byte(val)})
 }
 
+// frame applies ops through worker as one mixed segment, the way the server
+// executes a frame's stretch of gets and puts (Session.PointBatchInto), and
+// brings the model along. A put's state is the version the frame reported
+// and the columns its own next get of the key read — or the store's, if the
+// put was the frame's last word on the key — so a frame that writes a key
+// twice must read it in between. A get is held to the state the model says
+// it follows, which is the frame-order contract.
+func (tt *torture) frame(worker int, ops ...frameOp) {
+	sess := tt.s.Session(worker)
+	defer sess.Close()
+	res := runFrame(sess, ops)
+	for i, op := range ops {
+		h := tt.histOf(op.key)
+		if op.puts == nil {
+			want := kvState{tomb: true}
+			if n := len(h.states); n > 0 {
+				want = h.states[n-1]
+			}
+			if got := res[i]; got.found == want.tomb || got.found && (got.ver != want.ver || got.data != want.data) {
+				fatalDump(tt.t, tt.s, "frame op %d: get of %q read %+v, the model's last state is %+v", i, op.key, got, want)
+			}
+			continue
+		}
+		h.worker = worker
+		st, read := kvState{ver: res[i].ver}, false
+		for j := i + 1; j < len(ops) && !read; j++ {
+			if ops[j].key != op.key {
+				continue
+			}
+			if ops[j].puts != nil {
+				tt.t.Fatalf("frame op %d: %q is put again at op %d with no get between", i, op.key, j)
+			}
+			st.data, read = res[j].data, true
+		}
+		if !read {
+			cols, ok := tt.s.Get([]byte(op.key), nil)
+			if !ok {
+				fatalDump(tt.t, tt.s, "key %q vanished right after its frame", op.key)
+			}
+			st.data = joinCols(cols)
+		}
+		h.states = append(h.states, st)
+		h.dropped = false
+	}
+}
+
 func (tt *torture) remove(key string) {
 	h := tt.histOf(key)
 	if tt.s.Remove(h.worker, []byte(key)) {
@@ -163,6 +209,13 @@ func (tt *torture) workload() error {
 		value.ColPut{Col: 2, Data: []byte("third")})
 	tt.remove("k07")
 	tt.remove("shared-long-prefix-0002")
+	// A mixed frame over the same state: a same-key put pair of partial
+	// columns with a get between, a get of a removed key, an insert.
+	tt.frame(tt.histOf("k04").worker,
+		getOp("k04"), putOp("k04", value.ColPut{Col: 1, Data: []byte("f2-c1")}), getOp("k04"),
+		putOp("k04", value.ColPut{Col: 0, Data: []byte("f2-c0")}),
+		putOp("shared-long-prefix-0003", value.ColPut{Col: 2, Data: []byte("f2L")}), getOp("k07"),
+		putOp("frame-new", value.ColPut{Col: 0, Data: []byte("f2-new")}), getOp("frame-new"))
 	if err := tt.ack(); err != nil {
 		return err
 	}
@@ -179,12 +232,18 @@ func (tt *torture) workload() error {
 		tt.putSimple(fmt.Sprintf("k%02d", i+6), fmt.Sprintf("r4-%d", i))
 	}
 	tt.remove("k01")
+	tt.frame(tt.histOf("k08").worker,
+		putOp("k08", value.ColPut{Col: 1, Data: []byte("f4-c1")}), getOp("k01"), getOp("k08"),
+		putOp("k08", value.ColPut{Col: 2, Data: []byte("f4-c2")}), putOp("k01", value.ColPut{Col: 0, Data: []byte("f4-reborn")}))
 	if err := tt.ack(); err != nil {
 		return err
 	}
 	// Phase 5: applied but never acknowledged (may or may not survive).
 	tt.putSimple("k00", "r5-pending")
 	tt.putSimple("pending-new", "r5-new")
+	tt.frame(tt.histOf("k02").worker,
+		putOp("k02", value.ColPut{Col: 1, Data: []byte("f5-pending")}), getOp("k02"),
+		putOp("k02", value.ColPut{Col: 0, Data: []byte("f5-pending-too")}))
 	return nil
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestBatchedGetsMatchPerKeyGets drives the batch-aware execution path
-// (runs of OpGets served through Session.GetBatch) under concurrent writes
+// (all-get segments served through Session.PointBatchInto) under concurrent writes
 // and checks that every batched result is a value some writer actually
 // stored for that key; once writers stop, batched and per-key gets must
 // agree exactly. It also asserts, via the batched_gets stat, that the
@@ -106,7 +106,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 	}
 
 	if n := srv.batchedGets.Load(); n < int64(50*batch) {
-		t.Fatalf("batched path served %d gets, want >= %d — runs are not using Session.GetBatch", n, 50*batch)
+		t.Fatalf("batched path served %d gets, want >= %d — segments are not using Session.PointBatchInto", n, 50*batch)
 	}
 }
 

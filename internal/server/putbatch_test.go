@@ -10,7 +10,7 @@ import (
 )
 
 // TestBatchedPutsMatchPerKeyPuts sends messages full of consecutive OpPuts
-// (served through Session.PutBatchInto) and verifies the stored state and
+// (an all-put segment of Session.PointBatchInto) and verifies the stored state and
 // returned versions match what per-key puts would produce: every key holds
 // its last write, versions are per-key increasing (including duplicates
 // inside one message, which must apply in request order), and the
@@ -70,7 +70,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 	}
 
 	if n := srv.batchedPuts.Load(); n < int64(rounds*batch) {
-		t.Fatalf("batched path served %d puts, want >= %d — runs are not using Session.PutBatchInto", n, rounds*batch)
+		t.Fatalf("batched path served %d puts, want >= %d — segments are not using Session.PointBatchInto", n, rounds*batch)
 	}
 }
 

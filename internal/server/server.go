@@ -16,14 +16,19 @@
 // pipelining client (many tagged frames in flight), neither side ever
 // stalls on the other's round trip.
 //
-// Execution is batch-aware: a run of consecutive OpGet requests within one
-// message is served through Session.GetBatchInto, a run of consecutive OpPut
-// requests through Session.PutBatchInto, and a run of consecutive OpGetRange
-// requests through Session.GetRangeBatchInto — all three descend sixteen
-// keys at a time with every key's next node being fetched while the others
-// take their hop (§4.8's PALM-style batching). The put run then shares
-// border-node lock acquisitions and log-buffer locks; the scan run starts
-// each of its scans at a border that is already in cache.
+// Execution is batch-aware, and the unit of batching is the frame's stretch
+// of point operations, not a run of one opcode: a maximal stretch of OpGet
+// and OpPut requests within one message, in any mix, is one segment served
+// through Session.PointBatchInto — one epoch pin, one wave in which every
+// key's next node is being fetched while the others take their hop (§4.8's
+// PALM-style batching), the gets answered from it, the puts applied from the
+// borders it found under shared border-node locks inside one log window. A
+// run of consecutive OpGetRange requests goes through
+// Session.GetRangeBatchInto, which starts each of its scans at a border that
+// is already in cache. Every other opcode is a barrier, executed alone.
+// Operations of one segment on different keys take effect in no particular
+// order; operations on one key take effect in frame order (see
+// kvstore.Store.PointBatchInto and the wire package comment).
 // The request path is built for steady-state zero allocation: each
 // connection owns a connScratch whose wire decode buffers, response slice,
 // and column/pair/range arenas are retained across messages, and decoded
@@ -61,11 +66,11 @@ type Server struct {
 	nextWorker atomic.Int64
 	workers    int
 
-	// batchedGets counts OpGet requests served through the batched
-	// Session.GetBatch path (exported as the "batched_gets" stat);
-	// batchedPuts is its write-side twin for Session.PutBatchInto
-	// ("batched_puts"), batchedScans the OpGetRange requests served through
-	// Session.GetRangeBatchInto ("batched_scans"). erroredRequests counts
+	// batchedGets and batchedPuts count the OpGet and OpPut requests served
+	// as part of a point segment, through Session.PointBatchInto (exported
+	// as the "batched_gets" and "batched_puts" stats), batchedScans the
+	// OpGetRange requests served through Session.GetRangeBatchInto
+	// ("batched_scans"). erroredRequests counts
 	// requests answered with StatusError because they could not be decoded
 	// or executed — a malformed request inside a decodable frame fails alone
 	// instead of killing its connection ("errored_requests").
@@ -142,7 +147,8 @@ type connScratch struct {
 	resps   []wire.Response      // response slice, one per request
 	cols    [][]byte             // arena backing Response.Cols for this message
 	keys    [][]byte             // key slice handed to batched session calls
-	putRuns [][]wire.ColData     // each request's Puts, handed to PutBatchInto
+	isPut   []bool               // a point segment's kinds, handed to PointBatchInto
+	putRuns [][]wire.ColData     // each request's Puts, handed to PointBatchInto
 	ns      []int                // each request's N, handed to GetRangeBatchInto
 	colSets [][]int              // each request's Cols, handed to GetRangeBatchInto
 	pairs   []wire.Pair          // arena backing Response.Pairs for this message
@@ -156,9 +162,9 @@ type connScratch struct {
 	claimed int
 }
 
-// minBatchRun is the shortest run of consecutive same-op requests routed
-// through a batched path; a single get, put or scan has no other descent to
-// overlap its misses with.
+// minBatchRun is the shortest point segment or scan run routed through a
+// batched path; a single get, put or scan has no other descent to overlap
+// its misses with.
 const minBatchRun = 2
 
 // maxRetainedScratch bounds how much scratch one connection keeps between
@@ -180,6 +186,9 @@ func (sc *connScratch) shrink() {
 	}
 	if cap(sc.keys)*24 > maxRetainedScratch {
 		sc.keys = nil
+	}
+	if cap(sc.isPut) > maxRetainedScratch {
+		sc.isPut = nil
 	}
 	if cap(sc.putRuns)*24 > maxRetainedScratch {
 		sc.putRuns = nil
@@ -360,10 +369,11 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 // them, where claimed >= len(reqs): a decodable frame whose tail could not
 // be decoded (unknown opcode, truncated payload) still gets a full batch of
 // responses, the undecodable suffix answered with StatusError, so one bad
-// request fails alone instead of killing the connection mid-batch. Runs of
-// consecutive OpGets, OpPuts or OpGetRanges of length >= minBatchRun are
-// served through the session's batched lookup, put or scan; everything else
-// executes one at a time. ttlOK admits the cache-mode operations
+// request fails alone instead of killing the connection mid-batch. The frame
+// is cut into segments (see segmentOf): a maximal stretch of OpGets and
+// OpPuts is served as one point run, a maximal run of OpGetRanges as one scan
+// run, when at least minBatchRun long; everything else executes one at a
+// time. ttlOK admits the cache-mode operations
 // (OpPutTTL/OpTouch/OpGetOrLoad), which are v2 surface: the v1 and UDP paths
 // answer them with StatusError, leaving v1 semantics untouched.
 func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch, ttlOK bool) {
@@ -378,22 +388,18 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 	sc.pairs = sc.pairs[:0]
 	sc.rng.Reset()
 	for i := 0; i < len(reqs); {
-		op := reqs[i].Op
+		seg := segmentOf(reqs[i].Op)
 		j := i + 1
-		if op == wire.OpGet || op == wire.OpPut || op == wire.OpGetRange {
-			for j < len(reqs) && reqs[j].Op == op {
-				j++
-			}
+		for seg != segSingle && j < len(reqs) && segmentOf(reqs[j].Op) == seg {
+			j++
 		}
 		switch {
 		case j-i < minBatchRun:
 			for k := i; k < j; k++ {
 				sc.resps[k] = s.execute(sess, &reqs[k], sc, ttlOK)
 			}
-		case op == wire.OpGet:
-			s.executeGetRun(sess, reqs[i:j], sc.resps[i:j], sc)
-		case op == wire.OpPut:
-			s.executePutRun(sess, reqs[i:j], sc.resps[i:j], sc)
+		case seg == segPoint:
+			s.executePointRun(sess, reqs[i:j], sc.resps[i:j], sc)
 		default:
 			s.executeScanRun(sess, reqs[i:j], sc.resps[i:j], sc)
 		}
@@ -407,61 +413,76 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 	}
 }
 
-// executeGetRun serves a run of OpGet requests through Session.GetBatchInto
-// (§4.8). Response columns are appended to sc.cols, a per-message arena.
-// The whole run lands as one observation in the get_batch histogram: the
-// run is the unit the batched path amortizes over, and a single time.Now
-// pair per run keeps the instrumentation off the per-key path.
-func (s *Server) executeGetRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
-	var runStart time.Time
-	if s.obs != nil {
-		runStart = time.Now()
+// A segment is a stretch of a frame's requests that one batched store call
+// can serve.
+type segment uint8
+
+const (
+	segSingle segment = iota // a barrier: executed alone, in its place
+	segPoint                 // gets and puts, in any mix
+	segScan                  // range scans
+)
+
+func segmentOf(op wire.OpCode) segment {
+	switch op {
+	case wire.OpGet, wire.OpPut:
+		return segPoint
+	case wire.OpGetRange:
+		return segScan
 	}
-	sc.keys = sc.keys[:0]
-	for i := range reqs {
-		sc.keys = append(sc.keys, reqs[i].Key)
-	}
-	vals, found := sess.GetBatchInto(sc.keys)
-	s.batchedGets.Add(int64(len(reqs)))
-	for i := range reqs {
-		if !found[i] {
-			resps[i] = wire.Response{Status: wire.StatusNotFound}
-			continue
-		}
-		start := len(sc.cols)
-		sc.cols = kvstore.AppendCols(sc.cols, vals[i], reqs[i].Cols)
-		resps[i] = wire.Response{Status: wire.StatusOK, Version: vals[i].Version(),
-			Cols: sc.cols[start:len(sc.cols):len(sc.cols)]}
-	}
-	if s.obs != nil {
-		s.obs.Hist(obs.HGetBatch).Record(sess.Worker(), time.Since(runStart))
-	}
+	return segSingle
 }
 
-// executePutRun serves a run of OpPut requests through Session.PutBatchInto
-// (§4.8 applied to writes): keys descend in tree order, co-located keys
-// share one border-node lock acquisition, and all log records are encoded
-// under one log-buffer lock. The decoded put data still aliases the frame —
-// the store copies it into the packed value and the log, so no per-put copy
-// is made here. Like the get run, the run is one put_batch observation.
-func (s *Server) executePutRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
+// executePointRun serves a stretch of OpGet and OpPut requests through
+// Session.PointBatchInto (§4.8, for reads and writes at once): every key
+// descends in one wave, the gets are answered from it, and the puts are
+// applied from the borders it found — co-located keys under one border-node
+// lock acquisition, all log records encoded under one log-buffer lock.
+// Response columns are appended to sc.cols, a per-message arena. The decoded
+// put data still aliases the frame — the store copies it into the packed
+// value and the log, so no per-put copy is made here. The whole stretch lands
+// as one observation, in the get_batch histogram if it holds no put and in
+// put_batch otherwise: the stretch is the unit the batched path amortizes
+// over, and a single time.Now pair per stretch keeps the instrumentation off
+// the per-key path.
+func (s *Server) executePointRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
 	var runStart time.Time
 	if s.obs != nil {
 		runStart = time.Now()
 	}
-	sc.keys = sc.keys[:0]
-	sc.putRuns = sc.putRuns[:0]
+	sc.keys, sc.isPut, sc.putRuns = sc.keys[:0], sc.isPut[:0], sc.putRuns[:0]
+	nputs := 0
 	for i := range reqs {
+		put := reqs[i].Op == wire.OpPut
+		if put {
+			nputs++
+		}
 		sc.keys = append(sc.keys, reqs[i].Key)
+		sc.isPut = append(sc.isPut, put)
 		sc.putRuns = append(sc.putRuns, reqs[i].Puts)
 	}
-	vers := sess.PutBatchInto(sc.keys, sc.putRuns)
-	s.batchedPuts.Add(int64(len(reqs)))
+	vals, found, vers := sess.PointBatchInto(sc.keys, sc.isPut, sc.putRuns)
+	s.batchedGets.Add(int64(len(reqs) - nputs))
+	s.batchedPuts.Add(int64(nputs))
 	for i := range reqs {
-		resps[i] = wire.Response{Status: wire.StatusOK, Version: vers[i]}
+		switch {
+		case sc.isPut[i]:
+			resps[i] = wire.Response{Status: wire.StatusOK, Version: vers[i]}
+		case !found[i]:
+			resps[i] = wire.Response{Status: wire.StatusNotFound}
+		default:
+			start := len(sc.cols)
+			sc.cols = kvstore.AppendCols(sc.cols, vals[i], reqs[i].Cols)
+			resps[i] = wire.Response{Status: wire.StatusOK, Version: vals[i].Version(),
+				Cols: sc.cols[start:len(sc.cols):len(sc.cols)]}
+		}
 	}
 	if s.obs != nil {
-		s.obs.Hist(obs.HPutBatch).Record(sess.Worker(), time.Since(runStart))
+		hist := obs.HGetBatch
+		if nputs > 0 {
+			hist = obs.HPutBatch
+		}
+		s.obs.Hist(hist).Record(sess.Worker(), time.Since(runStart))
 	}
 }
 

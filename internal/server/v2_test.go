@@ -409,7 +409,7 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 	roundTrip := func() {
 		p := c.Go(reqs)
 		resps, err := p.Wait()
-		if err != nil || len(resps) != batch+scans || resps[0].Status != wire.StatusOK || len(resps[batch].Pairs) != 10 {
+		if err != nil || len(resps) != len(reqs) || resps[0].Status != wire.StatusOK || len(resps[batch].Pairs) != 10 {
 			t.Fatalf("round trip: %v (%d resps)", err, len(resps))
 		}
 		p.Release()
@@ -420,6 +420,25 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(300, roundTrip)
 	if allocs != 0 {
 		t.Fatalf("steady-state Go/Wait/Release allocates %.1f per round trip, want 0", allocs)
+	}
+
+	// The same frame with a mixed segment behind it, sixteen requests with
+	// every other one a put: the packed values are all that is allocated, by
+	// either side.
+	const mixed = 16
+	data := []wire.ColData{{Col: 0, Data: []byte("alloc-test-value")}}
+	for i := 0; i < mixed; i++ {
+		r := wire.Request{Op: wire.OpGet, Key: reqs[i/2].Key}
+		if i%2 == 0 {
+			r = wire.Request{Op: wire.OpPut, Key: reqs[i/2].Key, Puts: data}
+		}
+		reqs = append(reqs, r)
+	}
+	for i := 0; i < 50; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(300, roundTrip); allocs != mixed/2 {
+		t.Fatalf("a frame with %d puts in a mixed segment allocates %.1f per round trip, want %d (one packed value per put)", mixed/2, allocs, mixed/2)
 	}
 }
 

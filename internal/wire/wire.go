@@ -32,6 +32,23 @@
 // the hello magic decodes as an impossible v1 length, so the two first
 // bytes streams cannot be confused.
 //
+// # Order within a frame
+//
+// The requests of one frame are answered in order, response i for request
+// i, and share one invoke-to-return interval: the client learns nothing of
+// any of them until the response frame arrives. Within it the server
+// promises this much about the order in which they take effect. Requests
+// on the same key take effect in frame order — a get behind a put of its
+// key reads the value, and reports the version, that put published; a get
+// ahead of it reads what was there before; puts of one key draw ascending
+// versions. A maximal stretch of OpGet and OpPut requests is executed as
+// one batch, and inside such a stretch requests on different keys take
+// effect in no particular order (its puts are applied in key order, its
+// gets read the store as it stood before any of them). Every other opcode
+// is a barrier: it takes effect after everything ahead of it in the frame
+// and before everything behind it, so a scan or a remove in the middle of
+// a frame sees exactly the puts that precede it.
+//
 // # Conditional writes
 //
 // OpCas is a versioned conditional put (Deuteronomy-style latch-free
