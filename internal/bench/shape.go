@@ -12,9 +12,11 @@ import (
 // 1-to-10-byte-decimal put workload builds: the fraction of keys pushed
 // into layer-1 trie-nodes, how tiny those trees stay (paper: 33% of keys,
 // 2.3 keys per layer-1 tree at 140M keys — both grow with slice-collision
-// density, i.e. with key count), and border-node occupancy (paper: B-tree
-// nodes average 75% full; sequential inserts fill nodes completely thanks
-// to §4.3's optimization).
+// density, i.e. with key count), what form they take here (a tree of up to
+// four keys is a twig, not a border node) and what the tree costs in bytes
+// by kind of object, and border-node occupancy (paper: B-tree nodes average
+// 75% full; sequential inserts fill nodes completely thanks to §4.3's
+// optimization).
 func Shape(sc Scale) *Table {
 	sc = sc.withDefaults()
 	t := &Table{
@@ -35,6 +37,19 @@ func Shape(sc Scale) *Table {
 		[]string{"layer-1 key fraction", fmt.Sprintf("%.3f", s.KeysInLayer(1)), "0.33"},
 		[]string{"avg keys per layer-1 tree", fmt.Sprintf("%.2f", s.AvgKeysPerTree(1)), "2.3"},
 		[]string{"border-node fill", fmt.Sprintf("%.2f", s.BorderFill()), "~0.75"},
+	)
+	var twigs, trees, borders, interiors, bags, twigBytes int
+	for d, l := range s.Layers {
+		if d > 0 {
+			twigs, trees = twigs+l.Twigs, trees+l.Trees
+		}
+		borders, interiors, bags, twigBytes = borders+l.BorderBytes, interiors+l.InteriorBytes, bags+l.BagBytes, twigBytes+l.TwigBytes
+	}
+	perKey := func(b int) string { return fmt.Sprintf("%.1f", float64(b)/float64(max(s.TotalKeys(), 1))) }
+	t.Rows = append(t.Rows,
+		[]string{"trees below layer 0 that are twigs", fmt.Sprintf("%d of %d", twigs, trees), "-"},
+		[]string{"node bytes per key: borders / interiors / suffix bags / twigs",
+			perKey(borders) + " / " + perKey(interiors) + " / " + perKey(bags) + " / " + perKey(twigBytes), "-"},
 	)
 
 	// Sequential fill uses exactly-8-byte keys so the comparison isolates

@@ -162,8 +162,8 @@ type waveCursor struct {
 	pv    uint64         // p's version as validated when n was chosen
 	slice uint64         // key[off:]'s leading slice
 	off   int            // bytes of the key consumed by the layers above n
-	val   unsafe.Pointer // the *value.Value found (waveSuffix, waveFound)
-	bag   *byte          // waveSuffix: the bag holding the slot's suffix
+	val   unsafe.Pointer // the *value.Value found (waveSuffix, waveFound); waveTwig: the *twig
+	bag   *byte          // waveSuffix: the bag holding the slot's suffix; waveTwig: the remainders asked for
 	slot  uint8          // waveSuffix: the slot
 	state waveState
 }
@@ -173,7 +173,8 @@ type waveState uint8
 const (
 	waveDescend waveState = iota // n is to be examined
 	waveSuffix                   // slice matched; the suffix is still to be compared
-	// The states below are final: the wave is done with the cursor.
+	waveTwig                     // slice matched a twig, still to be searched
+	// The states from waveFound on are final: the wave is done with the cursor.
 	waveFound    // val is the key's value
 	waveAbsent   // the key is not in the tree
 	waveFallback // met a writer: the caller decides (a lookup: Get; a put: no hint)
@@ -215,10 +216,12 @@ func (t *Tree) wave(keys [][]byte, cur *[waveWidth]waveCursor) {
 				} else {
 					c.val, c.state = nil, waveAbsent
 				}
+			case waveTwig:
+				hopTwig(c, k[c.off+8:])
 			default:
 				continue
 			}
-			if c.state > waveSuffix {
+			if c.state >= waveFound {
 				live--
 			}
 		}
@@ -283,6 +286,10 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 		layer := (*nodeHeader)(lvp)
 		prefetchNode(unsafe.Pointer(layer))
 		c.n, c.p, c.off, c.slice = layer, nil, c.off+8, keySlice(k[8:])
+	case kl == klTwig:
+		// The descent ends here, at the border a put of the key locks (hint).
+		prefetchTwig(lvp)
+		c.val, c.state = lvp, waveTwig
 	case kl == klSuffix:
 		prefetchLine(unsafe.Pointer(bag))
 		prefetchLine(lvp)
@@ -290,5 +297,34 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 	default: // keylen 0..8: the whole remaining key is inline
 		prefetchLine(lvp)
 		c.val, c.state = lvp, waveFound
+	}
+}
+
+// prefetchTwig asks for a twig's 48 bytes, which are not line-aligned and
+// may lie across two lines.
+func prefetchTwig(tw unsafe.Pointer) {
+	prefetchLine(tw)
+	prefetchLine(unsafe.Add(tw, unsafe.Sizeof(twig{})-1))
+}
+
+// hopTwig is the wave's round at a twig, asked for a round ago: Get's
+// search of it for rem, what follows the slot's slice in the key. The twig
+// came from a validated snapshot and its keys never change. Remainders too
+// long to lie in the twig itself are a fetch of their own, and get a round
+// of their own.
+//
+//masstree:noalloc
+func hopTwig(c *waveCursor, rem []byte) {
+	tw := (*twig)(c.val)
+	if tw.rems != c.bag {
+		prefetchLine(unsafe.Pointer(tw.rems))
+		c.bag = tw.rems
+		return
+	}
+	if j, ok := tw.keys().search(rem); ok {
+		c.val, c.state = unsafe.Pointer(tw.value(j)), waveFound
+		prefetchLine(c.val)
+	} else {
+		c.val, c.state = nil, waveAbsent
 	}
 }

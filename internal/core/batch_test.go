@@ -14,8 +14,10 @@ import (
 
 // waveTestKeys returns keys of every shape a descent distinguishes — short,
 // empty, exactly one slice, slice plus suffix, shared 8-byte prefixes two
-// and three layers deep, binary with NULs — amid enough filler that layers
-// 0, 1 and 2 each have interior nodes.
+// and three layers deep, binary with NULs, two to four long keys to a slice
+// (twigs, in layer 0 and in layer 2, their remainders inside the twig and
+// out of it) — amid enough filler that layers 0, 1 and 2 each have interior
+// nodes.
 func waveTestKeys() [][]byte {
 	keys := [][]byte{
 		{}, []byte("a"), []byte("ab"), []byte("abcdefg"),
@@ -32,6 +34,13 @@ func waveTestKeys() [][]byte {
 			[]byte(fmt.Sprintf("sharedpf%03d-and-a-suffix", i)),
 			[]byte(fmt.Sprintf("sharedpfsharedpf%03d", i)),
 			[]byte(fmt.Sprintf("sharedpfsharedpf\x00%03d\x00tail-past-the-slice", i)))
+	}
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 2+i%3; j++ {
+			keys = append(keys,
+				[]byte(fmt.Sprintf("twig%04d%d", i, j)),
+				[]byte(fmt.Sprintf("sharedpfsharedpftwig%04d%d-remainder-past-the-twig", i, j)))
+		}
 	}
 	return keys
 }
@@ -213,9 +222,10 @@ func TestGetBatchDuringRestructuring(t *testing.T) {
 		case 2:
 			return []byte(fmt.Sprintf("regionpfregionpf%04d+suffix", i)) // layer 2
 		}
-		// Four keys to a slice and none of them stable: a layer small enough
-		// to stay one border, which is created, emptied and collapsed.
-		return []byte(fmt.Sprintf("coll%04d-%04d", i/16, i))
+		// Eight keys to a slice and none of them stable: a twig that grows
+		// into a layer small enough to stay one border, which is emptied
+		// and collapsed.
+		return []byte(fmt.Sprintf("coll%04d-%04d", i/32, i))
 	}
 	const space = 800
 	keys := make([][]byte, space)

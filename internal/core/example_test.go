@@ -48,6 +48,8 @@ func Example_sharedPrefixes() {
 		"edu.harvard.seas.www/news-events",
 		"edu.harvard.seas.www/academics",
 		"edu.harvard.www/",
+		"edu.harvard.law.www/",
+		"edu.harvard.hms.www/",
 	}
 	for _, u := range urls {
 		tr.Put([]byte(u), value.New([]byte("page")))

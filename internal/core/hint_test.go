@@ -144,14 +144,14 @@ func TestHintGoesStale(t *testing.T) {
 		tr := New()
 		long := func(i int) []byte { return []byte(fmt.Sprintf("layered!%04d-and-a-tail", i)) }
 		tr.Put([]byte("anchor"), value.New([]byte("anchor")))
-		for i := 0; i < 4; i++ {
+		for i := 0; i <= twigCap; i++ { // one more than a twig holds: a layer
 			tr.Put(long(i), value.New(long(i)))
 		}
 		h := hintFor(tr, long(2))
 		if h.off != 8 {
 			t.Fatalf("hint at offset %d, want the layer under \"layered!\"", h.off)
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i <= twigCap; i++ {
 			tr.Remove(long(i))
 		}
 		if tr.Maintain() != 1 {
@@ -251,9 +251,9 @@ func TestHintsStaleUnderRestructuring(t *testing.T) {
 		case 2:
 			return []byte(fmt.Sprintf("hintedpfhintedpf%04d+suffix", i)) // layer 2
 		}
-		// Four keys to a slice, none of them stable: a layer that stays one
-		// border and is created, emptied and collapsed over and over.
-		return []byte(fmt.Sprintf("coll%04d-%04d", i/16, i))
+		// Eight keys to a slice, none of them stable: a twig that grows into
+		// a layer of one border, emptied and collapsed, over and over.
+		return []byte(fmt.Sprintf("coll%04d-%04d", i/32, i))
 	}
 	const space = 800
 	keys := make([][]byte, space)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -8,7 +9,9 @@ import (
 // asserts the structural invariants of §4:
 //   - every permutation is a true permutation of 0..14,
 //   - border keys are strictly increasing by (slice, ordinal),
-//   - at most one >8-byte (suffix/layer) key per slice,
+//   - at most one >8-byte (suffix/twig/layer) entry per slice,
+//   - a twig holds 1..twigCap keys, their remainders non-empty and strictly
+//     ascending, in tiny exactly when they fit there, and no nil value cell,
 //   - interior separators are strictly increasing and route consistently,
 //   - children's parent pointers point back at their interior node,
 //   - border lowkeys bound their contents,
@@ -51,9 +54,18 @@ func checkLayerInvariants(t *testing.T, tr *Tree, root *nodeHeader, depth int) {
 			if n.lowOrd >= 0 && ks < n.lowSlice {
 				t.Fatalf("border %p: key slice %#x below lowkey %#x", n, ks, n.lowSlice)
 			}
-			if kl := n.keylen(slot); kl == klLayer {
+			switch kl := n.keylen(slot); kl {
+			case klLayer:
 				sub := ascendToRoot((*nodeHeader)(n.loadLV(slot)))
 				checkLayerInvariants(t, tr, sub, depth+1)
+			case klTwig:
+				checkTwig(t, n, (*twig)(n.loadLV(slot)))
+			case klUnstable:
+				t.Fatalf("border %p: slot %d left unstable", n, slot)
+			default:
+				if n.loadLV(slot) == nil {
+					t.Fatalf("border %p: slot %d holds a nil value", n, slot)
+				}
 			}
 		}
 		// Doubly-linked list consistency.
@@ -74,6 +86,38 @@ func checkLayerInvariants(t *testing.T, tr *Tree, root *nodeHeader, depth int) {
 				t.Fatalf("border %p: routing sends its lowkey %#x to %p", n, n.lowSlice, got)
 			}
 		}
+	}
+}
+
+func checkTwig(t *testing.T, n *borderNode, tw *twig) {
+	t.Helper()
+	keys := tw.keys()
+	cnt := keys.n()
+	if cnt < 1 || cnt > twigCap {
+		t.Fatalf("border %p: twig of %d keys", n, cnt)
+	}
+	_, w := twigHeader(keys[0])
+	total := 0
+	for j := 0; j < cnt; j++ {
+		rem := keys.at(j)
+		total += len(rem)
+		if len(rem) == 0 {
+			t.Fatalf("border %p: twig key %d has no remainder", n, j)
+		}
+		if j > 0 && bytes.Compare(keys.at(j-1), rem) >= 0 {
+			t.Fatalf("border %p: twig keys out of order: %q then %q", n, keys.at(j-1), rem)
+		}
+		if tw.value(j) == nil {
+			t.Fatalf("border %p: twig key %q has a nil cell", n, rem)
+		}
+	}
+	for j := cnt; j < twigCap; j++ {
+		if tw.vals[j] != nil {
+			t.Fatalf("border %p: twig of %d keys has a value in cell %d", n, cnt, j)
+		}
+	}
+	if fits := keysSize(cnt, w, total) <= len(tw.tiny); fits != (tw.rems == nil) {
+		t.Fatalf("border %p: twig remainders of %d B: in tiny %v", n, total, tw.rems == nil)
 	}
 }
 

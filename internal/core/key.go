@@ -14,18 +14,23 @@ import "encoding/binary"
 //	                    the slice; no suffix.
 //	keylen klSuffix   — the remaining key is longer than 8 bytes: slice
 //	                    holds the first 8, suffix the rest.
+//	keylen klTwig     — lv points to a twig (twig.go): the one to twigCap
+//	                    keys longer than 8 bytes that begin with this slice,
+//	                    as their remainders past it and a value cell each.
 //	keylen klLayer    — lv points to a deeper trie layer holding all keys
 //	                    that continue past this slice.
-//	keylen klUnstable — the slot is mid-transition from suffix to layer;
-//	                    readers must retry (§4.6.3).
+//	keylen klUnstable — the slot's lv is changing kind — suffix key to twig,
+//	                    twig to layer; readers must retry (§4.6.3).
 //
-// For ordering, klSuffix/klLayer/klUnstable all occupy the single
+// For ordering, klSuffix/klTwig/klLayer/klUnstable all occupy the single
 // "longer than 8 bytes" position after keylen 8: the invariants guarantee at
-// most one such key per slice (a second would force a deeper layer).
+// most one such entry per slice. A second long key of a slice does not get a
+// slot; it joins the first in a twig, and a fifth turns the twig into a layer.
 const (
 	klSuffix   uint32 = 9
 	klLayer    uint32 = 10
 	klUnstable uint32 = 11
+	klTwig     uint32 = 12
 )
 
 // keySlice returns the leading 8-byte slice of k as a big-endian integer.
@@ -39,7 +44,7 @@ func keySlice(k []byte) uint64 {
 }
 
 // keyOrd returns the ordering position of the remaining key k within its
-// slice group: its length if <= 8, else 9 (the suffix/layer class).
+// slice group: its length if <= 8, else 9 (the suffix/twig/layer class).
 func keyOrd(k []byte) int {
 	if len(k) <= 8 {
 		return len(k)

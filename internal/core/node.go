@@ -60,20 +60,21 @@ type interiorNode struct {
 // the suffix bag) at the end.
 // TestNodeLayout pins the size and the offsets.
 //
-// lv[i] is the paper's link_or_value union: it holds either a *value.Value
-// or, when slot i's key length is klLayer, a *nodeHeader for the next trie
-// layer. The key length discriminates; lv is accessed only with atomic
-// pointer operations.
+// lv[i] is the paper's link_or_value union: it holds a *value.Value, or
+// when slot i's key length is klTwig a *twig, or when it is klLayer a
+// *nodeHeader for the next trie layer. The key length discriminates; lv is
+// accessed only with atomic pointer operations.
 type borderNode struct {
 	h           nodeHeader
 	permutation atomic.Uint64
 	keyslice    [width]atomic.Uint64
 
-	// keylens packs the fifteen key lengths (0..8, klSuffix, klLayer,
-	// klUnstable) as 4-bit fields, slot i at bits 4i..4i+3. Writers hold
-	// the node lock and load-modify-store; readers load the whole word, so
-	// bracketing lv between two loads of it keeps the §4.6.3
-	// value→UNSTABLE→LAYER transition from tearing the union.
+	// keylens packs the fifteen key lengths (0..8, klSuffix, klTwig,
+	// klLayer, klUnstable) as 4-bit fields, slot i at bits 4i..4i+3.
+	// Writers hold the node lock and load-modify-store; readers load the
+	// whole word, so bracketing lv between two loads of it keeps the
+	// §4.6.3 transitions (value→UNSTABLE→TWIG, twig→UNSTABLE→LAYER) from
+	// tearing the union.
 	keylens atomic.Uint64
 
 	lv [width]unsafe.Pointer
@@ -118,11 +119,10 @@ func (n *borderNode) setKeylen(slot int, kl uint32) {
 
 // suffixBag is the one allocation that holds a border node's key suffixes.
 // It is pointer-free and published-never-mutated: a writer that adds a long
-// key (insertSlot, splitInsert, makeLayer's new layer) builds a fresh bag
-// from the live klSuffix slots plus the new suffix and stores its address in
-// n.suffixes before the permutation that makes the key visible. Remove and
-// the suffix→layer transition leave the bag alone; their dead bytes go at
-// the next rebuild. So a reader that loads the pointer inside its keylens
+// key (insertSlot, splitInsert) builds a fresh bag from the live klSuffix
+// slots plus the new suffix and stores its address in n.suffixes before the
+// permutation that makes the key visible. Remove and the suffix→twig
+// transition leave the bag alone; their dead bytes go at the next rebuild. So a reader that loads the pointer inside its keylens
 // bracket and then validates the node version holds the suffix of every
 // slot its snapshot saw as klSuffix, and may compare bytes after validating.
 //
@@ -164,25 +164,31 @@ func newBag(sufs *[width][]byte) *byte {
 	return &b[0]
 }
 
-func (b suffixBag) putOff(i, off int) {
-	switch w := int(b[0]); w {
+func (b suffixBag) putOff(i, off int) { putOffset(b[1:], int(b[0]), i, off) }
+func (b suffixBag) off(i int) int     { return offset(b[1:], int(b[0]), i) }
+
+// putOffset stores off as the i-th of the w-byte little-endian offsets at b
+// (w is 1, 2 or 4); offset reads it back. The suffix bag's and the twig's
+// encodings share them.
+func putOffset(b []byte, w, i, off int) {
+	switch w {
 	case 1:
-		b[1+i] = byte(off)
+		b[i] = byte(off)
 	case 2:
-		binary.LittleEndian.PutUint16(b[1+2*i:], uint16(off))
+		binary.LittleEndian.PutUint16(b[2*i:], uint16(off))
 	default:
-		binary.LittleEndian.PutUint32(b[1+4*i:], uint32(off))
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(off))
 	}
 }
 
-func (b suffixBag) off(i int) int {
-	switch w := int(b[0]); w {
+func offset(b []byte, w, i int) int {
+	switch w {
 	case 1:
-		return int(b[1+i])
+		return int(b[i])
 	case 2:
-		return int(binary.LittleEndian.Uint16(b[1+2*i:]))
+		return int(binary.LittleEndian.Uint16(b[2*i:]))
 	default:
-		return int(binary.LittleEndian.Uint32(b[1+4*i:]))
+		return int(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 }
 

@@ -71,6 +71,54 @@ func TestNodeLayout(t *testing.T) {
 	if n := pointerWords(reflect.TypeOf(&b).Elem()); n != 19 {
 		t.Errorf("borderNode has %d pointer words, want 19 (parent, 15 lv, next, prev, suffixes)", n)
 	}
+
+	// The twig changed neither node: every field is where PR 26 had it.
+	var in interiorNode
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sizeof borderNode", unsafe.Sizeof(b), 312},
+		{"border.permutation", unsafe.Offsetof(b.permutation), 16},
+		{"border.keyslice", unsafe.Offsetof(b.keyslice), 24},
+		{"border.keylens", unsafe.Offsetof(b.keylens), 144},
+		{"border.lv", unsafe.Offsetof(b.lv), 152},
+		{"border.next", unsafe.Offsetof(b.next), 272},
+		{"border.prev", unsafe.Offsetof(b.prev), 280},
+		{"border.lowSlice", unsafe.Offsetof(b.lowSlice), 288},
+		{"border.suffixes", unsafe.Offsetof(b.suffixes), 296},
+		{"border.usedMask", unsafe.Offsetof(b.usedMask), 304},
+		{"border.lowOrd", unsafe.Offsetof(b.lowOrd), 306},
+		{"sizeof interiorNode", unsafe.Sizeof(in), 272},
+		{"interior.nkeys", unsafe.Offsetof(in.nkeys), 16},
+		{"interior.keyslice", unsafe.Offsetof(in.keyslice), 24},
+		{"interior.child", unsafe.Offsetof(in.child), 144},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s = %d, want %d", f.name, f.got, f.want)
+		}
+	}
+
+	// A twig is one 48-byte object — the size class is its own — and the
+	// twig of two decimal keys is nothing else: their remainders lie in it.
+	var tw twig
+	if sz := unsafe.Sizeof(tw); sz != 48 {
+		t.Errorf("twig is %d B, want 48", sz)
+	}
+	if n := pointerWords(reflect.TypeOf(&tw).Elem()); n != twigCap+1 {
+		t.Errorf("twig has %d pointer words, want %d (the cells and rems)", n, twigCap+1)
+	}
+	e := twigEntries{}
+	e.insert(0, []byte("7"), unsafe.Pointer(&tw))
+	e.insert(1, []byte("83"), unsafe.Pointer(&tw))
+	if e.build().rems != nil {
+		t.Error("two remainders of three bytes do not lie in the twig itself")
+	}
+	e.insert(2, []byte("9"), unsafe.Pointer(&tw))
+	e.insert(3, []byte("99"), unsafe.Pointer(&tw))
+	if small := e.build(); small.rems == nil || sizeClass(len(small.keys())) != 16 {
+		t.Error("four remainders of six bytes: want them in a 16-byte allocation of their own")
+	}
 }
 
 // TestPackedKeylens sets every slot to every key length and checks that the
@@ -97,18 +145,30 @@ func TestPackedKeylens(t *testing.T) {
 
 // TestLayerTransitionNeverTearsTheUnion: readers bracket lv between two loads
 // of the keylens word while a writer takes slot after slot through
-// value→UNSTABLE→LAYER; matching key lengths must come with the matching kind
-// of pointer, and Get and ScanInto must keep finding every key. Run under
-// -race -cpu 2,4.
+// value→UNSTABLE→TWIG and on through twig→UNSTABLE→LAYER; matching key
+// lengths must come with the matching kind of pointer, and Get and ScanInto
+// must keep finding every key. Run under -race -cpu 2,4.
 func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 	const groups = 4000
 	tr := New()
-	first := func(i int) []byte { return []byte(fmt.Sprintf("%08dAAAAAAAAA", i)) }
-	vals := map[unsafe.Pointer]bool{} // every layer-0 value; read-only once built
+	key := func(i int, c byte) []byte {
+		return append([]byte(fmt.Sprintf("%08d", i)), bytes.Repeat([]byte{c}, 9)...)
+	}
+	first := func(i int) []byte { return key(i, 'A') }
+	vals := map[unsafe.Pointer]bool{} // every value of the tree, before and after; read-only once built
+	var later [][]byte
+	var laterVals []*value.Value
 	for i := 0; i < groups; i++ {
 		v := value.New(first(i))
 		vals[unsafe.Pointer(v)] = true
 		tr.Put(first(i), v)
+	}
+	for c := byte('B'); c < 'B'+twigCap; c++ { // four more a slice: a twig, then a layer
+		for i := 0; i < groups; i++ {
+			v := value.New(key(i, c))
+			vals[unsafe.Pointer(v)] = true
+			later, laterVals = append(later, key(i, c)), append(laterVals, v)
+		}
 	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -137,12 +197,18 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 					}
 					switch kl {
 					case klLayer:
-						if vals[lv] {
-							fail("klLayer paired with a value pointer")
+						if vals[lv] || !isBorder((*nodeHeader)(lv).version.Load()) {
+							fail("klLayer paired with a value or a twig")
+						}
+					case klTwig:
+						// A twig's first word is a value's address; a node's is
+						// its version, whose border or root bit is set.
+						if vals[lv] || !vals[atomic.LoadPointer(&(*twig)(lv).vals[0])] {
+							fail("klTwig paired with a value or a layer")
 						}
 					case klSuffix:
 						if !vals[lv] {
-							fail("klSuffix paired with a layer pointer")
+							fail("klSuffix paired with a twig or a layer")
 						}
 					}
 				}
@@ -172,9 +238,8 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 			}
 		}(r)
 	}
-	for i := 0; i < groups; i++ {
-		k := []byte(fmt.Sprintf("%08dBBBBBBBBB", i))
-		tr.Put(k, value.New(k))
+	for i, k := range later {
+		tr.Put(k, laterVals[i])
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -183,8 +248,8 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 		t.Fatal(e)
 	default:
 	}
-	if got := tr.Stats().LayerCreations; got != groups {
-		t.Fatalf("%d layer creations, want %d", got, groups)
+	if got := tr.Stats(); got.TwigCreations != groups || got.LayerCreations != groups {
+		t.Fatalf("%d twig and %d layer creations, want %d each", got.TwigCreations, got.LayerCreations, groups)
 	}
 	checkInvariants(t, tr)
 }
@@ -321,36 +386,70 @@ func TestSplitSendsSuffixesToTheirSide(t *testing.T) {
 	}
 }
 
-// TestMakeLayerSeedsItsOwnBag: the new layer's bag is a copy of the pushed
-// key's remainder, not a window on the old node's bag, and the old bag is
-// left as it was.
-func TestMakeLayerSeedsItsOwnBag(t *testing.T) {
+// aliases reports whether b's first byte lies inside a.
+func aliases(a, b []byte) bool {
+	lo, hi := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&a[0]))+uintptr(len(a))
+	p := uintptr(unsafe.Pointer(&b[0]))
+	return p >= lo && p < hi
+}
+
+// TestTwigAndLayerCopyTheirBytes: a twig's remainders are copies — not a
+// window on the border's bag, nor on the key the caller passed — and the bag
+// is left as it was; and the layer a full twig becomes holds copies again,
+// not windows on the twig.
+func TestTwigAndLayerCopyTheirBytes(t *testing.T) {
 	tr := New()
-	k := "01234567" + "ABCDEFGH" + "the-rest"
+	key := func(tail string) string { return "01234567" + "ABCDEFGH" + tail }
+	k := key("the-rest")
 	put(tr, k, k)
 	n, _ := tr.findBorder(tr.rootHeader(), 0)
 	slot := n.perm().slot(0)
 	oldPtr, old := n.suffixes.Load(), n.bag()
 
-	n.h.lock()
-	layer := tr.makeLayer(n, slot, old.suffix(slot)).border()
-	n.h.unlock()
-
+	k2 := []byte(key("another"))
+	tr.Put(k2, value.New(k2))
 	if n.suffixes.Load() != oldPtr || string(old.suffix(slot)) != k[8:] {
-		t.Fatal("makeLayer touched the old node's bag")
+		t.Fatal("makeTwig touched the border's bag")
 	}
-	nb := layer.bag()
-	if got := nb.suffix(layer.perm().slot(0)); string(got) != "the-rest" {
-		t.Fatalf("new layer's bag holds %q", got)
+	if n.keylen(slot) != klTwig {
+		t.Fatalf("slot has keylen %d, want a twig", n.keylen(slot))
 	}
-	lo, hi := uintptr(unsafe.Pointer(&old[0])), uintptr(unsafe.Pointer(&old[0]))+uintptr(len(old))
-	if p := uintptr(unsafe.Pointer(&nb[0])); p >= lo && p < hi {
-		t.Fatal("new layer's bag aliases the old node's")
+	tw := (*twig)(n.loadLV(slot))
+	keys := tw.keys()
+	if keys.n() != 2 || string(keys.at(0)) != "ABCDEFGHanother" || string(keys.at(1)) != "ABCDEFGHthe-rest" {
+		t.Fatalf("twig holds %d keys, %q first", keys.n(), keys.at(0))
 	}
-	mustGet(t, tr, k, k)
-	k2 := "01234567" + "ABCDEFGH" + "another"
-	put(tr, k2, k2)
-	mustGet(t, tr, k, k)
-	mustGet(t, tr, k2, k2)
+	if aliases(old, keys) || aliases(k2, keys) {
+		t.Fatal("the twig's bytes alias the bag or the caller's key")
+	}
+
+	for _, tail := range []string{"c", "d", "e"} {
+		put(tr, key(tail), key(tail))
+	}
+	if n.keylen(slot) != klLayer {
+		t.Fatalf("slot has keylen %d after a fifth key, want a layer", n.keylen(slot))
+	}
+	// The five share their next slice too: a twig of four and then a layer,
+	// one level down, built before the first was published.
+	layer := (*nodeHeader)(n.loadLV(slot)).border()
+	if layer.perm().count() != 1 || layer.keylen(layer.perm().slot(0)) != klLayer {
+		t.Fatalf("the layer under %q is not a link to the next", "01234567")
+	}
+	leaf := (*nodeHeader)(layer.loadLV(layer.perm().slot(0))).border()
+	if got := leaf.perm().count(); got != 5 {
+		t.Fatalf("the second layer holds %d keys, want 5", got)
+	}
+	if lb := leaf.bag(); lb != nil && aliases(keys, lb) {
+		t.Fatal("the new layer's bag aliases the twig it came from")
+	}
+	if got := tr.Stats(); got.TwigCreations != 2 || got.LayerCreations != 2 {
+		t.Fatalf("%d twig and %d layer creations, want 2 and 2", got.TwigCreations, got.LayerCreations)
+	}
+	for _, tail := range []string{"the-rest", "another", "c", "d", "e"} {
+		mustGet(t, tr, key(tail), key(tail))
+	}
+	if tr.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", tr.Len())
+	}
 	checkInvariants(t, tr)
 }

@@ -12,8 +12,8 @@ import (
 // reader retries (§4.6.1); inserting a new key publishes it with one atomic
 // permutation write (§4.6.2).
 func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool) {
-	old, _, replaced = t.put(key, func(*value.Value) *value.Value { return v })
-	return old, replaced
+	old, _ = t.put(key, func(int, *value.Value) *value.Value { return v })
+	return old, old != nil
 }
 
 // Update performs an atomic read-modify-write: f runs under the owning
@@ -22,8 +22,7 @@ func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool)
 // made atomic (§4.7) and how log replay applies updates in version order
 // (§5). It returns the previous and the stored value.
 func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
-	old, stored, _ = t.put(key, f)
-	return old, stored
+	return t.put(key, func(_ int, old *value.Value) *value.Value { return f(old) })
 }
 
 // Apply is Update for conditional writes: f runs under the owning border
@@ -35,8 +34,7 @@ func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, s
 // so conditional writes batch exactly like unconditional ones. It returns
 // the value f observed and the value it stored (nil when it declined).
 func (t *Tree) Apply(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
-	old, stored, _ = t.put(key, f)
-	return old, stored
+	return t.put(key, func(_ int, old *value.Value) *value.Value { return f(old) })
 }
 
 // lockBorder descends from root to the border node responsible for slice
@@ -96,74 +94,104 @@ func (t *Tree) lockHint(n *borderNode, slice uint64) *borderNode {
 }
 
 // put descends the trie to the border node responsible for key, locks it,
-// and updates, inserts, creates a layer, or splits as needed.
-func (t *Tree) put(key []byte, f func(*value.Value) *value.Value) (old, stored *value.Value, replaced bool) {
+// and lets putAt do there what the key needs.
+func (t *Tree) put(key []byte, apply func(int, *value.Value) *value.Value) (old, stored *value.Value) {
 restart:
 	root := t.rootHeader()
 	k := key
 	for {
-		slice := keySlice(k)
-		ord := keyOrd(k)
-		n := t.lockBorder(root, slice)
+		n := t.lockBorder(root, keySlice(k))
 		if n == nil {
 			goto restart
 		}
-		perm := n.perm()
-		rank, found := n.searchRank(perm, slice, ord)
-		if found {
-			slot := perm.slot(rank)
-			switch kl := n.keylen(slot); kl {
-			case klLayer:
-				lvp := n.loadLV(slot)
-				n.h.unlock()
-				root = t.resolveLayer(n, slot, lvp)
-				k = k[8:]
-				continue
-			case klSuffix:
-				suf := n.bag().suffix(slot)
-				if bytes.Equal(suf, k[8:]) {
-					old = (*value.Value)(n.loadLV(slot))
-					if stored = f(old); stored != nil {
-						n.storeLV(slot, unsafe.Pointer(stored))
-					}
-					n.h.unlock()
-					return old, stored, true
-				}
-				// Conflicting suffix: push the old key one layer down
-				// (§4.6.3), then continue inserting into the new layer.
-				layer := t.makeLayer(n, slot, suf)
-				n.h.unlock()
-				root = layer
-				k = k[8:]
-				continue
-			case klUnstable:
-				// Unstable slots exist only while their writer holds the
-				// node lock, which we hold.
-				panic("core: unstable slot observed under lock")
-			default:
-				old = (*value.Value)(n.loadLV(slot))
-				if stored = f(old); stored != nil {
-					n.storeLV(slot, unsafe.Pointer(stored))
-				}
-				n.h.unlock()
-				return old, stored, true
-			}
-		}
-		// Key absent: insert it — unless f declines (conditional writes).
-		stored = f(nil)
-		if stored == nil {
+		old, stored, step, at := t.putAt(n, k, 0, apply)
+		switch step {
+		case stepLayer:
+			root, k = t.enterLayer(n, at), k[8:]
+			continue
+		case stepSplit:
+			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
+		default:
 			n.h.unlock()
-			return nil, nil, false
 		}
-		if perm.count() < width {
-			t.insertSlot(n, perm, rank, slice, k, stored)
-			n.h.unlock()
-		} else {
-			t.splitInsert(n, rank, slice, k, stored) // unlocks
+		if old == nil && stored != nil {
+			t.count.Add(1)
 		}
-		t.count.Add(1)
-		return nil, stored, false
+		return old, stored
 	}
+}
+
+// A putStep is what putAt leaves its caller to do.
+type putStep uint8
+
+const (
+	stepDone  putStep = iota // nothing: the key is written, or apply declined
+	stepLayer                // the key lives in the layer under slot at: apply has not run
+	stepSplit                // apply's value belongs at rank at, and n is full: splitInsert
+)
+
+// putAt is the one statement of "act on the slot you found, under the lock":
+// n is locked and owns the slice of k, what is left of a key at n's layer.
+// It finds the key's place and runs apply(i, old) there — Apply's contract —
+// storing what apply returns: over the old value, into a free slot, or next
+// to the one other long key of the slice, in a twig (twig.go). Two things it
+// leaves to the caller, who knows what to do about its lock: descending a
+// layer, and splitting a full node. n stays locked. Counting is the caller's
+// too: a key is new to the tree when old is nil and stored is not (makeLayer
+// moves keys through here that are not).
+//
+//masstree:locked n
+func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value, step putStep, at int) {
+	slice := keySlice(k)
+	perm := n.perm()
+	rank, found := n.searchRank(perm, slice, keyOrd(k))
+	if !found {
+		// Key absent: insert it — unless apply declines (conditional writes).
+		if stored = apply(i, nil); stored == nil {
+			return nil, nil, stepDone, 0
+		}
+		if perm.count() == width {
+			return nil, stored, stepSplit, rank
+		}
+		t.insertSlot(n, perm, rank, slice, k, stored)
+		return nil, stored, stepDone, 0
+	}
+	slot := perm.slot(rank)
+	switch kl := n.keylen(slot); kl {
+	case klLayer:
+		return nil, nil, stepLayer, slot
+	case klTwig:
+		old, stored = t.putTwig(n, slot, k[8:], i, apply)
+	case klSuffix:
+		if suf := n.bag().suffix(slot); !bytes.Equal(suf, k[8:]) {
+			// A second long key of the slice: the two share a twig.
+			if stored = apply(i, nil); stored != nil {
+				t.makeTwig(n, slot, suf, k[8:], stored)
+			}
+			break
+		}
+		fallthrough
+	default: // the key itself, its value in lv
+		old = (*value.Value)(n.loadLV(slot))
+		if stored = apply(i, old); stored != nil {
+			n.storeLV(slot, unsafe.Pointer(stored))
+		}
+	case klUnstable:
+		// Unstable slots exist only while their writer holds the node
+		// lock, which we hold.
+		panic("core: unstable slot observed under lock")
+	}
+	return old, stored, stepDone, 0
+}
+
+// enterLayer is the step from the locked border n down the layer link in
+// slot: it unlocks n and returns the layer's root.
+//
+//masstree:unlocks n
+func (t *Tree) enterLayer(n *borderNode, slot int) *nodeHeader {
+	lvp := n.loadLV(slot)
+	n.h.unlock()
+	return t.resolveLayer(n, slot, lvp)
 }
 
 // insertSlot writes a new key into a free slot of the locked border node n
@@ -197,40 +225,4 @@ func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint6
 	n.storeLV(slot, unsafe.Pointer(v))
 	n.usedMask |= 1 << uint(slot)
 	n.permutation.Store(uint64(newPerm))
-}
-
-// makeLayer replaces the suffix key in the given slot of the locked border
-// node n with a link to a freshly created trie layer containing that key's
-// remainder (§4.6.3). The slot transitions value→UNSTABLE→LAYER so readers
-// never confuse a value with a layer pointer. Since only one key is
-// affected, neither the version nor the permutation changes. The protocol
-// is four ordered stores and touches nothing else: the new layer gets its
-// own one-entry bag, a copy of the remainder past its slice, and n's bag is
-// left alone — the slot's suffix stays in it, unread, until the next
-// rebuild.
-//
-//masstree:locked n
-func (t *Tree) makeLayer(n *borderNode, slot int, suf []byte) *nodeHeader {
-	oldv := n.loadLV(slot)
-	n2 := newBorder(true, false)
-	s2 := keySlice(suf)
-	p2, sl2 := emptyPermutation().insert(0)
-	n2.keyslice[sl2].Store(s2)
-	kl2 := uint32(len(suf))
-	if len(suf) > 8 {
-		kl2 = klSuffix
-		var sufs [width][]byte
-		sufs[sl2] = suf[8:]
-		n2.suffixes.Store(newBag(&sufs))
-	}
-	n2.keylens.Store(uint64(kl2) << (4 * uint(sl2))) // n2 is still private
-	n2.storeLV(sl2, oldv)
-	n2.usedMask |= 1 << uint(sl2)
-	n2.permutation.Store(uint64(p2))
-
-	n.setKeylen(slot, klUnstable)
-	n.storeLV(slot, unsafe.Pointer(&n2.h))
-	n.setKeylen(slot, klLayer)
-	t.stats.LayerCreations.Add(1)
-	return &n2.h
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"slices"
 	"sort"
-	"unsafe"
 
 	"repro/internal/value"
 )
@@ -36,57 +35,20 @@ func (t *Tree) putRun(keys [][]byte, idx []int, hints []borderHint, pos int, app
 			n = t.lockBorder(t.rootHeader(), keySlice(k))
 			continue
 		}
-		slice := keySlice(k)
-		perm := n.perm()
-		rank, found := n.searchRank(perm, slice, keyOrd(k))
-		if found {
-			slot := perm.slot(rank)
-			switch kl := n.keylen(slot); kl {
-			case klLayer:
-				lvp := n.loadLV(slot)
-				n.h.unlock()
-				k, depth = k[8:], depth+1
-				n = t.lockBorder(t.resolveLayer(n, slot, lvp), keySlice(k))
-				continue
-			case klSuffix:
-				suf := n.bag().suffix(slot)
-				if bytes.Equal(suf, k[8:]) {
-					old := (*value.Value)(n.loadLV(slot))
-					if v := apply(idx[pos], old); v != nil {
-						n.storeLV(slot, unsafe.Pointer(v))
-					}
-					return t.extendRun(n, keys, idx, pos+1, depth, key, apply)
-				}
-				// Conflicting suffix: push the old key one layer down
-				// (§4.6.3), then continue inserting into the new layer.
-				layer := t.makeLayer(n, slot, suf)
-				n.h.unlock()
-				k, depth = k[8:], depth+1
-				n = t.lockBorder(layer, keySlice(k))
-				continue
-			case klUnstable:
-				panic("core: unstable slot observed under lock")
-			default:
-				old := (*value.Value)(n.loadLV(slot))
-				if v := apply(idx[pos], old); v != nil {
-					n.storeLV(slot, unsafe.Pointer(v))
-				}
-				return t.extendRun(n, keys, idx, pos+1, depth, key, apply)
-			}
+		old, stored, step, at := t.putAt(n, k, idx[pos], apply)
+		if step == stepLayer {
+			k, depth = k[8:], depth+1
+			n = t.lockBorder(t.enterLayer(n, at), keySlice(k))
+			continue
 		}
-		// Key absent: insert it — unless apply declines (conditional writes).
-		stored := apply(idx[pos], nil)
-		if stored == nil {
-			return t.extendRun(n, keys, idx, pos+1, depth, key, apply)
-		}
-		if perm.count() < width {
-			t.insertSlot(n, perm, rank, slice, k, stored)
+		if old == nil && stored != nil {
 			t.count.Add(1)
-			return t.extendRun(n, keys, idx, pos+1, depth, key, apply)
 		}
-		t.splitInsert(n, rank, slice, k, stored) // unlocks
-		t.count.Add(1)
-		return pos + 1
+		if step == stepSplit {
+			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
+			return pos + 1
+		}
+		return t.extendRun(n, keys, idx, pos+1, depth, key, apply)
 	}
 }
 
@@ -96,10 +58,11 @@ func (t *Tree) putRun(keys [][]byte, idx []int, hints []borderHint, pos int, app
 // depth*8 bytes are the trie prefix that routed the descent to n's layer.
 //
 // A key extends the run only if it (a) shares that prefix (so it descends
-// to the same layer), (b) falls inside n's key range (owns) and (c) needs
-// neither a layer descent, a suffix push-down, nor a split. Anything else
-// ends the run; the key is handled by its own putRun, which keeps this loop
-// free of nested locking (no deadlock: at most one node lock is ever held).
+// to the same layer), (b) falls inside n's key range (owns) and (c) needs no
+// layer descent. Anything else ends the run; the key is handled by its own
+// putRun, which keeps this loop free of nested locking (no deadlock: at most
+// one node lock is ever held). A key that splits n is applied and ends the
+// run with it, since the split gives up the lock.
 //
 //masstree:unlocks n
 func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth int, prev []byte, apply func(int, *value.Value) *value.Value) int {
@@ -112,47 +75,22 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 			break
 		}
 		k := full[len(prefix):]
-		slice := keySlice(k)
-		ord := keyOrd(k)
-		if !n.owns(slice) {
+		if !n.owns(keySlice(k)) {
 			break
 		}
-		perm := n.perm()
-		rank, found := n.searchRank(perm, slice, ord)
-		if found {
-			slot := perm.slot(rank)
-			switch kl := n.keylen(slot); kl {
-			case klSuffix:
-				suf := n.bag().suffix(slot)
-				if !bytes.Equal(suf, k[8:]) {
-					goto done // needs a push-down; new descent handles it
-				}
-				old := (*value.Value)(n.loadLV(slot))
-				if v := apply(idx[pos], old); v != nil {
-					n.storeLV(slot, unsafe.Pointer(v))
-				}
-			case klLayer:
-				goto done // needs a layer descent
-			case klUnstable:
-				panic("core: unstable slot observed under lock")
-			default:
-				old := (*value.Value)(n.loadLV(slot))
-				if v := apply(idx[pos], old); v != nil {
-					n.storeLV(slot, unsafe.Pointer(v))
-				}
-			}
-		} else {
-			if perm.count() >= width {
-				goto done // needs a split
-			}
-			if stored := apply(idx[pos], nil); stored != nil {
-				t.insertSlot(n, perm, rank, slice, k, stored)
-				t.count.Add(1)
-			}
+		old, stored, step, at := t.putAt(n, k, idx[pos], apply)
+		if step == stepLayer {
+			break
 		}
 		pos++
+		if old == nil && stored != nil {
+			t.count.Add(1)
+		}
+		if step == stepSplit {
+			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
+			return pos
+		}
 	}
-done:
 	n.h.unlock()
 	return pos
 }

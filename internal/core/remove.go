@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -62,32 +63,52 @@ restart:
 			return nil, false
 		}
 		slot := perm.slot(rank)
+		var (
+			old *value.Value // nil: the slot holds some other key of the slice
+			tw  *twig        // the twig holding the key, as its j-th
+			j   int
+		)
 		switch kl := n.keylen(slot); kl {
 		case klLayer:
-			lvp := n.loadLV(slot)
-			n.h.unlock()
-			root = t.resolveLayer(n, slot, lvp)
-			k = k[8:]
+			root, k = t.enterLayer(n, slot), k[8:]
 			depth++
 			continue
-		case klSuffix:
-			if !bytes.Equal(n.bag().suffix(slot), k[8:]) {
-				n.h.unlock()
-				return nil, false
-			}
 		case klUnstable:
 			panic("core: unstable slot observed under lock")
+		case klTwig:
+			tw = (*twig)(n.loadLV(slot))
+			if j, found = tw.keys().search(k[8:]); found {
+				old = tw.value(j)
+			}
+		case klSuffix:
+			if bytes.Equal(n.bag().suffix(slot), k[8:]) {
+				old = (*value.Value)(n.loadLV(slot))
+			}
+		default:
+			old = (*value.Value)(n.loadLV(slot))
 		}
-		old := (*value.Value)(n.loadLV(slot))
-		if fn != nil && !fn(old) {
+		if old == nil || fn != nil && !fn(old) {
 			n.h.unlock()
 			return nil, false
 		}
-		// Dirty the version before unlinking (§4.6.5): a concurrent reader
-		// or scanner that snapshotted the permutation while this key was
-		// live must fail its version validation and retry, or it would
-		// return (or checkpoint!) a key that no longer exists. The unlock
-		// increments vinsert, so post-remove validations fail too.
+		if tw != nil && tw.keys().n() > 1 {
+			// The twig without the key is a new twig, swapped in like a new
+			// value (§4.6.1): a reader holding the old one still finds the
+			// key, as one that ran a moment earlier would have.
+			e := tw.entries()
+			e.remove(j)
+			n.storeLV(slot, unsafe.Pointer(e.build()))
+			t.count.Add(-1)
+			n.h.unlock()
+			return old, true
+		}
+		// The slot's only key, a twig's last included: the slot leaves the
+		// permutation. Dirty the version before unlinking (§4.6.5): a
+		// concurrent reader or scanner that snapshotted the permutation
+		// while this key was live must fail its version validation and
+		// retry, or it would return (or checkpoint!) a key that no longer
+		// exists. The unlock increments vinsert, so post-remove validations
+		// fail too.
 		n.h.markInserting()
 		np := perm.remove(rank)
 		n.permutation.Store(uint64(np))
@@ -273,10 +294,7 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 		}
 		if len(k) > 8 {
 			// Intermediate layer: descend.
-			lvp := n.loadLV(slot)
-			n.h.unlock()
-			root = t.resolveLayer(n, slot, lvp)
-			k = k[8:]
+			root, k = t.enterLayer(n, slot), k[8:]
 			continue
 		}
 

@@ -83,8 +83,9 @@ func (t *Tree) GetRange(start []byte, n int) []KV {
 //	           the slice, and every later slice, follows.
 //	ord 9      at the slice's one longer-than-8-bytes entry, bounded below by
 //	           suf (the tail of the caller's start key): a suffix entry is
-//	           emitted if its suffix >= suf, a layer is entered at suf.
-//	ordPast    past the whole slice. An emitted suffix key or a scanned
+//	           emitted if its suffix >= suf, a twig's keys if their
+//	           remainders are, a layer is entered at suf.
+//	ordPast    past the whole slice. An emitted suffix key, twig or scanned
 //	           sub-layer was the slice's last entry (at most one entry per
 //	           slice is longer than 8 bytes), so a re-find that lands on the
 //	           same node skips the slice instead of walking the layer again.
@@ -197,7 +198,10 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 			if e.ks == pos.slice && ordOf(e.kl) < pos.ord {
 				continue
 			}
-			if w.values && e.kl != klLayer {
+			switch {
+			case e.kl == klTwig:
+				prefetchTwig(e.lv) // its values are asked for when it is reached
+			case w.values && e.kl != klLayer:
 				prefetchLine(e.lv)
 			}
 			ahead--
@@ -220,12 +224,17 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 					bound = pos.suf
 				}
 			}
-			if e.kl == klLayer {
+			switch e.kl {
+			case klLayer:
 				w.kbuf = appendSliceBytes(w.kbuf[:plen], e.ks, 8)
 				if !t.scanLayer(ascendToRoot((*nodeHeader)(e.lv)), scanFrom(bound), plen+8, w) {
 					return false
 				}
-			} else {
+			case klTwig:
+				if !scanTwig((*twig)(e.lv), e.ks, bound, plen, w) {
+					return false
+				}
+			default:
 				k := appendSliceBytes(w.kbuf[:plen], e.ks, min(ord, 8))
 				if e.kl == klSuffix {
 					suf := sufs.suffix(e.slot)
@@ -249,4 +258,29 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 		n = next
 		v = n.h.stable()
 	}
+}
+
+// scanTwig emits the keys of a twig that are at or after bound, the tail of
+// the start key past the twig's slice ks. The twig is the one the border's
+// validated snapshot held: if a writer has swapped it since, the scan shows
+// the slice as it was at the snapshot, as it does any border. Returns false
+// if fn aborted the scan.
+//
+//masstree:noalloc
+func scanTwig(tw *twig, ks uint64, bound []byte, plen int, w *scanWalk) bool {
+	keys := tw.keys()
+	first, _ := keys.search(bound)
+	if w.values {
+		for j, end := first, first+min(keys.n()-first, w.want); j < end; j++ {
+			prefetchLine(unsafe.Pointer(tw.value(j)))
+		}
+	}
+	for j := first; j < keys.n(); j++ {
+		w.kbuf = append(appendSliceBytes(w.kbuf[:plen], ks, 8), keys.at(j)...)
+		if !w.fn(w.kbuf, tw.value(j)) {
+			return false
+		}
+		w.want = max(w.want-1, 1)
+	}
+	return true
 }

@@ -13,15 +13,22 @@ import (
 )
 
 // layer0Keys reconstructs the keys of a quiescent layer-0 border node that
-// holds only inline and suffix entries.
+// holds inline, suffix and twig entries.
 func layer0Keys(n *borderNode) [][]byte {
 	var keys [][]byte
 	perm := n.perm()
 	for r := 0; r < perm.count(); r++ {
 		slot := perm.slot(r)
 		k := appendSliceBytes(nil, n.keyslice[slot].Load(), min(ordOf(n.keylen(slot)), 8))
-		if n.keylen(slot) == klSuffix {
+		switch n.keylen(slot) {
+		case klSuffix:
 			k = append(k, n.bag().suffix(slot)...)
+		case klTwig:
+			tw := (*twig)(n.loadLV(slot)).keys()
+			for j := 0; j < tw.n()-1; j++ {
+				keys = append(keys, append(bytes.Clone(k), tw.at(j)...))
+			}
+			k = append(k, tw.at(tw.n()-1)...)
 		}
 		keys = append(keys, k)
 	}
@@ -82,15 +89,18 @@ func TestScanLayerNotRescannedAfterNodeDelete(t *testing.T) {
 func TestScanSkipsCollapsedLayer(t *testing.T) {
 	tr := New()
 	put(tr, "a", "v")
-	put(tr, "prefix00-x", "v")
-	put(tr, "prefix00-y", "v")
+	layer := []string{"prefix00-u", "prefix00-v", "prefix00-w", "prefix00-x", "prefix00-y"}
+	for _, k := range layer {
+		put(tr, k, "v")
+	}
 	put(tr, "z", "v")
 	var got []string
 	tr.Scan(nil, func(k []byte, _ *value.Value) bool {
 		got = append(got, string(k))
 		if string(k) == "a" {
-			tr.Remove([]byte("prefix00-x"))
-			tr.Remove([]byte("prefix00-y"))
+			for _, k := range layer {
+				tr.Remove([]byte(k))
+			}
 			if tr.Maintain() != 1 {
 				t.Fatal("layer not collapsed")
 			}

@@ -9,14 +9,33 @@ package core
 // Shape takes no locks; run it on a quiescent tree (it is a diagnostic, not
 // an operation).
 
-// LayerShape describes one trie depth.
+import "unsafe"
+
+// LayerShape describes one trie depth. A twig in a depth-d border is a
+// depth-d+1 tree in its smallest form, and is counted there: among Trees,
+// with its keys among Keys, so that the paper's "keys per layer-1 tree" is
+// the same statistic whichever form the small trees take.
 type LayerShape struct {
-	Trees         int // B+-trees at this depth (layer 0 has exactly one)
+	Trees         int // B+-trees and twigs at this depth (layer 0 has exactly one tree)
+	Twigs         int // the Trees that are twigs
 	BorderNodes   int
 	InteriorNodes int
 	Keys          int // keys stored at this depth (excluding layer links)
-	LayerLinks    int // links to depth+1 trees
+	TwigKeys      int // the Keys that are in twigs
+	LayerLinks    int // links to depth+1 trees and twigs
 	MaxBTreeDepth int // deepest root-to-border path among this layer's trees
+
+	// Heap bytes by kind of object, each rounded up to the allocator's size
+	// class: what the tree itself costs, values excluded.
+	BorderBytes   int
+	InteriorBytes int
+	BagBytes      int // suffix bags
+	TwigBytes     int // twigs, and the remainders too long to lie in them
+}
+
+// NodeBytes sums the layer's heap bytes over the kinds.
+func (l LayerShape) NodeBytes() int {
+	return l.BorderBytes + l.InteriorBytes + l.BagBytes + l.TwigBytes
 }
 
 // ShapeStats is the result of a structure walk.
@@ -52,12 +71,12 @@ func (s ShapeStats) AvgKeysPerTree(d int) float64 {
 }
 
 // BorderFill returns the mean occupancy of border nodes across all layers
-// (live keys plus layer links over width).
+// (live keys outside twigs, plus layer and twig links, over width).
 func (s ShapeStats) BorderFill() float64 {
 	nodes, slots := 0, 0
 	for _, l := range s.Layers {
 		nodes += l.BorderNodes
-		slots += l.Keys + l.LayerLinks
+		slots += l.Keys - l.TwigKeys + l.LayerLinks
 	}
 	if nodes == 0 {
 		return 0
@@ -72,14 +91,18 @@ func (t *Tree) Shape() ShapeStats {
 	return s
 }
 
-// Note: the walk must index s.Layers afresh on every update — recursion
-// into deeper layers appends to the slice, which may reallocate it, so a
-// held element pointer would go stale.
-func (t *Tree) shapeWalk(root *nodeHeader, depth int, s *ShapeStats) {
+// layer returns depth's entry, growing s to hold it. The walk must ask
+// afresh on every update — recursion into deeper layers appends to the slice,
+// which may reallocate it, so a held element pointer would go stale.
+func (s *ShapeStats) layer(depth int) *LayerShape {
 	for len(s.Layers) <= depth {
 		s.Layers = append(s.Layers, LayerShape{})
 	}
-	s.Layers[depth].Trees++
+	return &s.Layers[depth]
+}
+
+func (t *Tree) shapeWalk(root *nodeHeader, depth int, s *ShapeStats) {
+	s.layer(depth).Trees++
 	d := t.shapeNode(root, depth, 1, s)
 	if d > s.Layers[depth].MaxBTreeDepth {
 		s.Layers[depth].MaxBTreeDepth = d
@@ -92,13 +115,28 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 	if isBorder(v) {
 		n := h.border()
 		s.Layers[depth].BorderNodes++
+		s.Layers[depth].BorderBytes += sizeClass(int(unsafe.Sizeof(*n)))
+		s.Layers[depth].BagBytes += sizeClass(len(n.bag()))
 		perm := n.perm()
 		for r := 0; r < perm.count(); r++ {
 			slot := perm.slot(r)
-			if n.keylen(slot) == klLayer {
+			switch n.keylen(slot) {
+			case klLayer:
 				s.Layers[depth].LayerLinks++
 				t.shapeWalk(ascendToRoot((*nodeHeader)(n.loadLV(slot))), depth+1, s)
-			} else {
+			case klTwig:
+				s.Layers[depth].LayerLinks++
+				tw := (*twig)(n.loadLV(slot))
+				l := s.layer(depth + 1)
+				l.Trees++
+				l.Twigs++
+				l.Keys += tw.keys().n()
+				l.TwigKeys += tw.keys().n()
+				l.TwigBytes += sizeClass(int(unsafe.Sizeof(*tw)))
+				if tw.rems != nil {
+					l.TwigBytes += sizeClass(len(tw.keys()))
+				}
+			default:
 				s.Layers[depth].Keys++
 			}
 		}
@@ -106,6 +144,7 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 	}
 	in := h.interior()
 	s.Layers[depth].InteriorNodes++
+	s.Layers[depth].InteriorBytes += sizeClass(int(unsafe.Sizeof(*in)))
 	nk := int(in.nkeys.Load())
 	max := btDepth
 	for i := 0; i <= nk; i++ {
@@ -116,4 +155,29 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 		}
 	}
 	return max
+}
+
+// sizeClasses are the Go allocator's small-object sizes up to 2 KiB
+// (runtime/sizeclasses.go); TestSizeClass checks them against the runtime.
+var sizeClasses = [...]int{
+	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280,
+	1408, 1536, 1792, 2048,
+}
+
+// sizeClass is the heap bytes an allocation of n bytes takes. Two ends are
+// approximate: pointer-free objects under 16 B — a twig's remainders, when
+// they just miss lying in the twig — share a 16-byte block with their like,
+// so their class is an upper bound; and past the table — a bag of long
+// suffixes — it is n itself, the classes there wasting at most an eighth.
+func sizeClass(n int) int {
+	if n == 0 {
+		return 0
+	}
+	for _, c := range sizeClasses {
+		if n <= c {
+			return c
+		}
+	}
+	return n
 }

@@ -9,7 +9,8 @@ type Stats struct {
 	RootRetries    atomic.Int64 // retries from the root (observed splits/deletes)
 	LocalRetries   atomic.Int64 // local retries (observed inserts, link chases)
 	Splits         atomic.Int64 // border + interior node splits
-	LayerCreations atomic.Int64 // new trie layers created (§4.6.3)
+	TwigCreations  atomic.Int64 // suffix keys joined by a second key of their slice (makeTwig)
+	LayerCreations atomic.Int64 // twigs that outgrew twigCap and became trie layers (§4.6.3)
 	NodeDeletes    atomic.Int64 // border/interior nodes removed (§4.6.5)
 	LayerCollapses atomic.Int64 // empty layers collapsed by maintenance
 	SlotReuses     atomic.Int64 // inserts into previously-used slots (vinsert bumps)
@@ -21,6 +22,7 @@ type StatsSnapshot struct {
 	RootRetries    int64
 	LocalRetries   int64
 	Splits         int64
+	TwigCreations  int64
 	LayerCreations int64
 	NodeDeletes    int64
 	LayerCollapses int64
@@ -33,6 +35,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		RootRetries:    s.RootRetries.Load(),
 		LocalRetries:   s.LocalRetries.Load(),
 		Splits:         s.Splits.Load(),
+		TwigCreations:  s.TwigCreations.Load(),
 		LayerCreations: s.LayerCreations.Load(),
 		NodeDeletes:    s.NodeDeletes.Load(),
 		LayerCollapses: s.LayerCollapses.Load(),

@@ -110,11 +110,12 @@ restart:
 		if found {
 			slot := perm.slot(rank)
 			// Bracket lv and the bag pointer between two loads of the
-			// keylens word: layer transitions (§4.6.3) rewrite
-			// keylen→UNSTABLE→lv→keylen→LAYER without a version change, so
-			// matching reads guarantee lv was consistent with the returned
-			// keylen, and that the bag was published while the slot still
-			// held its suffix key (a later rebuild drops that suffix).
+			// keylens word: a slot whose lv changes kind (§4.6.3; retype)
+			// is rewritten keylen→UNSTABLE→lv→keylen→TWIG or LAYER without
+			// a version change, so matching reads guarantee lv was
+			// consistent with the returned keylen, and that the bag was
+			// published while the slot still held its suffix key (a later
+			// rebuild drops that suffix).
 			kl = n.keylen(slot)
 			lvp = n.loadLV(slot)
 			if kl == klSuffix {
@@ -150,6 +151,15 @@ restart:
 			k = k[8:]
 		case klUnstable:
 			goto forward
+		case klTwig:
+			// The twig's keys are immutable, like the bag: whichever twig
+			// the validated snapshot held answers for the slice.
+			tw := (*twig)(lvp)
+			j, ok := tw.keys().search(k[8:])
+			if !ok {
+				return nil, false
+			}
+			return tw.value(j), true
 		case klSuffix:
 			// The bag is immutable, and the validated snapshot says which
 			// of its suffixes is this slot's: compare only now.

@@ -81,14 +81,15 @@ func TestPaperLayerExample(t *testing.T) {
 	// 1. put("01234567AB") stores slice + suffix "AB" in the root layer.
 	put(tr, "01234567AB", "v1")
 	mustGet(t, tr, "01234567AB", "v1")
-	if s := tr.Stats(); s.LayerCreations != 0 {
+	if s := tr.Stats(); s.TwigCreations != 0 || s.LayerCreations != 0 {
 		t.Fatalf("premature layer creation: %+v", s)
 	}
-	// 2. put("01234567XY") shares the 8-byte prefix: a layer-1 tree appears;
-	// both keys remain visible throughout.
+	// 2. put("01234567XY") shares the 8-byte prefix: a layer-1 tree appears
+	// — here in its smallest form, a twig of the two; both keys remain
+	// visible throughout.
 	put(tr, "01234567XY", "v2")
-	if s := tr.Stats(); s.LayerCreations != 1 {
-		t.Fatalf("expected one layer creation, got %+v", s)
+	if s := tr.Stats(); s.TwigCreations != 1 || s.LayerCreations != 0 {
+		t.Fatalf("expected one twig and no layer, got %+v", s)
 	}
 	mustGet(t, tr, "01234567AB", "v1")
 	mustGet(t, tr, "01234567XY", "v2")
@@ -100,6 +101,19 @@ func TestPaperLayerExample(t *testing.T) {
 	}
 	mustGet(t, tr, "01234567AB", "v1")
 	mustMiss(t, tr, "01234567XY")
+	// 4. Three more keys fill the twig; the next is one too many and the
+	// layer-1 tree becomes a B+-tree of its own.
+	for _, k := range []string{"01234567CD", "01234567EF", "01234567GH", "01234567IJ"} {
+		put(tr, k, k)
+	}
+	if s := tr.Stats(); s.TwigCreations != 1 || s.LayerCreations != 1 {
+		t.Fatalf("expected the twig to have become a layer, got %+v", s)
+	}
+	for _, k := range []string{"01234567CD", "01234567EF", "01234567GH", "01234567IJ"} {
+		mustGet(t, tr, k, k)
+	}
+	mustGet(t, tr, "01234567AB", "v1")
+	checkInvariants(t, tr)
 }
 
 func TestDeepSharedPrefix(t *testing.T) {
@@ -266,12 +280,18 @@ func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
+// sameSlice are five keys of one slice: one more than a twig holds, so a
+// layer.
+var sameSlice = []string{"01234567AB", "01234567CD", "01234567EF", "01234567GH", "01234567XY"}
+
 func TestLayerCollapseMaintenance(t *testing.T) {
 	tr := New()
-	put(tr, "01234567AB", "v1")
-	put(tr, "01234567XY", "v2")
-	tr.Remove([]byte("01234567XY"))
-	tr.Remove([]byte("01234567AB"))
+	for _, k := range sameSlice {
+		put(tr, k, "v1")
+	}
+	for _, k := range sameSlice {
+		tr.Remove([]byte(k))
+	}
 	if tr.PendingMaintenance() == 0 {
 		t.Fatal("expected a pending layer-collapse task")
 	}
@@ -284,12 +304,44 @@ func TestLayerCollapseMaintenance(t *testing.T) {
 	mustGet(t, tr, "01234567AB", "v3")
 }
 
+// TestEmptiedTwigNeedsNoMaintenance: a twig drained by removes leaves its
+// border as any key does — nothing is queued, nothing lingers — and one
+// drained to a single key stays a twig.
+func TestEmptiedTwigNeedsNoMaintenance(t *testing.T) {
+	tr := New()
+	put(tr, "anchor", "a")
+	for _, k := range sameSlice[:3] {
+		put(tr, k, k)
+	}
+	n, _ := tr.findBorder(tr.rootHeader(), keySlice([]byte(sameSlice[0])))
+	tr.Remove([]byte(sameSlice[1]))
+	tr.Remove([]byte(sameSlice[0]))
+	rank, found := n.searchRank(n.perm(), keySlice([]byte(sameSlice[0])), 9)
+	if !found || n.keylen(n.perm().slot(rank)) != klTwig {
+		t.Fatal("a twig down to one key did not stay a twig")
+	}
+	mustGet(t, tr, sameSlice[2], sameSlice[2])
+	checkInvariants(t, tr)
+	tr.Remove([]byte(sameSlice[2]))
+	if n.perm().count() != 1 || tr.PendingMaintenance() != 0 || tr.Len() != 1 {
+		t.Fatalf("an emptied twig left %d slots, %d tasks, Len %d", n.perm().count(), tr.PendingMaintenance(), tr.Len())
+	}
+	for _, k := range sameSlice[:3] {
+		mustMiss(t, tr, k)
+	}
+	put(tr, sameSlice[1], "back")
+	mustGet(t, tr, sameSlice[1], "back")
+	checkInvariants(t, tr)
+}
+
 func TestLayerCollapseSkipsRevivedLayer(t *testing.T) {
 	tr := New()
-	put(tr, "01234567AB", "v1")
-	put(tr, "01234567XY", "v2")
-	tr.Remove([]byte("01234567XY"))
-	tr.Remove([]byte("01234567AB"))
+	for _, k := range sameSlice {
+		put(tr, k, "v1")
+	}
+	for _, k := range sameSlice {
+		tr.Remove([]byte(k))
+	}
 	// Revive the layer before maintenance runs.
 	put(tr, "01234567CD", "v3")
 	tr.Maintain()

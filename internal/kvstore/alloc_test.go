@@ -95,6 +95,13 @@ func TestGetBatchMatchesGet(t *testing.T) {
 	keys := [][]byte{
 		[]byte("alloc-key-000007"), []byte("no-such-key"), []byte("alloc-key-000099"),
 	}
+	// Keys that share a twig, short remainders and long, and one it lacks.
+	for _, tail := range []string{"1", "22", "3-and-a-remainder-past-the-twig"} {
+		k := []byte("twigtwig" + tail)
+		sess.PutSimple(k, k)
+		keys = append(keys, k)
+	}
+	keys = append(keys, []byte("twigtwig2"))
 	out, found := sess.GetBatch(keys, nil)
 	for i, k := range keys {
 		cols, ok := sess.Get(k, nil)

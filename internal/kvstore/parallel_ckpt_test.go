@@ -318,3 +318,87 @@ func TestPartitionBoundsDisjointCover(t *testing.T) {
 		t.Fatalf("recovered %d keys, want 4096", r.Len())
 	}
 }
+
+// TestTwigsSurviveRestart is the restart test for keys that share twigs: a
+// two-part checkpoint taken with twigs in the tree, then a log tail written
+// by two workers that overwrites twig keys column by column, removes some —
+// one twig down to a key, one to nothing — starts new twigs and gives one a
+// fifth key, so that replay turns a twig the checkpoint loaded into a layer.
+// The reopened store holds every key at its exact version and bytes, with
+// no broken chain, and the keys are in twigs again.
+func TestTwigsSurviveRestart(t *testing.T) {
+	mem := vfs.NewMemFS()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := [2]*Session{s.Session(0), s.Session(1)}
+	tails := []string{"1", "22", "3-and-a-remainder-past-the-twig", "4\x00", "5"}
+	key := func(g, m int) []byte { return []byte(fmt.Sprintf("twig%04d%s", g, tails[m])) }
+	const groups = 24
+	for g := 0; g < groups; g++ {
+		for m := 0; m < 2+g%3; m++ { // two to four keys to a slice
+			sess[(g+m)%2].Put(key(g, m), []value.ColPut{{Col: 0, Data: key(g, m)}, {Col: 1, Data: []byte("loaded")}})
+		}
+	}
+	sess[0].Remove(key(3, 0))
+	if tw := s.Tree().Shape().Layers[1].Twigs; tw != groups {
+		t.Fatalf("%d twigs before the checkpoint, want %d", tw, groups)
+	}
+	if _, _, err := s.CheckpointN(2); err != nil {
+		t.Fatal(err)
+	}
+
+	layers := s.Stats().LayerCreations
+	for g := 0; g < groups; g++ {
+		for m := 0; m < 2+g%3; m++ {
+			if g == 3 && m == 0 {
+				continue
+			}
+			// The other worker's partial-column put: a handoff, then deltas.
+			w := (g + m + 1) % 2
+			sess[w].Put(key(g, m), []value.ColPut{{Col: 1, Data: []byte(fmt.Sprintf("tail%d.%d", g, m))}})
+			sess[w].Put(key(g, m), []value.ColPut{{Col: 2, Data: []byte("c2")}})
+		}
+	}
+	sess[1].Remove(key(4, 1)) // a twig of three down to two,
+	sess[0].Remove(key(6, 0)) // one of two down to one,
+	sess[1].Remove(key(9, 0)) // and one emptied: its slot goes too
+	sess[0].Remove(key(9, 1))
+	sess[0].Put(key(4, 1), []value.ColPut{{Col: 0, Data: []byte("back")}})
+	for m := 0; m < len(tails); m++ { // a twig of four gets its fifth key
+		sess[m%2].Put(key(5, m), []value.ColPut{{Col: 0, Data: []byte("promoted")}})
+	}
+	if s.Stats().LayerCreations != layers+1 {
+		t.Fatalf("the log tail promoted %d twigs, want 1", s.Stats().LayerCreations-layers)
+	}
+	for g := groups; g < groups+4; g++ { // twigs the checkpoint never saw
+		sess[g%2].Put(key(g, 0), []value.ColPut{{Col: 0, Data: []byte("new")}})
+		sess[(g+1)%2].Put(key(g, 2), []value.ColPut{{Col: 0, Data: []byte("new")}})
+	}
+	want := snapshotState(s)
+	sess[0].Close()
+	sess[1].Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
+		t.Fatalf("recovery stats %+v, want no broken chain and no missing log", st)
+	}
+	diffStates(t, "after the restart", want, snapshotState(r))
+	// Less the emptied twig, the promoted one, and the one left with a single
+	// key, which a rebuilt tree holds as a plain suffix key.
+	shape := r.Tree().Shape()
+	if l := shape.Layers[1]; l.Twigs != groups+4-3 || l.BorderNodes != 1 {
+		t.Fatalf("the recovered tree's layer 1: %+v, want %d twigs and one promoted layer", l, groups+4-3)
+	}
+}

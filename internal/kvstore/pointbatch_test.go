@@ -117,21 +117,29 @@ func TestPointBatchFrameOrder(t *testing.T) {
 }
 
 // randomFrames generates frames whose keys collide on purpose — within a
-// frame, across frames, on their first eight bytes and two layers down — with
-// whole-record and partial-column puts and gets of keys never written.
+// frame, across frames, on their first eight bytes and two layers down, a
+// few to a slice (twigs) and many (layers) — with whole-record and
+// partial-column puts and gets of keys never written. No layer below the
+// first outgrows one border: a layer's root that splits leaves the link to it
+// stale until a descent from the root repairs it, and a wave that meets the
+// stale link falls back, which TestPointBatchMatchesOneAtATime counts.
 func randomFrames(rng *rand.Rand, frames, maxLen int) [][]frameOp {
 	out := make([][]frameOp, frames)
 	for f := range out {
 		ops := make([]frameOp, 1+rng.Intn(maxLen))
 		for i := range ops {
 			var key string
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				key = fmt.Sprintf("k%d", rng.Intn(40))
 			case 1:
-				key = fmt.Sprintf("sameslice%02d", rng.Intn(30))
+				key = fmt.Sprintf("sameslice%02d", rng.Intn(14))
+			case 2: // up to four keys to a slice: a twig
+				key = fmt.Sprintf("twig%04d%c", rng.Intn(8), 'a'+rng.Intn(4))
+			case 3: // the same two layers down, remainders past the twig's own bytes
+				key = fmt.Sprintf("deeptwigdeeptwigTWIG%04d%c-and-a-tail", rng.Intn(8), 'a'+rng.Intn(4))
 			default:
-				key = fmt.Sprintf("sameslicesameslice%02d-tail", rng.Intn(30))
+				key = fmt.Sprintf("sameslicesameslice%02d-tail", rng.Intn(14))
 			}
 			switch rng.Intn(5) {
 			case 0, 1:

@@ -16,8 +16,9 @@ import (
 // rangeBatchKeys returns keys of every shape a descent distinguishes — the
 // families core's TestGetBatchMatchesGet uses: short, empty, exactly one
 // slice, slice plus suffix, shared 8-byte prefixes two and three layers
-// deep, binary with NULs — amid enough filler that layers 0, 1 and 2 each
-// have interior nodes.
+// deep, binary with NULs, two to four long keys to a slice (twigs, in layer 0
+// and in layer 2) — amid enough filler that layers 0, 1 and 2 each have
+// interior nodes.
 func rangeBatchKeys() [][]byte {
 	keys := [][]byte{
 		{}, []byte("a"), []byte("ab"), []byte("abcdefg"),
@@ -34,6 +35,13 @@ func rangeBatchKeys() [][]byte {
 			[]byte(fmt.Sprintf("sharedpf%03d-and-a-suffix", i)),
 			[]byte(fmt.Sprintf("sharedpfsharedpf%03d", i)),
 			[]byte(fmt.Sprintf("sharedpfsharedpf\x00%03d\x00tail-past-the-slice", i)))
+	}
+	for i := 0; i < 40; i++ {
+		for j := 0; j < 2+i%3; j++ {
+			keys = append(keys,
+				[]byte(fmt.Sprintf("twig%04d%d", i, j)),
+				[]byte(fmt.Sprintf("sharedpfsharedpftwig%04d%d-remainder-past-the-twig", i, j)))
+		}
 	}
 	return keys
 }
@@ -151,9 +159,10 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 		case 2:
 			return []byte(fmt.Sprintf("regionpfregionpf%04d+suffix", i)) // layer 2
 		}
-		// Four keys to a slice and none of them stable: a layer small enough
-		// to stay one border, which is created, emptied and collapsed.
-		return []byte(fmt.Sprintf("coll%04d-%04d", i/16, i))
+		// Eight keys to a slice and none of them stable: a twig that grows
+		// into a layer small enough to stay one border, which is emptied
+		// and collapsed.
+		return []byte(fmt.Sprintf("coll%04d-%04d", i/32, i))
 	}
 	const space = 800
 	keys := make([][]byte, space)

@@ -284,10 +284,14 @@ func TestMaintainLoopCollapsesLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.PutSimple(0, []byte("01234567AB"), []byte("1"))
-	s.PutSimple(0, []byte("01234567XY"), []byte("2"))
-	s.Remove(0, []byte("01234567AB"))
-	s.Remove(0, []byte("01234567XY"))
+	// Five keys of one slice: one more than a twig holds, so a layer.
+	keys := []string{"01234567AB", "01234567CD", "01234567EF", "01234567GH", "01234567XY"}
+	for _, k := range keys {
+		s.PutSimple(0, []byte(k), []byte("1"))
+	}
+	for _, k := range keys {
+		s.Remove(0, []byte(k))
+	}
 	deadline := time.Now().Add(2 * time.Second)
 	for s.Stats().LayerCollapses == 0 {
 		if time.Now().After(deadline) {

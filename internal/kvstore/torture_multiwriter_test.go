@@ -60,6 +60,9 @@ func (tt *torture) workloadMultiWriter() error {
 		tt.putW(0, k, value.ColPut{Col: 0, Data: []byte(fmt.Sprintf("w0c0-%d", i))})
 		tt.putW(1, k, value.ColPut{Col: 1, Data: []byte(fmt.Sprintf("w1c1-%d", i))})
 	}
+	// A same-slice pair, one key from each worker: a twig from here on.
+	tt.putW(0, "mwtwig00-x", value.ColPut{Col: 0, Data: []byte("w0x")})
+	tt.putW(1, "mwtwig00-y", value.ColPut{Col: 0, Data: []byte("w1y")})
 	if err := tt.ack(); err != nil {
 		return err
 	}
@@ -73,6 +76,8 @@ func (tt *torture) workloadMultiWriter() error {
 		tt.putW(i%2, k, value.ColPut{Col: i % 2, Data: []byte(fmt.Sprintf("r2-%d", i))})
 	}
 	tt.removeW(1, "mw00")
+	tt.putW(1, "mwtwig00-x", value.ColPut{Col: 1, Data: []byte("w1x-c1")})
+	tt.removeW(0, "mwtwig00-y")
 	// Mixed frames trading the same keys between the workers: every put over
 	// the other worker's value is a handoff anchor inside a segment, the
 	// second put of a same-key pair a linked delta right behind it.
@@ -91,6 +96,8 @@ func (tt *torture) workloadMultiWriter() error {
 	// (w0, w1, w0 again) so chains cross logs twice.
 	tt.putW(0, "mw00", value.ColPut{Col: 0, Data: []byte("reborn")})
 	tt.putW(1, "mw00", value.ColPut{Col: 1, Data: []byte("reborn-c1")})
+	tt.putW(1, "mwtwig00-y", value.ColPut{Col: 1, Data: []byte("reborn-y")})
+	tt.putW(0, "mwtwig00-x", value.ColPut{Col: 0, Data: []byte("w0x-again")})
 	for i := 0; i < 4; i++ {
 		k := fmt.Sprintf("hop%02d", i)
 		tt.putW(0, k, value.ColPut{Col: 0, Data: []byte("h0")})

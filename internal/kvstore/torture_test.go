@@ -187,13 +187,16 @@ func (tt *torture) ckpt() error {
 // workload is the put/checkpoint/put sequence under torture. Any injected
 // crash surfaces as an error from the first ack/ckpt it breaks.
 func (tt *torture) workload() error {
-	// Phase 1: initial population (short keys and layered long keys).
+	// Phase 1: initial population (short keys, layered long keys, and a
+	// same-slice pair that stays a twig through every boundary below).
 	for i := 0; i < 12; i++ {
 		tt.putSimple(fmt.Sprintf("k%02d", i), fmt.Sprintf("r1-%d", i))
 	}
 	for i := 0; i < 8; i++ {
 		tt.putSimple(fmt.Sprintf("shared-long-prefix-%04d", i), fmt.Sprintf("r1L-%d", i))
 	}
+	tt.putSimple("twigpair-a", "r1-a")
+	tt.putSimple("twigpair-b", "r1-b")
 	if err := tt.ack(); err != nil {
 		return err
 	}
@@ -209,6 +212,8 @@ func (tt *torture) workload() error {
 		value.ColPut{Col: 2, Data: []byte("third")})
 	tt.remove("k07")
 	tt.remove("shared-long-prefix-0002")
+	tt.put("twigpair-a", value.ColPut{Col: 1, Data: []byte("r2-a-c1")})
+	tt.remove("twigpair-b")
 	// A mixed frame over the same state: a same-key put pair of partial
 	// columns with a get between, a get of a removed key, an insert.
 	tt.frame(tt.histOf("k04").worker,
@@ -224,6 +229,8 @@ func (tt *torture) workload() error {
 		tt.putSimple(fmt.Sprintf("shared-long-prefix-%04d", i+4), fmt.Sprintf("r3L-%d", i))
 	}
 	tt.putSimple("k07", "reborn") // re-insert past the remove
+	tt.putSimple("twigpair-b", "reborn-b")
+	tt.putSimple("twigpair-c", "r3-c")
 	if err := tt.ckpt(); err != nil {
 		return err
 	}
@@ -232,6 +239,7 @@ func (tt *torture) workload() error {
 		tt.putSimple(fmt.Sprintf("k%02d", i+6), fmt.Sprintf("r4-%d", i))
 	}
 	tt.remove("k01")
+	tt.remove("twigpair-a")
 	tt.frame(tt.histOf("k08").worker,
 		putOp("k08", value.ColPut{Col: 1, Data: []byte("f4-c1")}), getOp("k01"), getOp("k08"),
 		putOp("k08", value.ColPut{Col: 2, Data: []byte("f4-c2")}), putOp("k01", value.ColPut{Col: 0, Data: []byte("f4-reborn")}))
