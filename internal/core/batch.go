@@ -114,7 +114,15 @@ func (t *Tree) BatchInto(keys [][]byte, put []bool, vals []*value.Value, found [
 			c := &sc.cur[i]
 			switch {
 			case allPut || put != nil && put[lo+i]:
-				sc.hints[lo+i] = c.hint()
+				h := c.hint()
+				sc.hints[lo+i] = h
+				// lockHint will ask owns, and owns the successor's lowkey: a
+				// line the descent had no reason to fetch.
+				if h.n != nil {
+					if next := h.n.next.Load(); next != nil {
+						prefetchLine(unsafe.Pointer(&next.lowSlice))
+					}
+				}
 			case c.state == waveFallback:
 				t.stats.BatchFallbacks.Add(1)
 				vals[lo+i], found[lo+i] = t.Get(k)
