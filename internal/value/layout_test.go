@@ -93,7 +93,11 @@ func TestLayout(t *testing.T) {
 				t.Errorf("version/worker/expiry = %d/%d/%d, want 7/3/%d", v.Version(), v.Worker(), v.ExpiresAt(), tc.expiry)
 			}
 			for i := 0; i < v.NumCols(); i++ {
-				if want := colData(old, tc.puts, nil, i); !bytes.Equal(v.Col(i), want) {
+				want, put := putFor(tc.puts, nil, i)
+				if !put {
+					want = old.Col(i)
+				}
+				if !bytes.Equal(v.Col(i), want) {
 					t.Fatalf("Col(%d) is %d bytes, want %d", i, len(v.Col(i)), len(want))
 				}
 			}

@@ -330,22 +330,22 @@ func (v *Value) Cols() [][]byte {
 //masstree:noalloc
 func (v *Value) Bytes() []byte { return v.Col(0) }
 
-// colData returns the bytes column i will hold after applying puts to old:
-// the last put to i wins, else old's column survives. last, when the caller
-// built it, holds for each column one more than the index of that put.
-func colData(old *Value, puts []ColPut, last []int32, i int) []byte {
+// putFor returns the data the last put to column i carries, if there is one.
+// last, when the caller built it, holds for each column one more than the
+// index of that put.
+func putFor(puts []ColPut, last []int32, i int) ([]byte, bool) {
 	if last != nil {
 		if j := last[i]; j != 0 {
-			return puts[j-1].Data
+			return puts[j-1].Data, true
 		}
-		return old.Col(i)
+		return nil, false
 	}
 	for j := len(puts) - 1; j >= 0; j-- {
 		if puts[j].Col == i {
-			return puts[j].Data
+			return puts[j].Data, true
 		}
 	}
-	return old.Col(i)
+	return nil, false
 }
 
 // BuildAt builds the packed value holding old's columns with the given
@@ -367,7 +367,20 @@ func BuildAt(old *Value, puts []ColPut, version uint64, worker uint32) *Value {
 // never) stored after the packed header. With puts == nil it rebuilds old's
 // columns unchanged under the new version and expiry — the Touch operation.
 func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry uint64) *Value {
-	ncols := old.NumCols()
+	// old's layout, decoded once: where its column ends and its bytes are.
+	var (
+		otable, ocols int
+		oshift        uint
+		oends, odata  []byte // the allocation up to the data, and the data
+	)
+	if old != nil {
+		otable, oshift, ocols = old.layout()
+		at := otable + ocols<<oshift
+		oends = old.head(at)
+		odata = old.head(at + colEnd(oends, otable, oshift, ocols-1))[at:]
+	}
+
+	ncols := ocols
 	for _, p := range puts {
 		if p.Col < 0 {
 			panic(fmt.Sprintf("value: negative column index %d", p.Col))
@@ -376,7 +389,7 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 			ncols = p.Col + 1
 		}
 	}
-	// colData probes the put list once per column, which beats any scratch
+	// putFor probes the put list once per column, which beats any scratch
 	// for the lists a request carries. A column-complete list — what
 	// recovery passes for a checkpoint entry or an anchor record, up to
 	// 65 535 puts for as many columns — would make that quadratic, seconds
@@ -391,13 +404,41 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 	}
 	total := 0
 	for i := 0; i < ncols; i++ {
-		total += len(colData(old, puts, last, i))
+		if d, put := putFor(puts, last, i); put {
+			total += len(d)
+		} else if i < ocols {
+			total += colEnd(oends, otable, oshift, i) - colEnd(oends, otable, oshift, i-1)
+		}
 	}
 	b, table, shift, data := alloc(version, worker, expiry, ncols, total)
 	off := 0
-	for i := 0; i < ncols; i++ {
-		off += copy(b[data+off:], colData(old, puts, last, i))
-		putColEnd(b, table, shift, i, off)
+	for i := 0; i < ncols; {
+		if d, put := putFor(puts, last, i); put {
+			off += copy(b[data+off:], d)
+			putColEnd(b, table, shift, i, off)
+			i++
+			continue
+		}
+		// A maximal run of columns no put touches: what old holds of them
+		// is contiguous there and is copied at once; their ends move by as
+		// much as the columns before them grew or shrank.
+		run := i + 1
+		for ; run < ncols; run++ {
+			if _, put := putFor(puts, last, run); put {
+				break
+			}
+		}
+		if i < ocols {
+			lo := colEnd(oends, otable, oshift, i-1)
+			shifted := off - lo
+			off += copy(b[data+off:], odata[lo:colEnd(oends, otable, oshift, min(run, ocols)-1)])
+			for ; i < min(run, ocols); i++ {
+				putColEnd(b, table, shift, i, colEnd(oends, otable, oshift, i)+shifted)
+			}
+		}
+		for ; i < run; i++ { // past old's width: empty
+			putColEnd(b, table, shift, i, off)
+		}
 	}
 	return finish(b)
 }
