@@ -29,10 +29,21 @@
 // list is the store's own type (wire.ColData is value.ColPut), so nothing
 // is converted between the wire and the log.
 //
+// Keys longer than a slice that share it (§4.1's trie layers) do not each
+// cost a B+-tree: up to four of them live in a twig (core's twig.go), a
+// 48-byte object the border slot points at in place of a layer — their
+// remainders past the slice, sorted, and a value cell each. A twig's shape is
+// published and never mutated: insert and remove build a new one under the
+// owning border's lock and swap the slot's pointer, an overwrite stores into
+// the key's cell, and a fifth key turns the twig into a real layer, built
+// privately before it is published. Readers learn one more case and no
+// protocol. On the paper's decimal keys, where a layer-1 tree holds two keys
+// (§6.2), that is 48 bytes where a 320-byte border node stood.
+//
 // Range queries (§3 getrange) are one descent plus a walk of the border-node
 // list (core.ScanNInto). Each node is read as a version-validated snapshot of
-// raw slot words — key slice, length class, value-or-layer pointer, suffix
-// pointer — taken only for the slots at or after the resume position; a
+// raw slot words — key slice, length class, value, twig or layer pointer,
+// suffix pointer — taken only for the slots at or after the resume position; a
 // suffix is dereferenced and a key assembled only for an entry that is
 // emitted, straight into the caller's buffer, which deeper trie layers
 // extend in place. The resume position is a value (slice, length class,

@@ -308,13 +308,6 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 	}
 }
 
-// prefetchTwig asks for a twig's 48 bytes, which are not line-aligned and
-// may lie across two lines.
-func prefetchTwig(tw unsafe.Pointer) {
-	prefetchLine(tw)
-	prefetchLine(unsafe.Add(tw, unsafe.Sizeof(twig{})-1))
-}
-
 // hopTwig is the wave's round at a twig, asked for a round ago: Get's
 // search of it for rem, what follows the slot's slice in the key. The twig
 // came from a validated snapshot and its keys never change. Remainders too

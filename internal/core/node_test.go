@@ -72,7 +72,8 @@ func TestNodeLayout(t *testing.T) {
 		t.Errorf("borderNode has %d pointer words, want 19 (parent, 15 lv, next, prev, suffixes)", n)
 	}
 
-	// The twig changed neither node: every field is where PR 26 had it.
+	// Exact sizes and offsets: prefetchNode's five lines, owns' prefetch of
+	// the lowkey line and the size classes all rest on them.
 	var in interiorNode
 	for _, f := range []struct {
 		name      string

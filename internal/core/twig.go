@@ -9,11 +9,10 @@ import (
 )
 
 // twigCap is the most keys a twig holds; a fifth key of the slice turns it
-// into a trie layer. Of the 58 929 slices of the benchmark's 2 M decimal keys
-// that more than one long key shares, 57 148 are shared by two keys, 1 743 by
-// three, 38 by four and none by more (DESIGN.md, "the layer tax"), so four
-// covers them all, and a twig of four cells is 48 B whether it holds two keys
-// or four.
+// into a trie layer. Of the 59 223 slices of the benchmark's 2 M decimal keys
+// that more than one long key shares, 57 340 are shared by two keys, 1 838 by
+// three, 44 by four and one by five (DESIGN.md, "the twig"), so four covers
+// them, and a twig of four cells is 48 B whether it holds two keys or four.
 const twigCap = 4
 
 // A twig is what a border slot points at (keylen klTwig) when a few keys
@@ -53,7 +52,7 @@ type twigKeys []byte
 // twigHeader decodes byte 0 of the encoding.
 func twigHeader(b byte) (n, w int) { return int(b & 0xf), int(b >> 4) }
 
-func (k twigKeys) n() int { return int(k[0] & 0xf) }
+func (k twigKeys) n() int { n, _ := twigHeader(k[0]); return n }
 
 // keysSize is the length of the encoding of n remainders of total bytes
 // whose offsets are w bytes wide.
@@ -95,6 +94,13 @@ func (k twigKeys) search(rem []byte) (j int, found bool) {
 // value loads cell j.
 func (tw *twig) value(j int) *value.Value {
 	return (*value.Value)(atomic.LoadPointer(&tw.vals[j]))
+}
+
+// prefetchTwig asks for a twig's 48 bytes, which are not line-aligned and
+// may lie across two lines.
+func prefetchTwig(tw unsafe.Pointer) {
+	prefetchLine(tw)
+	prefetchLine(unsafe.Add(tw, unsafe.Sizeof(twig{})-1))
 }
 
 // twigEntries is a writer's working copy of a twig's keys, with room for the
