@@ -322,8 +322,8 @@ func hopTwig(c *waveCursor, rem []byte) {
 		c.bag = tw.rems
 		return
 	}
-	if j, ok := tw.keys().search(rem); ok {
-		c.val, c.state = unsafe.Pointer(tw.value(j)), waveFound
+	if v, ok := tw.get(rem); ok {
+		c.val, c.state = unsafe.Pointer(v), waveFound
 		prefetchLine(c.val)
 	} else {
 		c.val, c.state = nil, waveAbsent

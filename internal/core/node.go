@@ -146,12 +146,7 @@ func newBag(sufs *[width][]byte) *byte {
 	if total == 0 {
 		return nil
 	}
-	w := 1
-	if total > 0xffff {
-		w = 4
-	} else if total > 0xff {
-		w = 2
-	}
+	w := offsetWidth(total)
 	b := make(suffixBag, bagHeader(w)+total)
 	b[0] = byte(w)
 	data := b[bagHeader(w):]
@@ -167,9 +162,20 @@ func newBag(sufs *[width][]byte) *byte {
 func (b suffixBag) putOff(i, off int) { putOffset(b[1:], int(b[0]), i, off) }
 func (b suffixBag) off(i int) int     { return offset(b[1:], int(b[0]), i) }
 
-// putOffset stores off as the i-th of the w-byte little-endian offsets at b
-// (w is 1, 2 or 4); offset reads it back. The suffix bag's and the twig's
-// encodings share them.
+// offsetWidth is the narrowest width in bytes, of 1, 2 and 4, whose offsets
+// reach total. putOffset stores off as the i-th of the w-byte little-endian
+// offsets at b; offset reads it back. The suffix bag's and the twig's
+// encodings share the three.
+func offsetWidth(total int) int {
+	switch {
+	case total > 0xffff:
+		return 4
+	case total > 0xff:
+		return 2
+	}
+	return 1
+}
+
 func putOffset(b []byte, w, i, off int) {
 	switch w {
 	case 1:

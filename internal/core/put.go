@@ -114,9 +114,7 @@ restart:
 		default:
 			n.h.unlock()
 		}
-		if old == nil && stored != nil {
-			t.count.Add(1)
-		}
+		t.counted(old, stored)
 		return old, stored
 	}
 }
@@ -137,8 +135,7 @@ const (
 // to the one other long key of the slice, in a twig (twig.go). Two things it
 // leaves to the caller, who knows what to do about its lock: descending a
 // layer, and splitting a full node. n stays locked. Counting is the caller's
-// too: a key is new to the tree when old is nil and stored is not (makeLayer
-// moves keys through here that are not).
+// too (counted): makeLayer moves keys through here that are not new.
 //
 //masstree:locked n
 func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value, step putStep, at int) {
@@ -160,28 +157,36 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 	switch kl := n.keylen(slot); kl {
 	case klLayer:
 		return nil, nil, stepLayer, slot
+	case klUnstable:
+		// Unstable slots exist only while their writer holds the node
+		// lock, which we hold.
+		panic("core: unstable slot observed under lock")
 	case klTwig:
 		old, stored = t.putTwig(n, slot, k[8:], i, apply)
+		return old, stored, stepDone, 0
 	case klSuffix:
 		if suf := n.bag().suffix(slot); !bytes.Equal(suf, k[8:]) {
 			// A second long key of the slice: the two share a twig.
 			if stored = apply(i, nil); stored != nil {
 				t.makeTwig(n, slot, suf, k[8:], stored)
 			}
-			break
+			return nil, stored, stepDone, 0
 		}
-		fallthrough
-	default: // the key itself, its value in lv
-		old = (*value.Value)(n.loadLV(slot))
-		if stored = apply(i, old); stored != nil {
-			n.storeLV(slot, unsafe.Pointer(stored))
-		}
-	case klUnstable:
-		// Unstable slots exist only while their writer holds the node
-		// lock, which we hold.
-		panic("core: unstable slot observed under lock")
+	}
+	// The key itself, its value in lv.
+	old = (*value.Value)(n.loadLV(slot))
+	if stored = apply(i, old); stored != nil {
+		n.storeLV(slot, unsafe.Pointer(stored))
 	}
 	return old, stored, stepDone, 0
+}
+
+// counted adds to the tree's key count what a putAt that was shown old and
+// stored stored amounts to: one key, if it saw none and stored one.
+func (t *Tree) counted(old, stored *value.Value) {
+	if old == nil && stored != nil {
+		t.count.Add(1)
+	}
 }
 
 // enterLayer is the step from the locked border n down the layer link in

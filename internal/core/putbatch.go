@@ -41,9 +41,7 @@ func (t *Tree) putRun(keys [][]byte, idx []int, hints []borderHint, pos int, app
 			n = t.lockBorder(t.enterLayer(n, at), keySlice(k))
 			continue
 		}
-		if old == nil && stored != nil {
-			t.count.Add(1)
-		}
+		t.counted(old, stored)
 		if step == stepSplit {
 			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
 			return pos + 1
@@ -83,9 +81,7 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 			break
 		}
 		pos++
-		if old == nil && stored != nil {
-			t.count.Add(1)
-		}
+		t.counted(old, stored)
 		if step == stepSplit {
 			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
 			return pos

@@ -127,11 +127,12 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 			case klTwig:
 				s.Layers[depth].LayerLinks++
 				tw := (*twig)(n.loadLV(slot))
+				keys := tw.keys().n()
 				l := s.layer(depth + 1)
 				l.Trees++
 				l.Twigs++
-				l.Keys += tw.keys().n()
-				l.TwigKeys += tw.keys().n()
+				l.Keys += keys
+				l.TwigKeys += keys
 				l.TwigBytes += sizeClass(int(unsafe.Sizeof(*tw)))
 				if tw.rems != nil {
 					l.TwigBytes += sizeClass(len(tw.keys()))

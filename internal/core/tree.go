@@ -154,12 +154,7 @@ restart:
 		case klTwig:
 			// The twig's keys are immutable, like the bag: whichever twig
 			// the validated snapshot held answers for the slice.
-			tw := (*twig)(lvp)
-			j, ok := tw.keys().search(k[8:])
-			if !ok {
-				return nil, false
-			}
-			return tw.value(j), true
+			return (*twig)(lvp).get(k[8:])
 		case klSuffix:
 			// The bag is immutable, and the validated snapshot says which
 			// of its suffixes is this slot's: compare only now.

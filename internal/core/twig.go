@@ -96,6 +96,14 @@ func (tw *twig) value(j int) *value.Value {
 	return (*value.Value)(atomic.LoadPointer(&tw.vals[j]))
 }
 
+// get is a reader's lookup of the key with remainder rem.
+func (tw *twig) get(rem []byte) (*value.Value, bool) {
+	if j, found := tw.keys().search(rem); found {
+		return tw.value(j), true
+	}
+	return nil, false
+}
+
 // prefetchTwig asks for a twig's 48 bytes, which are not line-aligned and
 // may lie across two lines.
 func prefetchTwig(tw unsafe.Pointer) {
@@ -142,12 +150,7 @@ func (e *twigEntries) build() *twig {
 	for _, r := range e.rem[:e.n] {
 		total += len(r)
 	}
-	w := 1
-	if total > 0xffff {
-		w = 4
-	} else if total > 0xff {
-		w = 2
-	}
+	w := offsetWidth(total)
 	tw := &twig{}
 	k := twigKeys(tw.tiny[:])
 	if size := keysSize(e.n, w, total); size > len(tw.tiny) {
