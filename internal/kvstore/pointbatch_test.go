@@ -118,11 +118,8 @@ func TestPointBatchFrameOrder(t *testing.T) {
 
 // randomFrames generates frames whose keys collide on purpose — within a
 // frame, across frames, on their first eight bytes and two layers down, a
-// few to a slice (twigs) and many (layers) — with whole-record and
-// partial-column puts and gets of keys never written. No layer below the
-// first outgrows one border: a layer's root that splits leaves the link to it
-// stale until a descent from the root repairs it, and a wave that meets the
-// stale link falls back, which TestPointBatchMatchesOneAtATime counts.
+// few to a slice (twigs) and many (layers that outgrow their root border) —
+// with whole-record and partial-column puts and gets of keys never written.
 func randomFrames(rng *rand.Rand, frames, maxLen int) [][]frameOp {
 	out := make([][]frameOp, frames)
 	for f := range out {
@@ -133,13 +130,13 @@ func randomFrames(rng *rand.Rand, frames, maxLen int) [][]frameOp {
 			case 0:
 				key = fmt.Sprintf("k%d", rng.Intn(40))
 			case 1:
-				key = fmt.Sprintf("sameslice%02d", rng.Intn(14))
+				key = fmt.Sprintf("sameslice%02d", rng.Intn(30))
 			case 2: // up to four keys to a slice: a twig
 				key = fmt.Sprintf("twig%04d%c", rng.Intn(8), 'a'+rng.Intn(4))
 			case 3: // the same two layers down, remainders past the twig's own bytes
 				key = fmt.Sprintf("deeptwigdeeptwigTWIG%04d%c-and-a-tail", rng.Intn(8), 'a'+rng.Intn(4))
 			default:
-				key = fmt.Sprintf("sameslicesameslice%02d-tail", rng.Intn(14))
+				key = fmt.Sprintf("sameslicesameslice%02d-tail", rng.Intn(30))
 			}
 			switch rng.Intn(5) {
 			case 0, 1:
@@ -213,7 +210,9 @@ func TestPointBatchMatchesOneAtATime(t *testing.T) {
 	defer bs.Close()
 	defer ss.Close()
 	bl, sl := newFrameLedger(t), newFrameLedger(t)
+	fellBack := 0 // frames in which a wave handed a get to Get
 	for f, ops := range randomFrames(rand.New(rand.NewSource(11)), 300, 40) {
+		fb := batched.Stats().BatchFallbacks
 		got, want := bl.note(ops, runFrame(bs, ops)), sl.note(ops, runOneAtATime(ss, ops))
 		for i := range ops {
 			if got[i] != want[i] {
@@ -221,10 +220,27 @@ func TestPointBatchMatchesOneAtATime(t *testing.T) {
 					f, i, ops[i].key, ops[i].puts != nil, got[i], want[i])
 			}
 		}
+		if batched.Stats().BatchFallbacks != fb {
+			fellBack++
+		}
 	}
 	diffStates(t, "after the frames", sl.state(single), bl.state(batched))
-	if fb := batched.Stats().BatchFallbacks; fb != 0 {
-		t.Fatalf("BatchFallbacks = %d on a store with one client", fb)
+	// With one client no wave meets a writer. What it can meet is the link a
+	// put left stale when it split a sub-layer's root: the gets of that wave
+	// fall back, and the first of them repairs the link (core's
+	// TestGetBatchLeavesStaleLayerRootToGet) — so a frame with a fallback in
+	// it used up a root split of its own, and each of those left an interior
+	// node below layer 0.
+	rootSplits := 0
+	for _, l := range batched.Tree().Shape().Layers[1:] {
+		rootSplits += l.InteriorNodes
+	}
+	if rootSplits == 0 {
+		t.Fatal("no sub-layer outgrew its root: the frames were meant to split some")
+	}
+	if fellBack > rootSplits {
+		t.Fatalf("waves fell back in %d frames (BatchFallbacks = %d) on a store with one client and %d stale layer links",
+			fellBack, batched.Stats().BatchFallbacks, rootSplits)
 	}
 }
 
