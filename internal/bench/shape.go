@@ -48,7 +48,7 @@ func Shape(sc Scale) *Table {
 	perKey := func(b int) string { return fmt.Sprintf("%.1f", float64(b)/float64(max(s.TotalKeys(), 1))) }
 	t.Rows = append(t.Rows,
 		[]string{"trees below layer 0 that are twigs", fmt.Sprintf("%d of %d", twigs, trees), "-"},
-		[]string{"node bytes per key: borders / interiors / suffix bags / twigs",
+		[]string{"node bytes per key (unrounded): borders / interiors / suffix bags / twigs",
 			perKey(borders) + " / " + perKey(interiors) + " / " + perKey(bags) + " / " + perKey(twigBytes), "-"},
 	)
 

@@ -171,7 +171,7 @@ type waveCursor struct {
 	slice uint64         // key[off:]'s leading slice
 	off   int            // bytes of the key consumed by the layers above n
 	val   unsafe.Pointer // the *value.Value found (waveSuffix, waveFound); waveTwig: the *twig
-	bag   *byte          // waveSuffix: the bag holding the slot's suffix; waveTwig: the remainders asked for
+	bag   *byte          // waveSuffix: the bag holding the slot's suffix
 	slot  uint8          // waveSuffix: the slot
 	state waveState
 }
@@ -310,19 +310,11 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 
 // hopTwig is the wave's round at a twig, asked for a round ago: Get's
 // search of it for rem, what follows the slot's slice in the key. The twig
-// came from a validated snapshot and its keys never change. Remainders too
-// long to lie in the twig itself are a fetch of their own, and get a round
-// of their own.
+// came from a validated snapshot and its keys never change.
 //
 //masstree:noalloc
 func hopTwig(c *waveCursor, rem []byte) {
-	tw := (*twig)(c.val)
-	if tw.rems != c.bag {
-		prefetchLine(unsafe.Pointer(tw.rems))
-		c.bag = tw.rems
-		return
-	}
-	if v, ok := tw.get(rem); ok {
+	if v, ok := (*twig)(c.val).get(rem); ok {
 		c.val, c.state = unsafe.Pointer(v), waveFound
 		prefetchLine(c.val)
 	} else {

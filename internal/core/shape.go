@@ -25,8 +25,9 @@ type LayerShape struct {
 	LayerLinks    int // links to depth+1 trees and twigs
 	MaxBTreeDepth int // deepest root-to-border path among this layer's trees
 
-	// Heap bytes by kind of object, each rounded up to the allocator's size
-	// class: what the tree itself costs, values excluded.
+	// Bytes by kind of object, values excluded, as asked of the allocator —
+	// which rounds every object up to a size class (a border to 320 B); the
+	// walk leaves that to a caller that has the classes (TestDecimalCensus).
 	BorderBytes   int
 	InteriorBytes int
 	BagBytes      int // suffix bags
@@ -85,9 +86,12 @@ func (s ShapeStats) BorderFill() float64 {
 }
 
 // Shape walks the tree and returns its structural statistics.
-func (t *Tree) Shape() ShapeStats {
+func (t *Tree) Shape() ShapeStats { return t.shape(func(n int) int { return n }) }
+
+// shape is Shape with each object's bytes counted as round says.
+func (t *Tree) shape(round func(int) int) ShapeStats {
 	var s ShapeStats
-	t.shapeWalk(t.rootHeader(), 0, &s)
+	t.shapeWalk(t.rootHeader(), 0, &s, round)
 	return s
 }
 
@@ -101,29 +105,29 @@ func (s *ShapeStats) layer(depth int) *LayerShape {
 	return &s.Layers[depth]
 }
 
-func (t *Tree) shapeWalk(root *nodeHeader, depth int, s *ShapeStats) {
+func (t *Tree) shapeWalk(root *nodeHeader, depth int, s *ShapeStats, round func(int) int) {
 	s.layer(depth).Trees++
-	d := t.shapeNode(root, depth, 1, s)
+	d := t.shapeNode(root, depth, 1, s, round)
 	if d > s.Layers[depth].MaxBTreeDepth {
 		s.Layers[depth].MaxBTreeDepth = d
 	}
 }
 
 // shapeNode returns the max border depth below h within its own B+-tree.
-func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
+func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats, round func(int) int) int {
 	v := h.version.Load()
 	if isBorder(v) {
 		n := h.border()
 		s.Layers[depth].BorderNodes++
-		s.Layers[depth].BorderBytes += sizeClass(int(unsafe.Sizeof(*n)))
-		s.Layers[depth].BagBytes += sizeClass(len(n.bag()))
+		s.Layers[depth].BorderBytes += round(int(unsafe.Sizeof(*n)))
+		s.Layers[depth].BagBytes += round(len(n.bag()))
 		perm := n.perm()
 		for r := 0; r < perm.count(); r++ {
 			slot := perm.slot(r)
 			switch n.keylen(slot) {
 			case klLayer:
 				s.Layers[depth].LayerLinks++
-				t.shapeWalk(ascendToRoot((*nodeHeader)(n.loadLV(slot))), depth+1, s)
+				t.shapeWalk(ascendToRoot((*nodeHeader)(n.loadLV(slot))), depth+1, s, round)
 			case klTwig:
 				s.Layers[depth].LayerLinks++
 				tw := (*twig)(n.loadLV(slot))
@@ -133,9 +137,9 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 				l.Twigs++
 				l.Keys += keys
 				l.TwigKeys += keys
-				l.TwigBytes += sizeClass(int(unsafe.Sizeof(*tw)))
+				l.TwigBytes += round(int(unsafe.Sizeof(*tw)))
 				if tw.rems != nil {
-					l.TwigBytes += sizeClass(len(tw.keys()))
+					l.TwigBytes += round(len(tw.keys()))
 				}
 			default:
 				s.Layers[depth].Keys++
@@ -145,40 +149,15 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats) int {
 	}
 	in := h.interior()
 	s.Layers[depth].InteriorNodes++
-	s.Layers[depth].InteriorBytes += sizeClass(int(unsafe.Sizeof(*in)))
+	s.Layers[depth].InteriorBytes += round(int(unsafe.Sizeof(*in)))
 	nk := int(in.nkeys.Load())
 	max := btDepth
 	for i := 0; i <= nk; i++ {
 		if c := in.child[i].Load(); c != nil {
-			if d := t.shapeNode(c, depth, btDepth+1, s); d > max {
+			if d := t.shapeNode(c, depth, btDepth+1, s, round); d > max {
 				max = d
 			}
 		}
 	}
 	return max
-}
-
-// sizeClasses are the Go allocator's small-object sizes up to 2 KiB
-// (runtime/sizeclasses.go); TestSizeClass checks them against the runtime.
-var sizeClasses = [...]int{
-	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
-	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280,
-	1408, 1536, 1792, 2048,
-}
-
-// sizeClass is the heap bytes an allocation of n bytes takes. Two ends are
-// approximate: pointer-free objects under 16 B — a twig's remainders, when
-// they just miss lying in the twig — share a 16-byte block with their like,
-// so their class is an upper bound; and past the table — a bag of long
-// suffixes — it is n itself, the classes there wasting at most an eighth.
-func sizeClass(n int) int {
-	if n == 0 {
-		return 0
-	}
-	for _, c := range sizeClasses {
-		if n <= c {
-			return c
-		}
-	}
-	return n
 }

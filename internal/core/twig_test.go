@@ -506,7 +506,7 @@ func TestDecimalCensus(t *testing.T) {
 	for tr.Len() < keys {
 		tr.Put([]byte(fmt.Sprint(rng.Int63n(1<<31))), v)
 	}
-	s := tr.Shape()
+	s := tr.shape(sizeClass)
 	var b strings.Builder
 	total := 0
 	for d, l := range s.Layers {
@@ -535,6 +535,32 @@ func TestDecimalCensus(t *testing.T) {
 	if heap := float64(before.HeapAlloc - after.HeapAlloc); heap < 0.99*float64(total) || heap > 1.01*float64(total) {
 		t.Errorf("the walk counts %d B of nodes, freeing the tree returned %.0f B", total, heap)
 	}
+}
+
+// sizeClasses are the Go allocator's small-object sizes up to 2 KiB
+// (runtime/sizeclasses.go); TestSizeClass checks them against the runtime.
+var sizeClasses = [...]int{
+	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280,
+	1408, 1536, 1792, 2048,
+}
+
+// sizeClass is the heap bytes an allocation of n bytes takes: what
+// TestDecimalCensus has the shape walk count an object as. Two ends are
+// approximate: pointer-free objects under 16 B — a twig's remainders, when
+// they just miss lying in the twig — share a 16-byte block with their like,
+// so their class is an upper bound; and past the table — a bag of long
+// suffixes — it is n itself, the classes there wasting at most an eighth.
+func sizeClass(n int) int {
+	if n == 0 {
+		return 0
+	}
+	for _, c := range sizeClasses {
+		if n <= c {
+			return c
+		}
+	}
+	return n
 }
 
 // TestSizeClass checks the size-class table against the allocator, on the

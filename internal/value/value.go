@@ -367,17 +367,17 @@ func BuildAt(old *Value, puts []ColPut, version uint64, worker uint32) *Value {
 // never) stored after the packed header. With puts == nil it rebuilds old's
 // columns unchanged under the new version and expiry — the Touch operation.
 func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry uint64) *Value {
-	// old's layout, decoded once: where its column ends and its bytes are.
+	// old's layout, decoded once: where its column ends are and where its
+	// bytes begin. The ends are not read unless a column survives.
 	var (
-		otable, ocols int
-		oshift        uint
-		oends, odata  []byte // the allocation up to the data, and the data
+		otable, ocols, odata int
+		oshift               uint
+		oends                []byte // the allocation up to the data
 	)
 	if old != nil {
 		otable, oshift, ocols = old.layout()
-		at := otable + ocols<<oshift
-		oends = old.head(at)
-		odata = old.head(at + colEnd(oends, otable, oshift, ocols-1))[at:]
+		odata = otable + ocols<<oshift
+		oends = old.head(odata)
 	}
 
 	ncols := ocols
@@ -429,9 +429,9 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 			}
 		}
 		if i < ocols {
-			lo := colEnd(oends, otable, oshift, i-1)
+			lo, hi := colEnd(oends, otable, oshift, i-1), colEnd(oends, otable, oshift, min(run, ocols)-1)
 			shifted := off - lo
-			off += copy(b[data+off:], odata[lo:colEnd(oends, otable, oshift, min(run, ocols)-1)])
+			off += copy(b[data+off:], old.head(odata+hi)[odata+lo:])
 			for ; i < min(run, ocols); i++ {
 				putColEnd(b, table, shift, i, colEnd(oends, otable, oshift, i)+shifted)
 			}
