@@ -14,7 +14,7 @@ import (
 //     ascending, in tiny exactly when they fit there, and no nil value cell,
 //   - interior separators are strictly increasing and route consistently,
 //   - children's parent pointers point back at their interior node,
-//   - border lowkeys bound their contents,
+//   - border lowkeys bound their contents, and the successor's from above,
 //   - the border list is correctly doubly linked in key order,
 //   - interior routing agrees with the border list: descending for lowkey(n)
 //     arrives at n, for every live non-leftmost border n,
@@ -53,6 +53,9 @@ func checkLayerInvariants(t *testing.T, tr *Tree, root *nodeHeader, depth int) {
 			prevSlice, prevOrd = ks, ko
 			if n.lowOrd >= 0 && ks < n.lowSlice {
 				t.Fatalf("border %p: key slice %#x below lowkey %#x", n, ks, n.lowSlice)
+			}
+			if i+1 < len(borders) && ks >= borders[i+1].lowSlice {
+				t.Fatalf("border %p: key slice %#x at or above its successor's lowkey %#x", n, ks, borders[i+1].lowSlice)
 			}
 			switch kl := n.keylen(slot); kl {
 			case klLayer:

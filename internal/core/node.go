@@ -57,7 +57,7 @@ type interiorNode struct {
 // fields are in the order a lookup reads them: version, permutation, key
 // slices and the key-length word in the first three lines, lv in the next
 // two, and what only scans, writers and long keys need (next, prev, lowkey,
-// the suffix bag) at the end.
+// the suffix bag, the writer's run state) at the end.
 // TestNodeLayout pins the size and the offsets.
 //
 // lv[i] is the paper's link_or_value union: it holds a *value.Value, or
@@ -100,6 +100,13 @@ type borderNode struct {
 	// node lock.
 	usedMask uint16
 	lowOrd   int8
+
+	// run is the node's ascending-run state, which splitInsert reads to pick
+	// its split point: the rank of the last insert in the low nibble and, in
+	// the high, how many inserts in a row (up to runSteps) each landed one
+	// rank after the one before. One byte of what was tail padding, read and
+	// written only under the node lock, by insertSlot and splitInsert.
+	run uint8
 }
 
 // keylen returns slot's key length. Under the node lock it is exact; an

@@ -90,6 +90,7 @@ func TestNodeLayout(t *testing.T) {
 		{"border.suffixes", unsafe.Offsetof(b.suffixes), 296},
 		{"border.usedMask", unsafe.Offsetof(b.usedMask), 304},
 		{"border.lowOrd", unsafe.Offsetof(b.lowOrd), 306},
+		{"border.run", unsafe.Offsetof(b.run), 307}, // in what was tail padding: the size holds
 		{"sizeof interiorNode", unsafe.Sizeof(in), 272},
 		{"interior.nkeys", unsafe.Offsetof(in.nkeys), 16},
 		{"interior.keyslice", unsafe.Offsetof(in.keyslice), 24},

@@ -202,7 +202,8 @@ func (t *Tree) enterLayer(n *borderNode, slot int) *nodeHeader {
 // insertSlot writes a new key into a free slot of the locked border node n
 // and publishes it with a single permutation store. Inserting into a slot
 // that previously held a (since removed) key dirties the version so readers
-// that located the old key there retry (§4.6.5).
+// that located the old key there retry (§4.6.5). It also advances n's run
+// state, which only the next split reads.
 //
 //masstree:locked n
 func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint64, k []byte, v *value.Value) {
@@ -229,5 +230,6 @@ func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint6
 	}
 	n.storeLV(slot, unsafe.Pointer(v))
 	n.usedMask |= 1 << uint(slot)
+	n.run = n.nextRun(rank)
 	n.permutation.Store(uint64(newPerm))
 }

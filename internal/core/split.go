@@ -18,8 +18,8 @@ type borderEntry struct {
 }
 
 // splitInsert splits the full, locked border node n while inserting the new
-// key at the given rank (paper Figure 5 plus §4.3's sequential-insert
-// optimization). It releases all locks before returning.
+// key at the given rank (paper Figure 5), at the index splitPoint picks. It
+// releases all locks before returning.
 //
 //masstree:unlocks n
 func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *value.Value) {
@@ -58,17 +58,11 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	ents[rank] = pend
 	total := cnt + 1
 
-	// Pick the split point. All keys sharing a slice must stay in one node
-	// (§4.2), so the boundary must fall where the slice changes. A slice
-	// group holds at most 10 keys, so a full node always has a boundary.
-	// The sequential-insert optimization: appending to the rightmost node
-	// leaves the old keys in place and moves only the new key (§4.3).
-	splitAt := total / 2
-	if rank == cnt && n.next.Load() == nil {
-		splitAt = total - 1
+	inRun := n.continuesRun(rank)
+	if inRun {
+		t.stats.RunSplits.Add(1)
 	}
-	splitAt = sliceBoundary(ents[:total], splitAt)
-
+	splitAt := splitPoint(ents[:total], rank, inRun, n.next.Load() == nil)
 	left, right := ents[:splitAt], ents[splitAt:total]
 
 	n.h.markSplitting()
@@ -76,6 +70,13 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	n2.h.markSplitting()
 	n2.lowSlice = right[0].slice
 	n2.lowOrd = int8(ordOf(right[0].kl))
+
+	// The run state goes with the new key, at its rank in the node it joins.
+	if steps := n.nextRun(rank) &^ 0xf; rank < splitAt {
+		n.run = steps | uint8(rank)
+	} else {
+		n.run, n2.run = 0, steps|uint8(rank-splitAt)
+	}
 
 	// Fill the new sibling; it is invisible until linked. Each side gets a
 	// bag of exactly its own suffixes, stored before its permutation.
@@ -156,6 +157,58 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 // order.
 func identityPerm(count int) permutation {
 	return permutation(uint64(emptyPermutation())&^0xf | uint64(count))
+}
+
+// splitPoint returns where a split cuts ents — the full node's keys and the
+// pending one at rank, in key order — as the index of the right side's first
+// entry. The middle, unless the inserts to come are ascending: an append to
+// the layer's rightmost border (§4.3's sequential-insert optimization) or an
+// insert that continues an ascending run in the node (inRun, continuesRun)
+// cuts right after the new key. The left node keeps it and everything before
+// it, and the run goes on filling the left node to its end; at the node's
+// end the new key starts the right node alone. A random insert's 50/50 cut
+// leaves a half-full left node an ascending run never comes back to.
+//
+// All keys sharing a slice must stay in one node (§4.2), so sliceBoundary
+// has the last word. Either side is non-empty whatever the run state said:
+// the cut before sliceBoundary is in [1, len(ents)-1], and so is its result.
+func splitPoint(ents []borderEntry, rank int, inRun, rightmost bool) int {
+	total := len(ents)
+	at := total / 2
+	if inRun || rightmost && rank == total-1 {
+		at = min(rank+1, total-1)
+	}
+	return sliceBoundary(ents, at)
+}
+
+// runSteps is how many inserts in a row, each one rank after the one before,
+// make the next one on an ascending run. Random keys land next to the last
+// insert often enough that cutting after any such neighbour grows the
+// decimal dataset's tree by 0.52 B a key; after one prior step by 0.04,
+// after two by 0.01 (DESIGN.md).
+const runSteps = 2
+
+// nextRun is n's run state after an insert at rank.
+//
+//masstree:locked n
+func (n *borderNode) nextRun(rank int) uint8 {
+	steps := n.run >> 4
+	switch {
+	case int(n.run&0xf)+1 != rank:
+		steps = 0
+	case steps < runSteps:
+		steps++
+	}
+	return steps<<4 | uint8(rank)
+}
+
+// continuesRun reports whether an insert at rank continues an ascending run
+// in n: it lands one rank after the last insert, which ended runSteps such
+// steps in a row.
+//
+//masstree:locked n
+func (n *borderNode) continuesRun(rank int) bool {
+	return n.run>>4 == runSteps && int(n.run&0xf)+1 == rank
 }
 
 // sliceBoundary returns the index nearest want in (0, len(ents)) at which

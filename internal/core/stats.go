@@ -9,6 +9,7 @@ type Stats struct {
 	RootRetries    atomic.Int64 // retries from the root (observed splits/deletes)
 	LocalRetries   atomic.Int64 // local retries (observed inserts, link chases)
 	Splits         atomic.Int64 // border + interior node splits
+	RunSplits      atomic.Int64 // the border splits cut after an ascending run's new key (splitPoint)
 	TwigCreations  atomic.Int64 // suffix keys joined by a second key of their slice (makeTwig)
 	LayerCreations atomic.Int64 // twigs that outgrew twigCap and became trie layers (§4.6.3)
 	NodeDeletes    atomic.Int64 // border/interior nodes removed (§4.6.5)
@@ -22,6 +23,7 @@ type StatsSnapshot struct {
 	RootRetries    int64
 	LocalRetries   int64
 	Splits         int64
+	RunSplits      int64
 	TwigCreations  int64
 	LayerCreations int64
 	NodeDeletes    int64
@@ -35,6 +37,7 @@ func (s *Stats) snapshot() StatsSnapshot {
 		RootRetries:    s.RootRetries.Load(),
 		LocalRetries:   s.LocalRetries.Load(),
 		Splits:         s.Splits.Load(),
+		RunSplits:      s.RunSplits.Load(),
 		TwigCreations:  s.TwigCreations.Load(),
 		LayerCreations: s.LayerCreations.Load(),
 		NodeDeletes:    s.NodeDeletes.Load(),

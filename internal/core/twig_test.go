@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,12 +77,37 @@ func checkScanFrom(t *testing.T, tr *Tree, m twigModel, start string, n int) {
 	}
 }
 
-// TestTwigModel drives every entry point over keys built to live in twigs and
-// compares each result with a sorted map: Put, Apply that declines, Remove,
-// RemoveIf either way, Get, GetBatchInto, BatchInto with kinds mixed, and
-// scans that start inside, before and past a twig.
+// runFamilies builds keys for ascending runs inserted in the middle of the
+// borders they share with other keys: in layer 0 and two slices deep, thirty
+// base keys "rn<b>" and, after six of them, a run of sixteen "rn<b>-<j>",
+// each at most eight bytes past the prefix. It returns every key, and the
+// runs in ascending order.
+func runFamilies() (keys [][]byte, runs [][][]byte) {
+	for _, prefix := range []string{"", "twodeep!twodeep!"} {
+		for b := 0; b < 30; b++ {
+			keys = append(keys, []byte(fmt.Sprintf("%srn%03d", prefix, b)))
+			if b%5 != 2 {
+				continue
+			}
+			var run [][]byte
+			for j := 0; j < 16; j++ {
+				run = append(run, []byte(fmt.Sprintf("%srn%03d-%02d", prefix, b, j)))
+			}
+			keys = append(keys, run...)
+			runs = append(runs, run)
+		}
+	}
+	return keys, runs
+}
+
+// TestTwigModel drives every entry point over keys built to live in twigs, and
+// runs between keys of their borders, and compares each result with a sorted
+// map: Put, Apply that declines, Remove, RemoveIf either way, Get,
+// GetBatchInto, BatchInto with kinds mixed, scans that start inside, before
+// and past a twig, and stretches of a run put in ascending order.
 func TestTwigModel(t *testing.T) {
-	keys := twigFamilies()
+	keys, runs := runFamilies()
+	keys = append(keys, twigFamilies()...)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tr, m := New(), twigModel{}
@@ -93,7 +116,7 @@ func TestTwigModel(t *testing.T) {
 		for op := 0; op < 6000; op++ {
 			k := pick()
 			want, had := m[string(k)]
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0, 1, 2, 3:
 				v := fmt.Sprintf("v%d", op)
 				old, replaced := tr.Put(k, value.New([]byte(v)))
@@ -178,6 +201,25 @@ func TestTwigModel(t *testing.T) {
 					start = start[:min(len(start), 8)] + "\xff"
 				}
 				checkScanFrom(t, tr, m, start, 1+rng.Intn(12))
+			case 12: // a stretch of a run, ascending: key by key, or one batch
+				r := runs[rng.Intn(len(runs))]
+				from := rng.Intn(len(r) - 4)
+				run := r[from:min(len(r), from+4+rng.Intn(12))]
+				apply := func(i int, old *value.Value) *value.Value {
+					if w, ok := m[string(run[i])]; ok != (old != nil) || ok && string(old.Bytes()) != w {
+						t.Fatalf("seed %d op %d: run put %q was shown %v, model has %q (%v)", seed, op, run[i], old, w, ok)
+					}
+					v := fmt.Sprintf("r%d.%d", op, i)
+					m[string(run[i])] = v
+					return value.New([]byte(v))
+				}
+				if rng.Intn(2) == 0 {
+					tr.PutBatchInto(run, &sc, apply)
+				} else {
+					for i, k := range run {
+						tr.Apply(k, func(old *value.Value) *value.Value { return apply(i, old) })
+					}
+				}
 			}
 			if tr.Len() != len(m) {
 				t.Fatalf("seed %d op %d: Len = %d, model has %d", seed, op, tr.Len(), len(m))
@@ -189,8 +231,8 @@ func TestTwigModel(t *testing.T) {
 		checkInvariants(t, tr)
 		checkFullScan(t, tr, m)
 		s := tr.Stats()
-		if s.TwigCreations == 0 || s.LayerCreations == 0 {
-			t.Fatalf("seed %d: %d twigs and %d layers created: the families did not do their work", seed, s.TwigCreations, s.LayerCreations)
+		if s.TwigCreations == 0 || s.LayerCreations == 0 || s.RunSplits == 0 {
+			t.Fatalf("seed %d: %d twigs, %d layers and %d run splits: the families did not do their work", seed, s.TwigCreations, s.LayerCreations, s.RunSplits)
 		}
 		if shape := tr.Shape(); shape.TotalKeys() != len(m) {
 			t.Fatalf("seed %d: Shape counts %d keys, the model %d", seed, shape.TotalKeys(), len(m))
@@ -218,6 +260,16 @@ func TestDeclinedWriteBuildsNothing(t *testing.T) {
 	}
 }
 
+// ownValue is the value the concurrent tests write for k at step seq: k, '@'
+// and seq, so that a reader can tell a value written for its key.
+func ownValue(k []byte, seq int) *value.Value { return value.New([]byte(fmt.Sprintf("%s@%d", k, seq))) }
+
+// carriesOwn reports whether v is a value ownValue made for k.
+func carriesOwn(k []byte, v *value.Value) bool {
+	b := v.Bytes()
+	return len(b) > len(k) && bytes.Equal(b[:len(k)], k) && b[len(k)] == '@'
+}
+
 // TestTwigsUnderConcurrency is readers against writers on keys that live in
 // twigs: two writers, each owning half of a few dozen slices, grow every
 // slice's twig key by key into a layer, drain it — to one key, or to none and
@@ -236,11 +288,6 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 	// One key in every fourth slice is never removed; the other slices go
 	// from suffix key to twig every time they are refilled from nothing.
 	stable := func(g, m int) bool { return g%4 == 0 && m == (g/4)%members }
-	value0 := func(k []byte, seq int) *value.Value { return value.New([]byte(fmt.Sprintf("%s@%d", k, seq))) }
-	carriesOwn := func(k []byte, v *value.Value) bool {
-		b := v.Bytes()
-		return len(b) > len(k) && bytes.Equal(b[:len(k)], k) && b[len(k)] == '@'
-	}
 
 	tr := New()
 	var stableKeys []string
@@ -252,7 +299,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 		for m := 0; m < members; m++ {
 			if stable(g, m) {
 				k := key(g, m)
-				tr.Put(k, value0(k, 0))
+				tr.Put(k, ownValue(k, 0))
 				stableKeys = append(stableKeys, string(k))
 				models[g%writers][string(k)] = string(k) + "@0"
 			}
@@ -279,7 +326,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 				}
 				for _, m := range order {
 					k := key(g, m)
-					old, _ := tr.Put(k, value0(k, seq))
+					old, _ := tr.Put(k, ownValue(k, seq))
 					if want, ok := model[string(k)]; ok != (old != nil) || ok && string(old.Bytes()) != want {
 						t.Errorf("writer %d: Put(%q) replaced %v, it last stored %q (%v)", w, k, old, want, ok)
 					}
@@ -310,7 +357,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 			lo := rng.Intn(groups - 3)
 			for g := lo; g < lo+4; g++ {
 				for i := 0; i < 20; i++ {
-					tr.Put(filler(g, i), value0(filler(g, i), 0))
+					tr.Put(filler(g, i), ownValue(filler(g, i), 0))
 				}
 			}
 			for g := lo; g < lo+4; g++ {
@@ -481,109 +528,6 @@ func TestTwigReadsAllocFree(t *testing.T) {
 			t.Errorf("%s over twig keys allocates %.1f times per run, want 0", name, allocs)
 		}
 	}
-}
-
-// benchSeed is the benchmark's subSeed(seed, streamKeys): the seed of the
-// generator its datasets' keys come from (benchmark/workloads.go).
-func benchSeed(seed int64) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64((z ^ (z >> 31)) >> 1)
-}
-
-// TestDecimalCensus builds the tree of the benchmark's get-uniform dataset —
-// 2 M distinct 1-to-10-byte decimal keys, seed 1, in load order — and prints
-// its census: nodes, twigs and bytes by kind and layer.
-func TestDecimalCensus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads 2 M keys")
-	}
-	const keys = 2_000_000
-	tr := New()
-	v := value.New([]byte("8 bytes."))
-	rng := rand.New(rand.NewSource(benchSeed(1)))
-	for tr.Len() < keys {
-		tr.Put([]byte(fmt.Sprint(rng.Int63n(1<<31))), v)
-	}
-	s := tr.shape(sizeClass)
-	var b strings.Builder
-	total := 0
-	for d, l := range s.Layers {
-		fmt.Fprintf(&b, "layer %d: %d trees (%d twigs), %d keys (%d in twigs), %d borders, %d interiors; bytes: borders %d, interiors %d, bags %d, twigs %d\n",
-			d, l.Trees, l.Twigs, l.Keys, l.TwigKeys, l.BorderNodes, l.InteriorNodes, l.BorderBytes, l.InteriorBytes, l.BagBytes, l.TwigBytes)
-		total += l.NodeBytes()
-	}
-	fmt.Fprintf(&b, "node bytes per key %.2f; layer-1 key share %.3f, keys per layer-1 tree %.2f (paper §6.2: 0.33 and 2.3 at 140 M keys)",
-		float64(total)/keys, s.KeysInLayer(1), s.AvgKeysPerTree(1))
-	t.Log("\n" + b.String())
-	if s.TotalKeys() != keys || len(s.Layers) != 2 {
-		t.Fatalf("%d keys in %d layers, want %d in 2", s.TotalKeys(), len(s.Layers), keys)
-	}
-	// A slice that five keys share is a real layer; the dataset has one or two.
-	if l := s.Layers[1]; l.BorderNodes > 10 || l.Twigs < 50_000 || l.Trees-l.Twigs != l.BorderNodes {
-		t.Fatalf("layer 1 is not twigs: %+v", l)
-	}
-	// What the walk adds up is what the heap holds: the tree alone, its one
-	// shared value aside, within a hundredth.
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	runtime.KeepAlive(tr)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if heap := float64(before.HeapAlloc - after.HeapAlloc); heap < 0.99*float64(total) || heap > 1.01*float64(total) {
-		t.Errorf("the walk counts %d B of nodes, freeing the tree returned %.0f B", total, heap)
-	}
-}
-
-// sizeClasses are the Go allocator's small-object sizes up to 2 KiB
-// (runtime/sizeclasses.go); TestSizeClass checks them against the runtime.
-var sizeClasses = [...]int{
-	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
-	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280,
-	1408, 1536, 1792, 2048,
-}
-
-// sizeClass is the heap bytes an allocation of n bytes takes: what
-// TestDecimalCensus has the shape walk count an object as. Two ends are
-// approximate: pointer-free objects under 16 B — a twig's remainders, when
-// they just miss lying in the twig — share a 16-byte block with their like,
-// so their class is an upper bound; and past the table — a bag of long
-// suffixes — it is n itself, the classes there wasting at most an eighth.
-func sizeClass(n int) int {
-	if n == 0 {
-		return 0
-	}
-	for _, c := range sizeClasses {
-		if n <= c {
-			return c
-		}
-	}
-	return n
-}
-
-// TestSizeClass checks the size-class table against the allocator, on the
-// sizes the shape walk asks about and on each class's own edges.
-func TestSizeClass(t *testing.T) {
-	var sink [][]byte
-	// From 16 up: smaller pointer-free objects share a 16-byte block.
-	for _, n := range []int{16, 17, 33, 48, 49, 65, 147, 272, 312, 513, 1025, 2048} {
-		const objs = 4096
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		sink = make([][]byte, objs)
-		for i := range sink {
-			sink[i] = make([]byte, n)
-		}
-		runtime.ReadMemStats(&after)
-		per := float64(after.TotalAlloc-before.TotalAlloc-uint64(24*objs)) / objs
-		if want := float64(sizeClass(n)); per < want-1 || per > want+1 {
-			t.Errorf("%d-byte objects take %.1f B each, sizeClass says %.0f", n, per, want)
-		}
-	}
-	runtime.KeepAlive(sink)
 }
 
 // FuzzTwigModel runs random op strings over one slice's remainders — two

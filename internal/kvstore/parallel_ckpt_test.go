@@ -402,3 +402,48 @@ func TestTwigsSurviveRestart(t *testing.T) {
 		t.Fatalf("the recovered tree's layer 1: %+v, want %d twigs and one promoted layer", l, groups+4-3)
 	}
 }
+
+// TestRestoredTreeIsPacked takes 2- and 4-part checkpoints of 250 000
+// decimal keys put in random order and reopens the store from each. A part
+// is restored as an ascending run through borders that have a successor —
+// the next part's — and the split that continues a run cuts after its new
+// key, so the restored layer-0 borders are packed to at least 14.5 of their
+// 15 slots where the random load left them about 10.6 full. The keys and
+// their versions are the store's as it was checkpointed.
+func TestRestoredTreeIsPacked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("puts, checkpoints and restores 250 000 keys")
+	}
+	const keys = 250_000
+	mem := vfs.NewMemFS()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Dir: "d", FS: mem, Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for s.Len() < keys {
+		s.PutSimple(0, []byte(fmt.Sprint(rng.Int63n(1<<31))), []byte("8 bytes."))
+	}
+	want := snapshotState(s)
+	for _, parts := range []int{2, 4} {
+		if _, n, err := s.CheckpointN(parts); err != nil || n != keys {
+			t.Fatalf("a %d-part checkpoint wrote %d entries, err %v", parts, n, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(cfg); err != nil {
+			t.Fatal(err)
+		}
+		diffStates(t, fmt.Sprintf("restored from %d parts", parts), want, snapshotState(s))
+		l := s.Tree().Shape().Layers[0]
+		if fill := float64(l.Keys+l.LayerLinks) / float64(l.BorderNodes); fill < 14.5 {
+			t.Errorf("restored from %d parts: %d layer-0 borders hold %.2f of 15 slots each, want >= 14.5", parts, l.BorderNodes, fill)
+		}
+	}
+	s.Close()
+}
