@@ -279,6 +279,59 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	value.Count16(value.MaxCol+2, "checkpoint entry")
 }
 
+// TestPutPastMaxColRefused: a library put to column value.MaxCol+1 — single,
+// conditional, or one key of a batch — panics as it enters the store, naming
+// the column and the bound, and leaves nothing behind: the key is absent, no
+// record of it reaches the log, no lock is held, and the same session goes
+// on putting and the store restarts with exactly what was put.
+func TestPutPastMaxColRefused(t *testing.T) {
+	mem := vfs.NewMemFS()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := s.Session(0)
+	over := []value.ColPut{{Col: 0, Data: []byte("ok")}, {Col: value.MaxCol + 1, Data: []byte("over")}}
+	good := []value.ColPut{{Col: 0, Data: []byte("ok")}}
+	refused := func(what string, put func()) {
+		t.Helper()
+		defer func() {
+			want := fmt.Sprintf("column %d, outside 0..%d", value.MaxCol+1, value.MaxCol)
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Errorf("%s panicked with %q, want it to say %q", what, msg, want)
+			}
+		}()
+		put()
+	}
+	refused("Put", func() { ss.Put([]byte("bad"), over) })
+	refused("CasPut", func() { ss.CasPut([]byte("bad"), 0, over) })
+	refused("PutBatch", func() { ss.PutBatch([][]byte{[]byte("bad"), []byte("batched")}, [][]value.ColPut{over, good}) })
+	refused("PointBatchInto", func() {
+		ss.PointBatchInto([][]byte{[]byte("batched"), []byte("bad")}, []bool{false, true}, [][]value.ColPut{nil, over})
+	})
+	ss.Put([]byte("after"), good) // the border and the worker's log window were left unlocked
+	ss.PutBatch([][]byte{[]byte("bad0"), []byte("batched")}, [][]value.ColPut{good, good})
+	for _, k := range []string{"bad", "bad0", "after", "batched"} {
+		if _, ok := ss.Get([]byte(k), nil); ok != (k != "bad") {
+			t.Errorf("%q found %v after the refused puts", k, ok)
+		}
+	}
+	want := snapshotState(s)
+	ss.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	diffStates(t, "after the restart", want, snapshotState(r))
+}
+
 // TestHandoffAnchorAllocs pins the cross-log handoff write path at one
 // allocation per put, the packed value, like the plain logged path
 // (TestPutSimpleLoggedAllocs): the column-complete anchor is encoded from

@@ -970,10 +970,25 @@ func (s *Store) finishWrite(worker int, keys [][]byte, res []writeResult, expiry
 	s.cache.HelpEnforce(s.evictKey)
 }
 
+// checkCols panics on a put to a column outside 0..value.MaxCol. The log
+// record, the checkpoint entry and the wire response count a value's columns
+// in a u16, which a put past MaxCol would overflow (see value.MaxCol); the
+// wire refuses such a request, and a library caller is stopped here, where
+// the put enters the store — before any lock is taken, any version drawn or
+// the tree touched.
+func checkCols(puts []value.ColPut) {
+	for _, p := range puts {
+		if p.Col < 0 || p.Col > value.MaxCol {
+			panic(fmt.Sprintf("kvstore: put to column %d, outside 0..%d", p.Col, value.MaxCol))
+		}
+	}
+}
+
 // write drives one key through the kernel: the step under the border lock
 // and then, unless it declined, the record and the accounting — all inside
 // worker's draw-to-append window when logging is on.
 func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
+	checkCols(op.puts)
 	if s.logs != nil {
 		mu := s.lockWorker(worker)
 		defer mu.Unlock()
@@ -1120,6 +1135,11 @@ func (s *Store) PointBatchInto(worker int, keys [][]byte, put []bool, puts [][]v
 	for _, p := range put {
 		if p {
 			nputs++
+		}
+	}
+	for i := range puts {
+		if put == nil || put[i] {
+			checkCols(puts[i])
 		}
 	}
 	if nputs == 0 || nputs == n {
