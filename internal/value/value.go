@@ -114,6 +114,7 @@ type ColPut struct {
 
 // layout decodes the header: where the column-end table starts, the log2 of
 // an end's width, and the column count.
+//
 //masstree:noalloc
 func (v *Value) layout() (table int, shift uint, ncols int) {
 	f := v.hdr[offFlags]
@@ -127,12 +128,14 @@ func (v *Value) layout() (table int, shift uint, ncols int) {
 // Safe for any n up to the size the header and the last column end add up
 // to: every *Value points at the first byte of an allocation of exactly
 // that size, and the allocation holds no pointers.
+//
 //masstree:noalloc
 func (v *Value) head(n int) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(v)), n)
 }
 
 // colEnd returns the cumulative data end offset of column i (i == -1 is 0).
+//
 //masstree:noalloc
 func colEnd(b []byte, table int, shift uint, i int) int {
 	if i < 0 {
@@ -227,6 +230,7 @@ func NewAt(version uint64, cols ...[]byte) *Value {
 }
 
 // Version returns the value's update version number.
+//
 //masstree:noalloc
 func (v *Value) Version() uint64 {
 	if v == nil {
@@ -237,6 +241,7 @@ func (v *Value) Version() uint64 {
 
 // Worker returns the id of the worker whose clock issued the version (0 for
 // values built outside a worker context).
+//
 //masstree:noalloc
 func (v *Value) Worker() uint32 {
 	if v == nil {
@@ -249,6 +254,7 @@ func (v *Value) Worker() uint32 {
 // is the figure cache-mode byte accounting charges per value: header, offset
 // table, and column data in one number, computed from the header and the
 // last column end.
+//
 //masstree:noalloc
 func (v *Value) Size() int {
 	if v == nil {
@@ -264,6 +270,7 @@ func (v *Value) Size() int {
 // survives the log (wal.OpPutTTL) and checkpoints, and so reads can test it
 // without touching any structure beyond the value itself; a value without
 // one does not pay its eight bytes.
+//
 //masstree:noalloc
 func (v *Value) ExpiresAt() uint64 {
 	if v == nil || v.hdr[offFlags]&flagExpiry == 0 {
@@ -274,6 +281,7 @@ func (v *Value) ExpiresAt() uint64 {
 
 // Expired reports whether the value carries an expiry at or before now
 // (unix nanoseconds). A zero expiry never expires.
+//
 //masstree:noalloc
 func (v *Value) Expired(now int64) bool {
 	e := v.ExpiresAt()
@@ -281,6 +289,7 @@ func (v *Value) Expired(now int64) bool {
 }
 
 // NumCols returns the number of columns.
+//
 //masstree:noalloc
 func (v *Value) NumCols() int {
 	if v == nil {
@@ -293,6 +302,7 @@ func (v *Value) NumCols() int {
 // Col returns column i, or nil if the column does not exist or is empty.
 // The returned slice aliases the value's packed allocation and must not be
 // mutated.
+//
 //masstree:noalloc
 func (v *Value) Col(i int) []byte {
 	if v == nil {
@@ -327,6 +337,7 @@ func (v *Value) Cols() [][]byte {
 
 // Bytes returns column 0; it is the natural accessor for single-column
 // values, which is how simple get/put workloads use the store.
+//
 //masstree:noalloc
 func (v *Value) Bytes() []byte { return v.Col(0) }
 
@@ -431,7 +442,7 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 		if i < ocols {
 			lo, hi := colEnd(oends, otable, oshift, i-1), colEnd(oends, otable, oshift, min(run, ocols)-1)
 			shifted := off - lo
-			off += copy(b[data+off:], old.head(odata+hi)[odata+lo:])
+			off += copy(b[data+off:], old.head(odata + hi)[odata+lo:])
 			for ; i < min(run, ocols); i++ {
 				putColEnd(b, table, shift, i, colEnd(oends, otable, oshift, i)+shifted)
 			}
