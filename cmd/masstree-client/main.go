@@ -16,9 +16,9 @@
 // current version still equals EXPECTVER (0 = key must be absent), printing
 // either the new version or the conflicting current version — the version a
 // retry should expect after re-reading. putttl and touch are cache-mode
-// (protocol v2) operations: putttl stores a value that expires TTL_SECONDS
-// from now, touch resets an existing key's TTL without rewriting it, and
-// getorload reads through to the server's -backend tier on a miss.
+// operations: putttl stores a value that expires TTL_SECONDS from now,
+// touch resets an existing key's TTL without rewriting it, and getorload
+// reads through to the server's -backend tier on a miss.
 //
 // Passing -addrs with a comma-separated node list switches the client into
 // cluster mode: every keyed command routes to the key's consistent-hash
@@ -56,7 +56,7 @@ func main() {
 		runCluster(strings.Split(*addrs, ","), args, *jsonOut)
 		return
 	}
-	c, err := client.Dial(*addr)
+	c, err := client.DialConn(*addr)
 	if err != nil {
 		log.Fatalf("masstree-client: %v", err)
 	}
@@ -75,7 +75,7 @@ func main() {
 			}
 			cols = append(cols, n)
 		}
-		vals, ver, ok, err := c.GetVer([]byte(args[1]), cols)
+		vals, ver, ok, err := c.Get([]byte(args[1]), cols)
 		check(err)
 		if !ok {
 			fmt.Println("(not found)")
@@ -128,9 +128,7 @@ func main() {
 			usage()
 		}
 		ttl := parseTTL(args[3])
-		conn := dialV2(*addr)
-		defer conn.Close()
-		ver, err := conn.PutSimpleTTL([]byte(args[1]), []byte(args[2]), ttl)
+		ver, err := c.PutSimpleTTL([]byte(args[1]), []byte(args[2]), ttl)
 		check(err)
 		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
 	case "touch":
@@ -138,9 +136,7 @@ func main() {
 			usage()
 		}
 		ttl := parseTTL(args[2])
-		conn := dialV2(*addr)
-		defer conn.Close()
-		ver, ok, err := conn.Touch([]byte(args[1]), ttl)
+		ver, ok, err := c.Touch([]byte(args[1]), ttl)
 		check(err)
 		if !ok {
 			fmt.Println("(not found or expired)")
@@ -159,9 +155,7 @@ func main() {
 			}
 			cols = append(cols, n)
 		}
-		conn := dialV2(*addr)
-		defer conn.Close()
-		vals, ver, stale, ok, err := conn.GetOrLoad([]byte(args[1]), cols)
+		vals, ver, stale, ok, err := c.GetOrLoad([]byte(args[1]), cols)
 		check(err)
 		if !ok {
 			fmt.Println("(not found)")
@@ -194,11 +188,7 @@ func main() {
 			fmt.Printf("%q: %q\n", p.Key, p.Cols)
 		}
 	case "stats":
-		// Dial v2: flush_last_error (the one string-valued stat) is only
-		// served on v2 connections, where clients are known to handle it.
-		conn := dialV2(*addr)
-		defer conn.Close()
-		stats, err := conn.StatsRaw()
+		stats, err := c.StatsRaw()
 		check(err)
 		printStats(stats, *jsonOut)
 	default:
@@ -430,14 +420,6 @@ func parseTTL(s string) uint32 {
 		log.Fatalf("masstree-client: bad ttl %q", s)
 	}
 	return uint32(n)
-}
-
-func dialV2(addr string) *client.Conn {
-	conn, err := client.DialConn(addr)
-	if err != nil {
-		log.Fatalf("masstree-client: %v", err)
-	}
-	return conn
 }
 
 func check(err error) {

@@ -58,13 +58,13 @@
 // together, as a get batch's keys go, then runs each scan as if alone.
 // DESIGN.md states which version validates which read.
 //
-// The transport is protocol v2 (internal/wire): a hello exchange negotiates
-// the version (clients that send no hello speak v1 verbatim), after which
-// every frame carries a sequence tag and many batches ride one connection
-// at once. The async client (client.Conn, Go/Wait) pipelines tagged batches
-// behind one another, and the server turns each v2 connection into a
-// reader → executor → writer pipeline over a recycled scratch ring, so
-// decoding frame N+1 overlaps executing frame N and writing frame N−1 —
+// The transport is one protocol (internal/wire): a hello exchange opens the
+// connection (one that opens any other way is closed before anything
+// executes), after which every frame carries a sequence tag and many
+// batches ride one connection at once. The client (client.Conn, Go/Wait)
+// pipelines tagged batches behind one another, and the server turns each
+// connection into a reader → executor → writer pipeline over a recycled
+// scratch ring, so decoding frame N+1 overlaps executing frame N and writing frame N−1 —
 // batching fills each message, pipelining fills the gaps between messages
 // (§7: "batched query support is vital on these benchmarks"). The API also
 // exposes record versions end to end: gets return the value's version and
@@ -124,8 +124,7 @@
 // behind the header of a value that has one and none otherwise
 // (value.BuildTTLAt): reads treat a lapsed value as absent immediately
 // (lazy expiry) and an incremental background sweep reclaims it.
-// Protocol v2 carries PutTTL and Touch (v1 semantics are untouched), and
-// the Stats op reports bytes_live, evictions, expirations, and ghost_hits.
+// The protocol carries PutTTL and Touch, and the Stats op reports bytes_live, evictions, expirations, and ghost_hits.
 //
 // Cache-mode persistence semantics: evictions and expirations are clean
 // drops — they write no WAL remove — so a crash may replay a dropped key
@@ -209,8 +208,9 @@
 // failure, so a failed crash image ships its own story. The data surfaces
 // three ways, all rendered from the same snapshot so they cannot disagree:
 // the wire Stats op gains lat_<stage>_count/_sum/_p50/_p90/_p99/_p999 and
-// per-bucket lat_<stage>_b<i> keys (all base-10 integers — v1 clients that
-// ParseInt every value keep working, pinned by stats_compat_test);
+// per-bucket lat_<stage>_b<i> keys (all base-10 integers, so the numeric
+// views — client.Conn.Stats, the cluster aggregate — keep every one, pinned
+// by stats_compat_test);
 // cluster.StatsAggregate sums the bucket keys across nodes and re-derives
 // the quantiles from the merged distribution (never averaging per-node
 // quantiles, and labeling partial aggregates via stats_partial); and

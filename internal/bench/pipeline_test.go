@@ -10,85 +10,10 @@ import (
 	"repro/internal/wire"
 )
 
-// startPipelineServer starts an in-memory store and TCP server preloaded
-// with nkeys single-column values, returning a connected v1 client.
-func startPipelineServer(b *testing.B, nkeys int) *client.Client {
-	b.Helper()
-	c, err := client.Dial(startPipelineServerAddr(b, nkeys))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { c.Close() })
-	return c
-}
-
-func pipelineKey(i int) []byte {
-	return []byte(fmt.Sprintf("key%016d", i))
-}
-
-// BenchmarkServerRoundTrip measures one client round trip carrying a batch
-// of requests, reporting allocs/op for the whole client+server pipeline.
-// This is the end-to-end path the paper's system benchmarks exercise:
-// batched queries over a long-lived TCP connection (§7).
-func BenchmarkServerRoundTrip(b *testing.B) {
-	const nkeys = 4096
-	const batch = 64
-
-	b.Run("get64", func(b *testing.B) {
-		c := startPipelineServer(b, nkeys)
-		reqs := make([]wire.Request, batch)
-		for i := range reqs {
-			reqs[i] = wire.Request{Op: wire.OpGet, Key: pipelineKey(i * 7 % nkeys)}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resps, err := c.DoReuse(reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(resps) != batch || resps[0].Status != wire.StatusOK {
-				b.Fatalf("bad responses: %d status %d", len(resps), resps[0].Status)
-			}
-		}
-		reportPerRequest(b, batch)
-	})
-
-	b.Run("mixed64", func(b *testing.B) {
-		c := startPipelineServer(b, nkeys)
-		reqs := make([]wire.Request, batch)
-		for i := range reqs {
-			if i%8 == 7 {
-				reqs[i] = wire.Request{Op: wire.OpPut, Key: pipelineKey(i * 13 % nkeys),
-					Puts: []wire.ColData{{Col: 0, Data: []byte("updated-column-data")}}}
-			} else {
-				reqs[i] = wire.Request{Op: wire.OpGet, Key: pipelineKey(i * 13 % nkeys)}
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resps, err := c.DoReuse(reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(resps) != batch {
-				b.Fatalf("got %d responses", len(resps))
-			}
-		}
-		reportPerRequest(b, batch)
-	})
-}
-
-// reportPerRequest adds a derived requests/s metric so the snapshot reads in
-// the paper's units (the batch amortizes one round trip over `batch` ops).
-func reportPerRequest(b *testing.B, batch int) {
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// startPipelineServerAddr starts the preloaded store and server, returning
-// its address for benchmarks that dial their own connections.
-func startPipelineServerAddr(b *testing.B, nkeys int) string {
+// dialPipeline starts an in-memory store and TCP server preloaded with nkeys
+// single-column values and returns a Conn to it that keeps up to window
+// batches in flight.
+func dialPipeline(b *testing.B, nkeys, window int) *client.Conn {
 	b.Helper()
 	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
 	if err != nil {
@@ -105,17 +30,87 @@ func startPipelineServerAddr(b *testing.B, nkeys int) string {
 	for i := 0; i < nkeys; i++ {
 		store.PutSimple(0, pipelineKey(i), []byte("value-of-some-plausible-length"))
 	}
-	return srv.Addr().String()
+	c, err := client.DialConn(srv.Addr().String(), client.WithWindow(window))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c
 }
 
-// BenchmarkPipelinedRoundTrip compares the blocking v1 client (one frame in
-// flight: the client idles during execution, the server idles during the
-// client's turnaround) against the v2 pipelined Conn at several window
-// depths on the same 64-get batch. Window 1 isolates the v2 framing cost;
-// deeper windows overlap the client's encode, the server's three pipeline
-// stages, and the wire, which is where the paper's "batched query support
-// is vital" turns into sustained throughput rather than per-round-trip
-// latency.
+// roundTrip sends one batch and waits for it: one frame in flight, as a
+// window-1 Conn holds it.
+func roundTrip(b *testing.B, c *client.Conn, reqs []wire.Request) {
+	p := c.Go(reqs)
+	resps, err := p.Wait()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(resps) != len(reqs) || resps[0].Status != wire.StatusOK {
+		b.Fatalf("bad responses: %d status %d", len(resps), resps[0].Status)
+	}
+	p.Release()
+}
+
+func pipelineKey(i int) []byte {
+	return []byte(fmt.Sprintf("key%016d", i))
+}
+
+// BenchmarkServerRoundTrip measures one client round trip carrying a batch
+// of requests, reporting allocs/op for the whole client+server pipeline.
+// This is the end-to-end path the paper's system benchmarks exercise:
+// batched queries over a long-lived TCP connection (§7).
+func BenchmarkServerRoundTrip(b *testing.B) {
+	const nkeys = 4096
+	const batch = 64
+
+	b.Run("get64", func(b *testing.B) {
+		c := dialPipeline(b, nkeys, 1)
+		reqs := make([]wire.Request, batch)
+		for i := range reqs {
+			reqs[i] = wire.Request{Op: wire.OpGet, Key: pipelineKey(i * 7 % nkeys)}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			roundTrip(b, c, reqs)
+		}
+		reportPerRequest(b, batch)
+	})
+
+	b.Run("mixed64", func(b *testing.B) {
+		c := dialPipeline(b, nkeys, 1)
+		reqs := make([]wire.Request, batch)
+		for i := range reqs {
+			if i%8 == 7 {
+				reqs[i] = wire.Request{Op: wire.OpPut, Key: pipelineKey(i * 13 % nkeys),
+					Puts: []wire.ColData{{Col: 0, Data: []byte("updated-column-data")}}}
+			} else {
+				reqs[i] = wire.Request{Op: wire.OpGet, Key: pipelineKey(i * 13 % nkeys)}
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			roundTrip(b, c, reqs)
+		}
+		reportPerRequest(b, batch)
+	})
+}
+
+// reportPerRequest adds a derived requests/s metric so the snapshot reads in
+// the paper's units (the batch amortizes one round trip over `batch` ops).
+func reportPerRequest(b *testing.B, batch int) {
+	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkPipelinedRoundTrip runs the pipelined Conn at several window
+// depths on the same 64-get batch. Window 1 is the one-frame-in-flight
+// baseline: the client idles during execution, the server idles during the
+// client's turnaround. Deeper windows overlap the client's encode, the
+// server's three pipeline stages, and the wire, which is where the paper's
+// "batched query support is vital" turns into sustained throughput rather
+// than per-round-trip latency.
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
 	const nkeys = 4096
 	const batch = 64
@@ -127,31 +122,9 @@ func BenchmarkPipelinedRoundTrip(b *testing.B) {
 		return reqs
 	}
 
-	b.Run("blocking-do", func(b *testing.B) {
-		c := startPipelineServer(b, nkeys)
-		reqs := mkReqs()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			resps, err := c.DoReuse(reqs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(resps) != batch || resps[0].Status != wire.StatusOK {
-				b.Fatalf("bad responses: %d status %d", len(resps), resps[0].Status)
-			}
-		}
-		reportPerRequest(b, batch)
-	})
-
 	for _, window := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("conn-window%d", window), func(b *testing.B) {
-			addr := startPipelineServerAddr(b, nkeys)
-			c, err := client.DialConn(addr, client.WithWindow(window))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { c.Close() })
+			c := dialPipeline(b, nkeys, window)
 			reqs := mkReqs()
 			wait := func(p *client.Pending) {
 				resps, err := p.Wait()

@@ -6,35 +6,19 @@ import (
 )
 
 // Connection-level behavior is covered end-to-end in internal/server's
-// tests (TCP, UDP, pipelining); these tests cover the client's own error
-// paths, which need no server.
+// tests; these tests cover the client's own error paths, which need no
+// server.
 
+// A refused connection fails DialConn at once with the refusal, whether or
+// not a dial budget is set: the budget bounds a peer that never answers,
+// not one that says no.
 func TestDialRefused(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	start := time.Now()
+	if _, err := DialConn("127.0.0.1:1", WithDialTimeout(10*time.Second)); err == nil {
 		t.Fatal("expected connection error")
 	}
-}
-
-func TestDialUDPBadAddr(t *testing.T) {
-	if _, err := DialUDP("not-an-address:::", time.Second); err == nil {
-		t.Fatal("expected resolve error")
-	}
-}
-
-func TestUDPTimeoutOnSilentPeer(t *testing.T) {
-	// A UDP "connection" succeeds without a listener; the request must then
-	// time out rather than hang.
-	c, err := DialUDP("127.0.0.1:9", 20*time.Millisecond) // discard port, unused
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if _, err := c.Do(nil); err == nil {
-		t.Fatal("expected timeout")
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("timeout took too long")
+	if time.Since(start) > 5*time.Second {
+		t.Fatal("a refused dial waited out its budget")
 	}
 }
 

@@ -1,3 +1,28 @@
+// Package client is the Go client library for the Masstree server. It
+// supports batched queries — many operations per network message — which §7
+// shows is vital for throughput on small-operation workloads.
+//
+// Conn is the client: it is safe for concurrent use and keeps many tagged
+// batches in flight on one connection, so neither side ever idles waiting
+// for the other's round trip. Issue batches asynchronously with Go and
+// collect them with Wait:
+//
+//	conn, err := client.DialConn(addr, client.WithWindow(16))
+//	...
+//	p1 := conn.Go(batch1) // sent; does not wait for the response
+//	p2 := conn.Go(batch2) // pipelined behind batch1
+//	resps1, err := p1.Wait()
+//	...read resps1...
+//	p1.Release() // recycle decode buffers; resps1 invalid after this
+//	resps2, err := p2.Wait()
+//	...
+//
+// Callers that do not pipeline use the synchronous faces — Do, Get, Put,
+// PutSimple, CasPut, Remove, GetRange, Stats — whose results own their
+// memory; a Conn dialed WithWindow(1) holds one batch in flight at a time.
+// Every get returns the value's version, and a CasPut applies only if the
+// key's version still matches, enabling lock-free read-modify-write across
+// the network.
 package client
 
 import (
@@ -14,7 +39,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Conn is a concurrency-safe pipelined connection speaking protocol v2.
+// Conn is a concurrency-safe pipelined connection to a server.
 // Every request batch goes out in a tagged frame, so many batches can be in
 // flight at once; the server answers in arrival order and echoes each tag,
 // and a reader goroutine matches responses back to their callers. Use Go to
@@ -113,6 +138,11 @@ func (p *Pending) complete() {
 // DefaultWindow is the default bound on in-flight batches per Conn.
 const DefaultWindow = 16
 
+// maxRetainedScratch bounds the encode/decode scratch kept between batches;
+// one oversized batch does not pin its footprint for the connection's
+// lifetime.
+const maxRetainedScratch = 1 << 20
+
 var errConnClosed = errors.New("client: connection closed")
 
 // ConnOption configures DialConn.
@@ -155,8 +185,8 @@ func WithDialTimeout(d time.Duration) ConnOption {
 }
 
 // WithWindow bounds the number of batches in flight at once (>= 1). Window
-// 1 degenerates to the blocking one-frame-at-a-time discipline of the v1
-// client, which makes it the natural baseline for pipelining benchmarks.
+// 1 is the blocking one-frame-at-a-time discipline, which makes it the
+// natural baseline for pipelining benchmarks.
 func WithWindow(n int) ConnOption {
 	return func(c *connConfig) {
 		if n > 0 {
@@ -165,8 +195,8 @@ func WithWindow(n int) ConnOption {
 	}
 }
 
-// DialConn connects to a server and negotiates protocol v2 with a hello
-// exchange. It fails if the server only speaks v1.
+// DialConn connects to a server and exchanges hellos with it. It fails if
+// the server does not answer with a hello accepting Version2.
 func DialConn(addr string, opts ...ConnOption) (*Conn, error) {
 	cfg := connConfig{window: DefaultWindow}
 	for _, o := range opts {
@@ -548,8 +578,7 @@ func (c *Conn) PutSimple(key, data []byte) (uint64, error) {
 
 // PutTTL writes columns of one key with a time-to-live in seconds (0 =
 // never expires, like Put). After the TTL lapses the key reads as absent
-// and the server's maintenance loop eventually sweeps it. Cache-mode
-// operations are v2 surface, which Conn always speaks.
+// and the server's maintenance loop eventually sweeps it.
 func (c *Conn) PutTTL(key []byte, puts []wire.ColData, ttlSeconds uint32) (uint64, error) {
 	p := c.Go([]wire.Request{{Op: wire.OpPutTTL, Key: key, Puts: puts, TTL: ttlSeconds}})
 	resps, err := p.Wait()

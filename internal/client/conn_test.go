@@ -59,8 +59,8 @@ func hangingServer(t *testing.T) (addr string, stop func()) {
 	}
 }
 
-// statusServer accepts connections of either protocol version and answers
-// every request of every frame with the given status and nothing else: just
+// statusServer accepts connections and answers every request of every frame
+// with the given status and nothing else: just
 // enough protocol to prove a healthy connection stays healthy (StatusOK), or
 // to stand for a server that could decode a frame and would not serve what
 // it asked (StatusError).
@@ -82,18 +82,6 @@ func statusServer(t *testing.T, status uint8) (addr string) {
 		defer conns.Done()
 		defer c.Close()
 		r, w := bufio.NewReader(c), bufio.NewWriter(c)
-		first, err := r.Peek(4)
-		if err != nil {
-			return
-		}
-		if !wire.IsHelloPrefix(first) {
-			for {
-				reqs, err := wire.ReadRequests(r)
-				if err != nil || wire.WriteResponses(w, answer(len(reqs))) != nil {
-					return
-				}
-			}
-		}
 		if _, err := wire.ReadHello(r); err != nil {
 			return
 		}
@@ -253,31 +241,23 @@ func TestTimeoutIdleConnectionSurvives(t *testing.T) {
 	}
 }
 
-// A refused range query is an error, not an empty range: through either
-// client, a StatusError reply to GetRange must not read as "no keys there".
+// A refused range query is an error, not an empty range: a StatusError
+// reply to GetRange must not read as "no keys there".
 func TestGetRangeReportsRefusal(t *testing.T) {
 	addr := statusServer(t, wire.StatusError)
 	c, err := DialConn(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if pairs, err := c.GetRange([]byte("k"), 10, nil); err == nil || !strings.Contains(err.Error(), "status 2") {
-		t.Fatalf("Conn.GetRange against a refusing server: %d pairs, err %v; want an error naming status 2", len(pairs), err)
+		t.Fatalf("GetRange against a refusing server: %d pairs, err %v; want an error naming status 2", len(pairs), err)
 	}
-	c.Close()
-	v1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pairs, err := v1.GetRange([]byte("k"), 10, nil); err == nil || !strings.Contains(err.Error(), "status 2") {
-		t.Fatalf("Client.GetRange against a refusing server: %d pairs, err %v; want an error naming status 2", len(pairs), err)
-	}
-	v1.Close()
 }
 
-// A count the wire format cannot carry is refused where the request is
-// built, by either client: nothing is sent, the error names the limit, and
-// the connection carries the next request.
+// A count or key length the wire format cannot carry is refused where the
+// request is built: nothing is sent, the batch fails alone with an error
+// naming the limit, and the connection carries the next request.
 func TestOversizedCountsRefusedBeforeSending(t *testing.T) {
 	addr := statusServer(t, wire.StatusError)
 	c, err := DialConn(addr)
@@ -285,23 +265,21 @@ func TestOversizedCountsRefusedBeforeSending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	v1, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, refused := range []struct {
+		req   wire.Request
+		limit string
+	}{
+		{wire.Request{Op: wire.OpGetRange, Key: []byte("k"), N: wire.MaxRangeN + 1}, "65535"},
+		{wire.Request{Op: wire.OpGet, Key: []byte("k"), Cols: make([]int, wire.MaxColList+1)}, "255"},
+		{wire.Request{Op: wire.OpGet, Key: make([]byte, wire.MaxKeyLen+1)}, "65535"},
+	} {
+		if _, err := c.Do([]wire.Request{{Op: wire.OpGet, Key: []byte("k")}, refused.req}); err == nil || !strings.Contains(err.Error(), refused.limit) {
+			t.Fatalf("op %d with a %d-byte key, %d columns, N %d: err %v, want one naming %s",
+				refused.req.Op, len(refused.req.Key), len(refused.req.Cols), refused.req.N, err, refused.limit)
+		}
 	}
-	defer v1.Close()
-	tooMany := []wire.Request{{Op: wire.OpGetRange, Key: []byte("k"), N: wire.MaxRangeN + 1}}
-	tooWide := []wire.Request{{Op: wire.OpGet, Key: []byte("k"), Cols: make([]int, wire.MaxColList+1)}}
-	atLimits := []wire.Request{{Op: wire.OpGetRange, Key: []byte("k"), N: wire.MaxRangeN, Cols: make([]int, wire.MaxColList)}}
-	for name, do := range map[string]func([]wire.Request) ([]wire.Response, error){"Conn": c.Do, "Client": v1.Do} {
-		if _, err := do(tooMany); err == nil || !strings.Contains(err.Error(), "65535") {
-			t.Fatalf("%s: a range of %d pairs: err %v, want one naming 65535", name, wire.MaxRangeN+1, err)
-		}
-		if _, err := do(tooWide); err == nil || !strings.Contains(err.Error(), "255") {
-			t.Fatalf("%s: a get of %d columns: err %v, want one naming 255", name, wire.MaxColList+1, err)
-		}
-		if resps, err := do(atLimits); err != nil || len(resps) != 1 {
-			t.Fatalf("%s: a request at both limits after two refusals: %d responses, %v", name, len(resps), err)
-		}
+	atLimits := []wire.Request{{Op: wire.OpGetRange, Key: make([]byte, wire.MaxKeyLen), N: wire.MaxRangeN, Cols: make([]int, wire.MaxColList)}}
+	if resps, err := c.Do(atLimits); err != nil || len(resps) != 1 {
+		t.Fatalf("a request at every limit after three refusals: %d responses, %v", len(resps), err)
 	}
 }

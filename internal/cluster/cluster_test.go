@@ -73,9 +73,8 @@ func fastConfig(addrs []string) Config {
 	}
 }
 
-// TestClusterSingleNodeEquivalence mirrors TestInteropV1V2Identical one
-// level up: a Cluster over a single node must produce responses identical
-// to a plain client.Conn for every operation — same statuses, versions,
+// TestClusterSingleNodeEquivalence: a Cluster over a single node must
+// produce responses identical to a plain client.Conn for every operation — same statuses, versions,
 // columns, and pairs, for keyed ops, TTL ops, CAS conflicts, removes,
 // ranges, and stats. The cluster layer must be invisible at N=1.
 func TestClusterSingleNodeEquivalence(t *testing.T) {

@@ -242,7 +242,7 @@ func TestAppendStatsAndRecompute(t *testing.T) {
 	if p999 := agg["lat_get_p999"]; p999 != m["lat_get_p999"] {
 		t.Fatalf("aggregate p999 %d vs %d", p999, m["lat_get_p999"])
 	}
-	// Every derived key parses as a base-10 integer (v1 stats contract).
+	// Every derived key parses as a base-10 integer (the stats contract).
 	for k, v := range agg {
 		if _, err := strconv.ParseInt(strconv.FormatInt(v, 10), 10, 64); err != nil {
 			t.Fatalf("%s: %v", k, err)

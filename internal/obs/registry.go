@@ -122,7 +122,7 @@ var quantileKeys = [...]struct {
 // lat_<name>_count, lat_<name>_sum (ns), the four quantiles
 // lat_<name>_p50/_p90/_p99/_p999 (representative ns), and one
 // lat_<name>_b<i> entry per non-zero bucket. Every value is a base-10
-// integer, so v1 stats clients parse them like any other counter, and the
+// integer, so stats readers parse them like any other counter, and the
 // bucket keys let an aggregator sum across nodes and re-derive quantiles.
 func AppendStats(dst []Stat, s HistSnapshot) []Stat {
 	stem := statPrefix + s.Name

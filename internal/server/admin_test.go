@@ -24,13 +24,13 @@ func adminWorkout(t *testing.T, srv *Server, sess *kvstore.Session) {
 		reqs = append(reqs, wire.Request{Op: wire.OpPut, Key: key,
 			Puts: []wire.ColData{{Col: 0, Data: []byte("admin-value")}}})
 	}
-	srv.executeBatch(sess, reqs, len(reqs), sc, true) // batched put run
+	srv.executeBatch(sess, reqs, len(reqs), sc) // batched put run
 	for i := range reqs {
 		reqs[i] = wire.Request{Op: wire.OpGet, Key: reqs[i].Key}
 	}
-	srv.executeBatch(sess, reqs, len(reqs), sc, true) // batched get run
+	srv.executeBatch(sess, reqs, len(reqs), sc) // batched get run
 	scan := wire.Request{Op: wire.OpGetRange, Key: []byte("admin-key-"), N: 4}
-	srv.executeBatch(sess, []wire.Request{scan, scan}, 2, sc, true) // batched scan run
+	srv.executeBatch(sess, []wire.Request{scan, scan}, 2, sc) // batched scan run
 	// Singles: alternating ops break the batch runs.
 	for i := range reqs[:4] {
 		srv.executeBatch(sess, []wire.Request{
@@ -40,7 +40,7 @@ func adminWorkout(t *testing.T, srv *Server, sess *kvstore.Session) {
 				Puts: []wire.ColData{{Col: 0, Data: []byte("admin-value2")}}},
 			{Op: wire.OpCas, Key: reqs[i].Key, ExpectVersion: ^uint64(0),
 				Puts: []wire.ColData{{Col: 0, Data: []byte("admin-value3")}}},
-		}, 4, sc, true)
+		}, 4, sc)
 	}
 }
 
@@ -60,9 +60,9 @@ func TestAdminSurfacesAgree(t *testing.T) {
 	defer sess.Close()
 	adminWorkout(t, srv, sess)
 
-	// Surface 1: the wire Stats op (v2 view).
+	// Surface 1: the wire Stats op.
 	wireStats := map[string]int64{}
-	for _, p := range srv.statsResponse(true).Pairs {
+	for _, p := range srv.statsResponse().Pairs {
 		if string(p.Key) == "flush_last_error" {
 			continue
 		}
@@ -214,7 +214,7 @@ func TestAdminObsDisabled(t *testing.T) {
 	defer sess.Close()
 	adminWorkout(t, srv, sess)
 
-	for _, p := range srv.statsResponse(false).Pairs {
+	for _, p := range srv.statsResponse().Pairs {
 		if strings.HasPrefix(string(p.Key), "lat_") {
 			t.Fatalf("NoObs stats response carries histogram key %q", p.Key)
 		}

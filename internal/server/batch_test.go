@@ -27,11 +27,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 	// observed value was genuinely written for that key.
 	val := func(i, seq int) []byte { return []byte(fmt.Sprintf("%04d#%08d", i, seq)) }
 
-	seed, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seed.Close()
+	seed := dialConn(t, addr)
 	for i := 0; i < nkeys; i++ {
 		if _, err := seed.PutSimple(key(i), val(i, 0)); err != nil {
 			t.Fatal(err)
@@ -42,13 +38,9 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
-		wc, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer wc.Close()
+		wc := dialConn(t, addr)
 		wg.Add(1)
-		go func(wc *client.Client, w int) {
+		go func(wc *client.Conn, w int) {
 			defer wg.Done()
 			for seq := 1; !stop.Load(); seq++ {
 				i := (seq*7 + w*13) % nkeys
@@ -59,17 +51,13 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 		}(wc, w)
 	}
 
-	reader, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
+	reader := dialConn(t, addr)
 	reqs := make([]wire.Request, batch)
 	for round := 0; round < 50; round++ {
 		for j := range reqs {
 			reqs[j] = wire.Request{Op: wire.OpGet, Key: key((round*batch + j*3) % nkeys)}
 		}
-		resps, err := reader.DoReuse(reqs)
+		resps, err := reader.Do(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +84,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range reqs {
-		single, ok, err := seed.Get(reqs[j].Key, nil)
+		single, _, ok, err := seed.Get(reqs[j].Key, nil)
 		if err != nil || !ok {
 			t.Fatalf("per-key get %q: %v %v", reqs[j].Key, ok, err)
 		}
@@ -115,11 +103,7 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 // and checks nothing is clobbered before encoding.
 func TestMixedBatchResponseArenas(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialConn(t, addr)
 	for i := 0; i < 10; i++ {
 		k := []byte(fmt.Sprintf("ra%02d", i))
 		if _, err := c.Put(k, []wire.ColData{{Col: 0, Data: append([]byte("v-"), k...)}, {Col: 1, Data: []byte("c1")}}); err != nil {

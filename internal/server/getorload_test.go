@@ -7,7 +7,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/client"
 	"repro/internal/kvstore"
-	"repro/internal/wire"
 )
 
 // startBackendServer runs a server over a store wired to a mock backend,
@@ -126,38 +125,5 @@ func TestGetOrLoadStaleOverWire(t *testing.T) {
 	// A key with nothing resident fails fast with an error status.
 	if _, _, _, _, err := conn.GetOrLoad([]byte("nothing"), nil); err == nil {
 		t.Fatal("GetOrLoad of absent key during outage did not error")
-	}
-}
-
-// TestGetOrLoadRejectedOnV1 pins the protocol boundary: OpGetOrLoad is v2
-// surface; a v1 connection gets StatusError while the rest of the batch
-// executes normally.
-func TestGetOrLoadRejectedOnV1(t *testing.T) {
-	m := backend.NewMock(0)
-	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
-	srv, addr := startBackendServer(t, kvstore.Config{}, m)
-	c, err := client.Dial(addr) // v1: no hello
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	resps, err := c.Do([]wire.Request{
-		{Op: wire.OpGetOrLoad, Key: []byte("k")},
-		{Op: wire.OpPut, Key: []byte("p"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Status != wire.StatusError {
-		t.Fatalf("OpGetOrLoad not rejected on v1: %+v", resps[0])
-	}
-	if resps[1].Status != wire.StatusOK {
-		t.Fatalf("plain v1 op broken: %+v", resps[1])
-	}
-	if got := srv.erroredRequests.Load(); got != 1 {
-		t.Fatalf("errored_requests = %d, want 1", got)
-	}
-	if got := m.Loads(); got != 0 {
-		t.Fatalf("rejected v1 OpGetOrLoad reached the backend (%d loads)", got)
 	}
 }

@@ -7,29 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/wire"
 )
-
-// bothProtocols runs test once over a v1 client and once over a v2 Conn: a
-// frame's stretch of gets and puts is one segment whichever framing brought
-// it.
-func bothProtocols(t *testing.T, test func(t *testing.T, dial func(addr string) doer)) {
-	t.Run("v1", func(t *testing.T) {
-		test(t, func(addr string) doer {
-			c, err := client.Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			return c
-		})
-	})
-	t.Run("v2", func(t *testing.T) {
-		test(t, func(addr string) doer { return dialConn(t, addr) })
-	})
-}
 
 func put(key string, cols ...wire.ColData) wire.Request {
 	return wire.Request{Op: wire.OpPut, Key: []byte(key), Puts: cols}
@@ -61,51 +41,54 @@ func joined(r wire.Response) string {
 // put of its key reads that put's value and version; a get ahead of its
 // key's put reads the old value; a partial-column put then a get of all
 // columns reads the merged record; a get of a key whose TTL has lapsed is
-// NotFound in the middle of a mixed segment as anywhere else.
+// NotFound in the middle of a mixed segment as anywhere else. The subtest is
+// named for the tagged (v2) framing its connection speaks.
 func TestMixedFrameOrder(t *testing.T) {
-	bothProtocols(t, func(t *testing.T, dial func(string) doer) {
-		srv, addr := startServer(t, "")
-		c := dial(addr)
-		srv.store.PutSimple(0, []byte("j"), []byte("j-old"))
-		srv.store.Put(0, []byte("record"), []wire.ColData{cd(0, "a"), cd(1, "b"), cd(2, "c")})
-		srv.store.PutTTL(0, []byte("lapsed"), []wire.ColData{cd(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
+	t.Run("v2", testMixedFrameOrder)
+}
 
-		resps, err := c.Do([]wire.Request{
-			put("k", cd(0, "v1")), get("k"), put("k", cd(0, "v2")), get("k"),
-			get("j"), put("j", cd(0, "w")),
-			put("record", cd(1, "B")), get("record"), get("record", 1),
-			get("lapsed"), get("nowhere"),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, want := range map[int]string{1: "v1", 3: "v2", 4: "j-old", 7: "a|B|c", 8: "B",
-			9: fmt.Sprintf("status %d", wire.StatusNotFound), 10: fmt.Sprintf("status %d", wire.StatusNotFound)} {
-			if got := joined(resps[i]); got != want {
-				t.Errorf("request %d answered %q, want %q", i, got, want)
-			}
-		}
-		for _, i := range []int{0, 2, 5, 6} {
-			if resps[i].Status != wire.StatusOK || resps[i].Version == 0 {
-				t.Errorf("put %d: status %d version %d", i, resps[i].Status, resps[i].Version)
-			}
-		}
-		if v := resps; !(v[0].Version < v[2].Version) || v[1].Version != v[0].Version || v[3].Version != v[2].Version {
-			t.Errorf("versions along k: put %d, get %d, put %d, get %d", v[0].Version, v[1].Version, v[2].Version, v[3].Version)
-		}
-		if resps[4].Version >= resps[5].Version || resps[7].Version != resps[6].Version {
-			t.Errorf("j read at %d then put at %d; record put at %d then read at %d",
-				resps[4].Version, resps[5].Version, resps[6].Version, resps[7].Version)
-		}
-		stats, err := c.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats["batched_gets"] != 7 || stats["batched_puts"] != 4 || stats["batch_fallbacks"] != 0 {
-			t.Errorf("one segment of 7 gets and 4 puts on an idle store: batched_gets=%d batched_puts=%d batch_fallbacks=%d",
-				stats["batched_gets"], stats["batched_puts"], stats["batch_fallbacks"])
-		}
+func testMixedFrameOrder(t *testing.T) {
+	srv, addr := startServer(t, "")
+	c := dialConn(t, addr)
+	srv.store.PutSimple(0, []byte("j"), []byte("j-old"))
+	srv.store.Put(0, []byte("record"), []wire.ColData{cd(0, "a"), cd(1, "b"), cd(2, "c")})
+	srv.store.PutTTL(0, []byte("lapsed"), []wire.ColData{cd(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
+
+	resps, err := c.Do([]wire.Request{
+		put("k", cd(0, "v1")), get("k"), put("k", cd(0, "v2")), get("k"),
+		get("j"), put("j", cd(0, "w")),
+		put("record", cd(1, "B")), get("record"), get("record", 1),
+		get("lapsed"), get("nowhere"),
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range map[int]string{1: "v1", 3: "v2", 4: "j-old", 7: "a|B|c", 8: "B",
+		9: fmt.Sprintf("status %d", wire.StatusNotFound), 10: fmt.Sprintf("status %d", wire.StatusNotFound)} {
+		if got := joined(resps[i]); got != want {
+			t.Errorf("request %d answered %q, want %q", i, got, want)
+		}
+	}
+	for _, i := range []int{0, 2, 5, 6} {
+		if resps[i].Status != wire.StatusOK || resps[i].Version == 0 {
+			t.Errorf("put %d: status %d version %d", i, resps[i].Status, resps[i].Version)
+		}
+	}
+	if v := resps; !(v[0].Version < v[2].Version) || v[1].Version != v[0].Version || v[3].Version != v[2].Version {
+		t.Errorf("versions along k: put %d, get %d, put %d, get %d", v[0].Version, v[1].Version, v[2].Version, v[3].Version)
+	}
+	if resps[4].Version >= resps[5].Version || resps[7].Version != resps[6].Version {
+		t.Errorf("j read at %d then put at %d; record put at %d then read at %d",
+			resps[4].Version, resps[5].Version, resps[6].Version, resps[7].Version)
+	}
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats["batched_gets"] != 7 || stats["batched_puts"] != 4 || stats["batch_fallbacks"] != 0 {
+		t.Errorf("one segment of 7 gets and 4 puts on an idle store: batched_gets=%d batched_puts=%d batch_fallbacks=%d",
+			stats["batched_gets"], stats["batched_puts"], stats["batch_fallbacks"])
+	}
 }
 
 // TestPointRunSegments pins the segment rule and what it counts. A maximal
@@ -155,6 +138,27 @@ func TestPointRunSegments(t *testing.T) {
 	}
 }
 
+// normalizeResps maps empty and nil slices together so DeepEqual compares
+// contents, not alloc-path artifacts.
+func normalizeResps(in []wire.Response) []wire.Response {
+	out := make([]wire.Response, len(in))
+	for i, r := range in {
+		if len(r.Cols) == 0 {
+			r.Cols = nil
+		}
+		if len(r.Pairs) == 0 {
+			r.Pairs = nil
+		}
+		for j := range r.Cols {
+			if len(r.Cols[j]) == 0 {
+				r.Cols[j] = nil
+			}
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // versionLedger rewrites versions as the ordinal of the put that drew them:
 // two servers given the same operations draw different numbers (a segment
 // applies its puts in tree order), but a version must name the same put on
@@ -183,63 +187,66 @@ func (l *versionLedger) note(reqs []wire.Request, resps []wire.Response) []wire.
 // two layers down, with removes, create-if-absent CASes and scans as
 // barriers among them — sent whole to one server and one request per message
 // to another. Every response must agree (versions compared by the put they
-// name), over v1 and v2.
+// name). The subtest is named for the tagged (v2) framing its connections
+// speak.
 func TestMixedFramesMatchOneAtATime(t *testing.T) {
-	bothProtocols(t, func(t *testing.T, dial func(string) doer) {
-		framed, addrF := startServer(t, "")
-		_, addrS := startServer(t, "")
-		cf, cs := dial(addrF), dial(addrS)
-		lf, ls := &versionLedger{origin: map[uint64]uint64{}}, &versionLedger{origin: map[uint64]uint64{}}
-		rng := rand.New(rand.NewSource(23))
-		key := func() string {
-			switch rng.Intn(3) {
-			case 0:
-				return fmt.Sprintf("k%d", rng.Intn(30))
-			case 1:
-				return fmt.Sprintf("sameslice%02d", rng.Intn(20))
-			}
-			return fmt.Sprintf("sameslicesameslice%02d-tail", rng.Intn(20))
+	t.Run("v2", testMixedFramesMatchOneAtATime)
+}
+
+func testMixedFramesMatchOneAtATime(t *testing.T) {
+	framed, addrF := startServer(t, "")
+	_, addrS := startServer(t, "")
+	cf, cs := dialConn(t, addrF), dialConn(t, addrS)
+	lf, ls := &versionLedger{origin: map[uint64]uint64{}}, &versionLedger{origin: map[uint64]uint64{}}
+	rng := rand.New(rand.NewSource(23))
+	key := func() string {
+		switch rng.Intn(3) {
+		case 0:
+			return fmt.Sprintf("k%d", rng.Intn(30))
+		case 1:
+			return fmt.Sprintf("sameslice%02d", rng.Intn(20))
 		}
-		for f := 0; f < 200; f++ {
-			reqs := make([]wire.Request, 1+rng.Intn(32))
-			for i := range reqs {
-				switch n := rng.Intn(20); {
-				case n < 8:
-					reqs[i] = get(key())
-				case n < 10:
-					reqs[i] = get(key(), rng.Intn(3))
-				case n < 16:
-					reqs[i] = put(key(), cd(rng.Intn(3), fmt.Sprintf("f%d.%d", f, i)))
-				case n < 17:
-					reqs[i] = put(key(), cd(0, fmt.Sprintf("f%d.%d", f, i)), cd(2, "c2"))
-				case n < 18:
-					reqs[i] = wire.Request{Op: wire.OpRemove, Key: []byte(key())}
-				case n < 19:
-					reqs[i] = wire.Request{Op: wire.OpCas, Key: []byte(key()), Puts: []wire.ColData{cd(1, "cas")}}
-				default:
-					reqs[i] = wire.Request{Op: wire.OpGetRange, Key: []byte(key()), N: 1 + rng.Intn(5)}
-				}
+		return fmt.Sprintf("sameslicesameslice%02d-tail", rng.Intn(20))
+	}
+	for f := 0; f < 200; f++ {
+		reqs := make([]wire.Request, 1+rng.Intn(32))
+		for i := range reqs {
+			switch n := rng.Intn(20); {
+			case n < 8:
+				reqs[i] = get(key())
+			case n < 10:
+				reqs[i] = get(key(), rng.Intn(3))
+			case n < 16:
+				reqs[i] = put(key(), cd(rng.Intn(3), fmt.Sprintf("f%d.%d", f, i)))
+			case n < 17:
+				reqs[i] = put(key(), cd(0, fmt.Sprintf("f%d.%d", f, i)), cd(2, "c2"))
+			case n < 18:
+				reqs[i] = wire.Request{Op: wire.OpRemove, Key: []byte(key())}
+			case n < 19:
+				reqs[i] = wire.Request{Op: wire.OpCas, Key: []byte(key()), Puts: []wire.ColData{cd(1, "cas")}}
+			default:
+				reqs[i] = wire.Request{Op: wire.OpGetRange, Key: []byte(key()), N: 1 + rng.Intn(5)}
 			}
-			whole, err := cf.Do(reqs)
+		}
+		whole, err := cf.Do(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := lf.note(reqs, whole)
+		for i := range reqs {
+			one, err := cs.Do(reqs[i : i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := lf.note(reqs, whole)
-			for i := range reqs {
-				one, err := cs.Do(reqs[i : i+1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := ls.note(reqs[i:i+1], one)[0]; !reflect.DeepEqual(got[i], want) {
-					t.Fatalf("frame %d request %d (op %d, key %q): sent whole it answered %+v, alone %+v (versions as put ordinals)",
-						f, i, reqs[i].Op, reqs[i].Key, got[i], want)
-				}
+			if want := ls.note(reqs[i:i+1], one)[0]; !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("frame %d request %d (op %d, key %q): sent whole it answered %+v, alone %+v (versions as put ordinals)",
+					f, i, reqs[i].Op, reqs[i].Key, got[i], want)
 			}
 		}
-		if segmented := framed.batchedGets.Load() + framed.batchedPuts.Load(); segmented < 2000 {
-			t.Fatalf("only %d requests went through point segments", segmented)
-		}
-	})
+	}
+	if segmented := framed.batchedGets.Load() + framed.batchedPuts.Load(); segmented < 2000 {
+		t.Fatalf("only %d requests went through point segments", segmented)
+	}
 }
 
 // TestMixedSegmentAllocs pins a frame of sixteen alternating gets and puts —
@@ -265,9 +272,9 @@ func TestMixedSegmentAllocs(t *testing.T) {
 		}
 	}
 	sc := &connScratch{}
-	srv.executeBatch(sess, reqs, len(reqs), sc, true) // warm the scratch
+	srv.executeBatch(sess, reqs, len(reqs), sc) // warm the scratch
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.executeBatch(sess, reqs, len(reqs), sc, true)
+		srv.executeBatch(sess, reqs, len(reqs), sc)
 		if sc.resps[0].Status != wire.StatusOK || sc.resps[1].Version != sc.resps[0].Version {
 			t.Fatalf("mixed segment responses: %+v", sc.resps[:2])
 		}

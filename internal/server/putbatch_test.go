@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/wire"
 )
@@ -17,11 +16,7 @@ import (
 // batched_puts stat proves the batched path served them.
 func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 	srv, addr := startServer(t, t.TempDir())
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialConn(t, addr)
 
 	const batch = 64
 	const rounds = 10
@@ -33,7 +28,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 			reqs[j] = wire.Request{Op: wire.OpPut, Key: key(round*batch + j),
 				Puts: []wire.ColData{{Col: 0, Data: []byte(fmt.Sprintf("r%02d-j%02d", round, j))}}}
 		}
-		resps, err := c.DoReuse(reqs)
+		resps, err := c.Do(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +55,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 				}
 			}
 		}
-		got, ok, err := c.Get(key(i), nil)
+		got, _, ok, err := c.Get(key(i), nil)
 		if err != nil || !ok {
 			t.Fatalf("get %q: %v %v", key(i), ok, err)
 		}
@@ -80,23 +75,19 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 // values (the store must have copied the bytes out).
 func TestPutRunFrameAliasing(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialConn(t, addr)
 	reqs := make([]wire.Request, 8)
 	for round := 0; round < 3; round++ {
 		for j := range reqs {
 			reqs[j] = wire.Request{Op: wire.OpPut, Key: []byte(fmt.Sprintf("alias-%d", j)),
 				Puts: []wire.ColData{{Col: 0, Data: []byte(fmt.Sprintf("round%d-value%d", round, j))}}}
 		}
-		if _, err := c.DoReuse(reqs); err != nil {
+		if _, err := c.Do(reqs); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for j := range reqs {
-		got, ok, err := c.Get([]byte(fmt.Sprintf("alias-%d", j)), nil)
+		got, _, ok, err := c.Get([]byte(fmt.Sprintf("alias-%d", j)), nil)
 		if err != nil || !ok || string(got[0]) != fmt.Sprintf("round2-value%d", j) {
 			t.Fatalf("alias-%d = %q %v %v", j, got, ok, err)
 		}
@@ -124,9 +115,9 @@ func TestServerPutPathAllocs(t *testing.T) {
 		reqs[j] = wire.Request{Op: wire.OpPut, Key: []byte(fmt.Sprintf("allocs-key-%04d", j)), Puts: data[j : j+1]}
 	}
 	sc := &connScratch{}
-	srv.executeBatch(sess, reqs, len(reqs), sc, true) // warm scratch and insert the keys
+	srv.executeBatch(sess, reqs, len(reqs), sc) // warm scratch and insert the keys
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.executeBatch(sess, reqs, len(reqs), sc, true)
+		srv.executeBatch(sess, reqs, len(reqs), sc)
 	})
 	// One packed value per put is the floor; allow nothing beyond it.
 	if allocs > batch {
@@ -159,9 +150,9 @@ func TestServerGetRangeAllocFree(t *testing.T) {
 		reqs = append(reqs, wire.Request{Op: wire.OpGetRange, Key: []byte(fmt.Sprintf("range-key-%04d", 120+j)), N: 10, Cols: []int{0}})
 	}
 	sc := &connScratch{}
-	srv.executeBatch(sess, reqs, len(reqs), sc, true) // warm the scratch
+	srv.executeBatch(sess, reqs, len(reqs), sc) // warm the scratch
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.executeBatch(sess, reqs, len(reqs), sc, true)
+		srv.executeBatch(sess, reqs, len(reqs), sc)
 		if len(sc.resps) != 18 || len(sc.resps[0].Pairs) != 10 || len(sc.resps[17].Pairs) != 10 || string(sc.resps[2].Pairs[0].Key) != "range-key-0120" {
 			t.Fatalf("range responses: %+v", sc.resps)
 		}

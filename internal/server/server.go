@@ -5,16 +5,15 @@
 // equally effective at avoiding network overhead"; batching many queries per
 // message amortizes network and syscall costs.
 //
-// Connections speak protocol v1 or v2 (see internal/wire): the first bytes
-// either begin a hello frame negotiating v2 or a v1 length header, so
-// legacy clients work verbatim. A v1 connection executes one frame at a
-// time in its goroutine. A v2 connection is served by a reader → executor →
-// writer pipeline: tagged frames cycle through a small ring of connScratch
-// buffers over bounded channels, so decoding frame N+1 overlaps executing
-// frame N and writing back frame N−1 while single-executor FIFO order
-// preserves per-connection response order by tag. Combined with a
-// pipelining client (many tagged frames in flight), neither side ever
-// stalls on the other's round trip.
+// A connection speaks the one protocol internal/wire defines: it opens with
+// a hello, and a connection whose first bytes are not one is closed before
+// anything executes. After the hello exchange the connection is served by a
+// reader → executor → writer pipeline: tagged frames cycle through a small
+// ring of connScratch buffers over bounded channels, so decoding frame N+1
+// overlaps executing frame N and writing back frame N−1 while
+// single-executor FIFO order preserves per-connection response order by
+// tag. Combined with a pipelining client (many tagged frames in flight),
+// neither side ever stalls on the other's round trip.
 //
 // Execution is batch-aware, and the unit of batching is the frame's stretch
 // of point operations, not a run of one opcode: a maximal stretch of OpGet
@@ -81,7 +80,6 @@ type Server struct {
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
-	udp   []*udpListener
 	wg    sync.WaitGroup
 	done  atomic.Bool
 }
@@ -154,8 +152,8 @@ type connScratch struct {
 	pairs   []wire.Pair          // arena backing Response.Pairs for this message
 	rng     kvstore.RangeScratch // arenas behind Session.GetRangeInto
 
-	// v2 pipeline state: the frame's tag, its decoded requests (aliasing
-	// dec), and the claimed batch size (> len(reqs) when a decodable frame
+	// pipeline state: the frame's tag, its decoded requests (aliasing dec),
+	// and the claimed batch size (> len(reqs) when a decodable frame
 	// held undecodable requests; the tail is answered with StatusError).
 	tag     uint32
 	reqs    []wire.Request
@@ -217,22 +215,14 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 	defer sess.Close()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
-	// The connection's first bytes either begin a hello frame (negotiate
-	// v2) or a v1 length header (legacy client, served verbatim).
+	// A connection opens with a hello. Anything else — a frame of an older
+	// protocol, garbage — is closed unread, before a request can execute, and
+	// so is a hello proposing a version older than this server speaks.
 	first, err := r.Peek(4)
-	if err != nil {
+	if err != nil || !wire.IsHelloPrefix(first) {
 		return
 	}
-	if !wire.IsHelloPrefix(first) {
-		s.serveV1(sess, r, w)
-		return
-	}
-	ver, err := wire.ReadHello(r)
-	if err != nil || ver < wire.Version2 {
-		// Version2 is the oldest hello-negotiated version (v1 clients send
-		// no hello), so a lower proposal is a protocol violation: drop the
-		// connection rather than answer with a version the sender could
-		// not speak (see the wire package comment).
+	if _, err := wire.ReadHello(r); err != nil {
 		return
 	}
 	if err := wire.WriteHello(w, wire.Version2); err != nil {
@@ -244,40 +234,14 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 	s.serveV2(conn, sess, r, w)
 }
 
-// serveV1 executes one frame at a time: the v1 protocol allows a single
-// batch in flight, so the read, execute, and write phases simply alternate
-// in this goroutine.
-func (s *Server) serveV1(sess *kvstore.Session, r *bufio.Reader, w *bufio.Writer) {
-	sc := &connScratch{}
-	for {
-		body, err := wire.ReadRequestBody(r, &sc.dec)
-		if err != nil {
-			// EOF and friends are orderly shutdown; anything else is a
-			// framing error. Either way, drop the connection.
-			return
-		}
-		reqs, claimed, err := wire.ParseRequestsLenient(body, &sc.dec)
-		if err != nil {
-			// The frame itself cannot be trusted (forged count, trailing
-			// bytes): no per-request recovery is possible.
-			return
-		}
-		s.executeBatch(sess, reqs, claimed, sc, false)
-		if err := wire.WriteResponsesInto(w, sc.resps, &sc.enc); err != nil {
-			return
-		}
-		sc.shrink()
-	}
-}
-
-// v2PipelineDepth is the number of connScratch buffers a v2 connection
-// cycles through its reader → executor → writer stages — one frame being
+// v2PipelineDepth is the number of connScratch buffers a connection cycles
+// through its reader → executor → writer stages — one frame being
 // decoded, one executing, one being written back. More depth buys nothing:
 // the pipeline has three stages, and in-flight frames beyond it queue in
 // the kernel socket buffers.
 const v2PipelineDepth = 4
 
-// serveV2 runs the pipelined protocol: a reader goroutine decodes tagged
+// serveV2 runs a connection's pipeline: a reader goroutine decodes tagged
 // frames, this executor goroutine executes them, and a writer goroutine
 // streams the encoded responses back. Stages hand connScratch buffers
 // around over bounded channels (the scratch ring doubles as flow control),
@@ -333,8 +297,9 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 			if !failed {
 				b, err := wire.AppendTaggedResponses(sc.enc[:0], sc.tag, sc.resps)
 				if err != nil {
-					// Response exceeds the frame bound: unanswerable; drop
-					// the connection like the v1 path would.
+					// The responses cannot be framed (past MaxMessage, or a
+					// pair key past MaxKeyLen): unanswerable; drop the
+					// connection.
 					failed = true
 					conn.Close()
 				} else {
@@ -358,7 +323,7 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 	}()
 	// Executor (this goroutine): runs decoded requests against the store.
 	for sc := range decoded {
-		s.executeBatch(sess, sc.reqs, sc.claimed, sc, true)
+		s.executeBatch(sess, sc.reqs, sc.claimed, sc)
 		executed <- sc
 	}
 	close(executed)
@@ -373,10 +338,8 @@ func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, 
 // is cut into segments (see segmentOf): a maximal stretch of OpGets and
 // OpPuts is served as one point run, a maximal run of OpGetRanges as one scan
 // run, when at least minBatchRun long; everything else executes one at a
-// time. ttlOK admits the cache-mode operations
-// (OpPutTTL/OpTouch/OpGetOrLoad), which are v2 surface: the v1 and UDP paths
-// answer them with StatusError, leaving v1 semantics untouched.
-func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch, ttlOK bool) {
+// time.
+func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch) {
 	if claimed < len(reqs) {
 		claimed = len(reqs)
 	}
@@ -396,7 +359,7 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 		switch {
 		case j-i < minBatchRun:
 			for k := i; k < j; k++ {
-				sc.resps[k] = s.execute(sess, &reqs[k], sc, ttlOK)
+				sc.resps[k] = s.execute(sess, &reqs[k], sc)
 			}
 		case seg == segPoint:
 			s.executePointRun(sess, reqs[i:j], sc.resps[i:j], sc)
@@ -525,7 +488,7 @@ func (sc *connScratch) rangeResponse(pairs []kvstore.Pair) wire.Response {
 // histForOp maps a wire op to its server-side latency histogram; ok is
 // false for ops that are not timed (Stats itself, Remove, unknown ops).
 // PutTTL and Touch fold into the put histogram: they take the same write
-// path and the cardinality stays the v1 set the ISSUE names.
+// path, and the set of histograms (and of their stats keys) stays small.
 func histForOp(op wire.OpCode) (obs.HistID, bool) {
 	switch op {
 	case wire.OpGet:
@@ -545,19 +508,19 @@ func histForOp(op wire.OpCode) (obs.HistID, bool) {
 // execute serves one request, timing it into the op's latency histogram.
 // Responses may alias sc's arenas and the request's frame buffer; they are
 // valid until the next message.
-func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch, ttlOK bool) wire.Response {
+func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
 	if s.obs != nil {
 		if id, ok := histForOp(r.Op); ok {
 			start := time.Now()
-			resp := s.executeOp(sess, r, sc, ttlOK)
+			resp := s.executeOp(sess, r, sc)
 			s.obs.Hist(id).Record(sess.Worker(), time.Since(start))
 			return resp
 		}
 	}
-	return s.executeOp(sess, r, sc, ttlOK)
+	return s.executeOp(sess, r, sc)
 }
 
-func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScratch, ttlOK bool) wire.Response {
+func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
 	switch r.Op {
 	case wire.OpGet:
 		// Gets report the value's version so clients can chain OpCas off a
@@ -571,18 +534,14 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		return wire.Response{Status: wire.StatusOK, Version: v.Version(),
 			Cols: sc.cols[start:len(sc.cols):len(sc.cols)]}
 	case wire.OpPut, wire.OpCas, wire.OpPutTTL, wire.OpTouch:
-		return s.executeWrite(sess, r, ttlOK)
+		return s.executeWrite(sess, r)
 	case wire.OpGetOrLoad:
-		// Read-through get (v2 surface, like the TTL ops): a miss consults
-		// the store's backend tier, with concurrent misses for the same key
-		// coalesced into one backend load. StatusStale marks a degraded
-		// answer — an expired resident value served because the backend could
-		// not be reached. A store without a backend (or a backend failure
-		// with nothing resident) answers StatusError.
-		if !ttlOK {
-			s.erroredRequests.Add(1)
-			return wire.Response{Status: wire.StatusError}
-		}
+		// Read-through get: a miss consults the store's backend tier, with
+		// concurrent misses for the same key coalesced into one backend load.
+		// StatusStale marks a degraded answer — an expired resident value
+		// served because the backend could not be reached. A store without a
+		// backend (or a backend failure with nothing resident) answers
+		// StatusError.
 		v, stale, err := sess.GetOrLoad(context.Background(), r.Key)
 		if err != nil {
 			s.erroredRequests.Add(1)
@@ -607,7 +566,7 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 	case wire.OpGetRange:
 		return sc.rangeResponse(sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng))
 	case wire.OpStats:
-		return s.statsResponse(ttlOK)
+		return s.statsResponse()
 	default:
 		return wire.Response{Status: wire.StatusError}
 	}
@@ -620,12 +579,8 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 // version. A declined write answers with what the client needs to retry: an
 // OpCas whose ExpectVersion mismatched under the border lock is
 // StatusConflict carrying the current version, an OpTouch of an absent or
-// expired key StatusNotFound. The TTL forms are v2 surface (see executeBatch).
-func (s *Server) executeWrite(sess *kvstore.Session, r *wire.Request, ttlOK bool) wire.Response {
-	if !ttlOK && (r.Op == wire.OpPutTTL || r.Op == wire.OpTouch) {
-		s.erroredRequests.Add(1)
-		return wire.Response{Status: wire.StatusError}
-	}
+// expired key StatusNotFound.
+func (s *Server) executeWrite(sess *kvstore.Session, r *wire.Request) wire.Response {
 	var ver uint64
 	ok, declined := true, wire.StatusNotFound
 	switch r.Op {
@@ -658,27 +613,24 @@ func expiryFromTTL(ttl uint32) uint64 {
 // counters, cache-mode health, and logging health as metric name/value
 // pairs. flush_errors is the count of failed log flushes (background group
 // commits included); a non-zero value means acknowledged puts may not be
-// durable — on v2 connections flush_last_error carries the most recent
-// failure's text (the one non-numeric stat; it is withheld from v1 and UDP
-// responses because pre-existing v1 clients parse every stat as an integer
-// and would reject the whole response). flush_buffer_drops counts flushed
+// durable — and flush_last_error carries the most recent failure's text,
+// the one non-numeric stat (client.Conn.Stats skips it; StatsRaw has it).
+// flush_buffer_drops counts flushed
 // log buffers released for outgrowing the writers' retain cap: zero while
 // the flushers keep up, climbing when puts pay to regrow them. bytes_live
 // is the accounted packed-value footprint; evictions, expirations,
 // ghost_hits, and admit_drops are the cache-mode counters (zero unless
 // MaxBytes/TTLs are in use).
-func (s *Server) statsResponse(v2 bool) wire.Response {
+func (s *Server) statsResponse() wire.Response {
 	stats, _ := s.collectStats()
 	pairs := make([]wire.Pair, 0, len(stats)+1)
 	for _, m := range stats {
 		pairs = append(pairs, wire.Pair{Key: []byte(m.Name),
 			Cols: [][]byte{[]byte(strconv.FormatInt(m.Value, 10))}})
 	}
-	if v2 {
-		if _, flushLast := s.store.FlushStats(); flushLast != nil {
-			pairs = append(pairs, wire.Pair{Key: []byte("flush_last_error"),
-				Cols: [][]byte{[]byte(flushLast.Error())}})
-		}
+	if _, flushLast := s.store.FlushStats(); flushLast != nil {
+		pairs = append(pairs, wire.Pair{Key: []byte("flush_last_error"),
+			Cols: [][]byte{[]byte(flushLast.Error())}})
 	}
 	return wire.Response{Status: wire.StatusOK, Pairs: pairs}
 }
@@ -721,8 +673,8 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 		{Name: "flush_retries", Value: s.store.FlushRetries()},
 		{Name: "broken_chains", Value: s.store.RecoveryStats().BrokenChains},
 		{Name: "missing_logs", Value: s.store.RecoveryStats().MissingLogs},
-		// Backend-tier health (all numeric, so v1 clients that integer-parse
-		// every stat stay happy): zero-valued when no backend is configured.
+		// Backend-tier health (numeric, like every stat but
+		// flush_last_error): zero-valued when no backend is configured.
 		{Name: "loads", Value: int64(ls.Loads)},
 		{Name: "load_errors", Value: int64(ls.LoadErrors)},
 		{Name: "herd_coalesced", Value: int64(ls.HerdCoalesced)},
@@ -755,11 +707,6 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	s.mu.Lock()
-	for _, l := range s.udp {
-		l.conn.Close() // datagram service has no drain: no connection state
-	}
-	s.mu.Unlock()
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -779,8 +726,7 @@ func (s *Server) Shutdown(timeout time.Duration) bool {
 	return false
 }
 
-// Close stops accepting, closes all connections and UDP sockets, and waits
-// for handlers.
+// Close stops accepting, closes all connections, and waits for handlers.
 func (s *Server) Close() error {
 	s.done.Store(true)
 	var err error
@@ -790,9 +736,6 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
-	}
-	for _, l := range s.udp {
-		l.conn.Close()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/kvstore"
@@ -36,35 +40,30 @@ func startServer(t *testing.T, dir string) (*Server, string) {
 
 func TestEndToEnd(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialConn(t, addr, client.WithWindow(1))
 
 	if _, err := c.PutSimple([]byte("hello"), []byte("world")); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := c.Get([]byte("hello"), nil)
+	got, _, ok, err := c.Get([]byte("hello"), nil)
 	if err != nil || !ok || string(got[0]) != "world" {
 		t.Fatalf("get: %q %v %v", got, ok, err)
 	}
-	if _, ok, _ := c.Get([]byte("missing"), nil); ok {
+	if _, _, ok, _ := c.Get([]byte("missing"), nil); ok {
 		t.Fatal("phantom key")
 	}
 	existed, err := c.Remove([]byte("hello"))
 	if err != nil || !existed {
 		t.Fatalf("remove: %v %v", existed, err)
 	}
-	if _, ok, _ := c.Get([]byte("hello"), nil); ok {
+	if _, _, ok, _ := c.Get([]byte("hello"), nil); ok {
 		t.Fatal("key survived remove")
 	}
 }
 
 func TestBatchedQueries(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, _ := client.Dial(addr)
-	defer c.Close()
+	c := dialConn(t, addr)
 
 	const batch = 100
 	reqs := make([]wire.Request, batch)
@@ -107,8 +106,7 @@ func TestBatchedQueries(t *testing.T) {
 
 func TestRangeOverNetwork(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, _ := client.Dial(addr)
-	defer c.Close()
+	c := dialConn(t, addr)
 	for i := 0; i < 30; i++ {
 		c.Put([]byte(fmt.Sprintf("k%03d", i)), []wire.ColData{
 			{Col: 0, Data: []byte("a")}, {Col: 1, Data: []byte(fmt.Sprintf("b%d", i))},
@@ -137,7 +135,7 @@ func TestManyConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			c, err := client.Dial(addr)
+			c, err := client.DialConn(addr)
 			if err != nil {
 				t.Error(err)
 				return
@@ -152,7 +150,7 @@ func TestManyConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < perClient; i++ {
 				k := []byte(fmt.Sprintf("c%d-%04d", ci, i))
-				got, ok, err := c.Get(k, nil)
+				got, _, ok, err := c.Get(k, nil)
 				if err != nil || !ok || !bytes.Equal(got[0], k) {
 					t.Errorf("get %q: %v %v %v", k, got, ok, err)
 					return
@@ -173,7 +171,10 @@ func TestServerPersistsThroughRestart(t *testing.T) {
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, _ := client.Dial(srv.Addr().String())
+	c, err := client.DialConn(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 100; i++ {
 		c.PutSimple([]byte(fmt.Sprintf("p%03d", i)), []byte("v"))
 	}
@@ -193,11 +194,7 @@ func TestServerPersistsThroughRestart(t *testing.T) {
 
 func TestMalformedInputDropsConnection(t *testing.T) {
 	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialConn(t, addr)
 	// Another connection sends garbage; the valid client must be unaffected.
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -210,13 +207,61 @@ func TestMalformedInputDropsConnection(t *testing.T) {
 	}
 }
 
-func TestStatsOverNetwork(t *testing.T) {
-	_, addr := startServer(t, "")
-	c, err := client.Dial(addr)
+// TestConnectionWithoutHelloIsClosed opens connections the way a client of
+// an older protocol would: a put in an untagged frame (u32 body length,
+// then the body) with no hello ahead of it, and a hello proposing version
+// 1. The server must close each without answering or executing anything —
+// the key stays absent and no request counts as errored — and go on
+// serving a client that does open with a hello.
+func TestConnectionWithoutHelloIsClosed(t *testing.T) {
+	srv, addr := startServer(t, "")
+	body := binary.LittleEndian.AppendUint32(nil, 1) // one request
+	body = append(body, byte(wire.OpPut))
+	body = binary.LittleEndian.AppendUint16(body, uint16(len("legacy")))
+	body = append(body, "legacy"...)
+	body = append(body, 1)                           // one column
+	body = binary.LittleEndian.AppendUint16(body, 0) // column 0
+	body = binary.LittleEndian.AppendUint32(body, 1) // one byte of data
+	body = append(body, 'v')
+	untagged := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+
+	for name, opening := range map[string][]byte{
+		"an untagged put":      untagged,
+		"a hello of version 1": wire.AppendHello(nil, 1),
+	} {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := raw.Read(make([]byte, 64))
+		raw.Close()
+		if n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: read %d bytes (%v), want the connection closed unanswered", name, n, err)
+		}
+	}
+	if _, ok := srv.store.GetValue([]byte("legacy")); ok {
+		t.Fatal("the untagged put was executed")
+	}
+	c := dialConn(t, addr)
+	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	if stats["errored_requests"] != 0 || stats["keys"] != 0 {
+		t.Fatalf("after two refused openings: errored_requests=%d keys=%d, want 0 and 0", stats["errored_requests"], stats["keys"])
+	}
+	if _, err := c.PutSimple([]byte("k"), []byte("v")); err != nil {
+		t.Fatalf("a client with a hello was not served: %v", err)
+	}
+}
+
+func TestStatsOverNetwork(t *testing.T) {
+	_, addr := startServer(t, "")
+	c := dialConn(t, addr)
 	for i := 0; i < 100; i++ {
 		c.PutSimple([]byte(fmt.Sprintf("s%03d", i)), []byte("v"))
 	}

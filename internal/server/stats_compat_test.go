@@ -14,13 +14,28 @@ import (
 	"repro/internal/wire"
 )
 
-// TestFlushLastErrorOnlyOnV2 pins the stats compatibility rule: the one
-// string-valued metric (flush_last_error) is served only on v2 connections.
-// Pre-existing v1 client binaries parse every stats value with ParseInt and
-// reject the whole response on the first non-numeric one — exactly when the
-// operator most needs stats — so the v1 response must stay all-numeric even
-// while a flush error is latched.
-func TestFlushLastErrorOnlyOnV2(t *testing.T) {
+// numericExceptFlushLastError fails t unless every stat but
+// flush_last_error — the one that carries an error's text — is a base-10
+// integer. Conn.Stats and cluster.StatsAggregate drop whatever does not
+// parse and masstree-client -json prints it as a string, so a key whose
+// value stops parsing would leave the numeric views without an error.
+func numericExceptFlushLastError(t *testing.T, raw map[string]string) {
+	t.Helper()
+	for k, v := range raw {
+		if k == "flush_last_error" {
+			continue
+		}
+		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
+			t.Fatalf("stat %q=%q is not numeric", k, v)
+		}
+	}
+}
+
+// TestFlushLastErrorInStats pins the one string-valued metric: while a flush
+// failure is latched, the stats response carries its text as
+// flush_last_error beside a non-zero flush_errors, every other stat stays an
+// integer, and the numeric view skips the string instead of failing on it.
+func TestFlushLastErrorInStats(t *testing.T) {
 	mem := vfs.NewMemFS()
 	fault := vfs.NewFault(mem)
 	store, err := kvstore.Open(kvstore.Config{
@@ -50,42 +65,28 @@ func TestFlushLastErrorOnlyOnV2(t *testing.T) {
 		t.Fatalf("flush error not latched: n=%d last=%v", n, last)
 	}
 
-	addr := srv.Addr().String()
-	v1, err := client.Dial(addr)
+	c, err := client.DialConn(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1.Close()
-	rawV1, err := v1.StatsRaw()
+	defer c.Close()
+	raw, err := c.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, present := rawV1["flush_last_error"]; present {
-		t.Fatal("v1 stats carried the string-valued flush_last_error")
+	if msg, present := raw["flush_last_error"]; !present || msg == "" {
+		t.Fatalf("stats missing flush_last_error: %v", raw)
 	}
-	for k, v := range rawV1 { // an old binary's ParseInt loop must succeed
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("v1 stat %q=%q is not numeric", k, v)
-		}
-	}
-	if rawV1["flush_errors"] == "0" {
+	if raw["flush_errors"] == "0" {
 		t.Fatal("flush_errors did not report the failure")
 	}
-
-	v2, err := client.DialConn(addr)
+	numericExceptFlushLastError(t, raw)
+	stats, err := c.Stats()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("numeric Stats failed on the string metric: %v", err)
 	}
-	defer v2.Close()
-	rawV2, err := v2.StatsRaw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg, present := rawV2["flush_last_error"]; !present || msg == "" {
-		t.Fatalf("v2 stats missing flush_last_error: %v", rawV2)
-	}
-	if _, err := v2.Stats(); err != nil { // numeric view skips the string
-		t.Fatalf("v2 numeric Stats failed on the string metric: %v", err)
+	if _, present := stats["flush_last_error"]; present || stats["flush_errors"] == 0 {
+		t.Fatalf("numeric Stats: flush_last_error present=%v, flush_errors=%d", present, stats["flush_errors"])
 	}
 }
 
@@ -142,14 +143,13 @@ func TestFlushBufferDropsStat(t *testing.T) {
 }
 
 // TestStatsNumericWithBreakerTripped audits the state-machine metrics
-// against the same compatibility rule while they are *non-zero*: with the
-// backend breaker freshly tripped, breaker_state must report its state as
-// an integer (1 = open, never a name like "open") and every other v1 stat
-// must stay ParseInt-clean. The cluster client's node_state follows the
-// identical convention (pinned by TestClusterStatsAllNumeric); this is the
-// server half of that audit, taken at the worst moment — mid-outage, when
-// an operator's old binary is most likely to be pointed at the stats
-// endpoint.
+// against the same rule while they are *non-zero*: with the backend breaker
+// freshly tripped, breaker_state must report its state as an integer (1 =
+// open, never a name like "open") and every other stat must stay
+// ParseInt-clean. The cluster client's node_state follows the identical
+// convention (pinned by TestClusterStatsAllNumeric); this is the server half
+// of that audit, taken at the worst moment — mid-outage, when an operator is
+// most likely to be reading the stats.
 func TestStatsNumericWithBreakerTripped(t *testing.T) {
 	m := backend.NewMock(0)
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: time.Hour})
@@ -168,48 +168,38 @@ func TestStatsNumericWithBreakerTripped(t *testing.T) {
 
 	// Trip the breaker through the wire path: one failing read-through load.
 	m.SetError(errors.New("backend down"))
-	v2, err := client.DialConn(srv.Addr().String())
+	c, err := client.DialConn(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v2.Close()
-	if _, _, _, _, err := v2.GetOrLoad([]byte("absent"), nil); err == nil {
+	defer c.Close()
+	if _, _, _, _, err := c.GetOrLoad([]byte("absent"), nil); err == nil {
 		t.Fatal("getorload against a dead backend succeeded")
 	}
 	if st := store.LoaderStats(); st.Backend.BreakerState != backend.BreakerOpen {
 		t.Fatalf("breaker not open: %+v", st.Backend)
 	}
 
-	v1, err := client.Dial(srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	raw, err := v1.StatsRaw()
+	raw, err := c.StatsRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
 	state, present := raw["breaker_state"]
 	if !present {
-		t.Fatal("breaker_state missing from v1 stats")
+		t.Fatal("breaker_state missing from stats")
 	}
 	if n, err := strconv.ParseInt(state, 10, 64); err != nil || n != int64(backend.BreakerOpen) {
 		t.Fatalf("breaker_state=%q, want the integer %d", state, backend.BreakerOpen)
 	}
-	for k, v := range raw { // the old binary's ParseInt loop, mid-outage
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("v1 stat %q=%q is not numeric", k, v)
-		}
-	}
+	numericExceptFlushLastError(t, raw)
 }
 
-// TestStatsHistogramKeysV1Numeric sweeps the histogram-derived stats keys
-// through a v1 connection: every lat_* key (counts, sums, quantiles, raw
-// buckets) must be a base-10 integer an old binary's ParseInt loop accepts,
-// and traffic must actually surface them — the keys ride the same stats
-// response v1 clients have always parsed, so shipping a non-numeric or
-// missing key here would break the oldest deployed tooling first.
-func TestStatsHistogramKeysV1Numeric(t *testing.T) {
+// TestStatsHistogramKeysNumeric sweeps the histogram-derived stats keys:
+// every lat_* key (counts, sums, quantiles, raw buckets) must be a base-10
+// integer, and traffic must actually surface them — the keys ride the one
+// stats response every reader parses, so a non-numeric key here would
+// vanish from Conn.Stats without an error.
+func TestStatsHistogramKeysNumeric(t *testing.T) {
 	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaintainEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +213,7 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 		store.Close()
 	})
 
-	c, err := client.Dial(srv.Addr().String())
+	c, err := client.DialConn(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +223,7 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 		if _, err := c.PutSimple(key, []byte("compat-value")); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.Get(key, nil); err != nil {
+		if _, _, _, err := c.Get(key, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,17 +246,15 @@ func TestStatsHistogramKeysV1Numeric(t *testing.T) {
 	if raw["batched_gets"] != "0" || raw["batched_puts"] != "0" {
 		t.Fatalf("a scan run moved batched_gets=%q batched_puts=%q", raw["batched_gets"], raw["batched_puts"])
 	}
+	numericExceptFlushLastError(t, raw)
 	lat := 0
-	for k, v := range raw {
-		if _, err := strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("v1 stat %q=%q is not numeric", k, v)
-		}
+	for k := range raw {
 		if strings.HasPrefix(k, "lat_") {
 			lat++
 		}
 	}
 	if lat == 0 {
-		t.Fatal("v1 stats carry no histogram keys")
+		t.Fatal("stats carry no histogram keys")
 	}
 	if _, ok := raw["batch_fallbacks"]; !ok { // the tree's newest counter, beside local_retries
 		t.Fatal("stats missing batch_fallbacks")

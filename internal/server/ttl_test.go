@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/kvstore"
-	"repro/internal/wire"
 )
 
 // startCacheServer runs a server over a cache-mode store (bounded, with the
@@ -113,39 +112,5 @@ func TestTTLExpiresOverWire(t *testing.T) {
 	}
 	if _, ok, err := conn.Touch([]byte("blink"), 60); err != nil || ok {
 		t.Fatalf("touch revived an expired key: %v %v", ok, err)
-	}
-}
-
-// TestTTLRejectedOnV1 pins the protocol boundary: OpPutTTL and OpTouch are
-// v2 surface, and a v1 connection answering them gets StatusError while the
-// rest of its batch executes normally — v1 semantics untouched.
-func TestTTLRejectedOnV1(t *testing.T) {
-	srv, addr := startCacheServer(t, 1<<30)
-	c, err := client.Dial(addr) // v1: no hello
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	resps, err := c.Do([]wire.Request{
-		{Op: wire.OpPut, Key: []byte("k"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}},
-		{Op: wire.OpPutTTL, Key: []byte("t"), Puts: []wire.ColData{{Col: 0, Data: []byte("v")}}, TTL: 60},
-		{Op: wire.OpTouch, Key: []byte("k"), TTL: 60},
-		{Op: wire.OpGet, Key: []byte("k")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resps[0].Status != wire.StatusOK || resps[3].Status != wire.StatusOK {
-		t.Fatalf("plain v1 ops broken: %+v", resps)
-	}
-	if resps[1].Status != wire.StatusError || resps[2].Status != wire.StatusError {
-		t.Fatalf("TTL ops not rejected on v1: %+v", resps)
-	}
-	if got := srv.erroredRequests.Load(); got != 2 {
-		t.Fatalf("errored_requests = %d, want 2", got)
-	}
-	// The rejected OpPutTTL must not have stored anything.
-	if _, ok, _ := c.Get([]byte("t"), nil); ok {
-		t.Fatal("v1 OpPutTTL stored a value despite StatusError")
 	}
 }

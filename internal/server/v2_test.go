@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -130,104 +129,14 @@ func TestConnOutOfOrderWait(t *testing.T) {
 	}
 }
 
-// The v1 client and a v2 Conn with window 1 must see identical responses
-// for the same operation sequence against identically seeded stores.
-func TestInteropV1V2Identical(t *testing.T) {
-	_, addr1 := startServer(t, "")
-	_, addr2 := startServer(t, "")
-	v1c, err := client.Dial(addr1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1c.Close()
-	v2c := dialConn(t, addr2, client.WithWindow(1))
-
-	batches := [][]wire.Request{
-		{
-			{Op: wire.OpPut, Key: []byte("a"), Puts: []wire.ColData{{Col: 0, Data: []byte("1")}, {Col: 1, Data: []byte("x")}}},
-			{Op: wire.OpPut, Key: []byte("b"), Puts: []wire.ColData{{Col: 0, Data: []byte("2")}}},
-			{Op: wire.OpPut, Key: []byte("c"), Puts: []wire.ColData{{Col: 0, Data: []byte("3")}}},
-		},
-		{
-			{Op: wire.OpGet, Key: []byte("a")},
-			{Op: wire.OpGet, Key: []byte("b"), Cols: []int{0}},
-			{Op: wire.OpGet, Key: []byte("nope")},
-			{Op: wire.OpCas, Key: []byte("fresh"), ExpectVersion: 0, Puts: []wire.ColData{{Col: 0, Data: []byte("created")}}},
-			{Op: wire.OpCas, Key: []byte("fresh"), ExpectVersion: 0, Puts: []wire.ColData{{Col: 0, Data: []byte("stale")}}},
-			{Op: wire.OpRemove, Key: []byte("c")},
-			{Op: wire.OpRemove, Key: []byte("never")},
-			{Op: wire.OpGetRange, Key: nil, N: 10},
-		},
-	}
-	for bi, reqs := range batches {
-		r1, err := v1c.Do(reqs)
-		if err != nil {
-			t.Fatalf("batch %d via v1: %v", bi, err)
-		}
-		r2, err := v2c.Do(reqs)
-		if err != nil {
-			t.Fatalf("batch %d via v2: %v", bi, err)
-		}
-		// Response contents must match exactly — same statuses, versions
-		// (both stores start from the same clock), columns, and pairs. The
-		// v2 frame differs only by its tag header, which the client strips.
-		if !reflect.DeepEqual(normalizeResps(r1), normalizeResps(r2)) {
-			t.Fatalf("batch %d diverged:\nv1: %+v\nv2: %+v", bi, r1, r2)
-		}
-	}
-}
-
-// normalizeResps maps empty and nil slices together so DeepEqual compares
-// contents, not alloc-path artifacts.
-func normalizeResps(in []wire.Response) []wire.Response {
-	out := make([]wire.Response, len(in))
-	for i, r := range in {
-		if len(r.Cols) == 0 {
-			r.Cols = nil
-		}
-		if len(r.Pairs) == 0 {
-			r.Pairs = nil
-		}
-		for j := range r.Cols {
-			if len(r.Cols[j]) == 0 {
-				r.Cols[j] = nil
-			}
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // A malformed request (unknown opcode) inside a decodable frame must fail
 // alone with StatusError — the rest of the batch executes, the connection
 // survives, and the errored_requests stat counts it. The decoder cannot
 // re-sync past an unknown opcode's unknown payload, so everything from the
 // first bad request onward is errored.
-func TestMalformedRequestSurvivesV1(t *testing.T) {
-	testMalformedRequestSurvives(t, func(t *testing.T, addr string) doer {
-		c, err := client.Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return c
-	})
-}
-
 func TestMalformedRequestSurvivesV2(t *testing.T) {
-	testMalformedRequestSurvives(t, func(t *testing.T, addr string) doer {
-		return dialConn(t, addr)
-	})
-}
-
-type doer interface {
-	Do([]wire.Request) ([]wire.Response, error)
-	Stats() (map[string]int64, error)
-}
-
-func testMalformedRequestSurvives(t *testing.T, dial func(*testing.T, string) doer) {
 	_, addr := startServer(t, "")
-	c := dial(t, addr)
+	c := dialConn(t, addr)
 
 	// Request 1 of 3 is an unknown opcode: the encoder emits op+key with no
 	// payload, exactly what a newer client speaking an op this server does
@@ -376,8 +285,8 @@ func TestScanRunAnsweredInOrder(t *testing.T) {
 			}
 			continue
 		}
-		a, errA := wire.AppendResponses(nil, []wire.Response{together[i]})
-		b, errB := wire.AppendResponses(nil, []wire.Response{alone[i]})
+		a, errA := wire.AppendTaggedResponses(nil, 0, []wire.Response{together[i]})
+		b, errB := wire.AppendTaggedResponses(nil, 0, []wire.Response{alone[i]})
 		if errA != nil || errB != nil || !bytes.Equal(a, b) {
 			t.Fatalf("request %d (%q): in the frame %+v, alone %+v", i, frame[i].Key, together[i], alone[i])
 		}
@@ -500,17 +409,9 @@ func TestLargestWireValueRoundTrips(t *testing.T) {
 		t.Fatalf("batch with a put to column %d: %+v %v, want OK then Error", lastCol+1, resps, err)
 	}
 	p.Release()
-	// The synchronous faces report the refusal too, not version 0 and no error.
+	// The synchronous face reports the refusal too, not version 0 and no error.
 	if ver, err := c.Put([]byte("refused"), []wire.ColData{{Col: lastCol + 1, Data: []byte("y")}}); err == nil {
 		t.Fatalf("Conn.Put to column %d: version %d and no error", lastCol+1, ver)
-	}
-	v1, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1.Close()
-	if ver, err := v1.Put([]byte("refused"), []wire.ColData{{Col: lastCol + 1, Data: []byte("y")}}); err == nil {
-		t.Fatalf("Client.Put to column %d: version %d and no error", lastCol+1, ver)
 	}
 	if _, ok := srv.store.GetValue([]byte("refused")); ok {
 		t.Fatalf("a put to column %d was stored", lastCol+1)

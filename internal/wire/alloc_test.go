@@ -1,10 +1,6 @@
 package wire
 
-import (
-	"bufio"
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestRequestRoundTripAllocFree verifies the scratch-based encode/decode
 // path allocates nothing in steady state: requests are framed into a reused
@@ -21,16 +17,12 @@ func TestRequestRoundTripAllocFree(t *testing.T) {
 	var dec DecodeBuf
 
 	allocs := testing.AllocsPerRun(200, func() {
-		out, err := AppendRequests(enc[:0], reqs)
+		out, err := AppendTaggedRequests(enc[:0], 1, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc = out
-		body, err := ParseFrame(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseRequests(body, &dec)
+		got, err := ParseRequests(enc[taggedHeaderSize:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +36,7 @@ func TestRequestRoundTripAllocFree(t *testing.T) {
 }
 
 // TestResponseRoundTripAllocFree is the response-side analogue, covering
-// the client's DoReuse decode path.
+// the decode a client's Pending does into its own scratch.
 func TestResponseRoundTripAllocFree(t *testing.T) {
 	resps := []Response{
 		{Status: StatusOK, Cols: [][]byte{[]byte("col0"), []byte("col1")}},
@@ -59,16 +51,12 @@ func TestResponseRoundTripAllocFree(t *testing.T) {
 	var dec RespDecodeBuf
 
 	allocs := testing.AllocsPerRun(200, func() {
-		out, err := AppendResponses(enc[:0], resps)
+		out, err := AppendTaggedResponses(enc[:0], 1, resps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc = out
-		body, err := ParseFrame(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseResponses(body, &dec)
+		got, err := ParseResponses(enc[taggedHeaderSize:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,55 +66,6 @@ func TestResponseRoundTripAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("response round trip allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestScratchDecodeMatchesLegacy cross-checks the aliasing decoder against
-// the copying one over a stream carrying every request shape.
-func TestScratchDecodeMatchesLegacy(t *testing.T) {
-	reqs := []Request{
-		{Op: OpGet, Key: []byte("alpha")},
-		{Op: OpGet, Key: []byte("beta"), Cols: []int{3}},
-		{Op: OpPut, Key: []byte("gamma"), Puts: []ColData{{Col: 2, Data: []byte("data-2")}}},
-		{Op: OpRemove, Key: []byte("delta")},
-		{Op: OpGetRange, Key: []byte("eps"), N: 7},
-		{Op: OpStats},
-	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, reqs); err != nil {
-		t.Fatal(err)
-	}
-	stream := buf.Bytes()
-
-	legacy, err := ReadRequests(bufio.NewReader(bytes.NewReader(stream)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec DecodeBuf
-	scratch, err := ReadRequestsInto(bufio.NewReader(bytes.NewReader(stream)), &dec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(legacy) != len(scratch) {
-		t.Fatalf("count mismatch: %d vs %d", len(legacy), len(scratch))
-	}
-	for i := range legacy {
-		a, b := legacy[i], scratch[i]
-		if a.Op != b.Op || !bytes.Equal(a.Key, b.Key) || a.N != b.N ||
-			len(a.Cols) != len(b.Cols) || len(a.Puts) != len(b.Puts) {
-			t.Fatalf("request %d mismatch:\n%+v\n%+v", i, a, b)
-		}
-		for j := range a.Cols {
-			if a.Cols[j] != b.Cols[j] {
-				t.Fatalf("request %d col %d mismatch", i, j)
-			}
-		}
-		for j := range a.Puts {
-			if a.Puts[j].Col != b.Puts[j].Col || !bytes.Equal(a.Puts[j].Data, b.Puts[j].Data) {
-				t.Fatalf("request %d put %d mismatch", i, j)
-			}
-		}
 	}
 }
 
@@ -143,23 +82,17 @@ func TestDecodeBufReuse(t *testing.T) {
 		{Op: OpRemove, Key: []byte("d")},
 	}
 	for _, batch := range [][]Request{first, second, first} {
-		enc, err := AppendRequests(nil, batch)
+		enc, err := AppendTaggedRequests(nil, 1, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := ParseFrame(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseRequests(body, &dec)
+		got, err := ParseRequests(enc[taggedHeaderSize:], &dec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range batch {
-			want := batch[i]
-			if got[i].Op != want.Op || !bytes.Equal(got[i].Key, want.Key) ||
-				got[i].N != want.N || len(got[i].Cols) != len(want.Cols) || len(got[i].Puts) != len(want.Puts) {
-				t.Fatalf("batch reuse: request %d decoded as %+v, want %+v", i, got[i], want)
+			if !sameRequest(got[i], batch[i]) {
+				t.Fatalf("batch reuse: request %d decoded as %+v, want %+v", i, got[i], batch[i])
 			}
 		}
 	}
@@ -179,11 +112,7 @@ func TestForgedCountRejected(t *testing.T) {
 	if _, err := ParseResponses(body, &rdec); err == nil {
 		t.Fatal("ParseResponses accepted a forged response count")
 	}
-	frame := append([]byte{byte(len(body)), 0, 0, 0}, body...)
-	if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-		t.Fatal("ReadRequests accepted a forged request count")
-	}
-	if _, err := ReadResponses(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-		t.Fatal("ReadResponses accepted a forged response count")
+	if _, _, err := ParseRequestsLenient(body, &dec); err == nil {
+		t.Fatal("ParseRequestsLenient accepted a forged request count")
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -30,11 +31,11 @@ func seedRequestBodies(f *testing.F) {
 		},
 	}
 	for _, reqs := range batches {
-		frame, err := AppendRequests(nil, reqs)
+		frame, err := AppendTaggedRequests(nil, 1, reqs)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame[4:]) // body without the length header
+		f.Add(frame[taggedHeaderSize:]) // body without the length and tag words
 	}
 }
 
@@ -73,45 +74,52 @@ func FuzzDecodeResponse(f *testing.F) {
 		},
 	}
 	for _, resps := range batches {
-		frame, err := AppendResponses(nil, resps)
+		frame, err := AppendTaggedResponses(nil, 1, resps)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(frame[4:])
+		f.Add(frame[taggedHeaderSize:])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var d RespDecodeBuf
 		resps, err := ParseResponses(body, &d)
 		if err == nil {
 			// Decoded responses must re-encode without panicking.
-			if _, err := AppendResponses(nil, resps); err != nil {
+			if _, err := AppendTaggedResponses(nil, 1, resps); err != nil {
 				t.Fatalf("re-encode failed: %v", err)
 			}
 		}
 	})
 }
 
-// FuzzV2Frame covers the v2 connection preamble: hello detection/decoding
+// FuzzV2Frame covers the connection preamble: hello detection and decoding
 // and the tagged header. Whatever the bytes, the readers must fail cleanly
-// (no panic) and never confuse a v1 frame, a v2 frame, and a hello.
+// (no panic), never take one prefix for both a hello and a frame, never
+// accept a hello older than Version2 and never a length word without the
+// tagged-frame bit.
 func FuzzV2Frame(f *testing.F) {
 	f.Add(AppendHello(nil, Version2))
 	if tagged, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}}); err == nil {
 		f.Add(tagged)
 	}
-	if v1, err := AppendRequests(nil, []Request{{Op: OpStats}}); err == nil {
-		f.Add(v1)
-	}
+	f.Add(AppendHello(nil, 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		isHello := IsHelloPrefix(b)
-		if _, err := ReadHello(bytes.NewReader(b)); err == nil && !isHello {
-			t.Fatal("ReadHello accepted bytes IsHelloPrefix rejects")
+		if ver, err := ReadHello(bytes.NewReader(b)); err == nil {
+			if !isHello {
+				t.Fatal("ReadHello accepted bytes IsHelloPrefix rejects")
+			}
+			if ver < Version2 {
+				t.Fatalf("ReadHello accepted version %d", ver)
+			}
 		}
-		tag, n, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(b)))
-		_ = tag
+		_, n, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(b)))
 		if err == nil {
 			if isHello {
 				t.Fatal("bytes parsed as both hello and tagged header")
+			}
+			if binary.LittleEndian.Uint32(b)&v2FrameBit == 0 {
+				t.Fatal("ReadTaggedHeader accepted a length word without the tagged-frame bit")
 			}
 			if n < 0 || n > MaxMessage {
 				t.Fatalf("tagged body length %d out of bounds", n)

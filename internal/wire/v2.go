@@ -1,7 +1,7 @@
 package wire
 
-// Protocol v2: hello negotiation and tagged frames. See the package comment
-// for the layouts. The helpers here are split so each side of a connection
+// The hello exchange and tagged frames. See the package comment for the
+// layouts. The helpers here are split so each side of a connection
 // can choose the scratch a frame decodes into *after* learning its tag —
 // the async client reads a header, looks up the in-flight request with that
 // tag, and reads the body straight into that request's reusable buffers.
@@ -14,38 +14,29 @@ import (
 	"io"
 )
 
-// Protocol versions negotiated by the hello exchange. Version1 is the
-// original one-frame-in-flight protocol spoken by clients that send no
-// hello; Version2 adds tagged frames and pipelining.
-const (
-	Version1 uint8 = 1
-	Version2 uint8 = 2
-)
-
-// MaxVersion is the newest protocol version this build speaks; the server
-// answers a hello proposing anything newer with MaxVersion.
-const MaxVersion = Version2
+// Version2 is the protocol version: hello negotiation and tagged frames. It
+// is the only version a hello can carry; ReadHello refuses anything older.
+const Version2 uint8 = 2
 
 // helloMagic precedes the version byte in a hello frame. Its first four
-// bytes decode as an impossible v1 frame length (far above MaxMessage) and
-// an impossible v2 header (a masked length above MaxMessage), so every
-// legacy decoder rejects a hello cleanly instead of misreading it.
+// bytes, read as a frame header, are a length word with v2FrameBit set and a
+// masked length far above MaxMessage, so ReadTaggedHeader refuses a hello
+// where a frame is due instead of misreading it.
 var helloMagic = [8]byte{0xff, 0xff, 0xff, 0xff, 'M', 'T', 'K', 'V'}
 
 // HelloSize is the encoded size of a hello frame.
 const HelloSize = 9
 
-// v2FrameBit marks a length word as a v2 tagged-frame header. MaxMessage is
-// far below 1<<31, so the bit never collides with an honest v1 length — a
-// v1-only peer (the UDP path included) rejects a v2 frame as oversized
-// instead of misparsing the tag as a batch count.
+// v2FrameBit marks a length word as a tagged-frame header. MaxMessage is far
+// below 1<<31, so the bit is never part of an honest length; the package
+// comment says why the layout keeps it.
 const v2FrameBit = uint32(1) << 31
 
-// taggedHeaderSize is the v2 frame header: marked length plus tag.
+// taggedHeaderSize is the frame header: marked length plus tag.
 const taggedHeaderSize = 8
 
 var (
-	errNotV2      = errors.New("wire: frame is not protocol v2")
+	errNotV2      = errors.New("wire: length word without the tagged-frame bit")
 	errBadHello   = errors.New("wire: bad hello magic")
 	errBadVersion = errors.New("wire: bad hello version")
 )
@@ -66,12 +57,15 @@ func WriteHello(w io.Writer, version uint8) error {
 }
 
 // IsHelloPrefix reports whether the first four bytes read from a connection
-// begin a hello frame rather than a v1 or v2 length header.
+// begin a hello frame rather than a frame header.
 func IsHelloPrefix(b []byte) bool {
 	return len(b) >= 4 && b[0] == 0xff && b[1] == 0xff && b[2] == 0xff && b[3] == 0xff
 }
 
-// ReadHello consumes one hello frame and returns the version it carries.
+// ReadHello consumes one hello frame and returns the version it carries,
+// refusing one older than Version2: a peer proposing it speaks a protocol
+// this package does not, and answering it would only hand it a version it
+// cannot read.
 func ReadHello(r io.Reader) (uint8, error) {
 	var buf [HelloSize]byte
 	if _, err := io.ReadFull(r, buf[:]); err != nil {
@@ -80,13 +74,14 @@ func ReadHello(r io.Reader) (uint8, error) {
 	if !bytes.Equal(buf[:8], helloMagic[:]) {
 		return 0, errBadHello
 	}
-	if buf[8] < Version1 {
+	if buf[8] < Version2 {
 		return 0, errBadVersion
 	}
 	return buf[8], nil
 }
 
-// AppendTaggedRequests appends a complete v2 tagged request frame to dst.
+// AppendTaggedRequests appends a complete tagged request frame to dst. A
+// request it cannot encode fails the whole frame and leaves dst as it was.
 func AppendTaggedRequests(dst []byte, tag uint32, reqs []Request) ([]byte, error) {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
@@ -101,14 +96,18 @@ func AppendTaggedRequests(dst []byte, tag uint32, reqs []Request) ([]byte, error
 	return finishTaggedFrame(dst, base)
 }
 
-// AppendTaggedResponses appends a complete v2 tagged response frame to dst.
+// AppendTaggedResponses appends a complete tagged response frame to dst, or
+// leaves dst as it was and fails as AppendTaggedRequests does.
 func AppendTaggedResponses(dst []byte, tag uint32, resps []Response) ([]byte, error) {
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0)
 	dst = binary.LittleEndian.AppendUint32(dst, tag)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resps)))
 	for i := range resps {
-		dst = appendResponse(dst, &resps[i])
+		var err error
+		if dst, err = appendResponse(dst, &resps[i]); err != nil {
+			return dst[:base], err
+		}
 	}
 	return finishTaggedFrame(dst, base)
 }
@@ -124,9 +123,9 @@ func finishTaggedFrame(dst []byte, base int) ([]byte, error) {
 	return dst, nil
 }
 
-// ReadTaggedHeader reads one v2 frame header and returns the frame's tag
-// and remaining body length. A header whose v2 bit is unset (a v1 frame on
-// a negotiated-v2 connection) is a protocol violation and returns an error.
+// ReadTaggedHeader reads one frame header and returns the frame's tag and
+// remaining body length. A length word without v2FrameBit is a protocol
+// violation and returns an error.
 // The header is decoded in r's own buffer: a local array handed to an
 // io.Reader would escape, one heap object per frame.
 //
@@ -171,21 +170,6 @@ func ReadTaggedResponseBody(r io.Reader, bodyLen int, d *RespDecodeBuf) ([]Respo
 		return nil, err
 	}
 	return ParseResponses(body, d)
-}
-
-// ReadRequestBody reads one v1 framed body into d's frame buffer without
-// parsing it, so the caller can choose strict (ParseRequests) or lenient
-// (ParseRequestsLenient) decoding.
-func ReadRequestBody(r io.Reader, d *DecodeBuf) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxMessage {
-		return nil, errTooLarge
-	}
-	return readBodyInto(r, int(n), &d.frame)
 }
 
 // readBodyInto reads n bytes into *buf, growing it as needed; the buffer is

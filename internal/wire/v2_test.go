@@ -3,7 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"reflect"
+	"encoding/hex"
 	"testing"
 )
 
@@ -20,86 +20,108 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Fatalf("ReadHello: %d %v", ver, err)
 	}
 
-	// A v1 frame must not look like a hello.
-	frame, err := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
+	// A tagged frame must not look like a hello, nor a hello like a frame.
+	frame, err := AppendTaggedRequests(nil, 0, []Request{{Op: OpGet, Key: []byte("k")}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if IsHelloPrefix(frame) {
-		t.Fatal("v1 frame mistaken for hello")
+		t.Fatal("tagged frame mistaken for hello")
+	}
+	if _, _, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(b))); err == nil {
+		t.Fatal("hello accepted as a frame header")
 	}
 
-	// Corrupt magic and version are rejected.
+	// Corrupt magic and every version below Version2 are rejected.
 	bad := AppendHello(nil, Version2)
 	bad[5] ^= 0xff
 	if _, err := ReadHello(bytes.NewReader(bad)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := ReadHello(bytes.NewReader(AppendHello(nil, 0))); err == nil {
-		t.Fatal("version 0 accepted")
+	for v := uint8(0); v < Version2; v++ {
+		if _, err := ReadHello(bytes.NewReader(AppendHello(nil, v))); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
 }
 
-// A v1 decoder must reject hello and v2 frames outright (they decode as
-// impossible lengths), so a legacy endpoint — the UDP path included — can
-// never misparse v2 traffic.
-func TestV1DecodersRejectV2(t *testing.T) {
-	tagged, err := AppendTaggedRequests(nil, 3, []Request{{Op: OpGet, Key: []byte("k")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, frame := range map[string][]byte{
-		"hello":  AppendHello(nil, Version2),
-		"tagged": tagged,
-	} {
-		if _, err := ParseFrame(frame); err == nil {
-			t.Fatalf("ParseFrame accepted a %s frame", name)
-		}
-		if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); err == nil {
-			t.Fatalf("ReadRequests accepted a %s frame", name)
-		}
-	}
-	// And the v2 reader rejects v1 frames (missing marker bit).
-	v1, err := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("k")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(v1))); err == nil {
-		t.Fatal("ReadTaggedHeader accepted a v1 frame")
-	}
-}
-
-func TestTaggedRequestRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{Op: OpGet, Key: []byte("alpha"), Cols: []int{0, 2}},
-		{Op: OpPut, Key: []byte("beta"), Puts: []ColData{{Col: 1, Data: []byte("data")}}},
-		{Op: OpCas, Key: []byte("gamma"), ExpectVersion: 42, Puts: []ColData{{Col: 0, Data: []byte("cond")}}},
-		{Op: OpPutTTL, Key: []byte("zeta"), TTL: 300, Puts: []ColData{{Col: 2, Data: []byte("exp")}}},
-		{Op: OpTouch, Key: []byte("eta"), TTL: 86400},
-		{Op: OpRemove, Key: []byte("delta")},
-		{Op: OpGetRange, Key: []byte("eps"), N: 7},
+// TestFrameBytesGolden pins the bytes of a hello and of one tagged request
+// and response frame, so a peer built before any change to this package
+// still reads what it writes.
+func TestFrameBytesGolden(t *testing.T) {
+	req, err := AppendTaggedRequests(nil, 0x01020304, []Request{
+		{Op: OpGet, Key: []byte("k"), Cols: []int{1}},
+		{Op: OpPut, Key: []byte("key"), Puts: []ColData{{Col: 2, Data: []byte("val")}}},
+		{Op: OpCas, Key: []byte("c"), ExpectVersion: 5, Puts: []ColData{{Col: 0, Data: []byte("x")}}},
+		{Op: OpPutTTL, Key: []byte("t"), TTL: 60, Puts: []ColData{{Col: 0, Data: []byte("y")}}},
+		{Op: OpTouch, Key: []byte("t"), TTL: 9},
+		{Op: OpGetRange, Key: []byte("s"), N: 10},
+		{Op: OpRemove, Key: []byte("r")},
 		{Op: OpStats},
-	}
-	frame, err := AppendTaggedRequests(nil, 0xdeadbeef, reqs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := bufio.NewReader(bytes.NewReader(frame))
-	tag, n, err := ReadTaggedHeader(r)
-	if err != nil || tag != 0xdeadbeef {
-		t.Fatalf("header: tag=%x err=%v", tag, err)
+	resp, err := AppendTaggedResponses(nil, 0x01020304, []Response{
+		{Status: StatusOK, Version: 0x0102030405060708, Cols: [][]byte{[]byte("ab"), nil}},
+		{Status: StatusNotFound},
+		{Status: StatusOK, Pairs: []Pair{{Key: []byte("k"), Cols: [][]byte{[]byte("v")}}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, c := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"hello", AppendHello(nil, Version2), "ffffffff4d544b5602"},
+		{"request frame", req, "5900008004030201080000000101006b0101000203006b65790102000300000076616c" +
+			"0601006305000000000000000100000100000078070100743c0000000100000100000079" +
+			"080100740900000004010073000a0003010072050000"},
+		{"response frame", resp, "430000800403020103000000000807060504030201020002000000616200000000000001" +
+			"0000000000000000000000000000000000000000000000010001006b01000100000076"},
+	} {
+		if got := hex.EncodeToString(c.got); got != c.want {
+			t.Errorf("%s:\n got %s\nwant %s", c.name, got, c.want)
+		}
+	}
+}
+
+// Frames written back to back come off one stream whole and in order, each
+// under its own tag.
+func TestTaggedRequestRoundTrip(t *testing.T) {
+	var stream []byte
+	var err error
+	tags := []uint32{0xdeadbeef, 0, 7}
+	for i, tag := range tags {
+		if stream, err = AppendTaggedRequests(stream, tag, everyRequestShape[i:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := bufio.NewReader(bytes.NewReader(stream))
 	var d DecodeBuf
-	body, err := ReadTaggedRequestBody(r, n, &d)
-	if err != nil {
-		t.Fatal(err)
+	for i, want := range tags {
+		tag, n, err := ReadTaggedHeader(r)
+		if err != nil || tag != want {
+			t.Fatalf("frame %d header: tag=%x err=%v, want tag %x", i, tag, err, want)
+		}
+		body, err := ReadTaggedRequestBody(r, n, &d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseRequests(body, &d)
+		if err != nil || len(got) != len(everyRequestShape)-i {
+			t.Fatalf("frame %d: %d requests (%v)", i, len(got), err)
+		}
+		for j := range got {
+			if !sameRequest(got[j], everyRequestShape[i+j]) {
+				t.Fatalf("frame %d request %d: %+v, want %+v", i, j, got[j], everyRequestShape[i+j])
+			}
+		}
 	}
-	got, err := ParseRequests(body, &d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeReqs(got), normalizeReqs(reqs)) {
-		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, reqs)
+	if _, _, err := ReadTaggedHeader(r); err == nil {
+		t.Fatal("a fourth frame read from a stream of three")
 	}
 }
 
@@ -110,49 +132,29 @@ func TestTaggedResponseRoundTrip(t *testing.T) {
 		{Status: StatusConflict, Version: 17},
 		{Status: StatusOK, Pairs: []Pair{{Key: []byte("k"), Cols: [][]byte{[]byte("v")}}}},
 	}
-	frame, err := AppendTaggedResponses(nil, 7, resps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(bytes.NewReader(frame))
-	tag, n, err := ReadTaggedHeader(r)
-	if err != nil || tag != 7 {
-		t.Fatalf("header: tag=%d err=%v", tag, err)
-	}
-	var d RespDecodeBuf
-	got, err := ReadTaggedResponseBody(r, n, &d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(resps) {
-		t.Fatalf("%d responses want %d", len(got), len(resps))
-	}
-	for i := range resps {
-		if got[i].Status != resps[i].Status || got[i].Version != resps[i].Version {
-			t.Fatalf("resp %d: %+v want %+v", i, got[i], resps[i])
+	var stream []byte
+	var err error
+	for tag := uint32(7); tag < 9; tag++ {
+		if stream, err = AppendTaggedResponses(stream, tag, resps[tag-7:]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if string(got[0].Cols[1]) != "two" || string(got[3].Pairs[0].Key) != "k" {
-		t.Fatalf("payload mismatch: %+v", got)
-	}
-}
-
-// The CAS request must round-trip through the owning (v1) decoder too —
-// OpCas is a body-level extension shared by both protocol versions.
-func TestCasRequestV1RoundTrip(t *testing.T) {
-	reqs := []Request{{Op: OpCas, Key: []byte("key"), ExpectVersion: 1 << 40,
-		Puts: []ColData{{Col: 3, Data: []byte("v")}}}}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, reqs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRequests(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Op != OpCas || got[0].ExpectVersion != 1<<40 || got[0].Puts[0].Col != 3 {
-		t.Fatalf("cas round trip: %+v", got[0])
+	r := bufio.NewReader(bytes.NewReader(stream))
+	var d RespDecodeBuf
+	for want := uint32(7); want < 9; want++ {
+		tag, n, err := ReadTaggedHeader(r)
+		if err != nil || tag != want {
+			t.Fatalf("header: tag=%d err=%v, want %d", tag, err, want)
+		}
+		got, err := ReadTaggedResponseBody(r, n, &d)
+		if err != nil || len(got) != len(resps)-int(want-7) {
+			t.Fatalf("frame %d: %d responses (%v)", want, len(got), err)
+		}
+		for i := range got {
+			if !sameResponse(got[i], resps[int(want-7)+i]) {
+				t.Fatalf("frame %d resp %d: %+v want %+v", want, i, got[i], resps[int(want-7)+i])
+			}
+		}
 	}
 }
 
@@ -162,11 +164,11 @@ func TestParseRequestsLenient(t *testing.T) {
 		{Op: OpCode(200), Key: []byte("b")}, // unknown opcode: undecodable
 		{Op: OpGet, Key: []byte("c")},
 	}
-	frame, err := AppendRequests(nil, reqs)
+	frame, err := AppendTaggedRequests(nil, 1, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := frame[4:] // strip length header
+	body := frame[taggedHeaderSize:]
 	var d DecodeBuf
 	got, claimed, err := ParseRequestsLenient(body, &d)
 	if err != nil {
@@ -180,8 +182,8 @@ func TestParseRequestsLenient(t *testing.T) {
 	}
 
 	// A fully well-formed batch decodes whole.
-	okFrame, _ := AppendRequests(nil, []Request{{Op: OpGet, Key: []byte("x")}, {Op: OpRemove, Key: []byte("y")}})
-	got, claimed, err = ParseRequestsLenient(okFrame[4:], &d)
+	okFrame, _ := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("x")}, {Op: OpRemove, Key: []byte("y")}})
+	got, claimed, err = ParseRequestsLenient(okFrame[taggedHeaderSize:], &d)
 	if err != nil || claimed != 2 || len(got) != 2 {
 		t.Fatalf("well-formed: %d/%d %v", len(got), claimed, err)
 	}
@@ -195,25 +197,8 @@ func TestParseRequestsLenient(t *testing.T) {
 	}
 
 	// Trailing bytes after a complete batch are a frame-level error too.
-	trailing := append(append([]byte(nil), okFrame[4:]...), 0xAB)
+	trailing := append(append([]byte(nil), okFrame[taggedHeaderSize:]...), 0xAB)
 	if _, _, err := ParseRequestsLenient(trailing, &d); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
-}
-
-func normalizeReqs(in []Request) []Request {
-	out := make([]Request, len(in))
-	for i, r := range in {
-		if len(r.Key) == 0 {
-			r.Key = nil
-		}
-		if len(r.Cols) == 0 {
-			r.Cols = nil
-		}
-		if len(r.Puts) == 0 {
-			r.Puts = nil
-		}
-		out[i] = r
-	}
-	return out
 }

@@ -4,33 +4,31 @@
 // vital for throughput (§7: "Batched query support is vital on these
 // benchmarks") — and responses come back as a matching batch.
 //
-// # Protocol versions and framing
+// # Framing
 //
-// Two frame layouts share one connection-level grammar, distinguished by
-// the top bit of the leading length word (lengths are bounded by MaxMessage,
-// far below 1<<31, so the bit is never part of an honest v1 length):
+// A connection opens with a hello from each side; every frame after it, in
+// either direction, is tagged:
 //
-//	v1 frame:  length(4, LE)            | body
-//	v2 frame:  length(4, LE) | 1<<31    | tag(4, LE) | body
-//	hello:     0xFFFFFFFF | "MTKV"      | version(1)
+//	hello:  0xFFFFFFFF | "MTKV"       | version(1)
+//	frame:  length(4, LE) | 1<<31     | tag(4, LE) | body
 //
-// A body holds a 4-byte request/response count followed by that many
-// requests or responses. A v1 connection allows one frame in flight: the
-// client writes a batch and blocks for the matching batch of responses.
-//
-// Protocol v2 is negotiated by a hello exchange: the client's first bytes
-// are a hello frame proposing a version, the server answers with a hello
-// carrying the version it accepts (the minimum of both sides'), and every
-// subsequent frame in both directions is tagged. Version2 is the oldest
-// version a hello can negotiate — v1 clients simply send no hello — so a
-// server drops a connection whose hello proposes anything lower rather
-// than answering with a version the hello sender could not speak. Tags are opaque sequence
+// The client's hello proposes a version and the server's hello answers with
+// the one it accepts. Version2 is the only version there is: ReadHello
+// refuses an older one for both ends, and a server closes a connection whose
+// first bytes are not a hello without executing anything. The length word
+// counts the tag and the body; a body holds a 4-byte request/response count
+// followed by that many requests or responses. Tags are opaque sequence
 // numbers chosen by the client; the server echoes each request frame's tag
 // on its response frame and answers frames in arrival order, so a client
 // may keep many tagged batches in flight (pipelining) and match responses
-// to requests by tag. A client that sends no hello speaks v1 verbatim —
-// the hello magic decodes as an impossible v1 length, so the two first
-// bytes streams cannot be confused.
+// to requests by tag.
+//
+// The length word's top bit (v2FrameBit) once told a tagged frame from the
+// untagged one an older protocol version sent. It stays because the layout
+// stays — clearing it would change the bytes of every frame — and it still
+// costs nothing to check: lengths are bounded by MaxMessage, far below
+// 1<<31, so ReadTaggedHeader refuses a length word without it as a frame no
+// peer of this protocol writes.
 //
 // # Order within a frame
 //
@@ -59,27 +57,28 @@
 // client can re-read, rebase, and retry. Get responses carry the value's
 // version for exactly this purpose.
 //
-// # Decode/encode surfaces
+// # Encoding and decoding
 //
-// Two decode/encode surfaces exist. The legacy functions (ReadRequests,
-// WriteRequests, ...) return self-contained values and are safe to retain;
-// they draw their frame buffers from an internal pool. The scratch-based
-// variants (ReadRequestsInto, WriteResponsesInto, the tagged v2 helpers,
-// ...) reuse per-connection buffers across messages and decode by aliasing
-// the frame body instead of copying, making the steady-state hot path
-// allocation-free; their results are only valid until the next call with
-// the same scratch. ParseRequestsLenient additionally decodes as much of a
-// damaged batch as possible so a server can answer the undecodable suffix
-// with StatusError instead of dropping the connection.
+// Each direction has one encoder, which appends a whole tagged frame to the
+// caller's buffer (AppendTaggedRequests, AppendTaggedResponses), and one
+// decoder, which decodes a frame body by aliasing it instead of copying
+// (ParseRequests into a DecodeBuf, ParseResponses into a RespDecodeBuf).
+// The scratch is reused across frames, so the steady-state hot path
+// allocates nothing; decoded results are valid only until the next call
+// with the same scratch. ReadTaggedHeader and the ReadTagged*Body helpers
+// take a frame off a stream in two steps, so a reader can choose the
+// scratch after it has learned the tag. ParseRequestsLenient decodes as
+// much of a damaged batch as possible, so a server can answer the
+// undecodable suffix with StatusError instead of dropping the connection.
+// An encoder refuses a request or response whose counts or key length its
+// fields cannot carry (MaxKeyLen, MaxColList, MaxRangeN, value.MaxCol)
+// rather than send their low bits.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 
 	"repro/internal/value"
 )
@@ -107,9 +106,7 @@ const (
 	// OpPutTTL is OpPut with a time-to-live: the request carries TTL
 	// seconds (relative — the server computes the absolute deadline), after
 	// which the key reads as absent and is eventually swept. TTL 0 stores a
-	// value that never expires, exactly like OpPut. Cache-mode operations
-	// are protocol v2 surface: a v1 connection answering them gets
-	// StatusError (v1 semantics stay untouched).
+	// value that never expires, exactly like OpPut.
 	OpPutTTL OpCode = 7
 	// OpTouch resets a key's TTL without changing its value (TTL 0 removes
 	// the expiry). StatusNotFound if the key is absent or already expired.
@@ -118,8 +115,7 @@ const (
 	// miss: concurrent misses for one key coalesce into a single backend
 	// load server-side. Responses may carry StatusStale when the backend is
 	// unavailable and an expired resident value is served under the
-	// max-stale window. Like the other cache-mode ops it is protocol v2
-	// surface; v1 connections get StatusError. Encodes exactly like OpGet.
+	// max-stale window. Encodes exactly like OpGet.
 	OpGetOrLoad OpCode = 9
 )
 
@@ -169,22 +165,23 @@ type Response struct {
 // MaxMessage bounds a message body; larger frames are rejected as corrupt.
 const MaxMessage = 64 << 20
 
-// What a request's counts can say on the wire, beside value.MaxCol for a
-// column's index: an encoder refuses a request past either rather than send
-// its low bits.
+// What a frame's counts and key lengths can say on the wire, beside
+// value.MaxCol for a column's index: an encoder refuses a request or
+// response past any of them rather than send its low bits.
 const (
+	MaxKeyLen  = 1<<16 - 1 // a request's key and a pair's key travel behind a u16 length
 	MaxRangeN  = 1<<16 - 1 // OpGetRange's N travels as a u16
 	MaxColList = 1<<8 - 1  // a request's column list (Cols or Puts) is counted in one byte
 )
 
 var (
+	errKeyLen       = errors.New("wire: key longer than MaxKeyLen (65535) bytes")
 	errRangeN       = errors.New("wire: getrange N outside 0..MaxRangeN (65535)")
 	errColList      = errors.New("wire: request names more than MaxColList (255) columns")
 	errTooLarge     = errors.New("wire: message exceeds MaxMessage")
 	errShort        = errors.New("wire: short message")
 	errTrailingReq  = errors.New("wire: trailing request bytes")
 	errTrailingResp = errors.New("wire: trailing response bytes")
-	errFrameLen     = errors.New("wire: frame length mismatch")
 	errColumn       = errors.New("wire: put column beyond value.MaxCol")
 )
 
@@ -204,23 +201,10 @@ const (
 	responseStructBytes = 64 // Status + Version + Cols/Pairs headers
 )
 
-// framePool recycles frame buffers for the legacy read/write entry points,
-// so even callers without per-connection scratch avoid steady-state frame
-// allocations. Oversized buffers are dropped rather than pinned in the pool.
-var framePool = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledFrame = 1 << 20
-
-func putFrameBuf(b *[]byte) {
-	if cap(*b) <= maxPooledFrame {
-		framePool.Put(b)
-	}
-}
-
 // DecodeBuf is one connection's reusable request-decode state: the raw frame
 // body plus arenas backing the decoded requests' Key, Cols, and Puts fields.
-// Requests returned by ReadRequestsInto/ParseRequests alias these buffers
-// and are valid only until the next call with the same DecodeBuf.
+// Requests returned by ParseRequests/ParseRequestsLenient alias these
+// buffers and are valid only until the next call with the same DecodeBuf.
 //
 //masstree:scratch
 type DecodeBuf struct {
@@ -248,18 +232,8 @@ func (d *DecodeBuf) Shrink(max int) {
 	}
 }
 
-// ReadRequestsInto reads one framed request batch into d's reusable buffers.
-// The returned requests alias d and remain valid until the next call.
-func ReadRequestsInto(r *bufio.Reader, d *DecodeBuf) ([]Request, error) {
-	body, err := readFrameInto(r, &d.frame)
-	if err != nil {
-		return nil, err
-	}
-	return ParseRequests(body, d)
-}
-
-// ParseRequests decodes a request-batch body (the frame payload, without the
-// 4-byte length header). Decoded Key and put Data fields alias body; Cols
+// ParseRequests decodes a request-batch body (a tagged frame's payload, past
+// its length and tag words). Decoded Key and put Data fields alias body; Cols
 // and Puts slices live in d's arenas. Results are valid until the next call
 // with the same DecodeBuf or until body's buffer is reused.
 //
@@ -454,16 +428,6 @@ func (d *RespDecodeBuf) Shrink(max int) {
 	}
 }
 
-// ReadResponsesInto reads one framed response batch into d's reusable
-// buffers. The returned responses alias d and are valid until the next call.
-func ReadResponsesInto(r *bufio.Reader, d *RespDecodeBuf) ([]Response, error) {
-	body, err := readFrameInto(r, &d.frame)
-	if err != nil {
-		return nil, err
-	}
-	return ParseResponses(body, d)
-}
-
 // ParseResponses decodes a response-batch body; column data and pair keys
 // alias body, slice headers live in d's arenas. Results are valid until the
 // next call with the same RespDecodeBuf or until body's buffer is reused.
@@ -566,189 +530,14 @@ func parseColsAlias(b []byte, n int, d *RespDecodeBuf) ([][]byte, []byte, error)
 	return d.cols[start:len(d.cols):len(d.cols)], b, nil
 }
 
-// AppendRequests appends a complete framed request batch (length header plus
-// body) to dst, returning the extended slice.
-func AppendRequests(dst []byte, reqs []Request) ([]byte, error) {
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(reqs)))
-	for i := range reqs {
-		var err error
-		if dst, err = appendRequest(dst, &reqs[i]); err != nil {
-			return dst[:base], err
-		}
-	}
-	return finishFrame(dst, base)
-}
-
-// AppendResponses appends a complete framed response batch to dst.
-func AppendResponses(dst []byte, resps []Response) ([]byte, error) {
-	base := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(resps)))
-	for i := range resps {
-		dst = appendResponse(dst, &resps[i])
-	}
-	return finishFrame(dst, base)
-}
-
-// finishFrame patches the 4-byte length header reserved at base.
-func finishFrame(dst []byte, base int) ([]byte, error) {
-	n := len(dst) - base - 4
-	if n > MaxMessage {
-		return dst[:base], errTooLarge
-	}
-	binary.LittleEndian.PutUint32(dst[base:], uint32(n))
-	return dst, nil
-}
-
-// WriteRequestsInto frames and writes a request batch, building the frame in
-// *buf (grown as needed and retained for reuse across calls).
-func WriteRequestsInto(w *bufio.Writer, reqs []Request, buf *[]byte) error {
-	b, err := AppendRequests((*buf)[:0], reqs)
-	if err != nil {
-		return err
-	}
-	*buf = b
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteResponsesInto frames and writes a response batch, building the frame
-// in *buf (grown as needed and retained for reuse across calls).
-func WriteResponsesInto(w *bufio.Writer, resps []Response, buf *[]byte) error {
-	b, err := AppendResponses((*buf)[:0], resps)
-	if err != nil {
-		return err
-	}
-	*buf = b
-	if _, err := w.Write(b); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteRequests frames and writes a request batch using a pooled buffer.
-func WriteRequests(w *bufio.Writer, reqs []Request) error {
-	bp := framePool.Get().(*[]byte)
-	err := WriteRequestsInto(w, reqs, bp)
-	putFrameBuf(bp)
-	return err
-}
-
-// WriteResponses frames and writes a response batch using a pooled buffer.
-func WriteResponses(w *bufio.Writer, resps []Response) error {
-	bp := framePool.Get().(*[]byte)
-	err := WriteResponsesInto(w, resps, bp)
-	putFrameBuf(bp)
-	return err
-}
-
-// ReadRequests reads one framed request batch. The returned requests own
-// their memory (nothing aliases internal buffers); the frame is pooled.
-func ReadRequests(r *bufio.Reader) ([]Request, error) {
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameInto(r, bp)
-	if err != nil {
-		return nil, err
-	}
-	n, body, err := readU32(body)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > len(body)/minRequestSize {
-		return nil, errShort
-	}
-	reqs := make([]Request, n)
-	for i := range reqs {
-		body, err = parseRequest(body, &reqs[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(body) != 0 {
-		return nil, errTrailingReq
-	}
-	return reqs, nil
-}
-
-// ReadResponses reads one framed response batch. The returned responses own
-// their memory; the frame is pooled.
-func ReadResponses(r *bufio.Reader) ([]Response, error) {
-	bp := framePool.Get().(*[]byte)
-	defer putFrameBuf(bp)
-	body, err := readFrameInto(r, bp)
-	if err != nil {
-		return nil, err
-	}
-	n, body, err := readU32(body)
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > len(body)/minResponseSize {
-		return nil, errShort
-	}
-	resps := make([]Response, n)
-	for i := range resps {
-		body, err = parseResponse(body, &resps[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(body) != 0 {
-		return nil, errTrailingResp
-	}
-	return resps, nil
-}
-
-// ParseFrame validates a self-contained frame (one UDP datagram: 4-byte
-// length header plus body filling the rest of the buffer) and returns the
-// body, aliasing b.
-//
-//masstree:noalloc
-func ParseFrame(b []byte) ([]byte, error) {
-	if len(b) < 4 {
-		return nil, errShort
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if n > MaxMessage {
-		return nil, errTooLarge
-	}
-	if int(n) != len(b)-4 {
-		return nil, errFrameLen
-	}
-	return b[4:], nil
-}
-
-// readFrameInto reads one length-prefixed frame body into *buf, growing it
-// as needed; the buffer is retained across calls for reuse.
-func readFrameInto(r *bufio.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxMessage {
-		return nil, errTooLarge
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	} else {
-		*buf = (*buf)[:n]
-	}
-	if _, err := io.ReadFull(r, *buf); err != nil {
-		return nil, err
-	}
-	return *buf, nil
-}
-
 // appendRequest encodes r behind b, or refuses it part-way (the callers cut
-// dst back): a count the format's field cannot hold would otherwise go out
-// as its low bits and come back as the answer to a different question.
+// dst back): a count or key length the format's field cannot hold would
+// otherwise go out as its low bits and come back as the answer to a
+// different question — or, a key's, as a frame no decoder can parse.
 func appendRequest(b []byte, r *Request) ([]byte, error) {
+	if len(r.Key) > MaxKeyLen {
+		return b, errKeyLen
+	}
 	b = append(b, byte(r.Op))
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Key)))
 	b = append(b, r.Key...)
@@ -790,93 +579,10 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	return b, nil
 }
 
-func parseRequest(b []byte, r *Request) ([]byte, error) {
-	if len(b) < 3 {
-		return nil, errShort
-	}
-	r.Op = OpCode(b[0])
-	klen := int(binary.LittleEndian.Uint16(b[1:]))
-	b = b[3:]
-	if len(b) < klen {
-		return nil, errShort
-	}
-	r.Key = append([]byte(nil), b[:klen]...)
-	b = b[klen:]
-	switch r.Op {
-	case OpGet, OpGetRange, OpGetOrLoad:
-		if len(b) < 1 {
-			return nil, errShort
-		}
-		ncols := int(b[0])
-		b = b[1:]
-		if len(b) < 2*ncols {
-			return nil, errShort
-		}
-		if ncols > 0 {
-			r.Cols = make([]int, ncols)
-			for i := range r.Cols {
-				r.Cols[i] = int(binary.LittleEndian.Uint16(b))
-				b = b[2:]
-			}
-		}
-		if r.Op == OpGetRange {
-			if len(b) < 2 {
-				return nil, errShort
-			}
-			r.N = int(binary.LittleEndian.Uint16(b))
-			b = b[2:]
-		}
-	case OpPut, OpCas, OpPutTTL:
-		if r.Op == OpCas {
-			if len(b) < 8 {
-				return nil, errShort
-			}
-			r.ExpectVersion = binary.LittleEndian.Uint64(b)
-			b = b[8:]
-		}
-		if r.Op == OpPutTTL {
-			if len(b) < 4 {
-				return nil, errShort
-			}
-			r.TTL = binary.LittleEndian.Uint32(b)
-			b = b[4:]
-		}
-		if len(b) < 1 {
-			return nil, errShort
-		}
-		nputs := int(b[0])
-		b = b[1:]
-		r.Puts = make([]ColData, nputs)
-		for i := range r.Puts {
-			if len(b) < 6 {
-				return nil, errShort
-			}
-			r.Puts[i].Col = int(binary.LittleEndian.Uint16(b))
-			dlen := int(binary.LittleEndian.Uint32(b[2:]))
-			b = b[6:]
-			if len(b) < dlen {
-				return nil, errShort
-			}
-			if r.Puts[i].Col > value.MaxCol {
-				return nil, errColumn
-			}
-			r.Puts[i].Data = append([]byte(nil), b[:dlen]...)
-			b = b[dlen:]
-		}
-	case OpTouch:
-		if len(b) < 4 {
-			return nil, errShort
-		}
-		r.TTL = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	case OpRemove, OpStats:
-	default:
-		return nil, fmt.Errorf("wire: unknown opcode %d", r.Op)
-	}
-	return b, nil
-}
-
-func appendResponse(b []byte, r *Response) []byte {
+// appendResponse encodes r behind b, or refuses it part-way as appendRequest
+// does: a pair's key can be longer than its u16 length field (a library put
+// may store one).
+func appendResponse(b []byte, r *Response) ([]byte, error) {
 	b = append(b, r.Status)
 	b = binary.LittleEndian.AppendUint64(b, r.Version)
 	b = binary.LittleEndian.AppendUint16(b, value.Count16(len(r.Cols), "wire response"))
@@ -886,6 +592,9 @@ func appendResponse(b []byte, r *Response) []byte {
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Pairs)))
 	for _, p := range r.Pairs {
+		if len(p.Key) > MaxKeyLen {
+			return b, errKeyLen
+		}
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(p.Key)))
 		b = append(b, p.Key...)
 		b = binary.LittleEndian.AppendUint16(b, value.Count16(len(p.Cols), "wire response"))
@@ -894,70 +603,7 @@ func appendResponse(b []byte, r *Response) []byte {
 			b = append(b, c...)
 		}
 	}
-	return b
-}
-
-func parseResponse(b []byte, r *Response) ([]byte, error) {
-	if len(b) < 13 {
-		return nil, errShort
-	}
-	r.Status = b[0]
-	r.Version = binary.LittleEndian.Uint64(b[1:])
-	ncols := int(binary.LittleEndian.Uint16(b[9:]))
-	b = b[11:]
-	if ncols > 0 {
-		r.Cols = make([][]byte, ncols)
-		for i := range r.Cols {
-			var err error
-			r.Cols[i], b, err = readBytes32(b)
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if len(b) < 2 {
-		return nil, errShort
-	}
-	npairs := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if npairs > 0 {
-		r.Pairs = make([]Pair, npairs)
-		for i := range r.Pairs {
-			if len(b) < 2 {
-				return nil, errShort
-			}
-			klen := int(binary.LittleEndian.Uint16(b))
-			b = b[2:]
-			if len(b) < klen+2 {
-				return nil, errShort
-			}
-			r.Pairs[i].Key = append([]byte(nil), b[:klen]...)
-			b = b[klen:]
-			nc := int(binary.LittleEndian.Uint16(b))
-			b = b[2:]
-			r.Pairs[i].Cols = make([][]byte, nc)
-			for j := 0; j < nc; j++ {
-				var err error
-				r.Pairs[i].Cols[j], b, err = readBytes32(b)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
 	return b, nil
-}
-
-func readBytes32(b []byte) ([]byte, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, errShort
-	}
-	n := int(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	if len(b) < n {
-		return nil, nil, errShort
-	}
-	return append([]byte(nil), b[:n]...), b[n:], nil
 }
 
 func readU32(b []byte) (uint32, []byte, error) {

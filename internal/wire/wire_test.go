@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,48 +10,101 @@ import (
 	"repro/internal/value"
 )
 
-func roundTripRequests(t *testing.T, reqs []Request) []Request {
-	t.Helper()
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, reqs); err != nil {
-		t.Fatal(err)
+// sameRequest reports whether got carries every field of want, an empty and
+// a nil byte string counting as equal.
+func sameRequest(got, want Request) bool {
+	if got.Op != want.Op || !bytes.Equal(got.Key, want.Key) || got.N != want.N ||
+		got.ExpectVersion != want.ExpectVersion || got.TTL != want.TTL ||
+		len(got.Cols) != len(want.Cols) || len(got.Puts) != len(want.Puts) {
+		return false
 	}
-	got, err := ReadRequests(bufio.NewReader(&buf))
+	for i := range want.Cols {
+		if got.Cols[i] != want.Cols[i] {
+			return false
+		}
+	}
+	for i := range want.Puts {
+		if got.Puts[i].Col != want.Puts[i].Col || !bytes.Equal(got.Puts[i].Data, want.Puts[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameResponse is sameRequest for responses.
+func sameResponse(got, want Response) bool {
+	if got.Status != want.Status || got.Version != want.Version || !sameCols(got.Cols, want.Cols) ||
+		len(got.Pairs) != len(want.Pairs) {
+		return false
+	}
+	for i := range want.Pairs {
+		if !bytes.Equal(got.Pairs[i].Key, want.Pairs[i].Key) || !sameCols(got.Pairs[i].Cols, want.Pairs[i].Cols) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameCols(got, want [][]byte) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// readRequests takes one tagged request frame off the front of stream, as a
+// server's reader does.
+func readRequests(stream []byte, d *DecodeBuf) (uint32, []Request, error) {
+	r := bufio.NewReader(bytes.NewReader(stream))
+	tag, n, err := ReadTaggedHeader(r)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	return got
+	body, err := ReadTaggedRequestBody(r, n, d)
+	if err != nil {
+		return 0, nil, err
+	}
+	reqs, err := ParseRequests(body, d)
+	return tag, reqs, err
+}
+
+// everyRequestShape holds one request of every opcode, with each optional
+// field set somewhere.
+var everyRequestShape = []Request{
+	{Op: OpGet, Key: []byte("k1"), Cols: []int{0, 3}},
+	{Op: OpGet, Key: []byte("")},
+	{Op: OpPut, Key: []byte("k2"), Puts: []ColData{{Col: 1, Data: []byte("data")}, {Col: 0, Data: nil}}},
+	{Op: OpCas, Key: []byte("key"), ExpectVersion: 1 << 40, Puts: []ColData{{Col: 3, Data: []byte("v")}}},
+	{Op: OpPutTTL, Key: []byte("kt"), TTL: 60, Puts: []ColData{{Col: 0, Data: []byte("exp")}}},
+	{Op: OpTouch, Key: []byte("kt"), TTL: 120},
+	{Op: OpGetOrLoad, Key: []byte("miss"), Cols: []int{2}},
+	{Op: OpRemove, Key: []byte("k3")},
+	{Op: OpGetRange, Key: []byte("start"), N: 100, Cols: []int{2}},
+	{Op: OpGetRange, Key: nil, N: 0},
+	{Op: OpStats},
 }
 
 func TestRequestRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{Op: OpGet, Key: []byte("k1"), Cols: []int{0, 3}},
-		{Op: OpGet, Key: []byte("")},
-		{Op: OpPut, Key: []byte("k2"), Puts: []ColData{{Col: 1, Data: []byte("data")}, {Col: 0, Data: nil}}},
-		{Op: OpPutTTL, Key: []byte("kt"), TTL: 60, Puts: []ColData{{Col: 0, Data: []byte("exp")}}},
-		{Op: OpTouch, Key: []byte("kt"), TTL: 120},
-		{Op: OpRemove, Key: []byte("k3")},
-		{Op: OpGetRange, Key: []byte("start"), N: 100, Cols: []int{2}},
-		{Op: OpGetRange, Key: nil, N: 0},
+	frame, err := AppendTaggedRequests(nil, 1, everyRequestShape)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := roundTripRequests(t, reqs)
-	if len(got) != len(reqs) {
+	var d DecodeBuf
+	_, got, err := readRequests(frame, &d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(everyRequestShape) {
 		t.Fatalf("got %d requests", len(got))
 	}
-	for i := range reqs {
-		if got[i].Op != reqs[i].Op || !bytes.Equal(got[i].Key, reqs[i].Key) ||
-			got[i].N != reqs[i].N || !reflect.DeepEqual(got[i].Cols, reqs[i].Cols) ||
-			got[i].TTL != reqs[i].TTL {
-			t.Fatalf("request %d mismatch: %+v vs %+v", i, got[i], reqs[i])
-		}
-		if len(got[i].Puts) != len(reqs[i].Puts) {
-			t.Fatalf("request %d puts mismatch", i)
-		}
-		for j := range reqs[i].Puts {
-			if got[i].Puts[j].Col != reqs[i].Puts[j].Col || !bytes.Equal(got[i].Puts[j].Data, reqs[i].Puts[j].Data) {
-				t.Fatalf("request %d put %d mismatch", i, j)
-			}
+	for i, want := range everyRequestShape {
+		if !sameRequest(got[i], want) {
+			t.Fatalf("request %d mismatch: %+v vs %+v", i, got[i], want)
 		}
 	}
 }
@@ -61,35 +113,30 @@ func TestResponseRoundTrip(t *testing.T) {
 	resps := []Response{
 		{Status: StatusOK, Version: 1 << 50},
 		{Status: StatusNotFound},
+		{Status: StatusConflict, Version: 17},
+		{Status: StatusStale, Version: 3, Cols: [][]byte{[]byte("old")}},
 		{Status: StatusOK, Cols: [][]byte{[]byte("a"), nil, []byte("ccc")}},
 		{Status: StatusOK, Pairs: []Pair{
 			{Key: []byte("k1"), Cols: [][]byte{[]byte("v1")}},
 			{Key: []byte(""), Cols: nil},
 		}},
 	}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteResponses(w, resps); err != nil {
+	frame, err := AppendTaggedResponses(nil, 1, resps)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadResponses(bufio.NewReader(&buf))
+	var d RespDecodeBuf
+	got, err := ParseResponses(frame[taggedHeaderSize:], &d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(resps) {
 		t.Fatalf("got %d responses", len(got))
 	}
-	if got[0].Version != resps[0].Version || got[0].Status != StatusOK {
-		t.Fatal("response 0 mismatch")
-	}
-	if got[1].Status != StatusNotFound {
-		t.Fatal("response 1 mismatch")
-	}
-	if len(got[2].Cols) != 3 || string(got[2].Cols[2]) != "ccc" {
-		t.Fatalf("response 2 mismatch: %+v", got[2])
-	}
-	if len(got[3].Pairs) != 2 || string(got[3].Pairs[0].Key) != "k1" || string(got[3].Pairs[0].Cols[0]) != "v1" {
-		t.Fatalf("response 3 mismatch: %+v", got[3])
+	for i, want := range resps {
+		if !sameResponse(got[i], want) {
+			t.Fatalf("response %d mismatch: %+v vs %+v", i, got[i], want)
+		}
 	}
 }
 
@@ -99,56 +146,57 @@ func TestRequestQuick(t *testing.T) {
 			{Op: OpPut, Key: key, Puts: []ColData{{Col: int(col), Data: data}}},
 			{Op: OpGetRange, Key: key, N: int(n)},
 		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := WriteRequests(w, reqs); err != nil {
-			return len(key) > 0xffff // only oversized keys may fail
+		frame, err := AppendTaggedRequests(nil, 1, reqs)
+		if len(key) > MaxKeyLen {
+			return err != nil // only oversized keys may fail, and they must
 		}
-		got, err := ReadRequests(bufio.NewReader(&buf))
-		if err != nil || len(got) != 2 {
+		if err != nil {
 			return false
 		}
-		return bytes.Equal(got[0].Key, key) && got[0].Puts[0].Col == int(col) &&
-			bytes.Equal(got[0].Puts[0].Data, data) && got[1].N == int(n)
+		var d DecodeBuf
+		_, got, err := readRequests(frame, &d)
+		return err == nil && len(got) == 2 && sameRequest(got[0], reqs[0]) && sameRequest(got[1], reqs[1])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+	if !f(make([]byte, MaxKeyLen+1), []byte("d"), 0, 1) {
+		t.Fatal("a key one byte past MaxKeyLen was encoded")
+	}
 }
 
 func TestTruncatedFrameErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := WriteRequests(w, []Request{{Op: OpGet, Key: []byte("k")}}); err != nil {
+	full, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
+	var d DecodeBuf
 	for cut := 0; cut < len(full); cut++ {
-		_, err := ReadRequests(bufio.NewReader(bytes.NewReader(full[:cut])))
-		if err == nil {
+		if _, _, err := readRequests(full[:cut], &d); err == nil {
 			t.Fatalf("cut %d: expected error", cut)
 		}
 	}
 }
 
 func TestUnknownOpcodeErrors(t *testing.T) {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	WriteRequests(w, []Request{{Op: OpGet, Key: []byte("k")}})
-	b := buf.Bytes()
-	b[8] = 99 // clobber the opcode (4B frame len + 4B count)
-	if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(b))); err == nil {
+	frame, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("k")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[taggedHeaderSize+4] = 99 // clobber the opcode, behind the header and the count
+	var d DecodeBuf
+	if _, _, err := readRequests(frame, &d); err == nil {
 		t.Fatal("expected error for unknown opcode")
 	}
 }
 
 // TestPutColumnOutOfRangeRefused pins column 65 535 as a malformed request in
-// every request parser — it would make 65 536 columns, which no response,
+// both request parsers — it would make 65 536 columns, which no response,
 // log record or checkpoint entry can count — and column 65 534 as legal.
 func TestPutColumnOutOfRangeRefused(t *testing.T) {
 	for _, op := range []OpCode{OpPut, OpCas, OpPutTTL} {
 		for col, refuse := range map[int]bool{value.MaxCol: false, value.MaxCol + 1: true} {
-			frame, err := AppendRequests(nil, []Request{
+			frame, err := AppendTaggedRequests(nil, 1, []Request{
 				{Op: OpGet, Key: []byte("a")},
 				{Op: op, Key: []byte("k"), Puts: []ColData{{Col: 0, Data: []byte("x")}, {Col: col, Data: []byte("y")}}},
 			})
@@ -156,13 +204,10 @@ func TestPutColumnOutOfRangeRefused(t *testing.T) {
 				t.Fatal(err)
 			}
 			var d DecodeBuf
-			if _, err := ParseRequests(frame[4:], &d); (err != nil) != refuse {
+			if _, err := ParseRequests(frame[taggedHeaderSize:], &d); (err != nil) != refuse {
 				t.Errorf("op %d column %d: ParseRequests error %v, want refused=%v", op, col, err, refuse)
 			}
-			if _, err := ReadRequests(bufio.NewReader(bytes.NewReader(frame))); (err != nil) != refuse {
-				t.Errorf("op %d column %d: ReadRequests error %v, want refused=%v", op, col, err, refuse)
-			}
-			got, claimed, err := ParseRequestsLenient(frame[4:], &d)
+			got, claimed, err := ParseRequestsLenient(frame[taggedHeaderSize:], &d)
 			if want := map[bool]int{true: 1, false: 2}[refuse]; err != nil || claimed != 2 || len(got) != want {
 				t.Errorf("op %d column %d: lenient decoded %d of %d (%v), want %d of 2", op, col, len(got), claimed, err, want)
 			}
@@ -170,12 +215,14 @@ func TestPutColumnOutOfRangeRefused(t *testing.T) {
 	}
 }
 
-// TestRequestCountsBeyondTheirFieldsRefused pins the two counts a request
-// carries in fields narrower than an int: a range's N (a u16) and the length
-// of a column list, read or put (one byte). At the field's last value the
-// request encodes and decodes to itself in both framings; one past it, both
-// encoders refuse with an error naming the limit and leave dst as it was —
-// not N mod 65 536, not the first 44 of 300 columns.
+// TestRequestCountsBeyondTheirFieldsRefused pins the counts a frame carries
+// in fields narrower than an int: a key's length and a range's N (u16s) and
+// the length of a column list, read or put (one byte). At the field's last
+// value the request encodes and decodes to itself; one past it, the encoder
+// refuses with an error naming the limit and leaves dst as it was — not N
+// mod 65 536, not the first 44 of 300 columns, not a key cut to its low 16
+// bits that no decoder can find the end of. A response's pair key is held to
+// the same bound.
 func TestRequestCountsBeyondTheirFieldsRefused(t *testing.T) {
 	cols := func(n int) []int { return make([]int, n) }
 	puts := func(n int) []ColData { return make([]ColData, n) }
@@ -193,42 +240,57 @@ func TestRequestCountsBeyondTheirFieldsRefused(t *testing.T) {
 		{Request{Op: OpGet, Key: []byte("k"), Cols: cols(300)}, "255"},
 		{Request{Op: OpPut, Key: []byte("k"), Puts: puts(MaxColList)}, ""},
 		{Request{Op: OpPut, Key: []byte("k"), Puts: puts(MaxColList + 1)}, "255"},
+		{Request{Op: OpGet, Key: make([]byte, MaxKeyLen)}, ""},
+		{Request{Op: OpGet, Key: make([]byte, MaxKeyLen+1)}, "65535"},
+		{Request{Op: OpPut, Key: make([]byte, 70000), Puts: puts(1)}, "65535"},
 	}
 	prefix := []byte("kept")
 	for i, c := range cases {
 		batch := []Request{{Op: OpGet, Key: []byte("before")}, c.req}
-		v1, err1 := AppendRequests(prefix, batch)
-		v2, err2 := AppendTaggedRequests(prefix, 7, batch)
+		frame, err := AppendTaggedRequests(prefix, 7, batch)
 		if c.refuse != "" {
-			for _, err := range []error{err1, err2} {
-				if err == nil || !strings.Contains(err.Error(), c.refuse) {
-					t.Errorf("case %d: error %v, want one naming %s", i, err, c.refuse)
-				}
+			if err == nil || !strings.Contains(err.Error(), c.refuse) {
+				t.Errorf("case %d: error %v, want one naming %s", i, err, c.refuse)
 			}
-			if string(v1) != "kept" || string(v2) != "kept" {
-				t.Errorf("case %d: a refused batch left %d and %d bytes behind dst", i, len(v1)-4, len(v2)-4)
+			if string(frame) != "kept" {
+				t.Errorf("case %d: a refused batch left %d bytes behind dst", i, len(frame)-4)
 			}
 			continue
 		}
-		if err1 != nil || err2 != nil {
-			t.Fatalf("case %d: %v, %v", i, err1, err2)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
 		}
 		var d DecodeBuf
-		got, err := ParseRequests(v1[len(prefix)+4:], &d)
-		if err != nil || len(got) != 2 || got[1].N != c.req.N || len(got[1].Cols) != len(c.req.Cols) || len(got[1].Puts) != len(c.req.Puts) {
-			t.Errorf("case %d: decoded %+v (%v)", i, got, err)
+		tag, got, err := readRequests(frame[len(prefix):], &d)
+		if err != nil || tag != 7 || len(got) != 2 || !sameRequest(got[1], c.req) {
+			t.Errorf("case %d: decoded %d requests under tag %d (%v)", i, len(got), tag, err)
 		}
-		if !bytes.Equal(v1[len(prefix)+4:], v2[len(prefix)+8:]) {
-			t.Errorf("case %d: the two framings encode different bodies", i)
+	}
+
+	for klen, refuse := range map[int]bool{MaxKeyLen: false, MaxKeyLen + 1: true} {
+		resps := []Response{{Status: StatusOK}, {Status: StatusOK, Pairs: []Pair{{Key: make([]byte, klen), Cols: [][]byte{[]byte("v")}}}}}
+		frame, err := AppendTaggedResponses(prefix, 7, resps)
+		if refuse {
+			if err == nil || !strings.Contains(err.Error(), "65535") || string(frame) != "kept" {
+				t.Errorf("a pair key of %d bytes: error %v and %d bytes behind dst, want a refusal naming 65535 and none", klen, err, len(frame)-4)
+			}
+			continue
+		}
+		var d RespDecodeBuf
+		got, err := ParseResponses(frame[len(prefix)+taggedHeaderSize:], &d)
+		if err != nil || len(got) != 2 || !sameResponse(got[1], resps[1]) {
+			t.Errorf("a pair key of %d bytes: decoded %d responses (%v)", klen, len(got), err)
 		}
 	}
 }
 
 func TestOversizeFrameRejected(t *testing.T) {
-	var hdr [4]byte
-	hdr[3] = 0xff // huge length
-	_, err := ReadRequests(bufio.NewReader(bytes.NewReader(hdr[:])))
-	if err == nil {
+	hdr := []byte{1, 0, 0, 0x84, 1, 0, 0, 0} // tagged, a length one byte past MaxMessage
+	if _, _, err := ReadTaggedHeader(bufio.NewReader(bytes.NewReader(hdr))); err == nil {
 		t.Fatal("expected error for oversized frame")
+	}
+	var d DecodeBuf
+	if _, err := ReadTaggedRequestBody(bytes.NewReader(nil), MaxMessage+1, &d); err == nil {
+		t.Fatal("expected error for an oversized body")
 	}
 }
