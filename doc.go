@@ -85,12 +85,12 @@
 // checkpoint timestamp redundant and skip it (replaying one could resurrect
 // a key whose remove only the checkpoint remembers).
 //
-// Log records are version-chained (the MTLOG2 format; MTLOG1 logs still
-// recover, their records replaying unvalidated). Every partial put carries
-// prev — the version it replaced, read in the same border-lock critical
-// section that drew its own version — and a put over a value stamped
-// through a different worker's log is logged column-complete with prev ==
-// 0, a chain anchor (inserts and Touch anchor too). Replay applies a
+// Log records are version-chained (the MTLOG2 format, the only one recovery
+// reads: a log in the paper's unchained format refuses to open). Every
+// partial put carries prev — the version it replaced, read in the same
+// border-lock critical section that drew its own version — and a put over a
+// value stamped through a different worker's log is logged column-complete
+// with prev == 0, a chain anchor (inserts and Touch anchor too). Replay applies a
 // partial record only when its prev matches the replayed state; a broken
 // link rolls the key back to its last anchored prefix instead of merging
 // columns from different versions, and the rollback is counted in

@@ -19,8 +19,8 @@
 // considered durable: the manifest rename is the commit point, so a crash
 // mid-checkpoint leaves only ignorable part/temp orphans, and no log space
 // is reclaimed before the checkpoint the reclamation depends on has truly
-// reached the disk. The single-file format of earlier versions
-// (ckpt-<ts>.ckpt) is still read.
+// reached the disk. Latest is recovery's one search for the newest valid
+// checkpoint.
 //
 // All filesystem access goes through an injectable vfs.FS, so crash-point
 // torture tests can kill the writer at every write/fsync/rename boundary
@@ -37,7 +37,7 @@ import (
 	iofs "io/fs"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,14 +47,11 @@ import (
 )
 
 var (
-	// fileMagic is the current body-file format: each entry carries the
-	// value's expiry timestamp (cache-mode TTLs survive checkpoints).
-	// fileMagicV1 bodies — written before TTLs existed — are still read;
-	// their entries load with expiry 0.
-	fileMagic   = []byte("MTCKPT2\n")
-	fileMagicV1 = []byte("MTCKPT1\n")
-	mfMagic     = []byte("MTCKMF1\n")
-	fileEnd     = []byte("MTCKEND\n")
+	// fileMagic begins every part file. Each entry carries the value's
+	// expiry timestamp, so cache-mode TTLs survive checkpoints.
+	fileMagic = []byte("MTCKPT2\n")
+	mfMagic   = []byte("MTCKMF1\n")
+	fileEnd   = []byte("MTCKEND\n")
 
 	// ErrNone reports that no valid checkpoint exists.
 	ErrNone = errors.New("checkpoint: none found")
@@ -63,13 +60,9 @@ var (
 )
 
 var (
-	nameRE = regexp.MustCompile(`^ckpt-(\d{20})\.ckpt$`)
 	partRE = regexp.MustCompile(`^ckpt-(\d{20})-part(\d{3})\.ckpt$`)
 	mfRE   = regexp.MustCompile(`^ckpt-(\d{20})\.mf$`)
 )
-
-// FileName names a legacy single-file checkpoint that began at timestamp ts.
-func FileName(ts uint64) string { return fmt.Sprintf("ckpt-%020d.ckpt", ts) }
 
 // PartName names part k of the checkpoint that began at timestamp ts.
 func PartName(ts uint64, k int) string { return fmt.Sprintf("ckpt-%020d-part%03d.ckpt", ts, k) }
@@ -90,10 +83,10 @@ type Entry struct {
 	Value *value.Value
 }
 
-// writePartFile streams one checkpoint body (legacy file or part) into a
-// temp file in dir: magic, startTS, entries, then a count/CRC/end footer.
-// The synced, closed temp file's name is returned for the caller to rename
-// into place. feed supplies the entries through emit.
+// writePartFile streams one checkpoint part into a temp file in dir: magic,
+// startTS, entries, then a count/CRC/end footer. The synced, closed temp
+// file's name is returned for the caller to rename into place. feed supplies
+// the entries through emit.
 func writePartFile(fsys vfs.FS, dir string, startTS uint64, feed func(emit func(Entry) error) error) (tmp string, n int, err error) {
 	f, err := fsys.CreateTemp(dir, "ckpt-*.tmp")
 	if err != nil {
@@ -146,42 +139,6 @@ func writePartFile(fsys vfs.FS, dir string, startTS uint64, feed func(emit func(
 		return "", 0, err
 	}
 	return f.Name(), count, nil
-}
-
-// WriteFS streams a legacy single-file checkpoint that began at timestamp
-// startTS into dir, reading entries from next until it returns false. The
-// file is written to a temporary name, synced, atomically renamed, and the
-// directory is synced, so a crash mid-checkpoint leaves no partially
-// visible checkpoint and a completed one cannot be forgotten by the
-// directory.
-func WriteFS(fsys vfs.FS, dir string, startTS uint64, next func() (Entry, bool)) (path string, n int, err error) {
-	tmp, n, err := writePartFile(fsys, dir, startTS, func(emit func(Entry) error) error {
-		for {
-			e, ok := next()
-			if !ok {
-				return nil
-			}
-			if err := emit(e); err != nil {
-				return err
-			}
-		}
-	})
-	if err != nil {
-		return "", 0, err
-	}
-	final := filepath.Join(dir, FileName(startTS))
-	if err = fsys.Rename(tmp, final); err != nil {
-		return "", 0, err
-	}
-	if err = fsys.SyncDir(dir); err != nil {
-		return "", 0, err
-	}
-	return final, n, nil
-}
-
-// Write is WriteFS on the real filesystem.
-func Write(dir string, startTS uint64, next func() (Entry, bool)) (path string, n int, err error) {
-	return WriteFS(vfs.OS{}, dir, startTS, next)
 }
 
 // WriteParts writes a multi-part checkpoint: scan(k, emit) must stream part
@@ -285,25 +242,7 @@ func writeManifest(fsys vfs.FS, dir string, startTS uint64, counts []uint64) err
 	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 	b = append(b, fileEnd...)
-	f, err := fsys.CreateTemp(dir, "ckpt-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		fsys.Remove(f.Name())
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(f.Name())
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(f.Name())
-		return err
-	}
-	return fsys.Rename(f.Name(), filepath.Join(dir, ManifestName(startTS)))
+	return vfs.WriteFileAtomic(fsys, dir, "ckpt-*.tmp", ManifestName(startTS), b)
 }
 
 // parseManifest validates a manifest's framing and checksum.
@@ -333,6 +272,14 @@ func parseManifest(b []byte) (startTS uint64, counts []uint64, err error) {
 	return startTS, counts, nil
 }
 
+// An entry is keyLen u32 | key | version u64 | expiry u64 | ncols u16 |
+// { colLen u32 | col }*. entryHeader is its fixed middle; minEntry is the
+// smallest entry, an empty key with no columns.
+const (
+	entryHeader = 8 + 8 + 2
+	minEntry    = 4 + entryHeader
+)
+
 func writeEntry(w *bufio.Writer, e Entry) error {
 	var buf [10]byte
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(e.Key)))
@@ -342,7 +289,7 @@ func writeEntry(w *bufio.Writer, e Entry) error {
 	if _, err := w.Write(e.Key); err != nil {
 		return err
 	}
-	var vh [18]byte
+	var vh [entryHeader]byte
 	binary.LittleEndian.PutUint64(vh[:8], e.Value.Version())
 	binary.LittleEndian.PutUint64(vh[8:16], e.Value.ExpiresAt())
 	binary.LittleEndian.PutUint16(vh[16:], value.Count16(e.Value.NumCols(), "checkpoint entry"))
@@ -362,73 +309,39 @@ func writeEntry(w *bufio.Writer, e Entry) error {
 	return nil
 }
 
-// Info describes one on-disk checkpoint: a manifest plus Parts part files,
-// or (Parts == 0) a legacy single file.
-type Info struct {
-	Path    string // manifest path, or the legacy checkpoint file
-	StartTS uint64
-	Parts   int
-}
-
-// ListFS returns the checkpoints in dir, oldest first. Part files without
-// their manifest (a crashed multi-part write) are not listed.
-func ListFS(fsys vfs.FS, dir string) ([]Info, error) {
+// list returns the start timestamps of dir's manifests, oldest first. Part
+// files without their manifest (a crashed checkpoint write) are not listed.
+func list(fsys vfs.FS, dir string) ([]uint64, error) {
 	ents, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var out []Info
+	var out []uint64
 	for _, e := range ents {
-		if m := nameRE.FindStringSubmatch(e.Name()); m != nil {
-			ts, _ := strconv.ParseUint(m[1], 10, 64)
-			out = append(out, Info{Path: filepath.Join(dir, e.Name()), StartTS: ts})
-			continue
-		}
 		if m := mfRE.FindStringSubmatch(e.Name()); m != nil {
 			ts, _ := strconv.ParseUint(m[1], 10, 64)
-			out = append(out, Info{Path: filepath.Join(dir, e.Name()), StartTS: ts, Parts: -1})
+			out = append(out, ts)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].StartTS != out[j].StartTS {
-			return out[i].StartTS < out[j].StartTS
-		}
-		// At equal timestamps the manifest sorts last, so LoadLatestFS
-		// (which walks the list backwards) prefers it over a legacy file.
-		return out[i].Parts > out[j].Parts
-	})
+	slices.Sort(out)
 	return out, nil
 }
 
-// List is ListFS on the real filesystem.
-func List(dir string) ([]Info, error) { return ListFS(vfs.OS{}, dir) }
-
-// Read loads and validates one checkpoint completely before returning:
-// every part's checksum and framing must check out, so the result is
-// all-or-nothing (a torn or corrupt checkpoint returns ErrCorrupt and can
-// be skipped in favor of an older one). Parts are read and parsed
-// concurrently. The returned entries alias the loaded file buffers.
-func Read(fsys vfs.FS, in Info) (startTS uint64, parts [][]Entry, err error) {
-	if in.Parts == 0 { // legacy single file
-		b, err := readCkptFile(fsys, in.Path)
-		if err != nil {
-			return 0, nil, err
-		}
-		ts, es, err := parseCkptFile(b)
-		if err != nil {
-			return 0, nil, err
-		}
-		return ts, [][]Entry{es}, nil
-	}
-	mb, err := readCkptFile(fsys, in.Path)
+// read loads and validates the checkpoint whose manifest is ckpt-<ts>.mf
+// completely before returning: every part's checksum and framing must check
+// out, so the result is all-or-nothing (a torn or corrupt checkpoint returns
+// ErrCorrupt and can be skipped in favor of an older one). Parts are read
+// and parsed concurrently. The returned entries alias the loaded file
+// buffers.
+func read(fsys vfs.FS, dir string, ts uint64) (startTS uint64, parts [][]Entry, err error) {
+	mb, err := readCkptFile(fsys, filepath.Join(dir, ManifestName(ts)))
 	if err != nil {
 		return 0, nil, err
 	}
-	ts, counts, err := parseManifest(mb)
+	startTS, counts, err := parseManifest(mb)
 	if err != nil {
 		return 0, nil, err
 	}
-	dir := filepath.Dir(in.Path)
 	parts = make([][]Entry, len(counts))
 	errs := make([]error, len(counts))
 	var wg sync.WaitGroup
@@ -436,7 +349,7 @@ func Read(fsys vfs.FS, in Info) (startTS uint64, parts [][]Entry, err error) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			b, err := readCkptFile(fsys, filepath.Join(dir, PartName(ts, k)))
+			b, err := readCkptFile(fsys, filepath.Join(dir, PartName(startTS, k)))
 			if err != nil {
 				errs[k] = err
 				return
@@ -446,7 +359,7 @@ func Read(fsys vfs.FS, in Info) (startTS uint64, parts [][]Entry, err error) {
 				errs[k] = err
 				return
 			}
-			if pts != ts || uint64(len(es)) != counts[k] {
+			if pts != startTS || uint64(len(es)) != counts[k] {
 				errs[k] = fmt.Errorf("%w: part %d does not match manifest", ErrCorrupt, k)
 				return
 			}
@@ -459,11 +372,11 @@ func Read(fsys vfs.FS, in Info) (startTS uint64, parts [][]Entry, err error) {
 			return 0, nil, e
 		}
 	}
-	return ts, parts, nil
+	return startTS, parts, nil
 }
 
 // readCkptFile maps a missing file onto ErrCorrupt: a manifest whose part
-// vanished (or a listed file racing a Drop) is a torn checkpoint to fall
+// vanished (or a listed file racing a drop) is a torn checkpoint to fall
 // back from, not a fatal recovery error.
 func readCkptFile(fsys vfs.FS, path string) ([]byte, error) {
 	b, err := fsys.ReadFile(path)
@@ -473,71 +386,49 @@ func readCkptFile(fsys vfs.FS, path string) ([]byte, error) {
 	return b, err
 }
 
-// LoadLatestFS loads the newest valid checkpoint in dir, streaming entries
-// to apply. It returns the checkpoint's start timestamp, or ErrNone if no
-// valid checkpoint exists. Invalid (torn) checkpoints are skipped in favor
-// of older valid ones. Each checkpoint is fully validated before the first
-// apply call, so apply never sees a half-valid checkpoint.
-func LoadLatestFS(fsys vfs.FS, dir string, apply func(Entry)) (startTS uint64, err error) {
-	infos, err := ListFS(fsys, dir)
+// Latest finds the newest valid checkpoint in dir and returns its start
+// timestamp and its parts' entries, one slice per part over disjoint key
+// ranges, or ErrNone if no valid checkpoint exists. Torn or corrupt
+// checkpoints are skipped in favor of older valid ones, and each is fully
+// validated before it is returned, so a caller never sees a half-valid
+// checkpoint. The entries alias the loaded file buffers.
+func Latest(fsys vfs.FS, dir string) (startTS uint64, parts [][]Entry, err error) {
+	tss, err := list(fsys, dir)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	for i := len(infos) - 1; i >= 0; i-- {
-		ts, parts, loadErr := Read(fsys, infos[i])
-		if loadErr != nil {
-			if errors.Is(loadErr, ErrCorrupt) {
-				continue
-			}
-			return 0, loadErr
+	for i := len(tss) - 1; i >= 0; i-- {
+		startTS, parts, err = read(fsys, dir, tss[i])
+		if !errors.Is(err, ErrCorrupt) {
+			return startTS, parts, err
 		}
-		for _, es := range parts {
-			for _, e := range es {
-				apply(e)
-			}
-		}
-		return ts, nil
 	}
-	return 0, ErrNone
+	return 0, nil, ErrNone
 }
 
-// LoadLatest is LoadLatestFS on the real filesystem.
+// LoadLatest loads the newest valid checkpoint in dir on the real
+// filesystem (see Latest), streaming its entries to apply part by part. It
+// returns the checkpoint's start timestamp, or ErrNone.
 func LoadLatest(dir string, apply func(Entry)) (startTS uint64, err error) {
-	return LoadLatestFS(vfs.OS{}, dir, apply)
-}
-
-// LoadFS reads one checkpoint body file (legacy or a single part),
-// validating the whole file — checksum and every entry — before applying
-// anything (a checkpoint is all-or-nothing, never half-applied).
-func LoadFS(fsys vfs.FS, path string, apply func(Entry)) (startTS uint64, err error) {
-	b, err := fsys.ReadFile(path)
+	startTS, parts, err := Latest(vfs.OS{}, dir)
 	if err != nil {
 		return 0, err
 	}
-	ts, es, err := parseCkptFile(b)
-	if err != nil {
-		return 0, err
+	for _, es := range parts {
+		for _, e := range es {
+			apply(e)
+		}
 	}
-	for _, e := range es {
-		apply(e)
-	}
-	return ts, nil
+	return startTS, nil
 }
 
-// Load is LoadFS on the real filesystem.
-func Load(path string, apply func(Entry)) (startTS uint64, err error) {
-	return LoadFS(vfs.OS{}, path, apply)
-}
-
-// parseCkptFile validates framing, checksum, and every entry of one body
-// file, returning the decoded entries. Entries alias b. Both the current
-// (expiry-carrying) and the v1 entry layout are accepted, keyed by magic.
+// parseCkptFile validates framing, checksum, and every entry of one part
+// file, returning the decoded entries. Entries alias b.
 func parseCkptFile(b []byte) (startTS uint64, es []Entry, err error) {
 	if len(b) < len(fileMagic)+8+8+4+len(fileEnd) {
 		return 0, nil, fmt.Errorf("%w: short file", ErrCorrupt)
 	}
-	v1 := string(b[:len(fileMagicV1)]) == string(fileMagicV1)
-	if !v1 && string(b[:len(fileMagic)]) != string(fileMagic) {
+	if string(b[:len(fileMagic)]) != string(fileMagic) {
 		return 0, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if string(b[len(b)-len(fileEnd):]) != string(fileEnd) {
@@ -556,8 +447,8 @@ func parseCkptFile(b []byte) (startTS uint64, es []Entry, err error) {
 	count := binary.LittleEndian.Uint64(body[len(body)-8:])
 	body = body[8 : len(body)-8]
 	// A tiny body cannot honestly hold a huge claimed count (each entry is
-	// at least 14 bytes); bound the allocation by what could fit.
-	if count > uint64(len(body)/14)+1 {
+	// at least minEntry bytes); bound the allocation by what could fit.
+	if count > uint64(len(body)/minEntry)+1 {
 		return 0, nil, fmt.Errorf("%w: claimed count %d exceeds body", ErrCorrupt, count)
 	}
 	es = make([]Entry, 0, count)
@@ -565,7 +456,7 @@ func parseCkptFile(b []byte) (startTS uint64, es []Entry, err error) {
 	for i := uint64(0); i < count; i++ {
 		var e Entry
 		var n int
-		e, n, puts, err = parseEntry(body, puts, v1)
+		e, n, puts, err = parseEntry(body, puts)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -580,32 +471,22 @@ func parseCkptFile(b []byte) (startTS uint64, es []Entry, err error) {
 
 // parseEntry decodes one entry. The key aliases b; the value is built as a
 // single packed allocation (the same representation the write path builds),
-// so loading performs exactly one allocation per entry. v1 entries carry no
-// expiry field and load with expiry 0.
-func parseEntry(b []byte, scratch []value.ColPut, v1 bool) (Entry, int, []value.ColPut, error) {
-	vhLen := 18 // version u64 | expiry u64 | ncols u16
-	if v1 {
-		vhLen = 10 // version u64 | ncols u16
-	}
+// so loading performs exactly one allocation per entry.
+func parseEntry(b []byte, scratch []value.ColPut) (Entry, int, []value.ColPut, error) {
 	if len(b) < 4 {
 		return Entry{}, 0, scratch, fmt.Errorf("%w: short entry", ErrCorrupt)
 	}
 	klen := int(binary.LittleEndian.Uint32(b))
 	p := 4
-	if klen < 0 || len(b) < p+klen+vhLen {
+	if klen < 0 || len(b) < p+klen+entryHeader {
 		return Entry{}, 0, scratch, fmt.Errorf("%w: short entry", ErrCorrupt)
 	}
 	key := b[p : p+klen]
 	p += klen
 	version := binary.LittleEndian.Uint64(b[p:])
-	p += 8
-	expiry := uint64(0)
-	if !v1 {
-		expiry = binary.LittleEndian.Uint64(b[p:])
-		p += 8
-	}
-	ncols := int(binary.LittleEndian.Uint16(b[p:]))
-	p += 2
+	expiry := binary.LittleEndian.Uint64(b[p+8:])
+	ncols := int(binary.LittleEndian.Uint16(b[p+16:]))
+	p += entryHeader
 	scratch = scratch[:0]
 	for i := 0; i < ncols; i++ {
 		if len(b) < p+4 {
@@ -642,14 +523,6 @@ func DropFS(fsys vfs.FS, dir string, keepTS uint64) error {
 			}
 			continue
 		}
-		if m := nameRE.FindStringSubmatch(name); m != nil {
-			if ts, _ := strconv.ParseUint(m[1], 10, 64); ts < keepTS {
-				if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		if m := partRE.FindStringSubmatch(name); m != nil {
 			if ts, _ := strconv.ParseUint(m[1], 10, 64); ts < keepTS {
 				parts = append(parts, filepath.Join(dir, name))
@@ -667,6 +540,3 @@ func DropFS(fsys vfs.FS, dir string, keepTS uint64) error {
 	}
 	return nil
 }
-
-// Drop is DropFS on the real filesystem.
-func Drop(dir string, keepTS uint64) error { return DropFS(vfs.OS{}, dir, keepTS) }

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/value"
+	"repro/internal/vfs"
 )
 
 func entries(n int) []Entry {
@@ -21,24 +24,12 @@ func entries(n int) []Entry {
 	return out
 }
 
+// writeAll writes es as a one-part checkpoint on the real filesystem and
+// returns the part's path.
 func writeAll(t *testing.T, dir string, startTS uint64, es []Entry) string {
 	t.Helper()
-	i := 0
-	path, n, err := Write(dir, startTS, func() (Entry, bool) {
-		if i >= len(es) {
-			return Entry{}, false
-		}
-		e := es[i]
-		i++
-		return e, true
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(es) {
-		t.Fatalf("wrote %d entries, want %d", n, len(es))
-	}
-	return path
+	writeParts(t, vfs.OS{}, dir, startTS, 1, es)
+	return filepath.Join(dir, PartName(startTS, 0))
 }
 
 func TestWriteLoadRoundTrip(t *testing.T) {
@@ -73,10 +64,9 @@ func TestWriteLoadRoundTrip(t *testing.T) {
 func TestEmptyCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	writeAll(t, dir, 7, nil)
-	n := 0
-	ts, err := LoadLatest(dir, func(Entry) { n++ })
-	if err != nil || ts != 7 || n != 0 {
-		t.Fatalf("ts=%d n=%d err=%v", ts, n, err)
+	ts, parts, err := Latest(vfs.OS{}, dir)
+	if err != nil || ts != 7 || len(parts) != 1 || len(parts[0]) != 0 {
+		t.Fatalf("ts=%d parts=%d err=%v; want one empty part at ts 7", ts, len(parts), err)
 	}
 }
 
@@ -95,13 +85,12 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	writeAll(t, dir, 10, entries(5))
 	p2 := writeAll(t, dir, 20, entries(7))
-	// Truncate the newest checkpoint: it must be skipped entirely.
+	// Truncate the newest checkpoint's part: it must be skipped entirely.
 	b, _ := os.ReadFile(p2)
 	os.WriteFile(p2, b[:len(b)-5], 0o644)
-	n := 0
-	ts, err := LoadLatest(dir, func(Entry) { n++ })
-	if err != nil || ts != 10 || n != 5 {
-		t.Fatalf("ts=%d n=%d err=%v", ts, n, err)
+	ts, parts, err := Latest(vfs.OS{}, dir)
+	if err != nil || ts != 10 || len(parts) != 1 || len(parts[0]) != 5 {
+		t.Fatalf("ts=%d parts=%d err=%v; want the 5-entry checkpoint at ts 10", ts, len(parts), err)
 	}
 }
 
@@ -111,13 +100,12 @@ func TestCorruptBodyDetected(t *testing.T) {
 	b, _ := os.ReadFile(p)
 	b[len(b)/2] ^= 0xff
 	os.WriteFile(p, b, 0o644)
-	_, err := Load(p, func(Entry) {})
-	if !errors.Is(err, ErrCorrupt) {
+	if _, _, err := read(vfs.OS{}, dir, 10); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	// No valid checkpoint remains.
-	if _, err := LoadLatest(dir, func(Entry) {}); !errors.Is(err, ErrNone) {
-		t.Fatalf("LoadLatest err = %v, want ErrNone", err)
+	if _, _, err := Latest(vfs.OS{}, dir); !errors.Is(err, ErrNone) {
+		t.Fatalf("Latest err = %v, want ErrNone", err)
 	}
 }
 
@@ -132,12 +120,11 @@ func TestDropOld(t *testing.T) {
 	writeAll(t, dir, 10, entries(1))
 	writeAll(t, dir, 20, entries(1))
 	writeAll(t, dir, 30, entries(1))
-	if err := Drop(dir, 30); err != nil {
+	if err := DropFS(vfs.OS{}, dir, 30); err != nil {
 		t.Fatal(err)
 	}
-	infos, _ := List(dir)
-	if len(infos) != 1 || infos[0].StartTS != 30 {
-		t.Fatalf("after drop: %+v", infos)
+	if tss, _ := list(vfs.OS{}, dir); !slices.Equal(tss, []uint64{30}) {
+		t.Fatalf("after drop: %v, want [30]", tss)
 	}
 }
 
@@ -146,8 +133,11 @@ func TestNoTempLeftovers(t *testing.T) {
 	writeAll(t, dir, 10, entries(10))
 	ents, _ := os.ReadDir(dir)
 	for _, e := range ents {
-		if e.Name() != FileName(10) {
+		if e.Name() != PartName(10, 0) && e.Name() != ManifestName(10) {
 			t.Fatalf("unexpected file %s", e.Name())
 		}
+	}
+	if len(ents) != 2 {
+		t.Fatalf("%d files on disk, want the part and the manifest", len(ents))
 	}
 }

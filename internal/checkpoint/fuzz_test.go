@@ -11,11 +11,11 @@ import (
 )
 
 // FuzzCheckpointLoad feeds arbitrary bytes as a checkpoint directory's
-// manifest and part files (plus a lower-timestamped legacy file), mirroring
-// the wire-codec fuzzers: corrupt or truncated inputs must surface as
-// ErrCorrupt-driven fallback (LoadLatestFS returns an older candidate or
-// ErrNone), never a panic, a huge allocation from a lying count field, or a
-// half-applied checkpoint. Corpora are seeded from the writer so the
+// manifest and part files (plus a lower-timestamped intact checkpoint),
+// mirroring the wire-codec fuzzers: corrupt or truncated inputs must
+// surface as ErrCorrupt-driven fallback (Latest returns the older
+// checkpoint), never a panic, a huge allocation from a lying count field,
+// or a half-valid checkpoint. Corpora are seeded from the writer so the
 // fuzzer starts on the happy path and mutates outward.
 func FuzzCheckpointLoad(f *testing.F) {
 	const dir = "/fz"
@@ -24,18 +24,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err := m.MkdirAll(dir, 0o755); err != nil {
 			f.Fatal(err)
 		}
-		es := entries(nEntries)
-		if _, err := WriteParts(m, dir, startTS, parts, func(k int, emit func(Entry) error) error {
-			lo, hi := k*len(es)/parts, (k+1)*len(es)/parts
-			for _, e := range es[lo:hi] {
-				if err := emit(e); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			f.Fatal(err)
-		}
+		writeParts(f, m, dir, startTS, parts, entries(nEntries))
 		mf, _ := m.ReadFile(filepath.Join(dir, ManifestName(startTS)))
 		p0, _ := m.ReadFile(filepath.Join(dir, PartName(startTS, 0)))
 		var p1 []byte
@@ -52,7 +41,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	f.Add(mf[:len(mf)-2], p0, p1)                  // torn manifest
 	f.Add(mf, p0[:len(p0)/2], p1)                  // torn part
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, p0, p1)  // garbage manifest
-	f.Add(mf, []byte("MTCKPT1\n\x00\x00\x00"), p1) // short part body
+	f.Add(mf, []byte("MTCKPT2\n\x00\x00\x00"), p1) // short part body
 
 	f.Fuzz(func(t *testing.T, mf, p0, p1 []byte) {
 		m := vfs.NewMemFS()
@@ -67,56 +56,35 @@ func FuzzCheckpointLoad(f *testing.F) {
 			fh.Write(b)
 			fh.Close()
 		}
-		// The fuzzed checkpoint at ts=7, an intact legacy fallback at ts=3.
+		// The fuzzed checkpoint at ts=7, an intact one-part fallback at ts=3.
 		write(ManifestName(7), mf)
 		write(PartName(7, 0), p0)
 		write(PartName(7, 1), p1)
-		legacy := entries(3)
-		i := 0
-		if _, _, err := WriteFS(m, dir, 3, func() (Entry, bool) {
-			if i >= len(legacy) {
-				return Entry{}, false
-			}
-			e := legacy[i]
-			i++
-			return e, true
-		}); err != nil {
-			t.Fatal(err)
-		}
+		fallback := entries(3)
+		writeParts(t, m, dir, 3, 1, fallback)
 
-		applied := 0
-		ts, err := LoadLatestFS(m, dir, func(e Entry) {
-			applied++
-			_ = e.Value.Version()
-			for c := 0; c < e.Value.NumCols(); c++ {
-				_ = e.Value.Col(c)
-			}
-		})
+		ts, parts, err := Latest(m, dir)
 		switch {
 		case err == nil:
 			if ts != 7 && ts != 3 {
 				t.Fatalf("loaded checkpoint with unexpected ts %d", ts)
 			}
-			if ts == 3 && applied != len(legacy) {
-				t.Fatalf("legacy fallback applied %d entries, want %d", applied, len(legacy))
+			if ts == 3 && (len(parts) != 1 || len(parts[0]) != len(fallback)) {
+				t.Fatalf("fallback returned %d parts, want 1 of %d entries", len(parts), len(fallback))
+			}
+			for _, es := range parts {
+				for _, e := range es {
+					_ = e.Value.Version()
+					for c := 0; c < e.Value.NumCols(); c++ {
+						_ = e.Value.Col(c)
+					}
+				}
 			}
 		case errors.Is(err, ErrNone):
-			// Possible only if the fuzz input also broke nothing... the
-			// legacy checkpoint is always intact, so ErrNone is a bug.
-			t.Fatalf("ErrNone despite an intact legacy checkpoint")
+			// The fallback checkpoint is always intact, so ErrNone is a bug.
+			t.Fatalf("ErrNone despite an intact fallback checkpoint")
 		default:
 			t.Fatalf("unexpected error class: %v", err)
-		}
-
-		// The standalone body loader must be all-or-nothing too.
-		bodyApplied := 0
-		if _, lerr := LoadFS(m, filepath.Join(dir, PartName(7, 0)), func(Entry) { bodyApplied++ }); lerr != nil {
-			if !errors.Is(lerr, ErrCorrupt) {
-				t.Fatalf("LoadFS error class: %v", lerr)
-			}
-			if bodyApplied != 0 {
-				t.Fatalf("LoadFS half-applied %d entries before failing", bodyApplied)
-			}
 		}
 	})
 }
@@ -128,19 +96,8 @@ func FuzzParseCkptFile(f *testing.F) {
 	m := vfs.NewMemFS()
 	m.MkdirAll("/s", 0o755)
 	for _, n := range []int{0, 1, 64} {
-		es := entries(n)
-		i := 0
-		if _, _, err := WriteFS(m, "/s", uint64(n), func() (Entry, bool) {
-			if i >= len(es) {
-				return Entry{}, false
-			}
-			e := es[i]
-			i++
-			return e, true
-		}); err != nil {
-			f.Fatal(err)
-		}
-		b, _ := m.ReadFile(filepath.Join("/s", FileName(uint64(n))))
+		writeParts(f, m, "/s", uint64(n), 1, entries(n))
+		b, _ := m.ReadFile(filepath.Join("/s", PartName(uint64(n), 0)))
 		bodies = append(bodies, b)
 	}
 	for _, b := range bodies {

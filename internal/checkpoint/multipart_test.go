@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -25,10 +25,11 @@ func memDir(t *testing.T) *vfs.MemFS {
 	return m
 }
 
-// writePartsN writes es split into parts ranges by index.
-func writePartsN(t *testing.T, fsys vfs.FS, startTS uint64, parts int, es []Entry) int {
-	t.Helper()
-	n, err := WriteParts(fsys, mpDir, startTS, parts, func(k int, emit func(Entry) error) error {
+// writeParts writes es as a parts-part checkpoint into fsys's dir, split
+// into parts ranges by index.
+func writeParts(tb testing.TB, fsys vfs.FS, dir string, startTS uint64, parts int, es []Entry) {
+	tb.Helper()
+	n, err := WriteParts(fsys, dir, startTS, parts, func(k int, emit func(Entry) error) error {
 		lo, hi := k*len(es)/parts, (k+1)*len(es)/parts
 		for _, e := range es[lo:hi] {
 			if err := emit(e); err != nil {
@@ -38,19 +39,17 @@ func writePartsN(t *testing.T, fsys vfs.FS, startTS uint64, parts int, es []Entr
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return n
+	if n != len(es) {
+		tb.Fatalf("wrote %d entries, want %d", n, len(es))
+	}
 }
 
 func loadAll(t *testing.T, fsys vfs.FS) (uint64, []Entry, error) {
 	t.Helper()
-	var got []Entry
-	ts, err := LoadLatestFS(fsys, mpDir, func(e Entry) {
-		// Entries alias the load buffer; copy for comparison after return.
-		got = append(got, Entry{Key: append([]byte(nil), e.Key...), Value: e.Value})
-	})
-	return ts, got, err
+	ts, parts, err := Latest(fsys, mpDir)
+	return ts, slices.Concat(parts...), err
 }
 
 func TestWritePartsRoundTrip(t *testing.T) {
@@ -58,9 +57,7 @@ func TestWritePartsRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
 			m := memDir(t)
 			es := entries(500)
-			if n := writePartsN(t, m, 99, parts, es); n != 500 {
-				t.Fatalf("wrote %d entries", n)
-			}
+			writeParts(t, m, mpDir, 99, parts, es)
 			ts, got, err := loadAll(t, m)
 			if err != nil || ts != 99 {
 				t.Fatalf("ts=%d err=%v", ts, err)
@@ -68,7 +65,6 @@ func TestWritePartsRoundTrip(t *testing.T) {
 			if len(got) != len(es) {
 				t.Fatalf("loaded %d entries, want %d", len(got), len(es))
 			}
-			sort.Slice(got, func(i, j int) bool { return bytes.Compare(got[i].Key, got[j].Key) < 0 })
 			for i := range es {
 				if !bytes.Equal(got[i].Key, es[i].Key) || !value.Equal(got[i].Value, es[i].Value) ||
 					got[i].Value.Version() != es[i].Value.Version() {
@@ -81,8 +77,8 @@ func TestWritePartsRoundTrip(t *testing.T) {
 
 func TestMissingPartFallsBack(t *testing.T) {
 	m := memDir(t)
-	writePartsN(t, m, 10, 2, entries(100))
-	writePartsN(t, m, 20, 3, entries(200))
+	writeParts(t, m, mpDir, 10, 2, entries(100))
+	writeParts(t, m, mpDir, 20, 3, entries(200))
 	if err := m.Remove(filepath.Join(mpDir, PartName(20, 1))); err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +90,8 @@ func TestMissingPartFallsBack(t *testing.T) {
 
 func TestCorruptPartFallsBack(t *testing.T) {
 	m := memDir(t)
-	writePartsN(t, m, 10, 2, entries(100))
-	writePartsN(t, m, 20, 2, entries(200))
+	writeParts(t, m, mpDir, 10, 2, entries(100))
+	writeParts(t, m, mpDir, 20, 2, entries(200))
 	p := filepath.Join(mpDir, PartName(20, 0))
 	b, _ := m.ReadFile(p)
 	b[len(b)/2] ^= 0xff
@@ -110,8 +106,8 @@ func TestCorruptPartFallsBack(t *testing.T) {
 
 func TestCorruptManifestFallsBack(t *testing.T) {
 	m := memDir(t)
-	writePartsN(t, m, 10, 1, entries(50))
-	writePartsN(t, m, 20, 2, entries(60))
+	writeParts(t, m, mpDir, 10, 1, entries(50))
+	writeParts(t, m, mpDir, 20, 2, entries(60))
 	p := filepath.Join(mpDir, ManifestName(20))
 	b, _ := m.ReadFile(p)
 	f, _ := m.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -126,8 +122,8 @@ func TestCorruptManifestFallsBack(t *testing.T) {
 func TestOrphanPartsIgnored(t *testing.T) {
 	// Parts without a manifest (a crashed multi-part write) are invisible.
 	m := memDir(t)
-	writePartsN(t, m, 10, 1, entries(50))
-	writePartsN(t, m, 20, 2, entries(60))
+	writeParts(t, m, mpDir, 10, 1, entries(50))
+	writeParts(t, m, mpDir, 20, 2, entries(60))
 	if err := m.Remove(filepath.Join(mpDir, ManifestName(20))); err != nil {
 		t.Fatal(err)
 	}
@@ -137,31 +133,10 @@ func TestOrphanPartsIgnored(t *testing.T) {
 	}
 }
 
-func TestManifestOutranksLegacyAtSameTS(t *testing.T) {
-	m := memDir(t)
-	es := entries(10)
-	i := 0
-	if _, _, err := WriteFS(m, mpDir, 30, func() (Entry, bool) {
-		if i >= 3 {
-			return Entry{}, false
-		}
-		e := es[i]
-		i++
-		return e, true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	writePartsN(t, m, 30, 2, es)
-	ts, got, err := loadAll(t, m)
-	if err != nil || ts != 30 || len(got) != 10 {
-		t.Fatalf("ts=%d n=%d err=%v; want the 10-entry manifest checkpoint", ts, len(got), err)
-	}
-}
-
 func TestDropRemovesPartsManifestsAndTemps(t *testing.T) {
 	m := memDir(t)
-	writePartsN(t, m, 10, 3, entries(30))
-	writePartsN(t, m, 20, 2, entries(30))
+	writeParts(t, m, mpDir, 10, 3, entries(30))
+	writeParts(t, m, mpDir, 20, 2, entries(30))
 	// A stray temp from a crashed attempt and an orphan part.
 	f, err := m.CreateTemp(mpDir, "ckpt-*.tmp")
 	if err != nil {
@@ -190,7 +165,7 @@ func TestDropRemovesPartsManifestsAndTemps(t *testing.T) {
 
 func TestWritePartsCommitLeavesNothingPending(t *testing.T) {
 	m := memDir(t)
-	writePartsN(t, m, 10, 4, entries(100))
+	writeParts(t, m, mpDir, 10, 4, entries(100))
 	if n := len(m.PendingOps()); n != 0 {
 		t.Fatalf("%d directory ops still volatile after WriteParts returned", n)
 	}
@@ -245,19 +220,18 @@ func TestReadValidatesBeforeApply(t *testing.T) {
 	// A checkpoint with a corrupt part must apply nothing at all — the
 	// load is all-or-nothing even though three of four parts are intact.
 	m := memDir(t)
-	writePartsN(t, m, 10, 4, entries(400))
+	writeParts(t, m, mpDir, 10, 4, entries(400))
 	p := filepath.Join(mpDir, PartName(10, 3))
 	b, _ := m.ReadFile(p)
 	b[len(b)-1] ^= 0xff
 	f, _ := m.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	f.Write(b)
 	f.Close()
-	applied := 0
-	_, err := LoadLatestFS(m, mpDir, func(Entry) { applied++ })
+	_, parts, err := Latest(m, mpDir)
 	if !errors.Is(err, ErrNone) {
 		t.Fatalf("err = %v, want ErrNone (only checkpoint is torn)", err)
 	}
-	if applied != 0 {
-		t.Fatalf("half-applied %d entries from a torn checkpoint", applied)
+	if parts != nil {
+		t.Fatalf("returned %d parts of a torn checkpoint", len(parts))
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Regression tests for the directory-fsync bugs: checkpoint.Write used to
-// fsync the checkpoint file but never the directory after the rename, and
+// Regression tests for the directory-fsync bugs: the checkpoint writer used
+// to fsync the checkpoint file but never the directory after the rename, and
 // the wal never fsynced the directory after creating a log file. A crash
 // could then remember the log reclamation that followed a checkpoint while
 // forgetting the checkpoint itself — losing acknowledged writes.

@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/value"
 	"repro/internal/vfs"
-	"repro/internal/wal"
 )
 
 // snapshotState captures key -> (version, joined columns) from a store.
@@ -232,53 +230,6 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		}
 		check("recovered", snapshotState(r))
 		r.Close()
-	}
-}
-
-// TestLegacyCheckpointReplaysBelowItsTimestamp: the replay-skip rule
-// (drop records with ts <= checkpoint timestamp) is only sound for
-// manifest-format checkpoints, whose writer synchronized the clocks and
-// drained the draw-to-append windows first. A legacy single-file
-// checkpoint from an earlier incarnation could have missed a write whose
-// lagging-shard timestamp is below the checkpoint's — that record must
-// still replay under the version guard, or upgrading loses it.
-func TestLegacyCheckpointReplaysBelowItsTimestamp(t *testing.T) {
-	mem := vfs.NewMemFS()
-	if err := mem.MkdirAll(tortureDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A log whose only record carries ts=90 — below the checkpoint's 100.
-	set, err := wal.OpenSetFS(mem, tortureDir, 1, 1, false, time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set.Writer(0).AppendPut(90, 0, []byte("lagged"), []value.ColPut{{Col: 0, Data: []byte("v90")}})
-	set.Writer(0).AppendMark(100)
-	if err := set.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// A legacy checkpoint at ts=100 that does NOT contain the key (the old
-	// fuzzy scan missed it).
-	other := checkpoint.Entry{Key: []byte("other"), Value: value.NewAt(50, []byte("x"))}
-	emitted := false
-	if _, _, err := checkpoint.WriteFS(mem, tortureDir, 100, func() (checkpoint.Entry, bool) {
-		if emitted {
-			return checkpoint.Entry{}, false
-		}
-		emitted = true
-		return other, true
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(Config{Dir: tortureDir, Workers: 1, FS: mem, MaintainEvery: -1, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, ok := r.Get([]byte("lagged"), nil)
-	if !ok || string(got[0]) != "v90" {
-		t.Fatalf("record below a legacy checkpoint's timestamp not replayed: %q, %v", got, ok)
 	}
 }
 

@@ -1,7 +1,10 @@
 package kvstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,56 +22,44 @@ func chainCfg(mem vfs.FS) Config {
 		FlushInterval: time.Hour, MaintainEvery: -1}
 }
 
-// TestV1DirectoryRecovers is the end-to-end upgrade path: a directory whose
-// only log predates the v2 format recovers exactly as it used to (unlinked
-// records merge unvalidated), and the first cross-worker write over the
-// recovered value anchors the chain in the new log.
-func TestV1DirectoryRecovers(t *testing.T) {
+// TestPreChainLogRefusesToOpen: a directory whose current log is in the
+// paper's unchained MTLOG1 format, as directories written before chained
+// records were, refuses to open and names the log. It never opens empty
+// over records it cannot read.
+func TestPreChainLogRefusesToOpen(t *testing.T) {
 	mem := vfs.NewMemFS()
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A pre-v2 incarnation's log: worker 0 inserted col 0 then put col 1.
-	v1 := []wal.Record{
-		{TS: 5, Op: wal.OpInsert, Key: []byte("k"), Puts: []value.ColPut{{Col: 0, Data: []byte("a")}}},
-		{TS: 7, Op: wal.OpPut, Key: []byte("k"), Puts: []value.ColPut{{Col: 1, Data: []byte("b")}}},
+	payload := []byte{
+		5, 0, 0, 0, 0, 0, 0, 0, // ts
+		1,               // OpPut, with no prev link
+		1, 0, 0, 0, 'k', // key
+		1, 0, // ncols
+		0, 0, 1, 0, 0, 0, 'a', // column 0 = "a"
 	}
-	if err := wal.WriteLegacyLogFS(mem, filepath.Join("d", wal.LogFileName(0, 1)), v1); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(chainCfg(mem))
+	log := append([]byte("MTLOG1\n"), 0, 0, 0, 0, byte(len(payload)), 0, 0, 0)
+	binary.LittleEndian.PutUint32(log[7:], crc32.ChecksumIEEE(payload))
+	log = append(log, payload...)
+	path := filepath.Join("d", wal.LogFileName(0, 1))
+	f, err := mem.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
-		t.Fatalf("v1 recovery stats = %+v, want zero", st)
-	}
-	cols, ok := s.Get([]byte("k"), nil)
-	if !ok || len(cols) != 2 || string(cols[0]) != "a" || string(cols[1]) != "b" {
-		t.Fatalf("v1 records did not replay byte-identically: %q ok=%v", cols, ok)
-	}
-	// Worker 1 writes over the value worker 0's log produced: a cross-log
-	// handoff, so the new record must anchor — after the old log vanishes,
-	// recovery still rebuilds the whole value from worker 1's log.
-	s.Put(1, []byte("k"), []value.ColPut{{Col: 1, Data: []byte("B")}})
-	if err := s.Close(); err != nil {
+	if _, err := f.Write(log); err != nil {
 		t.Fatal(err)
 	}
-	if err := mem.Remove(filepath.Join("d", wal.LogFileName(0, 1))); err != nil {
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	f.Close()
 	mem.SyncDir("d")
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	cols, ok = r.Get([]byte("k"), nil)
-	if !ok || len(cols) != 2 || string(cols[0]) != "a" || string(cols[1]) != "B" {
-		t.Fatalf("handoff anchor did not carry the value: %q ok=%v (stats %+v)", cols, ok, r.RecoveryStats())
-	}
-	if st := r.RecoveryStats(); st.BrokenChains != 0 {
-		t.Fatalf("BrokenChains = %d on an anchored rebuild, want 0", st.BrokenChains)
+	if s, err := Open(chainCfg(mem)); err == nil {
+		n := s.Len()
+		s.Close()
+		t.Fatalf("Open accepted %s and recovered %d keys", path, n)
+	} else if !strings.Contains(err.Error(), path) {
+		t.Fatalf("error %q does not name %s", err, path)
 	}
 }
 

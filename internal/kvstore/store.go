@@ -34,7 +34,6 @@ package kvstore
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -309,35 +308,26 @@ func (s *Store) seedCache() {
 func (s *Store) recover() error {
 	phase := time.Now()
 	var maxVersion atomic.Uint64
-	ckptTS, fromManifest, err := s.loadCheckpoint(&maxVersion)
+	ckptTS, err := s.loadCheckpoint(&maxVersion)
 	if err != nil && err != checkpoint.ErrNone {
 		return fmt.Errorf("kvstore: loading checkpoint: %w", err)
 	}
 	s.obsRecoveryPhase(obs.RecPhaseCheckpoint, &phase)
-	// Only manifest-format checkpoints were written under CheckpointN's
-	// synchronize-and-drain protocol, the precondition for treating every
-	// record at or below the checkpoint timestamp as fully reflected in
-	// it. For those, records <= ckptTS are excluded from replay AND from
-	// the cutoff computation: replaying one could resurrect a key whose
-	// remove only the checkpoint remembers (absence cannot version-guard),
-	// and letting a crash-resurrected old-generation log constrain the
-	// cutoff with pre-checkpoint timestamps would discard the durable
-	// post-checkpoint tail of busier logs. A legacy single-file checkpoint
-	// (an earlier incarnation's data) gives no such guarantee — a lagging
-	// clock shard could have issued ts <= ckptTS for a write the fuzzy
-	// scan missed — so for those everything replays under the version
-	// guard, as before.
-	replayCut := uint64(0)
-	if fromManifest {
-		replayCut = ckptTS
-	}
-	res, err := wal.RecoverDirAboveFS(s.fsys, s.cfg.Dir, replayCut)
+	// Every checkpoint was written under CheckpointN's synchronize-and-drain
+	// protocol, so every record at or below its timestamp is fully
+	// reflected in it. Such records are excluded from replay AND from the
+	// cutoff computation: replaying one could resurrect a key whose remove
+	// only the checkpoint remembers (absence cannot version-guard), and
+	// letting a crash-resurrected old-generation log constrain the cutoff
+	// with pre-checkpoint timestamps would discard the durable
+	// post-checkpoint tail of busier logs.
+	res, err := wal.RecoverDirAboveFS(s.fsys, s.cfg.Dir, ckptTS)
 	if err != nil {
 		return fmt.Errorf("kvstore: scanning logs: %w", err)
 	}
 	s.obsRecoveryPhase(obs.RecPhaseLogParse, &phase)
 	// Chain-validated replay: each key's records arrive in increasing TS
-	// order, and a linked (v2, non-anchor) record merges only when its prev
+	// order, and a linked (non-anchor) record merges only when its prev
 	// link matches the state replay rebuilt. A mismatch means the record's
 	// base was never rebuilt — a predecessor's log vanished wholesale, so
 	// the vanished log constrained neither the cutoff nor anything else —
@@ -363,7 +353,7 @@ func (s *Store) recover() error {
 						return old // already reflected (e.g. via the checkpoint)
 					}
 					base := old
-					if r.Op.IsInsert() || (!r.Unlinked && r.Prev == 0) {
+					if r.Op.IsInsert() || r.Prev == 0 {
 						// Chain anchor: executed against an absent (or
 						// lazily-expired) base, or carrying every column of
 						// the value it published (handoff anchors, Touch).
@@ -371,7 +361,7 @@ func (s *Store) recover() error {
 						// cleanly-dropped (evicted/swept) predecessor cannot
 						// fold their columns into the recovered value.
 						base = nil
-					} else if !r.Unlinked && old.Version() != r.Prev {
+					} else if old.Version() != r.Prev {
 						broken = true
 						return old // broken chain: hold the anchored prefix
 					}
@@ -402,7 +392,7 @@ func (s *Store) recover() error {
 	// timestamps live in no value) lifted the clock before a checkpoint
 	// reclaimed the logs that recorded them — without it, a later checkpoint
 	// could carry a lower start timestamp than a surviving older one and
-	// LoadLatest would restore the stale state.
+	// checkpoint.Latest would restore the stale state.
 	clock := res.MaxTS
 	if mv := maxVersion.Load(); mv > clock {
 		clock = mv
@@ -420,37 +410,25 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// loadCheckpoint finds the newest fully valid checkpoint and loads its
-// parts concurrently, one goroutine per part. Parts cover disjoint key
-// ranges, so the inserts never contend on a key; the version guard keeps
-// the load idempotent against anything else in the tree. fromManifest
-// reports whether the loaded checkpoint was the manifest (multi-part)
-// format, i.e. written by CheckpointN's synchronize-and-drain protocol.
-func (s *Store) loadCheckpoint(maxVersion *atomic.Uint64) (ts uint64, fromManifest bool, err error) {
-	infos, err := checkpoint.ListFS(s.fsys, s.cfg.Dir)
+// loadCheckpoint loads the newest fully valid checkpoint (checkpoint.Latest)
+// with its parts inserted concurrently, one goroutine per part. Parts cover
+// disjoint key ranges, so the inserts never contend on a key; the version
+// guard keeps the load idempotent against anything else in the tree.
+func (s *Store) loadCheckpoint(maxVersion *atomic.Uint64) (ts uint64, err error) {
+	ts, parts, err := checkpoint.Latest(s.fsys, s.cfg.Dir)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	for i := len(infos) - 1; i >= 0; i-- {
-		ts, parts, err := checkpoint.Read(s.fsys, infos[i])
-		if err != nil {
-			if errors.Is(err, checkpoint.ErrCorrupt) {
-				continue // torn or damaged: fall back to an older checkpoint
-			}
-			return 0, false, err
-		}
-		var wg sync.WaitGroup
-		for _, es := range parts {
-			wg.Add(1)
-			go func(es []checkpoint.Entry) {
-				defer wg.Done()
-				s.insertCheckpointPart(es, maxVersion)
-			}(es)
-		}
-		wg.Wait()
-		return ts, infos[i].Parts != 0, nil
+	var wg sync.WaitGroup
+	for _, es := range parts {
+		wg.Add(1)
+		go func(es []checkpoint.Entry) {
+			defer wg.Done()
+			s.insertCheckpointPart(es, maxVersion)
+		}(es)
 	}
-	return 0, false, checkpoint.ErrNone
+	wg.Wait()
+	return ts, nil
 }
 
 // insertCheckpointPart inserts one part's entries in batched chunks:

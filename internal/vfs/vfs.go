@@ -60,6 +60,33 @@ type File interface {
 	Size() (int64, error)
 }
 
+// WriteFileAtomic commits b as dir/name the crash-safe way: it writes b to a
+// fresh temp file in dir (named from pattern, as CreateTemp), syncs and
+// closes it, then renames it into place, so name holds either its old
+// contents or all of b. On any failure, the rename's included, the temp file
+// is removed. Making the rename durable with SyncDir is the caller's step.
+func WriteFileAtomic(fsys FS, dir, pattern, name string, b []byte) (err error) {
+	f, err := fsys.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			fsys.Remove(f.Name())
+		}
+	}()
+	if _, err = f.Write(b); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	return fsys.Rename(f.Name(), filepath.Join(dir, name))
+}
+
 // OS is the production FS, delegating to package os.
 type OS struct{}
 

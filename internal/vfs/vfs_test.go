@@ -254,3 +254,84 @@ func TestOSFSSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+var errStep = errors.New("injected step failure")
+
+// failStep passes every operation through to FS except the one named by
+// step — "create", "write", "sync", "close" or "rename" — which fails with
+// errStep. A close that fails still closes the file underneath.
+type failStep struct {
+	FS
+	step string
+}
+
+type failStepFile struct {
+	File
+	step string
+}
+
+func (f failStep) CreateTemp(dir, pattern string) (File, error) {
+	if f.step == "create" {
+		return nil, errStep
+	}
+	file, err := f.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return failStepFile{file, f.step}, nil
+}
+
+func (f failStep) Rename(oldpath, newpath string) error {
+	if f.step == "rename" {
+		return errStep
+	}
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f failStepFile) Write(p []byte) (int, error) {
+	if f.step == "write" {
+		return 0, errStep
+	}
+	return f.File.Write(p)
+}
+
+func (f failStepFile) Sync() error {
+	if f.step == "sync" {
+		return errStep
+	}
+	return f.File.Sync()
+}
+
+func (f failStepFile) Close() error {
+	if err := f.File.Close(); err != nil || f.step != "close" {
+		return err
+	}
+	return errStep
+}
+
+// TestWriteFileAtomicLeavesNoTemp fails each step of the commit in turn:
+// every failure is reported and leaves the directory empty, temp file
+// included, and a commit with no failure leaves exactly the named file.
+func TestWriteFileAtomicLeavesNoTemp(t *testing.T) {
+	for _, step := range []string{"create", "write", "sync", "close", "rename", ""} {
+		m := newDir(t)
+		err := WriteFileAtomic(failStep{m, step}, "/data", "x-*.tmp", "x", []byte("payload"))
+		ents, _ := m.ReadDir("/data")
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		if step == "" {
+			if b, rerr := m.ReadFile("/data/x"); err != nil || len(names) != 1 || string(b) != "payload" {
+				t.Fatalf("clean commit: err %v, files %v, x = %q (%v)", err, names, b, rerr)
+			}
+			continue
+		}
+		if !errors.Is(err, errStep) {
+			t.Errorf("%s fails: err = %v, want the injected failure", step, err)
+		}
+		if len(names) != 0 {
+			t.Errorf("%s fails: left %v behind", step, names)
+		}
+	}
+}

@@ -16,15 +16,15 @@ import (
 // would otherwise go entirely unnoticed. RecoverDirAboveFS reports files
 // the logset expects but the directory lacks as RecoveryResult.MissingLogs.
 //
-// The file is committed like a checkpoint manifest — temp file, data sync,
-// rename into place, directory sync — so a crash leaves either the old
-// expectation or the new one, never a torn file. It is written only after
-// the log files it names have had their directory entries synced
-// (OpenSetFS and Set.Rotate batch-sync creations first), so the
-// expectation never runs ahead of reality and a missing-log report is
-// never a false positive. An absent or unparseable logset (directories
-// written before the file existed, or a torn rename target on a
-// non-atomic filesystem) disables the check rather than failing recovery.
+// The file is committed like a checkpoint manifest — vfs.WriteFileAtomic,
+// then a directory sync — so a crash leaves either the old expectation or
+// the new one, never a torn file. It is written only after the log files it
+// names have had their directory entries synced (OpenSetFS and Set.Rotate
+// batch-sync creations first), so the expectation never runs ahead of
+// reality and a missing-log report is never a false positive. An absent or
+// unparseable logset (directories written before the file existed, or a
+// torn rename target on a non-atomic filesystem) disables the check rather
+// than failing recovery.
 
 // LogSetFileName is the name of the expected-log-set file within a log
 // directory.
@@ -40,23 +40,7 @@ func writeLogSet(fsys vfs.FS, dir string, workers int, gen uint64) error {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(workers))
 	buf = binary.LittleEndian.AppendUint64(buf, gen)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[len(logSetMagic):]))
-	f, err := fsys.CreateTemp(dir, "logset-*.tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	tmp := f.Name()
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := fsys.Rename(tmp, filepath.Join(dir, LogSetFileName)); err != nil {
+	if err := vfs.WriteFileAtomic(fsys, dir, "logset-*.tmp", LogSetFileName, buf); err != nil {
 		return err
 	}
 	return fsys.SyncDir(dir)

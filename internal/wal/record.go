@@ -23,7 +23,7 @@
 // The cutoff alone cannot defend against a log vanishing wholesale: a
 // missing log contributes no constraint to the minimum, so a partial-column
 // put logged elsewhere could be merged onto a base that never saw the
-// vanished log's delta. Format v2 (MTLOG2) therefore chains every
+// vanished log's delta. The log format (MTLOG2) therefore chains every
 // OpPut/OpPutTTL record to the version of the value it was applied over
 // (Record.Prev). Prev == 0 marks a chain anchor — an insert, or a
 // column-complete record carrying every column of the value it published —
@@ -92,7 +92,7 @@ func (op Op) IsInsert() bool { return op == OpInsert || op == OpInsertTTL }
 // HasExpiry reports whether op's payload carries an expiry timestamp.
 func (op Op) HasExpiry() bool { return op == OpPutTTL || op == OpInsertTTL }
 
-// HasPrev reports whether op's v2 payload carries a prev-version chain link.
+// HasPrev reports whether op's payload carries a prev-version chain link.
 // Only the merge ops need one: inserts replace their base by definition, so
 // they are chain anchors without spending the eight bytes.
 func (op Op) HasPrev() bool { return op == OpPut || op == OpPutTTL }
@@ -108,12 +108,8 @@ type Record struct {
 	// Prev == 0 marks a chain anchor: the record was built on no base
 	// (inserts) or carries every column of the value it published
 	// (handoff anchors, Touch), so replay applies it as a replacement.
-	// Meaningful only for OpPut/OpPutTTL in v2 logs; see Unlinked.
+	// Meaningful only for OpPut/OpPutTTL.
 	Prev uint64
-	// Unlinked marks a record parsed from a v1 (MTLOG1) log, which carried
-	// no prev link. Replay merges unlinked records unvalidated, exactly as
-	// the v1 reader did — they are neither anchors nor checkable links.
-	Unlinked bool
 	// Worker is the id of the log file the record was recovered from. It is
 	// not serialized (the filename carries it); RecoverDirAboveFS fills it
 	// so replay can rebuild each value's worker tag, keeping cross-log
@@ -123,21 +119,14 @@ type Record struct {
 	Expiry uint64         // unix nanoseconds, OpPutTTL only; 0 = never
 }
 
-// fileMagic begins every log file written by this version (format v2:
-// OpPut/OpPutTTL payloads carry a prev-version chain link). fileMagicV1
-// begins logs written before the chain link existed; they are still read
-// (their records parse as Unlinked) but never written.
-var (
-	fileMagic   = []byte("MTLOG2\n")
-	fileMagicV1 = []byte("MTLOG1\n")
-)
+// fileMagic begins every log file (OpPut/OpPutTTL payloads carry a
+// prev-version chain link).
+var fileMagic = []byte("MTLOG2\n")
 
-var (
-	// ErrCorrupt reports a log whose header or a leading record is invalid.
-	ErrCorrupt = errors.New("wal: corrupt log")
-)
+// ErrCorrupt reports a log whose header is invalid.
+var ErrCorrupt = errors.New("wal: corrupt log")
 
-// appendRecord serializes a v2 record onto buf in place — no intermediate
+// appendRecord serializes a record onto buf in place — no intermediate
 // payload buffer, so a warmed log buffer makes appends allocation-free.
 // Layout (little endian):
 //
@@ -190,10 +179,8 @@ func appendCol(buf []byte, col int, data []byte) []byte {
 }
 
 // parseRecord decodes one record from b, returning the record and the number
-// of bytes consumed. A short or corrupt prefix returns n == 0. v1 selects
-// the MTLOG1 payload layout (no prev link); records parsed that way come
-// back Unlinked.
-func parseRecord(b []byte, v1 bool) (Record, int) {
+// of bytes consumed. A short or corrupt prefix returns n == 0.
+func parseRecord(b []byte) (Record, int) {
 	if len(b) < 8 {
 		return Record{}, 0
 	}
@@ -210,9 +197,7 @@ func parseRecord(b []byte, v1 bool) (Record, int) {
 	r.TS = binary.LittleEndian.Uint64(payload)
 	r.Op = Op(payload[8])
 	p := 9
-	if v1 {
-		r.Unlinked = true
-	} else if r.Op.HasPrev() {
+	if r.Op.HasPrev() {
 		if p+8 > plen {
 			return Record{}, 0
 		}
@@ -259,34 +244,23 @@ func parseRecord(b []byte, v1 bool) (Record, int) {
 }
 
 // parseLog decodes all complete records from a log file's contents
-// (including the file header). Both the current (MTLOG2) and the legacy
-// (MTLOG1) formats are read; records from a v1 log come back Unlinked. It
-// stops silently at the first torn or corrupt record, which recovery treats
-// as the end of the durable log.
+// (including the file header). It stops silently at the first torn or
+// corrupt record, which recovery treats as the end of the durable log.
 //
-// A file holding only a (possibly torn) prefix of either header magic
-// parses as an empty log: a crash right after log creation can leave the
-// directory entry durable with none of the file's bytes — that worker
-// durably logged nothing, which must not brick recovery. Bytes that
-// contradict both magics still report corruption.
+// A file holding only a (possibly torn) prefix of the header magic parses as
+// an empty log: a crash right after log creation can leave the directory
+// entry durable with none of the file's bytes — that worker durably logged
+// nothing, which must not brick recovery. Any other header reports
+// corruption, that of a log written before records were chained included.
 func parseLog(b []byte) ([]Record, error) {
-	v1 := false
-	switch {
-	case len(b) < len(fileMagic):
-		if string(b) == string(fileMagic[:len(b)]) || string(b) == string(fileMagicV1[:len(b)]) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("%w: bad file magic", ErrCorrupt)
-	case string(b[:len(fileMagic)]) == string(fileMagic):
-	case string(b[:len(fileMagicV1)]) == string(fileMagicV1):
-		v1 = true
-	default:
+	h := min(len(b), len(fileMagic))
+	if string(b[:h]) != string(fileMagic[:h]) {
 		return nil, fmt.Errorf("%w: bad file magic", ErrCorrupt)
 	}
-	b = b[len(fileMagic):]
+	b = b[h:]
 	var out []Record
 	for len(b) > 0 {
-		r, n := parseRecord(b, v1)
+		r, n := parseRecord(b)
 		if n == 0 {
 			break
 		}

@@ -112,7 +112,7 @@ func TestFlushRetryBackoff(t *testing.T) {
 	var got []uint64
 	b := data[len(fileMagic):]
 	for len(b) > 0 {
-		rec, n := parseRecord(b, false)
+		rec, n := parseRecord(b)
 		if n == 0 {
 			t.Fatalf("corrupt record framing at offset %d", len(data)-len(b))
 		}

@@ -49,7 +49,7 @@ func TestSyncFailureThenRecover(t *testing.T) {
 	found := false
 	b := data[len(fileMagic):]
 	for len(b) > 0 {
-		rec, n := parseRecord(b, false)
+		rec, n := parseRecord(b)
 		if n == 0 {
 			break
 		}

@@ -29,7 +29,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		buf = appendRec(buf, &recs[i])
 	}
 	for i := range recs {
-		r, n := parseRecord(buf, false)
+		r, n := parseRecord(buf)
 		if n == 0 {
 			t.Fatalf("record %d failed to parse", i)
 		}
@@ -55,7 +55,7 @@ func TestRecordRoundTripQuick(t *testing.T) {
 	f := func(ts uint64, key []byte, col uint8, data []byte) bool {
 		r := Record{TS: ts, Op: OpPut, Key: key, Puts: []value.ColPut{{Col: int(col), Data: data}}}
 		buf := appendRec(nil, &r)
-		got, n := parseRecord(buf, false)
+		got, n := parseRecord(buf)
 		if n != len(buf) {
 			return false
 		}

@@ -267,8 +267,7 @@ func (w *Writer) AppendMark(ts uint64) {
 }
 
 // Append queues r in the log buffer; see AppendPut. Retained for callers
-// that already hold a Record (marks, tests). r.Prev is written as given;
-// r.Unlinked is ignored — the writer always encodes format v2.
+// that already hold a Record (marks, tests). r.Prev is written as given.
 func (w *Writer) Append(r *Record) {
 	w.append(r.TS, r.Prev, r.Op, r.Key, r.Puts, r.Expiry)
 }
