@@ -242,19 +242,26 @@ func BenchmarkFig13(b *testing.B) {
 	}
 	defer st.Close()
 	const records = 50_000
+	load := st.Session(0)
 	for i := uint64(0); i < records; i++ {
 		key, cols := ycsb.LoadRecord(i)
 		puts := make([]value.ColPut, len(cols))
 		for c, col := range cols {
 			puts[c] = value.ColPut{Col: c, Data: col}
 		}
-		st.Put(0, key, puts)
+		load.Put(key, puts)
 	}
+	load.Close()
 	b.Run("uniform-get", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
+			sess := st.Session(0)
+			defer sess.Close()
 			gen := workload.UniformRecordKeys(11, records)
+			var cols [][]byte
 			for pb.Next() {
-				st.Get(gen.Next(), []int{0})
+				if v, ok := sess.GetValue(gen.Next()); ok {
+					cols = kvstore.AppendCols(cols[:0], v, []int{0})
+				}
 			}
 		})
 	})
@@ -262,10 +269,12 @@ func BenchmarkFig13(b *testing.B) {
 		var w atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
 			worker := int(w.Add(1)) - 1
+			sess := st.Session(worker)
+			defer sess.Close()
 			gen := workload.UniformRecordKeys(int64(12+worker), records)
 			data := []byte("8bytedat")
 			for pb.Next() {
-				st.Put(worker, gen.Next(), []value.ColPut{{Col: 0, Data: data}})
+				sess.Put(gen.Next(), []value.ColPut{{Col: 0, Data: data}})
 			}
 		})
 	})
@@ -274,19 +283,26 @@ func BenchmarkFig13(b *testing.B) {
 			var w atomic.Int64
 			b.RunParallel(func(pb *testing.PB) {
 				worker := int(w.Add(1)) - 1
+				sess := st.Session(worker)
+				defer sess.Close()
 				src, err := ycsb.New(wl, records, int64(13+worker))
 				if err != nil {
 					panic(err)
 				}
+				var cols [][]byte
+				var rs kvstore.RangeScratch
 				for pb.Next() {
 					op := src.Next()
 					switch op.Kind {
 					case ycsb.Read:
-						st.Get(op.Key, ycsb.AllCols)
+						if v, ok := sess.GetValue(op.Key); ok {
+							cols = kvstore.AppendCols(cols[:0], v, ycsb.AllCols)
+						}
 					case ycsb.Update:
-						st.Put(worker, op.Key, []value.ColPut{{Col: op.Col, Data: op.Data}})
+						sess.Put(op.Key, []value.ColPut{{Col: op.Col, Data: op.Data}})
 					case ycsb.ScanOp:
-						st.GetRange(op.Key, op.ScanLen, []int{op.Col})
+						rs.Reset()
+						sess.GetRangeInto(op.Key, op.ScanLen, []int{op.Col}, &rs)
 					}
 				}
 			})
@@ -308,18 +324,22 @@ func BenchmarkSec63(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
+	load := st.Session(0)
 	for _, k := range keys {
-		st.PutSimple(0, k, k)
+		load.PutSimple(k, k)
 	}
+	load.Close()
 	bt := binarytree.New(binarytree.WithIntCmp(), binarytree.WithArena())
 	for _, k := range keys {
 		bt.Put(k, value.New(k))
 	}
 	b.Run("Masstree/get", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
+			sess := st.Session(0)
+			defer sess.Close()
 			i := 0
 			for pb.Next() {
-				st.Get(keys[(i*61)%len(keys)], nil)
+				sess.GetValue(keys[(i*61)%len(keys)])
 				i++
 			}
 		})
@@ -405,9 +425,11 @@ func BenchmarkCkpt(b *testing.B) {
 		b.Fatal(err)
 	}
 	keys := benchKeySet(8)
+	load := st.Session(0)
 	for _, k := range keys {
-		st.PutSimple(0, k, k)
+		load.PutSimple(k, k)
 	}
+	load.Close()
 	b.Run("checkpoint", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := st.Checkpoint(); err != nil {

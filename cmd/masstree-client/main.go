@@ -343,8 +343,8 @@ var statsGroupOrder = []string{"tree", "server", "cache", "logging", "backend", 
 // cluster's node<i>_* keys share its first four bytes.
 func statsGroup(name string) string {
 	switch name {
-	case "keys", "splits", "layer_creations", "layer_collapses", "node_deletes",
-		"root_retries", "local_retries", "batch_fallbacks", "slot_reuses":
+	case "keys", "splits", "run_splits", "twig_creations", "layer_creations", "layer_collapses",
+		"node_deletes", "root_retries", "local_retries", "batch_fallbacks", "slot_reuses":
 		return "tree"
 	case "batched_gets", "batched_puts", "batched_scans", "errored_requests":
 		return "server"

@@ -51,7 +51,7 @@
 // A validated snapshot is also where a scan prefetches: the values it is
 // about to hand out and the next border are asked for together, as many as
 // the caller said it wants, so their misses overlap. core.Scan,
-// kvstore.GetRange/GetRangeInto and the server's OpGetRange are wrappers
+// kvstore's Session.GetRangeInto and the server's OpGetRange are wrappers
 // over that one walker, and so are the checkpoint part writers, the expiry
 // sweep and the open-time seed scan; a run of OpGetRanges in one message
 // (Session.GetRangeBatchInto) first sends its start keys down the tree

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -47,12 +48,12 @@ func main() {
 	hits, misses := 0, 0
 	for i := 0; i < ops; i++ {
 		k := zipf.Next()
-		if _, ok := sess.Get(k, nil); ok {
+		if _, ok := sess.GetValue(k); ok {
 			hits++
 			continue
 		}
 		misses++
-		sess.PutSimpleTTL(k, val, ttl)
+		sess.PutTTL(k, []value.ColPut{{Col: 0, Data: val}}, ttl)
 	}
 
 	st := store.CacheStats()
@@ -69,12 +70,12 @@ func main() {
 	// TTLs expire without explicit deletes: a short-lived entry vanishes
 	// from reads the moment its deadline passes (lazy expiry), and the
 	// background sweep reclaims it for good.
-	sess.PutSimpleTTL([]byte("session:42"), []byte("logged-in"), uint64(time.Now().Add(50*time.Millisecond).UnixNano()))
-	if _, ok := sess.Get([]byte("session:42"), nil); !ok {
+	sess.PutTTL([]byte("session:42"), []value.ColPut{{Col: 0, Data: []byte("logged-in")}}, uint64(time.Now().Add(50*time.Millisecond).UnixNano()))
+	if _, ok := sess.GetValue([]byte("session:42")); !ok {
 		log.Fatal("fresh TTL key should be visible")
 	}
 	time.Sleep(120 * time.Millisecond)
-	if _, ok := sess.Get([]byte("session:42"), nil); ok {
+	if _, ok := sess.GetValue([]byte("session:42")); ok {
 		log.Fatal("expired TTL key should read as absent")
 	}
 	fmt.Println("session:42 expired on schedule; expirations =", store.CacheStats().Expirations)

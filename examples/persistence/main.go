@@ -32,8 +32,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One session per worker log; the writes alternate between the two.
+	sess := []*kvstore.Session{store.Session(0), store.Session(1)}
 	for i := 0; i < 5000; i++ {
-		store.PutSimple(i%2, []byte(fmt.Sprintf("key%05d", i)), []byte("before-checkpoint"))
+		sess[i%2].PutSimple([]byte(fmt.Sprintf("key%05d", i)), []byte("before-checkpoint"))
 	}
 	start := time.Now()
 	_, n, err := store.Checkpoint()
@@ -43,9 +45,12 @@ func main() {
 	fmt.Printf("checkpointed %d keys in %s (log space reclaimed)\n", n, time.Since(start).Round(time.Millisecond))
 
 	for i := 4000; i < 6000; i++ {
-		store.PutSimple(i%2, []byte(fmt.Sprintf("key%05d", i)), []byte("after-checkpoint"))
+		sess[i%2].PutSimple([]byte(fmt.Sprintf("key%05d", i)), []byte("after-checkpoint"))
 	}
-	store.Remove(0, []byte("key00000"))
+	sess[0].Remove([]byte("key00000"))
+	for _, ss := range sess {
+		ss.Close()
+	}
 	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -60,6 +65,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer recovered.Close()
+	rs := recovered.Session(0)
+	defer rs.Close()
 	fmt.Printf("recovered %d keys in %s\n", recovered.Len(), time.Since(start).Round(time.Millisecond))
 
 	for _, probe := range []struct{ key, want string }{
@@ -67,9 +74,9 @@ func main() {
 		{"key04500", "after-checkpoint"},
 		{"key05999", "after-checkpoint"},
 	} {
-		cols, ok := recovered.Get([]byte(probe.key), nil)
-		fmt.Printf("  %s = %q (found=%v, want %q)\n", probe.key, cols, ok, probe.want)
+		v, ok := rs.GetValue([]byte(probe.key))
+		fmt.Printf("  %s = %q (found=%v, want %q)\n", probe.key, v.Cols(), ok, probe.want)
 	}
-	_, ok := recovered.Get([]byte("key00000"), nil)
+	_, ok := rs.GetValue([]byte("key00000"))
 	fmt.Printf("  key00000 (removed pre-shutdown): found=%v\n", ok)
 }

@@ -33,6 +33,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer store.Close()
+	sess := store.Session(0)
+	defer sess.Close()
 
 	pages := map[string][2]string{ // url -> (title, content-type)
 		"www.seas.harvard.edu/news-events":   {"News & Events", "text/html"},
@@ -46,7 +48,7 @@ func main() {
 		"pdos.csail.mit.edu/papers/silo":     {"Silo paper", "application/pdf"},
 	}
 	for url, meta := range pages {
-		store.Put(0, []byte(permute(url)), []value.ColPut{
+		sess.Put([]byte(permute(url)), []value.ColPut{
 			{Col: 0, Data: []byte(meta[0])},
 			{Col: 1, Data: []byte(meta[1])},
 			{Col: 2, Data: []byte(url)},
@@ -56,7 +58,8 @@ func main() {
 	// Range query: everything under *.harvard.edu, in key order. The shared
 	// "edu.harvard." prefix means these keys co-locate in the trie.
 	fmt.Println("pages under edu.harvard.*:")
-	for _, p := range store.GetRange([]byte("edu.harvard."), 100, []int{0, 2}) {
+	var rs kvstore.RangeScratch
+	for _, p := range sess.GetRangeInto([]byte("edu.harvard."), 100, []int{0, 2}, &rs) {
 		if !strings.HasPrefix(string(p.Key), "edu.harvard.") {
 			break
 		}
@@ -65,7 +68,8 @@ func main() {
 
 	// Narrower range: one host's pages.
 	fmt.Println("pages under edu.mit.csail.pdos (papers site):")
-	for _, p := range store.GetRange([]byte("edu.mit.csail.pdos/"), 100, []int{0}) {
+	rs.Reset()
+	for _, p := range sess.GetRangeInto([]byte("edu.mit.csail.pdos/"), 100, []int{0}, &rs) {
 		if !strings.HasPrefix(string(p.Key), "edu.mit.csail.pdos/") {
 			break
 		}
@@ -74,8 +78,8 @@ func main() {
 
 	// Point lookup by original URL.
 	k := permute("pdos.csail.mit.edu/papers/masstree")
-	cols, _ := store.Get([]byte(k), []int{0, 1})
-	fmt.Printf("lookup %q -> title=%q type=%q\n", k, cols[0], cols[1])
+	v, _ := sess.GetValue([]byte(k))
+	fmt.Printf("lookup %q -> title=%q type=%q\n", k, v.Col(0), v.Col(1))
 
 	fmt.Printf("tree stats: %+v\n", store.Stats())
 }

@@ -33,14 +33,16 @@ func main() {
 	defer store.Close()
 
 	fmt.Printf("loading %d records (%d columns x %d bytes)...\n", *records, ycsb.NumColumns, ycsb.ColumnSize)
+	loader := store.Session(0)
 	for i := uint64(0); i < *records; i++ {
 		key, cols := ycsb.LoadRecord(i)
 		puts := make([]value.ColPut, len(cols))
 		for c, col := range cols {
 			puts[c] = value.ColPut{Col: c, Data: col}
 		}
-		store.Put(0, key, puts)
+		loader.Put(key, puts)
 	}
+	loader.Close()
 
 	for _, name := range []string{"A", "B", "C", "E"} {
 		perWorker := *ops / *workers
@@ -50,6 +52,11 @@ func main() {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				// One session per goroutine, bound to its own worker log.
+				sess := store.Session(w)
+				defer sess.Close()
+				var rs kvstore.RangeScratch
+				var cols [][]byte
 				src, err := ycsb.New(name, *records, int64(w+1))
 				if err != nil {
 					log.Fatal(err)
@@ -58,11 +65,14 @@ func main() {
 					op := src.Next()
 					switch op.Kind {
 					case ycsb.Read:
-						store.Get(op.Key, ycsb.AllCols)
+						if v, ok := sess.GetValue(op.Key); ok {
+							cols = kvstore.AppendCols(cols[:0], v, ycsb.AllCols)
+						}
 					case ycsb.Update:
-						store.Put(w, op.Key, []value.ColPut{{Col: op.Col, Data: op.Data}})
+						sess.Put(op.Key, []value.ColPut{{Col: op.Col, Data: op.Data}})
 					case ycsb.ScanOp:
-						store.GetRange(op.Key, op.ScanLen, []int{op.Col})
+						rs.Reset()
+						sess.GetRangeInto(op.Key, op.ScanLen, []int{op.Col}, &rs)
 					}
 				}
 			}(w)

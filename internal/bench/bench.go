@@ -15,6 +15,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/kvstore"
 )
 
 // Scale sizes the experiments. The paper's counterparts are 140M keys and
@@ -129,6 +131,22 @@ func measure(workers, perWorker int, fn func(worker, i int)) float64 {
 		el = 1e-9
 	}
 	return float64(workers*perWorker) / el
+}
+
+// openSessions opens one session per worker on st — a session is the one
+// way to operate on a store; closeSessions closes them.
+func openSessions(st *kvstore.Store, workers int) []*kvstore.Session {
+	ss := make([]*kvstore.Session, workers)
+	for w := range ss {
+		ss[w] = st.Session(w)
+	}
+	return ss
+}
+
+func closeSessions(ss []*kvstore.Session) {
+	for _, s := range ss {
+		s.Close()
+	}
 }
 
 // Registry maps experiment ids to their generators.

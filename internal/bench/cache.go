@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/kvstore"
+	"repro/internal/value"
 	"repro/internal/workload"
 )
 
@@ -74,21 +75,14 @@ func runCacheWorkload(sc Scale, maxBytes int64) []string {
 	for w := range gens {
 		gens[w] = workload.ZipfKeys(int64(31+w), uint64(sc.Keys))
 	}
-	sessions := make([]*kvstore.Session, sc.Workers)
-	for w := range sessions {
-		sessions[w] = st.Session(w)
-	}
-	defer func() {
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
+	sessions := openSessions(st, sc.Workers)
+	defer closeSessions(sessions)
 	ops := measure(sc.Workers, perWorker, func(w, i int) {
 		sess := sessions[w]
 		k := gens[w].Next()
 		if i%10 == 0 {
-			sess.PutSimpleTTL(k, val, future)
-		} else if _, ok := sess.Get(k, nil); ok {
+			sess.PutTTL(k, []value.ColPut{{Col: 0, Data: val}}, future)
+		} else if _, ok := sess.GetValue(k); ok {
 			hits.Add(1)
 		} else {
 			misses.Add(1)

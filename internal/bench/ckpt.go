@@ -31,9 +31,10 @@ func Ckpt(sc Scale) *Table {
 	if err != nil {
 		panic(err)
 	}
+	ss := openSessions(st, sc.Workers)
 	keys := workload.UniqueKeys(workload.Decimal(77), sc.Keys)
 	for i, k := range keys {
-		st.PutSimple(i%sc.Workers, k, k)
+		ss[i%sc.Workers].PutSimple(k, k)
 	}
 
 	// Baseline put throughput (updates of existing keys).
@@ -43,7 +44,7 @@ func Ckpt(sc Scale) *Table {
 	}
 	base := measure(sc.Workers, perWorker, func(w, i int) {
 		k := keys[(w*perWorker+i*61)%len(keys)]
-		st.PutSimple(w, k, k)
+		ss[w].PutSimple(k, k)
 	})
 
 	// Checkpoint alone.
@@ -68,10 +69,11 @@ func Ckpt(sc Scale) *Table {
 	}()
 	during := measure(sc.Workers, perWorker, func(w, i int) {
 		k := keys[(w*perWorker+i*61)%len(keys)]
-		st.PutSimple(w, k, k)
+		ss[w].PutSimple(k, k)
 	})
 	running.Store(false)
 	<-done
+	closeSessions(ss)
 	if err := st.Close(); err != nil {
 		panic(err)
 	}

@@ -45,8 +45,11 @@ func (m *masstreeBatcher) Exec(worker int, ops []othersys.Op) []othersys.Result 
 		op := &ops[i]
 		switch op.Kind {
 		case othersys.OpGet:
-			cols, ok := sess.Get(op.Key, op.Cols)
-			res[i] = othersys.Result{OK: ok, Cols: cols}
+			v, ok := sess.GetValue(op.Key)
+			res[i] = othersys.Result{OK: ok}
+			if ok {
+				res[i].Cols = kvstore.AppendCols(nil, v, op.Cols)
+			}
 		case othersys.OpPut:
 			sess.Put(op.Key, op.Puts)
 			res[i] = othersys.Result{OK: true}

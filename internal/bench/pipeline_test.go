@@ -27,9 +27,11 @@ func dialPipeline(b *testing.B, nkeys, window int) *client.Conn {
 		srv.Close()
 		store.Close()
 	})
+	sess := store.Session(0)
 	for i := 0; i < nkeys; i++ {
-		store.PutSimple(0, pipelineKey(i), []byte("value-of-some-plausible-length"))
+		sess.PutSimple(pipelineKey(i), []byte("value-of-some-plausible-length"))
 	}
+	sess.Close()
 	c, err := client.DialConn(srv.Addr().String(), client.WithWindow(window))
 	if err != nil {
 		b.Fatal(err)

@@ -32,17 +32,19 @@ func BenchmarkRecoveryRestart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			ss := openSessions(s, 4)
 			for i := 0; i < keys; i++ {
 				k := []byte(fmt.Sprintf("user%012d", i*7))
-				s.PutSimple(i%4, k, k)
+				ss[i%4].PutSimple(k, k)
 			}
 			if _, _, err := s.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
 			for i := 0; i < keys/10; i++ {
 				k := []byte(fmt.Sprintf("user%012d", i*7))
-				s.PutSimple(i%4, k, append([]byte("u-"), k...))
+				ss[i%4].PutSimple(k, append([]byte("u-"), k...))
 			}
+			closeSessions(ss)
 			if err := s.Close(); err != nil {
 				b.Fatal(err)
 			}

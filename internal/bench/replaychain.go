@@ -43,9 +43,10 @@ func Replaychain(sc Scale) *Table {
 	if err != nil {
 		panic(err)
 	}
+	ss := openSessions(st, sc.Workers)
 	keys := workload.UniqueKeys(workload.Decimal(77), sc.Keys)
 	for i, k := range keys {
-		st.PutSimple(i%sc.Workers, k, k)
+		ss[i%sc.Workers].PutSimple(k, k)
 	}
 	if err := st.Flush(); err != nil {
 		panic(err)
@@ -77,7 +78,7 @@ func Replaychain(sc Scale) *Table {
 	before := logBytes()
 	start := time.Now()
 	for i := 0; i < iters; i++ {
-		st.PutSimple(0, keys[0], keys[0])
+		ss[0].PutSimple(keys[0], keys[0])
 	}
 	linkedRate := float64(iters) / time.Since(start).Seconds()
 	if err := st.Flush(); err != nil {
@@ -91,13 +92,14 @@ func Replaychain(sc Scale) *Table {
 	before = logBytes()
 	start = time.Now()
 	for i := 0; i < iters; i++ {
-		st.PutSimple(i%2, keys[0], keys[0])
+		ss[i%2].PutSimple(keys[0], keys[0])
 	}
 	handoffRate := float64(iters) / time.Since(start).Seconds()
 	if err := st.Flush(); err != nil {
 		panic(err)
 	}
 	handoffBytes := float64(logBytes()-before) / float64(iters)
+	closeSessions(ss)
 	if err := st.Close(); err != nil {
 		panic(err)
 	}

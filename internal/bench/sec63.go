@@ -65,12 +65,14 @@ func Sec63(sc Scale) *Table {
 		panic(err)
 	}
 	defer st.Close()
+	mt := openSessions(st, sc.Workers)
+	defer closeSessions(mt)
 	mtPut := measure(sc.Workers, keysPerWorker, func(w, i int) {
 		k := keys[w][i]
-		st.PutSimple(w, k, k)
+		mt[w].PutSimple(k, k)
 	})
 	mtGet := measure(sc.Workers, sc.Ops/sc.Workers, func(w, i int) {
-		st.Get(keys[w][(i*61)%keysPerWorker], nil)
+		mt[w].GetValue(keys[w][(i*61)%keysPerWorker])
 	})
 	t.Rows = append(t.Rows, []string{"Masstree", mops(mtGet), mops(mtPut)})
 

@@ -73,10 +73,12 @@ func BenchmarkPutSimpleParallel(b *testing.B) {
 	defer store.Close()
 	const nkeys = 65536
 	keys := make([][]byte, nkeys)
+	load := store.Session(0)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key%016d", i))
-		store.PutSimple(0, keys[i], []byte("initial-column-data"))
+		load.PutSimple(keys[i], []byte("initial-column-data"))
 	}
+	load.Close()
 	var nextWorker atomic.Int64
 	data := []byte("updated-column-data")
 	b.ReportAllocs()

@@ -20,11 +20,12 @@ func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 
 	// Seed each store directly so per-node key counts are known regardless
 	// of ring placement: node0 holds 5 keys, node1 holds 3.
-	for i := 0; i < 5; i++ {
-		nodes[0].store.PutSimple(0, []byte(fmt.Sprintf("n0-key-%d", i)), []byte("v"))
-	}
-	for i := 0; i < 3; i++ {
-		nodes[1].store.PutSimple(0, []byte(fmt.Sprintf("n1-key-%d", i)), []byte("v"))
+	for n, count := range []int{5, 3} {
+		sess := nodes[n].store.Session(0)
+		for i := 0; i < count; i++ {
+			sess.PutSimple([]byte(fmt.Sprintf("n%d-key-%d", n, i)), []byte("v"))
+		}
+		sess.Close()
 	}
 
 	full, err := cl.StatsAggregate()

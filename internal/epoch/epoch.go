@@ -1,20 +1,19 @@
-// Package epoch implements epoch-based reclamation (EBR) in the style the
-// paper borrows from read-copy update (§4.6.1, citing Fraser's practical
-// lock-freedom).
+// Package epoch implements the epoch manager the paper borrows from
+// read-copy update (§4.6.1, citing Fraser's practical lock-freedom): handles
+// that pin an epoch and callbacks deferred until every pin has moved on.
 //
-// Writers that unlink shared objects (removed border nodes, replaced values,
-// empty layer trees) must not recycle them while a concurrent reader may
-// still be examining them. Readers bracket their operations with
-// Enter/Exit on a per-goroutine Handle; retired objects (and deferred
-// maintenance tasks, §4.6.5) run only after every handle that was active at
-// retirement time has moved past the retirement epoch.
+// A goroutine brackets its operations with Enter/Exit on its own Handle.
+// Retire queues a callback; Advance moves the global epoch on once every
+// pinned handle has seen the current one, and runs the callbacks retired two
+// or more epochs back.
 //
-// Go's garbage collector already guarantees memory safety, so unlike the C++
-// original this manager is not needed to prevent use-after-free. It is still
-// load-bearing for the paper's *semantic* deferrals: empty-layer collapse and
-// deleted-node accounting are scheduled here exactly as the paper schedules
-// "epoch-based reclamation tasks", and the kvstore uses it to bound how long
-// superseded values are considered live.
+// In this repository kvstore sessions pin a handle around each operation,
+// the store's maintenance loop pins one around its eviction and expiry
+// passes, and one callback is ever retired: the maintenance loop's
+// Tree.Maintain, which collapses emptied trie layers (§4.6.5). Nothing is
+// freed through the manager. Removed nodes, replaced values, swapped twigs
+// and rebuilt suffix bags are left to Go's garbage collector, which keeps
+// each alive while any reader still holds it.
 package epoch
 
 import (

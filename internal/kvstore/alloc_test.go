@@ -21,14 +21,17 @@ func newAllocTestStore(t *testing.T, nkeys int) *Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
+	sess := s.Session(0)
+	defer sess.Close()
 	for i := 0; i < nkeys; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("alloc-key-%06d", i)), []byte("column-zero-data"))
+		sess.PutSimple([]byte(fmt.Sprintf("alloc-key-%06d", i)), []byte("column-zero-data"))
 	}
 	return s
 }
 
-// TestGetIntoAllocFree verifies the append-into read path allocates nothing
-// in steady state, through both the store and an epoch-registered session.
+// TestGetIntoAllocFree verifies the append-into read path — GetValue, then
+// AppendCols into a reused slice — allocates nothing in steady state, for a
+// column subset and for all columns.
 func TestGetIntoAllocFree(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
@@ -38,25 +41,25 @@ func TestGetIntoAllocFree(t *testing.T) {
 	dst := make([][]byte, 0, 4)
 
 	allocs := testing.AllocsPerRun(200, func() {
-		var ok bool
-		dst, ok = sess.GetInto(key, cols, dst[:0])
+		v, ok := sess.GetValue(key)
+		dst = AppendCols(dst[:0], v, cols)
 		if !ok || len(dst) != 1 || string(dst[0]) != "column-zero-data" {
-			t.Fatalf("GetInto: %q %v", dst, ok)
+			t.Fatalf("GetValue+AppendCols: %q %v", dst, ok)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Session.GetInto allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("Session.GetValue+AppendCols allocates %.1f times per run, want 0", allocs)
 	}
 
 	allocs = testing.AllocsPerRun(200, func() {
-		var ok bool
-		dst, ok = s.GetInto(key, nil, dst[:0])
+		v, ok := sess.GetValue(key)
+		dst = AppendCols(dst[:0], v, nil)
 		if !ok || len(dst) != 1 {
-			t.Fatalf("GetInto all-cols: %q %v", dst, ok)
+			t.Fatalf("GetValue+AppendCols all-cols: %q %v", dst, ok)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Store.GetInto allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("Session.GetValue+AppendCols all-cols allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -87,7 +90,8 @@ func TestGetBatchIntoAllocFree(t *testing.T) {
 	}
 }
 
-// TestGetBatchMatchesGet pins the convenience wrapper's input-order results.
+// TestGetBatchMatchesGet pins the batched lookup's input-order results
+// against one GetValue per key.
 func TestGetBatchMatchesGet(t *testing.T) {
 	s := newAllocTestStore(t, 100)
 	sess := s.Session(0)
@@ -102,14 +106,14 @@ func TestGetBatchMatchesGet(t *testing.T) {
 		keys = append(keys, k)
 	}
 	keys = append(keys, []byte("twigtwig2"))
-	out, found := sess.GetBatch(keys, nil)
+	out, found := sess.GetBatchInto(keys)
 	for i, k := range keys {
-		cols, ok := sess.Get(k, nil)
+		v, ok := sess.GetValue(k)
 		if ok != found[i] {
 			t.Fatalf("key %q: found %v vs %v", k, found[i], ok)
 		}
-		if ok && string(out[i][0]) != string(cols[0]) {
-			t.Fatalf("key %q: %q vs %q", k, out[i][0], cols[0])
+		if ok && string(out[i].Col(0)) != string(v.Col(0)) {
+			t.Fatalf("key %q: %q vs %q", k, out[i].Col(0), v.Col(0))
 		}
 	}
 }
@@ -318,7 +322,7 @@ func TestPutAllocBytes(t *testing.T) {
 		class float64
 	}{
 		{"8-byte PutSimple", func() { sess.PutSimple(key, []byte("88888888")) }, 24},
-		{"8-byte PutSimpleTTL", func() { sess.PutSimpleTTL(key, []byte("88888888"), future) }, 32},
+		{"8-byte PutTTL", func() { sess.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("88888888")}}, future) }, 32},
 		{"ten 4-byte columns", func() { sess.Put(key, ten) }, 64},
 		{"one 4-byte column of ten", func() { sess.Put(key, ten[3:4]) }, 64},
 	} {

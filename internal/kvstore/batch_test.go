@@ -15,9 +15,9 @@ import (
 )
 
 func TestGetBatch(t *testing.T) {
-	s := openMem(t)
+	_, ss := openSess(t)
 	for i := 0; i < 500; i++ {
-		s.Put(0, []byte(fmt.Sprintf("k%03d", i)), []value.ColPut{
+		ss.Put([]byte(fmt.Sprintf("k%03d", i)), []value.ColPut{
 			{Col: 0, Data: []byte(fmt.Sprintf("a%d", i))},
 			{Col: 1, Data: []byte(fmt.Sprintf("b%d", i))},
 		})
@@ -25,23 +25,24 @@ func TestGetBatch(t *testing.T) {
 	keys := [][]byte{
 		[]byte("k010"), []byte("missing"), []byte("k499"), []byte("k000"), []byte("k010"),
 	}
-	out, found := s.GetBatch(keys, []int{1})
+	vals, found := ss.GetBatchInto(keys)
 	wantFound := []bool{true, false, true, true, true}
 	wantCol := []string{"b10", "", "b499", "b0", "b10"}
 	for i := range keys {
 		if found[i] != wantFound[i] {
 			t.Fatalf("key %q found=%v want %v", keys[i], found[i], wantFound[i])
 		}
-		if found[i] && !bytes.Equal(out[i][0], []byte(wantCol[i])) {
-			t.Fatalf("key %q col = %q want %q", keys[i], out[i][0], wantCol[i])
+		if out := AppendCols(nil, vals[i], []int{1}); found[i] && !bytes.Equal(out[0], []byte(wantCol[i])) {
+			t.Fatalf("key %q col = %q want %q", keys[i], out[0], wantCol[i])
 		}
 	}
 }
 
 func TestGetBatchAllColumns(t *testing.T) {
-	s := openMem(t)
-	s.Put(0, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("x")}, {Col: 2, Data: []byte("z")}})
-	out, found := s.GetBatch([][]byte{[]byte("k")}, nil)
+	_, ss := openSess(t)
+	ss.Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("x")}, {Col: 2, Data: []byte("z")}})
+	vals, found := ss.GetBatchInto([][]byte{[]byte("k")})
+	out := [][][]byte{AppendCols(nil, vals[0], nil)}
 	if !found[0] || len(out[0]) != 3 {
 		t.Fatalf("batch all-cols: %v %v", out, found)
 	}
@@ -51,17 +52,74 @@ func TestGetBatchAllColumns(t *testing.T) {
 }
 
 // TestTreeCountersReadNonZero drives the tree counters that read 0 on every
-// benchmark workload — splits, local retries, and the batched get's
-// fallbacks to Get — above zero through Store.Stats(), so that a 0 there is
-// known to mean none and not unwired. Sessions read batches of keys that are
+// benchmark workload above zero through the session surface and
+// Store.Stats(), so that a 0 there is known to mean none and not unwired.
+//
+// A single-goroutine phase drives the structural counters, each by the shape
+// that must bump it: an ascending run (RunSplits), two long keys sharing an
+// 8-byte slice (TwigCreations) and a fifth (LayerCreations), that layer
+// drained and maintained (LayerCollapses), a drained border (NodeDeletes),
+// and a remove then a re-insert (SlotReuses). Then splits, local retries and
+// the batched get's fallbacks to Get: sessions read batches of keys that are
 // never removed while other sessions fill and drain the stretches between
 // them; every such key must come back with its own value.
+//
+// RootRetries is not driven here. A retry from the root needs a descent to
+// find an interior split or a node deleted by another goroutine between two
+// of its own loads; one goroutine never makes that, and the concurrent phase
+// reaches the window only by the scheduler's luck.
 func TestTreeCountersReadNonZero(t *testing.T) {
 	s, err := Open(Config{Workers: 2, MaintainEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
+	ss := sessions(t, s, 1)[0]
+	put := func(k string) { ss.PutSimple([]byte(k), []byte(k)) }
+	remove := func(k string) { ss.Remove([]byte(k)) }
+	for _, c := range []struct {
+		name    string
+		counter func(core.StatsSnapshot) int64
+		drive   func()
+	}{
+		{"RunSplits", func(st core.StatsSnapshot) int64 { return st.RunSplits }, func() {
+			for i := 0; i < 100; i++ {
+				put(fmt.Sprintf("asc%05d", i))
+			}
+		}},
+		{"TwigCreations", func(st core.StatsSnapshot) int64 { return st.TwigCreations }, func() {
+			put("long-key-1")
+			put("long-key-2")
+		}},
+		{"LayerCreations", func(st core.StatsSnapshot) int64 { return st.LayerCreations }, func() {
+			put("long-key-3")
+			put("long-key-4")
+			put("long-key-5")
+		}},
+		{"LayerCollapses", func(st core.StatsSnapshot) int64 { return st.LayerCollapses }, func() {
+			for i := 1; i <= 5; i++ {
+				remove(fmt.Sprintf("long-key-%d", i))
+			}
+			s.Tree().Maintain()
+		}},
+		{"NodeDeletes", func(st core.StatsSnapshot) int64 { return st.NodeDeletes }, func() {
+			for i := 0; i < 100; i++ {
+				remove(fmt.Sprintf("asc%05d", i))
+			}
+		}},
+		{"SlotReuses", func(st core.StatsSnapshot) int64 { return st.SlotReuses }, func() {
+			put("reuse")
+			remove("reuse")
+			put("reuse")
+		}},
+	} {
+		before := c.counter(s.Stats())
+		c.drive()
+		if after := c.counter(s.Stats()); after <= before {
+			t.Errorf("%s reads %d after its shape, %d before: unwired", c.name, after, before)
+		}
+	}
+
 	const space = 2000
 	keys := make([][]byte, space) // made once: the loops below should spend their time in the tree
 	for i := range keys {
@@ -69,7 +127,7 @@ func TestTreeCountersReadNonZero(t *testing.T) {
 	}
 	stable := func(i int) bool { return i%4 == 0 }
 	for i := 0; i < space; i += 4 {
-		s.PutSimple(0, keys[i], keys[i])
+		ss.PutSimple(keys[i], keys[i])
 	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -12,9 +13,14 @@ import (
 
 func nowNanos() uint64 { return uint64(time.Now().UnixNano()) }
 
+// putSimpleTTL stores data as column 0 of key with an expiry deadline.
+func putSimpleTTL(ss *Session, key, data []byte, expiresAt uint64) uint64 {
+	return ss.PutTTL(key, []value.ColPut{{Col: 0, Data: data}}, expiresAt)
+}
+
 // TestTTLLazyExpiry pins the read-side TTL semantics: a lapsed value reads
-// as absent on every path (Get, GetInto, GetValue, GetBatch, GetRange)
-// before any sweep runs, a TTL-free put clears the expiry, and Touch
+// as absent on every path (GetValue, GetBatchInto, GetRangeInto) before any
+// sweep runs, a TTL-free put clears the expiry, and Touch
 // extends and declines correctly.
 func TestTTLLazyExpiry(t *testing.T) {
 	s, err := Open(Config{MaintainEvery: -1})
@@ -27,39 +33,28 @@ func TestTTLLazyExpiry(t *testing.T) {
 
 	past := nowNanos() - uint64(time.Second)
 	future := nowNanos() + uint64(time.Hour)
-	sess.PutSimpleTTL([]byte("dead"), []byte("x"), past)
-	sess.PutSimpleTTL([]byte("live"), []byte("y"), future)
+	putSimpleTTL(sess, []byte("dead"), []byte("x"), past)
+	putSimpleTTL(sess, []byte("live"), []byte("y"), future)
 	sess.PutSimple([]byte("plain"), []byte("z"))
 
-	if _, ok := sess.Get([]byte("dead"), nil); ok {
-		t.Fatal("expired key visible via Get")
-	}
-	if _, ok := s.GetInto([]byte("dead"), nil, nil); ok {
-		t.Fatal("expired key visible via GetInto")
-	}
 	if _, ok := sess.GetValue([]byte("dead")); ok {
 		t.Fatal("expired key visible via GetValue")
 	}
 	if _, found := sess.GetBatchInto([][]byte{[]byte("dead"), []byte("live")}); found[0] || !found[1] {
 		t.Fatalf("batched lookup: dead=%v live=%v, want false/true", found[0], found[1])
 	}
-	for _, p := range s.GetRange(nil, 10, nil) {
-		if string(p.Key) == "dead" {
-			t.Fatal("expired key visible via GetRange")
-		}
-	}
 	var sc RangeScratch
-	for _, p := range s.GetRangeInto(nil, 10, nil, &sc) {
+	for _, p := range sess.GetRangeInto(nil, 10, nil, &sc) {
 		if string(p.Key) == "dead" {
 			t.Fatal("expired key visible via GetRangeInto")
 		}
 	}
-	if _, ok := sess.Get([]byte("live"), nil); !ok {
+	if _, ok := sess.GetValue([]byte("live")); !ok {
 		t.Fatal("unexpired TTL key missing")
 	}
 
 	// A plain put over a TTL key clears the expiry.
-	sess.PutSimpleTTL([]byte("cleared"), []byte("a"), future)
+	putSimpleTTL(sess, []byte("cleared"), []byte("a"), future)
 	sess.PutSimple([]byte("cleared"), []byte("b"))
 	if v, ok := s.Tree().Get([]byte("cleared")); !ok || v.ExpiresAt() != 0 {
 		t.Fatalf("plain put kept expiry %d", v.ExpiresAt())
@@ -81,7 +76,7 @@ func TestTTLLazyExpiry(t *testing.T) {
 
 	// Removing an expired key reports "did not exist", like every read path
 	// (the physical cleanup still happens).
-	sess.PutSimpleTTL([]byte("dead-rm"), []byte("x"), past)
+	putSimpleTTL(sess, []byte("dead-rm"), []byte("x"), past)
 	if sess.Remove([]byte("dead-rm")) {
 		t.Fatal("remove of an expired key reported it existed")
 	}
@@ -108,9 +103,9 @@ func TestTTLSweepRemoves(t *testing.T) {
 	future := nowNanos() + uint64(time.Hour)
 	const n = sweepBatchKeys + 100 // force more than one sweep batch
 	for i := 0; i < n; i++ {
-		sess.PutSimpleTTL([]byte(fmt.Sprintf("dead-%05d", i)), []byte("x"), past)
+		putSimpleTTL(sess, []byte(fmt.Sprintf("dead-%05d", i)), []byte("x"), past)
 	}
-	sess.PutSimpleTTL([]byte("live"), []byte("y"), future)
+	putSimpleTTL(sess, []byte("live"), []byte("y"), future)
 	sess.PutSimple([]byte("plain"), []byte("z"))
 
 	// One maintenance pass suffices: the adaptive sweep chains batches while
@@ -122,7 +117,7 @@ func TestTTLSweepRemoves(t *testing.T) {
 	if exp := s.CacheStats().Expirations; exp != n {
 		t.Fatalf("expirations = %d, want %d", exp, n)
 	}
-	if _, ok := sess.Get([]byte("live"), nil); !ok {
+	if _, ok := sess.GetValue([]byte("live")); !ok {
 		t.Fatal("sweep removed a live key")
 	}
 	if s.CacheStats().BytesLive <= 0 {
@@ -144,8 +139,8 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := s.Session(1)
-	sess.PutSimpleTTL([]byte("live"), []byte("y"), future)
-	sess.PutSimpleTTL([]byte("dead"), []byte("x"), past)
+	putSimpleTTL(sess, []byte("live"), []byte("y"), future)
+	putSimpleTTL(sess, []byte("dead"), []byte("x"), past)
 	sess.PutSimple([]byte("plain"), []byte("z"))
 	if _, ok := sess.Touch([]byte("plain"), future); !ok {
 		t.Fatal("touch failed")
@@ -166,9 +161,11 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 	if v, ok := r.Tree().Get([]byte("plain")); !ok || v.ExpiresAt() != future {
 		t.Fatalf("touched key lost its expiry across restart: %v", v)
 	}
-	if _, ok := r.Get([]byte("dead"), nil); ok {
+	rs := r.Session(0)
+	if _, ok := rs.GetValue([]byte("dead")); ok {
 		t.Fatal("expired key visible after restart")
 	}
+	rs.Close()
 	// Checkpoint skips the expired key; restart from it has no trace left.
 	if _, _, err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -199,14 +196,15 @@ func TestEvictionVersionMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	v1 := s.PutSimple(0, []byte("k"), []byte("a"))
+	ss := sessions(t, s, 1)[0]
+	v1 := ss.PutSimple([]byte("k"), []byte("a"))
 	if !s.evictKey([]byte("k")) {
 		t.Fatal("evictKey failed on a present key")
 	}
-	if _, ok := s.Get([]byte("k"), nil); ok {
+	if _, ok := ss.GetValue([]byte("k")); ok {
 		t.Fatal("evicted key still visible")
 	}
-	v2 := s.PutSimple(0, []byte("k"), []byte("b"))
+	v2 := ss.PutSimple([]byte("k"), []byte("b"))
 	if v2 <= v1 {
 		t.Fatalf("post-eviction version %d not above evicted version %d", v2, v1)
 	}
@@ -257,8 +255,8 @@ func TestCacheBoundZipfian(t *testing.T) {
 			for i := 0; i < opsPer; i++ {
 				k := zipf.Next()
 				if i%4 == 0 {
-					sess.PutSimpleTTL(k, val, future)
-				} else if _, ok := sess.Get(k, nil); !ok {
+					putSimpleTTL(sess, k, val, future)
+				} else if _, ok := sess.GetValue(k); !ok {
 					sess.PutSimple(k, val)
 				}
 				if i%512 == 0 {
@@ -316,9 +314,11 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	val := make([]byte, 4096)
+	ss := s.Session(0)
 	for i := 0; i < 1024; i++ { // ~4 MiB, 4x over the reopen budget
-		s.PutSimple(0, []byte(fmt.Sprintf("key-%05d", i)), val)
+		ss.PutSimple([]byte(fmt.Sprintf("key-%05d", i)), val)
 	}
+	ss.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,8 +353,8 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 
 // TestCacheModeAllocs pins the hot paths with accounting, admission, and
 // access recording all enabled: a put still costs at most one allocation
-// (the packed value; ring arenas are amortized), a warmed GetInto stays at
-// zero.
+// (the packed value; ring arenas are amortized), a warmed GetValue with
+// AppendCols stays at zero.
 func TestCacheModeAllocs(t *testing.T) {
 	s, err := Open(Config{MaintainEvery: -1, MaxBytes: 1 << 30})
 	if err != nil {
@@ -384,24 +384,83 @@ func TestCacheModeAllocs(t *testing.T) {
 
 	dst := make([][]byte, 0, 4)
 	allocs = testing.AllocsPerRun(200, func() {
-		var ok bool
-		dst, ok = sess.GetInto(key, nil, dst[:0])
+		v, ok := sess.GetValue(key)
 		if !ok {
 			t.Fatal("key missing")
 		}
+		dst = AppendCols(dst[:0], v, nil)
 	})
 	if allocs != 0 {
-		t.Fatalf("cache-mode GetInto allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("cache-mode GetValue+AppendCols allocates %.1f times per run, want 0", allocs)
 	}
 
 	// TTL put: same discipline, one packed value.
 	s.cacheMaintain() // fresh swap buffer for the next measured block
 	future := nowNanos() + uint64(time.Hour)
 	allocs = testing.AllocsPerRun(200, func() {
-		sess.PutSimpleTTL(key, data, future)
+		putSimpleTTL(sess, key, data, future)
 	})
 	if allocs > 1 {
-		t.Fatalf("cache-mode PutSimpleTTL allocates %.1f times per run, want <= 1", allocs)
+		t.Fatalf("cache-mode PutTTL allocates %.1f times per run, want <= 1", allocs)
+	}
+}
+
+// TestCacheReadsFeedThePolicy pins that every read call of the session
+// surface notes what it reads for the eviction policy: a key read only
+// through GetValue, GetBatchInto, PointBatchInto's gets or GetOrLoad's hit
+// path outlives an unread key of the same size, put just after it, across an
+// eviction pass. Were the read not noted, the older key would be the small
+// queue's first victim.
+func TestCacheReadsFeedThePolicy(t *testing.T) {
+	val := make([]byte, 1000)
+	for name, readThrough := range map[string]func(ss *Session, key []byte) bool{
+		"GetValue": func(ss *Session, key []byte) bool {
+			_, ok := ss.GetValue(key)
+			return ok
+		},
+		"GetBatchInto": func(ss *Session, key []byte) bool {
+			_, found := ss.GetBatchInto([][]byte{key})
+			return found[0]
+		},
+		"PointBatchInto": func(ss *Session, key []byte) bool {
+			_, found, _ := ss.PointBatchInto([][]byte{key, []byte("other")}, []bool{false, true}, [][]value.ColPut{nil, {{Col: 0, Data: val}}})
+			return found[0]
+		},
+		"GetOrLoad": func(ss *Session, key []byte) bool {
+			v, _, err := ss.GetOrLoad(context.Background(), key)
+			return v != nil && err == nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(Config{MaintainEvery: -1, MaxBytes: 32 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ss := sessions(t, s, 1)[0]
+			read, unread := []byte("read"), []byte("unread")
+			ss.PutSimple(read, val)
+			ss.PutSimple(unread, val)
+			s.cacheMaintain() // admits both to the small queue, read first
+			if !readThrough(ss, read) {
+				t.Fatal("the read missed")
+			}
+			s.cacheMaintain() // drains the access ring
+			// Past the budget, and fewer puts than an overshoot probe waits for.
+			for i := 0; i < 40; i++ {
+				ss.PutSimple([]byte(fmt.Sprintf("fill%02d", i)), val)
+			}
+			s.cacheMaintain()
+			if s.CacheStats().Evictions == 0 {
+				t.Fatal("no eviction pass ran")
+			}
+			if _, ok := s.Tree().Get(read); !ok {
+				t.Error("the read key was evicted: its read was not noted")
+			}
+			if _, ok := s.Tree().Get(unread); ok {
+				t.Error("the unread key survived the eviction pass")
+			}
+		})
 	}
 }
 
@@ -430,7 +489,7 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 			case 0:
 				sess.PutSimple(key(i), []byte("88888888"))
 			case 1:
-				sess.PutSimpleTTL(key(i), []byte("88888888"), future)
+				putSimpleTTL(sess, key(i), []byte("88888888"), future)
 			case 2:
 				sess.Put(key(i), ten)
 			case 3:

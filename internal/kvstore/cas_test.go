@@ -19,50 +19,51 @@ func TestCasPutSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	ss := sessions(t, s, 1)[0]
 	key := []byte("counter")
 
 	// Expect-absent on an absent key: atomic create.
-	v1, ok := s.CasPut(0, key, 0, col0("one"))
+	v1, ok := ss.CasPut(key, 0, col0("one"))
 	if !ok || v1 == 0 {
 		t.Fatalf("create cas: ver=%d ok=%v", v1, ok)
 	}
 
 	// Expect-absent again: conflict reporting the current version.
-	if cur, ok := s.CasPut(0, key, 0, col0("nope")); ok || cur != v1 {
+	if cur, ok := ss.CasPut(key, 0, col0("nope")); ok || cur != v1 {
 		t.Fatalf("stale create cas: ver=%d ok=%v want ver=%d", cur, ok, v1)
 	}
 
 	// Correct expectation: the write applies and versions advance.
-	v2, ok := s.CasPut(0, key, v1, col0("two"))
+	v2, ok := ss.CasPut(key, v1, col0("two"))
 	if !ok || v2 <= v1 {
 		t.Fatalf("cas update: ver=%d ok=%v (prev %d)", v2, ok, v1)
 	}
-	if got, ok := s.Get(key, nil); !ok || string(got[0]) != "two" {
-		t.Fatalf("after cas: %q %v", got, ok)
+	if got, ok := ss.GetValue(key); !ok || string(got.Col(0)) != "two" {
+		t.Fatalf("after cas: %q %v", got.Cols(), ok)
 	}
 
 	// Stale expectation: conflict, value untouched.
-	if cur, ok := s.CasPut(0, key, v1, col0("lost")); ok || cur != v2 {
+	if cur, ok := ss.CasPut(key, v1, col0("lost")); ok || cur != v2 {
 		t.Fatalf("stale cas: ver=%d ok=%v want %d", cur, ok, v2)
 	}
-	if got, _ := s.Get(key, nil); string(got[0]) != "two" {
-		t.Fatalf("stale cas mutated value: %q", got)
+	if got, _ := ss.GetValue(key); string(got.Col(0)) != "two" {
+		t.Fatalf("stale cas mutated value: %q", got.Cols())
 	}
 
 	// Expecting a version on an absent key: conflict with version 0.
-	if cur, ok := s.CasPut(0, []byte("ghost"), 7, col0("x")); ok || cur != 0 {
+	if cur, ok := ss.CasPut([]byte("ghost"), 7, col0("x")); ok || cur != 0 {
 		t.Fatalf("cas on absent: ver=%d ok=%v", cur, ok)
 	}
-	if _, ok := s.Get([]byte("ghost"), nil); ok {
+	if _, ok := ss.GetValue([]byte("ghost")); ok {
 		t.Fatal("conflicting cas inserted a key")
 	}
 
 	// A remove resets the key to "absent": expect-0 succeeds again and the
 	// new version stays above the removed one (no version regression).
-	if !s.Remove(0, key) {
+	if !ss.Remove(key) {
 		t.Fatal("remove failed")
 	}
-	v3, ok := s.CasPut(0, key, 0, col0("three"))
+	v3, ok := ss.CasPut(key, 0, col0("three"))
 	if !ok || v3 <= v2 {
 		t.Fatalf("cas after remove: ver=%d ok=%v (prev %d)", v3, ok, v2)
 	}
@@ -76,15 +77,16 @@ func TestCasPutRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, ok := s.CasPut(0, []byte("k"), 0, col0("created"))
+	ss := sessions(t, s, 2)
+	v1, ok := ss[0].CasPut([]byte("k"), 0, col0("created"))
 	if !ok {
 		t.Fatal("create cas failed")
 	}
-	v2, ok := s.CasPut(1, []byte("k"), v1, col0("updated"))
+	v2, ok := ss[1].CasPut([]byte("k"), v1, col0("updated"))
 	if !ok {
 		t.Fatal("update cas failed")
 	}
-	if _, ok := s.CasPut(0, []byte("k"), v1, col0("conflicted")); ok {
+	if _, ok := ss[0].CasPut([]byte("k"), v1, col0("conflicted")); ok {
 		t.Fatal("stale cas succeeded")
 	}
 	if err := s.Close(); err != nil {
@@ -96,7 +98,7 @@ func TestCasPutRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	v, ok := r.GetValue([]byte("k"))
+	v, ok := sessions(t, r, 1)[0].GetValue([]byte("k"))
 	if !ok || string(v.Col(0)) != "updated" {
 		t.Fatalf("recovered %q ok=%v", v.Col(0), ok)
 	}
@@ -115,7 +117,8 @@ func TestCasPutConcurrentIncrement(t *testing.T) {
 	}
 	defer s.Close()
 	key := []byte("ctr")
-	if _, ok := s.CasPut(0, key, 0, col0("0")); !ok {
+	ss := sessions(t, s, 1)[0]
+	if _, ok := ss.CasPut(key, 0, col0("0")); !ok {
 		t.Fatal("seed failed")
 	}
 
@@ -149,8 +152,8 @@ func TestCasPutConcurrentIncrement(t *testing.T) {
 	}
 	wg.Wait()
 
-	got, _ := s.Get(key, nil)
-	if want := fmt.Sprint(goroutines * increments); string(got[0]) != want {
-		t.Fatalf("lost updates: counter=%q want %s", got[0], want)
+	got, _ := ss.GetValue(key)
+	if want := fmt.Sprint(goroutines * increments); string(got.Col(0)) != want {
+		t.Fatalf("lost updates: counter=%q want %s", got.Col(0), want)
 	}
 }

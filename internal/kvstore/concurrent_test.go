@@ -31,7 +31,7 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 				k := []byte(fmt.Sprintf("w%d-%05d", w, i))
 				sess.Put(k, []value.ColPut{{Col: 0, Data: k}, {Col: 1, Data: []byte{byte(w)}}})
 				if i%7 == 0 {
-					if got, ok := sess.Get(k, []int{0}); !ok || string(got[0]) != string(k) {
+					if v, ok := sess.GetValue(k); !ok || string(v.Col(0)) != string(k) {
 						panic("session read-own-write failed")
 					}
 				}
@@ -64,6 +64,7 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	rs := sessions(t, r, 1)[0]
 	if r.Len() != liveBefore {
 		t.Fatalf("recovered %d keys, had %d", r.Len(), liveBefore)
 	}
@@ -71,9 +72,9 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := perWorker - 50; i < perWorker; i++ {
 			k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-			got, ok := r.Get(k, nil)
-			if !ok || string(got[0]) != string(k) || got[1][0] != byte(w) {
-				t.Fatalf("recovered %q wrong: %q %v", k, got, ok)
+			v, ok := rs.GetValue(k)
+			if !ok || string(v.Col(0)) != string(k) || v.Col(1)[0] != byte(w) {
+				t.Fatalf("recovered %q wrong: %q %v", k, v.Cols(), ok)
 			}
 		}
 	}
@@ -82,9 +83,9 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 // TestConcurrentGetRangeDuringPuts ensures range queries stay ordered and
 // complete while writers insert.
 func TestConcurrentGetRangeDuringPuts(t *testing.T) {
-	s := openMem(t)
+	s, ss := openSess(t)
 	for i := 0; i < 1000; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("stable%05d", i)), []byte("x"))
+		ss.PutSimple([]byte(fmt.Sprintf("stable%05d", i)), []byte("x"))
 	}
 	var stop bool
 	var mu sync.Mutex
@@ -92,6 +93,8 @@ func TestConcurrentGetRangeDuringPuts(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		w := s.Session(0)
+		defer w.Close()
 		for i := 0; ; i++ {
 			mu.Lock()
 			if stop {
@@ -99,11 +102,11 @@ func TestConcurrentGetRangeDuringPuts(t *testing.T) {
 				return
 			}
 			mu.Unlock()
-			s.PutSimple(0, []byte(fmt.Sprintf("churn%06d", i%5000)), []byte("y"))
+			w.PutSimple([]byte(fmt.Sprintf("churn%06d", i%5000)), []byte("y"))
 		}
 	}()
 	for round := 0; round < 50; round++ {
-		pairs := s.GetRange([]byte("stable"), 1000, []int{0})
+		pairs := ss.GetRangeInto([]byte("stable"), 1000, []int{0}, new(RangeScratch))
 		cnt := 0
 		for _, p := range pairs {
 			if string(p.Key) >= "stable" && string(p.Key) < "stablf" {

@@ -32,30 +32,32 @@ func crash(t *testing.T, s *Store) {
 func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
+	ss := sessions(t, s, 2)
 	// Worker 1 logs a single early record; worker 0 keeps writing on its own
 	// clock shard (ts 1..10 on log 0, ts 1 on log 1, with background clock
 	// synchronization disabled by openDir). The cutoff is the slowest log's
 	// maximum timestamp, so everything beyond it must be dropped.
-	s.PutSimple(1, []byte("b0"), []byte("x")) // ts 1 on log 1
+	ss[1].PutSimple([]byte("b0"), []byte("x")) // ts 1 on log 1
 	for i := 0; i < 10; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("a%d", i)), []byte("y")) // ts 1..10 on log 0
+		ss[0].PutSimple([]byte(fmt.Sprintf("a%d", i)), []byte("y")) // ts 1..10 on log 0
 	}
 	crash(t, s)
 
 	r := openDir(t, dir)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
 	// Cutoff = min(max of log0=10, max of log1=1) = 1: b0 survives, and of
 	// worker 0's updates only a0 (ts 1 on its shard) makes the cut.
 	if r.Len() != 2 {
 		t.Fatalf("recovered %d keys, want 2 (conservative cutoff)", r.Len())
 	}
-	if _, ok := r.Get([]byte("b0"), nil); !ok {
+	if _, ok := rs.GetValue([]byte("b0")); !ok {
 		t.Fatal("b0 lost")
 	}
-	if _, ok := r.Get([]byte("a0"), nil); !ok {
+	if _, ok := rs.GetValue([]byte("a0")); !ok {
 		t.Fatal("a0 (within cutoff) lost")
 	}
-	if _, ok := r.Get([]byte("a5"), nil); ok {
+	if _, ok := rs.GetValue([]byte("a5")); ok {
 		t.Fatal("a5 (beyond cutoff) resurrected")
 	}
 }
@@ -63,8 +65,9 @@ func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
+	ss := sessions(t, s, 1)[0]
 	for i := 0; i < 100; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("k%03d", i)), []byte("v"))
+		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	crash(t, s)
 
@@ -80,12 +83,13 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 
 	r := openDir(t, dir)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
 	// The torn record (k099) is gone; everything before it survives.
 	if r.Len() != 99 {
 		t.Fatalf("recovered %d keys, want 99", r.Len())
 	}
-	if _, ok := r.Get([]byte("k099"), nil); ok {
+	if _, ok := rs.GetValue([]byte("k099")); ok {
 		t.Fatal("torn record resurrected")
 	}
 }
@@ -93,15 +97,18 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 func TestReopenAfterCleanCloseTwice(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	s.PutSimple(0, []byte("k"), []byte("v1"))
+	ss := sessions(t, s, 1)[0]
+	ss.PutSimple([]byte("k"), []byte("v1"))
 	s.Close()
 	s2 := openDir(t, dir)
-	s2.PutSimple(0, []byte("k"), []byte("v2"))
+	ss2 := sessions(t, s2, 1)[0]
+	ss2.PutSimple([]byte("k"), []byte("v2"))
 	s2.Close()
 	s3 := openDir(t, dir)
+	ss3 := sessions(t, s3, 1)[0]
 	defer s3.Close()
-	got, ok := s3.Get([]byte("k"), nil)
-	if !ok || string(got[0]) != "v2" {
+	got, ok := ss3.GetValue([]byte("k"))
+	if !ok || string(got.Col(0)) != "v2" {
 		t.Fatalf("after two generations: %q %v", got, ok)
 	}
 }
@@ -109,30 +116,32 @@ func TestReopenAfterCleanCloseTwice(t *testing.T) {
 func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
+	ss := sessions(t, s, 1)[0]
 	for i := 0; i < 200; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("k%03d", i)), []byte("pre"))
+		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("pre"))
 	}
 	if _, _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("k%03d", i)), []byte("post"))
+		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("post"))
 	}
 	crash(t, s)
 
 	r := openDir(t, dir)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
 	if r.Len() != 200 {
 		t.Fatalf("recovered %d keys", r.Len())
 	}
 	// Worker 1 logged nothing post-checkpoint, so its generation-2 log is
 	// empty and does not constrain the cutoff; worker 0's updates survive.
-	got, ok := r.Get([]byte("k000"), nil)
-	if !ok || string(got[0]) != "post" {
+	got, ok := rs.GetValue([]byte("k000"))
+	if !ok || string(got.Col(0)) != "post" {
 		t.Fatalf("k000 = %q,%v want post", got, ok)
 	}
-	got, _ = r.Get([]byte("k100"), nil)
-	if string(got[0]) != "pre" {
+	got, _ = rs.GetValue([]byte("k100"))
+	if string(got.Col(0)) != "pre" {
 		t.Fatalf("k100 = %q want pre", got)
 	}
 }
@@ -143,7 +152,8 @@ func TestBackgroundFlushDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PutSimple(0, []byte("k"), []byte("v"))
+	ss := sessions(t, s, 1)[0]
+	ss.PutSimple([]byte("k"), []byte("v"))
 	time.Sleep(50 * time.Millisecond) // let the background flusher run
 	// Simulate a hard crash with no explicit flush at all.
 	close(s.stop)
@@ -151,8 +161,9 @@ func TestBackgroundFlushDurability(t *testing.T) {
 	s.logs.Close()
 
 	r := openDir(t, dir)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
-	if _, ok := r.Get([]byte("k"), nil); !ok {
+	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("update lost despite background flush")
 	}
 }
@@ -257,9 +268,10 @@ func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PutSimple(1, []byte("idle-worker-key"), []byte("x")) // log 1 then goes idle
+	ss := sessions(t, s, 2)
+	ss[1].PutSimple([]byte("idle-worker-key"), []byte("x")) // log 1 then goes idle
 	for i := 0; i < 10; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("busy%02d", i)), []byte("y"))
+		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("y"))
 	}
 	time.Sleep(60 * time.Millisecond) // several maintenance ticks: marks + flushes
 	crash(t, s)
@@ -282,11 +294,12 @@ func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
+	ss := sessions(t, s, 1)[0]
 	for i := 0; i < 10; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("ck%02d", i)), []byte("v"))
+		ss.PutSimple([]byte(fmt.Sprintf("ck%02d", i)), []byte("v"))
 	}
 	for i := 1; i < 10; i++ {
-		s.Remove(0, []byte(fmt.Sprintf("ck%02d", i))) // lifts the clock past the puts
+		ss.Remove([]byte(fmt.Sprintf("ck%02d", i))) // lifts the clock past the puts
 	}
 	if _, _, err := s.Checkpoint(); err != nil { // reclaims the logs
 		t.Fatal(err)
@@ -294,7 +307,8 @@ func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	crash(t, s)
 
 	r := openDir(t, dir)
-	r.PutSimple(0, []byte("post-recovery"), []byte("new"))
+	rs := sessions(t, r, 1)[0]
+	rs.PutSimple([]byte("post-recovery"), []byte("new"))
 	if _, _, err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +317,15 @@ func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	}
 
 	f := openDir(t, dir)
+	fs := sessions(t, f, 1)[0]
 	defer f.Close()
 	if f.Len() != 2 {
 		t.Fatalf("final state has %d keys, want 2 (ck00 + post-recovery)", f.Len())
 	}
-	if _, ok := f.Get([]byte("post-recovery"), nil); !ok {
+	if _, ok := fs.GetValue([]byte("post-recovery")); !ok {
 		t.Fatal("post-recovery write lost to a stale checkpoint")
 	}
-	if _, ok := f.Get([]byte("ck05"), nil); ok {
+	if _, ok := fs.GetValue([]byte("ck05")); ok {
 		t.Fatal("removed key resurrected by a stale checkpoint")
 	}
 }

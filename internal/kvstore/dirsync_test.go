@@ -35,7 +35,8 @@ func openTortureStore(t *testing.T, fsys vfs.FS) *Store {
 func checkpointThenCrash(t *testing.T, mem *vfs.MemFS, fsys vfs.FS) *vfs.MemFS {
 	t.Helper()
 	s := openTortureStore(t, fsys)
-	s.PutSimple(0, []byte("precious"), []byte("acked"))
+	ss := sessions(t, s, 1)[0]
+	ss.PutSimple([]byte("precious"), []byte("acked"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,9 @@ func TestLostCheckpointWithoutDirSync(t *testing.T) {
 	img := checkpointThenCrash(t, mem, fault)
 
 	r := openTortureStore(t, img)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
-	if _, ok := r.Get([]byte("precious"), nil); ok {
+	if _, ok := rs.GetValue([]byte("precious")); ok {
 		t.Fatal("write survived without dir syncs — the lost-checkpoint scenario no longer reproduces, " +
 			"so this regression test has lost its teeth")
 	}
@@ -77,8 +79,9 @@ func TestCheckpointSurvivesDirSyncedCrash(t *testing.T) {
 	img := checkpointThenCrash(t, mem, mem)
 
 	r := openTortureStore(t, img)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
-	if got, ok := r.Get([]byte("precious"), nil); !ok || string(got[0]) != "acked" {
+	if got, ok := rs.GetValue([]byte("precious")); !ok || string(got.Col(0)) != "acked" {
 		t.Fatalf("acknowledged write lost across checkpoint+crash: %q, %v", got, ok)
 	}
 }
@@ -91,9 +94,10 @@ func TestCheckpointSurvivesDirSyncedCrash(t *testing.T) {
 func TestCheckpointLeavesNothingPending(t *testing.T) {
 	mem := vfs.NewMemFS()
 	s := openTortureStore(t, mem)
+	ss := sessions(t, s, 1)[0]
 	defer s.Close()
 	for i := 0; i < 10; i++ {
-		s.PutSimple(0, []byte{byte('a' + i)}, []byte("v"))
+		ss.PutSimple([]byte{byte('a' + i)}, []byte("v"))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -121,9 +125,10 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.PutSimple(1, []byte("idle-worker-key"), []byte("old")) // worker 1 then goes idle
+	ss := sessions(t, s, 2)
+	ss[1].PutSimple([]byte("idle-worker-key"), []byte("old")) // worker 1 then goes idle
 	for i := 0; i < 5; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("busy%02d", i)), []byte("pre"))
+		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("pre"))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -133,7 +138,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	}
 	// Acked post-checkpoint tail on worker 0 only; worker 1 logs nothing.
 	for i := 0; i < 5; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("busy%02d", i)), []byte("post"))
+		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("post"))
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -156,13 +161,14 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
+	recs := sessions(t, rec, 1)[0]
 	for i := 0; i < 5; i++ {
-		got, ok := rec.Get([]byte(fmt.Sprintf("busy%02d", i)), nil)
-		if !ok || string(got[0]) != "post" {
+		got, ok := recs.GetValue([]byte(fmt.Sprintf("busy%02d", i)))
+		if !ok || string(got.Col(0)) != "post" {
 			t.Fatalf("busy%02d = %q,%v; resurrected idle log dragged the cutoff below the acked tail", i, got, ok)
 		}
 	}
-	if got, ok := rec.Get([]byte("idle-worker-key"), nil); !ok || string(got[0]) != "old" {
+	if got, ok := recs.GetValue([]byte("idle-worker-key")); !ok || string(got.Col(0)) != "old" {
 		t.Fatalf("idle-worker-key = %q,%v", got, ok)
 	}
 }
@@ -174,7 +180,8 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 func TestAckedFlushSurvivesConservativeCrash(t *testing.T) {
 	mem := vfs.NewMemFS()
 	s := openTortureStore(t, mem)
-	s.PutSimple(0, []byte("k"), []byte("v"))
+	ss := sessions(t, s, 1)[0]
+	ss.PutSimple([]byte("k"), []byte("v"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +190,9 @@ func TestAckedFlushSurvivesConservativeCrash(t *testing.T) {
 	s.Close()
 
 	r := openTortureStore(t, img)
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
-	if _, ok := r.Get([]byte("k"), nil); !ok {
+	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("synced flush lost: log file creation was not made durable")
 	}
 }

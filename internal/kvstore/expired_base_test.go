@@ -19,20 +19,24 @@ func TestExpiredBaseNotResurrected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	past := nowNanos() - 1
-	s.PutTTL(0, []byte("k"), []value.ColPut{
+	ss.PutTTL([]byte("k"), []value.ColPut{
 		{Col: 0, Data: []byte("col0-old")},
 		{Col: 1, Data: []byte("col1-secret")},
 	}, past)
 	// The key reads as absent; a partial put of column 0 lands on it.
-	if _, ok := s.Get([]byte("k"), nil); ok {
+	if _, ok := ss.GetValue([]byte("k")); ok {
 		t.Fatal("expired key visible")
 	}
-	s.Put(0, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("col0-new")}})
+	ss.Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("col0-new")}})
 
 	check := func(st *Store, label string) {
 		t.Helper()
-		cols, ok := st.Get([]byte("k"), nil)
+		ss := st.Session(0)
+		defer ss.Close()
+		got, ok := ss.GetValue([]byte("k"))
+		cols := got.Cols()
 		if !ok {
 			t.Fatalf("%s: key missing", label)
 		}
@@ -64,11 +68,12 @@ func TestExpiredBaseBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	past, future := nowNanos()-1, nowNanos()+uint64(time.Hour)
-	s.PutTTL(0, []byte("dead"), []value.ColPut{
+	ss.PutTTL([]byte("dead"), []value.ColPut{
 		{Col: 0, Data: []byte("d0")}, {Col: 1, Data: []byte("d1")},
 	}, past)
-	s.PutTTL(0, []byte("live"), []value.ColPut{
+	ss.PutTTL([]byte("live"), []value.ColPut{
 		{Col: 0, Data: []byte("l0")}, {Col: 1, Data: []byte("l1")},
 	}, future)
 	keys := [][]byte{[]byte("dead"), []byte("live")}
@@ -76,15 +81,19 @@ func TestExpiredBaseBatch(t *testing.T) {
 		{{Col: 0, Data: []byte("d0-new")}},
 		{{Col: 0, Data: []byte("l0-new")}},
 	}
-	s.PutBatch(0, keys, puts)
+	ss.PutBatchInto(keys, puts)
 
 	check := func(st *Store, label string) {
 		t.Helper()
-		cols, ok := st.Get([]byte("dead"), nil)
+		ss := st.Session(0)
+		defer ss.Close()
+		got, ok := ss.GetValue([]byte("dead"))
+		cols := got.Cols()
 		if !ok || len(cols) != 1 || string(cols[0]) != "d0-new" {
 			t.Fatalf("%s: dead-base key: %q ok=%v, want only d0-new", label, cols, ok)
 		}
-		cols, ok = st.Get([]byte("live"), nil)
+		got, ok = ss.GetValue([]byte("live"))
+		cols = got.Cols()
 		if !ok || len(cols) != 2 || string(cols[0]) != "l0-new" || string(cols[1]) != "l1" {
 			t.Fatalf("%s: live-base key: %q ok=%v, want [l0-new l1]", label, cols, ok)
 		}
@@ -117,11 +126,12 @@ func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ss := sessions(t, s, 2)
 			exp := nowNanos() - 1 // already lapsed
 			if drop == "evict" {
 				exp = nowNanos() + uint64(time.Hour)
 			}
-			s.PutTTL(0, []byte("k"), []value.ColPut{
+			ss[0].PutTTL([]byte("k"), []value.ColPut{
 				{Col: 0, Data: []byte("old0")},
 				{Col: 1, Data: []byte("stale-secret")},
 				{Col: 5, Data: []byte("stale-tail")},
@@ -138,10 +148,13 @@ func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 				t.Fatal("key not dropped")
 			}
 			// The first write after the drop: a partial, single-column put.
-			ver := s.Put(1, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("fresh")}})
+			ver := ss[1].Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("fresh")}})
 			check := func(st *Store, label string) {
 				t.Helper()
-				cols, ok := st.Get([]byte("k"), nil)
+				ss := st.Session(0)
+				defer ss.Close()
+				got, ok := ss.GetValue([]byte("k"))
+				cols := got.Cols()
 				if !ok || len(cols) != 1 || string(cols[0]) != "fresh" {
 					t.Fatalf("%s: got %q ok=%v, want exactly [fresh] (no stale columns)", label, cols, ok)
 				}
@@ -173,26 +186,31 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Put(0, []byte("dropped"), []value.ColPut{
+	ss := sessions(t, s, 1)[0]
+	ss.Put([]byte("dropped"), []value.ColPut{
 		{Col: 0, Data: []byte("a0")}, {Col: 3, Data: []byte("a3")},
 	})
-	s.Put(0, []byte("kept"), []value.ColPut{
+	ss.Put([]byte("kept"), []value.ColPut{
 		{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")},
 	})
 	if !s.evictKey([]byte("dropped")) {
 		t.Fatal("evict failed")
 	}
-	s.PutBatch(0, [][]byte{[]byte("dropped"), []byte("kept")}, [][]value.ColPut{
+	ss.PutBatchInto([][]byte{[]byte("dropped"), []byte("kept")}, [][]value.ColPut{
 		{{Col: 0, Data: []byte("new0")}},
 		{{Col: 0, Data: []byte("b0-new")}},
 	})
 	check := func(st *Store, label string) {
 		t.Helper()
-		cols, ok := st.Get([]byte("dropped"), nil)
+		ss := st.Session(0)
+		defer ss.Close()
+		got, ok := ss.GetValue([]byte("dropped"))
+		cols := got.Cols()
 		if !ok || len(cols) != 1 || string(cols[0]) != "new0" {
 			t.Fatalf("%s: dropped key %q ok=%v, want exactly [new0]", label, cols, ok)
 		}
-		cols, ok = st.Get([]byte("kept"), nil)
+		got, ok = ss.GetValue([]byte("kept"))
+		cols = got.Cols()
 		if !ok || len(cols) != 2 || string(cols[0]) != "b0-new" || string(cols[1]) != "b1" {
 			t.Fatalf("%s: kept key %q ok=%v, want [b0-new b1]", label, cols, ok)
 		}
@@ -218,27 +236,29 @@ func TestCasPutTreatsExpiredAsAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	defer s.Close()
-	deadVer := s.PutTTL(0, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("old")}}, nowNanos()-1)
+	deadVer := ss.PutTTL([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("old")}}, nowNanos()-1)
 
 	// The dead version is not CASable — the key is "absent".
-	if _, ok := s.CasPut(0, []byte("k"), deadVer, []value.ColPut{{Col: 0, Data: []byte("x")}}); ok {
+	if _, ok := ss.CasPut([]byte("k"), deadVer, []value.ColPut{{Col: 0, Data: []byte("x")}}); ok {
 		t.Fatal("CAS against a dead value's version succeeded")
 	}
 	// The conflict reports current version 0 (absent), so the documented
 	// re-read-and-retry protocol converges on expect 0.
-	cur, ok := s.CasPut(0, []byte("k"), 5, nil)
+	cur, ok := ss.CasPut([]byte("k"), 5, nil)
 	if ok || cur != 0 {
 		t.Fatalf("conflict over expired key reported version %d, want 0", cur)
 	}
-	ver, ok := s.CasPut(0, []byte("k"), 0, []value.ColPut{{Col: 0, Data: []byte("new")}})
+	ver, ok := ss.CasPut([]byte("k"), 0, []value.ColPut{{Col: 0, Data: []byte("new")}})
 	if !ok {
 		t.Fatal("create-if-absent over an expired key failed")
 	}
 	if ver <= deadVer {
 		t.Fatalf("new version %d not above the dead value's %d", ver, deadVer)
 	}
-	cols, ok := s.Get([]byte("k"), nil)
+	got, ok := ss.GetValue([]byte("k"))
+	cols := got.Cols()
 	if !ok || len(cols) != 1 || string(cols[0]) != "new" {
 		t.Fatalf("after CAS: %q ok=%v", cols, ok)
 	}
@@ -255,11 +275,12 @@ func TestTouchRecordStandsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 2)
 	future := nowNanos() + uint64(time.Hour)
-	s.Put(0, []byte("k"), []value.ColPut{
+	ss[0].Put([]byte("k"), []value.ColPut{
 		{Col: 0, Data: []byte("c0")}, {Col: 1, Data: []byte("c1")},
 	})
-	if _, ok := s.Touch(1, []byte("k"), future); !ok { // different worker → different log
+	if _, ok := ss[1].Touch([]byte("k"), future); !ok { // different worker → different log
 		t.Fatal("touch failed")
 	}
 	if err := s.Close(); err != nil {
@@ -281,8 +302,10 @@ func TestTouchRecordStandsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
-	cols, ok := r.Get([]byte("k"), nil)
+	got, ok := rs.GetValue([]byte("k"))
+	cols := got.Cols()
 	if !ok || len(cols) != 2 || string(cols[0]) != "c0" || string(cols[1]) != "c1" {
 		t.Fatalf("touch record did not stand alone: %q ok=%v, want [c0 c1]", cols, ok)
 	}

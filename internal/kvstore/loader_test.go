@@ -39,8 +39,8 @@ func TestGetOrLoadReadThrough(t *testing.T) {
 	if string(v.Col(0)) != "v0" || string(v.Col(1)) != "v1" {
 		t.Fatalf("cols = %q %q", v.Col(0), v.Col(1))
 	}
-	// Installed: a plain Get now hits without touching the backend.
-	if _, ok := ss.Get([]byte("k"), nil); !ok {
+	// Installed: a plain GetValue now hits without touching the backend.
+	if _, ok := ss.GetValue([]byte("k")); !ok {
 		t.Fatal("loaded value not installed")
 	}
 	before := m.Loads()
@@ -71,7 +71,7 @@ func TestGetOrLoadTTLRidesHeader(t *testing.T) {
 		t.Fatal("backend TTL not stamped on the value")
 	}
 	time.Sleep(40 * time.Millisecond)
-	if _, ok := ss.Get([]byte("k"), nil); ok {
+	if _, ok := ss.GetValue([]byte("k")); ok {
 		t.Fatal("value survived its backend TTL")
 	}
 	// Re-load after expiry fetches again.
@@ -282,7 +282,7 @@ func TestGetOrLoadFailFastNoGoroutinePileup(t *testing.T) {
 			defer sess.Close()
 			for j := 0; j < 50; j++ {
 				// Resident keys keep serving...
-				if _, ok := sess.Get([]byte("resident"), nil); !ok {
+				if _, ok := sess.GetValue([]byte("resident")); !ok {
 					t.Error("resident read failed")
 					return
 				}
@@ -321,7 +321,7 @@ func TestWriteBehindSpillAndReload(t *testing.T) {
 	})
 	// ...and once it leaves memory, GetOrLoad reads it back through.
 	waitUntil(t, func() bool {
-		_, resident := ss.Get([]byte("spillme"), nil)
+		_, resident := ss.GetValue([]byte("spillme"))
 		return !resident
 	})
 	v, stale, err := ss.GetOrLoad(ctx, []byte("spillme"))
@@ -341,7 +341,7 @@ func TestWriteBehindPendingVisibleToLoad(t *testing.T) {
 	ss.PutSimple([]byte("k"), []byte("newest"))
 	// Wait for eviction to queue the spill (key gone from memory, store hung).
 	waitUntil(t, func() bool {
-		_, resident := ss.Get([]byte("k"), nil)
+		_, resident := ss.GetValue([]byte("k"))
 		return !resident && s.LoaderStats().WriteBehindDepth > 0
 	})
 	// The backend has nothing yet; the pending spill must answer the load.
@@ -474,8 +474,8 @@ func TestLoadDoesNotClobberRacingPut(t *testing.T) {
 	if v == nil || string(v.Col(0)) != "from-put" {
 		t.Fatalf("load returned %v, want the racing put's value", v)
 	}
-	if got, _ := ssPut.Get([]byte("k"), nil); string(got[0]) != "from-put" {
-		t.Fatalf("resident value = %q, put was clobbered", got[0])
+	if got, _ := ssPut.GetValue([]byte("k")); string(got.Col(0)) != "from-put" {
+		t.Fatalf("resident value = %q, put was clobbered", got.Col(0))
 	}
 }
 

@@ -53,6 +53,7 @@ func TestMultiPartEqualsSinglePartQuiesced(t *testing.T) {
 		return s
 	}
 	s := open()
+	ss := sessions(t, s, 2)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("key-%06d", rng.Intn(3000))
@@ -60,7 +61,7 @@ func TestMultiPartEqualsSinglePartQuiesced(t *testing.T) {
 			key = fmt.Sprintf("deep/layered/key/prefix-%06d", rng.Intn(1000))
 		}
 		puts := []value.ColPut{{Col: rng.Intn(3), Data: []byte(fmt.Sprintf("v%d", i))}}
-		s.Put(i%2, []byte(key), puts)
+		ss[i%2].Put([]byte(key), puts)
 	}
 	want := snapshotState(s)
 
@@ -99,8 +100,9 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ss := sessions(t, s, 3)
 			for i := 0; i < 2000; i++ {
-				s.PutSimple(i%3, []byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
+				ss[i%3].PutSimple([]byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
 			}
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
@@ -117,9 +119,9 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 						}
 						k := []byte(fmt.Sprintf("pre-%05d", rng.Intn(2500)))
 						if i%7 == 0 {
-							s.Remove(w, k)
+							ss[w].Remove(k)
 						} else {
-							s.PutSimple(w, k, []byte(fmt.Sprintf("w%d-%d", w, i)))
+							ss[w].PutSimple(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
 						}
 					}
 				}(w)
@@ -168,8 +170,9 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ss := sessions(t, s, 3)
 		for i := 0; i < 2000; i++ {
-			s.PutSimple(i%3, []byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
+			ss[i%3].PutSimple([]byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
 		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -188,12 +191,12 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 					}
 					k := fmt.Sprintf("pre-%05d", w*1000+rng.Intn(800))
 					if i%7 == 0 {
-						if s.Remove(w, []byte(k)) {
+						if ss[w].Remove([]byte(k)) {
 							truth[w][k] = lastOp{}
 						}
 					} else {
 						d := fmt.Sprintf("w%d-%d", w, i)
-						ver := s.PutSimple(w, []byte(k), []byte(d))
+						ver := ss[w].PutSimple([]byte(k), []byte(d))
 						truth[w][k] = lastOp{present: true, ver: ver, data: d}
 					}
 				}
@@ -242,8 +245,9 @@ func TestPartitionBoundsDisjointCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	for i := 0; i < 4096; i++ {
-		s.PutSimple(0, []byte(fmt.Sprintf("%05d", i)), []byte("x"))
+		ss.PutSimple([]byte(fmt.Sprintf("%05d", i)), []byte("x"))
 	}
 	bounds := s.partitionBounds(8)
 	if len(bounds) != 7 {
@@ -375,9 +379,10 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	rng := rand.New(rand.NewSource(1))
 	for s.Len() < keys {
-		s.PutSimple(0, []byte(fmt.Sprint(rng.Int63n(1<<31))), []byte("8 bytes."))
+		ss.PutSimple([]byte(fmt.Sprint(rng.Int63n(1<<31))), []byte("8 bytes."))
 	}
 	want := snapshotState(s)
 	for _, parts := range []int{2, 4} {

@@ -110,8 +110,8 @@ func TestPointBatchFrameOrder(t *testing.T) {
 		t.Errorf("j's get read version %d, not below its later put's %d", res[4].ver, res[5].ver)
 	}
 	for key, want := range map[string]string{"k": "v2", "j": "w", "record": "a|B|c", "lapsed": "|reborn"} {
-		if cols, ok := sess.Get([]byte(key), nil); !ok || joinCols(cols) != want {
-			t.Errorf("after the frame %q = %q (%v), want %q", key, joinCols(cols), ok, want)
+		if v, ok := sess.GetValue([]byte(key)); !ok || joinCols(v.Cols()) != want {
+			t.Errorf("after the frame %q = %q (%v), want %q", key, joinCols(v.Cols()), ok, want)
 		}
 	}
 }

@@ -9,19 +9,16 @@ import (
 	"repro/internal/value"
 )
 
-// TestGetRangeIntoMatchesGetRange checks the arena-based range path returns
-// exactly what the allocating path returns, and that earlier windows stay
-// valid as later ranges append into the same scratch (subslices of a grown
-// arena keep aliasing the old backing memory, which is never rewritten).
+// TestGetRangeIntoMatchesGetRange checks that ranges appended into one
+// reused scratch return exactly what each returns into a fresh scratch, and
+// that earlier windows stay valid as later ranges append into the same
+// scratch (subslices of a grown arena keep aliasing the old backing memory,
+// which is never rewritten).
 func TestGetRangeIntoMatchesGetRange(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	_, ss := openSess(t)
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("range-key-%05d", i))
-		s.Put(0, k, []value.ColPut{
+		ss.Put(k, []value.ColPut{
 			{Col: 0, Data: []byte(fmt.Sprintf("v%d", i))},
 			{Col: 1, Data: []byte(fmt.Sprintf("c1-%d", i))},
 		})
@@ -40,10 +37,10 @@ func TestGetRangeIntoMatchesGetRange(t *testing.T) {
 	}
 	var windows [][]Pair
 	for _, c := range cases {
-		windows = append(windows, s.GetRangeInto([]byte(c.start), c.n, c.cols, &sc))
+		windows = append(windows, ss.GetRangeInto([]byte(c.start), c.n, c.cols, &sc))
 	}
 	for ci, c := range cases {
-		want := s.GetRange([]byte(c.start), c.n, c.cols)
+		want := ss.GetRangeInto([]byte(c.start), c.n, c.cols, new(RangeScratch))
 		got := windows[ci]
 		if len(got) != len(want) {
 			t.Fatalf("case %d: %d pairs, want %d", ci, len(got), len(want))
@@ -64,17 +61,13 @@ func TestGetRangeIntoMatchesGetRange(t *testing.T) {
 	}
 }
 
-// TestRangeMatchesSortedModel compares GetRangeInto and GetRange with a
-// sorted slice: random keys of length 0–24 (trailing NULs, lengths straddling
+// TestRangeMatchesSortedModel compares GetRangeInto, into a reused scratch
+// and into a fresh one, with a sorted slice: random keys of length 0–24 (trailing NULs, lengths straddling
 // the 8- and 16-byte slice boundaries, shared 8- and 16-byte prefixes), start
 // keys that are nil, empty, present, absent or beyond the last key, random n.
 // A copied scratch must fill itself, not the scratch it was copied from.
 func TestRangeMatchesSortedModel(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	_, ss := openSess(t)
 	rng := rand.New(rand.NewSource(1))
 	randKey := func() []byte {
 		stems := []string{"", "", "prefix08", "prefix08prefix16", "prefix08\x00\x00\x00\x00\x00\x00\x00\x00"}
@@ -88,7 +81,7 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 	set := map[string]bool{}
 	for i := 0; i < 1500; i++ {
 		k := randKey()
-		s.PutSimple(0, k, k)
+		ss.PutSimple(k, k)
 		set[string(k)] = true
 	}
 	model := make([]string, 0, len(set))
@@ -122,8 +115,8 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 			sc = &cp
 		}
 		for name, got := range map[string][]Pair{
-			"GetRangeInto": s.GetRangeInto(start, n, nil, sc),
-			"GetRange":     s.GetRange(start, n, nil),
+			"GetRangeInto":               ss.GetRangeInto(start, n, nil, sc),
+			"GetRangeInto/fresh scratch": ss.GetRangeInto(start, n, nil, new(RangeScratch)),
 		} {
 			if len(got) != len(want) {
 				t.Fatalf("%s(%q, %d): %d pairs, want %d", name, start, n, len(got), len(want))

@@ -171,9 +171,10 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 	}
 	stable := func(i int) bool { return i%4 != 3 && i%40 < 3 }
 	var stableKeys []string // sorted below
+	load := sessions(t, s, 1)[0]
 	for i, k := range keys {
 		if stable(i) {
-			s.PutSimple(0, k, k)
+			load.PutSimple(k, k)
 			stableKeys = append(stableKeys, string(k))
 		}
 	}

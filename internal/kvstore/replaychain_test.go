@@ -114,10 +114,11 @@ func TestWorkerTagRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := s.GetValue(key); !ok || v.Worker() != value.MaxWorker || string(v.Col(0)) != "a" || string(v.Col(1)) != "b" {
+	ss := sessions(t, s, 2)
+	if v, ok := ss[0].GetValue(key); !ok || v.Worker() != value.MaxWorker || string(v.Col(0)) != "a" || string(v.Col(1)) != "b" {
 		t.Fatalf("replayed %v tagged worker %d (ok=%v), want {a, b} tagged %d", v, v.Worker(), ok, value.MaxWorker)
 	}
-	s.Put(1, key, []value.ColPut{{Col: 1, Data: []byte("B")}})
+	ss[1].Put(key, []value.ColPut{{Col: 1, Data: []byte("B")}})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,9 @@ func TestWorkerTagRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, ok := r.Get(key, nil)
+	rs := sessions(t, r, 1)[0]
+	v, ok := rs.GetValue(key)
+	cols := v.Cols()
 	if !ok || len(cols) != 2 || string(cols[0]) != "a" || string(cols[1]) != "B" || r.RecoveryStats().BrokenChains != 0 {
 		t.Fatalf("the write over worker %d's value did not anchor: %q ok=%v (stats %+v)", value.MaxWorker, cols, ok, r.RecoveryStats())
 	}
@@ -138,7 +141,7 @@ func TestWorkerTagRange(t *testing.T) {
 	mem = vfs.NewMemFS()
 	path = logAsWorker(t, mem, value.MaxWorker+1, fill)
 	if s, err := Open(chainCfg(mem)); err == nil {
-		v, _ := s.GetValue(key)
+		v, _ := sessions(t, s, 1)[0].GetValue(key)
 		s.Close()
 		t.Fatalf("Open replayed %s; its records are tagged worker %d", path, v.Worker())
 	} else if !strings.Contains(err.Error(), path) {
@@ -201,15 +204,17 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	defer s.Close()
-	if _, ok := s.Get([]byte("whole"), nil); ok {
+	if _, ok := ss.GetValue([]byte("whole")); ok {
 		t.Error("key with no surviving anchor recovered non-absent: dangling record was applied")
 	}
-	cols, ok := s.Get([]byte("part"), nil)
+	v, ok := ss.GetValue([]byte("part"))
+	cols := v.Cols()
 	if !ok || len(cols) != 2 || string(cols[0]) != "x" || string(cols[1]) != "y" {
 		t.Errorf("partially-anchored key = %q ok=%v, want exactly the anchored prefix {x, y}", cols, ok)
 	}
-	if v, ok := s.GetValue([]byte("part")); ok && v.Version() != 12 {
+	if v, ok := ss.GetValue([]byte("part")); ok && v.Version() != 12 {
 		t.Errorf("anchored prefix version = %d, want 12", v.Version())
 	}
 	if st := s.RecoveryStats(); st.BrokenChains != 2 {
@@ -233,13 +238,14 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 2)
 	wide := []value.ColPut{{Col: 0, Data: []byte("first")}, {Col: value.MaxCol, Data: []byte("last")}}
-	s.Put(0, []byte("checkpointed"), wide)
+	ss[0].Put([]byte("checkpointed"), wide)
 	if _, _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	s.Put(0, []byte("anchored"), wide)
-	anchor := s.Put(1, []byte("anchored"), []value.ColPut{{Col: 1, Data: []byte("second")}}) // a handoff: logged column-complete
+	ss[0].Put([]byte("anchored"), wide)
+	anchor := ss[1].Put([]byte("anchored"), []value.ColPut{{Col: 1, Data: []byte("second")}}) // a handoff: logged column-complete
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,14 +254,15 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := sessions(t, r, 1)[0]
 	defer r.Close()
 	for _, key := range []string{"checkpointed", "anchored"} {
-		v, ok := r.GetValue([]byte(key))
+		v, ok := rs.GetValue([]byte(key))
 		if !ok || v.NumCols() != value.MaxCol+1 || string(v.Col(0)) != "first" || string(v.Col(value.MaxCol)) != "last" {
 			t.Fatalf("%s: recovered %d columns (ok=%v), want %d with both ends intact", key, v.NumCols(), ok, value.MaxCol+1)
 		}
 	}
-	if v, _ := r.GetValue([]byte("anchored")); v.Version() != anchor || string(v.Col(1)) != "second" {
+	if v, _ := rs.GetValue([]byte("anchored")); v.Version() != anchor || string(v.Col(1)) != "second" {
 		t.Fatalf("anchored: recovered version %d column 1 %q, want the anchor's %d %q", v.Version(), v.Col(1), anchor, "second")
 	}
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
@@ -299,14 +306,14 @@ func TestPutPastMaxColRefused(t *testing.T) {
 	}
 	refused("Put", func() { ss.Put([]byte("bad"), over) })
 	refused("CasPut", func() { ss.CasPut([]byte("bad"), 0, over) })
-	refused("PutBatch", func() { ss.PutBatch([][]byte{[]byte("bad"), []byte("batched")}, [][]value.ColPut{over, good}) })
+	refused("PutBatchInto", func() { ss.PutBatchInto([][]byte{[]byte("bad"), []byte("batched")}, [][]value.ColPut{over, good}) })
 	refused("PointBatchInto", func() {
 		ss.PointBatchInto([][]byte{[]byte("batched"), []byte("bad")}, []bool{false, true}, [][]value.ColPut{nil, over})
 	})
 	ss.Put([]byte("after"), good) // the border and the worker's log window were left unlocked
-	ss.PutBatch([][]byte{[]byte("bad0"), []byte("batched")}, [][]value.ColPut{good, good})
+	ss.PutBatchInto([][]byte{[]byte("bad0"), []byte("batched")}, [][]value.ColPut{good, good})
 	for _, k := range []string{"bad", "bad0", "after", "batched"} {
-		if _, ok := ss.Get([]byte(k), nil); ok != (k != "bad") {
+		if _, ok := ss.GetValue([]byte(k)); ok != (k != "bad") {
 			t.Errorf("%q found %v after the refused puts", k, ok)
 		}
 	}
@@ -336,13 +343,14 @@ func TestHandoffAnchorAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 2)
 	defer s.Close()
 	key := []byte("pingpong")
 	data := []byte("some-column-data")
 	puts := []value.ColPut{{Col: 0, Data: data}}
 	// Grow the log buffers past the measured volume and walk the tree path.
 	for i := 0; i < 300; i++ {
-		s.Put(i%2, key, puts)
+		ss[i%2].Put(key, puts)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -350,8 +358,8 @@ func TestHandoffAnchorAllocs(t *testing.T) {
 	// Each iteration alternates workers, so every put replaces a value
 	// stamped through the other worker's log: two handoff-anchor puts.
 	allocs := testing.AllocsPerRun(200, func() {
-		s.Put(0, key, puts)
-		s.Put(1, key, puts)
+		ss[0].Put(key, puts)
+		ss[1].Put(key, puts)
 	})
 	if allocs > 2 {
 		t.Fatalf("handoff-anchor Put allocates %.1f per pair (%.1f per put), want <= 1 per put", allocs, allocs/2)

@@ -5,22 +5,39 @@ import (
 	"errors"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/value"
 )
 
-// Session is one worker's handle onto the store: it binds operations to the
-// worker's log (each query thread maintains its own log file and in-memory
-// log buffer, §5) and registers an epoch handle so deferred reclamation
-// waits for the session's in-flight operations (§4.6.1).
+// Session is the one way to operate on a Store: get, put, remove and
+// getrange (§3) and their batched forms are its methods, and a Store itself
+// only opens, checkpoints, flushes, reports and closes. A session binds its
+// operations to one worker's log (each query thread maintains its own log
+// file and in-memory log buffer, §5) and pins its epoch handle around each
+// operation, so deferred maintenance waits for the operation in flight
+// (§4.6.1). It also owns the scratch its batched calls return results in.
 //
-// A Session is not safe for concurrent use; create one per worker goroutine.
+// A Session is not safe for concurrent use; create one per worker goroutine
+// and Close it when done — the epoch manager walks every registered handle.
 type Session struct {
 	s      *Store
 	worker int
 	h      *epoch.Handle
 
-	batch BatchScratch // PointBatchInto's scratch
+	batch batchScratch // PointBatchInto's scratch
+}
+
+// batchScratch holds a session's reusable state for PointBatchInto and its
+// all-get and all-put faces: the result slices and the core tree's batch
+// scratch. It makes steady-state batched reads and writes allocation-free
+// (beyond the packed values a put must build).
+type batchScratch struct {
+	vals  []*value.Value
+	found []bool
+	res   []writeResult // the puts' step results, by key; zero for a get
+	out   []uint64      // the puts' versions, by key
+	core  core.BatchScratch
 }
 
 // Session creates a session bound to the given worker's log.
@@ -38,72 +55,43 @@ func (ss *Session) Close() {
 	ss.s.mgr.Unregister(ss.h)
 }
 
-// Get returns the requested columns of key (nil cols = all).
-func (ss *Session) Get(key []byte, cols []int) ([][]byte, bool) {
-	v, ok := ss.GetValue(key)
-	if !ok {
-		return nil, false
-	}
-	return pickCols(v, cols), true
-}
-
-// GetInto is Get appending the columns to dst (see Store.GetInto); with a
-// reused dst the read path performs no allocations. (In cache mode the read
-// additionally records the key's hash into the worker's lossy access ring —
-// an atomic add and store, still allocation-free.)
-func (ss *Session) GetInto(key []byte, cols []int, dst [][]byte) ([][]byte, bool) {
-	v, ok := ss.GetValue(key)
-	if !ok {
-		return dst, false
-	}
-	return AppendCols(dst, v, cols), true
-}
-
-// GetBatch retrieves many keys in one epoch-protected critical section,
-// their descents overlapped (§4.8; see core.Tree.GetBatchInto). Results are
-// in input order; cols == nil returns all columns.
-func (ss *Session) GetBatch(keys [][]byte, cols []int) ([][][]byte, []bool) {
-	vals, ok := ss.GetBatchInto(keys)
-	// Copy the found flags out of the session scratch: this is the safe
-	// allocating wrapper, so nothing it returns may alias reusable state.
-	return extractBatchCols(vals, ok, cols), slices.Clone(ok)
-}
-
-// GetBatchInto is the allocation-free batched lookup: results live in the
-// session's scratch and are valid until the session's next batched call.
-// Column extraction is the caller's job (see AppendCols).
-func (ss *Session) GetBatchInto(keys [][]byte) ([]*value.Value, []bool) {
-	vals, found, _ := ss.PointBatchInto(keys, nil, nil)
-	return vals, found
-}
-
-// PointBatchInto serves a stretch of gets and puts — put[i] says which
-// keys[i] is, puts[i] what a put writes — in one epoch-protected section,
-// as one wave and one write window through this session's log; see
-// Store.PointBatchInto for the kinds, the results and what order the
-// operations take effect in. The results live in the session's scratch and
-// are valid until the session's next batched call.
-func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColPut) ([]*value.Value, []bool, []uint64) {
+// GetValue returns key's current packed value, or (nil, false) if the key
+// is absent or lazily expired; AppendCols or v.Col project its columns.
+// Values are immutable and garbage-collected, so the result stays safe to
+// read after the call (the column slices alias it, so nothing is copied);
+// the server uses this to surface value versions alongside columns (CAS
+// needs a version to expect). In cache mode the read records the key's hash
+// into the worker's lossy access ring — an atomic add and store, still
+// allocation-free.
+//
+//masstree:noalloc
+func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	if (put != nil || puts == nil) && ss.s.cache.EvictionEnabled() {
-		for i, k := range keys {
-			if put == nil || !put[i] {
-				ss.s.cache.NoteAccess(ss.worker, k)
-			}
-		}
+	ss.s.cache.NoteAccess(ss.worker, key)
+	v, ok := ss.s.tree.Get(key)
+	if !ok || expired(v) {
+		return nil, false
 	}
-	return ss.s.PointBatchInto(ss.worker, keys, put, puts, &ss.batch)
+	return v, true
 }
 
-// Put applies column modifications atomically via this session's log.
-// Nothing is retained: the puts slice, the Data bytes, and the key are all
-// copied (into the packed value and the log buffer), so callers may reuse
-// their buffers immediately.
+// Put applies the column modifications to key atomically, logging through
+// the session's log, and returns the new value's version. Nothing is
+// retained: the puts slice, the Data bytes, and the key are all copied (into
+// the packed value and the log buffer), so callers may reuse their buffers
+// immediately.
+//
+// Logging chains the record to the replaced value's version (wal format
+// v2), with one exception: when the replaced value's version was stamped
+// through a different worker's log (base.Worker() != worker — a cross-log
+// handoff), the record is logged column-complete with prev == 0, anchoring
+// the key's chain in this log. No replay chain ever spans log files without
+// an anchor, so a vanished log is always detectable at recovery.
 func (ss *Session) Put(key []byte, puts []value.ColPut) uint64 {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	return ss.s.Put(ss.worker, key, puts)
+	return ss.s.write(ss.worker, key, writeOp{puts: puts}).ver
 }
 
 // PutSimple stores data as column 0. Neither key nor data is retained.
@@ -111,36 +99,96 @@ func (ss *Session) PutSimple(key, data []byte) uint64 {
 	return ss.Put(key, []value.ColPut{{Col: 0, Data: data}})
 }
 
-// PutTTL is Put with an expiry deadline in unix nanoseconds (0 = never);
-// see Store.PutTTL for cache-mode TTL semantics.
+// PutTTL is Put with an expiry deadline (unix nanoseconds; 0 behaves like
+// Put): after expiresAt the key reads as absent (lazy expiry on every get
+// and scan) and the maintenance loop's background sweep eventually removes
+// it physically — a clean drop that writes no WAL record, since the expiry
+// rides in the logged value itself (wal.OpPutTTL) and replay re-expires it.
+// A write over a lazily-expired value builds on an absent base (see
+// expireBase): dead columns are never resurrected.
 func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	return ss.s.PutTTL(ss.worker, key, puts, expiresAt)
+	return ss.s.write(ss.worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true}).ver
 }
 
-// PutSimpleTTL stores data as column 0 with an expiry deadline.
-func (ss *Session) PutSimpleTTL(key, data []byte, expiresAt uint64) uint64 {
-	return ss.PutTTL(key, []value.ColPut{{Col: 0, Data: data}}, expiresAt)
-}
-
-// Touch resets key's expiry without changing its columns; ok is false if
-// the key is absent or already expired. See Store.Touch.
-func (ss *Session) Touch(key []byte, expiresAt uint64) (uint64, bool) {
+// Touch resets key's expiry (unix nanoseconds; 0 = never expire again)
+// without changing its columns, publishing a fresh value under a new
+// version. Returns the new version and ok false if the key is absent (or
+// already expired — touching the dead does not revive them).
+func (ss *Session) Touch(key []byte, expiresAt uint64) (ver uint64, ok bool) {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	return ss.s.Touch(ss.worker, key, expiresAt)
+	r := ss.s.write(ss.worker, key, writeOp{expiry: expiresAt, ttl: true, base: onlyLive})
+	return r.ver, r.nv != nil
 }
 
-// CasPut conditionally applies column modifications: the write succeeds
-// only if key's current version equals expect (0 = key absent), evaluated
-// under the owning border node's lock. Success is logged as an ordinary put
-// and returns the new version; mismatch changes nothing and returns the
-// current version with ok false. See Store.CasPut.
+// CasPut is a versioned conditional Put (Deuteronomy-style latch-free
+// read-modify-write exposed through the API): the column modifications
+// apply only if key's current version equals expect, with expect == 0
+// meaning "key absent" (so expect 0 is an atomic create-if-absent). The
+// comparison runs under the owning border node's lock — the same lock the
+// write publishes under, shared with the batched put path — so no window
+// exists between check and write. On success it behaves exactly like Put
+// (logged as an ordinary put through the session's log) and returns the new
+// version with ok true; on mismatch nothing changes and it returns the
+// current version (0 if absent) with ok false, letting the caller re-read
+// and rebase. A lazily-expired value reads as absent everywhere, so CAS
+// sees it as absent too: expect == 0 succeeds over it instead of
+// livelocking on a version no read can observe. Neither puts nor their Data
+// slices are retained.
 func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	return ss.s.CasPut(ss.worker, key, expect, puts)
+	r := ss.s.write(ss.worker, key, writeOp{puts: puts, cas: true, expect: expect})
+	if r.nv == nil {
+		return r.base.Version(), false
+	}
+	return r.ver, true
+}
+
+// Remove deletes key, logging through the session's log.
+func (ss *Session) Remove(key []byte) bool {
+	ss.h.Enter()
+	defer ss.h.Exit()
+	s, worker := ss.s, ss.worker
+	if s.logs != nil {
+		mu := s.lockWorker(worker)
+		defer mu.Unlock()
+	}
+	var ver uint64
+	var delta int64
+	wasExpired := false
+	_, ok := s.tree.RemoveWith(key, func(old *value.Value) {
+		ver = s.clock.tick(worker, old.Version())
+		// Lift the remove floor while the border lock is still held: the
+		// tree forgets the key's version history once it is unlinked, so a
+		// re-insert racing with this remove must already see the floor when
+		// it acquires the lock — lifting it after RemoveWith returns would
+		// let that insert draw a version below the remove's timestamp and
+		// replay in the wrong order.
+		s.clock.noteRemove(ver)
+		delta = -int64(old.Size())
+		wasExpired = expired(old)
+	})
+	if ok {
+		if s.logs != nil {
+			s.logs.Writer(worker).AppendRemove(ver, key)
+		}
+		s.cache.Account(worker, delta)
+		s.cache.NoteRemove(worker, key)
+		// Read-through stores propagate the delete upstream (a tombstone in
+		// the write-behind queue); without it the next GetOrLoad would
+		// resurrect the removed key from the backend.
+		if s.wb != nil {
+			s.wb.enqueue(key, nil)
+		}
+	}
+	// A lazily-expired value reads as absent on every path, so removing it
+	// must report "did not exist" too (memcached's delete-of-expired is a
+	// miss). The physical removal and its log record still happen above —
+	// the remove is correct cleanup either way.
+	return ok && !wasExpired
 }
 
 // ErrNoBackend is returned by GetOrLoad when the store has no configured
@@ -148,10 +196,11 @@ func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver u
 var ErrNoBackend = errors.New("kvstore: no backend configured")
 
 // GetOrLoad returns key's value, reading through the configured backend on
-// miss. The in-memory hit path is the ordinary epoch-protected lookup —
-// allocation-free, never blocking — while a miss funnels into the loader:
-// exactly one backend flight per key runs at a time and every concurrent
-// miss parks on its result (herd protection), honoring ctx while parked.
+// miss. The in-memory hit path is GetValue — allocation-free, never
+// blocking, and noted by the cache policy like any read — while a miss
+// funnels into the loader: exactly one backend flight per key runs at a
+// time and every concurrent miss parks on its result (herd protection),
+// honoring ctx while parked.
 //
 // Returns (value, stale, error). A nil value with nil error is an
 // authoritative miss (absent both in memory and upstream, possibly
@@ -171,64 +220,139 @@ func (ss *Session) GetOrLoad(ctx context.Context, key []byte) (*value.Value, boo
 	return ss.s.loader.load(ctx, ss, key)
 }
 
-// GetValue returns key's current packed value — the session's one point
-// lookup, which Get, GetInto and GetOrLoad's hit path wrap. Values are
-// immutable and garbage-collected, so the result stays safe to read after
-// the call; the server uses this to surface value versions alongside
-// columns (CAS needs a version to expect).
-func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
+// PointBatchInto serves a stretch of point operations — gets and puts, a
+// frame's worth — as one batch (§4.8's batching, for reads and writes at
+// once) through the session's log. put[i] says that keys[i] is a put of the
+// column modifications puts[i]; the other keys are gets. A nil put means
+// the keys are all of one kind: gets if puts is nil too (GetBatchInto), puts
+// otherwise (PutBatchInto).
+//
+// Every key descends in one wave over the whole batch (core.Tree.BatchInto):
+// a get is answered from it, a lazily-expired value as absent; the puts are
+// applied in tree order, each run of them owned by one border node under one
+// acquisition of its lock and starting at the border the wave found, all
+// inside one draw-to-append window, their records encoded under one
+// log-buffer lock and accounted together. In cache mode every get is noted
+// by the eviction policy, as GetValue's is.
+//
+// Operations on different keys take effect in no particular order — they
+// share one invoke-to-return interval, and the puts are reordered already.
+// Operations on one key take effect in input order: its puts are applied in
+// that order, a get ahead of them all reads what the wave saw, and a get
+// behind one reads the value that put published.
+//
+// vals and found report the gets, vers the puts' versions; all three are
+// indexed as keys is, live in the session's scratch and are valid until the
+// session's next batched call. No inputs are retained.
+func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColPut) (vals []*value.Value, found []bool, vers []uint64) {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	ss.s.cache.NoteAccess(ss.worker, key)
-	return ss.s.GetValue(key)
+	s, worker, sc := ss.s, ss.worker, &ss.batch
+	n, nputs := len(keys), 0
+	if put == nil && puts != nil {
+		nputs = n
+	}
+	for _, p := range put {
+		if p {
+			nputs++
+		}
+	}
+	for i := range puts {
+		if put == nil || put[i] {
+			checkCols(puts[i])
+		}
+	}
+	if nputs < n && s.cache.EvictionEnabled() {
+		for i, k := range keys {
+			if put == nil || !put[i] {
+				s.cache.NoteAccess(worker, k)
+			}
+		}
+	}
+	if nputs == 0 || nputs == n {
+		put = nil // one kind after all: the tree's all-get or all-put case
+	}
+	if nputs < n {
+		sc.vals, sc.found = slices.Grow(sc.vals[:0], n)[:n], slices.Grow(sc.found[:0], n)[:n]
+		vals, found = sc.vals, sc.found
+	}
+	if nputs > 0 {
+		sc.res, sc.out = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.out[:0], n)[:n]
+		vers = sc.out
+		if s.logs != nil {
+			mu := s.lockWorker(worker)
+			defer mu.Unlock()
+		}
+	}
+	s.tree.BatchInto(keys, put, vals, found, &sc.core, func(i int, old *value.Value) *value.Value {
+		r := s.step(worker, writeOp{puts: puts[i]}, old)
+		sc.res[i], sc.out[i] = r, r.ver
+		return r.nv
+	})
+	for i := range vals {
+		if put != nil {
+			if put[i] {
+				continue
+			}
+			if j := sc.core.PutBefore(keys, i); j >= 0 {
+				vals[i], found[i] = sc.res[j].nv, true
+			}
+		}
+		if found[i] && expired(vals[i]) {
+			vals[i], found[i] = nil, false
+		}
+	}
+	if nputs > 0 {
+		if s.logs != nil {
+			s.logWrite(worker, keys, puts, sc.res, false, 0)
+		}
+		s.finishWrite(worker, keys, sc.res, 0)
+		clear(sc.res) // an idle scratch must not pin values later overwritten
+	}
+	return vals, found, vers
 }
 
-// PutBatchInto applies one put per key as one batch — PointBatchInto with
-// every key a put — sharing border-node lock acquisitions between
-// co-located keys (§4.8 applied to writes) and encoding all log records
-// under one log-buffer lock. The returned versions (input order) live in
-// the session's scratch and are valid until the session's next batched
-// call. Duplicate keys apply in input order; no inputs are retained.
+// GetBatchInto is PointBatchInto with every key a get: the batched lookup,
+// allocation-free, its results valid until the session's next batched call.
+// Column extraction is the caller's job (each request in a batch may want
+// different columns); use AppendCols.
+func (ss *Session) GetBatchInto(keys [][]byte) ([]*value.Value, []bool) {
+	vals, found, _ := ss.PointBatchInto(keys, nil, nil)
+	return vals, found
+}
+
+// PutBatchInto is PointBatchInto with every key a put: puts[i] lists key
+// i's column modifications, and the returned versions (input order) are
+// valid until the session's next batched call. Duplicate keys apply in
+// input order.
 func (ss *Session) PutBatchInto(keys [][]byte, puts [][]value.ColPut) []uint64 {
 	_, _, vers := ss.PointBatchInto(keys, nil, puts)
 	return vers
 }
 
-// PutBatch is PutBatchInto returning a fresh versions slice.
-func (ss *Session) PutBatch(keys [][]byte, puts [][]value.ColPut) []uint64 {
-	return slices.Clone(ss.PutBatchInto(keys, puts))
-}
-
-// Remove deletes key via this session's log.
-func (ss *Session) Remove(key []byte) bool {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.Remove(ss.worker, key)
-}
-
-// GetRange returns up to n pairs from start (nil cols = all columns).
-func (ss *Session) GetRange(start []byte, n int, cols []int) []Pair {
-	ss.h.Enter()
-	defer ss.h.Exit()
-	return ss.s.GetRange(start, n, cols)
-}
-
-// GetRangeInto is GetRange appending into the caller's reusable arenas; see
-// Store.GetRangeInto.
+// GetRangeInto returns up to n pairs starting at the first key >= start,
+// with the requested columns (nil = all), appended into sc's reusable arenas
+// (see rangeInto). Like the paper's getrange it is not atomic with respect
+// to concurrent inserts and updates (§3). Lazily-expired values are skipped
+// without counting toward n; a scan crossing an extremely large expired
+// region (see maxRangeScanVisits) may return fewer than n pairs before the
+// background sweep reclaims it.
+//
+//masstree:noalloc
 func (ss *Session) GetRangeInto(start []byte, n int, cols []int, sc *RangeScratch) []Pair {
 	ss.h.Enter()
 	defer ss.h.Exit()
-	return ss.s.GetRangeInto(start, n, cols, sc)
+	return ss.s.rangeInto(start, n, cols, sc)
 }
 
 // GetRangeBatchInto serves several range queries — range i is up to ns[i]
 // pairs from starts[i], projected to cols[i] — in one epoch-protected
 // section. Their start keys first descend together (core.Tree.Prefetch:
 // sixteen descents in flight, found values discarded), so that each range,
-// run in input order through GetRangeInto exactly as if it had been asked
-// alone, begins at a border node that is already in cache. Window i of the
-// result holds range i's pairs: the pairs live in sc until sc.Reset, the
-// slice of windows until the next call with sc.
+// run in input order exactly as GetRangeInto would run it alone, begins at
+// a border node that is already in cache. Window i of the result holds
+// range i's pairs: the pairs live in sc until sc.Reset, the slice of windows
+// until the next call with sc.
 //
 //masstree:noalloc
 func (ss *Session) GetRangeBatchInto(starts [][]byte, ns []int, cols [][]int, sc *RangeScratch) [][]Pair {
@@ -237,7 +361,7 @@ func (ss *Session) GetRangeBatchInto(starts [][]byte, ns []int, cols [][]int, sc
 	ss.s.tree.Prefetch(starts, &ss.batch.core)
 	sc.runs = sc.runs[:0]
 	for i, start := range starts {
-		sc.runs = append(sc.runs, ss.s.GetRangeInto(start, ns[i], cols[i], sc))
+		sc.runs = append(sc.runs, ss.s.rangeInto(start, ns[i], cols[i], sc))
 	}
 	return sc.runs
 }

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,7 +113,7 @@ type Config struct {
 	NoObs bool
 }
 
-// Pair is one key plus requested columns, returned by GetRange.
+// Pair is one key plus requested columns, returned by GetRangeInto.
 type Pair struct {
 	Key  []byte
 	Cols [][]byte
@@ -691,99 +690,6 @@ func expired(v *value.Value) bool {
 	return e != 0 && e <= uint64(time.Now().UnixNano())
 }
 
-// Get returns the requested columns of key's value, or (nil, false) if the
-// key is absent. cols == nil returns all columns. The caller must hold an
-// epoch pin (Session.Get does).
-//
-//masstree:pinned
-func (s *Store) Get(key []byte, cols []int) ([][]byte, bool) {
-	v, ok := s.GetValue(key)
-	if !ok {
-		return nil, false
-	}
-	return pickCols(v, cols), true
-}
-
-// GetInto is Get appending the requested columns to dst instead of
-// allocating a fresh slice; it returns the extended slice. With a reused
-// dst the read path performs no allocations (the column contents alias the
-// immutable value, so no byte copying happens either). The caller must hold
-// an epoch pin.
-//
-//masstree:pinned
-//masstree:noalloc
-func (s *Store) GetInto(key []byte, cols []int, dst [][]byte) ([][]byte, bool) {
-	v, ok := s.GetValue(key)
-	if !ok {
-		return dst, false
-	}
-	return AppendCols(dst, v, cols), true
-}
-
-// GetValue returns the whole value object — the one point lookup Get and
-// GetInto wrap: a lazily-expired value is absent. The caller must hold an
-// epoch pin.
-//
-//masstree:pinned
-//masstree:noalloc
-func (s *Store) GetValue(key []byte) (*value.Value, bool) {
-	v, ok := s.tree.Get(key)
-	if !ok || expired(v) {
-		return nil, false
-	}
-	return v, true
-}
-
-// BatchScratch holds reusable state for PointBatchInto and its all-get and
-// all-put faces: the result slices and the core tree's batch scratch. One
-// scratch per worker or connection makes steady-state batched reads and
-// writes allocation-free (beyond the packed values a put must build).
-type BatchScratch struct {
-	vals  []*value.Value
-	found []bool
-	res   []writeResult // the puts' step results, by key; zero for a get
-	out   []uint64      // the puts' versions, by key
-	core  core.BatchScratch
-}
-
-// GetBatch retrieves many keys at once, overlapping their descents' cache
-// misses (§4.8's PALM-style batching; see core.Tree.GetBatchInto). Results
-// are in input order; cols == nil returns all columns. The caller must hold
-// an epoch pin.
-//
-//masstree:pinned
-func (s *Store) GetBatch(keys [][]byte, cols []int) (out [][][]byte, found []bool) {
-	var sc BatchScratch
-	vals, ok := s.GetBatchInto(keys, &sc)
-	return extractBatchCols(vals, ok, cols), ok
-}
-
-// extractBatchCols materializes per-key column sets from batched values;
-// shared by the allocating GetBatch wrappers.
-func extractBatchCols(vals []*value.Value, ok []bool, cols []int) [][][]byte {
-	out := make([][][]byte, len(vals))
-	for i, v := range vals {
-		if ok[i] {
-			out[i] = pickCols(v, cols)
-		}
-	}
-	return out
-}
-
-// GetBatchInto is the allocation-free batched lookup: values and found
-// flags are written into sc's reusable slices and remain valid until the
-// next call with the same scratch. Column extraction is left to the caller
-// (each request in a batch may want different columns); use AppendCols.
-// It is PointBatchInto with no put among the keys. The caller must hold an
-// epoch pin.
-//
-//masstree:pinned
-//masstree:noalloc
-func (s *Store) GetBatchInto(keys [][]byte, sc *BatchScratch) ([]*value.Value, []bool) {
-	vals, found, _ := s.PointBatchInto(0, keys, nil, nil, sc)
-	return vals, found
-}
-
 // AppendCols appends the requested columns of v (nil = all) to dst and
 // returns the extended slice. The appended slices alias v's immutable
 // packed allocation and must not be mutated.
@@ -798,13 +704,6 @@ func AppendCols(dst [][]byte, v *value.Value, cols []int) [][]byte {
 		dst = append(dst, v.Col(c))
 	}
 	return dst
-}
-
-func pickCols(v *value.Value, cols []int) [][]byte {
-	if cols == nil {
-		return v.Cols()
-	}
-	return AppendCols(make([][]byte, 0, len(cols)), v, cols)
 }
 
 // nextVersion draws key's next version from worker's clock. It runs under
@@ -985,63 +884,6 @@ func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 	return r
 }
 
-// Put applies the column modifications to key atomically, logging through
-// the given worker's log, and returns the new value's version. Neither puts
-// nor the Data slices are retained: both are copied into the packed value
-// and the log buffer.
-//
-// Logging chains the record to the replaced value's version (wal format
-// v2), with one exception: when the replaced value's version was stamped
-// through a different worker's log (base.Worker() != worker — a cross-log
-// handoff), the record is logged column-complete with prev == 0, anchoring
-// the key's chain in this log. No replay chain ever spans log files without
-// an anchor, so a vanished log is always detectable at recovery.
-func (s *Store) Put(worker int, key []byte, puts []value.ColPut) uint64 {
-	return s.write(worker, key, writeOp{puts: puts}).ver
-}
-
-// PutTTL is Put with an expiry deadline (unix nanoseconds; 0 behaves like
-// Put): after expiresAt the key reads as absent (lazy expiry on every get
-// and scan) and the maintenance loop's background sweep eventually removes
-// it physically — a clean drop that writes no WAL record, since the expiry
-// rides in the logged value itself (wal.OpPutTTL) and replay re-expires it.
-// A write over a lazily-expired value builds on an absent base (see
-// expireBase): dead columns are never resurrected.
-func (s *Store) PutTTL(worker int, key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
-	return s.write(worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true}).ver
-}
-
-// Touch resets key's expiry (unix nanoseconds; 0 = never expire again)
-// without changing its columns, publishing a fresh value under a new
-// version. Returns the new version and ok false if the key is absent (or
-// already expired — touching the dead does not revive them).
-func (s *Store) Touch(worker int, key []byte, expiresAt uint64) (ver uint64, ok bool) {
-	r := s.write(worker, key, writeOp{expiry: expiresAt, ttl: true, base: onlyLive})
-	return r.ver, r.nv != nil
-}
-
-// CasPut is a versioned conditional Put (Deuteronomy-style latch-free
-// read-modify-write exposed through the API): the column modifications
-// apply only if key's current version equals expect, with expect == 0
-// meaning "key absent" (so expect 0 is an atomic create-if-absent). The
-// comparison runs under the owning border node's lock — the same lock the
-// write publishes under, shared with the batched put path — so no window
-// exists between check and write. On success it behaves exactly like Put
-// (logged as an ordinary put through worker's log) and returns the new
-// version with ok true; on mismatch nothing changes and it returns the
-// current version (0 if absent) with ok false, letting the caller re-read
-// and rebase. A lazily-expired value reads as absent everywhere, so CAS
-// sees it as absent too: expect == 0 succeeds over it instead of
-// livelocking on a version no read can observe. Neither puts nor their Data
-// slices are retained.
-func (s *Store) CasPut(worker int, key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
-	r := s.write(worker, key, writeOp{puts: puts, cas: true, expect: expect})
-	if r.nv == nil {
-		return r.base.Version(), false
-	}
-	return r.ver, true
-}
-
 // installLoaded publishes a backend-loaded value for key: built on an
 // absent base (a load is by definition the key's whole upstream state),
 // versioned from the worker's clock, logged as an insert so replay
@@ -1074,157 +916,6 @@ type paddedMutex struct {
 	_ [56]byte
 }
 
-// PutSimple stores data as column 0 of key.
-func (s *Store) PutSimple(worker int, key, data []byte) uint64 {
-	return s.Put(worker, key, []value.ColPut{{Col: 0, Data: data}})
-}
-
-// PointBatchInto serves a stretch of point operations — gets and puts, a
-// frame's worth — as one batch (§4.8's batching, for reads and writes at
-// once). put[i] says that keys[i] is a put of the column modifications
-// puts[i]; the other keys are gets. A nil put means the keys are all of one
-// kind: gets if puts is nil too (GetBatchInto), puts otherwise
-// (PutBatchInto).
-//
-// Every key descends in one wave over the whole batch (core.Tree.BatchInto):
-// a get is answered from it, a lazily-expired value as absent; the puts are
-// applied in tree order, each run of them owned by one border node under one
-// acquisition of its lock and starting at the border the wave found, all
-// inside one draw-to-append window, their records encoded under one
-// log-buffer lock and accounted together.
-//
-// Operations on different keys take effect in no particular order — they
-// share one invoke-to-return interval, and the puts are reordered already.
-// Operations on one key take effect in input order: its puts are applied in
-// that order, a get ahead of them all reads what the wave saw, and a get
-// behind one reads the value that put published.
-//
-// vals and found report the gets, vers the puts' versions; all three are
-// indexed as keys is, live in sc and are valid until the next batched call
-// with the same scratch. No inputs are retained. The caller must hold an
-// epoch pin.
-//
-//masstree:pinned
-func (s *Store) PointBatchInto(worker int, keys [][]byte, put []bool, puts [][]value.ColPut, sc *BatchScratch) (vals []*value.Value, found []bool, vers []uint64) {
-	n, nputs := len(keys), 0
-	if put == nil && puts != nil {
-		nputs = n
-	}
-	for _, p := range put {
-		if p {
-			nputs++
-		}
-	}
-	for i := range puts {
-		if put == nil || put[i] {
-			checkCols(puts[i])
-		}
-	}
-	if nputs == 0 || nputs == n {
-		put = nil // one kind after all: the tree's all-get or all-put case
-	}
-	if nputs < n {
-		sc.vals, sc.found = slices.Grow(sc.vals[:0], n)[:n], slices.Grow(sc.found[:0], n)[:n]
-		vals, found = sc.vals, sc.found
-	}
-	if nputs > 0 {
-		sc.res, sc.out = slices.Grow(sc.res[:0], n)[:n], slices.Grow(sc.out[:0], n)[:n]
-		vers = sc.out
-		if s.logs != nil {
-			mu := s.lockWorker(worker)
-			defer mu.Unlock()
-		}
-	}
-	s.tree.BatchInto(keys, put, vals, found, &sc.core, func(i int, old *value.Value) *value.Value {
-		r := s.step(worker, writeOp{puts: puts[i]}, old)
-		sc.res[i], sc.out[i] = r, r.ver
-		return r.nv
-	})
-	for i := range vals {
-		if put != nil {
-			if put[i] {
-				continue
-			}
-			if j := sc.core.PutBefore(keys, i); j >= 0 {
-				vals[i], found[i] = sc.res[j].nv, true
-			}
-		}
-		if found[i] && expired(vals[i]) {
-			vals[i], found[i] = nil, false
-		}
-	}
-	if nputs > 0 {
-		if s.logs != nil {
-			s.logWrite(worker, keys, puts, sc.res, false, 0)
-		}
-		s.finishWrite(worker, keys, sc.res, 0)
-		clear(sc.res) // an idle scratch must not pin values later overwritten
-	}
-	return vals, found, vers
-}
-
-// PutBatchInto applies one put per key as one batch: PointBatchInto with
-// every key a put. puts[i] lists key i's column modifications; the returned
-// versions (one per key, input order) live in sc and are valid until the
-// next batched call with the same scratch. Duplicate keys apply in input
-// order. The caller must hold an epoch pin: the puts' descents are a wave's.
-//
-//masstree:pinned
-func (s *Store) PutBatchInto(worker int, keys [][]byte, puts [][]value.ColPut, sc *BatchScratch) []uint64 {
-	_, _, vers := s.PointBatchInto(worker, keys, nil, puts, sc)
-	return vers
-}
-
-// PutBatch is PutBatchInto over a fresh scratch, so the returned versions
-// alias memory nothing else holds. The caller must hold an epoch pin.
-//
-//masstree:pinned
-func (s *Store) PutBatch(worker int, keys [][]byte, puts [][]value.ColPut) []uint64 {
-	var sc BatchScratch
-	return s.PutBatchInto(worker, keys, puts, &sc)
-}
-
-// Remove deletes key, logging through the given worker's log.
-func (s *Store) Remove(worker int, key []byte) bool {
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	var ver uint64
-	var delta int64
-	wasExpired := false
-	_, ok := s.tree.RemoveWith(key, func(old *value.Value) {
-		ver = s.clock.tick(worker, old.Version())
-		// Lift the remove floor while the border lock is still held: the
-		// tree forgets the key's version history once it is unlinked, so a
-		// re-insert racing with this remove must already see the floor when
-		// it acquires the lock — lifting it after RemoveWith returns would
-		// let that insert draw a version below the remove's timestamp and
-		// replay in the wrong order.
-		s.clock.noteRemove(ver)
-		delta = -int64(old.Size())
-		wasExpired = expired(old)
-	})
-	if ok {
-		if s.logs != nil {
-			s.logs.Writer(worker).AppendRemove(ver, key)
-		}
-		s.cache.Account(worker, delta)
-		s.cache.NoteRemove(worker, key)
-		// Read-through stores propagate the delete upstream (a tombstone in
-		// the write-behind queue); without it the next GetOrLoad would
-		// resurrect the removed key from the backend.
-		if s.wb != nil {
-			s.wb.enqueue(key, nil)
-		}
-	}
-	// A lazily-expired value reads as absent on every path, so removing it
-	// must report "did not exist" too (memcached's delete-of-expired is a
-	// miss). The physical removal and its log record still happen above —
-	// the remove is correct cleanup either way.
-	return ok && !wasExpired
-}
-
 // maxRangeScanVisits bounds how many entries one range query may visit,
 // results and lazily-expired skips combined. Without it a small-n range
 // whose start lands in a large freshly-lapsed region would walk the whole
@@ -1233,20 +924,6 @@ func (s *Store) Remove(worker int, key []byte) bool {
 // thousands of consecutive expired entries; the documented cost is that
 // such a query may return short before the sweep catches up.
 const maxRangeScanVisits = 1 << 16
-
-// GetRange returns up to n pairs starting at the first key >= start,
-// retrieving the requested columns (nil = all). Like the paper's getrange it
-// is not atomic with respect to concurrent inserts and updates (§3).
-// Lazily-expired values are skipped without counting toward n; a scan
-// crossing an extremely large expired region (see maxRangeScanVisits) may
-// return fewer than n pairs before the background sweep reclaims it.
-// The caller must hold an epoch pin.
-//
-//masstree:pinned
-func (s *Store) GetRange(start []byte, n int, cols []int) []Pair {
-	var sc RangeScratch // fresh arenas: the result aliases memory nothing else holds
-	return s.GetRangeInto(start, n, cols, &sc)
-}
 
 // RangeScratch holds reusable arenas for GetRangeInto: the pair slice, a
 // column-slice arena, a key-byte arena, and the tree scan's key assembly
@@ -1298,16 +975,16 @@ func (sc *RangeScratch) Shrink(max int) {
 	}
 }
 
-// GetRangeInto is GetRange appending into sc's reusable arenas instead of
-// allocating per request: keys are copied into a byte arena, columns into
-// the column arena, pairs into the pair slice. The returned window aliases
-// sc and stays valid until sc.Reset (appends never rewrite established
-// backing memory, so earlier windows survive arena growth). The caller must
-// hold an epoch pin.
+// rangeInto is the range kernel behind GetRangeInto and GetRangeBatchInto.
+// It appends into sc's reusable arenas instead of allocating per request:
+// keys are copied into a byte arena, columns into the column arena, pairs
+// into the pair slice. The returned window aliases sc and stays valid until
+// sc.Reset (appends never rewrite established backing memory, so earlier
+// windows survive arena growth).
 //
 //masstree:pinned
 //masstree:noalloc
-func (s *Store) GetRangeInto(start []byte, n int, cols []int, sc *RangeScratch) []Pair {
+func (s *Store) rangeInto(start []byte, n int, cols []int, sc *RangeScratch) []Pair {
 	if n <= 0 {
 		return nil
 	}

@@ -42,7 +42,6 @@ type tortureBackend struct {
 	*torture
 	mock *backend.Mock
 	be   *backend.Wrapped
-	sess *Session
 }
 
 // recordLoaded folds a value the loader installed into the model history
@@ -71,7 +70,7 @@ func (tb *tortureBackend) recordResident(key string) {
 }
 
 func (tb *tortureBackend) getOrLoad(key string) (*value.Value, error) {
-	v, _, err := tb.sess.GetOrLoad(context.Background(), []byte(key))
+	v, _, err := tb.sess[0].GetOrLoad(context.Background(), []byte(key))
 	if err == nil {
 		tb.recordLoaded(key, v)
 	}
@@ -279,16 +278,14 @@ func runTortureBackend(t *testing.T, crashAt int) (ops int, crashed bool) {
 			t.Fatalf("crashAt=%d: open: %v", crashAt, err)
 		}
 	} else {
-		tt.s = s
-		tb.sess = s.Session(0)
+		tt.open(s)
 		if werr := tb.workload(); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
 			t.Fatalf("crashAt=%d: workload: %v", crashAt, werr)
 		}
 		// Heal before Close: a crash mid-outage-phase must not wedge the
 		// final write-behind drain behind a dead backend.
 		mock.SetError(nil)
-		tb.sess.Close()
-		if cerr := s.Close(); cerr == nil && !fault.Crashed() {
+		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
 			tt.promote()
 		}
 	}

@@ -51,7 +51,7 @@ func (tt *torture) observeDrops() {
 // (an already-expired put is invisible to Get, so reading back would fail).
 func (tt *torture) putTTL(key, val string, expiresAt uint64) {
 	h := tt.histOf(key)
-	ver := tt.s.PutTTL(h.worker, []byte(key), []value.ColPut{{Col: 0, Data: []byte(val)}}, expiresAt)
+	ver := tt.sess[h.worker].PutTTL([]byte(key), []value.ColPut{{Col: 0, Data: []byte(val)}}, expiresAt)
 	h.states = append(h.states, kvState{ver: ver, data: val})
 	h.dropped = false
 }
@@ -177,7 +177,7 @@ func runTortureCache(t *testing.T, crashAt int) (ops int, crashed bool) {
 			t.Fatalf("crashAt=%d: open: %v", crashAt, err)
 		}
 	} else {
-		tt.s = s
+		tt.open(s)
 		if werr := tt.cacheWorkload(); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
 			t.Fatalf("crashAt=%d: workload: %v", crashAt, werr)
 		}
@@ -188,7 +188,7 @@ func runTortureCache(t *testing.T, crashAt int) (ops int, crashed bool) {
 				t.Fatalf("cache workload under-exercised the policy: %+v", st)
 			}
 		}
-		if cerr := s.Close(); cerr == nil && !fault.Crashed() {
+		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
 			tt.promote()
 		}
 	}

@@ -31,12 +31,13 @@ import (
 func (tt *torture) putW(worker int, key string, puts ...value.ColPut) {
 	h := tt.histOf(key)
 	h.worker = worker
-	ver := tt.s.Put(worker, []byte(key), puts)
-	cols, ok := tt.s.Get([]byte(key), nil)
+	ss := tt.sess[worker]
+	ver := ss.Put([]byte(key), puts)
+	v, ok := ss.GetValue([]byte(key))
 	if !ok {
 		fatalDump(tt.t, tt.s, "key %q vanished right after put", key)
 	}
-	h.states = append(h.states, kvState{ver: ver, data: joinCols(cols)})
+	h.states = append(h.states, kvState{ver: ver, data: joinCols(v.Cols())})
 	h.dropped = false
 }
 
@@ -44,7 +45,7 @@ func (tt *torture) putW(worker int, key string, puts ...value.ColPut) {
 func (tt *torture) removeW(worker int, key string) {
 	h := tt.histOf(key)
 	h.worker = worker
-	if tt.s.Remove(worker, []byte(key)) {
+	if tt.sess[worker].Remove([]byte(key)) {
 		h.states = append(h.states, kvState{tomb: true})
 	}
 }
@@ -142,6 +143,8 @@ func (tt *torture) verifyVanished(img *vfs.MemFS, vanished int, label string) {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
 	defer r.Close()
+	rs := r.Session(0)
+	defer rs.Close()
 	stats := r.RecoveryStats()
 	rolledBack := false
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
@@ -169,7 +172,7 @@ func (tt *torture) verifyVanished(img *vfs.MemFS, vanished int, label string) {
 		return true
 	})
 	for k, h := range tt.hist {
-		if _, ok := r.Get([]byte(k), nil); ok {
+		if _, ok := rs.GetValue([]byte(k)); ok {
 			continue
 		}
 		if h.acked < 0 || h.dropped {
@@ -211,11 +214,11 @@ func runTortureMultiWriter(t *testing.T, crashAt, workers int) (ops int, crashed
 			t.Fatalf("crashAt=%d: open: %v", crashAt, err)
 		}
 	} else {
-		tt.s = s
+		tt.open(s)
 		if werr := tt.workloadMultiWriter(); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
 			t.Fatalf("crashAt=%d: workload: %v", crashAt, werr)
 		}
-		if cerr := s.Close(); cerr == nil && !fault.Crashed() {
+		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
 			tt.promote()
 		}
 	}

@@ -51,6 +51,7 @@ type torture struct {
 	mem     *vfs.MemFS
 	fault   *vfs.Fault
 	s       *Store
+	sess    []*Session // one per simulated worker
 	hist    map[string]*keyHist
 	workers int
 	parts   int
@@ -76,6 +77,23 @@ func joinCols(cols [][]byte) string {
 	return strings.Join(parts, "|")
 }
 
+// open starts the workload on s with one session per simulated worker.
+func (tt *torture) open(s *Store) {
+	tt.s = s
+	tt.sess = make([]*Session, tt.workers)
+	for w := range tt.sess {
+		tt.sess[w] = s.Session(w)
+	}
+}
+
+// close closes the workers' sessions, then the store.
+func (tt *torture) close() error {
+	for _, ss := range tt.sess {
+		ss.Close()
+	}
+	return tt.s.Close()
+}
+
 func (tt *torture) histOf(key string) *keyHist {
 	h := tt.hist[key]
 	if h == nil {
@@ -90,12 +108,13 @@ func (tt *torture) histOf(key string) *keyHist {
 
 func (tt *torture) put(key string, puts ...value.ColPut) {
 	h := tt.histOf(key)
-	ver := tt.s.Put(h.worker, []byte(key), puts)
-	cols, ok := tt.s.Get([]byte(key), nil)
+	ss := tt.sess[h.worker]
+	ver := ss.Put([]byte(key), puts)
+	v, ok := ss.GetValue([]byte(key))
 	if !ok {
 		fatalDump(tt.t, tt.s, "key %q vanished right after put", key)
 	}
-	h.states = append(h.states, kvState{ver: ver, data: joinCols(cols)})
+	h.states = append(h.states, kvState{ver: ver, data: joinCols(v.Cols())})
 	h.dropped = false // present again, whatever a maintenance pass did before
 }
 
@@ -111,8 +130,7 @@ func (tt *torture) putSimple(key, val string) {
 // twice must read it in between. A get is held to the state the model says
 // it follows, which is the frame-order contract.
 func (tt *torture) frame(worker int, ops ...frameOp) {
-	sess := tt.s.Session(worker)
-	defer sess.Close()
+	sess := tt.sess[worker]
 	res := runFrame(sess, ops)
 	for i, op := range ops {
 		h := tt.histOf(op.key)
@@ -138,11 +156,11 @@ func (tt *torture) frame(worker int, ops ...frameOp) {
 			st.data, read = res[j].data, true
 		}
 		if !read {
-			cols, ok := tt.s.Get([]byte(op.key), nil)
+			v, ok := sess.GetValue([]byte(op.key))
 			if !ok {
 				fatalDump(tt.t, tt.s, "key %q vanished right after its frame", op.key)
 			}
-			st.data = joinCols(cols)
+			st.data = joinCols(v.Cols())
 		}
 		h.states = append(h.states, st)
 		h.dropped = false
@@ -151,7 +169,7 @@ func (tt *torture) frame(worker int, ops ...frameOp) {
 
 func (tt *torture) remove(key string) {
 	h := tt.histOf(key)
-	if tt.s.Remove(h.worker, []byte(key)) {
+	if tt.sess[h.worker].Remove([]byte(key)) {
 		h.states = append(h.states, kvState{tomb: true})
 	}
 }
@@ -267,6 +285,8 @@ func (tt *torture) verify(img *vfs.MemFS, label string) {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
 	defer r.Close()
+	rs := r.Session(0)
+	defer rs.Close()
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
 		h := tt.hist[string(k)]
 		if h == nil {
@@ -293,7 +313,7 @@ func (tt *torture) verify(img *vfs.MemFS, label string) {
 		return true
 	})
 	for k, h := range tt.hist {
-		if _, ok := r.Get([]byte(k), nil); ok {
+		if _, ok := rs.GetValue([]byte(k)); ok {
 			continue
 		}
 		if h.acked < 0 {
@@ -343,12 +363,12 @@ func runTorture(t *testing.T, crashAt, workers, parts int) (ops int, crashed boo
 			t.Fatalf("crashAt=%d: open: %v", crashAt, err)
 		}
 	} else {
-		tt.s = s
+		tt.open(s)
 		if werr := tt.workload(); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
 			t.Fatalf("crashAt=%d: workload: %v", crashAt, werr)
 		}
 		// Close is part of the tortured op stream too (flushes and marks).
-		if cerr := s.Close(); cerr == nil && !fault.Crashed() {
+		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
 			tt.promote() // clean shutdown acknowledges everything
 		}
 	}

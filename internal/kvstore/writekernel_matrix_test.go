@@ -92,8 +92,8 @@ func (v visible) String() string {
 	return fmt.Sprintf("{found=%v cols=%q expiry=%d version=%d}", v.found, v.cols, v.expiry, v.version)
 }
 
-func see(s *Store, key []byte) visible {
-	v, ok := s.GetValue(key)
+func see(ss *Session, key []byte) visible {
+	v, ok := ss.GetValue(key)
 	if !ok {
 		return visible{}
 	}
@@ -140,21 +140,22 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 2)
 	key, bystander := []byte("k"), []byte("x")
 	future := nowNanos() + uint64(time.Hour)
 	baseCols := []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}
 	var baseVer uint64
 	switch c.base {
 	case sameWorkerBase:
-		baseVer = s.Put(0, key, baseCols)
+		baseVer = ss[0].Put(key, baseCols)
 	case otherWorkerBase:
-		baseVer = s.Put(1, key, baseCols)
+		baseVer = ss[1].Put(key, baseCols)
 	case expiredBase:
-		baseVer = s.PutTTL(0, key, baseCols, nowNanos()-1)
+		baseVer = ss[0].PutTTL(key, baseCols, nowNanos()-1)
 	}
-	xVer := s.PutSimple(0, bystander, []byte("x-old"))
+	xVer := ss[0].PutSimple(bystander, []byte("x-old"))
 	s.ttlUsed.Store(false) // the expired base armed it; the cell must arm it itself
-	before := see(s, key)
+	before := see(ss[0], key)
 	if live := c.base == sameWorkerBase || c.base == otherWorkerBase; before.found != live {
 		t.Fatalf("base set-up: key visible = %v", before.found)
 	}
@@ -168,16 +169,16 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	var batchVers []uint64
 	switch c.entry {
 	case "Put":
-		ver, ok = s.Put(0, key, n0), true
+		ver, ok = ss[0].Put(key, n0), true
 	case "PutTTL":
-		ver, ok, wantTTL = s.PutTTL(0, key, n0, future), true, future
+		ver, ok, wantTTL = ss[0].PutTTL(key, n0, future), true, future
 	case "Touch":
-		ver, ok = s.Touch(0, key, future)
+		ver, ok = ss[0].Touch(key, future)
 		wantTTL = future
 	case "CasPutHit":
-		ver, ok = s.CasPut(0, key, before.version, n0)
+		ver, ok = ss[0].CasPut(key, before.version, n0)
 	case "CasPutMiss":
-		ver, ok = s.CasPut(0, key, before.version+1, n0)
+		ver, ok = ss[0].CasPut(key, before.version+1, n0)
 		if ver != before.version {
 			t.Errorf("conflict reports current version %d, want the visible %d", ver, before.version)
 		}
@@ -185,10 +186,9 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		got := s.installLoaded(0, key, [][]byte{[]byte("L0"), []byte("L1")}, future)
 		ver, ok, wantTTL = got.Version(), got.Version() != before.version, future
 	case "PutBatchInto":
-		var sc BatchScratch
-		vers := s.PutBatchInto(0, [][]byte{key, bystander, key}, [][]value.ColPut{
+		vers := ss[0].PutBatchInto([][]byte{key, bystander, key}, [][]value.ColPut{
 			n0, {{Col: 0, Data: []byte("x-new")}}, {{Col: 2, Data: []byte("d2")}},
-		}, &sc)
+		})
 		batchVers = append(batchVers, vers...)
 		ver, ok = batchVers[0], true
 	default:
@@ -198,7 +198,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		t.Fatalf("applied = %v, want %v", ok, c.applied)
 	}
 
-	after := see(s, key)
+	after := see(ss[0], key)
 	if !c.applied {
 		if after != before {
 			t.Errorf("a declined write changed the key: %v -> %v", before, after)
@@ -227,7 +227,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	if got, want := s.ttlUsed.Load(), c.applied && wantTTL != 0; got != want {
 		t.Errorf("ttlUsed = %v, want %v", got, want)
 	}
-	xAfter := see(s, bystander)
+	xAfter := see(ss[0], bystander)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +281,14 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	rs := sessions(t, r, 1)[0]
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}
-	if got := see(r, key); got != after {
+	if got := see(rs, key); got != after {
 		t.Errorf("recovered %v, live store had %v", got, after)
 	}
-	if got := see(r, bystander); got != xAfter {
+	if got := see(rs, bystander); got != xAfter {
 		t.Errorf("recovered bystander %v, live store had %v", got, xAfter)
 	}
 }

@@ -21,9 +21,10 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := sessions(t, s, 1)[0]
 	key := []byte("k")
 	deadline := nowNanos() + uint64(time.Hour)
-	baseVer := s.PutTTL(0, key, []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}, deadline)
+	baseVer := ss.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}, deadline)
 	reads := 0
 	s.now = func() int64 {
 		if reads++; reads == 1 {
@@ -31,11 +32,11 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 		}
 		return int64(deadline) + 1
 	}
-	ver, ok := s.CasPut(0, key, baseVer, col0("n0"))
+	ver, ok := ss.CasPut(key, baseVer, col0("n0"))
 	if reads != 1 {
 		t.Errorf("the step read the clock %d times, want once", reads)
 	}
-	after := see(s, key) // the new value carries no expiry, so the wall clock sees it
+	after := see(ss, key) // the new value carries no expiry, so the wall clock sees it
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -68,27 +69,27 @@ func TestWriteKernelClockReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	ss := sessions(t, s, 1)[0]
 	reads := 0
 	s.now = func() int64 { reads++; return time.Now().UnixNano() }
 	future := nowNanos() + uint64(time.Hour)
 	plain, ttl, absent := []byte("plain"), []byte("ttl"), []byte("absent")
 	reset := func() {
-		s.Put(0, plain, col0("p"))
-		s.PutTTL(0, ttl, col0("t"), future)
-		s.Remove(0, absent)
+		ss.Put(plain, col0("p"))
+		ss.PutTTL(ttl, col0("t"), future)
+		ss.Remove(absent)
 		reads = 0
 	}
 	entries := map[string]func(key []byte){
-		"Put":    func(key []byte) { s.Put(0, key, col0("x")) },
-		"PutTTL": func(key []byte) { s.PutTTL(0, key, col0("x"), future) },
-		"Touch":  func(key []byte) { s.Touch(0, key, future) },
-		"CasPut": func(key []byte) { s.CasPut(0, key, 1, col0("x")) },
+		"Put":    func(key []byte) { ss.Put(key, col0("x")) },
+		"PutTTL": func(key []byte) { ss.PutTTL(key, col0("x"), future) },
+		"Touch":  func(key []byte) { ss.Touch(key, future) },
+		"CasPut": func(key []byte) { ss.CasPut(key, 1, col0("x")) },
 		"installLoaded": func(key []byte) {
 			s.installLoaded(0, key, [][]byte{[]byte("x")}, future)
 		},
 		"PutBatchInto": func(key []byte) {
-			var sc BatchScratch
-			s.PutBatchInto(0, [][]byte{key}, [][]value.ColPut{col0("x")}, &sc)
+			ss.PutBatchInto([][]byte{key}, [][]value.ColPut{col0("x")})
 		},
 	}
 	for name, run := range entries {

@@ -177,8 +177,9 @@ func TestAdminFlightRecorder(t *testing.T) {
 	}
 	defer store.Close()
 	srv := New(store, 1)
+	sess := session(t, store)
 	for i := 0; i < 256; i++ {
-		store.PutSimple(0, []byte(fmt.Sprintf("fr-key-%04d", i)), make([]byte, 128))
+		sess.PutSimple([]byte(fmt.Sprintf("fr-key-%04d", i)), make([]byte, 128))
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for store.CacheStats().Evictions == 0 {

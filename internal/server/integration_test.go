@@ -115,11 +115,12 @@ func TestIntegrationYCSBOverNetwork(t *testing.T) {
 	if store2.Len() != records {
 		t.Fatalf("recovered %d records, want %d", store2.Len(), records)
 	}
+	sess := session(t, store2)
 	for i := uint64(0); i < records; i++ {
 		key, _ := ycsb.LoadRecord(i)
-		cols, ok := store2.Get(key, nil)
-		if !ok || len(cols) != ycsb.NumColumns {
-			t.Fatalf("record %d damaged after recovery: ok=%v cols=%d", i, ok, len(cols))
+		v, ok := sess.GetValue(key)
+		if !ok || v.NumCols() != ycsb.NumColumns {
+			t.Fatalf("record %d damaged after recovery: ok=%v cols=%d", i, ok, v.NumCols())
 		}
 	}
 }
@@ -189,11 +190,12 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
+	sess := session(t, store2)
 	for w := range truth {
 		for k, v := range truth[w] {
-			got, ok := store2.Get([]byte(k), nil)
-			if !ok || string(got[0]) != v {
-				t.Fatalf("key %q = %q,%v want %q after recovery (%d checkpoints ran)", k, got, ok, v, ckpts)
+			got, ok := sess.GetValue([]byte(k))
+			if !ok || string(got.Col(0)) != v {
+				t.Fatalf("key %q = %q,%v want %q after recovery (%d checkpoints ran)", k, got.Col(0), ok, v, ckpts)
 			}
 		}
 	}
@@ -217,7 +219,7 @@ func TestIntegrationValueColumnsAtomicOverNetwork(t *testing.T) {
 	}()
 
 	key := []byte("pair")
-	store.Put(0, key, []value.ColPut{{Col: 0, Data: []byte("0")}, {Col: 1, Data: []byte("0")}})
+	session(t, store).Put(key, []value.ColPut{{Col: 0, Data: []byte("0")}, {Col: 1, Data: []byte("0")}})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -50,9 +50,10 @@ func TestMixedFrameOrder(t *testing.T) {
 func testMixedFrameOrder(t *testing.T) {
 	srv, addr := startServer(t, "")
 	c := dialConn(t, addr)
-	srv.store.PutSimple(0, []byte("j"), []byte("j-old"))
-	srv.store.Put(0, []byte("record"), []wire.ColData{cd(0, "a"), cd(1, "b"), cd(2, "c")})
-	srv.store.PutTTL(0, []byte("lapsed"), []wire.ColData{cd(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
+	sess := session(t, srv.store)
+	sess.PutSimple([]byte("j"), []byte("j-old"))
+	sess.Put([]byte("record"), []wire.ColData{cd(0, "a"), cd(1, "b"), cd(2, "c")})
+	sess.PutTTL([]byte("lapsed"), []wire.ColData{cd(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
 
 	resps, err := c.Do([]wire.Request{
 		put("k", cd(0, "v1")), get("k"), put("k", cd(0, "v2")), get("k"),

@@ -27,7 +27,7 @@
 // is already in cache. Every other opcode is a barrier, executed alone.
 // Operations of one segment on different keys take effect in no particular
 // order; operations on one key take effect in frame order (see
-// kvstore.Store.PointBatchInto and the wire package comment).
+// kvstore.Session.PointBatchInto and the wire package comment).
 // The request path is built for steady-state zero allocation: each
 // connection owns a connScratch whose wire decode buffers, response slice,
 // and column/pair/range arenas are retained across messages, and decoded
@@ -651,6 +651,8 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 	stats := []obs.Stat{
 		{Name: "keys", Value: int64(s.store.Len())},
 		{Name: "splits", Value: st.Splits},
+		{Name: "run_splits", Value: st.RunSplits},
+		{Name: "twig_creations", Value: st.TwigCreations},
 		{Name: "layer_creations", Value: st.LayerCreations},
 		{Name: "layer_collapses", Value: st.LayerCollapses},
 		{Name: "node_deletes", Value: st.NodeDeletes},

@@ -38,6 +38,14 @@ func startServer(t *testing.T, dir string) (*Server, string) {
 	return srv, srv.Addr().String()
 }
 
+// session opens a worker-0 session for a test's direct access to store,
+// closed when the test ends.
+func session(t testing.TB, store *kvstore.Store) *kvstore.Session {
+	ss := store.Session(0)
+	t.Cleanup(ss.Close)
+	return ss
+}
+
 func TestEndToEnd(t *testing.T) {
 	_, addr := startServer(t, "")
 	c := dialConn(t, addr, client.WithWindow(1))
@@ -243,7 +251,7 @@ func TestConnectionWithoutHelloIsClosed(t *testing.T) {
 			t.Fatalf("%s: read %d bytes (%v), want the connection closed unanswered", name, n, err)
 		}
 	}
-	if _, ok := srv.store.GetValue([]byte("legacy")); ok {
+	if _, ok := session(t, srv.store).GetValue([]byte("legacy")); ok {
 		t.Fatal("the untagged put was executed")
 	}
 	c := dialConn(t, addr)

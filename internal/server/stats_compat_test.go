@@ -2,10 +2,13 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	"repro/internal/backend"
 	"repro/internal/client"
@@ -13,6 +16,44 @@ import (
 	"repro/internal/vfs"
 	"repro/internal/wire"
 )
+
+// TestStatsCoverTreeCounters walks core.StatsSnapshot by reflection: every
+// tree counter must reach the stats surface — the wire stats op, /metrics
+// and /varz all render collectStats — under its snake_case name and with
+// the store's value, so a counter added to core cannot be left unexported.
+func TestStatsCoverTreeCounters(t *testing.T) {
+	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	sess := session(t, store)
+	for i := 0; i < 100; i++ { // an ascending run: splits and run splits
+		sess.PutSimple([]byte(fmt.Sprintf("key%03d", i)), []byte("v"))
+	}
+	stats, _ := New(store, 1).collectStats()
+	got := map[string]int64{}
+	for _, st := range stats {
+		got[st.Name] = st.Value
+	}
+	snap := reflect.ValueOf(store.Stats())
+	for i := 0; i < snap.NumField(); i++ {
+		field := snap.Type().Field(i).Name
+		var name strings.Builder
+		for j, r := range field {
+			if unicode.IsUpper(r) && j > 0 {
+				name.WriteByte('_')
+			}
+			name.WriteRune(unicode.ToLower(r))
+		}
+		v, ok := got[name.String()]
+		if !ok {
+			t.Errorf("core.StatsSnapshot.%s has no stat key %q", field, name.String())
+		} else if want := snap.Field(i).Int(); v != want {
+			t.Errorf("stat %q = %d, core.StatsSnapshot.%s = %d", name.String(), v, field, want)
+		}
+	}
+}
 
 // numericExceptFlushLastError fails t unless every stat but
 // flush_last_error — the one that carries an error's text — is a base-10
@@ -56,7 +97,7 @@ func TestFlushLastErrorInStats(t *testing.T) {
 
 	// Latch a flush failure: CrashAt resets the boundary counter, so arming
 	// at 1 makes the very next filesystem op (the flush's write) fail.
-	store.PutSimple(0, []byte("k"), []byte("v"))
+	session(t, store).PutSimple([]byte("k"), []byte("v"))
 	fault.CrashAt(1)
 	if err := store.Flush(); err == nil {
 		t.Fatal("flush unexpectedly succeeded")
@@ -126,14 +167,15 @@ func TestFlushBufferDropsStat(t *testing.T) {
 		}
 		return n
 	}
-	store.PutSimple(0, []byte("small"), []byte("v"))
+	sess := session(t, store)
+	sess.PutSimple([]byte("small"), []byte("v"))
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if n := drops(); n != 0 {
 		t.Fatalf("flush_buffer_drops = %d after a small put, want 0", n)
 	}
-	store.PutSimple(0, []byte("huge"), make([]byte, 2<<20))
+	sess.PutSimple([]byte("huge"), make([]byte, 2<<20))
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}

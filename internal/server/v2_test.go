@@ -413,10 +413,11 @@ func TestLargestWireValueRoundTrips(t *testing.T) {
 	if ver, err := c.Put([]byte("refused"), []wire.ColData{{Col: lastCol + 1, Data: []byte("y")}}); err == nil {
 		t.Fatalf("Conn.Put to column %d: version %d and no error", lastCol+1, ver)
 	}
-	if _, ok := srv.store.GetValue([]byte("refused")); ok {
+	sess := session(t, srv.store)
+	if _, ok := sess.GetValue([]byte("refused")); ok {
 		t.Fatalf("a put to column %d was stored", lastCol+1)
 	}
-	if v, ok := srv.store.GetValue([]byte("before")); !ok || string(v.Col(0)) != "served" {
+	if v, ok := sess.GetValue([]byte("before")); !ok || string(v.Col(0)) != "served" {
 		t.Fatal("the request before the refused one was not served")
 	}
 
