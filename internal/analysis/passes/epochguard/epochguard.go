@@ -12,8 +12,8 @@
 // functions from possibly-unpinned states are themselves flagged, which
 // makes the contract transitive.
 //
-// Tree reads are method calls named Get, GetBatch, GetBatchInto, BatchInto,
-// Prefetch, Scan, ScanInto, ScanNInto, or GetRange on a type named Tree; pins are
+// Tree reads are method calls named Get, GetBatchInto, BatchInto, Prefetch,
+// Scan, ScanInto or ScanNInto on a type named Tree; pins are
 // Enter/Exit on a type named Handle. Function literals are not analyzed
 // (they run at an unknown time); tree reads inside them must live in a
 // named, annotated function.
@@ -36,8 +36,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 var treeReads = map[string]bool{
-	"Get": true, "GetBatch": true, "GetBatchInto": true, "BatchInto": true, "Prefetch": true,
-	"Scan": true, "ScanInto": true, "ScanNInto": true, "GetRange": true,
+	"Get": true, "GetBatchInto": true, "BatchInto": true, "Prefetch": true,
+	"Scan": true, "ScanInto": true, "ScanNInto": true,
 }
 
 func run(pass *analysis.Pass) {

@@ -1,6 +1,6 @@
 // Package a is the walchain golden fixture: a miniature of the kvstore's
 // write kernel with the real one's names (tree write methods
-// Update/Apply/PutBatchInto taking func literals, a step method that alone
+// Update/PutBatchInto taking func literals, a step method that alone
 // calls nextVersion and returns a writeResult, a logWrite method that alone
 // appends put records, a worker lock named lockWorker, and WAL types named
 // Writer and Batch), exercising the clean kernel and every diagnostic.
@@ -23,7 +23,6 @@ type ColPut struct {
 type Tree struct{}
 
 func (t *Tree) Update(key []byte, f func(*Value) *Value)               {}
-func (t *Tree) Apply(key []byte, f func(*Value) *Value)                {}
 func (t *Tree) PutBatchInto(keys [][]byte, f func(int, *Value) *Value) {}
 
 type Writer struct{}
@@ -97,7 +96,7 @@ func (s *Store) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []write
 func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
-	s.tree.Apply(key, func(old *Value) *Value {
+	s.tree.Update(key, func(old *Value) *Value {
 		r = s.step(worker, op, old)
 		return r.nv
 	})
@@ -164,7 +163,7 @@ func (s *Store) badNoLock(worker int, keys [][]byte, puts [][]ColPut, sc *scratc
 // badLockAfter takes the worker lock only after the append.
 func (s *Store) badLockAfter(worker int, key []byte, op writeOp) {
 	var r writeResult
-	s.tree.Apply(key, func(old *Value) *Value {
+	s.tree.Update(key, func(old *Value) *Value {
 		r = s.step(worker, op, old)
 		return r.nv
 	})

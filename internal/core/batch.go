@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"slices"
 	"unsafe"
 
@@ -43,24 +42,11 @@ func (c *waveCursor) hint() borderHint {
 	return borderHint{n: c.n.border(), off: c.off}
 }
 
-// GetBatch looks up many keys in one call — the paper's PALM-inspired
+// GetBatchInto looks up many keys in one call — the paper's PALM-inspired
 // batched lookup (§4.8), which exists to overlap the DRAM fetches of
-// different keys' descents. See BatchInto for how.
-//
-// Results are returned in input order: vals[i], found[i] correspond to
-// keys[i]. GetBatch allocates its result slices; hot paths should hold a
-// BatchScratch and call GetBatchInto instead.
-func (t *Tree) GetBatch(keys [][]byte) (vals []*value.Value, found []bool) {
-	vals = make([]*value.Value, len(keys))
-	found = make([]bool, len(keys))
-	var sc BatchScratch
-	t.GetBatchInto(keys, vals, found, &sc)
-	return vals, found
-}
-
-// GetBatchInto is GetBatch writing into caller-provided slices (which must
-// have len(keys) elements) and scratch; it performs no allocations. It is
-// BatchInto with no put among the keys.
+// different keys' descents — writing vals[i], found[i] for keys[i] into
+// caller-provided slices (which must have len(keys) elements) and scratch;
+// it performs no allocations. It is BatchInto with no put among the keys.
 //
 //masstree:noalloc
 func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc *BatchScratch) {
@@ -93,7 +79,7 @@ func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc
 //
 // apply is called once per put, under the owning border node's lock, with
 // the key's original batch index and its current value (nil if absent), and
-// returns the value to store — exactly Apply's contract (§4.7): returning
+// returns the value to store — exactly Update's contract (§4.7): returning
 // nil declines the write and leaves the key untouched (conditional puts),
 // so multi-column puts stay atomic and version assignment or version
 // comparison can happen under the lock (§5). Puts of one key are applied in
@@ -163,25 +149,27 @@ func (t *Tree) Prefetch(keys [][]byte, sc *BatchScratch) {
 const waveWidth = 16
 
 // A waveCursor is one key's place in its descent. Between rounds n is a
-// node that has been asked for (prefetchNode) but not yet looked at.
+// node that has been asked for (prefetchNode) but not yet looked at; in
+// waveSlot, kl, val, bag and slot are what readSlot read at the border n the
+// descent ended at, validated, whose targets have been asked for too.
 type waveCursor struct {
-	n     *nodeHeader    // the node to examine next
+	n     *nodeHeader    // the node to examine next; waveSlot: the border
 	p     *nodeHeader    // n's parent; nil when n is a layer's root
 	pv    uint64         // p's version as validated when n was chosen
 	slice uint64         // key[off:]'s leading slice
 	off   int            // bytes of the key consumed by the layers above n
-	val   unsafe.Pointer // the *value.Value found (waveSuffix, waveFound); waveTwig: the *twig
-	bag   *byte          // waveSuffix: the bag holding the slot's suffix
-	slot  uint8          // waveSuffix: the slot
+	val   unsafe.Pointer // waveSlot: the slot's lv; waveFound: the *value.Value
+	bag   *byte          // waveSlot: the bag holding a suffix key's suffix
+	slot  uint8          // waveSlot: the slot
 	state waveState
+	kl    uint32 // waveSlot: the slot's key length
 }
 
 type waveState uint8
 
 const (
 	waveDescend waveState = iota // n is to be examined
-	waveSuffix                   // slice matched; the suffix is still to be compared
-	waveTwig                     // slice matched a twig, still to be searched
+	waveSlot                     // the key's slot is found; it is to be looked up in
 	// The states from waveFound on are final: the wave is done with the cursor.
 	waveFound    // val is the key's value
 	waveAbsent   // the key is not in the tree
@@ -193,6 +181,8 @@ const (
 // prefetching the node it chose, so a node's lines arrive while the other
 // keys take their turn — §4.2's one-round-trip node fetch and §4.8's
 // overlapped lookups. A lone Get waits out every level's miss in sequence.
+// The round after a cursor's hop found its slot, the key is looked up there
+// (lookup), in the suffix key or twig asked for a round before.
 //
 // Each key is validated by exactly the version pairs Get and findBorder
 // check, in the same order, only with more time between a pair's two loads
@@ -200,7 +190,7 @@ const (
 // a key the wave resolves is linearizable for the reason a Get is. Where
 // Get would wait or retry, the wave does neither: the cursor is marked
 // waveFallback. It never spins, never chases next, never repairs a stale
-// root. Cursors are left as they end; a stale one keeps a few nodes
+// link. Cursors are left as they end; a stale one keeps a few nodes
 // reachable until the scratch's next batch and is never read again (every
 // wave begins by overwriting the cursors it uses).
 //
@@ -216,16 +206,17 @@ func (t *Tree) wave(keys [][]byte, cur *[waveWidth]waveCursor) {
 			switch c.state {
 			case waveDescend:
 				t.hop(c, k)
-			case waveSuffix:
-				// The bag is immutable and the validated snapshot said which
-				// of its suffixes is this slot's; it was prefetched a round ago.
-				if bytes.Equal(bagAt(c.bag).suffix(int(c.slot)), k[c.off+8:]) {
-					c.state = waveFound
-				} else {
-					c.val, c.state = nil, waveAbsent
+			case waveSlot:
+				v, tw, _, found := lookup(c.kl, c.val, c.bag, int(c.slot), k[c.off:])
+				c.val, c.state = unsafe.Pointer(v), waveFound
+				switch {
+				case !found:
+					c.state = waveAbsent
+				case tw != nil:
+					// A twig key's value is known only now; the others' were
+					// asked for with the slot.
+					prefetchLine(c.val)
 				}
-			case waveTwig:
-				hopTwig(c, k[c.off+8:])
 			default:
 				continue
 			}
@@ -237,16 +228,30 @@ func (t *Tree) wave(keys [][]byte, cur *[waveWidth]waveCursor) {
 }
 
 // hop examines c.n — one iteration of findBorder's loop, or, at a border,
-// the body of Get's — and leaves c at the next node, or finished.
+// the body of Get's — and leaves c at the next node, at the key's slot, or
+// finished.
 //
 //masstree:noalloc
 func (t *Tree) hop(c *waveCursor, key []byte) {
 	h := c.n
 	v := h.version.Load()
 	// The child's version is loaded before the parent's is re-checked
-	// (Figure 6); a layer's root has no parent and must still be a root.
-	if isDirty(v) || isDeleted(v) ||
-		(c.p != nil && changed(c.p.version.Load(), c.pv)) || (c.p == nil && !isRoot(v)) {
+	// (Figure 6).
+	if isDirty(v) || isDeleted(v) || (c.p != nil && changed(c.p.version.Load(), c.pv)) {
+		c.state = waveFallback
+		return
+	}
+	if c.p == nil && !isRoot(v) {
+		// A layer's root must still be a root. A split of it leaves the link
+		// in the layer above pointing at its left half until a writer or a
+		// Get repairs it (§4.6.4); follow the parents up as findBorder does,
+		// storing nothing, and examine what that reached as the root next
+		// round.
+		if r := ascendToRoot(h); r != h {
+			prefetchNode(unsafe.Pointer(r))
+			c.n = r
+			return
+		}
 		c.state = waveFallback
 		return
 	}
@@ -271,16 +276,8 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 		bag  *byte
 	)
 	if found {
-		// Get's keylens bracket around lv and the bag pointer.
 		slot = perm.slot(rank)
-		kl = n.keylen(slot)
-		lvp = n.loadLV(slot)
-		if kl == klSuffix {
-			bag = n.suffixes.Load()
-		}
-		if n.keylen(slot) != kl {
-			kl = klUnstable
-		}
+		kl, lvp, bag = n.readSlot(slot)
 	}
 	switch {
 	case changed(h.version.Load(), v) || kl == klUnstable:
@@ -288,36 +285,22 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 	case !found:
 		c.state = waveAbsent
 	case kl == klLayer:
-		// Re-enter at the layer's root, not yet looked at: if a root split
-		// has left the stored pointer stale the next hop sees a non-root
-		// and leaves the repair to Get.
+		// Enter the layer at the root the link names, not yet looked at.
 		layer := (*nodeHeader)(lvp)
 		prefetchNode(unsafe.Pointer(layer))
 		c.n, c.p, c.off, c.slice = layer, nil, c.off+8, keySlice(k[8:])
-	case kl == klTwig:
-		// The descent ends here, at the border a put of the key locks (hint).
-		prefetchTwig(lvp)
-		c.val, c.state = lvp, waveTwig
-	case kl == klSuffix:
-		prefetchLine(unsafe.Pointer(bag))
-		prefetchLine(lvp)
-		c.val, c.bag, c.slot, c.state = lvp, bag, uint8(slot), waveSuffix
-	default: // keylen 0..8: the whole remaining key is inline
-		prefetchLine(lvp)
-		c.val, c.state = lvp, waveFound
-	}
-}
-
-// hopTwig is the wave's round at a twig, asked for a round ago: Get's
-// search of it for rem, what follows the slot's slice in the key. The twig
-// came from a validated snapshot and its keys never change.
-//
-//masstree:noalloc
-func hopTwig(c *waveCursor, rem []byte) {
-	if v, ok := (*twig)(c.val).get(rem); ok {
-		c.val, c.state = unsafe.Pointer(v), waveFound
-		prefetchLine(c.val)
-	} else {
-		c.val, c.state = nil, waveAbsent
+	default:
+		// The descent ends here, at the border a put of the key locks
+		// (hint); ask for what lookup will read: the twig, or the value and
+		// a suffix key's bag.
+		if kl == klTwig {
+			prefetchTwig(lvp)
+		} else {
+			prefetchLine(lvp)
+		}
+		if bag != nil {
+			prefetchLine(unsafe.Pointer(bag))
+		}
+		c.kl, c.val, c.bag, c.slot, c.state = kl, lvp, bag, uint8(slot), waveSlot
 	}
 }

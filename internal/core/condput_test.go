@@ -7,13 +7,13 @@ import (
 	"repro/internal/value"
 )
 
-// Apply returning nil must leave the tree untouched: no phantom insert for
+// Update returning nil must leave the tree untouched: no phantom insert for
 // absent keys, no replacement for present ones.
 func TestApplyDecline(t *testing.T) {
 	tr := New()
 
 	// Decline on an absent key: nothing is inserted.
-	old, stored := tr.Apply([]byte("missing"), func(old *value.Value) *value.Value {
+	old, stored := tr.Update([]byte("missing"), func(old *value.Value) *value.Value {
 		if old != nil {
 			t.Fatalf("expected nil old for absent key")
 		}
@@ -31,13 +31,13 @@ func TestApplyDecline(t *testing.T) {
 
 	// Accept on an absent key: ordinary insert.
 	want := value.New([]byte("v1"))
-	_, stored = tr.Apply([]byte("k"), func(*value.Value) *value.Value { return want })
+	_, stored = tr.Update([]byte("k"), func(*value.Value) *value.Value { return want })
 	if stored != want || tr.Len() != 1 {
 		t.Fatalf("accepting apply did not insert (stored=%v len=%d)", stored, tr.Len())
 	}
 
 	// Decline on a present key: the value survives and old is reported.
-	old, stored = tr.Apply([]byte("k"), func(old *value.Value) *value.Value {
+	old, stored = tr.Update([]byte("k"), func(old *value.Value) *value.Value {
 		if old != want {
 			t.Fatalf("apply saw old=%v", old)
 		}
@@ -58,14 +58,14 @@ func TestApplyDeclineLongKeys(t *testing.T) {
 	long := []byte("a-key-longer-than-eight-bytes")
 	v := value.New([]byte("x"))
 	tr.Put(long, v)
-	old, stored := tr.Apply(long, func(*value.Value) *value.Value { return nil })
+	old, stored := tr.Update(long, func(*value.Value) *value.Value { return nil })
 	if old != v || stored != nil {
 		t.Fatalf("decline on suffix key: old=%v stored=%v", old, stored)
 	}
 	// Declining a different long key that shares the 8-byte prefix must not
 	// create a layer or insert anything.
 	other := []byte("a-key-longer-with-other-tail")
-	if _, stored := tr.Apply(other, func(*value.Value) *value.Value { return nil }); stored != nil {
+	if _, stored := tr.Update(other, func(*value.Value) *value.Value { return nil }); stored != nil {
 		t.Fatalf("decline stored %v", stored)
 	}
 	if _, ok := tr.Get(other); ok {
@@ -91,7 +91,7 @@ func TestPutBatchIntoDecline(t *testing.T) {
 	// Batch over all keys, declining every odd (absent) key and accepting
 	// every even one with a replacement value.
 	applied := make([]bool, 64)
-	tr.PutBatch(keys, func(i int, old *value.Value) *value.Value {
+	tr.PutBatchInto(keys, new(BatchScratch), func(i int, old *value.Value) *value.Value {
 		if i%2 == 1 {
 			if old != nil {
 				t.Errorf("key %d: unexpected old value", i)

@@ -26,9 +26,10 @@ func Example() {
 	})
 
 	// Range query in key order.
-	for _, kv := range tr.GetRange([]byte("b"), 10) {
-		fmt.Printf("%s = %s\n", kv.Key, kv.Value.Bytes())
-	}
+	tr.Scan([]byte("b"), func(k []byte, v *value.Value) bool {
+		fmt.Printf("%s = %s\n", k, v.Bytes())
+		return true
+	})
 
 	tr.Remove([]byte("cherry"))
 	fmt.Println("keys left:", tr.Len())

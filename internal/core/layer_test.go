@@ -92,7 +92,7 @@ func TestRemoveCascadeThroughInteriors(t *testing.T) {
 		mustGet(t, tr, fmt.Sprintf("k%06d", i), "v")
 	}
 	// Scans stay correct across the removed gap.
-	got := tr.GetRange([]byte(fmt.Sprintf("k%06d", n/10-2)), 5)
+	got := getRange(tr, []byte(fmt.Sprintf("k%06d", n/10-2)), 5)
 	if len(got) != 5 {
 		t.Fatalf("range returned %d", len(got))
 	}
@@ -154,7 +154,7 @@ func TestQuickOpSequences(t *testing.T) {
 	}
 }
 
-// TestScanResumesAfterExactKey checks GetRange boundary semantics at layer
+// TestScanResumesAfterExactKey checks getrange boundary semantics at layer
 // boundaries: starting exactly at a key that is also a layer prefix.
 func TestScanResumesAfterExactKey(t *testing.T) {
 	tr := New()
@@ -164,7 +164,7 @@ func TestScanResumesAfterExactKey(t *testing.T) {
 	put(tr, "ABCDEFGA", "before")
 	put(tr, "ABCDEFGZ", "after")
 
-	got := tr.GetRange([]byte("ABCDEFGH"), 10)
+	got := getRange(tr, []byte("ABCDEFGH"), 10)
 	want := []string{"ABCDEFGH", "ABCDEFGHxx", "ABCDEFGHyy", "ABCDEFGZ"}
 	if len(got) != len(want) {
 		t.Fatalf("got %d pairs: %v", len(got), got)
@@ -175,7 +175,7 @@ func TestScanResumesAfterExactKey(t *testing.T) {
 		}
 	}
 	// Start strictly inside the layer.
-	got = tr.GetRange([]byte("ABCDEFGHxy"), 10)
+	got = getRange(tr, []byte("ABCDEFGHxy"), 10)
 	if len(got) != 2 || string(got[0].Key) != "ABCDEFGHyy" {
 		t.Fatalf("mid-layer start wrong: %v", got)
 	}

@@ -143,7 +143,7 @@ func checkRangeQueries(t *testing.T, rng *rand.Rand, tr *Tree, model map[string]
 			start = gens[rng.Intn(len(gens))]()
 		}
 		limit := 1 + rng.Intn(20)
-		got := tr.GetRange(start, limit)
+		got := getRange(tr, start, limit)
 		// Reference: first `limit` model keys >= start.
 		idx := sort.SearchStrings(keys, string(start))
 		want := keys[idx:]
@@ -151,14 +151,14 @@ func checkRangeQueries(t *testing.T, rng *rand.Rand, tr *Tree, model map[string]
 			want = want[:limit]
 		}
 		if len(got) != len(want) {
-			t.Fatalf("GetRange(%q,%d) returned %d pairs, want %d", start, limit, len(got), len(want))
+			t.Fatalf("getRange(%q,%d) returned %d pairs, want %d", start, limit, len(got), len(want))
 		}
 		for i := range got {
 			if string(got[i].Key) != want[i] {
-				t.Fatalf("GetRange(%q,%d)[%d] = %q, want %q", start, limit, i, got[i].Key, want[i])
+				t.Fatalf("getRange(%q,%d)[%d] = %q, want %q", start, limit, i, got[i].Key, want[i])
 			}
 			if !bytes.Equal(got[i].Value.Bytes(), []byte(model[want[i]])) {
-				t.Fatalf("GetRange value mismatch for %q", want[i])
+				t.Fatalf("getRange value mismatch for %q", want[i])
 			}
 		}
 	}

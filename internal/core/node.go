@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/value"
 )
 
 // width is the B+-tree fanout: keys per node (paper §4.2). The paper's nodes
@@ -112,6 +115,56 @@ type borderNode struct {
 // keylen returns slot's key length. Under the node lock it is exact; an
 // optimistic reader validates it like any other word of the node.
 func (n *borderNode) keylen(slot int) uint32 { return klAt(n.keylens.Load(), slot) }
+
+// readSlot is the one statement of §4.6.3's slot read: slot's key length,
+// its lv and — for a suffix key — the bag pointer, between two loads of the
+// keylens word. A slot whose lv changes kind (retype) is rewritten
+// keylen→UNSTABLE→lv→keylen→TWIG or LAYER without a version change, so
+// matching loads guarantee lv was consistent with the returned keylen, and
+// that the bag was published while the slot still held its suffix key (a
+// later rebuild drops that suffix); on a mismatch kl is klUnstable. An
+// optimistic reader still validates the node version afterwards; under the
+// node lock the two loads always match. It is written on the raw word so
+// that it inlines into Get and hop.
+func (n *borderNode) readSlot(slot int) (kl uint32, lv unsafe.Pointer, bag *byte) {
+	sh := 4 * uint(slot)
+	w := n.keylens.Load() >> sh & 0xf
+	lv = n.loadLV(slot)
+	if w == uint64(klSuffix) {
+		bag = n.suffixes.Load()
+	}
+	if n.keylens.Load()>>sh&0xf != w {
+		w = uint64(klUnstable)
+	}
+	return uint32(w), lv, bag
+}
+
+// lookup finds the key whose remainder at this layer is k in the slot that
+// readSlot read as (kl, lv, bag), which is neither a layer link nor unstable
+// and whose slice and length class k matched. It answers with the key's
+// value and, for a twig, the twig and the key's index j in it — where the
+// key is, or where it would be inserted. A suffix key or a twig's keys are
+// immutable, so whichever the reader's validated snapshot held answers for
+// the slot. found is false only when the slot holds other keys of the slice:
+// a suffix key that is not k, or a twig without it.
+//
+//masstree:noalloc
+func lookup(kl uint32, lv unsafe.Pointer, bag *byte, slot int, k []byte) (v *value.Value, tw *twig, j int, found bool) {
+	switch kl {
+	case klTwig:
+		tw = (*twig)(lv)
+		if j, found = tw.keys().search(k[8:]); found {
+			v = tw.value(j)
+		}
+		return v, tw, j, found
+	case klSuffix:
+		if !bytes.Equal(bagAt(bag).suffix(slot), k[8:]) {
+			return nil, nil, 0, false
+		}
+	}
+	// keylen 0..8 — the whole remaining key is inline — or the suffix key.
+	return (*value.Value)(lv), nil, 0, true
+}
 
 // klAt extracts slot's key length from a loaded keylens word.
 func klAt(word uint64, slot int) uint32 { return uint32(word >> (4 * uint(slot)) & 0xf) }

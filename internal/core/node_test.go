@@ -181,7 +181,7 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 		default:
 		}
 	}
-	// Raw bracket reads of one node after another, along the border list.
+	// readSlot's bracket of one node after another, along the border list.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -191,10 +191,8 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 				v := n.h.stable()
 				perm := n.perm()
 				for r := 0; r < perm.count(); r++ {
-					slot := perm.slot(r)
-					kl := n.keylen(slot)
-					lv := n.loadLV(slot)
-					if n.keylen(slot) != kl || changed(n.h.version.Load(), v) {
+					kl, lv, _ := n.readSlot(perm.slot(r))
+					if kl == klUnstable || changed(n.h.version.Load(), v) {
 						continue
 					}
 					switch kl {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/value"
@@ -18,22 +18,15 @@ func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool)
 
 // Update performs an atomic read-modify-write: f runs under the owning
 // border node's lock with the current value (nil if the key is absent) and
-// must return the non-nil value to store. This is how multi-column puts are
-// made atomic (§4.7) and how log replay applies updates in version order
-// (§5). It returns the previous and the stored value.
+// returns the value to store, or nil to decline, leaving the tree unchanged
+// — no store, no insert, and no reader retries. This is how multi-column
+// puts are made atomic (§4.7), how log replay applies updates in version
+// order (§5), and the hook versioned compare-and-swap builds on (a CAS
+// inspects old's version under the lock and declines on mismatch); the same
+// contract applies to PutBatchInto's per-key callback, so conditional writes
+// batch exactly like unconditional ones. It returns the value f observed and
+// the value it stored (nil when it declined).
 func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
-	return t.put(key, func(_ int, old *value.Value) *value.Value { return f(old) })
-}
-
-// Apply is Update for conditional writes: f runs under the owning border
-// node's lock with the current value (nil if the key is absent), but may
-// return nil to decline, leaving the tree unchanged — no store, no insert,
-// and no reader retries. This is the hook versioned compare-and-swap builds
-// on (a CAS inspects old's version under the lock and declines on
-// mismatch); the same contract applies to PutBatchInto's per-key callback,
-// so conditional writes batch exactly like unconditional ones. It returns
-// the value f observed and the value it stored (nil when it declined).
-func (t *Tree) Apply(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
 	return t.put(key, func(_ int, old *value.Value) *value.Value { return f(old) })
 }
 
@@ -130,12 +123,13 @@ const (
 
 // putAt is the one statement of "act on the slot you found, under the lock":
 // n is locked and owns the slice of k, what is left of a key at n's layer.
-// It finds the key's place and runs apply(i, old) there — Apply's contract —
-// storing what apply returns: over the old value, into a free slot, or next
-// to the one other long key of the slice, in a twig (twig.go). Two things it
-// leaves to the caller, who knows what to do about its lock: descending a
-// layer, and splitting a full node. n stays locked. Counting is the caller's
-// too (counted): makeLayer moves keys through here that are not new.
+// It finds the key's place and runs apply(i, old) there — Update's contract
+// — storing what apply returns: over the old value (in lv or in its twig
+// cell), into a free slot, or beside the slice's other long keys, in a twig
+// (twig.go) or at a twig's fifth key a layer. Two things it leaves to the
+// caller, who knows what to do about its lock: descending a layer, and
+// splitting a full node. n stays locked. Counting is the caller's too
+// (counted): makeLayer moves keys through here that are not new.
 //
 //masstree:locked n
 func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value, step putStep, at int) {
@@ -154,29 +148,36 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 		return nil, stored, stepDone, 0
 	}
 	slot := perm.slot(rank)
-	switch kl := n.keylen(slot); kl {
+	kl, lv, bag := n.readSlot(slot)
+	switch kl {
 	case klLayer:
 		return nil, nil, stepLayer, slot
 	case klUnstable:
 		// Unstable slots exist only while their writer holds the node
 		// lock, which we hold.
 		panic("core: unstable slot observed under lock")
-	case klTwig:
-		old, stored = t.putTwig(n, slot, k[8:], i, apply)
-		return old, stored, stepDone, 0
-	case klSuffix:
-		if suf := n.bag().suffix(slot); !bytes.Equal(suf, k[8:]) {
-			// A second long key of the slice: the two share a twig.
-			if stored = apply(i, nil); stored != nil {
-				t.makeTwig(n, slot, suf, k[8:], stored)
-			}
-			return nil, stored, stepDone, 0
-		}
 	}
-	// The key itself, its value in lv.
-	old = (*value.Value)(n.loadLV(slot))
-	if stored = apply(i, old); stored != nil {
+	old, tw, j, found := lookup(kl, lv, bag, slot, k)
+	if stored = apply(i, old); stored == nil {
+		return old, nil, stepDone, 0
+	}
+	switch {
+	case found && tw != nil:
+		atomic.StorePointer(&tw.vals[j], unsafe.Pointer(stored))
+	case found:
 		n.storeLV(slot, unsafe.Pointer(stored))
+	case tw != nil:
+		// A new key of the twig: a new twig, or at the fifth a layer.
+		e := tw.entries()
+		e.insert(j, k[8:], unsafe.Pointer(stored))
+		if e.n <= twigCap {
+			n.storeLV(slot, unsafe.Pointer(e.build()))
+		} else {
+			t.makeLayer(n, slot, &e)
+		}
+	default:
+		// A second long key of the slice: the two share a twig.
+		t.makeTwig(n, slot, bagAt(bag).suffix(slot), k[8:], stored)
 	}
 	return old, stored, stepDone, 0
 }

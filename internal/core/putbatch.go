@@ -156,11 +156,3 @@ func (sc *BatchScratch) PutBefore(keys [][]byte, i int) int {
 	}
 	return -1
 }
-
-// PutBatch is PutBatchInto with an internal scratch, updating each key with
-// f under its border node's lock. Hot paths should hold a BatchScratch and
-// call PutBatchInto.
-func (t *Tree) PutBatch(keys [][]byte, f func(i int, old *value.Value) *value.Value) {
-	var sc BatchScratch
-	t.PutBatchInto(keys, &sc, f)
-}

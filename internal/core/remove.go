@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"unsafe"
 
 	"repro/internal/value"
@@ -16,18 +15,7 @@ import (
 // layers are collapsed later by Maintain (the paper's epoch-scheduled
 // reclamation tasks).
 func (t *Tree) Remove(key []byte) (*value.Value, bool) {
-	return t.remove(key, nil)
-}
-
-// RemoveWith is Remove with a callback that runs under the owning border
-// node's lock just before the key is unlinked. The kvstore uses it to assign
-// the remove's log timestamp atomically with the removal, so replay order
-// matches execution order even across remove/re-insert races (§5).
-func (t *Tree) RemoveWith(key []byte, fn func(old *value.Value)) (*value.Value, bool) {
-	if fn == nil {
-		return t.remove(key, nil)
-	}
-	return t.remove(key, func(old *value.Value) bool { fn(old); return true })
+	return t.RemoveIf(key, nil)
 }
 
 // RemoveIf removes key only if pred, evaluated on the current value under
@@ -38,13 +26,12 @@ func (t *Tree) RemoveWith(key []byte, fn func(old *value.Value)) (*value.Value, 
 // expiry so a racing fresh put is never dropped by a stale deadline, while
 // its eviction path removes unconditionally (a cache may evict any key at
 // any moment, so evicting a just-put value is semantically the same as
-// evicting it right after). Returns the removed value and whether the
-// removal happened.
+// evicting it right after). A pred that always returns true is the
+// kvstore's logged remove: it assigns the remove's log timestamp under the
+// lock, atomically with the removal, so replay order matches execution order
+// even across remove/re-insert races (§5); a nil pred is Remove. Returns the
+// removed value and whether the removal happened.
 func (t *Tree) RemoveIf(key []byte, pred func(old *value.Value) bool) (*value.Value, bool) {
-	return t.remove(key, pred)
-}
-
-func (t *Tree) remove(key []byte, fn func(old *value.Value) bool) (*value.Value, bool) {
 restart:
 	root := t.rootHeader()
 	k := key
@@ -63,31 +50,17 @@ restart:
 			return nil, false
 		}
 		slot := perm.slot(rank)
-		var (
-			old *value.Value // nil: the slot holds some other key of the slice
-			tw  *twig        // the twig holding the key, as its j-th
-			j   int
-		)
-		switch kl := n.keylen(slot); kl {
+		kl, lv, bag := n.readSlot(slot)
+		switch kl {
 		case klLayer:
 			root, k = t.enterLayer(n, slot), k[8:]
 			depth++
 			continue
 		case klUnstable:
 			panic("core: unstable slot observed under lock")
-		case klTwig:
-			tw = (*twig)(n.loadLV(slot))
-			if j, found = tw.keys().search(k[8:]); found {
-				old = tw.value(j)
-			}
-		case klSuffix:
-			if bytes.Equal(n.bag().suffix(slot), k[8:]) {
-				old = (*value.Value)(n.loadLV(slot))
-			}
-		default:
-			old = (*value.Value)(n.loadLV(slot))
 		}
-		if old == nil || fn != nil && !fn(old) {
+		old, tw, j, found := lookup(kl, lv, bag, slot, k)
+		if !found || pred != nil && !pred(old) {
 			n.h.unlock()
 			return nil, false
 		}
@@ -288,7 +261,8 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 			return false
 		}
 		slot := perm.slot(rank)
-		if n.keylen(slot) != klLayer {
+		kl, lv, _ := n.readSlot(slot)
+		if kl != klLayer {
 			n.h.unlock()
 			return false
 		}
@@ -300,7 +274,7 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 
 		// Final layer link. Collapse only if the layer is still one empty
 		// border node; anything else was revived or grew.
-		child := ascendToRoot((*nodeHeader)(n.loadLV(slot)))
+		child := ascendToRoot((*nodeHeader)(lv))
 		if !isBorder(child.version.Load()) {
 			n.h.unlock()
 			return false

@@ -8,12 +8,6 @@ import (
 	"repro/internal/value"
 )
 
-// KV is one key-value pair returned by GetRange.
-type KV struct {
-	Key   []byte
-	Value *value.Value
-}
-
 // Scan visits keys greater than or equal to start in lexicographic order,
 // calling fn for each until fn returns false or the keys are exhausted.
 // Like the paper's getrange (§3), scans are not atomic with respect to
@@ -60,20 +54,6 @@ func (t *Tree) ScanNInto(start []byte, n int, buf []byte, fn func(key []byte, v 
 	}
 	t.scanLayer(t.rootHeader(), scanFrom(start), 0, &w)
 	return w.kbuf
-}
-
-// GetRange returns up to n key-value pairs starting with the first key at or
-// after start (§3: getrange, also called "scan").
-func (t *Tree) GetRange(start []byte, n int) []KV {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]KV, 0, n)
-	t.Scan(start, func(k []byte, v *value.Value) bool {
-		out = append(out, KV{Key: k, Value: v})
-		return len(out) < n
-	})
-	return out
 }
 
 // scanPos is a scan's resume position within one trie layer, held by value:

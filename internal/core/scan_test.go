@@ -12,6 +12,26 @@ import (
 	"repro/internal/value"
 )
 
+// pair is one entry getRange collects.
+type pair struct {
+	Key   []byte
+	Value *value.Value
+}
+
+// getRange returns up to n pairs starting with the first key at or after
+// start (§3: getrange), as Scan visits them.
+func getRange(tr *Tree, start []byte, n int) []pair {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]pair, 0, n)
+	tr.Scan(start, func(k []byte, v *value.Value) bool {
+		out = append(out, pair{Key: k, Value: v})
+		return len(out) < n
+	})
+	return out
+}
+
 // layer0Keys reconstructs the keys of a quiescent layer-0 border node that
 // holds inline, suffix and twig entries.
 func layer0Keys(n *borderNode) [][]byte {
@@ -176,7 +196,7 @@ func scanModelKey(rng *rand.Rand) []byte {
 	return append([]byte(stem), k...)
 }
 
-// TestScanMatchesSortedModel compares Scan, ScanInto, ScanNInto and GetRange
+// TestScanMatchesSortedModel compares Scan, ScanInto, ScanNInto and getRange
 // with a sorted slice for random start keys (nil, empty, present, absent,
 // beyond the last key) and random lengths. ScanNInto's n is a hint about
 // what to fetch, not a bound: told the truth, a third of it, ten times it or
@@ -237,7 +257,7 @@ func TestScanMatchesSortedModel(t *testing.T) {
 				return len(gotInto) < n
 			})
 			var gotRange []string
-			for _, kv := range tr.GetRange(start, n) {
+			for _, kv := range getRange(tr, start, n) {
 				gotRange = append(gotRange, string(kv.Key))
 			}
 			var gotN []string
@@ -249,7 +269,7 @@ func TestScanMatchesSortedModel(t *testing.T) {
 				gotN = append(gotN, string(k))
 				return len(gotN) < n
 			})
-			for name, g := range map[string][]string{"Scan": got, "ScanInto": gotInto, "GetRange": gotRange, "ScanNInto": gotN} {
+			for name, g := range map[string][]string{"Scan": got, "ScanInto": gotInto, "getRange": gotRange, "ScanNInto": gotN} {
 				if fmt.Sprintf("%q", g) != fmt.Sprintf("%q", want) {
 					t.Fatalf("seed %d: %s(%q, %d) = %q, want %q", seed, name, start, n, g, want)
 				}

@@ -123,14 +123,13 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats, round
 		s.Layers[depth].BagBytes += round(len(n.bag()))
 		perm := n.perm()
 		for r := 0; r < perm.count(); r++ {
-			slot := perm.slot(r)
-			switch n.keylen(slot) {
+			switch kl, lv, _ := n.readSlot(perm.slot(r)); kl {
 			case klLayer:
 				s.Layers[depth].LayerLinks++
-				t.shapeWalk(ascendToRoot((*nodeHeader)(n.loadLV(slot))), depth+1, s, round)
+				t.shapeWalk(ascendToRoot((*nodeHeader)(lv)), depth+1, s, round)
 			case klTwig:
 				s.Layers[depth].LayerLinks++
-				tw := (*twig)(n.loadLV(slot))
+				tw := (*twig)(lv)
 				keys := tw.keys().n()
 				l := s.layer(depth + 1)
 				l.Trees++

@@ -337,7 +337,7 @@ func TestRunsUnderConcurrency(t *testing.T) {
 					tr.PutBatchInto(keys, &sc, apply)
 				} else {
 					for i, k := range keys {
-						tr.Apply(k, func(old *value.Value) *value.Value { return apply(i, old) })
+						tr.Update(k, func(old *value.Value) *value.Value { return apply(i, old) })
 					}
 				}
 				if rng.Intn(4) != 0 {

@@ -5,12 +5,16 @@
 // prefixes — are handled efficiently while keys remain in sorted order for
 // range queries.
 //
-// Concurrency follows the paper exactly: get operations are lock-free and
-// never write shared memory, validating per-node version words before and
-// after reading node contents (optimistic concurrency control); writers take
-// only node-local spinlocks, publish border-node inserts through an atomic
-// permutation word, and coordinate splits and removes with readers through
-// split version counters and hand-over-hand validation.
+// Concurrency follows the paper: get operations take no locks, validating
+// per-node version words before and after reading node contents (optimistic
+// concurrency control). They write shared memory in three places only:
+// rootHeader CASes the tree's cached layer-0 root and resolveLayer a border's
+// stale layer link (§4.6.4's lazy repair, each to the pointer any reader
+// would compute), and the retry and fallback counters in Stats are shared
+// atomic adds. Writers take only node-local spinlocks, publish border-node
+// inserts through an atomic permutation word, and coordinate splits and
+// removes with readers through split version counters and hand-over-hand
+// validation.
 //
 // Values are *value.Value pointers; multi-column read-modify-writes execute
 // under the owning border node's lock, making them atomic with respect to
@@ -18,7 +22,6 @@
 package core
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -81,8 +84,10 @@ func (t *Tree) resolveLayer(n *borderNode, slot int, lv unsafe.Pointer) *nodeHea
 	return r
 }
 
-// Get returns the value stored for key (§3: get). It takes no locks and
-// writes no shared memory.
+// Get returns the value stored for key (§3: get). It takes no locks, and
+// writes shared memory only where the package comment says a reader may:
+// repairing a stale root (rootHeader) or layer link (resolveLayer), and
+// counting a retry.
 //
 //masstree:noalloc
 func (t *Tree) Get(key []byte) (*value.Value, bool) {
@@ -103,27 +108,14 @@ restart:
 		perm := n.perm()
 		rank, found := n.searchRank(perm, slice, ord)
 		var (
-			kl  uint32
-			lvp unsafe.Pointer
-			bag *byte
+			slot int
+			kl   uint32
+			lvp  unsafe.Pointer
+			bag  *byte
 		)
 		if found {
-			slot := perm.slot(rank)
-			// Bracket lv and the bag pointer between two loads of the
-			// keylens word: a slot whose lv changes kind (§4.6.3; retype)
-			// is rewritten keylen→UNSTABLE→lv→keylen→TWIG or LAYER without
-			// a version change, so matching reads guarantee lv was
-			// consistent with the returned keylen, and that the bag was
-			// published while the slot still held its suffix key (a later
-			// rebuild drops that suffix).
-			kl = n.keylen(slot)
-			lvp = n.loadLV(slot)
-			if kl == klSuffix {
-				bag = n.suffixes.Load()
-			}
-			if n.keylen(slot) != kl {
-				kl = klUnstable
-			}
+			slot = perm.slot(rank)
+			kl, lvp, bag = n.readSlot(slot)
 		}
 		if v2 := n.h.version.Load(); changed(v2, v) {
 			// The node changed while we read it. Re-stabilize and chase
@@ -146,24 +138,15 @@ restart:
 		}
 		switch kl {
 		case klLayer:
-			slot := perm.slot(rank)
 			root = t.resolveLayer(n, slot, lvp)
 			k = k[8:]
+			continue
 		case klUnstable:
 			goto forward
-		case klTwig:
-			// The twig's keys are immutable, like the bag: whichever twig
-			// the validated snapshot held answers for the slice.
-			return (*twig)(lvp).get(k[8:])
-		case klSuffix:
-			// The bag is immutable, and the validated snapshot says which
-			// of its suffixes is this slot's: compare only now.
-			if !bytes.Equal(bagAt(bag).suffix(perm.slot(rank)), k[8:]) {
-				return nil, false
-			}
-			return (*value.Value)(lvp), true
-		default: // keylen 0..8: the whole remaining key is inline
-			return (*value.Value)(lvp), true
 		}
+		// The validated snapshot says which value, suffix key or twig the
+		// slot held: look the key up in it.
+		val, _, _, ok := lookup(kl, lvp, bag, slot, k)
+		return val, ok
 	}
 }

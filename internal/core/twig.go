@@ -96,14 +96,6 @@ func (tw *twig) value(j int) *value.Value {
 	return (*value.Value)(atomic.LoadPointer(&tw.vals[j]))
 }
 
-// get is a reader's lookup of the key with remainder rem.
-func (tw *twig) get(rem []byte) (*value.Value, bool) {
-	if j, found := tw.keys().search(rem); found {
-		return tw.value(j), true
-	}
-	return nil, false
-}
-
 // prefetchTwig asks for a twig's 48 bytes, which are not line-aligned and
 // may lie across two lines.
 func prefetchTwig(tw unsafe.Pointer) {
@@ -217,32 +209,4 @@ func (t *Tree) makeLayer(n *borderNode, slot int, e *twigEntries) {
 	root.h.unlock()
 	n.retype(slot, klLayer, unsafe.Pointer(&root.h))
 	t.stats.LayerCreations.Add(1)
-}
-
-// putTwig is putAt for a key of the twig in slot: rem is what follows the
-// slot's slice. An overwrite stores into the key's cell; a new key is a new
-// twig, or at the fifth a layer.
-//
-//masstree:locked n
-func (t *Tree) putTwig(n *borderNode, slot int, rem []byte, i int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value) {
-	tw := (*twig)(n.loadLV(slot))
-	j, found := tw.keys().search(rem)
-	if found {
-		old = tw.value(j)
-		if stored = apply(i, old); stored != nil {
-			atomic.StorePointer(&tw.vals[j], unsafe.Pointer(stored))
-		}
-		return old, stored
-	}
-	if stored = apply(i, nil); stored == nil {
-		return nil, nil
-	}
-	e := tw.entries()
-	e.insert(j, rem, unsafe.Pointer(stored))
-	if e.n <= twigCap {
-		n.storeLV(slot, unsafe.Pointer(e.build()))
-	} else {
-		t.makeLayer(n, slot, &e)
-	}
-	return nil, stored
 }

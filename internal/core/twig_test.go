@@ -102,7 +102,7 @@ func runFamilies() (keys [][]byte, runs [][][]byte) {
 
 // TestTwigModel drives every entry point over keys built to live in twigs, and
 // runs between keys of their borders, and compares each result with a sorted
-// map: Put, Apply that declines, Remove, RemoveIf either way, Get,
+// map: Put, Update that declines, Remove, RemoveIf either way, Get,
 // GetBatchInto, BatchInto with kinds mixed, scans that start inside, before
 // and past a twig, and stretches of a run put in ascending order.
 func TestTwigModel(t *testing.T) {
@@ -125,9 +125,9 @@ func TestTwigModel(t *testing.T) {
 				}
 				m[string(k)] = v
 			case 4:
-				old, stored := tr.Apply(k, func(old *value.Value) *value.Value { return nil })
+				old, stored := tr.Update(k, func(old *value.Value) *value.Value { return nil })
 				if stored != nil || (old != nil) != had || had && string(old.Bytes()) != want {
-					t.Fatalf("seed %d op %d: declined Apply(%q) saw %v, stored %v; model had %q (%v)", seed, op, k, old, stored, want, had)
+					t.Fatalf("seed %d op %d: declined Update(%q) saw %v, stored %v; model had %q (%v)", seed, op, k, old, stored, want, had)
 				}
 			case 5, 6:
 				old, ok := tr.Remove(k)
@@ -182,10 +182,10 @@ func TestTwigModel(t *testing.T) {
 					}
 				}
 			case 10:
-				vals, found := tr.GetBatch(keys)
+				vals, found := getBatch(tr, keys)
 				for i, k := range keys {
 					if w, ok := m[string(k)]; ok != found[i] || ok && string(vals[i].Bytes()) != w {
-						t.Fatalf("seed %d op %d: GetBatch key %q = %v, %v; model has %q (%v)", seed, op, k, vals[i], found[i], w, ok)
+						t.Fatalf("seed %d op %d: getBatch key %q = %v, %v; model has %q (%v)", seed, op, k, vals[i], found[i], w, ok)
 					}
 				}
 			case 11:
@@ -217,7 +217,7 @@ func TestTwigModel(t *testing.T) {
 					tr.PutBatchInto(run, &sc, apply)
 				} else {
 					for i, k := range run {
-						tr.Apply(k, func(old *value.Value) *value.Value { return apply(i, old) })
+						tr.Update(k, func(old *value.Value) *value.Value { return apply(i, old) })
 					}
 				}
 			}
@@ -246,7 +246,7 @@ func TestDeclinedWriteBuildsNothing(t *testing.T) {
 	tr := New()
 	put(tr, "sameslice-one", "1")
 	decline := func(*value.Value) *value.Value { return nil }
-	tr.Apply([]byte("sameslice-two"), decline)
+	tr.Update([]byte("sameslice-two"), decline)
 	n, _ := tr.findBorder(tr.rootHeader(), keySlice([]byte("sameslice")))
 	slot := n.perm().slot(0)
 	if n.keylen(slot) != klSuffix || tr.Stats().TwigCreations != 0 {
@@ -254,7 +254,7 @@ func TestDeclinedWriteBuildsNothing(t *testing.T) {
 	}
 	put(tr, "sameslice-two", "2")
 	tw := n.loadLV(slot)
-	tr.Apply([]byte("sameslice-three"), decline)
+	tr.Update([]byte("sameslice-three"), decline)
 	if n.loadLV(slot) != tw || tr.Len() != 2 {
 		t.Fatal("a declined write rebuilt a twig")
 	}
@@ -577,8 +577,8 @@ func FuzzTwigModel(f *testing.F) {
 			case 3:
 				checkScanFrom(t, tr, m, k, 1+int(ops[i]>>4))
 			case 4:
-				if _, stored := tr.Apply([]byte(k), func(*value.Value) *value.Value { return nil }); stored != nil {
-					t.Fatalf("op %d: a declined Apply(%q) stored %v", i, k, stored)
+				if _, stored := tr.Update([]byte(k), func(*value.Value) *value.Value { return nil }); stored != nil {
+					t.Fatalf("op %d: a declined Update(%q) stored %v", i, k, stored)
 				}
 			}
 			if tr.Len() != len(m) {

@@ -159,17 +159,18 @@ func (ss *Session) Remove(key []byte) bool {
 	var ver uint64
 	var delta int64
 	wasExpired := false
-	_, ok := s.tree.RemoveWith(key, func(old *value.Value) {
+	_, ok := s.tree.RemoveIf(key, func(old *value.Value) bool {
 		ver = s.clock.tick(worker, old.Version())
 		// Lift the remove floor while the border lock is still held: the
 		// tree forgets the key's version history once it is unlinked, so a
 		// re-insert racing with this remove must already see the floor when
-		// it acquires the lock — lifting it after RemoveWith returns would
+		// it acquires the lock — lifting it after RemoveIf returns would
 		// let that insert draw a version below the remove's timestamp and
 		// replay in the wrong order.
 		s.clock.noteRemove(ver)
 		delta = -int64(old.Size())
 		wasExpired = expired(old)
+		return true
 	})
 	if ok {
 		if s.logs != nil {

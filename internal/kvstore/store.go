@@ -870,7 +870,7 @@ func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 		mu := s.lockWorker(worker)
 		defer mu.Unlock()
 	}
-	s.tree.Apply(key, func(old *value.Value) *value.Value {
+	s.tree.Update(key, func(old *value.Value) *value.Value {
 		r = s.step(worker, op, old)
 		return r.nv
 	})
