@@ -14,8 +14,8 @@
 //     in place under the inserting dirty bit and force concurrent readers to
 //     retry, which is the plain "B-tree" bar.
 //   - WithPrefetch is accepted for completeness and is a documented no-op:
-//     Go exposes no prefetch intrinsic, and no node here or in internal/core
-//     is the paper's four cache lines (DESIGN.md substitution #1).
+//     this package does not yet import internal/core's assembler prefetch
+//     stub (DESIGN.md substitution #1), so the rung prefetches nothing.
 //
 // Gets are lock-free; puts lock only affected nodes; splits use
 // hand-over-hand locking up the tree. Border nodes are B-link-chained with
@@ -43,7 +43,8 @@ type Option func(*Tree)
 // WithPermuter enables permutation-based insert publication ("+Permuter").
 func WithPermuter() Option { return func(t *Tree) { t.permuter = true } }
 
-// WithPrefetch is the "+Prefetch" rung; a documented no-op in Go.
+// WithPrefetch is the "+Prefetch" rung; a no-op until this package imports
+// internal/core's prefetch stub.
 func WithPrefetch() Option { return func(t *Tree) { t.prefetch = true } }
 
 // bkey is an immutable stored key: an inline prefix plus, for keys longer

@@ -78,7 +78,7 @@ func Fig8(sc Scale) *Table {
 		Headers: []string{"design", "get Mreq/s", "get rel", "put Mreq/s", "put rel"},
 		Notes: []string{
 			"+Flow/+Superpage realized as a chunked node arena (Go cannot swap allocators); the two rungs coincide here",
-			"+Prefetch is a documented no-op (no prefetch intrinsic in Go); node layout is unchanged",
+			"+Prefetch is a documented no-op (the baseline does not yet import internal/core's prefetch stub); node layout is unchanged",
 			"relative columns are normalized to Binary's get throughput, as in the paper",
 		},
 	}

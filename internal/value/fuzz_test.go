@@ -27,20 +27,25 @@ func (m model) apply(puts []ColPut, version uint64, worker uint32, expiry uint64
 	return model{cols, version, worker, expiry}
 }
 
-// size is the layout's promise: a 13-byte header, eight more for an expiry,
-// one end per column as narrow as the data's total allows, then the data.
+// size is the layout's promise: one column of at most 63 bytes at a version
+// below 2^48 by a worker of at most 255 takes an 8-byte header; anything
+// else a 13-byte header and one end per column as narrow as the data's total
+// allows. Either way eight more for an expiry, then the data.
 func (m model) size() int {
 	total := 0
 	for _, c := range m.cols {
 		total += len(c)
 	}
-	w := 1
-	if total > 0xffff {
-		w = 4
-	} else if total > 0xff {
-		w = 2
+	n := 8 + total
+	if len(m.cols) != 1 || total > 63 || m.version >= 1<<48 || m.worker > 255 {
+		w := 1
+		if total > 0xffff {
+			w = 4
+		} else if total > 0xff {
+			w = 2
+		}
+		n = 13 + w*len(m.cols) + total
 	}
-	n := 13 + w*len(m.cols) + total
 	if m.expiry != 0 {
 		n += 8
 	}
@@ -80,23 +85,29 @@ func (m model) check(t *testing.T, step int, v *Value) {
 }
 
 // fuzzLens straddle both width boundaries of the column ends (255|256 and
-// 65 535|65 536 bytes of data in all), fuzzCols the column count's
-// (65 535|65 536, where its seventeenth bit moves into the flags byte; the
-// small columns are repeated so that most chains stay cheap).
+// 65 535|65 536 bytes of data in all) and the compact form's column length
+// (63|64, last so that the older seeds keep their lengths), fuzzCols the
+// column count's (65 535|65 536, where its seventeenth bit moves into the
+// flags byte; the small columns are repeated so that most chains stay cheap).
 var (
-	fuzzLens = []int{0, 1, 4, 8, 247, 254, 255, 256, 257, 65535 - 8, 65535, 65536, 70000}
+	fuzzLens = []int{0, 1, 4, 8, 247, 254, 255, 256, 257, 65535 - 8, 65535, 65536, 70000, 63, 64}
 	fuzzCols = []int{0, 1, 2, 3, 9, 255, 256, 1<<16 - 2, 1<<16 - 1, 0, 0, 0, 1, 1, 2, 4}
 )
 
 // FuzzValueModel runs a chain of builds decoded from the input and checks
 // every accessor against the model after each. One op is three bytes —
 // kind, column, length — and the kinds are: BuildTTLAt with one or two
-// puts and with or without an expiry, a touch (no puts), Apply, and a fresh
-// chain (a nil base, so the width can fall as well as the data). An
+// puts and with or without an expiry, a touch (no puts), Apply, a fresh
+// chain (a nil base, so the width can fall as well as the data), and a build
+// at the compact form's edge: the column byte's high four bits draw a version
+// from 2^48-2..2^48+1 and a worker from 254..257, and the kind byte over
+// seven is the expiry, so a chain crosses between the forms both ways. An
 // overwrite with a shorter column is what narrows a value again.
 func FuzzValueModel(f *testing.F) {
 	op := func(kind, col, length int) []byte { return []byte{byte(kind), byte(col), byte(length)} }
 	cat := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
+	// edge is kind 6's column byte: column index c, version 2^48-2+v, worker 254+w.
+	edge := func(c, v, w int) int { return c | v<<4 | w<<6 }
 	f.Add(cat(op(0, 0, 3)))                                         // 1x8
 	f.Add(cat(op(0, 0, 6), op(0, 0, 7), op(0, 0, 6)))               // 255 -> 256 -> 255
 	f.Add(cat(op(0, 0, 10), op(0, 0, 11), op(0, 0, 3)))             // 65535 -> 65536 -> 8
@@ -105,11 +116,19 @@ func FuzzValueModel(f *testing.F) {
 	f.Add(cat(op(0, 0, 12), op(3, 0, 0), op(4, 3, 1), op(0, 0, 1))) // 4-byte ends, touched, applied, narrowed
 	f.Add(cat(op(0, 7, 1), op(0, 8, 1), op(5, 0, 3), op(0, 6, 7)))  // 65535 then 65536 columns, then a fresh chain
 	f.Add(cat(op(2, 5, 5), op(2, 6, 5), op(3, 0, 0), op(1, 0, 12), op(4, 1, 0), op(5, 6, 0)))
+	// The compact form's edges, each crossed and crossed back: 1x8 at version
+	// 2^48-1 | 2^48, by worker 255 | 256, 1x63 | 1x64, one column | two (then
+	// a fresh 1x0), and an expiry on and off in both forms.
+	f.Add(cat(op(6, edge(0, 1, 1), 3), op(6, edge(0, 2, 1), 3), op(6, edge(0, 1, 1), 3)))
+	f.Add(cat(op(6, edge(0, 0, 1), 3), op(6, edge(0, 0, 2), 3), op(6, edge(0, 0, 1), 3)))
+	f.Add(cat(op(6, edge(0, 0, 1), 13), op(6, edge(0, 0, 1), 14), op(6, edge(0, 0, 1), 13)))
+	f.Add(cat(op(6, edge(0, 0, 1), 3), op(6, edge(1, 0, 1), 3), op(5, 0, 0), op(6, edge(0, 0, 0), 0)))
+	f.Add(cat(op(6+7, edge(0, 0, 1), 3), op(6, edge(0, 0, 1), 3), op(6+7, edge(0, 0, 2), 3), op(6, edge(0, 0, 2), 3)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var v *Value
 		var m model
 		for step := 0; len(in) >= 3 && step < 8; step, in = step+1, in[3:] {
-			kind, col, length := in[0]%6, fuzzCols[int(in[1])%len(fuzzCols)], fuzzLens[int(in[2])%len(fuzzLens)]
+			kind, col, length := in[0]%7, fuzzCols[int(in[1])%len(fuzzCols)], fuzzLens[int(in[2])%len(fuzzLens)]
 			data := bytes.Repeat([]byte{in[2] | 1}, length)
 			puts := []ColPut{{Col: col, Data: data}}
 			version, worker, expiry := m.version+1+uint64(in[1]), uint32(in[2])<<8|uint32(in[1]), uint64(0)
@@ -126,6 +145,8 @@ func FuzzValueModel(f *testing.F) {
 				continue
 			case 5: // a fresh chain
 				v, m = nil, model{}
+			case 6: // at the compact form's edge
+				version, worker, expiry = 1<<48-2+uint64(in[1]>>4&3), 254+uint32(in[1]>>6), uint64(in[0]/7)
 			}
 			old, oldModel := v, m
 			v, m = BuildTTLAt(v, puts, version, worker, expiry), m.apply(puts, version, worker, expiry)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // allocBytes is the heap bytes one call of build costs, size class rounding
@@ -29,15 +30,19 @@ func allocBytes(n int, build func()) float64 {
 	return least
 }
 
-var layoutSink *Value
+var (
+	layoutSink *Value
+	tinySink   []byte
+)
 
 func filled(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
 
 // TestLayout pins the packed size and the Go size class of the shapes the
-// layout was cut for, and of each point where a field changes width. The
-// class is what a key pays: 22 bytes in the 24-byte class is the point of
-// the 13-byte header, and one byte more on ten 4-byte columns would cost
-// sixteen.
+// layout was cut for, and of each point where a field changes width or the
+// form changes. The class is what a key pays: 16 bytes for an 8-byte column
+// is the point of the compact header, and one byte more on ten 4-byte columns
+// would cost sixteen. Rows name their version and worker where the form
+// depends on them; the rest build at version 7 by worker 3.
 func TestLayout(t *testing.T) {
 	ten := make([]ColPut, 10)
 	for i := range ten {
@@ -45,19 +50,42 @@ func TestLayout(t *testing.T) {
 	}
 	one := func(n int) []ColPut { return []ColPut{{Col: 0, Data: filled(n)}} }
 	const ttl = 1 << 62
+	// Allocations under 16 bytes go to the tiny allocator, which packs two
+	// 8-byte values into one 16-byte block — except under -race, where each
+	// takes a block of its own.
+	tinyPacked := allocBytes(50, func() { tinySink = make([]byte, 8) }) == 8
 	for _, tc := range []struct {
 		name        string
 		old         func() *Value
 		puts        []ColPut
+		version     uint64
+		worker      uint32
 		expiry      uint64
 		size, class int
 	}{
-		{name: "1x8", puts: one(8), size: 13 + 1 + 8, class: 24},
-		{name: "1x8 TTL", puts: one(8), expiry: ttl, size: 13 + 8 + 1 + 8, class: 32},
+		{name: "1x8", puts: one(8), size: 8 + 8, class: 16},
+		{name: "1x8 TTL", puts: one(8), expiry: ttl, size: 8 + 8 + 8, class: 24},
+		{name: "1x0: the smallest value", puts: one(0), size: 8, class: 8},
+		{name: "1x0 TTL", puts: one(0), expiry: ttl, size: 8 + 8, class: 16},
+		{name: "1x63: the longest compact column", puts: one(63), size: 8 + 63, class: 80},
+		{name: "1x64: general", puts: one(64), size: 13 + 1 + 64, class: 80},
+		{name: "1x64 TTL", puts: one(64), expiry: ttl, size: 13 + 8 + 1 + 64, class: 96},
+		{name: "version 2^48-1: compact", puts: one(8), version: 1<<48 - 1, size: 8 + 8, class: 16},
+		{name: "version 2^48: general", puts: one(8), version: 1 << 48, size: 13 + 1 + 8, class: 24},
+		{name: "worker 255: compact", puts: one(8), worker: 255, size: 8 + 8, class: 16},
+		{name: "worker 256: general", puts: one(8), worker: 256, size: 13 + 1 + 8, class: 24},
+		{name: "two columns: general", puts: []ColPut{{Col: 1, Data: filled(8)}}, size: 13 + 2 + 8, class: 24},
 		{name: "10x4", puts: ten, size: 13 + 10 + 40, class: 64},
 		{name: "10x4 TTL", puts: ten, expiry: ttl, size: 13 + 8 + 10 + 40, class: 80},
 		{name: "no columns", size: 13, class: 16},
 		{name: "no columns TTL", expiry: ttl, size: 13 + 8, class: 24},
+		{name: "a put to column 1 of a compact value goes general",
+			old: func() *Value { return BuildAt(nil, one(8), 1, 0) }, puts: []ColPut{{Col: 1, Data: filled(8)}},
+			size: 13 + 2 + 16, class: 32},
+		{name: "an overwrite back to one short column goes compact again",
+			old: func() *Value { return BuildAt(nil, one(64), 1, 0) }, puts: one(8), size: 8 + 8, class: 16},
+		{name: "a touch below 2^48 goes compact again",
+			old: func() *Value { return BuildAt(nil, one(8), 1<<48, 0) }, expiry: ttl, size: 8 + 8 + 8, class: 24},
 		{name: "1x255: the last 1-byte end", puts: one(255), size: 13 + 1 + 255, class: 288},
 		{name: "1x256: the first 2-byte end", puts: one(256), size: 13 + 2 + 256, class: 288},
 		{name: "1x65535: the last 2-byte end", puts: one(65535), size: 13 + 2 + 65535, class: 9 * 8192},
@@ -70,7 +98,8 @@ func TestLayout(t *testing.T) {
 			old: func() *Value { return BuildAt(nil, one(8), 1, 0) }, puts: []ColPut{{Col: 5, Data: filled(250)}},
 			size: 13 + 6*2 + 258, class: 288},
 		{name: "an overwrite that shrinks the data narrows the ends again",
-			old: func() *Value { return BuildAt(nil, one(70000), 1, 0) }, puts: one(8), size: 13 + 1 + 8, class: 24},
+			old: func() *Value { return BuildAt(nil, []ColPut{{Col: 0, Data: filled(70000)}, {Col: 1}}, 1, 0) }, puts: one(8),
+			size: 13 + 2 + 8, class: 24},
 		{name: "column 65535 sets the column count's seventeenth bit",
 			puts: []ColPut{{Col: 1<<16 - 1, Data: filled(1)}}, size: 13 + 1<<16 + 1, class: 9 * 8192},
 	} {
@@ -79,18 +108,26 @@ func TestLayout(t *testing.T) {
 			if tc.old != nil {
 				old = tc.old()
 			}
-			v := BuildTTLAt(old, tc.puts, 7, 3, tc.expiry)
+			version, worker := tc.version, tc.worker
+			if version == 0 && worker == 0 {
+				version, worker = 7, 3
+			}
+			v := BuildTTLAt(old, tc.puts, version, worker, tc.expiry)
 			if v.Size() != tc.size {
 				t.Errorf("Size = %d, want %d", v.Size(), tc.size)
 			}
 			// A collection the large shapes set off allocates a little of
 			// its own; the next class up is never within 1 %.
 			class := float64(tc.class)
-			if got := allocBytes(50, func() { layoutSink = BuildTTLAt(old, tc.puts, 7, 3, tc.expiry) }); got < class || got > class*1.01 {
+			if tc.size < 16 && !tinyPacked {
+				class = 16
+			}
+			if got := allocBytes(50, func() { layoutSink = BuildTTLAt(old, tc.puts, version, worker, tc.expiry) }); got < class || got > class*1.01 {
 				t.Errorf("one build allocates %.1f bytes, want the %d-byte class", got, tc.class)
 			}
-			if v.Version() != 7 || v.Worker() != 3 || v.ExpiresAt() != tc.expiry {
-				t.Errorf("version/worker/expiry = %d/%d/%d, want 7/3/%d", v.Version(), v.Worker(), v.ExpiresAt(), tc.expiry)
+			if v.Version() != version || v.Worker() != worker || v.ExpiresAt() != tc.expiry {
+				t.Errorf("version/worker/expiry = %d/%d/%d, want %d/%d/%d",
+					v.Version(), v.Worker(), v.ExpiresAt(), version, worker, tc.expiry)
 			}
 			for i := 0; i < v.NumCols(); i++ {
 				want, put := putFor(tc.puts, nil, i)
@@ -102,6 +139,30 @@ func TestLayout(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTinyCompactValues builds 1x0 values in a row: 8 bytes each, the
+// smallest allocation the layout makes, which the tiny allocator packs two to
+// a 16-byte block. Under -race the runtime instead ends each one at the end
+// of its own block so that checkptr sees past it: every accessor's head() is
+// checked against the value's allocation, and one that reads the general
+// form's 13-byte header from an 8-byte value throws. The declared type must
+// fit inside the same 8 bytes.
+func TestTinyCompactValues(t *testing.T) {
+	if size := unsafe.Sizeof(Value{}); size > 8 {
+		t.Fatalf("the declared Value is %d bytes, more than the smallest value's 8", size)
+	}
+	vals := make([]*Value, 4096)
+	for i := range vals {
+		vals[i] = BuildAt(nil, []ColPut{{Col: 0}}, uint64(i+1), uint32(i%256))
+	}
+	for i, v := range vals {
+		if v.Version() != uint64(i+1) || v.Worker() != uint32(i%256) || v.NumCols() != 1 || v.Size() != 8 ||
+			v.Col(0) != nil || v.ExpiresAt() != 0 {
+			t.Fatalf("value %d: version %d, worker %d, %d columns, size %d, Col(0) %q, expiry %d",
+				i, v.Version(), v.Worker(), v.NumCols(), v.Size(), v.Col(0), v.ExpiresAt())
+		}
 	}
 }
 

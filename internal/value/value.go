@@ -16,10 +16,12 @@
 //
 // The packing is as narrow as each value's own data allows (the layout table
 // below): nothing derivable is stored, an expiry costs bytes only on a value
-// that has one, and column offsets are one byte wide until the columns
-// outgrow them. Every key pays for one value, so bytes here are bytes per
-// record. The layout is private to this file; logs, checkpoints and wire
-// responses are built column by column through NumCols/Col.
+// that has one, column offsets are one byte wide until the columns outgrow
+// them, and the commonest shape of all — one short column, the paper's 8-byte
+// value — takes a compact 8-byte header with no offsets at all. Every key
+// pays for one value, so bytes here are bytes per record. The layout is
+// private to this file; logs, checkpoints and wire responses are built column
+// by column through NumCols/Col, and the version is a full u64 to all of them.
 //
 // Sequential updates to a value obtain distinct, increasing version numbers;
 // the version is written to the log and used during recovery to apply a
@@ -35,16 +37,32 @@ import (
 )
 
 // Packed layout, little endian. A *Value points at the first byte of one
-// []byte allocation:
+// []byte allocation, which starts with a flags byte whose bit 1 says which of
+// two headers follows. The builders pick the form from what they build: a
+// value with exactly one column of at most 63 bytes, a version below 2^48 and
+// a worker tag of at most 255 is compact; every other value is general.
 //
-//	 0  version u64  full width: CasPut carries it on the wire
-//	 8  worker  u16  worker whose clock issued the version
-//	10  ncols   u16  low 16 bits of the column count
-//	12  flags   u8   bit 0    an expiry follows the header
-//	                 bits 1-2 log2 of a column end's width in bytes (0, 1, 2)
-//	                 bit 3    bit 16 of the column count: the layout counts
+// Compact:
+//
+//	0  flags   u8   bit 0    an expiry follows the header
+//	                bit 1    1: compact
+//	                bits 2-7 the one column's length
+//	1  version u48
+//	7  worker  u8
+//	8  expiry  u64  as in the general form; present only when bit 0 is set
+//	8|16  the column's bytes
+//
+// General:
+//
+//	 0  flags   u8   bit 0    an expiry follows the header
+//	                 bit 1    0: general
+//	                 bits 2-3 log2 of a column end's width in bytes (0, 1, 2)
+//	                 bit 4    bit 16 of the column count: the layout counts
 //	                          past what the formats do (see MaxCol)
-//	                 bits 4-7 reserved, zero
+//	                 bits 5-7 reserved, zero
+//	 1  version u64  full width: CasPut carries it on the wire
+//	 9  worker  u16  worker whose clock issued the version
+//	11  ncols   u16  low 16 bits of the column count
 //	13  expiry  u64  unix nanoseconds after which the value is dead; present
 //	                 only when flags bit 0 is set (absent = never)
 //	13|21  end[ncols]  cumulative column end offsets into the data section,
@@ -52,18 +70,31 @@ import (
 //	then   column data, concatenated
 //
 // The allocation's size is not stored: it is where the last column ends.
-// An 8-byte single column packs to 13+1+8 = 22 bytes (Go's 24-byte size
-// class), ten 4-byte columns to 13+10+40 = 63 (the 64-byte class).
+// An 8-byte single column packs to 8+8 = 16 bytes (Go's 16-byte size class,
+// which never crosses a cache line), ten 4-byte columns to 13+10+40 = 63 (the
+// 64-byte class).
 const (
-	offVersion = 0
-	offWorker  = 8
-	offNCols   = 10
-	offFlags   = 12
+	offFlags   = 0
+	offVersion = 1
+	offWorker  = 9
+	offNCols   = 11
 	hdrSize    = 13
 
 	flagExpiry    = 1 << 0
-	flagEndShift  = 1 // bits 1-2
-	flagNColsHigh = 3 // bit 3
+	flagCompact   = 1 << 1
+	flagEndShift  = 2 // bits 2-3, general
+	flagNColsHigh = 4 // bit 4, general
+	flagLenShift  = 2 // bits 2-7, compact
+
+	// compactSize is the compact header's size, and the compactMax figures
+	// are the largest its fields hold.
+	compactSize       = 8
+	compactMaxLen     = 1<<6 - 1
+	compactMaxVersion = 1<<48 - 1
+	compactMaxWorker  = 1<<8 - 1
+	// compactEnd is the end width layout reports for a compact value: its
+	// one column ends at its length, in the flags byte.
+	compactEnd = 3
 
 	expirySize = 8
 
@@ -100,8 +131,14 @@ func Count16(ncols int, format string) uint16 {
 //
 // Values must not be mutated after they are published to a shared data
 // structure; all update paths go through Build/Apply, which copy.
+//
+// The declared type is the compact header, the smallest allocation the
+// layout makes: a compact value with an empty column is those 8 bytes alone,
+// which the runtime may place at byte 8 of a 16-byte block, so a larger type
+// would claim bytes past the allocation's end. head reads the rest of a
+// larger allocation.
 type Value struct {
-	hdr [hdrSize]byte
+	hdr [compactSize]byte
 }
 
 // ColPut describes a modification of one column. Neither the ColPut slice
@@ -112,16 +149,22 @@ type ColPut struct {
 	Data []byte // new column contents
 }
 
-// layout decodes the header: where the column-end table starts, the log2 of
-// an end's width, and the column count.
+// layout decodes the header: where the column-end table starts, where the
+// column data starts, the log2 of an end's width (compactEnd for a compact
+// value, whose one end colEnd reads from the flags byte), and the column
+// count.
 //
 //masstree:noalloc
-func (v *Value) layout() (table int, shift uint, ncols int) {
+func (v *Value) layout() (table, data int, shift uint, ncols int) {
 	f := v.hdr[offFlags]
+	if f&flagCompact != 0 {
+		data = compactSize + int(f&flagExpiry)*expirySize
+		return data, data, compactEnd, 1
+	}
 	table = hdrSize + int(f&flagExpiry)*expirySize
 	shift = uint(f>>flagEndShift) & 3
-	ncols = int(binary.LittleEndian.Uint16(v.hdr[offNCols:])) | int(f>>flagNColsHigh&1)<<16
-	return
+	ncols = int(binary.LittleEndian.Uint16(v.head(hdrSize)[offNCols:])) | int(f>>flagNColsHigh&1)<<16
+	return table, table + ncols<<shift, shift, ncols
 }
 
 // head reconstructs the first n bytes of the value's packed allocation.
@@ -146,29 +189,32 @@ func colEnd(b []byte, table int, shift uint, i int) int {
 		return int(b[at])
 	case 1:
 		return int(binary.LittleEndian.Uint16(b[at:]))
-	default:
+	case 2:
 		return int(binary.LittleEndian.Uint32(b[at:]))
+	default: // compactEnd
+		return int(b[offFlags] >> flagLenShift)
 	}
 }
 
 // putColEnd stores column i's end. No end exceeds the dataLen alloc picked
-// shift from, so each conversion here is exact.
+// shift from, so each conversion here is exact. A compact value's one end is
+// its length, which alloc has stored already.
 func putColEnd(b []byte, table int, shift uint, i, end int) {
 	switch at := table + i<<shift; shift {
 	case 0:
 		b[at] = byte(end)
 	case 1:
 		binary.LittleEndian.PutUint16(b[at:], uint16(end))
-	default:
+	case 2:
 		binary.LittleEndian.PutUint32(b[at:], uint32(end))
 	}
 }
 
 // alloc makes the packed allocation for ncols columns holding dataLen bytes
 // in all and fills in its header; the caller fills the column ends and the
-// data, which start at the returned offsets. The end width is picked here,
-// from dataLen, and nothing is narrowed unchecked: a figure the layout
-// cannot hold panics, as a negative column index does.
+// data, which start at the returned offsets. The form and the end width are
+// picked here, from what is built, and nothing is narrowed unchecked: a
+// figure the layout cannot hold panics, as a negative column index does.
 func alloc(version uint64, worker uint32, expiry uint64, ncols, dataLen int) (b []byte, table int, shift uint, data int) {
 	if worker > MaxWorker {
 		panic(fmt.Sprintf("value: worker tag %d exceeds %d", worker, MaxWorker))
@@ -179,25 +225,33 @@ func alloc(version uint64, worker uint32, expiry uint64, ncols, dataLen int) (b 
 	if uint64(dataLen) > maxData {
 		panic(fmt.Sprintf("value: %d column bytes exceed %d", dataLen, maxData))
 	}
-	if dataLen > 0xffff {
-		shift = 2
-	} else if dataLen > 0xff {
-		shift = 1
-	}
-	flags := byte(shift<<flagEndShift) | byte(ncols>>16)<<flagNColsHigh
-	table = hdrSize
+	var flags byte
+	exp := 0
 	if expiry != 0 {
-		flags |= flagExpiry
-		table += expirySize
+		flags, exp = flagExpiry, expirySize
 	}
-	data = table + ncols<<shift
-	b = make([]byte, data+dataLen)
-	binary.LittleEndian.PutUint64(b[offVersion:], version)
-	binary.LittleEndian.PutUint16(b[offWorker:], uint16(worker))
-	binary.LittleEndian.PutUint16(b[offNCols:], uint16(ncols))
-	b[offFlags] = flags
-	if expiry != 0 {
-		binary.LittleEndian.PutUint64(b[hdrSize:], expiry)
+	if ncols == 1 && dataLen <= compactMaxLen && version <= compactMaxVersion && worker <= compactMaxWorker {
+		data = compactSize + exp
+		b = make([]byte, data+dataLen)
+		flags |= flagCompact | byte(dataLen)<<flagLenShift
+		binary.LittleEndian.PutUint64(b, uint64(flags)|version<<8|uint64(worker)<<56)
+		table, shift = data, compactEnd
+	} else {
+		if dataLen > 0xffff {
+			shift = 2
+		} else if dataLen > 0xff {
+			shift = 1
+		}
+		table = hdrSize + exp
+		data = table + ncols<<shift
+		b = make([]byte, data+dataLen)
+		b[offFlags] = flags | byte(shift<<flagEndShift) | byte(ncols>>16)<<flagNColsHigh
+		binary.LittleEndian.PutUint64(b[offVersion:], version)
+		binary.LittleEndian.PutUint16(b[offWorker:], uint16(worker))
+		binary.LittleEndian.PutUint16(b[offNCols:], uint16(ncols))
+	}
+	if expiry != 0 { // right after either header
+		binary.LittleEndian.PutUint64(b[table-expirySize:], expiry)
 	}
 	return b, table, shift, data
 }
@@ -236,7 +290,10 @@ func (v *Value) Version() uint64 {
 	if v == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(v.hdr[offVersion:])
+	if h := binary.LittleEndian.Uint64(v.hdr[:]); h&flagCompact != 0 {
+		return h >> 8 & compactMaxVersion
+	}
+	return binary.LittleEndian.Uint64(v.head(hdrSize)[offVersion:])
 }
 
 // Worker returns the id of the worker whose clock issued the version (0 for
@@ -247,7 +304,10 @@ func (v *Value) Worker() uint32 {
 	if v == nil {
 		return 0
 	}
-	return uint32(binary.LittleEndian.Uint16(v.hdr[offWorker:]))
+	if h := binary.LittleEndian.Uint64(v.hdr[:]); h&flagCompact != 0 {
+		return uint32(h >> 56)
+	}
+	return uint32(binary.LittleEndian.Uint16(v.head(hdrSize)[offWorker:]))
 }
 
 // Size returns the value's packed allocation size in bytes (0 for nil). It
@@ -260,8 +320,7 @@ func (v *Value) Size() int {
 	if v == nil {
 		return 0
 	}
-	table, shift, ncols := v.layout()
-	data := table + ncols<<shift
+	table, data, shift, ncols := v.layout()
 	return data + colEnd(v.head(data), table, shift, ncols-1)
 }
 
@@ -276,7 +335,8 @@ func (v *Value) ExpiresAt() uint64 {
 	if v == nil || v.hdr[offFlags]&flagExpiry == 0 {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(v.head(hdrSize + expirySize)[hdrSize:])
+	table, _, _, _ := v.layout() // the expiry ends either header
+	return binary.LittleEndian.Uint64(v.head(table)[table-expirySize:])
 }
 
 // Expired reports whether the value carries an expiry at or before now
@@ -295,7 +355,7 @@ func (v *Value) NumCols() int {
 	if v == nil {
 		return 0
 	}
-	_, _, ncols := v.layout()
+	_, _, _, ncols := v.layout()
 	return ncols
 }
 
@@ -308,11 +368,10 @@ func (v *Value) Col(i int) []byte {
 	if v == nil {
 		return nil
 	}
-	table, shift, ncols := v.layout()
+	table, data, shift, ncols := v.layout()
 	if uint(i) >= uint(ncols) {
 		return nil
 	}
-	data := table + ncols<<shift
 	h := v.head(data)
 	start, end := colEnd(h, table, shift, i-1), colEnd(h, table, shift, i)
 	if start == end {
@@ -386,8 +445,7 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 		oends                []byte // the allocation up to the data
 	)
 	if old != nil {
-		otable, oshift, ocols = old.layout()
-		odata = otable + ocols<<oshift
+		otable, odata, oshift, ocols = old.layout()
 		oends = old.head(odata)
 	}
 
