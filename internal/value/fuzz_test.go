@@ -27,17 +27,18 @@ func (m model) apply(puts []ColPut, version uint64, worker uint32, expiry uint64
 	return model{cols, version, worker, expiry}
 }
 
-// size is the layout's promise: one column of at most 63 bytes at a version
-// below 2^48 by a worker of at most 255 takes an 8-byte header; anything
-// else a 13-byte header and one end per column as narrow as the data's total
-// allows. Either way eight more for an expiry, then the data.
+// size is the layout's promise: 1 to 16 columns of one length of at most 63
+// bytes, at a version below 2^44 by a worker of at most 255, take an 8-byte
+// header; anything else a 13-byte header and one end per column as narrow as
+// the data's total allows. Either way eight more for an expiry, then the data.
 func (m model) size() int {
-	total := 0
+	total, equal := 0, true
 	for _, c := range m.cols {
 		total += len(c)
+		equal = equal && len(c) == len(m.cols[0])
 	}
 	n := 8 + total
-	if len(m.cols) != 1 || total > 63 || m.version >= 1<<48 || m.worker > 255 {
+	if len(m.cols) == 0 || len(m.cols) > 16 || !equal || len(m.cols[0]) > 63 || m.version >= 1<<44 || m.worker > 255 {
 		w := 1
 		if total > 0xffff {
 			w = 4
@@ -85,28 +86,32 @@ func (m model) check(t *testing.T, step int, v *Value) {
 }
 
 // fuzzLens straddle both width boundaries of the column ends (255|256 and
-// 65 535|65 536 bytes of data in all) and the compact form's column length
+// 65 535|65 536 bytes of data in all) and the compact form's column width
 // (63|64, last so that the older seeds keep their lengths), fuzzCols the
 // column count's (65 535|65 536, where its seventeenth bit moves into the
-// flags byte; the small columns are repeated so that most chains stay cheap).
+// flags byte) and the compact form's (16|17, columns 15 and 16; the small
+// columns are repeated so that most chains stay cheap).
 var (
 	fuzzLens = []int{0, 1, 4, 8, 247, 254, 255, 256, 257, 65535 - 8, 65535, 65536, 70000, 63, 64}
-	fuzzCols = []int{0, 1, 2, 3, 9, 255, 256, 1<<16 - 2, 1<<16 - 1, 0, 0, 0, 1, 1, 2, 4}
+	fuzzCols = []int{0, 1, 2, 3, 9, 255, 256, 1<<16 - 2, 1<<16 - 1, 0, 0, 0, 1, 15, 16, 4}
 )
 
 // FuzzValueModel runs a chain of builds decoded from the input and checks
 // every accessor against the model after each. One op is three bytes —
 // kind, column, length — and the kinds are: BuildTTLAt with one or two
 // puts and with or without an expiry, a touch (no puts), Apply, a fresh
-// chain (a nil base, so the width can fall as well as the data), and a build
-// at the compact form's edge: the column byte's high four bits draw a version
-// from 2^48-2..2^48+1 and a worker from 254..257, and the kind byte over
-// seven is the expiry, so a chain crosses between the forms both ways. An
-// overwrite with a shorter column is what narrows a value again.
+// chain (a nil base, so the width can fall as well as the data), a build at
+// the compact form's edge — the column byte's high four bits draw a version
+// from 2^44-2..2^44+1 and a worker from 254..257 — and a whole record: the
+// same data in each of the first 0..17 columns (the column byte mod 18) at
+// the next version by worker 0. In the last two the kind byte over seven is
+// the expiry, so a chain crosses between the forms both ways. An overwrite
+// with a shorter column is what narrows a value again; one that matches the
+// other columns' width is what makes it compact again.
 func FuzzValueModel(f *testing.F) {
 	op := func(kind, col, length int) []byte { return []byte{byte(kind), byte(col), byte(length)} }
 	cat := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
-	// edge is kind 6's column byte: column index c, version 2^48-2+v, worker 254+w.
+	// edge is kind 6's column byte: column index c, version 2^44-2+v, worker 254+w.
 	edge := func(c, v, w int) int { return c | v<<4 | w<<6 }
 	f.Add(cat(op(0, 0, 3)))                                         // 1x8
 	f.Add(cat(op(0, 0, 6), op(0, 0, 7), op(0, 0, 6)))               // 255 -> 256 -> 255
@@ -117,18 +122,30 @@ func FuzzValueModel(f *testing.F) {
 	f.Add(cat(op(0, 7, 1), op(0, 8, 1), op(5, 0, 3), op(0, 6, 7)))  // 65535 then 65536 columns, then a fresh chain
 	f.Add(cat(op(2, 5, 5), op(2, 6, 5), op(3, 0, 0), op(1, 0, 12), op(4, 1, 0), op(5, 6, 0)))
 	// The compact form's edges, each crossed and crossed back: 1x8 at version
-	// 2^48-1 | 2^48, by worker 255 | 256, 1x63 | 1x64, one column | two (then
-	// a fresh 1x0), and an expiry on and off in both forms.
+	// 2^44-1 | 2^44, by worker 255 | 256, 1x63 | 1x64, one column | two of
+	// unequal widths (then a fresh 1x0), and an expiry on and off in both
+	// forms.
 	f.Add(cat(op(6, edge(0, 1, 1), 3), op(6, edge(0, 2, 1), 3), op(6, edge(0, 1, 1), 3)))
 	f.Add(cat(op(6, edge(0, 0, 1), 3), op(6, edge(0, 0, 2), 3), op(6, edge(0, 0, 1), 3)))
 	f.Add(cat(op(6, edge(0, 0, 1), 13), op(6, edge(0, 0, 1), 14), op(6, edge(0, 0, 1), 13)))
-	f.Add(cat(op(6, edge(0, 0, 1), 3), op(6, edge(1, 0, 1), 3), op(5, 0, 0), op(6, edge(0, 0, 0), 0)))
-	f.Add(cat(op(6+7, edge(0, 0, 1), 3), op(6, edge(0, 0, 1), 3), op(6+7, edge(0, 0, 2), 3), op(6, edge(0, 0, 2), 3)))
+	f.Add(cat(op(6, edge(0, 0, 1), 3), op(6, edge(1, 0, 1), 2), op(5, 0, 0), op(6, edge(0, 0, 0), 0)))
+	f.Add(cat(op(6+8, edge(0, 0, 1), 3), op(6, edge(0, 0, 1), 3), op(6+8, edge(0, 0, 2), 3), op(6, edge(0, 0, 2), 3)))
+	// And with more columns than one: a 10x4 record whose column 3 goes to 8
+	// bytes (unequal widths) and back to 4; 16x4 | 17x4, by a put to column
+	// 16 and by a whole record, each from a fresh chain; 2x63 | 2x64; a 10x4
+	// record at version 2^44-1 | 2^44; 16x0 | 17x0 (then a fresh 5x0); and a
+	// 10x4 record's expiry on, off, on and off again.
+	f.Add(cat(op(7, 10, 2), op(4, 3, 3), op(4, 3, 2)))
+	f.Add(cat(op(7, 16, 2), op(4, 14, 2), op(5, 0, 0), op(7, 17, 2), op(5, 0, 0), op(7, 16, 2)))
+	f.Add(cat(op(7, 2, 13), op(7, 2, 14), op(7, 2, 13)))
+	f.Add(cat(op(7, 10, 2), op(6, edge(3, 1, 1), 2), op(6, edge(3, 2, 1), 2), op(6, edge(3, 1, 1), 2)))
+	f.Add(cat(op(4, 13, 0), op(4, 14, 0), op(5, 0, 0), op(7, 5, 0)))
+	f.Add(cat(op(7+8, 10, 2), op(3, 0, 0), op(3, 5, 0), op(7, 10, 2)))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var v *Value
 		var m model
 		for step := 0; len(in) >= 3 && step < 8; step, in = step+1, in[3:] {
-			kind, col, length := in[0]%7, fuzzCols[int(in[1])%len(fuzzCols)], fuzzLens[int(in[2])%len(fuzzLens)]
+			kind, col, length := in[0]%8, fuzzCols[int(in[1])%len(fuzzCols)], fuzzLens[int(in[2])%len(fuzzLens)]
 			data := bytes.Repeat([]byte{in[2] | 1}, length)
 			puts := []ColPut{{Col: col, Data: data}}
 			version, worker, expiry := m.version+1+uint64(in[1]), uint32(in[2])<<8|uint32(in[1]), uint64(0)
@@ -146,7 +163,13 @@ func FuzzValueModel(f *testing.F) {
 			case 5: // a fresh chain
 				v, m = nil, model{}
 			case 6: // at the compact form's edge
-				version, worker, expiry = 1<<48-2+uint64(in[1]>>4&3), 254+uint32(in[1]>>6), uint64(in[0]/7)
+				version, worker, expiry = 1<<44-2+uint64(in[1]>>4&3), 254+uint32(in[1]>>6), uint64(in[0]/8)
+			case 7: // a whole record
+				puts = make([]ColPut, int(in[1])%18)
+				for i := range puts {
+					puts[i] = ColPut{Col: i, Data: data}
+				}
+				version, worker, expiry = m.version+1, 0, uint64(in[0]/8)
 			}
 			old, oldModel := v, m
 			v, m = BuildTTLAt(v, puts, version, worker, expiry), m.apply(puts, version, worker, expiry)

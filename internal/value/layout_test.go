@@ -40,14 +40,19 @@ func filled(n int) []byte { return bytes.Repeat([]byte{'x'}, n) }
 // TestLayout pins the packed size and the Go size class of the shapes the
 // layout was cut for, and of each point where a field changes width or the
 // form changes. The class is what a key pays: 16 bytes for an 8-byte column
-// is the point of the compact header, and one byte more on ten 4-byte columns
-// would cost sixteen. Rows name their version and worker where the form
+// and 48 for ten 4-byte columns are the point of the compact header, and one
+// byte more on either would cost sixteen. Rows name their version and worker where the form
 // depends on them; the rest build at version 7 by worker 3.
 func TestLayout(t *testing.T) {
-	ten := make([]ColPut, 10)
-	for i := range ten {
-		ten[i] = ColPut{Col: i, Data: filled(4)}
+	// cols is a whole record of n columns, width bytes each.
+	cols := func(n, width int) []ColPut {
+		puts := make([]ColPut, n)
+		for i := range puts {
+			puts[i] = ColPut{Col: i, Data: filled(width)}
+		}
+		return puts
 	}
+	ten := cols(10, 4)
 	one := func(n int) []ColPut { return []ColPut{{Col: 0, Data: filled(n)}} }
 	const ttl = 1 << 62
 	// Allocations under 16 bytes go to the tiny allocator, which packs two
@@ -70,30 +75,41 @@ func TestLayout(t *testing.T) {
 		{name: "1x63: the longest compact column", puts: one(63), size: 8 + 63, class: 80},
 		{name: "1x64: general", puts: one(64), size: 13 + 1 + 64, class: 80},
 		{name: "1x64 TTL", puts: one(64), expiry: ttl, size: 13 + 8 + 1 + 64, class: 96},
-		{name: "version 2^48-1: compact", puts: one(8), version: 1<<48 - 1, size: 8 + 8, class: 16},
-		{name: "version 2^48: general", puts: one(8), version: 1 << 48, size: 13 + 1 + 8, class: 24},
+		{name: "version 2^44-1: compact", puts: one(8), version: 1<<44 - 1, size: 8 + 8, class: 16},
+		{name: "version 2^44: general", puts: one(8), version: 1 << 44, size: 13 + 1 + 8, class: 24},
 		{name: "worker 255: compact", puts: one(8), worker: 255, size: 8 + 8, class: 16},
 		{name: "worker 256: general", puts: one(8), worker: 256, size: 13 + 1 + 8, class: 24},
 		{name: "two columns: general", puts: []ColPut{{Col: 1, Data: filled(8)}}, size: 13 + 2 + 8, class: 24},
-		{name: "10x4", puts: ten, size: 13 + 10 + 40, class: 64},
-		{name: "10x4 TTL", puts: ten, expiry: ttl, size: 13 + 8 + 10 + 40, class: 80},
+		{name: "10x4", puts: ten, size: 8 + 40, class: 48},
+		{name: "10x4 TTL", puts: ten, expiry: ttl, size: 8 + 8 + 40, class: 64},
+		{name: "10x0: empty columns", puts: []ColPut{{Col: 9}}, size: 8, class: 8},
+		{name: "16x3: the most columns a compact value holds", puts: cols(16, 3), size: 8 + 48, class: 64},
+		{name: "17x3: a seventeenth column goes general",
+			old: func() *Value { return BuildAt(nil, cols(16, 3), 1, 0) }, puts: []ColPut{{Col: 16, Data: filled(3)}},
+			size: 13 + 17 + 51, class: 96},
 		{name: "no columns", size: 13, class: 16},
 		{name: "no columns TTL", expiry: ttl, size: 13 + 8, class: 24},
-		{name: "a put to column 1 of a compact value goes general",
+		{name: "a put of the same width to column 1 stays compact: 2x8",
 			old: func() *Value { return BuildAt(nil, one(8), 1, 0) }, puts: []ColPut{{Col: 1, Data: filled(8)}},
-			size: 13 + 2 + 16, class: 32},
+			size: 8 + 16, class: 24},
+		{name: "a put of another width to one column of ten goes general",
+			old: func() *Value { return BuildAt(nil, ten, 1, 0) }, puts: []ColPut{{Col: 3, Data: filled(5)}},
+			size: 13 + 10 + 41, class: 64},
+		{name: "a put back to the shared width goes compact again",
+			old:  func() *Value { return BuildAt(BuildAt(nil, ten, 1, 0), []ColPut{{Col: 3, Data: filled(5)}}, 2, 0) },
+			puts: ten[3:4], size: 8 + 40, class: 48},
 		{name: "an overwrite back to one short column goes compact again",
 			old: func() *Value { return BuildAt(nil, one(64), 1, 0) }, puts: one(8), size: 8 + 8, class: 16},
-		{name: "a touch below 2^48 goes compact again",
-			old: func() *Value { return BuildAt(nil, one(8), 1<<48, 0) }, expiry: ttl, size: 8 + 8 + 8, class: 24},
+		{name: "a touch below 2^44 goes compact again",
+			old: func() *Value { return BuildAt(nil, one(8), 1<<44, 0) }, expiry: ttl, size: 8 + 8 + 8, class: 24},
 		{name: "1x255: the last 1-byte end", puts: one(255), size: 13 + 1 + 255, class: 288},
 		{name: "1x256: the first 2-byte end", puts: one(256), size: 13 + 2 + 256, class: 288},
 		{name: "1x65535: the last 2-byte end", puts: one(65535), size: 13 + 2 + 65535, class: 9 * 8192},
 		{name: "1x65536: the first 4-byte end", puts: one(65536), size: 13 + 4 + 65536, class: 9 * 8192},
 		{name: "touch keeps the columns and adds an expiry",
-			old: func() *Value { return BuildAt(nil, ten, 1, 0) }, expiry: ttl, size: 13 + 8 + 10 + 40, class: 80},
+			old: func() *Value { return BuildAt(nil, ten, 1, 0) }, expiry: ttl, size: 8 + 8 + 40, class: 64},
 		{name: "touch to never drops the expiry again",
-			old: func() *Value { return BuildTTLAt(nil, ten, 1, 0, ttl) }, size: 13 + 10 + 40, class: 64},
+			old: func() *Value { return BuildTTLAt(nil, ten, 1, 0, ttl) }, size: 8 + 40, class: 48},
 		{name: "growth past the width leaves empty columns and widens the ends",
 			old: func() *Value { return BuildAt(nil, one(8), 1, 0) }, puts: []ColPut{{Col: 5, Data: filled(250)}},
 			size: 13 + 6*2 + 258, class: 288},

@@ -17,11 +17,12 @@
 // The packing is as narrow as each value's own data allows (the layout table
 // below): nothing derivable is stored, an expiry costs bytes only on a value
 // that has one, column offsets are one byte wide until the columns outgrow
-// them, and the commonest shape of all — one short column, the paper's 8-byte
-// value — takes a compact 8-byte header with no offsets at all. Every key
-// pays for one value, so bytes here are bytes per record. The layout is
-// private to this file; logs, checkpoints and wire responses are built column
-// by column through NumCols/Col, and the version is a full u64 to all of them.
+// them, and the commonest shapes of all — a few short columns of one width,
+// the paper's 8-byte value and MYCSB's ten 4-byte columns — take a compact
+// 8-byte header with no offsets at all. Every key pays for one value, so
+// bytes here are bytes per record. The layout is private to this file; logs,
+// checkpoints and wire responses are built column by column through
+// NumCols/Col, and the version is a full u64 to all of them.
 //
 // Sequential updates to a value obtain distinct, increasing version numbers;
 // the version is written to the log and used during recovery to apply a
@@ -39,18 +40,20 @@ import (
 // Packed layout, little endian. A *Value points at the first byte of one
 // []byte allocation, which starts with a flags byte whose bit 1 says which of
 // two headers follows. The builders pick the form from what they build: a
-// value with exactly one column of at most 63 bytes, a version below 2^48 and
-// a worker tag of at most 255 is compact; every other value is general.
+// value of 1 to 16 columns that all have the same length of at most 63 bytes,
+// at a version below 2^44 by a worker tag of at most 255, is compact; every
+// other value is general.
 //
 // Compact:
 //
 //	0  flags   u8   bit 0    an expiry follows the header
 //	                bit 1    1: compact
-//	                bits 2-7 the one column's length
-//	1  version u48
+//	                bits 2-7 every column's length, the width
+//	1  ncols   u4   the column count less one, in the low four bits
+//	   version u44  in the rest of bytes 1-6
 //	7  worker  u8
 //	8  expiry  u64  as in the general form; present only when bit 0 is set
-//	8|16  the column's bytes
+//	8|16  the columns' bytes: column i ends at (i+1)*width
 //
 // General:
 //
@@ -71,8 +74,8 @@ import (
 //
 // The allocation's size is not stored: it is where the last column ends.
 // An 8-byte single column packs to 8+8 = 16 bytes (Go's 16-byte size class,
-// which never crosses a cache line), ten 4-byte columns to 13+10+40 = 63 (the
-// 64-byte class).
+// which never crosses a cache line), ten 4-byte columns to 8+40 = 48 (the
+// 48-byte class).
 const (
 	offFlags   = 0
 	offVersion = 1
@@ -80,20 +83,23 @@ const (
 	offNCols   = 11
 	hdrSize    = 13
 
-	flagExpiry    = 1 << 0
-	flagCompact   = 1 << 1
-	flagEndShift  = 2 // bits 2-3, general
-	flagNColsHigh = 4 // bit 4, general
-	flagLenShift  = 2 // bits 2-7, compact
+	flagExpiry     = 1 << 0
+	flagCompact    = 1 << 1
+	flagEndShift   = 2 // bits 2-3, general
+	flagNColsHigh  = 4 // bit 4, general
+	flagWidthShift = 2 // bits 2-7, compact
 
-	// compactSize is the compact header's size, and the compactMax figures
-	// are the largest its fields hold.
-	compactSize       = 8
-	compactMaxLen     = 1<<6 - 1
-	compactMaxVersion = 1<<48 - 1
-	compactMaxWorker  = 1<<8 - 1
+	// compactSize is the compact header's size, compactVersionShift where in
+	// it the version starts, and the compactMax figures the largest its
+	// fields hold.
+	compactSize         = 8
+	compactVersionShift = 12
+	compactMaxCols      = 1 << 4
+	compactMaxWidth     = 1<<6 - 1
+	compactMaxVersion   = 1<<44 - 1
+	compactMaxWorker    = 1<<8 - 1
 	// compactEnd is the end width layout reports for a compact value: its
-	// one column ends at its length, in the flags byte.
+	// columns end at multiples of the width in the flags byte.
 	compactEnd = 3
 
 	expirySize = 8
@@ -133,7 +139,7 @@ func Count16(ncols int, format string) uint16 {
 // structure; all update paths go through Build/Apply, which copy.
 //
 // The declared type is the compact header, the smallest allocation the
-// layout makes: a compact value with an empty column is those 8 bytes alone,
+// layout makes: a compact value of empty columns is those 8 bytes alone,
 // which the runtime may place at byte 8 of a 16-byte block, so a larger type
 // would claim bytes past the allocation's end. head reads the rest of a
 // larger allocation.
@@ -151,15 +157,15 @@ type ColPut struct {
 
 // layout decodes the header: where the column-end table starts, where the
 // column data starts, the log2 of an end's width (compactEnd for a compact
-// value, whose one end colEnd reads from the flags byte), and the column
-// count.
+// value, whose ends colEnd computes from the width in the flags byte), and
+// the column count.
 //
 //masstree:noalloc
 func (v *Value) layout() (table, data int, shift uint, ncols int) {
 	f := v.hdr[offFlags]
 	if f&flagCompact != 0 {
 		data = compactSize + int(f&flagExpiry)*expirySize
-		return data, data, compactEnd, 1
+		return data, data, compactEnd, int(v.hdr[1]&(compactMaxCols-1)) + 1
 	}
 	table = hdrSize + int(f&flagExpiry)*expirySize
 	shift = uint(f>>flagEndShift) & 3
@@ -192,13 +198,13 @@ func colEnd(b []byte, table int, shift uint, i int) int {
 	case 2:
 		return int(binary.LittleEndian.Uint32(b[at:]))
 	default: // compactEnd
-		return int(b[offFlags] >> flagLenShift)
+		return (i + 1) * int(b[offFlags]>>flagWidthShift)
 	}
 }
 
 // putColEnd stores column i's end. No end exceeds the dataLen alloc picked
-// shift from, so each conversion here is exact. A compact value's one end is
-// its length, which alloc has stored already.
+// shift from, so each conversion here is exact. A compact value's ends follow
+// from its width, which alloc has stored already.
 func putColEnd(b []byte, table int, shift uint, i, end int) {
 	switch at := table + i<<shift; shift {
 	case 0:
@@ -210,12 +216,23 @@ func putColEnd(b []byte, table int, shift uint, i, end int) {
 	}
 }
 
+// sameWidth carries a walk over the column lengths, column i's being n: after
+// the last column it holds the length they all share, or -1 if two differ or
+// there were none (the walk starts it at -1).
+func sameWidth(width, i, n int) int {
+	if i == 0 || n == width {
+		return n
+	}
+	return -1
+}
+
 // alloc makes the packed allocation for ncols columns holding dataLen bytes
-// in all and fills in its header; the caller fills the column ends and the
-// data, which start at the returned offsets. The form and the end width are
-// picked here, from what is built, and nothing is narrowed unchecked: a
-// figure the layout cannot hold panics, as a negative column index does.
-func alloc(version uint64, worker uint32, expiry uint64, ncols, dataLen int) (b []byte, table int, shift uint, data int) {
+// in all, each width long if width is not -1 (sameWidth), and fills in its
+// header; the caller fills the column ends and the data, which start at the
+// returned offsets. The form and the end width are picked here, from what is
+// built, and nothing is narrowed unchecked: a figure the layout cannot hold
+// panics, as a negative column index does.
+func alloc(version uint64, worker uint32, expiry uint64, ncols, width, dataLen int) (b []byte, table int, shift uint, data int) {
 	if worker > MaxWorker {
 		panic(fmt.Sprintf("value: worker tag %d exceeds %d", worker, MaxWorker))
 	}
@@ -230,11 +247,12 @@ func alloc(version uint64, worker uint32, expiry uint64, ncols, dataLen int) (b 
 	if expiry != 0 {
 		flags, exp = flagExpiry, expirySize
 	}
-	if ncols == 1 && dataLen <= compactMaxLen && version <= compactMaxVersion && worker <= compactMaxWorker {
+	if width >= 0 && width <= compactMaxWidth && ncols <= compactMaxCols &&
+		version <= compactMaxVersion && worker <= compactMaxWorker {
 		data = compactSize + exp
 		b = make([]byte, data+dataLen)
-		flags |= flagCompact | byte(dataLen)<<flagLenShift
-		binary.LittleEndian.PutUint64(b, uint64(flags)|version<<8|uint64(worker)<<56)
+		flags |= flagCompact | byte(width)<<flagWidthShift
+		binary.LittleEndian.PutUint64(b, uint64(flags)|uint64(ncols-1)<<8|version<<compactVersionShift|uint64(worker)<<56)
 		table, shift = data, compactEnd
 	} else {
 		if dataLen > 0xffff {
@@ -270,11 +288,12 @@ func New(cols ...[]byte) *Value {
 // NewAt is New with an explicit version, used by log replay and checkpoint
 // loading to reconstruct the exact pre-crash version numbers.
 func NewAt(version uint64, cols ...[]byte) *Value {
-	total := 0
-	for _, c := range cols {
+	total, width := 0, -1
+	for i, c := range cols {
 		total += len(c)
+		width = sameWidth(width, i, len(c))
 	}
-	b, table, shift, data := alloc(version, 0, 0, len(cols), total)
+	b, table, shift, data := alloc(version, 0, 0, len(cols), width, total)
 	off := 0
 	for i, c := range cols {
 		off += copy(b[data+off:], c)
@@ -291,7 +310,7 @@ func (v *Value) Version() uint64 {
 		return 0
 	}
 	if h := binary.LittleEndian.Uint64(v.hdr[:]); h&flagCompact != 0 {
-		return h >> 8 & compactMaxVersion
+		return h >> compactVersionShift & compactMaxVersion
 	}
 	return binary.LittleEndian.Uint64(v.head(hdrSize)[offVersion:])
 }
@@ -471,15 +490,18 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 			last[p.Col] = int32(j + 1)
 		}
 	}
-	total := 0
+	total, width := 0, -1
 	for i := 0; i < ncols; i++ {
+		n := 0
 		if d, put := putFor(puts, last, i); put {
-			total += len(d)
+			n = len(d)
 		} else if i < ocols {
-			total += colEnd(oends, otable, oshift, i) - colEnd(oends, otable, oshift, i-1)
+			n = colEnd(oends, otable, oshift, i) - colEnd(oends, otable, oshift, i-1)
 		}
+		total += n
+		width = sameWidth(width, i, n)
 	}
-	b, table, shift, data := alloc(version, worker, expiry, ncols, total)
+	b, table, shift, data := alloc(version, worker, expiry, ncols, width, total)
 	off := 0
 	for i := 0; i < ncols; {
 		if d, put := putFor(puts, last, i); put {
