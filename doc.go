@@ -31,14 +31,15 @@
 //
 // Keys longer than a slice that share it (§4.1's trie layers) do not each
 // cost a B+-tree: up to four of them live in a twig (core's twig.go), a
-// 48-byte object the border slot points at in place of a layer — their
+// 32-byte object for two keys, 48 for three or four, that the border slot
+// points at in place of a layer — their
 // remainders past the slice, sorted, and a value cell each. A twig's shape is
 // published and never mutated: insert and remove build a new one under the
 // owning border's lock and swap the slot's pointer, an overwrite stores into
 // the key's cell, and a fifth key turns the twig into a real layer, built
 // privately before it is published. Readers learn one more case and no
 // protocol. On the paper's decimal keys, where a layer-1 tree holds two keys
-// (§6.2), that is 48 bytes where a 320-byte border node stood.
+// (§6.2), that is 32 bytes where a 320-byte border node stood.
 //
 // Range queries (§3 getrange) are one descent plus a walk of the border-node
 // list (core.ScanNInto). Each node is read as a version-validated snapshot of

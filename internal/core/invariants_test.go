@@ -11,7 +11,8 @@ import (
 //   - border keys are strictly increasing by (slice, ordinal),
 //   - at most one >8-byte (suffix/twig/layer) entry per slice,
 //   - a twig holds 1..twigCap keys, their remainders non-empty and strictly
-//     ascending, in tiny exactly when they fit there, and no nil value cell,
+//     ascending, in tiny exactly when they fit there, and no nil value cell;
+//     its shape's cells past the keys are nil,
 //   - interior separators are strictly increasing and route consistently,
 //   - children's parent pointers point back at their interior node,
 //   - border lowkeys bound their contents, and the successor's from above,
@@ -114,8 +115,8 @@ func checkTwig(t *testing.T, n *borderNode, tw *twig) {
 			t.Fatalf("border %p: twig key %q has a nil cell", n, rem)
 		}
 	}
-	for j := cnt; j < twigCap; j++ {
-		if tw.vals[j] != nil {
+	for j := cnt; j < cellWords(cnt); j++ {
+		if *tw.cell(j) != nil {
 			t.Fatalf("border %p: twig of %d keys has a value in cell %d", n, cnt, j)
 		}
 	}

@@ -186,25 +186,69 @@ func (n *borderNode) setKeylen(slot int, kl uint32) {
 // bracket and then validates the node version holds the suffix of every
 // slot its snapshot saw as klSuffix, and may compare bytes after validating.
 //
-// Layout: byte 0 is w, the width in bytes of an offset (1, 2 or 4 — as
-// narrow as the total allows); then width+1 little-endian offsets; then the
-// bytes. Slot i's suffix is data[off[i]:off[i+1]].
+// A bag has one of two layouts, told apart by byte 0's low nibble: 0 in the
+// compact form, 1, 2 or 4 in the general one. Either holds the suffixes in
+// slot order, with nothing between them.
+//
+//   - Compact, when every suffix is at most bagCompactMax bytes long (every
+//     key of at most 23 bytes): an 8-byte little-endian header whose nibble
+//     i+1 is slot i's suffix length, then the bytes. Slot i's suffix starts
+//     at the sum of the lower slots' lengths, one mask and a nibble sum away.
+//     Ten one- and two-digit suffixes take 8 + 15 bytes, the 24 B class.
+//   - General: byte 0 is w, the width in bytes of an offset (1, 2 or 4 — as
+//     narrow as the total allows); then width+1 little-endian offsets; then
+//     the bytes. Slot i's suffix is data[off[i]:off[i+1]].
 type suffixBag []byte
 
+// bagCompactMax is the longest suffix a compact bag's 4-bit length holds.
+const bagCompactMax = 15
+
+// compactHeader is the size of a compact bag's header.
+const compactHeader = 8
+
 // bagHeader is the size of the width byte plus the offsets: where the
-// suffix bytes start in a bag whose offsets are w bytes wide.
+// suffix bytes start in a general bag whose offsets are w bytes wide.
 func bagHeader(w int) int { return 1 + (width+1)*w }
+
+// isCompact reports whether a bag whose byte 0 is b0 has the compact form.
+func isCompact(b0 byte) bool { return b0&0xf == 0 }
+
+// lenShift is the shift of slot's length in a compact header.
+func lenShift(slot int) uint { return 4 * uint(slot+1) }
+
+// nibbleSum returns the sum of h's sixteen 4-bit fields: byte sums of the
+// nibble pairs, then one multiply adds the bytes into the top one. The sum
+// of a compact header's fields is at most 15·15, so no byte overflows.
+func nibbleSum(h uint64) int {
+	const low = 0x0f0f0f0f0f0f0f0f
+	h = h&low + h>>4&low
+	return int(h * 0x0101010101010101 >> 56)
+}
 
 // newBag builds the bag holding sufs[slot] for every slot, or returns nil if
 // all are empty. The bytes are copied: the tree never retains a caller's
 // buffer, nor one bag a part of another.
 func newBag(sufs *[width][]byte) *byte {
-	total := 0
+	total, longest := 0, 0
 	for _, s := range sufs {
 		total += len(s)
+		longest = max(longest, len(s))
 	}
 	if total == 0 {
 		return nil
+	}
+	if longest <= bagCompactMax {
+		var h uint64
+		for i, s := range sufs {
+			h |= uint64(len(s)) << lenShift(i)
+		}
+		b := make(suffixBag, compactHeader+total)
+		binary.LittleEndian.PutUint64(b, h)
+		off := compactHeader
+		for _, s := range sufs {
+			off += copy(b[off:], s)
+		}
+		return &b[0]
 	}
 	w := offsetWidth(total)
 	b := make(suffixBag, bagHeader(w)+total)
@@ -219,13 +263,55 @@ func newBag(sufs *[width][]byte) *byte {
 	return &b[0]
 }
 
+// with returns the bag insertSlot publishes: b's suffixes of the slots in
+// live, and suf at slot, which is not in live. From a compact bag to a
+// compact bag — the suffixes of keys of up to 23 bytes — it is built from
+// b's header and bytes: the dead slots' lengths cleared, slot's set, the
+// bytes copied in slot order. Anything else goes through newBag.
+func (b suffixBag) with(live uint16, slot int, suf []byte) *byte {
+	if len(suf) > bagCompactMax || b != nil && !isCompact(b[0]) {
+		var sufs [width][]byte
+		for s := 0; s < width; s++ {
+			if live&(1<<uint(s)) != 0 {
+				sufs[s] = b.suffix(s)
+			}
+		}
+		sufs[slot] = suf
+		return newBag(&sufs)
+	}
+	var h uint64
+	if b != nil {
+		h = binary.LittleEndian.Uint64(b)
+	}
+	h2 := uint64(len(suf)) << lenShift(slot)
+	for s := 0; s < width; s++ {
+		if live&(1<<uint(s)) != 0 {
+			h2 |= h & (0xf << lenShift(s))
+		}
+	}
+	out := make(suffixBag, compactHeader+nibbleSum(h2))
+	binary.LittleEndian.PutUint64(out, h2)
+	src, dst := compactHeader, compactHeader
+	for s := 0; s < width; s++ {
+		n := int(h >> lenShift(s) & 0xf)
+		switch {
+		case s == slot:
+			dst += copy(out[dst:], suf)
+		case h2>>lenShift(s)&0xf != 0:
+			dst += copy(out[dst:], b[src:src+n])
+		}
+		src += n
+	}
+	return &out[0]
+}
+
 func (b suffixBag) putOff(i, off int) { putOffset(b[1:], int(b[0]), i, off) }
 func (b suffixBag) off(i int) int     { return offset(b[1:], int(b[0]), i) }
 
 // offsetWidth is the narrowest width in bytes, of 1, 2 and 4, whose offsets
 // reach total. putOffset stores off as the i-th of the w-byte little-endian
-// offsets at b; offset reads it back. The suffix bag's and the twig's
-// encodings share the three.
+// offsets at b; offset reads it back. The general suffix bag's and the
+// twig's encodings share the three.
 func offsetWidth(total int) int {
 	switch {
 	case total > 0xffff:
@@ -264,6 +350,10 @@ func bagAt(p *byte) suffixBag {
 	if p == nil {
 		return nil
 	}
+	if isCompact(*p) {
+		h := binary.LittleEndian.Uint64(unsafe.Slice(p, compactHeader))
+		return unsafe.Slice(p, compactHeader+nibbleSum(h))
+	}
 	hdr := bagHeader(int(*p))
 	return unsafe.Slice(p, hdr+suffixBag(unsafe.Slice(p, hdr)).off(width))
 }
@@ -272,6 +362,11 @@ func bagAt(p *byte) suffixBag {
 func (b suffixBag) suffix(slot int) []byte {
 	if b == nil {
 		return nil
+	}
+	if isCompact(b[0]) {
+		h, sh := binary.LittleEndian.Uint64(b), lenShift(slot)
+		lo := compactHeader + nibbleSum(h&(1<<sh-1))
+		return b[lo : lo+int(h>>sh&0xf)]
 	}
 	data := b[bagHeader(int(b[0])):]
 	return data[b.off(slot):b.off(slot+1)]
@@ -362,8 +457,10 @@ func (n *borderNode) keyGEqLowkey(slice uint64) bool {
 // node the answer is final — lowkeys never change, next is written only under
 // n's own lock, and a node leaves its layer only by being marked deleted
 // under its own lock — so such a node is the one a write to slice belongs
-// in, however the caller came by it: lockBorder's chase, a batch's run
-// (extendRun) and a wave's hint (lockHint) all ask this one question.
+// in, however the caller came by it. A batch's run (extendRun), a wave's
+// hint (lockHint) and lockBorder's chase after a split ask it; lockBorder
+// does not when the node has not split since its descent saw it, which
+// answers the question without reading the successor.
 func (n *borderNode) owns(slice uint64) bool {
 	if !n.keyGEqLowkey(slice) {
 		return false

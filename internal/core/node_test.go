@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -101,25 +103,50 @@ func TestNodeLayout(t *testing.T) {
 		}
 	}
 
-	// A twig is one 48-byte object — the size class is its own — and the
-	// twig of two decimal keys is nothing else: their remainders lie in it.
+	// A twig is one object sized by its count: 32 B and two cells for one or
+	// two keys, 48 B and four for three or four, the cells at fixed offsets
+	// — and the twig of two decimal keys is nothing else: their remainders
+	// lie in it.
 	var tw twig
-	if sz := unsafe.Sizeof(tw); sz != 48 {
-		t.Errorf("twig is %d B, want 48", sz)
+	var tw4 twig4
+	for _, f := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"sizeof twig", unsafe.Sizeof(tw), 32},
+		{"sizeof twig4", unsafe.Sizeof(tw4), 48},
+		{"twig.rems", unsafe.Offsetof(tw.rems), 0},
+		{"twig.tiny", unsafe.Offsetof(tw.tiny), 8},
+		{"twig.vals", unsafe.Offsetof(tw.vals), 16},
+		{"twig4.more", unsafe.Offsetof(tw4.more), 32}, // cells 2 and 3 follow vals
+		{"twig4 cell 3", uintptr(unsafe.Pointer(tw4.cell(3))) - uintptr(unsafe.Pointer(&tw4)), 40},
+	} {
+		if f.got != f.want {
+			t.Errorf("%s = %d, want %d", f.name, f.got, f.want)
+		}
 	}
-	if n := pointerWords(reflect.TypeOf(&tw).Elem()); n != twigCap+1 {
-		t.Errorf("twig has %d pointer words, want %d (the cells and rems)", n, twigCap+1)
+	if n := pointerWords(reflect.TypeOf(&tw).Elem()); n != 3 {
+		t.Errorf("twig has %d pointer words, want 3 (two cells and rems)", n)
+	}
+	if n := pointerWords(reflect.TypeOf(&tw4).Elem()); n != twigCap+1 {
+		t.Errorf("twig4 has %d pointer words, want %d (the cells and rems)", n, twigCap+1)
 	}
 	e := twigEntries{}
 	e.insert(0, []byte("7"), unsafe.Pointer(&tw))
+	if one := e.build(); one.rems != nil || one.size() != 32 {
+		t.Error("a twig of one key is not the 32 B shape holding its remainder")
+	}
 	e.insert(1, []byte("83"), unsafe.Pointer(&tw))
-	if e.build().rems != nil {
-		t.Error("two remainders of three bytes do not lie in the twig itself")
+	if two := e.build(); two.rems != nil || two.size() != 32 {
+		t.Error("two remainders of three bytes do not lie in a 32 B twig")
 	}
 	e.insert(2, []byte("9"), unsafe.Pointer(&tw))
+	if three := e.build(); three.rems != nil || three.size() != 48 {
+		t.Error("three remainders of four bytes do not lie in a 48 B twig")
+	}
 	e.insert(3, []byte("99"), unsafe.Pointer(&tw))
-	if small := e.build(); small.rems == nil || sizeClass(len(small.keys())) != 16 {
-		t.Error("four remainders of six bytes: want them in a 16-byte allocation of their own")
+	if small := e.build(); small.rems == nil || sizeClass(len(small.keys())) != 16 || small.size() != 48 {
+		t.Error("four remainders of six bytes: want them in a 16-byte allocation of their own, beside a 48 B twig")
 	}
 }
 
@@ -201,9 +228,9 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 							fail("klLayer paired with a value or a twig")
 						}
 					case klTwig:
-						// A twig's first word is a value's address; a node's is
-						// its version, whose border or root bit is set.
-						if vals[lv] || !vals[atomic.LoadPointer(&(*twig)(lv).vals[0])] {
+						// A twig's third word, cell 0, is a value's address;
+						// a node's is its permutation.
+						if vals[lv] || !vals[unsafe.Pointer((*twig)(lv).value(0))] {
 							fail("klTwig paired with a value or a layer")
 						}
 					case klSuffix:
@@ -309,9 +336,29 @@ func TestSuffixBagCopyOnWrite(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
+// bagSize is the length of the bag newBag builds of suffixes of these
+// lengths, in the form it picks: compact, an 8-byte header, when none is
+// longer than 15 bytes; else the width byte and sixteen offsets of the
+// narrowest width that reaches the total.
+func bagSize(lens ...int) int {
+	total, longest := 0, 0
+	for _, l := range lens {
+		total, longest = total+l, max(longest, l)
+	}
+	switch {
+	case total == 0:
+		return 0
+	case longest <= 15:
+		return 8 + total
+	}
+	return bagHeader(offsetWidth(total)) + total
+}
+
 func TestSuffixBagOffsetWidths(t *testing.T) {
+	// width 0 is the compact form, whose byte 0 has a low nibble of 0.
 	for _, c := range []struct{ sufLen, keys, width int }{
-		{1, 15, 1}, {17, 15, 1}, {18, 15, 2}, {300, 1, 2}, {65535, 1, 2}, {65536, 1, 4}, {70000, 1, 4}, {70000, 15, 4},
+		{1, 15, 0}, {2, 10, 0}, {15, 15, 0}, {16, 1, 1}, {16, 15, 1}, {17, 15, 1}, {18, 15, 2},
+		{300, 1, 2}, {65535, 1, 2}, {65536, 1, 4}, {70000, 1, 4}, {70000, 15, 4},
 	} {
 		tr := New()
 		var keys []string
@@ -323,10 +370,18 @@ func TestSuffixBagOffsetWidths(t *testing.T) {
 		if n.next.Load() != nil {
 			t.Fatal("node split")
 		}
-		if got := int(n.bag()[0]); got != c.width {
-			t.Errorf("%d suffixes of %d B: offsets are %d B wide, want %d", c.keys, c.sufLen, got, c.width)
+		got := int(n.bag()[0])
+		if isCompact(n.bag()[0]) {
+			got = 0
 		}
-		if want := 1 + 16*c.width + c.keys*c.sufLen; bagBytes(n) != want {
+		if got != c.width {
+			t.Errorf("%d suffixes of %d B: offsets are %d B wide, want %d (0: compact)", c.keys, c.sufLen, got, c.width)
+		}
+		want := 8 + c.keys*c.sufLen
+		if c.width > 0 {
+			want = 1 + 16*c.width + c.keys*c.sufLen
+		}
+		if bagBytes(n) != want {
 			t.Errorf("%d suffixes of %d B: bag is %d B, want %d", c.keys, c.sufLen, bagBytes(n), want)
 		}
 		for _, k := range keys {
@@ -345,6 +400,207 @@ func TestSuffixBagOffsetWidths(t *testing.T) {
 			t.Fatalf("scan saw %d keys, want %d", i, len(keys))
 		}
 	}
+}
+
+// randomSuffix is a suffix of a length the bag's forms turn on: mostly 1 to
+// 16 bytes, 15 and 16 — the boundary — often, now and then a long one.
+func randomSuffix(rng *rand.Rand) []byte {
+	var l int
+	switch r := rng.Intn(10); {
+	case r < 6:
+		l = 1 + rng.Intn(16)
+	case r < 9:
+		l = 15 + rng.Intn(2)
+	default:
+		l = 17 + rng.Intn(300)
+	}
+	b := make([]byte, l)
+	rng.Read(b)
+	return b
+}
+
+// checkBag compares the bag at p with the model: slot s's suffix is want[s]
+// for every slot, and the bag is as long as its encoding of them says.
+func checkBag(t *testing.T, p *byte, want *[width][]byte, what string) {
+	t.Helper()
+	var lens []int
+	for _, s := range want {
+		lens = append(lens, len(s))
+	}
+	b := bagAt(p)
+	if len(b) != bagSize(lens...) {
+		t.Fatalf("%s: bag of %v is %d B, want %d", what, lens, len(b), bagSize(lens...))
+	}
+	if b != nil && isCompact(b[0]) != (slices.Max(lens) <= 15) {
+		t.Fatalf("%s: bag of %v has the wrong form (byte 0 %#x)", what, lens, b[0])
+	}
+	for s := range want {
+		if got := b.suffix(s); !bytes.Equal(got, want[s]) {
+			t.Fatalf("%s: slot %d holds %q, want %q (lengths %v)", what, s, got, want[s], lens)
+		}
+	}
+}
+
+// TestSuffixBagModel builds bags of random live sets and lengths over all
+// fifteen slots, and from each a rebuild as insertSlot makes it — some
+// slots dead, one new — and checks every slot of both against the model.
+func TestSuffixBagModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 20000; iter++ {
+		var sufs [width][]byte
+		for s := range sufs {
+			if rng.Intn(3) > 0 {
+				sufs[s] = randomSuffix(rng)
+			}
+		}
+		p := newBag(&sufs)
+		checkBag(t, p, &sufs, "newBag")
+
+		// The rebuild: a random live subset, and a new suffix in a slot that
+		// is not live, dead bytes or none.
+		var live uint16
+		var want [width][]byte
+		for s := range sufs {
+			if sufs[s] != nil && rng.Intn(4) > 0 {
+				live |= 1 << uint(s)
+				want[s] = sufs[s]
+			}
+		}
+		if live == 1<<width-1 {
+			continue
+		}
+		slot := rng.Intn(width)
+		for live&(1<<uint(slot)) != 0 {
+			slot = rng.Intn(width)
+		}
+		want[slot] = randomSuffix(rng)
+		checkBag(t, bagAt(p).with(live, slot, want[slot]), &want, "with")
+	}
+}
+
+// TestSuffixBagRebuilds runs random inserts of short and long keys, removes
+// and suffix→twig swaps over one border's fifteen slices against a model of
+// the live suffixes. A long key's insert must publish a new bag of exactly
+// the live suffixes; a remove, a short key's insert or a swap to a twig must
+// leave the bag as it was, dead bytes and all. Every live suffix slot must
+// read its key's suffix back.
+func TestSuffixBagRebuilds(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	tr := New()
+	// Fourteen slices, so that a short key's visit makes fifteen keys at most
+	// and the border never splits.
+	const nslices = width - 1
+	slice := func(i int) string { return fmt.Sprintf("slice%03d", i) }
+	sliceOf := map[uint64]int{}
+	for i := 0; i < nslices; i++ {
+		sliceOf[keySlice([]byte(slice(i)))] = i
+	}
+	suffixKey := map[int]string{} // slice → its one long key, if it is not in a twig
+	twigs := map[int][]string{}   // slice → the two long keys of its twig
+	var lastBag *byte
+	var lastLen int
+	forms := map[bool]int{}
+	for op := 0; op < 20000; op++ {
+		i := rng.Intn(nslices)
+		k := slice(i) + string(randomSuffix(rng))
+		rebuilt := false
+		switch r := rng.Intn(4); {
+		case r == 0:
+			// A short key's visit: in and out of a slot.
+			short := slice(i)[:1+rng.Intn(8)]
+			put(tr, short, short)
+			tr.Remove([]byte(short))
+		case len(twigs[i]) > 0:
+			for _, tk := range twigs[i] {
+				tr.Remove([]byte(tk))
+			}
+			delete(twigs, i)
+		case suffixKey[i] == "":
+			put(tr, k, k)
+			suffixKey[i], rebuilt = k, true
+		case r == 1:
+			tr.Remove([]byte(suffixKey[i]))
+			delete(suffixKey, i)
+		case k != suffixKey[i]:
+			// A second long key of the slice: the suffix → twig swap.
+			put(tr, k, k)
+			twigs[i] = []string{suffixKey[i], k}
+			delete(suffixKey, i)
+		}
+		n, _ := tr.findBorder(tr.rootHeader(), 0)
+		if n.next.Load() != nil {
+			t.Fatal("node split")
+		}
+		p := n.suffixes.Load()
+		if rebuilt == (p == lastBag) {
+			t.Fatalf("op %d: bag %p → %p; a rebuild %v", op, lastBag, p, rebuilt)
+		}
+		perm, kw := n.perm(), n.keylens.Load()
+		var want [width][]byte
+		for r := 0; r < perm.count(); r++ {
+			if s := perm.slot(r); klAt(kw, s) == klSuffix {
+				k, ok := suffixKey[sliceOf[n.keyslice[s].Load()]]
+				if !ok {
+					t.Fatalf("op %d: slot %d holds a suffix key of a slice that has none", op, s)
+				}
+				want[s] = []byte(k[8:])
+			}
+		}
+		if rebuilt {
+			checkBag(t, p, &want, fmt.Sprintf("op %d", op))
+			forms[isCompact(*p)]++
+		} else if len(bagAt(p)) != lastLen {
+			t.Fatalf("op %d: the bag's length went %d → %d with no rebuild", op, lastLen, len(bagAt(p)))
+		}
+		for s := range want {
+			if want[s] != nil && !bytes.Equal(n.bag().suffix(s), want[s]) {
+				t.Fatalf("op %d: slot %d reads %q, want %q", op, s, n.bag().suffix(s), want[s])
+			}
+		}
+		lastBag, lastLen = p, len(bagAt(p))
+	}
+	if forms[true] < 100 || forms[false] < 100 {
+		t.Fatalf("rebuilds: %d compact, %d general; want both forms often", forms[true], forms[false])
+	}
+	for _, k := range suffixKey {
+		mustGet(t, tr, k, k)
+	}
+	for _, tw := range twigs {
+		for _, k := range tw {
+			mustGet(t, tr, k, k)
+		}
+	}
+	checkInvariants(t, tr)
+}
+
+// TestSuffixBagGoesCompactAgain: a long suffix makes the bag general; it
+// stays so, dead, after the key's remove, and the next rebuild — the insert
+// of a short long key — drops it and goes compact.
+func TestSuffixBagGoesCompactAgain(t *testing.T) {
+	tr := New()
+	short, long := longKey("a", 2), longKey("b", 16)
+	put(tr, short, short)
+	n, _ := tr.findBorder(tr.rootHeader(), 0)
+	if !isCompact(n.bag()[0]) || bagBytes(n) != 8+2 {
+		t.Fatalf("a 2-byte suffix: bag of %d B, compact %v", bagBytes(n), isCompact(n.bag()[0]))
+	}
+	put(tr, long, long)
+	if isCompact(n.bag()[0]) || bagBytes(n) != bagSize(2, 16) {
+		t.Fatalf("a 16-byte suffix: bag of %d B, compact %v", bagBytes(n), isCompact(n.bag()[0]))
+	}
+	tr.Remove([]byte(long))
+	if isCompact(n.bag()[0]) {
+		t.Fatal("remove rebuilt the bag")
+	}
+	third := longKey("c", 15)
+	put(tr, third, third)
+	if !isCompact(n.bag()[0]) || bagBytes(n) != 8+2+15 {
+		t.Fatalf("after the long suffix died: bag of %d B, compact %v; want compact, %d B", bagBytes(n), isCompact(n.bag()[0]), 8+2+15)
+	}
+	mustGet(t, tr, short, short)
+	mustGet(t, tr, third, third)
+	mustMiss(t, tr, long)
+	checkInvariants(t, tr)
 }
 
 // TestSplitSendsSuffixesToTheirSide: after a split each node's bag holds its
@@ -367,12 +623,13 @@ func TestSplitSendsSuffixesToTheirSide(t *testing.T) {
 		nodes := 0
 		for ; n != nil; n = n.next.Load() {
 			nodes++
-			live := 0
+			live, lens := 0, []int(nil)
 			for _, k := range layer0Keys(n) {
 				got = append(got, string(k))
 				live += len(k) - 8
+				lens = append(lens, len(k)-8)
 			}
-			if want := 1 + 16*int(n.bag()[0]) + live; bagBytes(n) != want {
+			if want := bagSize(lens...); bagBytes(n) != want {
 				t.Errorf("rank %d: bag of %d B holds more than its node's %d suffix bytes", r, bagBytes(n), live)
 			}
 		}

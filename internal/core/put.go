@@ -32,22 +32,31 @@ func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, s
 
 // lockBorder descends from root to the border node responsible for slice
 // and locks it. A split that committed between the descent and the lock may
-// have shifted responsibility for the key to a right sibling, so the border
-// links are chased hand-over-hand under lock until the node owns the slice
-// (findBorder routed here, so its lowkey is at or below it already). Returns
-// nil — with everything unlocked and the root retry counted — when the node
-// was deleted underneath us and the caller must restart from the tree root.
+// have shifted responsibility for the key to a right sibling; the node's
+// split counter says whether one did (Figure 7's forward rule). If vsplit is
+// what the descent saw and the node is not deleted, the node owns the slice:
+// findBorder routed here, so its lowkey is at or below the slice, lowkeys
+// never change, and a node's range shrinks only by its own split (a
+// successor's removal widens it). Then the successor's lowkey, a second
+// node's line, is not read. Otherwise the border links are chased
+// hand-over-hand under lock until the node owns the slice. Returns nil —
+// with everything unlocked and the root retry counted — when the node was
+// deleted underneath us and the caller must restart from the tree root.
 // This is the one copy of the writer-side locking protocol, shared by put,
 // putRun, remove and collapseLayer.
 //
 //masstree:returns-locked
 func (t *Tree) lockBorder(root *nodeHeader, slice uint64) *borderNode {
-	n, _ := t.findBorder(root, slice)
+	n, v := t.findBorder(root, slice)
 	n.h.lock()
-	if isDeleted(n.h.version.Load()) {
+	locked := n.h.version.Load()
+	if isDeleted(locked) {
 		n.h.unlock()
 		t.stats.RootRetries.Add(1)
 		return nil
+	}
+	if vsplit(locked) == vsplit(v) {
+		return n
 	}
 	for !n.owns(slice) {
 		next := n.next.Load()
@@ -163,7 +172,7 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 	}
 	switch {
 	case found && tw != nil:
-		atomic.StorePointer(&tw.vals[j], unsafe.Pointer(stored))
+		atomic.StorePointer(tw.cell(j), unsafe.Pointer(stored))
 	case found:
 		n.storeLV(slot, unsafe.Pointer(stored))
 	case tw != nil:
@@ -218,15 +227,14 @@ func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint6
 		n.setKeylen(slot, uint32(len(k)))
 	} else {
 		// A fresh bag: the live suffixes plus this one, and none of the dead.
-		var sufs [width][]byte
-		bag, kw := n.bag(), n.keylens.Load()
+		var live uint16
+		kw := n.keylens.Load()
 		for r, cnt := 0, perm.count(); r < cnt; r++ {
 			if s := perm.slot(r); klAt(kw, s) == klSuffix {
-				sufs[s] = bag.suffix(s)
+				live |= 1 << uint(s)
 			}
 		}
-		sufs[slot] = k[8:]
-		n.suffixes.Store(newBag(&sufs))
+		n.suffixes.Store(n.bag().with(live, slot, k[8:]))
 		n.setKeylen(slot, klSuffix)
 	}
 	n.storeLV(slot, unsafe.Pointer(v))

@@ -136,7 +136,7 @@ func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats, round
 				l.Twigs++
 				l.Keys += keys
 				l.TwigKeys += keys
-				l.TwigBytes += round(int(unsafe.Sizeof(*tw)))
+				l.TwigBytes += round(int(tw.size()))
 				if tw.rems != nil {
 					l.TwigBytes += round(len(tw.keys()))
 				}

@@ -12,7 +12,8 @@ import (
 // into a trie layer. Of the 59 223 slices of the benchmark's 2 M decimal keys
 // that more than one long key shares, 57 340 are shared by two keys, 1 838 by
 // three, 44 by four and one by five (DESIGN.md, "the twig"), so four covers
-// them, and a twig of four cells is 48 B whether it holds two keys or four.
+// them. A twig is sized by its count: two cells in the 32 B twig, four in
+// the 48 B twig4.
 const twigCap = 4
 
 // A twig is what a border slot points at (keylen klTwig) when a few keys
@@ -29,18 +30,50 @@ const twigCap = 4
 // twig, and what it finds is what the tree held at some instant of its own
 // operation (an old twig's cells are never written again, so they hold what
 // was current at the swap). Only the cells change in place: an overwrite of
-// key j stores into vals[j], again under the border's lock, and readers load
+// key j stores into cell j, again under the border's lock, and readers load
 // it atomically. Where lv changes kind — suffix key to twig (makeTwig), twig
 // to layer (makeLayer) — the slot goes through klUnstable.
 //
-// The struct is 48 B, a size class of its own. The remainders live in tiny
-// when they fit, so the twig of two decimal keys is that one allocation and
-// one or two cache lines; longer ones get a pointer-free allocation of their
-// own, rems. TestNodeLayout pins the size.
+// The struct is the 32 B shape of a twig of one or two keys; one of three or
+// four is allocated as a twig4, 48 B, which embeds it and adds cells 2 and 3
+// right after vals. The declared type is the smaller one because a *twig
+// must never claim more bytes than its allocation holds (checkptr, under
+// -race, rejects the conversion otherwise). The remainders live in tiny when
+// they fit, so the twig of two decimal keys is that one allocation and one
+// cache line — a 32 B object never crosses one; longer ones get a
+// pointer-free allocation of their own, rems. TestNodeLayout pins the sizes.
 type twig struct {
-	vals [twigCap]unsafe.Pointer // vals[j] is key j's *value.Value; never nil
-	rems *byte                   // the encoded remainders (twigKeys), or nil: they are in tiny
+	rems *byte // the encoded remainders (twigKeys), or nil: they are in tiny
 	tiny [8]byte
+	vals [2]unsafe.Pointer // vals[j] is key j's *value.Value; never nil
+}
+
+// twig4 is the shape of a twig of three or four keys: cell j of twig is
+// vals[j], and more[j-2] past it.
+type twig4 struct {
+	twig
+	more [twigCap - 2]unsafe.Pointer
+}
+
+// cellWords is how many cells a twig of n keys is allocated with.
+func cellWords(n int) int {
+	if n <= len(twig{}.vals) {
+		return len(twig{}.vals)
+	}
+	return twigCap
+}
+
+// size is the twig's allocation, in bytes.
+func (tw *twig) size() uintptr {
+	if cellWords(tw.keys().n()) == twigCap {
+		return unsafe.Sizeof(twig4{})
+	}
+	return unsafe.Sizeof(twig{})
+}
+
+// cell returns the address of cell j, which the twig's shape must have.
+func (tw *twig) cell(j int) *unsafe.Pointer {
+	return (*unsafe.Pointer)(unsafe.Add(unsafe.Pointer(&tw.vals), uintptr(j)*unsafe.Sizeof(tw.vals[0])))
 }
 
 // twigKeys is a twig's remainders, encoded: byte 0 holds the number of keys
@@ -93,14 +126,20 @@ func (k twigKeys) search(rem []byte) (j int, found bool) {
 
 // value loads cell j.
 func (tw *twig) value(j int) *value.Value {
-	return (*value.Value)(atomic.LoadPointer(&tw.vals[j]))
+	return (*value.Value)(atomic.LoadPointer(tw.cell(j)))
 }
 
-// prefetchTwig asks for a twig's 48 bytes, which are not line-aligned and
-// may lie across two lines.
+// prefetchTwig asks for the line a twig starts in. A 32 B twig is 32-byte
+// aligned and that line holds it all. A twig4 starts at 0, 16, 32 or 48 mod
+// 64, and from 32 or 48 its cells 2 and 3 lie in the next line; at 48 the
+// address says it is a twig4, and the next line is asked for too. At 32 it
+// cannot be told from a 32 B twig, which is far the commoner, so that line
+// is left to be fetched when the cell is read.
 func prefetchTwig(tw unsafe.Pointer) {
 	prefetchLine(tw)
-	prefetchLine(unsafe.Add(tw, unsafe.Sizeof(twig{})-1))
+	if uintptr(tw)&63 == 48 {
+		prefetchLine(unsafe.Add(tw, unsafe.Sizeof(twig4{})-1))
+	}
 }
 
 // twigEntries is a writer's working copy of a twig's keys, with room for the
@@ -118,7 +157,7 @@ type twigEntries struct {
 func (tw *twig) entries() (e twigEntries) {
 	k := tw.keys()
 	for e.n = 0; e.n < k.n(); e.n++ {
-		e.rem[e.n], e.val[e.n] = k.at(e.n), atomic.LoadPointer(&tw.vals[e.n])
+		e.rem[e.n], e.val[e.n] = k.at(e.n), atomic.LoadPointer(tw.cell(e.n))
 	}
 	return e
 }
@@ -136,14 +175,20 @@ func (e *twigEntries) remove(j int) {
 	e.n--
 }
 
-// build allocates the twig of the entries, which number 1..twigCap.
+// build allocates the twig of the entries, which number 1..twigCap, in the
+// shape their count needs.
 func (e *twigEntries) build() *twig {
 	total := 0
 	for _, r := range e.rem[:e.n] {
 		total += len(r)
 	}
 	w := offsetWidth(total)
-	tw := &twig{}
+	var tw *twig
+	if cellWords(e.n) == twigCap {
+		tw = &new(twig4).twig
+	} else {
+		tw = new(twig)
+	}
 	k := twigKeys(tw.tiny[:])
 	if size := keysSize(e.n, w, total); size > len(tw.tiny) {
 		k = make(twigKeys, size)
@@ -154,7 +199,7 @@ func (e *twigEntries) build() *twig {
 	for j, r := range e.rem[:e.n] {
 		end += copy(data[end:], r)
 		putOffset(k[1:], w, j, end)
-		atomic.StorePointer(&tw.vals[j], e.val[j])
+		atomic.StorePointer(tw.cell(j), e.val[j])
 	}
 	return tw
 }

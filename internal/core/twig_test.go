@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -588,4 +590,113 @@ func FuzzTwigModel(f *testing.F) {
 		checkInvariants(t, tr)
 		checkFullScan(t, tr, m)
 	})
+}
+
+// TestTwigShapes builds 100 000 two-key twigs, grows every third to three
+// keys and every sixth to four, reads them all, and drains them back to two
+// and then one, checking each twig's shape against its count on the way.
+// Under -race, checkptr sees both shapes: every cell access of a 32 B twig
+// and of a 48 B one converts and offsets a pointer into its allocation.
+func TestTwigShapes(t *testing.T) {
+	const slices = 100_000
+	tr := New()
+	key := func(i int, tail string) []byte { return []byte(fmt.Sprintf("%08d%s", i, tail)) }
+	tails := func(i int) []string {
+		switch {
+		case i%6 == 0:
+			return []string{"a", "b", "c", "d"}
+		case i%3 == 0:
+			return []string{"a", "b", "c"}
+		}
+		return []string{"a", "b"}
+	}
+	check := func(phase string, keys func(i int) []string) {
+		t.Helper()
+		shapes := map[uintptr]int{}
+		for i := 0; i < slices; i++ {
+			want := keys(i)
+			for _, tail := range want {
+				k := key(i, tail)
+				if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+					t.Fatalf("%s: Get(%q) = %v, %v", phase, k, v, ok)
+				}
+			}
+			n, _ := tr.findBorder(tr.rootHeader(), keySlice(key(i, "")))
+			r, _ := n.searchRank(n.perm(), keySlice(key(i, "")), 9)
+			slot := n.perm().slot(r)
+			if n.keylen(slot) != klTwig {
+				t.Fatalf("%s: slice %d is not a twig", phase, i)
+			}
+			tw := (*twig)(n.loadLV(slot))
+			if got := tw.keys().n(); got != len(want) {
+				t.Fatalf("%s: slice %d's twig holds %d keys, want %d", phase, i, got, len(want))
+			}
+			shapes[tw.size()]++
+		}
+		t.Logf("%s: twigs by size %v", phase, shapes)
+	}
+	for i := 0; i < slices; i++ {
+		for _, tail := range []string{"a", "b"} {
+			tr.Put(key(i, tail), value.New(key(i, tail)))
+		}
+	}
+	check("two", func(int) []string { return []string{"a", "b"} })
+	for i := 0; i < slices; i += 3 {
+		for _, tail := range tails(i)[2:] {
+			tr.Put(key(i, tail), value.New(key(i, tail)))
+		}
+	}
+	check("grown", tails)
+	n := 0
+	tr.ScanNInto(nil, ScanAll, nil, func(k []byte, v *value.Value) bool {
+		if string(k) != string(v.Bytes()) {
+			t.Fatalf("scan: %q carries %q", k, v.Bytes())
+		}
+		n++
+		return true
+	})
+	if want := 2*slices + slices/3 + 1 + slices/6 + 1; n != want {
+		t.Fatalf("scan saw %d keys, want %d", n, want)
+	}
+	for i := 0; i < slices; i += 3 {
+		for _, tail := range tails(i)[2:] {
+			tr.Remove(key(i, tail))
+		}
+	}
+	check("drained", func(int) []string { return []string{"a", "b"} })
+	for i := 0; i < slices; i++ {
+		tr.Remove(key(i, "a"))
+	}
+	check("one", func(int) []string { return []string{"b"} })
+	checkInvariants(t, tr)
+}
+
+// TestTwigAllocations measures what build allocates for a twig of each
+// count of one-byte remainders: 32 B for one or two keys, 48 B for three,
+// and for four 48 B and the 16 B block their nine bytes of encoding need.
+func TestTwigAllocations(t *testing.T) {
+	const twigs = 4096
+	v := value.New([]byte("v"))
+	sink := make([]*twig, twigs)
+	for n, size := range map[int]uint64{1: 32, 2: 32, 3: 48, 4: 48} {
+		want := size
+		if n == 4 {
+			want += 16
+		}
+		var e twigEntries
+		for j := 0; j < n; j++ {
+			e.insert(j, []byte{byte('a' + j)}, unsafe.Pointer(v))
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := range sink {
+			sink[i] = e.build()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / twigs; per != want || sink[0].size() != uintptr(size) {
+			t.Errorf("a twig of %d keys allocates %d B and says it is %d B, want %d", n, per, sink[0].size(), want)
+		}
+	}
+	runtime.KeepAlive(sink)
 }
