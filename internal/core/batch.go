@@ -291,13 +291,11 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 		c.n, c.p, c.off, c.slice = layer, nil, c.off+8, keySlice(k[8:])
 	default:
 		// The descent ends here, at the border a put of the key locks
-		// (hint); ask for what lookup will read: the twig, or the value and
-		// a suffix key's bag.
-		if kl == klTwig {
-			prefetchTwig(lvp)
-		} else {
-			prefetchLine(lvp)
-		}
+		// (hint); ask for what lookup will read: the twig's first line, or
+		// the value and a suffix key's bag. A 32 B twig is 32-byte aligned
+		// and that line holds it all; a 48 B twig's cells 2 and 3 may lie in
+		// the next line, which is left to be fetched when the cell is read.
+		prefetchLine(lvp)
 		if bag != nil {
 			prefetchLine(unsafe.Pointer(bag))
 		}

@@ -263,48 +263,6 @@ func newBag(sufs *[width][]byte) *byte {
 	return &b[0]
 }
 
-// with returns the bag insertSlot publishes: b's suffixes of the slots in
-// live, and suf at slot, which is not in live. From a compact bag to a
-// compact bag — the suffixes of keys of up to 23 bytes — it is built from
-// b's header and bytes: the dead slots' lengths cleared, slot's set, the
-// bytes copied in slot order. Anything else goes through newBag.
-func (b suffixBag) with(live uint16, slot int, suf []byte) *byte {
-	if len(suf) > bagCompactMax || b != nil && !isCompact(b[0]) {
-		var sufs [width][]byte
-		for s := 0; s < width; s++ {
-			if live&(1<<uint(s)) != 0 {
-				sufs[s] = b.suffix(s)
-			}
-		}
-		sufs[slot] = suf
-		return newBag(&sufs)
-	}
-	var h uint64
-	if b != nil {
-		h = binary.LittleEndian.Uint64(b)
-	}
-	h2 := uint64(len(suf)) << lenShift(slot)
-	for s := 0; s < width; s++ {
-		if live&(1<<uint(s)) != 0 {
-			h2 |= h & (0xf << lenShift(s))
-		}
-	}
-	out := make(suffixBag, compactHeader+nibbleSum(h2))
-	binary.LittleEndian.PutUint64(out, h2)
-	src, dst := compactHeader, compactHeader
-	for s := 0; s < width; s++ {
-		n := int(h >> lenShift(s) & 0xf)
-		switch {
-		case s == slot:
-			dst += copy(out[dst:], suf)
-		case h2>>lenShift(s)&0xf != 0:
-			dst += copy(out[dst:], b[src:src+n])
-		}
-		src += n
-	}
-	return &out[0]
-}
-
 func (b suffixBag) putOff(i, off int) { putOffset(b[1:], int(b[0]), i, off) }
 func (b suffixBag) off(i int) int     { return offset(b[1:], int(b[0]), i) }
 

@@ -442,8 +442,9 @@ func checkBag(t *testing.T, p *byte, want *[width][]byte, what string) {
 }
 
 // TestSuffixBagModel builds bags of random live sets and lengths over all
-// fifteen slots, and from each a rebuild as insertSlot makes it — some
-// slots dead, one new — and checks every slot of both against the model.
+// fifteen slots, and from each a rebuild as insertSlot makes it — the live
+// suffixes read back out of the bag, some slots dead, one new — and checks
+// every slot of both against the model.
 func TestSuffixBagModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 20000; iter++ {
@@ -458,23 +459,25 @@ func TestSuffixBagModel(t *testing.T) {
 
 		// The rebuild: a random live subset, and a new suffix in a slot that
 		// is not live, dead bytes or none.
-		var live uint16
-		var want [width][]byte
+		var want, gathered [width][]byte
 		for s := range sufs {
 			if sufs[s] != nil && rng.Intn(4) > 0 {
-				live |= 1 << uint(s)
-				want[s] = sufs[s]
+				want[s], gathered[s] = sufs[s], bagAt(p).suffix(s)
 			}
 		}
-		if live == 1<<width-1 {
+		var free []int
+		for s := range want {
+			if want[s] == nil {
+				free = append(free, s)
+			}
+		}
+		if len(free) == 0 {
 			continue
 		}
-		slot := rng.Intn(width)
-		for live&(1<<uint(slot)) != 0 {
-			slot = rng.Intn(width)
-		}
+		slot := free[rng.Intn(len(free))]
 		want[slot] = randomSuffix(rng)
-		checkBag(t, bagAt(p).with(live, slot, want[slot]), &want, "with")
+		gathered[slot] = want[slot]
+		checkBag(t, newBag(&gathered), &want, "rebuild")
 	}
 }
 

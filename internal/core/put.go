@@ -227,14 +227,15 @@ func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint6
 		n.setKeylen(slot, uint32(len(k)))
 	} else {
 		// A fresh bag: the live suffixes plus this one, and none of the dead.
-		var live uint16
-		kw := n.keylens.Load()
+		var sufs [width][]byte
+		bag, kw := n.bag(), n.keylens.Load()
 		for r, cnt := 0, perm.count(); r < cnt; r++ {
 			if s := perm.slot(r); klAt(kw, s) == klSuffix {
-				live |= 1 << uint(s)
+				sufs[s] = bag.suffix(s)
 			}
 		}
-		n.suffixes.Store(n.bag().with(live, slot, k[8:]))
+		sufs[slot] = k[8:]
+		n.suffixes.Store(newBag(&sufs))
 		n.setKeylen(slot, klSuffix)
 	}
 	n.storeLV(slot, unsafe.Pointer(v))

@@ -180,7 +180,7 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 			}
 			switch {
 			case e.kl == klTwig:
-				prefetchTwig(e.lv) // its values are asked for when it is reached
+				prefetchLine(e.lv) // its values are asked for when it is reached
 			case w.values && e.kl != klLayer:
 				prefetchLine(e.lv)
 			}

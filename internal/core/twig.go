@@ -129,19 +129,6 @@ func (tw *twig) value(j int) *value.Value {
 	return (*value.Value)(atomic.LoadPointer(tw.cell(j)))
 }
 
-// prefetchTwig asks for the line a twig starts in. A 32 B twig is 32-byte
-// aligned and that line holds it all. A twig4 starts at 0, 16, 32 or 48 mod
-// 64, and from 32 or 48 its cells 2 and 3 lie in the next line; at 48 the
-// address says it is a twig4, and the next line is asked for too. At 32 it
-// cannot be told from a 32 B twig, which is far the commoner, so that line
-// is left to be fetched when the cell is read.
-func prefetchTwig(tw unsafe.Pointer) {
-	prefetchLine(tw)
-	if uintptr(tw)&63 == 48 {
-		prefetchLine(unsafe.Add(tw, unsafe.Sizeof(twig4{})-1))
-	}
-}
-
 // twigEntries is a writer's working copy of a twig's keys, with room for the
 // one key too many that turns a twig into a layer. The remainders alias
 // their source — the old twig, a suffix bag, the caller's key — and build

@@ -15,9 +15,7 @@
 package workload
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 	"math/rand"
 	"strconv"
 )
@@ -116,30 +114,17 @@ func Keys(g KeyGen, n int) [][]byte {
 }
 
 // UniqueKeys materializes n distinct keys from g (discarding duplicates),
-// useful for pre-population when the exact cardinality matters. The keys
-// seen so far are found again through an open-addressing table of indexes
-// into the result, probed by a hash of the key's bytes and confirmed by
-// comparing them: no key is copied, and the table is one int32 a slot.
+// useful for pre-population when the exact cardinality matters.
 func UniqueKeys(g KeyGen, n int) [][]byte {
+	seen := make(map[string]struct{}, n)
 	out := make([][]byte, 0, n)
-	size := 1
-	for size < 2*n { // at most half full
-		size <<= 1
-	}
-	table := make([]int32, size) // 1 + an index into out; 0 is empty
-	mask := uint64(size - 1)
-	seed := maphash.MakeSeed()
-next:
 	for len(out) < n {
 		k := g.Next()
-		i := maphash.Bytes(seed, k) & mask
-		for ; table[i] != 0; i = (i + 1) & mask {
-			if bytes.Equal(out[table[i]-1], k) {
-				continue next
-			}
+		if _, dup := seen[string(k)]; dup {
+			continue
 		}
+		seen[string(k)] = struct{}{}
 		out = append(out, k)
-		table[i] = int32(len(out))
 	}
 	return out
 }

@@ -127,62 +127,6 @@ func TestUniqueKeys(t *testing.T) {
 	}
 }
 
-// uniqueKeysMap is UniqueKeys as a map of the keys seen: the reference the
-// table must agree with, key for key and in order.
-func uniqueKeysMap(g KeyGen, n int) [][]byte {
-	seen := make(map[string]struct{}, n)
-	out := make([][]byte, 0, n)
-	for len(out) < n {
-		k := g.Next()
-		if _, dup := seen[string(k)]; dup {
-			continue
-		}
-		seen[string(k)] = struct{}{}
-		out = append(out, k)
-	}
-	return out
-}
-
-// TestUniqueKeysMatchesTheMap: the same keys in the same order as the map
-// version, on the decimal keys a dataset draws and on a key space of a
-// thousand, drawn until every key has come, most of them many times.
-func TestUniqueKeysMatchesTheMap(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		gen  func(seed int64) KeyGen
-		n    int
-	}{
-		{"Decimal", Decimal, 300_000},
-		{"DecimalN 1000", func(seed int64) KeyGen { return DecimalN(seed, 1000) }, 1000},
-		{"DecimalN 1000, 700 of them", func(seed int64) KeyGen { return DecimalN(seed, 1000) }, 700},
-	} {
-		for seed := int64(1); seed <= 2; seed++ {
-			got, want := UniqueKeys(c.gen(seed), c.n), uniqueKeysMap(c.gen(seed), c.n)
-			if len(got) != len(want) {
-				t.Fatalf("%s, seed %d: %d keys, want %d", c.name, seed, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i]) {
-					t.Fatalf("%s, seed %d: key %d is %q, want %q", c.name, seed, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkUniqueKeys(b *testing.B) {
-	for _, f := range []struct {
-		name string
-		fn   func(KeyGen, int) [][]byte
-	}{{"table", UniqueKeys}, {"map", uniqueKeysMap}} {
-		b.Run(f.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.fn(Decimal(1), 2_000_000)
-			}
-		})
-	}
-}
-
 func TestZipfBounds(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := uint64(nRaw%1000) + 1
