@@ -235,26 +235,26 @@
 // CrashAt(n), Crash(keep) into a disk image, reopen, and assert.
 //
 // The invariants those paragraphs lean on — locks released on every path,
-// tree reads bracketed by epoch pins, hot paths allocation-free, scratch
-// aliases never stored past reuse, atomic fields never touched plainly —
-// are machine-checked. internal/analysis is a dependency-free
-// go/analysis-style suite whose six passes (lockpair, epochguard, noalloc,
-// scratchalias, atomicfield, walchain) verify them at build time; `go run
-// ./cmd/masstree-lint ./...` must exit clean and CI enforces it. Contracts
-// are declared where the code is:
+// hot paths allocation-free, scratch aliases never stored past reuse,
+// atomic fields never touched plainly, log records chained to the version
+// they replace — are machine-checked. internal/analysis is a
+// dependency-free go/analysis-style suite whose five passes (lockpair,
+// noalloc, scratchalias, atomicfield, walchain) verify them at build time;
+// `go run ./cmd/masstree-lint ./...` must exit clean and CI enforces it.
+// Contracts are declared where the code is:
 //
 //	//masstree:locked n        n is locked on entry and at every return
 //	//masstree:unlocks n       n is locked on entry, released on every path
 //	//masstree:returns-locked  the non-nil result is locked; nil-check it
 //	//masstree:acquires n.h    this statement acquires n.h invisibly
 //	//masstree:releases n.h    this statement releases n.h invisibly
-//	//masstree:pinned          the caller holds an epoch pin across this call
 //	//masstree:noalloc         steady state performs zero heap allocations
 //	//masstree:scratch         this type hands out aliases of reusable memory
 //
 // Deliberate exceptions carry //lint:allow <analyzer> <reason> on the
 // offending line or the line above; the reason is mandatory, and a bare
-// allow is itself a finding. Each analyzer is backed by golden fixtures
+// allow, an allow naming no analyzer of the suite and a masstree:
+// directive with any other verb are each a finding. Each analyzer is backed by golden fixtures
 // under its testdata/src (run with the ordinary go test).
 //
 // See DESIGN.md for the system inventory: the package map, the invariant

@@ -6,9 +6,9 @@
 //
 // An Analyzer inspects typechecked packages and reports Diagnostics. The
 // suite under internal/analysis/* encodes the repository's concurrency and
-// allocation invariants — hand-over-hand border-lock discipline, epoch
-// bracketing of tree reads, allocation-free hot paths, scratch-buffer
-// aliasing rules, and atomic-field access discipline — so that `go run
+// allocation invariants — hand-over-hand border-lock discipline,
+// allocation-free hot paths, scratch-buffer aliasing rules, atomic-field
+// access discipline and WAL chaining — so that `go run
 // ./cmd/masstree-lint ./...` proves at build time what the runtime tests
 // can only sample. See DESIGN.md for the invariant catalog and doc.go for
 // the annotation conventions.
@@ -18,7 +18,9 @@
 //	//lint:allow <analyzer> <reason>
 //
 // on the offending line or the line directly above it. The reason is
-// mandatory; a bare allow is itself reported.
+// mandatory; a bare allow, an allow naming no analyzer of the run and a
+// masstree: directive with a verb the suite does not define are each
+// reported, as analyzer "lint".
 package analysis
 
 import (
@@ -128,7 +130,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	if len(pkgs) > 0 {
 		fset = pkgs[0].Fset
 	}
-	allows := collectAllows(pkgs)
+	allows := collectAllows(pkgs, analyzers)
 
 	emit := func(name string, diags []Diagnostic) {
 		for _, d := range diags {
@@ -158,9 +160,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 		}
 	}
 
-	// Malformed allow directives are findings too: a bare allow silently
-	// suppressing nothing is exactly the rot this suite exists to prevent.
-	findings = append(findings, allows.malformed...)
+	// Malformed and stale directives are findings too: a bare allow, an
+	// allow for an analyzer that no longer runs, or a misspelt contract
+	// silently checks nothing, exactly the rot this suite exists to prevent.
+	findings = append(findings, allows.bad...)
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i].Pos, findings[j].Pos
@@ -175,10 +178,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	return findings
 }
 
-// allowSet indexes //lint:allow directives by file and line.
+// allowSet indexes //lint:allow directives by file and line, and holds the
+// findings against malformed or stale directives of either kind.
 type allowSet struct {
 	byFileLine map[string]map[int]allowDirective
-	malformed  []Finding
+	bad        []Finding
 }
 
 type allowDirective struct {
@@ -198,12 +202,25 @@ func (s allowSet) covers(analyzer string, pos token.Position) (string, bool) {
 	return "", false
 }
 
-func collectAllows(pkgs []*Package) allowSet {
+func collectAllows(pkgs []*Package, analyzers []*Analyzer) allowSet {
 	s := allowSet{byFileLine: map[string]map[int]allowDirective{}}
+	running := map[string]bool{}
+	for _, a := range analyzers {
+		running[a.Name] = true
+	}
+	lint := func(pos token.Position, format string, args ...any) {
+		s.bad = append(s.bad, Finding{Analyzer: "lint", Pos: pos, Message: fmt.Sprintf(format, args...)})
+	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
+					if verb, _, ok := cutDirective(c.Text); ok {
+						if !directiveVerbs[verb] {
+							lint(pkg.Fset.Position(c.Pos()), "unknown directive //masstree:%s", verb)
+						}
+						continue
+					}
 					text, ok := strings.CutPrefix(c.Text, "//lint:allow")
 					if !ok {
 						continue
@@ -211,11 +228,11 @@ func collectAllows(pkgs []*Package) allowSet {
 					pos := pkg.Fset.Position(c.Pos())
 					fields := strings.Fields(text)
 					if len(fields) < 2 {
-						s.malformed = append(s.malformed, Finding{
-							Analyzer: "lint",
-							Pos:      pos,
-							Message:  "malformed //lint:allow: want \"//lint:allow <analyzer> <reason>\"",
-						})
+						lint(pos, "malformed //lint:allow: want \"//lint:allow <analyzer> <reason>\"")
+						continue
+					}
+					if !running[fields[0]] {
+						lint(pos, "//lint:allow names %s, which is not an analyzer of this run", fields[0])
 						continue
 					}
 					lines := s.byFileLine[pos.Filename]

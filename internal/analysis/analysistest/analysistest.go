@@ -8,9 +8,11 @@
 //	// want "regexp" ["regexp" ...]
 //
 // with one regexp per expected diagnostic on that line (quoted or
-// backquoted). Diagnostics and expectations must match one-to-one: an
-// unmatched diagnostic and an unsatisfied expectation are both test
-// failures. Findings suppressed by a well-formed //lint:allow are dropped
+// backquoted). A line whose own comment is the one under test (a
+// //lint:allow or a masstree: directive) carries its expectation ahead of
+// it instead, as /* want "regexp" */. Diagnostics and expectations must
+// match one-to-one: an unmatched diagnostic and an unsatisfied expectation
+// are both test failures. Findings suppressed by a well-formed //lint:allow are dropped
 // before matching, so suppression fixtures simply carry no want.
 package analysistest
 
@@ -96,6 +98,10 @@ func collectWants(t *testing.T, pkgs []*analysis.Package) wantSet {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
 					rest, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok {
+						rest, ok = strings.CutPrefix(c.Text, "/* want ")
+						rest = strings.TrimSuffix(rest, "*/")
+					}
 					if !ok {
 						continue
 					}

@@ -1,7 +1,7 @@
 // Package cfg builds a compact control-flow graph over a function body's
 // statements, sufficient for the flow-sensitive analyzers in this suite
-// (lock-pairing, epoch-pin tracking). It is a miniature, dependency-free
-// stand-in for golang.org/x/tools/go/cfg.
+// (lock-pairing). It is a miniature, dependency-free stand-in for
+// golang.org/x/tools/go/cfg.
 //
 // Blocks hold only "atomic" nodes — simple statements and bare expressions,
 // never statements with nested bodies — so transfer functions can walk a

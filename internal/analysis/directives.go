@@ -26,10 +26,6 @@ import (
 //	                                lock bits) (lockpair)
 //	//masstree:releases n.h        statement annotation: this statement
 //	                                releases the named lock (lockpair)
-//	//masstree:pinned               function contract: the caller holds an
-//	                                epoch pin (Handle.Enter) across this
-//	                                call; tree reads inside are therefore
-//	                                bracketed (epochguard)
 //	//masstree:noalloc              function contract: steady-state
 //	                                execution performs zero heap
 //	                                allocations; allocation sources inside
@@ -38,20 +34,22 @@ import (
 //	                                by this type alias reusable memory and
 //	                                must not be stored past the next
 //	                                reuse/Release (scratchalias)
+//
+// A masstree: directive with any other verb is itself a finding (see Run):
+// a misspelt contract would otherwise switch its check off in silence.
 
 // FuncFacts are the masstree: contract annotations of one function.
 type FuncFacts struct {
 	Locked        []string // locked on entry, locked at return
 	Unlocks       []string // locked on entry, released at return
 	ReturnsLocked bool
-	Pinned        bool
 	NoAlloc       bool
 }
 
 // Empty reports whether the function carries no annotations.
 func (f FuncFacts) Empty() bool {
 	return len(f.Locked) == 0 && len(f.Unlocks) == 0 &&
-		!f.ReturnsLocked && !f.Pinned && !f.NoAlloc
+		!f.ReturnsLocked && !f.NoAlloc
 }
 
 // FuncFactsOf parses the masstree: directives in a function's doc comment.
@@ -72,8 +70,6 @@ func FuncFactsOf(fd *ast.FuncDecl) FuncFacts {
 			facts.Unlocks = append(facts.Unlocks, strings.Fields(args)...)
 		case "returns-locked":
 			facts.ReturnsLocked = true
-		case "pinned":
-			facts.Pinned = true
 		case "noalloc":
 			facts.NoAlloc = true
 		}
@@ -123,6 +119,12 @@ func IsScratchType(gd *ast.GenDecl, spec *ast.TypeSpec) bool {
 		}
 	}
 	return false
+}
+
+// directiveVerbs are the masstree: verbs the suite defines.
+var directiveVerbs = map[string]bool{
+	"locked": true, "unlocks": true, "returns-locked": true,
+	"acquires": true, "releases": true, "noalloc": true, "scratch": true,
 }
 
 func cutDirective(text string) (verb, args string, ok bool) {

@@ -113,3 +113,18 @@ func unannotated() []byte { // clean: only //masstree:noalloc functions are chec
 func warmup(n int) []int { // clean: the allow covers the warm-up make
 	return make([]int, n) //lint:allow noalloc warm-up allocation amortized over the scratch lifetime
 }
+
+// --- stale annotations (reported by the driver as analyzer lint) ---
+
+// misspelt's contract is a typo, so noalloc never checks its make; the
+// directive itself is the finding.
+//
+/* want `unknown directive //masstree:noaloc` */ //masstree:noaloc
+func misspelt(n int) []byte {
+	return make([]byte, n)
+}
+
+func staleAllow(n int) []byte {
+	/* want `names noaloc, which is not an analyzer of this run` */ //lint:allow noaloc a misspelt allow suppresses nothing
+	return make([]byte, n)
+}

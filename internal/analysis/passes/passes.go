@@ -4,7 +4,6 @@ package passes
 import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/atomicfield"
-	"repro/internal/analysis/passes/epochguard"
 	"repro/internal/analysis/passes/lockpair"
 	"repro/internal/analysis/passes/noalloc"
 	"repro/internal/analysis/passes/scratchalias"
@@ -15,7 +14,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		lockpair.Analyzer,
-		epochguard.Analyzer,
 		noalloc.Analyzer,
 		scratchalias.Analyzer,
 		atomicfield.Analyzer,

@@ -58,7 +58,7 @@ func TestDeepLayerChain(t *testing.T) {
 		t.Fatalf("Len=%d", tr.Len())
 	}
 	// Collapse may require several passes (inner layers empty first).
-	for i := 0; i < 10 && tr.PendingMaintenance() > 0; i++ {
+	for i := 0; i < 10 && len(tr.maint) > 0; i++ {
 		tr.Maintain()
 	}
 	checkInvariants(t, tr)

@@ -12,7 +12,7 @@ import (
 // value, which is correct for overlapping operations. Border nodes that
 // become empty are unlinked and deleted, except a parent's leftmost child
 // (which includes each B+-tree's initial node): see removeBorder. Empty trie
-// layers are collapsed later by Maintain (the paper's epoch-scheduled
+// layers are collapsed later by Maintain (the paper's deferred
 // reclamation tasks).
 func (t *Tree) Remove(key []byte) (*value.Value, bool) {
 	return t.RemoveIf(key, nil)
@@ -215,17 +215,12 @@ func (t *Tree) scheduleCollapse(prefix []byte) {
 	t.maintMu.Unlock()
 }
 
-// PendingMaintenance returns the number of queued layer-collapse tasks.
-func (t *Tree) PendingMaintenance() int {
-	t.maintMu.Lock()
-	defer t.maintMu.Unlock()
-	return len(t.maint)
-}
-
 // Maintain runs queued maintenance tasks (empty-layer collapse), returning
 // how many layers were collapsed. The paper schedules these through
-// epoch-based reclamation; the kvstore invokes Maintain from its epoch
-// ticker, and tests call it directly.
+// epoch-based reclamation; here a reader caught in a collapse finds the
+// layer's root marked deleted and retries (see collapseLayer), so the
+// kvstore calls Maintain straight from its maintenance tick, and tests call
+// it directly.
 func (t *Tree) Maintain() int {
 	t.maintMu.Lock()
 	tasks := t.maint
@@ -245,6 +240,9 @@ func (t *Tree) Maintain() int {
 // parent layer and then the layer root — the only place two layers are
 // locked together, always parent before child, so it cannot deadlock with
 // normal operations (which lock at most one layer at a time, §4.6.5).
+// Marking the layer root deleted under both locks is what protects a reader
+// already inside the layer: it sees the mark and retries from the top, and
+// the garbage collector keeps the unlinked node readable meanwhile.
 func (t *Tree) collapseLayer(prefix []byte) bool {
 	root := t.rootHeader()
 	k := prefix

@@ -292,10 +292,9 @@ func TestLayerCollapseMaintenance(t *testing.T) {
 	for _, k := range sameSlice {
 		tr.Remove([]byte(k))
 	}
-	if tr.PendingMaintenance() == 0 {
-		t.Fatal("expected a pending layer-collapse task")
+	if n := tr.Maintain(); n != 1 {
+		t.Fatalf("Maintain collapsed %d layers, want 1", n)
 	}
-	tr.Maintain()
 	if s := tr.Stats(); s.LayerCollapses != 1 {
 		t.Fatalf("LayerCollapses = %d, want 1", s.LayerCollapses)
 	}
@@ -323,8 +322,8 @@ func TestEmptiedTwigNeedsNoMaintenance(t *testing.T) {
 	mustGet(t, tr, sameSlice[2], sameSlice[2])
 	checkInvariants(t, tr)
 	tr.Remove([]byte(sameSlice[2]))
-	if n.perm().count() != 1 || tr.PendingMaintenance() != 0 || tr.Len() != 1 {
-		t.Fatalf("an emptied twig left %d slots, %d tasks, Len %d", n.perm().count(), tr.PendingMaintenance(), tr.Len())
+	if n.perm().count() != 1 || len(tr.maint) != 0 || tr.Len() != 1 {
+		t.Fatalf("an emptied twig left %d slots, %d tasks, Len %d", n.perm().count(), len(tr.maint), tr.Len())
 	}
 	for _, k := range sameSlice[:3] {
 		mustMiss(t, tr, k)

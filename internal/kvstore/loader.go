@@ -72,8 +72,6 @@ func newLoader(s *Store, be backend.Backend) *loader {
 }
 
 // load resolves a miss for key: join an existing flight or lead a new one.
-// Callers hold no epoch — a flight parks for up to the backend's timeout
-// budget, and pinning an epoch that long would stall reclamation storewide.
 func (l *loader) load(ctx context.Context, ss *Session, key []byte) (*value.Value, bool, error) {
 	if l.negHit(key) {
 		l.negativeHits.Add(1)
@@ -179,13 +177,11 @@ func (l *loader) noteBreaker(worker int) {
 	}
 }
 
-// resident checks the tree for a servable value under the session's epoch.
+// resident checks the tree for a servable value.
 // With allowStale false only a live value qualifies; with true (the
 // stale-if-error path) a value whose expiry lapsed no more than MaxStale
 // ago qualifies too, and the stale return distinguishes the two.
 func (l *loader) resident(ss *Session, key []byte, allowStale bool) (v *value.Value, stale, ok bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	v, found := l.s.tree.Get(key)
 	if !found {
 		return nil, false, false
@@ -204,12 +200,10 @@ func (l *loader) resident(ss *Session, key []byte, allowStale bool) (v *value.Va
 	return nil, false, false
 }
 
-// install publishes a loaded value through the store's put path (epoch-
-// protected, logged as an insert, cache-accounted) unless a racing real put
+// install publishes a loaded value through the store's put path (logged as
+// an insert, cache-accounted) unless a racing real put
 // already made the key live — the put wins and is served instead.
 func (l *loader) install(ss *Session, key []byte, cols [][]byte, expiresAt uint64) *value.Value {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	v := l.s.installLoaded(ss.worker, key, cols, expiresAt)
 	l.s.cache.NoteAccess(ss.worker, key)
 	return v

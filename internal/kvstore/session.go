@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/value"
 )
 
@@ -14,16 +13,13 @@ import (
 // getrange (§3) and their batched forms are its methods, and a Store itself
 // only opens, checkpoints, flushes, reports and closes. A session binds its
 // operations to one worker's log (each query thread maintains its own log
-// file and in-memory log buffer, §5) and pins its epoch handle around each
-// operation, so deferred maintenance waits for the operation in flight
-// (§4.6.1). It also owns the scratch its batched calls return results in.
+// file and in-memory log buffer, §5) and owns the scratch its batched calls
+// return results in.
 //
-// A Session is not safe for concurrent use; create one per worker goroutine
-// and Close it when done — the epoch manager walks every registered handle.
+// A Session is not safe for concurrent use; create one per worker goroutine.
 type Session struct {
 	s      *Store
 	worker int
-	h      *epoch.Handle
 
 	batch batchScratch // PointBatchInto's scratch
 }
@@ -42,7 +38,7 @@ type batchScratch struct {
 
 // Session creates a session bound to the given worker's log.
 func (s *Store) Session(worker int) *Session {
-	return &Session{s: s, worker: worker, h: s.mgr.Register()}
+	return &Session{s: s, worker: worker}
 }
 
 // Worker reports the worker id the session is bound to — the index of the
@@ -50,10 +46,9 @@ func (s *Store) Session(worker int) *Session {
 // land in.
 func (ss *Session) Worker() int { return ss.worker }
 
-// Close unregisters the session from the epoch manager.
-func (ss *Session) Close() {
-	ss.s.mgr.Unregister(ss.h)
-}
+// Close does nothing: a session holds nothing to release. It is kept only
+// for the benchmark harness's calls.
+func (ss *Session) Close() {}
 
 // GetValue returns key's current packed value, or (nil, false) if the key
 // is absent or lazily expired; AppendCols or v.Col project its columns.
@@ -66,8 +61,6 @@ func (ss *Session) Close() {
 //
 //masstree:noalloc
 func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	ss.s.cache.NoteAccess(ss.worker, key)
 	v, ok := ss.s.tree.Get(key)
 	if !ok || expired(v) {
@@ -89,8 +82,6 @@ func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 // the key's chain in this log. No replay chain ever spans log files without
 // an anchor, so a vanished log is always detectable at recovery.
 func (ss *Session) Put(key []byte, puts []value.ColPut) uint64 {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	return ss.s.write(ss.worker, key, writeOp{puts: puts}).ver
 }
 
@@ -107,8 +98,6 @@ func (ss *Session) PutSimple(key, data []byte) uint64 {
 // A write over a lazily-expired value builds on an absent base (see
 // expireBase): dead columns are never resurrected.
 func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	return ss.s.write(ss.worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true}).ver
 }
 
@@ -117,8 +106,6 @@ func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uin
 // version. Returns the new version and ok false if the key is absent (or
 // already expired — touching the dead does not revive them).
 func (ss *Session) Touch(key []byte, expiresAt uint64) (ver uint64, ok bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	r := ss.s.write(ss.worker, key, writeOp{expiry: expiresAt, ttl: true, base: onlyLive})
 	return r.ver, r.nv != nil
 }
@@ -138,8 +125,6 @@ func (ss *Session) Touch(key []byte, expiresAt uint64) (ver uint64, ok bool) {
 // livelocking on a version no read can observe. Neither puts nor their Data
 // slices are retained.
 func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	r := ss.s.write(ss.worker, key, writeOp{puts: puts, cas: true, expect: expect})
 	if r.nv == nil {
 		return r.base.Version(), false
@@ -149,8 +134,6 @@ func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver u
 
 // Remove deletes key, logging through the session's log.
 func (ss *Session) Remove(key []byte) bool {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	s, worker := ss.s, ss.worker
 	if s.logs != nil {
 		mu := s.lockWorker(worker)
@@ -212,9 +195,6 @@ func (ss *Session) GetOrLoad(ctx context.Context, key []byte) (*value.Value, boo
 	if v, ok := ss.GetValue(key); ok {
 		return v, false, nil
 	}
-	// Miss: the epoch is released before the flight — a backend load can
-	// take seconds, and pinning an epoch that long would stall deferred
-	// reclamation storewide. The loader re-enters around tree operations.
 	if ss.s.loader == nil {
 		return nil, false, ErrNoBackend
 	}
@@ -246,8 +226,6 @@ func (ss *Session) GetOrLoad(ctx context.Context, key []byte) (*value.Value, boo
 // indexed as keys is, live in the session's scratch and are valid until the
 // session's next batched call. No inputs are retained.
 func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColPut) (vals []*value.Value, found []bool, vers []uint64) {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	s, worker, sc := ss.s, ss.worker, &ss.batch
 	n, nputs := len(keys), 0
 	if put == nil && puts != nil {
@@ -341,24 +319,20 @@ func (ss *Session) PutBatchInto(keys [][]byte, puts [][]value.ColPut) []uint64 {
 //
 //masstree:noalloc
 func (ss *Session) GetRangeInto(start []byte, n int, cols []int, sc *RangeScratch) []Pair {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	return ss.s.rangeInto(start, n, cols, sc)
 }
 
 // GetRangeBatchInto serves several range queries — range i is up to ns[i]
-// pairs from starts[i], projected to cols[i] — in one epoch-protected
-// section. Their start keys first descend together (core.Tree.Prefetch:
-// sixteen descents in flight, found values discarded), so that each range,
-// run in input order exactly as GetRangeInto would run it alone, begins at
-// a border node that is already in cache. Window i of the result holds
-// range i's pairs: the pairs live in sc until sc.Reset, the slice of windows
-// until the next call with sc.
+// pairs from starts[i], projected to cols[i] — in one call. Their start
+// keys first descend together (core.Tree.Prefetch: sixteen descents in
+// flight, found values discarded), so that each range, run in input order
+// exactly as GetRangeInto would run it alone, begins at a border node that
+// is already in cache. Window i of the result holds range i's pairs: the
+// pairs live in sc until sc.Reset, the slice of windows until the next call
+// with sc.
 //
 //masstree:noalloc
 func (ss *Session) GetRangeBatchInto(starts [][]byte, ns []int, cols [][]int, sc *RangeScratch) [][]Pair {
-	ss.h.Enter()
-	defer ss.h.Exit()
 	ss.s.tree.Prefetch(starts, &ss.batch.core)
 	sc.runs = sc.runs[:0]
 	for i, start := range starts {

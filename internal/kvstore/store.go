@@ -1,6 +1,6 @@
 // Package kvstore assembles Masstree the system (§3, §5): the core tree,
 // multi-column values, per-worker logging with group commit, periodic
-// checkpoints, recovery, and epoch-scheduled maintenance.
+// checkpoints, recovery, and background maintenance.
 //
 // The store supports the paper's four operations — get(k), put(k, v),
 // remove(k), and getrange(k, n) — each with an optional list of column
@@ -65,7 +65,8 @@ type Config struct {
 	FlushInterval time.Duration
 	// SyncWrites forces logs to storage on each flush (fsync).
 	SyncWrites bool
-	// MaintainEvery is the epoch-advance and tree-maintenance period.
+	// MaintainEvery is the maintenance loop's period: each tick collapses
+	// emptied trie layers, runs the cache-mode passes and marks the logs.
 	// Defaults to 50 ms; 0 uses the default, negative disables.
 	MaintainEvery time.Duration
 	// CheckpointParts is how many concurrent part writers a checkpoint
@@ -129,8 +130,8 @@ type Store struct {
 	// now is the write kernel's wall clock in unix nanoseconds (see step);
 	// a field so tests can hold it still.
 	now   func() int64
-	logs  *wal.Set // nil when persistence is disabled
-	mgr   epoch.Manager
+	logs  *wal.Set      // nil when persistence is disabled
+	mgr   epoch.Manager // serves only Epoch, kept for the benchmark harness
 	cache *cache.Cache
 
 	// loader/wb are the read-through and write-behind tiers; both nil when
@@ -142,10 +143,6 @@ type Store struct {
 	// value carries an expiry (PutTTL/Touch, or a recovered TTL record), so
 	// TTL-free stores never pay for tree sweeps.
 	ttlUsed atomic.Bool
-	// evictH is the maintenance loop's epoch handle: evictions and expiry
-	// sweeps run inside Enter/Exit so deferred structural reclamation waits
-	// for them like for any session's operation.
-	evictH *epoch.Handle
 	// sweepCursor/sweepKeys are the incremental expiry sweep's position and
 	// reusable victim buffer; owned by the maintenance context.
 	sweepCursor []byte
@@ -255,7 +252,6 @@ func Open(cfg Config) (*Store, error) {
 			return nil, err
 		}
 	}
-	s.evictH = s.mgr.Register()
 	if cfg.Backend != nil {
 		s.loader = newLoader(s, cfg.Backend)
 		if cfg.WriteBehind > 0 {
@@ -282,7 +278,6 @@ func Open(cfg Config) (*Store, error) {
 func (s *Store) seedCache() {
 	var total int64
 	buf := make([]byte, 0, 64)
-	//lint:allow epochguard seedCache runs during Open, before any concurrent access or reclamation exists
 	s.tree.ScanNInto(nil, core.ScanAll, buf, func(k []byte, v *value.Value) bool {
 		total += int64(v.Size())
 		if v.ExpiresAt() != 0 {
@@ -479,14 +474,12 @@ func (s *Store) maintainLoop() {
 			s.cacheMaintain()
 		case <-t.C:
 			s.cacheMaintain()
-			// Deferred structural clean-up runs through the epoch manager,
-			// exactly as the paper schedules reclamation tasks (§4.6.5):
-			// the collapse executes only after concurrent readers have
-			// moved past the epoch in which the layer emptied.
-			if s.tree.PendingMaintenance() > 0 {
-				s.mgr.Retire(func() { s.tree.Maintain() })
-			}
-			s.mgr.Advance()
+			// Collapse the trie layers removes have emptied (§4.6.5). No
+			// grace period is needed: the collapse marks the layer's root
+			// deleted under its lock and its parent's, a reader that
+			// reaches the root sees the mark and retries from the top, and
+			// the garbage collector keeps the unlinked node readable.
+			s.tree.Maintain()
 			// Loose clock synchronization (§5.1): lift lagging worker
 			// clocks to the global maximum, and write that maximum as a
 			// timestamp mark to each log. The marks are what keep the
@@ -522,8 +515,7 @@ func (s *Store) maintainLoop() {
 
 // cacheMaintain runs one cache-mode maintenance pass: the incremental TTL
 // sweep, then the policy drain-and-evict. Both remove keys through the
-// border-lock remove path under the maintenance epoch handle, so deferred
-// structural reclamation treats them like any session's operation.
+// border-lock remove path, as a session's Remove does.
 func (s *Store) cacheMaintain() {
 	if !s.ttlUsed.Load() && !s.cache.EvictionEnabled() {
 		return
@@ -532,8 +524,6 @@ func (s *Store) cacheMaintain() {
 		start := time.Now()
 		defer func() { h.Record(0, time.Since(start)) }()
 	}
-	s.evictH.Enter()
-	defer s.evictH.Exit()
 	if s.ttlUsed.Load() {
 		// Adaptive catch-up: one batch per tick suffices when expirations
 		// trickle, but a TTL-heavy store (especially with eviction disabled,
@@ -607,10 +597,7 @@ const (
 // loader serves during a backend outage, so the sweeper must not reclaim it
 // until the stale window has also lapsed. (Reads still treat it as expired;
 // only physical removal is deferred. Cache-pressure eviction is not — under
-// a byte budget, memory wins over the stale reserve.) Runs under the
-// maintenance epoch handle (cacheMaintain pins evictH).
-//
-//masstree:pinned
+// a byte budget, memory wins over the stale reserve.)
 func (s *Store) sweepExpired(now int64) int {
 	if s.loader != nil && s.cfg.MaxStale > 0 {
 		now -= int64(s.cfg.MaxStale)
@@ -674,7 +661,8 @@ func (s *Store) MaxBytes() int64 { return s.cache.MaxBytes() }
 // Tree exposes the underlying Masstree (benchmarks and tests).
 func (s *Store) Tree() *core.Tree { return s.tree }
 
-// Epoch exposes the store's epoch manager (sessions register handles).
+// Epoch exposes an epoch manager no store call uses. It is kept only for
+// the benchmark harness, which times a pin on it.
 func (s *Store) Epoch() *epoch.Manager { return &s.mgr }
 
 // Len returns the number of keys.
@@ -890,7 +878,7 @@ func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
 // reconstructs it as a replacement, and cache-accounted like any put. A
 // racing real put wins — if a live value is already resident the install
 // declines and returns the winner, so a load can never clobber a write that
-// raced past it. Runs under the caller's epoch (see loader.install).
+// raced past it.
 func (s *Store) installLoaded(worker int, key []byte, cols [][]byte, expiresAt uint64) *value.Value {
 	puts := make([]value.ColPut, len(cols))
 	for i := range cols {
@@ -982,7 +970,6 @@ func (sc *RangeScratch) Shrink(max int) {
 // sc.Reset (appends never rewrite established backing memory, so earlier
 // windows survive arena growth).
 //
-//masstree:pinned
 //masstree:noalloc
 func (s *Store) rangeInto(start []byte, n int, cols []int, sc *RangeScratch) []Pair {
 	if n <= 0 {
@@ -1149,7 +1136,6 @@ func (s *Store) partitionBounds(parts int) [][]byte {
 	bounds := make([][]byte, 0, parts-1)
 	stride := n / parts
 	i, next := 0, stride
-	//lint:allow epochguard checkpoint scans run unpinned by design: a minutes-long pin would stall reclamation, and GC keeps detached nodes readable
 	s.tree.ScanInto(nil, make([]byte, 0, 64), func(k []byte, _ *value.Value) bool {
 		if i == next {
 			bounds = append(bounds, append([]byte(nil), k...))
@@ -1229,7 +1215,6 @@ func (s *Store) Close() error {
 	}
 	close(s.stop)
 	s.wg.Wait()
-	s.mgr.Unregister(s.evictH)
 	s.tree.Maintain()
 	if s.logs != nil {
 		s.logs.Mark(s.clock.max())

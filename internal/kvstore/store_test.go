@@ -3,6 +3,8 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,26 +311,66 @@ func TestCheckpointReclaimsLogs(t *testing.T) {
 	}
 }
 
+// TestMaintainLoopCollapsesLayers: the maintenance tick alone collapses a
+// layer that removes emptied, while two other sessions read through it with
+// GetValue and GetRangeInto and see each key absent or at its value.
 func TestMaintainLoopCollapsesLayers(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: time.Millisecond})
+	s, err := Open(Config{MaintainEvery: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(t, s, 3)
 	// Five keys of one slice: one more than a twig holds, so a layer.
 	keys := []string{"01234567AB", "01234567CD", "01234567EF", "01234567GH", "01234567XY"}
+	want := map[string]string{}
 	for _, k := range keys {
-		ss.PutSimple([]byte(k), []byte("1"))
+		want[k] = "v-" + k
+	}
+	check := func(op string, k, got []byte) {
+		if w, ok := want[string(k)]; !ok || string(got) != w {
+			t.Errorf("%s: %q = %q, want absent or %q", op, k, got, w)
+		}
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			for _, k := range keys {
+				if v, ok := ss[1].GetValue([]byte(k)); ok {
+					check("GetValue", []byte(k), v.Col(0))
+				}
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		var sc RangeScratch
+		for !stop.Load() {
+			sc.Reset()
+			for _, p := range ss[2].GetRangeInto([]byte("01234567"), len(keys)+1, nil, &sc) {
+				check("GetRangeInto", p.Key, p.Cols[0])
+			}
+		}
+	}()
+	for _, k := range keys {
+		ss[0].PutSimple([]byte(k), []byte(want[k]))
 	}
 	for _, k := range keys {
-		ss.Remove([]byte(k))
+		if !ss[0].Remove([]byte(k)) {
+			t.Errorf("Remove(%q) found nothing", k)
+		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Stats().LayerCollapses == 0 {
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().LayerCollapses != 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("maintenance loop never collapsed the empty layer")
+			t.Errorf("LayerCollapses = %d, want 1: the maintenance loop never collapsed the empty layer", s.Stats().LayerCollapses)
+			break
 		}
 		time.Sleep(time.Millisecond)
 	}
+	stop.Store(true)
+	wg.Wait()
 }

@@ -18,7 +18,7 @@
 // Execution is batch-aware, and the unit of batching is the frame's stretch
 // of point operations, not a run of one opcode: a maximal stretch of OpGet
 // and OpPut requests within one message, in any mix, is one segment served
-// through Session.PointBatchInto — one epoch pin, one wave in which every
+// through Session.PointBatchInto — one call, one wave in which every
 // key's next node is being fetched while the others take their hop (§4.8's
 // PALM-style batching), the gets answered from it, the puts applied from the
 // borders it found under shared border-node locks inside one log window. A
