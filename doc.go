@@ -63,10 +63,11 @@
 // connection (one that opens any other way is closed before anything
 // executes), after which every frame carries a sequence tag and many
 // batches ride one connection at once. The client (client.Conn, Go/Wait)
-// pipelines tagged batches behind one another, and the server turns each
-// connection into a reader → executor → writer pipeline over a recycled
-// scratch ring, so decoding frame N+1 overlaps executing frame N and writing frame N−1 —
-// batching fills each message, pipelining fills the gaps between messages
+// pipelines tagged batches behind one another, and the server serves each
+// connection with one goroutine that reads, executes and answers a frame
+// where it was read, flushing its answers only when the next frame is not
+// already whole in its read buffer — batching fills each message,
+// pipelining fills the gaps between messages
 // (§7: "batched query support is vital on these benchmarks"). The API also
 // exposes record versions end to end: gets return the value's version and
 // OpCas applies a put only if the version still matches (checked under the

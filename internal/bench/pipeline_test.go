@@ -109,10 +109,10 @@ func reportPerRequest(b *testing.B, batch int) {
 // BenchmarkPipelinedRoundTrip runs the pipelined Conn at several window
 // depths on the same 64-get batch. Window 1 is the one-frame-in-flight
 // baseline: the client idles during execution, the server idles during the
-// client's turnaround. Deeper windows overlap the client's encode, the
-// server's three pipeline stages, and the wire, which is where the paper's
-// "batched query support is vital" turns into sustained throughput rather
-// than per-round-trip latency.
+// client's turnaround. Deeper windows overlap the client's encode and
+// decode, the server's read-execute-answer loop, and the wire, which is where
+// the paper's "batched query support is vital" turns into sustained
+// throughput rather than per-round-trip latency.
 func BenchmarkPipelinedRoundTrip(b *testing.B) {
 	const nkeys = 4096
 	const batch = 64

@@ -7,13 +7,15 @@
 //
 // A connection speaks the one protocol internal/wire defines: it opens with
 // a hello, and a connection whose first bytes are not one is closed before
-// anything executes. After the hello exchange the connection is served by a
-// reader → executor → writer pipeline: tagged frames cycle through a small
-// ring of connScratch buffers over bounded channels, so decoding frame N+1
-// overlaps executing frame N and writing back frame N−1 while
-// single-executor FIFO order preserves per-connection response order by
-// tag. Combined with a pipelining client (many tagged frames in flight),
-// neither side ever stalls on the other's round trip.
+// anything executes. After the hello one goroutine serves the connection,
+// as each of the paper's query threads owns its connections: it reads a
+// tagged frame, executes it, and encodes the responses into the
+// connection's buffered writer, so responses leave in request order, each
+// echoing its frame's tag. It flushes before any read that could block —
+// unless the reader already holds the whole next frame — so a pipelining
+// client (many tagged frames in flight) has its answers coalesced into few
+// writes, and a client waiting on an answer is never held behind a frame it
+// has sent only part of.
 //
 // Execution is batch-aware, and the unit of batching is the frame's stretch
 // of point operations, not a run of one opcode: a maximal stretch of OpGet
@@ -151,13 +153,6 @@ type connScratch struct {
 	colSets [][]int              // each request's Cols, handed to GetRangeBatchInto
 	pairs   []wire.Pair          // arena backing Response.Pairs for this message
 	rng     kvstore.RangeScratch // arenas behind Session.GetRangeInto
-
-	// pipeline state: the frame's tag, its decoded requests (aliasing dec),
-	// and the claimed batch size (> len(reqs) when a decodable frame
-	// held undecodable requests; the tail is answered with StatusError).
-	tag     uint32
-	reqs    []wire.Request
-	claimed int
 }
 
 // minBatchRun is the shortest point segment or scan run routed through a
@@ -203,6 +198,9 @@ func (sc *connScratch) shrink() {
 	sc.rng.Shrink(maxRetainedScratch)
 }
 
+// serveConn serves one connection from its hello to its close, in this one
+// goroutine: the one s.wg waits on, so shutdown cannot return while a
+// request of the connection still executes.
 func (s *Server) serveConn(conn net.Conn, worker int) {
 	defer s.wg.Done()
 	defer func() {
@@ -228,106 +226,41 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 	if err := wire.WriteHello(w, wire.Version2); err != nil {
 		return
 	}
-	if err := w.Flush(); err != nil {
-		return
-	}
-	s.serveV2(conn, sess, r, w)
-}
-
-// v2PipelineDepth is the number of connScratch buffers a connection cycles
-// through its reader → executor → writer stages — one frame being
-// decoded, one executing, one being written back. More depth buys nothing:
-// the pipeline has three stages, and in-flight frames beyond it queue in
-// the kernel socket buffers.
-const v2PipelineDepth = 4
-
-// serveV2 runs a connection's pipeline: a reader goroutine decodes tagged
-// frames, this executor goroutine executes them, and a writer goroutine
-// streams the encoded responses back. Stages hand connScratch buffers
-// around over bounded channels (the scratch ring doubles as flow control),
-// so decoding frame N+1 overlaps executing frame N and writing frame N−1.
-// FIFO channels and the single executor preserve response order by tag.
-//
-// The executor runs in serveConn's goroutine: it is the stage that touches
-// the store, so server shutdown (which waits on serveConn via s.wg) cannot
-// return while a request still executes.
-func (s *Server) serveV2(conn net.Conn, sess *kvstore.Session, r *bufio.Reader, w *bufio.Writer) {
-	free := make(chan *connScratch, v2PipelineDepth)
-	for i := 0; i < v2PipelineDepth; i++ {
-		free <- &connScratch{}
-	}
-	decoded := make(chan *connScratch, v2PipelineDepth)
-	executed := make(chan *connScratch, v2PipelineDepth)
-
-	var pipeWG sync.WaitGroup
-	pipeWG.Add(2)
-	// Reader: frame in, requests decoded (aliasing the scratch), tag noted.
-	go func() {
-		defer pipeWG.Done()
-		defer close(decoded)
-		for {
-			sc := <-free
-			tag, n, err := wire.ReadTaggedHeader(r)
-			if err != nil {
+	var sc connScratch
+	for {
+		// Flush before a read that could block. A reader holding only part of
+		// the next frame may block on the rest, which the client may not send
+		// until it has the answers written so far.
+		if !wire.NextFrameBuffered(r) {
+			if err := w.Flush(); err != nil {
 				return
 			}
-			body, err := wire.ReadTaggedRequestBody(r, n, &sc.dec)
-			if err != nil {
-				return
-			}
-			reqs, claimed, err := wire.ParseRequestsLenient(body, &sc.dec)
-			if err != nil {
-				return
-			}
-			sc.tag, sc.reqs, sc.claimed = tag, reqs, claimed
-			decoded <- sc
 		}
-	}()
-	// Writer: encodes each executed batch (the responses alias the
-	// scratch's arenas, which stay untouched until the scratch is recycled)
-	// and streams it out, recycling scratches to the reader. Encoding here
-	// rather than in the executor balances the pipeline: executing frame
-	// N+1 overlaps encoding and writing frame N. On an error it keeps
-	// draining (so the executor never blocks) with the connection closed,
-	// which unsticks the reader.
-	go func() {
-		defer pipeWG.Done()
-		failed := false
-		for sc := range executed {
-			if !failed {
-				b, err := wire.AppendTaggedResponses(sc.enc[:0], sc.tag, sc.resps)
-				if err != nil {
-					// The responses cannot be framed (past MaxMessage, or a
-					// pair key past MaxKeyLen): unanswerable; drop the
-					// connection.
-					failed = true
-					conn.Close()
-				} else {
-					sc.enc = b
-					if _, err := w.Write(sc.enc); err != nil {
-						failed = true
-						conn.Close()
-					} else if len(executed) == 0 {
-						// Nothing queued behind us: push the batch to the
-						// client now instead of waiting for more frames.
-						if err := w.Flush(); err != nil {
-							failed = true
-							conn.Close()
-						}
-					}
-				}
-			}
-			sc.shrink()
-			free <- sc
+		tag, n, err := wire.ReadTaggedHeader(r)
+		if err != nil {
+			return
 		}
-	}()
-	// Executor (this goroutine): runs decoded requests against the store.
-	for sc := range decoded {
-		s.executeBatch(sess, sc.reqs, sc.claimed, sc)
-		executed <- sc
+		body, err := wire.ReadTaggedRequestBody(r, n, &sc.dec)
+		if err != nil {
+			return
+		}
+		// The requests alias sc.dec; claimed exceeds len(reqs) when a
+		// decodable frame held undecodable requests.
+		reqs, claimed, err := wire.ParseRequestsLenient(body, &sc.dec)
+		if err != nil {
+			return
+		}
+		s.executeBatch(sess, reqs, claimed, &sc)
+		// Responses that cannot be framed (past MaxMessage, or a pair key
+		// past MaxKeyLen) are unanswerable: the connection is dropped.
+		if sc.enc, err = wire.AppendTaggedResponses(sc.enc[:0], tag, sc.resps); err != nil {
+			return
+		}
+		if _, err := w.Write(sc.enc); err != nil {
+			return
+		}
+		sc.shrink()
 	}
-	close(executed)
-	pipeWG.Wait()
 }
 
 // executeBatch fills sc.resps with one response per request — claimed of

@@ -296,8 +296,8 @@ func TestScanRunAnsweredInOrder(t *testing.T) {
 // The async client's steady state is allocation-pinned: a Go/Wait/Release
 // cycle reuses the connection's encode buffer, a recycled Pending, and its
 // decode scratch. The measurement covers the whole process — the client and
-// the server pipeline, each reading a frame header per round trip — so zero
-// pins a v2 get round trip on both sides.
+// the server's connection goroutine, each reading a frame header per round
+// trip — so zero pins a v2 get round trip on both sides.
 func TestConnSteadyStateAllocs(t *testing.T) {
 	_, addr := startServer(t, "")
 	c := dialConn(t, addr)

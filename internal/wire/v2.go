@@ -154,6 +154,20 @@ func ReadTaggedHeader(r *bufio.Reader) (tag uint32, bodyLen int, err error) {
 	return tag, int(n) - 4, nil
 }
 
+// NextFrameBuffered reports whether r already holds the whole next frame,
+// header and body, so reading it cannot block. A server that answers into a
+// buffered writer flushes whenever this is false: a reader holding only part
+// of the next frame may block on the rest, and the peer may be waiting for
+// the answers already written before it sends it.
+func NextFrameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < 4 {
+		return false
+	}
+	word, _ := r.Peek(4) // cannot block or fail: these bytes are buffered
+	return 4+uint64(binary.LittleEndian.Uint32(word)&^v2FrameBit) <= uint64(n)
+}
+
 // ReadTaggedRequestBody reads a request frame's body (after its header was
 // consumed by ReadTaggedHeader) into d's reusable frame buffer and returns
 // it for ParseRequests or ParseRequestsLenient.

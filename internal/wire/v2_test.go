@@ -202,3 +202,30 @@ func TestParseRequestsLenient(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 }
+
+// TestNextFrameBuffered holds every prefix of two frames in a reader's
+// buffer: the next frame counts as buffered only once its last byte is.
+func TestNextFrameBuffered(t *testing.T) {
+	a, err := AppendTaggedRequests(nil, 1, []Request{{Op: OpGet, Key: []byte("a")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	both, err := AppendTaggedRequests(a, 2, []Request{{Op: OpPut, Key: []byte("b"), Puts: []ColData{{Col: 0, Data: []byte("v")}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k <= len(both); k++ {
+		r := bufio.NewReader(bytes.NewReader(both[:k]))
+		r.Peek(k)
+		if got, want := NextFrameBuffered(r), k >= len(a); got != want {
+			t.Fatalf("%d of %d bytes buffered: first frame whole = %v, want %v", k, len(both), got, want)
+		}
+		if k < len(a) {
+			continue
+		}
+		r.Discard(len(a))
+		if got, want := NextFrameBuffered(r), k == len(both); got != want {
+			t.Fatalf("%d of %d bytes buffered: second frame whole = %v, want %v", k, len(both), got, want)
+		}
+	}
+}
