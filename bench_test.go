@@ -23,7 +23,6 @@ import (
 	"repro/internal/kvstore"
 	"repro/internal/value"
 	"repro/internal/workload"
-	"repro/internal/ycsb"
 )
 
 const benchKeys = 100_000
@@ -221,89 +220,6 @@ func BenchmarkFig11(b *testing.B) {
 					}
 					ps.Do(p, ops)
 					i++
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkFig13 measures the §7 system-comparison code paths for the full
-// Masstree system (logging on): uniform gets/puts and MYCSB mixes. The
-// comparator stand-ins are exercised by cmd/masstree-bench -run fig13.
-func BenchmarkFig13(b *testing.B) {
-	dir, err := os.MkdirTemp("", "bench-fig13-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	st, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	const records = 50_000
-	load := st.Session(0)
-	for i := uint64(0); i < records; i++ {
-		key, cols := ycsb.LoadRecord(i)
-		puts := make([]value.ColPut, len(cols))
-		for c, col := range cols {
-			puts[c] = value.ColPut{Col: c, Data: col}
-		}
-		load.Put(key, puts)
-	}
-	load.Close()
-	b.Run("uniform-get", func(b *testing.B) {
-		b.RunParallel(func(pb *testing.PB) {
-			sess := st.Session(0)
-			defer sess.Close()
-			gen := workload.UniformRecordKeys(11, records)
-			var cols [][]byte
-			for pb.Next() {
-				if v, ok := sess.GetValue(gen.Next()); ok {
-					cols = kvstore.AppendCols(cols[:0], v, []int{0})
-				}
-			}
-		})
-	})
-	b.Run("uniform-put", func(b *testing.B) {
-		var w atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			worker := int(w.Add(1)) - 1
-			sess := st.Session(worker)
-			defer sess.Close()
-			gen := workload.UniformRecordKeys(int64(12+worker), records)
-			data := []byte("8bytedat")
-			for pb.Next() {
-				sess.Put(gen.Next(), []value.ColPut{{Col: 0, Data: data}})
-			}
-		})
-	})
-	for _, wl := range []string{"A", "B", "C", "E"} {
-		b.Run("MYCSB-"+wl, func(b *testing.B) {
-			var w atomic.Int64
-			b.RunParallel(func(pb *testing.PB) {
-				worker := int(w.Add(1)) - 1
-				sess := st.Session(worker)
-				defer sess.Close()
-				src, err := ycsb.New(wl, records, int64(13+worker))
-				if err != nil {
-					panic(err)
-				}
-				var cols [][]byte
-				var rs kvstore.RangeScratch
-				for pb.Next() {
-					op := src.Next()
-					switch op.Kind {
-					case ycsb.Read:
-						if v, ok := sess.GetValue(op.Key); ok {
-							cols = kvstore.AppendCols(cols[:0], v, ycsb.AllCols)
-						}
-					case ycsb.Update:
-						sess.Put(op.Key, []value.ColPut{{Col: op.Col, Data: op.Data}})
-					case ycsb.ScanOp:
-						rs.Reset()
-						sess.GetRangeInto(op.Key, op.ScanLen, []int{op.Col}, &rs)
-					}
 				}
 			})
 		})

@@ -261,13 +261,13 @@
 // See DESIGN.md for the system inventory: the package map, the invariant
 // catalog behind the analyzers, the numbered paper-to-Go substitutions,
 // and the experiment index. Measured results live in the committed
-// BENCH_*.json snapshots at the repository root (BENCH_pipeline.json,
-// BENCH_writepath.json, BENCH_pipeline_v2.json, BENCH_recovery.json,
+// BENCH_*.json snapshots at the repository root (BENCH_pipeline_v2.json,
 // BENCH_cache.json, BENCH_backend.json, BENCH_cluster.json,
-// BENCH_replaychain.json, BENCH_obs.json — read-path, write-path,
-// pipelining, restart, cache-mode, herd-coalescing, cluster
-// fan-out/hedging, chained-WAL cost/recovery, and instrumentation-overhead
-// numbers respectively). The implementation lives under
+// BENCH_replaychain.json, BENCH_obs.json — pipelining, cache-mode,
+// herd-coalescing, cluster fan-out/hedging, chained-WAL cost/recovery, and
+// instrumentation-overhead numbers respectively); the end-to-end benchmark
+// under benchmark/ measures the read, write and restart paths. The
+// implementation lives under
 // internal/; runnable entry points are under cmd/ and examples/
 // (examples/pipeline demonstrates the async client and CAS;
 // examples/cachefront the bounded cache; examples/readthrough the backend

@@ -1,6 +1,5 @@
 // MYCSB: run the paper's modified YCSB workloads (§7) against an embedded
-// Masstree store and print throughput per workload — a miniature of
-// Figure 13's Masstree column.
+// Masstree store and print throughput per workload.
 //
 //	go run ./examples/ycsb -records 100000 -ops 400000
 package main

@@ -142,16 +142,6 @@ func (t *Tree) Scan(start []byte, fn func(key []byte, v *value.Value) bool) {
 	scanLayer(t.root, start, nil, fn)
 }
 
-// GetRange returns up to n pairs from the first key >= start.
-func (t *Tree) GetRange(start []byte, n int) (keys [][]byte, vals []*value.Value) {
-	t.Scan(start, func(k []byte, v *value.Value) bool {
-		keys = append(keys, k)
-		vals = append(vals, v)
-		return len(keys) < n
-	})
-	return keys, vals
-}
-
 func scanLayer(root *node, start, prefix []byte, fn func([]byte, *value.Value) bool) bool {
 	return scanNode(root, start, prefix, fn)
 }

@@ -1,7 +1,6 @@
 package seqtree
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -137,24 +136,6 @@ func TestModel(t *testing.T) {
 				t.Fatalf("len %d after drain", tr.Len())
 			}
 		})
-	}
-}
-
-func TestGetRange(t *testing.T) {
-	tr := New()
-	for i := 0; i < 100; i++ {
-		k := []byte(fmt.Sprintf("k%03d", i))
-		tr.Put(k, value.New(k))
-	}
-	keys, vals := tr.GetRange([]byte("k050"), 10)
-	if len(keys) != 10 || len(vals) != 10 {
-		t.Fatalf("got %d keys", len(keys))
-	}
-	for i, k := range keys {
-		want := fmt.Sprintf("k%03d", 50+i)
-		if string(k) != want || !bytes.Equal(vals[i].Bytes(), []byte(want)) {
-			t.Fatalf("range[%d] = %q", i, k)
-		}
 	}
 }
 

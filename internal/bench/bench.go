@@ -1,8 +1,9 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (§6 tree evaluation, §7 system comparison, §5 checkpointing) at
-// configurable scale. Each experiment returns a Table whose rows mirror the
-// paper's bars, series, or table cells; committed result snapshots live in
-// the BENCH_*.json files at the repository root (index in DESIGN.md).
+// Package bench regenerates the tables and figures of the paper's
+// evaluation that this reproduction attempts (§6 tree evaluation, §5
+// checkpointing) at configurable scale. Each experiment returns a Table
+// whose rows mirror the paper's bars, series, or table cells; committed
+// result snapshots live in the BENCH_*.json files at the repository root
+// (index in DESIGN.md).
 //
 // Absolute numbers differ from the paper's 16-core 2009-era testbed; the
 // experiments are designed so the *shape* — who wins, by roughly what
@@ -103,6 +104,14 @@ func mops(opsPerSec float64) string {
 	return fmt.Sprintf("%.3f", opsPerSec/1e6)
 }
 
+// pct formats x as a percentage of base.
+func pct(x, base float64) string {
+	if base == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f", 100*x/base)
+}
+
 // ratio formats a relative throughput.
 func ratio(x, base float64) string {
 	if base == 0 {
@@ -149,35 +158,26 @@ func closeSessions(ss []*kvstore.Session) {
 	}
 }
 
-// Registry maps experiment ids to their generators.
-var Registry = map[string]func(Scale) *Table{
-	"fig8":    Fig8,
-	"fig9":    Fig9,
-	"fig10":   Fig10,
-	"fig11":   Fig11,
-	"fig12":   Fig12,
-	"fig13":   Fig13,
-	"sec63":   Sec63,
-	"sec64":   Sec64,
-	"ckpt":    Ckpt,
-	"retry":   Retry,
-	"shape":   Shape,
-	"cache":   Cache,
-	"herd":    Herd,
-	"cluster": Cluster,
-
-	"replaychain": Replaychain,
-	"obs":         Obs,
+// Experiment is one generator and the id that selects it.
+type Experiment struct {
+	ID  string
+	Run func(Scale) *Table
 }
 
-// IDs lists experiment ids in presentation order.
-var IDs = []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "sec63", "sec64", "ckpt", "retry", "shape", "cache", "herd", "cluster", "replaychain", "obs"}
-
-// All runs every experiment.
-func All(sc Scale) []*Table {
-	out := make([]*Table, 0, len(IDs))
-	for _, id := range IDs {
-		out = append(out, Registry[id](sc))
-	}
-	return out
+// Experiments lists every experiment once, in presentation order.
+var Experiments = []Experiment{
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"sec63", Sec63},
+	{"sec64", Sec64},
+	{"ckpt", Ckpt},
+	{"retry", Retry},
+	{"shape", Shape},
+	{"cache", Cache},
+	{"herd", Herd},
+	{"cluster", Cluster},
+	{"replaychain", Replaychain},
+	{"obs", Obs},
 }

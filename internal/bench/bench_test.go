@@ -6,15 +6,19 @@ import (
 )
 
 // TestAllExperimentsSmoke runs every experiment at tiny scale, checking the
-// tables are structurally complete (every row has a cell per header, no
-// empty cells).
+// ids are unique and the tables are structurally complete (every row has a
+// cell per header, no empty cells).
 func TestAllExperimentsSmoke(t *testing.T) {
 	sc := SmokeScale()
-	for _, id := range IDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			tbl := Registry[id](sc)
-			if tbl.ID != id {
+	seen := make(map[string]bool)
+	for _, e := range Experiments {
+		if seen[e.ID] {
+			t.Fatalf("experiment id %q listed twice", e.ID)
+		}
+		seen[e.ID] = true
+		t.Run(e.ID, func(t *testing.T) {
+			tbl := e.Run(sc)
+			if tbl.ID != e.ID {
 				t.Fatalf("table id %q", tbl.ID)
 			}
 			if len(tbl.Rows) == 0 {
@@ -35,31 +39,6 @@ func TestAllExperimentsSmoke(t *testing.T) {
 				t.Fatal("render missing title")
 			}
 		})
-	}
-}
-
-func TestFig13CapabilityCells(t *testing.T) {
-	tbl := Fig13(SmokeScale())
-	// memcached-like column must be n/a for MYCSB-A/B/E; redis-like n/a for E.
-	find := func(name string) []string {
-		for _, r := range tbl.Rows {
-			if r[0] == name {
-				return r
-			}
-		}
-		t.Fatalf("row %q missing", name)
-		return nil
-	}
-	memcachedCol := len(tbl.Headers) - 1
-	redisCol := len(tbl.Headers) - 2
-	if find("MYCSB-A")[memcachedCol] != "n/a" || find("MYCSB-B")[memcachedCol] != "n/a" {
-		t.Fatal("memcached-like should not run MYCSB-A/B")
-	}
-	if find("MYCSB-E")[memcachedCol] != "n/a" || find("MYCSB-E")[redisCol] != "n/a" {
-		t.Fatal("hash stores should not run MYCSB-E")
-	}
-	if find("MYCSB-E")[1] == "n/a" {
-		t.Fatal("Masstree must run MYCSB-E")
 	}
 }
 

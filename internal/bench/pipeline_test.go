@@ -40,64 +40,8 @@ func dialPipeline(b *testing.B, nkeys, window int) *client.Conn {
 	return c
 }
 
-// roundTrip sends one batch and waits for it: one frame in flight, as a
-// window-1 Conn holds it.
-func roundTrip(b *testing.B, c *client.Conn, reqs []wire.Request) {
-	p := c.Go(reqs)
-	resps, err := p.Wait()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(resps) != len(reqs) || resps[0].Status != wire.StatusOK {
-		b.Fatalf("bad responses: %d status %d", len(resps), resps[0].Status)
-	}
-	p.Release()
-}
-
 func pipelineKey(i int) []byte {
 	return []byte(fmt.Sprintf("key%016d", i))
-}
-
-// BenchmarkServerRoundTrip measures one client round trip carrying a batch
-// of requests, reporting allocs/op for the whole client+server pipeline.
-// This is the end-to-end path the paper's system benchmarks exercise:
-// batched queries over a long-lived TCP connection (§7).
-func BenchmarkServerRoundTrip(b *testing.B) {
-	const nkeys = 4096
-	const batch = 64
-
-	b.Run("get64", func(b *testing.B) {
-		c := dialPipeline(b, nkeys, 1)
-		reqs := make([]wire.Request, batch)
-		for i := range reqs {
-			reqs[i] = wire.Request{Op: wire.OpGet, Key: pipelineKey(i * 7 % nkeys)}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			roundTrip(b, c, reqs)
-		}
-		reportPerRequest(b, batch)
-	})
-
-	b.Run("mixed64", func(b *testing.B) {
-		c := dialPipeline(b, nkeys, 1)
-		reqs := make([]wire.Request, batch)
-		for i := range reqs {
-			if i%8 == 7 {
-				reqs[i] = wire.Request{Op: wire.OpPut, Key: pipelineKey(i * 13 % nkeys),
-					Puts: []wire.ColData{{Col: 0, Data: []byte("updated-column-data")}}}
-			} else {
-				reqs[i] = wire.Request{Op: wire.OpGet, Key: pipelineKey(i * 13 % nkeys)}
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			roundTrip(b, c, reqs)
-		}
-		reportPerRequest(b, batch)
-	})
 }
 
 // reportPerRequest adds a derived requests/s metric so the snapshot reads in

@@ -88,11 +88,3 @@ func ZipfKeys(seed int64, n uint64) KeyGen {
 		return RecordKey(scramble(z.Next(), n))
 	})
 }
-
-// UniformRecordKeys returns a KeyGen drawing MYCSB record keys uniformly.
-func UniformRecordKeys(seed int64, n uint64) KeyGen {
-	rng := rand.New(rand.NewSource(seed))
-	return funcGen(func() []byte {
-		return RecordKey(uint64(rng.Int63n(int64(n))))
-	})
-}
