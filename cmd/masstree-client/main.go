@@ -23,8 +23,8 @@
 // Passing -addrs with a comma-separated node list switches the client into
 // cluster mode: every keyed command routes to the key's consistent-hash
 // owner (the same ring the cluster tests pin), stats sums numeric counters
-// across all reachable nodes, and scan is refused because a range spans
-// shards.
+// across all reachable nodes, and scan is refused across more than one
+// node because a range spans shards.
 package main
 
 import (
@@ -45,43 +45,58 @@ import (
 
 func main() {
 	var addr = flag.String("addr", "127.0.0.1:7500", "server address")
-	var addrs = flag.String("addrs", "", "comma-separated server addresses; with more than one, keys route by consistent hash (cluster mode)")
+	var addrs = flag.String("addrs", "", "comma-separated server addresses; keys route by consistent hash (cluster mode)")
 	var jsonOut = flag.Bool("json", false, "stats: emit one JSON object (all keys, including raw histogram buckets) instead of grouped text")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) < 1 {
 		usage()
 	}
+
+	// kv serves every keyed command. In cluster mode get, put and putcol
+	// also name the key's owner, and stats sums across the nodes.
+	var (
+		kv    client.KV
+		node  = func(key, format string) string { return "" }
+		stats func() (map[string]string, error)
+	)
 	if *addrs != "" {
-		runCluster(strings.Split(*addrs, ","), args, *jsonOut)
-		return
+		cl, err := cluster.New(cluster.Config{Addrs: strings.Split(*addrs, ",")})
+		if err != nil {
+			log.Fatalf("masstree-client: %v", err)
+		}
+		defer cl.Close()
+		kv = cl.KV
+		node = func(key, format string) string { return fmt.Sprintf(format, cl.Owner([]byte(key))) }
+		stats = func() (map[string]string, error) {
+			agg, err := cl.StatsAggregate()
+			out := make(map[string]string, len(agg))
+			for name, v := range agg {
+				out[name] = strconv.FormatInt(v, 10)
+			}
+			return out, err
+		}
+	} else {
+		c, err := client.DialConn(*addr)
+		if err != nil {
+			log.Fatalf("masstree-client: %v", err)
+		}
+		defer c.Close()
+		kv, stats = c.KV, c.StatsRaw
 	}
-	c, err := client.DialConn(*addr)
-	if err != nil {
-		log.Fatalf("masstree-client: %v", err)
-	}
-	defer c.Close()
 
 	switch args[0] {
 	case "get":
 		if len(args) < 2 {
 			usage()
 		}
-		var cols []int
-		for _, a := range args[2:] {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", a)
-			}
-			cols = append(cols, n)
-		}
-		vals, ver, ok, err := c.Get([]byte(args[1]), cols)
+		vals, ver, ok, err := kv.Get([]byte(args[1]), parseCols(args[2:]))
 		check(err)
 		if !ok {
 			fmt.Println("(not found)")
 			os.Exit(1)
 		}
-		fmt.Printf("version %d\n", ver)
+		fmt.Printf("version %d%s\n", ver, node(args[1], " (node %d)"))
 		for i, v := range vals {
 			fmt.Printf("col %d: %q\n", i, v)
 		}
@@ -89,9 +104,9 @@ func main() {
 		if len(args) != 3 {
 			usage()
 		}
-		ver, err := c.PutSimple([]byte(args[1]), []byte(args[2]))
+		ver, err := kv.PutSimple([]byte(args[1]), []byte(args[2]))
 		check(err)
-		fmt.Printf("ok (version %d)\n", ver)
+		fmt.Printf("ok (version %d%s)\n", ver, node(args[1], ", node %d"))
 	case "putcol":
 		if len(args) < 4 || len(args)%2 != 0 {
 			usage()
@@ -104,9 +119,9 @@ func main() {
 			}
 			puts = append(puts, wire.ColData{Col: col, Data: []byte(args[i+1])})
 		}
-		ver, err := c.Put([]byte(args[1]), puts)
+		ver, err := kv.Put([]byte(args[1]), puts)
 		check(err)
-		fmt.Printf("ok (version %d)\n", ver)
+		fmt.Printf("ok (version %d%s)\n", ver, node(args[1], ", node %d"))
 	case "cas":
 		if len(args) != 4 {
 			usage()
@@ -115,7 +130,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("masstree-client: bad expected version %q", args[2])
 		}
-		ver, ok, err := c.CasPut([]byte(args[1]), expect,
+		ver, ok, err := kv.CasPut([]byte(args[1]), expect,
 			[]wire.ColData{{Col: 0, Data: []byte(args[3])}})
 		check(err)
 		if !ok {
@@ -128,7 +143,7 @@ func main() {
 			usage()
 		}
 		ttl := parseTTL(args[3])
-		ver, err := c.PutSimpleTTL([]byte(args[1]), []byte(args[2]), ttl)
+		ver, err := kv.PutSimpleTTL([]byte(args[1]), []byte(args[2]), ttl)
 		check(err)
 		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
 	case "touch":
@@ -136,7 +151,7 @@ func main() {
 			usage()
 		}
 		ttl := parseTTL(args[2])
-		ver, ok, err := c.Touch([]byte(args[1]), ttl)
+		ver, ok, err := kv.Touch([]byte(args[1]), ttl)
 		check(err)
 		if !ok {
 			fmt.Println("(not found or expired)")
@@ -147,15 +162,7 @@ func main() {
 		if len(args) < 2 {
 			usage()
 		}
-		var cols []int
-		for _, a := range args[2:] {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", a)
-			}
-			cols = append(cols, n)
-		}
-		vals, ver, stale, ok, err := c.GetOrLoad([]byte(args[1]), cols)
+		vals, ver, stale, ok, err := kv.GetOrLoad([]byte(args[1]), parseCols(args[2:]))
 		check(err)
 		if !ok {
 			fmt.Println("(not found)")
@@ -173,7 +180,7 @@ func main() {
 		if len(args) != 2 {
 			usage()
 		}
-		existed, err := c.Remove([]byte(args[1]))
+		existed, err := kv.Remove([]byte(args[1]))
 		check(err)
 		fmt.Println("removed:", existed)
 	case "scan":
@@ -182,155 +189,30 @@ func main() {
 		}
 		n, err := strconv.Atoi(args[2])
 		check(err)
-		pairs, err := c.GetRange([]byte(args[1]), n, nil)
+		pairs, err := kv.GetRange([]byte(args[1]), n, nil)
 		check(err)
 		for _, p := range pairs {
 			fmt.Printf("%q: %q\n", p.Key, p.Cols)
 		}
 	case "stats":
-		stats, err := c.StatsRaw()
+		st, err := stats()
 		check(err)
-		printStats(stats, *jsonOut)
+		printStats(st, *jsonOut)
 	default:
 		usage()
 	}
 }
 
-// runCluster serves the key-routed subset of commands over a cluster.Cluster:
-// each key is served by its consistent-hash owner, and stats aggregates
-// numeric counters across every reachable node. scan is refused — a range
-// query spans shards and the cluster layer does not merge ranges.
-func runCluster(addrs []string, args []string, jsonOut bool) {
-	cl, err := cluster.New(cluster.Config{Addrs: addrs})
-	if err != nil {
-		log.Fatalf("masstree-client: %v", err)
-	}
-	defer cl.Close()
-
-	parseCols := func(raw []string) []int {
-		var cols []int
-		for _, a := range raw {
-			n, err := strconv.Atoi(a)
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", a)
-			}
-			cols = append(cols, n)
-		}
-		return cols
-	}
-
-	switch args[0] {
-	case "get":
-		if len(args) < 2 {
-			usage()
-		}
-		vals, ver, ok, err := cl.Get([]byte(args[1]), parseCols(args[2:]))
-		check(err)
-		if !ok {
-			fmt.Println("(not found)")
-			os.Exit(1)
-		}
-		fmt.Printf("version %d (node %d)\n", ver, cl.Owner([]byte(args[1])))
-		for i, v := range vals {
-			fmt.Printf("col %d: %q\n", i, v)
-		}
-	case "put":
-		if len(args) != 3 {
-			usage()
-		}
-		ver, err := cl.PutSimple([]byte(args[1]), []byte(args[2]))
-		check(err)
-		fmt.Printf("ok (version %d, node %d)\n", ver, cl.Owner([]byte(args[1])))
-	case "putcol":
-		if len(args) < 4 || len(args)%2 != 0 {
-			usage()
-		}
-		var puts []wire.ColData
-		for i := 2; i < len(args); i += 2 {
-			col, err := strconv.Atoi(args[i])
-			if err != nil {
-				log.Fatalf("masstree-client: bad column %q", args[i])
-			}
-			puts = append(puts, wire.ColData{Col: col, Data: []byte(args[i+1])})
-		}
-		ver, err := cl.Put([]byte(args[1]), puts)
-		check(err)
-		fmt.Printf("ok (version %d, node %d)\n", ver, cl.Owner([]byte(args[1])))
-	case "cas":
-		if len(args) != 4 {
-			usage()
-		}
-		expect, err := strconv.ParseUint(args[2], 10, 64)
+func parseCols(raw []string) []int {
+	var cols []int
+	for _, a := range raw {
+		n, err := strconv.Atoi(a)
 		if err != nil {
-			log.Fatalf("masstree-client: bad expected version %q", args[2])
+			log.Fatalf("masstree-client: bad column %q", a)
 		}
-		ver, ok, err := cl.CasPut([]byte(args[1]), expect,
-			[]wire.ColData{{Col: 0, Data: []byte(args[3])}})
-		check(err)
-		if !ok {
-			fmt.Printf("conflict (current version %d)\n", ver)
-			os.Exit(1)
-		}
-		fmt.Printf("ok (version %d)\n", ver)
-	case "putttl":
-		if len(args) != 4 {
-			usage()
-		}
-		ttl := parseTTL(args[3])
-		ver, err := cl.PutTTL([]byte(args[1]),
-			[]wire.ColData{{Col: 0, Data: []byte(args[2])}}, ttl)
-		check(err)
-		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
-	case "touch":
-		if len(args) != 3 {
-			usage()
-		}
-		ttl := parseTTL(args[2])
-		ver, ok, err := cl.Touch([]byte(args[1]), ttl)
-		check(err)
-		if !ok {
-			fmt.Println("(not found or expired)")
-			os.Exit(1)
-		}
-		fmt.Printf("ok (version %d, ttl %ds)\n", ver, ttl)
-	case "getorload":
-		if len(args) < 2 {
-			usage()
-		}
-		vals, ver, stale, ok, err := cl.GetOrLoad([]byte(args[1]), parseCols(args[2:]))
-		check(err)
-		if !ok {
-			fmt.Println("(not found)")
-			os.Exit(1)
-		}
-		if stale {
-			fmt.Printf("version %d (STALE: backend unreachable, value past its TTL)\n", ver)
-		} else {
-			fmt.Printf("version %d\n", ver)
-		}
-		for i, v := range vals {
-			fmt.Printf("col %d: %q\n", i, v)
-		}
-	case "del":
-		if len(args) != 2 {
-			usage()
-		}
-		existed, err := cl.Remove([]byte(args[1]))
-		check(err)
-		fmt.Println("removed:", existed)
-	case "stats":
-		agg, err := cl.StatsAggregate()
-		check(err)
-		stats := make(map[string]string, len(agg))
-		for name, v := range agg {
-			stats[name] = strconv.FormatInt(v, 10)
-		}
-		printStats(stats, jsonOut)
-	case "scan":
-		log.Fatalf("masstree-client: scan is not supported in cluster mode (a range spans shards); point -addr at one node")
-	default:
-		usage()
+		cols = append(cols, n)
 	}
+	return cols
 }
 
 // statsGroupOrder fixes the display order of subsystem groups: data-plane
@@ -433,7 +315,8 @@ func usage() {
   With -addrs, keys route to their consistent-hash owner across the listed
   nodes (cluster mode): get/put/putcol/cas/putttl/touch/getorload/del go to
   the key's owner, stats aggregates numeric counters across all reachable
-  nodes, and scan is refused (ranges span shards).
+  nodes, and scan is refused across more than one node (ranges span
+  shards).
 
   get KEY [COL...]             read a key (prints its version and columns)
   put KEY VALUE                write column 0

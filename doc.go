@@ -170,7 +170,10 @@
 // cluster.Cluster consistent-hashes keys across N servers (a deterministic
 // virtual-node ring — FNV-1a finalized with splitmix64 — pinned by golden
 // tests, because changing the hash is a resharding event) and speaks
-// pipelined v2 to each through a small per-node connection pool.
+// pipelined v2 to each through a small per-node connection pool. Its
+// single-key calls are client.KV's, the one typed face client.Conn embeds
+// too, so both decode a response status the same way; a single GetRange is
+// refused on more than one node, because a range spans shards.
 // GetBatch/PutBatch split by owner shard, fan out concurrently, and merge
 // replies in request order; a single-owner batch is forwarded verbatim, so
 // a Cluster over one node is byte-identical to a plain client.Conn.
@@ -190,7 +193,8 @@
 // acked write is lost, no reply comes from the wrong shard, dead-shard ops
 // stay inside one timeout budget with bounded goroutines, and healed nodes
 // rejoin — see BENCH_cluster.json for the fan-out and hedged-p99 numbers.
-// masstree-client -addrs a,b,c routes the CLI through the same ring.
+// masstree-client -addrs a,b,c routes the CLI through the same ring, with
+// one command switch over a client.KV for both modes.
 //
 // Observability (internal/obs) makes the store explain itself without
 // perturbing what it explains. Every timed stage — get/put/batch/scan/

@@ -106,23 +106,3 @@ func (t *Table) Remove(key []byte) bool {
 
 // Len returns the number of live keys.
 func (t *Table) Len() int { return int(t.count.Load()) }
-
-// AvgProbe reports the mean chain position of live entries (the paper's
-// "1.1 entries inspected per lookup" statistic). For tests and stats.
-func (t *Table) AvgProbe() float64 {
-	entries, probes := 0, 0
-	for i := range t.buckets {
-		pos := 0
-		for e := t.buckets[i].Load(); e != nil; e = e.next {
-			pos++
-			if atomic.LoadPointer(&e.val) != nil {
-				entries++
-				probes += pos
-			}
-		}
-	}
-	if entries == 0 {
-		return 0
-	}
-	return float64(probes) / float64(entries)
-}

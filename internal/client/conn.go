@@ -17,9 +17,12 @@
 //	resps2, err := p2.Wait()
 //	...
 //
-// Callers that do not pipeline use the synchronous faces — Do, Get, Put,
-// PutSimple, CasPut, Remove, GetRange, Stats — whose results own their
-// memory; a Conn dialed WithWindow(1) holds one batch in flight at a time.
+// Callers that do not pipeline use the synchronous faces, whose results own
+// their memory: Do for a batch, Stats and StatsRaw, and the typed
+// single-key calls of KV — Get, GetOrLoad, Put, PutSimple, PutTTL,
+// PutSimpleTTL, Touch, CasPut, Remove, GetRange — which Conn embeds and
+// cluster.Cluster embeds too, so both decode a status the same way. A Conn
+// dialed WithWindow(1) holds one batch in flight at a time.
 // Every get returns the value's version, and a CasPut applies only if the
 // key's version still matches, enabling lock-free read-modify-write across
 // the network.
@@ -60,6 +63,8 @@ import (
 // through a free list, and each Pending decodes responses into its own
 // reusable scratch (which is why responses are only valid until Release).
 type Conn struct {
+	KV // the typed single-key calls, each one Do of one request
+
 	nc net.Conn
 
 	// timeout, when set (WithTimeout), is the per-batch I/O deadline: each
@@ -246,6 +251,7 @@ func DialConn(addr string, opts ...ConnOption) (*Conn, error) {
 		pending:    make(map[uint32]*Pending, cfg.window),
 		readerDone: make(chan struct{}),
 	}
+	c.KV = NewKV(c.one)
 	go c.readLoop(r)
 	go c.flushLoop()
 	return c, nil
@@ -505,171 +511,14 @@ func (c *Conn) Do(reqs []wire.Request) ([]wire.Response, error) {
 	return out, nil
 }
 
-// Get retrieves columns of one key (nil cols = all). It also returns the
-// value's version — the token a subsequent CasPut expects — and ok false if
-// the key is absent.
-func (c *Conn) Get(key []byte, cols []int) (vals [][]byte, ver uint64, ok bool, err error) {
-	p := c.Go([]wire.Request{{Op: wire.OpGet, Key: key, Cols: cols}})
-	resps, err := p.Wait()
+// one executes a single request for the embedded KV; its response owns
+// its memory.
+func (c *Conn) one(req wire.Request) (wire.Response, error) {
+	resps, err := c.Do([]wire.Request{req})
 	if err != nil {
-		p.Release()
-		return nil, 0, false, err
+		return wire.Response{}, err
 	}
-	r := &resps[0]
-	if r.Status != wire.StatusOK {
-		p.Release()
-		return nil, 0, false, nil
-	}
-	vals = cloneCols(r.Cols)
-	ver = r.Version
-	p.Release()
-	return vals, ver, true, nil
-}
-
-// GetOrLoad retrieves columns of one key, consulting the server's backend
-// tier on a miss (read-through; see OpGetOrLoad). stale true marks a
-// degraded answer: an expired resident value served because the backend
-// could not be reached. ok false means the key is authoritatively absent.
-// A server without a backend (or a backend failure with nothing resident)
-// answers StatusError, surfaced here as an error.
-func (c *Conn) GetOrLoad(key []byte, cols []int) (vals [][]byte, ver uint64, stale, ok bool, err error) {
-	p := c.Go([]wire.Request{{Op: wire.OpGetOrLoad, Key: key, Cols: cols}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return nil, 0, false, false, err
-	}
-	r := &resps[0]
-	switch r.Status {
-	case wire.StatusOK, wire.StatusStale:
-		vals = cloneCols(r.Cols)
-		ver, stale = r.Version, r.Status == wire.StatusStale
-		p.Release()
-		return vals, ver, stale, true, nil
-	case wire.StatusNotFound:
-		p.Release()
-		return nil, 0, false, false, nil
-	}
-	status := r.Status
-	p.Release()
-	return nil, 0, false, false, fmt.Errorf("client: getorload status %d", status)
-}
-
-// Put writes columns of one key and returns the new version.
-func (c *Conn) Put(key []byte, puts []wire.ColData) (uint64, error) {
-	p := c.Go([]wire.Request{{Op: wire.OpPut, Key: key, Puts: puts}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return 0, err
-	}
-	status, ver := resps[0].Status, resps[0].Version
-	p.Release()
-	if status != wire.StatusOK {
-		return 0, fmt.Errorf("client: put status %d", status)
-	}
-	return ver, nil
-}
-
-// PutSimple writes data as column 0 of key.
-func (c *Conn) PutSimple(key, data []byte) (uint64, error) {
-	return c.Put(key, []wire.ColData{{Col: 0, Data: data}})
-}
-
-// PutTTL writes columns of one key with a time-to-live in seconds (0 =
-// never expires, like Put). After the TTL lapses the key reads as absent
-// and the server's maintenance loop eventually sweeps it.
-func (c *Conn) PutTTL(key []byte, puts []wire.ColData, ttlSeconds uint32) (uint64, error) {
-	p := c.Go([]wire.Request{{Op: wire.OpPutTTL, Key: key, Puts: puts, TTL: ttlSeconds}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return 0, err
-	}
-	status, ver := resps[0].Status, resps[0].Version
-	p.Release()
-	if status != wire.StatusOK {
-		return 0, fmt.Errorf("client: putttl status %d", status)
-	}
-	return ver, nil
-}
-
-// PutSimpleTTL writes data as column 0 of key with a TTL in seconds.
-func (c *Conn) PutSimpleTTL(key, data []byte, ttlSeconds uint32) (uint64, error) {
-	return c.PutTTL(key, []wire.ColData{{Col: 0, Data: data}}, ttlSeconds)
-}
-
-// Touch resets one key's TTL (seconds from now; 0 removes the expiry)
-// without rewriting its value. ok is false if the key is absent or already
-// expired.
-func (c *Conn) Touch(key []byte, ttlSeconds uint32) (ver uint64, ok bool, err error) {
-	p := c.Go([]wire.Request{{Op: wire.OpTouch, Key: key, TTL: ttlSeconds}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return 0, false, err
-	}
-	status, version := resps[0].Status, resps[0].Version
-	p.Release()
-	switch status {
-	case wire.StatusOK:
-		return version, true, nil
-	case wire.StatusNotFound:
-		return 0, false, nil
-	}
-	return 0, false, fmt.Errorf("client: touch status %d", status)
-}
-
-// CasPut conditionally writes columns of one key: the write applies only if
-// the key's current version equals expect (0 = key absent, so expect 0 is
-// create-if-absent). On success it returns the new version with ok true; on
-// conflict, the key's current version with ok false so the caller can
-// re-Get, rebase, and retry.
-func (c *Conn) CasPut(key []byte, expect uint64, puts []wire.ColData) (ver uint64, ok bool, err error) {
-	p := c.Go([]wire.Request{{Op: wire.OpCas, Key: key, ExpectVersion: expect, Puts: puts}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return 0, false, err
-	}
-	status, version := resps[0].Status, resps[0].Version
-	p.Release()
-	switch status {
-	case wire.StatusOK:
-		return version, true, nil
-	case wire.StatusConflict:
-		return version, false, nil
-	}
-	return 0, false, fmt.Errorf("client: cas status %d", status)
-}
-
-// Remove deletes one key; reports whether it existed.
-func (c *Conn) Remove(key []byte) (bool, error) {
-	p := c.Go([]wire.Request{{Op: wire.OpRemove, Key: key}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return false, err
-	}
-	ok := resps[0].Status == wire.StatusOK
-	p.Release()
-	return ok, nil
-}
-
-// GetRange returns up to n pairs starting at the first key >= start.
-func (c *Conn) GetRange(start []byte, n int, cols []int) ([]wire.Pair, error) {
-	p := c.Go([]wire.Request{{Op: wire.OpGetRange, Key: start, N: n, Cols: cols}})
-	resps, err := p.Wait()
-	if err != nil {
-		p.Release()
-		return nil, err
-	}
-	status, pairs := resps[0].Status, clonePairs(resps[0].Pairs)
-	p.Release()
-	if status != wire.StatusOK {
-		return nil, fmt.Errorf("client: getrange status %d", status)
-	}
-	return pairs, nil
+	return resps[0], nil
 }
 
 // Stats returns the server's numeric metrics. Non-numeric metrics (e.g.

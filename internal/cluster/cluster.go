@@ -29,6 +29,12 @@
 //     a flow orphaned by a partition, head-of-line blocking behind a deep
 //     batch, a lossy path — without ever consulting the wrong shard.
 //
+// Single-key calls are client.KV's, which Cluster embeds as client.Conn
+// does: the same methods, the same status decoding, over an executor that
+// sends gets to readOne (hedged, failing over if armed) and every other
+// request to writeOne on the key's owner. A single GetRange is refused on
+// more than one node, because a range spans shards.
+//
 // Batches shard transparently: GetBatch/PutBatch (and the general Do)
 // split a request batch by owner, fan the sub-batches out concurrently,
 // and merge replies back into request order. A batch that lands entirely
@@ -42,6 +48,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -113,6 +120,8 @@ func (cfg *Config) withDefaults() error {
 // fill lazily, so a cluster over a currently-dark node constructs
 // instantly and the node simply trips Down on first use.
 type Cluster struct {
+	client.KV // the typed single-key calls, each routed by one
+
 	cfg   Config
 	ring  *Ring
 	nodes []*node
@@ -141,6 +150,7 @@ func New(cfg Config) (*Cluster, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
+	c.KV = client.NewKV(c.one)
 	c.rpcHist = obs.NewHist("rpc", len(cfg.Addrs))
 	c.rec = obs.NewRecorder(len(cfg.Addrs), 0)
 	for i, addr := range cfg.Addrs {
@@ -157,15 +167,6 @@ func New(cfg Config) (*Cluster, error) {
 // health transitions (down/probing/up), one ring per node. Torture
 // harnesses dump it on first failure.
 func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
-
-// RPCSnapshot copies node i's RPC latency histogram (the whole cluster's
-// for i < 0).
-func (c *Cluster) RPCSnapshot(i int) obs.HistSnapshot {
-	if i < 0 {
-		return c.rpcHist.Snapshot()
-	}
-	return c.rpcHist.ShardSnapshot(i)
-}
 
 // Close stops the probe loop and closes every pooled connection.
 func (c *Cluster) Close() {
@@ -201,9 +202,6 @@ func (c *Cluster) probeLoop() {
 // both want to ask "who owns this key").
 func (c *Cluster) Owner(key []byte) int { return c.ring.Owner(key) }
 
-// Ring exposes the deterministic hash ring itself.
-func (c *Cluster) Ring() *Ring { return c.ring }
-
 // exec runs one request batch against node n over a pooled connection and
 // returns cloned (caller-owned) responses. Transport failures feed the
 // node's breaker; protocol-level statuses do not.
@@ -213,18 +211,13 @@ func (c *Cluster) exec(n *node, reqs []wire.Request) ([]wire.Response, error) {
 		return nil, err
 	}
 	start := time.Now()
-	p := conn.Go(reqs)
-	resps, err := p.Wait()
+	resps, err := conn.Do(reqs)
 	c.rpcHist.Record(n.idx, time.Since(start))
+	n.feedback(conn, err)
 	if err != nil {
-		p.Release()
-		n.feedback(conn, err)
 		return nil, fmt.Errorf("cluster: node %s: %w", n.addr, err)
 	}
-	out := cloneResponses(resps)
-	p.Release()
-	n.feedback(conn, nil)
-	return out, nil
+	return resps, nil
 }
 
 // Do executes a mixed request batch, routing each request to its key's
@@ -314,20 +307,15 @@ func (c *Cluster) execFresh(n *node, reqs []wire.Request) ([]wire.Response, erro
 		return nil, err
 	}
 	start := time.Now()
-	p := conn.Go(reqs)
-	resps, err := p.Wait()
+	resps, err := conn.Do(reqs)
 	c.rpcHist.Record(n.idx, time.Since(start))
+	n.feedback(nil, err)
 	if err != nil {
-		p.Release()
 		conn.Close()
-		n.feedback(nil, err)
 		return nil, fmt.Errorf("cluster: node %s (hedge): %w", n.addr, err)
 	}
-	out := cloneResponses(resps)
-	p.Release()
-	n.feedback(nil, nil)
 	n.donate(conn)
-	return out, nil
+	return resps, nil
 }
 
 // hedgedRead runs req against n; if the pooled attempt has not answered
@@ -392,8 +380,9 @@ func (c *Cluster) hedgedRead(n *node, req wire.Request) (wire.Response, error) {
 	return wire.Response{}, lastErr
 }
 
-// writeOne executes one single-key write (not idempotent: no hedge, no
-// failover — a write that landed off-owner would corrupt shard ownership).
+// writeOne executes one request on its key's owner with no hedge and no
+// failover: a write is not idempotent, and one that landed off-owner would
+// corrupt shard ownership. A getrange on a one-node cluster comes here too.
 func (c *Cluster) writeOne(req wire.Request) (wire.Response, error) {
 	resps, err := c.exec(c.nodes[c.ring.Owner(req.Key)], []wire.Request{req})
 	if err != nil {
@@ -402,99 +391,23 @@ func (c *Cluster) writeOne(req wire.Request) (wire.Response, error) {
 	return resps[0], nil
 }
 
-// Get retrieves columns of one key from its owner, mirroring
-// client.Conn.Get. The returned slices are caller-owned.
-func (c *Cluster) Get(key []byte, cols []int) (vals [][]byte, ver uint64, ok bool, err error) {
-	r, err := c.readOne(wire.Request{Op: wire.OpGet, Key: key, Cols: cols})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if r.Status != wire.StatusOK {
-		return nil, 0, false, nil
-	}
-	return r.Cols, r.Version, true, nil
-}
+// errRangeSpansShards refuses a single getrange on more than one node: a
+// range spans shards, and the cluster does not merge ranges.
+var errRangeSpansShards = errors.New("cluster: getrange spans shards; it needs a single node")
 
-// GetOrLoad is Get reading through the owner's backend tier on a miss,
-// mirroring client.Conn.GetOrLoad (stale marks a degraded answer).
-func (c *Cluster) GetOrLoad(key []byte, cols []int) (vals [][]byte, ver uint64, stale, ok bool, err error) {
-	r, err := c.readOne(wire.Request{Op: wire.OpGetOrLoad, Key: key, Cols: cols})
-	if err != nil {
-		return nil, 0, false, false, err
+// one executes a single request for the embedded KV: idempotent reads go
+// to readOne (hedged, with failover if armed), everything else to
+// writeOne.
+func (c *Cluster) one(req wire.Request) (wire.Response, error) {
+	switch req.Op {
+	case wire.OpGet, wire.OpGetOrLoad:
+		return c.readOne(req)
+	case wire.OpGetRange:
+		if len(c.nodes) > 1 {
+			return wire.Response{}, errRangeSpansShards
+		}
 	}
-	switch r.Status {
-	case wire.StatusOK, wire.StatusStale:
-		return r.Cols, r.Version, r.Status == wire.StatusStale, true, nil
-	case wire.StatusNotFound:
-		return nil, 0, false, false, nil
-	}
-	return nil, 0, false, false, fmt.Errorf("cluster: getorload status %d", r.Status)
-}
-
-// Put writes columns of one key on its owner and returns the new version.
-func (c *Cluster) Put(key []byte, puts []wire.ColData) (uint64, error) {
-	r, err := c.writeOne(wire.Request{Op: wire.OpPut, Key: key, Puts: puts})
-	if err != nil {
-		return 0, err
-	}
-	return r.Version, nil
-}
-
-// PutSimple writes data as column 0 of key.
-func (c *Cluster) PutSimple(key, data []byte) (uint64, error) {
-	return c.Put(key, []wire.ColData{{Col: 0, Data: data}})
-}
-
-// PutTTL writes columns of one key with a TTL in seconds on its owner.
-func (c *Cluster) PutTTL(key []byte, puts []wire.ColData, ttlSeconds uint32) (uint64, error) {
-	r, err := c.writeOne(wire.Request{Op: wire.OpPutTTL, Key: key, Puts: puts, TTL: ttlSeconds})
-	if err != nil {
-		return 0, err
-	}
-	if r.Status != wire.StatusOK {
-		return 0, fmt.Errorf("cluster: putttl status %d", r.Status)
-	}
-	return r.Version, nil
-}
-
-// Touch resets one key's TTL on its owner; ok false if absent or expired.
-func (c *Cluster) Touch(key []byte, ttlSeconds uint32) (ver uint64, ok bool, err error) {
-	r, err := c.writeOne(wire.Request{Op: wire.OpTouch, Key: key, TTL: ttlSeconds})
-	if err != nil {
-		return 0, false, err
-	}
-	switch r.Status {
-	case wire.StatusOK:
-		return r.Version, true, nil
-	case wire.StatusNotFound:
-		return 0, false, nil
-	}
-	return 0, false, fmt.Errorf("cluster: touch status %d", r.Status)
-}
-
-// CasPut conditionally writes one key on its owner, mirroring
-// client.Conn.CasPut (ok false = conflict, with the current version).
-func (c *Cluster) CasPut(key []byte, expect uint64, puts []wire.ColData) (ver uint64, ok bool, err error) {
-	r, err := c.writeOne(wire.Request{Op: wire.OpCas, Key: key, ExpectVersion: expect, Puts: puts})
-	if err != nil {
-		return 0, false, err
-	}
-	switch r.Status {
-	case wire.StatusOK:
-		return r.Version, true, nil
-	case wire.StatusConflict:
-		return r.Version, false, nil
-	}
-	return 0, false, fmt.Errorf("cluster: cas status %d", r.Status)
-}
-
-// Remove deletes one key on its owner; reports whether it existed.
-func (c *Cluster) Remove(key []byte) (bool, error) {
-	r, err := c.writeOne(wire.Request{Op: wire.OpRemove, Key: key})
-	if err != nil {
-		return false, err
-	}
-	return r.Status == wire.StatusOK, nil
+	return c.writeOne(req)
 }
 
 // GetBatch reads many keys in one call: the batch splits by owner shard,
@@ -524,38 +437,4 @@ func (c *Cluster) PutBatch(keys [][]byte, puts [][]wire.ColData) ([]uint64, erro
 		vers[i] = r.Version
 	}
 	return vers, nil
-}
-
-// cloneResponses deep-copies a response batch out of a Pending's reusable
-// decode scratch; cluster responses are always caller-owned because they
-// outlive the pooled connection's buffers (batch merges, hedge races).
-func cloneResponses(resps []wire.Response) []wire.Response {
-	out := make([]wire.Response, len(resps))
-	for i, r := range resps {
-		out[i] = wire.Response{Status: r.Status, Version: r.Version,
-			Cols: cloneCols(r.Cols), Pairs: clonePairs(r.Pairs)}
-	}
-	return out
-}
-
-func cloneCols(cols [][]byte) [][]byte {
-	if cols == nil {
-		return nil
-	}
-	out := make([][]byte, len(cols))
-	for i, c := range cols {
-		out[i] = append([]byte(nil), c...)
-	}
-	return out
-}
-
-func clonePairs(pairs []wire.Pair) []wire.Pair {
-	if pairs == nil {
-		return nil
-	}
-	out := make([]wire.Pair, len(pairs))
-	for i, p := range pairs {
-		out[i] = wire.Pair{Key: append([]byte(nil), p.Key...), Cols: cloneCols(p.Cols)}
-	}
-	return out
 }

@@ -76,7 +76,8 @@ func fastConfig(addrs []string) Config {
 // TestClusterSingleNodeEquivalence: a Cluster over a single node must
 // produce responses identical to a plain client.Conn for every operation — same statuses, versions,
 // columns, and pairs, for keyed ops, TTL ops, CAS conflicts, removes,
-// ranges, and stats. The cluster layer must be invisible at N=1.
+// ranges, and stats — through Do and through every typed client.KV call.
+// The cluster layer must be invisible at N=1.
 func TestClusterSingleNodeEquivalence(t *testing.T) {
 	// Two identically-seeded single-node "clusters": one reached through a
 	// plain Conn, one through Cluster.
@@ -143,6 +144,44 @@ func TestClusterSingleNodeEquivalence(t *testing.T) {
 	if rm1 != rm2 {
 		t.Fatalf("Remove diverged: %v vs %v", rm1, rm2)
 	}
+
+	cols := []wire.ColData{{Col: 0, Data: []byte("p0")}, {Col: 2, Data: []byte("p2")}}
+	p1, err1 := conn.Put([]byte("p"), cols)
+	p2, err2 := cl.Put([]byte("p"), cols)
+	if err1 != nil || err2 != nil || p1 != p2 {
+		t.Fatalf("Put diverged: (%d,%v) vs (%d,%v)", p1, err1, p2, err2)
+	}
+	t1, err1 := conn.PutTTL([]byte("pt"), cols, 3600)
+	t2, err2 := cl.PutTTL([]byte("pt"), cols, 3600)
+	if err1 != nil || err2 != nil || t1 != t2 {
+		t.Fatalf("PutTTL diverged: (%d,%v) vs (%d,%v)", t1, err1, t2, err2)
+	}
+	s1, err1 := conn.PutSimpleTTL([]byte("pst"), []byte("v"), 3600)
+	s2, err2 := cl.PutSimpleTTL([]byte("pst"), []byte("v"), 3600)
+	if err1 != nil || err2 != nil || s1 != s2 {
+		t.Fatalf("PutSimpleTTL diverged: (%d,%v) vs (%d,%v)", s1, err1, s2, err2)
+	}
+	for _, k := range []string{"pst", "never-written"} {
+		tv1, tok1, err1 := conn.Touch([]byte(k), 60)
+		tv2, tok2, err2 := cl.Touch([]byte(k), 60)
+		if err1 != nil || err2 != nil || tv1 != tv2 || tok1 != tok2 || tok1 != (k == "pst") {
+			t.Fatalf("Touch %q diverged: (%d,%v,%v) vs (%d,%v,%v)", k, tv1, tok1, err1, tv2, tok2, err2)
+		}
+	}
+	// Neither server has a backend tier: a read-through miss is an error
+	// on both faces.
+	if _, _, _, _, err := conn.GetOrLoad([]byte("never-written"), nil); err == nil {
+		t.Fatal("Conn.GetOrLoad without a backend: no error")
+	}
+	if _, _, _, _, err := cl.GetOrLoad([]byte("never-written"), nil); err == nil {
+		t.Fatal("Cluster.GetOrLoad without a backend: no error")
+	}
+	// From "p" on: p, pst, pt and the batches' t.
+	r1, err1 := conn.GetRange([]byte("p"), 10, nil)
+	r2, err2 := cl.GetRange([]byte("p"), 10, nil)
+	if err1 != nil || err2 != nil || len(r1) != 4 || !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("GetRange diverged: (%q,%v) vs (%q,%v)", r1, err1, r2, err2)
+	}
 }
 
 // normalize maps empty and nil slices together so DeepEqual compares
@@ -169,8 +208,8 @@ func normalize(in []wire.Response) []wire.Response {
 
 // TestClusterBatchSplitMerge drives GetBatch/PutBatch across a 3-node
 // cluster: writes must land on each key's ring owner (verified against the
-// stores directly), reads must merge back into request order, and the
-// split_batches counter must move.
+// stores directly), reads must merge back into request order, the
+// split_batches counter must move, and a single GetRange is refused.
 func TestClusterBatchSplitMerge(t *testing.T) {
 	nodes := startNodes(t, 3)
 	cl := newCluster(t, fastConfig(addrsOf(nodes)))
@@ -243,6 +282,12 @@ func TestClusterBatchSplitMerge(t *testing.T) {
 
 	if st := cl.ClusterStats(); st.SplitBatches < 2 {
 		t.Fatalf("split_batches = %d after two cross-shard batches", st.SplitBatches)
+	}
+
+	// A single range spans shards: on three nodes it is refused rather than
+	// answered from one shard's pairs.
+	if pairs, err := cl.GetRange(keys[0], 10, nil); err == nil {
+		t.Fatalf("GetRange across 3 nodes returned %d pairs, want an error", len(pairs))
 	}
 }
 

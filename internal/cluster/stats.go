@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -95,7 +96,7 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 		}
 		reachable++
 		for _, pair := range resps[0].Pairs {
-			if v, ok := parseInt(pair.Cols[0]); ok {
+			if v, err := strconv.ParseInt(string(pair.Cols[0]), 10, 64); err == nil {
 				out[string(pair.Key)] += v
 			}
 			// Non-numeric metrics (flush_last_error) are per-node strings;
@@ -130,31 +131,4 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 		out[fmt.Sprintf("node%d_rpc_p99", i)] = int64(ns.Quantile(0.99))
 	}
 	return out, nil
-}
-
-// parseInt is a minimal base-10 signed parse over raw stat bytes.
-func parseInt(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	neg := false
-	i := 0
-	if b[0] == '-' {
-		neg = true
-		i = 1
-		if len(b) == 1 {
-			return 0, false
-		}
-	}
-	var v int64
-	for ; i < len(b); i++ {
-		if b[i] < '0' || b[i] > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(b[i]-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
 }

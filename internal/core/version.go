@@ -44,7 +44,6 @@ func isDeleted(v uint64) bool { return v&deletedBit != 0 }
 func isRoot(v uint64) bool    { return v&rootBit != 0 }
 func isBorder(v uint64) bool  { return v&borderBit != 0 }
 func vsplit(v uint64) uint64  { return v & vsplitMask }
-func vinsert(v uint64) uint64 { return v & vinsertMask }
 
 // changed reports whether two version snapshots differ in anything but the
 // lock bit. This is the "n.version ⊕ v > locked" test of Figures 6 and 7.
@@ -112,9 +111,6 @@ func (h *nodeHeader) markSplitting() { h.version.Store(h.version.Load() | splitt
 
 //masstree:locked h
 func (h *nodeHeader) markDeleted() { h.version.Store(h.version.Load() | deletedBit) }
-
-//masstree:locked h
-func (h *nodeHeader) setRoot() { h.version.Store(h.version.Load() | rootBit) }
 
 //masstree:locked h
 func (h *nodeHeader) clearRoot() { h.version.Store(h.version.Load() &^ rootBit) }

@@ -166,16 +166,6 @@ func (s HistSnapshot) Count() uint64 {
 	return n
 }
 
-// Merge adds another snapshot's buckets into this one (cluster-wide
-// aggregation: sum buckets, then re-derive quantiles — never average
-// per-node quantiles).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for b := 0; b < NumBuckets; b++ {
-		s.Buckets[b] += o.Buckets[b]
-	}
-	s.Sum += o.Sum
-}
-
 // Quantile reports the latency (ns) at quantile q in [0,1]: the
 // representative midpoint of the bucket containing the q-th ranked sample.
 // Zero observations → 0.

@@ -96,30 +96,6 @@ func TestHistRecordNIsNRecords(t *testing.T) {
 	nilHist.RecordN(0, time.Second, 4) // must not panic
 }
 
-func TestHistMergeMatchesCombined(t *testing.T) {
-	a, b, both := NewHist("x", 2), NewHist("x", 2), NewHist("x", 2)
-	durs := []time.Duration{100, 10_000, 1_000_000, 3, 70_000_000}
-	for i, d := range durs {
-		if i%2 == 0 {
-			a.Record(i, d)
-		} else {
-			b.Record(i, d)
-		}
-		both.Record(i, d)
-	}
-	sa := a.Snapshot()
-	sa.Merge(b.Snapshot())
-	sb := both.Snapshot()
-	if sa.Buckets != sb.Buckets || sa.Sum != sb.Sum {
-		t.Fatalf("merge mismatch: %+v vs %+v", sa, sb)
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		if sa.Quantile(q) != sb.Quantile(q) {
-			t.Errorf("q%.3f: merged %d vs combined %d", q, sa.Quantile(q), sb.Quantile(q))
-		}
-	}
-}
-
 func TestHistConcurrent(t *testing.T) {
 	h := NewHist("put", 8)
 	const perG = 5000

@@ -222,24 +222,14 @@ func (s *Set) Mark(ts uint64) {
 	}
 }
 
-// Replay applies the surviving records through apply, in increasing version
-// order per key, partitioned across parallel goroutines by key so a value's
+// ReplayByKey applies the surviving records in increasing version order
+// per key, partitioned across parallel goroutines by key so a value's
 // updates stay ordered (§5: "plays back the logged updates in parallel,
 // taking care to apply a value's updates in increasing order by version").
-//
-// apply receives records for one key in strictly increasing TS order.
-func (r *RecoveryResult) Replay(parallelism int, apply func(Record)) {
-	r.ReplayByKey(parallelism, func(recs []Record) {
-		for _, rec := range recs {
-			apply(rec)
-		}
-	})
-}
-
-// ReplayByKey is Replay handing apply each key's full record sequence at
-// once (sorted by increasing TS), so a chain-validating loader can carry
-// per-key state — a broken prev link, the last anchored prefix — across the
-// key's records without a global map.
+// apply receives each key's full record sequence at once, sorted by
+// increasing TS, so a chain-validating loader can carry per-key state — a
+// broken prev link, the last anchored prefix — across the key's records
+// without a global map.
 func (r *RecoveryResult) ReplayByKey(parallelism int, apply func(recs []Record)) {
 	if parallelism < 1 {
 		parallelism = 1

@@ -222,9 +222,11 @@ func TestReplayOrderPerKey(t *testing.T) {
 	got := map[string][]uint64{}
 	var mu = make(chan struct{}, 1)
 	mu <- struct{}{}
-	res.Replay(4, func(r Record) {
+	res.ReplayByKey(4, func(recs []Record) {
 		<-mu
-		got[string(r.Key)] = append(got[string(r.Key)], r.TS)
+		for _, r := range recs {
+			got[string(r.Key)] = append(got[string(r.Key)], r.TS)
+		}
 		mu <- struct{}{}
 	})
 	if !reflect.DeepEqual(got["a"], []uint64{1, 2, 5}) {

@@ -425,11 +425,6 @@ func (w *Writer) flushLoop(every time.Duration) {
 	}
 }
 
-// Rotate flushes and switches the writer to generation gen. Used at
-// checkpoint start so pre-checkpoint log files can be reclaimed once the
-// checkpoint is durable.
-func (w *Writer) Rotate(gen uint64) error { return w.rotate(gen, true) }
-
 func (w *Writer) rotate(gen uint64, dirSync bool) error {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()

@@ -42,15 +42,6 @@ func Decimal(seed int64) KeyGen {
 	})
 }
 
-// DecimalN is Decimal restricted to n distinct numbers, for workloads that
-// want a bounded key space (e.g. pre-population plus hits).
-func DecimalN(seed int64, n int64) KeyGen {
-	rng := rand.New(rand.NewSource(seed))
-	return funcGen(func() []byte {
-		return strconv.AppendInt(nil, rng.Int63n(n), 10)
-	})
-}
-
 // Fixed8Decimal returns 8-byte decimal keys: zero-padded numbers below 10^8
 // (§6.4's fixed-size-key comparison).
 func Fixed8Decimal(seed int64) KeyGen {

@@ -3,6 +3,8 @@ package workload
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -114,7 +116,11 @@ func TestSequential(t *testing.T) {
 }
 
 func TestUniqueKeys(t *testing.T) {
-	ks := UniqueKeys(DecimalN(1, 500), 300)
+	// 300 distinct keys drawn from 500 numbers: the draw repeats itself.
+	rng := rand.New(rand.NewSource(1))
+	ks := UniqueKeys(funcGen(func() []byte {
+		return strconv.AppendInt(nil, rng.Int63n(500), 10)
+	}), 300)
 	seen := map[string]bool{}
 	for _, k := range ks {
 		if seen[string(k)] {
