@@ -80,7 +80,7 @@ func TestCLICommands(t *testing.T) {
 		cliCommands(t, []string{"-addr", one[0]}, nil)
 	})
 	t.Run("addrs", func(t *testing.T) {
-		ring := cluster.NewRing(two, 0)
+		ring := cluster.NewRing(two)
 		cliCommands(t, []string{"-addrs", strings.Join(two, ",")}, ring)
 	})
 }

@@ -177,16 +177,16 @@
 // GetBatch/PutBatch split by owner shard, fan out concurrently, and merge
 // replies in request order; a single-owner batch is forwarded verbatim, so
 // a Cluster over one node is byte-identical to a plain client.Conn.
-// Failure is the design center: per-node health follows the breaker
-// pattern (consecutive transport failures trip a node Down, after which
-// its shard fails fast with ErrNodeDown — no dial, no timeout, no parked
-// goroutine — until a single probe loop's dial+ping heals it, with zero
-// client restarts), Config.DialTimeout bounds connect+hello so a
-// blackholed address cannot hang construction or recovery, optional
-// hedged reads escape orphaned TCP flows by racing a fresh dial to the
-// same owner after HedgeAfter, and optional ReadFailover trades strict
-// shard ownership for availability by retrying idempotent reads once on
-// the ring successor. internal/netfault is the matching TCP-proxy fault
+// Failure is the design center: per-node health is the circuit breaker
+// the backend tier uses too (internal/breaker: consecutive transport
+// failures trip a node Down, after which its shard fails fast with
+// ErrNodeDown — no dial, no timeout, no parked goroutine — until a single
+// probe loop's dial+ping heals it, with zero client restarts),
+// Config.DialTimeout bounds connect+hello so a blackholed address cannot
+// hang construction or recovery, and optional hedged reads escape orphaned
+// TCP flows by racing a fresh dial to the same owner after HedgeAfter.
+// Only a key's owner ever answers for it: an operation whose owner is down
+// fails rather than retrying on another shard. internal/netfault is the matching TCP-proxy fault
 // injector (latency, blackhole, refuse, freeze, truncate, reset, retarget,
 // heal); the partition-torture harness drives a live workload over three
 // proxied nodes through kill/partition/slow/heal schedules and asserts no

@@ -27,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // Backend is the source-of-truth interface behind the cache. Implementations
@@ -58,9 +60,9 @@ type Stats struct {
 	Errors  uint64 // calls that failed after exhausting retries
 	Retries uint64 // individual retry attempts across all calls
 
-	Rejected     uint64 // calls refused outright while the breaker was open
-	BreakerState int    // 0 closed, 1 open, 2 half-open
-	BreakerOpens uint64 // closed/half-open -> open transitions
+	Rejected     uint64        // calls refused outright while the breaker was open
+	BreakerState breaker.State // 0 closed, 1 open, 2 half-open
+	BreakerOpens uint64        // transitions into open, failed probes included
 }
 
 // EncodeCols packs a multi-column record into one payload: a uvarint column

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/vfs"
 )
 
@@ -114,7 +115,7 @@ func TestWrapRetriesThenSucceeds(t *testing.T) {
 		}
 		return []byte("v"), 0, true, nil
 	}}
-	w := Wrap(b, WrapConfig{Retries: 3, RetryBase: time.Microsecond, RetryMax: time.Millisecond})
+	w := Wrap(b, WrapConfig{Retries: 3})
 	got, _, ok, err := w.Load(context.Background(), []byte("k"))
 	if err != nil || !ok || string(got) != "v" {
 		t.Fatalf("load = %q,%v,%v", got, ok, err)
@@ -132,7 +133,7 @@ func TestWrapExhaustsRetries(t *testing.T) {
 		calls.Add(1)
 		return nil, 0, false, boom
 	}}
-	w := Wrap(b, WrapConfig{Retries: 2, RetryBase: time.Microsecond, RetryMax: time.Millisecond})
+	w := Wrap(b, WrapConfig{Retries: 2})
 	if _, _, _, err := w.Load(context.Background(), []byte("k")); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -170,7 +171,7 @@ func TestWrapParentCancelDoesNotTripBreaker(t *testing.T) {
 	if _, _, _, err := w.Load(ctx, []byte("k")); err == nil {
 		t.Fatal("expected error")
 	}
-	if st := w.Stats(); st.BreakerState != BreakerClosed || st.BreakerOpens != 0 {
+	if st := w.Stats(); st.BreakerState != breaker.Closed || st.BreakerOpens != 0 {
 		t.Fatalf("caller cancellation tripped the breaker: %+v", st)
 	}
 }
@@ -183,7 +184,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	w := Wrap(m, WrapConfig{
 		BreakerFailures: 3,
 		BreakerOpenFor:  30 * time.Millisecond,
-		BreakerProbes:   2,
 	})
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
@@ -191,7 +191,7 @@ func TestBreakerLifecycle(t *testing.T) {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
-	if st := w.Stats(); st.BreakerState != BreakerOpen || st.BreakerOpens != 1 {
+	if st := w.Stats(); st.BreakerState != breaker.Open || st.BreakerOpens != 1 {
 		t.Fatalf("after threshold: %+v", st)
 	}
 	// While open: fail fast without touching the backend.
@@ -205,30 +205,28 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st := w.Stats(); st.Rejected == 0 {
 		t.Fatalf("rejection not counted: %+v", st)
 	}
-	// Heal the backend, wait out the cool-down: probes close it again.
+	// Heal the backend, wait out the cool-down: one probe closes it again.
 	m.SetError(nil)
 	time.Sleep(40 * time.Millisecond)
-	for i := 0; i < 2; i++ {
-		if _, _, ok, err := w.Load(ctx, []byte("k")); err != nil || !ok {
-			t.Fatalf("probe %d: ok=%v err=%v", i, ok, err)
-		}
+	if _, _, ok, err := w.Load(ctx, []byte("k")); err != nil || !ok {
+		t.Fatalf("probe: ok=%v err=%v", ok, err)
 	}
-	if st := w.Stats(); st.BreakerState != BreakerClosed {
-		t.Fatalf("after probes: %+v", st)
+	if st := w.Stats(); st.BreakerState != breaker.Closed {
+		t.Fatalf("after probe: %+v", st)
 	}
 	// A failed probe reopens.
 	m.SetError(boom)
 	for i := 0; i < 3; i++ {
 		w.Load(ctx, []byte("k"))
 	}
-	if st := w.Stats(); st.BreakerState != BreakerOpen || st.BreakerOpens != 2 {
+	if st := w.Stats(); st.BreakerState != breaker.Open || st.BreakerOpens != 2 {
 		t.Fatalf("after refailure: %+v", st)
 	}
 	time.Sleep(40 * time.Millisecond)
 	if _, _, _, err := w.Load(ctx, []byte("k")); !errors.Is(err, boom) {
 		t.Fatalf("probe error: %v", err)
 	}
-	if st := w.Stats(); st.BreakerState != BreakerOpen || st.BreakerOpens != 3 {
+	if st := w.Stats(); st.BreakerState != breaker.Open || st.BreakerOpens != 3 {
 		t.Fatalf("failed probe did not reopen: %+v", st)
 	}
 }
@@ -262,7 +260,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	if probeErr != nil {
 		t.Fatalf("probe: %v", probeErr)
 	}
-	if st := w.Stats(); st.BreakerState != BreakerClosed {
+	if st := w.Stats(); st.BreakerState != breaker.Closed {
 		t.Fatalf("after probe: %+v", st)
 	}
 }

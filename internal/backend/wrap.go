@@ -3,9 +3,10 @@ package backend
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/breaker"
 )
 
 // WrapConfig tunes the decorator stack. Zero values pick conservative
@@ -16,13 +17,9 @@ type WrapConfig struct {
 	// Timeout bounds each individual attempt (the retry loop multiplies
 	// it). 0 leaves only the caller's context deadline.
 	Timeout time.Duration
-	// Retries is how many additional attempts follow a failed first one.
+	// Retries is how many additional attempts follow a failed first one,
+	// each after a backoff (see retryBase).
 	Retries int
-	// RetryBase is the first backoff step; doubling from there, capped at
-	// RetryMax, with up to 50% random jitter added so herds of retriers
-	// decorrelate. Defaults: 5ms base, 500ms cap.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// Concurrency caps in-flight backend calls; excess callers park on the
 	// semaphore (context-aware). 0 = unlimited.
 	Concurrency int
@@ -30,18 +27,16 @@ type WrapConfig struct {
 	// circuit open. 0 disables the breaker.
 	BreakerFailures int
 	// BreakerOpenFor is how long the circuit stays open before a half-open
-	// probe is admitted. Default 1s.
+	// probe is admitted; one successful probe closes it. Default 1s.
 	BreakerOpenFor time.Duration
-	// BreakerProbes is how many consecutive half-open probe successes close
-	// the circuit again. Default 1.
-	BreakerProbes int
 }
 
-// Breaker states as reported in Stats.BreakerState.
+// The retry backoff starts at retryBase and doubles per attempt, capped at
+// retryMax, with up to 50% random jitter added so herds of retriers
+// decorrelate.
 const (
-	BreakerClosed   = 0
-	BreakerOpen     = 1
-	BreakerHalfOpen = 2
+	retryBase = 5 * time.Millisecond
+	retryMax  = 500 * time.Millisecond
 )
 
 // Wrapped decorates a Backend with per-call timeouts, bounded jittered
@@ -53,36 +48,20 @@ type Wrapped struct {
 	b   Backend
 	cfg WrapConfig
 	sem chan struct{} // nil when unlimited
+	br  *breaker.Breaker
 
 	loads, stores, deletes atomic.Uint64
 	errors, retries        atomic.Uint64
 	rejected               atomic.Uint64
-
-	mu        sync.Mutex
-	state     int
-	fails     int       // consecutive failures while closed
-	openUntil time.Time // when open, the earliest half-open probe time
-	probing   bool      // a half-open probe is in flight
-	probeWins int       // consecutive successful probes while half-open
-	opens     uint64
 }
 
 // Wrap builds the decorator stack around b. A nil-adjustment pass fills in
 // defaults; see WrapConfig.
 func Wrap(b Backend, cfg WrapConfig) *Wrapped {
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 5 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 500 * time.Millisecond
-	}
 	if cfg.BreakerOpenFor <= 0 {
 		cfg.BreakerOpenFor = time.Second
 	}
-	if cfg.BreakerProbes <= 0 {
-		cfg.BreakerProbes = 1
-	}
-	w := &Wrapped{b: b, cfg: cfg}
+	w := &Wrapped{b: b, cfg: cfg, br: breaker.New(cfg.BreakerFailures, cfg.BreakerOpenFor)}
 	if cfg.Concurrency > 0 {
 		w.sem = make(chan struct{}, cfg.Concurrency)
 	}
@@ -127,15 +106,6 @@ func (w *Wrapped) Delete(ctx context.Context, key []byte) error {
 
 // Stats snapshots the health counters.
 func (w *Wrapped) Stats() Stats {
-	w.mu.Lock()
-	state, opens := w.state, w.opens
-	// An open breaker whose cool-down has lapsed reads as half-open: the
-	// next call will probe, and observers (stale-if-error policy, the
-	// degradation tests) care about that readiness, not the stale label.
-	if state == BreakerOpen && !time.Now().Before(w.openUntil) {
-		state = BreakerHalfOpen
-	}
-	w.mu.Unlock()
 	return Stats{
 		Loads:        w.loads.Load(),
 		Stores:       w.stores.Load(),
@@ -143,18 +113,18 @@ func (w *Wrapped) Stats() Stats {
 		Errors:       w.errors.Load(),
 		Retries:      w.retries.Load(),
 		Rejected:     w.rejected.Load(),
-		BreakerState: state,
-		BreakerOpens: opens,
+		BreakerState: w.br.State(),
+		BreakerOpens: w.br.Opens(),
 	}
 }
 
 // do runs one backend call through the full stack. One call is one breaker
 // outcome regardless of how many attempts the retry loop burned.
 func (w *Wrapped) do(ctx context.Context, op func(context.Context) error) error {
-	probe, err := w.allow()
-	if err != nil {
+	probe, ok := w.br.Allow()
+	if !ok {
 		w.rejected.Add(1)
-		return err
+		return ErrUnavailable
 	}
 	if w.sem != nil {
 		select {
@@ -162,22 +132,23 @@ func (w *Wrapped) do(ctx context.Context, op func(context.Context) error) error 
 		case <-ctx.Done():
 			// Never reached the backend: the outcome says nothing about its
 			// health, so a probe slot is handed back rather than judged.
-			w.abort(probe)
+			w.br.Abort(probe)
 			return ctx.Err()
 		}
 		defer func() { <-w.sem }()
 	}
+	var err error
 	for attempt := 0; ; attempt++ {
 		err = w.attempt(ctx, op)
 		if err == nil {
-			w.record(probe, true)
+			w.br.Record(probe, true)
 			return nil
 		}
 		if ctx.Err() != nil {
 			// The caller's own context expired or was canceled. The backend
 			// was not proven sick (our per-attempt timeout never fired with
 			// the parent still live), so the breaker stays untouched.
-			w.abort(probe)
+			w.br.Abort(probe)
 			w.errors.Add(1)
 			return err
 		}
@@ -185,13 +156,13 @@ func (w *Wrapped) do(ctx context.Context, op func(context.Context) error) error 
 			break
 		}
 		w.retries.Add(1)
-		if serr := w.sleep(ctx, w.backoff(attempt)); serr != nil {
-			w.abort(probe)
+		if serr := w.sleep(ctx, backoff(attempt)); serr != nil {
+			w.br.Abort(probe)
 			w.errors.Add(1)
 			return err
 		}
 	}
-	w.record(probe, false)
+	w.br.Record(probe, false)
 	w.errors.Add(1)
 	return err
 }
@@ -207,14 +178,14 @@ func (w *Wrapped) attempt(ctx context.Context, op func(context.Context) error) e
 }
 
 // backoff returns the sleep before retry attempt+1: exponential from
-// RetryBase, capped at RetryMax, plus up to 50% jitter.
-func (w *Wrapped) backoff(attempt int) time.Duration {
-	d := w.cfg.RetryBase
-	for i := 0; i < attempt && d < w.cfg.RetryMax; i++ {
+// retryBase, capped at retryMax, plus up to 50% jitter.
+func backoff(attempt int) time.Duration {
+	d := retryBase
+	for i := 0; i < attempt && d < retryMax; i++ {
 		d *= 2
 	}
-	if d > w.cfg.RetryMax {
-		d = w.cfg.RetryMax
+	if d > retryMax {
+		d = retryMax
 	}
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
@@ -229,90 +200,4 @@ func (w *Wrapped) sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// allow decides whether a call may proceed. probe reports that the call is
-// a half-open probe whose outcome must be returned via record or abort.
-func (w *Wrapped) allow() (probe bool, err error) {
-	if w.cfg.BreakerFailures <= 0 {
-		return false, nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch w.state {
-	case BreakerClosed:
-		return false, nil
-	case BreakerOpen:
-		if time.Now().Before(w.openUntil) {
-			return false, ErrUnavailable
-		}
-		w.state = BreakerHalfOpen
-		w.probing = true
-		w.probeWins = 0
-		return true, nil
-	default: // half-open
-		if w.probing {
-			return false, ErrUnavailable
-		}
-		w.probing = true
-		return true, nil
-	}
-}
-
-// record feeds one call outcome into the breaker state machine.
-func (w *Wrapped) record(probe, ok bool) {
-	if w.cfg.BreakerFailures <= 0 {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if probe {
-		w.probing = false
-	}
-	if ok {
-		switch w.state {
-		case BreakerHalfOpen:
-			if probe {
-				w.probeWins++
-				if w.probeWins >= w.cfg.BreakerProbes {
-					w.state = BreakerClosed
-					w.fails = 0
-				}
-			}
-		case BreakerClosed:
-			w.fails = 0
-		}
-		return
-	}
-	switch w.state {
-	case BreakerHalfOpen:
-		if probe {
-			w.trip()
-		}
-	case BreakerClosed:
-		w.fails++
-		if w.fails >= w.cfg.BreakerFailures {
-			w.trip()
-		}
-	}
-}
-
-// abort hands back a probe slot without judging the backend (the call never
-// produced a health signal — canceled before or during the attempt).
-func (w *Wrapped) abort(probe bool) {
-	if !probe {
-		return
-	}
-	w.mu.Lock()
-	w.probing = false
-	w.mu.Unlock()
-}
-
-// trip opens the circuit; callers hold w.mu.
-func (w *Wrapped) trip() {
-	w.state = BreakerOpen
-	w.openUntil = time.Now().Add(w.cfg.BreakerOpenFor)
-	w.fails = 0
-	w.probeWins = 0
-	w.opens++
 }

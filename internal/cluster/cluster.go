@@ -6,22 +6,20 @@
 //
 // Failure is a first-class input, not an afterthought:
 //
-//   - Per-node health follows the breaker pattern (internal/backend/wrap.go):
-//     NodeFailures consecutive transport failures trip a node to Down, after
-//     which operations against its shard fail fast with ErrNodeDown — no
-//     dial, no timeout wait, no goroutine parked — until the cool-down
-//     lapses and the probe loop's dial+ping succeeds (Probing→Up). A healed
-//     node rejoins with zero client restarts.
+//   - Per-node health is a circuit breaker (internal/breaker, the one the
+//     backend tier uses): NodeFailures consecutive transport failures trip
+//     a node Down (Open), after which operations against its shard fail
+//     fast with ErrNodeDown — no dial, no timeout wait, no goroutine
+//     parked — until the cool-down lapses and the probe loop's dial+ping
+//     succeeds (HalfOpen→Closed). A healed node rejoins with zero client
+//     restarts.
 //   - Every pooled connection carries the cluster's OpTimeout as its
 //     per-batch I/O deadline and DialTimeout over connect+hello, so a
 //     blackholed or frozen node costs at most one timeout budget per
 //     connection before the breaker takes over.
-//   - ReadFailover (off by default) retries idempotent reads once on the
-//     ring successor when the owner is down or fails mid-read. For a
-//     sharded cache this is a *degraded* answer — the successor may miss
-//     keys the owner holds, and GetOrLoad installs a secondary copy — so it
-//     trades strict shard ownership for availability; leave it off when
-//     tests assert "only the owner ever answers".
+//   - Only the owner ever answers for a key. A read or write whose owner
+//     is down fails; nothing retries it on another shard, which might miss
+//     keys the owner holds or, for a write, split ownership.
 //   - HedgeAfter (off by default) arms hedged reads: if the owner has not
 //     answered an idempotent read within the threshold, a second attempt is
 //     launched on a different pooled connection to the same node and the
@@ -31,9 +29,9 @@
 //
 // Single-key calls are client.KV's, which Cluster embeds as client.Conn
 // does: the same methods, the same status decoding, over an executor that
-// sends gets to readOne (hedged, failing over if armed) and every other
-// request to writeOne on the key's owner. A single GetRange is refused on
-// more than one node, because a range spans shards.
+// sends gets to hedgedRead and every other request to writeOne, both on
+// the key's owner. A single GetRange is refused on more than one node,
+// because a range spans shards.
 //
 // Batches shard transparently: GetBatch/PutBatch (and the general Do)
 // split a request batch by owner, fan the sub-batches out concurrently,
@@ -59,11 +57,6 @@ type Config struct {
 	// Addrs are the node addresses. Order defines node indices in stats;
 	// ring positions follow the address strings, not the order.
 	Addrs []string
-	// VirtualNodes per node on the hash ring (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// PoolSize is connections per node (0 = 2). Two is the useful minimum
-	// once hedged reads are armed: the hedge wants distinct TCP state.
-	PoolSize int
 	// Window is the per-connection in-flight batch bound (0 = client
 	// default).
 	Window int
@@ -82,9 +75,6 @@ type Config struct {
 	DownFor time.Duration
 	// ProbeInterval is the health loop period (0 = 100ms).
 	ProbeInterval time.Duration
-	// ReadFailover, when true, retries idempotent reads once on the ring
-	// successor after an owner failure (see the package comment's caveat).
-	ReadFailover bool
 	// HedgeAfter, when > 0, launches a second same-node attempt for
 	// idempotent reads that have not answered within the threshold.
 	HedgeAfter time.Duration
@@ -93,9 +83,6 @@ type Config struct {
 func (cfg *Config) withDefaults() error {
 	if len(cfg.Addrs) == 0 {
 		return errors.New("cluster: no addresses")
-	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
@@ -146,13 +133,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:  cfg,
-		ring: NewRing(cfg.Addrs, cfg.VirtualNodes),
+		ring: NewRing(cfg.Addrs),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
 	c.KV = client.NewKV(c.one)
 	c.rpcHist = obs.NewHist("rpc", len(cfg.Addrs))
-	c.rec = obs.NewRecorder(len(cfg.Addrs), 0)
+	c.rec = obs.NewRecorder(len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
 		n := newNode(addr, &c.cfg)
 		n.idx = i
@@ -177,9 +164,10 @@ func (c *Cluster) Close() {
 	}
 }
 
-// probeLoop periodically offers Down nodes a recovery probe. One loop for
-// the whole cluster: recovery is decided by a single dial+ping per node
-// per interval, never by a herd of failing operations.
+// probeLoop periodically offers each node a recovery probe, which only a
+// node down past its cool-down takes. One loop for the whole cluster:
+// recovery is decided by a single dial+ping per node per interval, never
+// by a herd of failing operations.
 func (c *Cluster) probeLoop() {
 	defer close(c.done)
 	t := time.NewTicker(c.cfg.ProbeInterval)
@@ -190,9 +178,7 @@ func (c *Cluster) probeLoop() {
 			return
 		case <-t.C:
 			for _, n := range c.nodes {
-				if n.state.Load() == NodeDown {
-					n.probe()
-				}
+				n.probe()
 			}
 		}
 	}
@@ -281,22 +267,6 @@ func (c *Cluster) Do(reqs []wire.Request) ([]wire.Response, error) {
 	return out, nil
 }
 
-// readOne executes one idempotent single-key read with hedging and (if
-// configured) one failover retry on the ring successor.
-func (c *Cluster) readOne(req wire.Request) (wire.Response, error) {
-	owner := c.ring.Owner(req.Key)
-	resp, err := c.hedgedRead(c.nodes[owner], req)
-	if err != nil && c.cfg.ReadFailover {
-		if succ := c.ring.Successor(owner); succ != owner {
-			c.stats.failovers.Add(1)
-			if r2, err2 := c.exec(c.nodes[succ], []wire.Request{req}); err2 == nil {
-				return r2[0], nil
-			}
-		}
-	}
-	return resp, err
-}
-
 // execFresh runs one request batch over a brand-new connection, bypassing
 // the pool — the hedge path. On success the connection is donated to the
 // pool (it is proven good; the slot a timing-out connection is about to
@@ -380,9 +350,8 @@ func (c *Cluster) hedgedRead(n *node, req wire.Request) (wire.Response, error) {
 	return wire.Response{}, lastErr
 }
 
-// writeOne executes one request on its key's owner with no hedge and no
-// failover: a write is not idempotent, and one that landed off-owner would
-// corrupt shard ownership. A getrange on a one-node cluster comes here too.
+// writeOne executes one request on its key's owner with no hedge: a write
+// is not idempotent. A getrange on a one-node cluster comes here too.
 func (c *Cluster) writeOne(req wire.Request) (wire.Response, error) {
 	resps, err := c.exec(c.nodes[c.ring.Owner(req.Key)], []wire.Request{req})
 	if err != nil {
@@ -396,12 +365,11 @@ func (c *Cluster) writeOne(req wire.Request) (wire.Response, error) {
 var errRangeSpansShards = errors.New("cluster: getrange spans shards; it needs a single node")
 
 // one executes a single request for the embedded KV: idempotent reads go
-// to readOne (hedged, with failover if armed), everything else to
-// writeOne.
+// to hedgedRead on the key's owner, everything else to writeOne.
 func (c *Cluster) one(req wire.Request) (wire.Response, error) {
 	switch req.Op {
 	case wire.OpGet, wire.OpGetOrLoad:
-		return c.readOne(req)
+		return c.hedgedRead(c.nodes[c.ring.Owner(req.Key)], req)
 	case wire.OpGetRange:
 		if len(c.nodes) > 1 {
 			return wire.Response{}, errRangeSpansShards

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/server"
@@ -326,11 +327,11 @@ func TestClusterStatsAggregate(t *testing.T) {
 		if !present {
 			t.Fatalf("missing %s", k)
 		}
-		if v != int64(NodeUp) {
-			t.Fatalf("%s = %d, want NodeUp", k, v)
+		if v != int64(breaker.Closed) {
+			t.Fatalf("%s = %d, want breaker.Closed", k, v)
 		}
 	}
-	for _, k := range []string{"failovers", "hedges", "hedge_wins", "split_batches", "breaker_state"} {
+	for _, k := range []string{"hedges", "hedge_wins", "split_batches", "breaker_state"} {
 		if _, present := stats[k]; !present {
 			t.Fatalf("missing aggregate stat %s", k)
 		}

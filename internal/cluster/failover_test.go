@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/client"
 	"repro/internal/netfault"
 )
@@ -95,7 +96,7 @@ func TestNodeTripFailFastHeal(t *testing.T) {
 			t.Fatal("node never tripped Down")
 		}
 	}
-	if st := cl.ClusterStats(); st.Nodes[0].State != NodeDown && st.Nodes[0].State != NodeProbing {
+	if st := cl.ClusterStats(); st.Nodes[0].State == breaker.Closed {
 		t.Fatalf("node state %d after trip", st.Nodes[0].State)
 	}
 
@@ -129,7 +130,7 @@ func TestNodeTripFailFastHeal(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := cl.ClusterStats(); st.Nodes[0].State != NodeUp || st.Nodes[0].Trips == 0 {
+	if st := cl.ClusterStats(); st.Nodes[0].State != breaker.Closed || st.Nodes[0].Trips == 0 {
 		t.Fatalf("post-heal state %d trips %d", st.Nodes[0].State, st.Nodes[0].Trips)
 	}
 }
@@ -174,21 +175,18 @@ func TestHedgedReadWins(t *testing.T) {
 	}
 }
 
-// TestReadFailover pins the retry-once-elsewhere policy: with the owner
-// down, an idempotent read fails over to the ring successor and gets the
-// successor's (degraded, possibly-miss) answer instead of an error; writes
-// never fail over.
-func TestReadFailover(t *testing.T) {
+// TestDownOwnerWriteStaysOnOwner pins shard ownership under an outage:
+// with a key's owner down, a put for that key fails fast with ErrNodeDown,
+// and the write lands on no other node — nothing retries it elsewhere.
+func TestDownOwnerWriteStaysOnOwner(t *testing.T) {
 	nodes := startNodes(t, 3)
 	proxies, addrs := proxied(t, nodes)
 	cfg := fastConfig(addrs)
 	cfg.OpTimeout = 300 * time.Millisecond
 	cfg.DialTimeout = 200 * time.Millisecond
-	cfg.ReadFailover = true
 	cfg.DownFor = time.Hour // keep the owner down for the whole test
 	cl := newCluster(t, cfg)
 
-	// Find a key owned by node 0 and write it while healthy.
 	var key []byte
 	for i := 0; ; i++ {
 		k := []byte(fmt.Sprintf("fo-%d", i))
@@ -197,40 +195,20 @@ func TestReadFailover(t *testing.T) {
 			break
 		}
 	}
-	if _, err := cl.PutSimple(key, []byte("owner-copy")); err != nil {
-		t.Fatal(err)
-	}
 
 	proxies[0].Blackhole()
-	// Drive the owner to Down (the first reads burn the timeout).
+	// Drive the owner Down (the first puts burn the timeout).
 	deadline := time.Now().Add(10 * time.Second)
-	for cl.ClusterStats().Nodes[0].State != NodeDown {
-		cl.Get(key, nil)
+	for cl.ClusterStats().Nodes[0].State != breaker.Open {
+		cl.PutSimple(key, []byte("while-tripping"))
 		if time.Now().After(deadline) {
 			t.Fatal("owner never tripped")
 		}
 	}
 
-	// With the owner down, the read fails over to the successor: no error,
-	// but a miss — the successor does not hold the owner's keys. That is
-	// the documented degraded contract.
-	failoversBefore := cl.ClusterStats().Failovers
-	vals, _, ok, err := cl.Get(key, nil)
-	if err != nil {
-		t.Fatalf("failover read errored: %v", err)
+	if _, err := cl.PutSimple(key, []byte("must-not-land-elsewhere")); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("put for a down owner's key: %v, want ErrNodeDown", err)
 	}
-	if ok {
-		t.Fatalf("successor unexpectedly held the owner's key: %q", vals)
-	}
-	if got := cl.ClusterStats().Failovers; got <= failoversBefore {
-		t.Fatalf("failovers did not advance: %d -> %d", failoversBefore, got)
-	}
-
-	// Writes must NOT fail over: a put for the dead owner's shard errors.
-	if _, err := cl.PutSimple(key, []byte("must-not-land-elsewhere")); err == nil {
-		t.Fatal("write to a dead shard succeeded — it must have landed off-owner")
-	}
-	// And indeed no other node may hold the key.
 	for ni := 1; ni < 3; ni++ {
 		sess := nodes[ni].store.Session(0)
 		_, ok := sess.GetValue(key)

@@ -3,30 +3,10 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/client"
 	"repro/internal/obs"
-)
-
-// Node health states, reported numerically in stats (node<i>_state) so
-// pre-existing integer-parsing stats consumers keep working — the same
-// rule breaker_state follows server-side. The state machine mirrors the
-// backend breaker in internal/backend/wrap.go: Up≈closed, Down≈open,
-// Probing≈half-open.
-const (
-	// NodeUp: operations route to the node normally.
-	NodeUp = int32(0)
-	// NodeDown: the node accumulated Config.NodeFailures consecutive
-	// transport failures; operations fail fast with ErrNodeDown (no dial,
-	// no timeout wait, no goroutine parked) until the cool-down lapses and
-	// a probe succeeds.
-	NodeDown = int32(1)
-	// NodeProbing: the cool-down lapsed and the probe loop is testing the
-	// node with a fresh dial + ping. Operations still fail fast — one
-	// probe, not a thundering herd of retriers, decides recovery.
-	NodeProbing = int32(2)
 )
 
 // ErrNodeDown is returned (wrapped with the node address) for operations
@@ -34,30 +14,38 @@ const (
 // caller spent no timeout budget and parked no goroutine.
 var ErrNodeDown = fmt.Errorf("cluster: node down")
 
+// poolSize is connections per node. Two is the useful minimum once hedged
+// reads are armed: the hedge wants distinct TCP state.
+const poolSize = 2
+
 // node is one cluster member as the client sees it: a stable address, a
-// small pool of pipelined v2 connections, and a breaker-style health state
-// fed by transport outcomes and the probe loop.
+// small pool of pipelined v2 connections, and a circuit breaker fed by
+// transport outcomes and the probe loop. The breaker's states are the
+// node's health, reported numerically in stats (node<i>_state) by the same
+// rule as the backend's breaker_state:
+//
+//   - Closed (0, up): operations route to the node normally.
+//   - Open (1, down): Config.NodeFailures consecutive transport failures
+//     tripped it; operations fail fast with ErrNodeDown (no dial, no
+//     timeout wait, no goroutine parked) until the cool-down lapses.
+//   - HalfOpen (2, probing): the cool-down lapsed and the probe loop tests
+//     the node with a fresh dial + ping. Operations still fail fast — one
+//     probe, not a thundering herd of retriers, decides recovery.
 type node struct {
 	addr string
 	cfg  *Config
 	idx  int           // node index in Config.Addrs order (stats, hist shard)
 	rec  *obs.Recorder // cluster flight recorder; health transitions trace here
+	br   *breaker.Breaker
 
-	state atomic.Int32
-
-	mu        sync.Mutex
-	conns     []*client.Conn // fixed-size pool; nil slots dial lazily
-	next      int            // round-robin cursor over pool slots
-	fails     int            // consecutive transport failures while Up
-	downSince time.Time
-	downUntil time.Time // earliest probe after a trip
-	closed    bool
-
-	trips atomic.Uint64 // times the node was marked Down
+	mu     sync.Mutex
+	conns  [poolSize]*client.Conn // nil slots dial lazily
+	next   int                    // round-robin cursor over pool slots
+	closed bool
 }
 
 func newNode(addr string, cfg *Config) *node {
-	return &node{addr: addr, cfg: cfg, conns: make([]*client.Conn, cfg.PoolSize)}
+	return &node{addr: addr, cfg: cfg, br: breaker.New(cfg.NodeFailures, cfg.DownFor)}
 }
 
 // dialOpts are the options every pooled connection is built with: the
@@ -77,9 +65,9 @@ func (n *node) dialOpts() []client.ConnOption {
 
 // conn returns a healthy pooled connection (round-robin over the slots),
 // dialing the slot lazily if empty. Fails fast with ErrNodeDown when the
-// node is not Up.
+// node's breaker is not Closed.
 func (n *node) conn() (*client.Conn, error) {
-	if s := n.state.Load(); s != NodeUp {
+	if n.br.State() != breaker.Closed {
 		return nil, fmt.Errorf("%w (%s)", ErrNodeDown, n.addr)
 	}
 	n.mu.Lock()
@@ -122,9 +110,9 @@ func (n *node) conn() (*client.Conn, error) {
 
 // dialFresh opens a brand-new connection outside the pool — the hedged
 // read's escape hatch from bad per-connection state (a frozen flow, a deep
-// queue). Fails fast when the node is not Up.
+// queue). Fails fast when the node's breaker is not Closed.
 func (n *node) dialFresh() (*client.Conn, error) {
-	if n.state.Load() != NodeUp {
+	if n.br.State() != breaker.Closed {
 		return nil, fmt.Errorf("%w (%s)", ErrNodeDown, n.addr)
 	}
 	c, err := client.DialConn(n.addr, n.dialOpts()...)
@@ -152,96 +140,66 @@ func (n *node) donate(c *client.Conn) {
 	c.Close()
 }
 
-// feedback records one operation outcome against the node's health. A
+// feedback records one operation outcome against the node's breaker. A
 // transport error discards the failed connection (its sticky error dooms
 // every future batch on it anyway) and counts toward the trip threshold;
 // success resets the streak. Status-level results (NotFound, Conflict,
 // even StatusError) are not failures — the node answered.
 func (n *node) feedback(c *client.Conn, err error) {
-	if err == nil {
+	if err != nil && c != nil {
+		var stale *client.Conn
 		n.mu.Lock()
-		n.fails = 0
-		n.mu.Unlock()
-		return
-	}
-	var stale *client.Conn
-	n.mu.Lock()
-	if c != nil {
 		for i, pc := range n.conns {
 			if pc == c {
-				n.conns[i] = nil
-				stale = c
+				n.conns[i], stale = nil, c
 				break
 			}
 		}
-	}
-	tripped := false
-	if n.state.Load() == NodeUp {
-		n.fails++
-		if n.fails >= n.cfg.NodeFailures {
-			n.fails = 0
-			n.downSince = time.Now()
-			n.downUntil = n.downSince.Add(n.cfg.DownFor)
-			n.state.Store(NodeDown)
-			tripped = true
+		n.mu.Unlock()
+		if stale != nil {
+			stale.Close()
 		}
 	}
-	n.mu.Unlock()
-	if stale != nil {
-		stale.Close()
-	}
-	if tripped {
-		n.trips.Add(1)
-		n.rec.Record(n.idx, obs.EvNodeDown, uint64(n.idx), n.trips.Load())
+	if n.br.Record(false, err == nil) {
+		n.rec.Record(n.idx, obs.EvNodeDown, uint64(n.idx), n.br.Opens())
 	}
 }
 
-// probe is the health loop's visit: for a Down node past its cool-down it
-// dials fresh and pings (OpStats); success seeds the pool with the probe
-// connection and restores Up, failure re-arms the cool-down. Returns true
-// if the node transitioned back to Up.
-func (n *node) probe() bool {
-	n.mu.Lock()
-	if n.closed || n.state.Load() != NodeDown || time.Now().Before(n.downUntil) {
-		n.mu.Unlock()
-		return false
+// probe is the health loop's visit. Once the breaker admits a probe (the
+// node is down past its cool-down) it dials fresh and pings (OpStats);
+// success seeds the pool with the probe connection and closes the breaker,
+// failure reopens it for another cool-down.
+func (n *node) probe() {
+	probe, _ := n.br.Allow()
+	if !probe {
+		return
 	}
-	n.state.Store(NodeProbing)
-	n.mu.Unlock()
-	n.rec.Record(n.idx, obs.EvNodeProbing, uint64(n.idx), n.trips.Load())
+	n.rec.Record(n.idx, obs.EvNodeProbing, uint64(n.idx), n.br.Opens())
 
 	c, err := client.DialConn(n.addr, n.dialOpts()...)
 	if err == nil {
 		_, err = c.Stats() // a full request round-trip, not just a handshake
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		if c != nil {
-			c.Close()
-		}
-		n.state.Store(NodeDown)
-		return false
-	}
 	if err != nil {
 		if c != nil {
 			c.Close()
 		}
-		n.downUntil = time.Now().Add(n.cfg.DownFor)
-		n.state.Store(NodeDown)
-		return false
+		n.br.Record(true, false)
+		n.rec.Record(n.idx, obs.EvNodeDown, uint64(n.idx), n.br.Opens())
+		return
 	}
-	// Recovered: the probe connection becomes pool slot 0 (unless racing
-	// state already filled it, which cannot happen while !Up, so keep it).
-	if n.conns[0] == nil {
-		n.conns[0] = c
-	} else {
+	// Recovered: the probe connection becomes pool slot 0 unless a hedge's
+	// donated connection already fills it.
+	n.mu.Lock()
+	if n.conns[0] == nil && !n.closed {
+		n.conns[0], c = c, nil
+	}
+	n.mu.Unlock()
+	if c != nil {
 		c.Close()
 	}
-	n.fails = 0
-	n.state.Store(NodeUp)
-	n.rec.Record(n.idx, obs.EvNodeUp, uint64(n.idx), n.trips.Load())
-	return true
+	n.br.Record(true, true)
+	n.rec.Record(n.idx, obs.EvNodeUp, uint64(n.idx), n.br.Opens())
 }
 
 // close tears down the node's pool.
@@ -249,7 +207,7 @@ func (n *node) close() {
 	n.mu.Lock()
 	n.closed = true
 	conns := n.conns
-	n.conns = make([]*client.Conn, len(conns))
+	n.conns = [poolSize]*client.Conn{}
 	n.mu.Unlock()
 	for _, c := range conns {
 		if c != nil {

@@ -5,16 +5,16 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is how many ring points each node contributes when
-// Config.VirtualNodes is zero. More points smooth the key distribution
-// (stddev of shard load shrinks roughly with 1/sqrt(points)); 128 keeps the
-// ring small enough that a lookup's binary search stays in cache.
-const DefaultVirtualNodes = 128
+// virtualNodes is how many ring points each node contributes. More points
+// smooth the key distribution (stddev of shard load shrinks roughly with
+// 1/sqrt(points)); 128 keeps the ring small enough that a lookup's binary
+// search stays in cache.
+const virtualNodes = 128
 
-// Ring is a consistent-hash ring: each node contributes VirtualNodes
+// Ring is a consistent-hash ring: each node contributes virtualNodes
 // points at deterministic positions on a 64-bit hash circle, and a key is
 // owned by the node whose point is the first at or clockwise of the key's
-// hash. The mapping depends only on (addrs, vnodes) — not on construction
+// hash. The mapping depends only on the addresses — not on construction
 // order, process, or run — so tests can pin key→shard assignments as
 // golden values and any future hash change is loud, and so every client
 // of the same cluster computes the same owner for every key (the property
@@ -23,10 +23,9 @@ const DefaultVirtualNodes = 128
 // Determinism contract: the point for node a's i-th virtual node is
 // fnv1a(a + "#" + itoa(i)), a key's position is fnv1a(key), and ties on
 // identical point hashes break toward the smaller node index. Changing any
-// of these is a resharding event and must update TestRingGolden.
+// of these, or virtualNodes, is a resharding event and must update TestRingGolden.
 type Ring struct {
 	points []ringPoint // sorted by hash, ties by node
-	n      int
 }
 
 type ringPoint struct {
@@ -34,17 +33,14 @@ type ringPoint struct {
 	node int
 }
 
-// NewRing builds the ring for the given node addresses. vnodes <= 0 uses
-// DefaultVirtualNodes. Node identity is the address string: the same
-// address list always yields the same ring, and reordering the list only
-// renumbers nodes (hash positions follow the address, not the index).
-func NewRing(addrs []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
-	r := &Ring{points: make([]ringPoint, 0, len(addrs)*vnodes), n: len(addrs)}
+// NewRing builds the ring for the given node addresses. Node identity is
+// the address string: the same address list always yields the same ring,
+// and reordering the list only renumbers nodes (hash positions follow the
+// address, not the index).
+func NewRing(addrs []string) *Ring {
+	r := &Ring{points: make([]ringPoint, 0, len(addrs)*virtualNodes)}
 	for node, addr := range addrs {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			h := fnv1a([]byte(addr + "#" + strconv.Itoa(i)))
 			r.points = append(r.points, ringPoint{hash: h, node: node})
 		}
@@ -58,9 +54,6 @@ func NewRing(addrs []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes is the number of nodes on the ring.
-func (r *Ring) Nodes() int { return r.n }
-
 // Owner maps a key to its owning node index.
 func (r *Ring) Owner(key []byte) int {
 	if len(r.points) == 0 {
@@ -72,30 +65,6 @@ func (r *Ring) Owner(key []byte) int {
 		i = 0 // wrap: past the last point, the first point owns
 	}
 	return r.points[i].node
-}
-
-// Successor returns the first node index clockwise of node's first point
-// that is a different node — the natural "elsewhere" for a read that wants
-// a second opinion when its owner is down. With one node it returns node.
-func (r *Ring) Successor(node int) int {
-	if r.n <= 1 {
-		return node
-	}
-	// Find node's first point, then walk clockwise to the next point owned
-	// by someone else. Deterministic for the same reasons Owner is.
-	for i, p := range r.points {
-		if p.node != node {
-			continue
-		}
-		for j := 1; j < len(r.points); j++ {
-			q := r.points[(i+j)%len(r.points)]
-			if q.node != node {
-				return q.node
-			}
-		}
-		return node
-	}
-	return (node + 1) % r.n
 }
 
 // fnv1a is the 64-bit FNV-1a hash run through a splitmix64 finalizer —

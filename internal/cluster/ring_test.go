@@ -13,7 +13,7 @@ import (
 // silently into a deployment where old and new clients disagree about
 // ownership.
 func TestRingGolden(t *testing.T) {
-	r := NewRing([]string{"node-a:7500", "node-b:7500", "node-c:7500"}, 0)
+	r := NewRing([]string{"node-a:7500", "node-b:7500", "node-c:7500"})
 	golden := []struct {
 		key  string
 		node int
@@ -41,16 +41,13 @@ func TestRingGolden(t *testing.T) {
 				g.key, got, g.node)
 		}
 	}
-	if s0, s1, s2 := r.Successor(0), r.Successor(1), r.Successor(2); s0 != 2 || s1 != 0 || s2 != 0 {
-		t.Errorf("Successor = %d,%d,%d, golden 2,0,0", s0, s1, s2)
-	}
 }
 
 // Two rings over the same addresses must agree exactly; the ring must not
 // depend on construction order of anything internal.
 func TestRingDeterministic(t *testing.T) {
 	addrs := []string{"h1:1", "h2:2", "h3:3", "h4:4"}
-	a, b := NewRing(addrs, 32), NewRing(addrs, 32)
+	a, b := NewRing(addrs), NewRing(addrs)
 	for i := 0; i < 10_000; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
 		if a.Owner(k) != b.Owner(k) {
@@ -70,7 +67,7 @@ func TestRingBalance(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("node-%c:7500", 'a'+i)
 	}
-	r := NewRing(addrs, 0)
+	r := NewRing(addrs)
 	counts := make([]int, nodes)
 	for i := 0; i < keys; i++ {
 		counts[r.Owner([]byte(fmt.Sprintf("key-%06d", i)))]++
@@ -88,8 +85,8 @@ func TestRingBalance(t *testing.T) {
 // consistent-hashing property that makes rebalance (future work) cheap:
 // only the dead node's keys move.
 func TestRingConsistency(t *testing.T) {
-	full := NewRing([]string{"a:1", "b:1", "c:1"}, 64)
-	reduced := NewRing([]string{"a:1", "b:1"}, 64)
+	full := NewRing([]string{"a:1", "b:1", "c:1"})
+	reduced := NewRing([]string{"a:1", "b:1"})
 	for i := 0; i < 10_000; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
 		was := full.Owner(k)
@@ -99,23 +96,5 @@ func TestRingConsistency(t *testing.T) {
 		if now := reduced.Owner(k); now != was {
 			t.Fatalf("key %q moved %d→%d though its owner survived", k, was, now)
 		}
-	}
-}
-
-// Successor must never return the node itself on a multi-node ring (it is
-// the failover target) and must be stable.
-func TestRingSuccessor(t *testing.T) {
-	r := NewRing([]string{"a:1", "b:1", "c:1", "d:1"}, 16)
-	for n := 0; n < 4; n++ {
-		s := r.Successor(n)
-		if s == n {
-			t.Errorf("Successor(%d) = itself on a 4-node ring", n)
-		}
-		if s != r.Successor(n) {
-			t.Errorf("Successor(%d) unstable", n)
-		}
-	}
-	if one := NewRing([]string{"a:1"}, 16); one.Successor(0) != 0 {
-		t.Error("Successor on a 1-node ring must return the node")
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 // clusterCounters are the cluster-side health counters, all monotonic.
 type clusterCounters struct {
-	failovers    atomic.Uint64 // idempotent reads retried on the ring successor
 	hedges       atomic.Uint64 // hedged second attempts launched
 	hedgeWins    atomic.Uint64 // hedges whose answer arrived first
 	splitBatches atomic.Uint64 // Do/GetBatch/PutBatch calls spanning >1 shard
@@ -21,17 +21,16 @@ type clusterCounters struct {
 // NodeStats is one node's health as the cluster sees it.
 type NodeStats struct {
 	Addr  string
-	State int32 // NodeUp / NodeDown / NodeProbing
-	Trips uint64
-	// DownFor is how long the node has been non-Up (0 when Up) — the
-	// operator's "how stale is this shard" number.
+	State breaker.State // Closed (up), Open (down), HalfOpen (probing)
+	Trips uint64        // transitions into Open, failed probes included
+	// DownFor is how long the node has been out of Closed (0 when Closed)
+	// — the operator's "how stale is this shard" number.
 	DownFor time.Duration
 }
 
 // Stats is the cluster's aggregate client-side health snapshot.
 type Stats struct {
 	Nodes        []NodeStats
-	Failovers    uint64
 	Hedges       uint64
 	HedgeWins    uint64
 	SplitBatches uint64
@@ -41,19 +40,14 @@ type Stats struct {
 // local: no network I/O.
 func (c *Cluster) ClusterStats() Stats {
 	s := Stats{
-		Failovers:    c.stats.failovers.Load(),
 		Hedges:       c.stats.hedges.Load(),
 		HedgeWins:    c.stats.hedgeWins.Load(),
 		SplitBatches: c.stats.splitBatches.Load(),
 	}
 	for _, n := range c.nodes {
-		ns := NodeStats{Addr: n.addr, State: n.state.Load(), Trips: n.trips.Load()}
-		if ns.State != NodeUp {
-			n.mu.Lock()
-			if !n.downSince.IsZero() {
-				ns.DownFor = time.Since(n.downSince)
-			}
-			n.mu.Unlock()
+		ns := NodeStats{Addr: n.addr, State: n.br.State(), Trips: n.br.Opens()}
+		if ns.State != breaker.Closed {
+			ns.DownFor = time.Since(n.br.OpenedAt())
 		}
 		s.Nodes = append(s.Nodes, ns)
 	}
@@ -65,9 +59,8 @@ func (c *Cluster) ClusterStats() Stats {
 // view: node<i>_state (numeric, 0/1/2 — same all-numeric rule as
 // breaker_state, so integer-parsing consumers never break; see
 // stats_compat_test.go's precedent), nodes_up, nodes_total, stats_partial,
-// failovers, hedges, hedge_wins, split_batches, and the client-observed
-// per-node RPC latency (node<i>_rpc_count/_p50/_p99 plus merged lat_rpc_*
-// keys). Down nodes contribute only their state; the call fails only if
+// hedges, hedge_wins, split_batches, and the client-observed per-node RPC
+// latency (node<i>_rpc_count/_p50/_p99 plus merged lat_rpc_* keys). Down nodes contribute only their state; the call fails only if
 // every node is unreachable.
 //
 // Two aggregation rules matter here. First, histogram-derived keys cannot
@@ -85,8 +78,9 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 	reachable := 0
 	var lastErr error
 	for i, n := range c.nodes {
-		out[fmt.Sprintf("node%d_state", i)] = int64(n.state.Load())
-		if n.state.Load() != NodeUp {
+		state := n.br.State()
+		out[fmt.Sprintf("node%d_state", i)] = int64(state)
+		if state != breaker.Closed {
 			continue
 		}
 		resps, err := c.exec(n, []wire.Request{{Op: wire.OpStats}})
@@ -114,7 +108,6 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 	out["nodes_up"] = int64(reachable)
 	out["nodes_total"] = int64(len(c.nodes))
 	out["stats_partial"] = int64(len(c.nodes) - reachable)
-	out["failovers"] = int64(c.stats.failovers.Load())
 	out["hedges"] = int64(c.stats.hedges.Load())
 	out["hedge_wins"] = int64(c.stats.hedgeWins.Load())
 	out["split_batches"] = int64(c.stats.splitBatches.Load())

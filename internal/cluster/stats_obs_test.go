@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/client"
 	"repro/internal/obs"
 )
@@ -16,7 +17,9 @@ import (
 // outage and conclude the dark shard holds nothing.
 func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 	nodes := startNodes(t, 2)
-	cl := newCluster(t, fastConfig(addrsOf(nodes)))
+	cfg := fastConfig(addrsOf(nodes))
+	cfg.DownFor = time.Hour // keep probes away once node1 is down
+	cl := newCluster(t, cfg)
 
 	// Seed each store directly so per-node key counts are known regardless
 	// of ring placement: node0 holds 5 keys, node1 holds 3.
@@ -40,15 +43,18 @@ func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 			full["stats_partial"], full["nodes_up"], full["nodes_total"])
 	}
 
-	// Take node1 down: kill its server and trip the breaker directly (the
-	// failover tests cover organic tripping; this test is about what the
-	// aggregate reports once the node *is* down).
+	// Take node1 down: kill its server, and let the aggregate's own failed
+	// stats requests trip node1's breaker.
 	nodes[1].srv.Close()
-	cl.nodes[1].mu.Lock()
-	cl.nodes[1].downSince = time.Now()
-	cl.nodes[1].downUntil = time.Now().Add(time.Hour) // keep probes away
-	cl.nodes[1].mu.Unlock()
-	cl.nodes[1].state.Store(NodeDown)
+	deadline := time.Now().Add(10 * time.Second)
+	for cl.ClusterStats().Nodes[1].State == breaker.Closed {
+		if _, err := cl.StatsAggregate(); err != nil {
+			t.Fatalf("aggregate with node0 up failed: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("node1 never tripped")
+		}
+	}
 
 	partial, err := cl.StatsAggregate()
 	if err != nil {
@@ -63,13 +69,16 @@ func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 	if partial["nodes_up"] != 1 || partial["nodes_total"] != 2 {
 		t.Fatalf("nodes_up=%d nodes_total=%d, want 1/2", partial["nodes_up"], partial["nodes_total"])
 	}
-	if partial["node1_state"] != int64(NodeDown) {
-		t.Fatalf("node1_state=%d, want %d (down)", partial["node1_state"], NodeDown)
+	if partial["node1_state"] != int64(breaker.Open) {
+		t.Fatalf("node1_state=%d, want %d (down)", partial["node1_state"], breaker.Open)
 	}
-	// The trip was forced without feedback, so no EvNodeDown is expected —
-	// but the recorder must still be live and dumpable.
-	if cl.Recorder() == nil {
-		t.Fatal("cluster recorder is nil")
+	// The trip is on the cluster's flight recorder, in node1's ring.
+	tripped := false
+	for _, ev := range cl.Recorder().Events() {
+		tripped = tripped || (ev.Kind == obs.EvNodeDown && ev.Arg1 == 1)
+	}
+	if !tripped {
+		t.Fatalf("no node_down event for node1:\n%s", cl.Recorder().DumpString())
 	}
 }
 

@@ -59,9 +59,6 @@ func TestPartitionTortureExhaustive(t *testing.T) {
 	tor.finish()
 
 	st := tor.cl.ClusterStats()
-	if st.Failovers != 0 {
-		t.Errorf("failovers=%d with ReadFailover off — a read was answered by a non-owner", st.Failovers)
-	}
 	for v, ns := range st.Nodes {
 		if ns.Trips == 0 {
 			t.Errorf("node %d survived the whole schedule without tripping — faults not biting", v)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/netfault"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -25,7 +26,7 @@ import (
 //     back exactly the last acked sequence number; a key that ever holds an
 //     acked write must never read as absent (stores survive faults and
 //     process rebirth).
-//   - No reply is ever served by the wrong shard (ReadFailover off): reads
+//   - No reply is ever served by the wrong shard: reads
 //     never observe a sequence number that was never written, and at the
 //     end every key is resident on exactly its ring owner.
 //   - Operations against a dead shard fail within one OpTimeout, and once
@@ -253,7 +254,7 @@ func (tor *torture) waitTripped(v int, since uint64) {
 
 func (tor *torture) waitUp(v int) {
 	deadline := time.Now().Add(10 * time.Second)
-	for tor.cl.ClusterStats().Nodes[v].State != NodeUp {
+	for tor.cl.ClusterStats().Nodes[v].State != breaker.Closed {
 		if time.Now().After(deadline) {
 			tor.fatalf("node %d never returned to Up", v)
 		}
@@ -414,9 +415,6 @@ func TestPartitionTorture(t *testing.T) {
 	tor.finish()
 
 	st := tor.cl.ClusterStats()
-	if st.Failovers != 0 {
-		t.Errorf("failovers=%d with ReadFailover off — a read was answered by a non-owner", st.Failovers)
-	}
 	if st.Nodes[0].Trips == 0 || st.Nodes[2].Trips == 0 {
 		t.Errorf("victims never tripped: node0=%d node2=%d", st.Nodes[0].Trips, st.Nodes[2].Trips)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/breaker"
 	"repro/internal/obs"
 	"repro/internal/value"
 )
@@ -157,7 +158,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 }
 
 // noteBreaker traces a breaker state change since the last load observed
-// it: a trip into BreakerOpen and a heal out of it both become flight
+// it: a trip into breaker.Open and a heal out of it both become flight
 // events, detected by state comparison so the backend wrapper's seam stays
 // untouched. Called only with obs armed, after each backend load.
 func (l *loader) noteBreaker(worker int) {
@@ -170,7 +171,7 @@ func (l *loader) noteBreaker(worker int) {
 	if prev == int32(st.BreakerState) {
 		return
 	}
-	if st.BreakerState == backend.BreakerOpen {
+	if st.BreakerState == breaker.Open {
 		l.s.obs.Recorder().Record(worker, obs.EvBreakerOpen, st.BreakerOpens, 0)
 	} else {
 		l.s.obs.Recorder().Record(worker, obs.EvBreakerHeal, uint64(st.BreakerState), 0)

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/breaker"
+	"repro/internal/obs"
 	"repro/internal/value"
 	"repro/internal/vfs"
 )
@@ -255,8 +257,44 @@ func TestStaleIfErrorAndBreakerRecovery(t *testing.T) {
 		v, stale, err := ss.GetOrLoad(ctx, []byte("k"))
 		return err == nil && v != nil && !stale
 	})
-	if st := s.LoaderStats(); st.Backend.BreakerState != backend.BreakerClosed {
+	if st := s.LoaderStats(); st.Backend.BreakerState != breaker.Closed {
 		t.Fatalf("breaker did not close: %+v", st)
+	}
+}
+
+// TestBreakerTransitionsTraced: the wrapped backend's breaker tripping and
+// healing both reach the store's flight recorder, in that order. The trip
+// event carries the cumulative open count, the heal event the state healed
+// into.
+func TestBreakerTransitionsTraced(t *testing.T) {
+	m := backend.NewMock(0)
+	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: 20 * time.Millisecond})
+	s := openLoaderStore(t, Config{Backend: w, NegativeTTL: -1})
+	ss := s.Session(0)
+	defer ss.Close()
+	ctx := context.Background()
+
+	m.SetError(errors.New("backend down"))
+	if _, _, err := ss.GetOrLoad(ctx, []byte("k")); err == nil {
+		t.Fatal("load succeeded with the backend down")
+	}
+	m.SetError(nil)
+	time.Sleep(30 * time.Millisecond) // past the cool-down: the next load probes
+	if _, _, err := ss.GetOrLoad(ctx, []byte("k")); err != nil {
+		t.Fatalf("probe load: %v", err)
+	}
+
+	var got []obs.Event
+	for _, ev := range s.Obs().Recorder().Events() {
+		if ev.Kind == obs.EvBreakerOpen || ev.Kind == obs.EvBreakerHeal {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 2 ||
+		got[0].Kind != obs.EvBreakerOpen || got[0].Arg1 != 1 ||
+		got[1].Kind != obs.EvBreakerHeal || got[1].Arg1 != uint64(breaker.Closed) {
+		t.Fatalf("breaker events = %+v, want breaker_open(arg1=1) then breaker_heal(arg1=0)\n%s",
+			got, s.Obs().Recorder().DumpString())
 	}
 }
 

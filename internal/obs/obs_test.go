@@ -125,7 +125,7 @@ func TestRecordPathsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { h.Record(2, 1500*time.Nanosecond) }); n != 0 {
 		t.Fatalf("Hist.Record allocates %.1f/op, want 0", n)
 	}
-	rec := NewRecorder(4, 64)
+	rec := NewRecorder(4)
 	if n := testing.AllocsPerRun(1000, func() { rec.Record(1, EvEvict, 42, 128) }); n != 0 {
 		t.Fatalf("Recorder.Record allocates %.1f/op, want 0", n)
 	}
@@ -143,29 +143,34 @@ func TestRecordPathsAllocFree(t *testing.T) {
 }
 
 func TestRecorderRingOverwriteAndOrder(t *testing.T) {
-	rec := NewRecorder(2, 4)
-	for i := 0; i < 10; i++ {
+	const extra = 10 // events per ring past its capacity
+	rec := NewRecorder(2)
+	for i := 0; i < 2*(RingSize+extra); i++ {
 		rec.Record(i%2, EvEvict, uint64(i), 0)
 	}
 	ev := rec.Events()
-	if len(ev) != 8 { // 2 rings × 4 retained
-		t.Fatalf("retained %d events, want 8", len(ev))
+	if len(ev) != 2*RingSize {
+		t.Fatalf("retained %d events, want %d", len(ev), 2*RingSize)
 	}
 	for i := 1; i < len(ev); i++ {
 		if ev[i].TS < ev[i-1].TS {
 			t.Fatalf("events out of order at %d: %d < %d", i, ev[i].TS, ev[i-1].TS)
 		}
 	}
-	// The oldest two events per ring (args 0..3 round-robined) were overwritten.
+	// The oldest extra events per ring (args round-robined) were overwritten.
 	for _, e := range ev {
-		if e.Arg1 < 2 {
+		if e.Arg1 < 2*extra {
 			t.Fatalf("event arg1=%d should have been overwritten", e.Arg1)
 		}
 	}
 }
 
 func TestRecorderDump(t *testing.T) {
-	rec := NewRecorder(1, 8)
+	rec := NewRecorder(1)
+	rec.Record(0, EvExpire, 0, 0) // overwritten by the RingSize events after it
+	for i := 0; i < RingSize-2; i++ {
+		rec.Record(0, EvEvict, 1, 0)
+	}
 	rec.Record(0, EvBreakerOpen, 3, 0)
 	rec.Record(0, EvCkptCommit, 77, 1000)
 	s := rec.DumpString()
@@ -173,6 +178,9 @@ func TestRecorderDump(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("dump missing %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "expire") {
+		t.Error("dump holds an event the ring overwrote")
 	}
 	var nilRec *Recorder
 	if got := nilRec.DumpString(); !strings.Contains(got, "disabled") {

@@ -20,8 +20,8 @@ const (
 	EvNone Kind = iota
 
 	// Backend tier.
-	EvBreakerOpen // arg1 = consecutive failures observed at the trip
-	EvBreakerHeal // arg1 = breaker state healed into (backend.Breaker*)
+	EvBreakerOpen // arg1 = the breaker's cumulative open count (backend.Stats.BreakerOpens)
+	EvBreakerHeal // arg1 = breaker state healed into (breaker.State)
 	EvLoadError   // arg1 = key hash
 
 	// Cache mode.
@@ -113,20 +113,18 @@ type Recorder struct {
 	rings []recRing
 }
 
-// DefaultRingSize is events retained per worker ring.
-const DefaultRingSize = 512
+// RingSize is events retained per worker ring.
+const RingSize = 512
 
-// NewRecorder builds a recorder with one ring of size events per worker.
-func NewRecorder(workers, size int) *Recorder {
+// NewRecorder builds a recorder with one ring of RingSize events per
+// worker.
+func NewRecorder(workers int) *Recorder {
 	if workers < 1 {
 		workers = 1
 	}
-	if size < 1 {
-		size = DefaultRingSize
-	}
 	r := &Recorder{rings: make([]recRing, workers)}
 	for i := range r.rings {
-		r.rings[i].ev = make([]Event, size)
+		r.rings[i].ev = make([]Event, RingSize)
 	}
 	return r
 }

@@ -53,13 +53,13 @@ type Registry struct {
 }
 
 // NewRegistry builds the full set of histograms (one shard per worker) and
-// a flight recorder with DefaultRingSize events per worker ring.
+// a flight recorder with RingSize events per worker ring.
 func NewRegistry(workers int) *Registry {
 	r := &Registry{}
 	for id := HistID(0); id < NumHists; id++ {
 		r.hists[id] = NewHist(histNames[id], workers)
 	}
-	r.rec = NewRecorder(workers, 0)
+	r.rec = NewRecorder(workers)
 	return r
 }
 

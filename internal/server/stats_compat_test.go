@@ -11,6 +11,7 @@ import (
 	"unicode"
 
 	"repro/internal/backend"
+	"repro/internal/breaker"
 	"repro/internal/client"
 	"repro/internal/kvstore"
 	"repro/internal/vfs"
@@ -218,7 +219,7 @@ func TestStatsNumericWithBreakerTripped(t *testing.T) {
 	if _, _, _, _, err := c.GetOrLoad([]byte("absent"), nil); err == nil {
 		t.Fatal("getorload against a dead backend succeeded")
 	}
-	if st := store.LoaderStats(); st.Backend.BreakerState != backend.BreakerOpen {
+	if st := store.LoaderStats(); st.Backend.BreakerState != breaker.Open {
 		t.Fatalf("breaker not open: %+v", st.Backend)
 	}
 
@@ -230,8 +231,8 @@ func TestStatsNumericWithBreakerTripped(t *testing.T) {
 	if !present {
 		t.Fatal("breaker_state missing from stats")
 	}
-	if n, err := strconv.ParseInt(state, 10, 64); err != nil || n != int64(backend.BreakerOpen) {
-		t.Fatalf("breaker_state=%q, want the integer %d", state, backend.BreakerOpen)
+	if n, err := strconv.ParseInt(state, 10, 64); err != nil || n != int64(breaker.Open) {
+		t.Fatalf("breaker_state=%q, want the integer %d", state, breaker.Open)
 	}
 	numericExceptFlushLastError(t, raw)
 }
