@@ -50,6 +50,7 @@ import (
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Config configures a Store.
@@ -114,11 +115,9 @@ type Config struct {
 	NoObs bool
 }
 
-// Pair is one key plus requested columns, returned by GetRangeInto.
-type Pair struct {
-	Key  []byte
-	Cols [][]byte
-}
+// Pair is one key plus requested columns, returned by GetRangeInto. It is
+// the wire's pair, so a server answers a range with the store's window.
+type Pair = wire.Pair
 
 // Store is a persistent in-memory key-value store backed by a Masstree.
 // All methods are safe for concurrent use.

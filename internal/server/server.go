@@ -151,8 +151,7 @@ type connScratch struct {
 	putRuns [][]wire.ColData     // each request's Puts, handed to PointBatchInto
 	ns      []int                // each request's N, handed to GetRangeBatchInto
 	colSets [][]int              // each request's Cols, handed to GetRangeBatchInto
-	pairs   []wire.Pair          // arena backing Response.Pairs for this message
-	rng     kvstore.RangeScratch // arenas behind Session.GetRangeInto
+	rng     kvstore.RangeScratch // range arenas; Response.Pairs alias them until the next frame's Reset
 }
 
 // minBatchRun is the shortest point segment or scan run routed through a
@@ -191,9 +190,6 @@ func (sc *connScratch) shrink() {
 	}
 	if cap(sc.colSets)*24 > maxRetainedScratch {
 		sc.colSets = nil
-	}
-	if cap(sc.pairs)*48 > maxRetainedScratch {
-		sc.pairs = nil
 	}
 	sc.rng.Shrink(maxRetainedScratch)
 }
@@ -281,7 +277,6 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 	}
 	sc.resps = sc.resps[:claimed]
 	sc.cols = sc.cols[:0]
-	sc.pairs = sc.pairs[:0]
 	sc.rng.Reset()
 	for i := 0; i < len(reqs); {
 		seg := segmentOf(reqs[i].Op)
@@ -399,23 +394,12 @@ func (s *Server) executeScanRun(sess *kvstore.Session, reqs []wire.Request, resp
 		sc.colSets = append(sc.colSets, reqs[i].Cols)
 	}
 	for i, pairs := range sess.GetRangeBatchInto(sc.keys, sc.ns, sc.colSets, &sc.rng) {
-		resps[i] = sc.rangeResponse(pairs)
+		resps[i] = wire.Response{Status: wire.StatusOK, Pairs: pairs}
 	}
 	s.batchedScans.Add(int64(len(reqs)))
 	if s.obs != nil {
 		s.obs.Hist(obs.HScan).RecordN(sess.Worker(), time.Since(runStart)/time.Duration(len(reqs)), len(reqs))
 	}
-}
-
-// rangeResponse answers one range query with pairs, which alias the
-// connection's range arenas (keys, columns, pairs all reused across
-// messages) until the response is encoded.
-func (sc *connScratch) rangeResponse(pairs []kvstore.Pair) wire.Response {
-	start := len(sc.pairs)
-	for _, p := range pairs {
-		sc.pairs = append(sc.pairs, wire.Pair{Key: p.Key, Cols: p.Cols})
-	}
-	return wire.Response{Status: wire.StatusOK, Pairs: sc.pairs[start:len(sc.pairs):len(sc.pairs)]}
 }
 
 // histForOp maps a wire op to its server-side latency histogram; ok is
@@ -497,7 +481,7 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 		}
 		return wire.Response{Status: wire.StatusNotFound}
 	case wire.OpGetRange:
-		return sc.rangeResponse(sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng))
+		return wire.Response{Status: wire.StatusOK, Pairs: sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng)}
 	case wire.OpStats:
 		return s.statsResponse()
 	default:

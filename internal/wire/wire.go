@@ -235,37 +235,16 @@ func (d *DecodeBuf) Shrink(max int) {
 // ParseRequests decodes a request-batch body (a tagged frame's payload, past
 // its length and tag words). Decoded Key and put Data fields alias body; Cols
 // and Puts slices live in d's arenas. Results are valid until the next call
-// with the same DecodeBuf or until body's buffer is reused.
+// with the same DecodeBuf or until body's buffer is reused. Any malformed
+// request fails the whole batch.
 //
 //masstree:noalloc
 func ParseRequests(body []byte, d *DecodeBuf) ([]Request, error) {
-	n, body, err := readU32(body)
+	reqs, _, err := parseRequests(body, d)
 	if err != nil {
 		return nil, err
 	}
-	if int(n) > len(body)/minRequestSize {
-		// The count cannot be honest: each request encodes to at least
-		// minRequestSize bytes. Reject before sizing d.reqs, so a forged
-		// count cannot amplify a small frame into a huge allocation.
-		return nil, errShort
-	}
-	if cap(d.reqs) < int(n) {
-		d.reqs = make([]Request, n) //lint:allow noalloc scratch warm-up: amortized, sized by a count the frame length vouches for
-	} else {
-		d.reqs = d.reqs[:n]
-	}
-	d.cols = d.cols[:0]
-	d.puts = d.puts[:0]
-	for i := range d.reqs {
-		body, err = parseRequestAlias(body, &d.reqs[i], d)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(body) != 0 {
-		return nil, errTrailingReq
-	}
-	return d.reqs, nil
+	return reqs, nil
 }
 
 // ParseRequestsLenient decodes as much of a request-batch body as possible.
@@ -281,11 +260,28 @@ func ParseRequests(body []byte, d *DecodeBuf) ([]Request, error) {
 //
 //masstree:noalloc
 func ParseRequestsLenient(body []byte, d *DecodeBuf) (reqs []Request, claimed int, err error) {
+	reqs, claimed, err = parseRequests(body, d)
+	if len(reqs) < claimed {
+		return reqs, claimed, nil // a request failed: the rest is answered, not the frame dropped
+	}
+	return reqs, claimed, err
+}
+
+// parseRequests is the one decode loop behind both faces. It returns the
+// decoded prefix, the claimed count and the first failing request's error;
+// a frame that cannot be trusted (no count, a dishonest count, trailing
+// bytes) returns no requests, a claimed count of 0 and its error.
+//
+//masstree:noalloc
+func parseRequests(body []byte, d *DecodeBuf) ([]Request, int, error) {
 	n, body, err := readU32(body)
 	if err != nil {
 		return nil, 0, err
 	}
 	if int(n) > len(body)/minRequestSize {
+		// The count cannot be honest: each request encodes to at least
+		// minRequestSize bytes. Reject before sizing d.reqs, so a forged
+		// count cannot amplify a small frame into a huge allocation.
 		return nil, 0, errShort
 	}
 	if cap(d.reqs) < int(n) {
@@ -296,11 +292,9 @@ func ParseRequestsLenient(body []byte, d *DecodeBuf) (reqs []Request, claimed in
 	d.cols = d.cols[:0]
 	d.puts = d.puts[:0]
 	for i := range d.reqs {
-		rest, err := parseRequestAlias(body, &d.reqs[i], d)
-		if err != nil {
-			return d.reqs[:i:i], int(n), nil
+		if body, err = parseRequestAlias(body, &d.reqs[i], d); err != nil {
+			return d.reqs[:i:i], int(n), err
 		}
-		body = rest
 	}
 	if len(body) != 0 {
 		return nil, 0, errTrailingReq

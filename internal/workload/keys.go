@@ -2,8 +2,10 @@
 // by the paper's evaluation (§6.1, §6.6, §7):
 //
 //   - "1-to-10-byte decimal" keys: decimal string representations of uniform
-//     random numbers in [0, 2^31), the main tree workload; 80% of keys are
-//     9–10 bytes long, which forces Masstree to create layer-1 trees.
+//     random numbers in [0, 2^31), the main tree workload. The paper
+//     gives 80% of keys as 9–10 bytes long; this generator's uniform
+//     [0, 2^31) gives 95.3% (measured on a 2 M draw). Keys that long force
+//     Masstree to create layer-1 trees.
 //   - fixed 8-byte decimal keys (variable-length-key cost, §6.4),
 //   - shared-prefix keys where only the final 8 bytes vary (Figure 9),
 //   - 8-byte random alphabetical keys (hash-table comparison, §6.4),
@@ -15,7 +17,9 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"strconv"
 )
@@ -105,17 +109,31 @@ func Keys(g KeyGen, n int) [][]byte {
 }
 
 // UniqueKeys materializes n distinct keys from g (discarding duplicates),
-// useful for pre-population when the exact cardinality matters.
+// useful for pre-population when the exact cardinality matters. Duplicates
+// are found through an open-addressing table of indexes into the output,
+// probed by a hash of the key's bytes, so no key is copied.
 func UniqueKeys(g KeyGen, n int) [][]byte {
-	seen := make(map[string]struct{}, n)
+	size := 1
+	for size < 2*n { // at most half full
+		size <<= 1
+	}
+	table := make([]int32, size) // 1 + an index into out; 0 is empty
+	mask := uint64(size - 1)
+	seed := maphash.MakeSeed()
 	out := make([][]byte, 0, n)
 	for len(out) < n {
 		k := g.Next()
-		if _, dup := seen[string(k)]; dup {
-			continue
+		for i := maphash.Bytes(seed, k) & mask; ; i = (i + 1) & mask {
+			j := table[i]
+			if j == 0 {
+				out = append(out, k)
+				table[i] = int32(len(out))
+				break
+			}
+			if bytes.Equal(out[j-1], k) {
+				break
+			}
 		}
-		seen[string(k)] = struct{}{}
-		out = append(out, k)
 	}
 	return out
 }

@@ -133,6 +133,60 @@ func TestUniqueKeys(t *testing.T) {
 	}
 }
 
+// uniqueKeysMap is the reference UniqueKeys: a map of every key seen.
+// UniqueKeys' index table must keep the same keys in the same order.
+func uniqueKeysMap(g KeyGen, n int) [][]byte {
+	seen := make(map[string]struct{}, n)
+	out := make([][]byte, 0, n)
+	for len(out) < n {
+		k := g.Next()
+		if _, dup := seen[string(k)]; dup {
+			continue
+		}
+		seen[string(k)] = struct{}{}
+		out = append(out, k)
+	}
+	return out
+}
+
+func TestUniqueKeysMatchesTheMap(t *testing.T) {
+	draw500 := func() KeyGen {
+		rng := rand.New(rand.NewSource(3))
+		return funcGen(func() []byte {
+			return strconv.AppendInt(nil, rng.Int63n(500), 10)
+		})
+	}
+	for _, c := range []struct {
+		name string
+		gen  func() KeyGen
+		n    int
+	}{
+		// The benchmark's load: 2 M decimal keys hold about a thousand
+		// duplicate draws.
+		{"decimal-2M", func() KeyGen { return Decimal(11) }, 2_000_000},
+		// Every one of 500 numbers: most draws are duplicates.
+		{"500-numbers", draw500, 500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, want := UniqueKeys(c.gen(), c.n), uniqueKeysMap(c.gen(), c.n)
+			if len(got) != len(want) {
+				t.Fatalf("got %d keys, the map %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("key %d: got %q, the map %q", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkUniqueKeys(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		UniqueKeys(Decimal(int64(i)), 2_000_000)
+	}
+}
+
 func TestZipfBounds(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := uint64(nRaw%1000) + 1
