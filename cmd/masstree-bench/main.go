@@ -25,7 +25,7 @@ func main() {
 		keys    = flag.Int("keys", 0, "dataset size (0 = default)")
 		ops     = flag.Int("ops", 0, "measured operations (0 = default)")
 		workers = flag.Int("workers", 0, "load-generating workers (0 = GOMAXPROCS)")
-		batch   = flag.Int("batch", 0, "ops per client message in system benchmarks (0 = default)")
+		batch   = flag.Int("batch", 0, "ops per partition message in fig11 (0 = default)")
 	)
 	flag.Parse()
 

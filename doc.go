@@ -150,7 +150,7 @@
 // the read surface: a resident hit costs nothing (allocation-free, pinned
 // by test), a miss funnels into a per-key singleflight so a thundering
 // herd of concurrent misses triggers exactly one backend load — 512
-// racing misses, 1 load, 511 coalesced (BENCH_backend.json) — and
+// racing misses, 1 load, 511 coalesced (TestGetOrLoadHerd) — and
 // authoritative misses are negative-cached so absent hot keys cannot herd
 // either. Loaded values install through the ordinary put path, so they are
 // logged, versioned, and cache-accounted like any put. Writes flow the
@@ -192,7 +192,8 @@
 // proxied nodes through kill/partition/slow/heal schedules and asserts no
 // acked write is lost, no reply comes from the wrong shard, dead-shard ops
 // stay inside one timeout budget with bounded goroutines, and healed nodes
-// rejoin — see BENCH_cluster.json for the fan-out and hedged-p99 numbers.
+// rejoin; TestHedgedReadWins pins a hedged read escaping a frozen pool
+// before OpTimeout.
 // masstree-client -addrs a,b,c routes the CLI through the same ring, with
 // one command switch over a client.KV for both modes.
 //
@@ -264,13 +265,14 @@
 //
 // See DESIGN.md for the system inventory: the package map, the invariant
 // catalog behind the analyzers, the numbered paper-to-Go substitutions,
-// and the experiment index. Measured results live in the committed
-// BENCH_*.json snapshots at the repository root (BENCH_pipeline_v2.json,
-// BENCH_cache.json, BENCH_backend.json, BENCH_cluster.json,
-// BENCH_replaychain.json, BENCH_obs.json — pipelining, cache-mode,
-// herd-coalescing, cluster fan-out/hedging, chained-WAL cost/recovery, and
-// instrumentation-overhead numbers respectively); the end-to-end benchmark
-// under benchmark/ measures the read, write and restart paths. The
+// and the experiment index. The committed snapshots at the repository root
+// are BENCH_pipeline_v2.json (pipelining) and BENCH_obs.json
+// (instrumentation overhead). Tier-1 tests assert the cache, herd, cluster
+// and chained-WAL properties: TestCacheBoundZipfian,
+// TestS3FIFOBeatsPlainFIFOOnZipfian and TestCacheKeepsZipfHeadResident;
+// TestGetOrLoadHerd; TestHedgedReadWins; TestPartialColumnReplayHole and
+// TestBrokenChainRollsBackToAnchoredPrefix. The end-to-end benchmark under
+// benchmark/ measures the read, write and restart paths. The
 // implementation lives under
 // internal/; runnable entry points are under cmd/ and examples/
 // (examples/pipeline demonstrates the async client and CAS;

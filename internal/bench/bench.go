@@ -1,9 +1,9 @@
 // Package bench regenerates the tables and figures of the paper's
 // evaluation that this reproduction attempts (§6 tree evaluation, §5
-// checkpointing) at configurable scale. Each experiment returns a Table
-// whose rows mirror the paper's bars, series, or table cells; committed
-// result snapshots live in the BENCH_*.json files at the repository root
-// (index in DESIGN.md).
+// checkpointing) at configurable scale, plus one system experiment, obs
+// (instrumentation overhead). Each experiment returns a Table whose rows
+// mirror the paper's bars, series, or table cells; DESIGN.md's experiment
+// index lists them.
 //
 // Absolute numbers differ from the paper's 16-core 2009-era testbed; the
 // experiments are designed so the *shape* — who wins, by roughly what
@@ -26,7 +26,7 @@ type Scale struct {
 	Keys    int // dataset size per experiment
 	Ops     int // total measured operations
 	Workers int // concurrent load generators (defaults to GOMAXPROCS)
-	Batch   int // ops per client message (system benchmarks)
+	Batch   int // ops per partition message (fig11)
 }
 
 // DefaultScale returns laptop-sized parameters.
@@ -175,9 +175,5 @@ var Experiments = []Experiment{
 	{"ckpt", Ckpt},
 	{"retry", Retry},
 	{"shape", Shape},
-	{"cache", Cache},
-	{"herd", Herd},
-	{"cluster", Cluster},
-	{"replaychain", Replaychain},
 	{"obs", Obs},
 }

@@ -57,9 +57,6 @@ type Config struct {
 	// Addrs are the node addresses. Order defines node indices in stats;
 	// ring positions follow the address strings, not the order.
 	Addrs []string
-	// Window is the per-connection in-flight batch bound (0 = client
-	// default).
-	Window int
 	// DialTimeout bounds connect+hello per dial attempt (0 = 2s). This is
 	// what keeps a blackholed address from hanging pool fills and probes.
 	DialTimeout time.Duration

@@ -57,9 +57,6 @@ func (n *node) dialOpts() []client.ConnOption {
 	if n.cfg.OpTimeout > 0 {
 		opts = append(opts, client.WithTimeout(n.cfg.OpTimeout))
 	}
-	if n.cfg.Window > 0 {
-		opts = append(opts, client.WithWindow(n.cfg.Window))
-	}
 	return opts
 }
 

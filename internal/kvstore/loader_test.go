@@ -85,6 +85,9 @@ func TestGetOrLoadTTLRidesHeader(t *testing.T) {
 	}
 }
 
+// TestGetOrLoadHerd is the herd property: 512 concurrent misses on one key
+// make exactly one backend load, with the other 511 coalesced onto it and
+// never more than one load in flight.
 func TestGetOrLoadHerd(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("hot", backend.EncodeCols([][]byte{[]byte("v")}))
@@ -92,7 +95,7 @@ func TestGetOrLoadHerd(t *testing.T) {
 	s := openLoaderStore(t, Config{Backend: m})
 	ctx := context.Background()
 
-	const herd = 128
+	const herd = 512
 	var wg sync.WaitGroup
 	errs := make([]error, herd)
 	for i := 0; i < herd; i++ {
