@@ -233,12 +233,12 @@
 // directory operations are volatile — and may survive in any subset — until
 // the directory is fsynced), and vfs.Fault numbers every write, fsync,
 // rename, create, and dir-sync as a crash boundary. The torture tests in
-// internal/kvstore enumerate those boundaries during a put/checkpoint/put
-// workload, kill the store at each one, recover from several legal crash
-// images, and check the result against a model of acknowledged writes — no
-// lost acks, no resurrections, exact per-key versions. New crash scenarios
-// are written the same way: build a store on a Fault-wrapped MemFS, arm
-// CrashAt(n), Crash(keep) into a disk image, reopen, and assert.
+// internal/kvstore enumerate those boundaries, kill the store at each one,
+// recover from every legal crash image (three sets of surviving directory
+// ops, plus one per worker with its logs removed), and check the result
+// against a model of acknowledged writes — no lost acks, no resurrections,
+// exact per-key versions. A new crash scenario is one more crashRun
+// configuration: a workload, and at most one check of its own.
 //
 // The invariants those paragraphs lean on — locks released on every path,
 // hot paths allocation-free, scratch aliases never stored past reuse,

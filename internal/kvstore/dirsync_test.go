@@ -18,10 +18,7 @@ import (
 
 func openTortureStore(t *testing.T, fsys vfs.FS) *Store {
 	t.Helper()
-	s, err := Open(Config{
-		Dir: tortureDir, Workers: 1, FS: fsys, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: 1,
-	})
+	s, err := Open(tortureConfig(fsys, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +42,7 @@ func checkpointThenCrash(t *testing.T, mem *vfs.MemFS, fsys vfs.FS) *vfs.MemFS {
 		t.Fatal(err)
 	}
 	img := mem.Clone()
-	img.Crash(func(op vfs.DirOp) bool { return op.Kind == vfs.DirRemove })
+	img.Crash(keepRemoves)
 	s.Close()
 	return img
 }
@@ -118,10 +115,7 @@ func TestCheckpointLeavesNothingPending(t *testing.T) {
 // busier log's durable post-checkpoint tail.
 func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	mem := vfs.NewMemFS()
-	s, err := Open(Config{
-		Dir: tortureDir, Workers: 2, FS: mem, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: 2,
-	})
+	s, err := Open(tortureConfig(mem, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,10 +10,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// Cache-mode crash torture: the same crash-at-every-boundary harness as
-// torture_test.go, with the maintenance loop's eviction and TTL sweep
-// running (invoked deterministically) between write phases. The model
-// extends the base invariants:
+// Cache-mode crash torture: the crash-at-every-boundary harness with the
+// maintenance loop's eviction and TTL sweep running (invoked
+// deterministically) between write phases. The model extends the base
+// invariants:
 //
 //   - Evictions and expirations are clean drops (no WAL record), so a
 //     dropped key may legally be ABSENT after recovery (its checkpoint
@@ -119,89 +118,29 @@ func (tt *torture) cacheWorkload() error {
 	}
 	// Phase 4: applied but never acknowledged.
 	tt.putSimple("pending-cache", val("r5", 0))
+	// A workload that ran to here must have exercised the policy, or the
+	// armed runs torture nothing.
+	if st := tt.s.CacheStats(); st.Evictions == 0 || st.Expirations == 0 {
+		return fmt.Errorf("cache workload under-exercised the policy: %+v", st)
+	}
 	return nil
 }
+
+// cacheMode opens the store in cache mode under the torture's budget.
+func cacheMode(cfg *Config) { cfg.MaxBytes = tortureCacheMaxBytes }
 
 // verifyCacheMode re-opens one crash image in cache mode and checks the
 // cache-specific guarantees: the byte bound holds before Open returns, and
 // every surviving key carries an exact applied state (recovery-time
 // eviction makes absence unfalsifiable, so only presence is checked).
 func (tt *torture) verifyCacheMode(img *vfs.MemFS, label string) {
-	t := tt.t
-	r, err := Open(Config{
-		Dir: tortureDir, Workers: tt.workers, FS: img, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: tt.parts,
-		MaxBytes: tortureCacheMaxBytes,
-	})
-	if err != nil {
-		t.Fatalf("%s: cache-mode recovery failed: %v", label, err)
-	}
+	label += "/cache-mode"
+	r := tt.reopen(img, label, cacheMode)
 	defer r.Close()
 	if live := r.CacheStats().BytesLive; live > tortureCacheMaxBytes {
-		t.Fatalf("%s: recovered bytes_live %d exceeds the %d bound", label, live, tortureCacheMaxBytes)
+		fatalDump(tt.t, r, "%s: recovered bytes_live %d exceeds the %d bound", label, live, tortureCacheMaxBytes)
 	}
-	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		h := tt.hist[string(k)]
-		if h == nil {
-			t.Fatalf("%s: recovered key %q that was never written", label, k)
-		}
-		for _, st := range h.states {
-			if !st.tomb && st.ver == v.Version() {
-				if got := joinCols(v.Cols()); got != st.data {
-					t.Fatalf("%s: key %q version %d recovered %q, applied %q", label, k, v.Version(), got, st.data)
-				}
-				return true
-			}
-		}
-		t.Fatalf("%s: key %q recovered at version %d, matching no applied state", label, k, v.Version())
-		return false
-	})
-}
-
-// runTortureCache executes the cache workload with a crash armed at
-// boundary crashAt (0 = disarmed) and verifies every crash image twice:
-// once with the full model (no recovery-time eviction), once in cache mode
-// (bound enforcement + exact states).
-func runTortureCache(t *testing.T, crashAt int) (ops int, crashed bool) {
-	mem := vfs.NewMemFS()
-	fault := vfs.NewFault(mem)
-	fault.CrashAt(crashAt)
-	tt := &torture{t: t, mem: mem, fault: fault, hist: map[string]*keyHist{}, workers: 1, parts: 1}
-	s, err := Open(Config{
-		Dir: tortureDir, Workers: 1, FS: fault, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: 1,
-		MaxBytes: tortureCacheMaxBytes,
-	})
-	if err != nil {
-		if !errors.Is(err, vfs.ErrCrashed) {
-			t.Fatalf("crashAt=%d: open: %v", crashAt, err)
-		}
-	} else {
-		tt.open(s)
-		if werr := tt.cacheWorkload(); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
-			t.Fatalf("crashAt=%d: workload: %v", crashAt, werr)
-		}
-		if crashAt == 0 && !fault.Crashed() {
-			// The disarmed run must actually exercise the policy, or the
-			// armed runs torture nothing.
-			if st := s.CacheStats(); st.Evictions == 0 || st.Expirations == 0 {
-				t.Fatalf("cache workload under-exercised the policy: %+v", st)
-			}
-		}
-		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
-			tt.promote()
-		}
-	}
-	ops, crashed = fault.Ops(), fault.Crashed()
-	for _, img := range crashImages {
-		c := mem.Clone()
-		c.Crash(img.keep)
-		tt.verify(c, fmt.Sprintf("cache/crashAt=%d/%s", crashAt, img.name))
-		c2 := mem.Clone()
-		c2.Crash(img.keep)
-		tt.verifyCacheMode(c2, fmt.Sprintf("cachemode/crashAt=%d/%s", crashAt, img.name))
-	}
-	return ops, crashed
+	tt.exact(r, label) // presence only; rollbacks are the plain image's verdict
 }
 
 // TestCrashTortureEviction enumerates every filesystem boundary of the
@@ -210,14 +149,10 @@ func runTortureCache(t *testing.T, crashAt int) (ops int, crashed bool) {
 // lost, dropped keys recover only to exact applied states, and the bound
 // re-establishes on recovery.
 func TestCrashTortureEviction(t *testing.T) {
-	total, crashed := runTortureCache(t, 0)
-	if crashed {
-		t.Fatal("disarmed run crashed")
-	}
-	// The disarmed run must actually have exercised the policy, or this
-	// whole test tortures nothing.
-	t.Logf("cache workload executes %d crash boundaries x %d images", total, len(crashImages))
-	for i := 1; i <= total; i++ {
-		runTortureCache(t, i)
-	}
+	crashRun{
+		workers: 1, parts: 1,
+		start:    func(_ *torture, cfg *Config) { cacheMode(cfg) },
+		workload: (*torture).cacheWorkload,
+		check:    (*torture).verifyCacheMode,
+	}.enumerate(t)
 }

@@ -3,18 +3,23 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/value"
 	"repro/internal/vfs"
+	"repro/internal/wal"
 )
 
-// The crash-point torture harness: run a put/checkpoint/put workload over
-// the injectable filesystem, kill the store at every write/fsync/rename
-// boundary, recover from several legal post-crash disk images, and check
-// the recovered store against a model of acknowledged writes.
+// The crash-point torture harness: run a workload over the injectable
+// filesystem, kill the store at every write/fsync/rename boundary, recover
+// from every legal post-crash disk image, and check the recovered store
+// against a model of acknowledged writes. One crashRun is one
+// configuration — its store, its workload and at most one check of its
+// own — and every configuration gets every boundary and every image.
 //
 // Model invariants, per key:
 //   - No lost acks: the recovered state is never older than the last
@@ -26,6 +31,11 @@ import (
 //   - Exact states only: a recovered value's (version, columns) must
 //     exactly equal some state the live store actually produced — versions
 //     never mix with other states' data.
+//
+// The vanished-log images remove one worker's log files wholesale. There
+// the first invariant weakens: a rollback below an acknowledged state is
+// legal only if recovery accounted for it (RecoveryStats.BrokenChains or
+// MissingLogs). The other two hold on every image.
 
 // kvState is one applied state of a key.
 type kvState struct {
@@ -48,24 +58,39 @@ type keyHist struct {
 
 type torture struct {
 	t       *testing.T
-	mem     *vfs.MemFS
-	fault   *vfs.Fault
 	s       *Store
 	sess    []*Session // one per simulated worker
 	hist    map[string]*keyHist
 	workers int
 	parts   int
+	images  int // crash images recovered so far
+	// The backend configuration's faulty tier, fresh for every run.
+	mock *backend.Mock
+	be   *backend.Wrapped
 }
 
 const tortureDir = "/data"
 
+// tortureConfig is the store every crash test opens: synced writes and no
+// background flush or maintenance, so the filesystem op stream is the
+// workload's own.
+func tortureConfig(fsys vfs.FS, workers, parts int) Config {
+	return Config{
+		Dir: tortureDir, Workers: workers, FS: fsys, SyncWrites: true,
+		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: parts,
+	}
+}
+
 // fatalDump fails the run after dumping the store's flight recorder: the
 // event timeline (recovery phases, chain rollbacks, missing logs, eviction
 // decisions) is the post-mortem context a torture invariant violation
-// needs, and it is gone once the process exits.
+// needs, and it is gone once the process exits. s is nil when no store
+// opened.
 func fatalDump(t *testing.T, s *Store, format string, args ...any) {
 	t.Helper()
-	t.Logf("store flight recorder at failure:\n%s", s.Obs().Recorder().DumpString())
+	if s != nil {
+		t.Logf("store flight recorder at failure:\n%s", s.Obs().Recorder().DumpString())
+	}
 	t.Fatalf(format, args...)
 }
 
@@ -75,6 +100,100 @@ func joinCols(cols [][]byte) string {
 		parts[i] = string(c)
 	}
 	return strings.Join(parts, "|")
+}
+
+// crashImages are the post-crash directory-state choices each crash is
+// checked against: no pending directory op persisted (the conservative
+// journal), all of them, and — the adversarial POSIX case — only the
+// removes, modeling a crash that remembers reclamation but forgets the
+// renames and creates that preceded it.
+var crashImages = []struct {
+	name string
+	keep func(vfs.DirOp) bool
+}{
+	{"keep-none", nil},
+	{"keep-all", vfs.KeepAll},
+	{"keep-removes", keepRemoves},
+}
+
+// keepRemoves keeps only the pending removes: the adversarial image.
+func keepRemoves(op vfs.DirOp) bool { return op.Kind == vfs.DirRemove }
+
+// crashRun is one crash-torture configuration.
+type crashRun struct {
+	workers, parts int
+	// start, when set, adds the configuration's own options to the store
+	// the workload drives, once per run.
+	start    func(tt *torture, cfg *Config)
+	workload func(tt *torture) error
+	// check, when set, is the configuration's own verdict on each crash
+	// image, on top of the model every image is held to.
+	check func(tt *torture, img *vfs.MemFS, label string)
+}
+
+// enumerate crashes the workload at boundary 1, 2, … until a run completes
+// without reaching its boundary. A deterministic op stream is walked
+// exactly; where part writers race, numbering varies run to run, but every
+// crash still lands on some boundary and the model must hold wherever it
+// lands.
+func (cr crashRun) enumerate(t *testing.T) {
+	for i := 1; ; i++ {
+		crashed, images := cr.run(t, i)
+		if !crashed {
+			t.Logf("%d crash points x %d images", i-1, images)
+			return
+		}
+		if i > 2000 {
+			fatalDump(t, nil, "boundary count runaway")
+		}
+	}
+}
+
+// run executes the workload with a crash armed at boundary crashAt, then
+// recovers every crash image, and the keep-all image once more with each
+// worker's logs removed. It reports whether the crash fired and how many
+// images it recovered.
+func (cr crashRun) run(t *testing.T, crashAt int) (crashed bool, images int) {
+	mem := vfs.NewMemFS()
+	fault := vfs.NewFault(mem)
+	fault.CrashAt(crashAt)
+	tt := &torture{t: t, hist: map[string]*keyHist{}, workers: cr.workers, parts: cr.parts}
+	cfg := tortureConfig(fault, cr.workers, cr.parts)
+	if cr.start != nil {
+		cr.start(tt, &cfg)
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		if !errors.Is(err, vfs.ErrCrashed) {
+			fatalDump(t, nil, "crashAt=%d: open: %v", crashAt, err)
+		}
+	} else {
+		tt.open(s)
+		if werr := cr.workload(tt); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
+			fatalDump(t, s, "crashAt=%d: workload: %v", crashAt, werr)
+		}
+		// Close is part of the tortured op stream too (flushes and marks).
+		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
+			tt.promote() // clean shutdown acknowledges everything
+		}
+	}
+	image := func(keep func(vfs.DirOp) bool) *vfs.MemFS {
+		c := mem.Clone()
+		c.Crash(keep)
+		return c
+	}
+	for _, img := range crashImages {
+		label := fmt.Sprintf("crashAt=%d/%s", crashAt, img.name)
+		tt.verify(image(img.keep), label, false)
+		if cr.check != nil {
+			cr.check(tt, image(img.keep), label)
+		}
+	}
+	for w := 0; w < cr.workers; w++ {
+		label := fmt.Sprintf("crashAt=%d/vanish-log-%d", crashAt, w)
+		tt.verify(tt.vanish(image(vfs.KeepAll), w, label), label, true)
+	}
+	return fault.Crashed(), tt.images
 }
 
 // open starts the workload on s with one session per simulated worker.
@@ -98,17 +217,19 @@ func (tt *torture) histOf(key string) *keyHist {
 	h := tt.hist[key]
 	if h == nil {
 		// put/remove pin a key to this default worker; the multi-writer
-		// schedules (putW/removeW in torture_multiwriter_test.go) override
-		// it per op, deliberately spreading one key's records across logs.
+		// schedules (putW/removeW) override it per op, deliberately
+		// spreading one key's records across logs.
 		h = &keyHist{worker: len(tt.hist) % tt.workers, acked: -1}
 		tt.hist[key] = h
 	}
 	return h
 }
 
-func (tt *torture) put(key string, puts ...value.ColPut) {
+// putW writes key through worker and records the state it reads back.
+func (tt *torture) putW(worker int, key string, puts ...value.ColPut) {
 	h := tt.histOf(key)
-	ss := tt.sess[h.worker]
+	h.worker = worker
+	ss := tt.sess[worker]
 	ver := ss.Put([]byte(key), puts)
 	v, ok := ss.GetValue([]byte(key))
 	if !ok {
@@ -118,8 +239,25 @@ func (tt *torture) put(key string, puts ...value.ColPut) {
 	h.dropped = false // present again, whatever a maintenance pass did before
 }
 
+func (tt *torture) put(key string, puts ...value.ColPut) {
+	tt.putW(tt.histOf(key).worker, key, puts...)
+}
+
 func (tt *torture) putSimple(key, val string) {
 	tt.put(key, value.ColPut{Col: 0, Data: []byte(val)})
+}
+
+// removeW removes key through worker.
+func (tt *torture) removeW(worker int, key string) {
+	h := tt.histOf(key)
+	h.worker = worker
+	if tt.sess[worker].Remove([]byte(key)) {
+		h.states = append(h.states, kvState{tomb: true})
+	}
+}
+
+func (tt *torture) remove(key string) {
+	tt.removeW(tt.histOf(key).worker, key)
 }
 
 // frame applies ops through worker as one mixed segment, the way the server
@@ -151,7 +289,7 @@ func (tt *torture) frame(worker int, ops ...frameOp) {
 				continue
 			}
 			if ops[j].puts != nil {
-				tt.t.Fatalf("frame op %d: %q is put again at op %d with no get between", i, op.key, j)
+				fatalDump(tt.t, tt.s, "frame op %d: %q is put again at op %d with no get between", i, op.key, j)
 			}
 			st.data, read = res[j].data, true
 		}
@@ -164,13 +302,6 @@ func (tt *torture) frame(worker int, ops ...frameOp) {
 		}
 		h.states = append(h.states, st)
 		h.dropped = false
-	}
-}
-
-func (tt *torture) remove(key string) {
-	h := tt.histOf(key)
-	if tt.sess[h.worker].Remove([]byte(key)) {
-		h.states = append(h.states, kvState{tomb: true})
 	}
 }
 
@@ -273,142 +404,114 @@ func (tt *torture) workload() error {
 	return nil
 }
 
-// verify recovers from one post-crash disk image and checks every model
-// invariant.
-func (tt *torture) verify(img *vfs.MemFS, label string) {
-	t := tt.t
-	r, err := Open(Config{
-		Dir: tortureDir, Workers: tt.workers, FS: img, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: tt.parts,
-	})
-	if err != nil {
-		t.Fatalf("%s: recovery failed: %v", label, err)
+// reopen recovers img as a store of this run's shape, with opts (if any)
+// applied on top.
+func (tt *torture) reopen(img vfs.FS, label string, opts func(*Config)) *Store {
+	cfg := tortureConfig(img, tt.workers, tt.parts)
+	if opts != nil {
+		opts(&cfg)
 	}
+	r, err := Open(cfg)
+	if err != nil {
+		fatalDump(tt.t, tt.s, "%s: recovery failed: %v", label, err)
+	}
+	tt.images++
+	return r
+}
+
+// vanish removes every log file of worker from img: the whole-log-removal
+// crash image.
+func (tt *torture) vanish(img *vfs.MemFS, worker int, label string) *vfs.MemFS {
+	// An early crash may leave no durable directory at all — then there is
+	// nothing to vanish and recovery starts from scratch anyway.
+	if files, err := wal.ListLogFilesFS(img, tortureDir); err == nil {
+		for _, f := range files {
+			if f.Worker == worker {
+				if err := img.Remove(f.Path); err != nil {
+					fatalDump(tt.t, tt.s, "%s: removing %s: %v", label, f.Path, err)
+				}
+			}
+		}
+		img.SyncDir(tortureDir)
+	}
+	return img
+}
+
+// verify recovers img and holds it to the model. With accounted set (a
+// vanished-log image) a rollback below an acknowledged state is legal
+// only when recovery reports broken chains or missing logs.
+func (tt *torture) verify(img *vfs.MemFS, label string, accounted bool) {
+	r := tt.reopen(img, label, nil)
 	defer r.Close()
-	rs := r.Session(0)
-	defer rs.Close()
+	rollback := tt.exact(r, label)
+	if rollback == "" {
+		rollback = tt.lost(r)
+	}
+	if rollback == "" {
+		return
+	}
+	if !accounted {
+		fatalDump(tt.t, r, "%s: %s", label, rollback)
+	}
+	if st := r.RecoveryStats(); st.BrokenChains == 0 && st.MissingLogs == 0 {
+		fatalDump(tt.t, r, "%s: %s, with no broken_chains/missing_logs accounting", label, rollback)
+	}
+}
+
+// exact scans r and fails the run on a key that was never written or
+// whose (version, columns) is no state the live store applied. It returns
+// the first key recovered below its acknowledged state, "" if none.
+func (tt *torture) exact(r *Store, label string) (rollback string) {
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
 		h := tt.hist[string(k)]
 		if h == nil {
-			fatalDump(t, r, "%s: recovered key %q that was never written", label, k)
+			fatalDump(tt.t, r, "%s: recovered key %q that was never written", label, k)
 		}
-		idx := -1
-		for j, st := range h.states {
-			if !st.tomb && st.ver == v.Version() {
-				idx = j
-				break
-			}
-		}
+		idx := slices.IndexFunc(h.states, func(st kvState) bool { return !st.tomb && st.ver == v.Version() })
 		if idx < 0 {
-			fatalDump(t, r, "%s: key %q recovered at version %d, matching no applied state", label, k, v.Version())
+			fatalDump(tt.t, r, "%s: key %q recovered at version %d, matching no applied state", label, k, v.Version())
 		}
 		if got := joinCols(v.Cols()); got != h.states[idx].data {
-			fatalDump(t, r, "%s: key %q version %d recovered %q, applied state was %q (mixed state)",
+			fatalDump(tt.t, r, "%s: key %q version %d recovered %q, applied state was %q (mixed columns)",
 				label, k, v.Version(), got, h.states[idx].data)
 		}
-		if idx < h.acked {
-			fatalDump(t, r, "%s: key %q recovered state %d older than acknowledged state %d (lost ack)",
-				label, k, idx, h.acked)
+		if idx < h.acked && rollback == "" {
+			rollback = fmt.Sprintf("key %q recovered state %d older than acknowledged state %d (lost ack)", k, idx, h.acked)
 		}
 		return true
 	})
+	return rollback
+}
+
+// lost returns the first acknowledged key absent from r that neither a
+// remove at or after its ack nor a clean drop explains, "" if none.
+func (tt *torture) lost(r *Store) string {
+	rs := r.Session(0)
+	defer rs.Close()
 	for k, h := range tt.hist {
-		if _, ok := rs.GetValue([]byte(k)); ok {
+		if h.acked < 0 || h.dropped {
+			continue // never acknowledged, or clean-dropped: absence is legal
+		}
+		if slices.ContainsFunc(h.states[h.acked:], func(st kvState) bool { return st.tomb }) {
 			continue
 		}
-		if h.acked < 0 {
-			continue // never acknowledged; total loss is legal
-		}
-		lostOK := h.dropped // a clean-dropped (evicted/expired) key may vanish
-		for j := h.acked; j < len(h.states); j++ {
-			if h.states[j].tomb {
-				lostOK = true // an applied remove at/after the ack explains absence
-				break
-			}
-		}
-		if !lostOK {
-			fatalDump(t, r, "%s: acknowledged key %q lost (acked state %d of %d)", label, k, h.acked, len(h.states))
+		if _, ok := rs.GetValue([]byte(k)); !ok {
+			return fmt.Sprintf("acknowledged key %q lost (acked state %d of %d)", k, h.acked, len(h.states))
 		}
 	}
-}
-
-// crashImages are the post-crash directory-state choices each crash is
-// checked against: no pending directory op persisted (the conservative
-// journal), all of them, and — the adversarial POSIX case — only the
-// removes, modeling a crash that remembers reclamation but forgets the
-// renames and creates that preceded it.
-var crashImages = []struct {
-	name string
-	keep func(vfs.DirOp) bool
-}{
-	{"keep-none", nil},
-	{"keep-all", vfs.KeepAll},
-	{"keep-removes", func(op vfs.DirOp) bool { return op.Kind == vfs.DirRemove }},
-}
-
-// runTorture executes the workload with a crash armed at boundary crashAt
-// (0 = disarmed), then verifies recovery from every crash image. Returns
-// the number of boundaries executed and whether the crash fired.
-func runTorture(t *testing.T, crashAt, workers, parts int) (ops int, crashed bool) {
-	mem := vfs.NewMemFS()
-	fault := vfs.NewFault(mem)
-	fault.CrashAt(crashAt)
-	tt := &torture{t: t, mem: mem, fault: fault, hist: map[string]*keyHist{}, workers: workers, parts: parts}
-	s, err := Open(Config{
-		Dir: tortureDir, Workers: workers, FS: fault, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: parts,
-	})
-	if err != nil {
-		if !errors.Is(err, vfs.ErrCrashed) {
-			t.Fatalf("crashAt=%d: open: %v", crashAt, err)
-		}
-	} else {
-		tt.open(s)
-		if werr := tt.workload(); werr != nil && !errors.Is(werr, vfs.ErrCrashed) {
-			t.Fatalf("crashAt=%d: workload: %v", crashAt, werr)
-		}
-		// Close is part of the tortured op stream too (flushes and marks).
-		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
-			tt.promote() // clean shutdown acknowledges everything
-		}
-	}
-	ops, crashed = fault.Ops(), fault.Crashed()
-	for _, img := range crashImages {
-		c := mem.Clone()
-		c.Crash(img.keep)
-		tt.verify(c, fmt.Sprintf("crashAt=%d/%s", crashAt, img.name))
-	}
-	return ops, crashed
+	return ""
 }
 
 // TestCrashTortureEveryBoundary enumerates every filesystem boundary of
 // the single-worker, single-part workload — the op stream is deterministic
 // — and crashes at each one in turn.
 func TestCrashTortureEveryBoundary(t *testing.T) {
-	total, crashed := runTorture(t, 0, 1, 1)
-	if crashed {
-		t.Fatal("disarmed run crashed")
-	}
-	t.Logf("workload executes %d crash boundaries x %d images", total, len(crashImages))
-	for i := 1; i <= total; i++ {
-		runTorture(t, i, 1, 1)
-	}
+	crashRun{workers: 1, parts: 1, workload: (*torture).workload}.enumerate(t)
 }
 
 // TestCrashTortureMultiWorkerMultiPart tortures the concurrent pipeline:
 // three worker logs and four checkpoint part writers. Part writers race,
-// so boundary numbering varies run to run — every crash still lands on
-// *some* boundary, and the model must hold wherever it lands. The loop
-// walks crash points until a run completes without reaching its boundary.
+// so boundary numbering varies run to run.
 func TestCrashTortureMultiWorkerMultiPart(t *testing.T) {
-	for i := 1; ; i++ {
-		_, crashed := runTorture(t, i, 3, 4)
-		if !crashed {
-			t.Logf("concurrent workload exhausted after %d crash points", i-1)
-			break
-		}
-		if i > 2000 {
-			t.Fatal("boundary count runaway")
-		}
-	}
+	crashRun{workers: 3, parts: 4, workload: (*torture).workload}.enumerate(t)
 }
