@@ -137,9 +137,10 @@
 // supersedes the logs a dropped key is gone for good. What cache mode never
 // does is lose an acked write it did not drop — the eviction-enabled crash
 // torture (TestCrashTortureEviction) proves that at every filesystem
-// boundary, and the clean-drop path still lifts the remove floor under the
-// border lock so a re-inserted key's versions stay above the dropped
-// value's and replay order is preserved.
+// boundary. A clean drop goes through the same drop kernel as Remove: it
+// draws a departure timestamp past the dropped value's version and lifts
+// the remove floor under the border lock, so a re-inserted key's versions
+// stay above the dropped value's and replay order is preserved.
 //
 // The backend tier (internal/backend) turns cache mode into a CDN-style
 // read-through front for a slow source of truth. Backend is a three-call

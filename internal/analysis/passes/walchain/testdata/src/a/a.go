@@ -2,8 +2,9 @@
 // write kernel with the real one's names (tree write methods
 // Update/PutBatchInto taking func literals, a step method that alone
 // calls nextVersion and returns a writeResult, a logWrite method that alone
-// appends put records, a worker lock named lockWorker, and WAL types named
-// Writer and Batch), exercising the clean kernel and every diagnostic.
+// appends put records, a drop method whose second result is a remove's
+// timestamp, a worker lock named lockWorker, and WAL types named Writer and
+// Batch), exercising the clean kernel and every diagnostic.
 package a
 
 type Value struct{}
@@ -24,10 +25,12 @@ type Tree struct{}
 
 func (t *Tree) Update(key []byte, f func(*Value) *Value)               {}
 func (t *Tree) PutBatchInto(keys [][]byte, f func(int, *Value) *Value) {}
+func (t *Tree) RemoveIf(key []byte, f func(*Value) bool) *Value        { return nil }
 
 type Writer struct{}
 
 func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []ColPut) {}
+func (w *Writer) AppendRemove(ts uint64, key []byte)                   {}
 func (w *Writer) Begin() Batch                                         { return Batch{} }
 
 type Batch struct{}
@@ -52,6 +55,7 @@ type Store struct {
 
 func (s *Store) lockWorker(worker int) *mutex              { return &mutex{} }
 func (s *Store) nextVersion(worker int, old *Value) uint64 { return 2 }
+func (s *Store) retire(worker int, old *Value) uint64      { return 3 }
 
 type writeOp struct {
 	puts []ColPut
@@ -206,4 +210,43 @@ func (s *Store) goodAllowed(worker int, key []byte, puts []ColPut, replayVer, re
 	defer mu.Unlock()
 	//lint:allow walchain replay re-logs versions drawn by the original writer
 	s.logs.Writer(worker).AppendPut(replayVer, replayPrev, key, puts)
+}
+
+// drop is the drop kernel: the departure's timestamp is drawn under the
+// border lock of the key it removes.
+func (s *Store) drop(worker int, key []byte) (old *Value, ver uint64) {
+	old = s.tree.RemoveIf(key, func(v *Value) bool {
+		ver = s.retire(worker, v)
+		return true
+	})
+	return old, ver
+}
+
+// remove is the clean remove: worker lock, drop, its timestamp appended.
+func (s *Store) remove(worker int, key []byte) bool {
+	mu := s.lockWorker(worker)
+	defer mu.Unlock()
+	old, ver := s.drop(worker, key)
+	if old == nil {
+		return false
+	}
+	s.logs.Writer(worker).AppendRemove(ver, key)
+	return true
+}
+
+// badRemoveNoLock appends the remove record with no worker lock taken.
+func (s *Store) badRemoveNoLock(worker int, key []byte) {
+	_, ver := s.drop(worker, key)
+	s.logs.Writer(worker).AppendRemove(ver, key) // want `Writer.AppendRemove before lockWorker`
+}
+
+// badRemoveTS logs a timestamp drawn outside the border lock, once read off
+// the value the caller holds and once laundered through a local.
+func (s *Store) badRemoveTS(worker int, key []byte, cur *Value) {
+	mu := s.lockWorker(worker)
+	defer mu.Unlock()
+	ver := s.retire(worker, cur)
+	s.drop(worker, key)
+	s.logs.Writer(worker).AppendRemove(ver, key)           // want `timestamp ver of Writer.AppendRemove is not sourced from drop: it must be the ver drop drew under the border lock`
+	s.logs.Writer(worker).AppendRemove(cur.Version(), key) // want `timestamp cur.Version\(\) of Writer.AppendRemove is not sourced from drop`
 }

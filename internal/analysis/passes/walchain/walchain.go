@@ -18,8 +18,10 @@
 //     a step result's ver and prev fields — directly, or through a variable
 //     assigned from nothing else — or prev is the literal 0 (a chain
 //     anchor);
-//   - and a lockWorker call precedes every log-stage call in its function:
-//     the draw-to-append window is serialized.
+//   - and a lockWorker call precedes, in its function, every log-stage call
+//     and every remove record (Writer.AppendRemove), whose timestamp must be
+//     the ver the drop kernel drew under the border lock: the draw-to-append
+//     window is serialized.
 //
 // The analysis is syntactic and per-function; values laundered through
 // helper calls are flagged conservatively (//lint:allow walchain with a
@@ -48,6 +50,7 @@ const (
 	stepFunc   = "step"
 	logFunc    = "logWrite"
 	resultType = "writeResult"
+	dropFunc   = "drop" // its second result is a remove record's timestamp
 )
 
 // treeWrites are the tree methods whose func-literal argument runs under
@@ -104,20 +107,27 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.AssignStmt:
-			for i := 0; i < len(n.Lhs) && len(n.Lhs) == len(n.Rhs); i++ {
-				key := exprKey(n.Lhs[i])
+			for i, lhs := range n.Lhs {
+				key, src := exprKey(lhs), "other"
+				if len(n.Lhs) == len(n.Rhs) {
+					src = sourceOf(info, n.Rhs[i])
+				} else if c, ok := n.Rhs[0].(*ast.CallExpr); ok && i == 1 {
+					if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == dropFunc {
+						src = dropFunc
+					}
+				}
 				if sources[key] == nil {
 					sources[key] = map[string]bool{}
 				}
-				sources[key][sourceOf(info, n.Rhs[i])] = true
+				sources[key][src] = true
 			}
 		}
 		return true
 	})
 
-	// check reports an append argument that is not the step result's field:
-	// the field itself, or something assigned from it (for prev, also from
-	// 0) and from nothing else.
+	// check reports an append argument that is not the step result's field
+	// (or drop's timestamp): the field itself, or something assigned from it
+	// (for prev, also from 0) and from nothing else.
 	check := func(e ast.Expr, field, site string) {
 		if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok && field == "prev" {
 			if lit.Value != "0" {
@@ -132,8 +142,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				break
 			}
 		}
+		from := "the step's result: it must be the " + field + " field the step set"
+		if field == dropFunc {
+			field, from = "timestamp", "drop: it must be the ver drop drew"
+		}
 		if !ok {
-			pass.Reportf(e.Pos(), "%s %s of %s is not sourced from the step's result: it must be the %s field the step set under the border lock", field, types.ExprString(e), site, field)
+			pass.Reportf(e.Pos(), "%s %s of %s is not sourced from %s under the border lock", field, types.ExprString(e), site, from)
 		}
 	}
 	needLock := func(pos token.Pos, what string) {
@@ -161,6 +175,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			needLock(call.Pos(), logFunc)
 		default:
 			site := namedType(info, sel.X) + "." + name
+			if site == "Writer.AppendRemove" {
+				needLock(call.Pos(), site)
+				check(call.Args[0], dropFunc, site)
+			}
 			argIdx, ok := putAppends[site]
 			if !ok || len(call.Args) < 2 {
 				break

@@ -199,8 +199,9 @@ func New(workers, maxBytes int) *Cache {
 	}
 	c := &Cache{
 		maxBytes: int64(maxBytes),
-		// One extra shard for the maintenance/recovery context (eviction
-		// decrements, recovery seeding) so it never contends with worker 0.
+		// One extra shard for recovery's seeding, which runs as no worker.
+		// (Maintenance drops account on worker 0's shard, the worker the
+		// store's drop kernel ticks for them.)
 		shards: make([]byteShard, workers+1),
 	}
 	if maxBytes > 0 {
@@ -231,14 +232,14 @@ func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 // fires in a select, so callers need no special case).
 func (c *Cache) Wake() <-chan struct{} { return c.wake }
 
-// maintShard indexes the extra accounting shard reserved for maintenance
-// and recovery contexts.
+// maintShard indexes the extra accounting shard reserved for contexts that
+// are no worker (recovery's seeding).
 func (c *Cache) maintShard() int { return len(c.shards) - 1 }
 
 // Account adds delta bytes to worker's accounting shard: one atomic add on
 // a cache line no other worker touches. Every put, remove, eviction, and
 // expiry must pass through here with the packed-size delta it caused.
-// Workers out of range (the maintenance context passes -1) use the reserved
+// Workers out of range (recovery's seeding passes -1) use the reserved
 // shard. Occasionally (every 64 puts per shard) the live total is probed
 // and, if it exceeds the budget, the maintenance loop is woken early — the
 // backpressure that keeps overshoot to one eviction batch even when the

@@ -19,18 +19,14 @@ func (t *Tree) Remove(key []byte) (*value.Value, bool) {
 }
 
 // RemoveIf removes key only if pred, evaluated on the current value under
-// the owning border node's lock, returns true. This is the remove-for-
-// eviction hook: callers decide on a value they read optimistically and the
-// predicate runs against the value actually being unlinked. How much it
-// re-checks is the caller's policy — the kvstore's TTL sweep re-validates
-// expiry so a racing fresh put is never dropped by a stale deadline, while
-// its eviction path removes unconditionally (a cache may evict any key at
-// any moment, so evicting a just-put value is semantically the same as
-// evicting it right after). A pred that always returns true is the
-// kvstore's logged remove: it assigns the remove's log timestamp under the
-// lock, atomically with the removal, so replay order matches execution order
-// even across remove/re-insert races (§5); a nil pred is Remove. Returns the
-// removed value and whether the removal happened.
+// the owning border node's lock, returns true; a nil pred is Remove. Callers
+// decide on a value they read optimistically, and the predicate runs against
+// the value actually being unlinked. The kvstore's drop kernel is built on
+// it: its predicate, under the lock, re-checks what its caller asks (the TTL
+// sweep's expiry) and draws the departure's timestamp atomically with the
+// removal, so replay order matches execution order even across
+// remove/re-insert races (§5). Returns the removed value and whether the
+// removal happened.
 func (t *Tree) RemoveIf(key []byte, pred func(old *value.Value) bool) (*value.Value, bool) {
 restart:
 	root := t.rootHeader()

@@ -170,6 +170,59 @@ func TestPutSimpleLoggedAllocs(t *testing.T) {
 	}
 }
 
+// TestDropAllocFree pins the drop kernel's callers at zero allocations, with
+// logging off and on: Session.Remove (its record encoded into a log buffer
+// that has the room) and the eviction callback.
+func TestDropAllocFree(t *testing.T) {
+	for _, logged := range []bool{false, true} {
+		cfg := Config{Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1}
+		if logged {
+			cfg.Dir = t.TempDir()
+		}
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		sess := s.Session(0)
+		keys := make([][]byte, 300) // more than one measurement's 201 runs
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("drop-key-%06d", i))
+		}
+		fill := func() {
+			for _, k := range keys {
+				sess.PutSimple(k, []byte("v"))
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Grow both log buffers past the measured remove volume.
+		for round := 0; round < 2; round++ {
+			fill()
+			for _, k := range keys {
+				sess.Remove(k)
+			}
+		}
+		for _, d := range []struct {
+			name string
+			drop func([]byte) bool
+		}{{"Session.Remove", sess.Remove}, {"evictKey", s.evictKey}} {
+			fill()
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				if !d.drop(keys[i]) {
+					t.Fatalf("%s found no key %q", d.name, keys[i])
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s (logged %v) allocates %.1f times per run, want 0", d.name, logged, allocs)
+			}
+		}
+	}
+}
+
 // TestPutBatchIntoAllocs pins the batched put at one packed value per key
 // once the scratch is warm.
 func TestPutBatchIntoAllocs(t *testing.T) {

@@ -29,9 +29,9 @@ type shardedClock struct {
 	// retains no memory of a removed key's last version, so a re-insert on a
 	// cold worker clock could otherwise be assigned a version below the
 	// remove's log timestamp and replay in the wrong order (resurrecting the
-	// remove). Removes are the only writers; puts of existing keys never
-	// touch it; inserts only load it — a read-mostly line that stays in
-	// every core's cache, not the per-put RMW the global clock was.
+	// remove). Departures (Store.retire) are the only writers; puts of
+	// existing keys never touch it; inserts only load it — a read-mostly
+	// line in every core's cache, not the per-put RMW the global clock was.
 	removeFloor atomic.Uint64
 }
 

@@ -1,6 +1,9 @@
 package kvstore
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,5 +217,75 @@ func runDropCell(t *testing.T, c dropCell) {
 	}
 	if got, want := r.CacheStats().BytesLive, accountedBytes(r); got != want {
 		t.Errorf("after the reopen BytesLive = %d, the tree holds %d", got, want)
+	}
+}
+
+// TestDropRaces races every drop path at once: two sessions put, put with
+// short TTLs and remove over 64 keys while a byte budget far below the data
+// keeps eviction busy and a 1 ms maintenance tick keeps the TTL sweep busy.
+// Once quiet, the accounted bytes must equal what the tree holds; after a
+// restart every key present at Close must be back at the same version, with
+// no broken chain.
+func TestDropRaces(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, Workers: 2, FlushInterval: time.Millisecond,
+		MaintainEvery: time.Millisecond, MaxBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, minOps = 64, 4000
+	deadline := time.Now().Add(10 * time.Second)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ss := s.Session(w)
+			rng := rand.New(rand.NewSource(int64(w)))
+			// Run until both background drops have happened, so every path
+			// raced the writers at least once.
+			for i := 0; i < minOps || s.CacheStats().Evictions == 0 || s.CacheStats().Expirations == 0; i++ {
+				if time.Now().After(deadline) {
+					t.Errorf("worker %d: no eviction or no expiration after %d ops: %+v", w, i, s.CacheStats())
+					return
+				}
+				k := []byte(fmt.Sprintf("race-%02d", rng.Intn(keys)))
+				switch op := rng.Intn(4); op {
+				case 0:
+					ss.Remove(k)
+				case 1:
+					ss.PutTTL(k, []value.ColPut{{Col: 0, Data: k}}, nowNanos()+uint64(rng.Intn(2000))*uint64(time.Microsecond))
+				default:
+					ss.Put(k, []value.ColPut{{Col: op, Data: k}})
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.CacheStats().BytesLive, accountedBytes(s); got != want {
+		t.Errorf("BytesLive = %d, the tree holds %d", got, want)
+	}
+	atClose := map[string]uint64{}
+	s.tree.Scan(nil, func(k []byte, v *value.Value) bool {
+		atClose[string(k)] = v.Version()
+		return true
+	})
+
+	// Reopened without a budget, so nothing the bound would evict is lost.
+	r, err := Open(Config{Dir: dir, Workers: 2, MaintainEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
+		t.Errorf("recovery stats %+v, want a clean replay", st)
+	}
+	for k, ver := range atClose {
+		if v, ok := r.tree.Get([]byte(k)); !ok || v.Version() != ver {
+			t.Errorf("key %s: recovered version %d (present %v), at Close %d", k, v.Version(), ok, ver)
+		}
 	}
 }

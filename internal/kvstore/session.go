@@ -95,8 +95,8 @@ func (ss *Session) PutSimple(key, data []byte) uint64 {
 // and scan) and the maintenance loop's background sweep eventually removes
 // it physically — a clean drop that writes no WAL record, since the expiry
 // rides in the logged value itself (wal.OpPutTTL) and replay re-expires it.
-// A write over a lazily-expired value builds on an absent base (see
-// expireBase): dead columns are never resurrected.
+// A write over a lazily-expired value builds on an absent base (see step):
+// dead columns are never resurrected.
 func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
 	return ss.s.write(ss.worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true}).ver
 }
@@ -132,47 +132,34 @@ func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver u
 	return r.ver, true
 }
 
-// Remove deletes key, logging through the session's log.
+// Remove deletes key, logging through the session's log: the drop kernel,
+// its timestamp appended as the remove's record inside the worker's
+// draw-to-append window.
 func (ss *Session) Remove(key []byte) bool {
 	s, worker := ss.s, ss.worker
 	if s.logs != nil {
 		mu := s.lockWorker(worker)
 		defer mu.Unlock()
 	}
-	var ver uint64
-	var delta int64
-	wasExpired := false
-	_, ok := s.tree.RemoveIf(key, func(old *value.Value) bool {
-		ver = s.clock.tick(worker, old.Version())
-		// Lift the remove floor while the border lock is still held: the
-		// tree forgets the key's version history once it is unlinked, so a
-		// re-insert racing with this remove must already see the floor when
-		// it acquires the lock — lifting it after RemoveIf returns would
-		// let that insert draw a version below the remove's timestamp and
-		// replay in the wrong order.
-		s.clock.noteRemove(ver)
-		delta = -int64(old.Size())
-		wasExpired = expired(old)
-		return true
-	})
-	if ok {
-		if s.logs != nil {
-			s.logs.Writer(worker).AppendRemove(ver, key)
-		}
-		s.cache.Account(worker, delta)
-		s.cache.NoteRemove(worker, key)
-		// Read-through stores propagate the delete upstream (a tombstone in
-		// the write-behind queue); without it the next GetOrLoad would
-		// resurrect the removed key from the backend.
-		if s.wb != nil {
-			s.wb.enqueue(key, nil)
-		}
+	old, ver := s.drop(worker, key, nil)
+	if old == nil {
+		return false
+	}
+	if s.logs != nil {
+		s.logs.Writer(worker).AppendRemove(ver, key)
+	}
+	s.cache.NoteRemove(worker, key)
+	// Read-through stores propagate the delete upstream (a tombstone in the
+	// write-behind queue); without it the next GetOrLoad would resurrect the
+	// removed key from the backend.
+	if s.wb != nil {
+		s.wb.enqueue(key, nil)
 	}
 	// A lazily-expired value reads as absent on every path, so removing it
 	// must report "did not exist" too (memcached's delete-of-expired is a
 	// miss). The physical removal and its log record still happen above —
 	// the remove is correct cleanup either way.
-	return ok && !wasExpired
+	return !expired(old)
 }
 
 // ErrNoBackend is returned by GetOrLoad when the store has no configured

@@ -10,9 +10,9 @@
 // Version numbers and timestamps: the store draws both from per-worker
 // loosely synchronized clocks (§5.1, see shardedClock), assigned under the
 // owning border node's lock and lifted past the replaced value's version
-// (and past every remove, for fresh inserts). Sequential updates to a value
-// therefore obtain distinct increasing versions, log records are totally
-// ordered per key (even across remove/re-insert), and recovery can apply
+// (inserts: past every value the drop kernel retired). Sequential updates
+// thus obtain distinct increasing versions, log records are totally ordered
+// per key (even across a drop and a re-insert), and recovery can apply
 // each key's updates in increasing version order after cutting off at
 // t = min over logs of the log's maximum durable timestamp (§5) — all
 // without the global clock cache line every writer used to bounce.
@@ -363,9 +363,7 @@ func (s *Store) recover() error {
 					return value.BuildTTLAt(base, r.Puts, r.TS, uint32(r.Worker), r.Expiry)
 				})
 			case wal.OpRemove:
-				if v, ok := s.tree.Get(r.Key); ok && v.Version() < r.TS {
-					s.tree.Remove(r.Key)
-				}
+				s.tree.RemoveIf(r.Key, func(old *value.Value) bool { return old.Version() < r.TS })
 			}
 		}
 		if broken {
@@ -513,8 +511,8 @@ func (s *Store) maintainLoop() {
 }
 
 // cacheMaintain runs one cache-mode maintenance pass: the incremental TTL
-// sweep, then the policy drain-and-evict. Both remove keys through the
-// border-lock remove path, as a session's Remove does.
+// sweep, then the policy drain-and-evict. Both remove keys through the drop
+// kernel, as a session's Remove does.
 func (s *Store) cacheMaintain() {
 	if !s.ttlUsed.Load() && !s.cache.EvictionEnabled() {
 		return
@@ -541,37 +539,24 @@ func (s *Store) cacheMaintain() {
 	s.cache.Maintain(s.evictKey)
 }
 
-// evictKey is the policy's remove callback: a clean drop through the same
-// border-lock remove path as Remove, minus the WAL record. The predicate
-// accepts whatever value is current — a put racing the eviction decision
-// may see its value dropped immediately, which cache semantics permit
-// (indistinguishable from evicting the key a moment after the put; the
-// torture model's dropped-key rule covers exactly this). The remove floor
-// is still lifted under the lock — a later re-insert of the key must draw a
-// version above the dropped value's, or log replay would apply the new put
-// before (and thus lose it to) the old one's higher version guard.
+// evictKey is the policy's remove callback: a clean drop — Remove's drop
+// kernel, minus the WAL record. It drops whatever value is current — a put
+// racing the eviction decision may see its value dropped immediately, which
+// cache semantics permit (indistinguishable from evicting the key a moment
+// after the put; the torture model's dropped-key rule covers exactly this).
+// Write-behind turns the drop into a spill: the evicted value (immutable, so
+// retaining the pointer is free) queues for the backend unless it is already
+// dead by TTL.
 func (s *Store) evictKey(key []byte) bool {
-	var delta int64
-	var spill *value.Value
-	_, ok := s.tree.RemoveIf(key, func(old *value.Value) bool {
-		s.clock.noteRemove(old.Version())
-		delta = -int64(old.Size())
-		// Write-behind turns the clean drop into a spill: the evicted value
-		// (immutable, so retaining the pointer is free) queues for the
-		// backend unless it is already dead by TTL.
-		if s.wb != nil && !expired(old) {
-			spill = old
-		}
-		return true
-	})
-	if ok {
-		s.cache.Account(-1, delta)
-		s.obs.Recorder().Record(0, obs.EvEvict, obs.KeyHash(key), uint64(-delta))
-		if spill != nil {
-			s.wb.enqueue(key, spill)
-		}
+	old, _ := s.drop(0, key, nil)
+	if old == nil {
+		return false
 	}
-	return ok
+	s.obs.Recorder().Record(0, obs.EvEvict, obs.KeyHash(key), uint64(old.Size()))
+	if s.wb != nil && !expired(old) {
+		s.wb.enqueue(key, old)
+	}
+	return true
 }
 
 // sweepBatchKeys bounds how many keys one sweep batch inspects for expiry;
@@ -587,7 +572,7 @@ const (
 // sweepExpired scans up to sweepBatchKeys keys from the sweep cursor,
 // physically removing values whose expiry has lapsed, and returns how many
 // it dropped. Removals are clean drops (no WAL record): the expiry travels
-// inside every logged value, so a replayed copy simply re-expires. RemoveIf
+// inside every logged value, so a replayed copy simply re-expires. The drop
 // re-checks expiry under the border lock — a concurrent fresh put between
 // scan and removal wins.
 //
@@ -626,18 +611,9 @@ func (s *Store) sweepExpired(now int64) int {
 		s.sweepCursor = append(append(s.sweepCursor[:0], last...), 0)
 	}
 	var dropped int64
+	lapsed := func(v *value.Value) bool { return v.Expired(now) }
 	for _, k := range s.sweepKeys {
-		var delta int64
-		_, ok := s.tree.RemoveIf(k, func(old *value.Value) bool {
-			if !old.Expired(now) {
-				return false // re-put since the scan: keep it
-			}
-			s.clock.noteRemove(old.Version())
-			delta = -int64(old.Size())
-			return true
-		})
-		if ok {
-			s.cache.Account(-1, delta)
+		if old, _ := s.drop(0, k, lapsed); old != nil {
 			s.cache.NoteRemove(0, k)
 			dropped++
 		}
@@ -703,20 +679,35 @@ func (s *Store) nextVersion(worker int, old *value.Value) uint64 {
 	return s.clock.tick(worker, old.Version())
 }
 
-// expireBase implements the write-side half of lazy expiry, under the
-// owning border node's lock, for an old value the step found lapsed. An
-// expired old value reads as absent, so a write over it must behave like a
-// write over an absent key: the new value builds on a nil base (a
-// partial-column put must not resurrect the dead value's other columns) and
-// is logged as an insert record, which replay applies as a replacement
-// (wal.OpInsert) so recovery rebuilds the same columns the live store
-// served. The physical old value still orders the clock — an implicit
-// remove's timestamp is drawn past its version and the remove floor lifted,
-// exactly like Remove — so the step's subsequent version draw (against the
-// nil base, flooring on removeFloor) lands above everything the dead value
-// logged.
-func (s *Store) expireBase(worker int, old *value.Value) {
-	s.clock.noteRemove(s.clock.tick(worker, old.Version()))
+// retire orders old's departure on the clock under the owning border node's
+// lock — drop's, and step's implicit remove of a lapsed value. It draws the
+// departure's timestamp past old's version and lifts the remove floor to it
+// before the lock is released: the tree forgets an unlinked key's versions,
+// so a racing re-insert must already see the floor, or it could draw below
+// the departure and replay in the wrong order (§5).
+func (s *Store) retire(worker int, old *value.Value) uint64 {
+	ver := s.clock.tick(worker, old.Version())
+	s.clock.noteRemove(ver)
+	return ver
+}
+
+// drop is the drop kernel, the one way a key leaves a serving store: it
+// removes key's value if pred accepts it (nil accepts any), retires it and
+// accounts its bytes. It returns the dropped value (nil if none) and the
+// departure's timestamp. Logging it is Remove's; eviction and the sweep are
+// clean drops.
+func (s *Store) drop(worker int, key []byte, pred func(*value.Value) bool) (old *value.Value, ver uint64) {
+	old, _ = s.tree.RemoveIf(key, func(v *value.Value) bool {
+		if pred != nil && !pred(v) {
+			return false
+		}
+		ver = s.retire(worker, v)
+		return true
+	})
+	if old != nil {
+		s.cache.Account(worker, -int64(old.Size()))
+	}
+	return old, ver
 }
 
 // basePolicy is what a write requires of the value it would replace: beside
@@ -773,7 +764,11 @@ func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 		return r
 	}
 	if base != old {
-		s.expireBase(worker, old)
+		// Lazy expiry's write half: a lapsed value reads as absent, so the
+		// write builds on a nil base (no dead column resurrects) and logs an
+		// insert, which replay applies as a replacement. The dead value still
+		// departs in clock order, so the draw below lands above it.
+		s.retire(worker, old)
 	}
 	r.insert = base == nil
 	r.prev = base.Version()
