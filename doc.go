@@ -79,9 +79,11 @@
 // files concurrently (ckpt-<ts>-partK.ckpt, each with its own CRC footer);
 // a small manifest (ckpt-<ts>.mf) is renamed into place and the directory
 // fsynced as the commit point, and only then is older log and checkpoint
-// state reclaimed. Recovery runs the same pipeline backwards: parts load
-// concurrently with chunked batched tree inserts, log files parse
-// one-goroutine-per-file, and replay partitions keys across cores.
+// state reclaimed. Recovery runs the same pipeline backwards: parts are read
+// and parsed concurrently, log files one goroutine per file; each key's
+// records are then folded over its checkpointed value off the tree, and the
+// final values are loaded once, in key order, one key range per core, in
+// chunked batched tree inserts.
 // Checkpoint start synchronizes the per-worker clocks and drains the
 // draw-to-append windows, so replay can prove every record at or below the
 // checkpoint timestamp redundant and skip it (replaying one could resurrect

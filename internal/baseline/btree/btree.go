@@ -1,11 +1,13 @@
 // Package btree implements the paper's concurrent B+-tree baseline (§6.2
 // Figure 8 "B-tree", "+Prefetch", "+Permuter"; §6.4; Figure 9): a width-15
 // B+-tree using the same optimistic concurrency control scheme as Masstree
-// but storing whole keys instead of a trie of slices. Each node has space
-// for the first 16 bytes of each key inline; longer keys keep a pointer to
-// the full key, and comparisons that exhaust the inline prefix must chase
-// that pointer — the extra DRAM fetch that motivates Masstree's design
-// (Figure 9's gap).
+// but storing whole keys instead of a trie of slices. A node holds one
+// pointer a slot to a separately allocated, immutable key object (bkey): the
+// key's first 8 bytes as an integer, its first 16 bytes, and for a longer
+// key a pointer to the whole key. So every comparison dereferences a bkey,
+// and a comparison that exhausts the 16-byte prefix chases the whole key as
+// well — the extra DRAM fetch that motivates Masstree's design (Figure 9's
+// gap).
 //
 // Options mirror the paper's ladder:
 //

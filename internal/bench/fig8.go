@@ -25,13 +25,17 @@ type putAdapter struct {
 func (a putAdapter) Get(k []byte) (*value.Value, bool) { return a.get(k) }
 func (a putAdapter) Put(k []byte, v *value.Value)      { a.put(k, v) }
 
-// fig8Ladder returns Figure 8's design-feature ladder: each rung a named
-// constructor. Go-specific substitutions (+Flow/+Superpage → node arena,
-// +Prefetch → no-op) are flagged in the table notes.
-func fig8Ladder() []struct {
+// fig8Rung is one rung of Figure 8's ladder: a named constructor, or the
+// name of the earlier rung Go builds it exactly as (same), which is not
+// measured again. The substitutions that make two rungs the same (+Flow/
+// +Superpage → node arena, +Prefetch → no-op) are flagged in the table notes.
+type fig8Rung struct {
 	name string
 	mk   func() store
-} {
+	same string
+}
+
+func fig8Ladder() []fig8Rung {
 	wrapBin := func(opts ...binarytree.Option) func() store {
 		return func() store {
 			t := binarytree.New(opts...)
@@ -44,22 +48,19 @@ func fig8Ladder() []struct {
 			return putAdapter{t.Get, func(k []byte, v *value.Value) { t.Put(k, v) }}
 		}
 	}
-	return []struct {
-		name string
-		mk   func() store
-	}{
-		{"Binary", wrapBin()},
-		{"+Flow", wrapBin(binarytree.WithArena())},
-		{"+Superpage", wrapBin(binarytree.WithArena())},
-		{"+IntCmp", wrapBin(binarytree.WithArena(), binarytree.WithIntCmp())},
-		{"4-tree", func() store {
+	return []fig8Rung{
+		{name: "Binary", mk: wrapBin()},
+		{name: "+Flow", mk: wrapBin(binarytree.WithArena())},
+		{name: "+Superpage", same: "+Flow"},
+		{name: "+IntCmp", mk: wrapBin(binarytree.WithArena(), binarytree.WithIntCmp())},
+		{name: "4-tree", mk: func() store {
 			t := fourtree.New()
 			return putAdapter{t.Get, func(k []byte, v *value.Value) { t.Put(k, v) }}
 		}},
-		{"B-tree", wrapBtree()},
-		{"+Prefetch", wrapBtree()},
-		{"+Permuter", wrapBtree(btree.WithPermuter())},
-		{"Masstree", func() store {
+		{name: "B-tree", mk: wrapBtree()},
+		{name: "+Prefetch", same: "B-tree"},
+		{name: "+Permuter", mk: wrapBtree(btree.WithPermuter())},
+		{name: "Masstree", mk: func() store {
 			t := core.New()
 			return putAdapter{t.Get, func(k []byte, v *value.Value) { t.Put(k, v) }}
 		}},
@@ -77,21 +78,27 @@ func Fig8(sc Scale) *Table {
 		Title:   fmt.Sprintf("factor analysis, %d keys, %d workers (Figure 8)", sc.Keys, sc.Workers),
 		Headers: []string{"design", "get Mreq/s", "get rel", "put Mreq/s", "put rel"},
 		Notes: []string{
-			"+Flow/+Superpage realized as a chunked node arena (Go cannot swap allocators); the two rungs coincide here",
-			"+Prefetch is a documented no-op (the baseline does not yet import internal/core's prefetch stub); node layout is unchanged",
+			"+Flow/+Superpage realized as a chunked node arena (Go cannot swap allocators); the two rungs coincide here, so +Superpage's row is +Flow's, not measured again",
+			"+Prefetch is a documented no-op (the baseline does not yet import internal/core's prefetch stub); node layout is unchanged, so its row is B-tree's, not measured again",
 			"relative columns are normalized to Binary's get throughput, as in the paper",
 		},
 	}
 
 	var baseGet float64
+	rows := map[string][]string{}
 	for _, rung := range fig8Ladder() {
-		getTput, putTput := fig8Measure(sc, rung.mk)
-		if rung.name == "Binary" {
-			baseGet = getTput
+		var row []string
+		if rung.same != "" {
+			row = append([]string{rung.name}, rows[rung.same][1:]...)
+		} else {
+			getTput, putTput := fig8Measure(sc, rung.mk)
+			if rung.name == "Binary" {
+				baseGet = getTput
+			}
+			row = []string{rung.name, mops(getTput), ratio(getTput, baseGet), mops(putTput), ratio(putTput, baseGet)}
 		}
-		t.Rows = append(t.Rows, []string{
-			rung.name, mops(getTput), ratio(getTput, baseGet), mops(putTput), ratio(putTput, baseGet),
-		})
+		rows[rung.name] = row
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }

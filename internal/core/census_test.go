@@ -139,10 +139,10 @@ func TestRecordCensus(t *testing.T) {
 	}
 }
 
-// TestRestoreCensus restores the decimal dataset as a checkpoint restore
-// does (kvstore's insertCheckpointPart): the keys in order, cut into parts
-// of adjacent keys, each part put by a goroutine of its own in 256-key
-// PutBatchInto chunks. A part is an ascending run through borders that
+// TestRestoreCensus restores the decimal dataset as recovery does
+// (kvstore's restoreRange): the keys in order, cut into parts of adjacent
+// keys, each part put by a goroutine of its own in 256-key PutBatchInto
+// chunks. A part is an ascending run through borders that
 // have a successor — the next part's — so the run rule, not §4.3's, is what
 // packs them; a restored tree of 2 or 4 parts must be layer-0 borders full
 // to 14.5 of 15 slots and at most 28 node bytes a key (a 50/50 split left

@@ -20,9 +20,9 @@ func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool)
 // border node's lock with the current value (nil if the key is absent) and
 // returns the value to store, or nil to decline, leaving the tree unchanged
 // — no store, no insert, and no reader retries. This is how multi-column
-// puts are made atomic (§4.7), how log replay applies updates in version
-// order (§5), and the hook versioned compare-and-swap builds on (a CAS
-// inspects old's version under the lock and declines on mismatch); the same
+// puts are made atomic (§4.7) and the hook versioned compare-and-swap
+// builds on (a CAS inspects old's version under the lock and declines on
+// mismatch); the same
 // contract applies to PutBatchInto's per-key callback, so conditional writes
 // batch exactly like unconditional ones. It returns the value f observed and
 // the value it stored (nil when it declined).

@@ -350,21 +350,26 @@ func TestTwigsSurviveRestart(t *testing.T) {
 		t.Fatalf("recovery stats %+v, want no broken chain and no missing log", st)
 	}
 	diffStates(t, "after the restart", want, snapshotState(r))
-	// Less the emptied twig, the promoted one, and the one left with a single
-	// key, which a rebuilt tree holds as a plain suffix key.
+	// Less the emptied twig, the promoted one, and the two left with a single
+	// key — group 3's before the checkpoint, group 6's in the tail — which a
+	// restore that loads each key's final value once holds as plain suffix
+	// keys.
 	shape := r.Tree().Shape()
-	if l := shape.Layers[1]; l.Twigs != groups+4-3 || l.BorderNodes != 1 {
-		t.Fatalf("the recovered tree's layer 1: %+v, want %d twigs and one promoted layer", l, groups+4-3)
+	if l := shape.Layers[1]; l.Twigs != groups+4-4 || l.BorderNodes != 1 {
+		t.Fatalf("the recovered tree's layer 1: %+v, want %d twigs and one promoted layer", l, groups+4-4)
 	}
 }
 
 // TestRestoredTreeIsPacked takes 2- and 4-part checkpoints of 250 000
-// decimal keys put in random order and reopens the store from each. A part
-// is restored as an ascending run through borders that have a successor —
-// the next part's — and the split that continues a run cuts after its new
-// key, so the restored layer-0 borders are packed to at least 14.5 of their
-// 15 slots where the random load left them about 10.6 full. The keys and
-// their versions are the store's as it was checkpointed.
+// decimal keys put in random order and reopens the store from each, first
+// from the checkpoint alone and then with a log tail of 25 000 fresh random
+// keys put after it. A restore loads each key's final value once, in key
+// order: a range is restored as an ascending run through borders that have a
+// successor — the next range's — and the split that continues a run cuts
+// after its new key, so the restored layer-0 borders are packed to at least
+// 14.5 of their 15 slots where the random load left them about 10.6 full,
+// tail or no tail. The keys and their versions are the store's as it was
+// closed.
 func TestRestoredTreeIsPacked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("puts, checkpoints and restores 250 000 keys")
@@ -379,27 +384,36 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
 	rng := rand.New(rand.NewSource(1))
-	for s.Len() < keys {
-		ss.PutSimple([]byte(fmt.Sprint(rng.Int63n(1<<31))), []byte("8 bytes."))
-	}
-	want := snapshotState(s)
-	for _, parts := range []int{2, 4} {
-		if _, n, err := s.CheckpointN(parts); err != nil || n != keys {
-			t.Fatalf("a %d-part checkpoint wrote %d entries, err %v", parts, n, err)
+	put := func(n int) {
+		ss := s.Session(0)
+		defer ss.Close()
+		for n += s.Len(); s.Len() < n; {
+			ss.PutSimple([]byte(fmt.Sprint(rng.Int63n(1<<31))), []byte("8 bytes."))
 		}
+	}
+	reopen := func(label string) {
+		want := snapshotState(s)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if s, err = Open(cfg); err != nil {
 			t.Fatal(err)
 		}
-		diffStates(t, fmt.Sprintf("restored from %d parts", parts), want, snapshotState(s))
+		diffStates(t, label, want, snapshotState(s))
 		l := s.Tree().Shape().Layers[0]
 		if fill := float64(l.Keys+l.LayerLinks) / float64(l.BorderNodes); fill < 14.5 {
-			t.Errorf("restored from %d parts: %d layer-0 borders hold %.2f of 15 slots each, want >= 14.5", parts, l.BorderNodes, fill)
+			t.Errorf("%s: %d layer-0 borders hold %.2f of 15 slots each, want >= 14.5", label, l.BorderNodes, fill)
 		}
+	}
+	put(keys)
+	for _, parts := range []int{2, 4} {
+		if _, n, err := s.CheckpointN(parts); err != nil || n != s.Len() {
+			t.Fatalf("a %d-part checkpoint wrote %d of %d entries, err %v", parts, n, s.Len(), err)
+		}
+		reopen(fmt.Sprintf("restored from %d parts", parts))
+		put(keys / 10)
+		reopen(fmt.Sprintf("restored from %d parts and a log tail", parts))
 	}
 	s.Close()
 }

@@ -1,8 +1,10 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -340,18 +342,17 @@ func TestMixedSegmentsReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, anchors := 0, 0
-	res.ReplayByKey(1, func(recs []wal.Record) {
-		for i, rec := range recs {
-			records++
-			switch {
-			case !rec.Op.HasPrev() || rec.Prev == 0:
-				anchors++
-			case i == 0 || rec.Prev != recs[i-1].TS:
-				t.Errorf("key %q: record %d (version %d) links to %d, the record before it is %v", rec.Key, i, rec.TS, rec.Prev, recs[max(i-1, 0)].TS)
-			}
+	recs := res.Records
+	slices.SortFunc(recs, byKeyTS)
+	records, anchors := len(recs), 0
+	for i, rec := range recs {
+		switch {
+		case !rec.Op.HasPrev() || rec.Prev == 0:
+			anchors++
+		case i == 0 || !bytes.Equal(rec.Key, recs[i-1].Key) || rec.Prev != recs[i-1].TS:
+			t.Errorf("key %q: record %d (version %d) links to %d, the record before it is %v", rec.Key, i, rec.TS, rec.Prev, recs[max(i-1, 0)].TS)
 		}
-	})
+	}
 	if records != puts {
 		t.Fatalf("the log holds %d records for %d puts", records, puts)
 	}

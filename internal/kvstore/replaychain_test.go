@@ -365,3 +365,81 @@ func TestHandoffAnchorAllocs(t *testing.T) {
 		t.Fatalf("handoff-anchor Put allocates %.1f per pair (%.1f per put), want <= 1 per put", allocs, allocs/2)
 	}
 }
+
+// TestReplayFold drives replay, recovery's fold of one key's records over its
+// checkpointed value, with no tree and no store: each case is a base (the
+// checkpointed value or nil) and the key's records in increasing TS order,
+// and the result is the key's final version, worker tag, expiry and columns,
+// and whether its chain broke.
+func TestReplayFold(t *testing.T) {
+	cols := func(cs ...string) []value.ColPut {
+		out := make([]value.ColPut, len(cs))
+		for i, c := range cs {
+			out[i] = value.ColPut{Col: i, Data: []byte(c)}
+		}
+		return out
+	}
+	put := func(ts, prev uint64, worker int, puts ...value.ColPut) wal.Record {
+		return wal.Record{TS: ts, Op: wal.OpPut, Key: []byte("k"), Prev: prev, Worker: worker, Puts: puts}
+	}
+	insert := func(ts uint64, worker int, puts ...value.ColPut) wal.Record {
+		return wal.Record{TS: ts, Op: wal.OpInsert, Key: []byte("k"), Worker: worker, Puts: puts}
+	}
+	remove := func(ts uint64) wal.Record { return wal.Record{TS: ts, Op: wal.OpRemove, Key: []byte("k")} }
+	col1 := func(d string) value.ColPut { return value.ColPut{Col: 1, Data: []byte(d)} }
+	// base is the checkpointed value: version 10 by worker 1, columns a|b.
+	base := value.BuildTTLAt(nil, cols("a", "b"), 10, 1, 0)
+	state := func(v *value.Value) string {
+		if v == nil {
+			return "absent"
+		}
+		return fmt.Sprintf("v%d w%d e%d %s", v.Version(), v.Worker(), v.ExpiresAt(), joinCols(v.Cols()))
+	}
+	for _, tc := range []struct {
+		name   string
+		base   *value.Value
+		recs   []wal.Record
+		want   string
+		broken bool
+	}{
+		{"no records", base, nil, "v10 w1 e0 a|b", false},
+		{"records at or below the version are skipped", base,
+			[]wal.Record{put(5, 0, 0, cols("old")...), remove(7), put(10, 0, 0, cols("same")...)},
+			"v10 w1 e0 a|b", false},
+		{"a newer remove clears", base, []wal.Record{remove(11)}, "absent", false},
+		{"an older remove keeps", base, []wal.Record{remove(9)}, "v10 w1 e0 a|b", false},
+		{"an insert replaces", base, []wal.Record{insert(11, 0, cols("x")...)}, "v11 w0 e0 x", false},
+		{"a prev 0 put replaces", base, []wal.Record{put(11, 0, 0, cols("x")...)}, "v11 w0 e0 x", false},
+		{"a matching link merges", base, []wal.Record{put(11, 10, 1, col1("y"))}, "v11 w1 e0 a|y", false},
+		{"a chain of links merges", base,
+			[]wal.Record{put(11, 10, 1, col1("y")), put(12, 11, 0, value.ColPut{Col: 2, Data: []byte("z")})},
+			"v12 w0 e0 a|y|z", false},
+		{"a mismatched link holds the prefix", base,
+			[]wal.Record{put(11, 10, 1, col1("y")), put(13, 12, 1, col1("lost")), put(14, 13, 1, col1("lost"))},
+			"v11 w1 e0 a|y", true},
+		{"a linked put onto an absent key holds it absent", nil,
+			[]wal.Record{put(5, 3, 0, col1("lost"))}, "absent", true},
+		{"after a broken link an anchor resumes the key", base,
+			[]wal.Record{put(12, 11, 0, col1("lost")), put(13, 0, 0, cols("p", "q")...), put(14, 13, 0, col1("r"))},
+			"v14 w0 e0 p|r", true},
+		{"after a broken link an insert resumes an absent key", nil,
+			[]wal.Record{put(5, 3, 0, col1("lost")), insert(6, 1, cols("n")...), put(7, 6, 1, col1("m"))},
+			"v7 w1 e0 n|m", true},
+		{"a remove then an insert", base,
+			[]wal.Record{remove(11), insert(12, 0, cols("new")...)}, "v12 w0 e0 new", false},
+		{"expiry and worker come from the record", base,
+			[]wal.Record{{TS: 11, Op: wal.OpPutTTL, Key: []byte("k"), Prev: 10, Worker: 3, Puts: []value.ColPut{col1("t")}, Expiry: 1234}},
+			"v11 w3 e1234 a|t", false},
+		{"an insert with a TTL", nil,
+			[]wal.Record{{TS: 4, Op: wal.OpInsertTTL, Key: []byte("k"), Worker: 2, Puts: cols("i"), Expiry: 99}},
+			"v4 w2 e99 i", false},
+	} {
+		got, broken := replay(tc.base, tc.recs)
+		if state(got) != tc.want || broken != tc.broken {
+			t.Errorf("%s: got %s, broken %v; want %s, broken %v", tc.name, state(got), broken, tc.want, tc.broken)
+		}
+	}
+	if got, _ := replay(base, []wal.Record{put(10, 0, 0, cols("same")...)}); got != base {
+		t.Errorf("a skipped record rebuilt the value: %s", state(got))
+	}
+}

@@ -34,9 +34,12 @@ package kvstore
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -293,15 +296,14 @@ func (s *Store) seedCache() {
 	}
 }
 
-// recover loads the latest valid checkpoint — all parts concurrently, each
-// batch-inserted so runs of adjacent keys share one border-node lock
-// acquisition — then replays the logs beyond it in parallel, restores the
-// clock, and opens a fresh log generation (never appending to a file that
-// may end in a torn record).
+// recover reads the latest valid checkpoint and the logs beyond it, folds
+// each key's records over its checkpointed value off the tree, and loads the
+// final values into the empty tree once, in key order, one key range per
+// core. It then restores the clock and opens a fresh log generation (never
+// appending to a file that may end in a torn record).
 func (s *Store) recover() error {
 	phase := time.Now()
-	var maxVersion atomic.Uint64
-	ckptTS, err := s.loadCheckpoint(&maxVersion)
+	ckptTS, parts, err := checkpoint.Latest(s.fsys, s.cfg.Dir)
 	if err != nil && err != checkpoint.ErrNone {
 		return fmt.Errorf("kvstore: loading checkpoint: %w", err)
 	}
@@ -319,60 +321,42 @@ func (s *Store) recover() error {
 		return fmt.Errorf("kvstore: scanning logs: %w", err)
 	}
 	s.obsRecoveryPhase(obs.RecPhaseLogParse, &phase)
-	// Chain-validated replay: each key's records arrive in increasing TS
-	// order, and a linked (non-anchor) record merges only when its prev
-	// link matches the state replay rebuilt. A mismatch means the record's
-	// base was never rebuilt — a predecessor's log vanished wholesale, so
-	// the vanished log constrained neither the cutoff nor anything else —
-	// and merging anyway would fabricate a column mix no execution
-	// produced. The key stays at its last anchored prefix instead (refusal
-	// IS the rollback: records replay in version order, so whatever the
-	// key holds when a link breaks is the longest prefix the surviving
-	// logs can vouch for), and the rollback is counted in BrokenChains.
-	// Once a link breaks, later linked records cannot spuriously match the
-	// stale state (versions strictly increase past it); only an anchor —
-	// an insert, or a column-complete prev==0 record — resumes the key.
-	// Values are rebuilt with the record's originating worker as their
-	// worker tag, so cross-log handoff detection stays exact after a
-	// restart.
-	var brokenChains atomic.Int64
-	res.ReplayByKey(max(4, runtime.GOMAXPROCS(0)), func(recs []wal.Record) {
-		broken := false
-		for _, r := range recs {
-			switch r.Op {
-			case wal.OpPut, wal.OpPutTTL, wal.OpInsert, wal.OpInsertTTL:
-				s.tree.Update(r.Key, func(old *value.Value) *value.Value {
-					if old != nil && old.Version() >= r.TS {
-						return old // already reflected (e.g. via the checkpoint)
-					}
-					base := old
-					if r.Op.IsInsert() || r.Prev == 0 {
-						// Chain anchor: executed against an absent (or
-						// lazily-expired) base, or carrying every column of
-						// the value it published (handoff anchors, Touch).
-						// Replace rather than merge, so stale records of a
-						// cleanly-dropped (evicted/swept) predecessor cannot
-						// fold their columns into the recovered value.
-						base = nil
-					} else if old.Version() != r.Prev {
-						broken = true
-						return old // broken chain: hold the anchored prefix
-					}
-					// RecoverDirAboveFS refused any log whose id the tag
-					// cannot hold, so the conversion is exact.
-					return value.BuildTTLAt(base, r.Puts, r.TS, uint32(r.Worker), r.Expiry)
-				})
-			case wal.OpRemove:
-				s.tree.RemoveIf(r.Key, func(old *value.Value) bool { return old.Version() < r.TS })
+	// The parts are ascending disjoint key ranges, so together they are the
+	// checkpoint in key order. Sorted by key, then TS, each key's records
+	// follow in increasing version order (§5); one key's records have
+	// distinct timestamps, so an unstable sort is exact.
+	es, recs := slices.Concat(parts...), res.Records
+	slices.SortFunc(recs, byKeyTS)
+	ranges := runtime.GOMAXPROCS(0)
+	maxVersion := make([]uint64, ranges)
+	brokenChains := make([]int64, ranges)
+	var wg sync.WaitGroup
+	e0, r0 := 0, 0
+	for i := range ranges {
+		// Cut at a key of the longer input, so the ranges are about equal.
+		e1, r1 := len(es), len(recs)
+		if n := max(e1, r1); i+1 < ranges && n > 0 {
+			var k []byte
+			if e1 == n {
+				k = es[(i+1)*e1/ranges].Key
+			} else {
+				k = recs[(i+1)*r1/ranges].Key
 			}
+			e1 = sort.Search(e1, func(j int) bool { return bytes.Compare(es[j].Key, k) >= 0 })
+			r1 = sort.Search(r1, func(j int) bool { return bytes.Compare(recs[j].Key, k) >= 0 })
 		}
-		if broken {
-			brokenChains.Add(1)
-			s.obs.Recorder().Record(int(recs[0].Worker), obs.EvChainBreak, obs.KeyHash(recs[0].Key), 0)
-		}
-	})
+		wg.Add(1)
+		go func(es []checkpoint.Entry, recs []wal.Record) {
+			defer wg.Done()
+			maxVersion[i], brokenChains[i] = s.restoreRange(es, recs)
+		}(es[e0:e1], recs[r0:r1])
+		e0, r0 = e1, r1
+	}
+	wg.Wait()
 	s.obsRecoveryPhase(obs.RecPhaseReplay, &phase)
-	s.recovered.BrokenChains = brokenChains.Load()
+	for _, n := range brokenChains {
+		s.recovered.BrokenChains += n
+	}
 	s.recovered.MissingLogs = int64(res.MissingLogs)
 	if res.MissingLogs > 0 {
 		s.obs.Recorder().Record(0, obs.EvLogMissing, uint64(res.MissingLogs), 0)
@@ -384,14 +368,7 @@ func (s *Store) recover() error {
 	// reclaimed the logs that recorded them — without it, a later checkpoint
 	// could carry a lower start timestamp than a surviving older one and
 	// checkpoint.Latest would restore the stale state.
-	clock := res.MaxTS
-	if mv := maxVersion.Load(); mv > clock {
-		clock = mv
-	}
-	if ckptTS > clock {
-		clock = ckptTS
-	}
-	s.clock.seed(clock)
+	s.clock.seed(max(res.MaxTS, slices.Max(maxVersion), ckptTS))
 	logs, err := wal.OpenSetFS(s.fsys, s.cfg.Dir, s.cfg.Workers, res.MaxGen+1, s.cfg.SyncWrites, s.cfg.FlushInterval)
 	if err != nil {
 		return err
@@ -401,59 +378,110 @@ func (s *Store) recover() error {
 	return nil
 }
 
-// loadCheckpoint loads the newest fully valid checkpoint (checkpoint.Latest)
-// with its parts inserted concurrently, one goroutine per part. Parts cover
-// disjoint key ranges, so the inserts never contend on a key; the version
-// guard keeps the load idempotent against anything else in the tree.
-func (s *Store) loadCheckpoint(maxVersion *atomic.Uint64) (ts uint64, err error) {
-	ts, parts, err := checkpoint.Latest(s.fsys, s.cfg.Dir)
-	if err != nil {
-		return 0, err
+// byKeyTS orders log records by key, then by timestamp.
+func byKeyTS(a, b wal.Record) int {
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
 	}
-	var wg sync.WaitGroup
-	for _, es := range parts {
-		wg.Add(1)
-		go func(es []checkpoint.Entry) {
-			defer wg.Done()
-			s.insertCheckpointPart(es, maxVersion)
-		}(es)
-	}
-	wg.Wait()
-	return ts, nil
+	return cmp.Compare(a.TS, b.TS)
 }
 
-// insertCheckpointPart inserts one part's entries in batched chunks:
-// entries arrive in key order, so PutBatchInto applies whole runs of
-// adjacent keys under a single border-node lock acquisition instead of one
-// full descent per key.
-func (s *Store) insertCheckpointPart(es []checkpoint.Entry, maxVersion *atomic.Uint64) {
+// restoreRange restores one key range: es are its checkpoint entries and
+// recs its records, both in key order and the records of a key in increasing
+// TS order. Each key's records are folded over its checkpointed value
+// (replay), and the values that survive are put in 256-key PutBatchInto
+// chunks, so runs of adjacent keys share one border-node lock acquisition.
+// Ranges are disjoint and the tree starts empty, so every put inserts. It
+// returns the largest checkpointed version and how many keys' chains broke.
+func (s *Store) restoreRange(es []checkpoint.Entry, recs []wal.Record) (maxVersion uint64, brokenChains int64) {
 	const chunk = 256
 	var sc core.BatchScratch
 	keys := make([][]byte, 0, chunk)
-	localMax := uint64(0)
-	for base := 0; base < len(es); base += chunk {
-		end := min(base+chunk, len(es))
-		keys = keys[:0]
-		for _, e := range es[base:end] {
-			keys = append(keys, e.Key)
-		}
-		s.tree.PutBatchInto(keys, &sc, func(i int, old *value.Value) *value.Value {
-			e := es[base+i]
-			if v := e.Value.Version(); v > localMax {
-				localMax = v
-			}
-			if old != nil && old.Version() >= e.Value.Version() {
-				return nil // already reflected; decline
-			}
-			return e.Value
-		})
+	vals := make([]*value.Value, 0, chunk)
+	load := func() {
+		s.tree.PutBatchInto(keys, &sc, func(i int, _ *value.Value) *value.Value { return vals[i] })
+		keys, vals = keys[:0], vals[:0]
 	}
-	for {
-		cur := maxVersion.Load()
-		if localMax <= cur || maxVersion.CompareAndSwap(cur, localMax) {
-			return
+	for len(es) > 0 || len(recs) > 0 {
+		var key []byte
+		var v *value.Value
+		if len(es) > 0 && (len(recs) == 0 || bytes.Compare(es[0].Key, recs[0].Key) <= 0) {
+			key, v = es[0].Key, es[0].Value
+			maxVersion = max(maxVersion, v.Version())
+			es = es[1:]
+		} else {
+			key = recs[0].Key
+		}
+		n := 0
+		for n < len(recs) && bytes.Equal(recs[n].Key, key) {
+			n++
+		}
+		v, broken := replay(v, recs[:n])
+		if broken {
+			brokenChains++
+			s.obs.Recorder().Record(recs[0].Worker, obs.EvChainBreak, obs.KeyHash(key), 0)
+		}
+		recs = recs[n:]
+		if v != nil {
+			keys, vals = append(keys, key), append(vals, v)
+			if len(keys) == chunk {
+				load()
+			}
 		}
 	}
+	if len(keys) > 0 {
+		load()
+	}
+	return maxVersion, brokenChains
+}
+
+// replay folds one key's surviving log records, in increasing TS order,
+// over v, the key's checkpointed value (nil if the checkpoint lacks the
+// key), and returns the key's final value (nil if it ends absent) and
+// whether its chain broke.
+//
+// The fold is chain-validated: a linked (non-anchor) record merges only
+// when its prev link matches the state replay rebuilt. A mismatch means the
+// record's base was never rebuilt — a predecessor's log vanished wholesale,
+// so the vanished log constrained neither the cutoff nor anything else —
+// and merging anyway would fabricate a column mix no execution produced.
+// The key stays at its last anchored prefix instead (refusal IS the
+// rollback: records replay in version order, so whatever the key holds when
+// a link breaks is the longest prefix the surviving logs can vouch for),
+// and the rollback is counted in BrokenChains. Once a link breaks, later
+// linked records cannot spuriously match the stale state (versions strictly
+// increase past it); only an anchor — an insert, or a column-complete
+// prev==0 record — resumes the key. Values are rebuilt with the record's
+// originating worker as their worker tag, so cross-log handoff detection
+// stays exact after a restart.
+func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
+	for _, r := range recs {
+		if v != nil && v.Version() >= r.TS {
+			continue // already reflected (e.g. via the checkpoint)
+		}
+		switch r.Op {
+		case wal.OpPut, wal.OpPutTTL, wal.OpInsert, wal.OpInsertTTL:
+			base := v
+			if r.Op.IsInsert() || r.Prev == 0 {
+				// Chain anchor: executed against an absent (or
+				// lazily-expired) base, or carrying every column of the
+				// value it published (handoff anchors, Touch). Replace
+				// rather than merge, so stale records of a cleanly-dropped
+				// (evicted/swept) predecessor cannot fold their columns
+				// into the recovered value.
+				base = nil
+			} else if v.Version() != r.Prev {
+				broken = true
+				continue // broken chain: hold the anchored prefix
+			}
+			// RecoverDirAboveFS refused any log whose id the tag cannot
+			// hold, so the conversion is exact.
+			v = value.BuildTTLAt(base, r.Puts, r.TS, uint32(r.Worker), r.Expiry)
+		case wal.OpRemove:
+			v = nil
+		}
+	}
+	return v, broken
 }
 
 func (s *Store) maintainLoop() {

@@ -51,9 +51,9 @@ const (
 
 // Recovery phase codes for EvRecoveryPhase's arg1.
 const (
-	RecPhaseCheckpoint = 1 // checkpoint parts loaded
+	RecPhaseCheckpoint = 1 // checkpoint parts read and parsed
 	RecPhaseLogParse   = 2 // log files parsed
-	RecPhaseReplay     = 3 // records replayed into the tree
+	RecPhaseReplay     = 3 // keys' records folded and the tree loaded
 )
 
 var kindNames = [numKinds]string{

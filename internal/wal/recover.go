@@ -55,8 +55,10 @@ func ListLogFiles(dir string) ([]LogFile, error) {
 
 // RecoveryResult is the outcome of scanning a log directory.
 type RecoveryResult struct {
-	// Records holds all surviving records (timestamp <= Cutoff), grouped by
-	// nothing in particular; use Replay to apply them in order.
+	// Records holds all surviving records (timestamp <= Cutoff): each
+	// worker's in log order, the workers in no particular order. Recovery
+	// sorts them by key, then TS, to apply each key's records in increasing
+	// version order (§5).
 	Records []Record
 	// Cutoff is t = min over logs of the log's maximum durable timestamp
 	// (§5). Records with larger timestamps were dropped: some worker may not
@@ -220,39 +222,4 @@ func (s *Set) Mark(ts uint64) {
 	for _, w := range s.writers {
 		w.Append(&Record{TS: ts, Op: OpMark})
 	}
-}
-
-// ReplayByKey applies the surviving records in increasing version order
-// per key, partitioned across parallel goroutines by key so a value's
-// updates stay ordered (§5: "plays back the logged updates in parallel,
-// taking care to apply a value's updates in increasing order by version").
-// apply receives each key's full record sequence at once, sorted by
-// increasing TS, so a chain-validating loader can carry per-key state — a
-// broken prev link, the last anchored prefix — across the key's records
-// without a global map.
-func (r *RecoveryResult) ReplayByKey(parallelism int, apply func(recs []Record)) {
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	// Group records by key.
-	byKey := map[string][]Record{}
-	for _, rec := range r.Records {
-		byKey[string(rec.Key)] = append(byKey[string(rec.Key)], rec)
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		sort.Slice(byKey[k], func(i, j int) bool { return byKey[k][i].TS < byKey[k][j].TS })
-		keys = append(keys, k)
-	}
-	var wg sync.WaitGroup
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < len(keys); i += parallelism {
-				apply(byKey[keys[i]])
-			}
-		}(p)
-	}
-	wg.Wait()
 }

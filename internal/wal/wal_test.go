@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -207,34 +206,6 @@ func TestBackgroundFlush(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	set.Close()
-}
-
-func TestReplayOrderPerKey(t *testing.T) {
-	res := &RecoveryResult{
-		Records: []Record{
-			{TS: 5, Op: OpPut, Key: []byte("a")},
-			{TS: 1, Op: OpPut, Key: []byte("a")},
-			{TS: 3, Op: OpPut, Key: []byte("b")},
-			{TS: 2, Op: OpPut, Key: []byte("a")},
-			{TS: 4, Op: OpPut, Key: []byte("b")},
-		},
-	}
-	got := map[string][]uint64{}
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	res.ReplayByKey(4, func(recs []Record) {
-		<-mu
-		for _, r := range recs {
-			got[string(r.Key)] = append(got[string(r.Key)], r.TS)
-		}
-		mu <- struct{}{}
-	})
-	if !reflect.DeepEqual(got["a"], []uint64{1, 2, 5}) {
-		t.Fatalf("key a order: %v", got["a"])
-	}
-	if !reflect.DeepEqual(got["b"], []uint64{3, 4}) {
-		t.Fatalf("key b order: %v", got["b"])
-	}
 }
 
 // TestBatchRoundTrip checks that every record form of the batch appender
