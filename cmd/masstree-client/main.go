@@ -237,7 +237,7 @@ func statsGroup(name string) string {
 	case "loads", "load_errors", "herd_coalesced", "stale_served", "negative_hits",
 		"breaker_state", "breaker_opens", "writebehind_depth", "writebehind_drops":
 		return "backend"
-	case "nodes_up", "nodes_total", "stats_partial", "hedges", "hedge_wins", "split_batches":
+	case "nodes_up", "nodes_total", "stats_partial", "hedges", "hedge_wins":
 		return "cluster"
 	}
 	switch {

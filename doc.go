@@ -176,10 +176,9 @@
 // pipelined v2 to each through a small per-node connection pool. Its
 // single-key calls are client.KV's, the one typed face client.Conn embeds
 // too, so both decode a response status the same way; a single GetRange is
-// refused on more than one node, because a range spans shards.
-// GetBatch/PutBatch split by owner shard, fan out concurrently, and merge
-// replies in request order; a single-owner batch is forwarded verbatim, so
-// a Cluster over one node is byte-identical to a plain client.Conn.
+// refused on more than one node, because a range spans shards. Every call
+// is one request to its key's owner, so a Cluster over one node answers as
+// a plain client.Conn does.
 // Failure is the design center: per-node health is the circuit breaker
 // the backend tier uses too (internal/breaker: consecutive transport
 // failures trip a node Down, after which its shard fails fast with

@@ -14,7 +14,8 @@
 //     DESIGN.md).
 //
 // The tree does not rebalance (neither did the paper's; its keys are random,
-// which keeps expected depth logarithmic). Remove is a logical tombstone.
+// which keeps expected depth logarithmic). It implements what Figure 8
+// runs, gets and puts; there is no remove.
 package binarytree
 
 import (
@@ -44,7 +45,7 @@ type Tree struct {
 }
 
 // node is a BST node. key and ikey are immutable after construction; val,
-// left, and right are accessed atomically. A nil val is a tombstone.
+// left, and right are accessed atomically.
 type node struct {
 	key   []byte
 	ikey  []uint64 // big-endian 8-byte slices, when intCmp
@@ -115,11 +116,7 @@ func (t *Tree) Get(key []byte) (*value.Value, bool) {
 	for n != nil {
 		c := t.compare(key, n)
 		if c == 0 {
-			v := (*value.Value)(atomic.LoadPointer(&n.val))
-			if v == nil {
-				return nil, false // tombstone
-			}
-			return v, true
+			return (*value.Value)(atomic.LoadPointer(&n.val)), true
 		}
 		if c < 0 {
 			n = (*node)(atomic.LoadPointer(&n.left))
@@ -130,7 +127,7 @@ func (t *Tree) Get(key []byte) (*value.Value, bool) {
 	return nil, false
 }
 
-// Put stores v for key, reporting whether it replaced a live value.
+// Put stores v for key, reporting whether it replaced a value.
 func (t *Tree) Put(key []byte, v *value.Value) bool {
 	for {
 		addr := &t.root //lint:allow atomicfield address escapes into addr, which is only ever dereferenced via sync/atomic below
@@ -138,11 +135,7 @@ func (t *Tree) Put(key []byte, v *value.Value) bool {
 		for n != nil {
 			c := t.compare(key, n)
 			if c == 0 {
-				old := atomic.SwapPointer(&n.val, unsafe.Pointer(v))
-				if old == nil {
-					t.count.Add(1)
-					return false
-				}
+				atomic.StorePointer(&n.val, unsafe.Pointer(v))
 				return true
 			}
 			if c < 0 {
@@ -166,29 +159,9 @@ func (t *Tree) Put(key []byte, v *value.Value) bool {
 	}
 }
 
-// Remove tombstones key, reporting whether it was present.
-func (t *Tree) Remove(key []byte) bool {
-	n := (*node)(atomic.LoadPointer(&t.root))
-	for n != nil {
-		c := t.compare(key, n)
-		if c == 0 {
-			old := atomic.SwapPointer(&n.val, nil)
-			if old != nil {
-				t.count.Add(-1)
-				return true
-			}
-			return false
-		}
-		if c < 0 {
-			n = (*node)(atomic.LoadPointer(&n.left))
-		} else {
-			n = (*node)(atomic.LoadPointer(&n.right))
-		}
-	}
-	return false
-}
-
-// Len returns the number of live keys.
+// Len returns the number of keys. No figure reads it, but the count stays:
+// core.Tree's Put pays the same shared atomic add on every insert, and
+// dropping it from the baselines alone would skew Figure 8.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
 func (t *Tree) alloc() *node {

@@ -26,7 +26,7 @@ func TestModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < 5000; i++ {
 				k := fmt.Sprintf("%d", rng.Intn(2000))
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0, 1:
 					v := fmt.Sprintf("v%d", i)
 					replaced := tr.Put([]byte(k), value.New([]byte(v)))
@@ -40,12 +40,6 @@ func TestModel(t *testing.T) {
 					if ok != wantOK || (ok && string(v.Bytes()) != want) {
 						t.Fatalf("get %q = %v,%v want %q,%v", k, v, ok, want, wantOK)
 					}
-				case 3:
-					ok := tr.Remove([]byte(k))
-					if _, had := model[k]; had != ok {
-						t.Fatalf("remove %q = %v, want %v", k, ok, had)
-					}
-					delete(model, k)
 				}
 				if tr.Len() != len(model) {
 					t.Fatalf("len %d vs %d", tr.Len(), len(model))

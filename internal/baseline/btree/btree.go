@@ -1,28 +1,23 @@
 // Package btree implements the paper's concurrent B+-tree baseline (§6.2
-// Figure 8 "B-tree", "+Prefetch", "+Permuter"; §6.4; Figure 9): a width-15
-// B+-tree using the same optimistic concurrency control scheme as Masstree
-// but storing whole keys instead of a trie of slices. A node holds one
-// pointer a slot to a separately allocated, immutable key object (bkey): the
-// key's first 8 bytes as an integer, its first 16 bytes, and for a longer
-// key a pointer to the whole key. So every comparison dereferences a bkey,
-// and a comparison that exhausts the 16-byte prefix chases the whole key as
-// well — the extra DRAM fetch that motivates Masstree's design (Figure 9's
-// gap).
+// Figure 8 "B-tree" and "+Permuter"; §6.4; Figure 9): a width-15 B+-tree
+// using the same optimistic concurrency control scheme as Masstree but
+// storing whole keys instead of a trie of slices. A node holds one pointer a
+// slot to a separately allocated, immutable key object (bkey): the key's
+// first 8 bytes as an integer, its first 16 bytes, and for a longer key a
+// pointer to the whole key. So every comparison dereferences a bkey, and a
+// comparison that exhausts the 16-byte prefix chases the whole key as well —
+// the extra DRAM fetch that motivates Masstree's design (Figure 9's gap).
 //
-// Options mirror the paper's ladder:
-//
-//   - WithPermuter publishes inserts through an atomic permutation word as
-//     Masstree does (§4.6.2); without it, inserts shift the sorted key array
-//     in place under the inserting dirty bit and force concurrent readers to
-//     retry, which is the plain "B-tree" bar.
-//   - WithPrefetch is accepted for completeness and is a documented no-op:
-//     this package does not yet import internal/core's assembler prefetch
-//     stub (DESIGN.md substitution #1), so the rung prefetches nothing.
+// WithPermuter publishes inserts through an atomic permutation word as
+// Masstree does (§4.6.2); without it, inserts shift the sorted key array in
+// place under the inserting dirty bit and force concurrent readers to retry,
+// which is the plain "B-tree" bar. Figure 8's "+Prefetch" rung has no option
+// here: the tree prefetches nothing, so that row is B-tree's.
 //
 // Gets are lock-free; puts lock only affected nodes; splits use
 // hand-over-hand locking up the tree. Border nodes are B-link-chained with
-// constant lowkeys. Remove shrinks nodes but (unlike Masstree) never
-// deletes them — the paper's baseline needed only get/put workloads.
+// constant lowkeys. The tree implements what the figures run, gets and puts;
+// there is no remove.
 package btree
 
 import (
@@ -44,10 +39,6 @@ type Option func(*Tree)
 
 // WithPermuter enables permutation-based insert publication ("+Permuter").
 func WithPermuter() Option { return func(t *Tree) { t.permuter = true } }
-
-// WithPrefetch is the "+Prefetch" rung; a no-op until this package imports
-// internal/core's prefetch stub.
-func WithPrefetch() Option { return func(t *Tree) { t.prefetch = true } }
 
 // bkey is an immutable stored key: an inline prefix plus, for keys longer
 // than 16 bytes, the complete key in a separately-allocated block. lead is
@@ -177,7 +168,6 @@ type Tree struct {
 	root     atomic.Pointer[nodeHeader]
 	count    atomic.Int64
 	permuter bool
-	prefetch bool
 }
 
 // New creates an empty tree.
@@ -193,7 +183,9 @@ func New(opts ...Option) *Tree {
 	return t
 }
 
-// Len returns the number of keys.
+// Len returns the number of keys. No figure reads it, but the count stays:
+// core.Tree's Put pays the same shared atomic add on every insert, and
+// dropping it from the baselines alone would skew Figure 8.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
 // ---- permutation helpers (subset of Masstree's, §4.6.2) ----
@@ -225,20 +217,4 @@ func (p perm) insert(rank int) (perm, int) {
 		q |= uint64(a[i]) << (4 * uint(i+1))
 	}
 	return perm(q), slot
-}
-
-func (p perm) remove(rank int) perm {
-	n := p.count()
-	var a [width]int
-	for i := 0; i < width; i++ {
-		a[i] = p.slot(i)
-	}
-	slot := a[rank]
-	copy(a[rank:n-1], a[rank+1:n])
-	a[n-1] = slot
-	q := uint64(n - 1)
-	for i := 0; i < width; i++ {
-		q |= uint64(a[i]) << (4 * uint(i+1))
-	}
-	return perm(q)
 }

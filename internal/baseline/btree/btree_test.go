@@ -14,7 +14,6 @@ func modes() map[string]func() *Tree {
 	return map[string]func() *Tree{
 		"plain":    func() *Tree { return New() },
 		"permuter": func() *Tree { return New(WithPermuter()) },
-		"prefetch": func() *Tree { return New(WithPrefetch(), WithPermuter()) },
 	}
 }
 
@@ -70,7 +69,7 @@ func TestModel(t *testing.T) {
 				} else {
 					k = fmt.Sprintf("long-key-prefix-%08d", rng.Intn(3000))
 				}
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0, 1:
 					v := fmt.Sprintf("v%d", i)
 					replaced := tr.Put([]byte(k), value.New([]byte(v)))
@@ -84,12 +83,6 @@ func TestModel(t *testing.T) {
 					if ok != wantOK || (ok && string(v.Bytes()) != want) {
 						t.Fatalf("op %d: get %q = %v,%v want %q,%v", i, k, v, ok, want, wantOK)
 					}
-				case 3:
-					ok := tr.Remove([]byte(k))
-					if _, had := model[k]; had != ok {
-						t.Fatalf("op %d: remove %q = %v want %v", i, k, ok, had)
-					}
-					delete(model, k)
 				}
 				if tr.Len() != len(model) {
 					t.Fatalf("op %d: len %d vs %d", i, tr.Len(), len(model))

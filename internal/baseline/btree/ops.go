@@ -174,43 +174,6 @@ func (t *Tree) Put(key []byte, v *value.Value) bool {
 	return false
 }
 
-// Remove deletes key, reporting presence. Nodes are never deleted (baseline
-// scope; see package comment).
-func (t *Tree) Remove(key []byte) bool {
-	root := t.root.Load()
-	n, _ := findBorder(root, key)
-	n.h.version.Lock()
-	for {
-		next := n.next.Load()
-		if next == nil || next.lowkey == nil || next.lowkey.compare(key) < 0 {
-			break
-		}
-		next.h.version.Lock()
-		n.h.version.Unlock()
-		n = next
-	}
-	p := perm(n.permutation.Load())
-	rank, found := t.search(n, p, key)
-	if !found {
-		n.h.version.Unlock()
-		return false
-	}
-	if t.permuter {
-		n.permutation.Store(uint64(p.remove(rank)))
-	} else {
-		n.h.version.MarkInserting()
-		cnt := int(n.nkeys.Load())
-		for i := rank; i < cnt-1; i++ {
-			n.keys[i].Store(n.keys[i+1].Load())
-			atomic.StorePointer(&n.vals[i], atomic.LoadPointer(&n.vals[i+1]))
-		}
-		n.nkeys.Store(int32(cnt - 1))
-	}
-	n.h.version.Unlock()
-	t.count.Add(-1)
-	return true
-}
-
 // insertAt writes a new key into the locked, non-full border node.
 func (t *Tree) insertAt(n *borderNode, p perm, rank int, key []byte, v *value.Value) {
 	bk := makeKey(key)

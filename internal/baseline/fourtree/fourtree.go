@@ -9,7 +9,8 @@
 // are immutable once published (a k-ary search tree in the style of Brown
 // and Helga), and leaves are replaced wholesale through their parent's child
 // pointer. The tree never rebalances — 4-tree "would be difficult to
-// balance", which is why the paper moves on to B-trees.
+// balance", which is why the paper moves on to B-trees. It implements what
+// Figure 8 runs, gets and puts; there is no remove.
 package fourtree
 
 import (
@@ -79,7 +80,9 @@ func New() *Tree {
 	return t
 }
 
-// Len returns the number of keys.
+// Len returns the number of keys. No figure reads it, but the count stays:
+// core.Tree's Put pays the same shared atomic add on every insert, and
+// dropping it from the baselines alone would skew Figure 8.
 func (t *Tree) Len() int { return int(t.count.Load()) }
 
 // childIndex routes key k within an internal node: child i holds keys in
@@ -118,21 +121,6 @@ func (t *Tree) Put(key []byte, v *value.Value) bool {
 				t.count.Add(1)
 			}
 			return replaced
-		}
-	}
-}
-
-// Remove deletes key, reporting whether it was present.
-func (t *Tree) Remove(key []byte) bool {
-	for {
-		parent, idx, leaf := t.findLeaf(key)
-		replacement, removed := leaf.withRemove(key)
-		if !removed {
-			return false
-		}
-		if t.swap(parent, idx, leaf, replacement) {
-			t.count.Add(-1)
-			return true
 		}
 	}
 }
@@ -192,20 +180,4 @@ func (n *node) withPut(key []byte, v *value.Value) (*node, bool) {
 		in.kids[i].Store(&node{leaf: true, keys: keys[i : i+1], leads: leadsOf(keys[i : i+1]), vals: vals[i : i+1]})
 	}
 	return in, false
-}
-
-// withRemove returns a replacement leaf without key; removed reports whether
-// the key was present.
-func (n *node) withRemove(key []byte) (*node, bool) {
-	lead := leadOf(key)
-	for i := range n.keys {
-		if n.cmpKey(key, lead, i) == 0 {
-			repl := &node{leaf: true}
-			repl.keys = append(append([][]byte(nil), n.keys[:i]...), n.keys[i+1:]...)
-			repl.leads = leadsOf(repl.keys)
-			repl.vals = append(append([]*value.Value(nil), n.vals[:i]...), n.vals[i+1:]...)
-			return repl, true
-		}
-	}
-	return nil, false
 }

@@ -15,7 +15,7 @@ func TestModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8000; i++ {
 		k := fmt.Sprintf("%d", rng.Intn(3000))
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0, 1:
 			v := fmt.Sprintf("v%d", i)
 			replaced := tr.Put([]byte(k), value.New([]byte(v)))
@@ -29,12 +29,6 @@ func TestModel(t *testing.T) {
 			if ok != wantOK || (ok && string(v.Bytes()) != want) {
 				t.Fatalf("get %q mismatch", k)
 			}
-		case 3:
-			ok := tr.Remove([]byte(k))
-			if _, had := model[k]; had != ok {
-				t.Fatalf("remove %q = %v want %v", k, ok, had)
-			}
-			delete(model, k)
 		}
 		if tr.Len() != len(model) {
 			t.Fatalf("len %d vs model %d", tr.Len(), len(model))
@@ -109,15 +103,10 @@ func TestConcurrentMixed(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 10000; i++ {
 				k := []byte(fmt.Sprintf("hot%03d", rng.Intn(200)))
-				switch rng.Intn(3) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					tr.Put(k, value.New(k))
-				case 1:
-					if v, ok := tr.Get(k); ok && string(v.Bytes()) != string(k) {
-						panic("wrong value")
-					}
-				case 2:
-					tr.Remove(k)
+				} else if v, ok := tr.Get(k); ok && string(v.Bytes()) != string(k) {
+					panic("wrong value")
 				}
 			}
 		}(int64(w))

@@ -8,7 +8,8 @@
 // at 30% occupancy and inspected 1.1 entries per lookup; there is no
 // resize). Buckets are prepend-only chains of immutable entries with
 // atomically-swapped value pointers: gets are lock-free and write no shared
-// memory, inserts CAS the bucket head, and removes tombstone the value.
+// memory, and inserts CAS the bucket head. The table implements what §6.4
+// runs, gets and puts; there is no remove.
 package hashtable
 
 import (
@@ -28,7 +29,7 @@ type Table struct {
 }
 
 // entry is one chain link. key and next are immutable after publication;
-// val is swapped atomically and nil means removed.
+// val is stored atomically.
 type entry struct {
 	key  []byte
 	val  unsafe.Pointer
@@ -56,28 +57,20 @@ func (t *Table) bucket(key []byte) *atomic.Pointer[entry] {
 func (t *Table) Get(key []byte) (*value.Value, bool) {
 	for e := t.bucket(key).Load(); e != nil; e = e.next {
 		if bytes.Equal(e.key, key) {
-			v := (*value.Value)(atomic.LoadPointer(&e.val))
-			if v == nil {
-				return nil, false
-			}
-			return v, true
+			return (*value.Value)(atomic.LoadPointer(&e.val)), true
 		}
 	}
 	return nil, false
 }
 
-// Put stores v for key, reporting whether a live value was replaced.
+// Put stores v for key, reporting whether a value was replaced.
 func (t *Table) Put(key []byte, v *value.Value) bool {
 	b := t.bucket(key)
 	for {
 		head := b.Load()
 		for e := head; e != nil; e = e.next {
 			if bytes.Equal(e.key, key) {
-				old := atomic.SwapPointer(&e.val, unsafe.Pointer(v))
-				if old == nil {
-					t.count.Add(1)
-					return false
-				}
+				atomic.StorePointer(&e.val, unsafe.Pointer(v))
 				return true
 			}
 		}
@@ -90,19 +83,7 @@ func (t *Table) Put(key []byte, v *value.Value) bool {
 	}
 }
 
-// Remove tombstones key, reporting whether it was present.
-func (t *Table) Remove(key []byte) bool {
-	for e := t.bucket(key).Load(); e != nil; e = e.next {
-		if bytes.Equal(e.key, key) {
-			if atomic.SwapPointer(&e.val, nil) != nil {
-				t.count.Add(-1)
-				return true
-			}
-			return false
-		}
-	}
-	return false
-}
-
-// Len returns the number of live keys.
+// Len returns the number of keys. No figure reads it, but the count stays:
+// core.Tree's Put pays the same shared atomic add on every insert, and
+// dropping it from the baselines alone would skew §6.4's comparison.
 func (t *Table) Len() int { return int(t.count.Load()) }

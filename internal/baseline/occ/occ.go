@@ -13,7 +13,7 @@ const (
 	LockBit      uint64 = 1 << 0
 	InsertingBit uint64 = 1 << 1
 	SplittingBit uint64 = 1 << 2
-	DeletedBit   uint64 = 1 << 3
+	DeletedBit   uint64 = 1 << 3 // kept for Figure 3's layout; no baseline deletes a node
 	RootBit      uint64 = 1 << 4
 	BorderBit    uint64 = 1 << 5
 
@@ -78,10 +78,9 @@ func (n *Version) Unlock() {
 	n.v.Store(v)
 }
 
-// MarkInserting/MarkSplitting/MarkDeleted set state bits under the lock.
+// MarkInserting/MarkSplitting set state bits under the lock.
 func (n *Version) MarkInserting() { n.v.Store(n.v.Load() | InsertingBit) }
 func (n *Version) MarkSplitting() { n.v.Store(n.v.Load() | SplittingBit) }
-func (n *Version) MarkDeleted()   { n.v.Store(n.v.Load() | DeletedBit) }
 func (n *Version) ClearRoot()     { n.v.Store(n.v.Load() &^ RootBit) }
 
 // Changed reports whether two snapshots differ beyond the lock bit.
@@ -91,7 +90,6 @@ func Changed(a, b uint64) bool { return (a^b)&^LockBit != 0 }
 func VSplit(v uint64) uint64 { return v & vsplitMask }
 
 // Helpers for predicate bits.
-func Locked(v uint64) bool  { return v&LockBit != 0 }
-func Deleted(v uint64) bool { return v&DeletedBit != 0 }
-func Root(v uint64) bool    { return v&RootBit != 0 }
-func Border(v uint64) bool  { return v&BorderBit != 0 }
+func Locked(v uint64) bool { return v&LockBit != 0 }
+func Root(v uint64) bool   { return v&RootBit != 0 }
+func Border(v uint64) bool { return v&BorderBit != 0 }

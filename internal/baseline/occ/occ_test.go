@@ -9,17 +9,16 @@ func TestBits(t *testing.T) {
 	var v Version
 	v.Init(BorderBit | RootBit)
 	s := v.Load()
-	if !Border(s) || !Root(s) || Locked(s) || Deleted(s) {
+	if !Border(s) || !Root(s) || Locked(s) {
 		t.Fatalf("bits wrong: %#x", s)
 	}
 	v.Lock()
 	if !Locked(v.Load()) {
 		t.Fatal("not locked")
 	}
-	v.MarkDeleted()
 	v.Unlock()
-	if !Deleted(v.Load()) || Locked(v.Load()) {
-		t.Fatal("deleted/unlock wrong")
+	if Locked(v.Load()) {
+		t.Fatal("unlock wrong")
 	}
 }
 

@@ -8,7 +8,7 @@
 // Clients address a partition explicitly (the paper's clients send each
 // query to the instance appropriate for the query's key) and may batch
 // operations per message to amortize the hand-off, as network clients batch
-// queries.
+// queries. Figure 11 sends gets and puts; those are the only operations.
 package partition
 
 import (
@@ -26,7 +26,6 @@ type OpKind uint8
 const (
 	OpGet OpKind = iota
 	OpPut
-	OpRemove
 )
 
 // Op is one operation addressed to a partition.
@@ -89,17 +88,11 @@ func (s *Store) run(p *part) {
 			case OpPut:
 				old, replaced := p.tree.Put(op.Key, op.Value)
 				req.res[i] = Result{Value: old, OK: replaced}
-			case OpRemove:
-				old, ok := p.tree.Remove(op.Key)
-				req.res[i] = Result{Value: old, OK: ok}
 			}
 		}
 		close(req.done)
 	}
 }
-
-// Partitions returns the partition count.
-func (s *Store) Partitions() int { return len(s.parts) }
 
 // PartitionFor statically maps a key to its partition.
 func (s *Store) PartitionFor(key []byte) int {
@@ -116,36 +109,6 @@ func (s *Store) Do(partition int, ops []Op) []Result {
 	s.parts[partition].ch <- req
 	<-req.done
 	return res
-}
-
-// Get routes a single get by key hash.
-func (s *Store) Get(key []byte) (*value.Value, bool) {
-	r := s.Do(s.PartitionFor(key), []Op{{Kind: OpGet, Key: key}})
-	return r[0].Value, r[0].OK
-}
-
-// Put routes a single put by key hash.
-func (s *Store) Put(key []byte, v *value.Value) bool {
-	r := s.Do(s.PartitionFor(key), []Op{{Kind: OpPut, Key: key, Value: v}})
-	return r[0].OK
-}
-
-// Remove routes a single remove by key hash.
-func (s *Store) Remove(key []byte) bool {
-	r := s.Do(s.PartitionFor(key), []Op{{Kind: OpRemove, Key: key}})
-	return r[0].OK
-}
-
-// Len sums the partition sizes (quiesce first for an exact answer).
-func (s *Store) Len() int {
-	n := 0
-	for i, p := range s.parts {
-		done := make(chan struct{})
-		s.parts[i].ch <- batchReq{done: done}
-		<-done
-		n += p.tree.Len()
-	}
-	return n
 }
 
 // Close shuts down the executors.

@@ -5,7 +5,8 @@
 // removed. The paper measured concurrent Masstree within 13% of this
 // variant on one core; it is also the per-partition store of the
 // hard-partitioned configuration (§6.6), where each instance is owned by a
-// single core.
+// single core. It implements what those experiments run, gets and puts;
+// there is no remove or scan.
 //
 // Not safe for concurrent use.
 package seqtree
@@ -74,7 +75,9 @@ func New() *Tree {
 	return &Tree{root: &node{border: true}}
 }
 
-// Len returns the number of keys.
+// Len returns the number of keys. No figure reads it, but the count stays:
+// core.Tree's Put counts every insert, and dropping the count from the
+// baselines alone would skew the comparison.
 func (t *Tree) Len() int { return t.count }
 
 // descend walks interior nodes to the border node owning slice.

@@ -3,7 +3,6 @@ package seqtree
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/value"
@@ -39,20 +38,15 @@ func TestLayers(t *testing.T) {
 	if _, ok := tr.Get([]byte("01234567")); ok {
 		t.Fatal("phantom prefix")
 	}
-	if old, ok := tr.Remove([]byte("01234567XY")); !ok || string(old.Bytes()) != "2" {
-		t.Fatal("layer remove failed")
-	}
-	if _, ok := tr.Get([]byte("01234567AB")); !ok {
-		t.Fatal("AB lost after removing XY")
-	}
-	// Removing the last key collapses the layer immediately (sequential).
-	tr.Remove([]byte("01234567AB"))
-	if tr.Len() != 0 {
-		t.Fatalf("len %d", tr.Len())
+	if v, ok := tr.Get([]byte("01234567XY")); !ok || string(v.Bytes()) != "2" {
+		t.Fatal("layer get XY failed")
 	}
 	tr.Put([]byte("01234567CD"), value.New([]byte("3")))
 	if _, ok := tr.Get([]byte("01234567CD")); !ok {
-		t.Fatal("reinsert after collapse failed")
+		t.Fatal("third key in the layer lost")
+	}
+	if tr.Len() != 3 {
+		t.Fatalf("len %d", tr.Len())
 	}
 }
 
@@ -79,7 +73,7 @@ func TestModel(t *testing.T) {
 			}
 			for i := 0; i < 12000; i++ {
 				k := gen()
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0, 1, 2:
 					v := fmt.Sprintf("v%d", i)
 					_, replaced := tr.Put([]byte(k), value.New([]byte(v)))
@@ -93,47 +87,15 @@ func TestModel(t *testing.T) {
 					if ok != wantOK || (ok && string(v.Bytes()) != want) {
 						t.Fatalf("op %d: get %q mismatch", i, k)
 					}
-				case 4:
-					_, ok := tr.Remove([]byte(k))
-					if _, had := model[k]; had != ok {
-						t.Fatalf("op %d: remove %q = %v want %v", i, k, ok, had)
-					}
-					delete(model, k)
 				}
 				if tr.Len() != len(model) {
 					t.Fatalf("op %d: len %d vs %d", i, tr.Len(), len(model))
 				}
 			}
-			// Full scan must match the sorted model.
-			var want []string
-			for k := range model {
-				want = append(want, k)
-			}
-			sort.Strings(want)
-			var got []string
-			tr.Scan(nil, func(k []byte, v *value.Value) bool {
-				got = append(got, string(k))
-				if model[string(k)] != string(v.Bytes()) {
-					t.Fatalf("scan value mismatch for %q", k)
+			for k, v := range model {
+				if got, ok := tr.Get([]byte(k)); !ok || string(got.Bytes()) != v {
+					t.Fatalf("final: %q = %v,%v want %q", k, got, ok, v)
 				}
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("scan %d keys, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("scan order at %d: %q vs %q", i, got[i], want[i])
-				}
-			}
-			// Drain.
-			for k := range model {
-				if _, ok := tr.Remove([]byte(k)); !ok {
-					t.Fatalf("drain remove %q failed", k)
-				}
-			}
-			if tr.Len() != 0 {
-				t.Fatalf("len %d after drain", tr.Len())
 			}
 		})
 	}

@@ -28,7 +28,8 @@ func (a putAdapter) Put(k []byte, v *value.Value)      { a.put(k, v) }
 // fig8Rung is one rung of Figure 8's ladder: a named constructor, or the
 // name of the earlier rung Go builds it exactly as (same), which is not
 // measured again. The substitutions that make two rungs the same (+Flow/
-// +Superpage → node arena, +Prefetch → no-op) are flagged in the table notes.
+// +Superpage → node arena, +Prefetch → no prefetch) are flagged in the table
+// notes.
 type fig8Rung struct {
 	name string
 	mk   func() store
@@ -79,7 +80,7 @@ func Fig8(sc Scale) *Table {
 		Headers: []string{"design", "get Mreq/s", "get rel", "put Mreq/s", "put rel"},
 		Notes: []string{
 			"+Flow/+Superpage realized as a chunked node arena (Go cannot swap allocators); the two rungs coincide here, so +Superpage's row is +Flow's, not measured again",
-			"+Prefetch is a documented no-op (the baseline does not yet import internal/core's prefetch stub); node layout is unchanged, so its row is B-tree's, not measured again",
+			"+Prefetch has no counterpart here: the B-tree baseline prefetches nothing (it does not import internal/core's prefetch stub), so its row is B-tree's, not measured again",
 			"relative columns are normalized to Binary's get throughput, as in the paper",
 		},
 	}

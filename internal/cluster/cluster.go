@@ -27,18 +27,12 @@
 //     a flow orphaned by a partition, head-of-line blocking behind a deep
 //     batch, a lossy path — without ever consulting the wrong shard.
 //
-// Single-key calls are client.KV's, which Cluster embeds as client.Conn
-// does: the same methods, the same status decoding, over an executor that
-// sends gets to hedgedRead and every other request to writeOne, both on
-// the key's owner. A single GetRange is refused on more than one node,
-// because a range spans shards.
-//
-// Batches shard transparently: GetBatch/PutBatch (and the general Do)
-// split a request batch by owner, fan the sub-batches out concurrently,
-// and merge replies back into request order. A batch that lands entirely
-// on one node is forwarded verbatim — which is why a Cluster over a single
-// node is byte-for-byte equivalent to a plain client.Conn (pinned by
-// TestClusterSingleNodeEquivalence).
+// Every call is client.KV's, which Cluster embeds as client.Conn does: the
+// same methods, the same status decoding, over an executor that sends each
+// request alone to its key's owner, gets through hedgedRead. A single
+// GetRange is refused on more than one node, because a range spans shards.
+// There is no batch call, so a Cluster over a single node answers exactly
+// as a plain client.Conn does (pinned by TestClusterSingleNodeEquivalence).
 package cluster
 
 import (
@@ -185,104 +179,43 @@ func (c *Cluster) probeLoop() {
 // both want to ask "who owns this key").
 func (c *Cluster) Owner(key []byte) int { return c.ring.Owner(key) }
 
-// exec runs one request batch against node n over a pooled connection and
-// returns cloned (caller-owned) responses. Transport failures feed the
+// exec runs one request against node n over a pooled connection and
+// returns its cloned (caller-owned) response. Transport failures feed the
 // node's breaker; protocol-level statuses do not.
-func (c *Cluster) exec(n *node, reqs []wire.Request) ([]wire.Response, error) {
+func (c *Cluster) exec(n *node, req wire.Request) (wire.Response, error) {
 	conn, err := n.conn()
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
 	start := time.Now()
-	resps, err := conn.Do(reqs)
+	resps, err := conn.Do([]wire.Request{req})
 	c.rpcHist.Record(n.idx, time.Since(start))
 	n.feedback(conn, err)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: node %s: %w", n.addr, err)
+		return wire.Response{}, fmt.Errorf("cluster: node %s: %w", n.addr, err)
 	}
-	return resps, nil
+	return resps[0], nil
 }
 
-// Do executes a mixed request batch, routing each request to its key's
-// owner: requests are grouped by owner (preserving relative order within
-// each node's sub-batch, which keeps the server's run-batching effective),
-// the groups fan out concurrently, and replies merge back into request
-// order. With a single owner the batch is forwarded verbatim.
-//
-// On a per-node failure the whole call returns that node's error; requests
-// routed to other nodes still executed (puts may have applied). Callers
-// needing partial results should shard their batches themselves.
-func (c *Cluster) Do(reqs []wire.Request) ([]wire.Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	// Fast path: one owner for the whole batch (always true for N=1).
-	first := c.ring.Owner(reqs[0].Key)
-	single := true
-	for i := 1; i < len(reqs); i++ {
-		if c.ring.Owner(reqs[i].Key) != first {
-			single = false
-			break
-		}
-	}
-	if single {
-		return c.exec(c.nodes[first], reqs)
-	}
-
-	c.stats.splitBatches.Add(1)
-	groups := make(map[int][]int) // node -> request indices, in order
-	for i := range reqs {
-		o := c.ring.Owner(reqs[i].Key)
-		groups[o] = append(groups[o], i)
-	}
-	out := make([]wire.Response, len(reqs))
-	errCh := make(chan error, len(groups))
-	for o, idxs := range groups {
-		go func(o int, idxs []int) {
-			sub := make([]wire.Request, len(idxs))
-			for j, i := range idxs {
-				sub[j] = reqs[i]
-			}
-			resps, err := c.exec(c.nodes[o], sub)
-			if err == nil {
-				for j, i := range idxs {
-					out[i] = resps[j]
-				}
-			}
-			errCh <- err
-		}(o, idxs)
-	}
-	var firstErr error
-	for range groups {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return out, firstErr
-	}
-	return out, nil
-}
-
-// execFresh runs one request batch over a brand-new connection, bypassing
-// the pool — the hedge path. On success the connection is donated to the
-// pool (it is proven good; the slot a timing-out connection is about to
-// vacate gets a warm replacement).
-func (c *Cluster) execFresh(n *node, reqs []wire.Request) ([]wire.Response, error) {
+// execFresh runs one request over a brand-new connection, bypassing the
+// pool — the hedge path. On success the connection is donated to the pool
+// (it is proven good; the slot a timing-out connection is about to vacate
+// gets a warm replacement).
+func (c *Cluster) execFresh(n *node, req wire.Request) (wire.Response, error) {
 	conn, err := n.dialFresh()
 	if err != nil {
-		return nil, err
+		return wire.Response{}, err
 	}
 	start := time.Now()
-	resps, err := conn.Do(reqs)
+	resps, err := conn.Do([]wire.Request{req})
 	c.rpcHist.Record(n.idx, time.Since(start))
 	n.feedback(nil, err)
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("cluster: node %s (hedge): %w", n.addr, err)
+		return wire.Response{}, fmt.Errorf("cluster: node %s (hedge): %w", n.addr, err)
 	}
 	n.donate(conn)
-	return resps, nil
+	return resps[0], nil
 }
 
 // hedgedRead runs req against n; if the pooled attempt has not answered
@@ -292,30 +225,24 @@ func (c *Cluster) execFresh(n *node, reqs []wire.Request) ([]wire.Response, erro
 // batch, while a new dial routes fine). If every attempt fails, the last
 // error is returned. With hedging unarmed it is a plain exec.
 func (c *Cluster) hedgedRead(n *node, req wire.Request) (wire.Response, error) {
-	reqs := []wire.Request{req}
 	if c.cfg.HedgeAfter <= 0 {
-		resps, err := c.exec(n, reqs)
-		if err != nil {
-			return wire.Response{}, err
-		}
-		return resps[0], nil
+		return c.exec(n, req)
 	}
 	type attempt struct {
-		resps []wire.Response
+		resp  wire.Response
 		err   error
 		hedge bool
 	}
 	ch := make(chan attempt, 2) // buffered: the loser writes and exits
 	launch := func(hedge bool) {
 		go func() {
-			var resps []wire.Response
-			var err error
+			a := attempt{hedge: hedge}
 			if hedge {
-				resps, err = c.execFresh(n, reqs)
+				a.resp, a.err = c.execFresh(n, req)
 			} else {
-				resps, err = c.exec(n, reqs)
+				a.resp, a.err = c.exec(n, req)
 			}
-			ch <- attempt{resps: resps, err: err, hedge: hedge}
+			ch <- a
 		}()
 	}
 	launch(false)
@@ -332,7 +259,7 @@ func (c *Cluster) hedgedRead(n *node, req wire.Request) (wire.Response, error) {
 				if a.hedge {
 					c.stats.hedgeWins.Add(1)
 				}
-				return a.resps[0], nil
+				return a.resp, nil
 			}
 			lastErr = a.err
 		case <-timer.C:
@@ -347,59 +274,23 @@ func (c *Cluster) hedgedRead(n *node, req wire.Request) (wire.Response, error) {
 	return wire.Response{}, lastErr
 }
 
-// writeOne executes one request on its key's owner with no hedge: a write
-// is not idempotent. A getrange on a one-node cluster comes here too.
-func (c *Cluster) writeOne(req wire.Request) (wire.Response, error) {
-	resps, err := c.exec(c.nodes[c.ring.Owner(req.Key)], []wire.Request{req})
-	if err != nil {
-		return wire.Response{}, err
-	}
-	return resps[0], nil
-}
-
 // errRangeSpansShards refuses a single getrange on more than one node: a
 // range spans shards, and the cluster does not merge ranges.
 var errRangeSpansShards = errors.New("cluster: getrange spans shards; it needs a single node")
 
-// one executes a single request for the embedded KV: idempotent reads go
-// to hedgedRead on the key's owner, everything else to writeOne.
+// one executes a single request for the embedded KV on its key's owner:
+// idempotent reads go to hedgedRead, everything else to a plain exec with
+// no hedge, because a write is not idempotent. A getrange on a one-node
+// cluster is a plain exec too.
 func (c *Cluster) one(req wire.Request) (wire.Response, error) {
+	n := c.nodes[c.ring.Owner(req.Key)]
 	switch req.Op {
 	case wire.OpGet, wire.OpGetOrLoad:
-		return c.hedgedRead(c.nodes[c.ring.Owner(req.Key)], req)
+		return c.hedgedRead(n, req)
 	case wire.OpGetRange:
 		if len(c.nodes) > 1 {
 			return wire.Response{}, errRangeSpansShards
 		}
 	}
-	return c.writeOne(req)
-}
-
-// GetBatch reads many keys in one call: the batch splits by owner shard,
-// fans out concurrently, and merges into request order. resps[i] answers
-// keys[i] with the same statuses a single Get would see.
-func (c *Cluster) GetBatch(keys [][]byte, cols []int) ([]wire.Response, error) {
-	reqs := make([]wire.Request, len(keys))
-	for i, k := range keys {
-		reqs[i] = wire.Request{Op: wire.OpGet, Key: k, Cols: cols}
-	}
-	return c.Do(reqs)
-}
-
-// PutBatch writes many keys in one call, split and fanned out like
-// GetBatch; vers[i] is the new version of keys[i].
-func (c *Cluster) PutBatch(keys [][]byte, puts [][]wire.ColData) ([]uint64, error) {
-	reqs := make([]wire.Request, len(keys))
-	for i, k := range keys {
-		reqs[i] = wire.Request{Op: wire.OpPut, Key: k, Puts: puts[i]}
-	}
-	resps, err := c.Do(reqs)
-	if err != nil {
-		return nil, err
-	}
-	vers := make([]uint64, len(resps))
-	for i, r := range resps {
-		vers[i] = r.Version
-	}
-	return vers, nil
+	return c.exec(n, req)
 }

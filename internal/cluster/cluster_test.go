@@ -75,10 +75,11 @@ func fastConfig(addrs []string) Config {
 }
 
 // TestClusterSingleNodeEquivalence: a Cluster over a single node must
-// produce responses identical to a plain client.Conn for every operation — same statuses, versions,
-// columns, and pairs, for keyed ops, TTL ops, CAS conflicts, removes,
-// ranges, and stats — through Do and through every typed client.KV call.
-// The cluster layer must be invisible at N=1.
+// produce responses identical to a plain client.Conn for every operation —
+// same statuses, versions, columns, and pairs, for keyed ops, TTL ops, CAS
+// conflicts, removes, and ranges — through the executor the typed calls
+// share and through every typed client.KV call. The cluster layer must be
+// invisible at N=1.
 func TestClusterSingleNodeEquivalence(t *testing.T) {
 	// Two identically-seeded single-node "clusters": one reached through a
 	// plain Conn, one through Cluster.
@@ -90,41 +91,37 @@ func TestClusterSingleNodeEquivalence(t *testing.T) {
 	defer conn.Close()
 	cl := newCluster(t, fastConfig([]string{nodes[1].addr}))
 
-	batches := [][]wire.Request{
-		{
-			{Op: wire.OpPut, Key: []byte("a"), Puts: []wire.ColData{{Col: 0, Data: []byte("1")}, {Col: 1, Data: []byte("x")}}},
-			{Op: wire.OpPut, Key: []byte("b"), Puts: []wire.ColData{{Col: 0, Data: []byte("2")}}},
-			{Op: wire.OpPut, Key: []byte("c"), Puts: []wire.ColData{{Col: 0, Data: []byte("3")}}},
-		},
-		{
-			{Op: wire.OpGet, Key: []byte("a")},
-			{Op: wire.OpGet, Key: []byte("b"), Cols: []int{0}},
-			{Op: wire.OpGet, Key: []byte("nope")},
-			{Op: wire.OpCas, Key: []byte("fresh"), ExpectVersion: 0, Puts: []wire.ColData{{Col: 0, Data: []byte("created")}}},
-			{Op: wire.OpCas, Key: []byte("fresh"), ExpectVersion: 0, Puts: []wire.ColData{{Col: 0, Data: []byte("stale")}}},
-			{Op: wire.OpPutTTL, Key: []byte("t"), Puts: []wire.ColData{{Col: 0, Data: []byte("ttl")}}, TTL: 3600},
-			{Op: wire.OpTouch, Key: []byte("t"), TTL: 7200},
-			{Op: wire.OpTouch, Key: []byte("absent"), TTL: 60},
-			{Op: wire.OpRemove, Key: []byte("c")},
-			{Op: wire.OpRemove, Key: []byte("never")},
-			{Op: wire.OpGetRange, Key: nil, N: 10},
-		},
+	reqs := []wire.Request{
+		{Op: wire.OpPut, Key: []byte("a"), Puts: []wire.ColData{{Col: 0, Data: []byte("1")}, {Col: 1, Data: []byte("x")}}},
+		{Op: wire.OpPut, Key: []byte("b"), Puts: []wire.ColData{{Col: 0, Data: []byte("2")}}},
+		{Op: wire.OpPut, Key: []byte("c"), Puts: []wire.ColData{{Col: 0, Data: []byte("3")}}},
+		{Op: wire.OpGet, Key: []byte("a")},
+		{Op: wire.OpGet, Key: []byte("b"), Cols: []int{0}},
+		{Op: wire.OpGet, Key: []byte("nope")},
+		{Op: wire.OpCas, Key: []byte("fresh"), ExpectVersion: 0, Puts: []wire.ColData{{Col: 0, Data: []byte("created")}}},
+		{Op: wire.OpCas, Key: []byte("fresh"), ExpectVersion: 0, Puts: []wire.ColData{{Col: 0, Data: []byte("stale")}}},
+		{Op: wire.OpPutTTL, Key: []byte("t"), Puts: []wire.ColData{{Col: 0, Data: []byte("ttl")}}, TTL: 3600},
+		{Op: wire.OpTouch, Key: []byte("t"), TTL: 7200},
+		{Op: wire.OpTouch, Key: []byte("absent"), TTL: 60},
+		{Op: wire.OpRemove, Key: []byte("c")},
+		{Op: wire.OpRemove, Key: []byte("never")},
+		{Op: wire.OpGetRange, Key: nil, N: 10},
 	}
-	for bi, reqs := range batches {
-		r1, err := conn.Do(reqs)
+	for i, req := range reqs {
+		r1, err := conn.Do([]wire.Request{req})
 		if err != nil {
-			t.Fatalf("batch %d via conn: %v", bi, err)
+			t.Fatalf("request %d via conn: %v", i, err)
 		}
-		r2, err := cl.Do(reqs)
+		r2, err := cl.one(req)
 		if err != nil {
-			t.Fatalf("batch %d via cluster: %v", bi, err)
+			t.Fatalf("request %d via cluster: %v", i, err)
 		}
-		if !reflect.DeepEqual(normalize(r1), normalize(r2)) {
-			t.Fatalf("batch %d diverged:\nconn:    %+v\ncluster: %+v", bi, r1, r2)
+		if !reflect.DeepEqual(normalize(r1), normalize([]wire.Response{r2})) {
+			t.Fatalf("request %d diverged:\nconn:    %+v\ncluster: %+v", i, r1[0], r2)
 		}
 	}
 
-	// The wrapper surface must agree too, not just raw Do.
+	// The wrapper surface must agree too, not just the executor.
 	v1, err1 := conn.PutSimple([]byte("w"), []byte("val"))
 	v2, err2 := cl.PutSimple([]byte("w"), []byte("val"))
 	if err1 != nil || err2 != nil || v1 != v2 {
@@ -207,32 +204,27 @@ func normalize(in []wire.Response) []wire.Response {
 	return out
 }
 
-// TestClusterBatchSplitMerge drives GetBatch/PutBatch across a 3-node
-// cluster: writes must land on each key's ring owner (verified against the
-// stores directly), reads must merge back into request order, the
-// split_batches counter must move, and a single GetRange is refused.
-func TestClusterBatchSplitMerge(t *testing.T) {
+// TestClusterRoutesToOwners writes keys one at a time across a 3-node
+// cluster: each write must land on its key's ring owner (verified against
+// the stores directly), every node must own some keys, each key must read
+// back its value and version, and a single GetRange is refused.
+func TestClusterRoutesToOwners(t *testing.T) {
 	nodes := startNodes(t, 3)
 	cl := newCluster(t, fastConfig(addrsOf(nodes)))
 
 	const n = 300
 	keys := make([][]byte, n)
-	puts := make([][]wire.ColData, n)
+	vers := make([]uint64, n)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
-		puts[i] = []wire.ColData{{Col: 0, Data: []byte(fmt.Sprintf("val-%04d", i))}}
-	}
-	vers, err := cl.PutBatch(keys, puts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vers) != n {
-		t.Fatalf("PutBatch returned %d versions for %d keys", len(vers), n)
-	}
-	for i, v := range vers {
+		v, err := cl.PutSimple(keys[i], []byte(fmt.Sprintf("val-%04d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if v == 0 {
 			t.Fatalf("key %d got version 0", i)
 		}
+		vers[i] = v
 	}
 
 	// Each key must be resident on exactly its ring owner.
@@ -263,26 +255,17 @@ func TestClusterBatchSplitMerge(t *testing.T) {
 		}
 	}
 
-	// GetBatch must merge replies back into request order.
-	resps, err := cl.GetBatch(keys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if r.Status != wire.StatusOK {
-			t.Fatalf("key %d status %d", i, r.Status)
+	for i, k := range keys {
+		cols, ver, ok, err := cl.Get(k, nil)
+		if err != nil || !ok {
+			t.Fatalf("key %d: ok=%v err=%v", i, ok, err)
 		}
-		want := fmt.Sprintf("val-%04d", i)
-		if string(r.Cols[0]) != want {
-			t.Fatalf("key %d: got %q want %q — batch merge broke request order", i, r.Cols[0], want)
+		if want := fmt.Sprintf("val-%04d", i); string(cols[0]) != want {
+			t.Fatalf("key %d: got %q want %q", i, cols[0], want)
 		}
-		if r.Version != vers[i] {
-			t.Fatalf("key %d: version %d, put acked %d", i, r.Version, vers[i])
+		if ver != vers[i] {
+			t.Fatalf("key %d: version %d, put acked %d", i, ver, vers[i])
 		}
-	}
-
-	if st := cl.ClusterStats(); st.SplitBatches < 2 {
-		t.Fatalf("split_batches = %d after two cross-shard batches", st.SplitBatches)
 	}
 
 	// A single range spans shards: on three nodes it is refused rather than
@@ -302,14 +285,10 @@ func TestClusterStatsAggregate(t *testing.T) {
 	cl := newCluster(t, fastConfig(addrsOf(nodes)))
 
 	const n = 90
-	keys := make([][]byte, n)
-	puts := make([][]wire.ColData, n)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("agg-%03d", i))
-		puts[i] = []wire.ColData{{Col: 0, Data: []byte("x")}}
-	}
-	if _, err := cl.PutBatch(keys, puts); err != nil {
-		t.Fatal(err)
+	for i := 0; i < n; i++ {
+		if _, err := cl.PutSimple([]byte(fmt.Sprintf("agg-%03d", i)), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	stats, err := cl.StatsAggregate()
 	if err != nil {
@@ -331,7 +310,7 @@ func TestClusterStatsAggregate(t *testing.T) {
 			t.Fatalf("%s = %d, want breaker.Closed", k, v)
 		}
 	}
-	for _, k := range []string{"hedges", "hedge_wins", "split_batches", "breaker_state"} {
+	for _, k := range []string{"hedges", "hedge_wins", "breaker_state"} {
 		if _, present := stats[k]; !present {
 			t.Fatalf("missing aggregate stat %s", k)
 		}

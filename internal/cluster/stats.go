@@ -13,9 +13,8 @@ import (
 
 // clusterCounters are the cluster-side health counters, all monotonic.
 type clusterCounters struct {
-	hedges       atomic.Uint64 // hedged second attempts launched
-	hedgeWins    atomic.Uint64 // hedges whose answer arrived first
-	splitBatches atomic.Uint64 // Do/GetBatch/PutBatch calls spanning >1 shard
+	hedges    atomic.Uint64 // hedged second attempts launched
+	hedgeWins atomic.Uint64 // hedges whose answer arrived first
 }
 
 // NodeStats is one node's health as the cluster sees it.
@@ -30,19 +29,17 @@ type NodeStats struct {
 
 // Stats is the cluster's aggregate client-side health snapshot.
 type Stats struct {
-	Nodes        []NodeStats
-	Hedges       uint64
-	HedgeWins    uint64
-	SplitBatches uint64
+	Nodes     []NodeStats
+	Hedges    uint64
+	HedgeWins uint64
 }
 
 // ClusterStats snapshots per-node health and the cluster counters. Purely
 // local: no network I/O.
 func (c *Cluster) ClusterStats() Stats {
 	s := Stats{
-		Hedges:       c.stats.hedges.Load(),
-		HedgeWins:    c.stats.hedgeWins.Load(),
-		SplitBatches: c.stats.splitBatches.Load(),
+		Hedges:    c.stats.hedges.Load(),
+		HedgeWins: c.stats.hedgeWins.Load(),
 	}
 	for _, n := range c.nodes {
 		ns := NodeStats{Addr: n.addr, State: n.br.State(), Trips: n.br.Opens()}
@@ -59,9 +56,10 @@ func (c *Cluster) ClusterStats() Stats {
 // view: node<i>_state (numeric, 0/1/2 — same all-numeric rule as
 // breaker_state, so integer-parsing consumers never break; see
 // stats_compat_test.go's precedent), nodes_up, nodes_total, stats_partial,
-// hedges, hedge_wins, split_batches, and the client-observed per-node RPC
-// latency (node<i>_rpc_count/_p50/_p99 plus merged lat_rpc_* keys). Down nodes contribute only their state; the call fails only if
-// every node is unreachable.
+// hedges, hedge_wins, and the client-observed per-node RPC latency
+// (node<i>_rpc_count/_p50/_p99 plus merged lat_rpc_* keys). Down nodes
+// contribute only their state; the call fails only if every node is
+// unreachable.
 //
 // Two aggregation rules matter here. First, histogram-derived keys cannot
 // be summed like counters — adding two p99s is meaningless — so after the
@@ -83,13 +81,13 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 		if state != breaker.Closed {
 			continue
 		}
-		resps, err := c.exec(n, []wire.Request{{Op: wire.OpStats}})
+		resp, err := c.exec(n, wire.Request{Op: wire.OpStats})
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		reachable++
-		for _, pair := range resps[0].Pairs {
+		for _, pair := range resp.Pairs {
 			if v, err := strconv.ParseInt(string(pair.Cols[0]), 10, 64); err == nil {
 				out[string(pair.Key)] += v
 			}
@@ -110,7 +108,6 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 	out["stats_partial"] = int64(len(c.nodes) - reachable)
 	out["hedges"] = int64(c.stats.hedges.Load())
 	out["hedge_wins"] = int64(c.stats.hedgeWins.Load())
-	out["split_batches"] = int64(c.stats.splitBatches.Load())
 	// Client-observed RPC latency: merged keys under the lat_ prefix (the
 	// same shape as server histograms) and per-node quantiles from the
 	// node-sharded histogram.

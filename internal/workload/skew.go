@@ -42,6 +42,3 @@ func (s *PartitionSkew) Next() int {
 	}
 	return s.rng.Intn(s.partitions - 1)
 }
-
-// HotShare returns the fraction of requests the hot partition receives.
-func (s *PartitionSkew) HotShare() float64 { return s.hotWeight }

@@ -242,7 +242,7 @@ func TestPartitionSkewShares(t *testing.T) {
 	// §6.6: at delta = 9 with 16 partitions, the hot partition receives 40%
 	// of requests and each other partition 4%.
 	s := NewPartitionSkew(1, 16, 9)
-	if got := s.HotShare(); math.Abs(got-0.40) > 1e-9 {
+	if got := s.hotWeight; math.Abs(got-0.40) > 1e-9 {
 		t.Fatalf("hot share = %f, want 0.40", got)
 	}
 	counts := make([]int, 16)
