@@ -1,12 +1,15 @@
 // Package btree implements the paper's concurrent B+-tree baseline (§6.2
 // Figure 8 "B-tree" and "+Permuter"; §6.4; Figure 9): a width-15 B+-tree
 // using the same optimistic concurrency control scheme as Masstree but
-// storing whole keys instead of a trie of slices. A node holds one pointer a
-// slot to a separately allocated, immutable key object (bkey): the key's
-// first 8 bytes as an integer, its first 16 bytes, and for a longer key a
-// pointer to the whole key. So every comparison dereferences a bkey, and a
-// comparison that exhausts the 16-byte prefix chases the whole key as well —
-// the extra DRAM fetch that motivates Masstree's design (Figure 9's gap).
+// storing whole keys instead of a trie of slices. A node holds each key's
+// first 8 bytes as an integer (its lead) inline, beside a pointer to a
+// separately allocated, immutable key object (bkey): the key's first 16
+// bytes, and for a longer key a pointer to the whole key. Figure 8's ladder
+// is cumulative, so the leads decide most comparisons in the node
+// ("+IntCmp"), and a bkey is loaded only when two leads are equal. Keys
+// longer than 16 bytes whose first 16 bytes are equal still chase the whole
+// key as well — the extra DRAM fetch that motivates Masstree's design
+// (Figure 9's gap).
 //
 // WithPermuter publishes inserts through an atomic permutation word as
 // Masstree does (§4.6.2); without it, inserts shift the sorted key array in
@@ -41,11 +44,9 @@ type Option func(*Tree)
 func WithPermuter() Option { return func(t *Tree) { t.permuter = true } }
 
 // bkey is an immutable stored key: an inline prefix plus, for keys longer
-// than 16 bytes, the complete key in a separately-allocated block. lead is
-// the first 8 bytes as a big-endian integer — Figure 8's ladder is
-// cumulative, so the B-tree rungs include the "+IntCmp" comparison trick.
+// than 16 bytes, the complete key in a separately-allocated block. Its lead
+// lives in the node beside the pointer to it.
 type bkey struct {
-	lead   uint64
 	inline [inlineLen]byte
 	ilen   uint8
 	long   bool
@@ -63,7 +64,7 @@ func leadOf(k []byte) uint64 {
 }
 
 func makeKey(k []byte) *bkey {
-	b := &bkey{lead: leadOf(k)}
+	b := &bkey{}
 	if len(k) <= inlineLen {
 		b.ilen = uint8(len(k))
 		copy(b.inline[:], k)
@@ -76,46 +77,38 @@ func makeKey(k []byte) *bkey {
 	return b
 }
 
-// compare orders search key k against b: the lead integers decide most
-// comparisons (+IntCmp); equal leads fall back to byte comparison, and only
-// equal-prefix long keys dereference the full key.
-func (b *bkey) compare(k []byte) int {
-	lead := leadOf(k)
-	if lead < b.lead {
+// compare orders search key k, whose lead is kl, against the stored key
+// whose lead is sl and whose bkey sits in sk. Unequal leads decide without
+// touching sk; only equal leads load the bkey. A nil bkey, a slot read while
+// the node changes, orders after k; the caller's version check retries.
+func compare(kl uint64, k []byte, sl uint64, sk *atomic.Pointer[bkey]) int {
+	switch {
+	case kl < sl:
 		return -1
-	}
-	if lead > b.lead {
+	case kl > sl:
 		return 1
+	}
+	b := sk.Load()
+	if b == nil {
+		return -1
 	}
 	return b.compareBytes(k)
 }
 
 // compareBytes is the byte-wise comparison used after lead integers tie.
 func (b *bkey) compareBytes(k []byte) int {
-	n := len(k)
-	if n > inlineLen {
-		n = inlineLen
-	}
+	n := min(len(k), inlineLen)
 	if c := bytes.Compare(k[:n], b.inline[:b.ilen]); c != 0 {
 		return c
 	}
-	// Inline prefixes equal (up to the shorter).
+	// The inline prefixes are equal, so n == ilen.
 	switch {
-	case len(k) <= inlineLen && !b.long:
-		// Both fully inline: prefixes equal, compare lengths.
-		switch {
-		case len(k) < int(b.ilen):
-			return -1
-		case len(k) > int(b.ilen):
-			return 1
-		}
+	case !b.long && len(k) <= inlineLen:
 		return 0
-	case len(k) <= inlineLen:
-		// k fully inline, b longer. If k is shorter than the prefix the
-		// byte compare already decided; here k >= prefix length.
-		return -1
 	case !b.long:
-		return 1
+		return 1 // b is a 16-byte prefix of k
+	case len(k) <= inlineLen:
+		return -1 // k is a 16-byte prefix of b
 	default:
 		// Both long: the expensive full-key fetch.
 		return bytes.Compare(k, b.full)
@@ -140,6 +133,7 @@ func (h *nodeHeader) interior() *interiorNode { return (*interiorNode)(unsafe.Po
 type interiorNode struct {
 	h     nodeHeader
 	nkeys atomic.Int32
+	lead  [width]atomic.Uint64 // keys[i]'s lead
 	keys  [width]atomic.Pointer[bkey]
 	child [width + 1]atomic.Pointer[nodeHeader]
 }
@@ -153,8 +147,12 @@ type borderNode struct {
 	permutation atomic.Uint64
 	nkeys       atomic.Int32
 
-	lowkey *bkey // immutable; nil = -inf
+	// lowLead and lowkey are set before the node is linked and never change;
+	// lowkey is nil (-inf) only in the leftmost border, which is no node's next.
+	lowLead uint64
+	lowkey  atomic.Pointer[bkey]
 
+	lead [width]atomic.Uint64 // keys[i]'s lead
 	keys [width]atomic.Pointer[bkey]
 	vals [width]unsafe.Pointer
 

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/value"
 )
@@ -17,6 +19,8 @@ func modes() map[string]func() *Tree {
 	}
 }
 
+// TestKeyCompare drives the node's comparison: a probe and its lead against
+// a stored key's lead and bkey slot.
 func TestKeyCompare(t *testing.T) {
 	cases := []struct {
 		stored, probe string
@@ -35,13 +39,39 @@ func TestKeyCompare(t *testing.T) {
 		{strings.Repeat("x", 16), strings.Repeat("x", 16), 0},
 		{"", "", 0},
 		{"", "a", 1},
+		// Equal leads: the bkey decides.
+		{"a", "a\x00", 1},
+		{"a\x00", "a", -1},
+		{"abcdefgh", "abcdefgh\x00", 1},
+		{"abcdefghZ", "abcdefghAAAAAAAA", -1},
+		{"abcdefgh1", "abcdefgh1xxxxxxx", 1},
+		{"abcdefgh1xxxxxxx", "abcdefgh1", -1},
+		{"0123456789abcdef", "0123456789abcdef!", 1},
+		{"0123456789abcdefg", "0123456789abcdeg", 1},
 	}
 	for _, c := range cases {
-		bk := makeKey([]byte(c.stored))
-		got := bk.compare([]byte(c.probe))
+		probe := []byte(c.probe)
+		kl, sl := leadOf(probe), leadOf([]byte(c.stored))
+		var sk atomic.Pointer[bkey]
+		sk.Store(makeKey([]byte(c.stored)))
+		got := compare(kl, probe, sl, &sk)
 		if sign(got) != c.want {
 			t.Errorf("compare(%q, stored %q) = %d, want sign %d", c.probe, c.stored, got, c.want)
 		}
+		// Unequal leads decide without loading the bkey.
+		if kl != sl {
+			var empty atomic.Pointer[bkey]
+			if got := compare(kl, probe, sl, &empty); sign(got) != c.want {
+				t.Errorf("compare(%q, stored %q) with no bkey = %d, want sign %d", c.probe, c.stored, got, c.want)
+			}
+		}
+	}
+}
+
+// TestBkeySize pins bkey to the 48 B size class: its lead lives in the node.
+func TestBkeySize(t *testing.T) {
+	if got := unsafe.Sizeof(bkey{}); got != 48 {
+		t.Fatalf("unsafe.Sizeof(bkey{}) = %d, want 48", got)
 	}
 }
 
@@ -62,12 +92,17 @@ func TestModel(t *testing.T) {
 			model := map[string]string{}
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 10000; i++ {
-				// Mix short keys and >16-byte keys (inline overflow).
+				// Mix short keys, >16-byte keys (inline overflow) and
+				// 9-16-byte keys that share one lead, so the inline
+				// bytes decide every comparison among them.
 				var k string
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					k = fmt.Sprintf("%d", rng.Intn(3000))
-				} else {
+				case 1:
 					k = fmt.Sprintf("long-key-prefix-%08d", rng.Intn(3000))
+				case 2:
+					k = fmt.Sprintf("samelead%0*d", 1+rng.Intn(8), rng.Intn(3000))
 				}
 				switch rng.Intn(3) {
 				case 0, 1:

@@ -20,7 +20,7 @@ func ascendToRoot(h *nodeHeader) *nodeHeader {
 	return h
 }
 
-func (in *interiorNode) childFor(key []byte) *nodeHeader {
+func (in *interiorNode) childFor(kl uint64, key []byte) *nodeHeader {
 	nk := int(in.nkeys.Load())
 	if nk < 0 {
 		nk = 0
@@ -28,18 +28,15 @@ func (in *interiorNode) childFor(key []byte) *nodeHeader {
 		nk = width
 	}
 	i := 0
-	for i < nk {
-		k := in.keys[i].Load()
-		if k == nil || k.compare(key) < 0 { // key < separator: stop
-			break
-		}
+	for i < nk && compare(kl, key, in.lead[i].Load(), &in.keys[i]) >= 0 {
 		i++
 	}
 	return in.child[i].Load()
 }
 
-// findBorder descends with hand-over-hand validation (Figure 6).
-func findBorder(root *nodeHeader, key []byte) (*borderNode, uint64) {
+// findBorder descends with hand-over-hand validation (Figure 6); kl is
+// key's lead.
+func findBorder(root *nodeHeader, kl uint64, key []byte) (*borderNode, uint64) {
 retry:
 	n := root
 	v := n.version.Stable()
@@ -51,7 +48,7 @@ retry:
 		if occ.Border(v) {
 			return n.border(), v
 		}
-		n1 := n.interior().childFor(key)
+		n1 := n.interior().childFor(kl, key)
 		if n1 == nil {
 			v1 := n.version.Stable()
 			if occ.VSplit(v1) != occ.VSplit(v) {
@@ -89,9 +86,10 @@ func (t *Tree) liveCount(n *borderNode, p perm) int {
 	return int(n.nkeys.Load())
 }
 
-// search finds key among the node's live entries; rank is the insertion
-// position when not found. Racy reads validated by version checks.
-func (t *Tree) search(n *borderNode, p perm, key []byte) (rank int, found bool) {
+// search finds key, whose lead is kl, among the node's live entries; rank is
+// the insertion position when not found. Racy reads validated by version
+// checks.
+func (t *Tree) search(n *borderNode, p perm, kl uint64, key []byte) (rank int, found bool) {
 	cnt := t.liveCount(n, p)
 	if cnt < 0 {
 		cnt = 0
@@ -99,11 +97,8 @@ func (t *Tree) search(n *borderNode, p perm, key []byte) (rank int, found bool) 
 		cnt = width
 	}
 	for rank = 0; rank < cnt; rank++ {
-		bk := n.keys[t.slotOf(n, p, rank)].Load()
-		if bk == nil {
-			return rank, false // mid-shift; version check will retry
-		}
-		c := bk.compare(key)
+		slot := t.slotOf(n, p, rank)
+		c := compare(kl, key, n.lead[slot].Load(), &n.keys[slot])
 		if c == 0 {
 			return rank, true
 		}
@@ -116,11 +111,11 @@ func (t *Tree) search(n *borderNode, p perm, key []byte) (rank int, found bool) 
 
 // Get returns the value for key; lock-free.
 func (t *Tree) Get(key []byte) (*value.Value, bool) {
-	root := t.root.Load()
-	n, v := findBorder(root, key)
+	kl := leadOf(key)
+	n, v := findBorder(t.root.Load(), kl, key)
 forward:
 	p := perm(n.permutation.Load())
-	rank, found := t.search(n, p, key)
+	rank, found := t.search(n, p, kl, key)
 	var vp unsafe.Pointer
 	if found {
 		vp = atomic.LoadPointer(&n.vals[t.slotOf(n, p, rank)])
@@ -129,7 +124,7 @@ forward:
 		v = n.h.version.Stable()
 		for {
 			next := n.next.Load()
-			if next == nil || next.lowkey == nil || next.lowkey.compare(key) < 0 {
+			if next == nil || compare(kl, key, next.lowLead, &next.lowkey) < 0 {
 				break
 			}
 			n = next
@@ -145,12 +140,12 @@ forward:
 
 // Put stores v for key, reporting replacement.
 func (t *Tree) Put(key []byte, v *value.Value) bool {
-	root := t.root.Load()
-	n, _ := findBorder(root, key)
+	kl := leadOf(key)
+	n, _ := findBorder(t.root.Load(), kl, key)
 	n.h.version.Lock()
 	for {
 		next := n.next.Load()
-		if next == nil || next.lowkey == nil || next.lowkey.compare(key) < 0 {
+		if next == nil || compare(kl, key, next.lowLead, &next.lowkey) < 0 {
 			break
 		}
 		next.h.version.Lock()
@@ -158,30 +153,32 @@ func (t *Tree) Put(key []byte, v *value.Value) bool {
 		n = next
 	}
 	p := perm(n.permutation.Load())
-	rank, found := t.search(n, p, key)
+	rank, found := t.search(n, p, kl, key)
 	if found {
 		atomic.StorePointer(&n.vals[t.slotOf(n, p, rank)], unsafe.Pointer(v))
 		n.h.version.Unlock()
 		return true
 	}
 	if t.liveCount(n, p) < width {
-		t.insertAt(n, p, rank, key, v)
+		t.insertAt(n, p, rank, kl, key, v)
 		n.h.version.Unlock()
 	} else {
-		t.splitInsert(n, rank, key, v) // unlocks
+		t.splitInsert(n, rank, kl, key, v) // unlocks
 	}
 	t.count.Add(1)
 	return false
 }
 
-// insertAt writes a new key into the locked, non-full border node.
-func (t *Tree) insertAt(n *borderNode, p perm, rank int, key []byte, v *value.Value) {
+// insertAt writes a new key, whose lead is kl, into the locked, non-full
+// border node.
+func (t *Tree) insertAt(n *borderNode, p perm, rank int, kl uint64, key []byte, v *value.Value) {
 	bk := makeKey(key)
 	if t.permuter {
 		np, slot := p.insert(rank)
 		if n.used&(1<<uint(slot)) != 0 {
 			n.h.version.MarkInserting() // reused slot: §4.6.5
 		}
+		n.lead[slot].Store(kl)
 		n.keys[slot].Store(bk)
 		atomic.StorePointer(&n.vals[slot], unsafe.Pointer(v))
 		n.used |= 1 << uint(slot)
@@ -193,9 +190,11 @@ func (t *Tree) insertAt(n *borderNode, p perm, rank int, key []byte, v *value.Va
 	n.h.version.MarkInserting()
 	cnt := int(n.nkeys.Load())
 	for i := cnt; i > rank; i-- {
+		n.lead[i].Store(n.lead[i-1].Load())
 		n.keys[i].Store(n.keys[i-1].Load())
 		atomic.StorePointer(&n.vals[i], atomic.LoadPointer(&n.vals[i-1]))
 	}
+	n.lead[rank].Store(kl)
 	n.keys[rank].Store(bk)
 	atomic.StorePointer(&n.vals[rank], unsafe.Pointer(v))
 	n.nkeys.Store(int32(cnt + 1))

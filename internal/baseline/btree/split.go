@@ -9,16 +9,18 @@ import (
 )
 
 type entry struct {
-	key *bkey
-	val unsafe.Pointer
+	lead uint64
+	key  *bkey
+	val  unsafe.Pointer
 }
 
-// splitInsert splits the full, locked border node n while inserting key at
-// the given rank, then ascends (Figure 5 adapted to whole keys). Both sides
-// are rewritten compacted — the splitting bit already forces reader retries
-// on this node, so permuter-mode's no-rearrangement benefit applies to
-// non-split inserts, which is what the "+Permuter" experiment measures.
-func (t *Tree) splitInsert(n *borderNode, rank int, key []byte, v *value.Value) {
+// splitInsert splits the full, locked border node n while inserting key,
+// whose lead is kl, at the given rank, then ascends (Figure 5 adapted to
+// whole keys). Both sides are rewritten compacted — the splitting bit
+// already forces reader retries on this node, so permuter-mode's
+// no-rearrangement benefit applies to non-split inserts, which is what the
+// "+Permuter" experiment measures.
+func (t *Tree) splitInsert(n *borderNode, rank int, kl uint64, key []byte, v *value.Value) {
 	p := perm(n.permutation.Load())
 	var ents [width + 1]entry
 	for i := 0; i < width; i++ {
@@ -27,9 +29,9 @@ func (t *Tree) splitInsert(n *borderNode, rank int, key []byte, v *value.Value) 
 		if i >= rank {
 			pos = i + 1
 		}
-		ents[pos] = entry{key: n.keys[slot].Load(), val: atomic.LoadPointer(&n.vals[slot])}
+		ents[pos] = entry{lead: n.lead[slot].Load(), key: n.keys[slot].Load(), val: atomic.LoadPointer(&n.vals[slot])}
 	}
-	ents[rank] = entry{key: makeKey(key), val: unsafe.Pointer(v)}
+	ents[rank] = entry{lead: kl, key: makeKey(key), val: unsafe.Pointer(v)}
 	total := width + 1
 
 	splitAt := total / 2
@@ -39,9 +41,11 @@ func (t *Tree) splitInsert(n *borderNode, rank int, key []byte, v *value.Value) 
 	left, right := ents[:splitAt], ents[splitAt:total]
 
 	n.h.version.MarkSplitting()
-	n2 := &borderNode{lowkey: right[0].key}
+	n2 := &borderNode{lowLead: right[0].lead}
+	n2.lowkey.Store(right[0].key)
 	n2.h.version.Init(occ.BorderBit | occ.LockBit | occ.SplittingBit)
 	for i, e := range right {
+		n2.lead[i].Store(e.lead)
 		n2.keys[i].Store(e.key)
 		atomic.StorePointer(&n2.vals[i], e.val)
 		n2.used |= 1 << uint(i)
@@ -50,6 +54,7 @@ func (t *Tree) splitInsert(n *borderNode, rank int, key []byte, v *value.Value) 
 	n2.nkeys.Store(int32(len(right)))
 
 	for i, e := range left {
+		n.lead[i].Store(e.lead)
 		n.keys[i].Store(e.key)
 		atomic.StorePointer(&n.vals[i], e.val)
 	}
@@ -60,18 +65,19 @@ func (t *Tree) splitInsert(n *borderNode, rank int, key []byte, v *value.Value) 
 	n2.next.Store(n.next.Load())
 	n.next.Store(n2)
 
-	t.ascend(&n.h, &n2.h, n2.lowkey)
+	t.ascend(&n.h, &n2.h, right[0].lead, right[0].key)
 }
 
-// ascend inserts sibling n2 with separator sep into n's parent, splitting
-// interior nodes upward as needed. n and n2 arrive locked; everything is
-// unlocked on return.
-func (t *Tree) ascend(n, n2 *nodeHeader, sep *bkey) {
+// ascend inserts sibling n2 with separator sep, whose lead is sl, into n's
+// parent, splitting interior nodes upward as needed. n and n2 arrive locked;
+// everything is unlocked on return.
+func (t *Tree) ascend(n, n2 *nodeHeader, sl uint64, sep *bkey) {
 	for {
 		p := lockParent(n)
 		if p == nil {
 			r := &interiorNode{}
 			r.h.version.Init(occ.RootBit)
+			r.lead[0].Store(sl)
 			r.keys[0].Store(sep)
 			r.child[0].Store(n)
 			r.child[1].Store(n2)
@@ -88,15 +94,17 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sep *bkey) {
 			p.h.version.MarkInserting()
 			nk := int(p.nkeys.Load())
 			pos := 0
-			for pos < nk && p.keys[pos].Load().compare(sep.bytes()) > 0 {
+			for pos < nk && compare(sl, sep.bytes(), p.lead[pos].Load(), &p.keys[pos]) > 0 {
 				pos++
 			}
 			for i := nk; i > pos; i-- {
+				p.lead[i].Store(p.lead[i-1].Load())
 				p.keys[i].Store(p.keys[i-1].Load())
 			}
 			for i := nk + 1; i > pos+1; i-- {
 				p.child[i].Store(p.child[i-1].Load())
 			}
+			p.lead[pos].Store(sl)
 			p.keys[pos].Store(sep)
 			p.child[pos+1].Store(n2)
 			n2.parent.Store(p)
@@ -110,9 +118,9 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sep *bkey) {
 		n.version.Unlock()
 		p2 := &interiorNode{}
 		p2.h.version.Init(occ.LockBit | occ.SplittingBit)
-		sep2 := t.splitInterior(p, p2, sep, n2)
+		sl2, sep2 := t.splitInterior(p, p2, sl, sep, n2)
 		n2.version.Unlock()
-		n, n2, sep = &p.h, &p2.h, sep2
+		n, n2, sl, sep = &p.h, &p2.h, sl2, sep2
 	}
 }
 
@@ -130,20 +138,21 @@ func lockParent(h *nodeHeader) *interiorNode {
 	}
 }
 
-func (t *Tree) splitInterior(p, p2 *interiorNode, sep *bkey, c *nodeHeader) *bkey {
+func (t *Tree) splitInterior(p, p2 *interiorNode, sl uint64, sep *bkey, c *nodeHeader) (uint64, *bkey) {
 	nk := int(p.nkeys.Load()) // == width
 	pos := 0
-	for pos < nk && p.keys[pos].Load().compare(sep.bytes()) > 0 {
+	for pos < nk && compare(sl, sep.bytes(), p.lead[pos].Load(), &p.keys[pos]) > 0 {
 		pos++
 	}
+	var leads [width + 1]uint64
 	var keys [width + 1]*bkey
 	var kids [width + 2]*nodeHeader
 	for i := 0; i < pos; i++ {
-		keys[i] = p.keys[i].Load()
+		leads[i], keys[i] = p.lead[i].Load(), p.keys[i].Load()
 	}
-	keys[pos] = sep
+	leads[pos], keys[pos] = sl, sep
 	for i := pos; i < nk; i++ {
-		keys[i+1] = p.keys[i].Load()
+		leads[i+1], keys[i+1] = p.lead[i].Load(), p.keys[i].Load()
 	}
 	for i := 0; i <= pos; i++ {
 		kids[i] = p.child[i].Load()
@@ -154,8 +163,8 @@ func (t *Tree) splitInterior(p, p2 *interiorNode, sep *bkey, c *nodeHeader) *bke
 	}
 	total := nk + 1
 	mid := total / 2
-	promoted := keys[mid]
 	for i := 0; i < mid; i++ {
+		p.lead[i].Store(leads[i])
 		p.keys[i].Store(keys[i])
 	}
 	for i := 0; i <= mid; i++ {
@@ -164,6 +173,7 @@ func (t *Tree) splitInterior(p, p2 *interiorNode, sep *bkey, c *nodeHeader) *bke
 	p.nkeys.Store(int32(mid))
 	rk := total - mid - 1
 	for i := 0; i < rk; i++ {
+		p2.lead[i].Store(leads[mid+1+i])
 		p2.keys[i].Store(keys[mid+1+i])
 	}
 	for i := 0; i <= rk; i++ {
@@ -175,5 +185,5 @@ func (t *Tree) splitInterior(p, p2 *interiorNode, sep *bkey, c *nodeHeader) *bke
 	if pos+1 <= mid {
 		c.parent.Store(p)
 	}
-	return promoted
+	return leads[mid], keys[mid]
 }

@@ -90,6 +90,5 @@ func Changed(a, b uint64) bool { return (a^b)&^LockBit != 0 }
 func VSplit(v uint64) uint64 { return v & vsplitMask }
 
 // Helpers for predicate bits.
-func Locked(v uint64) bool { return v&LockBit != 0 }
 func Root(v uint64) bool   { return v&RootBit != 0 }
 func Border(v uint64) bool { return v&BorderBit != 0 }

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// Locked reports the lock bit; only these tests read it.
+func Locked(v uint64) bool { return v&LockBit != 0 }
+
 func TestBits(t *testing.T) {
 	var v Version
 	v.Init(BorderBit | RootBit)

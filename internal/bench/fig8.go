@@ -81,6 +81,7 @@ func Fig8(sc Scale) *Table {
 		Notes: []string{
 			"+Flow/+Superpage realized as a chunked node arena (Go cannot swap allocators); the two rungs coincide here, so +Superpage's row is +Flow's, not measured again",
 			"+Prefetch has no counterpart here: the B-tree baseline prefetches nothing (it does not import internal/core's prefetch stub), so its row is B-tree's, not measured again",
+			"the B-tree rungs compare each key's leading 8 bytes as an integer held in the node, so +IntCmp carries into the node",
 			"relative columns are normalized to Binary's get throughput, as in the paper",
 		},
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // Fig9 reproduces Figure 9 (§6.4 "Keys with common prefixes"): get
-// throughput as key length grows while only the final 8 bytes vary. The
-// B-tree compares whole keys — beyond its 16 inline bytes every comparison
-// chases the stored key (a DRAM fetch) — while Masstree walks one trie layer
-// per 8 prefix bytes and then compares single slices, so its advantage grows
-// with prefix length.
+// throughput as key length grows while only the final 8 bytes vary. From 16
+// bytes on, every key has the same leading 8 bytes, so the B-tree's in-node
+// integer compare ties on every key and loads the stored key object; beyond
+// its 16 inline bytes every comparison chases the whole key as well (a DRAM
+// fetch). Masstree walks one trie layer per 8 prefix bytes and then
+// compares single slices, so its advantage grows with prefix length.
 func Fig9(sc Scale) *Table {
 	sc = sc.withDefaults()
 	t := &Table{

@@ -13,9 +13,11 @@ import (
 
 // Sec64 reproduces §6.4's flexibility-cost measurements:
 //
-//   - variable-length keys: Masstree vs a fixed-8-byte-key B-tree
-//     ("+Permuter") on an 8-byte decimal get workload — the paper found only
-//     0.8% difference;
+//   - variable-length keys: Masstree vs a fixed-8-byte-key B-tree on an
+//     8-byte decimal get workload — the paper found only 0.8% difference.
+//     The stand-in is "+Permuter", whose nodes compare 8-byte integers
+//     inline as the paper's tree does, but which still loads one separate
+//     key object, for the key it finds, to confirm the match;
 //   - concurrency: single-worker put throughput, concurrent Masstree vs the
 //     single-core variant with interlocked instructions removed — the paper
 //     found a 13% penalty;

@@ -50,14 +50,6 @@ func NewHist(name string, workers int) *Hist {
 	return &Hist{name: name, shards: make([]histShard, workers)}
 }
 
-// Name reports the histogram's stats-key stem (e.g. "get" → lat_get_p50).
-func (h *Hist) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Bucket returns the bucket index for a duration: 0 for d <= 1ns, else
 // bits.Len64(ns) - 1 (so bucket b covers [2^b, 2^(b+1)) ns).
 //

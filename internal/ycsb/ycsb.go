@@ -49,7 +49,6 @@ type Op struct {
 // Source generates one client's operation stream. Not safe for concurrent
 // use; create one per worker.
 type Source struct {
-	name    string
 	readPct int
 	scanPct int
 	keys    workload.KeyGen
@@ -59,7 +58,7 @@ type Source struct {
 // New creates a MYCSB source. name is one of "A", "B", "C", "E"; records is
 // the database size the keys are drawn over (zipfian-popular).
 func New(name string, records uint64, seed int64) (*Source, error) {
-	s := &Source{name: name, keys: workload.ZipfKeys(seed, records), rng: rand.New(rand.NewSource(seed ^ 0x5bd1e995))}
+	s := &Source{keys: workload.ZipfKeys(seed, records), rng: rand.New(rand.NewSource(seed ^ 0x5bd1e995))}
 	switch name {
 	case "A":
 		s.readPct = 50
@@ -74,9 +73,6 @@ func New(name string, records uint64, seed int64) (*Source, error) {
 	}
 	return s, nil
 }
-
-// Name returns the workload name.
-func (s *Source) Name() string { return s.name }
 
 // Next returns the next operation.
 func (s *Source) Next() Op {
