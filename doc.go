@@ -200,15 +200,16 @@
 // one command switch over a client.KV for both modes.
 //
 // Observability (internal/obs) makes the store explain itself without
-// perturbing what it explains. Every timed stage — get/put/batch/scan/
+// perturbing what it explains, and it has no off switch. Every timed stage — get/put/batch/scan/
 // CAS/getorload server-side, WAL flush, checkpoint write, each recovery
 // phase, backend loads, eviction passes, cluster per-node RPC — records
 // into a log-bucketed latency histogram (64 power-of-two buckets; bucket b
 // covers [2^b, 2^(b+1)) ns) whose record path is one bits.Len64 and two
 // atomic adds into a per-worker cache-line-padded shard: ~14ns, zero
-// allocations (//masstree:noalloc, enforced by the noalloc analyzer and the
-// AllocsPerRun pins, which run with instrumentation armed — BENCH_obs.json
-// measures the end-to-end overhead as noise). Snapshots merge shards
+// allocations (//masstree:noalloc, enforced by the noalloc analyzer,
+// TestRecordPathsAllocFree and the AllocsPerRun pins, which every store runs
+// instrumented; the end-to-end benchmark reports the record's cost as
+// obs.record_ns). Snapshots merge shards
 // lock-free and extract p50/p90/p99/p999. Alongside the histograms runs the
 // flight recorder: fixed-size per-worker rings of binary trace events for
 // internal transitions (breaker trips/heals, evictions, WAL flush retries
@@ -267,9 +268,9 @@
 //
 // See DESIGN.md for the system inventory: the package map, the invariant
 // catalog behind the analyzers, the numbered paper-to-Go substitutions,
-// and the experiment index. The committed snapshots at the repository root
-// are BENCH_pipeline_v2.json (pipelining) and BENCH_obs.json
-// (instrumentation overhead). Tier-1 tests assert the cache, herd, cluster
+// and the experiment index. The committed snapshot at the repository root
+// is BENCH_pipeline_v2.json (pipelining); BENCH_obs.json beside it is a
+// dated record of an experiment that no longer exists. Tier-1 tests assert the cache, herd, cluster
 // and chained-WAL properties: TestCacheBoundZipfian,
 // TestS3FIFOBeatsPlainFIFOOnZipfian and TestCacheKeepsZipfHeadResident;
 // TestGetOrLoadHerd; TestHedgedReadWins; TestPartialColumnReplayHole and

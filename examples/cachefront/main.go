@@ -38,7 +38,6 @@ func main() {
 	}
 	defer store.Close()
 	sess := store.Session(0)
-	defer sess.Close()
 
 	// A cache-aside loop: get; on miss, "recompute" and fill with a TTL so
 	// stale entries age out even if they stay hot.

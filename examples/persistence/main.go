@@ -48,9 +48,6 @@ func main() {
 		sess[i%2].PutSimple([]byte(fmt.Sprintf("key%05d", i)), []byte("after-checkpoint"))
 	}
 	sess[0].Remove([]byte("key00000"))
-	for _, ss := range sess {
-		ss.Close()
-	}
 	if err := store.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +63,6 @@ func main() {
 	}
 	defer recovered.Close()
 	rs := recovered.Session(0)
-	defer rs.Close()
 	fmt.Printf("recovered %d keys in %s\n", recovered.Len(), time.Since(start).Round(time.Millisecond))
 
 	for _, probe := range []struct{ key, want string }{

@@ -22,7 +22,6 @@ func main() {
 	// Every operation runs through a session: one per goroutine, each bound
 	// to a worker's log (§5).
 	sess := store.Session(0)
-	defer sess.Close()
 
 	// put(k, v): values are arrays of columns; a put of several columns is
 	// atomic with respect to concurrent readers (§4.7).

@@ -54,7 +54,6 @@ func main() {
 	}
 	defer store.Close()
 	sess := store.Session(0)
-	defer sess.Close()
 
 	// --- 1. Read-through: the backend is the source of truth. -------------
 	mock.Seed("user:42", backend.EncodeCols([][]byte{[]byte("alice")}))
@@ -73,7 +72,6 @@ func main() {
 		go func() {
 			defer wg.Done()
 			s := store.Session(0)
-			defer s.Close()
 			s.GetOrLoad(context.Background(), []byte("hot"))
 		}()
 	}

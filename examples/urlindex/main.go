@@ -34,7 +34,6 @@ func main() {
 	}
 	defer store.Close()
 	sess := store.Session(0)
-	defer sess.Close()
 
 	pages := map[string][2]string{ // url -> (title, content-type)
 		"www.seas.harvard.edu/news-events":   {"News & Events", "text/html"},

@@ -41,7 +41,6 @@ func main() {
 		}
 		loader.Put(key, puts)
 	}
-	loader.Close()
 
 	for _, name := range []string{"A", "B", "C", "E"} {
 		perWorker := *ops / *workers
@@ -53,7 +52,6 @@ func main() {
 				defer wg.Done()
 				// One session per goroutine, bound to its own worker log.
 				sess := store.Session(w)
-				defer sess.Close()
 				var rs kvstore.RangeScratch
 				var cols [][]byte
 				src, err := ycsb.New(name, *records, int64(w+1))

@@ -1,9 +1,8 @@
 // Package bench regenerates the tables and figures of the paper's
 // evaluation that this reproduction attempts (§6 tree evaluation, §5
-// checkpointing) at configurable scale, plus one system experiment, obs
-// (instrumentation overhead). Each experiment returns a Table whose rows
-// mirror the paper's bars, series, or table cells; DESIGN.md's experiment
-// index lists them.
+// checkpointing) at configurable scale. Each experiment returns a Table
+// whose rows mirror the paper's bars, series, or table cells; DESIGN.md's
+// experiment index lists them.
 //
 // Absolute numbers differ from the paper's 16-core 2009-era testbed; the
 // experiments are designed so the *shape* — who wins, by roughly what
@@ -143,19 +142,13 @@ func measure(workers, perWorker int, fn func(worker, i int)) float64 {
 }
 
 // openSessions opens one session per worker on st — a session is the one
-// way to operate on a store; closeSessions closes them.
+// way to operate on a store.
 func openSessions(st *kvstore.Store, workers int) []*kvstore.Session {
 	ss := make([]*kvstore.Session, workers)
 	for w := range ss {
 		ss[w] = st.Session(w)
 	}
 	return ss
-}
-
-func closeSessions(ss []*kvstore.Session) {
-	for _, s := range ss {
-		s.Close()
-	}
 }
 
 // Experiment is one generator and the id that selects it.
@@ -175,5 +168,4 @@ var Experiments = []Experiment{
 	{"ckpt", Ckpt},
 	{"retry", Retry},
 	{"shape", Shape},
-	{"obs", Obs},
 }

@@ -73,7 +73,6 @@ func Ckpt(sc Scale) *Table {
 	})
 	running.Store(false)
 	<-done
-	closeSessions(ss)
 	if err := st.Close(); err != nil {
 		panic(err)
 	}

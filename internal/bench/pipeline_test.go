@@ -31,7 +31,6 @@ func dialPipeline(b *testing.B, nkeys, window int) *client.Conn {
 	for i := 0; i < nkeys; i++ {
 		sess.PutSimple(pipelineKey(i), []byte("value-of-some-plausible-length"))
 	}
-	sess.Close()
 	c, err := client.DialConn(srv.Addr().String(), client.WithWindow(window))
 	if err != nil {
 		b.Fatal(err)

@@ -66,7 +66,6 @@ func Sec63(sc Scale) *Table {
 	}
 	defer st.Close()
 	mt := openSessions(st, sc.Workers)
-	defer closeSessions(mt)
 	mtPut := measure(sc.Workers, keysPerWorker, func(w, i int) {
 		k := keys[w][i]
 		mt[w].PutSimple(k, k)

@@ -237,7 +237,6 @@ func TestClusterRoutesToOwners(t *testing.T) {
 		for ni, node := range nodes {
 			sess := node.store.Session(0)
 			_, ok := sess.GetValue(k)
-			sess.Close()
 			if ok && ni != owners[i] {
 				t.Fatalf("key %q resident on node %d, ring owner is %d", k, ni, owners[i])
 			}

@@ -212,7 +212,6 @@ func TestDownOwnerWriteStaysOnOwner(t *testing.T) {
 	for ni := 1; ni < 3; ni++ {
 		sess := nodes[ni].store.Session(0)
 		_, ok := sess.GetValue(key)
-		sess.Close()
 		if ok {
 			t.Fatalf("write leaked onto node %d", ni)
 		}

@@ -28,7 +28,6 @@ func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 		for i := 0; i < count; i++ {
 			sess.PutSimple([]byte(fmt.Sprintf("n%d-key-%d", n, i)), []byte("v"))
 		}
-		sess.Close()
 	}
 
 	full, err := cl.StatsAggregate()

@@ -339,7 +339,6 @@ func (tor *torture) finish() {
 			for ni := range tor.nodes {
 				sess := tor.nodes[ni].store.Session(0)
 				_, resident := sess.GetValue(key)
-				sess.Close()
 				if resident != (ni == owner) {
 					t.Errorf("key %q: resident=%v on node %d, ring owner is %d — shard ownership violated",
 						key, resident, ni, owner)

@@ -23,7 +23,6 @@ func newAllocTestStore(t *testing.T, nkeys int) *Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	sess := s.Session(0)
-	defer sess.Close()
 	for i := 0; i < nkeys; i++ {
 		sess.PutSimple([]byte(fmt.Sprintf("alloc-key-%06d", i)), []byte("column-zero-data"))
 	}
@@ -36,7 +35,6 @@ func newAllocTestStore(t *testing.T, nkeys int) *Store {
 func TestGetIntoAllocFree(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
-	defer sess.Close()
 	key := []byte("alloc-key-000123")
 	cols := []int{0}
 	dst := make([][]byte, 0, 4)
@@ -69,7 +67,6 @@ func TestGetIntoAllocFree(t *testing.T) {
 func TestGetBatchIntoAllocFree(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
-	defer sess.Close()
 	keys := make([][]byte, 64)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("alloc-key-%06d", i*13%1000))
@@ -96,7 +93,6 @@ func TestGetBatchIntoAllocFree(t *testing.T) {
 func TestGetBatchMatchesGet(t *testing.T) {
 	s := newAllocTestStore(t, 100)
 	sess := s.Session(0)
-	defer sess.Close()
 	keys := [][]byte{
 		[]byte("alloc-key-000007"), []byte("no-such-key"), []byte("alloc-key-000099"),
 	}
@@ -125,7 +121,6 @@ func TestGetBatchMatchesGet(t *testing.T) {
 func TestPutSimpleAllocs(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
-	defer sess.Close()
 	key := []byte("alloc-key-000123")
 	data := []byte("updated-column-data!")
 
@@ -150,7 +145,6 @@ func TestPutSimpleLoggedAllocs(t *testing.T) {
 	}
 	t.Cleanup(func() { s.Close() })
 	sess := s.Session(0)
-	defer sess.Close()
 	key := []byte("logged-alloc-key")
 	data := []byte("logged-column-data")
 	// Grow both log buffers past the measured append volume.
@@ -228,7 +222,6 @@ func TestDropAllocFree(t *testing.T) {
 func TestPutBatchIntoAllocs(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
-	defer sess.Close()
 	const batch = 64
 	keys := make([][]byte, batch)
 	puts := make([][]value.ColPut, batch)
@@ -265,7 +258,6 @@ func TestPointBatchIntoAllocs(t *testing.T) {
 	t.Cleanup(func() { logged.Close() })
 	for name, s := range map[string]*Store{"unlogged": newAllocTestStore(t, 1000), "logged": logged} {
 		sess := s.Session(0)
-		defer sess.Close()
 		const batch, nputs = 16, 7
 		keys, put, puts := make([][]byte, batch), make([]bool, batch), make([][]value.ColPut, batch)
 		for i := range keys {
@@ -298,7 +290,6 @@ func TestPointBatchIntoAllocs(t *testing.T) {
 func TestGetRangeIntoAllocFree(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
-	defer sess.Close()
 	var sc RangeScratch
 	start := []byte("alloc-key-000100")
 	cols := []int{0}
@@ -363,7 +354,6 @@ func allocBytesPerRun(runs int, f func()) float64 {
 func TestPutAllocBytes(t *testing.T) {
 	s := newAllocTestStore(t, 1000)
 	sess := s.Session(0)
-	defer sess.Close()
 	key := []byte("alloc-key-000123")
 	ten := make([]value.ColPut, 10)
 	for i := range ten {
@@ -394,7 +384,6 @@ func TestPutAllocBytes(t *testing.T) {
 func TestEightByteValuesFitOneLine(t *testing.T) {
 	s := newAllocTestStore(t, 0)
 	sess := s.Session(0)
-	defer sess.Close()
 	const n = 100_000
 	keys := make([][]byte, n)
 	for i := range keys {
@@ -438,7 +427,6 @@ func fourBytes(i, c, gen int) []byte { return []byte{byte('a' + c), byte(gen), b
 func TestRecordValuesSpanTwoLines(t *testing.T) {
 	s := newAllocTestStore(t, 0)
 	sess := s.Session(0)
-	defer sess.Close()
 	const n = 100_000
 	keys := make([][]byte, n)
 	for i := range keys {
@@ -498,8 +486,6 @@ func TestRestoredRecordsAreCompact(t *testing.T) {
 		w := (i + i%3) % 2 // i%3 == 1: the other worker; i%3 == 2: the same one
 		sess[w].Put(key(i), []value.ColPut{{Col: i % 10, Data: fourBytes(i, i%10, 1)}})
 	}
-	sess[0].Close()
-	sess[1].Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +496,6 @@ func TestRestoredRecordsAreCompact(t *testing.T) {
 	}
 	defer r.Close()
 	rs := r.Session(0)
-	defer rs.Close()
 	for i := 0; i < n; i++ {
 		v, ok := rs.GetValue(key(i))
 		if !ok {
@@ -573,8 +558,6 @@ func TestPutBatchVolumeAllocBytes(t *testing.T) {
 		puts[i] = []value.ColPut{{Col: 0, Data: []byte("8 bytes!")}}
 	}
 	sess := [2]*Session{s.Session(0), s.Session(1)}
-	defer sess[0].Close()
-	defer sess[1].Close()
 	handoffs, b := 0, 0
 	run := func(nputs int) {
 		for end := b + nputs/batch; b < end; b++ {

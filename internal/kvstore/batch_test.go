@@ -74,7 +74,7 @@ func TestTreeCountersReadNonZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	put := func(k string) { ss.PutSimple([]byte(k), []byte(k)) }
 	remove := func(k string) { ss.Remove([]byte(k)) }
 	for _, c := range []struct {
@@ -136,7 +136,6 @@ func TestTreeCountersReadNonZero(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			sess := s.Session(w)
-			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for !stop.Load() {
 				lo := rng.Intn(space - 40)
@@ -158,7 +157,6 @@ func TestTreeCountersReadNonZero(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			sess := s.Session(r)
-			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			batch := make([][]byte, 40)
 			for !stop.Load() {

@@ -30,7 +30,6 @@ func TestTTLLazyExpiry(t *testing.T) {
 	}
 	defer s.Close()
 	sess := s.Session(0)
-	defer sess.Close()
 
 	past := nowNanos() - uint64(time.Second)
 	future := nowNanos() + uint64(time.Hour)
@@ -99,7 +98,6 @@ func TestTTLSweepRemoves(t *testing.T) {
 	}
 	defer s.Close()
 	sess := s.Session(0)
-	defer sess.Close()
 	past := nowNanos() - 1
 	future := nowNanos() + uint64(time.Hour)
 	const n = sweepBatchKeys + 100 // force more than one sweep batch
@@ -146,7 +144,6 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 	if _, ok := sess.Touch([]byte("plain"), future); !ok {
 		t.Fatal("touch failed")
 	}
-	sess.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,6 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 	if _, ok := rs.GetValue([]byte("dead")); ok {
 		t.Fatal("expired key visible after restart")
 	}
-	rs.Close()
 	// Checkpoint skips the expired key; restart from it has no trace left.
 	if _, _, err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -197,7 +193,7 @@ func TestEvictionVersionMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	v1 := ss.PutSimple([]byte("k"), []byte("a"))
 	if !s.evictKey([]byte("k")) {
 		t.Fatal("evictKey failed on a present key")
@@ -249,7 +245,6 @@ func TestCacheBoundZipfian(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			sess := s.Session(w)
-			defer sess.Close()
 			zipf := workload.ZipfKeys(int64(1000+w), nkeys)
 			val := make([]byte, valSize)
 			future := nowNanos() + uint64(time.Hour)
@@ -354,7 +349,6 @@ func TestCacheKeepsZipfHeadResident(t *testing.T) {
 			sess.PutSimple(k, val)
 		}
 	}
-	sess.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +392,6 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 	for i := 0; i < 1024; i++ { // ~4 MiB, 4x over the reopen budget
 		ss.PutSimple([]byte(fmt.Sprintf("key-%05d", i)), val)
 	}
-	ss.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +435,6 @@ func TestCacheModeAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	sess := s.Session(0)
-	defer sess.Close()
 	key := []byte("cache-alloc-key")
 	data := []byte("cache-column-data")
 	// Warm both admission-ring swap buffers past the measured append volume
@@ -517,7 +509,7 @@ func TestCacheReadsFeedThePolicy(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			ss := sessions(t, s, 1)[0]
+			ss := sessions(s, 1)[0]
 			read, unread := []byte("read"), []byte("unread")
 			ss.PutSimple(read, val)
 			ss.PutSimple(unread, val)
@@ -563,7 +555,6 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 	}
 	mix := func(w, from, to int) {
 		sess := s.Session(w)
-		defer sess.Close()
 		for i := from; i < to; i++ {
 			switch i % 5 {
 			case 0:
@@ -595,7 +586,6 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 		sess.PutSimple(key(i+6), []byte("no longer a ttl")) // loses one
 		sess.Remove(key(i + 7))
 	}
-	sess.Close()
 	before := s.CacheStats().BytesLive
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

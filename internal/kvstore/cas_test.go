@@ -19,7 +19,7 @@ func TestCasPutSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	key := []byte("counter")
 
 	// Expect-absent on an absent key: atomic create.
@@ -77,7 +77,7 @@ func TestCasPutRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	v1, ok := ss[0].CasPut([]byte("k"), 0, col0("created"))
 	if !ok {
 		t.Fatal("create cas failed")
@@ -98,7 +98,7 @@ func TestCasPutRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	v, ok := sessions(t, r, 1)[0].GetValue([]byte("k"))
+	v, ok := sessions(r, 1)[0].GetValue([]byte("k"))
 	if !ok || string(v.Col(0)) != "updated" {
 		t.Fatalf("recovered %q ok=%v", v.Col(0), ok)
 	}
@@ -117,7 +117,7 @@ func TestCasPutConcurrentIncrement(t *testing.T) {
 	}
 	defer s.Close()
 	key := []byte("ctr")
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	if _, ok := ss.CasPut(key, 0, col0("0")); !ok {
 		t.Fatal("seed failed")
 	}
@@ -130,7 +130,6 @@ func TestCasPutConcurrentIncrement(t *testing.T) {
 		go func(worker int) {
 			defer wg.Done()
 			sess := s.Session(worker)
-			defer sess.Close()
 			for i := 0; i < increments; i++ {
 				for {
 					v, ok := sess.GetValue(key)

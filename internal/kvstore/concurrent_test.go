@@ -26,7 +26,6 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			sess := s.Session(w)
-			defer sess.Close()
 			for i := 0; i < perWorker; i++ {
 				k := []byte(fmt.Sprintf("w%d-%05d", w, i))
 				sess.Put(k, []value.ColPut{{Col: 0, Data: k}, {Col: 1, Data: []byte{byte(w)}}})
@@ -64,7 +63,7 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	if r.Len() != liveBefore {
 		t.Fatalf("recovered %d keys, had %d", r.Len(), liveBefore)
 	}
@@ -94,7 +93,6 @@ func TestConcurrentGetRangeDuringPuts(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		w := s.Session(0)
-		defer w.Close()
 		for i := 0; ; i++ {
 			mu.Lock()
 			if stop {

@@ -32,7 +32,7 @@ func crash(t *testing.T, s *Store) {
 func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	// Worker 1 logs a single early record; worker 0 keeps writing on its own
 	// clock shard (ts 1..10 on log 0, ts 1 on log 1, with background clock
 	// synchronization disabled by openDir). The cutoff is the slowest log's
@@ -44,7 +44,7 @@ func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 	crash(t, s)
 
 	r := openDir(t, dir)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	// Cutoff = min(max of log0=10, max of log1=1) = 1: b0 survives, and of
 	// worker 0's updates only a0 (ts 1 on its shard) makes the cut.
@@ -65,7 +65,7 @@ func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	for i := 0; i < 100; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
@@ -83,7 +83,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	}
 
 	r := openDir(t, dir)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	// The torn record (k099) is gone; everything before it survives.
 	if r.Len() != 99 {
@@ -97,15 +97,15 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 func TestReopenAfterCleanCloseTwice(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v1"))
 	s.Close()
 	s2 := openDir(t, dir)
-	ss2 := sessions(t, s2, 1)[0]
+	ss2 := sessions(s2, 1)[0]
 	ss2.PutSimple([]byte("k"), []byte("v2"))
 	s2.Close()
 	s3 := openDir(t, dir)
-	ss3 := sessions(t, s3, 1)[0]
+	ss3 := sessions(s3, 1)[0]
 	defer s3.Close()
 	got, ok := ss3.GetValue([]byte("k"))
 	if !ok || string(got.Col(0)) != "v2" {
@@ -116,7 +116,7 @@ func TestReopenAfterCleanCloseTwice(t *testing.T) {
 func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	for i := 0; i < 200; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("pre"))
 	}
@@ -129,7 +129,7 @@ func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 	crash(t, s)
 
 	r := openDir(t, dir)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	if r.Len() != 200 {
 		t.Fatalf("recovered %d keys", r.Len())
@@ -152,7 +152,7 @@ func TestBackgroundFlushDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v"))
 	time.Sleep(50 * time.Millisecond) // let the background flusher run
 	// Simulate a hard crash with no explicit flush at all.
@@ -161,7 +161,7 @@ func TestBackgroundFlushDurability(t *testing.T) {
 	s.logs.Close()
 
 	r := openDir(t, dir)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("update lost despite background flush")
@@ -191,7 +191,6 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			sess := s.Session(w)
-			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(w) * 99))
 			keys := make([][]byte, batch)
 			puts := make([][]value.ColPut, batch)
@@ -268,7 +267,7 @@ func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	ss[1].PutSimple([]byte("idle-worker-key"), []byte("x")) // log 1 then goes idle
 	for i := 0; i < 10; i++ {
 		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("y"))
@@ -294,7 +293,7 @@ func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	for i := 0; i < 10; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("ck%02d", i)), []byte("v"))
 	}
@@ -307,7 +306,7 @@ func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	crash(t, s)
 
 	r := openDir(t, dir)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	rs.PutSimple([]byte("post-recovery"), []byte("new"))
 	if _, _, err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -317,7 +316,7 @@ func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	}
 
 	f := openDir(t, dir)
-	fs := sessions(t, f, 1)[0]
+	fs := sessions(f, 1)[0]
 	defer f.Close()
 	if f.Len() != 2 {
 		t.Fatalf("final state has %d keys, want 2 (ck00 + post-recovery)", f.Len())

@@ -32,7 +32,7 @@ func openTortureStore(t *testing.T, fsys vfs.FS) *Store {
 func checkpointThenCrash(t *testing.T, mem *vfs.MemFS, fsys vfs.FS) *vfs.MemFS {
 	t.Helper()
 	s := openTortureStore(t, fsys)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("precious"), []byte("acked"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestLostCheckpointWithoutDirSync(t *testing.T) {
 	img := checkpointThenCrash(t, mem, fault)
 
 	r := openTortureStore(t, img)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	if _, ok := rs.GetValue([]byte("precious")); ok {
 		t.Fatal("write survived without dir syncs — the lost-checkpoint scenario no longer reproduces, " +
@@ -76,7 +76,7 @@ func TestCheckpointSurvivesDirSyncedCrash(t *testing.T) {
 	img := checkpointThenCrash(t, mem, mem)
 
 	r := openTortureStore(t, img)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	if got, ok := rs.GetValue([]byte("precious")); !ok || string(got.Col(0)) != "acked" {
 		t.Fatalf("acknowledged write lost across checkpoint+crash: %q, %v", got, ok)
@@ -91,7 +91,7 @@ func TestCheckpointSurvivesDirSyncedCrash(t *testing.T) {
 func TestCheckpointLeavesNothingPending(t *testing.T) {
 	mem := vfs.NewMemFS()
 	s := openTortureStore(t, mem)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	defer s.Close()
 	for i := 0; i < 10; i++ {
 		ss.PutSimple([]byte{byte('a' + i)}, []byte("v"))
@@ -119,7 +119,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	ss[1].PutSimple([]byte("idle-worker-key"), []byte("old")) // worker 1 then goes idle
 	for i := 0; i < 5; i++ {
 		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("pre"))
@@ -155,7 +155,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	recs := sessions(t, rec, 1)[0]
+	recs := sessions(rec, 1)[0]
 	for i := 0; i < 5; i++ {
 		got, ok := recs.GetValue([]byte(fmt.Sprintf("busy%02d", i)))
 		if !ok || string(got.Col(0)) != "post" {
@@ -174,7 +174,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 func TestAckedFlushSurvivesConservativeCrash(t *testing.T) {
 	mem := vfs.NewMemFS()
 	s := openTortureStore(t, mem)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v"))
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestAckedFlushSurvivesConservativeCrash(t *testing.T) {
 	s.Close()
 
 	r := openTortureStore(t, img)
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("synced flush lost: log file creation was not made durable")

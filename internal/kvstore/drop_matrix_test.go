@@ -89,7 +89,7 @@ func runDropCell(t *testing.T, c dropCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	key := []byte("k")
 	b := []value.ColPut{{Col: 0, Data: []byte("b")}}
 	var baseVer uint64
@@ -208,7 +208,7 @@ func runDropCell(t *testing.T, c dropCell) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}

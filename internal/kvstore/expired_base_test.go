@@ -19,7 +19,7 @@ func TestExpiredBaseNotResurrected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	past := nowNanos() - 1
 	ss.PutTTL([]byte("k"), []value.ColPut{
 		{Col: 0, Data: []byte("col0-old")},
@@ -34,7 +34,6 @@ func TestExpiredBaseNotResurrected(t *testing.T) {
 	check := func(st *Store, label string) {
 		t.Helper()
 		ss := st.Session(0)
-		defer ss.Close()
 		got, ok := ss.GetValue([]byte("k"))
 		cols := got.Cols()
 		if !ok {
@@ -68,7 +67,7 @@ func TestExpiredBaseBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	past, future := nowNanos()-1, nowNanos()+uint64(time.Hour)
 	ss.PutTTL([]byte("dead"), []value.ColPut{
 		{Col: 0, Data: []byte("d0")}, {Col: 1, Data: []byte("d1")},
@@ -86,7 +85,6 @@ func TestExpiredBaseBatch(t *testing.T) {
 	check := func(st *Store, label string) {
 		t.Helper()
 		ss := st.Session(0)
-		defer ss.Close()
 		got, ok := ss.GetValue([]byte("dead"))
 		cols := got.Cols()
 		if !ok || len(cols) != 1 || string(cols[0]) != "d0-new" {
@@ -126,7 +124,7 @@ func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss := sessions(t, s, 2)
+			ss := sessions(s, 2)
 			exp := nowNanos() - 1 // already lapsed
 			if drop == "evict" {
 				exp = nowNanos() + uint64(time.Hour)
@@ -152,7 +150,6 @@ func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 			check := func(st *Store, label string) {
 				t.Helper()
 				ss := st.Session(0)
-				defer ss.Close()
 				got, ok := ss.GetValue([]byte("k"))
 				cols := got.Cols()
 				if !ok || len(cols) != 1 || string(cols[0]) != "fresh" {
@@ -186,7 +183,7 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	ss.Put([]byte("dropped"), []value.ColPut{
 		{Col: 0, Data: []byte("a0")}, {Col: 3, Data: []byte("a3")},
 	})
@@ -203,7 +200,6 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 	check := func(st *Store, label string) {
 		t.Helper()
 		ss := st.Session(0)
-		defer ss.Close()
 		got, ok := ss.GetValue([]byte("dropped"))
 		cols := got.Cols()
 		if !ok || len(cols) != 1 || string(cols[0]) != "new0" {
@@ -236,7 +232,7 @@ func TestCasPutTreatsExpiredAsAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	defer s.Close()
 	deadVer := ss.PutTTL([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("old")}}, nowNanos()-1)
 
@@ -275,7 +271,7 @@ func TestTouchRecordStandsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	future := nowNanos() + uint64(time.Hour)
 	ss[0].Put([]byte("k"), []value.ColPut{
 		{Col: 0, Data: []byte("c0")}, {Col: 1, Data: []byte("c1")},
@@ -302,7 +298,7 @@ func TestTouchRecordStandsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	got, ok := rs.GetValue([]byte("k"))
 	cols := got.Cols()

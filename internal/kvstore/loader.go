@@ -121,15 +121,10 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 			return l.install(ss, key, v.Cols(), v.ExpiresAt()), false, nil
 		}
 	}
-	var loadStart time.Time
-	if l.s.obs != nil {
-		loadStart = time.Now()
-	}
+	loadStart := time.Now()
 	payload, ttl, ok, err := l.be.Load(ctx, key)
-	if l.s.obs != nil {
-		l.s.obs.Hist(obs.HBackendLoad).Record(ss.worker, time.Since(loadStart))
-		l.noteBreaker(ss.worker)
-	}
+	l.s.obs.Hist(obs.HBackendLoad).Record(ss.worker, time.Since(loadStart))
+	l.noteBreaker(ss.worker)
 	if err != nil {
 		l.loadErrors.Add(1)
 		l.s.obs.Recorder().Record(ss.worker, obs.EvLoadError, obs.KeyHash(key), 0)
@@ -160,7 +155,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 // noteBreaker traces a breaker state change since the last load observed
 // it: a trip into breaker.Open and a heal out of it both become flight
 // events, detected by state comparison so the backend wrapper's seam stays
-// untouched. Called only with obs armed, after each backend load.
+// untouched. Called after each backend load.
 func (l *loader) noteBreaker(worker int) {
 	bs, ok := l.be.(interface{ Stats() backend.Stats })
 	if !ok {

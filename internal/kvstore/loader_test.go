@@ -31,7 +31,6 @@ func TestGetOrLoadReadThrough(t *testing.T) {
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v0"), []byte("v1")}))
 	s := openLoaderStore(t, Config{Backend: m})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 
 	v, stale, err := ss.GetOrLoad(ctx, []byte("k"))
@@ -63,7 +62,6 @@ func TestGetOrLoadTTLRidesHeader(t *testing.T) {
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
 	s := openLoaderStore(t, Config{Backend: m, NegativeTTL: -1})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	v, _, err := ss.GetOrLoad(ctx, []byte("k"))
 	if err != nil || v == nil {
@@ -103,7 +101,6 @@ func TestGetOrLoadHerd(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			ss := s.Session(0)
-			defer ss.Close()
 			v, _, err := ss.GetOrLoad(ctx, []byte("hot"))
 			if err == nil && v == nil {
 				err = errors.New("nil value")
@@ -145,12 +142,10 @@ func TestGetOrLoadWaiterHonorsContext(t *testing.T) {
 	go func() {
 		defer close(leaderDone)
 		ss := s.Session(0)
-		defer ss.Close()
 		ss.GetOrLoad(context.Background(), []byte("k"))
 	}()
 	waitUntil(t, func() bool { return m.Loads() == 1 })
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if _, _, err := ss.GetOrLoad(ctx, []byte("k")); !errors.Is(err, context.DeadlineExceeded) {
@@ -164,7 +159,6 @@ func TestGetOrLoadNegativeCache(t *testing.T) {
 	m := backend.NewMock(0)
 	s := openLoaderStore(t, Config{Backend: m, NegativeTTL: 50 * time.Millisecond})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if v, _, err := ss.GetOrLoad(ctx, []byte("ghost")); v != nil || err != nil {
@@ -194,7 +188,6 @@ func TestPutInvalidatesNegativeCache(t *testing.T) {
 		MaxBytes:    1, // evict aggressively: the put's only survival is the spill path
 	})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	if v, _, err := ss.GetOrLoad(ctx, []byte("k")); v != nil || err != nil {
 		t.Fatalf("prime miss: %v %v", v, err)
@@ -222,7 +215,6 @@ func TestStaleIfErrorAndBreakerRecovery(t *testing.T) {
 		NegativeTTL: -1,
 	})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 
 	// Load once while healthy; value carries a 20ms TTL.
@@ -274,7 +266,6 @@ func TestBreakerTransitionsTraced(t *testing.T) {
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: 20 * time.Millisecond})
 	s := openLoaderStore(t, Config{Backend: w, NegativeTTL: -1})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 
 	m.SetError(errors.New("backend down"))
@@ -307,7 +298,6 @@ func TestGetOrLoadFailFastNoGoroutinePileup(t *testing.T) {
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: time.Hour})
 	s := openLoaderStore(t, Config{Backend: w, NegativeTTL: -1})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	ss.PutSimple([]byte("resident"), []byte("v"))
 	m.SetError(down)
@@ -320,7 +310,6 @@ func TestGetOrLoadFailFastNoGoroutinePileup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			sess := s.Session(0)
-			defer sess.Close()
 			for j := 0; j < 50; j++ {
 				// Resident keys keep serving...
 				if _, ok := sess.GetValue([]byte("resident")); !ok {
@@ -352,7 +341,6 @@ func TestWriteBehindSpillAndReload(t *testing.T) {
 		MaxBytes:    1, // evict everything the maintenance loop sees
 	})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	ss.PutSimple([]byte("spillme"), []byte("payload"))
 	// Eviction (budget 1 byte) must spill the key to the backend...
@@ -377,7 +365,6 @@ func TestWriteBehindPendingVisibleToLoad(t *testing.T) {
 	defer release()
 	s := openLoaderStore(t, Config{Backend: m, WriteBehind: 64, MaxBytes: 1})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	ss.PutSimple([]byte("k"), []byte("newest"))
 	// Wait for eviction to queue the spill (key gone from memory, store hung).
@@ -397,7 +384,6 @@ func TestRemoveTombstonePropagates(t *testing.T) {
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("old")}))
 	s := openLoaderStore(t, Config{Backend: m, WriteBehind: 16, NegativeTTL: -1})
 	ss := s.Session(0)
-	defer ss.Close()
 	ctx := context.Background()
 	if v, _, err := ss.GetOrLoad(ctx, []byte("k")); err != nil || v == nil {
 		t.Fatalf("prime: %v %v", v, err)
@@ -421,7 +407,6 @@ func TestWriteBehindDropsCounted(t *testing.T) {
 	defer release()
 	s := openLoaderStore(t, Config{Backend: m, WriteBehind: 2, NegativeTTL: -1})
 	ss := s.Session(0)
-	defer ss.Close()
 	for i := 0; i < 6; i++ {
 		ss.PutSimple([]byte{byte('a' + i)}, []byte("v"))
 		ss.Remove([]byte{byte('a' + i)}) // tombstones queue up behind the hang
@@ -449,7 +434,6 @@ func TestDrainWriteBehindOnShutdown(t *testing.T) {
 	ss.PutSimple([]byte("k"), []byte("v"))
 	ss.Remove([]byte("k")) // queue a tombstone
 	ss.PutSimple([]byte("k2"), []byte("v2"))
-	ss.Close()
 	if !s.DrainWriteBehind(2 * time.Second) {
 		t.Fatal("drain timed out")
 	}
@@ -465,7 +449,6 @@ func TestGetOrLoadHitPathAllocFree(t *testing.T) {
 	m := backend.NewMock(0)
 	s := openLoaderStore(t, Config{Backend: m})
 	ss := s.Session(0)
-	defer ss.Close()
 	ss.PutSimple([]byte("hot"), []byte("v"))
 	ctx := context.Background()
 	key := []byte("hot")
@@ -483,7 +466,6 @@ func TestGetOrLoadHitPathAllocFree(t *testing.T) {
 func TestGetOrLoadNoBackend(t *testing.T) {
 	s := openLoaderStore(t, Config{})
 	ss := s.Session(0)
-	defer ss.Close()
 	ss.PutSimple([]byte("k"), []byte("v"))
 	if v, _, err := ss.GetOrLoad(context.Background(), []byte("k")); err != nil || v == nil {
 		t.Fatalf("resident hit: %v %v", v, err)
@@ -499,7 +481,6 @@ func TestLoadDoesNotClobberRacingPut(t *testing.T) {
 	release := m.Hang()
 	s := openLoaderStore(t, Config{Backend: m})
 	ssLoad := s.Session(0)
-	defer ssLoad.Close()
 	done := make(chan *value.Value, 1)
 	go func() {
 		v, _, _ := ssLoad.GetOrLoad(context.Background(), []byte("k"))
@@ -508,7 +489,6 @@ func TestLoadDoesNotClobberRacingPut(t *testing.T) {
 	waitUntil(t, func() bool { return m.Loads() == 1 })
 	// A real put lands while the load is in flight.
 	ssPut := s.Session(0)
-	defer ssPut.Close()
 	ssPut.PutSimple([]byte("k"), []byte("from-put"))
 	release()
 	v := <-done

@@ -53,7 +53,7 @@ func TestMultiPartEqualsSinglePartQuiesced(t *testing.T) {
 		return s
 	}
 	s := open()
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("key-%06d", rng.Intn(3000))
@@ -100,7 +100,7 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss := sessions(t, s, 3)
+			ss := sessions(s, 3)
 			for i := 0; i < 2000; i++ {
 				ss[i%3].PutSimple([]byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
 			}
@@ -170,7 +170,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := sessions(t, s, 3)
+		ss := sessions(s, 3)
 		for i := 0; i < 2000; i++ {
 			ss[i%3].PutSimple([]byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
 		}
@@ -245,7 +245,7 @@ func TestPartitionBoundsDisjointCover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	for i := 0; i < 4096; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("%05d", i)), []byte("x"))
 	}
@@ -335,8 +335,6 @@ func TestTwigsSurviveRestart(t *testing.T) {
 		sess[(g+1)%2].Put(key(g, 2), []value.ColPut{{Col: 0, Data: []byte("new")}})
 	}
 	want := snapshotState(s)
-	sess[0].Close()
-	sess[1].Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +385,6 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	put := func(n int) {
 		ss := s.Session(0)
-		defer ss.Close()
 		for n += s.Len(); s.Len() < n; {
 			ss.PutSimple([]byte(fmt.Sprint(rng.Int63n(1<<31))), []byte("8 bytes."))
 		}

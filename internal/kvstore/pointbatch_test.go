@@ -78,7 +78,6 @@ func runOneAtATime(sess *Session, ops []frameOp) []frameResult {
 func TestPointBatchFrameOrder(t *testing.T) {
 	s := openMem(t)
 	sess := s.Session(0)
-	defer sess.Close()
 	c := func(col int, data string) value.ColPut { return value.ColPut{Col: col, Data: []byte(data)} }
 	sess.Put([]byte("j"), []value.ColPut{c(0, "j-old")})
 	sess.Put([]byte("record"), []value.ColPut{c(0, "a"), c(1, "b"), c(2, "c")})
@@ -209,8 +208,6 @@ func (l *frameLedger) state(s *Store) map[string]kvState {
 func TestPointBatchMatchesOneAtATime(t *testing.T) {
 	batched, single := openMem(t), openMem(t)
 	bs, ss := batched.Session(0), single.Session(0)
-	defer bs.Close()
-	defer ss.Close()
 	bl, sl := newFrameLedger(t), newFrameLedger(t)
 	fellBack := 0 // frames in which a wave handed a get to Get
 	for f, ops := range randomFrames(rand.New(rand.NewSource(11)), 300, 40) {
@@ -260,7 +257,6 @@ func TestPointBatchOneKind(t *testing.T) {
 	}
 	defer s.Close()
 	sess := s.Session(0)
-	defer sess.Close()
 	keys := [][]byte{[]byte("a"), []byte("b"), []byte("a")}
 	puts := [][]value.ColPut{col0("1"), col0("2"), col0("3")}
 
@@ -332,8 +328,6 @@ func TestMixedSegmentsReplay(t *testing.T) {
 		}
 	}
 	want := snapshotState(s)
-	sess[0].Close()
-	sess[1].Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,6 @@ func TestGetRangeBatchMatchesGetRange(t *testing.T) {
 	}
 	defer s.Close()
 	sess := s.Session(0)
-	defer sess.Close()
 	present := rangeBatchKeys()
 	for _, k := range present {
 		sess.Put(k, []value.ColPut{{Col: 0, Data: k}, {Col: 1, Data: []byte("second")}})
@@ -171,7 +170,7 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 	}
 	stable := func(i int) bool { return i%4 != 3 && i%40 < 3 }
 	var stableKeys []string // sorted below
-	load := sessions(t, s, 1)[0]
+	load := sessions(s, 1)[0]
 	for i, k := range keys {
 		if stable(i) {
 			load.PutSimple(k, k)
@@ -187,7 +186,6 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			sess := s.Session(w)
-			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(w + 1)))
 			for !stop.Load() {
 				lo := rng.Intn(space - 120)
@@ -211,7 +209,6 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 		go func(r int) {
 			defer scanners.Done()
 			sess := s.Session(r)
-			defer sess.Close()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			var sc RangeScratch
 			starts, ns, cols := make([][]byte, 20), make([]int, 20), make([][]int, 20)

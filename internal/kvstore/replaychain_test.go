@@ -114,7 +114,7 @@ func TestWorkerTagRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	if v, ok := ss[0].GetValue(key); !ok || v.Worker() != value.MaxWorker || string(v.Col(0)) != "a" || string(v.Col(1)) != "b" {
 		t.Fatalf("replayed %v tagged worker %d (ok=%v), want {a, b} tagged %d", v, v.Worker(), ok, value.MaxWorker)
 	}
@@ -130,7 +130,7 @@ func TestWorkerTagRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	v, ok := rs.GetValue(key)
 	cols := v.Cols()
 	if !ok || len(cols) != 2 || string(cols[0]) != "a" || string(cols[1]) != "B" || r.RecoveryStats().BrokenChains != 0 {
@@ -141,7 +141,7 @@ func TestWorkerTagRange(t *testing.T) {
 	mem = vfs.NewMemFS()
 	path = logAsWorker(t, mem, value.MaxWorker+1, fill)
 	if s, err := Open(chainCfg(mem)); err == nil {
-		v, _ := sessions(t, s, 1)[0].GetValue(key)
+		v, _ := sessions(s, 1)[0].GetValue(key)
 		s.Close()
 		t.Fatalf("Open replayed %s; its records are tagged worker %d", path, v.Worker())
 	} else if !strings.Contains(err.Error(), path) {
@@ -204,7 +204,7 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	defer s.Close()
 	if _, ok := ss.GetValue([]byte("whole")); ok {
 		t.Error("key with no surviving anchor recovered non-absent: dangling record was applied")
@@ -238,7 +238,7 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	wide := []value.ColPut{{Col: 0, Data: []byte("first")}, {Col: value.MaxCol, Data: []byte("last")}}
 	ss[0].Put([]byte("checkpointed"), wide)
 	if _, _, err := s.Checkpoint(); err != nil {
@@ -254,7 +254,7 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	defer r.Close()
 	for _, key := range []string{"checkpointed", "anchored"} {
 		v, ok := rs.GetValue([]byte(key))
@@ -318,7 +318,6 @@ func TestPutPastMaxColRefused(t *testing.T) {
 		}
 	}
 	want := snapshotState(s)
-	ss.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +342,7 @@ func TestHandoffAnchorAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	defer s.Close()
 	key := []byte("pingpong")
 	data := []byte("some-column-data")

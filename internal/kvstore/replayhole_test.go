@@ -40,7 +40,7 @@ func TestPartialColumnReplayHole(t *testing.T) {
 	key := []byte("shared")
 	// Worker 0 writes column 0, worker 1 then writes column 1 of the same
 	// key: two partial-column deltas in two different logs, ts_a < ts_b.
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	ss[0].Put(key, []value.ColPut{{Col: 0, Data: []byte("from-worker-0")}})
 	ss[1].Put(key, []value.ColPut{{Col: 1, Data: []byte("from-worker-1")}})
 	if err := s.Flush(); err != nil { // both deltas durable and acknowledged
@@ -73,7 +73,7 @@ func TestPartialColumnReplayHole(t *testing.T) {
 	if stats.MissingLogs != 1 {
 		t.Errorf("RecoveryStats.MissingLogs = %d, want 1: exactly worker 0's log vanished", stats.MissingLogs)
 	}
-	v, ok := sessions(t, r, 1)[0].GetValue(key)
+	v, ok := sessions(r, 1)[0].GetValue(key)
 	cols := v.Cols()
 	switch {
 	case ok && len(cols) >= 2 && string(cols[0]) == "from-worker-0" && string(cols[1]) == "from-worker-1":

@@ -110,12 +110,6 @@ type Config struct {
 	// asynchronously, coalescing per key, dropping the oldest entry (and
 	// counting the drop) when full. 0 disables write-behind.
 	WriteBehind int
-	// NoObs disables the observability subsystem (the per-worker latency
-	// histograms and the flight recorder, see internal/obs). Instrumentation
-	// is on by default: its record paths are allocation-free and wait-free,
-	// and the alloc pins and the obs bench experiment both run with it
-	// armed. Turning it off exists for measuring its own overhead.
-	NoObs bool
 }
 
 // Pair is one key plus requested columns, returned by GetRangeInto. It is
@@ -167,8 +161,8 @@ type Store struct {
 	ckptMu sync.Mutex // one checkpoint at a time
 
 	// obs is the observability registry: latency histograms for every
-	// internal stage plus the flight recorder. Nil when Config.NoObs — and
-	// every record site tolerates that, so "off" costs one nil check.
+	// internal stage plus the flight recorder. Always built; its record
+	// paths are allocation-free and wait-free.
 	obs *obs.Registry
 
 	// recovered is what Open's recovery observed; immutable afterwards.
@@ -197,8 +191,7 @@ type RecoveryStats struct {
 func (s *Store) RecoveryStats() RecoveryStats { return s.recovered }
 
 // Obs returns the store's observability registry — latency histograms and
-// the flight recorder. Nil when Config.NoObs; obs instruments are nil-safe,
-// so callers may chain without checking (s.Obs().Hist(...).Record(...)).
+// the flight recorder.
 func (s *Store) Obs() *obs.Registry { return s.obs }
 
 // obsRecoveryPhase records one recovery phase: its duration lands in the
@@ -241,11 +234,9 @@ func Open(cfg Config) (*Store, error) {
 	if s.fsys == nil {
 		s.fsys = vfs.OS{}
 	}
-	if !cfg.NoObs {
-		// Built before recovery so the recovery phases are themselves timed
-		// and replay's chain rollbacks land in the flight recorder.
-		s.obs = obs.NewRegistry(cfg.Workers)
-	}
+	// Built before recovery so the recovery phases are themselves timed and
+	// replay's chain rollbacks land in the flight recorder.
+	s.obs = obs.NewRegistry(cfg.Workers)
 	if cfg.Dir != "" {
 		if err := s.fsys.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, err
@@ -545,10 +536,8 @@ func (s *Store) cacheMaintain() {
 	if !s.ttlUsed.Load() && !s.cache.EvictionEnabled() {
 		return
 	}
-	if h := s.obs.Hist(obs.HEvict); h != nil {
-		start := time.Now()
-		defer func() { h.Record(0, time.Since(start)) }()
-	}
+	start := time.Now()
+	defer func() { s.obs.Hist(obs.HEvict).Record(0, time.Since(start)) }()
 	if s.ttlUsed.Load() {
 		// Adaptive catch-up: one batch per tick suffices when expirations
 		// trickle, but a TTL-heavy store (especially with eviction disabled,

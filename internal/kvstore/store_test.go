@@ -30,14 +30,11 @@ func openDir(t *testing.T, dir string) *Store {
 	return s
 }
 
-// sessions opens n sessions on s, the i-th bound to worker i, and closes
-// them when the test ends (before a store openMem opened is closed).
-func sessions(t testing.TB, s *Store, n int) []*Session {
-	t.Helper()
+// sessions opens n sessions on s, the i-th bound to worker i.
+func sessions(s *Store, n int) []*Session {
 	ss := make([]*Session, n)
 	for w := range ss {
 		ss[w] = s.Session(w)
-		t.Cleanup(ss[w].Close)
 	}
 	return ss
 }
@@ -46,7 +43,7 @@ func sessions(t testing.TB, s *Store, n int) []*Session {
 func openSess(t *testing.T) (*Store, *Session) {
 	t.Helper()
 	s := openMem(t)
-	return s, sessions(t, s, 1)[0]
+	return s, sessions(s, 1)[0]
 }
 
 func TestBasicOps(t *testing.T) {
@@ -84,7 +81,7 @@ func TestColumnOps(t *testing.T) {
 }
 
 func TestVersionsIncrease(t *testing.T) {
-	ss := sessions(t, openMem(t), 2)
+	ss := sessions(openMem(t), 2)
 	v1 := ss[0].PutSimple([]byte("k"), []byte("1"))
 	v2 := ss[0].PutSimple([]byte("k"), []byte("2"))
 	v3 := ss[1].PutSimple([]byte("other"), []byte("3"))
@@ -116,7 +113,7 @@ func TestGetRange(t *testing.T) {
 func TestRecoveryFromLogs(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	const n = 500
 	maxSeen := uint64(0)
 	for i := 0; i < n; i++ {
@@ -135,7 +132,7 @@ func TestRecoveryFromLogs(t *testing.T) {
 
 	r := openDir(t, dir)
 	defer r.Close()
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	if r.Len() != n-1 {
 		t.Fatalf("recovered %d keys, want %d", r.Len(), n-1)
 	}
@@ -164,7 +161,7 @@ func TestRecoveryFromLogs(t *testing.T) {
 func TestRecoveryWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	for i := 0; i < 300; i++ {
 		ss[0].PutSimple([]byte(fmt.Sprintf("key%04d", i)), []byte("pre"))
 	}
@@ -180,7 +177,7 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 
 	r := openDir(t, dir)
 	defer r.Close()
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	if r.Len() != 399 {
 		t.Fatalf("recovered %d keys, want 399", r.Len())
 	}
@@ -204,7 +201,6 @@ func TestCheckpointDuringWrites(t *testing.T) {
 	go func() {
 		defer close(done)
 		ss := s.Session(0)
-		defer ss.Close()
 		for i := 0; i < 2000; i++ {
 			ss.PutSimple([]byte(fmt.Sprintf("bg%05d", i)), []byte("x"))
 		}
@@ -219,7 +215,7 @@ func TestCheckpointDuringWrites(t *testing.T) {
 
 	r := openDir(t, dir)
 	defer r.Close()
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	if r.Len() != 2000 {
 		t.Fatalf("recovered %d keys, want 2000", r.Len())
 	}
@@ -235,7 +231,7 @@ func TestCheckpointDuringWrites(t *testing.T) {
 func TestRecoveryRemoveReinsert(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	ss[0].PutSimple([]byte("k"), []byte("first"))
 	ss[1].Remove([]byte("k"))
 	ss[0].PutSimple([]byte("k"), []byte("second"))
@@ -245,7 +241,7 @@ func TestRecoveryRemoveReinsert(t *testing.T) {
 
 	r := openDir(t, dir)
 	defer r.Close()
-	got, ok := sessions(t, r, 1)[0].GetValue([]byte("k"))
+	got, ok := sessions(r, 1)[0].GetValue([]byte("k"))
 	if !ok || string(got.Col(0)) != "third" {
 		t.Fatalf("k = %q,%v want third", got.Cols(), ok)
 	}
@@ -255,7 +251,7 @@ func TestRecoveryRemoveReinsert(t *testing.T) {
 func TestRecoveryPartialColumns(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	ss[0].Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("a")}, {Col: 1, Data: []byte("b")}})
 	ss[1].Put([]byte("k"), []value.ColPut{{Col: 1, Data: []byte("B")}})
 	ss[0].Put([]byte("k"), []value.ColPut{{Col: 2, Data: []byte("c")}})
@@ -263,7 +259,7 @@ func TestRecoveryPartialColumns(t *testing.T) {
 
 	r := openDir(t, dir)
 	defer r.Close()
-	v, ok := sessions(t, r, 1)[0].GetValue([]byte("k"))
+	v, ok := sessions(r, 1)[0].GetValue([]byte("k"))
 	got := v.Cols()
 	if !ok || len(got) != 3 {
 		t.Fatalf("k = %q,%v", got, ok)
@@ -276,7 +272,6 @@ func TestRecoveryPartialColumns(t *testing.T) {
 func TestSessionOps(t *testing.T) {
 	s := openMem(t)
 	ss := s.Session(0)
-	defer ss.Close()
 	ss.PutSimple([]byte("k"), []byte("v"))
 	got, ok := ss.GetValue([]byte("k"))
 	if !ok || !bytes.Equal(got.Col(0), []byte("v")) {
@@ -293,7 +288,7 @@ func TestSessionOps(t *testing.T) {
 func TestCheckpointReclaimsLogs(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	for i := 0; i < 100; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
@@ -320,7 +315,7 @@ func TestMaintainLoopCollapsesLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ss := sessions(t, s, 3)
+	ss := sessions(s, 3)
 	// Five keys of one slice: one more than a twig holds, so a layer.
 	keys := []string{"01234567AB", "01234567CD", "01234567EF", "01234567GH", "01234567XY"}
 	want := map[string]string{}

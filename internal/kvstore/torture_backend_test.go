@@ -121,7 +121,6 @@ func (tt *torture) backendWorkload() error {
 		go func() {
 			defer wg.Done()
 			ss := tt.s.Session(0)
-			defer ss.Close()
 			ss.GetOrLoad(context.Background(), []byte("bk00"))
 		}()
 	}
@@ -224,7 +223,6 @@ func (tt *torture) verifyBackend(img *vfs.MemFS, label string) {
 	r := tt.reopen(img, label, func(cfg *Config) { attach(cfg, tt.mock) })
 	defer r.Close()
 	ss := r.Session(0)
-	defer ss.Close()
 	for _, k := range []string{"bk00", "bk03", "w00", "heal"} {
 		h := tt.hist[k]
 		if h == nil {

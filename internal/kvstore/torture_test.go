@@ -173,7 +173,7 @@ func (cr crashRun) run(t *testing.T, crashAt int) (crashed bool, images int) {
 			fatalDump(t, s, "crashAt=%d: workload: %v", crashAt, werr)
 		}
 		// Close is part of the tortured op stream too (flushes and marks).
-		if cerr := tt.close(); cerr == nil && !fault.Crashed() {
+		if cerr := tt.s.Close(); cerr == nil && !fault.Crashed() {
 			tt.promote() // clean shutdown acknowledges everything
 		}
 	}
@@ -203,14 +203,6 @@ func (tt *torture) open(s *Store) {
 	for w := range tt.sess {
 		tt.sess[w] = s.Session(w)
 	}
-}
-
-// close closes the workers' sessions, then the store.
-func (tt *torture) close() error {
-	for _, ss := range tt.sess {
-		ss.Close()
-	}
-	return tt.s.Close()
 }
 
 func (tt *torture) histOf(key string) *keyHist {
@@ -487,7 +479,6 @@ func (tt *torture) exact(r *Store, label string) (rollback string) {
 // remove at or after its ack nor a clean drop explains, "" if none.
 func (tt *torture) lost(r *Store) string {
 	rs := r.Session(0)
-	defer rs.Close()
 	for k, h := range tt.hist {
 		if h.acked < 0 || h.dropped {
 			continue // never acknowledged, or clean-dropped: absence is legal

@@ -140,7 +140,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 2)
+	ss := sessions(s, 2)
 	key, bystander := []byte("k"), []byte("x")
 	future := nowNanos() + uint64(time.Hour)
 	baseCols := []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}
@@ -281,7 +281,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs := sessions(t, r, 1)[0]
+	rs := sessions(r, 1)[0]
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}

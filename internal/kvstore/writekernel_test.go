@@ -21,7 +21,7 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	key := []byte("k")
 	deadline := nowNanos() + uint64(time.Hour)
 	baseVer := ss.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}, deadline)
@@ -69,7 +69,7 @@ func TestWriteKernelClockReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ss := sessions(t, s, 1)[0]
+	ss := sessions(s, 1)[0]
 	reads := 0
 	s.now = func() int64 { reads++; return time.Now().UnixNano() }
 	future := nowNanos() + uint64(time.Hour)

@@ -34,8 +34,8 @@ type histShard struct {
 // wait-free (one atomic add per bucket count, one for the running sum) and
 // allocation-free; Snapshot is lock-free (atomic loads, no quiescence — a
 // snapshot taken under load is some valid recent state, which is all a
-// monitoring read needs). A nil *Hist is a valid no-op receiver, so
-// disabled instrumentation costs a nil check and nothing else.
+// monitoring read needs). A nil *Hist records nothing: a wal.Set opened
+// without Observe holds nil instruments.
 type Hist struct {
 	name   string
 	shards []histShard
@@ -116,13 +116,8 @@ type HistSnapshot struct {
 }
 
 // Snapshot copies the histogram with atomic loads, summing across shards.
-// Nil-safe: a nil Hist snapshots as an empty histogram.
 func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	if h == nil {
-		return s
-	}
-	s.Name = h.name
+	s := HistSnapshot{Name: h.name}
 	for i := range h.shards {
 		sh := &h.shards[i]
 		for b := 0; b < NumBuckets; b++ {
@@ -136,12 +131,8 @@ func (h *Hist) Snapshot() HistSnapshot {
 // ShardSnapshot copies a single worker shard — cluster mode uses this for
 // per-node quantiles out of its node-sharded RPC histogram.
 func (h *Hist) ShardSnapshot(worker int) HistSnapshot {
-	var s HistSnapshot
-	if h == nil || len(h.shards) == 0 {
-		return s
-	}
 	sh := &h.shards[uint(worker)%uint(len(h.shards))]
-	s.Name = h.name
+	s := HistSnapshot{Name: h.name}
 	for b := 0; b < NumBuckets; b++ {
 		s.Buckets[b] = atomic.LoadUint64(&sh.counts[b])
 	}

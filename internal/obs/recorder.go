@@ -108,7 +108,8 @@ type recRing struct {
 
 // Recorder is a fixed-size per-worker ring of trace events. Writers append
 // to their own worker's ring (older events overwrite in FIFO order); Dump
-// merges the rings into one timeline. A nil *Recorder is a valid no-op.
+// merges the rings into one timeline. Record on a nil *Recorder is a no-op:
+// a wal.Set opened without Observe holds nil instruments.
 type Recorder struct {
 	rings []recRing
 }
@@ -152,11 +153,8 @@ func (r *Recorder) Record(worker int, k Kind, arg1, arg2 uint64) {
 }
 
 // Events snapshots every retained event across all rings, oldest first
-// (merged by timestamp, per-ring sequence as the tiebreak). Nil-safe.
+// (merged by timestamp, per-ring sequence as the tiebreak).
 func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
 	var out []Event
 	for i := range r.rings {
 		ring := &r.rings[i]
@@ -205,9 +203,6 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 
 // DumpString renders the merged timeline as text for test-failure logs.
 func (r *Recorder) DumpString() string {
-	if r == nil {
-		return "(flight recorder disabled)\n"
-	}
 	var b strings.Builder
 	r.WriteTo(&b)
 	if b.Len() == 0 {

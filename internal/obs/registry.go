@@ -43,10 +43,8 @@ var histNames = [NumHists]string{
 	HEvict:       "evict",
 }
 
-// Registry bundles a store's histograms and its flight recorder. A nil
-// *Registry is valid everywhere and disables everything: Hist and Recorder
-// return nil, whose Record methods are no-ops — so "observability off" is
-// one nil check on every instrumented path, and zero allocation either way.
+// Registry bundles a store's histograms and its flight recorder. Every
+// store builds one; its record paths allocate nothing.
 type Registry struct {
 	hists [NumHists]*Hist
 	rec   *Recorder
@@ -63,31 +61,18 @@ func NewRegistry(workers int) *Registry {
 	return r
 }
 
-// Hist returns the histogram for id; nil on a nil registry.
+// Hist returns the histogram for id.
 //
 //masstree:noalloc
-func (r *Registry) Hist(id HistID) *Hist {
-	if r == nil {
-		return nil
-	}
-	return r.hists[id]
-}
+func (r *Registry) Hist(id HistID) *Hist { return r.hists[id] }
 
-// Recorder returns the flight recorder; nil on a nil registry.
+// Recorder returns the flight recorder.
 //
 //masstree:noalloc
-func (r *Registry) Recorder() *Recorder {
-	if r == nil {
-		return nil
-	}
-	return r.rec
-}
+func (r *Registry) Recorder() *Recorder { return r.rec }
 
-// Snapshots copies every histogram, in HistID order. Nil-safe (empty).
+// Snapshots copies every histogram, in HistID order.
 func (r *Registry) Snapshots() []HistSnapshot {
-	if r == nil {
-		return nil
-	}
 	out := make([]HistSnapshot, 0, NumHists)
 	for id := HistID(0); id < NumHists; id++ {
 		out = append(out, r.hists[id].Snapshot())

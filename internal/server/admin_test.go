@@ -57,7 +57,6 @@ func TestAdminSurfacesAgree(t *testing.T) {
 	defer store.Close()
 	srv := New(store, 2)
 	sess := store.Session(1)
-	defer sess.Close()
 	adminWorkout(t, srv, sess)
 
 	// Surface 1: the wire Stats op.
@@ -177,7 +176,7 @@ func TestAdminFlightRecorder(t *testing.T) {
 	}
 	defer store.Close()
 	srv := New(store, 1)
-	sess := session(t, store)
+	sess := store.Session(0)
 	for i := 0; i < 256; i++ {
 		sess.PutSimple([]byte(fmt.Sprintf("fr-key-%04d", i)), make([]byte, 128))
 	}
@@ -197,40 +196,5 @@ func TestAdminFlightRecorder(t *testing.T) {
 	}
 	if strings.Contains(body, "disabled") {
 		t.Fatalf("flight recorder reported disabled on a default-config store")
-	}
-}
-
-// TestAdminObsDisabled pins the off switch: with NoObs set, the admin
-// surface still answers — no lat_* keys, no histogram blocks, and the
-// flight recorder reports itself disabled — and the Stats op still serves
-// its counters.
-func TestAdminObsDisabled(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaintainEvery: -1, NoObs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	srv := New(store, 1)
-	sess := store.Session(0)
-	defer sess.Close()
-	adminWorkout(t, srv, sess)
-
-	for _, p := range srv.statsResponse().Pairs {
-		if strings.HasPrefix(string(p.Key), "lat_") {
-			t.Fatalf("NoObs stats response carries histogram key %q", p.Key)
-		}
-	}
-	rec := httptest.NewRecorder()
-	srv.AdminMux().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if strings.Contains(rec.Body.String(), "lat_") {
-		t.Fatalf("NoObs /metrics carries latency series:\n%s", rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "masstree_keys ") {
-		t.Fatalf("NoObs /metrics lost its counters:\n%s", rec.Body.String())
-	}
-	rec = httptest.NewRecorder()
-	srv.AdminMux().ServeHTTP(rec, httptest.NewRequest("GET", "/flightrecorder", nil))
-	if !strings.Contains(rec.Body.String(), "disabled") {
-		t.Fatalf("NoObs flight recorder did not report disabled: %s", rec.Body.String())
 	}
 }

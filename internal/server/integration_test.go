@@ -115,7 +115,7 @@ func TestIntegrationYCSBOverNetwork(t *testing.T) {
 	if store2.Len() != records {
 		t.Fatalf("recovered %d records, want %d", store2.Len(), records)
 	}
-	sess := session(t, store2)
+	sess := store2.Session(0)
 	for i := uint64(0); i < records; i++ {
 		key, _ := ycsb.LoadRecord(i)
 		v, ok := sess.GetValue(key)
@@ -190,7 +190,7 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	sess := session(t, store2)
+	sess := store2.Session(0)
 	for w := range truth {
 		for k, v := range truth[w] {
 			got, ok := sess.GetValue([]byte(k))
@@ -219,7 +219,7 @@ func TestIntegrationValueColumnsAtomicOverNetwork(t *testing.T) {
 	}()
 
 	key := []byte("pair")
-	session(t, store).Put(key, []value.ColPut{{Col: 0, Data: []byte("0")}, {Col: 1, Data: []byte("0")}})
+	store.Session(0).Put(key, []value.ColPut{{Col: 0, Data: []byte("0")}, {Col: 1, Data: []byte("0")}})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -50,7 +50,7 @@ func TestMixedFrameOrder(t *testing.T) {
 func testMixedFrameOrder(t *testing.T) {
 	srv, addr := startServer(t, "")
 	c := dialConn(t, addr)
-	sess := session(t, srv.store)
+	sess := srv.store.Session(0)
 	sess.PutSimple([]byte("j"), []byte("j-old"))
 	sess.Put([]byte("record"), []wire.ColData{cd(0, "a"), cd(1, "b"), cd(2, "c")})
 	sess.PutTTL([]byte("lapsed"), []wire.ColData{cd(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
@@ -261,7 +261,6 @@ func TestMixedSegmentAllocs(t *testing.T) {
 	defer store.Close()
 	srv := New(store, 1)
 	sess := store.Session(0)
-	defer sess.Close()
 
 	const batch = 16
 	reqs := make([]wire.Request, batch)

@@ -105,7 +105,6 @@ func TestServerPutPathAllocs(t *testing.T) {
 	defer store.Close()
 	srv := New(store, 1)
 	sess := store.Session(0)
-	defer sess.Close()
 
 	const batch = 64
 	reqs := make([]wire.Request, batch)
@@ -136,7 +135,6 @@ func TestServerGetRangeAllocFree(t *testing.T) {
 	defer store.Close()
 	srv := New(store, 1)
 	sess := store.Session(0)
-	defer sess.Close()
 	for j := 0; j < 200; j++ {
 		sess.PutSimple([]byte(fmt.Sprintf("range-key-%04d", j)), []byte("column-zero"))
 	}

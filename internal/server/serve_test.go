@@ -65,7 +65,7 @@ func readAnswer(t *testing.T, raw net.Conn, r *bufio.Reader, timeout time.Durati
 // the two sides would wait on each other.
 func TestResponseNotHeldBehindPartialFrame(t *testing.T) {
 	srv, addr := startServer(t, "")
-	session(t, srv.store).PutSimple([]byte("a"), []byte("v"))
+	srv.store.Session(0).PutSimple([]byte("a"), []byte("v"))
 	raw, r := dialRaw(t, addr)
 
 	a, b := getFrame(t, 1, "a"), getFrame(t, 2, "b")

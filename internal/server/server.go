@@ -61,7 +61,7 @@ import (
 // Server serves a kvstore over TCP.
 type Server struct {
 	store *kvstore.Store
-	obs   *obs.Registry // the store's registry; nil when observability is off
+	obs   *obs.Registry // the store's registry
 	ln    net.Listener
 
 	nextWorker atomic.Int64
@@ -206,7 +206,6 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 		conn.Close()
 	}()
 	sess := s.store.Session(worker)
-	defer sess.Close()
 	r := bufio.NewReaderSize(conn, 1<<16)
 	w := bufio.NewWriterSize(conn, 1<<16)
 	// A connection opens with a hello. Anything else — a frame of an older
@@ -337,10 +336,7 @@ func segmentOf(op wire.OpCode) segment {
 // over, and a single time.Now pair per stretch keeps the instrumentation off
 // the per-key path.
 func (s *Server) executePointRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
-	var runStart time.Time
-	if s.obs != nil {
-		runStart = time.Now()
-	}
+	runStart := time.Now()
 	sc.keys, sc.isPut, sc.putRuns = sc.keys[:0], sc.isPut[:0], sc.putRuns[:0]
 	nputs := 0
 	for i := range reqs {
@@ -368,13 +364,11 @@ func (s *Server) executePointRun(sess *kvstore.Session, reqs []wire.Request, res
 				Cols: sc.cols[start:len(sc.cols):len(sc.cols)]}
 		}
 	}
-	if s.obs != nil {
-		hist := obs.HGetBatch
-		if nputs > 0 {
-			hist = obs.HPutBatch
-		}
-		s.obs.Hist(hist).Record(sess.Worker(), time.Since(runStart))
+	hist := obs.HGetBatch
+	if nputs > 0 {
+		hist = obs.HPutBatch
 	}
+	s.obs.Hist(hist).Record(sess.Worker(), time.Since(runStart))
 }
 
 // executeScanRun serves a run of OpGetRange requests through
@@ -383,10 +377,7 @@ func (s *Server) executePointRun(sess *kvstore.Session, reqs []wire.Request, res
 // histogram as one observation per scan, each of the run's mean: lat_scan
 // stays a per-scan latency whichever path served it.
 func (s *Server) executeScanRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
-	var runStart time.Time
-	if s.obs != nil {
-		runStart = time.Now()
-	}
+	runStart := time.Now()
 	sc.keys, sc.ns, sc.colSets = sc.keys[:0], sc.ns[:0], sc.colSets[:0]
 	for i := range reqs {
 		sc.keys = append(sc.keys, reqs[i].Key)
@@ -397,9 +388,7 @@ func (s *Server) executeScanRun(sess *kvstore.Session, reqs []wire.Request, resp
 		resps[i] = wire.Response{Status: wire.StatusOK, Pairs: pairs}
 	}
 	s.batchedScans.Add(int64(len(reqs)))
-	if s.obs != nil {
-		s.obs.Hist(obs.HScan).RecordN(sess.Worker(), time.Since(runStart)/time.Duration(len(reqs)), len(reqs))
-	}
+	s.obs.Hist(obs.HScan).RecordN(sess.Worker(), time.Since(runStart)/time.Duration(len(reqs)), len(reqs))
 }
 
 // histForOp maps a wire op to its server-side latency histogram; ok is
@@ -426,13 +415,11 @@ func histForOp(op wire.OpCode) (obs.HistID, bool) {
 // Responses may alias sc's arenas and the request's frame buffer; they are
 // valid until the next message.
 func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
-	if s.obs != nil {
-		if id, ok := histForOp(r.Op); ok {
-			start := time.Now()
-			resp := s.executeOp(sess, r, sc)
-			s.obs.Hist(id).Record(sess.Worker(), time.Since(start))
-			return resp
-		}
+	if id, ok := histForOp(r.Op); ok {
+		start := time.Now()
+		resp := s.executeOp(sess, r, sc)
+		s.obs.Hist(id).Record(sess.Worker(), time.Since(start))
+		return resp
 	}
 	return s.executeOp(sess, r, sc)
 }

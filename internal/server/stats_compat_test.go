@@ -28,7 +28,7 @@ func TestStatsCoverTreeCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	sess := session(t, store)
+	sess := store.Session(0)
 	for i := 0; i < 100; i++ { // an ascending run: splits and run splits
 		sess.PutSimple([]byte(fmt.Sprintf("key%03d", i)), []byte("v"))
 	}
@@ -98,7 +98,7 @@ func TestFlushLastErrorInStats(t *testing.T) {
 
 	// Latch a flush failure: CrashAt resets the boundary counter, so arming
 	// at 1 makes the very next filesystem op (the flush's write) fail.
-	session(t, store).PutSimple([]byte("k"), []byte("v"))
+	store.Session(0).PutSimple([]byte("k"), []byte("v"))
 	fault.CrashAt(1)
 	if err := store.Flush(); err == nil {
 		t.Fatal("flush unexpectedly succeeded")
@@ -168,7 +168,7 @@ func TestFlushBufferDropsStat(t *testing.T) {
 		}
 		return n
 	}
-	sess := session(t, store)
+	sess := store.Session(0)
 	sess.PutSimple([]byte("small"), []byte("v"))
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)

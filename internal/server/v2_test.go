@@ -413,7 +413,7 @@ func TestLargestWireValueRoundTrips(t *testing.T) {
 	if ver, err := c.Put([]byte("refused"), []wire.ColData{{Col: lastCol + 1, Data: []byte("y")}}); err == nil {
 		t.Fatalf("Conn.Put to column %d: version %d and no error", lastCol+1, ver)
 	}
-	sess := session(t, srv.store)
+	sess := srv.store.Session(0)
 	if _, ok := sess.GetValue([]byte("refused")); ok {
 		t.Fatalf("a put to column %d was stored", lastCol+1)
 	}
