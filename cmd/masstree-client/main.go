@@ -61,7 +61,7 @@ func main() {
 		stats func() (map[string]string, error)
 	)
 	if *addrs != "" {
-		cl, err := cluster.New(cluster.Config{Addrs: strings.Split(*addrs, ",")})
+		cl, err := cluster.New(strings.Split(*addrs, ","))
 		if err != nil {
 			log.Fatalf("masstree-client: %v", err)
 		}
@@ -237,7 +237,7 @@ func statsGroup(name string) string {
 	case "loads", "load_errors", "herd_coalesced", "stale_served", "negative_hits",
 		"breaker_state", "breaker_opens", "writebehind_depth", "writebehind_drops":
 		return "backend"
-	case "nodes_up", "nodes_total", "stats_partial", "hedges", "hedge_wins":
+	case "nodes_up", "nodes_total", "stats_partial":
 		return "cluster"
 	}
 	switch {

@@ -173,29 +173,28 @@
 // cluster.Cluster consistent-hashes keys across N servers (a deterministic
 // virtual-node ring — FNV-1a finalized with splitmix64 — pinned by golden
 // tests, because changing the hash is a resharding event) and speaks
-// pipelined v2 to each through a small per-node connection pool. Its
-// single-key calls are client.KV's, the one typed face client.Conn embeds
-// too, so both decode a response status the same way; a single GetRange is
-// refused on more than one node, because a range spans shards. Every call
-// is one request to its key's owner, so a Cluster over one node answers as
-// a plain client.Conn does.
-// Failure is the design center: per-node health is the circuit breaker
-// the backend tier uses too (internal/breaker: consecutive transport
-// failures trip a node Down, after which its shard fails fast with
-// ErrNodeDown — no dial, no timeout, no parked goroutine — until a single
-// probe loop's dial+ping heals it, with zero client restarts),
-// Config.DialTimeout bounds connect+hello so a blackholed address cannot
-// hang construction or recovery, and optional hedged reads escape orphaned
-// TCP flows by racing a fresh dial to the same owner after HedgeAfter.
-// Only a key's owner ever answers for it: an operation whose owner is down
-// fails rather than retrying on another shard. internal/netfault is the matching TCP-proxy fault
-// injector (latency, blackhole, refuse, freeze, truncate, reset, retarget,
-// heal); the partition-torture harness drives a live workload over three
-// proxied nodes through kill/partition/slow/heal schedules and asserts no
-// acked write is lost, no reply comes from the wrong shard, dead-shard ops
-// stay inside one timeout budget with bounded goroutines, and healed nodes
-// rejoin; TestHedgedReadWins pins a hedged read escaping a frozen pool
-// before OpTimeout.
+// pipelined v2 to each over one connection per node, whose tagged pipelining
+// keeps many requests in flight at once. Its single-key calls are
+// client.KV's, the one typed face client.Conn embeds too, so both decode a
+// response status the same way; a single GetRange is refused on more than
+// one node, because a range spans shards. Every call is sent once, alone, to
+// its key's owner, so a Cluster over one node answers as a plain client.Conn
+// does; cluster.New takes the node addresses and nothing else. Failure is
+// the design center: per-node health is the circuit breaker the backend tier
+// uses too (internal/breaker: three consecutive transport failures trip a
+// node Down, after which its shard fails fast with ErrNodeDown — no dial, no
+// timeout, no parked goroutine — until a single probe loop's dial+ping heals
+// it, with zero client restarts); a 2 s bound on connect+hello keeps a
+// blackholed address from hanging a dial or a probe, and a 5 s per-batch
+// deadline fails a frozen node's in-flight requests. Only a key's owner ever
+// answers for it: an operation whose owner is down fails rather than
+// retrying on another shard. internal/netfault is the matching TCP-proxy
+// fault injector (latency, blackhole, refuse, freeze, truncate, reset,
+// retarget, heal); the partition-torture harness drives a live workload over
+// three proxied nodes through kill/partition/slow/heal schedules and asserts
+// no acked write is lost, no reply comes from the wrong shard, dead-shard
+// ops stay inside one timeout budget with bounded goroutines, and healed
+// nodes rejoin.
 // masstree-client -addrs a,b,c routes the CLI through the same ring, with
 // one command switch over a client.KV for both modes.
 //
@@ -273,7 +272,7 @@
 // dated record of an experiment that no longer exists. Tier-1 tests assert the cache, herd, cluster
 // and chained-WAL properties: TestCacheBoundZipfian,
 // TestS3FIFOBeatsPlainFIFOOnZipfian and TestCacheKeepsZipfHeadResident;
-// TestGetOrLoadHerd; TestHedgedReadWins; TestPartialColumnReplayHole and
+// TestGetOrLoadHerd; TestPartitionTorture; TestPartialColumnReplayHole and
 // TestBrokenChainRollsBackToAnchoredPrefix. The end-to-end benchmark under
 // benchmark/ measures the read, write and restart paths. The
 // implementation lives under

@@ -1,38 +1,33 @@
 // Package cluster is the client-side sharding layer: a Cluster
 // consistent-hashes keys across N masstree servers and speaks pipelined
-// protocol v2 to each through a small per-node connection pool. One process
-// is the ceiling no matter how fast the tree gets; the cluster layer is how
-// many stores serve one keyspace.
+// protocol v2 to each over one connection per node. One process is the
+// ceiling no matter how fast the tree gets; the cluster layer is how many
+// stores serve one keyspace. A node needs no second connection: the
+// client.Conn's tagged pipelining already keeps many requests in flight on
+// one, as the paper's clients keep many queries in one message (§7).
 //
 // Failure is a first-class input, not an afterthought:
 //
 //   - Per-node health is a circuit breaker (internal/breaker, the one the
-//     backend tier uses): NodeFailures consecutive transport failures trip
-//     a node Down (Open), after which operations against its shard fail
-//     fast with ErrNodeDown — no dial, no timeout wait, no goroutine
-//     parked — until the cool-down lapses and the probe loop's dial+ping
+//     backend tier uses): three consecutive transport failures trip a node
+//     Down (Open), after which operations against its shard fail fast with
+//     ErrNodeDown — no dial, no timeout wait, no goroutine parked — until
+//     the one-second cool-down lapses and the probe loop's dial+ping
 //     succeeds (HalfOpen→Closed). A healed node rejoins with zero client
 //     restarts.
-//   - Every pooled connection carries the cluster's OpTimeout as its
-//     per-batch I/O deadline and DialTimeout over connect+hello, so a
-//     blackholed or frozen node costs at most one timeout budget per
-//     connection before the breaker takes over.
+//   - A node's connection carries a 5 s per-batch I/O deadline and a 2 s
+//     bound on connect+hello, so a blackholed or frozen node costs at most
+//     one timeout budget before the breaker takes over.
 //   - Only the owner ever answers for a key. A read or write whose owner
 //     is down fails; nothing retries it on another shard, which might miss
 //     keys the owner holds or, for a write, split ownership.
-//   - HedgeAfter (off by default) arms hedged reads: if the owner has not
-//     answered an idempotent read within the threshold, a second attempt is
-//     launched on a different pooled connection to the same node and the
-//     first answer wins. This defends against per-connection pathologies —
-//     a flow orphaned by a partition, head-of-line blocking behind a deep
-//     batch, a lossy path — without ever consulting the wrong shard.
 //
 // Every call is client.KV's, which Cluster embeds as client.Conn does: the
 // same methods, the same status decoding, over an executor that sends each
-// request alone to its key's owner, gets through hedgedRead. A single
-// GetRange is refused on more than one node, because a range spans shards.
-// There is no batch call, so a Cluster over a single node answers exactly
-// as a plain client.Conn does (pinned by TestClusterSingleNodeEquivalence).
+// request once, alone, to its key's owner. A single GetRange is refused on
+// more than one node, because a range spans shards. There is no batch
+// call, so a Cluster over a single node answers exactly as a plain
+// client.Conn does (pinned by TestClusterSingleNodeEquivalence).
 package cluster
 
 import (
@@ -45,66 +40,34 @@ import (
 	"repro/internal/wire"
 )
 
-// Config sizes and arms a Cluster. The zero value of every field picks a
-// conservative default; only Addrs is required.
-type Config struct {
-	// Addrs are the node addresses. Order defines node indices in stats;
-	// ring positions follow the address strings, not the order.
-	Addrs []string
-	// DialTimeout bounds connect+hello per dial attempt (0 = 2s). This is
-	// what keeps a blackholed address from hanging pool fills and probes.
-	DialTimeout time.Duration
-	// OpTimeout is the per-batch I/O deadline on every pooled connection
-	// (0 = 5s): a frozen node fails all its in-flight operations within
-	// this budget.
-	OpTimeout time.Duration
-	// NodeFailures is the consecutive-transport-failure threshold that
-	// trips a node Down (0 = 3).
-	NodeFailures int
-	// DownFor is how long a tripped node stays Down before the probe loop
-	// may test it (0 = 1s).
-	DownFor time.Duration
-	// ProbeInterval is the health loop period (0 = 100ms).
-	ProbeInterval time.Duration
-	// HedgeAfter, when > 0, launches a second same-node attempt for
-	// idempotent reads that have not answered within the threshold.
-	HedgeAfter time.Duration
+// timing is the cluster's failure-detection budget. No program tunes it;
+// the package's tests shorten it through newWithTiming.
+type timing struct {
+	dial     time.Duration // bounds connect+hello per dial attempt
+	op       time.Duration // per-batch I/O deadline on a node's connection
+	failures int           // consecutive transport failures that trip a node Down
+	downFor  time.Duration // how long a tripped node stays Down before a probe
+	probe    time.Duration // health loop period
 }
 
-func (cfg *Config) withDefaults() error {
-	if len(cfg.Addrs) == 0 {
-		return errors.New("cluster: no addresses")
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 5 * time.Second
-	}
-	if cfg.NodeFailures <= 0 {
-		cfg.NodeFailures = 3
-	}
-	if cfg.DownFor <= 0 {
-		cfg.DownFor = time.Second
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 100 * time.Millisecond
-	}
-	return nil
+var defaultTiming = timing{
+	dial:     2 * time.Second,
+	op:       5 * time.Second,
+	failures: 3,
+	downFor:  time.Second,
+	probe:    100 * time.Millisecond,
 }
 
 // Cluster routes operations across the ring. All methods are safe for
-// concurrent use. Construction is purely local (no network I/O): pools
-// fill lazily, so a cluster over a currently-dark node constructs
+// concurrent use. Construction is purely local (no network I/O): a node
+// dials on first use, so a cluster over a currently-dark node constructs
 // instantly and the node simply trips Down on first use.
 type Cluster struct {
 	client.KV // the typed single-key calls, each routed by one
 
-	cfg   Config
-	ring  *Ring
-	nodes []*node
-
-	stats clusterCounters
+	probeEvery time.Duration
+	ring       *Ring
+	nodes      []*node
 
 	// rpcHist shards per *node index* (not per worker): shard i is node i's
 	// RPC latency, so ShardSnapshot(i) answers "how slow is shard i" while
@@ -117,25 +80,26 @@ type Cluster struct {
 	done chan struct{}
 }
 
-// New builds a Cluster over cfg.Addrs and starts its health-probe loop.
-func New(cfg Config) (*Cluster, error) {
-	if err := cfg.withDefaults(); err != nil {
-		return nil, err
+// New builds a Cluster over the node addresses and starts its
+// health-probe loop. Their order defines node indices in stats; ring
+// positions follow the address strings, not the order.
+func New(addrs []string) (*Cluster, error) { return newWithTiming(addrs, defaultTiming) }
+
+func newWithTiming(addrs []string, tm timing) (*Cluster, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("cluster: no addresses")
 	}
 	c := &Cluster{
-		cfg:  cfg,
-		ring: NewRing(cfg.Addrs),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		probeEvery: tm.probe,
+		ring:       NewRing(addrs),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	c.KV = client.NewKV(c.one)
-	c.rpcHist = obs.NewHist("rpc", len(cfg.Addrs))
-	c.rec = obs.NewRecorder(len(cfg.Addrs))
-	for i, addr := range cfg.Addrs {
-		n := newNode(addr, &c.cfg)
-		n.idx = i
-		n.rec = c.rec
-		c.nodes = append(c.nodes, n)
+	c.rpcHist = obs.NewHist("rpc", len(addrs))
+	c.rec = obs.NewRecorder(len(addrs))
+	for i, addr := range addrs {
+		c.nodes = append(c.nodes, newNode(addr, i, c.rec, tm))
 	}
 	go c.probeLoop()
 	return c, nil
@@ -146,7 +110,7 @@ func New(cfg Config) (*Cluster, error) {
 // harnesses dump it on first failure.
 func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 
-// Close stops the probe loop and closes every pooled connection.
+// Close stops the probe loop and closes every node's connection.
 func (c *Cluster) Close() {
 	close(c.stop)
 	<-c.done
@@ -161,7 +125,7 @@ func (c *Cluster) Close() {
 // by a herd of failing operations.
 func (c *Cluster) probeLoop() {
 	defer close(c.done)
-	t := time.NewTicker(c.cfg.ProbeInterval)
+	t := time.NewTicker(c.probeEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -179,9 +143,9 @@ func (c *Cluster) probeLoop() {
 // both want to ask "who owns this key").
 func (c *Cluster) Owner(key []byte) int { return c.ring.Owner(key) }
 
-// exec runs one request against node n over a pooled connection and
-// returns its cloned (caller-owned) response. Transport failures feed the
-// node's breaker; protocol-level statuses do not.
+// exec runs one request against node n over its connection and returns
+// its cloned (caller-owned) response. Transport failures feed the node's
+// breaker; protocol-level statuses do not.
 func (c *Cluster) exec(n *node, req wire.Request) (wire.Response, error) {
 	conn, err := n.conn()
 	if err != nil {
@@ -197,100 +161,14 @@ func (c *Cluster) exec(n *node, req wire.Request) (wire.Response, error) {
 	return resps[0], nil
 }
 
-// execFresh runs one request over a brand-new connection, bypassing the
-// pool — the hedge path. On success the connection is donated to the pool
-// (it is proven good; the slot a timing-out connection is about to vacate
-// gets a warm replacement).
-func (c *Cluster) execFresh(n *node, req wire.Request) (wire.Response, error) {
-	conn, err := n.dialFresh()
-	if err != nil {
-		return wire.Response{}, err
-	}
-	start := time.Now()
-	resps, err := conn.Do([]wire.Request{req})
-	c.rpcHist.Record(n.idx, time.Since(start))
-	n.feedback(nil, err)
-	if err != nil {
-		conn.Close()
-		return wire.Response{}, fmt.Errorf("cluster: node %s (hedge): %w", n.addr, err)
-	}
-	n.donate(conn)
-	return resps[0], nil
-}
-
-// hedgedRead runs req against n; if the pooled attempt has not answered
-// within HedgeAfter, a second attempt is launched on a fresh connection
-// and the first *successful* answer wins (fresh TCP state is the point:
-// the pooled flow may be orphaned by a partition or stuck behind a deep
-// batch, while a new dial routes fine). If every attempt fails, the last
-// error is returned. With hedging unarmed it is a plain exec.
-func (c *Cluster) hedgedRead(n *node, req wire.Request) (wire.Response, error) {
-	if c.cfg.HedgeAfter <= 0 {
-		return c.exec(n, req)
-	}
-	type attempt struct {
-		resp  wire.Response
-		err   error
-		hedge bool
-	}
-	ch := make(chan attempt, 2) // buffered: the loser writes and exits
-	launch := func(hedge bool) {
-		go func() {
-			a := attempt{hedge: hedge}
-			if hedge {
-				a.resp, a.err = c.execFresh(n, req)
-			} else {
-				a.resp, a.err = c.exec(n, req)
-			}
-			ch <- a
-		}()
-	}
-	launch(false)
-	outstanding := 1
-	hedged := false
-	timer := time.NewTimer(c.cfg.HedgeAfter)
-	defer timer.Stop()
-	var lastErr error
-	for outstanding > 0 {
-		select {
-		case a := <-ch:
-			outstanding--
-			if a.err == nil {
-				if a.hedge {
-					c.stats.hedgeWins.Add(1)
-				}
-				return a.resp, nil
-			}
-			lastErr = a.err
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				c.stats.hedges.Add(1)
-				launch(true)
-				outstanding++
-			}
-		}
-	}
-	return wire.Response{}, lastErr
-}
-
 // errRangeSpansShards refuses a single getrange on more than one node: a
 // range spans shards, and the cluster does not merge ranges.
 var errRangeSpansShards = errors.New("cluster: getrange spans shards; it needs a single node")
 
-// one executes a single request for the embedded KV on its key's owner:
-// idempotent reads go to hedgedRead, everything else to a plain exec with
-// no hedge, because a write is not idempotent. A getrange on a one-node
-// cluster is a plain exec too.
+// one executes a single request for the embedded KV on its key's owner.
 func (c *Cluster) one(req wire.Request) (wire.Response, error) {
-	n := c.nodes[c.ring.Owner(req.Key)]
-	switch req.Op {
-	case wire.OpGet, wire.OpGetOrLoad:
-		return c.hedgedRead(n, req)
-	case wire.OpGetRange:
-		if len(c.nodes) > 1 {
-			return wire.Response{}, errRangeSpansShards
-		}
+	if req.Op == wire.OpGetRange && len(c.nodes) > 1 {
+		return wire.Response{}, errRangeSpansShards
 	}
-	return c.exec(n, req)
+	return c.exec(c.nodes[c.ring.Owner(req.Key)], req)
 }

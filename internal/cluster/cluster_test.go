@@ -52,9 +52,9 @@ func addrsOf(nodes []testNode) []string {
 	return out
 }
 
-func newCluster(t *testing.T, cfg Config) *Cluster {
+func newCluster(t *testing.T, addrs []string, tm timing) *Cluster {
 	t.Helper()
-	c, err := New(cfg)
+	c, err := newWithTiming(addrs, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +62,14 @@ func newCluster(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-// fastConfig keeps failure-detection latencies test-sized.
-func fastConfig(addrs []string) Config {
-	return Config{
-		Addrs:         addrs,
-		DialTimeout:   500 * time.Millisecond,
-		OpTimeout:     time.Second,
-		NodeFailures:  2,
-		DownFor:       100 * time.Millisecond,
-		ProbeInterval: 20 * time.Millisecond,
+// fastTiming keeps failure-detection latencies test-sized.
+func fastTiming() timing {
+	return timing{
+		dial:     500 * time.Millisecond,
+		op:       time.Second,
+		failures: 2,
+		downFor:  100 * time.Millisecond,
+		probe:    20 * time.Millisecond,
 	}
 }
 
@@ -89,7 +88,7 @@ func TestClusterSingleNodeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	cl := newCluster(t, fastConfig([]string{nodes[1].addr}))
+	cl := newCluster(t, []string{nodes[1].addr}, fastTiming())
 
 	reqs := []wire.Request{
 		{Op: wire.OpPut, Key: []byte("a"), Puts: []wire.ColData{{Col: 0, Data: []byte("1")}, {Col: 1, Data: []byte("x")}}},
@@ -210,7 +209,7 @@ func normalize(in []wire.Response) []wire.Response {
 // back its value and version, and a single GetRange is refused.
 func TestClusterRoutesToOwners(t *testing.T) {
 	nodes := startNodes(t, 3)
-	cl := newCluster(t, fastConfig(addrsOf(nodes)))
+	cl := newCluster(t, addrsOf(nodes), fastTiming())
 
 	const n = 300
 	keys := make([][]byte, n)
@@ -281,7 +280,7 @@ func TestClusterRoutesToOwners(t *testing.T) {
 // surface integer-parsing consumers read).
 func TestClusterStatsAggregate(t *testing.T) {
 	nodes := startNodes(t, 3)
-	cl := newCluster(t, fastConfig(addrsOf(nodes)))
+	cl := newCluster(t, addrsOf(nodes), fastTiming())
 
 	const n = 90
 	for i := 0; i < n; i++ {
@@ -309,7 +308,7 @@ func TestClusterStatsAggregate(t *testing.T) {
 			t.Fatalf("%s = %d, want breaker.Closed", k, v)
 		}
 	}
-	for _, k := range []string{"hedges", "hedge_wins", "breaker_state"} {
+	for _, k := range []string{"breaker_state"} {
 		if _, present := stats[k]; !present {
 			t.Fatalf("missing aggregate stat %s", k)
 		}
@@ -323,7 +322,7 @@ func TestClusterStatsAggregate(t *testing.T) {
 // names, mirroring stats_compat_test.go server-side.
 func TestClusterStatsAllNumeric(t *testing.T) {
 	nodes := startNodes(t, 1)
-	cl := newCluster(t, fastConfig(addrsOf(nodes)))
+	cl := newCluster(t, addrsOf(nodes), fastTiming())
 	stats, err := cl.StatsAggregate()
 	if err != nil {
 		t.Fatal(err)

@@ -70,10 +70,10 @@ func TestDialTimeoutBlackhole(t *testing.T) {
 func TestNodeTripFailFastHeal(t *testing.T) {
 	nodes := startNodes(t, 1)
 	proxies, addrs := proxied(t, nodes)
-	cfg := fastConfig(addrs)
-	cfg.OpTimeout = 300 * time.Millisecond
-	cfg.DialTimeout = 200 * time.Millisecond
-	cl := newCluster(t, cfg)
+	tm := fastTiming()
+	tm.op = 300 * time.Millisecond
+	tm.dial = 200 * time.Millisecond
+	cl := newCluster(t, addrs, tm)
 
 	key := []byte("k")
 	if _, err := cl.PutSimple(key, []byte("v")); err != nil {
@@ -81,7 +81,7 @@ func TestNodeTripFailFastHeal(t *testing.T) {
 	}
 
 	proxies[0].Blackhole()
-	// Ops fail with the timeout until NodeFailures consecutive failures
+	// Ops fail with the timeout until tm.failures consecutive failures
 	// trip the breaker.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -100,7 +100,7 @@ func TestNodeTripFailFastHeal(t *testing.T) {
 		t.Fatalf("node state %d after trip", st.Nodes[0].State)
 	}
 
-	// Tripped: failures must now be fail-fast, nowhere near OpTimeout.
+	// Tripped: failures must now be fail-fast, nowhere near the op timeout.
 	start := time.Now()
 	const fastOps = 50
 	for i := 0; i < fastOps; i++ {
@@ -108,9 +108,9 @@ func TestNodeTripFailFastHeal(t *testing.T) {
 			t.Fatal("read succeeded while node down")
 		}
 	}
-	if el := time.Since(start); el > cfg.OpTimeout {
-		t.Fatalf("%d fail-fast ops took %v (> one OpTimeout %v): not failing fast",
-			fastOps, el, cfg.OpTimeout)
+	if el := time.Since(start); el > tm.op {
+		t.Fatalf("%d fail-fast ops took %v (> one op timeout %v): not failing fast",
+			fastOps, el, tm.op)
 	}
 
 	// Heal the network; the probe loop must bring the node back Up and the
@@ -135,57 +135,17 @@ func TestNodeTripFailFastHeal(t *testing.T) {
 	}
 }
 
-// TestHedgedReadWins freezes the pool's established flows (the
-// orphaned-flow fault: a transient partition strands live TCP connections
-// while new dials route fine) and checks a hedged read escapes on a fresh
-// connection in ~HedgeAfter instead of waiting out the full OpTimeout.
-func TestHedgedReadWins(t *testing.T) {
-	nodes := startNodes(t, 1)
-	proxies, addrs := proxied(t, nodes)
-	cfg := fastConfig(addrs)
-	cfg.OpTimeout = 2 * time.Second
-	cfg.HedgeAfter = 50 * time.Millisecond
-	cfg.NodeFailures = 100 // the frozen flows' timeouts must not trip the node mid-test
-	cl := newCluster(t, cfg)
-
-	key := []byte("hot")
-	if _, err := cl.PutSimple(key, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	// Warm both pool slots so the frozen set covers the whole pool.
-	for i := 0; i < 2; i++ {
-		if _, _, ok, err := cl.Get(key, nil); err != nil || !ok {
-			t.Fatalf("warm get: %v %v", ok, err)
-		}
-	}
-
-	proxies[0].FreezeConns()
-	start := time.Now()
-	vals, _, ok, err := cl.Get(key, nil)
-	el := time.Since(start)
-	if err != nil || !ok || string(vals[0]) != "v" {
-		t.Fatalf("hedged get: %q %v %v", vals, ok, err)
-	}
-	if el >= cfg.OpTimeout {
-		t.Fatalf("hedged read took %v — it waited out the frozen flow instead of hedging", el)
-	}
-	st := cl.ClusterStats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedges=%d hedge_wins=%d after a frozen-pool read", st.Hedges, st.HedgeWins)
-	}
-}
-
 // TestDownOwnerWriteStaysOnOwner pins shard ownership under an outage:
 // with a key's owner down, a put for that key fails fast with ErrNodeDown,
 // and the write lands on no other node — nothing retries it elsewhere.
 func TestDownOwnerWriteStaysOnOwner(t *testing.T) {
 	nodes := startNodes(t, 3)
 	proxies, addrs := proxied(t, nodes)
-	cfg := fastConfig(addrs)
-	cfg.OpTimeout = 300 * time.Millisecond
-	cfg.DialTimeout = 200 * time.Millisecond
-	cfg.DownFor = time.Hour // keep the owner down for the whole test
-	cl := newCluster(t, cfg)
+	tm := fastTiming()
+	tm.op = 300 * time.Millisecond
+	tm.dial = 200 * time.Millisecond
+	tm.downFor = time.Hour // keep the owner down for the whole test
+	cl := newCluster(t, addrs, tm)
 
 	var key []byte
 	for i := 0; ; i++ {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -14,18 +15,17 @@ import (
 // caller spent no timeout budget and parked no goroutine.
 var ErrNodeDown = fmt.Errorf("cluster: node down")
 
-// poolSize is connections per node. Two is the useful minimum once hedged
-// reads are armed: the hedge wants distinct TCP state.
-const poolSize = 2
+// errClosed is returned for operations on a closed Cluster.
+var errClosed = errors.New("cluster: closed")
 
-// node is one cluster member as the client sees it: a stable address, a
-// small pool of pipelined v2 connections, and a circuit breaker fed by
-// transport outcomes and the probe loop. The breaker's states are the
-// node's health, reported numerically in stats (node<i>_state) by the same
-// rule as the backend's breaker_state:
+// node is one cluster member as the client sees it: a stable address, one
+// pipelined v2 connection that every request to the node shares, and a
+// circuit breaker fed by transport outcomes and the probe loop. The
+// breaker's states are the node's health, reported numerically in stats
+// (node<i>_state) by the same rule as the backend's breaker_state:
 //
 //   - Closed (0, up): operations route to the node normally.
-//   - Open (1, down): Config.NodeFailures consecutive transport failures
+//   - Open (1, down): timing.failures consecutive transport failures
 //     tripped it; operations fail fast with ErrNodeDown (no dial, no
 //     timeout wait, no goroutine parked) until the cool-down lapses.
 //   - HalfOpen (2, probing): the cool-down lapsed and the probe loop tests
@@ -33,108 +33,74 @@ const poolSize = 2
 //     probe, not a thundering herd of retriers, decides recovery.
 type node struct {
 	addr string
-	cfg  *Config
-	idx  int           // node index in Config.Addrs order (stats, hist shard)
+	idx  int           // node index in address order (stats, hist shard)
 	rec  *obs.Recorder // cluster flight recorder; health transitions trace here
 	br   *breaker.Breaker
+	// opts build every connection to the node: the op timeout becomes the
+	// per-batch I/O deadline (a frozen node fails every in-flight op within
+	// budget) and the dial timeout bounds connect+hello (a blackholed
+	// address cannot hang a dial or a probe).
+	opts []client.ConnOption
 
 	mu     sync.Mutex
-	conns  [poolSize]*client.Conn // nil slots dial lazily
-	next   int                    // round-robin cursor over pool slots
+	c      *client.Conn // nil until dialed, and again after a transport error
 	closed bool
 }
 
-func newNode(addr string, cfg *Config) *node {
-	return &node{addr: addr, cfg: cfg, br: breaker.New(cfg.NodeFailures, cfg.DownFor)}
-}
-
-// dialOpts are the options every pooled connection is built with: the
-// cluster's op timeout becomes the per-batch I/O deadline (a frozen node
-// fails every in-flight op within budget) and the dial timeout bounds
-// connect+hello (a blackholed address cannot hang pool fill or probing).
-func (n *node) dialOpts() []client.ConnOption {
-	opts := []client.ConnOption{client.WithDialTimeout(n.cfg.DialTimeout)}
-	if n.cfg.OpTimeout > 0 {
-		opts = append(opts, client.WithTimeout(n.cfg.OpTimeout))
+func newNode(addr string, idx int, rec *obs.Recorder, tm timing) *node {
+	return &node{
+		addr: addr,
+		idx:  idx,
+		rec:  rec,
+		br:   breaker.New(tm.failures, tm.downFor),
+		opts: []client.ConnOption{client.WithDialTimeout(tm.dial), client.WithTimeout(tm.op)},
 	}
-	return opts
 }
 
-// conn returns a healthy pooled connection (round-robin over the slots),
-// dialing the slot lazily if empty. Fails fast with ErrNodeDown when the
-// node's breaker is not Closed.
+// conn returns the node's connection, dialing it if there is none. Fails
+// fast with ErrNodeDown when the node's breaker is not Closed.
 func (n *node) conn() (*client.Conn, error) {
 	if n.br.State() != breaker.Closed {
 		return nil, fmt.Errorf("%w (%s)", ErrNodeDown, n.addr)
 	}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("cluster: closed")
-	}
-	slot := n.next
-	n.next = (slot + 1) % len(n.conns)
-	c := n.conns[slot]
+	c, closed := n.c, n.closed
 	n.mu.Unlock()
+	if closed {
+		return nil, errClosed
+	}
 	if c != nil {
 		return c, nil
 	}
-	// Dial outside the lock: a slow handshake must not serialize the pool.
-	// Losing a fill race just closes the extra connection.
-	c, err := client.DialConn(n.addr, n.dialOpts()...)
+	// Dial outside the lock, so a slow handshake never blocks Close or
+	// another request's feedback; a lost dial race closes the extra.
+	c, err := client.DialConn(n.addr, n.opts...)
 	if err != nil {
 		n.feedback(nil, err)
 		return nil, err
 	}
+	return n.adopt(c)
+}
+
+// adopt installs a freshly dialed connection unless another dial won the
+// race, in which case c is closed and the winner returned. A closed node
+// takes no connection.
+func (n *node) adopt(c *client.Conn) (*client.Conn, error) {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	cur, closed := n.c, n.closed
+	if cur == nil && !closed {
+		n.c = c
+	}
+	n.mu.Unlock()
+	switch {
+	case closed:
 		c.Close()
-		return nil, fmt.Errorf("cluster: closed")
+		return nil, errClosed
+	case cur != nil:
+		c.Close()
+		return cur, nil
 	}
-	if n.conns[slot] == nil {
-		n.conns[slot] = c
-	} else {
-		old := c
-		c = n.conns[slot]
-		n.mu.Unlock()
-		old.Close()
-		return c, nil
-	}
-	n.mu.Unlock()
 	return c, nil
-}
-
-// dialFresh opens a brand-new connection outside the pool — the hedged
-// read's escape hatch from bad per-connection state (a frozen flow, a deep
-// queue). Fails fast when the node's breaker is not Closed.
-func (n *node) dialFresh() (*client.Conn, error) {
-	if n.br.State() != breaker.Closed {
-		return nil, fmt.Errorf("%w (%s)", ErrNodeDown, n.addr)
-	}
-	c, err := client.DialConn(n.addr, n.dialOpts()...)
-	if err != nil {
-		n.feedback(nil, err)
-	}
-	return c, err
-}
-
-// donate offers a fresh healthy connection to the pool; a full pool means
-// it is simply closed. Called after a hedge win so the proven-good
-// connection replaces whatever slot a timeout is about to vacate.
-func (n *node) donate(c *client.Conn) {
-	n.mu.Lock()
-	if !n.closed {
-		for i, pc := range n.conns {
-			if pc == nil {
-				n.conns[i] = c
-				n.mu.Unlock()
-				return
-			}
-		}
-	}
-	n.mu.Unlock()
-	c.Close()
 }
 
 // feedback records one operation outcome against the node's breaker. A
@@ -144,17 +110,14 @@ func (n *node) donate(c *client.Conn) {
 // even StatusError) are not failures — the node answered.
 func (n *node) feedback(c *client.Conn, err error) {
 	if err != nil && c != nil {
-		var stale *client.Conn
 		n.mu.Lock()
-		for i, pc := range n.conns {
-			if pc == c {
-				n.conns[i], stale = nil, c
-				break
-			}
+		stale := n.c == c
+		if stale {
+			n.c = nil
 		}
 		n.mu.Unlock()
-		if stale != nil {
-			stale.Close()
+		if stale {
+			c.Close()
 		}
 	}
 	if n.br.Record(false, err == nil) {
@@ -164,7 +127,7 @@ func (n *node) feedback(c *client.Conn, err error) {
 
 // probe is the health loop's visit. Once the breaker admits a probe (the
 // node is down past its cool-down) it dials fresh and pings (OpStats);
-// success seeds the pool with the probe connection and closes the breaker,
+// success makes the probe connection the node's and closes the breaker,
 // failure reopens it for another cool-down.
 func (n *node) probe() {
 	probe, _ := n.br.Allow()
@@ -173,7 +136,7 @@ func (n *node) probe() {
 	}
 	n.rec.Record(n.idx, obs.EvNodeProbing, uint64(n.idx), n.br.Opens())
 
-	c, err := client.DialConn(n.addr, n.dialOpts()...)
+	c, err := client.DialConn(n.addr, n.opts...)
 	if err == nil {
 		_, err = c.Stats() // a full request round-trip, not just a handshake
 	}
@@ -185,30 +148,18 @@ func (n *node) probe() {
 		n.rec.Record(n.idx, obs.EvNodeDown, uint64(n.idx), n.br.Opens())
 		return
 	}
-	// Recovered: the probe connection becomes pool slot 0 unless a hedge's
-	// donated connection already fills it.
-	n.mu.Lock()
-	if n.conns[0] == nil && !n.closed {
-		n.conns[0], c = c, nil
-	}
-	n.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
+	n.adopt(c)
 	n.br.Record(true, true)
 	n.rec.Record(n.idx, obs.EvNodeUp, uint64(n.idx), n.br.Opens())
 }
 
-// close tears down the node's pool.
+// close tears down the node's connection.
 func (n *node) close() {
 	n.mu.Lock()
-	n.closed = true
-	conns := n.conns
-	n.conns = [poolSize]*client.Conn{}
+	c := n.c
+	n.c, n.closed = nil, true
 	n.mu.Unlock()
-	for _, c := range conns {
-		if c != nil {
-			c.Close()
-		}
+	if c != nil {
+		c.Close()
 	}
 }

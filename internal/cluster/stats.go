@@ -3,19 +3,12 @@ package cluster
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/breaker"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
-
-// clusterCounters are the cluster-side health counters, all monotonic.
-type clusterCounters struct {
-	hedges    atomic.Uint64 // hedged second attempts launched
-	hedgeWins atomic.Uint64 // hedges whose answer arrived first
-}
 
 // NodeStats is one node's health as the cluster sees it.
 type NodeStats struct {
@@ -29,18 +22,12 @@ type NodeStats struct {
 
 // Stats is the cluster's aggregate client-side health snapshot.
 type Stats struct {
-	Nodes     []NodeStats
-	Hedges    uint64
-	HedgeWins uint64
+	Nodes []NodeStats
 }
 
-// ClusterStats snapshots per-node health and the cluster counters. Purely
-// local: no network I/O.
+// ClusterStats snapshots per-node health. Purely local: no network I/O.
 func (c *Cluster) ClusterStats() Stats {
-	s := Stats{
-		Hedges:    c.stats.hedges.Load(),
-		HedgeWins: c.stats.hedgeWins.Load(),
-	}
+	var s Stats
 	for _, n := range c.nodes {
 		ns := NodeStats{Addr: n.addr, State: n.br.State(), Trips: n.br.Opens()}
 		if ns.State != breaker.Closed {
@@ -56,7 +43,7 @@ func (c *Cluster) ClusterStats() Stats {
 // view: node<i>_state (numeric, 0/1/2 — same all-numeric rule as
 // breaker_state, so integer-parsing consumers never break; see
 // stats_compat_test.go's precedent), nodes_up, nodes_total, stats_partial,
-// hedges, hedge_wins, and the client-observed per-node RPC latency
+// and the client-observed per-node RPC latency
 // (node<i>_rpc_count/_p50/_p99 plus merged lat_rpc_* keys). Down nodes
 // contribute only their state; the call fails only if every node is
 // unreachable.
@@ -106,8 +93,6 @@ func (c *Cluster) StatsAggregate() (map[string]int64, error) {
 	out["nodes_up"] = int64(reachable)
 	out["nodes_total"] = int64(len(c.nodes))
 	out["stats_partial"] = int64(len(c.nodes) - reachable)
-	out["hedges"] = int64(c.stats.hedges.Load())
-	out["hedge_wins"] = int64(c.stats.hedgeWins.Load())
 	// Client-observed RPC latency: merged keys under the lat_ prefix (the
 	// same shape as server histograms) and per-node quantiles from the
 	// node-sharded histogram.

@@ -17,9 +17,9 @@ import (
 // outage and conclude the dark shard holds nothing.
 func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 	nodes := startNodes(t, 2)
-	cfg := fastConfig(addrsOf(nodes))
-	cfg.DownFor = time.Hour // keep probes away once node1 is down
-	cl := newCluster(t, cfg)
+	tm := fastTiming()
+	tm.downFor = time.Hour // keep probes away once node1 is down
+	cl := newCluster(t, addrsOf(nodes), tm)
 
 	// Seed each store directly so per-node key counts are known regardless
 	// of ring placement: node0 holds 5 keys, node1 holds 3.
@@ -88,7 +88,7 @@ func TestStatsAggregatePartialOnNodeDown(t *testing.T) {
 // sum or average of per-node quantiles.
 func TestStatsAggregateRecomputesQuantiles(t *testing.T) {
 	nodes := startNodes(t, 2)
-	cl := newCluster(t, fastConfig(addrsOf(nodes)))
+	cl := newCluster(t, addrsOf(nodes), fastTiming())
 
 	// Drive timed ops through the cluster until both nodes have recorded
 	// get latencies (the ring decides placement, so spray keys).

@@ -10,11 +10,10 @@ import (
 // TestPartitionTortureExhaustive runs every fault in the menu against every
 // node in turn — blackhole partition, connection-refusing dead process,
 // sub-timeout latency, orphaned frozen flows, mid-stream byte truncation,
-// and a full process kill-and-rebirth — under continuous load, with hedged
-// reads armed so the hedge path is tortured too. The same invariants as the
-// base schedule are checked throughout and at the end: no acked write lost,
-// no wrong-shard reply, bounded goroutines, every victim rejoining without
-// a client restart.
+// and a full process kill-and-rebirth — under continuous load. The same
+// invariants as the base schedule are checked throughout and at the end:
+// no acked write lost, no wrong-shard reply, bounded goroutines, every
+// victim rejoining without a client restart.
 func TestPartitionTortureExhaustive(t *testing.T) {
 	faults := []struct {
 		name  string
@@ -41,7 +40,7 @@ func TestPartitionTortureExhaustive(t *testing.T) {
 			func(tor *torture, v int) {}},
 	}
 
-	tor := newTorture(t, 6, 5, func(c *Config) { c.HedgeAfter = 60 * time.Millisecond })
+	tor := newTorture(t, 6, 5)
 	tor.start()
 	tor.run(200 * time.Millisecond) // clean baseline
 
@@ -64,7 +63,6 @@ func TestPartitionTortureExhaustive(t *testing.T) {
 			t.Errorf("node %d survived the whole schedule without tripping — faults not biting", v)
 		}
 	}
-	t.Logf("exhaustive torture: trips=[%d %d %d] hedges=%d hedge_wins=%d peak_goroutines=%d (baseline %d)",
-		st.Nodes[0].Trips, st.Nodes[1].Trips, st.Nodes[2].Trips,
-		st.Hedges, st.HedgeWins, tor.maxG.Load(), tor.baseline)
+	t.Logf("exhaustive torture: trips=[%d %d %d] peak_goroutines=%d (baseline %d)",
+		st.Nodes[0].Trips, st.Nodes[1].Trips, st.Nodes[2].Trips, tor.maxG.Load(), tor.baseline)
 }

@@ -28,7 +28,7 @@ import (
 //   - No reply is ever served by the wrong shard: reads
 //     never observe a sequence number that was never written, and at the
 //     end every key is resident on exactly its ring owner.
-//   - Operations against a dead shard fail within one OpTimeout, and once
+//   - Operations against a dead shard fail within one op timeout, and once
 //     the breaker trips they fail fast — the goroutine count stays bounded
 //     through the outage instead of growing one parked goroutine per op.
 //   - A healed (or killed-and-reborn) node rejoins and serves without the
@@ -132,7 +132,7 @@ type torture struct {
 	nodes   []testNode
 	proxies []*netfault.Proxy
 	cl      *Cluster
-	cfg     Config
+	tm      timing
 	workers []*tortureWorker
 
 	stopCh   chan struct{}
@@ -143,21 +143,16 @@ type torture struct {
 	sampDone chan struct{}
 }
 
-func newTorture(t *testing.T, nWorkers, keysPer int, mods ...func(*Config)) *torture {
+func newTorture(t *testing.T, nWorkers, keysPer int) *torture {
 	nodes := startNodes(t, 3)
 	proxies, addrs := proxied(t, nodes)
-	cfg := fastConfig(addrs)
-	cfg.OpTimeout = 250 * time.Millisecond
-	cfg.DialTimeout = 150 * time.Millisecond
-	cfg.NodeFailures = 2
-	cfg.DownFor = 50 * time.Millisecond
-	cfg.ProbeInterval = 20 * time.Millisecond
-	for _, m := range mods {
-		m(&cfg)
-	}
+	tm := fastTiming()
+	tm.op = 250 * time.Millisecond
+	tm.dial = 150 * time.Millisecond
+	tm.downFor = 50 * time.Millisecond
 	tor := &torture{
-		t: t, nodes: nodes, proxies: proxies, cfg: cfg,
-		cl:     newCluster(t, cfg),
+		t: t, nodes: nodes, proxies: proxies, tm: tm,
+		cl:     newCluster(t, addrs, tm),
 		stopCh: make(chan struct{}), sampStop: make(chan struct{}), sampDone: make(chan struct{}),
 	}
 	for wid := 0; wid < nWorkers; wid++ {
@@ -252,7 +247,7 @@ func (tor *torture) waitUp(v int) {
 	}
 }
 
-// assertFailFast checks a dead-shard op spends at most one OpTimeout — and
+// assertFailFast checks a dead-shard op spends at most one op timeout — and
 // once tripped it should not even spend that (no dial, no deadline wait).
 func (tor *torture) assertFailFast(v int) {
 	key := tor.keyOwnedBy(v)
@@ -260,8 +255,8 @@ func (tor *torture) assertFailFast(v int) {
 	if _, _, _, err := tor.cl.Get(key, nil); err == nil {
 		tor.t.Errorf("read against dead node %d succeeded", v)
 	}
-	if el := time.Since(start); el > tor.cfg.OpTimeout {
-		tor.t.Errorf("dead-shard op took %v, over the OpTimeout budget %v — not failing fast", el, tor.cfg.OpTimeout)
+	if el := time.Since(start); el > tor.tm.op {
+		tor.t.Errorf("dead-shard op took %v, over the op timeout budget %v — not failing fast", el, tor.tm.op)
 	}
 }
 
@@ -306,7 +301,7 @@ func (tor *torture) finish() {
 	}
 	// Quiet period: any request still buffered on a severed connection
 	// drains or dies before the strict final pass.
-	time.Sleep(2 * tor.cfg.OpTimeout)
+	time.Sleep(2 * tor.tm.op)
 
 	for _, w := range tor.workers {
 		for ki, key := range w.keys {
@@ -316,7 +311,7 @@ func (tor *torture) finish() {
 				if _, err = tor.cl.PutSimple(key, seqVal(seq)); err == nil {
 					break
 				}
-				time.Sleep(100 * time.Millisecond) // stale pooled conn or probing node; retry
+				time.Sleep(100 * time.Millisecond) // stale conn or probing node; retry
 			}
 			if err != nil {
 				t.Errorf("healed cluster refused write to %q: %v", key, err)

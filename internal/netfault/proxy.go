@@ -131,9 +131,9 @@ func (p *Proxy) Refuse() {
 // swallowed in both directions from here on — while new connections keep
 // forwarding cleanly. This is the orphaned-flow fault: a transient
 // partition strands established TCP flows (the peer never learns; only its
-// own deadlines save it) while fresh connections route fine. It is the
-// scenario hedged reads exist for. Heal unfreezes nothing (the flows are
-// lost, as in life); it only stops future freezes from applying.
+// own deadlines save it) while fresh connections route fine. Heal
+// unfreezes nothing (the flows are lost, as in life); it only stops future
+// freezes from applying.
 func (p *Proxy) FreezeConns() {
 	p.mu.Lock()
 	if p.frozen == nil {

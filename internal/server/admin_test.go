@@ -194,7 +194,4 @@ func TestAdminFlightRecorder(t *testing.T) {
 	if !strings.Contains(body, "evict") {
 		t.Fatalf("flight recorder dump has no evict events:\n%s", body)
 	}
-	if strings.Contains(body, "disabled") {
-		t.Fatalf("flight recorder reported disabled on a default-config store")
-	}
 }
