@@ -4,7 +4,8 @@
 // calls nextVersion and returns a writeResult, a logWrite method that alone
 // appends put records, a drop method whose second result is a remove's
 // timestamp, a worker lock named lockWorker, and WAL types named Writer and
-// Batch), exercising the clean kernel and every diagnostic.
+// Batch, whose Put, Insert and Remove are the record appends), exercising
+// the clean kernel and every diagnostic.
 package a
 
 type Value struct{}
@@ -30,15 +31,14 @@ func (t *Tree) RemoveIf(key []byte, f func(*Value) bool) *Value        { return 
 type Writer struct{}
 
 func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []ColPut) {}
-func (w *Writer) AppendRemove(ts uint64, key []byte)                   {}
 func (w *Writer) Begin() Batch                                         { return Batch{} }
 
 type Batch struct{}
 
-func (b Batch) Put(ts, prev uint64, key []byte, puts []ColPut, ttl bool, expiry uint64) {}
-func (b Batch) Insert(ts uint64, key []byte, puts []ColPut, ttl bool, expiry uint64)    {}
-func (b Batch) Anchor(ts uint64, key []byte, v *Value, ttl bool, expiry uint64)         {}
-func (b Batch) End()                                                                    {}
+func (b Batch) Put(ts, prev uint64, key []byte, puts []ColPut, ttl bool, expiry uint64)           {}
+func (b Batch) Insert(ts uint64, key []byte, puts []ColPut, full *Value, ttl bool, expiry uint64) {}
+func (b Batch) Remove(ts uint64, key []byte)                                                      {}
+func (b Batch) End()                                                                              {}
 
 type Set struct{}
 
@@ -66,7 +66,6 @@ type writeResult struct {
 	nv        *Value
 	ver, prev uint64
 	insert    bool
-	anchor    bool
 }
 
 // step is the kernel's first stage: the one version draw, the one prev read.
@@ -74,20 +73,18 @@ func (s *Store) step(worker int, op writeOp, old *Value) (r writeResult) {
 	r.prev = old.Version()
 	r.ver = s.nextVersion(worker, old)
 	r.nv = old
+	r.insert = old == nil
 	return r
 }
 
 // logWrite is the kernel's log stage: the record choice, written once, for
-// one key or a batch. The link is the step's prev; an insert and an anchor
-// carry none.
+// one key or a batch. The link is the step's prev; an insert carries none.
 func (s *Store) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []writeResult, ttl bool) {
 	b := s.logs.Writer(worker).Begin()
 	for i := range res {
 		switch r := &res[i]; {
 		case r.insert:
-			b.Insert(r.ver, keys[i], puts[i], ttl, 0)
-		case r.anchor:
-			b.Anchor(r.ver, keys[i], r.nv, ttl, 0)
+			b.Insert(r.ver, keys[i], puts[i], nil, ttl, 0)
 		default:
 			b.Put(r.ver, r.prev, keys[i], puts[i], ttl, 0)
 		}
@@ -150,7 +147,7 @@ func (s *Store) badAppendOutside(worker int, key []byte, op writeOp) {
 	s.logs.Writer(worker).AppendPut(r.ver, r.prev, key, op.puts) // want `Writer.AppendPut outside the log stage`
 	b := s.logs.Writer(worker).Begin()
 	b.Put(r.ver, r.prev, key, op.puts, false, 0) // want `Batch.Put outside the log stage`
-	b.Anchor(r.ver, key, r.nv, false, 0)         // want `Batch.Anchor outside the log stage`
+	b.Insert(r.ver, key, nil, r.nv, false, 0)    // want `Batch.Insert outside the log stage`
 	b.End()
 }
 
@@ -181,22 +178,26 @@ type otherStore struct{ logs *Set }
 // logWrite on another type stands in for a log stage gone wrong: a link read
 // from the value the caller happens to hold and not from the step's result —
 // the prev the chain invariant forbids — a link laundered through a local
-// that something besides the step's prev feeds, and a forged constant.
+// that something besides the step's prev feeds, and forged constants: no
+// link is a constant, 0 included, since a record that needs none is an
+// insert.
 func (o *otherStore) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []writeResult, cur *Value) {
 	b := o.logs.Writer(worker).Begin()
 	for i := range res {
 		r := &res[i]
-		prev := r.prev
-		if r.anchor {
+		prev, link := r.prev, r.prev
+		if r.insert {
 			prev = cur.Version()
+			link = 0
 		}
 		b.Put(r.ver, cur.Version(), keys[i], puts[i], false, 0)   // want `prev cur.Version\(\) of Batch.Put is not sourced from the step's result`
 		b.Put(r.ver, prev, keys[i], puts[i], false, 0)            // want `prev prev of Batch.Put is not sourced from the step's result`
-		b.Put(r.ver, 7, keys[i], puts[i], true, 0)                // want `constant prev 7 in Batch.Put: only 0 \(a chain anchor\) may be a constant link`
+		b.Put(r.ver, link, keys[i], puts[i], false, 0)            // want `prev link of Batch.Put is not sourced from the step's result`
+		b.Put(r.ver, 7, keys[i], puts[i], true, 0)                // want `constant prev 7 in Batch.Put: a record that needs no link is an insert`
+		b.Put(r.ver, 0, keys[i], puts[i], true, 0)                // want `constant prev 0 in Batch.Put: a record that needs no link is an insert`
 		b.Put(r.prev, r.prev, keys[i], puts[i], false, 0)         // want `ver r.prev of Batch.Put is not sourced from the step's result`
-		b.Insert(r.ver+1, keys[i], puts[i], false, 0)             // want `ver r.ver \+ 1 of Batch.Insert is not sourced from the step's result`
-		b.Anchor(cur.Version(), keys[i], r.nv, false, 0)          // want `ver cur.Version\(\) of Batch.Anchor is not sourced from the step's result`
-		b.Put(r.ver, 0, keys[i], puts[i], true, 0)                // clean: the anchor's literal 0
+		b.Insert(r.ver+1, keys[i], puts[i], nil, false, 0)        // want `ver r.ver \+ 1 of Batch.Insert is not sourced from the step's result`
+		b.Insert(cur.Version(), keys[i], nil, r.nv, false, 0)     // want `ver cur.Version\(\) of Batch.Insert is not sourced from the step's result`
 		b.Put((res[i].ver), (r.prev), keys[i], puts[i], false, 0) // clean: the step's own fields
 	}
 	b.End()
@@ -230,14 +231,18 @@ func (s *Store) remove(worker int, key []byte) bool {
 	if old == nil {
 		return false
 	}
-	s.logs.Writer(worker).AppendRemove(ver, key)
+	b := s.logs.Writer(worker).Begin()
+	b.Remove(ver, key)
+	b.End()
 	return true
 }
 
 // badRemoveNoLock appends the remove record with no worker lock taken.
 func (s *Store) badRemoveNoLock(worker int, key []byte) {
 	_, ver := s.drop(worker, key)
-	s.logs.Writer(worker).AppendRemove(ver, key) // want `Writer.AppendRemove before lockWorker`
+	b := s.logs.Writer(worker).Begin()
+	b.Remove(ver, key) // want `Batch.Remove before lockWorker`
+	b.End()
 }
 
 // badRemoveTS logs a timestamp drawn outside the border lock, once read off
@@ -247,6 +252,8 @@ func (s *Store) badRemoveTS(worker int, key []byte, cur *Value) {
 	defer mu.Unlock()
 	ver := s.retire(worker, cur)
 	s.drop(worker, key)
-	s.logs.Writer(worker).AppendRemove(ver, key)           // want `timestamp ver of Writer.AppendRemove is not sourced from drop: it must be the ver drop drew under the border lock`
-	s.logs.Writer(worker).AppendRemove(cur.Version(), key) // want `timestamp cur.Version\(\) of Writer.AppendRemove is not sourced from drop`
+	b := s.logs.Writer(worker).Begin()
+	b.Remove(ver, key)           // want `timestamp ver of Batch.Remove is not sourced from drop: it must be the ver drop drew under the border lock`
+	b.Remove(cur.Version(), key) // want `timestamp cur.Version\(\) of Batch.Remove is not sourced from drop`
+	b.End()
 }

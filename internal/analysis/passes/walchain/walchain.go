@@ -11,16 +11,16 @@
 //   - nextVersion is called only in the step, and the step only inside a
 //     func literal passed to a tree write method (Update, PutBatchInto,
 //     BatchInto) — under the border lock of the key it stamps;
-//   - a put record is appended (wal.Batch's Put, Insert and Anchor, and the
-//     one-record Writer.AppendPut) only in the log stage, so the
-//     insert/anchor/linked choice exists once, for one key or a batch;
-//   - the version of every such record and the prev of every linked one are
-//     a step result's ver and prev fields — directly, or through a variable
-//     assigned from nothing else — or prev is the literal 0 (a chain
-//     anchor);
+//   - a put record is appended (wal.Batch's Put and Insert, and the
+//     one-record Writer.AppendPut the benchmark keeps) only in the log
+//     stage, so the insert/delta choice exists once, for one key or a batch;
+//   - the version of every such record and the prev of every delta are a
+//     step result's ver and prev fields — directly, or through a variable
+//     assigned from nothing else; no link is a constant, since a record
+//     that needs none is an insert;
 //   - and a lockWorker call precedes, in its function, every log-stage call
-//     and every remove record (Writer.AppendRemove), whose timestamp must be
-//     the ver the drop kernel drew under the border lock: the draw-to-append
+//     and every remove record (Batch.Remove), whose timestamp must be the
+//     ver the drop kernel drew under the border lock: the draw-to-append
 //     window is serialized.
 //
 // The analysis is syntactic and per-function; values laundered through
@@ -63,7 +63,6 @@ var putAppends = map[string][2]int{
 	"Writer.AppendPut": {0, 1},
 	"Batch.Put":        {0, 1},
 	"Batch.Insert":     {0, -1},
-	"Batch.Anchor":     {0, -1},
 }
 
 func run(pass *analysis.Pass) {
@@ -127,18 +126,15 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 	// check reports an append argument that is not the step result's field
 	// (or drop's timestamp): the field itself, or something assigned from it
-	// (for prev, also from 0) and from nothing else.
+	// and from nothing else.
 	check := func(e ast.Expr, field, site string) {
 		if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok && field == "prev" {
-			if lit.Value != "0" {
-				pass.Reportf(e.Pos(), "constant prev %s in %s: only 0 (a chain anchor) may be a constant link", lit.Value, site)
-			}
+			pass.Reportf(e.Pos(), "constant prev %s in %s: a record that needs no link is an insert", lit.Value, site)
 			return
 		}
 		ok := sourceOf(info, e) == field
 		for src := range sources[exprKey(e)] {
-			ok = src == field || src == "0" && field == "prev"
-			if !ok {
+			if ok = src == field; !ok {
 				break
 			}
 		}
@@ -175,7 +171,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			needLock(call.Pos(), logFunc)
 		default:
 			site := namedType(info, sel.X) + "." + name
-			if site == "Writer.AppendRemove" {
+			if site == "Batch.Remove" {
 				needLock(call.Pos(), site)
 				check(call.Args[0], dropFunc, site)
 			}
@@ -184,7 +180,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				break
 			}
 			if fn != logFunc {
-				pass.Reportf(call.Pos(), "%s outside the log stage: put records belong to %s, where the insert/anchor/linked choice is made once", site, logFunc)
+				pass.Reportf(call.Pos(), "%s outside the log stage: put records belong to %s, where the insert/delta choice is made once", site, logFunc)
 				needLock(call.Pos(), site)
 			}
 			check(call.Args[argIdx[0]], "ver", site)
@@ -197,17 +193,11 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // sourceOf classifies what an expression reads: "ver" or "prev" for that
-// field of a step result, "0" for the literal, "other" for anything else.
+// field of a step result, "other" for anything else.
 func sourceOf(info *types.Info, e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.BasicLit:
-		if x.Value == "0" {
-			return "0"
-		}
-	case *ast.SelectorExpr:
-		if (x.Sel.Name == "ver" || x.Sel.Name == "prev") && namedType(info, x.X) == resultType {
-			return x.Sel.Name
-		}
+	if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok &&
+		(x.Sel.Name == "ver" || x.Sel.Name == "prev") && namedType(info, x.X) == resultType {
+		return x.Sel.Name
 	}
 	return "other"
 }

@@ -25,10 +25,9 @@ func (b *binStore) put(worker int, k []byte, v *value.Value) {
 	ver := b.clock.Add(1)
 	b.tree.Put(k, v)
 	if b.logs != nil {
-		b.logs.Writer(worker).Append(&wal.Record{
-			TS: ver, Op: wal.OpPut, Key: k,
-			Puts: []value.ColPut{{Col: 0, Data: v.Bytes()}},
-		})
+		lb := b.logs.Writer(worker).Begin()
+		lb.Insert(ver, k, nil, v, false, 0)
+		lb.End()
 	}
 }
 

@@ -144,7 +144,9 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.Writer(1).AppendPut(1, 0, []byte("idle-worker-key"), []value.ColPut{{Col: 0, Data: []byte("old")}})
+	b := old.Writer(1).Begin()
+	b.Insert(1, []byte("idle-worker-key"), []value.ColPut{{Col: 0, Data: []byte("old")}}, nil, false, 0)
+	b.End()
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}

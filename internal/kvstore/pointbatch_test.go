@@ -300,8 +300,9 @@ func TestPointBatchOneKind(t *testing.T) {
 // inside a frame, partial-column puts, gets between them, every frame that
 // follows the other worker's a handoff — and the directory is reopened. Every
 // key must come back at its exact version and bytes with no broken chain, and
-// the log itself must link each key's records head to tail: a record's prev
-// is the version of the record before it, or 0 where the chain is anchored.
+// the log itself must link each key's records head to tail: a record is an
+// insert, where the chain is anchored, or its prev is the version of the
+// record before it.
 func TestMixedSegmentsReplay(t *testing.T) {
 	mem := vfs.NewMemFS()
 	if err := mem.MkdirAll("d", 0o755); err != nil {
@@ -341,7 +342,7 @@ func TestMixedSegmentsReplay(t *testing.T) {
 	records, anchors := len(recs), 0
 	for i, rec := range recs {
 		switch {
-		case !rec.Op.HasPrev() || rec.Prev == 0:
+		case !rec.Op.HasPrev():
 			anchors++
 		case i == 0 || !bytes.Equal(rec.Key, recs[i-1].Key) || rec.Prev != recs[i-1].TS:
 			t.Errorf("key %q: record %d (version %d) links to %d, the record before it is %v", rec.Key, i, rec.TS, rec.Prev, recs[max(i-1, 0)].TS)

@@ -63,6 +63,81 @@ func TestPreChainLogRefusesToOpen(t *testing.T) {
 	}
 }
 
+// TestUnlinkedPutStillReplaces: the store logs a record that stands alone
+// as an insert, but an MTLOG2 log written before that rule holds the same
+// record as an OpPut or OpPutTTL with prev == 0, and replay must still apply
+// one as a replacement, not a merge. The log is encoded by hand, so the
+// check does not depend on an appender still writing the old form.
+func TestUnlinkedPutStillReplaces(t *testing.T) {
+	mem := vfs.NewMemFS()
+	if err := mem.MkdirAll("d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	expiry := nowNanos() + uint64(time.Hour)
+	record := func(ts uint64, op wal.Op, expiry uint64, key string, cols ...string) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, ts)
+		p = append(p, byte(op))
+		if op == wal.OpPut || op == wal.OpPutTTL {
+			p = binary.LittleEndian.AppendUint64(p, 0) // prev: the old anchor's 0
+		}
+		if op == wal.OpPutTTL || op == wal.OpInsertTTL {
+			p = binary.LittleEndian.AppendUint64(p, expiry)
+		}
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(key)))
+		p = append(p, key...)
+		p = binary.LittleEndian.AppendUint16(p, uint16(len(cols)))
+		for i, c := range cols {
+			p = binary.LittleEndian.AppendUint16(p, uint16(i))
+			p = binary.LittleEndian.AppendUint32(p, uint32(len(c)))
+			p = append(p, c...)
+		}
+		r := binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(p))
+		r = binary.LittleEndian.AppendUint32(r, uint32(len(p)))
+		return append(r, p...)
+	}
+	log := []byte("MTLOG2\n")
+	for _, r := range [][]byte{
+		record(5, wal.OpInsert, 0, "k", "a", "b"),
+		record(6, wal.OpInsert, 0, "t", "a", "b"),
+		record(7, wal.OpPut, 0, "k", "x"),
+		record(8, wal.OpPutTTL, expiry, "t", "y"),
+	} {
+		log = append(log, r...)
+	}
+	f, err := mem.OpenFile(filepath.Join("d", wal.LogFileName(0, 1)), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(log); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	mem.SyncDir("d")
+
+	s, err := Open(chainCfg(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ss := s.Session(0)
+	for _, c := range []struct {
+		key, cols string
+		ver, exp  uint64
+	}{{"k", "x", 7, 0}, {"t", "y", 8, expiry}} {
+		v, ok := ss.GetValue([]byte(c.key))
+		if !ok || joinCols(v.Cols()) != c.cols || v.Version() != c.ver || v.ExpiresAt() != c.exp {
+			t.Errorf("%s: found %v, %q v%d e%d; want %q v%d e%d (replaced, not merged onto a|b)",
+				c.key, ok, joinCols(v.Cols()), v.Version(), v.ExpiresAt(), c.cols, c.ver, c.exp)
+		}
+	}
+	if st := s.RecoveryStats(); st.BrokenChains != 0 {
+		t.Errorf("recovery stats %+v, want no broken chain", st)
+	}
+}
+
 // logAsWorker leaves in mem's "d" one generation-1 log, written by fill and
 // named as worker's, and nothing else: the state a larger incarnation's
 // worker left behind. (The log is written as worker 0's and renamed; the
@@ -104,8 +179,10 @@ func logAsWorker(t *testing.T, mem *vfs.MemFS, worker int, fill func(w *wal.Writ
 func TestWorkerTagRange(t *testing.T) {
 	key := []byte("k")
 	fill := func(w *wal.Writer) {
-		w.AppendInsert(5, key, []value.ColPut{{Col: 0, Data: []byte("a")}})
-		w.AppendPut(7, 5, key, []value.ColPut{{Col: 1, Data: []byte("b")}})
+		b := w.Begin()
+		b.Insert(5, key, []value.ColPut{{Col: 0, Data: []byte("a")}}, nil, false, 0)
+		b.Put(7, 5, key, []value.ColPut{{Col: 1, Data: []byte("b")}}, false, 0)
+		b.End()
 	}
 
 	mem := vfs.NewMemFS()
@@ -167,10 +244,11 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := set.Writer(0)
 	// Key "whole": its anchor will be in the vanished generation — every
 	// surviving record dangles, so it must roll back to absence.
-	w.AppendInsert(5, []byte("whole"), []value.ColPut{{Col: 0, Data: []byte("lost")}})
+	b := set.Writer(0).Begin()
+	b.Insert(5, []byte("whole"), []value.ColPut{{Col: 0, Data: []byte("lost")}}, nil, false, 0)
+	b.End()
 	if err := set.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +259,14 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = set2.Writer(0)
-	w.AppendPut(9, 5, []byte("whole"), []value.ColPut{{Col: 1, Data: []byte("dangling")}})
+	b = set2.Writer(0).Begin()
+	b.Put(9, 5, []byte("whole"), []value.ColPut{{Col: 1, Data: []byte("dangling")}}, false, 0)
 	// Key "part": anchored in the surviving generation, then one good link
 	// and one broken link (its prev names a version that never replays).
-	w.AppendInsert(10, []byte("part"), []value.ColPut{{Col: 0, Data: []byte("x")}})
-	w.AppendPut(12, 10, []byte("part"), []value.ColPut{{Col: 1, Data: []byte("y")}})
-	w.AppendPut(14, 13, []byte("part"), []value.ColPut{{Col: 0, Data: []byte("BAD")}})
+	b.Insert(10, []byte("part"), []value.ColPut{{Col: 0, Data: []byte("x")}}, nil, false, 0)
+	b.Put(12, 10, []byte("part"), []value.ColPut{{Col: 1, Data: []byte("y")}}, false, 0)
+	b.Put(14, 13, []byte("part"), []value.ColPut{{Col: 0, Data: []byte("BAD")}}, false, 0)
+	b.End()
 	if err := set2.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -409,6 +488,12 @@ func TestReplayFold(t *testing.T) {
 		{"an older remove keeps", base, []wal.Record{remove(9)}, "v10 w1 e0 a|b", false},
 		{"an insert replaces", base, []wal.Record{insert(11, 0, cols("x")...)}, "v11 w0 e0 x", false},
 		{"a prev 0 put replaces", base, []wal.Record{put(11, 0, 0, cols("x")...)}, "v11 w0 e0 x", false},
+		{"a column-complete overwrite logged as an insert replaces the checkpointed base", base,
+			[]wal.Record{insert(11, 1, cols("x", "y")...)}, "v11 w1 e0 x|y", false},
+		{"a column-complete overwrite logged as an insert ends a delta chain", base,
+			[]wal.Record{put(11, 10, 1, col1("y")), put(12, 11, 1, value.ColPut{Col: 2, Data: []byte("z")}),
+				insert(13, 1, cols("p", "q", "r")...), put(14, 13, 1, col1("s"))},
+			"v14 w1 e0 p|s|r", false},
 		{"a matching link merges", base, []wal.Record{put(11, 10, 1, col1("y"))}, "v11 w1 e0 a|y", false},
 		{"a chain of links merges", base,
 			[]wal.Record{put(11, 10, 1, col1("y")), put(12, 11, 0, value.ColPut{Col: 2, Data: []byte("z")})},

@@ -76,12 +76,14 @@ func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 // the packed value and the log buffer), so callers may reuse their buffers
 // immediately.
 //
-// Logging chains the record to the replaced value's version (wal format
-// v2), with one exception: when the replaced value's version was stamped
-// through a different worker's log (base.Worker() != worker — a cross-log
-// handoff), the record is logged column-complete with prev == 0, anchoring
-// the key's chain in this log. No replay chain ever spans log files without
-// an anchor, so a vanished log is always detectable at recovery.
+// A put that leaves some of the replaced value's columns in place is
+// logged as a delta chained to that value's version (wal format v2). A put
+// whose columns make the new value on their own is logged as an insert, with
+// no link; so is a put over a value stamped through a different worker's log
+// (base.Worker() != worker — a cross-log handoff), which carries every
+// column of the value it published, anchoring the key's chain in this log.
+// No replay chain ever spans log files without an anchor, so a vanished log
+// is always detectable at recovery.
 func (ss *Session) Put(key []byte, puts []value.ColPut) uint64 {
 	return ss.s.write(ss.worker, key, writeOp{puts: puts}).ver
 }
@@ -147,7 +149,9 @@ func (ss *Session) Remove(key []byte) bool {
 		return false
 	}
 	if s.logs != nil {
-		s.logs.Writer(worker).AppendRemove(ver, key)
+		b := s.logs.Writer(worker).Begin()
+		b.Remove(ver, key)
+		b.End()
 	}
 	s.cache.NoteRemove(worker, key)
 	// Read-through stores propagate the delete upstream (a tombstone in the

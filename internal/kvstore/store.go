@@ -441,10 +441,10 @@ func (s *Store) restoreRange(es []checkpoint.Entry, recs []wal.Record) (maxVersi
 // a link breaks is the longest prefix the surviving logs can vouch for),
 // and the rollback is counted in BrokenChains. Once a link breaks, later
 // linked records cannot spuriously match the stale state (versions strictly
-// increase past it); only an anchor — an insert, or a column-complete
-// prev==0 record — resumes the key. Values are rebuilt with the record's
-// originating worker as their worker tag, so cross-log handoff detection
-// stays exact after a restart.
+// increase past it); only an anchor — an insert, or the column-complete
+// prev == 0 OpPut an older MTLOG2 log may hold — resumes the key. Values
+// are rebuilt with the record's originating worker as their worker tag, so
+// cross-log handoff detection stays exact after a restart.
 func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
 	for _, r := range recs {
 		if v != nil && v.Version() >= r.TS {
@@ -454,12 +454,11 @@ func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
 		case wal.OpPut, wal.OpPutTTL, wal.OpInsert, wal.OpInsertTTL:
 			base := v
 			if r.Op.IsInsert() || r.Prev == 0 {
-				// Chain anchor: executed against an absent (or
-				// lazily-expired) base, or carrying every column of the
-				// value it published (handoff anchors, Touch). Replace
-				// rather than merge, so stale records of a cleanly-dropped
-				// (evicted/swept) predecessor cannot fold their columns
-				// into the recovered value.
+				// Chain anchor: an insert, whose columns make the value
+				// on their own, or an older log's OpPut with prev == 0.
+				// Replace rather than merge, so stale records of a
+				// cleanly-dropped (evicted/swept) predecessor cannot fold
+				// their columns into the recovered value.
 				base = nil
 			} else if v.Version() != r.Prev {
 				broken = true
@@ -513,7 +512,9 @@ func (s *Store) maintainLoop() {
 				all := true
 				for w := 0; w < s.logs.Workers(); w++ {
 					if mu := &s.workerMu[w]; mu.TryLock() {
-						s.logs.Writer(w).AppendMark(m)
+						b := s.logs.Writer(w).Begin()
+						b.Mark(m)
+						b.End()
 						mu.Unlock()
 					} else {
 						all = false // busy worker: retry next tick
@@ -754,10 +755,9 @@ type writeResult struct {
 	nv     *value.Value // the value published; nil when the step declined
 	base   *value.Value // what the write saw as current; nil if absent or lazily expired
 	ver    uint64       // nv's version
-	prev   uint64       // base's version — the record's chain link; 0 for an insert
+	prev   uint64       // base's version — a delta record's chain link
 	delta  int64        // change in accounted bytes: nv's size less the physical old value's
-	insert bool         // built on no base: logged as an insert record
-	anchor bool         // logged column-complete with prev == 0
+	insert bool         // the record's columns make nv on their own: logged as an insert, no link
 }
 
 // step is the write kernel's first stage and the only place a version is
@@ -787,35 +787,47 @@ func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 		// departs in clock order, so the draw below lands above it.
 		s.retire(worker, old)
 	}
-	r.insert = base == nil
 	r.prev = base.Version()
-	// A cross-log handoff (see Put) is logged column-complete with prev == 0,
-	// and so is a write with no columns of its own (Touch): its empty delta
-	// would replay as an empty value — found but blank, worse than absent —
-	// were the log holding the key's original put to vanish.
-	r.anchor = base != nil && (base.Worker() != uint32(worker) || op.base == onlyLive)
 	r.ver = s.nextVersion(worker, base)
 	r.nv = value.BuildTTLAt(base, op.puts, r.ver, uint32(worker), op.expiry)
 	r.delta = int64(r.nv.Size() - old.Size())
+	// An insert's columns make nv on their own: no base, or puts listing
+	// every column of nv in order. A cross-log handoff (see Put) and a write
+	// with no columns (Touch) log every column of nv as one: a delta over a
+	// vanished log's value replays onto nothing, and Touch's empty one as an
+	// empty value — found but blank, worse than absent.
+	r.insert = base == nil || base.Worker() != uint32(worker) || op.base == onlyLive ||
+		putsAreValue(op.puts, r.nv.NumCols())
 	return r
+}
+
+// putsAreValue reports whether puts are exactly columns 0, 1, …, n-1 in
+// order: the whole of an n-column value, whatever the base held.
+func putsAreValue(puts []value.ColPut, n int) bool {
+	for i, p := range puts {
+		if p.Col != i {
+			return false
+		}
+	}
+	return len(puts) == n
 }
 
 // logWrite is the kernel's second stage and the only place a put's record
 // form is chosen, for one key or a batch alike and under one log-buffer lock:
-// an insert (built on no base; replays as a replacement), an anchor (every
-// column of the published value, read from its packed allocation, prev == 0),
-// or a delta linked to the version it replaced. Its caller holds the
-// lockWorker window that covered the steps, so the records reach the log
-// before any later draw on this worker.
+// an insert (replays as a replacement; over a base, every column of the
+// published value, read from its packed allocation) or a delta linked to the
+// version it replaced. Its caller holds the lockWorker window that covered
+// the steps, so the records reach the log before any later draw on this
+// worker.
 func (s *Store) logWrite(worker int, keys [][]byte, puts [][]value.ColPut, res []writeResult, ttl bool, expiry uint64) {
 	b := s.logs.Writer(worker).Begin()
 	for i := range res {
 		switch r := &res[i]; {
 		case r.nv == nil: // not a write (a get of a mixed batch): no record
+		case r.insert && r.base == nil:
+			b.Insert(r.ver, keys[i], puts[i], nil, ttl, expiry)
 		case r.insert:
-			b.Insert(r.ver, keys[i], puts[i], ttl, expiry)
-		case r.anchor:
-			b.Anchor(r.ver, keys[i], r.nv, ttl, expiry)
+			b.Insert(r.ver, keys[i], nil, r.nv, ttl, expiry)
 		default:
 			b.Put(r.ver, r.prev, keys[i], puts[i], ttl, expiry)
 		}

@@ -34,29 +34,29 @@ type matrixCell struct {
 	applied bool   // the write took effect (false: declined, nothing changes, nothing is logged)
 	cols    string // visible columns afterwards, "|"-joined; "" with !applied means unchanged
 	op      wal.Op // the record's op
-	linked  bool   // record's Prev is the base's version (false: 0 — an insert or an anchor)
+	linked  bool   // record's Prev is the base's version (false: 0 — an insert)
 	puts    string // the record's column set, "col=data" space-joined
 }
 
 var matrixCells = []matrixCell{
 	{"Put", absentBase, true, "n0", wal.OpInsert, false, "0=n0"},
 	{"Put", sameWorkerBase, true, "n0|b1", wal.OpPut, true, "0=n0"},
-	{"Put", otherWorkerBase, true, "n0|b1", wal.OpPut, false, "0=n0 1=b1"},
+	{"Put", otherWorkerBase, true, "n0|b1", wal.OpInsert, false, "0=n0 1=b1"},
 	{"Put", expiredBase, true, "n0", wal.OpInsert, false, "0=n0"},
 
 	{"PutTTL", absentBase, true, "n0", wal.OpInsertTTL, false, "0=n0"},
 	{"PutTTL", sameWorkerBase, true, "n0|b1", wal.OpPutTTL, true, "0=n0"},
-	{"PutTTL", otherWorkerBase, true, "n0|b1", wal.OpPutTTL, false, "0=n0 1=b1"},
+	{"PutTTL", otherWorkerBase, true, "n0|b1", wal.OpInsertTTL, false, "0=n0 1=b1"},
 	{"PutTTL", expiredBase, true, "n0", wal.OpInsertTTL, false, "0=n0"},
 
 	{"Touch", absentBase, false, "", 0, false, ""},
-	{"Touch", sameWorkerBase, true, "b0|b1", wal.OpPutTTL, false, "0=b0 1=b1"},
-	{"Touch", otherWorkerBase, true, "b0|b1", wal.OpPutTTL, false, "0=b0 1=b1"},
+	{"Touch", sameWorkerBase, true, "b0|b1", wal.OpInsertTTL, false, "0=b0 1=b1"},
+	{"Touch", otherWorkerBase, true, "b0|b1", wal.OpInsertTTL, false, "0=b0 1=b1"},
 	{"Touch", expiredBase, false, "", 0, false, ""},
 
 	{"CasPutHit", absentBase, true, "n0", wal.OpInsert, false, "0=n0"},
 	{"CasPutHit", sameWorkerBase, true, "n0|b1", wal.OpPut, true, "0=n0"},
-	{"CasPutHit", otherWorkerBase, true, "n0|b1", wal.OpPut, false, "0=n0 1=b1"},
+	{"CasPutHit", otherWorkerBase, true, "n0|b1", wal.OpInsert, false, "0=n0 1=b1"},
 	{"CasPutHit", expiredBase, true, "n0", wal.OpInsert, false, "0=n0"},
 
 	{"CasPutMiss", absentBase, false, "", 0, false, ""},
@@ -70,13 +70,13 @@ var matrixCells = []matrixCell{
 	{"installLoaded", expiredBase, true, "L0|L1", wal.OpInsertTTL, false, "0=L0 1=L1"},
 
 	// The batch is [k x k]: k's first entry is the cell proper, x is a
-	// bystander last logged by worker 0 (so a handoff on k makes the batch
-	// mixed), and k's second entry is a duplicate that must chain onto the
-	// first. cols is k's final state; op/linked/puts describe k's first
-	// record.
+	// bystander last logged by worker 0 whose one column the batch
+	// overwrites (an insert, however k is logged), and k's second entry is
+	// a duplicate to column 2 that must chain onto the first (a delta). cols
+	// is k's final state; op/linked/puts describe k's first record.
 	{"PutBatchInto", absentBase, true, "n0||d2", wal.OpInsert, false, "0=n0"},
 	{"PutBatchInto", sameWorkerBase, true, "n0|b1|d2", wal.OpPut, true, "0=n0"},
-	{"PutBatchInto", otherWorkerBase, true, "n0|b1|d2", wal.OpPut, false, "0=n0 1=b1"},
+	{"PutBatchInto", otherWorkerBase, true, "n0|b1|d2", wal.OpInsert, false, "0=n0 1=b1"},
 	{"PutBatchInto", expiredBase, true, "n0||d2", wal.OpInsert, false, "0=n0"},
 }
 
@@ -124,9 +124,10 @@ func accountedBytes(s *Store) (n int64) {
 
 // TestWriteKernelMatrix pins every write entry point against every kind of
 // base: the value a reader sees afterwards, the version's ordering, the exact
-// log record (insert vs column-complete prev==0 anchor vs linked delta), byte
-// accounting, TTL-sweep arming, and that a restart rebuilds the same state
-// with no broken chain.
+// log record (an insert, from the puts or from every column of the published
+// value, vs a linked delta), that no record of the cell's store is an OpPut
+// with prev == 0, byte accounting, TTL-sweep arming, and that a restart
+// rebuilds the same state with no broken chain.
 func TestWriteKernelMatrix(t *testing.T) {
 	for _, c := range matrixCells {
 		t.Run(c.entry+"/"+c.base.String(), func(t *testing.T) { runMatrixCell(t, c) })
@@ -244,6 +245,9 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		if r.TS > xVer {
 			written++
 		}
+		if r.Op.HasPrev() && r.Prev == 0 {
+			t.Errorf("record %d is an op %d with prev 0: a record that stands alone is an insert", r.TS, r.Op)
+		}
 	}
 	checkRecord := func(ts uint64, op wal.Op, prev uint64, puts string, expiry uint64) {
 		t.Helper()
@@ -267,7 +271,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		checkRecord(ver, c.op, prev, c.puts, wantTTL)
 		if batchVers != nil {
 			wantWritten = 3
-			checkRecord(batchVers[1], wal.OpPut, xVer, "0=x-new", 0)
+			checkRecord(batchVers[1], wal.OpInsert, 0, "0=x-new", 0)
 			checkRecord(batchVers[2], wal.OpPut, batchVers[0], "2=d2", 0)
 		}
 	}

@@ -479,7 +479,7 @@ func BuildTTLAt(old *Value, puts []ColPut, version uint64, worker uint32, expiry
 	}
 	// putFor probes the put list once per column, which beats any scratch
 	// for the lists a request carries. A column-complete list — what
-	// recovery passes for a checkpoint entry or an anchor record, up to
+	// recovery passes for a checkpoint entry or a whole-value insert, up to
 	// 65 535 puts for as many columns — would make that quadratic, seconds
 	// per value: index a long list by column first. (Indexes, not the Data
 	// slices: storing those would make every caller's put data escape.)

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLogBytesGolden pins the on-disk bytes of a log directory: an MTLOG2
-// log holding one record of every op, written through the appenders, and
+// log holding one record of every op, written through one batch, and
 // the logset OpenSetFS commits beside it. Recovery reads every record back
 // with its fields intact.
 func TestLogBytesGolden(t *testing.T) {
@@ -33,10 +33,14 @@ func TestLogBytesGolden(t *testing.T) {
 		{TS: 0x14, Op: OpRemove, Key: []byte("r")},
 		{TS: 0x15, Op: OpMark},
 	}
-	w := set.Writer(0)
-	for i := range want {
-		w.Append(&want[i])
-	}
+	b := set.Writer(0).Begin()
+	b.Put(want[0].TS, want[0].Prev, want[0].Key, want[0].Puts, false, 0)
+	b.Put(want[1].TS, want[1].Prev, want[1].Key, want[1].Puts, true, want[1].Expiry)
+	b.Insert(want[2].TS, want[2].Key, want[2].Puts, nil, false, 0)
+	b.Insert(want[3].TS, want[3].Key, want[3].Puts, nil, true, want[3].Expiry)
+	b.Remove(want[4].TS, want[4].Key)
+	b.Mark(want[5].TS)
+	b.End()
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -23,16 +23,17 @@
 // The cutoff alone cannot defend against a log vanishing wholesale: a
 // missing log contributes no constraint to the minimum, so a partial-column
 // put logged elsewhere could be merged onto a base that never saw the
-// vanished log's delta. The log format (MTLOG2) therefore chains every
-// OpPut/OpPutTTL record to the version of the value it was applied over
-// (Record.Prev). Prev == 0 marks a chain anchor — an insert, or a
-// column-complete record carrying every column of the value it published —
-// which replays as a replacement; any other record is applied only when its
-// prev link matches the replayed state, so a vanished predecessor is
-// detected (the key rolls back to its last anchored prefix) instead of
-// silently mis-merged. The companion logset file records which log files
-// recovery should expect, distinguishing "this worker never logged" from
-// "this worker's log vanished".
+// vanished log's delta. The log format (MTLOG2) therefore has two put forms.
+// An insert (OpInsert/OpInsertTTL) is a record whose columns make the
+// published value on their own (see OpInsert): a chain anchor with no link,
+// replayed as a replacement. Any other put is a delta (OpPut/OpPutTTL)
+// chained to the version of the value it was applied over (Record.Prev),
+// applied only when that link matches the replayed state, so a vanished
+// predecessor is detected (the key rolls back to its last anchored prefix)
+// instead of silently mis-merged. An OpPut with Prev == 0, the anchor older
+// MTLOG2 logs hold, still replays as a replacement. The companion logset file
+// records which log files recovery should expect, distinguishing "this
+// worker never logged" from "this worker's log vanished".
 package wal
 
 import (
@@ -48,7 +49,8 @@ import (
 type Op uint8
 
 const (
-	// OpPut logs a (possibly partial, multi-column) put.
+	// OpPut logs a partial delta: the columns a put wrote over a live base,
+	// chained to that base's version (Record.Prev).
 	OpPut Op = 1
 	// OpRemove logs a key removal.
 	OpRemove Op = 2
@@ -61,14 +63,13 @@ const (
 	// on an update some other log never made durable.
 	OpMark Op = 3
 	// OpPutTTL is OpPut with an expiry timestamp (unix nanoseconds) in the
-	// payload, so replay rebuilds the value with its TTL intact. A Touch is
-	// logged as a column-complete OpPutTTL (every column of the republished
-	// value), so the record stands alone even if the log holding the key's
-	// original put is lost wholesale.
+	// payload, so replay rebuilds the value with its TTL intact.
 	OpPutTTL Op = 4
-	// OpInsert is a put that executed against an absent (or lazily-expired)
-	// base: the resulting value was built from the record's columns alone,
-	// so replay applies it as a REPLACEMENT, not a merge. This is what
+	// OpInsert is a put whose record makes the published value on its own,
+	// so replay applies it as a REPLACEMENT, not a merge: a put that
+	// executed against an absent (or lazily-expired) base, a put listing
+	// columns 0..n-1 in order of an n-column value, or a cross-log handoff
+	// carrying every column of the value it published. This is what
 	// keeps cache mode's clean drops sound: evictions and expiry sweeps
 	// write no record, so the records of a dropped value may survive in the
 	// log — and the first write after the drop executes against nil. Were
@@ -82,7 +83,9 @@ const (
 	// cache semantics permit; the store re-expires or re-evicts it.)
 	OpInsert Op = 5
 	// OpInsertTTL is OpInsert carrying an expiry, the insert counterpart of
-	// OpPutTTL.
+	// OpPutTTL. A Touch logs one carrying every column of the republished
+	// value, so the record stands alone even if the log holding the key's
+	// original put is lost wholesale.
 	OpInsertTTL Op = 6
 )
 
@@ -102,13 +105,12 @@ type Record struct {
 	TS  uint64 // timestamp == value version (global monotonic counter)
 	Op  Op
 	Key []byte
-	// Prev is the version of the value this put was applied over — the
+	// Prev is the version of the value this delta was applied over — the
 	// chain link that lets replay prove the record's base was rebuilt
-	// before merging the record's (possibly partial) columns onto it.
-	// Prev == 0 marks a chain anchor: the record was built on no base
-	// (inserts) or carries every column of the value it published
-	// (handoff anchors, Touch), so replay applies it as a replacement.
-	// Meaningful only for OpPut/OpPutTTL.
+	// before merging the record's partial columns onto it. Serialized only
+	// for OpPut/OpPutTTL; an insert needs none. Prev == 0 on an OpPut is
+	// the column-complete anchor of older MTLOG2 logs, which replay applies
+	// as a replacement; the store never writes one.
 	Prev uint64
 	// Worker is the id of the log file the record was recovered from. It is
 	// not serialized (the filename carries it); RecoverDirAboveFS fills it

@@ -220,6 +220,8 @@ func RecoverDir(dir string) (*RecoveryResult, error) {
 // Mark appends a timestamp heartbeat to every log (see OpMark).
 func (s *Set) Mark(ts uint64) {
 	for _, w := range s.writers {
-		w.Append(&Record{TS: ts, Op: OpMark})
+		b := w.Begin()
+		b.Mark(ts)
+		b.End()
 	}
 }

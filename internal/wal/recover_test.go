@@ -28,10 +28,16 @@ func TestTwoLogsReplayAsOneStream(t *testing.T) {
 	// cutoff below worker 1's record.
 	for worker, fill := range []func(w *Writer){
 		func(w *Writer) {
-			w.AppendInsert(10, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("old")}})
-			w.AppendMark(50)
+			b := w.Begin()
+			b.Insert(10, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("old")}}, nil, false, 0)
+			b.Mark(50)
+			b.End()
 		},
-		func(w *Writer) { w.AppendPut(20, 10, []byte("k"), []value.ColPut{{Col: 1, Data: []byte("new")}}) },
+		func(w *Writer) {
+			b := w.Begin()
+			b.Put(20, 10, []byte("k"), []value.ColPut{{Col: 1, Data: []byte("new")}}, false, 0)
+			b.End()
+		},
 	} {
 		w, err := newWriter(mem, dir, worker, 1, true, DefaultFlushInterval, true)
 		if err != nil {
@@ -78,9 +84,9 @@ func TestMissingLogDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Writer(0).AppendPut(1, 0, []byte("a"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	insertOne(set.Writer(0), 1, []byte("a"), []value.ColPut{{Col: 0, Data: []byte("v")}})
 	// Worker 1 logs; worker 2 never does — its file exists but is empty.
-	set.Writer(1).AppendPut(2, 0, []byte("b"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	insertOne(set.Writer(1), 2, []byte("b"), []value.ColPut{{Col: 0, Data: []byte("v")}})
 	if err := set.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,9 @@ func FuzzRecordV2(f *testing.F) {
 	flipped := append([]byte(nil), records[0]...)
 	flipped[len(flipped)/2] ^= 0xff // crc mismatch
 	for _, s := range [][]byte{
-		appendRecord(nil, 17, 0, OpPut, []byte("anchor"), nil, anchor, 0), // column-complete
+		appendRecord(nil, 17, 0, OpPut, []byte("anchor"), nil, anchor, 0),        // an older log's column-complete anchor
+		appendRecord(nil, 23, 0, OpInsert, []byte("full"), nil, anchor, 0),       // an insert of a full value
+		appendRecord(nil, 25, 0, OpInsertTTL, []byte("fullttl"), nil, anchor, 9), // a Touch's
 		appendRecord(nil, 19, 0, OpInsertTTL, []byte("insttl"), puts, nil, 5678),
 		appendRecord(nil, 21, 9, OpPutTTL, []byte("linkttl"), puts[:1], nil, 42),
 		append(append([]byte(nil), records[0]...), records[1]...), // two back to back

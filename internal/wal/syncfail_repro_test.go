@@ -18,7 +18,7 @@ func TestSyncFailureThenRecover(t *testing.T) {
 	}
 	defer w.Close()
 
-	w.AppendPut(1, 0, []byte("a"), nil)
+	insertOne(w, 1, []byte("a"), nil)
 	// Replace the fd with a read-only one so Write succeeds? Simpler: make
 	// Sync fail by using a file opened read... instead swap f for one where
 	// Write works but Sync fails: use /dev/null? Sync on /dev/null succeeds.
@@ -37,7 +37,7 @@ func TestSyncFailureThenRecover(t *testing.T) {
 	w.f = real
 
 	// Subsequent records must survive into the real log.
-	w.AppendPut(2, 0, []byte("b"), nil)
+	insertOne(w, 2, []byte("b"), nil)
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}

@@ -46,7 +46,9 @@ func volumeWriter(t *testing.T) (w *Writer, appendN func(n int)) {
 	ts := uint64(1)
 	return w, func(n int) {
 		for i := 0; i < n; i++ {
-			w.AppendPut(ts+1, ts, key, puts)
+			b := w.Begin()
+			b.Put(ts+1, ts, key, puts, false, 0)
+			b.End()
 			ts++
 			for i%16 == 15 && w.buffered() >= kickLevel {
 				runtime.Gosched()
@@ -89,7 +91,7 @@ func TestAppendVolumeAllocs(t *testing.T) {
 // the two buffers holding no more than one cap between them.
 func TestRetainedBufferBound(t *testing.T) {
 	w, appendN := volumeWriter(t)
-	w.AppendPut(2, 1, []byte("huge"), []value.ColPut{{Col: 0, Data: make([]byte, 4<<20)}})
+	insertOne(w, 2, []byte("huge"), []value.ColPut{{Col: 0, Data: make([]byte, 4<<20)}})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

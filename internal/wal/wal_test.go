@@ -11,6 +11,13 @@ import (
 	"repro/internal/value"
 )
 
+// insertOne appends one insert record as a batch of one.
+func insertOne(w *Writer, ts uint64, key []byte, puts []value.ColPut) {
+	b := w.Begin()
+	b.Insert(ts, key, puts, nil, false, 0)
+	b.End()
+}
+
 // appendRec adapts a Record struct to the in-place encoder for tests.
 func appendRec(buf []byte, r *Record) []byte {
 	return appendRecord(buf, r.TS, r.Prev, r.Op, r.Key, r.Puts, nil, r.Expiry)
@@ -98,12 +105,14 @@ func TestWriterFlushAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Writer(0).Append(&Record{TS: 1, Op: OpPut, Key: []byte("a"), Puts: []value.ColPut{{Col: 0, Data: []byte("1")}}})
-	set.Writer(1).Append(&Record{TS: 2, Op: OpPut, Key: []byte("b"), Puts: []value.ColPut{{Col: 0, Data: []byte("2")}}})
+	insertOne(set.Writer(0), 1, []byte("a"), []value.ColPut{{Col: 0, Data: []byte("1")}})
+	insertOne(set.Writer(1), 2, []byte("b"), []value.ColPut{{Col: 0, Data: []byte("2")}})
 	if err := set.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	set.Writer(0).Append(&Record{TS: 3, Op: OpRemove, Key: []byte("a")})
+	b := set.Writer(0).Begin()
+	b.Remove(3, []byte("a"))
+	b.End()
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +138,10 @@ func TestRecoverCutoffDropsUnackedTail(t *testing.T) {
 	set, _ := OpenSet(dir, 2, 1, false, time.Hour)
 	// Worker 0 durably logged through TS 10; worker 1 only through TS 5.
 	for ts := uint64(1); ts <= 10; ts++ {
-		set.Writer(0).Append(&Record{TS: ts, Op: OpPut, Key: []byte{byte(ts)}, Puts: []value.ColPut{{Col: 0, Data: []byte("x")}}})
+		insertOne(set.Writer(0), ts, []byte{byte(ts)}, []value.ColPut{{Col: 0, Data: []byte("x")}})
 	}
 	for ts := uint64(1); ts <= 5; ts++ {
-		set.Writer(1).Append(&Record{TS: ts + 100, Op: OpPut, Key: []byte{byte(ts)}, Puts: []value.ColPut{{Col: 0, Data: []byte("y")}}})
+		insertOne(set.Writer(1), ts+100, []byte{byte(ts)}, []value.ColPut{{Col: 0, Data: []byte("y")}})
 	}
 	set.Close()
 	res, err := RecoverDir(dir)
@@ -155,7 +164,7 @@ func TestRecoverCutoffDropsUnackedTail(t *testing.T) {
 func TestEmptyLogDoesNotConstrainCutoff(t *testing.T) {
 	dir := t.TempDir()
 	set, _ := OpenSet(dir, 2, 1, false, time.Hour)
-	set.Writer(0).Append(&Record{TS: 7, Op: OpPut, Key: []byte("k"), Puts: []value.ColPut{{Col: 0, Data: []byte("v")}}})
+	insertOne(set.Writer(0), 7, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
 	set.Close()
 	res, err := RecoverDir(dir)
 	if err != nil {
@@ -169,12 +178,12 @@ func TestEmptyLogDoesNotConstrainCutoff(t *testing.T) {
 func TestRotateAndDrop(t *testing.T) {
 	dir := t.TempDir()
 	set, _ := OpenSet(dir, 1, 1, false, time.Hour)
-	set.Writer(0).Append(&Record{TS: 1, Op: OpPut, Key: []byte("old"), Puts: []value.ColPut{{Col: 0, Data: []byte("1")}}})
+	insertOne(set.Writer(0), 1, []byte("old"), []value.ColPut{{Col: 0, Data: []byte("1")}})
 	gen, err := set.Rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.Writer(0).Append(&Record{TS: 2, Op: OpPut, Key: []byte("new"), Puts: []value.ColPut{{Col: 0, Data: []byte("2")}}})
+	insertOne(set.Writer(0), 2, []byte("new"), []value.ColPut{{Col: 0, Data: []byte("2")}})
 	set.Flush()
 	if err := set.DropBefore(gen); err != nil {
 		t.Fatal(err)
@@ -193,7 +202,7 @@ func TestRotateAndDrop(t *testing.T) {
 func TestBackgroundFlush(t *testing.T) {
 	dir := t.TempDir()
 	set, _ := OpenSet(dir, 1, 1, false, 5*time.Millisecond)
-	set.Writer(0).Append(&Record{TS: 1, Op: OpPut, Key: []byte("k"), Puts: []value.ColPut{{Col: 0, Data: []byte("v")}}})
+	insertOne(set.Writer(0), 1, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		b, _ := os.ReadFile(filepath.Join(dir, LogFileName(0, 1)))
@@ -208,10 +217,10 @@ func TestBackgroundFlush(t *testing.T) {
 	set.Close()
 }
 
-// TestBatchRoundTrip checks that every record form of the batch appender
-// encodes the bytes its one-at-a-time spelling does — an anchor read from the
-// packed value the same as a put handed every column with prev == 0 — and
-// that one batch's records land in call order.
+// TestBatchRoundTrip checks that one batch of every record form encodes the
+// bytes a batch per record does — an insert read from the packed value the
+// same as an insert handed every column — and that one batch's records land
+// in call order.
 func TestBatchRoundTrip(t *testing.T) {
 	ka, kb, kc, kd := []byte("ka"), []byte("kb"), []byte("kc"), []byte("kd")
 	delta := []value.ColPut{{Col: 1, Data: []byte("vb")}, {Col: 0, Data: nil}}
@@ -222,22 +231,32 @@ func TestBatchRoundTrip(t *testing.T) {
 	batched, _ := OpenSet(dirs[0], 1, 1, false, time.Hour)
 	b := batched.Writer(0).Begin()
 	b.Put(3, 2, ka, delta, false, 0)
-	b.Insert(1, kb, delta, false, 0)
-	b.Anchor(4, kc, v, false, 0)
+	b.Insert(1, kb, delta, nil, false, 0)
+	b.Insert(4, kc, nil, v, false, 0)
 	b.Put(5, 3, ka, delta, true, 77)
-	b.Insert(6, kd, delta, true, 0)
-	b.Anchor(7, kc, v, true, 88)
+	b.Insert(6, kd, delta, nil, true, 0)
+	b.Insert(7, kc, nil, v, true, 88)
+	b.Remove(8, kd)
+	b.Mark(9)
 	b.End()
 	batched.Close()
 
 	single, _ := OpenSet(dirs[1], 1, 1, false, time.Hour)
 	w := single.Writer(0)
-	w.AppendPut(3, 2, ka, delta)
-	w.AppendInsert(1, kb, delta)
-	w.AppendPut(4, 0, kc, full)
-	w.Append(&Record{TS: 5, Prev: 3, Op: OpPutTTL, Key: ka, Puts: delta, Expiry: 77})
-	w.Append(&Record{TS: 6, Op: OpInsertTTL, Key: kd, Puts: delta})
-	w.Append(&Record{TS: 7, Op: OpPutTTL, Key: kc, Puts: full, Expiry: 88})
+	for _, f := range []func(b Batch){
+		func(b Batch) { b.Put(3, 2, ka, delta, false, 0) },
+		func(b Batch) { b.Insert(1, kb, delta, nil, false, 0) },
+		func(b Batch) { b.Insert(4, kc, full, nil, false, 0) },
+		func(b Batch) { b.Put(5, 3, ka, delta, true, 77) },
+		func(b Batch) { b.Insert(6, kd, delta, nil, true, 0) },
+		func(b Batch) { b.Insert(7, kc, full, nil, true, 88) },
+		func(b Batch) { b.Remove(8, kd) },
+		func(b Batch) { b.Mark(9) },
+	} {
+		b := w.Begin()
+		f(b)
+		b.End()
+	}
 	single.Close()
 
 	var logs [2][]byte
@@ -254,8 +273,8 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOps := []Op{OpPut, OpInsert, OpPut, OpPutTTL, OpInsertTTL, OpPutTTL}
-	wantTS := []uint64{3, 1, 4, 5, 6, 7}
+	wantOps := []Op{OpPut, OpInsert, OpInsert, OpPutTTL, OpInsertTTL, OpInsertTTL, OpRemove}
+	wantTS := []uint64{3, 1, 4, 5, 6, 7, 8}
 	if len(res.Records) != len(wantOps) {
 		t.Fatalf("got %d records, want %d", len(res.Records), len(wantOps))
 	}
@@ -264,9 +283,10 @@ func TestBatchRoundTrip(t *testing.T) {
 			t.Fatalf("record %d = op %d ts %d, want op %d ts %d", i, r.Op, r.TS, wantOps[i], wantTS[i])
 		}
 	}
-	// Cutoff = max TS in the log, though an earlier record carries TS 1.
-	if res.Cutoff != 7 {
-		t.Fatalf("cutoff = %d, want per-log max 7", res.Cutoff)
+	// Cutoff = max TS in the log (the mark's), though an earlier record
+	// carries TS 1.
+	if res.Cutoff != 9 {
+		t.Fatalf("cutoff = %d, want per-log max 9", res.Cutoff)
 	}
 }
 
@@ -277,7 +297,7 @@ func TestFlushErrorRecorded(t *testing.T) {
 	set, _ := OpenSet(dir, 1, 1, false, time.Hour)
 	w := set.Writer(0)
 	w.f.Close() // sabotage the file: the next flush's write must fail
-	w.AppendPut(1, 0, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	insertOne(w, 1, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush on a closed file should fail")
 	}
@@ -307,17 +327,17 @@ func TestAppendAllocFree(t *testing.T) {
 	// Grow both halves of the double buffer past the measured volume.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 300; i++ {
-			w.AppendPut(uint64(i), 0, key, puts)
+			insertOne(w, uint64(i), key, puts)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		w.AppendPut(7, 0, key, puts)
+		insertOne(w, 7, key, puts)
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendPut allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("a batch of one insert allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -328,12 +348,12 @@ func TestFlushFailureRetainsRecords(t *testing.T) {
 	dir := t.TempDir()
 	set, _ := OpenSet(dir, 1, 1, false, time.Hour)
 	w := set.Writer(0)
-	w.AppendPut(1, 0, []byte("kept"), []value.ColPut{{Col: 0, Data: []byte("v1")}})
+	insertOne(w, 1, []byte("kept"), []value.ColPut{{Col: 0, Data: []byte("v1")}})
 	w.f.Close() // device "fails"
 	if err := w.Flush(); err == nil {
 		t.Fatal("flush on a closed file should fail")
 	}
-	w.AppendPut(2, 0, []byte("later"), []value.ColPut{{Col: 0, Data: []byte("v2")}})
+	insertOne(w, 2, []byte("later"), []value.ColPut{{Col: 0, Data: []byte("v2")}})
 	if err := w.openFile(true); err != nil { // device "recovers"
 		t.Fatal(err)
 	}
@@ -362,7 +382,7 @@ func TestAppendAllocFreeAcrossFlushes(t *testing.T) {
 	puts := []value.ColPut{{Col: 0, Data: []byte("alloc-flush-column-data")}}
 	for round := 0; round < 2; round++ { // grow both buffer halves past one cycle's volume
 		for i := 0; i < 150; i++ {
-			w.AppendPut(uint64(i), 0, key, puts)
+			insertOne(w, uint64(i), key, puts)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
@@ -370,7 +390,7 @@ func TestAppendAllocFreeAcrossFlushes(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 100; i++ {
-			w.AppendPut(7, 0, key, puts)
+			insertOne(w, 7, key, puts)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)

@@ -177,11 +177,11 @@ func (w *Writer) openFile(dirSync bool) error {
 }
 
 // Batch is an open append to one worker's log: the buffer lock, taken once
-// by Begin and held until End, and every put record form encoded inside it
-// straight into the worker-owned buffer, in call order. One record or
-// sixteen, an append never blocks on storage; durability arrives with the
-// next flush (group commit). In each form ttl selects the op that carries
-// expiry (OpPutTTL/OpInsertTTL), a zero expiry included.
+// by Begin and held until End, and every record encoded inside it straight
+// into the worker-owned buffer, in call order. One record or sixteen, an
+// append never blocks on storage; durability arrives with the next flush
+// (group commit). In the put forms ttl selects the op that carries expiry
+// (OpPutTTL/OpInsertTTL), a zero expiry included.
 type Batch struct{ w *Writer }
 
 // Begin opens a batch. The caller must End it, and must not block between.
@@ -190,22 +190,30 @@ func (w *Writer) Begin() Batch {
 	return Batch{w}
 }
 
-// Put appends a delta: the columns one put wrote, chained to prev, the
-// version of the value it was applied over (see AppendPut).
+// Put appends a delta: the columns one put wrote over a live base, chained
+// to prev, the version of that base, read under the same border-lock
+// critical section that drew ts (see Record.Prev).
 func (b Batch) Put(ts, prev uint64, key []byte, puts []value.ColPut, ttl bool, expiry uint64) {
 	b.w.buf = appendRecord(b.w.buf, ts, prev, putOp(OpPut, ttl), key, puts, nil, expiry)
 }
 
-// Insert appends a put that executed against an absent or lazily-expired
-// base: a chain anchor by op (see OpInsert), with no prev link.
-func (b Batch) Insert(ts uint64, key []byte, puts []value.ColPut, ttl bool, expiry uint64) {
-	b.w.buf = appendRecord(b.w.buf, ts, 0, putOp(OpInsert, ttl), key, puts, nil, expiry)
+// Insert appends a record whose columns make the published value on their
+// own (see OpInsert): puts, or with full non-nil every column of that packed
+// value read in place. It carries no prev link.
+func (b Batch) Insert(ts uint64, key []byte, puts []value.ColPut, full *value.Value, ttl bool, expiry uint64) {
+	b.w.buf = appendRecord(b.w.buf, ts, 0, putOp(OpInsert, ttl), key, puts, full, expiry)
 }
 
-// Anchor appends a column-complete chain anchor (see Record.Prev): every
-// column of v, the value the put published, read in place, with prev == 0.
-func (b Batch) Anchor(ts uint64, key []byte, v *value.Value, ttl bool, expiry uint64) {
-	b.w.buf = appendRecord(b.w.buf, ts, 0, putOp(OpPut, ttl), key, nil, v, expiry)
+// Remove appends a remove record.
+func (b Batch) Remove(ts uint64, key []byte) {
+	b.w.buf = appendRecord(b.w.buf, ts, 0, OpRemove, key, nil, nil, 0)
+}
+
+// Mark appends a timestamp heartbeat (see OpMark). The caller asserts every
+// record this worker acknowledged with a timestamp <= ts has already been
+// appended.
+func (b Batch) Mark(ts uint64) {
+	b.w.buf = appendRecord(b.w.buf, ts, 0, OpMark, nil, nil, nil, 0)
 }
 
 // End closes the batch and wakes the flusher if the buffer has grown large.
@@ -232,44 +240,13 @@ func putOp(op Op, ttl bool) Op {
 	return OpPutTTL
 }
 
-// append is a batch of one record of any op. Every Append* form is this.
-func (w *Writer) append(ts, prev uint64, op Op, key []byte, puts []value.ColPut, expiry uint64) {
-	b := w.Begin()
-	w.buf = appendRecord(w.buf, ts, prev, op, key, puts, nil, expiry)
-	b.End()
-}
-
-// AppendPut queues a put record.
-//
-// prev is the version of the value the put was applied over, read under the
-// same border-lock critical section that drew ts. Pass prev == 0 only for a
-// chain anchor: a record whose puts carry every column of the value it
-// published, so replay can apply it as a replacement (see Record.Prev).
+// AppendPut is a batch of one linked put. The store never calls it: it
+// exists for the benchmark's traced replay, which logs every put as a
+// synthetic delta into a scratch log.
 func (w *Writer) AppendPut(ts, prev uint64, key []byte, puts []value.ColPut) {
-	w.append(ts, prev, OpPut, key, puts, 0)
-}
-
-// AppendInsert queues an insert record (see Batch.Insert).
-func (w *Writer) AppendInsert(ts uint64, key []byte, puts []value.ColPut) {
-	w.append(ts, 0, OpInsert, key, puts, 0)
-}
-
-// AppendRemove queues a remove record.
-func (w *Writer) AppendRemove(ts uint64, key []byte) {
-	w.append(ts, 0, OpRemove, key, nil, 0)
-}
-
-// AppendMark queues a timestamp heartbeat (see OpMark). The caller asserts
-// every record this worker acknowledged with a timestamp <= ts has already
-// been appended.
-func (w *Writer) AppendMark(ts uint64) {
-	w.append(ts, 0, OpMark, nil, nil, 0)
-}
-
-// Append queues r in the log buffer; see AppendPut. Retained for callers
-// that already hold a Record (marks, tests). r.Prev is written as given.
-func (w *Writer) Append(r *Record) {
-	w.append(r.TS, r.Prev, r.Op, r.Key, r.Puts, r.Expiry)
+	b := w.Begin()
+	b.Put(ts, prev, key, puts, false, 0)
+	b.End()
 }
 
 // Flush writes buffered records to the file and, when sync is enabled,
