@@ -107,8 +107,9 @@
 // step, the chained append only in its log stage, and both inside one
 // worker-lock window, and the multi-writer crash torture
 // (TestCrashTortureMultiWriter) proves end to end that keys whose columns
-// span logs recover to exact applied states at every crash boundary, even
-// with a whole log removed.
+// span logs recover only to states the reference model (internal/model)
+// computed from the writes themselves, at every crash boundary, even with
+// a whole log removed.
 //
 // Cache mode (internal/cache) makes the store the memcached-class server
 // the paper benchmarks against (§1, §6): Config.MaxBytes bounds the
@@ -272,12 +273,12 @@
 // dated record of an experiment that no longer exists. Tier-1 tests assert the cache, herd, cluster
 // and chained-WAL properties: TestCacheBoundZipfian,
 // TestS3FIFOBeatsPlainFIFOOnZipfian and TestCacheKeepsZipfHeadResident;
-// TestGetOrLoadHerd; TestPartitionTorture; TestPartialColumnReplayHole and
-// TestBrokenChainRollsBackToAnchoredPrefix. The end-to-end benchmark under
-// benchmark/ measures the read, write and restart paths. The
-// implementation lives under
-// internal/; runnable entry points are under cmd/ and examples/
-// (examples/pipeline demonstrates the async client and CAS;
-// examples/cachefront the bounded cache; examples/readthrough the backend
-// tier under faults).
+// TestGetOrLoadHerd; TestPartitionTorture; TestPartialColumnReplayHole,
+// TestBrokenChainRollsBackToAnchoredPrefix and TestRecoveredRule (the rule
+// internal/model, the tests' one reference, holds each crash image to). The
+// end-to-end benchmark under benchmark/ measures the read, write and restart
+// paths. The implementation lives under internal/; runnable entry points are
+// under cmd/ and examples/ (examples/pipeline demonstrates the async client
+// and CAS; examples/cachefront the bounded cache; examples/readthrough the
+// backend tier under faults).
 package repro

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -179,11 +180,10 @@ func TestHintGoesStale(t *testing.T) {
 // borders clear of it.
 func TestHintStaleWithinItsOwnBatch(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("w%05d", i)) }
-	tr := New()
-	model := map[string]string{}
+	tr, m := New(), model.New()
 	for i := 0; i < 400; i += 4 {
 		tr.Put(key(i), value.New(key(i)))
-		model[string(key(i))] = string(key(i))
+		set(m, string(key(i)), string(key(i)))
 	}
 	var sc BatchScratch
 
@@ -198,13 +198,13 @@ func TestHintStaleWithinItsOwnBatch(t *testing.T) {
 	splits := tr.Stats().Splits
 	putBatchSimple(tr, &sc, batch)
 	for _, k := range batch {
-		model[string(k)] = string(k)
+		set(m, string(k), string(k))
 	}
 	if tr.Stats().Splits-splits < 2 {
 		t.Fatal("the batch did not split the borders its hints named")
 	}
 	checkInvariants(t, tr)
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, m)
 
 	// The first key applied is the batch's lowest. Its apply unlinks the
 	// border three to the right — the one the batch's other key is hinted to.
@@ -216,7 +216,7 @@ func TestHintStaleWithinItsOwnBatch(t *testing.T) {
 		if i == 1 {
 			for _, k := range victims {
 				tr.Remove(k)
-				delete(model, string(k))
+				m.Remove(string(k), 0)
 			}
 			if !isDeleted(victim.h.version.Load()) {
 				t.Fatal("the victim was kept: pick a border that is not its parent's leftmost child")
@@ -224,9 +224,10 @@ func TestHintStaleWithinItsOwnBatch(t *testing.T) {
 		}
 		return value.New([]byte("again"))
 	})
-	model[string(back)], model[string(key(0))] = "again", "again"
+	set(m, string(back), "again")
+	set(m, string(key(0)), "again")
 	checkInvariants(t, tr)
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, m)
 }
 
 // TestHintsStaleUnderRestructuring is the concurrent case: batches of puts
@@ -288,15 +289,15 @@ func TestHintsStaleUnderRestructuring(t *testing.T) {
 			}
 		}(nextSeed())
 	}
-	models := make([]map[int]string, writers)
+	models := make([]*model.Model, writers)
 	var batches atomic.Int64
 	for w := 0; w < writers; w++ {
-		models[w] = map[int]string{}
+		models[w] = model.New()
 		batchers.Add(1)
 		go func(w int, seed int64) {
 			defer batchers.Done()
 			rng := rand.New(rand.NewSource(seed))
-			model := models[w]
+			mw := models[w]
 			var mine []int
 			for i := 0; i < space; i++ {
 				if stable(i) && owner(i) == w {
@@ -314,35 +315,33 @@ func TestHintsStaleUnderRestructuring(t *testing.T) {
 					batch[j], put[j] = keys[ids[j]], !mixed || j%3 != 0
 				}
 				apply := func(j int, old *value.Value) *value.Value {
-					if want, ok := model[ids[j]]; ok != (old != nil) || ok && string(old.Bytes()) != want {
+					if want, ok := valueOf(mw, string(batch[j])); ok != (old != nil) || ok && string(old.Bytes()) != want {
 						t.Errorf("key %q: apply was shown %v, the writer last stored %q (%v)", batch[j], old, want, ok)
 					}
 					s := fmt.Sprintf("%s@%d.%d", batch[j], round, j)
-					model[ids[j]] = s
+					set(mw, string(batch[j]), s)
 					return value.New([]byte(s))
 				}
 				if !mixed {
 					tr.PutBatchInto(batch, &sc, apply)
 				} else {
-					before := make(map[int]string, n)
-					for _, id := range ids {
-						if s, ok := model[id]; ok {
-							before[id] = s
-						}
+					before, had := make([]string, n), make([]bool, n)
+					for j, k := range batch {
+						before[j], had[j] = valueOf(mw, string(k))
 					}
 					tr.BatchInto(batch, put, vals, found, &sc, apply)
 					for j := range batch {
-						if want, ok := before[ids[j]]; !put[j] && (ok != found[j] || ok && string(vals[j].Bytes()) != want) {
+						if want, ok := before[j], had[j]; !put[j] && (ok != found[j] || ok && string(vals[j].Bytes()) != want) {
 							t.Errorf("key %q: the batch's lookup found %v, want the value from before the batch %q (%v)", batch[j], vals[j], want, ok)
 						}
 					}
 				}
 				for j := range batch {
-					if _, ok := model[ids[j]]; ok && put[j] && rng.Intn(2) == 0 {
-						if old, ok := tr.Remove(batch[j]); !ok || string(old.Bytes()) != model[ids[j]] {
-							t.Errorf("key %q: removed %v, the writer last stored %q", batch[j], old, model[ids[j]])
+					if want, ok := valueOf(mw, string(batch[j])); ok && put[j] && rng.Intn(2) == 0 {
+						if old, ok := tr.Remove(batch[j]); !ok || string(old.Bytes()) != want {
+							t.Errorf("key %q: removed %v, the writer last stored %q", batch[j], old, want)
 						}
-						delete(model, ids[j])
+						mw.Remove(string(batch[j]), 0)
 					}
 				}
 				if t.Failed() {
@@ -374,13 +373,7 @@ func TestHintsStaleUnderRestructuring(t *testing.T) {
 	}
 	tr.Maintain()
 	checkInvariants(t, tr)
-	model := map[string]string{}
-	for _, m := range models {
-		for id, s := range m {
-			model[string(keys[id])] = s
-		}
-	}
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, models...)
 }
 
 // TestBatchIntoLookupsAndPutBefore pins the two things BatchInto promises a

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -102,52 +103,35 @@ func TestRemoveCascadeThroughInteriors(t *testing.T) {
 }
 
 // TestQuickOpSequences drives random short op sequences from testing/quick
-// against a map model — a complement to the seeded model tests, with quick
-// generating adversarial key bytes.
+// against the reference model — a complement to the seeded model tests,
+// with quick generating adversarial key bytes.
 func TestQuickOpSequences(t *testing.T) {
 	type op struct {
 		Kind byte
 		Key  []byte
 	}
 	f := func(ops []op) bool {
-		tr := New()
-		model := map[string]int{}
+		tr, m := New(), model.New()
 		for i, o := range ops {
-			if len(o.Key) > 40 {
-				o.Key = o.Key[:40]
-			}
+			k := o.Key[:min(len(o.Key), 40)]
+			want, wantOK := valueOf(m, string(k))
 			switch o.Kind % 3 {
 			case 0:
-				tr.Put(o.Key, value.New([]byte{byte(i)}))
-				model[string(o.Key)] = i
+				tr.Put(k, value.New([]byte{byte(i)}))
+				set(m, string(k), string([]byte{byte(i)}))
 			case 1:
-				v, ok := tr.Get(o.Key)
-				want, wantOK := model[string(o.Key)]
-				if ok != wantOK {
-					return false
-				}
-				if ok && v.Bytes()[0] != byte(want) {
+				if v, ok := tr.Get(k); ok != wantOK || ok && string(v.Bytes()) != want {
 					return false
 				}
 			case 2:
-				_, ok := tr.Remove(o.Key)
-				_, wantOK := model[string(o.Key)]
-				if ok != wantOK {
+				if _, ok := tr.Remove(k); ok != wantOK {
 					return false
 				}
-				delete(model, string(o.Key))
+				m.Remove(string(k), 0)
 			}
 		}
-		if tr.Len() != len(model) {
-			return false
-		}
-		for k, want := range model {
-			v, ok := tr.Get([]byte(k))
-			if !ok || v.Bytes()[0] != byte(want) {
-				return false
-			}
-		}
-		return true
+		checkTree(t, tr, m)
+		return tr.Len() == m.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -40,8 +41,79 @@ func keyGenerators(rng *rand.Rand) []func() []byte {
 	}
 }
 
-// TestModelRandomOps runs randomized put/get/remove/scan against a map and
-// sorted-slice reference model, across several seeds and key distributions.
+// modelClock draws the versions core tests give the model: the tree stores
+// what it is given, so any rising sequence does.
+var modelClock atomic.Uint64
+
+// set records v as k's one column in m.
+func set(m *model.Model, k, v string) {
+	m.Put(k, modelClock.Add(1), 0, model.ColPut{Data: []byte(v)})
+}
+
+// valueOf is k's one column in m.
+func valueOf(m *model.Model, k string) (string, bool) {
+	st, ok := m.Get(k, 0)
+	if !ok {
+		return "", false
+	}
+	return string(st.Cols[0]), true
+}
+
+// checkTree holds a full scan of tr to ms, models of disjoint key sets: the
+// scan ascends strictly, and each key it returns is in one of them with the
+// value it carries, and it returns as many keys as they hold.
+func checkTree(t *testing.T, tr *Tree, ms ...*model.Model) {
+	t.Helper()
+	var prev []byte
+	n, want := 0, 0
+	for _, m := range ms {
+		want += m.Len()
+	}
+	tr.Scan(nil, func(k []byte, v *value.Value) bool {
+		if n > 0 && bytes.Compare(prev, k) >= 0 {
+			t.Fatalf("scan returned %q after %q", k, prev)
+		}
+		prev = append(prev[:0], k...)
+		n++
+		for _, m := range ms {
+			if w, ok := valueOf(m, string(k)); ok {
+				if w != string(v.Bytes()) {
+					t.Fatalf("scan value mismatch for %q: %q vs %q", k, v.Bytes(), w)
+				}
+				return true
+			}
+		}
+		t.Fatalf("scan returned %q, which no model holds", k)
+		return false
+	})
+	if n != want {
+		t.Fatalf("scan returned %d keys, want %d", n, want)
+	}
+}
+
+// checkScan compares the n keys from start that ScanNInto and getRange
+// return, and their values, with m's Range.
+func checkScan(t *testing.T, tr *Tree, m *model.Model, start string, n int) {
+	t.Helper()
+	var want []string
+	for _, p := range m.Range(start, n, 0) {
+		want = append(want, p.Key+"="+string(p.Cols[0]))
+	}
+	var got, gotRange []string
+	tr.ScanNInto([]byte(start), n, nil, func(k []byte, v *value.Value) bool {
+		got = append(got, string(k)+"="+string(v.Bytes()))
+		return len(got) < n
+	})
+	for _, kv := range getRange(tr, []byte(start), n) {
+		gotRange = append(gotRange, string(kv.Key)+"="+string(kv.Value.Bytes()))
+	}
+	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) || fmt.Sprintf("%q", gotRange) != fmt.Sprintf("%q", want) {
+		t.Fatalf("scan from %q for %d:\n     got %q\ngetRange %q\n    want %q", start, n, got, gotRange, want)
+	}
+}
+
+// TestModelRandomOps runs randomized put/get/remove/scan against the
+// reference model, across several seeds and key distributions.
 func TestModelRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
@@ -49,118 +121,65 @@ func TestModelRandomOps(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			gens := keyGenerators(rng)
 			tr := New()
-			model := map[string]string{}
+			m := model.New()
 			const ops = 8000
 			for i := 0; i < ops; i++ {
 				gen := gens[rng.Intn(len(gens))]
 				k := gen()
+				want, wantOK := valueOf(m, string(k))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4: // put
 					v := fmt.Sprintf("v%d", i)
 					_, replaced := tr.Put(k, value.New([]byte(v)))
-					_, existed := model[string(k)]
-					if replaced != existed {
-						t.Fatalf("op %d: Put(%q) replaced=%v, model existed=%v", i, k, replaced, existed)
+					if replaced != wantOK {
+						t.Fatalf("op %d: Put(%q) replaced=%v, model existed=%v", i, k, replaced, wantOK)
 					}
-					model[string(k)] = v
+					set(m, string(k), v)
 				case 5, 6, 7: // get
 					v, ok := tr.Get(k)
-					want, wantOK := model[string(k)]
 					if ok != wantOK || (ok && string(v.Bytes()) != want) {
 						t.Fatalf("op %d: Get(%q) = %v,%v want %q,%v", i, k, v, ok, want, wantOK)
 					}
 				case 8: // remove
 					old, ok := tr.Remove(k)
-					want, wantOK := model[string(k)]
 					if ok != wantOK || (ok && string(old.Bytes()) != want) {
 						t.Fatalf("op %d: Remove(%q) = %v,%v want %q,%v", i, k, old, ok, want, wantOK)
 					}
-					delete(model, string(k))
+					m.Remove(string(k), 0)
 				case 9: // occasional maintenance
 					tr.Maintain()
 				}
-				if tr.Len() != len(model) {
-					t.Fatalf("op %d: Len=%d model=%d", i, tr.Len(), len(model))
+				if tr.Len() != m.Len() {
+					t.Fatalf("op %d: Len=%d model=%d", i, tr.Len(), m.Len())
 				}
 			}
-			checkFullScan(t, tr, model)
-			checkRangeQueries(t, rng, tr, model)
-
-			// Drain the tree and verify emptiness.
-			for k := range model {
-				if _, ok := tr.Remove([]byte(k)); !ok {
-					t.Fatalf("drain: Remove(%q) failed", k)
+			checkTree(t, tr, m)
+			// Range queries from present keys and from generated ones.
+			keys := m.Range("", m.Len(), 0)
+			for trial := 0; trial < 30; trial++ {
+				var start string
+				if trial%2 == 0 && len(keys) > 0 {
+					start = keys[rng.Intn(len(keys))].Key
+				} else {
+					start = string(gens[rng.Intn(len(gens))]())
 				}
+				checkScan(t, tr, m, start, 1+rng.Intn(20))
+			}
+
+			// Drain the tree, in no key order, and verify emptiness.
+			rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			for _, p := range keys {
+				if _, ok := tr.Remove([]byte(p.Key)); !ok {
+					t.Fatalf("drain: Remove(%q) failed", p.Key)
+				}
+				m.Remove(p.Key, 0)
 			}
 			tr.Maintain()
 			if tr.Len() != 0 {
 				t.Fatalf("Len = %d after drain", tr.Len())
 			}
-			checkFullScan(t, tr, map[string]string{})
+			checkTree(t, tr, m)
 		})
-	}
-}
-
-func sortedKeys(model map[string]string) []string {
-	keys := make([]string, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func checkFullScan(t *testing.T, tr *Tree, model map[string]string) {
-	t.Helper()
-	want := sortedKeys(model)
-	var got []string
-	tr.Scan(nil, func(k []byte, v *value.Value) bool {
-		got = append(got, string(k))
-		if model[string(k)] != string(v.Bytes()) {
-			t.Fatalf("scan value mismatch for %q: %q vs %q", k, v.Bytes(), model[string(k)])
-		}
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scan returned %d keys, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("scan order mismatch at %d: %q vs %q", i, got[i], want[i])
-		}
-	}
-}
-
-func checkRangeQueries(t *testing.T, rng *rand.Rand, tr *Tree, model map[string]string) {
-	t.Helper()
-	keys := sortedKeys(model)
-	gens := keyGenerators(rng)
-	for trial := 0; trial < 30; trial++ {
-		var start []byte
-		if trial%2 == 0 && len(keys) > 0 {
-			start = []byte(keys[rng.Intn(len(keys))])
-		} else {
-			start = gens[rng.Intn(len(gens))]()
-		}
-		limit := 1 + rng.Intn(20)
-		got := getRange(tr, start, limit)
-		// Reference: first `limit` model keys >= start.
-		idx := sort.SearchStrings(keys, string(start))
-		want := keys[idx:]
-		if len(want) > limit {
-			want = want[:limit]
-		}
-		if len(got) != len(want) {
-			t.Fatalf("getRange(%q,%d) returned %d pairs, want %d", start, limit, len(got), len(want))
-		}
-		for i := range got {
-			if string(got[i].Key) != want[i] {
-				t.Fatalf("getRange(%q,%d)[%d] = %q, want %q", start, limit, i, got[i].Key, want[i])
-			}
-			if !bytes.Equal(got[i].Value.Bytes(), []byte(model[want[i]])) {
-				t.Fatalf("getRange value mismatch for %q", want[i])
-			}
-		}
 	}
 }
 
@@ -169,22 +188,22 @@ func checkRangeQueries(t *testing.T, rng *rand.Rand, tr *Tree, model map[string]
 func TestModelDecimalHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tr := New()
-	model := map[string]string{}
+	m := model.New()
 	const n = 20000
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("%d", rng.Int63n(60000))
 		v := fmt.Sprintf("v%d", i)
 		tr.Put([]byte(k), value.New([]byte(v)))
-		model[k] = v
+		set(m, k, v)
 	}
-	if tr.Len() != len(model) {
-		t.Fatalf("Len=%d model=%d", tr.Len(), len(model))
+	if tr.Len() != m.Len() {
+		t.Fatalf("Len=%d model=%d", tr.Len(), m.Len())
 	}
-	for k, v := range model {
-		got, ok := tr.Get([]byte(k))
-		if !ok || string(got.Bytes()) != v {
-			t.Fatalf("Get(%q) = %v,%v want %q", k, got, ok, v)
+	for _, p := range m.Range("", m.Len(), 0) {
+		got, ok := tr.Get([]byte(p.Key))
+		if !ok || string(got.Bytes()) != string(p.Cols[0]) {
+			t.Fatalf("Get(%q) = %v,%v want %q", p.Key, got, ok, p.Cols[0])
 		}
 	}
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, m)
 }

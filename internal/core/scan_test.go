@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -197,31 +198,26 @@ func scanModelKey(rng *rand.Rand) []byte {
 }
 
 // TestScanMatchesSortedModel compares Scan, ScanInto, ScanNInto and getRange
-// with a sorted slice for random start keys (nil, empty, present, absent,
-// beyond the last key) and random lengths. ScanNInto's n is a hint about
-// what to fetch, not a bound: told the truth, a third of it, ten times it or
-// ScanAll, the scan ends where the callback ends it.
+// with the reference model's Range for random start keys (nil, empty,
+// present, absent, beyond the last key) and random lengths. ScanNInto's n is
+// a hint about what to fetch, not a bound: told the truth, a third of it,
+// ten times it or ScanAll, the scan ends where the callback ends it.
 func TestScanMatchesSortedModel(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr := New()
-		set := map[string]bool{}
+		tr, m := New(), model.New()
 		for i := 0; i < 1500; i++ {
 			k := scanModelKey(rng)
 			tr.Put(k, value.New(k))
-			set[string(k)] = true
+			set(m, string(k), string(k))
 		}
 		for i := 0; i < 300; i++ { // holes, emptied nodes and collapsed layers
 			k := scanModelKey(rng)
 			tr.Remove(k)
-			delete(set, string(k))
+			m.Remove(string(k), 0)
 		}
 		tr.Maintain()
-		model := make([]string, 0, len(set))
-		for k := range set {
-			model = append(model, k)
-		}
-		sort.Strings(model)
+		keys := m.Range("", m.Len(), 0)
 
 		var buf []byte
 		for i := 0; i < 400; i++ {
@@ -231,7 +227,7 @@ func TestScanMatchesSortedModel(t *testing.T) {
 			case 1:
 				start = []byte{}
 			case 2:
-				start = []byte(model[rng.Intn(len(model))])
+				start = []byte(keys[rng.Intn(len(keys))].Key)
 			case 3:
 				start = []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")
 			default:
@@ -239,10 +235,12 @@ func TestScanMatchesSortedModel(t *testing.T) {
 			}
 			n := 1 + rng.Intn(40)
 			if rng.Intn(8) == 0 {
-				n = len(model) + 1
+				n = m.Len() + 1
 			}
-			lo := sort.SearchStrings(model, string(start))
-			want := model[lo:min(lo+n, len(model))]
+			var want []string
+			for _, p := range m.Range(string(start), n, 0) {
+				want = append(want, p.Key)
+			}
 
 			var got, gotInto []string
 			tr.Scan(start, func(k []byte, v *value.Value) bool {

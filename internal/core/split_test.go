@@ -3,13 +3,13 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -235,25 +235,25 @@ func TestSplitPointNeverEmptiesASide(t *testing.T) {
 		}
 	}
 
-	tr, model := New(), map[string]string{}
+	tr, m := New(), model.New()
 	for op := 0; op < 3000; op++ {
 		start, length := rng.Intn(300), 2+rng.Intn(8)
 		for i := start; i < start+length; i++ {
 			k := fmt.Sprintf("r%03d", i)
 			put(tr, k, k)
-			model[k] = k
+			set(m, k, k)
 		}
 		for j := rng.Intn(5); j > 0; j-- {
 			k := fmt.Sprintf("r%03d", rng.Intn(310))
 			tr.Remove([]byte(k))
-			delete(model, k)
+			m.Remove(k, 0)
 		}
 		if op%100 == 99 {
 			checkInvariants(t, tr)
 		}
 	}
 	checkInvariants(t, tr)
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, m)
 	if s := tr.Stats(); s.RunSplits == 0 || s.Splits == s.RunSplits || s.SlotReuses == 0 {
 		t.Fatalf("the runs made %d run splits of %d and reused %d slots", s.RunSplits, s.Splits, s.SlotReuses)
 	}
@@ -289,31 +289,29 @@ func TestRunsUnderConcurrency(t *testing.T) {
 		return filler(p, b, rng.Intn(10)), false
 	}
 
-	tr := New()
-	var stableKeys []string
+	tr, stableKeys := New(), model.New()
 	for p := range prefixes {
 		for b := 0; b < bases; b++ {
-			stableKeys = append(stableKeys, string(base(p, b)))
+			set(stableKeys, string(base(p, b)), "")
 		}
 	}
-	sort.Strings(stableKeys)
 
 	var stop atomic.Bool
 	var basesIn, rounds atomic.Int64
 	var wg sync.WaitGroup
-	models := make([]map[string]string, writers)
+	models := make([]*model.Model, writers)
 	for w := range models {
-		models[w] = map[string]string{}
+		models[w] = model.New()
 		wg.Add(1)
 		go func(w int, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			model := models[w]
+			mw := models[w]
 			for _, i := range rng.Perm(len(prefixes) * bases) {
 				if p, b := i%len(prefixes), i/len(prefixes); b%writers == w {
 					k := base(p, b)
 					tr.Put(k, ownValue(k, 0))
-					model[string(k)] = string(k) + "@0"
+					set(mw, string(k), string(k)+"@0")
 				}
 			}
 			basesIn.Add(1)
@@ -327,10 +325,10 @@ func TestRunsUnderConcurrency(t *testing.T) {
 				}
 				apply := func(i int, old *value.Value) *value.Value {
 					k := keys[i]
-					if want, ok := model[string(k)]; ok != (old != nil) || ok && string(old.Bytes()) != want {
+					if want, ok := valueOf(mw, string(k)); ok != (old != nil) || ok && string(old.Bytes()) != want {
 						t.Errorf("writer %d: the put of %q was shown %v, it last stored %q (%v)", w, k, old, want, ok)
 					}
-					model[string(k)] = fmt.Sprintf("%s@%d", k, seq)
+					set(mw, string(k), fmt.Sprintf("%s@%d", k, seq))
 					return ownValue(k, seq)
 				}
 				if seq%2 == 0 {
@@ -342,10 +340,11 @@ func TestRunsUnderConcurrency(t *testing.T) {
 				}
 				if rng.Intn(4) != 0 {
 					for _, k := range keys {
-						if old, ok := tr.Remove(k); !ok || string(old.Bytes()) != model[string(k)] {
-							t.Errorf("writer %d: Remove(%q) = %v, %v; it last stored %q", w, k, old, ok, model[string(k)])
+						want, _ := valueOf(mw, string(k))
+						if old, ok := tr.Remove(k); !ok || string(old.Bytes()) != want {
+							t.Errorf("writer %d: Remove(%q) = %v, %v; it last stored %q", w, k, old, ok, want)
 						}
-						delete(model, string(k))
+						mw.Remove(string(k), 0)
 					}
 				}
 				rounds.Add(1)
@@ -426,9 +425,12 @@ func TestRunsUnderConcurrency(t *testing.T) {
 					if taken < 40 {
 						last = "\xff" // the scan reached the end of the tree
 					}
-					for i := sort.SearchStrings(stableKeys, string(start)); ready && i < len(stableKeys) && stableKeys[i] <= last; i++ {
-						if !seen[stableKeys[i]] {
-							t.Errorf("scan from %q to %q passed %q, which is never removed", start, last, stableKeys[i])
+					for _, p := range stableKeys.Range(string(start), stableKeys.Len(), 0) {
+						if !ready || p.Key > last {
+							break
+						}
+						if !seen[p.Key] {
+							t.Errorf("scan from %q to %q passed %q, which is never removed", start, last, p.Key)
 						}
 					}
 				}
@@ -469,11 +471,5 @@ func TestRunsUnderConcurrency(t *testing.T) {
 		}
 	}
 	checkInvariants(t, tr)
-	model := map[string]string{}
-	for _, m := range models {
-		for k, v := range m {
-			model[k] = v
-		}
-	}
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, models...)
 }

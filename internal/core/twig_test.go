@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -45,40 +45,6 @@ func twigFamilies() [][]byte {
 	return keys
 }
 
-// twigModel is the sorted-map reference the differential tests compare with.
-type twigModel map[string]string
-
-func (m twigModel) from(start string, n int) []string {
-	var keys []string
-	for k := range m {
-		if k >= start {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	if len(keys) > n {
-		keys = keys[:n]
-	}
-	return keys
-}
-
-// checkScanFrom compares ScanNInto from start, stopped after n, with the model.
-func checkScanFrom(t *testing.T, tr *Tree, m twigModel, start string, n int) {
-	t.Helper()
-	want := m.from(start, n)
-	var got []string
-	tr.ScanNInto([]byte(start), n, nil, func(k []byte, v *value.Value) bool {
-		if m[string(k)] != string(v.Bytes()) {
-			t.Fatalf("scan from %q: key %q carries %q, want %q", start, k, v.Bytes(), m[string(k)])
-		}
-		got = append(got, string(k))
-		return len(got) < n
-	})
-	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
-		t.Fatalf("scan from %q for %d:\n got %q\nwant %q", start, n, got, want)
-	}
-}
-
 // runFamilies builds keys for ascending runs inserted in the middle of the
 // borders they share with other keys: in layer 0 and two slices deep, thirty
 // base keys "rn<b>" and, after six of them, a run of sixteen "rn<b>-<j>",
@@ -103,8 +69,8 @@ func runFamilies() (keys [][]byte, runs [][][]byte) {
 }
 
 // TestTwigModel drives every entry point over keys built to live in twigs, and
-// runs between keys of their borders, and compares each result with a sorted
-// map: Put, Update that declines, Remove, RemoveIf either way, Get,
+// runs between keys of their borders, and compares each result with the
+// reference model: Put, Update that declines, Remove, RemoveIf either way, Get,
 // GetBatchInto, BatchInto with kinds mixed, scans that start inside, before
 // and past a twig, and stretches of a run put in ascending order.
 func TestTwigModel(t *testing.T) {
@@ -112,12 +78,12 @@ func TestTwigModel(t *testing.T) {
 	keys = append(keys, twigFamilies()...)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tr, m := New(), twigModel{}
+		tr, m := New(), model.New()
 		var sc BatchScratch
 		pick := func() []byte { return keys[rng.Intn(len(keys))] }
 		for op := 0; op < 6000; op++ {
 			k := pick()
-			want, had := m[string(k)]
+			want, had := valueOf(m, string(k))
 			switch rng.Intn(13) {
 			case 0, 1, 2, 3:
 				v := fmt.Sprintf("v%d", op)
@@ -125,7 +91,7 @@ func TestTwigModel(t *testing.T) {
 				if replaced != had || had && string(old.Bytes()) != want {
 					t.Fatalf("seed %d op %d: Put(%q) replaced %v (%v), model had %q (%v)", seed, op, k, old, replaced, want, had)
 				}
-				m[string(k)] = v
+				set(m, string(k), v)
 			case 4:
 				old, stored := tr.Update(k, func(old *value.Value) *value.Value { return nil })
 				if stored != nil || (old != nil) != had || had && string(old.Bytes()) != want {
@@ -136,7 +102,7 @@ func TestTwigModel(t *testing.T) {
 				if ok != had || had && string(old.Bytes()) != want {
 					t.Fatalf("seed %d op %d: Remove(%q) = %v, %v; model had %q (%v)", seed, op, k, old, ok, want, had)
 				}
-				delete(m, string(k))
+				m.Remove(string(k), 0)
 			case 7:
 				yes := rng.Intn(2) == 0
 				old, ok := tr.RemoveIf(k, func(old *value.Value) bool {
@@ -145,11 +111,8 @@ func TestTwigModel(t *testing.T) {
 					}
 					return yes
 				})
-				if ok != (had && yes) || ok && string(old.Bytes()) != want {
+				if removed := m.RemoveIf(string(k), func(model.State) bool { return yes }); ok != removed || ok && string(old.Bytes()) != want {
 					t.Fatalf("seed %d op %d: RemoveIf(%q, %v) = %v, %v; model had %q (%v)", seed, op, k, yes, old, ok, want, had)
-				}
-				if ok {
-					delete(m, string(k))
 				}
 			case 8:
 				if v, ok := tr.Get(k); ok != had || had && string(v.Bytes()) != want {
@@ -162,31 +125,31 @@ func TestTwigModel(t *testing.T) {
 				for i := range batch {
 					batch[i], put[i] = pick(), rng.Intn(3) != 0
 				}
-				before := twigModel{}
-				for k, v := range m {
-					before[k] = v
+				before, had := make([]string, n), make([]bool, n)
+				for i, k := range batch {
+					before[i], had[i] = valueOf(m, string(k))
 				}
 				decline := rng.Intn(4) == 0
 				tr.BatchInto(batch, put, vals, found, &sc, func(i int, old *value.Value) *value.Value {
-					if w, ok := m[string(batch[i])]; ok != (old != nil) || ok && string(old.Bytes()) != w {
+					if w, ok := valueOf(m, string(batch[i])); ok != (old != nil) || ok && string(old.Bytes()) != w {
 						t.Fatalf("seed %d op %d: batch put %d of %q was shown %v, model has %q (%v)", seed, op, i, batch[i], old, w, ok)
 					}
 					if decline && i%2 == 0 {
 						return nil
 					}
 					v := fmt.Sprintf("b%d.%d", op, i)
-					m[string(batch[i])] = v
+					set(m, string(batch[i]), v)
 					return value.New([]byte(v))
 				})
 				for i, k := range batch {
-					if w, ok := before[string(k)]; !put[i] && (ok != found[i] || ok && string(vals[i].Bytes()) != w) {
+					if w, ok := before[i], had[i]; !put[i] && (ok != found[i] || ok && string(vals[i].Bytes()) != w) {
 						t.Fatalf("seed %d op %d: batch lookup %d of %q = %v, %v; before the batch %q (%v)", seed, op, i, k, vals[i], found[i], w, ok)
 					}
 				}
 			case 10:
 				vals, found := getBatch(tr, keys)
 				for i, k := range keys {
-					if w, ok := m[string(k)]; ok != found[i] || ok && string(vals[i].Bytes()) != w {
+					if w, ok := valueOf(m, string(k)); ok != found[i] || ok && string(vals[i].Bytes()) != w {
 						t.Fatalf("seed %d op %d: getBatch key %q = %v, %v; model has %q (%v)", seed, op, k, vals[i], found[i], w, ok)
 					}
 				}
@@ -202,17 +165,17 @@ func TestTwigModel(t *testing.T) {
 				case 3:
 					start = start[:min(len(start), 8)] + "\xff"
 				}
-				checkScanFrom(t, tr, m, start, 1+rng.Intn(12))
+				checkScan(t, tr, m, start, 1+rng.Intn(12))
 			case 12: // a stretch of a run, ascending: key by key, or one batch
 				r := runs[rng.Intn(len(runs))]
 				from := rng.Intn(len(r) - 4)
 				run := r[from:min(len(r), from+4+rng.Intn(12))]
 				apply := func(i int, old *value.Value) *value.Value {
-					if w, ok := m[string(run[i])]; ok != (old != nil) || ok && string(old.Bytes()) != w {
+					if w, ok := valueOf(m, string(run[i])); ok != (old != nil) || ok && string(old.Bytes()) != w {
 						t.Fatalf("seed %d op %d: run put %q was shown %v, model has %q (%v)", seed, op, run[i], old, w, ok)
 					}
 					v := fmt.Sprintf("r%d.%d", op, i)
-					m[string(run[i])] = v
+					set(m, string(run[i]), v)
 					return value.New([]byte(v))
 				}
 				if rng.Intn(2) == 0 {
@@ -223,21 +186,21 @@ func TestTwigModel(t *testing.T) {
 					}
 				}
 			}
-			if tr.Len() != len(m) {
-				t.Fatalf("seed %d op %d: Len = %d, model has %d", seed, op, tr.Len(), len(m))
+			if tr.Len() != m.Len() {
+				t.Fatalf("seed %d op %d: Len = %d, model has %d", seed, op, tr.Len(), m.Len())
 			}
 			if op%500 == 499 {
 				checkInvariants(t, tr)
 			}
 		}
 		checkInvariants(t, tr)
-		checkFullScan(t, tr, m)
+		checkTree(t, tr, m)
 		s := tr.Stats()
 		if s.TwigCreations == 0 || s.LayerCreations == 0 || s.RunSplits == 0 {
 			t.Fatalf("seed %d: %d twigs, %d layers and %d run splits: the families did not do their work", seed, s.TwigCreations, s.LayerCreations, s.RunSplits)
 		}
-		if shape := tr.Shape(); shape.TotalKeys() != len(m) {
-			t.Fatalf("seed %d: Shape counts %d keys, the model %d", seed, shape.TotalKeys(), len(m))
+		if shape := tr.Shape(); shape.TotalKeys() != m.Len() {
+			t.Fatalf("seed %d: Shape counts %d keys, the model %d", seed, shape.TotalKeys(), m.Len())
 		}
 	}
 }
@@ -291,23 +254,21 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 	// from suffix key to twig every time they are refilled from nothing.
 	stable := func(g, m int) bool { return g%4 == 0 && m == (g/4)%members }
 
-	tr := New()
-	var stableKeys []string
-	models := make([]map[string]string, writers)
+	tr, stableKeys := New(), model.New()
+	models := make([]*model.Model, writers)
 	for w := range models {
-		models[w] = map[string]string{}
+		models[w] = model.New()
 	}
 	for g := 0; g < groups; g++ {
 		for m := 0; m < members; m++ {
 			if stable(g, m) {
 				k := key(g, m)
 				tr.Put(k, ownValue(k, 0))
-				stableKeys = append(stableKeys, string(k))
-				models[g%writers][string(k)] = string(k) + "@0"
+				set(stableKeys, string(k), "")
+				set(models[g%writers], string(k), string(k)+"@0")
 			}
 		}
 	}
-	sort.Strings(stableKeys)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -317,7 +278,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 		go func(w int, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			model := models[w]
+			mw := models[w]
 			for seq := 1; !stop.Load() && !t.Failed(); seq++ {
 				g := rng.Intn(groups/writers)*writers + w
 				// Most rounds stay within a twig; one in four fills the slice
@@ -329,10 +290,10 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 				for _, m := range order {
 					k := key(g, m)
 					old, _ := tr.Put(k, ownValue(k, seq))
-					if want, ok := model[string(k)]; ok != (old != nil) || ok && string(old.Bytes()) != want {
+					if want, ok := valueOf(mw, string(k)); ok != (old != nil) || ok && string(old.Bytes()) != want {
 						t.Errorf("writer %d: Put(%q) replaced %v, it last stored %q (%v)", w, k, old, want, ok)
 					}
-					model[string(k)] = fmt.Sprintf("%s@%d", k, seq)
+					set(mw, string(k), fmt.Sprintf("%s@%d", k, seq))
 				}
 				// Drain: one time in three down to one key, else all the way.
 				keep := -1
@@ -341,10 +302,11 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 				}
 				for _, m := range order {
 					if k := key(g, m); m != keep && !stable(g, m) {
-						if old, ok := tr.Remove(k); !ok || string(old.Bytes()) != model[string(k)] {
-							t.Errorf("writer %d: Remove(%q) = %v, %v; it last stored %q", w, k, old, ok, model[string(k)])
+						want, _ := valueOf(mw, string(k))
+						if old, ok := tr.Remove(k); !ok || string(old.Bytes()) != want {
+							t.Errorf("writer %d: Remove(%q) = %v, %v; it last stored %q", w, k, old, ok, want)
 						}
-						delete(model, string(k))
+						mw.Remove(string(k), 0)
 					}
 				}
 				rounds.Add(1)
@@ -426,9 +388,12 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 					if taken < 40 {
 						last = "\xff" // the scan reached the end of the tree
 					}
-					for i := sort.SearchStrings(stableKeys, string(start)); i < len(stableKeys) && stableKeys[i] <= last; i++ {
-						if !seen[stableKeys[i]] {
-							t.Errorf("scan from %q to %q passed %q, which is never removed", start, last, stableKeys[i])
+					for _, p := range stableKeys.Range(string(start), stableKeys.Len(), 0) {
+						if p.Key > last {
+							break
+						}
+						if !seen[p.Key] {
+							t.Errorf("scan from %q to %q passed %q, which is never removed", start, last, p.Key)
 						}
 					}
 				}
@@ -464,13 +429,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 	}
 	tr.Maintain()
 	checkInvariants(t, tr)
-	model := map[string]string{}
-	for _, m := range models {
-		for k, v := range m {
-			model[k] = v
-		}
-	}
-	checkFullScan(t, tr, model)
+	checkTree(t, tr, models...)
 }
 
 // TestTwigReadsAllocFree pins the read paths over twig keys — short
@@ -553,42 +512,43 @@ func FuzzTwigModel(f *testing.F) {
 			return string(r)
 		}
 		const slice = "oneslice"
-		tr, m := New(), twigModel{}
+		tr, m := New(), model.New()
 		put(tr, "oneslicd", "left")
 		put(tr, "oneslicf", "right")
-		m["oneslicd"], m["oneslicf"] = "left", "right"
+		set(m, "oneslicd", "left")
+		set(m, "oneslicf", "right")
 		for i := 0; i+1 < len(ops); i += 2 {
 			k := slice + rem(ops[i+1])
-			want, had := m[k]
+			want, had := valueOf(m, k)
 			switch ops[i] % 5 {
 			case 0:
 				v := fmt.Sprintf("v%d", i)
 				if old, replaced := put(tr, k, v); replaced != had || had && string(old.Bytes()) != want {
 					t.Fatalf("op %d: Put(%q) replaced %v (%v), model had %q (%v)", i, k, old, replaced, want, had)
 				}
-				m[k] = v
+				set(m, k, v)
 			case 1:
 				if old, ok := tr.Remove([]byte(k)); ok != had || had && string(old.Bytes()) != want {
 					t.Fatalf("op %d: Remove(%q) = %v, %v; model had %q (%v)", i, k, old, ok, want, had)
 				}
-				delete(m, k)
+				m.Remove(k, 0)
 			case 2:
 				if v, ok := tr.Get([]byte(k)); ok != had || had && string(v.Bytes()) != want {
 					t.Fatalf("op %d: Get(%q) = %v, %v; model has %q (%v)", i, k, v, ok, want, had)
 				}
 			case 3:
-				checkScanFrom(t, tr, m, k, 1+int(ops[i]>>4))
+				checkScan(t, tr, m, k, 1+int(ops[i]>>4))
 			case 4:
 				if _, stored := tr.Update([]byte(k), func(*value.Value) *value.Value { return nil }); stored != nil {
 					t.Fatalf("op %d: a declined Update(%q) stored %v", i, k, stored)
 				}
 			}
-			if tr.Len() != len(m) {
-				t.Fatalf("op %d: Len = %d, model has %d", i, tr.Len(), len(m))
+			if tr.Len() != m.Len() {
+				t.Fatalf("op %d: Len = %d, model has %d", i, tr.Len(), m.Len())
 			}
 		}
 		checkInvariants(t, tr)
-		checkFullScan(t, tr, m)
+		checkTree(t, tr, m)
 	})
 }
 

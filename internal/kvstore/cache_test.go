@@ -29,17 +29,14 @@ func TestTTLLazyExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sess := s.Session(0)
+	mr := newMirror(t, s, 1)
+	sess := mr.sess[0]
 
 	past := nowNanos() - uint64(time.Second)
 	future := nowNanos() + uint64(time.Hour)
-	putSimpleTTL(sess, []byte("dead"), []byte("x"), past)
-	putSimpleTTL(sess, []byte("live"), []byte("y"), future)
-	sess.PutSimple([]byte("plain"), []byte("z"))
-
-	if _, ok := sess.GetValue([]byte("dead")); ok {
-		t.Fatal("expired key visible via GetValue")
-	}
+	mr.putTTLW(0, "dead", past, col(0, "x"))
+	mr.putTTLW(0, "live", future, col(0, "y"))
+	mr.putW(0, "plain", col(0, "z"))
 	if _, found := sess.GetBatchInto([][]byte{[]byte("dead"), []byte("live")}); found[0] || !found[1] {
 		t.Fatalf("batched lookup: dead=%v live=%v, want false/true", found[0], found[1])
 	}
@@ -49,43 +46,24 @@ func TestTTLLazyExpiry(t *testing.T) {
 			t.Fatal("expired key visible via GetRangeInto")
 		}
 	}
-	if _, ok := sess.GetValue([]byte("live")); !ok {
-		t.Fatal("unexpired TTL key missing")
-	}
 
-	// A plain put over a TTL key clears the expiry.
-	putSimpleTTL(sess, []byte("cleared"), []byte("a"), future)
-	sess.PutSimple([]byte("cleared"), []byte("b"))
-	if v, ok := s.Tree().Get([]byte("cleared")); !ok || v.ExpiresAt() != 0 {
-		t.Fatalf("plain put kept expiry %d", v.ExpiresAt())
-	}
-
-	// Touch: extends live keys, declines absent and expired ones.
-	if _, ok := sess.Touch([]byte("live"), nowNanos()+2*uint64(time.Hour)); !ok {
-		t.Fatal("touch of live key declined")
-	}
-	if v, ok := s.Tree().Get([]byte("live")); !ok || string(v.Bytes()) != "y" {
-		t.Fatal("touch changed the value's columns")
-	}
-	if _, ok := sess.Touch([]byte("dead"), future); ok {
-		t.Fatal("touch revived an expired key")
-	}
-	if _, ok := sess.Touch([]byte("absent"), future); ok {
-		t.Fatal("touch created a key")
-	}
+	// A plain put over a TTL key clears the expiry, and Touch extends live
+	// keys and declines absent and expired ones: the model says so, and
+	// the mirror holds the store to it.
+	mr.putTTLW(0, "cleared", future, col(0, "a"))
+	mr.putW(0, "cleared", col(0, "b"))
+	mr.touchW(0, "live", nowNanos()+2*uint64(time.Hour))
+	mr.touchW(0, "dead", future)
+	mr.touchW(0, "absent", future)
 
 	// Removing an expired key reports "did not exist", like every read path
 	// (the physical cleanup still happens).
-	putSimpleTTL(sess, []byte("dead-rm"), []byte("x"), past)
-	if sess.Remove([]byte("dead-rm")) {
-		t.Fatal("remove of an expired key reported it existed")
-	}
+	mr.putTTLW(0, "dead-rm", past, col(0, "x"))
+	mr.removeW(0, "dead-rm")
 	if _, ok := s.Tree().Get([]byte("dead-rm")); ok {
 		t.Fatal("remove of an expired key left it in the tree")
 	}
-	if !sess.Remove([]byte("plain")) {
-		t.Fatal("remove of a live key reported absent")
-	}
+	mr.removeW(0, "plain")
 }
 
 // TestTTLSweepRemoves verifies the background sweep physically removes
@@ -129,58 +107,36 @@ func TestTTLSweepRemoves(t *testing.T) {
 // already-expired key stays invisible, and a checkpoint written after the
 // expiry omits the dead key entirely.
 func TestTTLSurvivesRecovery(t *testing.T) {
-	dir := t.TempDir()
-	future := nowNanos() + uint64(time.Hour)
-	past := nowNanos() - 1
-
-	s, err := Open(Config{Dir: dir, Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour})
+	cfg := Config{Dir: t.TempDir(), Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour}
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := s.Session(1)
-	putSimpleTTL(sess, []byte("live"), []byte("y"), future)
-	putSimpleTTL(sess, []byte("dead"), []byte("x"), past)
-	sess.PutSimple([]byte("plain"), []byte("z"))
-	if _, ok := sess.Touch([]byte("plain"), future); !ok {
-		t.Fatal("touch failed")
-	}
+	mr := newMirror(t, s, 2)
+	future := nowNanos() + uint64(time.Hour)
+	mr.putTTLW(1, "live", future, col(0, "y"))
+	mr.putTTLW(1, "dead", nowNanos()-1, col(0, "x"))
+	mr.putW(1, "plain", col(0, "z"))
+	mr.touchW(1, "plain", future)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Log-only restart: everything replays, expiries intact.
-	r, err := Open(Config{Dir: dir, Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour})
+	r, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := r.Tree().Get([]byte("live")); !ok || v.ExpiresAt() != future {
-		t.Fatalf("live key lost its expiry across restart: %v", v)
-	}
-	if v, ok := r.Tree().Get([]byte("plain")); !ok || v.ExpiresAt() != future {
-		t.Fatalf("touched key lost its expiry across restart: %v", v)
-	}
-	rs := r.Session(0)
-	if _, ok := rs.GetValue([]byte("dead")); ok {
-		t.Fatal("expired key visible after restart")
-	}
+	mr.matches(r, "log-only restart")
 	// Checkpoint skips the expired key; restart from it has no trace left.
 	if _, _, err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Open(Config{Dir: dir, Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
+	r2 := restart(t, r, cfg)
 	if _, ok := r2.Tree().Get([]byte("dead")); ok {
 		t.Fatal("checkpoint carried an expired key")
 	}
-	if v, ok := r2.Tree().Get([]byte("live")); !ok || v.ExpiresAt() != future {
-		t.Fatalf("checkpointed TTL key lost its expiry: %v", v)
-	}
+	mr.matches(r2, "checkpoint restart")
 }
 
 // TestEvictionVersionMonotonic pins the clean-drop ordering rule: a key
@@ -193,18 +149,14 @@ func TestEvictionVersionMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ss := sessions(s, 1)[0]
-	v1 := ss.PutSimple([]byte("k"), []byte("a"))
+	mr := newMirror(t, s, 1)
+	mr.putW(0, "k", col(0, "a"))
 	if !s.evictKey([]byte("k")) {
 		t.Fatal("evictKey failed on a present key")
 	}
-	if _, ok := ss.GetValue([]byte("k")); ok {
-		t.Fatal("evicted key still visible")
-	}
-	v2 := ss.PutSimple([]byte("k"), []byte("b"))
-	if v2 <= v1 {
-		t.Fatalf("post-eviction version %d not above evicted version %d", v2, v1)
-	}
+	mr.evict("k")
+	mr.readBack("evicted", 0, "k")
+	mr.putW(0, "k", col(0, "b")) // the model refuses a version not above the evicted one
 	if got := s.CacheStats().BytesLive; got <= 0 {
 		t.Fatalf("accounting after evict+reinsert = %d, want > 0", got)
 	}

@@ -53,30 +53,21 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 	wg.Wait()
 	<-ckptDone
 
-	liveBefore := s.Len()
+	want := snapshotState(s)
+	for k, st := range want { // k is w<worker>-<i>, and its columns are k and the worker
+		if len(st.Cols) != 2 || string(st.Cols[0]) != k || st.Cols[1][0] != k[1]-'0' {
+			t.Fatalf("%q holds %v", k, st)
+		}
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	r, err := Open(Config{Dir: dir, Workers: 4, MaintainEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs := sessions(r, 1)[0]
-	if r.Len() != liveBefore {
-		t.Fatalf("recovered %d keys, had %d", r.Len(), liveBefore)
-	}
-	// Spot-check values and columns survived with the right contents.
-	for w := 0; w < workers; w++ {
-		for i := perWorker - 50; i < perWorker; i++ {
-			k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-			v, ok := rs.GetValue(k)
-			if !ok || string(v.Col(0)) != string(k) || v.Col(1)[0] != byte(w) {
-				t.Fatalf("recovered %q wrong: %q %v", k, v.Cols(), ok)
-			}
-		}
-	}
+	diffStates(t, "recovered", want, snapshotState(r))
 }
 
 // TestConcurrentGetRangeDuringPuts ensures range queries stay ordered and

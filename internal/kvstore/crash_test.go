@@ -116,34 +116,23 @@ func TestReopenAfterCleanCloseTwice(t *testing.T) {
 func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(s, 1)[0]
+	mr := newMirror(t, s, 1)
 	for i := 0; i < 200; i++ {
-		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("pre"))
+		mr.putW(0, fmt.Sprintf("k%03d", i), col(0, "pre"))
 	}
 	if _, _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("post"))
+		mr.putW(0, fmt.Sprintf("k%03d", i), col(0, "post"))
 	}
 	crash(t, s)
 
-	r := openDir(t, dir)
-	rs := sessions(r, 1)[0]
-	defer r.Close()
-	if r.Len() != 200 {
-		t.Fatalf("recovered %d keys", r.Len())
-	}
 	// Worker 1 logged nothing post-checkpoint, so its generation-2 log is
 	// empty and does not constrain the cutoff; worker 0's updates survive.
-	got, ok := rs.GetValue([]byte("k000"))
-	if !ok || string(got.Col(0)) != "post" {
-		t.Fatalf("k000 = %q,%v want post", got, ok)
-	}
-	got, _ = rs.GetValue([]byte("k100"))
-	if string(got.Col(0)) != "pre" {
-		t.Fatalf("k100 = %q want pre", got)
-	}
+	r := openDir(t, dir)
+	defer r.Close()
+	mr.matches(r, "recovered")
 }
 
 func TestBackgroundFlushDurability(t *testing.T) {
@@ -218,43 +207,14 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Snapshot the exact pre-crash state: key -> (version, bytes).
-	type kvstate struct {
-		ver  uint64
-		data string
-	}
-	want := map[string]kvstate{}
-	s.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		want[string(k)] = kvstate{v.Version(), string(v.Bytes())}
-		return true
-	})
+	// The exact pre-crash state must come back: every key, version and column.
+	want := snapshotState(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	r := openDir(t, dir)
 	defer r.Close()
-	if r.Len() != len(want) {
-		t.Fatalf("recovered %d keys, want %d", r.Len(), len(want))
-	}
-	got := 0
-	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		w, ok := want[string(k)]
-		if !ok {
-			t.Fatalf("recovered unexpected key %q", k)
-		}
-		if v.Version() != w.ver {
-			t.Fatalf("key %q recovered at version %d, want %d (per-key version order broken)", k, v.Version(), w.ver)
-		}
-		if string(v.Bytes()) != w.data {
-			t.Fatalf("key %q = %q, want %q", k, v.Bytes(), w.data)
-		}
-		got++
-		return true
-	})
-	if got != len(want) {
-		t.Fatalf("scanned %d keys, want %d", got, len(want))
-	}
+	diffStates(t, "recovered", want, snapshotState(r))
 }
 
 // TestIdleLogMarksKeepCutoffFresh: a worker that stops writing must not pin

@@ -33,34 +33,36 @@ func dropBaseName(b matrixBase) string {
 	return b.String()
 }
 
-// dropCell is one (drop path, base) pair and what it must produce. The drop
-// goes through worker 0 (the maintenance context's worker for evictKey and
-// the sweep); the base is one column "b" put by worker 0.
+// dropCell is one (drop path, base) pair and how the store must carry it
+// out. The drop goes through worker 0 (the maintenance context's worker for
+// evictKey and the sweep); the base is one column "b" put by worker 0. What
+// the drop reports — Remove's and evictKey's result, for the sweep that it
+// counted an expiration — and what a reader sees afterwards are the
+// reference model's answers to the same inputs.
 type dropCell struct {
-	entry    string
-	base     matrixBase
-	reported bool   // Remove's and evictKey's result; for the sweep, that it counted an expiration
-	kept     bool   // the value is still physically in the tree afterwards
-	logged   bool   // exactly one OpRemove record (false: no record at all)
-	queued   string // the write-behind queue afterwards: "", "tombstone" or "spill"
+	entry  string
+	base   matrixBase
+	kept   bool   // the value is still physically in the tree afterwards
+	logged bool   // exactly one OpRemove record (false: no record at all)
+	queued string // the write-behind queue afterwards: "", "tombstone" or "spill"
 }
 
 var dropCells = []dropCell{
-	{"Remove", absentBase, false, false, false, ""},
-	{"Remove", sameWorkerBase, true, false, true, "tombstone"},
-	{"Remove", liveTTLBase, true, false, true, "tombstone"},
-	{"Remove", expiredBase, false, false, true, "tombstone"},
+	{"Remove", absentBase, false, false, ""},
+	{"Remove", sameWorkerBase, false, true, "tombstone"},
+	{"Remove", liveTTLBase, false, true, "tombstone"},
+	{"Remove", expiredBase, false, true, "tombstone"},
 
-	{"evictKey", absentBase, false, false, false, ""},
-	{"evictKey", sameWorkerBase, true, false, false, "spill"},
-	{"evictKey", liveTTLBase, true, false, false, "spill"},
-	{"evictKey", expiredBase, true, false, false, ""},
+	{"evictKey", absentBase, false, false, ""},
+	{"evictKey", sameWorkerBase, false, false, "spill"},
+	{"evictKey", liveTTLBase, false, false, "spill"},
+	{"evictKey", expiredBase, false, false, ""},
 
-	{"sweep", absentBase, false, false, false, ""},
-	{"sweep", sameWorkerBase, false, true, false, ""},
-	{"sweep", liveTTLBase, false, true, false, ""},
-	{"sweep", expiredBase, true, false, false, ""},
-	{"sweep", staleReserveBase, false, true, false, ""},
+	{"sweep", absentBase, false, false, ""},
+	{"sweep", sameWorkerBase, true, false, ""},
+	{"sweep", liveTTLBase, true, false, ""},
+	{"sweep", expiredBase, false, false, ""},
+	{"sweep", staleReserveBase, true, false, ""},
 }
 
 // TestDropMatrix pins every way a value leaves the tree — a session's
@@ -89,64 +91,50 @@ func runDropCell(t *testing.T, c dropCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(s, 2)
-	key := []byte("k")
-	b := []value.ColPut{{Col: 0, Data: []byte("b")}}
+	mr := newMirror(t, s, 2)
+	key, b := []byte("k"), col(0, "b")
 	var baseVer uint64
-	switch c.base {
+	switch hour := uint64(time.Hour); c.base {
 	case sameWorkerBase:
-		baseVer = ss[0].Put(key, b)
+		baseVer = mr.putW(0, "k", b)
 	case liveTTLBase:
-		baseVer = ss[0].PutTTL(key, b, nowNanos()+uint64(time.Hour))
+		baseVer = mr.putTTLW(0, "k", nowNanos()+hour, b)
 	case expiredBase:
-		baseVer = ss[0].PutTTL(key, b, nowNanos()-uint64(time.Hour))
+		baseVer = mr.putTTLW(0, "k", nowNanos()-hour, b)
 	case staleReserveBase:
-		baseVer = ss[0].PutTTL(key, b, nowNanos()-1)
-	}
-	before := see(ss[0], key)
-	if live := c.base == sameWorkerBase || c.base == liveTTLBase; before.found != live {
-		t.Fatalf("base set-up: key visible = %v", before.found)
+		baseVer = mr.putTTLW(0, "k", nowNanos()-1, b)
 	}
 	stats0 := s.CacheStats()
 
-	var reported bool
+	// What the drop reports, and what a reader sees afterwards, is the
+	// model's answer; the sweep's report is the expirations it counted. The
+	// backend's stale-if-error window moves the sweep's horizon back.
 	switch c.entry {
 	case "Remove":
-		reported = ss[0].Remove(key)
+		mr.removeW(0, "k")
 	case "evictKey":
-		reported = s.evictKey(key)
+		if got, want := s.evictKey(key), mr.ref.Evict("k"); got != want {
+			t.Errorf("evictKey reported %v, the model %v", got, want)
+		}
 	case "sweep":
 		s.cacheMaintain()
-		reported = s.CacheStats().Expirations > stats0.Expirations
+		if got, want := s.CacheStats().Expirations-stats0.Expirations, mr.ref.Sweep(nowNanos()-uint64(cfg.MaxStale)); got != int64(want) {
+			t.Errorf("the sweep counted %d expirations, the model %d", got, want)
+		}
 	default:
 		t.Fatalf("unknown entry %q", c.entry)
 	}
-	if reported != c.reported {
-		t.Errorf("reported %v, want %v", reported, c.reported)
-	}
+	mr.readBack("drop", 0, "k")
 	if _, kept := s.tree.Get(key); kept != c.kept {
 		t.Errorf("value kept in the tree = %v, want %v", kept, c.kept)
-	}
-	want := visible{}
-	if c.kept {
-		want = before
-	}
-	if got := see(ss[0], key); got != want {
-		t.Errorf("after the drop: %v, want %v", got, want)
 	}
 	if got, want := s.CacheStats().BytesLive, accountedBytes(s); got != want {
 		t.Errorf("after the drop BytesLive = %d, the tree holds %d", got, want)
 	}
-	stats := s.CacheStats()
-	wantExp := int64(0)
-	if c.entry == "sweep" && c.reported {
-		wantExp = 1
-	}
 	// The policy counts its own evictions; the callback a test calls
-	// directly counts none.
-	if stats.Evictions != stats0.Evictions || stats.Expirations-stats0.Expirations != wantExp {
-		t.Errorf("evictions +%d, expirations +%d; want +0, +%d",
-			stats.Evictions-stats0.Evictions, stats.Expirations-stats0.Expirations, wantExp)
+	// directly counts none, and nothing but the sweep counts expirations.
+	if stats := s.CacheStats(); stats.Evictions != stats0.Evictions || c.entry != "sweep" && stats.Expirations != stats0.Expirations {
+		t.Errorf("evictions +%d, expirations +%d", stats.Evictions-stats0.Evictions, stats.Expirations-stats0.Expirations)
 	}
 	queued := ""
 	if v, ok := s.wb.peek(key); ok {
@@ -166,15 +154,12 @@ func runDropCell(t *testing.T, c dropCell) {
 		t.Errorf("write-behind queue: %q (depth %d), want %q", queued, s.wb.depth(), c.queued)
 	}
 
-	// A re-insert through a worker whose clock never saw the key.
-	insVer := ss[1].PutSimple(key, []byte("r"))
-	if insVer <= baseVer {
-		t.Errorf("re-insert version %d not above the dropped value's %d", insVer, baseVer)
-	}
+	// A re-insert through a worker whose clock never saw the key: the model
+	// refuses a version not above the dropped value's.
+	insVer := mr.putW(1, "k", col(0, "r"))
 	if got, want := s.CacheStats().BytesLive, accountedBytes(s); got != want {
 		t.Errorf("after the re-insert BytesLive = %d, the tree holds %d", got, want)
 	}
-	live := see(ss[0], key)
 	release()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -208,13 +193,10 @@ func runDropCell(t *testing.T, c dropCell) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs := sessions(r, 1)[0]
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}
-	if got := see(rs, key); got != live {
-		t.Errorf("recovered %v, live store had %v", got, live)
-	}
+	mr.matches(r, "recovered")
 	if got, want := r.CacheStats().BytesLive, accountedBytes(r); got != want {
 		t.Errorf("after the reopen BytesLive = %d, the tree holds %d", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/value"
+	"repro/internal/vfs"
 	"repro/internal/wal"
 	"repro/internal/workload"
 )
@@ -15,7 +16,7 @@ import (
 // logFileBytes sums the sizes of every log file in dir.
 func logFileBytes(t *testing.T, dir string) (n int64) {
 	t.Helper()
-	files, err := wal.ListLogFiles(dir)
+	files, err := wal.ListLogFilesFS(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

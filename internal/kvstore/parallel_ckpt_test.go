@@ -7,21 +7,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/vfs"
 )
 
-// snapshotState captures key -> (version, joined columns) from a store.
-func snapshotState(s *Store) map[string]kvState {
-	out := map[string]kvState{}
+// snapshotState captures every key's value, lapsed or not, from a store.
+func snapshotState(s *Store) map[string]model.State {
+	out := map[string]model.State{}
 	s.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		out[string(k)] = kvState{ver: v.Version(), data: joinCols(v.Cols())}
+		out[string(k)] = stateOf(v)
 		return true
 	})
 	return out
 }
 
-func diffStates(t *testing.T, label string, want, got map[string]kvState) {
+func diffStates(t *testing.T, label string, want, got map[string]model.State) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d keys, want %d", label, len(got), len(want))
@@ -31,11 +32,8 @@ func diffStates(t *testing.T, label string, want, got map[string]kvState) {
 		if !ok {
 			t.Fatalf("%s: key %q missing", label, k)
 		}
-		if g.ver != w.ver {
-			t.Fatalf("%s: key %q version %d, want %d", label, k, g.ver, w.ver)
-		}
-		if g.data != w.data {
-			t.Fatalf("%s: key %q = %q, want %q", label, k, g.data, w.data)
+		if !g.Equal(w) {
+			t.Fatalf("%s: key %q = %v, want %v", label, k, g, w)
 		}
 	}
 }
@@ -150,19 +148,14 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 }
 
 // TestFuzzyCheckpointGroundTruth partitions the key space per worker so
-// every key has exactly one writer, making each key's final state exactly
-// the last operation its writer issued — an independent ground truth the
+// every key has exactly one writer, making each key's final state what the
+// model computes from its writer's operations — an independent ground truth the
 // live tree and the recovered tree are both checked against, with fuzzy
 // multi-part checkpoints racing the writers. This caught two real bugs:
 // core.remove not dirtying the node version (scans emitted removed keys
 // into checkpoints), and replay resurrecting puts whose superseding
 // remove's log record had been reclaimed by a checkpoint.
 func TestFuzzyCheckpointGroundTruth(t *testing.T) {
-	type lastOp struct {
-		present bool
-		ver     uint64
-		data    string
-	}
 	for round := 0; round < 5; round++ {
 		mem := vfs.NewMemFS()
 		cfg := Config{Dir: tortureDir, Workers: 3, FS: mem, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1}
@@ -171,14 +164,15 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 		ss := sessions(s, 3)
+		// truth[w] is the model of the keys worker w writes below.
+		truth := []*model.Model{model.NewHistory(), model.NewHistory(), model.NewHistory()}
 		for i := 0; i < 2000; i++ {
-			ss[i%3].PutSimple([]byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
+			k := fmt.Sprintf("pre-%05d", i)
+			truth[i/1000].Put(k, ss[i%3].PutSimple([]byte(k), []byte("seed")), 0, model.ColPut{Data: []byte("seed")})
 		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
-		truth := make([]map[string]lastOp, 3)
 		for w := 0; w < 3; w++ {
-			truth[w] = map[string]lastOp{}
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
@@ -191,13 +185,12 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 					}
 					k := fmt.Sprintf("pre-%05d", w*1000+rng.Intn(800))
 					if i%7 == 0 {
-						if ss[w].Remove([]byte(k)) {
-							truth[w][k] = lastOp{}
+						if got, want := ss[w].Remove([]byte(k)), truth[w].Remove(k, 0); got != want {
+							t.Errorf("Remove(%q) reported %v, the model %v", k, got, want)
 						}
 					} else {
-						d := fmt.Sprintf("w%d-%d", w, i)
-						ver := ss[w].PutSimple([]byte(k), []byte(d))
-						truth[w][k] = lastOp{present: true, ver: ver, data: d}
+						d := []byte(fmt.Sprintf("w%d-%d", w, i))
+						truth[w].Put(k, ss[w].PutSimple([]byte(k), d), 0, model.ColPut{Data: d})
 					}
 				}
 			}(w)
@@ -210,15 +203,15 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		close(stop)
 		wg.Wait()
 
-		check := func(label string, got map[string]kvState) {
-			for w := 0; w < 3; w++ {
-				for k, op := range truth[w] {
-					g, ok := got[k]
-					switch {
-					case op.present && (!ok || g.ver != op.ver || g.data != op.data):
-						t.Fatalf("round %d %s: key %q got %+v want %+v", round, label, k, g, op)
-					case !op.present && ok:
-						t.Fatalf("round %d %s: removed key %q present at ver %d", round, label, k, g.ver)
+		check := func(label string, got map[string]model.State) {
+			for _, m := range truth {
+				if err := m.Err(); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range m.Written() {
+					want, ok := m.Get(k, 0)
+					if g, gok := got[k]; gok != ok || ok && !g.Equal(want) {
+						t.Fatalf("round %d %s: key %q got %v (present %v), the model %v (present %v)", round, label, k, g, gok, want, ok)
 					}
 				}
 			}

@@ -56,64 +56,28 @@ func runFrame(sess *Session, ops []frameOp) []frameResult {
 	return out
 }
 
-// runOneAtATime is the definition runFrame is held to: the same operations,
-// each its own call, in order.
-func runOneAtATime(sess *Session, ops []frameOp) []frameResult {
-	out := make([]frameResult, len(ops))
-	for i, op := range ops {
-		if op.puts != nil {
-			out[i] = frameResult{ver: sess.Put([]byte(op.key), op.puts)}
-		} else if v, ok := sess.GetValue([]byte(op.key)); ok {
-			out[i] = frameResult{data: joinCols(v.Cols()), found: true, ver: v.Version()}
-		}
-	}
-	return out
-}
-
 // TestPointBatchFrameOrder pins the ordering contract of a mixed frame:
 // operations on one key take effect in frame order — a get behind a put
 // reads what that put published, a get ahead of every put of its key reads
 // what was there before the frame, versions ascend along a key — whatever
 // happens between different keys.
 func TestPointBatchFrameOrder(t *testing.T) {
-	s := openMem(t)
-	sess := s.Session(0)
-	c := func(col int, data string) value.ColPut { return value.ColPut{Col: col, Data: []byte(data)} }
-	sess.Put([]byte("j"), []value.ColPut{c(0, "j-old")})
-	sess.Put([]byte("record"), []value.ColPut{c(0, "a"), c(1, "b"), c(2, "c")})
-	sess.PutTTL([]byte("lapsed"), []value.ColPut{c(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
-
-	res := runFrame(sess, []frameOp{
-		putOp("k", c(0, "v1")), getOp("k"), putOp("k", c(0, "v2")), getOp("k"), // 0..3
-		getOp("j"), putOp("j", c(0, "w")), // 4, 5: a get ahead of its key's put
-		putOp("record", c(1, "B")), getOp("record"), // 6, 7: a partial-column put, then all columns
-		getOp("lapsed"), putOp("lapsed", c(1, "reborn")), getOp("lapsed"), // 8..10
+	mr := newMirror(t, openMem(t), 1)
+	mr.putW(0, "j", col(0, "j-old"))
+	mr.putW(0, "record", col(0, "a"), col(1, "b"), col(2, "c"))
+	mr.putTTLW(0, "lapsed", nowNanos()-uint64(time.Second), col(0, "dead"))
+	res := mr.frame(0,
+		putOp("k", col(0, "v1")), getOp("k"), putOp("k", col(0, "v2")), getOp("k"), // 0..3
+		getOp("j"), putOp("j", col(0, "w")), // 4, 5: a get ahead of its key's put
+		putOp("record", col(1, "B")), getOp("record"), // 6, 7: a partial-column put, then all columns
+		getOp("lapsed"), putOp("lapsed", col(1, "reborn")), getOp("lapsed"), // 8..10: the dead column stays dead
 		getOp("nowhere"), // 11
-	})
-	want := map[int]frameResult{
-		1:  {data: "v1", found: true, ver: res[0].ver},
-		3:  {data: "v2", found: true, ver: res[2].ver},
-		4:  {data: "j-old", found: true, ver: res[4].ver},
-		7:  {data: "a|B|c", found: true, ver: res[6].ver},
-		8:  {},
-		10: {data: "|reborn", found: true, ver: res[9].ver}, // built on no base: the dead column stays dead
-		11: {},
-	}
-	for i, w := range want {
-		if res[i] != w {
-			t.Errorf("op %d: got %+v, want %+v", i, res[i], w)
-		}
-	}
+	)
 	if !(res[0].ver > 0 && res[0].ver < res[2].ver) {
 		t.Errorf("versions along k do not ascend: %d then %d", res[0].ver, res[2].ver)
 	}
 	if res[4].ver >= res[5].ver {
 		t.Errorf("j's get read version %d, not below its later put's %d", res[4].ver, res[5].ver)
-	}
-	for key, want := range map[string]string{"k": "v2", "j": "w", "record": "a|B|c", "lapsed": "|reborn"} {
-		if v, ok := sess.GetValue([]byte(key)); !ok || joinCols(v.Cols()) != want {
-			t.Errorf("after the frame %q = %q (%v), want %q", key, joinCols(v.Cols()), ok, want)
-		}
 	}
 }
 
@@ -155,75 +119,23 @@ func randomFrames(rng *rand.Rand, frames, maxLen int) [][]frameOp {
 	return out
 }
 
-// frameLedger follows one store through a run of frames: which put, counted
-// across the run, drew each version, and that versions ascend along a key.
-// Two stores given the same operations draw different numbers — a frame
-// applies its puts in tree order — so results are compared by the put a
-// version names, not by the number.
-type frameLedger struct {
-	t      *testing.T
-	origin map[uint64]int // version -> ordinal of the put that drew it
-	last   map[string]uint64
-	nputs  int
-}
-
-func newFrameLedger(t *testing.T) *frameLedger {
-	return &frameLedger{t: t, origin: map[uint64]int{}, last: map[string]uint64{}}
-}
-
-// note records a frame's results and rewrites each version as the ordinal of
-// the put it came from (0 for no version).
-func (l *frameLedger) note(ops []frameOp, res []frameResult) []frameResult {
-	out := make([]frameResult, len(res))
-	for i, op := range ops {
-		out[i] = res[i]
-		if op.puts != nil {
-			if res[i].ver <= l.last[op.key] {
-				l.t.Fatalf("put of %q drew version %d after %d", op.key, res[i].ver, l.last[op.key])
-			}
-			l.nputs++
-			l.origin[res[i].ver], l.last[op.key] = l.nputs, res[i].ver
-		}
-		if out[i].ver != 0 {
-			out[i].ver = uint64(l.origin[res[i].ver])
-		}
-	}
-	return out
-}
-
-// state is snapshotState with versions rewritten as note rewrites them.
-func (l *frameLedger) state(s *Store) map[string]kvState {
-	st := snapshotState(s)
-	for k, v := range st {
-		v.ver = uint64(l.origin[v.ver])
-		st[k] = v
-	}
-	return st
-}
-
 // TestPointBatchMatchesOneAtATime is the differential test of the mixed
-// entry: random frames through PointBatchInto against a second store given
-// the same operations one call at a time. Every get must report the same
-// columns from the same put, and the stores must end up equal.
+// entry: random frames through PointBatchInto against the reference model,
+// which applies the same operations one at a time. Every get must report
+// the columns and version of the put the model says it follows, and the
+// store must end up equal to the model.
 func TestPointBatchMatchesOneAtATime(t *testing.T) {
-	batched, single := openMem(t), openMem(t)
-	bs, ss := batched.Session(0), single.Session(0)
-	bl, sl := newFrameLedger(t), newFrameLedger(t)
+	batched := openMem(t)
+	mr := newMirror(t, batched, 1)
 	fellBack := 0 // frames in which a wave handed a get to Get
-	for f, ops := range randomFrames(rand.New(rand.NewSource(11)), 300, 40) {
+	for _, ops := range randomFrames(rand.New(rand.NewSource(11)), 300, 40) {
 		fb := batched.Stats().BatchFallbacks
-		got, want := bl.note(ops, runFrame(bs, ops)), sl.note(ops, runOneAtATime(ss, ops))
-		for i := range ops {
-			if got[i] != want[i] {
-				t.Fatalf("frame %d op %d (%q, put=%v): the frame reported %+v, one at a time %+v (versions as put ordinals)",
-					f, i, ops[i].key, ops[i].puts != nil, got[i], want[i])
-			}
-		}
+		mr.frame(0, ops...)
 		if batched.Stats().BatchFallbacks != fb {
 			fellBack++
 		}
 	}
-	diffStates(t, "after the frames", sl.state(single), bl.state(batched))
+	mr.matches(batched, "after the frames")
 	// With one client no wave meets a writer. What it can meet is the link a
 	// put left stale when it split a sub-layer's root: the gets of that wave
 	// fall back, and the first of them repairs the link (core's
@@ -272,7 +184,7 @@ func TestPointBatchOneKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	logged := func() int {
-		res, err := wal.RecoverDirFS(mem, "d")
+		res, err := wal.RecoverDirAboveFS(mem, "d", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +245,7 @@ func TestMixedSegmentsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := wal.RecoverDirFS(mem, "d")
+	res, err := wal.RecoverDirAboveFS(mem, "d", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -62,10 +62,11 @@ func TestGetRangeIntoMatchesGetRange(t *testing.T) {
 }
 
 // TestRangeMatchesSortedModel compares GetRangeInto, into a reused scratch
-// and into a fresh one, with a sorted slice: random keys of length 0–24 (trailing NULs, lengths straddling
-// the 8- and 16-byte slice boundaries, shared 8- and 16-byte prefixes), start
-// keys that are nil, empty, present, absent or beyond the last key, random n.
-// A copied scratch must fill itself, not the scratch it was copied from.
+// and into a fresh one, with the reference model's Range: random keys of
+// length 0–24 (trailing NULs, lengths straddling the 8- and 16-byte slice
+// boundaries, shared 8- and 16-byte prefixes), start keys that are nil,
+// empty, present, absent or beyond the last key, random n. A copied scratch
+// must fill itself, not the scratch it was copied from.
 func TestRangeMatchesSortedModel(t *testing.T) {
 	_, ss := openSess(t)
 	rng := rand.New(rand.NewSource(1))
@@ -78,17 +79,15 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 		}
 		return append([]byte(stem), k...)
 	}
-	set := map[string]bool{}
+	m := model.New()
 	for i := 0; i < 1500; i++ {
 		k := randKey()
-		ss.PutSimple(k, k)
-		set[string(k)] = true
+		m.Put(string(k), ss.PutSimple(k, k), nowNanos(), model.ColPut{Data: k})
 	}
-	model := make([]string, 0, len(set))
-	for k := range set {
-		model = append(model, k)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
 	}
-	sort.Strings(model)
+	keys := m.Range("", m.Len(), 0)
 
 	sc := new(RangeScratch)
 	for i := 0; i < 400; i++ {
@@ -98,15 +97,14 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 		case 1:
 			start = []byte{}
 		case 2:
-			start = []byte(model[rng.Intn(len(model))])
+			start = []byte(keys[rng.Intn(len(keys))].Key)
 		case 3:
 			start = []byte("\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff")
 		default:
 			start = randKey()
 		}
 		n := rng.Intn(40)
-		lo := sort.SearchStrings(model, string(start))
-		want := model[lo:min(lo+n, len(model))]
+		want := m.Range(string(start), n, nowNanos())
 		if i%16 == 0 {
 			sc.Reset()
 		}
@@ -122,8 +120,8 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 				t.Fatalf("%s(%q, %d): %d pairs, want %d", name, start, n, len(got), len(want))
 			}
 			for j, p := range got {
-				if string(p.Key) != want[j] || len(p.Cols) != 1 || string(p.Cols[0]) != want[j] {
-					t.Fatalf("%s(%q, %d) pair %d = %q %q, want %q", name, start, n, j, p.Key, p.Cols, want[j])
+				if w := want[j]; string(p.Key) != w.Key || len(p.Cols) != 1 || string(p.Cols[0]) != string(w.Cols[0]) {
+					t.Fatalf("%s(%q, %d) pair %d = %q %q, want %q %q", name, start, n, j, p.Key, p.Cols, w.Key, w.Cols)
 				}
 			}
 		}

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
@@ -169,15 +169,13 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 		keys[i] = family(i)
 	}
 	stable := func(i int) bool { return i%4 != 3 && i%40 < 3 }
-	var stableKeys []string // sorted below
+	stableKeys := model.New()
 	load := sessions(s, 1)[0]
 	for i, k := range keys {
 		if stable(i) {
-			load.PutSimple(k, k)
-			stableKeys = append(stableKeys, string(k))
+			stableKeys.Put(string(k), load.PutSimple(k, k), nowNanos(), model.ColPut{Data: k})
 		}
 	}
-	sort.Strings(stableKeys)
 
 	var stop atomic.Bool
 	var scanners, writers sync.WaitGroup
@@ -246,9 +244,9 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 	}
 }
 
-// checkWindow checks one range's pairs against the scan statement; stable is
-// the sorted list of keys no writer removes.
-func checkWindow(pairs []Pair, start []byte, n int, stable []string) string {
+// checkWindow checks one range's pairs against the scan statement; stable
+// holds the keys no writer removes.
+func checkWindow(pairs []Pair, start []byte, n int, stable *model.Model) string {
 	if len(pairs) > n {
 		return fmt.Sprintf("%d pairs, asked for %d", len(pairs), n)
 	}
@@ -265,10 +263,8 @@ func checkWindow(pairs []Pair, start []byte, n int, stable []string) string {
 	// Every stable key from the start to where the scan ended was there
 	// throughout and must be in the window; a short window ran off the end.
 	j := 0
-	for _, k := range stable {
-		if k < string(start) {
-			continue
-		}
+	for _, p := range stable.Range(string(start), stable.Len(), 0) {
+		k := p.Key
 		if len(pairs) == n && k > string(pairs[len(pairs)-1].Key) {
 			break
 		}

@@ -317,14 +317,14 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(s, 2)
-	wide := []value.ColPut{{Col: 0, Data: []byte("first")}, {Col: value.MaxCol, Data: []byte("last")}}
-	ss[0].Put([]byte("checkpointed"), wide)
+	mr := newMirror(t, s, 2)
+	wide := []value.ColPut{col(0, "first"), col(value.MaxCol, "last")}
+	mr.putW(0, "checkpointed", wide...)
 	if _, _, err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	ss[0].Put([]byte("anchored"), wide)
-	anchor := ss[1].Put([]byte("anchored"), []value.ColPut{{Col: 1, Data: []byte("second")}}) // a handoff: logged column-complete
+	mr.putW(0, "anchored", wide...)
+	mr.putW(1, "anchored", col(1, "second")) // a handoff: logged column-complete
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -333,17 +333,8 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := sessions(r, 1)[0]
 	defer r.Close()
-	for _, key := range []string{"checkpointed", "anchored"} {
-		v, ok := rs.GetValue([]byte(key))
-		if !ok || v.NumCols() != value.MaxCol+1 || string(v.Col(0)) != "first" || string(v.Col(value.MaxCol)) != "last" {
-			t.Fatalf("%s: recovered %d columns (ok=%v), want %d with both ends intact", key, v.NumCols(), ok, value.MaxCol+1)
-		}
-	}
-	if v, _ := rs.GetValue([]byte("anchored")); v.Version() != anchor || string(v.Col(1)) != "second" {
-		t.Fatalf("anchored: recovered version %d column 1 %q, want the anchor's %d %q", v.Version(), v.Col(1), anchor, "second")
-	}
+	mr.matches(r, "recovered")
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Fatalf("recovery stats %+v, want no broken chain and no missing log", st)
 	}

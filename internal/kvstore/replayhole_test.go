@@ -6,7 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/value"
+	"repro/internal/model"
+	"repro/internal/vfs"
 	"repro/internal/wal"
 )
 
@@ -37,22 +38,22 @@ func TestPartialColumnReplayHole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := []byte("shared")
 	// Worker 0 writes column 0, worker 1 then writes column 1 of the same
 	// key: two partial-column deltas in two different logs, ts_a < ts_b.
-	ss := sessions(s, 2)
-	ss[0].Put(key, []value.ColPut{{Col: 0, Data: []byte("from-worker-0")}})
-	ss[1].Put(key, []value.ColPut{{Col: 1, Data: []byte("from-worker-1")}})
-	if err := s.Flush(); err != nil { // both deltas durable and acknowledged
+	mr := newMirror(t, s, 2)
+	mr.putW(0, "shared", col(0, "from-worker-0"))
+	mr.putW(1, "shared", col(1, "from-worker-1"))
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	mr.ref.Ack() // both deltas durable and acknowledged
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The adversity: worker 0's log vanishes wholesale (lost directory
 	// entry, dead device — not a torn suffix). Worker 1's log survives.
-	files, err := wal.ListLogFiles(dir)
+	files, err := wal.ListLogFilesFS(vfs.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,25 +74,20 @@ func TestPartialColumnReplayHole(t *testing.T) {
 	if stats.MissingLogs != 1 {
 		t.Errorf("RecoveryStats.MissingLogs = %d, want 1: exactly worker 0's log vanished", stats.MissingLogs)
 	}
-	v, ok := sessions(r, 1)[0].GetValue(key)
-	cols := v.Cols()
-	switch {
-	case ok && len(cols) >= 2 && string(cols[0]) == "from-worker-0" && string(cols[1]) == "from-worker-1":
-		// The handoff anchor in worker 1's log carried both columns:
-		// recovery rebuilt the exact acknowledged value.
-		if stats.BrokenChains != 0 {
-			t.Errorf("BrokenChains = %d on a fully rebuilt value, want 0", stats.BrokenChains)
-		}
-	case !ok || len(cols) == 0 || (len(cols) >= 1 && string(cols[0]) == "" && len(cols) < 2):
-		// Rollback to the anchored prefix (here: nothing — the key's only
-		// anchor was in the vanished log) is acceptable only if accounted.
-		if stats.BrokenChains < 1 {
-			t.Errorf("key rolled back (cols=%q ok=%v) but BrokenChains = %d, want >= 1",
-				cols, ok, stats.BrokenChains)
-		}
-	default:
-		// The outcome that must never recur: a mixed state no serial
-		// execution produced — column 1's delta without column 0's data.
-		t.Fatalf("partial-column replay hole reproduced: recovered %q (ok=%v), want the full value or an accounted rollback", cols, ok)
+	// The model's rule for a recovered key: the acknowledged value, rebuilt
+	// from the handoff anchor in worker 1's log with no broken chain, or a
+	// rollback to a state it computed (here: nothing — the key's only anchor
+	// was in the vanished log) only if accounted. Never a mixed state no
+	// serial execution produced — column 1's delta without column 0's data.
+	var st *model.State
+	if v, ok := r.tree.Get([]byte("shared")); ok {
+		got := stateOf(v)
+		st = &got
+	}
+	if err := mr.ref.Recovered("shared", st, true); err != nil {
+		t.Fatalf("partial-column replay hole reproduced: %v", err)
+	}
+	if rolledBack := mr.ref.Recovered("shared", st, false) != nil; rolledBack != (stats.BrokenChains > 0) {
+		t.Errorf("recovered %v (a rollback: %v) with BrokenChains = %d", st, rolledBack, stats.BrokenChains)
 	}
 }

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -47,21 +46,11 @@ func openSess(t *testing.T) (*Store, *Session) {
 }
 
 func TestBasicOps(t *testing.T) {
-	_, ss := openSess(t)
-	ss.PutSimple([]byte("k1"), []byte("v1"))
-	got, ok := ss.GetValue([]byte("k1"))
-	if !ok || string(got.Col(0)) != "v1" {
-		t.Fatalf("get: %v %v", got, ok)
-	}
-	if _, ok := ss.GetValue([]byte("nope")); ok {
-		t.Fatal("phantom key")
-	}
-	if !ss.Remove([]byte("k1")) {
-		t.Fatal("remove failed")
-	}
-	if _, ok := ss.GetValue([]byte("k1")); ok {
-		t.Fatal("key survived remove")
-	}
+	mr := newMirror(t, openMem(t), 1)
+	mr.putW(0, "k1", col(0, "v1"))
+	mr.readBack("get", 0, "nope")
+	mr.removeW(0, "k1")
+	mr.readBack("get", 0, "k1")
 }
 
 func TestColumnOps(t *testing.T) {
@@ -113,46 +102,24 @@ func TestGetRange(t *testing.T) {
 func TestRecoveryFromLogs(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(s, 2)
+	mr := newMirror(t, s, 2)
 	const n = 500
 	maxSeen := uint64(0)
 	for i := 0; i < n; i++ {
-		v := ss[i%2].PutSimple([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
-		if v > maxSeen {
-			maxSeen = v
-		}
+		maxSeen = max(maxSeen, mr.putW(i%2, fmt.Sprintf("key%04d", i), col(0, fmt.Sprintf("v%d", i))))
 	}
-	ss[0].Remove([]byte("key0000"))
-	if v := ss[1].PutSimple([]byte("key0001"), []byte("updated")); v > maxSeen {
-		maxSeen = v
-	}
+	mr.removeW(0, "key0000")
+	maxSeen = max(maxSeen, mr.putW(1, "key0001", col(0, "updated")))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	r := openDir(t, dir)
 	defer r.Close()
-	rs := sessions(r, 1)[0]
-	if r.Len() != n-1 {
-		t.Fatalf("recovered %d keys, want %d", r.Len(), n-1)
-	}
-	if _, ok := rs.GetValue([]byte("key0000")); ok {
-		t.Fatal("removed key resurrected")
-	}
-	got, ok := rs.GetValue([]byte("key0001"))
-	if !ok || string(got.Col(0)) != "updated" {
-		t.Fatalf("key0001 = %q %v", got.Cols(), ok)
-	}
-	for i := 2; i < n; i++ {
-		k := []byte(fmt.Sprintf("key%04d", i))
-		got, ok := rs.GetValue(k)
-		if !ok || string(got.Col(0)) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("lost %q after recovery", k)
-		}
-	}
+	mr.matches(r, "recovered")
 	// New writes must get versions above everything recovered (the sharded
 	// clocks are seeded from the logs' maximum durable timestamp).
-	v := rs.PutSimple([]byte("fresh"), []byte("x"))
+	v := sessions(r, 1)[0].PutSimple([]byte("fresh"), []byte("x"))
 	if v <= maxSeen {
 		t.Fatalf("clock not restored: new version %d <= pre-crash max %d", v, maxSeen)
 	}
@@ -161,37 +128,23 @@ func TestRecoveryFromLogs(t *testing.T) {
 func TestRecoveryWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(s, 2)
+	mr := newMirror(t, s, 2)
 	for i := 0; i < 300; i++ {
-		ss[0].PutSimple([]byte(fmt.Sprintf("key%04d", i)), []byte("pre"))
+		mr.putW(0, fmt.Sprintf("key%04d", i), col(0, "pre"))
 	}
 	if _, n, err := s.Checkpoint(); err != nil || n != 300 {
 		t.Fatalf("checkpoint: n=%d err=%v", n, err)
 	}
 	// Post-checkpoint mutations live only in the logs.
 	for i := 200; i < 400; i++ {
-		ss[1].PutSimple([]byte(fmt.Sprintf("key%04d", i)), []byte("post"))
+		mr.putW(1, fmt.Sprintf("key%04d", i), col(0, "post"))
 	}
-	ss[0].Remove([]byte("key0000"))
+	mr.removeW(0, "key0000")
 	s.Close()
 
 	r := openDir(t, dir)
 	defer r.Close()
-	rs := sessions(r, 1)[0]
-	if r.Len() != 399 {
-		t.Fatalf("recovered %d keys, want 399", r.Len())
-	}
-	for i := 1; i < 400; i++ {
-		k := []byte(fmt.Sprintf("key%04d", i))
-		want := "pre"
-		if i >= 200 {
-			want = "post"
-		}
-		got, ok := rs.GetValue(k)
-		if !ok || string(got.Col(0)) != want {
-			t.Fatalf("%q = %q,%v want %q", k, got.Cols(), ok, want)
-		}
-	}
+	mr.matches(r, "recovered")
 }
 
 func TestCheckpointDuringWrites(t *testing.T) {
@@ -231,56 +184,40 @@ func TestCheckpointDuringWrites(t *testing.T) {
 func TestRecoveryRemoveReinsert(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(s, 2)
-	ss[0].PutSimple([]byte("k"), []byte("first"))
-	ss[1].Remove([]byte("k"))
-	ss[0].PutSimple([]byte("k"), []byte("second"))
-	ss[1].Remove([]byte("k"))
-	ss[0].PutSimple([]byte("k"), []byte("third"))
+	mr := newMirror(t, s, 2)
+	for _, v := range []string{"first", "second", "third"} {
+		if v != "first" {
+			mr.removeW(1, "k")
+		}
+		mr.putW(0, "k", col(0, v))
+	}
 	s.Close()
 
 	r := openDir(t, dir)
 	defer r.Close()
-	got, ok := sessions(r, 1)[0].GetValue([]byte("k"))
-	if !ok || string(got.Col(0)) != "third" {
-		t.Fatalf("k = %q,%v want third", got.Cols(), ok)
-	}
+	mr.matches(r, "recovered")
 }
 
 // TestRecoveryPartialColumns checks that column deltas replay correctly.
 func TestRecoveryPartialColumns(t *testing.T) {
 	dir := t.TempDir()
 	s := openDir(t, dir)
-	ss := sessions(s, 2)
-	ss[0].Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("a")}, {Col: 1, Data: []byte("b")}})
-	ss[1].Put([]byte("k"), []value.ColPut{{Col: 1, Data: []byte("B")}})
-	ss[0].Put([]byte("k"), []value.ColPut{{Col: 2, Data: []byte("c")}})
+	mr := newMirror(t, s, 2)
+	mr.putW(0, "k", col(0, "a"), col(1, "b"))
+	mr.putW(1, "k", col(1, "B"))
+	mr.putW(0, "k", col(2, "c"))
 	s.Close()
 
 	r := openDir(t, dir)
 	defer r.Close()
-	v, ok := sessions(r, 1)[0].GetValue([]byte("k"))
-	got := v.Cols()
-	if !ok || len(got) != 3 {
-		t.Fatalf("k = %q,%v", got, ok)
-	}
-	if string(got[0]) != "a" || string(got[1]) != "B" || string(got[2]) != "c" {
-		t.Fatalf("columns after recovery: %q", got)
-	}
+	mr.matches(r, "recovered")
 }
 
 func TestSessionOps(t *testing.T) {
-	s := openMem(t)
-	ss := s.Session(0)
-	ss.PutSimple([]byte("k"), []byte("v"))
-	got, ok := ss.GetValue([]byte("k"))
-	if !ok || !bytes.Equal(got.Col(0), []byte("v")) {
-		t.Fatal("session get failed")
-	}
-	if !ss.Remove([]byte("k")) {
-		t.Fatal("session remove failed")
-	}
-	if pairs := ss.GetRangeInto(nil, 10, nil, new(RangeScratch)); len(pairs) != 0 {
+	mr := newMirror(t, openMem(t), 1)
+	mr.putW(0, "k", col(0, "v"))
+	mr.removeW(0, "k")
+	if pairs := mr.sess[0].GetRangeInto(nil, 10, nil, new(RangeScratch)); len(pairs) != 0 {
 		t.Fatalf("range after remove: %v", pairs)
 	}
 }

@@ -31,42 +31,38 @@ import (
 //     burst, a half-open probe closes it on heal, and it re-opens when the
 //     backend fails again after having recovered.
 //   - Read-through after recovery cannot invent data: a key loaded from
-//     the backend into a recovered store must carry some state the live
-//     store actually applied.
+//     the backend into a recovered store must carry the columns of some
+//     state the model computed for it.
 
 const tbWriteBehindDepth = 32
 
 var errTortureOutage = errors.New("injected backend outage")
 
-// recordLoaded folds a value the loader installed into the model history
-// (duplicate versions are already-known states and are skipped).
-func (tt *torture) recordLoaded(key string, v *value.Value) {
+// loaded holds v, the value the store answered key with, to the model. A
+// version the model does not hold yet is the loader's install: its input is
+// the backend's copy of key, its version and expiry are what the loader drew.
+func (tt *torture) loaded(key string, v *value.Value) {
 	if v == nil {
 		return
 	}
-	h := tt.histOf(key)
-	for _, st := range h.states {
-		if !st.tomb && st.ver == v.Version() {
-			h.dropped = false
-			return
+	now := nowNanos()
+	if st, ok := tt.ref.Get(key, now); !ok || st.Version != v.Version() {
+		payload, _ := tt.mock.Get(key)
+		cols, err := backend.DecodeCols(payload)
+		if err != nil {
+			fatalDump(tt.t, tt.s, "the backend's copy of %q: %v", key, err)
+		}
+		if !tt.ref.Install(key, v.Version(), now, v.ExpiresAt(), cols...) {
+			fatalDump(tt.t, tt.s, "%q was loaded at version %d over the live value the model holds", key, v.Version())
 		}
 	}
-	h.states = append(h.states, kvState{ver: v.Version(), data: joinCols(v.Cols())})
-	h.dropped = false
-}
-
-// recordResident snapshots key's current tree state into the model (used
-// after a herd where some other goroutine's flight did the install).
-func (tt *torture) recordResident(key string) {
-	if v, ok := tt.s.tree.Get([]byte(key)); ok {
-		tt.recordLoaded(key, v)
-	}
+	tt.check("load", key, v, true)
 }
 
 func (tt *torture) getOrLoad(key string) (*value.Value, error) {
 	v, _, err := tt.sess[0].GetOrLoad(context.Background(), []byte(key))
 	if err == nil {
-		tt.recordLoaded(key, v)
+		tt.loaded(key, v)
 	}
 	return v, err
 }
@@ -109,7 +105,7 @@ func (tt *torture) backendWorkload() error {
 	if !tt.s.evictKey([]byte("bk00")) {
 		return fmt.Errorf("deterministic evict of bk00 failed")
 	}
-	tt.histOf("bk00").dropped = true
+	tt.evict("bk00")
 	if !tt.s.DrainWriteBehind(5 * time.Second) {
 		return fmt.Errorf("write-behind drain stalled")
 	}
@@ -130,7 +126,9 @@ func (tt *torture) backendWorkload() error {
 	if n := tt.mock.LoadsFor("bk00"); n != before+1 {
 		return fmt.Errorf("herd generation made %d backend loads, want 1", n-before)
 	}
-	tt.recordResident("bk00")
+	if v, ok := tt.s.tree.Get([]byte("bk00")); ok { // some goroutine's flight did the install
+		tt.loaded("bk00", v)
+	}
 	if err := tt.ack(); err != nil {
 		return err
 	}
@@ -150,7 +148,7 @@ func (tt *torture) backendWorkload() error {
 	if !tt.s.evictKey([]byte("w00")) {
 		return fmt.Errorf("deterministic evict of w00 failed")
 	}
-	tt.histOf("w00").dropped = true
+	tt.evict("w00")
 	if !tt.s.DrainWriteBehind(5 * time.Second) {
 		return fmt.Errorf("outage drain stalled (failed spills must still complete)")
 	}
@@ -217,15 +215,15 @@ func attach(cfg *Config, b backend.Backend) {
 
 // verifyBackend re-opens one crash image with the (healed) backend attached
 // and checks the read-through integration: a key the backend still holds
-// loads back carrying only data the live store actually applied.
+// loads back carrying only the columns of a state the model computed.
 func (tt *torture) verifyBackend(img *vfs.MemFS, label string) {
 	label += "/read-through"
 	r := tt.reopen(img, label, func(cfg *Config) { attach(cfg, tt.mock) })
 	defer r.Close()
 	ss := r.Session(0)
+	written := tt.ref.Written()
 	for _, k := range []string{"bk00", "bk03", "w00", "heal"} {
-		h := tt.hist[k]
-		if h == nil {
+		if !slices.Contains(written, k) {
 			continue // the crash aborted the workload before this key existed
 		}
 		v, _, err := ss.GetOrLoad(context.Background(), []byte(k))
@@ -235,9 +233,8 @@ func (tt *torture) verifyBackend(img *vfs.MemFS, label string) {
 		if v == nil {
 			continue // absent upstream and dropped locally — a legal clean drop
 		}
-		got := joinCols(v.Cols())
-		if !slices.ContainsFunc(h.states, func(st kvState) bool { return !st.tomb && st.data == got }) {
-			fatalDump(tt.t, r, "%s: key %q read %q after recovery, matching no applied state", label, k, got)
+		if !tt.ref.Held(k, v.Cols()) {
+			fatalDump(tt.t, r, "%s: key %q read %q after recovery, the columns of no state the model computed", label, k, v.Cols())
 		}
 	}
 }

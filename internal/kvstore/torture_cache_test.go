@@ -12,47 +12,35 @@ import (
 
 // Cache-mode crash torture: the crash-at-every-boundary harness with the
 // maintenance loop's eviction and TTL sweep running (invoked
-// deterministically) between write phases. The model extends the base
-// invariants:
+// deterministically) between write phases. The invariants extend the base
+// ones:
 //
 //   - Evictions and expirations are clean drops (no WAL record), so a
 //     dropped key may legally be ABSENT after recovery (its checkpoint
-//     omits it and pre-checkpoint records do not replay) or PRESENT at an
-//     applied state (its log record replayed) — but never at a state that
-//     mixes versions and data, and never below the acknowledged state when
-//     it is present.
+//     omits it and pre-checkpoint records do not replay) or PRESENT at a
+//     state the model computed (its log record replayed) — but never at a
+//     state that mixes versions and data, and never below the acknowledged
+//     state when it is present.
 //   - A key never dropped keeps the full guarantee: crash during eviction
 //     must not lose any acked write of a non-evicted key.
 //
 // The observation point is the live store right after each maintenance
-// pass: any tracked key whose last applied state is not a tombstone and
-// that no longer appears in the raw tree was dropped by the pass.
+// pass: any key the model holds a value for that no longer appears in the
+// raw tree was dropped by the pass.
 
 // tortureCacheMaxBytes keeps ~half of the phase-1 population resident, so
 // every maintenance pass actually evicts.
 const tortureCacheMaxBytes = 8 << 10
 
-// observeDrops marks histories whose keys the maintenance pass just
+// observeDrops tells the model which keys the maintenance pass just
 // dropped (evicted or swept). The raw tree is inspected so lazy expiry
 // cannot mask a physically-present key.
 func (tt *torture) observeDrops() {
-	for k, h := range tt.hist {
-		if len(h.states) == 0 || h.states[len(h.states)-1].tomb || h.dropped {
-			continue
-		}
+	for _, k := range tt.ref.Written() {
 		if _, ok := tt.s.tree.Get([]byte(k)); !ok {
-			h.dropped = true
+			tt.ref.Evict(k) // a no-op for a key removed or dropped before
 		}
 	}
-}
-
-// putTTL applies a TTL put and records the resulting state from its inputs
-// (an already-expired put is invisible to Get, so reading back would fail).
-func (tt *torture) putTTL(key, val string, expiresAt uint64) {
-	h := tt.histOf(key)
-	ver := tt.sess[h.worker].PutTTL([]byte(key), []value.ColPut{{Col: 0, Data: []byte(val)}}, expiresAt)
-	h.states = append(h.states, kvState{ver: ver, data: val})
-	h.dropped = false
 }
 
 // cacheWorkload drives puts, TTL puts, removes, checkpoints, and explicit
@@ -105,13 +93,13 @@ func (tt *torture) cacheWorkload() error {
 	}
 	// A multi-column value, deterministically evicted, then partially
 	// re-put: the insert record (wal.OpInsert) must keep replay from
-	// merging the dropped value's other column back in — the exact-state
-	// check catches any mixing at every crash boundary.
+	// merging the dropped value's other column back in — the model's
+	// state check catches any mixing at every crash boundary.
 	tt.put("mc", value.ColPut{Col: 0, Data: []byte("mc-c0")}, value.ColPut{Col: 1, Data: []byte("mc-c1")})
 	if !tt.s.evictKey([]byte("mc")) {
 		return fmt.Errorf("deterministic evict of mc failed")
 	}
-	tt.histOf("mc").dropped = true
+	tt.evict("mc")
 	tt.putSimple("mc", "mc-fresh-col0-only")
 	if err := tt.ack(); err != nil {
 		return err
@@ -131,7 +119,7 @@ func cacheMode(cfg *Config) { cfg.MaxBytes = tortureCacheMaxBytes }
 
 // verifyCacheMode re-opens one crash image in cache mode and checks the
 // cache-specific guarantees: the byte bound holds before Open returns, and
-// every surviving key carries an exact applied state (recovery-time
+// every surviving key carries a state the model computed (recovery-time
 // eviction makes absence unfalsifiable, so only presence is checked).
 func (tt *torture) verifyCacheMode(img *vfs.MemFS, label string) {
 	label += "/cache-mode"
@@ -140,14 +128,14 @@ func (tt *torture) verifyCacheMode(img *vfs.MemFS, label string) {
 	if live := r.CacheStats().BytesLive; live > tortureCacheMaxBytes {
 		fatalDump(tt.t, r, "%s: recovered bytes_live %d exceeds the %d bound", label, live, tortureCacheMaxBytes)
 	}
-	tt.exact(r, label) // presence only; rollbacks are the plain image's verdict
+	tt.judge(r, label, true, false) // presence only; rollbacks are the plain image's verdict
 }
 
 // TestCrashTortureEviction enumerates every filesystem boundary of the
 // cache-mode workload — eviction and sweep passes interleaved with acks and
 // checkpoints — and crashes at each one: no acked non-dropped write is ever
-// lost, dropped keys recover only to exact applied states, and the bound
-// re-establishes on recovery.
+// lost, dropped keys recover only to states the model computed, and the
+// bound re-establishes on recovery.
 func TestCrashTortureEviction(t *testing.T) {
 	crashRun{
 		workers: 1, parts: 1,

@@ -3,12 +3,12 @@ package kvstore
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -17,50 +17,34 @@ import (
 // The crash-point torture harness: run a workload over the injectable
 // filesystem, kill the store at every write/fsync/rename boundary, recover
 // from every legal post-crash disk image, and check the recovered store
-// against a model of acknowledged writes. One crashRun is one
+// against the reference model (internal/model). One crashRun is one
 // configuration — its store, its workload and at most one check of its
 // own — and every configuration gets every boundary and every image.
 //
-// Model invariants, per key:
+// The model computes each write's state from the write's own inputs — its
+// columns, the version the store drew, the expiry — and the store's
+// read-back is held to that state on the spot. Invariants, per key:
 //   - No lost acks: the recovered state is never older than the last
 //     acknowledged state (a write is acknowledged once a Flush with
 //     SyncWrites, or a completed checkpoint, covered it).
 //   - No resurrections: keys never written do not appear; acknowledged
 //     removes stay removed (unless a later applied write re-created the
 //     key).
-//   - Exact states only: a recovered value's (version, columns) must
-//     exactly equal some state the live store actually produced — versions
-//     never mix with other states' data.
+//   - States the model computed only: a recovered value's version, expiry
+//     and columns must exactly equal some state the model computed for the
+//     key — versions never mix with other states' data.
+//
+// Evictions and the TTL sweep are clean drops, and the model cannot predict
+// them: a workload that runs them observes which keys went and tells the
+// model (model.Evict). A dropped key may be absent after a crash.
 //
 // The vanished-log images remove one worker's log files wholesale. There
 // the first invariant weakens: a rollback below an acknowledged state is
 // legal only if recovery accounted for it (RecoveryStats.BrokenChains or
 // MissingLogs). The other two hold on every image.
 
-// kvState is one applied state of a key.
-type kvState struct {
-	ver  uint64
-	data string // all columns joined; "" plus tomb for removals
-	tomb bool
-}
-
-type keyHist struct {
-	worker int
-	states []kvState
-	acked  int // index of the last acknowledged state; -1 if none
-	// dropped marks a key the cache-mode maintenance passes evicted or
-	// expired (observed against the live tree). Drops are clean — never
-	// logged — so after a crash the key may be absent (checkpoint omitted
-	// it, pre-checkpoint records skip replay) or present at an applied
-	// state (its log record replayed); absence is not a lost ack.
-	dropped bool
-}
-
 type torture struct {
-	t       *testing.T
-	s       *Store
-	sess    []*Session // one per simulated worker
-	hist    map[string]*keyHist
+	mirror  // of the store the workload drives, one session per simulated worker
 	workers int
 	parts   int
 	images  int // crash images recovered so far
@@ -157,7 +141,7 @@ func (cr crashRun) run(t *testing.T, crashAt int) (crashed bool, images int) {
 	mem := vfs.NewMemFS()
 	fault := vfs.NewFault(mem)
 	fault.CrashAt(crashAt)
-	tt := &torture{t: t, hist: map[string]*keyHist{}, workers: cr.workers, parts: cr.parts}
+	tt := &torture{mirror: mirror{t: t, ref: model.NewHistory(), worker: map[string]int{}}, workers: cr.workers, parts: cr.parts}
 	cfg := tortureConfig(fault, cr.workers, cr.parts)
 	if cr.start != nil {
 		cr.start(tt, &cfg)
@@ -174,7 +158,7 @@ func (cr crashRun) run(t *testing.T, crashAt int) (crashed bool, images int) {
 		}
 		// Close is part of the tortured op stream too (flushes and marks).
 		if cerr := tt.s.Close(); cerr == nil && !fault.Crashed() {
-			tt.promote() // clean shutdown acknowledges everything
+			tt.ref.Ack() // clean shutdown acknowledges everything
 		}
 	}
 	image := func(keep func(vfs.DirOp) bool) *vfs.MemFS {
@@ -197,105 +181,7 @@ func (cr crashRun) run(t *testing.T, crashAt int) (crashed bool, images int) {
 }
 
 // open starts the workload on s with one session per simulated worker.
-func (tt *torture) open(s *Store) {
-	tt.s = s
-	tt.sess = make([]*Session, tt.workers)
-	for w := range tt.sess {
-		tt.sess[w] = s.Session(w)
-	}
-}
-
-func (tt *torture) histOf(key string) *keyHist {
-	h := tt.hist[key]
-	if h == nil {
-		// put/remove pin a key to this default worker; the multi-writer
-		// schedules (putW/removeW) override it per op, deliberately
-		// spreading one key's records across logs.
-		h = &keyHist{worker: len(tt.hist) % tt.workers, acked: -1}
-		tt.hist[key] = h
-	}
-	return h
-}
-
-// putW writes key through worker and records the state it reads back.
-func (tt *torture) putW(worker int, key string, puts ...value.ColPut) {
-	h := tt.histOf(key)
-	h.worker = worker
-	ss := tt.sess[worker]
-	ver := ss.Put([]byte(key), puts)
-	v, ok := ss.GetValue([]byte(key))
-	if !ok {
-		fatalDump(tt.t, tt.s, "key %q vanished right after put", key)
-	}
-	h.states = append(h.states, kvState{ver: ver, data: joinCols(v.Cols())})
-	h.dropped = false // present again, whatever a maintenance pass did before
-}
-
-func (tt *torture) put(key string, puts ...value.ColPut) {
-	tt.putW(tt.histOf(key).worker, key, puts...)
-}
-
-func (tt *torture) putSimple(key, val string) {
-	tt.put(key, value.ColPut{Col: 0, Data: []byte(val)})
-}
-
-// removeW removes key through worker.
-func (tt *torture) removeW(worker int, key string) {
-	h := tt.histOf(key)
-	h.worker = worker
-	if tt.sess[worker].Remove([]byte(key)) {
-		h.states = append(h.states, kvState{tomb: true})
-	}
-}
-
-func (tt *torture) remove(key string) {
-	tt.removeW(tt.histOf(key).worker, key)
-}
-
-// frame applies ops through worker as one mixed segment, the way the server
-// executes a frame's stretch of gets and puts (Session.PointBatchInto), and
-// brings the model along. A put's state is the version the frame reported
-// and the columns its own next get of the key read — or the store's, if the
-// put was the frame's last word on the key — so a frame that writes a key
-// twice must read it in between. A get is held to the state the model says
-// it follows, which is the frame-order contract.
-func (tt *torture) frame(worker int, ops ...frameOp) {
-	sess := tt.sess[worker]
-	res := runFrame(sess, ops)
-	for i, op := range ops {
-		h := tt.histOf(op.key)
-		if op.puts == nil {
-			want := kvState{tomb: true}
-			if n := len(h.states); n > 0 {
-				want = h.states[n-1]
-			}
-			if got := res[i]; got.found == want.tomb || got.found && (got.ver != want.ver || got.data != want.data) {
-				fatalDump(tt.t, tt.s, "frame op %d: get of %q read %+v, the model's last state is %+v", i, op.key, got, want)
-			}
-			continue
-		}
-		h.worker = worker
-		st, read := kvState{ver: res[i].ver}, false
-		for j := i + 1; j < len(ops) && !read; j++ {
-			if ops[j].key != op.key {
-				continue
-			}
-			if ops[j].puts != nil {
-				fatalDump(tt.t, tt.s, "frame op %d: %q is put again at op %d with no get between", i, op.key, j)
-			}
-			st.data, read = res[j].data, true
-		}
-		if !read {
-			v, ok := sess.GetValue([]byte(op.key))
-			if !ok {
-				fatalDump(tt.t, tt.s, "key %q vanished right after its frame", op.key)
-			}
-			st.data = joinCols(v.Cols())
-		}
-		h.states = append(h.states, st)
-		h.dropped = false
-	}
-}
+func (tt *torture) open(s *Store) { tt.s, tt.sess = s, sessions(s, tt.workers) }
 
 // ack makes everything applied so far durable: a timestamp mark in every
 // log (so no idle log pins the recovery cutoff) followed by a synced
@@ -305,14 +191,8 @@ func (tt *torture) ack() error {
 	if err := tt.s.Flush(); err != nil {
 		return err
 	}
-	tt.promote()
+	tt.ref.Ack()
 	return nil
-}
-
-func (tt *torture) promote() {
-	for _, h := range tt.hist {
-		h.acked = len(h.states) - 1
-	}
 }
 
 // ckpt checkpoints; on success everything applied before it is durable
@@ -321,7 +201,7 @@ func (tt *torture) ckpt() error {
 	if _, _, err := tt.s.CheckpointN(tt.parts); err != nil {
 		return err
 	}
-	tt.promote()
+	tt.ref.Ack()
 	return nil
 }
 
@@ -355,9 +235,14 @@ func (tt *torture) workload() error {
 	tt.remove("shared-long-prefix-0002")
 	tt.put("twigpair-a", value.ColPut{Col: 1, Data: []byte("r2-a-c1")})
 	tt.remove("twigpair-b")
+	// A partial-column put over a value that has lapsed but is still in the
+	// tree (no sweep runs here): it builds on nothing, so the lapsed column 0
+	// must not come back, live or after a crash.
+	tt.putTTL("lapsed", "r2-dead", uint64(time.Now().Add(-time.Second).UnixNano()))
+	tt.put("lapsed", value.ColPut{Col: 1, Data: []byte("r2-c1")})
 	// A mixed frame over the same state: a same-key put pair of partial
 	// columns with a get between, a get of a removed key, an insert.
-	tt.frame(tt.histOf("k04").worker,
+	tt.frame(tt.workerOf("k04"),
 		getOp("k04"), putOp("k04", value.ColPut{Col: 1, Data: []byte("f2-c1")}), getOp("k04"),
 		putOp("k04", value.ColPut{Col: 0, Data: []byte("f2-c0")}),
 		putOp("shared-long-prefix-0003", value.ColPut{Col: 2, Data: []byte("f2L")}), getOp("k07"),
@@ -381,7 +266,7 @@ func (tt *torture) workload() error {
 	}
 	tt.remove("k01")
 	tt.remove("twigpair-a")
-	tt.frame(tt.histOf("k08").worker,
+	tt.frame(tt.workerOf("k08"),
 		putOp("k08", value.ColPut{Col: 1, Data: []byte("f4-c1")}), getOp("k01"), getOp("k08"),
 		putOp("k08", value.ColPut{Col: 2, Data: []byte("f4-c2")}), putOp("k01", value.ColPut{Col: 0, Data: []byte("f4-reborn")}))
 	if err := tt.ack(); err != nil {
@@ -390,7 +275,7 @@ func (tt *torture) workload() error {
 	// Phase 5: applied but never acknowledged (may or may not survive).
 	tt.putSimple("k00", "r5-pending")
 	tt.putSimple("pending-new", "r5-new")
-	tt.frame(tt.histOf("k02").worker,
+	tt.frame(tt.workerOf("k02"),
 		putOp("k02", value.ColPut{Col: 1, Data: []byte("f5-pending")}), getOp("k02"),
 		putOp("k02", value.ColPut{Col: 0, Data: []byte("f5-pending-too")}))
 	return nil
@@ -429,68 +314,44 @@ func (tt *torture) vanish(img *vfs.MemFS, worker int, label string) *vfs.MemFS {
 	return img
 }
 
-// verify recovers img and holds it to the model. With accounted set (a
-// vanished-log image) a rollback below an acknowledged state is legal
-// only when recovery reports broken chains or missing logs.
-func (tt *torture) verify(img *vfs.MemFS, label string, accounted bool) {
+// verify recovers img and holds it to the model. On a vanished-log image
+// a rollback below an acknowledged state is legal only when recovery
+// reports broken chains or missing logs.
+func (tt *torture) verify(img *vfs.MemFS, label string, vanished bool) {
 	r := tt.reopen(img, label, nil)
 	defer r.Close()
-	rollback := tt.exact(r, label)
-	if rollback == "" {
-		rollback = tt.lost(r)
+	st := r.RecoveryStats()
+	accounted := vanished && (st.BrokenChains != 0 || st.MissingLogs != 0)
+	if vanished && !accounted {
+		label += " (recovery counted no broken chain and no missing log)"
 	}
-	if rollback == "" {
-		return
-	}
-	if !accounted {
-		fatalDump(tt.t, r, "%s: %s", label, rollback)
-	}
-	if st := r.RecoveryStats(); st.BrokenChains == 0 && st.MissingLogs == 0 {
-		fatalDump(tt.t, r, "%s: %s, with no broken_chains/missing_logs accounting", label, rollback)
-	}
+	tt.judge(r, label, accounted, true)
 }
 
-// exact scans r and fails the run on a key that was never written or
-// whose (version, columns) is no state the live store applied. It returns
-// the first key recovered below its acknowledged state, "" if none.
-func (tt *torture) exact(r *Store, label string) (rollback string) {
+// judge holds every key r recovered, lapsed or not, to the model's rule for
+// recovered states, and with absent set every key the model wrote that r
+// does not hold too. rollbackOK forgives a state below the acknowledged one.
+func (tt *torture) judge(r *Store, label string, rollbackOK, absent bool) {
+	held := map[string]bool{}
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		h := tt.hist[string(k)]
-		if h == nil {
-			fatalDump(tt.t, r, "%s: recovered key %q that was never written", label, k)
-		}
-		idx := slices.IndexFunc(h.states, func(st kvState) bool { return !st.tomb && st.ver == v.Version() })
-		if idx < 0 {
-			fatalDump(tt.t, r, "%s: key %q recovered at version %d, matching no applied state", label, k, v.Version())
-		}
-		if got := joinCols(v.Cols()); got != h.states[idx].data {
-			fatalDump(tt.t, r, "%s: key %q version %d recovered %q, applied state was %q (mixed columns)",
-				label, k, v.Version(), got, h.states[idx].data)
-		}
-		if idx < h.acked && rollback == "" {
-			rollback = fmt.Sprintf("key %q recovered state %d older than acknowledged state %d (lost ack)", k, idx, h.acked)
+		held[string(k)] = true
+		st := stateOf(v)
+		if err := tt.ref.Recovered(string(k), &st, rollbackOK); err != nil {
+			fatalDump(tt.t, r, "%s: %v", label, err)
 		}
 		return true
 	})
-	return rollback
-}
-
-// lost returns the first acknowledged key absent from r that neither a
-// remove at or after its ack nor a clean drop explains, "" if none.
-func (tt *torture) lost(r *Store) string {
-	rs := r.Session(0)
-	for k, h := range tt.hist {
-		if h.acked < 0 || h.dropped {
-			continue // never acknowledged, or clean-dropped: absence is legal
-		}
-		if slices.ContainsFunc(h.states[h.acked:], func(st kvState) bool { return st.tomb }) {
+	if !absent {
+		return
+	}
+	for _, k := range tt.ref.Written() {
+		if held[k] {
 			continue
 		}
-		if _, ok := rs.GetValue([]byte(k)); !ok {
-			return fmt.Sprintf("acknowledged key %q lost (acked state %d of %d)", k, h.acked, len(h.states))
+		if err := tt.ref.Recovered(k, nil, rollbackOK); err != nil {
+			fatalDump(tt.t, r, "%s: %v", label, err)
 		}
 	}
-	return ""
 }
 
 // TestCrashTortureEveryBoundary enumerates every filesystem boundary of

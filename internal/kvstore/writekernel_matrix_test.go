@@ -24,84 +24,60 @@ func (b matrixBase) String() string {
 	return [...]string{"absent", "live-same-worker", "live-other-worker", "expired"}[b]
 }
 
-// matrixCell is one (entry point, base) pair and what it must produce. The
-// write under test always goes through worker 0 and, where the entry point
-// takes columns, puts column 0 = "n0" over a base of [b0 b1]; loads carry
-// [L0 L1]; Touch and the TTL forms carry one far-future expiry.
+// matrixCell is one (entry point, base) pair and the record it must log.
+// The write under test always goes through worker 0 and, where the entry
+// point takes columns, puts column 0 = "n0" over a base of [b0 b1]; loads
+// carry [L0 L1]; Touch and the TTL forms carry one far-future expiry. What
+// a reader sees afterwards, and whether the write applies at all, is the
+// reference model's answer to the same inputs.
 type matrixCell struct {
-	entry   string
-	base    matrixBase
-	applied bool   // the write took effect (false: declined, nothing changes, nothing is logged)
-	cols    string // visible columns afterwards, "|"-joined; "" with !applied means unchanged
-	op      wal.Op // the record's op
-	linked  bool   // record's Prev is the base's version (false: 0 — an insert)
-	puts    string // the record's column set, "col=data" space-joined
+	entry  string
+	base   matrixBase
+	op     wal.Op // the record's op, when the write applies
+	linked bool   // record's Prev is the base's version (false: 0 — an insert)
+	puts   string // the record's column set, "col=data" space-joined
 }
 
 var matrixCells = []matrixCell{
-	{"Put", absentBase, true, "n0", wal.OpInsert, false, "0=n0"},
-	{"Put", sameWorkerBase, true, "n0|b1", wal.OpPut, true, "0=n0"},
-	{"Put", otherWorkerBase, true, "n0|b1", wal.OpInsert, false, "0=n0 1=b1"},
-	{"Put", expiredBase, true, "n0", wal.OpInsert, false, "0=n0"},
+	{"Put", absentBase, wal.OpInsert, false, "0=n0"},
+	{"Put", sameWorkerBase, wal.OpPut, true, "0=n0"},
+	{"Put", otherWorkerBase, wal.OpInsert, false, "0=n0 1=b1"},
+	{"Put", expiredBase, wal.OpInsert, false, "0=n0"},
 
-	{"PutTTL", absentBase, true, "n0", wal.OpInsertTTL, false, "0=n0"},
-	{"PutTTL", sameWorkerBase, true, "n0|b1", wal.OpPutTTL, true, "0=n0"},
-	{"PutTTL", otherWorkerBase, true, "n0|b1", wal.OpInsertTTL, false, "0=n0 1=b1"},
-	{"PutTTL", expiredBase, true, "n0", wal.OpInsertTTL, false, "0=n0"},
+	{"PutTTL", absentBase, wal.OpInsertTTL, false, "0=n0"},
+	{"PutTTL", sameWorkerBase, wal.OpPutTTL, true, "0=n0"},
+	{"PutTTL", otherWorkerBase, wal.OpInsertTTL, false, "0=n0 1=b1"},
+	{"PutTTL", expiredBase, wal.OpInsertTTL, false, "0=n0"},
 
-	{"Touch", absentBase, false, "", 0, false, ""},
-	{"Touch", sameWorkerBase, true, "b0|b1", wal.OpInsertTTL, false, "0=b0 1=b1"},
-	{"Touch", otherWorkerBase, true, "b0|b1", wal.OpInsertTTL, false, "0=b0 1=b1"},
-	{"Touch", expiredBase, false, "", 0, false, ""},
+	{"Touch", absentBase, 0, false, ""},
+	{"Touch", sameWorkerBase, wal.OpInsertTTL, false, "0=b0 1=b1"},
+	{"Touch", otherWorkerBase, wal.OpInsertTTL, false, "0=b0 1=b1"},
+	{"Touch", expiredBase, 0, false, ""},
 
-	{"CasPutHit", absentBase, true, "n0", wal.OpInsert, false, "0=n0"},
-	{"CasPutHit", sameWorkerBase, true, "n0|b1", wal.OpPut, true, "0=n0"},
-	{"CasPutHit", otherWorkerBase, true, "n0|b1", wal.OpInsert, false, "0=n0 1=b1"},
-	{"CasPutHit", expiredBase, true, "n0", wal.OpInsert, false, "0=n0"},
+	{"CasPutHit", absentBase, wal.OpInsert, false, "0=n0"},
+	{"CasPutHit", sameWorkerBase, wal.OpPut, true, "0=n0"},
+	{"CasPutHit", otherWorkerBase, wal.OpInsert, false, "0=n0 1=b1"},
+	{"CasPutHit", expiredBase, wal.OpInsert, false, "0=n0"},
 
-	{"CasPutMiss", absentBase, false, "", 0, false, ""},
-	{"CasPutMiss", sameWorkerBase, false, "", 0, false, ""},
-	{"CasPutMiss", otherWorkerBase, false, "", 0, false, ""},
-	{"CasPutMiss", expiredBase, false, "", 0, false, ""},
+	{"CasPutMiss", absentBase, 0, false, ""},
+	{"CasPutMiss", sameWorkerBase, 0, false, ""},
+	{"CasPutMiss", otherWorkerBase, 0, false, ""},
+	{"CasPutMiss", expiredBase, 0, false, ""},
 
-	{"installLoaded", absentBase, true, "L0|L1", wal.OpInsertTTL, false, "0=L0 1=L1"},
-	{"installLoaded", sameWorkerBase, false, "", 0, false, ""},
-	{"installLoaded", otherWorkerBase, false, "", 0, false, ""},
-	{"installLoaded", expiredBase, true, "L0|L1", wal.OpInsertTTL, false, "0=L0 1=L1"},
+	{"installLoaded", absentBase, wal.OpInsertTTL, false, "0=L0 1=L1"},
+	{"installLoaded", sameWorkerBase, 0, false, ""},
+	{"installLoaded", otherWorkerBase, 0, false, ""},
+	{"installLoaded", expiredBase, wal.OpInsertTTL, false, "0=L0 1=L1"},
 
 	// The batch is [k x k]: k's first entry is the cell proper, x is a
 	// bystander last logged by worker 0 whose one column the batch
 	// overwrites (an insert, however k is logged), and k's second entry is
-	// a duplicate to column 2 that must chain onto the first (a delta). cols
-	// is k's final state; op/linked/puts describe k's first record.
-	{"PutBatchInto", absentBase, true, "n0||d2", wal.OpInsert, false, "0=n0"},
-	{"PutBatchInto", sameWorkerBase, true, "n0|b1|d2", wal.OpPut, true, "0=n0"},
-	{"PutBatchInto", otherWorkerBase, true, "n0|b1|d2", wal.OpInsert, false, "0=n0 1=b1"},
-	{"PutBatchInto", expiredBase, true, "n0||d2", wal.OpInsert, false, "0=n0"},
-}
-
-// visible is what a reader can see of one key.
-type visible struct {
-	found   bool
-	cols    string
-	expiry  uint64
-	version uint64
-}
-
-func (v visible) String() string {
-	return fmt.Sprintf("{found=%v cols=%q expiry=%d version=%d}", v.found, v.cols, v.expiry, v.version)
-}
-
-func see(ss *Session, key []byte) visible {
-	v, ok := ss.GetValue(key)
-	if !ok {
-		return visible{}
-	}
-	cols := make([]string, v.NumCols())
-	for i := range cols {
-		cols[i] = string(v.Col(i))
-	}
-	return visible{true, strings.Join(cols, "|"), v.ExpiresAt(), v.Version()}
+	// a duplicate to column 2 that must chain onto the first (a delta).
+	// op/linked/puts describe k's first record.
+	{"PutBatchInto", absentBase, wal.OpInsert, false, "0=n0"},
+	{"PutBatchInto", sameWorkerBase, wal.OpPut, true, "0=n0"},
+	{"PutBatchInto", otherWorkerBase, wal.OpInsert, false, "0=n0 1=b1"},
+	{"PutBatchInto", expiredBase, wal.OpInsert, false, "0=n0"},
 }
 
 func fmtPuts(puts []value.ColPut) string {
@@ -123,8 +99,9 @@ func accountedBytes(s *Store) (n int64) {
 }
 
 // TestWriteKernelMatrix pins every write entry point against every kind of
-// base: the value a reader sees afterwards, the version's ordering, the exact
-// log record (an insert, from the puts or from every column of the published
+// base: the value a reader sees afterwards (the model's), the version's
+// ordering (the model refuses a version at or below the key's last), the
+// exact log record (an insert, from the puts or from every column of the published
 // value, vs a linked delta), that no record of the cell's store is an OpPut
 // with prev == 0, byte accounting, TTL-sweep arming, and that a restart
 // rebuilds the same state with no broken chain.
@@ -141,94 +118,66 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss := sessions(s, 2)
-	key, bystander := []byte("k"), []byte("x")
+	mr := newMirror(t, s, 2)
+	b0, b1 := col(0, "b0"), col(1, "b1")
 	future := nowNanos() + uint64(time.Hour)
-	baseCols := []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}
 	var baseVer uint64
 	switch c.base {
 	case sameWorkerBase:
-		baseVer = ss[0].Put(key, baseCols)
+		baseVer = mr.putW(0, "k", b0, b1)
 	case otherWorkerBase:
-		baseVer = ss[1].Put(key, baseCols)
+		baseVer = mr.putW(1, "k", b0, b1)
 	case expiredBase:
-		baseVer = ss[0].PutTTL(key, baseCols, nowNanos()-1)
+		baseVer = mr.putTTLW(0, "k", nowNanos()-1, b0, b1)
 	}
-	xVer := ss[0].PutSimple(bystander, []byte("x-old"))
+	xVer := mr.putW(0, "x", col(0, "x-old"))
 	s.ttlUsed.Store(false) // the expired base armed it; the cell must arm it itself
-	before := see(ss[0], key)
-	if live := c.base == sameWorkerBase || c.base == otherWorkerBase; before.found != live {
-		t.Fatalf("base set-up: key visible = %v", before.found)
-	}
+	before, _ := mr.ref.Get("k", nowNanos())
 
-	// Run the entry point. ver is the version it reports for key's (first)
-	// write, ok whether it reports having applied; wantTTL is the expiry the
-	// resulting value must carry.
-	n0 := []value.ColPut{{Col: 0, Data: []byte("n0")}}
+	// Run the entry point through the mirror, which holds what the store
+	// reports and reads back to the model's answer over the same inputs —
+	// whether the write applies, and what a reader sees afterwards, the
+	// bystander included. ver is the version of key's (first) write; wantTTL
+	// is the expiry the write carries.
+	n0 := col(0, "n0")
 	var ver, wantTTL uint64
-	var ok bool
+	applied := true
 	var batchVers []uint64
 	switch c.entry {
 	case "Put":
-		ver, ok = ss[0].Put(key, n0), true
+		ver = mr.putW(0, "k", n0)
 	case "PutTTL":
-		ver, ok, wantTTL = ss[0].PutTTL(key, n0, future), true, future
+		ver, wantTTL = mr.putTTLW(0, "k", future, n0), future
 	case "Touch":
-		ver, ok = ss[0].Touch(key, future)
+		ver, applied = mr.touchW(0, "k", future)
 		wantTTL = future
 	case "CasPutHit":
-		ver, ok = ss[0].CasPut(key, before.version, n0)
+		ver, applied = mr.casW(0, "k", before.Version, n0)
 	case "CasPutMiss":
-		ver, ok = ss[0].CasPut(key, before.version+1, n0)
-		if ver != before.version {
-			t.Errorf("conflict reports current version %d, want the visible %d", ver, before.version)
-		}
+		ver, applied = mr.casW(0, "k", before.Version+1, n0)
 	case "installLoaded":
-		got := s.installLoaded(0, key, [][]byte{[]byte("L0"), []byte("L1")}, future)
-		ver, ok, wantTTL = got.Version(), got.Version() != before.version, future
+		got := s.installLoaded(0, []byte("k"), [][]byte{[]byte("L0"), []byte("L1")}, future)
+		ver, wantTTL = got.Version(), future
+		applied = mr.ref.Install("k", ver, nowNanos(), future, []byte("L0"), []byte("L1"))
+		if installed := ver != before.Version; installed != applied {
+			t.Fatalf("the store installed = %v, the model %v", installed, applied)
+		}
+		mr.readBack("load", 0, "k")
 	case "PutBatchInto":
-		vers := ss[0].PutBatchInto([][]byte{key, bystander, key}, [][]value.ColPut{
-			n0, {{Col: 0, Data: []byte("x-new")}}, {{Col: 2, Data: []byte("d2")}},
-		})
-		batchVers = append(batchVers, vers...)
-		ver, ok = batchVers[0], true
+		batchVers = mr.batchW(0, []string{"k", "x", "k"}, []value.ColPut{n0}, []value.ColPut{col(0, "x-new")}, []value.ColPut{col(2, "d2")})
+		ver = batchVers[0]
 	default:
 		t.Fatalf("unknown entry %q", c.entry)
 	}
-	if ok != c.applied {
-		t.Fatalf("applied = %v, want %v", ok, c.applied)
-	}
-
-	after := see(ss[0], key)
-	if !c.applied {
-		if after != before {
-			t.Errorf("a declined write changed the key: %v -> %v", before, after)
-		}
-	} else {
-		finalVer := ver
-		if batchVers != nil {
-			finalVer = batchVers[2]
-			if batchVers[2] <= batchVers[0] {
-				t.Errorf("duplicate key's versions not increasing: %v", batchVers)
-			}
-		}
-		if want := (visible{true, c.cols, wantTTL, finalVer}); after != want {
-			t.Errorf("after the write: %v, want %v", after, want)
-		}
-		if ver <= baseVer {
-			t.Errorf("version %d not above the base's %d", ver, baseVer)
-		}
-		if floor := s.clock.removeFloor.Load(); ver <= floor {
-			t.Errorf("version %d not above the remove floor %d", ver, floor)
-		}
+	if floor := s.clock.removeFloor.Load(); applied && ver <= floor {
+		t.Errorf("version %d not above the remove floor %d", ver, floor)
 	}
 	if got, want := s.CacheStats().BytesLive, accountedBytes(s); got != want {
 		t.Errorf("BytesLive = %d, the tree holds %d", got, want)
 	}
-	if got, want := s.ttlUsed.Load(), c.applied && wantTTL != 0; got != want {
+	if got, want := s.ttlUsed.Load(), applied && wantTTL != 0; got != want {
 		t.Errorf("ttlUsed = %v, want %v", got, want)
 	}
-	xAfter := see(ss[0], bystander)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +211,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		}
 	}
 	wantWritten := 0
-	if c.applied {
+	if applied {
 		wantWritten = 1
 		prev := uint64(0)
 		if c.linked {
@@ -285,14 +234,8 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	rs := sessions(r, 1)[0]
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}
-	if got := see(rs, key); got != after {
-		t.Errorf("recovered %v, live store had %v", got, after)
-	}
-	if got := see(rs, bystander); got != xAfter {
-		t.Errorf("recovered bystander %v, live store had %v", got, xAfter)
-	}
+	mr.matches(r, "recovered")
 }

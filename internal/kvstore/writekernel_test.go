@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -36,18 +37,22 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 	if reads != 1 {
 		t.Errorf("the step read the clock %d times, want once", reads)
 	}
-	after := see(ss, key) // the new value carries no expiry, so the wall clock sees it
+	after, found := ss.GetValue(key) // the new value carries no expiry, so the wall clock sees it
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
-		if ver != 0 || after.found {
+		if ver != 0 || found {
 			t.Fatalf("conflict must report the key absent and leave it so: ver=%d %v", ver, after)
 		}
 		return
 	}
-	if want := (visible{true, "n0|b1", 0, ver}); after != want {
-		t.Fatalf("ok over a base live at the compare: %v, want %v (the base's columns kept)", after, want)
+	// The instant the step read: the base live at the compare.
+	ref := model.New()
+	ref.PutTTL("k", baseVer, 0, deadline, model.ColPut{Col: 0, Data: []byte("b0")}, model.ColPut{Col: 1, Data: []byte("b1")})
+	ref.CasPut("k", baseVer, ver, deadline-1, model.ColPut{Col: 0, Data: []byte("n0")})
+	if want, _ := ref.Get("k", deadline-1); !found || !stateOf(after).Equal(want) {
+		t.Fatalf("ok over a base live at the compare: %v, the model %v (the base's columns kept)", stateOf(after), want)
 	}
 	res, err := wal.RecoverDir(dir)
 	if err != nil {

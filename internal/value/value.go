@@ -60,12 +60,10 @@ import (
 //	 0  flags   u8   bit 0    an expiry follows the header
 //	                 bit 1    0: general
 //	                 bits 2-3 log2 of a column end's width in bytes (0, 1, 2)
-//	                 bit 4    bit 16 of the column count: the layout counts
-//	                          past what the formats do (see MaxCol)
-//	                 bits 5-7 reserved, zero
+//	                 bits 4-7 reserved, zero
 //	 1  version u64  full width: CasPut carries it on the wire
 //	 9  worker  u16  worker whose clock issued the version
-//	11  ncols   u16  low 16 bits of the column count
+//	11  ncols   u16  the column count, at most MaxCol+1
 //	13  expiry  u64  unix nanoseconds after which the value is dead; present
 //	                 only when flags bit 0 is set (absent = never)
 //	13|21  end[ncols]  cumulative column end offsets into the data section,
@@ -86,7 +84,6 @@ const (
 	flagExpiry     = 1 << 0
 	flagCompact    = 1 << 1
 	flagEndShift   = 2 // bits 2-3, general
-	flagNColsHigh  = 4 // bit 4, general
 	flagWidthShift = 2 // bits 2-7, compact
 
 	// compactSize is the compact header's size, compactVersionShift where in
@@ -108,9 +105,10 @@ const (
 	// not run, or replay the log of, a worker beyond it: an aliased tag
 	// would hide a cross-log handoff from the write kernel.
 	MaxWorker = 1<<16 - 1
-	// maxCols and maxData are the layout's other two limits; the wire
-	// reaches MaxCol+1 columns and wire.MaxMessage bytes, far inside both.
-	maxCols = 1<<17 - 1
+	// maxCols and maxData are the layout's other two limits: as many
+	// columns as the formats can count, and as many bytes as a 4-byte end
+	// can reach, far past wire.MaxMessage.
+	maxCols = MaxCol + 1
 	maxData = 1<<32 - 1
 
 	// MaxCol is the highest column a put from outside may name. The log
@@ -169,7 +167,7 @@ func (v *Value) layout() (table, data int, shift uint, ncols int) {
 	}
 	table = hdrSize + int(f&flagExpiry)*expirySize
 	shift = uint(f>>flagEndShift) & 3
-	ncols = int(binary.LittleEndian.Uint16(v.head(hdrSize)[offNCols:])) | int(f>>flagNColsHigh&1)<<16
+	ncols = int(binary.LittleEndian.Uint16(v.head(hdrSize)[offNCols:]))
 	return table, table + ncols<<shift, shift, ncols
 }
 
@@ -263,7 +261,7 @@ func alloc(version uint64, worker uint32, expiry uint64, ncols, width, dataLen i
 		table = hdrSize + exp
 		data = table + ncols<<shift
 		b = make([]byte, data+dataLen)
-		b[offFlags] = flags | byte(shift<<flagEndShift) | byte(ncols>>16)<<flagNColsHigh
+		b[offFlags] = flags | byte(shift<<flagEndShift)
 		binary.LittleEndian.PutUint64(b[offVersion:], version)
 		binary.LittleEndian.PutUint16(b[offWorker:], uint16(worker))
 		binary.LittleEndian.PutUint16(b[offNCols:], uint16(ncols))

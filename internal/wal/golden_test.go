@@ -64,7 +64,7 @@ func TestLogBytesGolden(t *testing.T) {
 		}
 	}
 
-	res, err := RecoverDirFS(mem, "d")
+	res, err := RecoverDirAboveFS(mem, "d", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

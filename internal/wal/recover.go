@@ -48,11 +48,6 @@ func ListLogFilesFS(fsys vfs.FS, dir string) ([]LogFile, error) {
 	return out, nil
 }
 
-// ListLogFiles is ListLogFilesFS on the real filesystem.
-func ListLogFiles(dir string) ([]LogFile, error) {
-	return ListLogFilesFS(vfs.OS{}, dir)
-}
-
 // RecoveryResult is the outcome of scanning a log directory.
 type RecoveryResult struct {
 	// Records holds all surviving records (timestamp <= Cutoff): each
@@ -83,8 +78,9 @@ type RecoveryResult struct {
 	MissingLogs int
 }
 
-// RecoverDirFS reads every log file in dir and computes the recovery
-// cutoff. Log files are read and parsed concurrently (one goroutine per
+// RecoverDirAboveFS reads every log file in dir and computes the recovery
+// cutoff, considering only records with timestamps above floor (0: all of
+// them). Log files are read and parsed concurrently (one goroutine per
 // file) so a multi-log restart uses every core, mirroring the paper's
 // parallel log replay.
 //
@@ -93,12 +89,8 @@ type RecoveryResult struct {
 // replayed. A worker whose current-generation log is empty contributes no
 // constraint: it durably logged nothing, so it cannot have acknowledged
 // anything that others would depend on.
-func RecoverDirFS(fsys vfs.FS, dir string) (*RecoveryResult, error) {
-	return RecoverDirAboveFS(fsys, dir, 0)
-}
-
-// RecoverDirAboveFS is RecoverDirFS considering only records with
-// timestamps above floor for both the surviving set and the cutoff
+//
+// The floor applies to both the surviving set and the cutoff
 // computation. The store passes the loaded (manifest-format) checkpoint's
 // start timestamp: every record at or below it is fully reflected in the
 // checkpoint, so such records neither need replaying nor constitute
@@ -212,9 +204,9 @@ func RecoverDirAboveFS(fsys vfs.FS, dir string, floor uint64) (*RecoveryResult, 
 	return res, nil
 }
 
-// RecoverDir is RecoverDirFS on the real filesystem.
+// RecoverDir is RecoverDirAboveFS of every record on the real filesystem.
 func RecoverDir(dir string) (*RecoveryResult, error) {
-	return RecoverDirFS(vfs.OS{}, dir)
+	return RecoverDirAboveFS(vfs.OS{}, dir, 0)
 }
 
 // Mark appends a timestamp heartbeat to every log (see OpMark).

@@ -48,7 +48,7 @@ func TestTwoLogsReplayAsOneStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := RecoverDirFS(mem, dir)
+	res, err := RecoverDirAboveFS(mem, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestMissingLogDetection(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RecoverDirFS(mem, dir)
+	res, err := RecoverDirAboveFS(mem, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMissingLogDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.SyncDir(dir)
-	res, err = RecoverDirFS(mem, dir)
+	res, err = RecoverDirAboveFS(mem, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMissingLogDetection(t *testing.T) {
 	if err := set2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = RecoverDirFS(mem2, dir)
+	res, err = RecoverDirAboveFS(mem2, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

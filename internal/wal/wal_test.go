@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/value"
+	"repro/internal/vfs"
 )
 
 // insertOne appends one insert record as a batch of one.
@@ -189,7 +190,7 @@ func TestRotateAndDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	set.Close()
-	files, _ := ListLogFiles(dir)
+	files, _ := ListLogFilesFS(vfs.OS{}, dir)
 	if len(files) != 1 || files[0].Gen != gen {
 		t.Fatalf("files after drop: %+v", files)
 	}
