@@ -117,6 +117,8 @@ func TestLayout(t *testing.T) {
 		{name: "an overwrite that shrinks the data narrows the ends again",
 			old: func() *Value { return BuildAt(nil, []ColPut{{Col: 0, Data: filled(70000)}, {Col: 1}}, 1, 0) }, puts: one(8),
 			size: 13 + 2 + 8, class: 24},
+		{name: "column 65534 makes the most columns the u16 count holds",
+			puts: []ColPut{{Col: MaxCol, Data: filled(1)}}, size: 13 + 1<<16 - 1 + 1, class: 9 * 8192},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var old *Value
