@@ -388,7 +388,8 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 					if taken < 40 {
 						last = "\xff" // the scan reached the end of the tree
 					}
-					for _, p := range stableKeys.Range(string(start), stableKeys.Len(), 0) {
+					// taken+1 stable keys reach past last or find one missing.
+					for _, p := range stableKeys.Range(string(start), taken+1, 0) {
 						if p.Key > last {
 							break
 						}

@@ -17,10 +17,7 @@ import (
 // disabled, so AllocsPerRun measurements see only the operation under test.
 func newAllocTestStore(t *testing.T, nkeys int) *Store {
 	t.Helper()
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	t.Cleanup(func() { s.Close() })
 	sess := s.Session(0)
 	for i := 0; i < nkeys; i++ {
@@ -139,10 +136,7 @@ func TestPutSimpleAllocs(t *testing.T) {
 // log's kick level, so no background flush swaps a buffer here; what a put
 // costs at the volume where they do is TestPutBatchVolumeAllocBytes' to pin.
 func TestPutSimpleLoggedAllocs(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1})
 	t.Cleanup(func() { s.Close() })
 	sess := s.Session(0)
 	key := []byte("logged-alloc-key")
@@ -251,10 +245,7 @@ func TestPointBatchIntoAllocs(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	logged, err := Open(Config{Dir: "d", FS: nullDevice{mem}, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logged := mustOpen(t, Config{Dir: "d", FS: nullDevice{mem}, MaintainEvery: -1})
 	t.Cleanup(func() { logged.Close() })
 	for name, s := range map[string]*Store{"unlogged": newAllocTestStore(t, 1000), "logged": logged} {
 		sess := s.Session(0)
@@ -544,10 +535,7 @@ func TestPutBatchVolumeAllocBytes(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Config{Dir: "d", FS: nullDevice{mem}, Workers: 2, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: "d", FS: nullDevice{mem}, Workers: 2, MaintainEvery: -1})
 	t.Cleanup(func() { s.Close() })
 	const batch = 16
 	const nkeys = 255 * batch // an odd number of batches: the batch-to-worker pattern shifts every cycle

@@ -69,10 +69,7 @@ func TestGetBatchAllColumns(t *testing.T) {
 // of its own loads; one goroutine never makes that, and the concurrent phase
 // reaches the window only by the scheduler's luck.
 func TestTreeCountersReadNonZero(t *testing.T) {
-	s, err := Open(Config{Workers: 2, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 2, MaintainEvery: -1})
 	t.Cleanup(func() { s.Close() })
 	ss := sessions(s, 1)[0]
 	put := func(k string) { ss.PutSimple([]byte(k), []byte(k)) }

@@ -24,10 +24,7 @@ func putSimpleTTL(ss *Session, key, data []byte, expiresAt uint64) uint64 {
 // sweep runs, a TTL-free put clears the expiry, and Touch
 // extends and declines correctly.
 func TestTTLLazyExpiry(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	mr := newMirror(t, s, 1)
 	sess := mr.sess[0]
@@ -70,10 +67,7 @@ func TestTTLLazyExpiry(t *testing.T) {
 // lapsed keys (clean drop: Len shrinks, expirations counted) while leaving
 // live and TTL-free keys alone, across multiple incremental batches.
 func TestTTLSweepRemoves(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	sess := s.Session(0)
 	past := nowNanos() - 1
@@ -144,10 +138,7 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 // value's, or log replay would apply the re-insert below the old put's
 // version guard and lose it.
 func TestEvictionVersionMonotonic(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1, MaxBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1, MaxBytes: 1 << 20})
 	defer s.Close()
 	mr := newMirror(t, s, 1)
 	mr.putW(0, "k", col(0, "a"))
@@ -174,10 +165,7 @@ func TestCacheBoundZipfian(t *testing.T) {
 		workers  = 2
 		opsPer   = 160_000
 	)
-	s, err := Open(Config{Workers: workers, MaintainEvery: time.Millisecond, MaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: workers, MaintainEvery: time.Millisecond, MaxBytes: maxBytes})
 	closed := false
 	defer func() {
 		if !closed {
@@ -277,10 +265,7 @@ func TestCacheKeepsZipfHeadResident(t *testing.T) {
 	// The maintenance pass runs every maintainOps operations rather than on a
 	// timer, so the hit rate is a function of the trace alone. The cadence
 	// keeps each drain within the access ring's 256 slots.
-	s, err := Open(Config{Workers: 1, MaintainEvery: -1, MaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 1, MaintainEvery: -1, MaxBytes: maxBytes})
 	sess := s.Session(0)
 	val := make([]byte, valSize)
 	future := nowNanos() + uint64(time.Hour)
@@ -335,10 +320,7 @@ func TestCacheKeepsZipfHeadResident(t *testing.T) {
 func TestCacheRecoveryReenforcesBound(t *testing.T) {
 	dir := t.TempDir()
 	const maxBytes = 1 << 20
-	s, err := Open(Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
 	val := make([]byte, 4096)
 	ss := s.Session(0)
 	for i := 0; i < 1024; i++ { // ~4 MiB, 4x over the reopen budget
@@ -347,10 +329,7 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: maxBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: maxBytes})
 	defer r.Close()
 	st := r.CacheStats()
 	if st.BytesLive > maxBytes {
@@ -381,10 +360,7 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 // (the packed value; ring arenas are amortized), a warmed GetValue with
 // AppendCols stays at zero.
 func TestCacheModeAllocs(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1, MaxBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1, MaxBytes: 1 << 30})
 	defer s.Close()
 	sess := s.Session(0)
 	key := []byte("cache-alloc-key")
@@ -456,10 +432,7 @@ func TestCacheReadsFeedThePolicy(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s, err := Open(Config{MaintainEvery: -1, MaxBytes: 32 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mustOpen(t, Config{MaintainEvery: -1, MaxBytes: 32 << 10})
 			defer s.Close()
 			ss := sessions(s, 1)[0]
 			read, unread := []byte("read"), []byte("unread")

@@ -17,10 +17,7 @@ func col0(data string) []value.ColPut {
 // stale expectation, an absent key and a remove; the model says which
 // applies and which version each conflict reports.
 func TestCasPutSemantics(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	mr := newMirror(t, s, 1)
 	v1, _ := mr.casW(0, "counter", 0, col(0, "one")) // expect-absent on an absent key: atomic create
@@ -56,10 +53,7 @@ func TestCasPutRecovery(t *testing.T) {
 // exactly once (no lost updates), the defining linearizability property of
 // compare-and-swap. Run with -race in CI.
 func TestCasPutConcurrentIncrement(t *testing.T) {
-	s, err := Open(Config{Workers: 4, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Workers: 4, MaintainEvery: -1})
 	defer s.Close()
 	key := []byte("ctr")
 	ss := sessions(s, 1)[0]

@@ -6,39 +6,48 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/value"
 )
 
 // TestConcurrentSessionsWithLogging runs several sessions writing and
-// reading concurrently with logging on, plus checkpoints, then verifies the
-// store and a recovered copy agree.
+// reading concurrently with logging on, plus checkpoints. Each worker writes
+// only its own keys, so each key's final state is what its worker's model
+// computes from the worker's operations; the live store and a recovered
+// copy are both held to the union of those models.
 func TestConcurrentSessionsWithLogging(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 4, FlushInterval: 2 * time.Millisecond, MaintainEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 4, FlushInterval: 2 * time.Millisecond, MaintainEvery: time.Millisecond})
 	const workers = 4
 	const perWorker = 2500
+	truth := make([]*model.Model, workers) // truth[w]: the keys worker w writes
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		truth[w] = model.New()
 		wg.Add(1)
-		go func(w int) {
+		go func(w int, m *model.Model) {
 			defer wg.Done()
 			sess := s.Session(w)
 			for i := 0; i < perWorker; i++ {
-				k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-				sess.Put(k, []value.ColPut{{Col: 0, Data: k}, {Col: 1, Data: []byte{byte(w)}}})
+				k := fmt.Sprintf("w%d-%05d", w, i)
+				puts := []value.ColPut{{Col: 0, Data: []byte(k)}, {Col: 1, Data: []byte{byte(w)}}}
+				m.Put(k, sess.Put([]byte(k), puts), 0, mputs(puts)...)
 				if i%7 == 0 {
-					if v, ok := sess.GetValue(k); !ok || string(v.Col(0)) != string(k) {
-						panic("session read-own-write failed")
+					want, _ := m.Get(k, 0)
+					if v, ok := sess.GetValue([]byte(k)); !ok || !stateOf(v).Equal(want) {
+						t.Errorf("read-own-write of %q: %v (present %v), the model %v", k, v, ok, want)
+						return
 					}
 				}
 				if i%13 == 0 {
-					sess.Remove([]byte(fmt.Sprintf("w%d-%05d", w, i/2)))
+					r := fmt.Sprintf("w%d-%05d", w, i/2)
+					if got, want := sess.Remove([]byte(r)), m.Remove(r, 0); got != want {
+						t.Errorf("Remove(%q) reported %v, the model %v", r, got, want)
+						return
+					}
 				}
 			}
-		}(w)
+		}(w, truth[w])
 	}
 	ckptDone := make(chan struct{})
 	go func() {
@@ -52,22 +61,13 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 	}()
 	wg.Wait()
 	<-ckptDone
-
-	want := snapshotState(s)
-	for k, st := range want { // k is w<worker>-<i>, and its columns are k and the worker
-		if len(st.Cols) != 2 || string(st.Cols[0]) != k || st.Cols[1][0] != k[1]-'0' {
-			t.Fatalf("%q holds %v", k, st)
-		}
-	}
+	checkModels(t, "live", truth, snapshotState(s))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(Config{Dir: dir, Workers: 4, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, Config{Dir: dir, Workers: 4, MaintainEvery: -1})
 	defer r.Close()
-	diffStates(t, "recovered", want, snapshotState(r))
+	checkModels(t, "recovered", truth, snapshotState(r))
 }
 
 // TestConcurrentGetRangeDuringPuts ensures range queries stay ordered and

@@ -137,10 +137,7 @@ func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 
 func TestBackgroundFlushDurability(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 1, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 1, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1})
 	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v"))
 	time.Sleep(50 * time.Millisecond) // let the background flusher run
@@ -166,10 +163,7 @@ func TestBackgroundFlushDurability(t *testing.T) {
 // timestamp marks, so nothing is beyond the cutoff.
 func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 3, FlushInterval: 5 * time.Millisecond, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 3, FlushInterval: 5 * time.Millisecond, MaintainEvery: -1})
 
 	const workers = 3
 	const rounds = 40
@@ -223,10 +217,7 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 // clock, so the busy workers' tails survive a crash.
 func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 2, FlushInterval: 2 * time.Millisecond, MaintainEvery: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 2, FlushInterval: 2 * time.Millisecond, MaintainEvery: 5 * time.Millisecond})
 	ss := sessions(s, 2)
 	ss[1].PutSimple([]byte("idle-worker-key"), []byte("x")) // log 1 then goes idle
 	for i := 0; i < 10; i++ {

@@ -152,10 +152,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	}
 	crash(t, s)
 
-	rec, err := Open(Config{Dir: tortureDir, Workers: 2, FS: mem, MaintainEvery: -1, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := mustOpen(t, Config{Dir: tortureDir, Workers: 2, FS: mem, MaintainEvery: -1, FlushInterval: time.Hour})
 	defer rec.Close()
 	recs := sessions(rec, 1)[0]
 	for i := 0; i < 5; i++ {

@@ -188,10 +188,7 @@ func runDropCell(t *testing.T, c dropCell) {
 	}
 
 	// Recovery rebuilds what readers saw.
-	r, err := Open(Config{Dir: dir, Workers: 2, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, Config{Dir: dir, Workers: 2, MaintainEvery: -1})
 	defer r.Close()
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
@@ -257,10 +254,7 @@ func TestDropRaces(t *testing.T) {
 	})
 
 	// Reopened without a budget, so nothing the bound would evict is lost.
-	r, err := Open(Config{Dir: dir, Workers: 2, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, Config{Dir: dir, Workers: 2, MaintainEvery: -1})
 	defer r.Close()
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)

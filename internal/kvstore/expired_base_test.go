@@ -109,10 +109,7 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 // and a stale expect equal to the dead value's version must fail. The
 // model says which CAS applies and what a conflict reports.
 func TestCasPutTreatsExpiredAsAbsent(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	mr := newMirror(t, s, 1)
 	deadVer := mr.putTTLW(0, "k", nowNanos()-1, col(0, "old"))

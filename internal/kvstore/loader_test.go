@@ -426,10 +426,7 @@ func TestDrainWriteBehindOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Config{Backend: fb, WriteBehind: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Backend: fb, WriteBehind: 64})
 	ss := s.Session(0)
 	ss.PutSimple([]byte("k"), []byte("v"))
 	ss.Remove([]byte("k")) // queue a tombstone

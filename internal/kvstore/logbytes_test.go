@@ -54,10 +54,7 @@ func TestLogBytesPerPut(t *testing.T) {
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
 			defer s.Close()
 			ss := s.Session(0)
 			keys := workload.UniqueKeys(workload.Decimal(1), n)

@@ -38,16 +38,35 @@ func diffStates(t *testing.T, label string, want, got map[string]model.State) {
 	}
 }
 
+// checkModels holds got, a store's every key, to the union of models that
+// each computed the keys of one writer.
+func checkModels(t *testing.T, label string, models []*model.Model, got map[string]model.State) {
+	t.Helper()
+	n := 0
+	for _, m := range models {
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range m.Written() {
+			want, ok := m.Get(k, 0)
+			if g, gok := got[k]; gok != ok || ok && !g.Equal(want) {
+				t.Fatalf("%s: key %q got %v (present %v), the model %v (present %v)", label, k, g, gok, want, ok)
+			}
+		}
+		n += m.Len()
+	}
+	if len(got) != n {
+		t.Fatalf("%s: %d keys, the models hold %d", label, len(got), n)
+	}
+}
+
 // TestMultiPartEqualsSinglePartQuiesced: on a quiesced store, a T-part
 // checkpoint and a T=1 checkpoint recover byte-identical state — same
 // keys, same column values, same versions.
 func TestMultiPartEqualsSinglePartQuiesced(t *testing.T) {
 	mem := vfs.NewMemFS()
 	open := func() *Store {
-		s, err := Open(Config{Dir: tortureDir, Workers: 2, FS: mem, FlushInterval: time.Hour, MaintainEvery: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := mustOpen(t, Config{Dir: tortureDir, Workers: 2, FS: mem, FlushInterval: time.Hour, MaintainEvery: -1})
 		return s
 	}
 	s := open()
@@ -165,7 +184,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		}
 		ss := sessions(s, 3)
 		// truth[w] is the model of the keys worker w writes below.
-		truth := []*model.Model{model.NewHistory(), model.NewHistory(), model.NewHistory()}
+		truth := []*model.Model{model.New(), model.New(), model.New()}
 		for i := 0; i < 2000; i++ {
 			k := fmt.Sprintf("pre-%05d", i)
 			truth[i/1000].Put(k, ss[i%3].PutSimple([]byte(k), []byte("seed")), 0, model.ColPut{Data: []byte("seed")})
@@ -203,20 +222,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		close(stop)
 		wg.Wait()
 
-		check := func(label string, got map[string]model.State) {
-			for _, m := range truth {
-				if err := m.Err(); err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range m.Written() {
-					want, ok := m.Get(k, 0)
-					if g, gok := got[k]; gok != ok || ok && !g.Equal(want) {
-						t.Fatalf("round %d %s: key %q got %v (present %v), the model %v (present %v)", round, label, k, g, gok, want, ok)
-					}
-				}
-			}
-		}
-		check("live", snapshotState(s))
+		checkModels(t, fmt.Sprintf("round %d live", round), truth, snapshotState(s))
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +230,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("recovered", snapshotState(r))
+		checkModels(t, fmt.Sprintf("round %d recovered", round), truth, snapshotState(r))
 		r.Close()
 	}
 }
@@ -234,10 +240,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 // a checkpoint written that way holds each key exactly once.
 func TestPartitionBoundsDisjointCover(t *testing.T) {
 	mem := vfs.NewMemFS()
-	s, err := Open(Config{Dir: tortureDir, Workers: 1, FS: mem, FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: tortureDir, Workers: 1, FS: mem, FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: 8})
 	ss := sessions(s, 1)[0]
 	for i := 0; i < 4096; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("%05d", i)), []byte("x"))
@@ -257,10 +260,7 @@ func TestPartitionBoundsDisjointCover(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(Config{Dir: tortureDir, Workers: 1, FS: mem, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, Config{Dir: tortureDir, Workers: 1, FS: mem, MaintainEvery: -1})
 	defer r.Close()
 	if r.Len() != 4096 {
 		t.Fatalf("recovered %d keys, want 4096", r.Len())

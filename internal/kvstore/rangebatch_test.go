@@ -70,10 +70,7 @@ func samePairs(a, b []Pair) bool {
 // hundred pairs; all columns or a projection — returns window by window
 // exactly the pairs the same ranges return asked one at a time.
 func TestGetRangeBatchMatchesGetRange(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	sess := s.Session(0)
 	present := rangeBatchKeys()
@@ -144,10 +141,7 @@ func TestGetRangeBatchMatchesGetRange(t *testing.T) {
 // value, and every never-removed key between the first and last pair
 // present.
 func TestGetRangeBatchDuringRestructuring(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	family := func(i int) []byte {
 		switch i % 4 {
@@ -262,8 +256,9 @@ func checkWindow(pairs []Pair, start []byte, n int, stable *model.Model) string 
 	}
 	// Every stable key from the start to where the scan ended was there
 	// throughout and must be in the window; a short window ran off the end.
+	// One more than the window's length reaches past it or finds one missing.
 	j := 0
-	for _, p := range stable.Range(string(start), stable.Len(), 0) {
+	for _, p := range stable.Range(string(start), len(pairs)+1, 0) {
 		k := p.Key
 		if len(pairs) == n && k > string(pairs[len(pairs)-1].Key) {
 			break

@@ -34,10 +34,7 @@ import (
 // this test used to document: serving column 1's delta without column 0's.
 func TestPartialColumnReplayHole(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1})
 	// Worker 0 writes column 0, worker 1 then writes column 1 of the same
 	// key: two partial-column deltas in two different logs, ts_a < ts_b.
 	mr := newMirror(t, s, 2)
@@ -65,10 +62,7 @@ func TestPartialColumnReplayHole(t *testing.T) {
 		}
 	}
 
-	r, err := Open(Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := mustOpen(t, Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1})
 	defer r.Close()
 	stats := r.RecoveryStats()
 	if stats.MissingLogs != 1 {

@@ -12,17 +12,20 @@ import (
 
 func openMem(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	t.Cleanup(func() { s.Close() })
 	return s
 }
 
 func openDir(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(Config{Dir: dir, Workers: 2, FlushInterval: 5 * time.Millisecond, MaintainEvery: -1})
+	return mustOpen(t, Config{Dir: dir, Workers: 2, FlushInterval: 5 * time.Millisecond, MaintainEvery: -1})
+}
+
+// mustOpen opens a store with cfg, failing the test if it cannot.
+func mustOpen(t testing.TB, cfg Config) *Store {
+	t.Helper()
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +250,7 @@ func TestCheckpointReclaimsLogs(t *testing.T) {
 // layer that removes emptied, while two other sessions read through it with
 // GetValue and GetRangeInto and see each key absent or at its value.
 func TestMaintainLoopCollapsesLayers(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: 2 * time.Millisecond})
 	defer s.Close()
 	ss := sessions(s, 3)
 	// Five keys of one slice: one more than a twig holds, so a layer.

@@ -18,10 +18,7 @@ import (
 // base.
 func TestWriteKernelExpiryOnce(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
 	ss := sessions(s, 1)[0]
 	key := []byte("k")
 	deadline := nowNanos() + uint64(time.Hour)
@@ -69,10 +66,7 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 // never over an absent base or one without an expiry (TTL-free workloads
 // pay a header load and a branch), exactly once over one that has.
 func TestWriteKernelClockReads(t *testing.T) {
-	s, err := Open(Config{MaintainEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, Config{MaintainEvery: -1})
 	defer s.Close()
 	ss := sessions(s, 1)[0]
 	reads := 0

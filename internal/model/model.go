@@ -95,7 +95,7 @@ type Model struct {
 func New() *Model { return &Model{keys: map[string]*entry{}} }
 
 // NewHistory returns an empty model that keeps every key's history, which
-// Ack, Written, Held and Recovered read.
+// Ack, Held and Recovered read.
 func NewHistory() *Model { return &Model{keys: map[string]*entry{}, history: true} }
 
 // Get returns key's state if it is live at now.
@@ -252,11 +252,11 @@ func (m *Model) Ack() {
 	}
 }
 
-// Written lists, in no order, every key with a history.
+// Written lists, in no order, every key the model ever gave a value.
 func (m *Model) Written() []string {
 	var keys []string
 	for k, e := range m.keys {
-		if len(e.hist) > 0 {
+		if e.last > 0 {
 			keys = append(keys, k)
 		}
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -122,7 +123,8 @@ func TestCells(t *testing.T) {
 
 // TestHandChecked walks a sequence whose every answer was worked out by
 // hand: TTLs lapsing under reads and writes, CAS against absent, lapsed and
-// live versions, Touch, RemoveIf either way, and Range over lapsed keys.
+// live versions, Touch, RemoveIf either way, Range over lapsed keys, and
+// Written in a model without a history.
 func TestHandChecked(t *testing.T) {
 	m := New()
 	step := 0
@@ -161,6 +163,9 @@ func TestHandChecked(t *testing.T) {
 	m.Remove("e", now)
 	m.Put("e", 11, now, col(0, "again")) // versions only go up, past a remove too
 	is(m.Err() != nil && see(m, "e", now) == "-", "true")
+	written := m.Written() // without a history too, removed keys included
+	slices.Sort(written)
+	is(written, "[a b c d e]")
 }
 
 // TestRecoveredRule pins which recovered states are legal.
