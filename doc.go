@@ -170,6 +170,17 @@
 // WAL, drain the write-behind queue, final checkpoint — and exits nonzero
 // if any budget lapses.
 //
+// Every deadline above — a TTL, a negative-cache entry, the write-behind
+// drain, the log's group commit (§5's 200 ms) and retry backoff, the
+// maintenance tick that lifts lagging worker clocks (§5.1), the breaker's
+// cool-down and the backend's retry sleep — is read from one wall clock
+// (internal/clock), which the store hands to its log, loader and
+// write-behind queue. Programs get the real clock; tests hand the store a
+// fake one and advance it to a deadline instead of sleeping past it. A
+// deadline has passed at its own instant, not 1 ns before, everywhere
+// (kvstore's TestDeadlineRule). The wall clock orders nothing: versions come
+// from the per-worker clocks, which never read it.
+//
 // Cluster mode (internal/cluster) is the client-side sharding layer: a
 // cluster.Cluster consistent-hashes keys across N servers (a deterministic
 // virtual-node ring — FNV-1a finalized with splitmix64 — pinned by golden

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/clock"
 	"repro/internal/vfs"
 )
 
@@ -181,10 +183,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	m := NewMock(0)
 	m.Seed("k", []byte("v"))
 	m.SetError(boom)
-	w := Wrap(m, WrapConfig{
+	wall := clock.NewFake()
+	w := wrap(m, WrapConfig{
 		BreakerFailures: 3,
 		BreakerOpenFor:  30 * time.Millisecond,
-	})
+	}, wall)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, _, _, err := w.Load(ctx, []byte("k")); !errors.Is(err, boom) {
@@ -207,7 +210,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 	// Heal the backend, wait out the cool-down: one probe closes it again.
 	m.SetError(nil)
-	time.Sleep(40 * time.Millisecond)
+	wall.Advance(30 * time.Millisecond)
 	if _, _, ok, err := w.Load(ctx, []byte("k")); err != nil || !ok {
 		t.Fatalf("probe: ok=%v err=%v", ok, err)
 	}
@@ -222,7 +225,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st := w.Stats(); st.BreakerState != breaker.Open || st.BreakerOpens != 2 {
 		t.Fatalf("after refailure: %+v", st)
 	}
-	time.Sleep(40 * time.Millisecond)
+	wall.Advance(30 * time.Millisecond)
 	if _, _, _, err := w.Load(ctx, []byte("k")); !errors.Is(err, boom) {
 		t.Fatalf("probe error: %v", err)
 	}
@@ -235,10 +238,11 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	m := NewMock(0)
 	m.Seed("k", []byte("v"))
 	m.SetError(errors.New("down"))
-	w := Wrap(m, WrapConfig{BreakerFailures: 1, BreakerOpenFor: 10 * time.Millisecond})
+	wall := clock.NewFake()
+	w := wrap(m, WrapConfig{BreakerFailures: 1, BreakerOpenFor: 10 * time.Millisecond}, wall)
 	ctx := context.Background()
 	w.Load(ctx, []byte("k")) // trips
-	time.Sleep(20 * time.Millisecond)
+	wall.Advance(10 * time.Millisecond)
 	// One hanging probe; concurrent calls must fail fast, not pile up.
 	release := m.Hang()
 	m.SetError(nil)
@@ -345,14 +349,12 @@ func (f funcBackend) Delete(ctx context.Context, key []byte) error {
 	return f.del(ctx, key)
 }
 
-// waitFor polls cond for up to ~2s.
+// waitFor yields until cond holds, failing the test after 2 s of real time.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
-	for i := 0; i < 2000; i++ {
-		if cond() {
-			return
+	for deadline := time.Now().Add(2 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
 		}
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition never became true")
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/breaker"
+	"repro/internal/clock"
 )
 
 // WrapConfig tunes the decorator stack. Zero values pick conservative
@@ -45,10 +46,11 @@ const (
 // outcome, not one per attempt), the limiter bounds live calls, and the
 // timeout bounds each attempt.
 type Wrapped struct {
-	b   Backend
-	cfg WrapConfig
-	sem chan struct{} // nil when unlimited
-	br  *breaker.Breaker
+	b    Backend
+	cfg  WrapConfig
+	sem  chan struct{} // nil when unlimited
+	br   *breaker.Breaker
+	wall clock.Clock // the retry backoff's clock, and the breaker's
 
 	loads, stores, deletes atomic.Uint64
 	errors, retries        atomic.Uint64
@@ -57,11 +59,14 @@ type Wrapped struct {
 
 // Wrap builds the decorator stack around b. A nil-adjustment pass fills in
 // defaults; see WrapConfig.
-func Wrap(b Backend, cfg WrapConfig) *Wrapped {
+func Wrap(b Backend, cfg WrapConfig) *Wrapped { return wrap(b, cfg, clock.Wall{}) }
+
+// wrap is Wrap on the clock wall.
+func wrap(b Backend, cfg WrapConfig, wall clock.Clock) *Wrapped {
 	if cfg.BreakerOpenFor <= 0 {
 		cfg.BreakerOpenFor = time.Second
 	}
-	w := &Wrapped{b: b, cfg: cfg, br: breaker.New(cfg.BreakerFailures, cfg.BreakerOpenFor)}
+	w := &Wrapped{b: b, cfg: cfg, br: breaker.New(cfg.BreakerFailures, cfg.BreakerOpenFor, wall), wall: wall}
 	if cfg.Concurrency > 0 {
 		w.sem = make(chan struct{}, cfg.Concurrency)
 	}
@@ -190,12 +195,12 @@ func backoff(attempt int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// sleep is a context-aware time.Sleep.
+// sleep waits d on the wrapper's clock, or until ctx is done.
 func (w *Wrapped) sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
+	t := w.wall.NewTimer(d)
 	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-t.C():
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // State is a breaker's position. The numbering is part of the stats
@@ -32,6 +34,7 @@ const (
 type Breaker struct {
 	threshold int
 	coolDown  time.Duration
+	wall      clock.Clock
 
 	// state is written under mu but read without it, so the common case —
 	// a closed circuit — costs callers one atomic load.
@@ -47,9 +50,9 @@ type Breaker struct {
 
 // New builds a closed breaker that opens after threshold consecutive
 // failures (threshold <= 0 never opens) and admits a probe coolDown after
-// each opening.
-func New(threshold int, coolDown time.Duration) *Breaker {
-	return &Breaker{threshold: threshold, coolDown: coolDown}
+// each opening, as wall tells the time.
+func New(threshold int, coolDown time.Duration, wall clock.Clock) *Breaker {
+	return &Breaker{threshold: threshold, coolDown: coolDown, wall: wall}
 }
 
 // Allow asks whether a call may proceed. ok false means fail fast. probe
@@ -65,7 +68,7 @@ func (b *Breaker) Allow() (probe, ok bool) {
 	case Closed:
 		return false, true
 	case Open:
-		if time.Now().Before(b.until) {
+		if b.wall.Now().Before(b.until) {
 			return false, false
 		}
 		b.state.Store(int32(HalfOpen))
@@ -98,7 +101,7 @@ func (b *Breaker) Record(probe, success bool) (opened bool) {
 		if b.fails < b.threshold {
 			return false
 		}
-		b.openedAt = time.Now()
+		b.openedAt = b.wall.Now()
 	case HalfOpen:
 		if !probe {
 			return false
@@ -111,7 +114,7 @@ func (b *Breaker) Record(probe, success bool) (opened bool) {
 		return false
 	}
 	b.state.Store(int32(Open))
-	b.until = time.Now().Add(b.coolDown)
+	b.until = b.wall.Now().Add(b.coolDown)
 	b.fails = 0
 	b.opens++
 	return true
@@ -140,7 +143,7 @@ func (b *Breaker) State() State {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if State(b.state.Load()) == Open && !time.Now().Before(b.until) {
+	if State(b.state.Load()) == Open && !b.wall.Now().Before(b.until) {
 		return HalfOpen
 	}
 	return State(b.state.Load())

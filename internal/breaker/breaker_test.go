@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Steps of a breaker script. Outcomes without "probe" in the name come from
@@ -18,13 +20,13 @@ const (
 	probeOK          // the probe succeeds
 	probeFail        // the probe fails
 	abort            // the probe's slot is handed back unjudged
-	wait             // the cool-down lapses
+	wait             // the clock advances by exactly the cool-down
 )
 
 var stepNames = [...]string{"fail", "succeed", "pass", "reject", "probe", "race",
 	"probeOK", "probeFail", "abort", "wait"}
 
-// cool is long enough that no step runs past it unless a wait step says so.
+// cool is the cool-down; the fake clock passes it only at a wait step.
 const cool = 100 * time.Millisecond
 
 // TestBreaker pins the state machine the backend tier and the cluster's
@@ -69,7 +71,8 @@ func TestBreaker(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			b := New(tc.threshold, cool)
+			wall := clock.NewFake()
+			b := New(tc.threshold, cool, wall)
 			for i, st := range tc.steps {
 				at := func(format string, args ...any) {
 					t.Helper()
@@ -92,7 +95,7 @@ func TestBreaker(t *testing.T) {
 				case abort:
 					b.Abort(true)
 				case wait:
-					time.Sleep(cool)
+					wall.Advance(cool)
 				}
 			}
 			if got := b.State(); got != tc.want {

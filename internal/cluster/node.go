@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/obs"
 )
 
@@ -52,7 +53,7 @@ func newNode(addr string, idx int, rec *obs.Recorder, tm timing) *node {
 		addr: addr,
 		idx:  idx,
 		rec:  rec,
-		br:   breaker.New(tm.failures, tm.downFor),
+		br:   breaker.New(tm.failures, tm.downFor, clock.Wall{}),
 		opts: []client.ConnOption{client.WithDialTimeout(tm.dial), client.WithTimeout(tm.op)},
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // crash simulates a crash: flush OS buffers but skip the clean-shutdown
@@ -137,10 +139,12 @@ func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 
 func TestBackgroundFlushDurability(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, Workers: 1, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1})
+	wall := clock.NewFake()
+	s := openAt(t, Config{Dir: dir, Workers: 1, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1}, wall)
 	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v"))
-	time.Sleep(50 * time.Millisecond) // let the background flusher run
+	wall.Advance(2 * time.Millisecond) // one flush interval: the flusher's tick
+	waitUntil(t, func() bool { return len(recoverRecords(t, dir)) == 1 })
 	// Simulate a hard crash with no explicit flush at all.
 	close(s.stop)
 	s.wg.Wait()
@@ -152,6 +156,16 @@ func TestBackgroundFlushDurability(t *testing.T) {
 	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("update lost despite background flush")
 	}
+}
+
+// recoverRecords reads the records recovery would replay from dir.
+func recoverRecords(t *testing.T, dir string) []wal.Record {
+	t.Helper()
+	res, err := wal.RecoverDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Records
 }
 
 // TestRecoveryInterleavedPutBatchRemove drives interleaved batched puts
@@ -217,13 +231,20 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 // clock, so the busy workers' tails survive a crash.
 func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, Workers: 2, FlushInterval: 2 * time.Millisecond, MaintainEvery: 5 * time.Millisecond})
+	wall := clock.NewFake()
+	s := openAt(t, Config{Dir: dir, Workers: 2, FlushInterval: 2 * time.Millisecond, MaintainEvery: 5 * time.Millisecond}, wall)
 	ss := sessions(s, 2)
 	ss[1].PutSimple([]byte("idle-worker-key"), []byte("x")) // log 1 then goes idle
 	for i := 0; i < 10; i++ {
 		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("y"))
 	}
-	time.Sleep(60 * time.Millisecond) // several maintenance ticks: marks + flushes
+	wall.Advance(5 * time.Millisecond) // one maintenance tick: the marks
+	waitUntil(t, func() bool {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return len(recoverRecords(t, dir)) == 11
+	})
 	crash(t, s)
 
 	r := openDir(t, dir)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -140,7 +141,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	// Simulate the resurrection: recreate worker 1's generation-1 log
 	// holding only its stale pre-checkpoint record, exactly as a crash
 	// image that forgot the reclamation remove would contain.
-	old, err := wal.OpenSetFS(mem, tortureDir, 2, 1, true, time.Hour)
+	old, err := wal.OpenSetFS(mem, tortureDir, 2, 1, true, time.Hour, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/breaker"
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/value"
 )
@@ -115,15 +116,15 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 	// Serving the backend's copy here would time-travel an acked write.
 	if wb := l.s.wb; wb != nil {
 		if v, pending := wb.peek(key); pending {
-			if v == nil || expired(v) {
+			if v == nil || expired(l.s.wall, v) {
 				return nil, false, nil // pending delete (or dead by TTL): miss
 			}
 			return l.install(ss, key, v.Cols(), v.ExpiresAt()), false, nil
 		}
 	}
-	loadStart := time.Now()
+	loadStart := l.s.wall.Now()
 	payload, ttl, ok, err := l.be.Load(ctx, key)
-	l.s.obs.Hist(obs.HBackendLoad).Record(ss.worker, time.Since(loadStart))
+	l.s.obs.Hist(obs.HBackendLoad).Record(ss.worker, l.s.wall.Now().Sub(loadStart))
 	l.noteBreaker(ss.worker)
 	if err != nil {
 		l.loadErrors.Add(1)
@@ -145,7 +146,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 	}
 	var expiresAt uint64
 	if ttl > 0 {
-		expiresAt = uint64(time.Now().Add(ttl).UnixNano())
+		expiresAt = uint64(l.s.wall.Now().Add(ttl).UnixNano())
 	}
 	v := l.install(ss, key, cols, expiresAt)
 	l.loads.Add(1)
@@ -186,7 +187,7 @@ func (l *loader) resident(ss *Session, key []byte, allowStale bool) (v *value.Va
 	if e == 0 {
 		return v, false, true
 	}
-	now := uint64(time.Now().UnixNano())
+	now := uint64(l.s.wall.Now().UnixNano())
 	if e > now {
 		return v, false, true
 	}
@@ -212,7 +213,7 @@ func (l *loader) negHit(key []byte) bool {
 	}
 	l.negMu.Lock()
 	dl, ok := l.neg[string(key)]
-	if ok && time.Now().UnixNano() >= dl {
+	if ok && l.s.wall.Now().UnixNano() >= dl {
 		delete(l.neg, string(key))
 		l.negN.Add(-1)
 		ok = false
@@ -226,7 +227,7 @@ func (l *loader) noteNegative(key []byte) {
 	if l.s.cfg.NegativeTTL <= 0 {
 		return
 	}
-	dl := time.Now().Add(l.s.cfg.NegativeTTL).UnixNano()
+	dl := l.s.wall.Now().Add(l.s.cfg.NegativeTTL).UnixNano()
 	l.negMu.Lock()
 	if len(l.neg) >= negMax {
 		for k := range l.neg {
@@ -265,12 +266,16 @@ func (l *loader) noteWrite(key []byte) {
 // its store is in flight, so a read-through load can never resurrect the
 // pre-spill copy of a key whose newest value is still on its way upstream.
 type writeBehind struct {
-	be  backend.Backend
-	cap int
+	be   backend.Backend
+	cap  int
+	wall clock.Clock
 
 	mu   sync.Mutex
 	keys []string                // FIFO of keys with a pending spill
 	vals map[string]*value.Value // pending value per key; nil = delete
+	// empty is made when an enqueue finds vals empty and closed when vals
+	// empties again: what drain waits on.
+	empty chan struct{}
 
 	drops atomic.Uint64 // entries evicted from a full queue
 	kick  chan struct{}
@@ -278,10 +283,11 @@ type writeBehind struct {
 	done  chan struct{}
 }
 
-func newWriteBehind(be backend.Backend, depth int) *writeBehind {
+func newWriteBehind(be backend.Backend, depth int, wall clock.Clock) *writeBehind {
 	wb := &writeBehind{
 		be:   be,
 		cap:  depth,
+		wall: wall,
 		vals: make(map[string]*value.Value, depth),
 		kick: make(chan struct{}, 1),
 		stop: make(chan struct{}),
@@ -302,6 +308,9 @@ func (wb *writeBehind) enqueue(key []byte, v *value.Value) {
 		wb.vals[k] = v
 		wb.mu.Unlock()
 		return
+	}
+	if len(wb.vals) == 0 {
+		wb.empty = make(chan struct{})
 	}
 	if len(wb.keys) >= wb.cap {
 		oldest := wb.keys[0]
@@ -370,7 +379,7 @@ func (wb *writeBehind) drainOne(ctx context.Context) bool {
 	// the loss. Dead-by-TTL values are not worth shipping.
 	if v == nil {
 		_ = wb.be.Delete(ctx, []byte(k))
-	} else if !expired(v) {
+	} else if !expired(wb.wall, v) {
 		_ = wb.be.Store(ctx, []byte(k), backend.EncodeCols(v.Cols()))
 	}
 	// A value that coalesced in while the store ran re-queues.
@@ -378,6 +387,9 @@ func (wb *writeBehind) drainOne(ctx context.Context) bool {
 	if cur, still := wb.vals[k]; still {
 		if cur == v {
 			delete(wb.vals, k)
+			if len(wb.vals) == 0 {
+				close(wb.empty)
+			}
 		} else {
 			wb.keys = append(wb.keys, k)
 		}
@@ -389,18 +401,20 @@ func (wb *writeBehind) drainOne(ctx context.Context) bool {
 // drain blocks until the queue is empty or the timeout lapses; it reports
 // whether the queue fully drained. Used by graceful shutdown.
 func (wb *writeBehind) drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for wb.depth() > 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		select {
-		case wb.kick <- struct{}{}:
-		default:
-		}
-		time.Sleep(time.Millisecond)
+	wb.mu.Lock()
+	empty, idle := wb.empty, len(wb.vals) == 0
+	wb.mu.Unlock()
+	if idle {
+		return true
 	}
-	return true
+	t := wb.wall.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-empty:
+		return true
+	case <-t.C():
+		return false
+	}
 }
 
 // close stops the drainer after a best-effort final drain.

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/breaker"
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/value"
 	"repro/internal/vfs"
@@ -18,10 +19,13 @@ import (
 // openLoaderStore opens an in-memory store fronting the given backend.
 func openLoaderStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return openLoaderStoreAt(t, cfg, clock.Wall{})
+}
+
+// openLoaderStoreAt is openLoaderStore on the wall clock wall.
+func openLoaderStoreAt(t *testing.T, cfg Config, wall clock.Clock) *Store {
+	t.Helper()
+	s := openAt(t, cfg, wall)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -60,7 +64,8 @@ func TestGetOrLoadReadThrough(t *testing.T) {
 func TestGetOrLoadTTLRidesHeader(t *testing.T) {
 	m := backend.NewMock(30 * time.Millisecond)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
-	s := openLoaderStore(t, Config{Backend: m, NegativeTTL: -1})
+	wall := clock.NewFake()
+	s := openLoaderStoreAt(t, Config{Backend: m, NegativeTTL: -1}, wall)
 	ss := s.Session(0)
 	ctx := context.Background()
 	v, _, err := ss.GetOrLoad(ctx, []byte("k"))
@@ -70,7 +75,11 @@ func TestGetOrLoadTTLRidesHeader(t *testing.T) {
 	if v.ExpiresAt() == 0 {
 		t.Fatal("backend TTL not stamped on the value")
 	}
-	time.Sleep(40 * time.Millisecond)
+	wall.Advance(30*time.Millisecond - 1)
+	if _, ok := ss.GetValue([]byte("k")); !ok {
+		t.Fatal("value lapsed before its backend TTL")
+	}
+	wall.Advance(1)
 	if _, ok := ss.GetValue([]byte("k")); ok {
 		t.Fatal("value survived its backend TTL")
 	}
@@ -157,7 +166,8 @@ func TestGetOrLoadWaiterHonorsContext(t *testing.T) {
 
 func TestGetOrLoadNegativeCache(t *testing.T) {
 	m := backend.NewMock(0)
-	s := openLoaderStore(t, Config{Backend: m, NegativeTTL: 50 * time.Millisecond})
+	wall := clock.NewFake()
+	s := openLoaderStoreAt(t, Config{Backend: m, NegativeTTL: 50 * time.Millisecond}, wall)
 	ss := s.Session(0)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -172,7 +182,7 @@ func TestGetOrLoadNegativeCache(t *testing.T) {
 	if st.NegativeHits != 4 {
 		t.Fatalf("negative hits = %d, want 4", st.NegativeHits)
 	}
-	time.Sleep(60 * time.Millisecond)
+	wall.Advance(50 * time.Millisecond)
 	ss.GetOrLoad(ctx, []byte("ghost"))
 	if n := m.LoadsFor("ghost"); n != 2 {
 		t.Fatalf("backend loads after TTL = %d, want 2", n)
@@ -209,11 +219,14 @@ func TestStaleIfErrorAndBreakerRecovery(t *testing.T) {
 		BreakerFailures: 2,
 		BreakerOpenFor:  40 * time.Millisecond,
 	})
-	s := openLoaderStore(t, Config{
+	// The store's TTLs run on a fake clock; the breaker, built outside the
+	// store, on the real one.
+	wall := clock.NewFake()
+	s := openLoaderStoreAt(t, Config{
 		Backend:     w,
 		MaxStale:    time.Hour,
 		NegativeTTL: -1,
-	})
+	}, wall)
 	ss := s.Session(0)
 	ctx := context.Background()
 
@@ -221,7 +234,7 @@ func TestStaleIfErrorAndBreakerRecovery(t *testing.T) {
 	if v, _, err := ss.GetOrLoad(ctx, []byte("k")); err != nil || v == nil {
 		t.Fatalf("healthy load: %v %v", v, err)
 	}
-	time.Sleep(30 * time.Millisecond) // expire it in place
+	wall.Advance(20 * time.Millisecond) // expire it in place
 	m.SetError(down)
 
 	// Expired + backend down -> stale-if-error, flagged.
@@ -401,6 +414,43 @@ func TestRemoveTombstonePropagates(t *testing.T) {
 	})
 }
 
+// TestDrainWriteBehind: with the backend stuck, DrainWriteBehind reports
+// false once the clock reaches its timeout, and not before; an empty queue
+// drains at once, and a queue that empties ends the wait without the clock.
+func TestDrainWriteBehind(t *testing.T) {
+	m := backend.NewMock(0)
+	wall := clock.NewFake()
+	s := openLoaderStoreAt(t, Config{Backend: m, WriteBehind: 16, MaintainEvery: -1}, wall)
+	ss := s.Session(0)
+	if !s.DrainWriteBehind(time.Hour) {
+		t.Fatal("an empty queue did not drain")
+	}
+	release := m.Hang()
+	defer release()
+	ss.PutSimple([]byte("k"), []byte("v"))
+	ss.Remove([]byte("k")) // a tombstone the stuck backend holds in the queue
+	done := make(chan bool, 1)
+	go func() { done <- s.DrainWriteBehind(time.Second) }()
+	waitUntil(t, func() bool { return wall.Waiters() == 1 }) // the drain armed its timer
+	wall.Advance(time.Second - 1)
+	select {
+	case ok := <-done:
+		t.Fatalf("drain returned %v before its timeout", ok)
+	default:
+	}
+	wall.Advance(1)
+	if <-done {
+		t.Fatal("drain reported the queue empty with the backend stuck")
+	}
+	release()
+	if !s.DrainWriteBehind(time.Hour) {
+		t.Fatal("drain timed out on a stopped clock")
+	}
+	if m.Deletes() != 1 {
+		t.Fatalf("backend deletes = %d, want 1", m.Deletes())
+	}
+}
+
 func TestWriteBehindDropsCounted(t *testing.T) {
 	m := backend.NewMock(0)
 	release := m.Hang()
@@ -497,14 +547,12 @@ func TestLoadDoesNotClobberRacingPut(t *testing.T) {
 	}
 }
 
-// waitUntil polls cond for up to ~5s.
+// waitUntil yields until cond holds, failing the test after 5 s of real time.
 func waitUntil(t *testing.T, cond func() bool) {
 	t.Helper()
-	for i := 0; i < 5000; i++ {
-		if cond() {
-			return
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
 		}
-		time.Sleep(time.Millisecond)
 	}
-	t.Fatal("condition never became true")
 }

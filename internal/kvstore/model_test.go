@@ -47,7 +47,7 @@ func (mr *mirror) matches(r *Store, label string) {
 	}
 	want, i := mr.ref.Range("", mr.ref.Len(), nowNanos()), 0
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		if expired(v) {
+		if expired(r.wall, v) {
 			return true
 		}
 		if i == len(want) || want[i].Key != string(k) || !stateOf(v).Equal(want[i].State) {
@@ -121,7 +121,7 @@ func (mr *mirror) putTTLW(worker int, key string, expiresAt uint64, puts ...valu
 	ver := mr.sess[worker].PutTTL([]byte(key), puts, expiresAt)
 	mr.ref.PutTTL(key, ver, nowNanos(), expiresAt, mputs(puts)...)
 	v, ok := mr.s.tree.Get([]byte(key))
-	mr.check("TTL put", key, v, ok && !expired(v))
+	mr.check("TTL put", key, v, ok && !expired(mr.s.wall, v))
 	return ver
 }
 

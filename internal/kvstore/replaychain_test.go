@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -147,7 +148,7 @@ func logAsWorker(t *testing.T, mem *vfs.MemFS, worker int, fill func(w *wal.Writ
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	set, err := wal.OpenSetFS(mem, "d", 1, 1, true, time.Hour)
+	set, err := wal.OpenSetFS(mem, "d", 1, 1, true, time.Hour, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	set, err := wal.OpenSetFS(mem, "d", 1, 1, true, time.Hour)
+	set, err := wal.OpenSetFS(mem, "d", 1, 1, true, time.Hour, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	if err := set.Close(); err != nil {
 		t.Fatal(err)
 	}
-	set2, err := wal.OpenSetFS(mem, "d", 1, 2, true, time.Hour)
+	set2, err := wal.OpenSetFS(mem, "d", 1, 2, true, time.Hour, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func (ss *Session) Close() {}
 func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 	ss.s.cache.NoteAccess(ss.worker, key)
 	v, ok := ss.s.tree.Get(key)
-	if !ok || expired(v) {
+	if !ok || expired(ss.s.wall, v) {
 		return nil, false
 	}
 	return v, true
@@ -164,7 +164,7 @@ func (ss *Session) Remove(key []byte) bool {
 	// must report "did not exist" too (memcached's delete-of-expired is a
 	// miss). The physical removal and its log record still happen above —
 	// the remove is correct cleanup either way.
-	return !expired(old)
+	return !expired(s.wall, old)
 }
 
 // ErrNoBackend is returned by GetOrLoad when the store has no configured
@@ -269,7 +269,7 @@ func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColP
 				vals[i], found[i] = sc.res[j].nv, true
 			}
 		}
-		if found[i] && expired(vals[i]) {
+		if found[i] && expired(s.wall, vals[i]) {
 			vals[i], found[i] = nil, false
 		}
 	}

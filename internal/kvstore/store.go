@@ -47,6 +47,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/obs"
@@ -122,10 +123,11 @@ type Store struct {
 	cfg   Config
 	fsys  vfs.FS
 	tree  *core.Tree
-	clock *shardedClock
-	// now is the write kernel's wall clock in unix nanoseconds (see step);
-	// a field so tests can hold it still.
-	now   func() int64
+	clock *shardedClock // the §5.1 version clocks
+	// wall is the wall clock: TTL deadlines, negative-cache and drain
+	// deadlines, the maintenance tick, the log's flush interval and the
+	// latency samples. It orders nothing; versions come from clock.
+	wall  clock.Clock
 	logs  *wal.Set      // nil when persistence is disabled
 	mgr   epoch.Manager // serves only Epoch, kept for the benchmark harness
 	cache *cache.Cache
@@ -198,15 +200,19 @@ func (s *Store) Obs() *obs.Registry { return s.obs }
 // recovery histogram and as a flight-recorder event, and the phase clock
 // advances so the next phase measures only itself.
 func (s *Store) obsRecoveryPhase(phase uint64, start *time.Time) {
-	d := time.Since(*start)
-	*start = time.Now()
+	now := s.wall.Now()
+	d := now.Sub(*start)
+	*start = now
 	s.obs.Hist(obs.HRecovery).Record(0, d)
 	s.obs.Recorder().Record(0, obs.EvRecoveryPhase, phase, uint64(d))
 }
 
 // Open creates a store, recovering from the newest valid checkpoint plus
 // logs when cfg.Dir holds a previous incarnation's state.
-func Open(cfg Config) (*Store, error) {
+func Open(cfg Config) (*Store, error) { return open(cfg, clock.Wall{}) }
+
+// open is Open on the wall clock wall.
+func open(cfg Config, wall clock.Clock) (*Store, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -226,7 +232,7 @@ func Open(cfg Config) (*Store, error) {
 		fsys:     cfg.FS,
 		tree:     core.New(),
 		clock:    newShardedClock(cfg.Workers),
-		now:      func() int64 { return time.Now().UnixNano() },
+		wall:     wall,
 		cache:    cache.New(cfg.Workers, cfg.MaxBytes),
 		workerMu: make([]paddedMutex, cfg.Workers),
 		stop:     make(chan struct{}),
@@ -248,7 +254,7 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.Backend != nil {
 		s.loader = newLoader(s, cfg.Backend)
 		if cfg.WriteBehind > 0 {
-			s.wb = newWriteBehind(cfg.Backend, cfg.WriteBehind)
+			s.wb = newWriteBehind(cfg.Backend, cfg.WriteBehind, wall)
 		}
 	}
 	// Cache mode re-enforces the bound over recovered state: replay may have
@@ -259,7 +265,7 @@ func Open(cfg Config) (*Store, error) {
 	s.seedCache()
 	if cfg.MaintainEvery > 0 {
 		s.wg.Add(1)
-		go s.maintainLoop()
+		go s.maintainLoop(wall.NewTicker(cfg.MaintainEvery))
 	}
 	return s, nil
 }
@@ -293,7 +299,7 @@ func (s *Store) seedCache() {
 // core. It then restores the clock and opens a fresh log generation (never
 // appending to a file that may end in a torn record).
 func (s *Store) recover() error {
-	phase := time.Now()
+	phase := s.wall.Now()
 	ckptTS, parts, err := checkpoint.Latest(s.fsys, s.cfg.Dir)
 	if err != nil && err != checkpoint.ErrNone {
 		return fmt.Errorf("kvstore: loading checkpoint: %w", err)
@@ -360,7 +366,7 @@ func (s *Store) recover() error {
 	// could carry a lower start timestamp than a surviving older one and
 	// checkpoint.Latest would restore the stale state.
 	s.clock.seed(max(res.MaxTS, slices.Max(maxVersion), ckptTS))
-	logs, err := wal.OpenSetFS(s.fsys, s.cfg.Dir, s.cfg.Workers, res.MaxGen+1, s.cfg.SyncWrites, s.cfg.FlushInterval)
+	logs, err := wal.OpenSetFS(s.fsys, s.cfg.Dir, s.cfg.Workers, res.MaxGen+1, s.cfg.SyncWrites, s.cfg.FlushInterval, s.wall)
 	if err != nil {
 		return err
 	}
@@ -474,9 +480,10 @@ func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
 	return v, broken
 }
 
-func (s *Store) maintainLoop() {
+// maintainLoop runs the maintenance tick on t, made before the loop starts so
+// the tick's phase is fixed when Open returns.
+func (s *Store) maintainLoop(t clock.Ticker) {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.MaintainEvery)
 	defer t.Stop()
 	lastMark := uint64(0)
 	for {
@@ -487,7 +494,7 @@ func (s *Store) maintainLoop() {
 			// to roughly one eviction batch. (Wake() is nil — and this case
 			// inert — when eviction is disabled.)
 			s.cacheMaintain()
-		case <-t.C:
+		case <-t.C():
 			s.cacheMaintain()
 			// Collapse the trie layers removes have emptied (§4.6.5). No
 			// grace period is needed: the collapse marks the layer's root
@@ -537,8 +544,8 @@ func (s *Store) cacheMaintain() {
 	if !s.ttlUsed.Load() && !s.cache.EvictionEnabled() {
 		return
 	}
-	start := time.Now()
-	defer func() { s.obs.Hist(obs.HEvict).Record(0, time.Since(start)) }()
+	start := s.wall.Now()
+	defer func() { s.obs.Hist(obs.HEvict).Record(0, s.wall.Now().Sub(start)) }()
 	if s.ttlUsed.Load() {
 		// Adaptive catch-up: one batch per tick suffices when expirations
 		// trickle, but a TTL-heavy store (especially with eviction disabled,
@@ -547,7 +554,7 @@ func (s *Store) cacheMaintain() {
 		// dense with expired keys, up to a bounded number of rounds, so the
 		// sweep rate scales with the backlog instead of pinning at one
 		// batch regardless of it.
-		now := time.Now().UnixNano()
+		now := start.UnixNano()
 		for round := 0; round < maxSweepRounds; round++ {
 			if s.sweepExpired(now) < sweepBatchKeys/8 {
 				break
@@ -571,7 +578,7 @@ func (s *Store) evictKey(key []byte) bool {
 		return false
 	}
 	s.obs.Recorder().Record(0, obs.EvEvict, obs.KeyHash(key), uint64(old.Size()))
-	if s.wb != nil && !expired(old) {
+	if s.wb != nil && !expired(s.wall, old) {
 		s.wb.enqueue(key, old)
 	}
 	return true
@@ -661,14 +668,14 @@ func (s *Store) Epoch() *epoch.Manager { return &s.mgr }
 // Len returns the number of keys.
 func (s *Store) Len() int { return s.tree.Len() }
 
-// expired reports whether v carries a lapsed expiry — the lazy half of TTL
-// enforcement: every read path treats an expired value as absent the moment
-// its deadline passes, without waiting for the background sweep to remove
-// it physically. time.Now is only consulted for values that carry an expiry
-// at all, so TTL-free workloads pay one header load and a branch.
-func expired(v *value.Value) bool {
+// expired reports whether v carries a lapsed expiry on wall — the lazy half
+// of TTL enforcement: every read path treats an expired value as absent the
+// moment its deadline passes, without waiting for the background sweep to
+// remove it physically. The clock is only read for values that carry an
+// expiry at all, so TTL-free workloads pay one header load and a branch.
+func expired(wall clock.Clock, v *value.Value) bool {
 	e := v.ExpiresAt()
-	return e != 0 && e <= uint64(time.Now().UnixNano())
+	return e != 0 && e <= uint64(wall.Now().UnixNano())
 }
 
 // AppendCols appends the requested columns of v (nil = all) to dst and
@@ -771,7 +778,7 @@ type writeResult struct {
 // builds the packed value.
 func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 	r.base = old
-	if old.ExpiresAt() != 0 && old.Expired(s.now()) {
+	if old.ExpiresAt() != 0 && old.Expired(s.wall.Now().UnixNano()) {
 		r.base = nil
 	}
 	base := r.base
@@ -945,7 +952,8 @@ type RangeScratch struct {
 	cols  [][]byte
 	keys  []byte
 	kbuf  []byte
-	runs  [][]Pair // GetRangeBatchInto's result: one window of pairs per range
+	runs  [][]Pair    // GetRangeBatchInto's result: one window of pairs per range
+	wall  clock.Clock // the scanned store's, for lazy expiry
 
 	// The range in progress, read by add.
 	want    []int // requested columns
@@ -1003,7 +1011,7 @@ func (s *Store) rangeInto(start []byte, n int, cols []int, sc *RangeScratch) []P
 		sc.visit = sc.add //lint:allow noalloc scratch warm-up: one bound method per scratch, amortized over its lifetime
 	}
 	base := len(sc.pairs)
-	sc.want, sc.left, sc.visited = cols, n, 0
+	sc.want, sc.left, sc.visited, sc.wall = cols, n, 0, s.wall
 	sc.kbuf = s.tree.ScanNInto(start, n, sc.kbuf, sc.visit)
 	sc.want = nil
 	return sc.pairs[base:len(sc.pairs):len(sc.pairs)]
@@ -1015,7 +1023,7 @@ func (s *Store) rangeInto(start []byte, n int, cols []int, sc *RangeScratch) []P
 //masstree:noalloc
 func (sc *RangeScratch) add(k []byte, v *value.Value) bool {
 	sc.visited++
-	if expired(v) {
+	if expired(sc.wall, v) {
 		return sc.visited < maxRangeScanVisits // lazily dead: skip, not counted toward n
 	}
 	ks := len(sc.keys)
@@ -1050,7 +1058,7 @@ func (s *Store) CheckpointN(parts int) (path string, n int, err error) {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	ckptStart := time.Now()
+	ckptStart := s.wall.Now()
 	if parts <= 0 {
 		parts = runtime.GOMAXPROCS(0)
 	}
@@ -1093,7 +1101,7 @@ func (s *Store) CheckpointN(parts int) (path string, n int, err error) {
 	// live set and recovery never resurrects them (their pre-checkpoint log
 	// records are skipped wholesale by the ts <= startTS rule). The deadline
 	// is sampled once so every part applies the same cut.
-	ckptNow := time.Now().UnixNano()
+	ckptNow := s.wall.Now().UnixNano()
 	n, err = checkpoint.WriteParts(s.fsys, s.cfg.Dir, startTS, parts, func(k int, emit func(checkpoint.Entry) error) error {
 		var start, end []byte
 		if k > 0 {
@@ -1124,7 +1132,7 @@ func (s *Store) CheckpointN(parts int) (path string, n int, err error) {
 	}
 	// WriteParts' directory sync was the commit point: record the commit and
 	// the whole write's latency before moving on to reclamation.
-	s.obs.Hist(obs.HCheckpoint).Record(0, time.Since(ckptStart))
+	s.obs.Hist(obs.HCheckpoint).Record(0, s.wall.Now().Sub(ckptStart))
 	s.obs.Recorder().Record(0, obs.EvCkptCommit, startTS, uint64(n))
 	path = filepath.Join(s.cfg.Dir, checkpoint.ManifestName(startTS))
 	// The WriteParts directory sync above is the commit point; only now is

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 )
 
@@ -25,7 +26,13 @@ func openDir(t *testing.T, dir string) *Store {
 // mustOpen opens a store with cfg, failing the test if it cannot.
 func mustOpen(t testing.TB, cfg Config) *Store {
 	t.Helper()
-	s, err := Open(cfg)
+	return openAt(t, cfg, clock.Wall{})
+}
+
+// openAt is mustOpen on the wall clock wall.
+func openAt(t testing.TB, cfg Config, wall clock.Clock) *Store {
+	t.Helper()
+	s, err := open(cfg, wall)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -18,21 +19,17 @@ import (
 // base.
 func TestWriteKernelExpiryOnce(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
+	wall := &readClock{Fake: clock.NewFake()}
+	s := openAt(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: 24 * time.Hour}, wall)
 	ss := sessions(s, 1)[0]
 	key := []byte("k")
-	deadline := nowNanos() + uint64(time.Hour)
+	deadline := uint64(wall.Fake.Now().Add(time.Hour).UnixNano())
 	baseVer := ss.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}, deadline)
-	reads := 0
-	s.now = func() int64 {
-		if reads++; reads == 1 {
-			return int64(deadline) - 1
-		}
-		return int64(deadline) + 1
-	}
+	wall.Advance(time.Hour - 1)
+	wall.reads, wall.step = 0, 2 // the first read sees deadline-1, a second deadline+1
 	ver, ok := ss.CasPut(key, baseVer, col0("n0"))
-	if reads != 1 {
-		t.Errorf("the step read the clock %d times, want once", reads)
+	if wall.reads != 1 {
+		t.Errorf("the step read the clock %d times, want once", wall.reads)
 	}
 	after, found := ss.GetValue(key) // the new value carries no expiry, so the wall clock sees it
 	if err := s.Close(); err != nil {
@@ -66,18 +63,17 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 // never over an absent base or one without an expiry (TTL-free workloads
 // pay a header load and a branch), exactly once over one that has.
 func TestWriteKernelClockReads(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
+	wall := &readClock{Fake: clock.NewFake()}
+	s := openAt(t, Config{MaintainEvery: -1}, wall)
 	defer s.Close()
 	ss := sessions(s, 1)[0]
-	reads := 0
-	s.now = func() int64 { reads++; return time.Now().UnixNano() }
-	future := nowNanos() + uint64(time.Hour)
+	future := uint64(wall.Fake.Now().Add(time.Hour).UnixNano())
 	plain, ttl, absent := []byte("plain"), []byte("ttl"), []byte("absent")
 	reset := func() {
 		ss.Put(plain, col0("p"))
 		ss.PutTTL(ttl, col0("t"), future)
 		ss.Remove(absent)
-		reads = 0
+		wall.reads = 0
 	}
 	entries := map[string]func(key []byte){
 		"Put":    func(key []byte) { ss.Put(key, col0("x")) },
@@ -98,9 +94,24 @@ func TestWriteKernelClockReads(t *testing.T) {
 		}{{absent, 0}, {plain, 0}, {ttl, 1}} {
 			reset()
 			run(c.key)
-			if reads != c.want {
-				t.Errorf("%s over %q: %d clock reads, want %d", name, c.key, reads, c.want)
+			if wall.reads != c.want {
+				t.Errorf("%s over %q: %d clock reads, want %d", name, c.key, wall.reads, c.want)
 			}
 		}
 	}
+}
+
+// readClock is a fake wall clock that counts its Now reads and moves on by
+// step after each, for tests run on one goroutine.
+type readClock struct {
+	*clock.Fake
+	step  time.Duration
+	reads int
+}
+
+func (c *readClock) Now() time.Time {
+	c.reads++
+	now := c.Fake.Now()
+	c.Advance(c.step)
+	return now
 }

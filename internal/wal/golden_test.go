@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 )
@@ -20,7 +21,7 @@ func TestLogBytesGolden(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	set, err := OpenSetFS(mem, "d", 1, 3, true, time.Hour)
+	set, err := OpenSetFS(mem, "d", 1, 3, true, time.Hour, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 )
@@ -39,7 +40,7 @@ func TestTwoLogsReplayAsOneStream(t *testing.T) {
 			b.End()
 		},
 	} {
-		w, err := newWriter(mem, dir, worker, 1, true, DefaultFlushInterval, true)
+		w, err := newWriter(mem, dir, worker, 1, true, DefaultFlushInterval, true, clock.Wall{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestMissingLogDetection(t *testing.T) {
 	if err := mem.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	set, err := OpenSetFS(mem, dir, 3, 1, true, DefaultFlushInterval)
+	set, err := OpenSetFS(mem, dir, 3, 1, true, DefaultFlushInterval, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestMissingLogDetection(t *testing.T) {
 	if err := mem2.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	set2, err := OpenSetFS(mem2, dir, 2, 1, true, DefaultFlushInterval)
+	set2, err := OpenSetFS(mem2, dir, 2, 1, true, DefaultFlushInterval, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestFailedRotateLeavesNoLogSetTemp(t *testing.T) {
 	if err := fsys.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	set, err := OpenSetFS(fsys, "d", 2, 1, true, time.Hour)
+	set, err := OpenSetFS(fsys, "d", 2, 1, true, time.Hour, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/vfs"
 )
 
@@ -42,18 +43,26 @@ func (f *flakyFile) Write(p []byte) (int, error) {
 }
 
 // Regression: a failed flush must (1) count into FlushStats, (2) arm a
-// backoff window the background flusher honors (no hammering a sick device),
-// (3) count foreground retries into FlushRetries, and (4) lose nothing —
-// once the device heals, every appended record reaches the log exactly once.
+// backoff window the background flusher honors (no hammering a sick device)
+// until the window's last instant and no longer, (3) count retries into
+// FlushRetries, (4) let a foreground flush ignore the window, and (5) lose
+// nothing — once the device heals, every appended record reaches the log
+// exactly once.
 func TestFlushRetryBackoff(t *testing.T) {
 	fsys := &flakyFS{FS: vfs.NewMemFS()}
 	if err := fsys.MkdirAll("wal", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// flushEvery is huge so the ticker never races the test's explicit calls.
-	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, true)
+	// The fake clock never reaches the flush interval, so the ticker never
+	// races the test's explicit background flushes.
+	wall := clock.NewFake()
+	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, true, wall)
 	if err != nil {
 		t.Fatal(err)
+	}
+	logged := func() int {
+		data, _ := fsys.ReadFile("wal/" + LogFileName(0, 1))
+		return len(data)
 	}
 
 	insertOne(w, 1, []byte("a"), nil)
@@ -77,25 +86,45 @@ func TestFlushRetryBackoff(t *testing.T) {
 		t.Fatalf("backoff = %v after second failure, want %v", w.backoff, 2*retryBase)
 	}
 
-	// The device heals, but the backoff window is still pending: a background
-	// flush must skip the attempt (deterministic — retryAt is ~100ms out).
+	// The device heals, but the backoff window is still pending: at its last
+	// instant, retryAt - 1ns, the background flush skips the attempt.
 	fsys.failing.Store(false)
 	insertOne(w, 2, []byte("b"), nil)
+	wall.Advance(2*retryBase - 1)
 	w.flushBackground()
-	if errs, _ := w.FlushStats(); errs != 2 {
+	if errs, _ := w.FlushStats(); errs != 2 || w.FlushRetries() != 1 {
 		t.Fatalf("background flush ran inside the backoff window (errs=%d)", errs)
 	}
-	if data, err := fsys.ReadFile("wal/" + LogFileName(0, 1)); err == nil && len(data) > len(fileMagic) {
+	if logged() > len(fileMagic) {
 		t.Fatal("bytes reached the file during the backoff window")
+	}
+	// At retryAt it writes the held-back batch, counts a retry, and resets
+	// the backoff.
+	wall.Advance(1)
+	w.flushBackground()
+	if got := w.FlushRetries(); got != 2 {
+		t.Fatalf("FlushRetries = %d after the background retry, want 2", got)
+	}
+	if w.backoff != 0 || !w.retryAt.IsZero() {
+		t.Fatalf("backoff not reset after success: %v until %v", w.backoff, w.retryAt)
+	}
+	if logged() <= len(fileMagic) {
+		t.Fatal("the background retry at retryAt wrote nothing")
 	}
 
 	// A foreground flush ignores the window, counts as a retry, drains the
 	// held-back batch, and resets the backoff.
+	insertOne(w, 3, []byte("c"), nil)
+	fsys.failing.Store(true)
+	if err := w.Flush(); err == nil {
+		t.Fatal("expected a third injected failure")
+	}
+	fsys.failing.Store(false)
 	if err := w.Flush(); err != nil {
 		t.Fatalf("flush after heal: %v", err)
 	}
-	if got := w.FlushRetries(); got != 2 {
-		t.Fatalf("FlushRetries = %d after healed retry, want 2", got)
+	if got := w.FlushRetries(); got != 3 {
+		t.Fatalf("FlushRetries = %d after healed retry, want 3", got)
 	}
 	if w.backoff != 0 || !w.retryAt.IsZero() {
 		t.Fatalf("backoff not reset after success: %v until %v", w.backoff, w.retryAt)
@@ -104,7 +133,7 @@ func TestFlushRetryBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Nothing lost, nothing duplicated: exactly records ts=1 and ts=2.
+	// Nothing lost, nothing duplicated: exactly records ts=1, 2 and 3.
 	data, err := fsys.ReadFile("wal/" + LogFileName(0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -119,19 +148,20 @@ func TestFlushRetryBackoff(t *testing.T) {
 		got = append(got, rec.TS)
 		b = b[n:]
 	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("log holds records %v, want [1 2]", got)
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("log holds records %v, want [1 2 3]", got)
 	}
 }
 
 // Backoff growth is capped at retryMaxBackoff no matter how long the device
-// stays down.
+// stays down, and the background flusher waits out exactly the cap.
 func TestFlushRetryBackoffCap(t *testing.T) {
 	fsys := &flakyFS{FS: vfs.NewMemFS()}
 	if err := fsys.MkdirAll("wal", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, true)
+	wall := clock.NewFake()
+	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, true, wall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +178,15 @@ func TestFlushRetryBackoffCap(t *testing.T) {
 	}
 	if w.backoff != retryMaxBackoff {
 		t.Fatalf("backoff = %v after 12 failures, want cap %v", w.backoff, retryMaxBackoff)
+	}
+	wall.Advance(retryMaxBackoff - 1)
+	w.flushBackground()
+	if errs, _ := w.FlushStats(); errs != 12 {
+		t.Fatalf("background flush ran inside the capped window (errs=%d)", errs)
+	}
+	wall.Advance(1)
+	w.flushBackground()
+	if errs, _ := w.FlushStats(); errs != 13 || w.backoff != retryMaxBackoff {
+		t.Fatalf("after the capped window: errs=%d backoff=%v, want 13 and the cap", errs, w.backoff)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/vfs"
 )
 
@@ -12,7 +13,7 @@ import (
 // subsequently appended records.
 func TestSyncFailureThenRecover(t *testing.T) {
 	dir := t.TempDir()
-	w, err := newWriter(vfs.OS{}, dir, 0, 1, true, 0, true)
+	w, err := newWriter(vfs.OS{}, dir, 0, 1, true, 0, true, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 )
@@ -202,20 +204,28 @@ func TestRotateAndDrop(t *testing.T) {
 
 func TestBackgroundFlush(t *testing.T) {
 	dir := t.TempDir()
-	set, _ := OpenSet(dir, 1, 1, false, 5*time.Millisecond)
-	insertOne(set.Writer(0), 1, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b, _ := os.ReadFile(filepath.Join(dir, LogFileName(0, 1)))
-		if len(b) > len(fileMagic) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background flusher never wrote the record")
-		}
-		time.Sleep(2 * time.Millisecond)
+	wall := clock.NewFake()
+	set, err := OpenSetFS(vfs.OS{}, dir, 1, 1, false, 5*time.Millisecond, wall)
+	if err != nil {
+		t.Fatal(err)
 	}
-	set.Close()
+	defer set.Close()
+	insertOne(set.Writer(0), 1, []byte("k"), []value.ColPut{{Col: 0, Data: []byte("v")}})
+	wall.Advance(5 * time.Millisecond) // one flush interval: the flusher's tick
+	waitUntil(t, func() bool {
+		b, _ := os.ReadFile(filepath.Join(dir, LogFileName(0, 1)))
+		return len(b) > len(fileMagic)
+	})
+}
+
+// waitUntil yields until cond holds, failing the test after 5 s of real time.
+func waitUntil(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition never became true")
+		}
+	}
 }
 
 // TestBatchRoundTrip checks that one batch of every record form encodes the

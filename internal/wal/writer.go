@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/value"
 	"repro/internal/vfs"
@@ -25,6 +26,7 @@ type Writer struct {
 	dir    string
 	worker int
 	sync   bool
+	wall   clock.Clock // paces the flush loop and the retry backoff, times flushes
 
 	// mu guards only the append buffer; appenders hold it just long enough
 	// to encode a record, never across a file write.
@@ -114,7 +116,7 @@ const (
 
 // newWriter opens (creating or appending) the generation-gen log file for a
 // worker.
-func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool, flushEvery time.Duration, dirSync bool) (*Writer, error) {
+func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool, flushEvery time.Duration, dirSync bool, wall clock.Clock) (*Writer, error) {
 	if flushEvery <= 0 {
 		flushEvery = DefaultFlushInterval
 	}
@@ -123,6 +125,7 @@ func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool,
 		dir:     dir,
 		worker:  worker,
 		sync:    syncWrites,
+		wall:    wall,
 		gen:     gen,
 		flushCh: make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -131,7 +134,7 @@ func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool,
 		return nil, err
 	}
 	w.wg.Add(1)
-	go w.flushLoop(flushEvery)
+	go w.flushLoop(wall.NewTicker(flushEvery))
 	return w, nil
 }
 
@@ -284,11 +287,11 @@ func (w *Writer) flushLocked() error {
 	}
 	var start time.Time
 	if w.obsHist != nil {
-		start = time.Now()
+		start = w.wall.Now()
 	}
 	err := w.writeOut()
 	if w.obsHist != nil {
-		w.obsHist.Record(w.worker, time.Since(start))
+		w.obsHist.Record(w.worker, w.wall.Now().Sub(start))
 	}
 	return err
 }
@@ -352,7 +355,7 @@ func (w *Writer) noteErr(err error) error {
 			w.backoff = retryMaxBackoff
 		}
 	}
-	w.retryAt = time.Now().Add(w.backoff)
+	w.retryAt = w.wall.Now().Add(w.backoff)
 	w.obsRec.Record(w.worker, obs.EvFlushError, uint64(w.worker), uint64(w.flushErrs.Load()))
 	return err
 }
@@ -363,7 +366,7 @@ func (w *Writer) noteErr(err error) error {
 func (w *Writer) flushBackground() {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
-	if !w.retryAt.IsZero() && time.Now().Before(w.retryAt) {
+	if !w.retryAt.IsZero() && w.wall.Now().Before(w.retryAt) {
 		return
 	}
 	w.flushLocked() // failures are recorded by noteErr for FlushStats
@@ -386,13 +389,14 @@ func (w *Writer) FlushRetries() int64 { return w.flushRetries.Load() }
 // outgrown the retain cap: a huge put, or a flusher that fell far behind.
 func (w *Writer) BufferDrops() int64 { return w.bufDrops.Load() }
 
-func (w *Writer) flushLoop(every time.Duration) {
+// flushLoop runs the group commit on t, made before the loop starts so the
+// flush interval's phase is fixed when the writer is returned.
+func (w *Writer) flushLoop(t clock.Ticker) {
 	defer w.wg.Done()
-	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
-		case <-t.C:
+		case <-t.C():
 			w.flushBackground()
 		case <-w.flushCh:
 			w.flushBackground()
@@ -454,14 +458,15 @@ type Set struct {
 }
 
 // OpenSetFS creates (or reopens) n per-worker logs in dir at the given
-// starting generation, with all file access through fsys.
-func OpenSetFS(fsys vfs.FS, dir string, n int, gen uint64, syncWrites bool, flushEvery time.Duration) (*Set, error) {
+// starting generation, with all file access through fsys and every flush
+// interval and retry backoff on wall.
+func OpenSetFS(fsys vfs.FS, dir string, n int, gen uint64, syncWrites bool, flushEvery time.Duration, wall clock.Clock) (*Set, error) {
 	if flushEvery <= 0 {
 		flushEvery = DefaultFlushInterval
 	}
 	s := &Set{fsys: fsys, dir: dir, gen: gen}
 	for i := 0; i < n; i++ {
-		w, err := newWriter(fsys, dir, i, gen, syncWrites, flushEvery, false)
+		w, err := newWriter(fsys, dir, i, gen, syncWrites, flushEvery, false, wall)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -485,9 +490,9 @@ func OpenSetFS(fsys vfs.FS, dir string, n int, gen uint64, syncWrites bool, flus
 	return s, nil
 }
 
-// OpenSet is OpenSetFS on the real filesystem.
+// OpenSet is OpenSetFS on the real filesystem and the real clock.
 func OpenSet(dir string, n int, gen uint64, syncWrites bool, flushEvery time.Duration) (*Set, error) {
-	return OpenSetFS(vfs.OS{}, dir, n, gen, syncWrites, flushEvery)
+	return OpenSetFS(vfs.OS{}, dir, n, gen, syncWrites, flushEvery, clock.Wall{})
 }
 
 // Writer returns worker i's log.
