@@ -255,12 +255,14 @@
 // configuration: a workload, and at most one check of its own.
 //
 // The invariants those paragraphs lean on — locks released on every path,
-// hot paths allocation-free, scratch aliases never stored past reuse,
-// atomic fields never touched plainly, log records chained to the version
-// they replace — are machine-checked. internal/analysis is a
-// dependency-free go/analysis-style suite whose five passes (lockpair,
-// noalloc, scratchalias, atomicfield, walchain) verify them at build time;
-// `go run ./cmd/masstree-lint ./...` must exit clean and CI enforces it.
+// hot paths allocation-free, scratch aliases never stored past reuse, log
+// records chained to the version they replace — are machine-checked.
+// internal/analysis is a dependency-free go/analysis-style suite whose four
+// passes (lockpair, noalloc, scratchalias, walchain) verify them at build
+// time; `go run ./cmd/masstree-lint ./...` must exit clean and CI enforces
+// it. Atomic fields are never touched plainly because each is a typed
+// atomic, and the version word's bits change only in internal/occ because
+// the word is unexported there.
 // Contracts are declared where the code is:
 //
 //	//masstree:locked n        n is locked on entry and at every return

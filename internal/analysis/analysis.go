@@ -7,10 +7,9 @@
 // An Analyzer inspects typechecked packages and reports Diagnostics. The
 // suite under internal/analysis/* encodes the repository's concurrency and
 // allocation invariants — hand-over-hand border-lock discipline,
-// allocation-free hot paths, scratch-buffer aliasing rules, atomic-field
-// access discipline and WAL chaining — so that `go run
-// ./cmd/masstree-lint ./...` proves at build time what the runtime tests
-// can only sample. See DESIGN.md for the invariant catalog and doc.go for
+// allocation-free hot paths, scratch-buffer aliasing rules and WAL
+// chaining — so that `go run ./cmd/masstree-lint ./...` proves at build
+// time what the runtime tests can only sample. See DESIGN.md for the invariant catalog and doc.go for
 // the annotation conventions.
 //
 // Deliberate exceptions are annotated in the source as
@@ -53,11 +52,7 @@ type Analyzer struct {
 	Name string
 	Doc  string
 
-	// ProgramWide analyzers run once over the whole load (cross-package
-	// facts, e.g. atomic-field discipline); others run per package.
-	ProgramWide bool
-
-	// Packages restricts a per-package analyzer to import paths with one of
+	// Packages restricts an analyzer to import paths with one of
 	// these suffixes. Empty means every package. The test harness bypasses
 	// the filter so fixtures need not mimic repository paths.
 	Packages []string
@@ -78,9 +73,9 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 	return false
 }
 
-// Pass carries one analyzer execution. Per-package analyzers get Pkg and the
-// full load in All (for cross-package fact lookup, e.g. annotations on a
-// callee declared elsewhere); program-wide analyzers get only All.
+// Pass carries one analyzer execution on Pkg, with the full load in All (for
+// cross-package fact lookup, e.g. annotations on a callee declared
+// elsewhere).
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
@@ -95,15 +90,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Fset returns the load's shared file set.
-func (p *Pass) Fset() *token.FileSet {
-	if p.Pkg != nil {
-		return p.Pkg.Fset
-	}
-	if len(p.All) > 0 {
-		return p.All[0].Fset
-	}
-	return nil
-}
+func (p *Pass) Fset() *token.FileSet { return p.Pkg.Fset }
 
 // Finding is a driver-level diagnostic: positioned, attributed to its
 // analyzer, and carrying the suppression verdict.
@@ -144,12 +131,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
 	}
 
 	for _, a := range analyzers {
-		if a.ProgramWide {
-			pass := &Pass{Analyzer: a, All: pkgs}
-			a.Run(pass)
-			emit(a.Name, pass.diags)
-			continue
-		}
 		for _, pkg := range pkgs {
 			if !a.AppliesTo(pkg.PkgPath) {
 				continue

@@ -7,7 +7,7 @@
 // never statements with nested bodies — so transfer functions can walk a
 // node's full subtree safely. Branch conditions ride on edges together with
 // the sense in which they were taken, which is how condition-dependent
-// facts (tryLock success, nil checks of conditionally locked results) stay
+// facts (TryLock success, nil checks of conditionally locked results) stay
 // visible to the dataflow.
 package cfg
 

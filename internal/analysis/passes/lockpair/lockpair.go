@@ -1,17 +1,24 @@
 // Package lockpair verifies the hand-over-hand border-lock discipline of the
-// tree's write paths: every lock() acquired in a function is released on
+// tree's write paths: every node lock acquired in a function is released on
 // every path out of it, transfers between functions follow the declared
 // //masstree: contracts, and unlocks always target locks actually held.
+//
+// A node lock is the version word of internal/occ: the Lock, Unlock,
+// TryLock and Stable methods of occ.Version, and no other type's, so a
+// sync.Mutex beside the nodes is not tracked. A lockable value is an
+// occ.Version, a type that embeds one (core's nodeHeader), or a struct
+// holding such a type in a field named h.
 //
 // The analysis runs a forward dataflow over each function's CFG. A state is
 // a set of possible locksets; each lockset is a set of canonical lock keys
 // ("n.h" for n *borderNode, "n" for n *nodeHeader) plus nil-ness facts about
 // variables bound to conditionally-locked results. The moves it understands:
 //
-//   - x.lock() / x.unlock() / x.tryLock(): the spinlock primitives, by
-//     method name. tryLock acquires only on the true edge of the branch it
-//     guards.
-//   - hand-over-hand transfer: next.h.lock(); n.h.unlock(); n = next renames
+//   - x.Lock() / x.Unlock() / x.TryLock(): the spinlock primitives. TryLock
+//     acquires only on the true edge of the branch it guards.
+//   - x.Stable() on a lock the path holds: reported, since the holder may
+//     have marked the node dirty, and Stable would then spin forever.
+//   - hand-over-hand transfer: next.h.Lock(); n.h.Unlock(); n = next renames
 //     the lock "next.h" to "n.h" through the assignment.
 //   - //masstree:locked n — callee requires (and keeps) n locked.
 //   - //masstree:unlocks n — callee consumes n's lock on every path.
@@ -22,7 +29,7 @@
 //     constructor-locked nodes (newBorder(..., true)).
 //
 // Limitations (documented, deliberate): locks stored into fields or reached
-// through calls are not tracked; a tryLock result assigned to a variable is
+// through calls are not tracked; a TryLock result assigned to a variable is
 // not tracked (use it directly in the condition); deferred unlocks are
 // credited on every exit path.
 package lockpair
@@ -50,8 +57,28 @@ var Analyzer = &analysis.Analyzer{
 // abandoned with a diagnostic rather than risking non-termination.
 const maxStates = 256
 
-// primitives whose bodies implement the lock word itself and are exempt.
-var primitiveNames = map[string]bool{"lock": true, "unlock": true, "tryLock": true, "stable": true}
+// versionPath and versionType name the one type whose methods are node
+// locks.
+const (
+	versionPath = "repro/internal/occ"
+	versionType = "Version"
+)
+
+// versionMethod returns fn's name if fn is a method of occ.Version, else "".
+func versionMethod(fn *types.Func) string {
+	if fn == nil || fn.Signature().Recv() == nil {
+		return ""
+	}
+	t := fn.Signature().Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Name() != versionType || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != versionPath {
+		return ""
+	}
+	return fn.Name()
+}
 
 func run(pass *analysis.Pass) {
 	decls := analysis.FuncDecls(pass.All)
@@ -59,7 +86,7 @@ func run(pass *analysis.Pass) {
 		dirs := analysis.LineDirectives(pass.Pkg.Fset, file)
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || primitiveNames[fd.Name.Name] {
+			if !ok || fd.Body == nil {
 				continue
 			}
 			analyzeFunc(pass, fd, decls, dirs)
@@ -300,9 +327,9 @@ func (fa *funcAnalysis) applyCalls(states []*lockset, node ast.Node, resultUsed 
 func (fa *funcAnalysis) applyCall(states []*lockset, call *ast.CallExpr, resultUsed bool) []*lockset {
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	callee := analysis.CalleeOf(fa.info, call)
-	if sel != nil && callee != nil && callee.Signature().Recv() != nil {
-		switch sel.Sel.Name {
-		case "lock":
+	if m := versionMethod(callee); m != "" && sel != nil {
+		switch m {
+		case "Lock":
 			if key := render(sel.X); key != "" {
 				for _, ls := range states {
 					if ls.locks[key] {
@@ -312,7 +339,7 @@ func (fa *funcAnalysis) applyCall(states []*lockset, call *ast.CallExpr, resultU
 				}
 			}
 			return states
-		case "unlock":
+		case "Unlock":
 			if key := render(sel.X); key != "" {
 				for _, ls := range states {
 					if !ls.locks[key] {
@@ -322,9 +349,18 @@ func (fa *funcAnalysis) applyCall(states []*lockset, call *ast.CallExpr, resultU
 				}
 			}
 			return states
-		case "tryLock":
+		case "TryLock":
 			// Acquisition happens on the true edge of the guarding branch;
 			// a discarded or variable-bound result is not tracked.
+			return states
+		case "Stable":
+			if key := render(sel.X); key != "" {
+				for _, ls := range states {
+					if ls.locks[key] {
+						fa.reportf(call.Pos(), "Stable on %s, which is held: a dirty node it holds never stabilizes", key)
+					}
+				}
+			}
 			return states
 		}
 	}
@@ -369,13 +405,13 @@ func (fa *funcAnalysis) applyCall(states []*lockset, call *ast.CallExpr, resultU
 // masstree:unlocks contract), for crediting deferred calls.
 func (fa *funcAnalysis) callReleases(call *ast.CallExpr) map[string]bool {
 	keys := map[string]bool{}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "unlock" {
+	callee := analysis.CalleeOf(fa.info, call)
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && versionMethod(callee) == "Unlock" {
 		if key := render(sel.X); key != "" {
 			keys[key] = true
 		}
 		return keys
 	}
-	callee := analysis.CalleeOf(fa.info, call)
 	if callee == nil {
 		return keys
 	}
@@ -517,7 +553,7 @@ func renameState(ls *lockset, pairs []renamePair) *lockset {
 }
 
 // filterEdge refines a state along a conditional edge: nil checks resolve
-// conditionally-held locks, tryLock acquires on its true edge, and
+// conditionally-held locks, TryLock acquires on its true edge, and
 // &&/|| decompose when the taken sense determines both operands.
 func (fa *funcAnalysis) filterEdge(ls *lockset, cond ast.Expr, sense bool) (*lockset, bool) {
 	switch e := ast.Unparen(cond).(type) {
@@ -559,7 +595,7 @@ func (fa *funcAnalysis) filterEdge(ls *lockset, cond ast.Expr, sense bool) (*loc
 			ls.facts[name] = !isNil
 		}
 	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "tryLock" && sense {
+		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok && sense && versionMethod(analysis.CalleeOf(fa.info, e)) == "TryLock" {
 			if key := render(sel.X); key != "" {
 				ls.locks[key] = true
 			}
@@ -704,17 +740,18 @@ func (fa *funcAnalysis) actualTypeKey(base string, typ types.Type) string {
 	return ""
 }
 
+// hasLockMethod reports whether t's Lock is occ.Version's: t is one, or
+// embeds one.
 func hasLockMethod(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		return hasLockMethod(p.Elem())
 	}
-	n, ok := t.(*types.Named)
-	if !ok {
+	if _, ok := t.(*types.Named); !ok {
 		return false
 	}
-	obj, _, _ := types.LookupFieldOrMethod(t, true, n.Obj().Pkg(), "lock")
-	fn, ok := obj.(*types.Func)
-	return ok && fn != nil
+	obj, _, _ := types.LookupFieldOrMethod(t, true, nil, "Lock")
+	fn, _ := obj.(*types.Func)
+	return versionMethod(fn) == "Lock"
 }
 
 func (fa *funcAnalysis) identType(id *ast.Ident) types.Type {

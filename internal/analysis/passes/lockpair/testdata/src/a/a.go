@@ -1,20 +1,21 @@
 // Package a is the lockpair golden fixture: a miniature border-node world
 // with the same lock-discovery conventions as internal/core (a header type
-// with lock/unlock/tryLock methods, node structs holding it in a field named
-// h), exercising every diagnostic plus the clean idioms around each.
+// embedding occ.Version, node structs holding it in a field named h),
+// exercising every diagnostic plus the clean idioms around each.
 package a
 
-import "errors"
+import (
+	"errors"
+	"sync"
+
+	"repro/internal/occ"
+)
 
 var errFailed = errors.New("failed")
 
 type nodeHeader struct {
-	word uint32
+	occ.Version
 }
-
-func (h *nodeHeader) lock()         {}
-func (h *nodeHeader) unlock()       {}
-func (h *nodeHeader) tryLock() bool { return h.word == 0 }
 
 type node struct {
 	h    nodeHeader
@@ -25,54 +26,93 @@ type node struct {
 // --- lock / unlock pairing ---
 
 func balanced(n *node) { // clean: one lock, one unlock
-	n.h.lock()
+	n.h.Lock()
 	n.val++
-	n.h.unlock()
+	n.h.Unlock()
 }
 
 func double(n *node) {
-	n.h.lock()
-	n.h.lock() // want `double lock of n\.h`
-	n.h.unlock()
+	n.h.Lock()
+	n.h.Lock() // want `double lock of n\.h`
+	n.h.Unlock()
 }
 
 func unheld(n *node) {
-	n.h.unlock() // want `unlock of n\.h, which is not held`
+	n.h.Unlock() // want `unlock of n\.h, which is not held`
 }
 
 func deferred(n *node) { // clean: deferred unlock credited at every exit
-	n.h.lock()
-	defer n.h.unlock()
+	n.h.Lock()
+	defer n.h.Unlock()
 	n.val++
 }
 
 // errPath drops its lock on the error return: the seeded missed-unlock bug.
 func errPath(n *node, fail bool) error {
-	n.h.lock()
+	n.h.Lock()
 	if fail {
 		return errFailed // want `lock n\.h is not released on this return path`
 	}
-	n.h.unlock()
+	n.h.Unlock()
 	return nil
 }
 
 // --- hand-over-hand transfer ---
 
 func walk(n *node) { // clean: next.h renames to n.h through n = next
-	n.h.lock()
+	n.h.Lock()
 	for n.next != nil {
 		next := n.next
-		next.h.lock()
-		n.h.unlock()
+		next.h.Lock()
+		n.h.Unlock()
 		n = next
 	}
-	n.h.unlock()
+	n.h.Unlock()
 }
 
-func tryWalk(n *node) { // clean: tryLock acquires only on its true edge
-	if n.h.tryLock() {
-		n.h.unlock()
+func tryWalk(n *node) { // clean: TryLock acquires only on its true edge
+	if n.h.TryLock() {
+		n.h.Unlock()
 	}
+}
+
+// missedUnlock returns with the version word still locked.
+func missedUnlock(v *occ.Version, fail bool) {
+	v.Lock()
+	if fail {
+		return // want `lock v is not released on this return path`
+	}
+	v.Unlock()
+}
+
+func stableHeld(n *node) {
+	n.h.Lock()
+	_ = n.h.Stable() // want `Stable on n\.h, which is held`
+	n.h.Unlock()
+	_ = n.h.Stable() // clean: an unheld node's Stable is a reader's
+}
+
+// --- a sync.Mutex is not a node lock ---
+
+type tree struct {
+	mu   sync.Mutex
+	root *node
+}
+
+type registry struct {
+	sync.Mutex
+	n int
+}
+
+func maintain(t *tree) { // clean: a mutex pair is not tracked
+	t.mu.Lock()
+	t.root = nil
+	t.mu.Unlock()
+}
+
+func handOff(r *registry) { // clean: not tracked, so a held mutex may be handed to the caller
+	r.Lock()
+	r.n++
 }
 
 // --- masstree:locked / masstree:unlocks contracts ---
@@ -88,11 +128,11 @@ func withLock(n *node) {
 //
 //masstree:unlocks n
 func release(n *node) {
-	n.h.unlock()
+	n.h.Unlock()
 }
 
 func useContracts(n *node) { // clean: contracts satisfied
-	n.h.lock()
+	n.h.Lock()
 	withLock(n)
 	release(n)
 }
@@ -106,7 +146,7 @@ func badContracts(n *node) {
 //
 //masstree:locked n
 func dropsContract(n *node) {
-	n.h.unlock()
+	n.h.Unlock()
 } // want `n\.h must be held at return \(masstree:locked\)`
 
 // badName names a contract param that does not exist.
@@ -123,14 +163,14 @@ func badName(n *node) { // want `masstree: contract names "q", which is not a lo
 //masstree:returns-locked
 func newLocked() *node {
 	n := alloc()
-	n.h.lock()
+	n.h.Lock()
 	return n
 }
 
 func useLocked() { // clean: nil-check resolves the conditional lock
 	n := newLocked()
 	if n != nil {
-		n.h.unlock()
+		n.h.Unlock()
 	}
 }
 
@@ -144,7 +184,7 @@ func alloc() *node { return &node{} }
 
 func constructorLocked() { // clean: the directive models the constructor's lock bit
 	n := alloc() //masstree:acquires n.h
-	n.h.unlock()
+	n.h.Unlock()
 }
 
 func stash(n *node) {}
@@ -152,14 +192,14 @@ func stash(n *node) {}
 var parked *node
 
 func park(n *node) { // clean: the directive models a transfer the analyzer cannot see
-	n.h.lock()
+	n.h.Lock()
 	stash(n) //masstree:releases n.h
 }
 
 // --- suppression ---
 
 func suppressed(n *node) { // clean: the allow covers the unbalanced unlock
-	n.h.unlock() //lint:allow lockpair fixture exercising the suppression path
+	n.h.Unlock() //lint:allow lockpair fixture exercising the suppression path
 }
 
 // --- state explosion backstop ---

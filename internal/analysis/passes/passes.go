@@ -3,7 +3,6 @@ package passes
 
 import (
 	"repro/internal/analysis"
-	"repro/internal/analysis/passes/atomicfield"
 	"repro/internal/analysis/passes/lockpair"
 	"repro/internal/analysis/passes/noalloc"
 	"repro/internal/analysis/passes/scratchalias"
@@ -16,7 +15,6 @@ func All() []*analysis.Analyzer {
 		lockpair.Analyzer,
 		noalloc.Analyzer,
 		scratchalias.Analyzer,
-		atomicfield.Analyzer,
 		walchain.Analyzer,
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/value"
 )
@@ -38,7 +37,7 @@ func WithArena() Option { return func(t *Tree) { t.arena = newArena() } }
 
 // Tree is a concurrent lock-free binary search tree.
 type Tree struct {
-	root   unsafe.Pointer // *node, atomic
+	root   atomic.Pointer[node]
 	count  atomic.Int64
 	intCmp bool
 	arena  *arena
@@ -49,9 +48,9 @@ type Tree struct {
 type node struct {
 	key   []byte
 	ikey  []uint64 // big-endian 8-byte slices, when intCmp
-	val   unsafe.Pointer
-	left  unsafe.Pointer
-	right unsafe.Pointer
+	val   atomic.Pointer[value.Value]
+	left  atomic.Pointer[node]
+	right atomic.Pointer[node]
 }
 
 // New creates an empty tree.
@@ -112,16 +111,16 @@ func (t *Tree) compare(k []byte, n *node) int {
 
 // Get returns the value for key.
 func (t *Tree) Get(key []byte) (*value.Value, bool) {
-	n := (*node)(atomic.LoadPointer(&t.root))
+	n := t.root.Load()
 	for n != nil {
 		c := t.compare(key, n)
 		if c == 0 {
-			return (*value.Value)(atomic.LoadPointer(&n.val)), true
+			return n.val.Load(), true
 		}
 		if c < 0 {
-			n = (*node)(atomic.LoadPointer(&n.left))
+			n = n.left.Load()
 		} else {
-			n = (*node)(atomic.LoadPointer(&n.right))
+			n = n.right.Load()
 		}
 	}
 	return nil, false
@@ -130,28 +129,28 @@ func (t *Tree) Get(key []byte) (*value.Value, bool) {
 // Put stores v for key, reporting whether it replaced a value.
 func (t *Tree) Put(key []byte, v *value.Value) bool {
 	for {
-		addr := &t.root //lint:allow atomicfield address escapes into addr, which is only ever dereferenced via sync/atomic below
-		n := (*node)(atomic.LoadPointer(addr))
+		addr := &t.root
+		n := addr.Load()
 		for n != nil {
 			c := t.compare(key, n)
 			if c == 0 {
-				atomic.StorePointer(&n.val, unsafe.Pointer(v))
+				n.val.Store(v)
 				return true
 			}
 			if c < 0 {
-				addr = &n.left //lint:allow atomicfield address escapes into addr, which is only ever dereferenced via sync/atomic
+				addr = &n.left
 			} else {
-				addr = &n.right //lint:allow atomicfield address escapes into addr, which is only ever dereferenced via sync/atomic
+				addr = &n.right
 			}
-			n = (*node)(atomic.LoadPointer(addr))
+			n = addr.Load()
 		}
 		nn := t.alloc()
 		nn.key = append([]byte(nil), key...)
 		if t.intCmp {
 			nn.ikey = encodeIkey(nn.key)
 		}
-		nn.val = unsafe.Pointer(v) //lint:allow atomicfield nn is private until the CAS below publishes it
-		if atomic.CompareAndSwapPointer(addr, nil, unsafe.Pointer(nn)) {
+		nn.val.Store(v)
+		if addr.CompareAndSwap(nil, nn) {
 			t.count.Add(1)
 			return false
 		}

@@ -37,7 +37,7 @@ func TestModel(t *testing.T) {
 				case 2:
 					v, ok := tr.Get([]byte(k))
 					want, wantOK := model[k]
-					if ok != wantOK || (ok && string(v.Bytes()) != want) {
+					if ok != wantOK || (ok && string(v.Col(0)) != want) {
 						t.Fatalf("get %q = %v,%v want %q,%v", k, v, ok, want, wantOK)
 					}
 				}
@@ -65,7 +65,7 @@ func TestIntCmpMatchesBytes(t *testing.T) {
 	for _, k := range keys {
 		va, oka := a.Get(k)
 		vb, okb := b.Get(k)
-		if oka != okb || string(va.Bytes()) != string(vb.Bytes()) {
+		if oka != okb || string(va.Col(0)) != string(vb.Col(0)) {
 			t.Fatalf("mismatch for %q", k)
 		}
 	}
@@ -97,7 +97,7 @@ func TestConcurrentInserts(t *testing.T) {
 			for w := 0; w < workers; w++ {
 				for i := 0; i < per; i++ {
 					k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-					if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+					if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 						t.Fatalf("lost %q", k)
 					}
 				}
@@ -114,7 +114,7 @@ func TestEmptyAndBinaryKeys(t *testing.T) {
 	}
 	for i, k := range keys {
 		v, ok := tr.Get(k)
-		if !ok || v.Bytes()[0] != byte(i) {
+		if !ok || v.Col(0)[0] != byte(i) {
 			t.Fatalf("key %q wrong", k)
 		}
 	}

@@ -29,7 +29,8 @@ import (
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/baseline/occ"
+	"repro/internal/occ"
+	"repro/internal/value"
 )
 
 const (
@@ -123,8 +124,8 @@ func (b *bkey) bytes() []byte {
 }
 
 type nodeHeader struct {
-	version occ.Version
-	parent  atomic.Pointer[interiorNode]
+	occ.Version
+	parent atomic.Pointer[interiorNode]
 }
 
 func (h *nodeHeader) border() *borderNode     { return (*borderNode)(unsafe.Pointer(h)) }
@@ -154,7 +155,7 @@ type borderNode struct {
 
 	lead [width]atomic.Uint64 // keys[i]'s lead
 	keys [width]atomic.Pointer[bkey]
-	vals [width]unsafe.Pointer
+	vals [width]atomic.Pointer[value.Value]
 
 	// used tracks slots that ever held a visible key (permuter mode);
 	// protected by the node lock (§4.6.5 slot-reuse hazard).
@@ -175,7 +176,7 @@ func New(opts ...Option) *Tree {
 		o(t)
 	}
 	b := &borderNode{}
-	b.h.version.Init(occ.BorderBit | occ.RootBit)
+	b.h.Init(occ.BorderBit | occ.RootBit)
 	b.permutation.Store(uint64(emptyPerm))
 	t.root.Store(&b.h)
 	return t

@@ -115,7 +115,7 @@ func TestModel(t *testing.T) {
 				case 2:
 					v, ok := tr.Get([]byte(k))
 					want, wantOK := model[k]
-					if ok != wantOK || (ok && string(v.Bytes()) != want) {
+					if ok != wantOK || (ok && string(v.Col(0)) != want) {
 						t.Fatalf("op %d: get %q = %v,%v want %q,%v", i, k, v, ok, want, wantOK)
 					}
 				}
@@ -125,7 +125,7 @@ func TestModel(t *testing.T) {
 			}
 			for k, v := range model {
 				got, ok := tr.Get([]byte(k))
-				if !ok || string(got.Bytes()) != v {
+				if !ok || string(got.Col(0)) != v {
 					t.Fatalf("final: %q = %v,%v want %q", k, got, ok, v)
 				}
 			}
@@ -149,7 +149,7 @@ func TestSequentialAndReverse(t *testing.T) {
 			for i := 0; i < n; i++ {
 				for _, p := range []string{"s", "r"} {
 					k := []byte(fmt.Sprintf("%s%06d", p, i))
-					if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+					if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 						t.Fatalf("lost %q", k)
 					}
 				}
@@ -186,7 +186,7 @@ func TestConcurrent(t *testing.T) {
 					rng := rand.New(rand.NewSource(seed))
 					for i := 0; i < 20000; i++ {
 						k := []byte(fmt.Sprintf("stable%04d", rng.Intn(500)))
-						if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+						if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 							panic(fmt.Sprintf("lost stable key %q", k))
 						}
 					}
@@ -196,7 +196,7 @@ func TestConcurrent(t *testing.T) {
 			for w := 0; w < workers; w++ {
 				for i := 0; i < per; i++ {
 					k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-					if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+					if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 						t.Fatalf("lost %q", k)
 					}
 				}

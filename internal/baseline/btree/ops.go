@@ -1,16 +1,13 @@
 package btree
 
 import (
-	"sync/atomic"
-	"unsafe"
-
-	"repro/internal/baseline/occ"
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
 // ascendToRoot walks to the current root after a stale-root descent.
 func ascendToRoot(h *nodeHeader) *nodeHeader {
-	for !occ.Root(h.version.Load()) {
+	for !occ.Root(h.Load()) {
 		p := h.parent.Load()
 		if p == nil {
 			return h
@@ -39,7 +36,7 @@ func (in *interiorNode) childFor(kl uint64, key []byte) *nodeHeader {
 func findBorder(root *nodeHeader, kl uint64, key []byte) (*borderNode, uint64) {
 retry:
 	n := root
-	v := n.version.Stable()
+	v := n.Stable()
 	if !occ.Root(v) {
 		root = ascendToRoot(root)
 		goto retry
@@ -50,19 +47,19 @@ retry:
 		}
 		n1 := n.interior().childFor(kl, key)
 		if n1 == nil {
-			v1 := n.version.Stable()
+			v1 := n.Stable()
 			if occ.VSplit(v1) != occ.VSplit(v) {
 				goto retry
 			}
 			v = v1
 			continue
 		}
-		v1 := n1.version.Stable()
-		if !occ.Changed(n.version.Load(), v) {
+		v1 := n1.Stable()
+		if !occ.Changed(n.Load(), v) {
 			n, v = n1, v1
 			continue
 		}
-		v2 := n.version.Stable()
+		v2 := n.Stable()
 		if occ.VSplit(v2) != occ.VSplit(v) {
 			goto retry
 		}
@@ -116,52 +113,52 @@ func (t *Tree) Get(key []byte) (*value.Value, bool) {
 forward:
 	p := perm(n.permutation.Load())
 	rank, found := t.search(n, p, kl, key)
-	var vp unsafe.Pointer
+	var vp *value.Value
 	if found {
-		vp = atomic.LoadPointer(&n.vals[t.slotOf(n, p, rank)])
+		vp = n.vals[t.slotOf(n, p, rank)].Load()
 	}
-	if v2 := n.h.version.Load(); occ.Changed(v2, v) {
-		v = n.h.version.Stable()
+	if v2 := n.h.Load(); occ.Changed(v2, v) {
+		v = n.h.Stable()
 		for {
 			next := n.next.Load()
 			if next == nil || compare(kl, key, next.lowLead, &next.lowkey) < 0 {
 				break
 			}
 			n = next
-			v = n.h.version.Stable()
+			v = n.h.Stable()
 		}
 		goto forward
 	}
 	if !found || vp == nil {
 		return nil, false
 	}
-	return (*value.Value)(vp), true
+	return vp, true
 }
 
 // Put stores v for key, reporting replacement.
 func (t *Tree) Put(key []byte, v *value.Value) bool {
 	kl := leadOf(key)
 	n, _ := findBorder(t.root.Load(), kl, key)
-	n.h.version.Lock()
+	n.h.Lock()
 	for {
 		next := n.next.Load()
 		if next == nil || compare(kl, key, next.lowLead, &next.lowkey) < 0 {
 			break
 		}
-		next.h.version.Lock()
-		n.h.version.Unlock()
+		next.h.Lock()
+		n.h.Unlock()
 		n = next
 	}
 	p := perm(n.permutation.Load())
 	rank, found := t.search(n, p, kl, key)
 	if found {
-		atomic.StorePointer(&n.vals[t.slotOf(n, p, rank)], unsafe.Pointer(v))
-		n.h.version.Unlock()
+		n.vals[t.slotOf(n, p, rank)].Store(v)
+		n.h.Unlock()
 		return true
 	}
 	if t.liveCount(n, p) < width {
 		t.insertAt(n, p, rank, kl, key, v)
-		n.h.version.Unlock()
+		n.h.Unlock()
 	} else {
 		t.splitInsert(n, rank, kl, key, v) // unlocks
 	}
@@ -176,26 +173,26 @@ func (t *Tree) insertAt(n *borderNode, p perm, rank int, kl uint64, key []byte, 
 	if t.permuter {
 		np, slot := p.insert(rank)
 		if n.used&(1<<uint(slot)) != 0 {
-			n.h.version.MarkInserting() // reused slot: §4.6.5
+			n.h.MarkInserting() // reused slot: §4.6.5
 		}
 		n.lead[slot].Store(kl)
 		n.keys[slot].Store(bk)
-		atomic.StorePointer(&n.vals[slot], unsafe.Pointer(v))
+		n.vals[slot].Store(v)
 		n.used |= 1 << uint(slot)
 		n.permutation.Store(uint64(np))
 		return
 	}
 	// Plain B-tree: rearrange the sorted array in place under the dirty bit,
 	// forcing concurrent readers to retry (the cost "+Permuter" removes).
-	n.h.version.MarkInserting()
+	n.h.MarkInserting()
 	cnt := int(n.nkeys.Load())
 	for i := cnt; i > rank; i-- {
 		n.lead[i].Store(n.lead[i-1].Load())
 		n.keys[i].Store(n.keys[i-1].Load())
-		atomic.StorePointer(&n.vals[i], atomic.LoadPointer(&n.vals[i-1]))
+		n.vals[i].Store(n.vals[i-1].Load())
 	}
 	n.lead[rank].Store(kl)
 	n.keys[rank].Store(bk)
-	atomic.StorePointer(&n.vals[rank], unsafe.Pointer(v))
+	n.vals[rank].Store(v)
 	n.nkeys.Store(int32(cnt + 1))
 }

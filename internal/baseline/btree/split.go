@@ -1,17 +1,14 @@
 package btree
 
 import (
-	"sync/atomic"
-	"unsafe"
-
-	"repro/internal/baseline/occ"
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
 type entry struct {
 	lead uint64
 	key  *bkey
-	val  unsafe.Pointer
+	val  *value.Value
 }
 
 // splitInsert splits the full, locked border node n while inserting key,
@@ -29,9 +26,9 @@ func (t *Tree) splitInsert(n *borderNode, rank int, kl uint64, key []byte, v *va
 		if i >= rank {
 			pos = i + 1
 		}
-		ents[pos] = entry{lead: n.lead[slot].Load(), key: n.keys[slot].Load(), val: atomic.LoadPointer(&n.vals[slot])}
+		ents[pos] = entry{lead: n.lead[slot].Load(), key: n.keys[slot].Load(), val: n.vals[slot].Load()}
 	}
-	ents[rank] = entry{lead: kl, key: makeKey(key), val: unsafe.Pointer(v)}
+	ents[rank] = entry{lead: kl, key: makeKey(key), val: v}
 	total := width + 1
 
 	splitAt := total / 2
@@ -40,14 +37,14 @@ func (t *Tree) splitInsert(n *borderNode, rank int, kl uint64, key []byte, v *va
 	}
 	left, right := ents[:splitAt], ents[splitAt:total]
 
-	n.h.version.MarkSplitting()
+	n.h.MarkSplitting()
 	n2 := &borderNode{lowLead: right[0].lead}
 	n2.lowkey.Store(right[0].key)
-	n2.h.version.Init(occ.BorderBit | occ.LockBit | occ.SplittingBit)
+	n2.h.Init(occ.BorderBit | occ.LockBit | occ.SplittingBit)
 	for i, e := range right {
 		n2.lead[i].Store(e.lead)
 		n2.keys[i].Store(e.key)
-		atomic.StorePointer(&n2.vals[i], e.val)
+		n2.vals[i].Store(e.val)
 		n2.used |= 1 << uint(i)
 	}
 	n2.permutation.Store(uint64(emptyPerm)&^0xf | uint64(len(right)))
@@ -56,7 +53,7 @@ func (t *Tree) splitInsert(n *borderNode, rank int, kl uint64, key []byte, v *va
 	for i, e := range left {
 		n.lead[i].Store(e.lead)
 		n.keys[i].Store(e.key)
-		atomic.StorePointer(&n.vals[i], e.val)
+		n.vals[i].Store(e.val)
 	}
 	n.permutation.Store(uint64(emptyPerm)&^0xf | uint64(len(left)))
 	n.nkeys.Store(int32(len(left)))
@@ -76,7 +73,7 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sl uint64, sep *bkey) {
 		p := lockParent(n)
 		if p == nil {
 			r := &interiorNode{}
-			r.h.version.Init(occ.RootBit)
+			r.h.Init(occ.RootBit)
 			r.lead[0].Store(sl)
 			r.keys[0].Store(sep)
 			r.child[0].Store(n)
@@ -84,14 +81,14 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sl uint64, sep *bkey) {
 			r.nkeys.Store(1)
 			n.parent.Store(r)
 			n2.parent.Store(r)
-			n.version.ClearRoot()
+			n.ClearRoot()
 			t.root.CompareAndSwap(n, &r.h)
-			n.version.Unlock()
-			n2.version.Unlock()
+			n.Unlock()
+			n2.Unlock()
 			return
 		}
 		if int(p.nkeys.Load()) < width {
-			p.h.version.MarkInserting()
+			p.h.MarkInserting()
 			nk := int(p.nkeys.Load())
 			pos := 0
 			for pos < nk && compare(sl, sep.bytes(), p.lead[pos].Load(), &p.keys[pos]) > 0 {
@@ -109,17 +106,17 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sl uint64, sep *bkey) {
 			p.child[pos+1].Store(n2)
 			n2.parent.Store(p)
 			p.nkeys.Store(int32(nk + 1))
-			n.version.Unlock()
-			n2.version.Unlock()
-			p.h.version.Unlock()
+			n.Unlock()
+			n2.Unlock()
+			p.h.Unlock()
 			return
 		}
-		p.h.version.MarkSplitting()
-		n.version.Unlock()
+		p.h.MarkSplitting()
+		n.Unlock()
 		p2 := &interiorNode{}
-		p2.h.version.Init(occ.LockBit | occ.SplittingBit)
+		p2.h.Init(occ.LockBit | occ.SplittingBit)
 		sl2, sep2 := t.splitInterior(p, p2, sl, sep, n2)
-		n2.version.Unlock()
+		n2.Unlock()
 		n, n2, sl, sep = &p.h, &p2.h, sl2, sep2
 	}
 }
@@ -130,11 +127,11 @@ func lockParent(h *nodeHeader) *interiorNode {
 		if p == nil {
 			return nil
 		}
-		p.h.version.Lock()
+		p.h.Lock()
 		if h.parent.Load() == p {
 			return p
 		}
-		p.h.version.Unlock()
+		p.h.Unlock()
 	}
 }
 

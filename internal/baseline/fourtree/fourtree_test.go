@@ -26,7 +26,7 @@ func TestModel(t *testing.T) {
 		case 2:
 			v, ok := tr.Get([]byte(k))
 			want, wantOK := model[k]
-			if ok != wantOK || (ok && string(v.Bytes()) != want) {
+			if ok != wantOK || (ok && string(v.Col(0)) != want) {
 				t.Fatalf("get %q mismatch", k)
 			}
 		}
@@ -86,7 +86,7 @@ func TestConcurrentInserts(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := 0; i < per; i++ {
 			k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-			if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+			if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 				t.Fatalf("lost %q", k)
 			}
 		}
@@ -105,7 +105,7 @@ func TestConcurrentMixed(t *testing.T) {
 				k := []byte(fmt.Sprintf("hot%03d", rng.Intn(200)))
 				if rng.Intn(2) == 0 {
 					tr.Put(k, value.New(k))
-				} else if v, ok := tr.Get(k); ok && string(v.Bytes()) != string(k) {
+				} else if v, ok := tr.Get(k); ok && string(v.Col(0)) != string(k) {
 					panic("wrong value")
 				}
 			}

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"hash/fnv"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/value"
 )
@@ -32,7 +31,7 @@ type Table struct {
 // val is stored atomically.
 type entry struct {
 	key  []byte
-	val  unsafe.Pointer
+	val  atomic.Pointer[value.Value]
 	next *entry
 }
 
@@ -57,7 +56,7 @@ func (t *Table) bucket(key []byte) *atomic.Pointer[entry] {
 func (t *Table) Get(key []byte) (*value.Value, bool) {
 	for e := t.bucket(key).Load(); e != nil; e = e.next {
 		if bytes.Equal(e.key, key) {
-			return (*value.Value)(atomic.LoadPointer(&e.val)), true
+			return e.val.Load(), true
 		}
 	}
 	return nil, false
@@ -70,11 +69,12 @@ func (t *Table) Put(key []byte, v *value.Value) bool {
 		head := b.Load()
 		for e := head; e != nil; e = e.next {
 			if bytes.Equal(e.key, key) {
-				atomic.StorePointer(&e.val, unsafe.Pointer(v))
+				e.val.Store(v)
 				return true
 			}
 		}
-		ne := &entry{key: append([]byte(nil), key...), val: unsafe.Pointer(v), next: head}
+		ne := &entry{key: append([]byte(nil), key...), next: head}
+		ne.val.Store(v)
 		if b.CompareAndSwap(head, ne) {
 			t.count.Add(1)
 			return false

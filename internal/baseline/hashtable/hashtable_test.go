@@ -26,7 +26,7 @@ func TestModel(t *testing.T) {
 		case 2:
 			v, ok := tb.Get([]byte(k))
 			want, wantOK := model[k]
-			if ok != wantOK || (ok && string(v.Bytes()) != want) {
+			if ok != wantOK || (ok && string(v.Col(0)) != want) {
 				t.Fatalf("get %q mismatch", k)
 			}
 		}
@@ -88,7 +88,7 @@ func TestConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := 0; i < per; i++ {
 			k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-			if v, ok := tb.Get(k); !ok || string(v.Bytes()) != string(k) {
+			if v, ok := tb.Get(k); !ok || string(v.Col(0)) != string(k) {
 				t.Fatalf("lost %q", k)
 			}
 		}

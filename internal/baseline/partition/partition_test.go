@@ -41,7 +41,7 @@ func TestBasicRouting(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		k := []byte(fmt.Sprintf("key%04d", i))
 		v, ok := get(s, k)
-		if !ok || string(v.Bytes()) != string(k) {
+		if !ok || string(v.Col(0)) != string(k) {
 			t.Fatalf("lost %q", k)
 		}
 	}
@@ -65,7 +65,7 @@ func TestBatches(t *testing.T) {
 	}
 	res := s.Do(0, gets)
 	for i, r := range res {
-		if !r.OK || string(r.Value.Bytes()) != fmt.Sprintf("b%03d", i) {
+		if !r.OK || string(r.Value.Col(0)) != fmt.Sprintf("b%03d", i) {
 			t.Fatalf("batch get %d failed", i)
 		}
 	}
@@ -91,7 +91,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < per; i++ {
 				k := []byte(fmt.Sprintf("c%d-%04d", c, i))
-				if v, ok := get(s, k); !ok || string(v.Bytes()) != string(k) {
+				if v, ok := get(s, k); !ok || string(v.Col(0)) != string(k) {
 					t.Errorf("lost %q", k)
 					return
 				}

@@ -12,14 +12,14 @@ func TestBasic(t *testing.T) {
 	tr := New()
 	tr.Put([]byte("hello"), value.New([]byte("world")))
 	v, ok := tr.Get([]byte("hello"))
-	if !ok || string(v.Bytes()) != "world" {
+	if !ok || string(v.Col(0)) != "world" {
 		t.Fatal("basic get failed")
 	}
 	if _, ok := tr.Get([]byte("hell")); ok {
 		t.Fatal("phantom")
 	}
 	old, replaced := tr.Put([]byte("hello"), value.New([]byte("there")))
-	if !replaced || string(old.Bytes()) != "world" {
+	if !replaced || string(old.Col(0)) != "world" {
 		t.Fatal("replace failed")
 	}
 	if tr.Len() != 1 {
@@ -32,13 +32,13 @@ func TestLayers(t *testing.T) {
 	tr.Put([]byte("01234567AB"), value.New([]byte("1")))
 	tr.Put([]byte("01234567XY"), value.New([]byte("2")))
 	v, ok := tr.Get([]byte("01234567AB"))
-	if !ok || string(v.Bytes()) != "1" {
+	if !ok || string(v.Col(0)) != "1" {
 		t.Fatal("layer get AB failed")
 	}
 	if _, ok := tr.Get([]byte("01234567")); ok {
 		t.Fatal("phantom prefix")
 	}
-	if v, ok := tr.Get([]byte("01234567XY")); !ok || string(v.Bytes()) != "2" {
+	if v, ok := tr.Get([]byte("01234567XY")); !ok || string(v.Col(0)) != "2" {
 		t.Fatal("layer get XY failed")
 	}
 	tr.Put([]byte("01234567CD"), value.New([]byte("3")))
@@ -84,7 +84,7 @@ func TestModel(t *testing.T) {
 				case 3:
 					v, ok := tr.Get([]byte(k))
 					want, wantOK := model[k]
-					if ok != wantOK || (ok && string(v.Bytes()) != want) {
+					if ok != wantOK || (ok && string(v.Col(0)) != want) {
 						t.Fatalf("op %d: get %q mismatch", i, k)
 					}
 				}
@@ -93,7 +93,7 @@ func TestModel(t *testing.T) {
 				}
 			}
 			for k, v := range model {
-				if got, ok := tr.Get([]byte(k)); !ok || string(got.Bytes()) != v {
+				if got, ok := tr.Get([]byte(k)); !ok || string(got.Col(0)) != v {
 					t.Fatalf("final: %q = %v,%v want %q", k, got, ok, v)
 				}
 			}
@@ -107,13 +107,13 @@ func TestUpdateRMW(t *testing.T) {
 		tr.Update([]byte("ctr"), func(old *value.Value) *value.Value {
 			var n byte
 			if old != nil {
-				n = old.Bytes()[0]
+				n = old.Col(0)[0]
 			}
 			return value.New([]byte{n + 1})
 		})
 	}
 	v, _ := tr.Get([]byte("ctr"))
-	if v.Bytes()[0] != 10 {
-		t.Fatalf("counter %d", v.Bytes()[0])
+	if v.Col(0)[0] != 10 {
+		t.Fatalf("counter %d", v.Col(0)[0])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -11,13 +12,10 @@ import (
 // steady-state caller (one scratch per worker/connection) performs no
 // allocations per batch: the cursors of a wave (see wave), and for a batch
 // with puts in it each put's border hint and the puts' tree-order index
-// permutation. It implements sort.Interface over that permutation so
-// sorting itself is allocation-free (sort.Slice's closure and reflection
-// path both allocate). The zero value is ready to use.
+// permutation. The zero value is ready to use.
 type BatchScratch struct {
 	idx    []int        // the batch's puts, as indexes into keys, in tree order
 	slices []uint64     // keySlice(keys[i]) for every put i
-	keys   [][]byte     // the batch's keys while idx is being sorted
 	hints  []borderHint // hints[i] is put i's; zeroed when the batch ends
 	cur    [waveWidth]waveCursor
 }
@@ -83,7 +81,7 @@ func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc
 // nil declines the write and leaves the key untouched (conditional puts),
 // so multi-column puts stay atomic and version assignment or version
 // comparison can happen under the lock (§5). Puts of one key are applied in
-// input order (see Less); operations on different keys promise no order.
+// input order (see compare); operations on different keys promise no order.
 // PutBefore tells a caller that wants more — a lookup that sees the batch's
 // own earlier put of its key — which put that is.
 //
@@ -234,14 +232,14 @@ func (t *Tree) wave(keys [][]byte, cur *[waveWidth]waveCursor) {
 //masstree:noalloc
 func (t *Tree) hop(c *waveCursor, key []byte) {
 	h := c.n
-	v := h.version.Load()
+	v := h.Load()
 	// The child's version is loaded before the parent's is re-checked
 	// (Figure 6).
-	if isDirty(v) || isDeleted(v) || (c.p != nil && changed(c.p.version.Load(), c.pv)) {
+	if occ.Dirty(v) || occ.Deleted(v) || (c.p != nil && occ.Changed(c.p.Load(), c.pv)) {
 		c.state = waveFallback
 		return
 	}
-	if c.p == nil && !isRoot(v) {
+	if c.p == nil && !occ.Root(v) {
 		// A layer's root must still be a root. A split of it leaves the link
 		// in the layer above pointing at its left half until a writer or a
 		// Get repairs it (§4.6.4); follow the parents up as findBorder does,
@@ -255,7 +253,7 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 		c.state = waveFallback
 		return
 	}
-	if !isBorder(v) {
+	if !occ.Border(v) {
 		child := h.interior().childFor(c.slice)
 		if child == nil {
 			c.state = waveFallback
@@ -280,7 +278,7 @@ func (t *Tree) hop(c *waveCursor, key []byte) {
 		kl, lvp, bag = n.readSlot(slot)
 	}
 	switch {
-	case changed(h.version.Load(), v) || kl == klUnstable:
+	case occ.Changed(h.Load(), v) || kl == klUnstable:
 		c.state = waveFallback
 	case !found:
 		c.state = waveAbsent

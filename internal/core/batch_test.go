@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -140,8 +141,8 @@ func TestGetBatchFallsBackOnDirtyBorder(t *testing.T) {
 		t.Fatalf("%d of %d batch keys on the held border; want some, not all", want, len(batch))
 	}
 
-	held.h.lock()
-	held.h.markInserting()
+	held.h.Lock()
+	held.h.MarkInserting()
 	var released atomic.Bool
 	done := make(chan struct{})
 	go func() {
@@ -154,7 +155,7 @@ func TestGetBatchFallsBackOnDirtyBorder(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 		released.Store(true)
-		held.h.unlock()
+		held.h.Unlock()
 	}()
 	vals, found := getBatch(tr, batch)
 	if !released.Load() {
@@ -162,7 +163,7 @@ func TestGetBatchFallsBackOnDirtyBorder(t *testing.T) {
 	}
 	<-done
 	for i, k := range batch {
-		if !found[i] || !bytes.Equal(vals[i].Bytes(), k) {
+		if !found[i] || !bytes.Equal(vals[i].Col(0), k) {
 			t.Fatalf("key %q: found=%v", k, found[i])
 		}
 	}
@@ -200,7 +201,7 @@ func staleLayer(t *testing.T, tr *Tree) (keys [][]byte, n *borderNode, slot int)
 	if slot = perm.slot(rank); !found || n.keylen(slot) != klLayer {
 		t.Fatal("no layer link for the prefix")
 	}
-	if isRoot((*nodeHeader)(n.loadLV(slot)).version.Load()) {
+	if occ.Root((*nodeHeader)(n.loadLV(slot)).Load()) {
 		t.Fatal("the layer link is not stale")
 	}
 	return keys, n, slot
@@ -219,7 +220,7 @@ func TestGetBatchFollowsStaleLayerRoot(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		vals, found := getBatch(tr, keys)
 		for i, k := range keys {
-			if !found[i] || !bytes.Equal(vals[i].Bytes(), k) {
+			if !found[i] || !bytes.Equal(vals[i].Col(0), k) {
 				t.Fatalf("round %d key %q: found=%v", round, k, found[i])
 			}
 		}
@@ -246,10 +247,10 @@ func TestWaveReexaminesTheRootItClimbedTo(t *testing.T) {
 	c := waveCursor{n: stale, off: 8, slice: keySlice(key[8:])}
 	tr.hop(&c, key)
 	climbed := c.n
-	if c.state != waveDescend || climbed == stale || !isRoot(climbed.version.Load()) {
+	if c.state != waveDescend || climbed == stale || !occ.Root(climbed.Load()) {
 		t.Fatalf("hop from the stale root: state %d, at the root %v", c.state, climbed != stale)
 	}
-	for i := 0; isRoot(climbed.version.Load()); i++ {
+	for i := 0; occ.Root(climbed.Load()); i++ {
 		k := []byte(fmt.Sprintf("PREFIX00-%04d", i))
 		tr.Put(k, value.New(k))
 	}
@@ -259,7 +260,7 @@ func TestWaveReexaminesTheRootItClimbedTo(t *testing.T) {
 	if c.state != waveSlot {
 		t.Fatalf("cursor ended in state %d, want its slot", c.state)
 	}
-	if v, _, _, found := lookup(c.kl, c.val, c.bag, int(c.slot), key[c.off:]); !found || !bytes.Equal(v.Bytes(), key) {
+	if v, _, _, found := lookup(c.kl, c.val, c.bag, int(c.slot), key[c.off:]); !found || !bytes.Equal(v.Col(0), key) {
 		t.Fatalf("lookup at the cursor's slot: found=%v", found)
 	}
 }
@@ -341,8 +342,8 @@ func TestGetBatchDuringRestructuring(t *testing.T) {
 				}
 				tr.GetBatchInto(batch, vals, found, &sc)
 				for j, k := range batch {
-					if found[j] && !bytes.Equal(vals[j].Bytes(), k) {
-						t.Errorf("key %q: got the value of %q", k, vals[j].Bytes())
+					if found[j] && !bytes.Equal(vals[j].Col(0), k) {
+						t.Errorf("key %q: got the value of %q", k, vals[j].Col(0))
 						return
 					}
 					if !found[j] && stable(ids[j]) {
@@ -400,7 +401,7 @@ func TestGetBatchConcurrentWithWrites(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		vals, found := getBatch(tr, stable)
 		for i := range stable {
-			if !found[i] || string(vals[i].Bytes()) != string(stable[i]) {
+			if !found[i] || string(vals[i].Col(0)) != string(stable[i]) {
 				t.Fatalf("batch lost stable key %q", stable[i])
 			}
 		}

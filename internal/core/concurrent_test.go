@@ -37,7 +37,7 @@ func TestConcurrentDisjointInserts(t *testing.T) {
 		for i := 0; i < perWorker; i++ {
 			k := []byte(fmt.Sprintf("w%02d-%06d", w, i))
 			v, ok := tr.Get(k)
-			if !ok || !bytes.Equal(v.Bytes(), k) {
+			if !ok || !bytes.Equal(v.Col(0), k) {
 				t.Fatalf("lost key %q", k)
 			}
 		}
@@ -65,7 +65,7 @@ func TestConcurrentGetDuringInserts(t *testing.T) {
 			for !stop.Load() {
 				k := []byte(fmt.Sprintf("stable%06d", rng.Intn(stable)))
 				v, ok := tr.Get(k)
-				if !ok || !bytes.Equal(v.Bytes(), k) {
+				if !ok || !bytes.Equal(v.Col(0), k) {
 					select {
 					case errs <- fmt.Sprintf("reader lost %q", k):
 					default:
@@ -121,8 +121,8 @@ func TestConcurrentMixedChurn(t *testing.T) {
 				case 0:
 					tr.Put(k, value.New(k))
 				case 1:
-					if v, ok := tr.Get(k); ok && !bytes.Equal(v.Bytes(), k) {
-						panic(fmt.Sprintf("wrong value for %q: %q", k, v.Bytes()))
+					if v, ok := tr.Get(k); ok && !bytes.Equal(v.Col(0), k) {
+						panic(fmt.Sprintf("wrong value for %q: %q", k, v.Col(0)))
 					}
 				case 2:
 					tr.Remove(k)
@@ -135,7 +135,7 @@ func TestConcurrentMixedChurn(t *testing.T) {
 	checkInvariants(t, tr)
 	n := 0
 	tr.Scan(nil, func(k []byte, v *value.Value) bool {
-		if !bytes.Equal(v.Bytes(), k) {
+		if !bytes.Equal(v.Col(0), k) {
 			t.Fatalf("scan: wrong value for %q", k)
 		}
 		n++
@@ -150,7 +150,7 @@ func TestConcurrentMixedChurn(t *testing.T) {
 	}
 	for i := 0; i < space; i++ {
 		k := []byte(fmt.Sprintf("hot%04d", i))
-		if v, ok := tr.Get(k); !ok || !bytes.Equal(v.Bytes(), k) {
+		if v, ok := tr.Get(k); !ok || !bytes.Equal(v.Col(0), k) {
 			t.Fatalf("post-churn put/get failed for %q", k)
 		}
 	}
@@ -174,7 +174,7 @@ func TestConcurrentLayerChurn(t *testing.T) {
 				case 0:
 					tr.Put(k, value.New(k))
 				case 1:
-					if v, ok := tr.Get(k); ok && !bytes.Equal(v.Bytes(), k) {
+					if v, ok := tr.Get(k); ok && !bytes.Equal(v.Col(0), k) {
 						panic("wrong value in layer churn")
 					}
 				case 2:
@@ -252,7 +252,7 @@ func TestConcurrentRemoveInsertSlotReuse(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
 				k := []byte(fmt.Sprintf("slot%02d", rng.Intn(space)))
-				if v, ok := tr.Get(k); ok && !bytes.Equal(v.Bytes(), k) {
+				if v, ok := tr.Get(k); ok && !bytes.Equal(v.Col(0), k) {
 					failures.Add(1)
 					return
 				}
@@ -300,8 +300,8 @@ func TestConcurrentUpdateRMWAtomicity(t *testing.T) {
 				tr.Update([]byte("counter"), func(old *value.Value) *value.Value {
 					var n uint64
 					if old != nil {
-						n = uint64(old.Bytes()[0]) | uint64(old.Bytes()[1])<<8 |
-							uint64(old.Bytes()[2])<<16 | uint64(old.Bytes()[3])<<24
+						n = uint64(old.Col(0)[0]) | uint64(old.Col(0)[1])<<8 |
+							uint64(old.Col(0)[2])<<16 | uint64(old.Col(0)[3])<<24
 					}
 					n++
 					buf := []byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24)}
@@ -315,7 +315,7 @@ func TestConcurrentUpdateRMWAtomicity(t *testing.T) {
 	if !ok {
 		t.Fatal("counter missing")
 	}
-	got := uint64(v.Bytes()[0]) | uint64(v.Bytes()[1])<<8 | uint64(v.Bytes()[2])<<16 | uint64(v.Bytes()[3])<<24
+	got := uint64(v.Col(0)[0]) | uint64(v.Col(0)[1])<<8 | uint64(v.Col(0)[2])<<16 | uint64(v.Col(0)[3])<<24
 	if got != uint64(workers*perWorker) {
 		t.Fatalf("counter = %d, want %d (lost updates)", got, workers*perWorker)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/occ"
 )
 
 // dump renders the physical structure of one B+-tree layer (and recursively
@@ -16,8 +18,8 @@ func (t *Tree) dump() string {
 
 func dumpNode(b *strings.Builder, h *nodeHeader, indent int) {
 	pad := strings.Repeat("  ", indent)
-	v := h.version.Load()
-	if isBorder(v) {
+	v := h.Load()
+	if occ.Border(v) {
 		n := h.border()
 		fmt.Fprintf(b, "%sborder %p v=%#x low=(%#x,%d) prev=%p next=%p\n",
 			pad, n, v, n.lowSlice, n.lowOrd, n.prev.Load(), n.next.Load())

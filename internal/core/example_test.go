@@ -17,7 +17,7 @@ func Example() {
 	tr.Put([]byte("cherry"), value.New([]byte("dark red")))
 
 	if v, ok := tr.Get([]byte("banana")); ok {
-		fmt.Println("banana is", string(v.Bytes()))
+		fmt.Println("banana is", string(v.Col(0)))
 	}
 
 	// Atomic read-modify-write under the border-node lock.
@@ -27,7 +27,7 @@ func Example() {
 
 	// Range query in key order.
 	tr.Scan([]byte("b"), func(k []byte, v *value.Value) bool {
-		fmt.Printf("%s = %s\n", k, v.Bytes())
+		fmt.Printf("%s = %s\n", k, v.Col(0))
 		return true
 	})
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -31,12 +32,12 @@ func ownerOf(tr *Tree, key []byte) (*borderNode, int) {
 		perm := n.perm()
 		rank, found := n.searchRank(perm, keySlice(k), keyOrd(k))
 		if !found || n.keylen(perm.slot(rank)) != klLayer {
-			n.h.unlock()
+			n.h.Unlock()
 			return n, off
 		}
 		slot := perm.slot(rank)
 		lvp := n.loadLV(slot)
-		n.h.unlock()
+		n.h.Unlock()
 		root, off = tr.resolveLayer(n, slot, lvp), off+8
 	}
 }
@@ -45,7 +46,7 @@ func ownerOf(tr *Tree, key []byte) (*borderNode, int) {
 func tryHint(tr *Tree, h borderHint, key []byte) *borderNode {
 	n := tr.lockHint(h.n, keySlice(key[h.off:]))
 	if n != nil {
-		n.h.unlock()
+		n.h.Unlock()
 	}
 	return n
 }
@@ -130,13 +131,13 @@ func TestHintGoesStale(t *testing.T) {
 		for _, k := range victims {
 			tr.Remove(k)
 		}
-		if !isDeleted(h.n.h.version.Load()) {
+		if !occ.Deleted(h.n.h.Load()) {
 			t.Skip("the border holding s00100 is its parent's leftmost child and was kept")
 		}
 		if got := tryHint(tr, h, key(100)); got != nil {
 			t.Fatalf("lockHint accepted %p, which is deleted", got)
 		}
-		if isLocked(h.n.h.version.Load()) {
+		if occ.Locked(h.n.h.Load()) {
 			t.Fatal("the refused hint was left locked")
 		}
 	})
@@ -218,7 +219,7 @@ func TestHintStaleWithinItsOwnBatch(t *testing.T) {
 				tr.Remove(k)
 				m.Remove(string(k), 0)
 			}
-			if !isDeleted(victim.h.version.Load()) {
+			if !occ.Deleted(victim.h.Load()) {
 				t.Fatal("the victim was kept: pick a border that is not its parent's leftmost child")
 			}
 		}
@@ -315,7 +316,7 @@ func TestHintsStaleUnderRestructuring(t *testing.T) {
 					batch[j], put[j] = keys[ids[j]], !mixed || j%3 != 0
 				}
 				apply := func(j int, old *value.Value) *value.Value {
-					if want, ok := valueOf(mw, string(batch[j])); ok != (old != nil) || ok && string(old.Bytes()) != want {
+					if want, ok := valueOf(mw, string(batch[j])); ok != (old != nil) || ok && string(old.Col(0)) != want {
 						t.Errorf("key %q: apply was shown %v, the writer last stored %q (%v)", batch[j], old, want, ok)
 					}
 					s := fmt.Sprintf("%s@%d.%d", batch[j], round, j)
@@ -331,14 +332,14 @@ func TestHintsStaleUnderRestructuring(t *testing.T) {
 					}
 					tr.BatchInto(batch, put, vals, found, &sc, apply)
 					for j := range batch {
-						if want, ok := before[j], had[j]; !put[j] && (ok != found[j] || ok && string(vals[j].Bytes()) != want) {
+						if want, ok := before[j], had[j]; !put[j] && (ok != found[j] || ok && string(vals[j].Col(0)) != want) {
 							t.Errorf("key %q: the batch's lookup found %v, want the value from before the batch %q (%v)", batch[j], vals[j], want, ok)
 						}
 					}
 				}
 				for j := range batch {
 					if want, ok := valueOf(mw, string(batch[j])); ok && put[j] && rng.Intn(2) == 0 {
-						if old, ok := tr.Remove(batch[j]); !ok || string(old.Bytes()) != want {
+						if old, ok := tr.Remove(batch[j]); !ok || string(old.Col(0)) != want {
 							t.Errorf("key %q: removed %v, the writer last stored %q", batch[j], old, want)
 						}
 						mw.Remove(string(batch[j]), 0)
@@ -401,7 +402,7 @@ func TestBatchIntoLookupsAndPutBefore(t *testing.T) {
 		if put[i] {
 			continue
 		}
-		if want, ok := wantVal[i]; ok != found[i] || ok && string(vals[i].Bytes()) != want {
+		if want, ok := wantVal[i]; ok != found[i] || ok && string(vals[i].Col(0)) != want {
 			t.Errorf("lookup %d of %q: %v found=%v, want %q (%v)", i, keys[i], vals[i], found[i], want, ok)
 		}
 		if got := sc.PutBefore(keys, i); got != wantBefore[i] {

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/occ"
 )
 
 // checkInvariants physically walks the tree (quiescent; no concurrency) and
@@ -116,7 +118,7 @@ func checkTwig(t *testing.T, n *borderNode, tw *twig) {
 		}
 	}
 	for j := cnt; j < cellWords(cnt); j++ {
-		if *tw.cell(j) != nil {
+		if tw.cell(j).Load() != nil {
 			t.Fatalf("border %p: twig of %d keys has a value in cell %d", n, cnt, j)
 		}
 	}
@@ -129,14 +131,14 @@ func checkTwig(t *testing.T, n *borderNode, tw *twig) {
 // appends border nodes left to right.
 func collectBorders(t *testing.T, h *nodeHeader, parent *interiorNode, out *[]*borderNode) {
 	t.Helper()
-	v := h.version.Load()
-	if isDeleted(v) {
+	v := h.Load()
+	if occ.Deleted(v) {
 		t.Fatalf("node %p, reachable from interior %p, is marked deleted", h, parent)
 	}
 	if parent != nil && h.parent.Load() != parent {
 		t.Fatalf("node %p parent pointer does not match its parent", h)
 	}
-	if isBorder(v) {
+	if occ.Border(v) {
 		*out = append(*out, h.border())
 		return
 	}

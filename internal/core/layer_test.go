@@ -120,7 +120,7 @@ func TestQuickOpSequences(t *testing.T) {
 				tr.Put(k, value.New([]byte{byte(i)}))
 				set(m, string(k), string([]byte{byte(i)}))
 			case 1:
-				if v, ok := tr.Get(k); ok != wantOK || ok && string(v.Bytes()) != want {
+				if v, ok := tr.Get(k); ok != wantOK || ok && string(v.Col(0)) != want {
 					return false
 				}
 			case 2:

@@ -77,8 +77,8 @@ func checkTree(t *testing.T, tr *Tree, ms ...*model.Model) {
 		n++
 		for _, m := range ms {
 			if w, ok := valueOf(m, string(k)); ok {
-				if w != string(v.Bytes()) {
-					t.Fatalf("scan value mismatch for %q: %q vs %q", k, v.Bytes(), w)
+				if w != string(v.Col(0)) {
+					t.Fatalf("scan value mismatch for %q: %q vs %q", k, v.Col(0), w)
 				}
 				return true
 			}
@@ -101,11 +101,11 @@ func checkScan(t *testing.T, tr *Tree, m *model.Model, start string, n int) {
 	}
 	var got, gotRange []string
 	tr.ScanNInto([]byte(start), n, nil, func(k []byte, v *value.Value) bool {
-		got = append(got, string(k)+"="+string(v.Bytes()))
+		got = append(got, string(k)+"="+string(v.Col(0)))
 		return len(got) < n
 	})
 	for _, kv := range getRange(tr, []byte(start), n) {
-		gotRange = append(gotRange, string(kv.Key)+"="+string(kv.Value.Bytes()))
+		gotRange = append(gotRange, string(kv.Key)+"="+string(kv.Value.Col(0)))
 	}
 	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) || fmt.Sprintf("%q", gotRange) != fmt.Sprintf("%q", want) {
 		t.Fatalf("scan from %q for %d:\n     got %q\ngetRange %q\n    want %q", start, n, got, gotRange, want)
@@ -137,12 +137,12 @@ func TestModelRandomOps(t *testing.T) {
 					set(m, string(k), v)
 				case 5, 6, 7: // get
 					v, ok := tr.Get(k)
-					if ok != wantOK || (ok && string(v.Bytes()) != want) {
+					if ok != wantOK || (ok && string(v.Col(0)) != want) {
 						t.Fatalf("op %d: Get(%q) = %v,%v want %q,%v", i, k, v, ok, want, wantOK)
 					}
 				case 8: // remove
 					old, ok := tr.Remove(k)
-					if ok != wantOK || (ok && string(old.Bytes()) != want) {
+					if ok != wantOK || (ok && string(old.Col(0)) != want) {
 						t.Fatalf("op %d: Remove(%q) = %v,%v want %q,%v", i, k, old, ok, want, wantOK)
 					}
 					m.Remove(string(k), 0)
@@ -201,7 +201,7 @@ func TestModelDecimalHeavy(t *testing.T) {
 	}
 	for _, p := range m.Range("", m.Len(), 0) {
 		got, ok := tr.Get([]byte(p.Key))
-		if !ok || string(got.Bytes()) != string(p.Cols[0]) {
+		if !ok || string(got.Col(0)) != string(p.Cols[0]) {
 			t.Fatalf("Get(%q) = %v,%v want %q", p.Key, got, ok, p.Cols[0])
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -18,15 +19,16 @@ import (
 const width = 15
 
 // nodeHeader is the common prefix of interior and border nodes: the version
-// word and the parent pointer. It must be the first field of both node types
-// so that a *nodeHeader can be converted back to the concrete node; the
-// isborder version bit discriminates.
+// word (an occ.Version, whose methods it promotes) and the parent pointer.
+// It must be the first field of both node types so that a *nodeHeader can be
+// converted back to the concrete node; the isborder version bit
+// discriminates.
 //
 // A node's parent pointer is protected by the *parent's* lock (§4.5), so an
 // interior split can reassign its children's parents without their locks.
 type nodeHeader struct {
-	version atomic.Uint64
-	parent  atomic.Pointer[interiorNode]
+	occ.Version
+	parent atomic.Pointer[interiorNode]
 }
 
 // border converts the header back to its border node. The caller must know
@@ -65,8 +67,9 @@ type interiorNode struct {
 //
 // lv[i] is the paper's link_or_value union: it holds a *value.Value, or
 // when slot i's key length is klTwig a *twig, or when it is klLayer a
-// *nodeHeader for the next trie layer. The key length discriminates; lv is
-// accessed only with atomic pointer operations.
+// *nodeHeader for the next trie layer. The key length discriminates, so the
+// slots are typed by none of the three: loadLV, storeLV and casLV convert
+// through unsafe.Pointer.
 type borderNode struct {
 	h           nodeHeader
 	permutation atomic.Uint64
@@ -80,7 +83,7 @@ type borderNode struct {
 	// tearing the union.
 	keylens atomic.Uint64
 
-	lv [width]unsafe.Pointer
+	lv [width]atomic.Pointer[byte]
 
 	next atomic.Pointer[borderNode]
 	prev atomic.Pointer[borderNode]
@@ -124,12 +127,12 @@ func (n *borderNode) keylen(slot int) uint32 { return klAt(n.keylens.Load(), slo
 // that the bag was published while the slot still held its suffix key (a
 // later rebuild drops that suffix); on a mismatch kl is klUnstable. An
 // optimistic reader still validates the node version afterwards; under the
-// node lock the two loads always match. It is written on the raw word so
-// that it inlines into Get and hop.
+// node lock the two loads always match. It is written on the raw words (lv
+// too, not through loadLV) so that it inlines into Get and hop.
 func (n *borderNode) readSlot(slot int) (kl uint32, lv unsafe.Pointer, bag *byte) {
 	sh := 4 * uint(slot)
 	w := n.keylens.Load() >> sh & 0xf
-	lv = n.loadLV(slot)
+	lv = unsafe.Pointer(n.lv[slot].Load())
 	if w == uint64(klSuffix) {
 		bag = n.suffixes.Load()
 	}
@@ -337,14 +340,14 @@ func (n *borderNode) bag() suffixBag { return bagAt(n.suffixes.Load()) }
 // (possibly new) B+-tree layer; locked determines whether it starts locked.
 func newBorder(rootTree, locked bool) *borderNode {
 	n := &borderNode{lowOrd: -1}
-	v := borderBit
+	v := occ.BorderBit
 	if rootTree {
-		v |= rootBit
+		v |= occ.RootBit
 	}
 	if locked {
-		v |= lockBit
+		v |= occ.LockBit
 	}
-	n.h.initVersion(v)
+	n.h.Init(v)
 	n.permutation.Store(uint64(emptyPermutation()))
 	return n
 }
@@ -352,22 +355,22 @@ func newBorder(rootTree, locked bool) *borderNode {
 // newInterior allocates an interior node with the given extra version bits.
 func newInterior(bits uint64) *interiorNode {
 	n := &interiorNode{}
-	n.h.initVersion(bits)
+	n.h.Init(bits)
 	return n
 }
 
 func (n *borderNode) perm() permutation { return permutation(n.permutation.Load()) }
 
 func (n *borderNode) loadLV(slot int) unsafe.Pointer {
-	return atomic.LoadPointer(&n.lv[slot])
+	return unsafe.Pointer(n.lv[slot].Load())
 }
 
 func (n *borderNode) storeLV(slot int, p unsafe.Pointer) {
-	atomic.StorePointer(&n.lv[slot], p)
+	n.lv[slot].Store((*byte)(p))
 }
 
 func (n *borderNode) casLV(slot int, old, new unsafe.Pointer) bool {
-	return atomic.CompareAndSwapPointer(&n.lv[slot], old, new)
+	return n.lv[slot].CompareAndSwap((*byte)(old), (*byte)(new))
 }
 
 // searchRank scans the live keys in permutation order for the search key
@@ -458,11 +461,11 @@ func (h *nodeHeader) lockParent() *interiorNode {
 		if p == nil {
 			return nil
 		}
-		p.h.lock()
+		p.h.Lock()
 		if h.parent.Load() == p {
 			return p
 		}
-		p.h.unlock()
+		p.h.Unlock()
 	}
 }
 
@@ -470,7 +473,7 @@ func (h *nodeHeader) lockParent() *interiorNode {
 // (or with no parent). Used to recover from stale root pointers after root
 // splits, which are repaired lazily (§4.6.4).
 func ascendToRoot(h *nodeHeader) *nodeHeader {
-	for !isRoot(h.version.Load()) {
+	for !occ.Root(h.Load()) {
 		p := h.parent.Load()
 		if p == nil {
 			return h
@@ -489,20 +492,20 @@ func ascendToRoot(h *nodeHeader) *nodeHeader {
 func (t *Tree) findBorder(root *nodeHeader, slice uint64) (*borderNode, uint64) {
 retry:
 	n := root
-	v := n.stable()
-	if !isRoot(v) {
+	v := n.Stable()
+	if !occ.Root(v) {
 		root = ascendToRoot(root)
 		goto retry
 	}
 	for {
-		if isBorder(v) {
+		if occ.Border(v) {
 			return n.border(), v
 		}
 		n1 := n.interior().childFor(slice)
 		if n1 == nil {
 			// Mid-shift or deleted interior; revalidate and retry.
-			v1 := n.stable()
-			if vsplit(v1) != vsplit(v) {
+			v1 := n.Stable()
+			if occ.VSplit(v1) != occ.VSplit(v) {
 				t.stats.RootRetries.Add(1)
 				goto retry
 			}
@@ -510,14 +513,14 @@ retry:
 			t.stats.LocalRetries.Add(1)
 			continue
 		}
-		v1 := n1.stable()
-		if !changed(n.version.Load(), v) {
+		v1 := n1.Stable()
+		if !occ.Changed(n.Load(), v) {
 			n = n1
 			v = v1
 			continue
 		}
-		v2 := n.stable()
-		if vsplit(v2) != vsplit(v) {
+		v2 := n.Stable()
+		if occ.VSplit(v2) != occ.VSplit(v) {
 			t.stats.RootRetries.Add(1)
 			goto retry // split moved our range; retry from the root
 		}

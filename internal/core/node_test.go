@@ -13,6 +13,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -150,6 +151,31 @@ func TestNodeLayout(t *testing.T) {
 	}
 }
 
+// TestHeaderLayout guards the unsafe conversions between *nodeHeader and the
+// concrete node types: the header must be the first field of both.
+func TestHeaderLayout(t *testing.T) {
+	if off := unsafe.Offsetof(borderNode{}.h); off != 0 {
+		t.Fatalf("borderNode header offset = %d", off)
+	}
+	if off := unsafe.Offsetof(interiorNode{}.h); off != 0 {
+		t.Fatalf("interiorNode header offset = %d", off)
+	}
+	b := newBorder(true, false)
+	if b.h.border() != b {
+		t.Fatal("border round trip failed")
+	}
+	in := newInterior(0)
+	if in.h.interior() != in {
+		t.Fatal("interior round trip failed")
+	}
+	if !occ.Border(b.h.Load()) || occ.Border(in.h.Load()) {
+		t.Fatal("isborder bit wrong")
+	}
+	if !occ.Root(b.h.Load()) {
+		t.Fatal("root bit not set")
+	}
+}
+
 // TestPackedKeylens sets every slot to every key length and checks that the
 // slot reads back and its fourteen neighbours keep theirs.
 func TestPackedKeylens(t *testing.T) {
@@ -169,7 +195,7 @@ func TestPackedKeylens(t *testing.T) {
 			}
 		}
 	}
-	n.h.unlock()
+	n.h.Unlock()
 }
 
 // TestLayerTransitionNeverTearsTheUnion: readers bracket lv between two loads
@@ -215,16 +241,16 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 		for !stop.Load() {
 			n, _ := tr.findBorder(tr.rootHeader(), 0)
 			for ; n != nil && !stop.Load(); n = n.next.Load() {
-				v := n.h.stable()
+				v := n.h.Stable()
 				perm := n.perm()
 				for r := 0; r < perm.count(); r++ {
 					kl, lv, _ := n.readSlot(perm.slot(r))
-					if kl == klUnstable || changed(n.h.version.Load(), v) {
+					if kl == klUnstable || occ.Changed(n.h.Load(), v) {
 						continue
 					}
 					switch kl {
 					case klLayer:
-						if vals[lv] || !isBorder((*nodeHeader)(lv).version.Load()) {
+						if vals[lv] || !occ.Border((*nodeHeader)(lv).Load()) {
 							fail("klLayer paired with a value or a twig")
 						}
 					case klTwig:
@@ -249,13 +275,13 @@ func TestLayerTransitionNeverTearsTheUnion(t *testing.T) {
 			var buf []byte
 			for i := r; !stop.Load(); i = (i + 7) % groups {
 				k := first(i)
-				if v, ok := tr.Get(k); !ok || !bytes.Equal(v.Bytes(), k) {
+				if v, ok := tr.Get(k); !ok || !bytes.Equal(v.Col(0), k) {
 					fail(fmt.Sprintf("Get(%q) lost its key mid-transition", k))
 					return
 				}
 				seen := false
 				buf = tr.ScanInto(k, buf, func(sk []byte, v *value.Value) bool {
-					seen = bytes.Equal(sk, k) && bytes.Equal(v.Bytes(), k)
+					seen = bytes.Equal(sk, k) && bytes.Equal(v.Col(0), k)
 					return false
 				})
 				if !seen {

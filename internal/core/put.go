@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -48,23 +48,23 @@ func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, s
 //masstree:returns-locked
 func (t *Tree) lockBorder(root *nodeHeader, slice uint64) *borderNode {
 	n, v := t.findBorder(root, slice)
-	n.h.lock()
-	locked := n.h.version.Load()
-	if isDeleted(locked) {
-		n.h.unlock()
+	n.h.Lock()
+	locked := n.h.Load()
+	if occ.Deleted(locked) {
+		n.h.Unlock()
 		t.stats.RootRetries.Add(1)
 		return nil
 	}
-	if vsplit(locked) == vsplit(v) {
+	if occ.VSplit(locked) == occ.VSplit(v) {
 		return n
 	}
 	for !n.owns(slice) {
 		next := n.next.Load()
-		next.h.lock()
-		n.h.unlock()
+		next.h.Lock()
+		n.h.Unlock()
 		n = next
-		if isDeleted(n.h.version.Load()) {
-			n.h.unlock()
+		if occ.Deleted(n.h.Load()) {
+			n.h.Unlock()
 			t.stats.RootRetries.Add(1)
 			return nil
 		}
@@ -87,9 +87,9 @@ func (t *Tree) lockHint(n *borderNode, slice uint64) *borderNode {
 	if n == nil {
 		return nil
 	}
-	n.h.lock()
-	if isDeleted(n.h.version.Load()) || !n.owns(slice) {
-		n.h.unlock()
+	n.h.Lock()
+	if occ.Deleted(n.h.Load()) || !n.owns(slice) {
+		n.h.Unlock()
 		return nil
 	}
 	return n
@@ -114,7 +114,7 @@ restart:
 		case stepSplit:
 			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
 		default:
-			n.h.unlock()
+			n.h.Unlock()
 		}
 		t.counted(old, stored)
 		return old, stored
@@ -172,7 +172,7 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 	}
 	switch {
 	case found && tw != nil:
-		atomic.StorePointer(tw.cell(j), unsafe.Pointer(stored))
+		tw.cell(j).Store(stored)
 	case found:
 		n.storeLV(slot, unsafe.Pointer(stored))
 	case tw != nil:
@@ -205,7 +205,7 @@ func (t *Tree) counted(old, stored *value.Value) {
 //masstree:unlocks n
 func (t *Tree) enterLayer(n *borderNode, slot int) *nodeHeader {
 	lvp := n.loadLV(slot)
-	n.h.unlock()
+	n.h.Unlock()
 	return t.resolveLayer(n, slot, lvp)
 }
 
@@ -219,7 +219,7 @@ func (t *Tree) enterLayer(n *borderNode, slot int) *nodeHeader {
 func (t *Tree) insertSlot(n *borderNode, perm permutation, rank int, slice uint64, k []byte, v *value.Value) {
 	newPerm, slot := perm.insert(rank)
 	if n.usedMask&(1<<uint(slot)) != 0 {
-		n.h.markInserting()
+		n.h.MarkInserting()
 		t.stats.SlotReuses.Add(1)
 	}
 	n.keyslice[slot].Store(slice)

@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/value"
 )
@@ -87,36 +87,29 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 			return pos
 		}
 	}
-	n.h.unlock()
+	n.h.Unlock()
 	return pos
 }
 
-func (sc *BatchScratch) Len() int { return len(sc.idx) }
-
-// Less orders the puts by leading key slice — tree order, as far as runs
-// under one border lock need it — then by whole key, so that the puts of
-// one key are neighbours, then by input index, so that they keep their
-// request order (BatchInto relies on this to apply repeated puts to a key
-// in submission order, PutBefore to find the last of them).
-func (sc *BatchScratch) Less(a, b int) bool {
-	return sc.before(sc.keys, sc.idx[a], sc.slices[sc.idx[b]], sc.keys[sc.idx[b]], sc.idx[b])
-}
-func (sc *BatchScratch) Swap(a, b int) { sc.idx[a], sc.idx[b] = sc.idx[b], sc.idx[a] }
-
-// before reports whether put j sorts ahead of (slice, key, i).
-func (sc *BatchScratch) before(keys [][]byte, j int, slice uint64, key []byte, i int) bool {
-	if s := sc.slices[j]; s != slice {
-		return s < slice
+// compare orders put j against the put (slice, key, i): by leading key
+// slice — tree order, as far as runs under one border lock need it — then
+// by whole key, so that the puts of one key are neighbours, then by input
+// index, so that they keep their request order (BatchInto relies on this to
+// apply repeated puts to a key in submission order, PutBefore to find the
+// last of them).
+func (sc *BatchScratch) compare(keys [][]byte, j int, slice uint64, key []byte, i int) int {
+	if c := cmp.Compare(sc.slices[j], slice); c != 0 {
+		return c
 	}
 	if c := bytes.Compare(keys[j], key); c != 0 {
-		return c < 0
+		return c
 	}
-	return j < i
+	return cmp.Compare(j, i)
 }
 
 // order sorts the indexes of the batch's puts (every key, if put is nil)
-// into the scratch; see Less. In steady state (scratch warmed to the batch
-// size) it performs no allocations.
+// into the scratch; see compare. In steady state (scratch warmed to the
+// batch size) it performs no allocations.
 func (sc *BatchScratch) order(keys [][]byte, put []bool) {
 	n := len(keys)
 	sc.idx = slices.Grow(sc.idx[:0], n)
@@ -127,9 +120,7 @@ func (sc *BatchScratch) order(keys [][]byte, put []bool) {
 			sc.slices[i] = keySlice(k)
 		}
 	}
-	sc.keys = keys
-	sort.Sort(sc)
-	sc.keys = nil
+	slices.SortFunc(sc.idx, func(j, i int) int { return sc.compare(keys, j, sc.slices[i], keys[i], i) })
 }
 
 // PutBefore returns the index of the last put ahead of keys[i] in the batch
@@ -145,7 +136,7 @@ func (sc *BatchScratch) PutBefore(keys [][]byte, i int) int {
 	slice := keySlice(keys[i])
 	lo, hi := 0, len(sc.idx)
 	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); sc.before(keys, sc.idx[mid], slice, keys[i], i) {
+		if mid := int(uint(lo+hi) >> 1); sc.compare(keys, sc.idx[mid], slice, keys[i], i) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -58,7 +58,7 @@ func TestPutBatchMatchesPut(t *testing.T) {
 		} else {
 			batched.BatchInto(batch, put, vals, found, &sc, store)
 			for i, k := range batch {
-				if want, ok := reference.Get(k); !put[i] && (ok != found[i] || ok && string(vals[i].Bytes()) != string(want.Bytes())) {
+				if want, ok := reference.Get(k); !put[i] && (ok != found[i] || ok && string(vals[i].Col(0)) != string(want.Col(0))) {
 					t.Fatalf("round %d: lookup of %q found %v (%v), the reference holds %v (%v)", round, k, vals[i], found[i], want, ok)
 				}
 			}
@@ -80,8 +80,8 @@ func TestPutBatchMatchesPut(t *testing.T) {
 		if !ok {
 			t.Fatalf("batched tree lost key %q", k)
 		}
-		if string(got.Bytes()) != string(want.Bytes()) {
-			t.Fatalf("key %q: %q vs %q", k, got.Bytes(), want.Bytes())
+		if string(got.Col(0)) != string(want.Col(0)) {
+			t.Fatalf("key %q: %q vs %q", k, got.Col(0), want.Col(0))
 		}
 		scanned++
 		return true
@@ -114,8 +114,8 @@ func TestPutBatchDuplicateOrder(t *testing.T) {
 		t.Fatalf("duplicate keys applied in order %v, want [0 2 3]", order)
 	}
 	v, ok := tr.Get(key)
-	if !ok || string(v.Bytes()) != "w3" {
-		t.Fatalf("dup-key = %q, want last write w3", v.Bytes())
+	if !ok || string(v.Col(0)) != "w3" {
+		t.Fatalf("dup-key = %q, want last write w3", v.Col(0))
 	}
 	if v.Version() != 3 {
 		t.Fatalf("dup-key version = %d, want 3 (three sequential applies)", v.Version())
@@ -199,7 +199,7 @@ func TestPutBatchConcurrentWithGetsAndScans(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for _, k := range stable {
 			v, ok := tr.Get(k)
-			if !ok || string(v.Bytes()) != string(k) {
+			if !ok || string(v.Col(0)) != string(k) {
 				t.Fatalf("stable key %q lost or torn: %v", k, v)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -42,7 +43,7 @@ restart:
 		perm := n.perm()
 		rank, found := n.searchRank(perm, slice, ord)
 		if !found {
-			n.h.unlock()
+			n.h.Unlock()
 			return nil, false
 		}
 		slot := perm.slot(rank)
@@ -57,7 +58,7 @@ restart:
 		}
 		old, tw, j, found := lookup(kl, lv, bag, slot, k)
 		if !found || pred != nil && !pred(old) {
-			n.h.unlock()
+			n.h.Unlock()
 			return nil, false
 		}
 		if tw != nil && tw.keys().n() > 1 {
@@ -68,7 +69,7 @@ restart:
 			e.remove(j)
 			n.storeLV(slot, unsafe.Pointer(e.build()))
 			t.count.Add(-1)
-			n.h.unlock()
+			n.h.Unlock()
 			return old, true
 		}
 		// The slot's only key, a twig's last included: the slot leaves the
@@ -78,14 +79,14 @@ restart:
 		// retry, or it would return (or checkpoint!) a key that no longer
 		// exists. The unlock increments vinsert, so post-remove validations
 		// fail too.
-		n.h.markInserting()
+		n.h.MarkInserting()
 		np := perm.remove(rank)
 		n.permutation.Store(uint64(np))
 		t.count.Add(-1)
 		if np.count() == 0 {
 			t.emptyBorder(n, key, depth) // unlocks n
 		} else {
-			n.h.unlock()
+			n.h.Unlock()
 		}
 		return old, true
 	}
@@ -100,10 +101,10 @@ restart:
 //masstree:unlocks n
 func (t *Tree) emptyBorder(n *borderNode, key []byte, depth int) {
 	if n.lowOrd < 0 {
-		if depth > 0 && isRoot(n.h.version.Load()) && n.next.Load() == nil {
+		if depth > 0 && occ.Root(n.h.Load()) && n.next.Load() == nil {
 			t.scheduleCollapse(key[:depth*8])
 		}
-		n.h.unlock()
+		n.h.Unlock()
 		return
 	}
 	t.removeBorder(n)
@@ -129,25 +130,25 @@ func (t *Tree) removeBorder(n *borderNode) {
 	var p *borderNode
 	for {
 		p = n.prev.Load()
-		if p.h.tryLock() {
-			if n.prev.Load() == p && !isDeleted(p.h.version.Load()) {
+		if p.h.TryLock() {
+			if n.prev.Load() == p && !occ.Deleted(p.h.Load()) {
 				break
 			}
-			p.h.unlock()
+			p.h.Unlock()
 			continue
 		}
 		// Lock order is left-to-right: release n, take p then n, revalidate.
-		n.h.unlock()
-		p.h.lock()
-		n.h.lock()
-		if n.perm().count() != 0 || isDeleted(n.h.version.Load()) {
+		n.h.Unlock()
+		p.h.Lock()
+		n.h.Lock()
+		if n.perm().count() != 0 || occ.Deleted(n.h.Load()) {
 			// Revived by a concurrent insert (or already gone): abort.
-			p.h.unlock()
-			n.h.unlock()
+			p.h.Unlock()
+			n.h.Unlock()
 			return
 		}
-		if n.prev.Load() != p || isDeleted(p.h.version.Load()) {
-			p.h.unlock()
+		if n.prev.Load() != p || occ.Deleted(p.h.Load()) {
+			p.h.Unlock()
 			continue
 		}
 		break
@@ -158,23 +159,23 @@ func (t *Tree) removeBorder(n *borderNode) {
 		panic("core: non-leftmost border without a parent") // born in a split
 	}
 	if parent.child[0].Load() == &n.h {
-		parent.h.unlock()
-		p.h.unlock()
-		n.h.unlock()
+		parent.h.Unlock()
+		p.h.Unlock()
+		n.h.Unlock()
 		return
 	}
 
 	// Unlink n. next's prev pointer is protected by n's (its previous
 	// sibling's) lock, which we hold.
-	n.h.markSplitting() // range moves to p: readers must retry from the root
-	n.h.markDeleted()
+	n.h.MarkSplitting() // range moves to p: readers must retry from the root
+	n.h.MarkDeleted()
 	next := n.next.Load()
 	p.next.Store(next)
 	if next != nil {
 		next.prev.Store(p)
 	}
-	p.h.unlock()
-	n.h.unlock()
+	p.h.Unlock()
+	n.h.Unlock()
 	t.stats.NodeDeletes.Add(1)
 	t.removeChild(parent, &n.h)
 }
@@ -191,7 +192,7 @@ func (t *Tree) removeChild(p *interiorNode, child *nodeHeader) {
 	for p.child[idx].Load() != child {
 		idx++
 	}
-	p.h.markSplitting() // ranges shift: force readers to retry from the root
+	p.h.MarkSplitting() // ranges shift: force readers to retry from the root
 	for i := idx - 1; i < nk-1; i++ {
 		p.keyslice[i].Store(p.keyslice[i+1].Load())
 	}
@@ -199,7 +200,7 @@ func (t *Tree) removeChild(p *interiorNode, child *nodeHeader) {
 		p.child[i].Store(p.child[i+1].Load())
 	}
 	p.nkeys.Store(int32(nk - 1))
-	p.h.unlock()
+	p.h.Unlock()
 }
 
 // scheduleCollapse queues a maintenance task to remove the (possibly) empty
@@ -251,13 +252,13 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 		perm := n.perm()
 		rank, found := n.searchRank(perm, slice, 9)
 		if !found {
-			n.h.unlock()
+			n.h.Unlock()
 			return false
 		}
 		slot := perm.slot(rank)
 		kl, lv, _ := n.readSlot(slot)
 		if kl != klLayer {
-			n.h.unlock()
+			n.h.Unlock()
 			return false
 		}
 		if len(k) > 8 {
@@ -269,20 +270,20 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 		// Final layer link. Collapse only if the layer is still one empty
 		// border node; anything else was revived or grew.
 		child := ascendToRoot((*nodeHeader)(lv))
-		if !isBorder(child.version.Load()) {
-			n.h.unlock()
+		if !occ.Border(child.Load()) {
+			n.h.Unlock()
 			return false
 		}
 		b := child.border()
-		b.h.lock()
-		if isDeleted(b.h.version.Load()) || b.perm().count() != 0 || b.next.Load() != nil {
-			b.h.unlock()
-			n.h.unlock()
+		b.h.Lock()
+		if occ.Deleted(b.h.Load()) || b.perm().count() != 0 || b.next.Load() != nil {
+			b.h.Unlock()
+			n.h.Unlock()
 			return false
 		}
-		b.h.markSplitting()
-		b.h.markDeleted()
-		b.h.unlock()
+		b.h.MarkSplitting()
+		b.h.MarkDeleted()
+		b.h.Unlock()
 
 		np := perm.remove(rank)
 		n.permutation.Store(uint64(np))
@@ -290,7 +291,7 @@ func (t *Tree) collapseLayer(prefix []byte) bool {
 		if np.count() == 0 {
 			t.emptyBorder(n, prefix, len(prefix)/8-1) // unlocks n
 		} else {
-			n.h.unlock()
+			n.h.Unlock()
 		}
 		return true
 	}

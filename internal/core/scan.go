@@ -5,6 +5,7 @@ import (
 	"math"
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -123,7 +124,7 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 	n, v := t.findBorder(root, pos.slice)
 	var snap [width]slotSnap
 	for {
-		if isDeleted(v) {
+		if occ.Deleted(v) {
 			if n.lowOrd < 0 {
 				// A layer's leftmost node dies only with the layer itself
 				// (collapseLayer), which was then empty. Re-finding from its
@@ -162,8 +163,8 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 		}
 		bag := n.suffixes.Load()
 		next := n.next.Load()
-		if !ok || (n.keylens.Load()^kw)&snapped != 0 || changed(n.h.version.Load(), v) {
-			v = n.h.stable()
+		if !ok || (n.keylens.Load()^kw)&snapped != 0 || occ.Changed(n.h.Load(), v) {
+			v = n.h.Stable()
 			continue
 		}
 
@@ -236,7 +237,7 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 			return true
 		}
 		n = next
-		v = n.h.stable()
+		v = n.h.Stable()
 	}
 }
 

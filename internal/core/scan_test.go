@@ -244,8 +244,8 @@ func TestScanMatchesSortedModel(t *testing.T) {
 
 			var got, gotInto []string
 			tr.Scan(start, func(k []byte, v *value.Value) bool {
-				if !bytes.Equal(k, v.Bytes()) {
-					t.Fatalf("seed %d: key %q carries value %q", seed, k, v.Bytes())
+				if !bytes.Equal(k, v.Col(0)) {
+					t.Fatalf("seed %d: key %q carries value %q", seed, k, v.Col(0))
 				}
 				got = append(got, string(k))
 				return len(got) < n
@@ -261,8 +261,8 @@ func TestScanMatchesSortedModel(t *testing.T) {
 			var gotN []string
 			hint := []int{n, n/3 + 1, 10 * n, ScanAll}[i%4]
 			buf = tr.ScanNInto(start, hint, buf, func(k []byte, v *value.Value) bool {
-				if !bytes.Equal(k, v.Bytes()) {
-					t.Fatalf("seed %d: key %q carries value %q", seed, k, v.Bytes())
+				if !bytes.Equal(k, v.Col(0)) {
+					t.Fatalf("seed %d: key %q carries value %q", seed, k, v.Col(0))
 				}
 				gotN = append(gotN, string(k))
 				return len(gotN) < n
@@ -340,8 +340,8 @@ func TestScanConcurrentChurn(t *testing.T) {
 					switch {
 					case !first && string(k) <= prev:
 						bad = fmt.Sprintf("scan not ascending: %q after %q", k, prev)
-					case !bytes.Equal(k, v.Bytes()):
-						bad = fmt.Sprintf("key %q carries value %q", k, v.Bytes())
+					case !bytes.Equal(k, v.Col(0)):
+						bad = fmt.Sprintf("key %q carries value %q", k, v.Col(0))
 					}
 					if next < len(stable) && string(k) == stable[next] {
 						next++

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -46,7 +47,7 @@ func buildFullBorder(b *testing.B) (*borderNode, []uint64) {
 		slices = append(slices, keySlice(k))
 	}
 	root := tr.rootHeader()
-	if !isBorder(root.version.Load()) {
+	if !occ.Border(root.Load()) {
 		b.Fatal("expected a single border node")
 	}
 	return root.border(), slices

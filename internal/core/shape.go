@@ -9,7 +9,11 @@ package core
 // Shape takes no locks; run it on a quiescent tree (it is a diagnostic, not
 // an operation).
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"repro/internal/occ"
+)
 
 // LayerShape describes one trie depth. A twig in a depth-d border is a
 // depth-d+1 tree in its smallest form, and is counted there: among Trees,
@@ -115,8 +119,8 @@ func (t *Tree) shapeWalk(root *nodeHeader, depth int, s *ShapeStats, round func(
 
 // shapeNode returns the max border depth below h within its own B+-tree.
 func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats, round func(int) int) int {
-	v := h.version.Load()
-	if isBorder(v) {
+	v := h.Load()
+	if occ.Border(v) {
 		n := h.border()
 		s.Layers[depth].BorderNodes++
 		s.Layers[depth].BorderBytes += round(int(unsafe.Sizeof(*n)))

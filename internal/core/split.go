@@ -3,6 +3,7 @@ package core
 import (
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -65,9 +66,9 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	splitAt := splitPoint(ents[:total], rank, inRun, n.next.Load() == nil)
 	left, right := ents[:splitAt], ents[splitAt:total]
 
-	n.h.markSplitting()
+	n.h.MarkSplitting()
 	n2 := newBorder(false, true) //masstree:acquires n2.h
-	n2.h.markSplitting()
+	n2.h.MarkSplitting()
 	n2.lowSlice = right[0].slice
 	n2.lowOrd = int8(ordOf(right[0].kl))
 
@@ -243,21 +244,21 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sep uint64) {
 		p := n.lockParent()
 		if p == nil {
 			// n was the root of its B+-tree: grow a new interior root.
-			r := newInterior(rootBit)
+			r := newInterior(occ.RootBit)
 			r.keyslice[0].Store(sep)
 			r.child[0].Store(n)
 			r.child[1].Store(n2)
 			r.nkeys.Store(1)
 			n.parent.Store(r)
 			n2.parent.Store(r)
-			n.clearRoot()
+			n.ClearRoot()
 			t.root.CompareAndSwap(n, &r.h) // layer-0 root; inner layers fix lazily
-			n.unlock()
-			n2.unlock()
+			n.Unlock()
+			n2.Unlock()
 			return
 		}
 		if int(p.nkeys.Load()) < width {
-			p.h.markInserting()
+			p.h.MarkInserting()
 			nk := int(p.nkeys.Load())
 			pos := 0
 			for pos < nk && p.keyslice[pos].Load() < sep {
@@ -273,17 +274,17 @@ func (t *Tree) ascend(n, n2 *nodeHeader, sep uint64) {
 			p.child[pos+1].Store(n2)
 			n2.parent.Store(p)
 			p.nkeys.Store(int32(nk + 1))
-			n.unlock()
-			n2.unlock()
-			p.h.unlock()
+			n.Unlock()
+			n2.Unlock()
+			p.h.Unlock()
 			return
 		}
 		// Parent full: split it and keep ascending.
-		p.h.markSplitting()
-		n.unlock()
-		p2 := newInterior(lockBit | splittingBit) //masstree:acquires p2.h
+		p.h.MarkSplitting()
+		n.Unlock()
+		p2 := newInterior(occ.LockBit | occ.SplittingBit) //masstree:acquires p2.h
 		sep2 := t.splitInterior(p, p2, sep, n2)
-		n2.unlock()
+		n2.Unlock()
 		n, n2, sep = &p.h, &p2.h, sep2
 		t.stats.Splits.Add(1)
 	}

@@ -325,7 +325,7 @@ func TestRunsUnderConcurrency(t *testing.T) {
 				}
 				apply := func(i int, old *value.Value) *value.Value {
 					k := keys[i]
-					if want, ok := valueOf(mw, string(k)); ok != (old != nil) || ok && string(old.Bytes()) != want {
+					if want, ok := valueOf(mw, string(k)); ok != (old != nil) || ok && string(old.Col(0)) != want {
 						t.Errorf("writer %d: the put of %q was shown %v, it last stored %q (%v)", w, k, old, want, ok)
 					}
 					set(mw, string(k), fmt.Sprintf("%s@%d", k, seq))
@@ -341,7 +341,7 @@ func TestRunsUnderConcurrency(t *testing.T) {
 				if rng.Intn(4) != 0 {
 					for _, k := range keys {
 						want, _ := valueOf(mw, string(k))
-						if old, ok := tr.Remove(k); !ok || string(old.Bytes()) != want {
+						if old, ok := tr.Remove(k); !ok || string(old.Col(0)) != want {
 							t.Errorf("writer %d: Remove(%q) = %v, %v; it last stored %q", w, k, old, ok, want)
 						}
 						mw.Remove(string(k), 0)
@@ -376,7 +376,7 @@ func TestRunsUnderConcurrency(t *testing.T) {
 
 	check := func(who string, k []byte, v *value.Value, found, mustBe bool) {
 		if found && !carriesOwn(k, v) {
-			t.Errorf("%s: key %q carries %q", who, k, v.Bytes())
+			t.Errorf("%s: key %q carries %q", who, k, v.Col(0))
 		}
 		if !found && mustBe {
 			t.Errorf("%s: key %q is never removed and was not found", who, k)

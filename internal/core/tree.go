@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -99,7 +100,7 @@ restart:
 		ord := keyOrd(k)
 		n, v := t.findBorder(root, slice)
 	forward:
-		if isDeleted(v) {
+		if occ.Deleted(v) {
 			// The node was removed; its keys (none — only empty nodes are
 			// deleted) and range moved. Retry the whole operation (§4.6.5).
 			t.stats.RootRetries.Add(1)
@@ -117,19 +118,19 @@ restart:
 			slot = perm.slot(rank)
 			kl, lvp, bag = n.readSlot(slot)
 		}
-		if v2 := n.h.version.Load(); changed(v2, v) {
+		if v2 := n.h.Load(); occ.Changed(v2, v) {
 			// The node changed while we read it. Re-stabilize and chase
 			// border links right: a concurrent split only ever moves keys
 			// to new right siblings (Figure 7).
 			t.stats.LocalRetries.Add(1)
-			v = n.h.stable()
-			for !isDeleted(v) {
+			v = n.h.Stable()
+			for !occ.Deleted(v) {
 				next := n.next.Load()
 				if next == nil || !next.keyGEqLowkey(slice) {
 					break
 				}
 				n = next
-				v = n.h.stable()
+				v = n.h.Stable()
 			}
 			goto forward
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/occ"
 	"repro/internal/value"
 )
 
@@ -13,7 +14,7 @@ func mustGet(t *testing.T, tr *Tree, key, want string) {
 	if !ok {
 		t.Fatalf("Get(%q): not found", key)
 	}
-	if got := string(v.Bytes()); got != want {
+	if got := string(v.Col(0)); got != want {
 		t.Fatalf("Get(%q) = %q, want %q", key, got, want)
 	}
 }
@@ -21,7 +22,7 @@ func mustGet(t *testing.T, tr *Tree, key, want string) {
 func mustMiss(t *testing.T, tr *Tree, key string) {
 	t.Helper()
 	if v, ok := tr.Get([]byte(key)); ok {
-		t.Fatalf("Get(%q) = %q, want miss", key, v.Bytes())
+		t.Fatalf("Get(%q) = %q, want miss", key, v.Col(0))
 	}
 }
 
@@ -51,7 +52,7 @@ func TestBasicPutGet(t *testing.T) {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	old, replaced := put(tr, "hello", "there")
-	if !replaced || string(old.Bytes()) != "world" {
+	if !replaced || string(old.Col(0)) != "world" {
 		t.Fatalf("replace: old=%v replaced=%v", old, replaced)
 	}
 	mustGet(t, tr, "hello", "there")
@@ -175,17 +176,17 @@ func TestUpdateRMW(t *testing.T) {
 		}
 		return value.New([]byte{1})
 	})
-	if old != nil || stored.Bytes()[0] != 1 {
+	if old != nil || stored.Col(0)[0] != 1 {
 		t.Fatal("first update wrong")
 	}
 	for i := 0; i < 10; i++ {
 		tr.Update([]byte("ctr"), func(old *value.Value) *value.Value {
-			return value.New([]byte{old.Bytes()[0] + 1})
+			return value.New([]byte{old.Col(0)[0] + 1})
 		})
 	}
 	v, _ := tr.Get([]byte("ctr"))
-	if v.Bytes()[0] != 11 {
-		t.Fatalf("counter = %d, want 11", v.Bytes()[0])
+	if v.Col(0)[0] != 11 {
+		t.Fatalf("counter = %d, want 11", v.Col(0)[0])
 	}
 }
 
@@ -230,11 +231,11 @@ func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
 		put(tr, fmt.Sprintf("k%05d", i), "v")
 	}
 	root := tr.rootHeader()
-	if isBorder(root.version.Load()) {
+	if occ.Border(root.Load()) {
 		t.Fatal("tree has no interior level")
 	}
 	ph := root.interior().child[1].Load()
-	if isBorder(ph.version.Load()) {
+	if occ.Border(ph.Load()) {
 		t.Fatal("tree has one interior level, want two")
 	}
 	parent := ph.interior()
@@ -255,7 +256,7 @@ func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
 
 	deletes := tr.Stats().NodeDeletes
 	firstKey := empty(b)
-	if isDeleted(b.h.version.Load()) || b.prev.Load().next.Load() != b || parent.child[0].Load() != &b.h {
+	if occ.Deleted(b.h.Load()) || b.prev.Load().next.Load() != b || parent.child[0].Load() != &b.h {
 		t.Fatal("a parent's leftmost child was unlinked")
 	}
 	if d := tr.Stats().NodeDeletes; d != deletes {
@@ -264,7 +265,7 @@ func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
 	checkInvariants(t, tr)
 
 	siblingKey := empty(sibling)
-	if !isDeleted(sibling.h.version.Load()) || b.next.Load() == sibling || parent.child[1].Load() == &sibling.h {
+	if !occ.Deleted(sibling.h.Load()) || b.next.Load() == sibling || parent.child[1].Load() == &sibling.h {
 		t.Fatal("an ordinary empty child was not unlinked")
 	}
 	checkInvariants(t, tr)

@@ -45,14 +45,14 @@ const twigCap = 4
 type twig struct {
 	rems *byte // the encoded remainders (twigKeys), or nil: they are in tiny
 	tiny [8]byte
-	vals [2]unsafe.Pointer // vals[j] is key j's *value.Value; never nil
+	vals [2]atomic.Pointer[value.Value] // vals[j] is key j's value; never nil
 }
 
 // twig4 is the shape of a twig of three or four keys: cell j of twig is
 // vals[j], and more[j-2] past it.
 type twig4 struct {
 	twig
-	more [twigCap - 2]unsafe.Pointer
+	more [twigCap - 2]atomic.Pointer[value.Value]
 }
 
 // cellWords is how many cells a twig of n keys is allocated with.
@@ -72,8 +72,8 @@ func (tw *twig) size() uintptr {
 }
 
 // cell returns the address of cell j, which the twig's shape must have.
-func (tw *twig) cell(j int) *unsafe.Pointer {
-	return (*unsafe.Pointer)(unsafe.Add(unsafe.Pointer(&tw.vals), uintptr(j)*unsafe.Sizeof(tw.vals[0])))
+func (tw *twig) cell(j int) *atomic.Pointer[value.Value] {
+	return (*atomic.Pointer[value.Value])(unsafe.Add(unsafe.Pointer(&tw.vals), uintptr(j)*unsafe.Sizeof(tw.vals[0])))
 }
 
 // twigKeys is a twig's remainders, encoded: byte 0 holds the number of keys
@@ -126,7 +126,7 @@ func (k twigKeys) search(rem []byte) (j int, found bool) {
 
 // value loads cell j.
 func (tw *twig) value(j int) *value.Value {
-	return (*value.Value)(atomic.LoadPointer(tw.cell(j)))
+	return tw.cell(j).Load()
 }
 
 // twigEntries is a writer's working copy of a twig's keys, with room for the
@@ -144,7 +144,7 @@ type twigEntries struct {
 func (tw *twig) entries() (e twigEntries) {
 	k := tw.keys()
 	for e.n = 0; e.n < k.n(); e.n++ {
-		e.rem[e.n], e.val[e.n] = k.at(e.n), atomic.LoadPointer(tw.cell(e.n))
+		e.rem[e.n], e.val[e.n] = k.at(e.n), unsafe.Pointer(tw.cell(e.n).Load())
 	}
 	return e
 }
@@ -186,7 +186,7 @@ func (e *twigEntries) build() *twig {
 	for j, r := range e.rem[:e.n] {
 		end += copy(data[end:], r)
 		putOffset(k[1:], w, j, end)
-		atomic.StorePointer(tw.cell(j), e.val[j])
+		tw.cell(j).Store((*value.Value)(e.val[j]))
 	}
 	return tw
 }
@@ -238,7 +238,7 @@ func (t *Tree) makeLayer(n *borderNode, slot int, e *twigEntries) {
 			panic("core: a new layer's root had no room for a twig's keys")
 		}
 	}
-	root.h.unlock()
+	root.h.Unlock()
 	n.retype(slot, klLayer, unsafe.Pointer(&root.h))
 	t.stats.LayerCreations.Add(1)
 }

@@ -88,34 +88,34 @@ func TestTwigModel(t *testing.T) {
 			case 0, 1, 2, 3:
 				v := fmt.Sprintf("v%d", op)
 				old, replaced := tr.Put(k, value.New([]byte(v)))
-				if replaced != had || had && string(old.Bytes()) != want {
+				if replaced != had || had && string(old.Col(0)) != want {
 					t.Fatalf("seed %d op %d: Put(%q) replaced %v (%v), model had %q (%v)", seed, op, k, old, replaced, want, had)
 				}
 				set(m, string(k), v)
 			case 4:
 				old, stored := tr.Update(k, func(old *value.Value) *value.Value { return nil })
-				if stored != nil || (old != nil) != had || had && string(old.Bytes()) != want {
+				if stored != nil || (old != nil) != had || had && string(old.Col(0)) != want {
 					t.Fatalf("seed %d op %d: declined Update(%q) saw %v, stored %v; model had %q (%v)", seed, op, k, old, stored, want, had)
 				}
 			case 5, 6:
 				old, ok := tr.Remove(k)
-				if ok != had || had && string(old.Bytes()) != want {
+				if ok != had || had && string(old.Col(0)) != want {
 					t.Fatalf("seed %d op %d: Remove(%q) = %v, %v; model had %q (%v)", seed, op, k, old, ok, want, had)
 				}
 				m.Remove(string(k), 0)
 			case 7:
 				yes := rng.Intn(2) == 0
 				old, ok := tr.RemoveIf(k, func(old *value.Value) bool {
-					if string(old.Bytes()) != want {
-						t.Fatalf("seed %d op %d: RemoveIf(%q) was shown %q, want %q", seed, op, k, old.Bytes(), want)
+					if string(old.Col(0)) != want {
+						t.Fatalf("seed %d op %d: RemoveIf(%q) was shown %q, want %q", seed, op, k, old.Col(0), want)
 					}
 					return yes
 				})
-				if removed := m.RemoveIf(string(k), func(model.State) bool { return yes }); ok != removed || ok && string(old.Bytes()) != want {
+				if removed := m.RemoveIf(string(k), func(model.State) bool { return yes }); ok != removed || ok && string(old.Col(0)) != want {
 					t.Fatalf("seed %d op %d: RemoveIf(%q, %v) = %v, %v; model had %q (%v)", seed, op, k, yes, old, ok, want, had)
 				}
 			case 8:
-				if v, ok := tr.Get(k); ok != had || had && string(v.Bytes()) != want {
+				if v, ok := tr.Get(k); ok != had || had && string(v.Col(0)) != want {
 					t.Fatalf("seed %d op %d: Get(%q) = %v, %v; model has %q (%v)", seed, op, k, v, ok, want, had)
 				}
 			case 9: // a batch of kinds mixed: lookups see the tree from before it
@@ -131,7 +131,7 @@ func TestTwigModel(t *testing.T) {
 				}
 				decline := rng.Intn(4) == 0
 				tr.BatchInto(batch, put, vals, found, &sc, func(i int, old *value.Value) *value.Value {
-					if w, ok := valueOf(m, string(batch[i])); ok != (old != nil) || ok && string(old.Bytes()) != w {
+					if w, ok := valueOf(m, string(batch[i])); ok != (old != nil) || ok && string(old.Col(0)) != w {
 						t.Fatalf("seed %d op %d: batch put %d of %q was shown %v, model has %q (%v)", seed, op, i, batch[i], old, w, ok)
 					}
 					if decline && i%2 == 0 {
@@ -142,14 +142,14 @@ func TestTwigModel(t *testing.T) {
 					return value.New([]byte(v))
 				})
 				for i, k := range batch {
-					if w, ok := before[i], had[i]; !put[i] && (ok != found[i] || ok && string(vals[i].Bytes()) != w) {
+					if w, ok := before[i], had[i]; !put[i] && (ok != found[i] || ok && string(vals[i].Col(0)) != w) {
 						t.Fatalf("seed %d op %d: batch lookup %d of %q = %v, %v; before the batch %q (%v)", seed, op, i, k, vals[i], found[i], w, ok)
 					}
 				}
 			case 10:
 				vals, found := getBatch(tr, keys)
 				for i, k := range keys {
-					if w, ok := valueOf(m, string(k)); ok != found[i] || ok && string(vals[i].Bytes()) != w {
+					if w, ok := valueOf(m, string(k)); ok != found[i] || ok && string(vals[i].Col(0)) != w {
 						t.Fatalf("seed %d op %d: getBatch key %q = %v, %v; model has %q (%v)", seed, op, k, vals[i], found[i], w, ok)
 					}
 				}
@@ -171,7 +171,7 @@ func TestTwigModel(t *testing.T) {
 				from := rng.Intn(len(r) - 4)
 				run := r[from:min(len(r), from+4+rng.Intn(12))]
 				apply := func(i int, old *value.Value) *value.Value {
-					if w, ok := valueOf(m, string(run[i])); ok != (old != nil) || ok && string(old.Bytes()) != w {
+					if w, ok := valueOf(m, string(run[i])); ok != (old != nil) || ok && string(old.Col(0)) != w {
 						t.Fatalf("seed %d op %d: run put %q was shown %v, model has %q (%v)", seed, op, run[i], old, w, ok)
 					}
 					v := fmt.Sprintf("r%d.%d", op, i)
@@ -231,7 +231,7 @@ func ownValue(k []byte, seq int) *value.Value { return value.New([]byte(fmt.Spri
 
 // carriesOwn reports whether v is a value ownValue made for k.
 func carriesOwn(k []byte, v *value.Value) bool {
-	b := v.Bytes()
+	b := v.Col(0)
 	return len(b) > len(k) && bytes.Equal(b[:len(k)], k) && b[len(k)] == '@'
 }
 
@@ -290,7 +290,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 				for _, m := range order {
 					k := key(g, m)
 					old, _ := tr.Put(k, ownValue(k, seq))
-					if want, ok := valueOf(mw, string(k)); ok != (old != nil) || ok && string(old.Bytes()) != want {
+					if want, ok := valueOf(mw, string(k)); ok != (old != nil) || ok && string(old.Col(0)) != want {
 						t.Errorf("writer %d: Put(%q) replaced %v, it last stored %q (%v)", w, k, old, want, ok)
 					}
 					set(mw, string(k), fmt.Sprintf("%s@%d", k, seq))
@@ -303,7 +303,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 				for _, m := range order {
 					if k := key(g, m); m != keep && !stable(g, m) {
 						want, _ := valueOf(mw, string(k))
-						if old, ok := tr.Remove(k); !ok || string(old.Bytes()) != want {
+						if old, ok := tr.Remove(k); !ok || string(old.Col(0)) != want {
 							t.Errorf("writer %d: Remove(%q) = %v, %v; it last stored %q", w, k, old, ok, want)
 						}
 						mw.Remove(string(k), 0)
@@ -335,7 +335,7 @@ func TestTwigsUnderConcurrency(t *testing.T) {
 
 	check := func(who string, k []byte, v *value.Value, found, mustBe bool) {
 		if found && !carriesOwn(k, v) {
-			t.Errorf("%s: key %q carries %q", who, k, v.Bytes())
+			t.Errorf("%s: key %q carries %q", who, k, v.Col(0))
 		}
 		if !found && mustBe {
 			t.Errorf("%s: key %q is never removed and was not found", who, k)
@@ -524,17 +524,17 @@ func FuzzTwigModel(f *testing.F) {
 			switch ops[i] % 5 {
 			case 0:
 				v := fmt.Sprintf("v%d", i)
-				if old, replaced := put(tr, k, v); replaced != had || had && string(old.Bytes()) != want {
+				if old, replaced := put(tr, k, v); replaced != had || had && string(old.Col(0)) != want {
 					t.Fatalf("op %d: Put(%q) replaced %v (%v), model had %q (%v)", i, k, old, replaced, want, had)
 				}
 				set(m, k, v)
 			case 1:
-				if old, ok := tr.Remove([]byte(k)); ok != had || had && string(old.Bytes()) != want {
+				if old, ok := tr.Remove([]byte(k)); ok != had || had && string(old.Col(0)) != want {
 					t.Fatalf("op %d: Remove(%q) = %v, %v; model had %q (%v)", i, k, old, ok, want, had)
 				}
 				m.Remove(k, 0)
 			case 2:
-				if v, ok := tr.Get([]byte(k)); ok != had || had && string(v.Bytes()) != want {
+				if v, ok := tr.Get([]byte(k)); ok != had || had && string(v.Col(0)) != want {
 					t.Fatalf("op %d: Get(%q) = %v, %v; model has %q (%v)", i, k, v, ok, want, had)
 				}
 			case 3:
@@ -578,7 +578,7 @@ func TestTwigShapes(t *testing.T) {
 			want := keys(i)
 			for _, tail := range want {
 				k := key(i, tail)
-				if v, ok := tr.Get(k); !ok || string(v.Bytes()) != string(k) {
+				if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 					t.Fatalf("%s: Get(%q) = %v, %v", phase, k, v, ok)
 				}
 			}
@@ -610,8 +610,8 @@ func TestTwigShapes(t *testing.T) {
 	check("grown", tails)
 	n := 0
 	tr.ScanNInto(nil, ScanAll, nil, func(k []byte, v *value.Value) bool {
-		if string(k) != string(v.Bytes()) {
-			t.Fatalf("scan: %q carries %q", k, v.Bytes())
+		if string(k) != string(v.Col(0)) {
+			t.Fatalf("scan: %q carries %q", k, v.Col(0))
 		}
 		n++
 		return true

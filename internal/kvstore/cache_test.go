@@ -344,8 +344,8 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 	// Survivors must read back intact.
 	found := 0
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
-		if len(v.Bytes()) != 4096 {
-			t.Fatalf("survivor %q has wrong value length %d", k, len(v.Bytes()))
+		if len(v.Col(0)) != 4096 {
+			t.Fatalf("survivor %q has wrong value length %d", k, len(v.Col(0)))
 		}
 		found++
 		return true

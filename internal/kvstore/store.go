@@ -672,10 +672,15 @@ func (s *Store) Len() int { return s.tree.Len() }
 // of TTL enforcement: every read path treats an expired value as absent the
 // moment its deadline passes, without waiting for the background sweep to
 // remove it physically. The clock is only read for values that carry an
-// expiry at all, so TTL-free workloads pay one header load and a branch.
+// expiry at all, out of line, so TTL-free workloads pay one header load and
+// a branch.
 func expired(wall clock.Clock, v *value.Value) bool {
-	e := v.ExpiresAt()
-	return e != 0 && e <= uint64(wall.Now().UnixNano())
+	return v.HasExpiry() && pastExpiry(wall, v)
+}
+
+// pastExpiry is expired's clock read, for a value that carries an expiry.
+func pastExpiry(wall clock.Clock, v *value.Value) bool {
+	return v.ExpiresAt() <= uint64(wall.Now().UnixNano())
 }
 
 // AppendCols appends the requested columns of v (nil = all) to dst and
@@ -778,7 +783,7 @@ type writeResult struct {
 // builds the packed value.
 func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 	r.base = old
-	if old.ExpiresAt() != 0 && old.Expired(s.wall.Now().UnixNano()) {
+	if expired(s.wall, old) {
 		r.base = nil
 	}
 	base := r.base

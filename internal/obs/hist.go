@@ -25,8 +25,8 @@ const NumBuckets = 64
 // rounds the struct to a cache-line multiple (576 bytes) so shard k+1
 // starts on its own line even inside a shards slice.
 type histShard struct {
-	counts [NumBuckets]uint64 // accessed only via atomic
-	sum    uint64             // accessed only via atomic; total ns recorded
+	counts [NumBuckets]atomic.Uint64
+	sum    atomic.Uint64 // total ns recorded
 	_      [56]byte
 }
 
@@ -101,9 +101,9 @@ func (h *Hist) RecordN(worker int, d time.Duration, n int) {
 		return
 	}
 	sh := &h.shards[uint(worker)%uint(len(h.shards))]
-	atomic.AddUint64(&sh.counts[Bucket(d)], uint64(n))
+	sh.counts[Bucket(d)].Add(uint64(n))
 	if d > 0 {
-		atomic.AddUint64(&sh.sum, uint64(d)*uint64(n))
+		sh.sum.Add(uint64(d) * uint64(n))
 	}
 }
 
@@ -121,9 +121,9 @@ func (h *Hist) Snapshot() HistSnapshot {
 	for i := range h.shards {
 		sh := &h.shards[i]
 		for b := 0; b < NumBuckets; b++ {
-			s.Buckets[b] += atomic.LoadUint64(&sh.counts[b])
+			s.Buckets[b] += sh.counts[b].Load()
 		}
-		s.Sum += atomic.LoadUint64(&sh.sum)
+		s.Sum += sh.sum.Load()
 	}
 	return s
 }
@@ -134,9 +134,9 @@ func (h *Hist) ShardSnapshot(worker int) HistSnapshot {
 	sh := &h.shards[uint(worker)%uint(len(h.shards))]
 	s := HistSnapshot{Name: h.name}
 	for b := 0; b < NumBuckets; b++ {
-		s.Buckets[b] = atomic.LoadUint64(&sh.counts[b])
+		s.Buckets[b] = sh.counts[b].Load()
 	}
-	s.Sum = atomic.LoadUint64(&sh.sum)
+	s.Sum = sh.sum.Load()
 	return s
 }
 

@@ -349,12 +349,18 @@ func (v *Value) Size() int {
 //
 //masstree:noalloc
 func (v *Value) ExpiresAt() uint64 {
-	if v == nil || v.hdr[offFlags]&flagExpiry == 0 {
+	if !v.HasExpiry() {
 		return 0
 	}
 	table, _, _, _ := v.layout() // the expiry ends either header
 	return binary.LittleEndian.Uint64(v.head(table)[table-expirySize:])
 }
+
+// HasExpiry reports whether the value carries an expiry: one header load,
+// small enough to inline into a read path where ExpiresAt is not.
+//
+//masstree:noalloc
+func (v *Value) HasExpiry() bool { return v != nil && v.hdr[offFlags]&flagExpiry != 0 }
 
 // Expired reports whether the value carries an expiry at or before now
 // (unix nanoseconds). A zero expiry never expires.
@@ -410,12 +416,6 @@ func (v *Value) Cols() [][]byte {
 	}
 	return out
 }
-
-// Bytes returns column 0; it is the natural accessor for single-column
-// values, which is how simple get/put workloads use the store.
-//
-//masstree:noalloc
-func (v *Value) Bytes() []byte { return v.Col(0) }
 
 // putFor returns the data the last put to column i carries, if there is one.
 // last, when the caller built it, holds for each column one more than the

@@ -11,7 +11,7 @@ import (
 
 func TestNilValue(t *testing.T) {
 	var v *Value
-	if v.Version() != 0 || v.NumCols() != 0 || v.Col(0) != nil || v.Bytes() != nil {
+	if v.Version() != 0 || v.NumCols() != 0 || v.Col(0) != nil || v.Col(0) != nil {
 		t.Fatal("nil value accessors should return zero values")
 	}
 	if v.String() != "<nil>" {
@@ -30,7 +30,7 @@ func TestNewAndAccessors(t *testing.T) {
 	if v.Col(2) != nil || v.Col(-1) != nil {
 		t.Fatal("out-of-range columns must be nil")
 	}
-	if string(v.Bytes()) != "a" {
+	if string(v.Col(0)) != "a" {
 		t.Fatal("Bytes should be column 0")
 	}
 }
