@@ -267,7 +267,7 @@
 //
 //	//masstree:locked n        n is locked on entry and at every return
 //	//masstree:unlocks n       n is locked on entry, released on every path
-//	//masstree:returns-locked  the non-nil result is locked; nil-check it
+//	//masstree:returns-locked  nil holding no lock, or the result's lock alone
 //	//masstree:acquires n.h    this statement acquires n.h invisibly
 //	//masstree:releases n.h    this statement releases n.h invisibly
 //	//masstree:noalloc         steady state performs zero heap allocations

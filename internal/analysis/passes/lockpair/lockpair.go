@@ -20,10 +20,14 @@
 //     have marked the node dirty, and Stable would then spin forever.
 //   - hand-over-hand transfer: next.h.Lock(); n.h.Unlock(); n = next renames
 //     the lock "next.h" to "n.h" through the assignment.
+//   - any other assignment to a variable whose lock is held: reported as
+//     lost, since nothing can release it any more.
 //   - //masstree:locked n — callee requires (and keeps) n locked.
 //   - //masstree:unlocks n — callee consumes n's lock on every path.
-//   - //masstree:returns-locked — the non-nil result is locked; the state
-//     splits and nil-check branches resolve it.
+//   - //masstree:returns-locked — the function returns nil holding no lock,
+//     or a result whose lock it holds and no other (besides its
+//     //masstree:locked parameters'); at the call the state splits and
+//     nil-check branches resolve it.
 //   - //masstree:acquires k / //masstree:releases k — statement-level
 //     escape hatch for lock transitions the analyzer cannot see, e.g.
 //     constructor-locked nodes (newBorder(..., true)).
@@ -253,7 +257,7 @@ func analyzeFunc(pass *analysis.Pass, fd *ast.FuncDecl, decls map[*types.Func]*a
 
 	// Exit is reached only by falling off the end of the body.
 	for _, ls := range in[g.Exit.Index] {
-		fa.checkExit(ls, fd.Body.Rbrace)
+		fa.checkExit(ls, fd.Body.Rbrace, nil)
 	}
 }
 
@@ -266,8 +270,12 @@ func (fa *funcAnalysis) transfer(states []*lockset, node ast.Node) []*lockset {
 		states = fa.handleDecl(states, s)
 	case *ast.ReturnStmt:
 		states = fa.applyCalls(states, s, nil)
+		var result ast.Expr
+		if len(s.Results) == 1 {
+			result = s.Results[0]
+		}
 		for _, ls := range states {
-			fa.checkExit(ls, s.Pos())
+			fa.checkExit(ls, s.Pos(), result)
 		}
 	case *ast.DeferStmt, *ast.GoStmt:
 		// Deferred releases are handled at exits; goroutine bodies run
@@ -449,7 +457,7 @@ func (fa *funcAnalysis) handleAssign(states []*lockset, s *ast.AssignStmt) []*lo
 
 	// Simultaneous rename: hand-over-hand transfers (n = next) and lock
 	// rebinding (n, n2, sep = &p.h, &p2.h, sep2) move keys to their new
-	// names; other assignments drop the overwritten variable's stale keys.
+	// names; any other assignment over a held lock's variable loses it.
 	var pairs []renamePair
 	for i, lhs := range s.Lhs {
 		id, ok := lhs.(*ast.Ident)
@@ -467,7 +475,7 @@ func (fa *funcAnalysis) handleAssign(states []*lockset, s *ast.AssignStmt) []*lo
 	}
 	if len(pairs) > 0 {
 		for i, ls := range states {
-			states[i] = renameState(ls, pairs)
+			states[i] = fa.renameState(ls, pairs, s.Pos())
 		}
 	}
 
@@ -507,7 +515,7 @@ func (fa *funcAnalysis) handleDecl(states []*lockset, s *ast.DeclStmt) []*lockse
 		}
 	}
 	for i, ls := range states {
-		states[i] = renameState(ls, pairs)
+		states[i] = fa.renameState(ls, pairs, s.Pos())
 	}
 	return states
 }
@@ -518,7 +526,10 @@ type renamePair struct {
 	rhsVar string // RHS identifier name, for fact propagation
 }
 
-func renameState(ls *lockset, pairs []renamePair) *lockset {
+// renameState moves ls's keys through an assignment at pos. A lock whose
+// variable the assignment overwrites, and does not rename, can no longer be
+// released: it is reported as lost.
+func (fa *funcAnalysis) renameState(ls *lockset, pairs []renamePair, pos token.Pos) *lockset {
 	out := newLockset()
 	overwritten := map[string]bool{}
 	for _, p := range pairs {
@@ -533,7 +544,11 @@ func renameState(ls *lockset, pairs []renamePair) *lockset {
 				break
 			}
 		}
-		if !renamed && !overwritten[root(k)] {
+		switch {
+		case renamed:
+		case overwritten[root(k)]:
+			fa.reportf(pos, "lock %s is lost: %s is assigned while it is held", k, root(k))
+		default:
 			out.locks[k] = true
 		}
 	}
@@ -625,8 +640,16 @@ func isNilExpr(info *types.Info, e ast.Expr) bool {
 }
 
 // checkExit verifies one path's lockset against the function contract at a
-// return site (or the implicit return at the closing brace).
-func (fa *funcAnalysis) checkExit(ls *lockset, pos token.Pos) {
+// return site (or the implicit return at the closing brace, result nil). A
+// returns-locked function holds no lock but its masstree:locked parameters
+// on a nil return, and those and its result's lock on any other.
+func (fa *funcAnalysis) checkExit(ls *lockset, pos token.Pos, result ast.Expr) {
+	handed := ""
+	if fa.facts.ReturnsLocked && result != nil && !isNilExpr(fa.info, result) {
+		if known, ok := ls.facts[render(result)]; !ok || known {
+			handed = fa.actualKey(result)
+		}
+	}
 	held := map[string]bool{}
 	for k := range ls.locks {
 		if !fa.deferred[k] {
@@ -635,16 +658,16 @@ func (fa *funcAnalysis) checkExit(ls *lockset, pos token.Pos) {
 	}
 	var extra []string
 	for k := range held {
-		if !fa.expected[k] {
+		if !fa.expected[k] && k != handed {
 			extra = append(extra, k)
 		}
 	}
 	sort.Strings(extra)
-	if fa.facts.ReturnsLocked && len(extra) == 1 {
-		extra = nil // the lock handed to the caller
-	}
 	for _, k := range extra {
 		fa.reportf(pos, "lock %s is not released on this return path", k)
+	}
+	if handed != "" && !held[handed] {
+		fa.reportf(pos, "result %s is returned unlocked (masstree:returns-locked)", handed)
 	}
 	for k := range fa.expected {
 		if !held[k] {

@@ -178,6 +178,68 @@ func leak() {
 	newLocked() // want `result of newLocked \(masstree:returns-locked\) discarded; the returned lock leaks`
 }
 
+// nilLeak returns nil still holding the node it locked.
+//
+//masstree:returns-locked
+func nilLeak(n *node) *node {
+	n.h.Lock()
+	if n.val < 0 {
+		return nil // want `lock n\.h is not released on this return path`
+	}
+	return n
+}
+
+// recheckLeak locks its candidate and returns nil when the re-check under
+// the lock fails, without unlocking: lockHint's shape.
+//
+//masstree:returns-locked
+func recheckLeak(n *node) *node {
+	if n == nil {
+		return nil // clean: nothing is locked yet
+	}
+	n.h.Lock()
+	if n.next != nil {
+		return nil // want `lock n\.h is not released on this return path`
+	}
+	return n
+}
+
+// retryLeak re-reads its candidate without unlocking the one that failed
+// the re-check: lockParent's shape.
+//
+//masstree:returns-locked
+func retryLeak(n *node) *node {
+	for {
+		p := n.next // want `lock p\.h is lost: p is assigned while it is held`
+		if p == nil {
+			return nil
+		}
+		p.h.Lock()
+		if n.next == p {
+			return p
+		}
+	}
+}
+
+// extraLock hands its result to the caller and keeps a second lock.
+//
+//masstree:returns-locked
+func extraLock(n *node) *node {
+	n.h.Lock()
+	next := n.next
+	next.h.Lock()
+	return next // want `lock n\.h is not released on this return path`
+}
+
+// unlockedResult returns a node it does not hold.
+//
+//masstree:returns-locked
+func unlockedResult(n *node) *node {
+	n.h.Lock()
+	n.h.Unlock()
+	return n // want `result n\.h is returned unlocked \(masstree:returns-locked\)`
+}
+
 // --- statement-level masstree:acquires / masstree:releases ---
 
 func alloc() *node { return &node{} }

@@ -1,51 +1,31 @@
 package binarytree
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
+	"repro/internal/baseline/conformance"
 	"repro/internal/value"
 )
 
-func variants() map[string]func() *Tree {
-	return map[string]func() *Tree{
-		"plain":        func() *Tree { return New() },
-		"intcmp":       func() *Tree { return New(WithIntCmp()) },
-		"arena":        func() *Tree { return New(WithArena()) },
-		"intcmp+arena": func() *Tree { return New(WithIntCmp(), WithArena()) },
+func variants() map[string]func() conformance.Store {
+	return map[string]func() conformance.Store{
+		"plain":        func() conformance.Store { return New() },
+		"intcmp":       func() conformance.Store { return New(WithIntCmp()) },
+		"arena":        func() conformance.Store { return New(WithArena()) },
+		"intcmp+arena": func() conformance.Store { return New(WithIntCmp(), WithArena()) },
 	}
 }
 
 func TestModel(t *testing.T) {
 	for name, mk := range variants() {
-		t.Run(name, func(t *testing.T) {
-			tr := mk()
-			model := map[string]string{}
-			rng := rand.New(rand.NewSource(1))
-			for i := 0; i < 5000; i++ {
-				k := fmt.Sprintf("%d", rng.Intn(2000))
-				switch rng.Intn(3) {
-				case 0, 1:
-					v := fmt.Sprintf("v%d", i)
-					replaced := tr.Put([]byte(k), value.New([]byte(v)))
-					if _, had := model[k]; had != replaced {
-						t.Fatalf("put %q replaced=%v, want %v", k, replaced, had)
-					}
-					model[k] = v
-				case 2:
-					v, ok := tr.Get([]byte(k))
-					want, wantOK := model[k]
-					if ok != wantOK || (ok && string(v.Col(0)) != want) {
-						t.Fatalf("get %q = %v,%v want %q,%v", k, v, ok, want, wantOK)
-					}
-				}
-				if tr.Len() != len(model) {
-					t.Fatalf("len %d vs %d", tr.Len(), len(model))
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { conformance.Model(t, mk) })
+	}
+}
+
+func TestConcurrentInserts(t *testing.T) {
+	for name, mk := range variants() {
+		t.Run(name, func(t *testing.T) { conformance.Concurrent(t, mk) })
 	}
 }
 
@@ -71,38 +51,6 @@ func TestIntCmpMatchesBytes(t *testing.T) {
 	}
 	if a.Len() != b.Len() {
 		t.Fatalf("lens differ: %d vs %d", a.Len(), b.Len())
-	}
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	for name, mk := range variants() {
-		t.Run(name, func(t *testing.T) {
-			tr := mk()
-			var wg sync.WaitGroup
-			const workers, per = 4, 3000
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-						tr.Put(k, value.New(k))
-					}
-				}(w)
-			}
-			wg.Wait()
-			if tr.Len() != workers*per {
-				t.Fatalf("len %d, want %d", tr.Len(), workers*per)
-			}
-			for w := 0; w < workers; w++ {
-				for i := 0; i < per; i++ {
-					k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-					if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
-						t.Fatalf("lost %q", k)
-					}
-				}
-			}
-		})
 	}
 }
 

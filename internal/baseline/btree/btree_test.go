@@ -2,20 +2,19 @@ package btree
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
+	"repro/internal/baseline/conformance"
 	"repro/internal/value"
 )
 
-func modes() map[string]func() *Tree {
-	return map[string]func() *Tree{
-		"plain":    func() *Tree { return New() },
-		"permuter": func() *Tree { return New(WithPermuter()) },
+func modes() map[string]func() conformance.Store {
+	return map[string]func() conformance.Store{
+		"plain":    func() conformance.Store { return New() },
+		"permuter": func() conformance.Store { return New(WithPermuter()) },
 	}
 }
 
@@ -87,49 +86,7 @@ func sign(x int) int {
 
 func TestModel(t *testing.T) {
 	for name, mk := range modes() {
-		t.Run(name, func(t *testing.T) {
-			tr := mk()
-			model := map[string]string{}
-			rng := rand.New(rand.NewSource(3))
-			for i := 0; i < 10000; i++ {
-				// Mix short keys, >16-byte keys (inline overflow) and
-				// 9-16-byte keys that share one lead, so the inline
-				// bytes decide every comparison among them.
-				var k string
-				switch rng.Intn(3) {
-				case 0:
-					k = fmt.Sprintf("%d", rng.Intn(3000))
-				case 1:
-					k = fmt.Sprintf("long-key-prefix-%08d", rng.Intn(3000))
-				case 2:
-					k = fmt.Sprintf("samelead%0*d", 1+rng.Intn(8), rng.Intn(3000))
-				}
-				switch rng.Intn(3) {
-				case 0, 1:
-					v := fmt.Sprintf("v%d", i)
-					replaced := tr.Put([]byte(k), value.New([]byte(v)))
-					if _, had := model[k]; had != replaced {
-						t.Fatalf("op %d: put %q replaced=%v want %v", i, k, replaced, had)
-					}
-					model[k] = v
-				case 2:
-					v, ok := tr.Get([]byte(k))
-					want, wantOK := model[k]
-					if ok != wantOK || (ok && string(v.Col(0)) != want) {
-						t.Fatalf("op %d: get %q = %v,%v want %q,%v", i, k, v, ok, want, wantOK)
-					}
-				}
-				if tr.Len() != len(model) {
-					t.Fatalf("op %d: len %d vs %d", i, tr.Len(), len(model))
-				}
-			}
-			for k, v := range model {
-				got, ok := tr.Get([]byte(k))
-				if !ok || string(got.Col(0)) != v {
-					t.Fatalf("final: %q = %v,%v want %q", k, got, ok, v)
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { conformance.Model(t, mk) })
 	}
 }
 
@@ -160,47 +117,6 @@ func TestSequentialAndReverse(t *testing.T) {
 
 func TestConcurrent(t *testing.T) {
 	for name, mk := range modes() {
-		t.Run(name, func(t *testing.T) {
-			tr := mk()
-			var wg sync.WaitGroup
-			const workers, per = 4, 4000
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-						tr.Put(k, value.New(k))
-					}
-				}(w)
-			}
-			// Concurrent readers over a prepopulated stable range.
-			for i := 0; i < 500; i++ {
-				k := []byte(fmt.Sprintf("stable%04d", i))
-				tr.Put(k, value.New(k))
-			}
-			for r := 0; r < 2; r++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < 20000; i++ {
-						k := []byte(fmt.Sprintf("stable%04d", rng.Intn(500)))
-						if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
-							panic(fmt.Sprintf("lost stable key %q", k))
-						}
-					}
-				}(int64(r))
-			}
-			wg.Wait()
-			for w := 0; w < workers; w++ {
-				for i := 0; i < per; i++ {
-					k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-					if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
-						t.Fatalf("lost %q", k)
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { conformance.Concurrent(t, mk) })
 	}
 }

@@ -2,39 +2,17 @@ package fourtree
 
 import (
 	"fmt"
-	"math/rand"
-	"sync"
 	"testing"
 
+	"repro/internal/baseline/conformance"
 	"repro/internal/value"
 )
 
-func TestModel(t *testing.T) {
-	tr := New()
-	model := map[string]string{}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 8000; i++ {
-		k := fmt.Sprintf("%d", rng.Intn(3000))
-		switch rng.Intn(3) {
-		case 0, 1:
-			v := fmt.Sprintf("v%d", i)
-			replaced := tr.Put([]byte(k), value.New([]byte(v)))
-			if _, had := model[k]; had != replaced {
-				t.Fatalf("put %q replaced=%v want %v", k, replaced, had)
-			}
-			model[k] = v
-		case 2:
-			v, ok := tr.Get([]byte(k))
-			want, wantOK := model[k]
-			if ok != wantOK || (ok && string(v.Col(0)) != want) {
-				t.Fatalf("get %q mismatch", k)
-			}
-		}
-		if tr.Len() != len(model) {
-			t.Fatalf("len %d vs model %d", tr.Len(), len(model))
-		}
-	}
-}
+func mk() conformance.Store { return New() }
+
+func TestModel(t *testing.T) { conformance.Model(t, mk) }
+
+func TestConcurrentInserts(t *testing.T) { conformance.Concurrent(t, mk) }
 
 func TestInternalNodesFull(t *testing.T) {
 	tr := New()
@@ -63,53 +41,4 @@ func TestInternalNodesFull(t *testing.T) {
 		}
 	}
 	walk(tr.root.Load())
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	tr := New()
-	var wg sync.WaitGroup
-	const workers, per = 4, 3000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-				tr.Put(k, value.New(k))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if tr.Len() != workers*per {
-		t.Fatalf("len %d want %d", tr.Len(), workers*per)
-	}
-	for w := 0; w < workers; w++ {
-		for i := 0; i < per; i++ {
-			k := []byte(fmt.Sprintf("w%d-%05d", w, i))
-			if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
-				t.Fatalf("lost %q", k)
-			}
-		}
-	}
-}
-
-func TestConcurrentMixed(t *testing.T) {
-	tr := New()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 10000; i++ {
-				k := []byte(fmt.Sprintf("hot%03d", rng.Intn(200)))
-				if rng.Intn(2) == 0 {
-					tr.Put(k, value.New(k))
-				} else if v, ok := tr.Get(k); ok && string(v.Col(0)) != string(k) {
-					panic("wrong value")
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
 }

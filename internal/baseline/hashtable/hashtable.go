@@ -83,7 +83,7 @@ func (t *Table) Put(key []byte, v *value.Value) bool {
 	}
 }
 
-// Len returns the number of keys. No figure reads it, but the count stays:
-// core.Tree's Put pays the same shared atomic add on every insert, and
-// dropping it from the baselines alone would skew §6.4's comparison.
+// Len returns the number of keys. No figure reads it, but the conformance
+// suite checks it after every operation, and core.Tree's Put pays the same
+// shared atomic add on every insert: dropping it here would skew §6.4's comparison.
 func (t *Table) Len() int { return int(t.count.Load()) }

@@ -2,9 +2,9 @@ package partition
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
+	"repro/internal/baseline/conformance"
 	"repro/internal/value"
 )
 
@@ -14,8 +14,9 @@ func get(s *Store, key []byte) (*value.Value, bool) {
 	return r[0].Value, r[0].OK
 }
 
-func put(s *Store, key []byte, v *value.Value) {
-	s.Do(s.PartitionFor(key), []Op{{Kind: OpPut, Key: key, Value: v}})
+func put(s *Store, key []byte, v *value.Value) bool {
+	r := s.Do(s.PartitionFor(key), []Op{{Kind: OpPut, Key: key, Value: v}})
+	return r[0].OK
 }
 
 // storeLen sums the partition sizes. Each executor first drains its queue
@@ -31,24 +32,25 @@ func storeLen(s *Store) int {
 	return n
 }
 
-func TestBasicRouting(t *testing.T) {
-	s := New(4, 8)
-	defer s.Close()
-	for i := 0; i < 1000; i++ {
-		k := []byte(fmt.Sprintf("key%04d", i))
-		put(s, k, value.New(k))
-	}
-	for i := 0; i < 1000; i++ {
-		k := []byte(fmt.Sprintf("key%04d", i))
-		v, ok := get(s, k)
-		if !ok || string(v.Col(0)) != string(k) {
-			t.Fatalf("lost %q", k)
-		}
-	}
-	if n := storeLen(s); n != 1000 {
-		t.Fatalf("len %d", n)
+// routed is a Store whose every operation takes the client route.
+type routed struct{ *Store }
+
+func (s routed) Get(key []byte) (*value.Value, bool) { return get(s.Store, key) }
+func (s routed) Put(key []byte, v *value.Value) bool { return put(s.Store, key, v) }
+func (s routed) Len() int                            { return storeLen(s.Store) }
+
+// mk makes a four-partition store that t closes.
+func mk(t *testing.T) func() conformance.Store {
+	return func() conformance.Store {
+		s := New(4, 16)
+		t.Cleanup(s.Close)
+		return routed{s}
 	}
 }
+
+func TestModel(t *testing.T) { conformance.Model(t, mk(t)) }
+
+func TestConcurrentClients(t *testing.T) { conformance.Concurrent(t, mk(t)) }
 
 func TestBatches(t *testing.T) {
 	s := New(2, 4)
@@ -73,34 +75,6 @@ func TestBatches(t *testing.T) {
 	res = s.Do(1, gets[:1])
 	if res[0].OK {
 		t.Fatal("key leaked across partitions")
-	}
-}
-
-func TestConcurrentClients(t *testing.T) {
-	s := New(4, 16)
-	defer s.Close()
-	var wg sync.WaitGroup
-	const clients, per = 8, 500
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := []byte(fmt.Sprintf("c%d-%04d", c, i))
-				put(s, k, value.New(k))
-			}
-			for i := 0; i < per; i++ {
-				k := []byte(fmt.Sprintf("c%d-%04d", c, i))
-				if v, ok := get(s, k); !ok || string(v.Col(0)) != string(k) {
-					t.Errorf("lost %q", k)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if n := storeLen(s); n != clients*per {
-		t.Fatalf("len %d want %d", n, clients*per)
 	}
 }
 

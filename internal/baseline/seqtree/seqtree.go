@@ -75,9 +75,9 @@ func New() *Tree {
 	return &Tree{root: &node{border: true}}
 }
 
-// Len returns the number of keys. No figure reads it, but the count stays:
-// core.Tree's Put counts every insert, and dropping the count from the
-// baselines alone would skew the comparison.
+// Len returns the number of keys. No figure reads it, but the conformance
+// suite checks it after every operation, and core.Tree's Put counts every
+// insert: dropping the count here would skew the comparison.
 func (t *Tree) Len() int { return t.count }
 
 // descend walks interior nodes to the border node owning slice.

@@ -1,10 +1,9 @@
 package seqtree
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
+	"repro/internal/baseline/conformance"
 	"repro/internal/value"
 )
 
@@ -50,55 +49,19 @@ func TestLayers(t *testing.T) {
 	}
 }
 
+// answers is a Store over Put's replaced flag; TestBasic checks the old
+// value Put also returns.
+type answers struct{ *Tree }
+
+func (t answers) Put(key []byte, v *value.Value) bool {
+	_, replaced := t.Tree.Put(key, v)
+	return replaced
+}
+
+// TestModel runs the one-goroutine half of the suite: seqtree is not safe
+// for concurrent use.
 func TestModel(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			tr := New()
-			model := map[string]string{}
-			rng := rand.New(rand.NewSource(seed))
-			gen := func() string {
-				switch rng.Intn(3) {
-				case 0:
-					return fmt.Sprintf("%d", rng.Intn(4000))
-				case 1:
-					return fmt.Sprintf("shared-prefix-%05d", rng.Intn(2000))
-				default:
-					n := rng.Intn(4)
-					b := make([]byte, n)
-					for i := range b {
-						b[i] = byte(rng.Intn(3))
-					}
-					return string(b)
-				}
-			}
-			for i := 0; i < 12000; i++ {
-				k := gen()
-				switch rng.Intn(4) {
-				case 0, 1, 2:
-					v := fmt.Sprintf("v%d", i)
-					_, replaced := tr.Put([]byte(k), value.New([]byte(v)))
-					if _, had := model[k]; had != replaced {
-						t.Fatalf("op %d: put %q replaced=%v want %v", i, k, replaced, had)
-					}
-					model[k] = v
-				case 3:
-					v, ok := tr.Get([]byte(k))
-					want, wantOK := model[k]
-					if ok != wantOK || (ok && string(v.Col(0)) != want) {
-						t.Fatalf("op %d: get %q mismatch", i, k)
-					}
-				}
-				if tr.Len() != len(model) {
-					t.Fatalf("op %d: len %d vs %d", i, tr.Len(), len(model))
-				}
-			}
-			for k, v := range model {
-				if got, ok := tr.Get([]byte(k)); !ok || string(got.Col(0)) != v {
-					t.Fatalf("final: %q = %v,%v want %q", k, got, ok, v)
-				}
-			}
-		})
-	}
+	conformance.Model(t, func() conformance.Store { return answers{New()} })
 }
 
 func TestUpdateRMW(t *testing.T) {

@@ -7,38 +7,24 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/baseline/conformance"
 	"repro/internal/model"
 	"repro/internal/value"
 )
 
-// randomKey generators exercising the distributions the tree must handle:
-// short binary keys, decimal keys, shared-prefix keys, and long binary keys
-// spanning many trie layers.
-func keyGenerators(rng *rand.Rand) []func() []byte {
-	return []func() []byte{
-		func() []byte { // short, dense binary (stresses slice groups)
-			n := rng.Intn(4)
-			k := make([]byte, n)
-			for i := range k {
-				k[i] = byte(rng.Intn(3))
-			}
-			return k
-		},
-		func() []byte { // 1-to-10-byte decimal (the paper's main workload)
-			return []byte(fmt.Sprintf("%d", rng.Int63n(1<<31)))
-		},
-		func() []byte { // shared 16-byte prefix + varying tail
-			return []byte(fmt.Sprintf("comm-prefix-0016%06d", rng.Intn(3000)))
-		},
-		func() []byte { // long binary keys across layers
-			n := 8 + rng.Intn(40)
-			k := make([]byte, n)
-			for i := range k {
-				k[i] = byte(rng.Intn(5) * 50)
-			}
-			return k
-		},
-	}
+// conformant is a Store over Put's replaced flag, so that the tree, the
+// ladder's top rung, runs the suite its baselines run.
+type conformant struct{ *Tree }
+
+func (t conformant) Put(key []byte, v *value.Value) bool {
+	_, replaced := t.Tree.Put(key, v)
+	return replaced
+}
+
+func TestConformance(t *testing.T) {
+	mk := func() conformance.Store { return conformant{New()} }
+	conformance.Model(t, mk)
+	conformance.Concurrent(t, mk)
 }
 
 // modelClock draws the versions core tests give the model: the tree stores
@@ -113,19 +99,18 @@ func checkScan(t *testing.T, tr *Tree, m *model.Model, start string, n int) {
 }
 
 // TestModelRandomOps runs randomized put/get/remove/scan against the
-// reference model, across several seeds and key distributions.
+// reference model, across several seeds, with keys from the conformance
+// suite's families.
 func TestModelRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			gens := keyGenerators(rng)
 			tr := New()
 			m := model.New()
 			const ops = 8000
 			for i := 0; i < ops; i++ {
-				gen := gens[rng.Intn(len(gens))]
-				k := gen()
+				k := conformance.Key(rng)
 				want, wantOK := valueOf(m, string(k))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4: // put
@@ -161,7 +146,7 @@ func TestModelRandomOps(t *testing.T) {
 				if trial%2 == 0 && len(keys) > 0 {
 					start = keys[rng.Intn(len(keys))].Key
 				} else {
-					start = string(gens[rng.Intn(len(gens))]())
+					start = string(conformance.Key(rng))
 				}
 				checkScan(t, tr, m, start, 1+rng.Intn(20))
 			}
