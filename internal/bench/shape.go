@@ -30,7 +30,10 @@ func Shape(sc Scale) *Table {
 		k := gen.Next()
 		tr.Put(k, value.New(k))
 	}
-	s := tr.Shape()
+	s, err := tr.Shape()
+	if err != nil {
+		panic(err)
+	}
 	t.Rows = append(t.Rows,
 		[]string{"keys", fmt.Sprintf("%d", s.TotalKeys()), "140M"},
 		[]string{"trie layers", fmt.Sprintf("%d", len(s.Layers)), "2"},
@@ -60,8 +63,12 @@ func Shape(sc Scale) *Table {
 		k := sgen.Next()
 		seq.Put(k, value.New(k))
 	}
+	ss, err := seq.Shape()
+	if err != nil {
+		panic(err)
+	}
 	t.Rows = append(t.Rows,
-		[]string{"border-node fill (sequential inserts)", fmt.Sprintf("%.2f", seq.Shape().BorderFill()), "~1.0 (§4.3)"},
+		[]string{"border-node fill (sequential inserts)", fmt.Sprintf("%.2f", ss.BorderFill()), "~1.0 (§4.3)"},
 	)
 	t.Notes = append(t.Notes,
 		"layer-1 population is driven by 8-byte slice collisions, so the fraction grows with key count; at laptop scale it is small but the per-tree size matches the paper",

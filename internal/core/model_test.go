@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -21,10 +22,22 @@ func (t conformant) Put(key []byte, v *value.Value) bool {
 	return replaced
 }
 
+// TestConformance runs the suite, and then checks the invariants of every
+// tree it built.
 func TestConformance(t *testing.T) {
-	mk := func() conformance.Store { return conformant{New()} }
+	var mu sync.Mutex
+	var trees []*Tree
+	mk := func() conformance.Store {
+		mu.Lock()
+		defer mu.Unlock()
+		trees = append(trees, New())
+		return conformant{trees[len(trees)-1]}
+	}
 	conformance.Model(t, mk)
 	conformance.Concurrent(t, mk)
+	for _, tr := range trees {
+		checkInvariants(t, tr)
+	}
 }
 
 // modelClock draws the versions core tests give the model: the tree stores

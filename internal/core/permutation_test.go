@@ -10,30 +10,15 @@ func TestEmptyPermutation(t *testing.T) {
 	if p.count() != 0 {
 		t.Fatalf("count = %d, want 0", p.count())
 	}
-	seen := map[int]bool{}
-	for i := 0; i < width; i++ {
-		s := p.slot(i)
-		if s < 0 || s >= width || seen[s] {
-			t.Fatalf("slot(%d) = %d: not a permutation", i, s)
-		}
-		seen[s] = true
-	}
+	checkPermutation(t, p)
 }
 
-// checkPermutation verifies the permutation invariant: nkeys in range and
-// keyindex a permutation of 0..width-1.
+// checkPermutation fails t unless keyindex is a permutation of 0..width-1
+// (the count, four bits, is always in range).
 func checkPermutation(t *testing.T, p permutation) {
 	t.Helper()
-	if p.count() < 0 || p.count() > width {
-		t.Fatalf("count %d out of range", p.count())
-	}
-	seen := map[int]bool{}
-	for i := 0; i < width; i++ {
-		s := p.slot(i)
-		if s < 0 || s >= width || seen[s] {
-			t.Fatalf("keyindex not a permutation: %v", p.indexes())
-		}
-		seen[s] = true
+	if err := p.check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -124,11 +109,7 @@ func TestPermutationQuick(t *testing.T) {
 					return false
 				}
 			}
-			seen := 0
-			for i := 0; i < width; i++ {
-				seen |= 1 << uint(p.slot(i))
-			}
-			if seen != (1<<width)-1 {
+			if p.check() != nil {
 				return false
 			}
 		}

@@ -5,11 +5,15 @@ package core
 // layer-1 trie-nodes with only 2.3 keys per layer-1 tree on average, and
 // that B-tree nodes average 75% full. Shape walks the physical structure
 // and reports the equivalents, letting those claims be checked directly.
+// The same walk is the one check of §4's structural invariants: it holds
+// every node to audit.go's statements as it counts it.
 //
 // Shape takes no locks; run it on a quiescent tree (it is a diagnostic, not
 // an operation).
 
 import (
+	"fmt"
+	"slices"
 	"unsafe"
 
 	"repro/internal/occ"
@@ -27,7 +31,6 @@ type LayerShape struct {
 	Keys          int // keys stored at this depth (excluding layer links)
 	TwigKeys      int // the Keys that are in twigs
 	LayerLinks    int // links to depth+1 trees and twigs
-	MaxBTreeDepth int // deepest root-to-border path among this layer's trees
 
 	// Bytes by kind of object, values excluded, as asked of the allocator —
 	// which rounds every object up to a size class (a border to 320 B); the
@@ -43,7 +46,8 @@ func (l LayerShape) NodeBytes() int {
 	return l.BorderBytes + l.InteriorBytes + l.BagBytes + l.TwigBytes
 }
 
-// ShapeStats is the result of a structure walk.
+// ShapeStats is what Shape's walk counts: the whole tree when the walk finds
+// no invariant broken, and otherwise the part it walked.
 type ShapeStats struct {
 	Layers []LayerShape
 }
@@ -89,14 +93,18 @@ func (s ShapeStats) BorderFill() float64 {
 	return float64(slots) / float64(nodes*width)
 }
 
-// Shape walks the tree and returns its structural statistics.
-func (t *Tree) Shape() ShapeStats { return t.shape(func(n int) int { return n }) }
+// Shape walks the tree once, and returns its structural statistics and the
+// first of §4's invariants that it finds broken. It checks every node with
+// audit.go's statements, and, for each B+-tree, that the border list is the
+// walk's left-to-right order and that descending for lowkey(n) arrives at n.
+// On an error the statistics are those of the part walked.
+func (t *Tree) Shape() (ShapeStats, error) { return t.shape(func(n int) int { return n }) }
 
 // shape is Shape with each object's bytes counted as round says.
-func (t *Tree) shape(round func(int) int) ShapeStats {
-	var s ShapeStats
-	t.shapeWalk(t.rootHeader(), 0, &s, round)
-	return s
+func (t *Tree) shape(round func(int) int) (ShapeStats, error) {
+	w := walk{t: t, round: round}
+	err := w.tree(t.rootHeader(), 0)
+	return w.s, err
 }
 
 // layer returns depth's entry, growing s to hold it. The walk must ask
@@ -109,58 +117,104 @@ func (s *ShapeStats) layer(depth int) *LayerShape {
 	return &s.Layers[depth]
 }
 
-func (t *Tree) shapeWalk(root *nodeHeader, depth int, s *ShapeStats, round func(int) int) {
-	s.layer(depth).Trees++
-	d := t.shapeNode(root, depth, 1, s, round)
-	if d > s.Layers[depth].MaxBTreeDepth {
-		s.Layers[depth].MaxBTreeDepth = d
-	}
+// walk is one pass of shape, and the statistics so far.
+type walk struct {
+	t     *Tree
+	round func(int) int
+	s     ShapeStats
+	path  []*nodeHeader // the roots of the trees being walked, layer 0's first
 }
 
-// shapeNode returns the max border depth below h within its own B+-tree.
-func (t *Tree) shapeNode(h *nodeHeader, depth, btDepth int, s *ShapeStats, round func(int) int) int {
-	v := h.Load()
-	if occ.Border(v) {
-		n := h.border()
-		s.Layers[depth].BorderNodes++
-		s.Layers[depth].BorderBytes += round(int(unsafe.Sizeof(*n)))
-		s.Layers[depth].BagBytes += round(len(n.bag()))
-		perm := n.perm()
-		for r := 0; r < perm.count(); r++ {
-			switch kl, lv, _ := n.readSlot(perm.slot(r)); kl {
-			case klLayer:
-				s.Layers[depth].LayerLinks++
-				t.shapeWalk(ascendToRoot((*nodeHeader)(lv)), depth+1, s, round)
-			case klTwig:
-				s.Layers[depth].LayerLinks++
-				tw := (*twig)(lv)
-				keys := tw.keys().n()
-				l := s.layer(depth + 1)
-				l.Trees++
-				l.Twigs++
-				l.Keys += keys
-				l.TwigKeys += keys
-				l.TwigBytes += round(int(tw.size()))
-				if tw.rems != nil {
-					l.TwigBytes += round(len(tw.keys()))
-				}
-			default:
-				s.Layers[depth].Keys++
-			}
-		}
-		return btDepth
+// tree walks the B+-tree rooted at root, at trie depth depth. Once the walk
+// has checked all of the tree's nodes, so that no descent meets a broken
+// one, it checks routing for each border but the leftmost, along the prev
+// links that the walk found in order.
+func (w *walk) tree(root *nodeHeader, depth int) error {
+	if slices.Contains(w.path, root) {
+		return fmt.Errorf("trie depth %d: a layer link to %p, the root of a tree the walk is in", depth, root)
 	}
-	in := h.interior()
-	s.Layers[depth].InteriorNodes++
-	s.Layers[depth].InteriorBytes += round(int(unsafe.Sizeof(*in)))
-	nk := int(in.nkeys.Load())
-	max := btDepth
-	for i := 0; i <= nk; i++ {
-		if c := in.child[i].Load(); c != nil {
-			if d := t.shapeNode(c, depth, btDepth+1, s, round); d > max {
-				max = d
-			}
+	if v := root.Load(); !occ.Root(v) || occ.Deleted(v) || root.parent.Load() != nil {
+		return fmt.Errorf("tree root %p is not a live root: version %#x, parent %p", root, v, root.parent.Load())
+	}
+	w.s.layer(depth).Trees++
+	var last *borderNode
+	w.path = append(w.path, root)
+	if err := w.node(root, depth, &last); err != nil {
+		return err
+	}
+	w.path = w.path[:depth]
+	if next := last.next.Load(); next != nil {
+		return fmt.Errorf("rightmost border %p: next link %p", last, next)
+	}
+	for n := last; n.prev.Load() != nil; n = n.prev.Load() {
+		if got, _ := w.t.findBorder(root, n.lowSlice); got != n {
+			return fmt.Errorf("border %p: routing sends its lowkey %#x to %p", n, n.lowSlice, got)
 		}
 	}
-	return max
+	return nil
+}
+
+// node walks the subtree under h, of a B+-tree at trie depth depth; *last is
+// the border that the walk of the tree visited last. It is the one recursion
+// over interior children.
+func (w *walk) node(h *nodeHeader, depth int, last **borderNode) error {
+	l := w.s.layer(depth)
+	if !occ.Border(h.Load()) {
+		in := h.interior()
+		l.InteriorNodes++
+		l.InteriorBytes += w.round(int(unsafe.Sizeof(*in)))
+		if err := checkInterior(in); err != nil {
+			return err
+		}
+		for i := 0; i <= int(in.nkeys.Load()); i++ {
+			if err := w.node(in.child[i].Load(), depth, last); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	n := h.border()
+	l.BorderNodes++
+	l.BorderBytes += w.round(int(unsafe.Sizeof(*n)))
+	l.BagBytes += w.round(len(n.bag()))
+	if err := checkBorder(n); err != nil {
+		return err
+	}
+	if prev := n.prev.Load(); prev != *last {
+		return fmt.Errorf("border %p: prev link %p, but the walk came from %p", n, prev, *last)
+	}
+	if *last != nil && (*last).next.Load() != n {
+		return fmt.Errorf("border %p: next link %p, but the walk went on to %p", *last, (*last).next.Load(), n)
+	}
+	*last = n
+	perm := n.perm()
+	for r := 0; r < perm.count(); r++ {
+		slot := perm.slot(r)
+		switch kl, lv, _ := n.readSlot(slot); kl {
+		case klLayer:
+			w.s.Layers[depth].LayerLinks++
+			if err := w.tree(ascendToRoot((*nodeHeader)(lv)), depth+1); err != nil {
+				return err
+			}
+		case klTwig:
+			w.s.Layers[depth].LayerLinks++
+			tw := (*twig)(lv)
+			if err := checkTwig(tw); err != nil {
+				return fmt.Errorf("border %p: key (%#x,%d) at rank %d: %w", n, n.keyslice[slot].Load(), ordOf(kl), r, err)
+			}
+			keys := tw.keys().n()
+			l := w.s.layer(depth + 1)
+			l.Trees++
+			l.Twigs++
+			l.Keys += keys
+			l.TwigKeys += keys
+			l.TwigBytes += w.round(int(tw.size()))
+			if tw.rems != nil {
+				l.TwigBytes += w.round(len(tw.keys()))
+			}
+		default:
+			w.s.Layers[depth].Keys++
+		}
+	}
+	return nil
 }

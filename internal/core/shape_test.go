@@ -15,7 +15,7 @@ func TestShapeCountsMatchLen(t *testing.T) {
 		k := []byte(fmt.Sprintf("%d", rng.Int63n(1<<31)))
 		tr.Put(k, value.New(k))
 	}
-	s := tr.Shape()
+	s := checkInvariants(t, tr)
 	if s.TotalKeys() != tr.Len() {
 		t.Fatalf("shape counts %d keys, Len says %d", s.TotalKeys(), tr.Len())
 	}
@@ -39,7 +39,7 @@ func TestShapeDecimalWorkload(t *testing.T) {
 		k := []byte(fmt.Sprintf("%d", rng.Int63n(1<<31)))
 		tr.Put(k, value.New(k))
 	}
-	s := tr.Shape()
+	s := checkInvariants(t, tr)
 	frac := s.KeysInLayer(1)
 	if frac <= 0 {
 		t.Fatal("no keys in layer 1")
@@ -66,7 +66,7 @@ func TestShapeBorderFill(t *testing.T) {
 		k := []byte(fmt.Sprintf("%08d", rng.Int63n(1e8)))
 		random.Put(k, value.New(k))
 	}
-	fillRnd := random.Shape().BorderFill()
+	fillRnd := checkInvariants(t, random).BorderFill()
 	if fillRnd < 0.55 || fillRnd > 0.95 {
 		t.Fatalf("random-insert border fill %.2f, expected ~0.75", fillRnd)
 	}
@@ -76,7 +76,7 @@ func TestShapeBorderFill(t *testing.T) {
 		k := []byte(fmt.Sprintf("%08d", i))
 		seq.Put(k, value.New(k))
 	}
-	fillSeq := seq.Shape().BorderFill()
+	fillSeq := checkInvariants(t, seq).BorderFill()
 	if fillSeq <= fillRnd {
 		t.Fatalf("sequential fill %.2f not better than random %.2f (§4.3 optimization)", fillSeq, fillRnd)
 	}
@@ -88,7 +88,7 @@ func TestShapeBorderFill(t *testing.T) {
 
 func TestShapeEmptyTree(t *testing.T) {
 	tr := New()
-	s := tr.Shape()
+	s := checkInvariants(t, tr)
 	if s.TotalKeys() != 0 || len(s.Layers) != 1 || s.Layers[0].BorderNodes != 1 {
 		t.Fatalf("empty tree shape wrong: %+v", s)
 	}

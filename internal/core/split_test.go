@@ -456,7 +456,7 @@ func TestRunsUnderConcurrency(t *testing.T) {
 	// Nothing deletes an interior but Maintain, which nobody ran: each one is
 	// a root's split or an interior's, so what the splits leave beyond them
 	// and the run splits were border splits at the midpoint.
-	s, shape := tr.Stats(), tr.Shape()
+	s, shape := tr.Stats(), checkInvariants(t, tr)
 	interiors := 0
 	for _, l := range shape.Layers {
 		interiors += l.InteriorNodes

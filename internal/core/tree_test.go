@@ -119,12 +119,13 @@ func TestPaperLayerExample(t *testing.T) {
 
 func TestDeepSharedPrefix(t *testing.T) {
 	tr := New()
-	// 64-byte shared prefix forces at least 8 layers (§4.1 Balance).
+	// A 640-byte prefix that five keys share — one more than a twig holds —
+	// forces 80 layers (§4.1 Balance), past any fixed bound on the depth.
 	prefix := ""
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 80; i++ {
 		prefix += "PFX" + fmt.Sprintf("%05d", i)
 	}
-	keys := []string{prefix + "aaa", prefix + "bbb", prefix + "ccc", prefix[:20], prefix}
+	keys := []string{prefix + "aaa", prefix + "bbb", prefix + "ccc", prefix + "ddd", prefix[:20], prefix}
 	for i, k := range keys {
 		put(tr, k, fmt.Sprintf("v%d", i))
 	}
@@ -135,8 +136,8 @@ func TestDeepSharedPrefix(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(keys))
 	}
 	// Keys sharing the prefix must have created layers.
-	if s := tr.Stats(); s.LayerCreations == 0 {
-		t.Fatal("expected layer creations")
+	if s := checkInvariants(t, tr); len(s.Layers) < 80 {
+		t.Fatalf("%d trie layers, want at least 80", len(s.Layers))
 	}
 }
 

@@ -193,13 +193,16 @@ func TestTwigModel(t *testing.T) {
 				checkInvariants(t, tr)
 			}
 		}
-		checkInvariants(t, tr)
+		shape, err := tr.Shape()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 		checkTree(t, tr, m)
 		s := tr.Stats()
 		if s.TwigCreations == 0 || s.LayerCreations == 0 || s.RunSplits == 0 {
 			t.Fatalf("seed %d: %d twigs, %d layers and %d run splits: the families did not do their work", seed, s.TwigCreations, s.LayerCreations, s.RunSplits)
 		}
-		if shape := tr.Shape(); shape.TotalKeys() != m.Len() {
+		if shape.TotalKeys() != m.Len() {
 			t.Fatalf("seed %d: Shape counts %d keys, the model %d", seed, shape.TotalKeys(), m.Len())
 		}
 	}
@@ -448,7 +451,7 @@ func TestTwigReadsAllocFree(t *testing.T) {
 	for _, k := range keys {
 		tr.Put(k, v)
 	}
-	if s := tr.Shape(); s.Layers[1].Twigs != 40 || s.Layers[1].TwigKeys != len(keys) {
+	if s := checkInvariants(t, tr); s.Layers[1].Twigs != 40 || s.Layers[1].TwigKeys != len(keys) {
 		t.Fatalf("the keys are not in twigs: %+v", s.Layers)
 	}
 	vals, found := make([]*value.Value, len(keys)), make([]bool, len(keys))
@@ -555,7 +558,8 @@ func FuzzTwigModel(f *testing.F) {
 
 // TestTwigShapes builds 100 000 two-key twigs, grows every third to three
 // keys and every sixth to four, reads them all, and drains them back to two
-// and then one, checking each twig's shape against its count on the way.
+// and then one. On the way Shape's walk checks each twig's shape against its
+// count, and counts one twig a slice holding every key the reads found.
 // Under -race, checkptr sees both shapes: every cell access of a 32 B twig
 // and of a 48 B one converts and offsets a pointer into its allocation.
 func TestTwigShapes(t *testing.T) {
@@ -573,28 +577,23 @@ func TestTwigShapes(t *testing.T) {
 	}
 	check := func(phase string, keys func(i int) []string) {
 		t.Helper()
-		shapes := map[uintptr]int{}
+		want := 0
 		for i := 0; i < slices; i++ {
-			want := keys(i)
-			for _, tail := range want {
+			for _, tail := range keys(i) {
 				k := key(i, tail)
 				if v, ok := tr.Get(k); !ok || string(v.Col(0)) != string(k) {
 					t.Fatalf("%s: Get(%q) = %v, %v", phase, k, v, ok)
 				}
+				want++
 			}
-			n, _ := tr.findBorder(tr.rootHeader(), keySlice(key(i, "")))
-			r, _ := n.searchRank(n.perm(), keySlice(key(i, "")), 9)
-			slot := n.perm().slot(r)
-			if n.keylen(slot) != klTwig {
-				t.Fatalf("%s: slice %d is not a twig", phase, i)
-			}
-			tw := (*twig)(n.loadLV(slot))
-			if got := tw.keys().n(); got != len(want) {
-				t.Fatalf("%s: slice %d's twig holds %d keys, want %d", phase, i, got, len(want))
-			}
-			shapes[tw.size()]++
 		}
-		t.Logf("%s: twigs by size %v", phase, shapes)
+		// The reads found every key, so as many keys in the twigs as were
+		// read, one twig a slice, is each slice's keys in its own twig.
+		l := checkInvariants(t, tr).Layers[1]
+		if l.Trees != slices || l.Twigs != slices || l.TwigKeys != want || tr.Len() != want {
+			t.Fatalf("%s: %d trees below layer 0, %d of them twigs holding %d keys; Len %d; want %d twigs holding %d", phase, l.Trees, l.Twigs, l.TwigKeys, tr.Len(), slices, want)
+		}
+		t.Logf("%s: %d B of twigs", phase, l.TwigBytes)
 	}
 	for i := 0; i < slices; i++ {
 		for _, tail := range []string{"a", "b"} {

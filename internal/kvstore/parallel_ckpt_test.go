@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/vfs"
@@ -20,6 +21,17 @@ func snapshotState(s *Store) map[string]model.State {
 		return true
 	})
 	return out
+}
+
+// treeShape is the shape of s's tree, which must be quiescent; it fails t if
+// the walk finds one of the tree's invariants broken.
+func treeShape(t *testing.T, s *Store) core.ShapeStats {
+	t.Helper()
+	shape, err := s.Tree().Shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shape
 }
 
 func diffStates(t *testing.T, label string, want, got map[string]model.State) {
@@ -293,7 +305,7 @@ func TestTwigsSurviveRestart(t *testing.T) {
 		}
 	}
 	sess[0].Remove(key(3, 0))
-	if tw := s.Tree().Shape().Layers[1].Twigs; tw != groups {
+	if tw := treeShape(t, s).Layers[1].Twigs; tw != groups {
 		t.Fatalf("%d twigs before the checkpoint, want %d", tw, groups)
 	}
 	if _, _, err := s.CheckpointN(2); err != nil {
@@ -345,7 +357,7 @@ func TestTwigsSurviveRestart(t *testing.T) {
 	// key — group 3's before the checkpoint, group 6's in the tail — which a
 	// restore that loads each key's final value once holds as plain suffix
 	// keys.
-	shape := r.Tree().Shape()
+	shape := treeShape(t, r)
 	if l := shape.Layers[1]; l.Twigs != groups+4-4 || l.BorderNodes != 1 {
 		t.Fatalf("the recovered tree's layer 1: %+v, want %d twigs and one promoted layer", l, groups+4-4)
 	}
@@ -391,7 +403,7 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffStates(t, label, want, snapshotState(s))
-		l := s.Tree().Shape().Layers[0]
+		l := treeShape(t, s).Layers[0]
 		if fill := float64(l.Keys+l.LayerLinks) / float64(l.BorderNodes); fill < 14.5 {
 			t.Errorf("%s: %d layer-0 borders hold %.2f of 15 slots each, want >= 14.5", label, l.BorderNodes, fill)
 		}

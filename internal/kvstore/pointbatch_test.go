@@ -143,7 +143,7 @@ func TestPointBatchMatchesOneAtATime(t *testing.T) {
 	// it used up a root split of its own, and each of those left an interior
 	// node below layer 0.
 	rootSplits := 0
-	for _, l := range batched.Tree().Shape().Layers[1:] {
+	for _, l := range treeShape(t, batched).Layers[1:] {
 		rootSplits += l.InteriorNodes
 	}
 	if rootSplits == 0 {
