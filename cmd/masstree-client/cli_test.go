@@ -32,7 +32,7 @@ func startServers(t *testing.T, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+		store, err := kvstore.Open(kvstore.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,16 +101,15 @@ func run() int {
 	}
 
 	store, err := kvstore.Open(kvstore.Config{
-		Dir:             *data,
-		Workers:         *workers,
-		FlushInterval:   *flushMs,
-		SyncWrites:      *syncWr,
-		CheckpointParts: *ckptParts,
-		MaxBytes:        int(*maxBytes),
-		Backend:         be,
-		NegativeTTL:     *negativeTTL,
-		MaxStale:        *maxStale,
-		WriteBehind:     *writeBehind,
+		Dir:           *data,
+		Workers:       *workers,
+		FlushInterval: *flushMs,
+		SyncWrites:    *syncWr,
+		MaxBytes:      int(*maxBytes),
+		Backend:       be,
+		NegativeTTL:   *negativeTTL,
+		MaxStale:      *maxStale,
+		WriteBehind:   *writeBehind,
 	})
 	if err != nil {
 		log.Printf("masstree-server: open store: %v", err)
@@ -165,7 +164,7 @@ func run() int {
 				select {
 				case <-t.C:
 					start := time.Now()
-					if _, n, err := store.Checkpoint(); err != nil {
+					if _, n, err := store.CheckpointN(*ckptParts); err != nil {
 						log.Printf("masstree-server: checkpoint failed: %v", err)
 					} else {
 						log.Printf("masstree-server: checkpointed %d keys in %s", n, time.Since(start).Round(time.Millisecond))
@@ -187,13 +186,13 @@ func run() int {
 		admin.Shutdown(ctx)
 		cancel()
 	}
-	return shutdown(srv, store, *data != "", *drainTimeout)
+	return shutdown(srv, store, *data != "", *ckptParts, *drainTimeout)
 }
 
 // shutdown runs the graceful teardown sequence and returns the process exit
 // code: 0 for a clean drain, 1 when any step exhausted its budget or failed
 // (acknowledged work may not have reached its destination).
-func shutdown(srv *server.Server, store *kvstore.Store, persistent bool, drainTimeout time.Duration) int {
+func shutdown(srv *server.Server, store *kvstore.Store, persistent bool, ckptParts int, drainTimeout time.Duration) int {
 	code := 0
 	if !srv.Shutdown(drainTimeout) {
 		log.Printf("masstree-server: connection drain timed out after %s", drainTimeout)
@@ -212,7 +211,7 @@ func shutdown(srv *server.Server, store *kvstore.Store, persistent bool, drainTi
 		code = 1
 	}
 	if persistent {
-		if _, n, err := store.Checkpoint(); err != nil {
+		if _, n, err := store.CheckpointN(ckptParts); err != nil {
 			log.Printf("masstree-server: final checkpoint: %v", err)
 			code = 1
 		} else {

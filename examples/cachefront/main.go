@@ -29,10 +29,7 @@ func main() {
 		nkeys    = 50_000 // ~100 MiB footprint: 3x over budget
 		ops      = 150_000
 	)
-	store, err := kvstore.Open(kvstore.Config{
-		MaintainEvery: time.Millisecond, // fast ticks so eviction/sweep are visible
-		MaxBytes:      maxBytes,
-	})
+	store, err := kvstore.Open(kvstore.Config{MaxBytes: maxBytes})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,9 +70,13 @@ func main() {
 	if _, ok := sess.GetValue([]byte("session:42")); !ok {
 		log.Fatal("fresh TTL key should be visible")
 	}
-	time.Sleep(120 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); store.CacheStats().Expirations < 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatal("the sweep never reclaimed the expired TTL key")
+		}
+	}
 	if _, ok := sess.GetValue([]byte("session:42")); ok {
 		log.Fatal("expired TTL key should read as absent")
 	}
-	fmt.Println("session:42 expired on schedule; expirations =", store.CacheStats().Expirations)
+	fmt.Println("session:42 expired and was swept; expirations =", store.CacheStats().Expirations)
 }

@@ -38,7 +38,7 @@ func main() {
 		sess[i%2].PutSimple([]byte(fmt.Sprintf("key%05d", i)), []byte("before-checkpoint"))
 	}
 	start := time.Now()
-	_, n, err := store.Checkpoint()
+	_, n, err := store.CheckpointN(0)
 	if err != nil {
 		log.Fatal(err)
 	}

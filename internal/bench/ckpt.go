@@ -49,7 +49,7 @@ func Ckpt(sc Scale) *Table {
 
 	// Checkpoint alone.
 	start := time.Now()
-	_, n, err := st.Checkpoint()
+	_, n, err := st.CheckpointN(0)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +62,7 @@ func Ckpt(sc Scale) *Table {
 	go func() {
 		defer close(done)
 		for running.Load() {
-			if _, _, err := st.Checkpoint(); err != nil {
+			if _, _, err := st.CheckpointN(0); err != nil {
 				return
 			}
 		}

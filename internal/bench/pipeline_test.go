@@ -15,7 +15,7 @@ import (
 // batches in flight.
 func dialPipeline(b *testing.B, nkeys, window int) *client.Conn {
 	b.Helper()
-	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

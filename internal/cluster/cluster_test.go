@@ -27,7 +27,7 @@ func startNodes(t *testing.T, n int) []testNode {
 	t.Helper()
 	nodes := make([]testNode, n)
 	for i := range nodes {
-		store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+		store, err := kvstore.Open(kvstore.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,6 +41,10 @@ type LayerShape struct {
 	TwigBytes     int // twigs, and the remainders too long to lie in them
 }
 
+// borderSlots is how many of the layer's border slots are in use: its keys
+// outside twigs, and its links to the twigs and layers below.
+func (l LayerShape) borderSlots() int { return l.Keys - l.TwigKeys + l.LayerLinks }
+
 // NodeBytes sums the layer's heap bytes over the kinds.
 func (l LayerShape) NodeBytes() int {
 	return l.BorderBytes + l.InteriorBytes + l.BagBytes + l.TwigBytes
@@ -85,7 +89,7 @@ func (s ShapeStats) BorderFill() float64 {
 	nodes, slots := 0, 0
 	for _, l := range s.Layers {
 		nodes += l.BorderNodes
-		slots += l.Keys - l.TwigKeys + l.LayerLinks
+		slots += l.borderSlots()
 	}
 	if nodes == 0 {
 		return 0

@@ -9,16 +9,15 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 )
 
-// newAllocTestStore returns an in-memory store with background maintenance
-// disabled, so AllocsPerRun measurements see only the operation under test.
-func newAllocTestStore(t *testing.T, nkeys int) *Store {
-	t.Helper()
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	t.Cleanup(func() { s.Close() })
+// withAllocKeys puts nkeys keys into s and returns it. Opened on a fake
+// clock, s runs no background work, so AllocsPerRun measurements see only
+// the operation under test.
+func withAllocKeys(s *Store, nkeys int) *Store {
 	sess := s.Session(0)
 	for i := 0; i < nkeys; i++ {
 		sess.PutSimple([]byte(fmt.Sprintf("alloc-key-%06d", i)), []byte("column-zero-data"))
@@ -30,7 +29,7 @@ func newAllocTestStore(t *testing.T, nkeys int) *Store {
 // AppendCols into a reused slice — allocates nothing in steady state, for a
 // column subset and for all columns.
 func TestGetIntoAllocFree(t *testing.T) {
-	s := newAllocTestStore(t, 1000)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
 	sess := s.Session(0)
 	key := []byte("alloc-key-000123")
 	cols := []int{0}
@@ -62,7 +61,7 @@ func TestGetIntoAllocFree(t *testing.T) {
 // TestGetBatchIntoAllocFree verifies the session's batched lookup is
 // allocation-free once its scratch has warmed to the batch size.
 func TestGetBatchIntoAllocFree(t *testing.T) {
-	s := newAllocTestStore(t, 1000)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
 	sess := s.Session(0)
 	keys := make([][]byte, 64)
 	for i := range keys {
@@ -88,7 +87,7 @@ func TestGetBatchIntoAllocFree(t *testing.T) {
 // TestGetBatchMatchesGet pins the batched lookup's input-order results
 // against one GetValue per key.
 func TestGetBatchMatchesGet(t *testing.T) {
-	s := newAllocTestStore(t, 100)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 100)
 	sess := s.Session(0)
 	keys := [][]byte{
 		[]byte("alloc-key-000007"), []byte("no-such-key"), []byte("alloc-key-000099"),
@@ -116,7 +115,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 // allocation: the packed value (value.BuildAt). The tree descent, version
 // tick, and scratch are all allocation-free.
 func TestPutSimpleAllocs(t *testing.T) {
-	s := newAllocTestStore(t, 1000)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
 	sess := s.Session(0)
 	key := []byte("alloc-key-000123")
 	data := []byte("updated-column-data!")
@@ -136,8 +135,7 @@ func TestPutSimpleAllocs(t *testing.T) {
 // log's kick level, so no background flush swaps a buffer here; what a put
 // costs at the volume where they do is TestPutBatchVolumeAllocBytes' to pin.
 func TestPutSimpleLoggedAllocs(t *testing.T) {
-	s := mustOpen(t, Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1})
-	t.Cleanup(func() { s.Close() })
+	s := openAt(t, Config{Dir: t.TempDir(), Workers: 1}, clock.NewFake())
 	sess := s.Session(0)
 	key := []byte("logged-alloc-key")
 	data := []byte("logged-column-data")
@@ -163,15 +161,11 @@ func TestPutSimpleLoggedAllocs(t *testing.T) {
 // that has the room) and the eviction callback.
 func TestDropAllocFree(t *testing.T) {
 	for _, logged := range []bool{false, true} {
-		cfg := Config{Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1}
+		cfg := Config{Workers: 1}
 		if logged {
 			cfg.Dir = t.TempDir()
 		}
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
+		s := openAt(t, cfg, clock.NewFake())
 		sess := s.Session(0)
 		keys := make([][]byte, 300) // more than one measurement's 201 runs
 		for i := range keys {
@@ -214,7 +208,7 @@ func TestDropAllocFree(t *testing.T) {
 // TestPutBatchIntoAllocs pins the batched put at one packed value per key
 // once the scratch is warm.
 func TestPutBatchIntoAllocs(t *testing.T) {
-	s := newAllocTestStore(t, 1000)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
 	sess := s.Session(0)
 	const batch = 64
 	keys := make([][]byte, batch)
@@ -245,9 +239,8 @@ func TestPointBatchIntoAllocs(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	logged := mustOpen(t, Config{Dir: "d", FS: nullDevice{mem}, MaintainEvery: -1})
-	t.Cleanup(func() { logged.Close() })
-	for name, s := range map[string]*Store{"unlogged": newAllocTestStore(t, 1000), "logged": logged} {
+	logged := openAt(t, Config{Dir: "d", FS: nullDevice{mem}}, clock.NewFake())
+	for name, s := range map[string]*Store{"unlogged": withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000), "logged": logged} {
 		sess := s.Session(0)
 		const batch, nputs = 16, 7
 		keys, put, puts := make([][]byte, batch), make([]bool, batch), make([][]value.ColPut, batch)
@@ -279,7 +272,7 @@ func TestPointBatchIntoAllocs(t *testing.T) {
 // pair slice, key copies and column slices come from the reused scratch, and
 // the core scan assembles keys in the scratch's buffer.
 func TestGetRangeIntoAllocFree(t *testing.T) {
-	s := newAllocTestStore(t, 1000)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
 	sess := s.Session(0)
 	var sc RangeScratch
 	start := []byte("alloc-key-000100")
@@ -343,14 +336,14 @@ func allocBytesPerRun(runs int, f func()) float64 {
 // two record shapes, both in the compact form — and every key holds one such
 // value, so this is also the value's share of heap_bytes_per_key.
 func TestPutAllocBytes(t *testing.T) {
-	s := newAllocTestStore(t, 1000)
+	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
 	sess := s.Session(0)
 	key := []byte("alloc-key-000123")
 	ten := make([]value.ColPut, 10)
 	for i := range ten {
 		ten[i] = value.ColPut{Col: i, Data: []byte("4444")}
 	}
-	future := nowNanos() + uint64(time.Hour)
+	future := nanosIn(s, time.Hour)
 	for _, tc := range []struct {
 		name  string
 		put   func()
@@ -373,7 +366,7 @@ func TestPutAllocBytes(t *testing.T) {
 // 8-byte value is 16 bytes in the 16-byte class, so none does; in the
 // 24-byte class that the general header would put it in, 2 of every 8 do.
 func TestEightByteValuesFitOneLine(t *testing.T) {
-	s := newAllocTestStore(t, 0)
+	s := openAt(t, Config{}, clock.NewFake())
 	sess := s.Session(0)
 	const n = 100_000
 	keys := make([][]byte, n)
@@ -416,7 +409,7 @@ func fourBytes(i, c, gen int) []byte { return []byte{byte('a' + c), byte(gen), b
 // the price of the sixteen bytes the class saves over the 64-byte one, whose
 // objects never cross; what must never happen is a record on three lines.
 func TestRecordValuesSpanTwoLines(t *testing.T) {
-	s := newAllocTestStore(t, 0)
+	s := openAt(t, Config{}, clock.NewFake())
 	sess := s.Session(0)
 	const n = 100_000
 	keys := make([][]byte, n)
@@ -457,10 +450,7 @@ func TestRestoredRecordsAreCompact(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	sess := [2]*Session{s.Session(0), s.Session(1)}
 	const n = 3000
 	key := func(i int) []byte { return []byte(fmt.Sprintf("record-%05d", i)) }
@@ -477,15 +467,8 @@ func TestRestoredRecordsAreCompact(t *testing.T) {
 		w := (i + i%3) % 2 // i%3 == 1: the other worker; i%3 == 2: the same one
 		sess[w].Put(key(i), []value.ColPut{{Col: i % 10, Data: fourBytes(i, i%10, 1)}})
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := restart(t, s, chainCfg(mem))
 	rs := r.Session(0)
 	for i := 0; i < n; i++ {
 		v, ok := rs.GetValue(key(i))
@@ -535,8 +518,7 @@ func TestPutBatchVolumeAllocBytes(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s := mustOpen(t, Config{Dir: "d", FS: nullDevice{mem}, Workers: 2, MaintainEvery: -1})
-	t.Cleanup(func() { s.Close() })
+	s := openAt(t, Config{Dir: "d", FS: nullDevice{mem}, Workers: 2}, clock.NewFake())
 	const batch = 16
 	const nkeys = 255 * batch // an odd number of batches: the batch-to-worker pattern shifts every cycle
 	keys := make([][]byte, nkeys)

@@ -10,12 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/value"
 )
 
 func TestGetBatch(t *testing.T) {
-	_, ss := openSess(t)
+	ss := openAt(t, Config{}, clock.NewFake()).Session(0)
 	for i := 0; i < 500; i++ {
 		ss.Put([]byte(fmt.Sprintf("k%03d", i)), []value.ColPut{
 			{Col: 0, Data: []byte(fmt.Sprintf("a%d", i))},
@@ -39,7 +40,7 @@ func TestGetBatch(t *testing.T) {
 }
 
 func TestGetBatchAllColumns(t *testing.T) {
-	_, ss := openSess(t)
+	ss := openAt(t, Config{}, clock.NewFake()).Session(0)
 	ss.Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("x")}, {Col: 2, Data: []byte("z")}})
 	vals, found := ss.GetBatchInto([][]byte{[]byte("k")})
 	out := [][][]byte{AppendCols(nil, vals[0], nil)}
@@ -69,8 +70,7 @@ func TestGetBatchAllColumns(t *testing.T) {
 // of its own loads; one goroutine never makes that, and the concurrent phase
 // reaches the window only by the scheduler's luck.
 func TestTreeCountersReadNonZero(t *testing.T) {
-	s := mustOpen(t, Config{Workers: 2, MaintainEvery: -1})
-	t.Cleanup(func() { s.Close() })
+	s := openAt(t, Config{Workers: 2}, clock.NewFake())
 	ss := sessions(s, 1)[0]
 	put := func(k string) { ss.PutSimple([]byte(k), []byte(k)) }
 	remove := func(k string) { ss.Remove([]byte(k)) }

@@ -8,11 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
+	"repro/internal/obs"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
-
-func nowNanos() uint64 { return uint64(time.Now().UnixNano()) }
 
 // putSimpleTTL stores data as column 0 of key with an expiry deadline.
 func putSimpleTTL(ss *Session, key, data []byte, expiresAt uint64) uint64 {
@@ -24,13 +24,12 @@ func putSimpleTTL(ss *Session, key, data []byte, expiresAt uint64) uint64 {
 // sweep runs, a TTL-free put clears the expiry, and Touch
 // extends and declines correctly.
 func TestTTLLazyExpiry(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{}, clock.NewFake())
 	mr := newMirror(t, s, 1)
 	sess := mr.sess[0]
 
-	past := nowNanos() - uint64(time.Second)
-	future := nowNanos() + uint64(time.Hour)
+	past := nanosIn(s, -time.Second)
+	future := nanosIn(s, time.Hour)
 	mr.putTTLW(0, "dead", past, col(0, "x"))
 	mr.putTTLW(0, "live", future, col(0, "y"))
 	mr.putW(0, "plain", col(0, "z"))
@@ -49,7 +48,7 @@ func TestTTLLazyExpiry(t *testing.T) {
 	// the mirror holds the store to it.
 	mr.putTTLW(0, "cleared", future, col(0, "a"))
 	mr.putW(0, "cleared", col(0, "b"))
-	mr.touchW(0, "live", nowNanos()+2*uint64(time.Hour))
+	mr.touchW(0, "live", nanosIn(s, 2*time.Hour))
 	mr.touchW(0, "dead", future)
 	mr.touchW(0, "absent", future)
 
@@ -67,11 +66,10 @@ func TestTTLLazyExpiry(t *testing.T) {
 // lapsed keys (clean drop: Len shrinks, expirations counted) while leaving
 // live and TTL-free keys alone, across multiple incremental batches.
 func TestTTLSweepRemoves(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{}, clock.NewFake())
 	sess := s.Session(0)
-	past := nowNanos() - 1
-	future := nowNanos() + uint64(time.Hour)
+	past := nanosIn(s, -1)
+	future := nanosIn(s, time.Hour)
 	const n = sweepBatchKeys + 100 // force more than one sweep batch
 	for i := 0; i < n; i++ {
 		putSimpleTTL(sess, []byte(fmt.Sprintf("dead-%05d", i)), []byte("x"), past)
@@ -101,29 +99,20 @@ func TestTTLSweepRemoves(t *testing.T) {
 // already-expired key stays invisible, and a checkpoint written after the
 // expiry omits the dead key entirely.
 func TestTTLSurvivesRecovery(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: t.TempDir(), Workers: 2}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
-	future := nowNanos() + uint64(time.Hour)
+	future := nanosIn(s, time.Hour)
 	mr.putTTLW(1, "live", future, col(0, "y"))
-	mr.putTTLW(1, "dead", nowNanos()-1, col(0, "x"))
+	mr.putTTLW(1, "dead", nanosIn(s, -1), col(0, "x"))
 	mr.putW(1, "plain", col(0, "z"))
 	mr.touchW(1, "plain", future)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Log-only restart: everything replays, expiries intact.
-	r, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t, s, cfg)
 	mr.matches(r, "log-only restart")
 	// Checkpoint skips the expired key; restart from it has no trace left.
-	if _, _, err := r.Checkpoint(); err != nil {
+	if _, _, err := r.CheckpointN(0); err != nil {
 		t.Fatal(err)
 	}
 	r2 := restart(t, r, cfg)
@@ -138,8 +127,7 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 // value's, or log replay would apply the re-insert below the old put's
 // version guard and lose it.
 func TestEvictionVersionMonotonic(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1, MaxBytes: 1 << 20})
-	defer s.Close()
+	s := openAt(t, Config{MaxBytes: 1 << 20}, clock.NewFake())
 	mr := newMirror(t, s, 1)
 	mr.putW(0, "k", col(0, "a"))
 	if !s.evictKey([]byte("k")) {
@@ -165,13 +153,8 @@ func TestCacheBoundZipfian(t *testing.T) {
 		workers  = 2
 		opsPer   = 160_000
 	)
-	s := mustOpen(t, Config{Workers: workers, MaintainEvery: time.Millisecond, MaxBytes: maxBytes})
-	closed := false
-	defer func() {
-		if !closed {
-			s.Close()
-		}
-	}()
+	wall := clock.NewFake()
+	s := openAt(t, Config{Workers: workers, MaxBytes: maxBytes}, wall)
 
 	// One eviction batch is the enforce pass's low-watermark stride plus
 	// whatever lands between an overshoot probe and the wakeup; allow the
@@ -187,7 +170,7 @@ func TestCacheBoundZipfian(t *testing.T) {
 			sess := s.Session(w)
 			zipf := workload.ZipfKeys(int64(1000+w), nkeys)
 			val := make([]byte, valSize)
-			future := nowNanos() + uint64(time.Hour)
+			future := nanosIn(s, time.Hour)
 			for i := 0; i < opsPer; i++ {
 				k := zipf.Next()
 				if i%4 == 0 {
@@ -196,6 +179,7 @@ func TestCacheBoundZipfian(t *testing.T) {
 					sess.PutSimple(k, val)
 				}
 				if i%512 == 0 {
+					wall.Advance(maintainTick) // a tick's pass besides the overshoot wake-ups
 					live := s.CacheStats().BytesLive
 					mu.Lock()
 					if live > maxSeen {
@@ -207,14 +191,13 @@ func TestCacheBoundZipfian(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// The workers are done but the enforcer is not: it evicts on its own
-	// tick, and a total read before a pass and a walk made after it disagree.
+	// The workers are done but the enforcer is not: an overshoot wakes it,
+	// and a total read before a pass and a walk made after it disagree.
 	// Close stops it and waits for it; the tree and the counters of an
 	// in-memory store stay readable.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	closed = true
 	st := s.CacheStats()
 	t.Logf("bytes_live=%d max_seen=%d bound=%d slack=%d evictions=%d ghost_hits=%d expirations=%d admit_drops=%d keys=%d",
 		st.BytesLive, maxSeen, int64(maxBytes), slack, st.Evictions, st.GhostHits, st.Expirations, st.AdmitDrops, s.Len())
@@ -262,18 +245,22 @@ func TestCacheKeepsZipfHeadResident(t *testing.T) {
 		trace[i] = zipf.Next()
 	}
 
-	// The maintenance pass runs every maintainOps operations rather than on a
-	// timer, so the hit rate is a function of the trace alone. The cadence
-	// keeps each drain within the access ring's 256 slots.
-	s := mustOpen(t, Config{Workers: 1, MaintainEvery: -1, MaxBytes: maxBytes})
+	// The trace advances the clock one maintenance tick every maintainOps
+	// operations and waits for the loop's pass, so the passes follow the
+	// trace rather than a timer. The cadence keeps each drain within the
+	// access ring's 256 slots.
+	wall := clock.NewFake()
+	s := openAt(t, Config{Workers: 1, MaxBytes: maxBytes}, wall)
 	sess := s.Session(0)
 	val := make([]byte, valSize)
-	future := nowNanos() + uint64(time.Hour)
+	future := nanosIn(s, time.Hour)
 	gets := make(map[string]int)
 	hits := 0
 	for i, k := range trace {
 		if i%maintainOps == 0 {
-			s.cacheMaintain()
+			passes := s.obs.Hist(obs.HEvict).Snapshot().Count()
+			wall.Advance(maintainTick)
+			waitUntil(t, func() bool { return s.obs.Hist(obs.HEvict).Snapshot().Count() > passes })
 		}
 		if i%10 == 0 {
 			putSimpleTTL(sess, k, val, future)
@@ -313,24 +300,19 @@ func TestCacheKeepsZipfHeadResident(t *testing.T) {
 	}
 }
 
-// TestCacheRecoveryReenforcesBound builds an over-budget store (eviction
-// disabled by MaintainEvery < 0 so nothing runs), restarts it in cache
-// mode, and requires the bound to hold before Open returns — replay first,
-// then re-enforce.
+// TestCacheRecoveryReenforcesBound builds an over-budget store (no byte
+// budget, so nothing evicts), restarts it in cache mode, and requires the
+// bound to hold before Open returns — replay first, then re-enforce.
 func TestCacheRecoveryReenforcesBound(t *testing.T) {
 	dir := t.TempDir()
 	const maxBytes = 1 << 20
-	s := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
+	s := openAt(t, Config{Dir: dir, Workers: 1}, clock.NewFake())
 	val := make([]byte, 4096)
 	ss := s.Session(0)
 	for i := 0; i < 1024; i++ { // ~4 MiB, 4x over the reopen budget
 		ss.PutSimple([]byte(fmt.Sprintf("key-%05d", i)), val)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: maxBytes})
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 1, MaxBytes: maxBytes})
 	st := r.CacheStats()
 	if st.BytesLive > maxBytes {
 		t.Fatalf("bound not re-enforced after recovery: bytes_live %d > %d", st.BytesLive, maxBytes)
@@ -360,8 +342,7 @@ func TestCacheRecoveryReenforcesBound(t *testing.T) {
 // (the packed value; ring arenas are amortized), a warmed GetValue with
 // AppendCols stays at zero.
 func TestCacheModeAllocs(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1, MaxBytes: 1 << 30})
-	defer s.Close()
+	s := openAt(t, Config{MaxBytes: 1 << 30}, clock.NewFake())
 	sess := s.Session(0)
 	key := []byte("cache-alloc-key")
 	data := []byte("cache-column-data")
@@ -396,7 +377,7 @@ func TestCacheModeAllocs(t *testing.T) {
 
 	// TTL put: same discipline, one packed value.
 	s.cacheMaintain() // fresh swap buffer for the next measured block
-	future := nowNanos() + uint64(time.Hour)
+	future := nanosIn(s, time.Hour)
 	allocs = testing.AllocsPerRun(200, func() {
 		putSimpleTTL(sess, key, data, future)
 	})
@@ -432,8 +413,7 @@ func TestCacheReadsFeedThePolicy(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			s := mustOpen(t, Config{MaintainEvery: -1, MaxBytes: 32 << 10})
-			defer s.Close()
+			s := openAt(t, Config{MaxBytes: 32 << 10}, clock.NewFake())
 			ss := sessions(s, 1)[0]
 			read, unread := []byte("read"), []byte("unread")
 			ss.PutSimple(read, val)
@@ -467,12 +447,9 @@ func TestCacheReadsFeedThePolicy(t *testing.T) {
 // column ends, with and without an expiry, grown, shrunk, touched — whether
 // a value comes back from the checkpoint or from the log tail behind it.
 func TestBytesLiveAcrossRestart(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: 1 << 30}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	future := nowNanos() + uint64(time.Hour)
+	cfg := Config{Dir: t.TempDir(), Workers: 2, MaxBytes: 1 << 30}
+	s := openAt(t, cfg, clock.NewFake())
+	future := nanosIn(s, time.Hour)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("live-%03d", i)) }
 	ten := make([]value.ColPut, 10)
 	for i := range ten {
@@ -496,7 +473,7 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 		}
 	}
 	mix(0, 0, 100)
-	if _, _, err := s.Checkpoint(); err != nil {
+	if _, _, err := s.CheckpointN(0); err != nil {
 		t.Fatal(err)
 	}
 	// The tail: new keys, and every kind of size change over checkpointed
@@ -512,15 +489,8 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 		sess.Remove(key(i + 7))
 	}
 	before := s.CacheStats().BytesLive
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	r, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := restart(t, s, cfg)
 	var walked int64
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
 		walked += int64(v.Size())

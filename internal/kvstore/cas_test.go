@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 )
 
@@ -17,8 +18,7 @@ func col0(data string) []value.ColPut {
 // stale expectation, an absent key and a remove; the model says which
 // applies and which version each conflict reports.
 func TestCasPutSemantics(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{}, clock.NewFake())
 	mr := newMirror(t, s, 1)
 	v1, _ := mr.casW(0, "counter", 0, col(0, "one")) // expect-absent on an absent key: atomic create
 	mr.casW(0, "counter", 0, col(0, "nope"))         // again: a conflict
@@ -37,11 +37,8 @@ func TestCasPutSemantics(t *testing.T) {
 // A successful CasPut is logged as an ordinary put: it must survive crash
 // recovery exactly like Put, and a conflicting CasPut must leave no trace.
 func TestCasPutRecovery(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Workers: 2, MaintainEvery: -1}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: t.TempDir(), Workers: 2}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	v1, _ := mr.casW(0, "k", 0, col(0, "created"))
 	mr.casW(1, "k", v1, col(0, "updated"))
@@ -53,8 +50,7 @@ func TestCasPutRecovery(t *testing.T) {
 // exactly once (no lost updates), the defining linearizability property of
 // compare-and-swap. Run with -race in CI.
 func TestCasPutConcurrentIncrement(t *testing.T) {
-	s := mustOpen(t, Config{Workers: 4, MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{Workers: 4}, clock.NewFake())
 	key := []byte("ctr")
 	ss := sessions(s, 1)[0]
 	if _, ok := ss.CasPut(key, 0, col0("0")); !ok {

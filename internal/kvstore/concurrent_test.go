@@ -4,20 +4,23 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/value"
 )
 
 // TestConcurrentSessionsWithLogging runs several sessions writing and
-// reading concurrently with logging on, plus checkpoints. Each worker writes
-// only its own keys, so each key's final state is what its worker's model
-// computes from the worker's operations; the live store and a recovered
-// copy are both held to the union of those models.
+// reading concurrently with logging on, plus checkpoints, while the workers
+// advance the clock through maintenance ticks and log flushes. Each worker
+// writes only its own keys, so each key's final state is what its worker's
+// model computes from the worker's operations; the live store and a
+// recovered copy are both held to the union of those models.
 func TestConcurrentSessionsWithLogging(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, Workers: 4, FlushInterval: 2 * time.Millisecond, MaintainEvery: time.Millisecond})
+	cfg := Config{Dir: dir, Workers: 4}
+	wall := clock.NewFake()
+	s := openAt(t, cfg, wall)
 	const workers = 4
 	const perWorker = 2500
 	truth := make([]*model.Model, workers) // truth[w]: the keys worker w writes
@@ -29,6 +32,9 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 			defer wg.Done()
 			sess := s.Session(w)
 			for i := 0; i < perWorker; i++ {
+				if i%100 == 0 {
+					wall.Advance(maintainTick)
+				}
 				k := fmt.Sprintf("w%d-%05d", w, i)
 				puts := []value.ColPut{{Col: 0, Data: []byte(k)}, {Col: 1, Data: []byte{byte(w)}}}
 				m.Put(k, sess.Put([]byte(k), puts), 0, mputs(puts)...)
@@ -53,7 +59,7 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 	go func() {
 		defer close(ckptDone)
 		for i := 0; i < 3; i++ {
-			if _, _, err := s.Checkpoint(); err != nil {
+			if _, _, err := s.CheckpointN(0); err != nil {
 				t.Error(err)
 				return
 			}
@@ -62,18 +68,15 @@ func TestConcurrentSessionsWithLogging(t *testing.T) {
 	wg.Wait()
 	<-ckptDone
 	checkModels(t, "live", truth, snapshotState(s))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := mustOpen(t, Config{Dir: dir, Workers: 4, MaintainEvery: -1})
-	defer r.Close()
+	r := restart(t, s, cfg)
 	checkModels(t, "recovered", truth, snapshotState(r))
 }
 
 // TestConcurrentGetRangeDuringPuts ensures range queries stay ordered and
 // complete while writers insert.
 func TestConcurrentGetRangeDuringPuts(t *testing.T) {
-	s, ss := openSess(t)
+	s := openAt(t, Config{}, clock.NewFake())
+	ss := s.Session(0)
 	for i := 0; i < 1000; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("stable%05d", i)), []byte("x"))
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/value"
@@ -33,11 +32,11 @@ func crash(t *testing.T, s *Store) {
 
 func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	ss := sessions(s, 2)
 	// Worker 1 logs a single early record; worker 0 keeps writing on its own
 	// clock shard (ts 1..10 on log 0, ts 1 on log 1, with background clock
-	// synchronization disabled by openDir). The cutoff is the slowest log's
+	// synchronization waiting on the fake clock). The cutoff is the slowest log's
 	// maximum timestamp, so everything beyond it must be dropped.
 	ss[1].PutSimple([]byte("b0"), []byte("x")) // ts 1 on log 1
 	for i := 0; i < 10; i++ {
@@ -45,9 +44,8 @@ func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 	}
 	crash(t, s)
 
-	r := openDir(t, dir)
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	rs := sessions(r, 1)[0]
-	defer r.Close()
 	// Cutoff = min(max of log0=10, max of log1=1) = 1: b0 survives, and of
 	// worker 0's updates only a0 (ts 1 on its shard) makes the cut.
 	if r.Len() != 2 {
@@ -66,7 +64,7 @@ func TestCrashRecoveryConservativeCutoff(t *testing.T) {
 
 func TestCrashRecoveryTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	ss := sessions(s, 1)[0]
 	for i := 0; i < 100; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
@@ -84,9 +82,8 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		}
 	}
 
-	r := openDir(t, dir)
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	rs := sessions(r, 1)[0]
-	defer r.Close()
 	// The torn record (k099) is gone; everything before it survives.
 	if r.Len() != 99 {
 		t.Fatalf("recovered %d keys, want 99", r.Len())
@@ -98,17 +95,14 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 
 func TestReopenAfterCleanCloseTwice(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v1"))
-	s.Close()
-	s2 := openDir(t, dir)
+	s2 := restart(t, s, Config{Dir: dir, Workers: 2})
 	ss2 := sessions(s2, 1)[0]
 	ss2.PutSimple([]byte("k"), []byte("v2"))
-	s2.Close()
-	s3 := openDir(t, dir)
+	s3 := restart(t, s2, Config{Dir: dir, Workers: 2})
 	ss3 := sessions(s3, 1)[0]
-	defer s3.Close()
 	got, ok := ss3.GetValue([]byte("k"))
 	if !ok || string(got.Col(0)) != "v2" {
 		t.Fatalf("after two generations: %q %v", got, ok)
@@ -117,12 +111,12 @@ func TestReopenAfterCleanCloseTwice(t *testing.T) {
 
 func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	mr := newMirror(t, s, 1)
 	for i := 0; i < 200; i++ {
 		mr.putW(0, fmt.Sprintf("k%03d", i), col(0, "pre"))
 	}
-	if _, _, err := s.Checkpoint(); err != nil {
+	if _, _, err := s.CheckpointN(0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
@@ -132,27 +126,25 @@ func TestRecoverySurvivesCheckpointPlusCrash(t *testing.T) {
 
 	// Worker 1 logged nothing post-checkpoint, so its generation-2 log is
 	// empty and does not constrain the cutoff; worker 0's updates survive.
-	r := openDir(t, dir)
-	defer r.Close()
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	mr.matches(r, "recovered")
 }
 
 func TestBackgroundFlushDurability(t *testing.T) {
 	dir := t.TempDir()
 	wall := clock.NewFake()
-	s := openAt(t, Config{Dir: dir, Workers: 1, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1}, wall)
+	s := openAt(t, Config{Dir: dir, Workers: 1}, wall)
 	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v"))
-	wall.Advance(2 * time.Millisecond) // one flush interval: the flusher's tick
+	wall.Advance(wal.DefaultFlushInterval) // one flush interval: the flusher's tick
 	waitUntil(t, func() bool { return len(recoverRecords(t, dir)) == 1 })
 	// Simulate a hard crash with no explicit flush at all.
 	close(s.stop)
 	s.wg.Wait()
 	s.logs.Close()
 
-	r := openDir(t, dir)
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	rs := sessions(r, 1)[0]
-	defer r.Close()
 	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("update lost despite background flush")
 	}
@@ -177,7 +169,7 @@ func recoverRecords(t *testing.T, dir string) []wal.Record {
 // timestamp marks, so nothing is beyond the cutoff.
 func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, Workers: 3, FlushInterval: 5 * time.Millisecond, MaintainEvery: -1})
+	s := openAt(t, Config{Dir: dir, Workers: 3}, clock.NewFake())
 
 	const workers = 3
 	const rounds = 40
@@ -217,11 +209,7 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 
 	// The exact pre-crash state must come back: every key, version and column.
 	want := snapshotState(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	diffStates(t, "recovered", want, snapshotState(r))
 }
 
@@ -232,13 +220,13 @@ func TestRecoveryInterleavedPutBatchRemove(t *testing.T) {
 func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 	dir := t.TempDir()
 	wall := clock.NewFake()
-	s := openAt(t, Config{Dir: dir, Workers: 2, FlushInterval: 2 * time.Millisecond, MaintainEvery: 5 * time.Millisecond}, wall)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, wall)
 	ss := sessions(s, 2)
 	ss[1].PutSimple([]byte("idle-worker-key"), []byte("x")) // log 1 then goes idle
 	for i := 0; i < 10; i++ {
 		ss[0].PutSimple([]byte(fmt.Sprintf("busy%02d", i)), []byte("y"))
 	}
-	wall.Advance(5 * time.Millisecond) // one maintenance tick: the marks
+	wall.Advance(maintainTick) // one maintenance tick: the marks
 	waitUntil(t, func() bool {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
@@ -247,8 +235,7 @@ func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 	})
 	crash(t, s)
 
-	r := openDir(t, dir)
-	defer r.Close()
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	// Without marks the cutoff would be log 1's last put (ts 1) and the busy
 	// worker's tail would vanish; with marks everything survives.
 	if r.Len() != 11 {
@@ -264,7 +251,7 @@ func TestIdleLogMarksKeepCutoffFresh(t *testing.T) {
 // (resurrecting the removed keys).
 func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	ss := sessions(s, 1)[0]
 	for i := 0; i < 10; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("ck%02d", i)), []byte("v"))
@@ -272,24 +259,20 @@ func TestCheckpointClockSeedSurvivesRemoves(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		ss.Remove([]byte(fmt.Sprintf("ck%02d", i))) // lifts the clock past the puts
 	}
-	if _, _, err := s.Checkpoint(); err != nil { // reclaims the logs
+	if _, _, err := s.CheckpointN(0); err != nil { // reclaims the logs
 		t.Fatal(err)
 	}
 	crash(t, s)
 
-	r := openDir(t, dir)
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	rs := sessions(r, 1)[0]
 	rs.PutSimple([]byte("post-recovery"), []byte("new"))
-	if _, _, err := r.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
+	if _, _, err := r.CheckpointN(0); err != nil {
 		t.Fatal(err)
 	}
 
-	f := openDir(t, dir)
+	f := restart(t, r, Config{Dir: dir, Workers: 2})
 	fs := sessions(f, 1)[0]
-	defer f.Close()
 	if f.Len() != 2 {
 		t.Fatalf("final state has %d keys, want 2 (ck00 + post-recovery)", f.Len())
 	}

@@ -31,7 +31,7 @@ func TestDeadlineRule(t *testing.T) {
 			return func() bool { return expired(wall, v) }
 		}},
 		{"negative cache", func(t *testing.T, wall *clock.Fake) func() bool {
-			s := openLoaderStoreAt(t, Config{Backend: backend.NewMock(0), NegativeTTL: d, MaintainEvery: -1}, wall)
+			s := openAt(t, Config{Backend: backend.NewMock(0), NegativeTTL: d}, wall)
 			s.loader.noteNegative([]byte("ghost"))
 			return func() bool { return !s.loader.negHit([]byte("ghost")) }
 		}},

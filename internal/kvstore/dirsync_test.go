@@ -17,22 +17,13 @@ import (
 // could then remember the log reclamation that followed a checkpoint while
 // forgetting the checkpoint itself — losing acknowledged writes.
 
-func openTortureStore(t *testing.T, fsys vfs.FS) *Store {
-	t.Helper()
-	s, err := Open(tortureConfig(fsys, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // checkpointThenCrash acks one write, checkpoints (which reclaims the log
 // that held it), and crashes keeping only the pending remove ops — the
 // adversarial but POSIX-legal image where reclamation persisted and
 // nothing else did.
 func checkpointThenCrash(t *testing.T, mem *vfs.MemFS, fsys vfs.FS) *vfs.MemFS {
 	t.Helper()
-	s := openTortureStore(t, fsys)
+	s := openAt(t, tortureConfig(fsys, 1), clock.NewFake())
 	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("precious"), []byte("acked"))
 	if err := s.Flush(); err != nil {
@@ -59,9 +50,8 @@ func TestLostCheckpointWithoutDirSync(t *testing.T) {
 	fault.SkipDirSyncs = true
 	img := checkpointThenCrash(t, mem, fault)
 
-	r := openTortureStore(t, img)
+	r := openAt(t, tortureConfig(img, 1), clock.NewFake())
 	rs := sessions(r, 1)[0]
-	defer r.Close()
 	if _, ok := rs.GetValue([]byte("precious")); ok {
 		t.Fatal("write survived without dir syncs — the lost-checkpoint scenario no longer reproduces, " +
 			"so this regression test has lost its teeth")
@@ -76,9 +66,8 @@ func TestCheckpointSurvivesDirSyncedCrash(t *testing.T) {
 	mem := vfs.NewMemFS()
 	img := checkpointThenCrash(t, mem, mem)
 
-	r := openTortureStore(t, img)
+	r := openAt(t, tortureConfig(img, 1), clock.NewFake())
 	rs := sessions(r, 1)[0]
-	defer r.Close()
 	if got, ok := rs.GetValue([]byte("precious")); !ok || string(got.Col(0)) != "acked" {
 		t.Fatalf("acknowledged write lost across checkpoint+crash: %q, %v", got, ok)
 	}
@@ -91,9 +80,8 @@ func TestCheckpointSurvivesDirSyncedCrash(t *testing.T) {
 // dir-synced after it, so no crash image can differ from the steady state.
 func TestCheckpointLeavesNothingPending(t *testing.T) {
 	mem := vfs.NewMemFS()
-	s := openTortureStore(t, mem)
+	s := openAt(t, tortureConfig(mem, 1), clock.NewFake())
 	ss := sessions(s, 1)[0]
-	defer s.Close()
 	for i := 0; i < 10; i++ {
 		ss.PutSimple([]byte{byte('a' + i)}, []byte("v"))
 	}
@@ -116,10 +104,7 @@ func TestCheckpointLeavesNothingPending(t *testing.T) {
 // busier log's durable post-checkpoint tail.
 func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	mem := vfs.NewMemFS()
-	s, err := Open(tortureConfig(mem, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, tortureConfig(mem, 2), clock.NewFake())
 	ss := sessions(s, 2)
 	ss[1].PutSimple([]byte("idle-worker-key"), []byte("old")) // worker 1 then goes idle
 	for i := 0; i < 5; i++ {
@@ -128,7 +113,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Checkpoint(); err != nil {
+	if _, _, err := s.CheckpointN(2); err != nil {
 		t.Fatal(err)
 	}
 	// Acked post-checkpoint tail on worker 0 only; worker 1 logs nothing.
@@ -153,8 +138,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 	}
 	crash(t, s)
 
-	rec := mustOpen(t, Config{Dir: tortureDir, Workers: 2, FS: mem, MaintainEvery: -1, FlushInterval: time.Hour})
-	defer rec.Close()
+	rec := openAt(t, Config{Dir: tortureDir, Workers: 2, FS: mem}, clock.NewFake())
 	recs := sessions(rec, 1)[0]
 	for i := 0; i < 5; i++ {
 		got, ok := recs.GetValue([]byte(fmt.Sprintf("busy%02d", i)))
@@ -173,7 +157,7 @@ func TestResurrectedOldLogDoesNotDragCutoff(t *testing.T) {
 // only does because log creation dir-syncs before anything is logged.
 func TestAckedFlushSurvivesConservativeCrash(t *testing.T) {
 	mem := vfs.NewMemFS()
-	s := openTortureStore(t, mem)
+	s := openAt(t, tortureConfig(mem, 1), clock.NewFake())
 	ss := sessions(s, 1)[0]
 	ss.PutSimple([]byte("k"), []byte("v"))
 	if err := s.Flush(); err != nil {
@@ -181,11 +165,9 @@ func TestAckedFlushSurvivesConservativeCrash(t *testing.T) {
 	}
 	img := mem.Clone()
 	img.Crash(nil)
-	s.Close()
 
-	r := openTortureStore(t, img)
+	r := restart(t, s, tortureConfig(img, 1))
 	rs := sessions(r, 1)[0]
-	defer r.Close()
 	if _, ok := rs.GetValue([]byte("k")); !ok {
 		t.Fatal("synced flush lost: log file creation was not made durable")
 	}

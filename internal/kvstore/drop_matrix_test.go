@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -85,24 +86,20 @@ func runDropCell(t *testing.T, c dropCell) {
 	m := backend.NewMock(0)
 	release := m.Hang()
 	defer release()
-	cfg := Config{Dir: dir, Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour,
-		Backend: m, WriteBehind: 16, MaxStale: time.Minute}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: dir, Workers: 2, Backend: m, WriteBehind: 16, MaxStale: time.Minute}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	key, b := []byte("k"), col(0, "b")
 	var baseVer uint64
-	switch hour := uint64(time.Hour); c.base {
+	switch c.base {
 	case sameWorkerBase:
 		baseVer = mr.putW(0, "k", b)
 	case liveTTLBase:
-		baseVer = mr.putTTLW(0, "k", nowNanos()+hour, b)
+		baseVer = mr.putTTLW(0, "k", nanosIn(s, time.Hour), b)
 	case expiredBase:
-		baseVer = mr.putTTLW(0, "k", nowNanos()-hour, b)
+		baseVer = mr.putTTLW(0, "k", nanosIn(s, -time.Hour), b)
 	case staleReserveBase:
-		baseVer = mr.putTTLW(0, "k", nowNanos()-1, b)
+		baseVer = mr.putTTLW(0, "k", nanosIn(s, -1), b)
 	}
 	stats0 := s.CacheStats()
 
@@ -118,7 +115,7 @@ func runDropCell(t *testing.T, c dropCell) {
 		}
 	case "sweep":
 		s.cacheMaintain()
-		if got, want := s.CacheStats().Expirations-stats0.Expirations, mr.ref.Sweep(nowNanos()-uint64(cfg.MaxStale)); got != int64(want) {
+		if got, want := s.CacheStats().Expirations-stats0.Expirations, mr.ref.Sweep(nanosIn(s, -cfg.MaxStale)); got != int64(want) {
 			t.Errorf("the sweep counted %d expirations, the model %d", got, want)
 		}
 	default:
@@ -188,8 +185,7 @@ func runDropCell(t *testing.T, c dropCell) {
 	}
 
 	// Recovery rebuilds what readers saw.
-	r := mustOpen(t, Config{Dir: dir, Workers: 2, MaintainEvery: -1})
-	defer r.Close()
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}
@@ -201,17 +197,15 @@ func runDropCell(t *testing.T, c dropCell) {
 
 // TestDropRaces races every drop path at once: two sessions put, put with
 // short TTLs and remove over 64 keys while a byte budget far below the data
-// keeps eviction busy and a 1 ms maintenance tick keeps the TTL sweep busy.
+// keeps eviction busy, and each advances the clock a maintenance tick every
+// 64 operations, which lapses those TTLs and runs the sweep.
 // Once quiet, the accounted bytes must equal what the tree holds; after a
 // restart every key present at Close must be back at the same version, with
 // no broken chain.
 func TestDropRaces(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Workers: 2, FlushInterval: time.Millisecond,
-		MaintainEvery: time.Millisecond, MaxBytes: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wall := clock.NewFake()
+	s := openAt(t, Config{Dir: dir, Workers: 2, MaxBytes: 1 << 10}, wall)
 	const keys, minOps = 64, 4000
 	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
@@ -228,12 +222,15 @@ func TestDropRaces(t *testing.T) {
 					t.Errorf("worker %d: no eviction or no expiration after %d ops: %+v", w, i, s.CacheStats())
 					return
 				}
+				if i%64 == 0 {
+					wall.Advance(maintainTick)
+				}
 				k := []byte(fmt.Sprintf("race-%02d", rng.Intn(keys)))
 				switch op := rng.Intn(4); op {
 				case 0:
 					ss.Remove(k)
 				case 1:
-					ss.PutTTL(k, []value.ColPut{{Col: 0, Data: k}}, nowNanos()+uint64(rng.Intn(2000))*uint64(time.Microsecond))
+					ss.PutTTL(k, []value.ColPut{{Col: 0, Data: k}}, nanosIn(s, time.Duration(rng.Intn(2000))*time.Microsecond))
 				default:
 					ss.Put(k, []value.ColPut{{Col: op, Data: k}})
 				}
@@ -254,8 +251,7 @@ func TestDropRaces(t *testing.T) {
 	})
 
 	// Reopened without a budget, so nothing the bound would evict is lost.
-	r := mustOpen(t, Config{Dir: dir, Workers: 2, MaintainEvery: -1})
-	defer r.Close()
+	r := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}

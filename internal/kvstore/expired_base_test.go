@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -16,13 +17,10 @@ import (
 // expiry — in memory and across recovery (the implicit remove is logged
 // ahead of the put). The model computes what the put leaves.
 func TestExpiredBaseNotResurrected(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: t.TempDir(), Workers: 1}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 1)
-	mr.putTTLW(0, "k", nowNanos()-1, col(0, "col0-old"), col(1, "col1-secret"))
+	mr.putTTLW(0, "k", nanosIn(s, -1), col(0, "col0-old"), col(1, "col1-secret"))
 	mr.putW(0, "k", col(0, "col0-new")) // lands on the absent key
 	mr.matches(s, "live")
 	mr.matches(restart(t, s, cfg), "recovered")
@@ -31,14 +29,11 @@ func TestExpiredBaseNotResurrected(t *testing.T) {
 // TestExpiredBaseBatch is TestExpiredBaseNotResurrected through the batched
 // put path, mixing expired and live bases in one batch.
 func TestExpiredBaseBatch(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: t.TempDir(), Workers: 1}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 1)
-	mr.putTTLW(0, "dead", nowNanos()-1, col(0, "d0"), col(1, "d1"))
-	mr.putTTLW(0, "live", nowNanos()+uint64(time.Hour), col(0, "l0"), col(1, "l1"))
+	mr.putTTLW(0, "dead", nanosIn(s, -1), col(0, "d0"), col(1, "d1"))
+	mr.putTTLW(0, "live", nanosIn(s, time.Hour), col(0, "l0"), col(1, "l1"))
 	mr.batchW(0, []string{"dead", "live"}, []value.ColPut{col(0, "d0-new")}, []value.ColPut{col(0, "l0-new")})
 	mr.matches(s, "live")
 	mr.matches(restart(t, s, cfg), "recovered")
@@ -55,15 +50,12 @@ func TestExpiredBaseBatch(t *testing.T) {
 func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 	for _, drop := range []string{"sweep", "evict"} {
 		t.Run(drop, func(t *testing.T) {
-			cfg := Config{Dir: t.TempDir(), Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: 1 << 20}
-			s, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := Config{Dir: t.TempDir(), Workers: 2, MaxBytes: 1 << 20}
+			s := openAt(t, cfg, clock.NewFake())
 			mr := newMirror(t, s, 2)
-			exp := nowNanos() - 1 // already lapsed
+			exp := nanosIn(s, -1) // already lapsed
 			if drop == "evict" {
-				exp = nowNanos() + uint64(time.Hour)
+				exp = nanosIn(s, time.Hour)
 			}
 			mr.putTTLW(0, "k", exp, col(0, "old0"), col(1, "stale-secret"), col(5, "stale-tail"))
 			if drop == "sweep" {
@@ -86,11 +78,8 @@ func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 // mixes a post-drop insert with a plain update, and recovery must keep the
 // insert a replacement and the update a merge.
 func TestCleanDropThenBatchPutRecovery(t *testing.T) {
-	cfg := Config{Dir: t.TempDir(), Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour, MaxBytes: 1 << 20}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: t.TempDir(), Workers: 1, MaxBytes: 1 << 20}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 1)
 	mr.putW(0, "dropped", col(0, "a0"), col(3, "a3"))
 	mr.putW(0, "kept", col(0, "b0"), col(1, "b1"))
@@ -109,10 +98,9 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 // and a stale expect equal to the dead value's version must fail. The
 // model says which CAS applies and what a conflict reports.
 func TestCasPutTreatsExpiredAsAbsent(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{}, clock.NewFake())
 	mr := newMirror(t, s, 1)
-	deadVer := mr.putTTLW(0, "k", nowNanos()-1, col(0, "old"))
+	deadVer := mr.putTTLW(0, "k", nanosIn(s, -1), col(0, "old"))
 	mr.casW(0, "k", deadVer, col(0, "x")) // the dead version is not CASable
 	mr.casW(0, "k", 5)                    // the conflict reports version 0
 	if ver, _ := mr.casW(0, "k", 0, col(0, "new")); ver <= deadVer {
@@ -127,14 +115,11 @@ func TestCasPutTreatsExpiredAsAbsent(t *testing.T) {
 // Touch must not widen that hole.
 func TestTouchRecordStandsAlone(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: dir, Workers: 2, SyncWrites: true}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	mr.putW(0, "k", col(0, "c0"), col(1, "c1"))
-	mr.touchW(1, "k", nowNanos()+uint64(time.Hour)) // different worker → different log
+	mr.touchW(1, "k", nanosIn(s, time.Hour)) // different worker → different log
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +135,6 @@ func TestTouchRecordStandsAlone(t *testing.T) {
 			}
 		}
 	}
-	r, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openAt(t, cfg, s.wall)
 	mr.matches(r, "the touch record alone") // both columns, and the touch's expiry
 }

@@ -16,24 +16,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// openLoaderStore opens an in-memory store fronting the given backend.
-func openLoaderStore(t *testing.T, cfg Config) *Store {
-	t.Helper()
-	return openLoaderStoreAt(t, cfg, clock.Wall{})
-}
-
-// openLoaderStoreAt is openLoaderStore on the wall clock wall.
-func openLoaderStoreAt(t *testing.T, cfg Config, wall clock.Clock) *Store {
-	t.Helper()
-	s := openAt(t, cfg, wall)
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
 func TestGetOrLoadReadThrough(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v0"), []byte("v1")}))
-	s := openLoaderStore(t, Config{Backend: m})
+	s := openAt(t, Config{Backend: m}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 
@@ -65,7 +51,7 @@ func TestGetOrLoadTTLRidesHeader(t *testing.T) {
 	m := backend.NewMock(30 * time.Millisecond)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
 	wall := clock.NewFake()
-	s := openLoaderStoreAt(t, Config{Backend: m, NegativeTTL: -1}, wall)
+	s := openAt(t, Config{Backend: m, NegativeTTL: -1}, wall)
 	ss := s.Session(0)
 	ctx := context.Background()
 	v, _, err := ss.GetOrLoad(ctx, []byte("k"))
@@ -99,7 +85,7 @@ func TestGetOrLoadHerd(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("hot", backend.EncodeCols([][]byte{[]byte("v")}))
 	release := m.Hang()
-	s := openLoaderStore(t, Config{Backend: m})
+	s := openAt(t, Config{Backend: m}, clock.Wall{})
 	ctx := context.Background()
 
 	const herd = 512
@@ -146,7 +132,7 @@ func TestGetOrLoadWaiterHonorsContext(t *testing.T) {
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("v")}))
 	release := m.Hang()
 	defer release()
-	s := openLoaderStore(t, Config{Backend: m})
+	s := openAt(t, Config{Backend: m}, clock.Wall{})
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
@@ -167,7 +153,7 @@ func TestGetOrLoadWaiterHonorsContext(t *testing.T) {
 func TestGetOrLoadNegativeCache(t *testing.T) {
 	m := backend.NewMock(0)
 	wall := clock.NewFake()
-	s := openLoaderStoreAt(t, Config{Backend: m, NegativeTTL: 50 * time.Millisecond}, wall)
+	s := openAt(t, Config{Backend: m, NegativeTTL: 50 * time.Millisecond}, wall)
 	ss := s.Session(0)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -191,12 +177,12 @@ func TestGetOrLoadNegativeCache(t *testing.T) {
 
 func TestPutInvalidatesNegativeCache(t *testing.T) {
 	m := backend.NewMock(0)
-	s := openLoaderStore(t, Config{
+	s := openAt(t, Config{
 		Backend:     m,
 		NegativeTTL: time.Hour, // a put must not wait this out
 		WriteBehind: 16,
 		MaxBytes:    1, // evict aggressively: the put's only survival is the spill path
-	})
+	}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 	if v, _, err := ss.GetOrLoad(ctx, []byte("k")); v != nil || err != nil {
@@ -222,7 +208,7 @@ func TestStaleIfErrorAndBreakerRecovery(t *testing.T) {
 	// The store's TTLs run on a fake clock; the breaker, built outside the
 	// store, on the real one.
 	wall := clock.NewFake()
-	s := openLoaderStoreAt(t, Config{
+	s := openAt(t, Config{
 		Backend:     w,
 		MaxStale:    time.Hour,
 		NegativeTTL: -1,
@@ -277,7 +263,7 @@ func TestStaleIfErrorAndBreakerRecovery(t *testing.T) {
 func TestBreakerTransitionsTraced(t *testing.T) {
 	m := backend.NewMock(0)
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: 20 * time.Millisecond})
-	s := openLoaderStore(t, Config{Backend: w, NegativeTTL: -1})
+	s := openAt(t, Config{Backend: w, NegativeTTL: -1}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 
@@ -309,7 +295,7 @@ func TestGetOrLoadFailFastNoGoroutinePileup(t *testing.T) {
 	down := errors.New("hard down")
 	m := backend.NewMock(0)
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: time.Hour})
-	s := openLoaderStore(t, Config{Backend: w, NegativeTTL: -1})
+	s := openAt(t, Config{Backend: w, NegativeTTL: -1}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 	ss.PutSimple([]byte("resident"), []byte("v"))
@@ -348,11 +334,11 @@ func TestGetOrLoadFailFastNoGoroutinePileup(t *testing.T) {
 
 func TestWriteBehindSpillAndReload(t *testing.T) {
 	m := backend.NewMock(0)
-	s := openLoaderStore(t, Config{
+	s := openAt(t, Config{
 		Backend:     m,
 		WriteBehind: 64,
 		MaxBytes:    1, // evict everything the maintenance loop sees
-	})
+	}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 	ss.PutSimple([]byte("spillme"), []byte("payload"))
@@ -376,7 +362,7 @@ func TestWriteBehindPendingVisibleToLoad(t *testing.T) {
 	m := backend.NewMock(0)
 	release := m.Hang() // spills park in the queue
 	defer release()
-	s := openLoaderStore(t, Config{Backend: m, WriteBehind: 64, MaxBytes: 1})
+	s := openAt(t, Config{Backend: m, WriteBehind: 64, MaxBytes: 1}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 	ss.PutSimple([]byte("k"), []byte("newest"))
@@ -395,7 +381,7 @@ func TestWriteBehindPendingVisibleToLoad(t *testing.T) {
 func TestRemoveTombstonePropagates(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("old")}))
-	s := openLoaderStore(t, Config{Backend: m, WriteBehind: 16, NegativeTTL: -1})
+	s := openAt(t, Config{Backend: m, WriteBehind: 16, NegativeTTL: -1}, clock.Wall{})
 	ss := s.Session(0)
 	ctx := context.Background()
 	if v, _, err := ss.GetOrLoad(ctx, []byte("k")); err != nil || v == nil {
@@ -420,7 +406,7 @@ func TestRemoveTombstonePropagates(t *testing.T) {
 func TestDrainWriteBehind(t *testing.T) {
 	m := backend.NewMock(0)
 	wall := clock.NewFake()
-	s := openLoaderStoreAt(t, Config{Backend: m, WriteBehind: 16, MaintainEvery: -1}, wall)
+	s := openAt(t, Config{Backend: m, WriteBehind: 16}, wall)
 	ss := s.Session(0)
 	if !s.DrainWriteBehind(time.Hour) {
 		t.Fatal("an empty queue did not drain")
@@ -431,7 +417,7 @@ func TestDrainWriteBehind(t *testing.T) {
 	ss.Remove([]byte("k")) // a tombstone the stuck backend holds in the queue
 	done := make(chan bool, 1)
 	go func() { done <- s.DrainWriteBehind(time.Second) }()
-	waitUntil(t, func() bool { return wall.Waiters() == 1 }) // the drain armed its timer
+	waitUntil(t, func() bool { return wall.Waiters() == 2 }) // the maintenance ticker, and the drain's timer
 	wall.Advance(time.Second - 1)
 	select {
 	case ok := <-done:
@@ -455,7 +441,7 @@ func TestWriteBehindDropsCounted(t *testing.T) {
 	m := backend.NewMock(0)
 	release := m.Hang()
 	defer release()
-	s := openLoaderStore(t, Config{Backend: m, WriteBehind: 2, NegativeTTL: -1})
+	s := openAt(t, Config{Backend: m, WriteBehind: 2, NegativeTTL: -1}, clock.Wall{})
 	ss := s.Session(0)
 	for i := 0; i < 6; i++ {
 		ss.PutSimple([]byte{byte('a' + i)}, []byte("v"))
@@ -476,7 +462,7 @@ func TestDrainWriteBehindOnShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustOpen(t, Config{Backend: fb, WriteBehind: 64})
+	s := openAt(t, Config{Backend: fb, WriteBehind: 64}, clock.NewFake())
 	ss := s.Session(0)
 	ss.PutSimple([]byte("k"), []byte("v"))
 	ss.Remove([]byte("k")) // queue a tombstone
@@ -494,7 +480,7 @@ func TestDrainWriteBehindOnShutdown(t *testing.T) {
 
 func TestGetOrLoadHitPathAllocFree(t *testing.T) {
 	m := backend.NewMock(0)
-	s := openLoaderStore(t, Config{Backend: m})
+	s := openAt(t, Config{Backend: m}, clock.Wall{})
 	ss := s.Session(0)
 	ss.PutSimple([]byte("hot"), []byte("v"))
 	ctx := context.Background()
@@ -511,7 +497,7 @@ func TestGetOrLoadHitPathAllocFree(t *testing.T) {
 }
 
 func TestGetOrLoadNoBackend(t *testing.T) {
-	s := openLoaderStore(t, Config{})
+	s := openAt(t, Config{}, clock.Wall{})
 	ss := s.Session(0)
 	ss.PutSimple([]byte("k"), []byte("v"))
 	if v, _, err := ss.GetOrLoad(context.Background(), []byte("k")); err != nil || v == nil {
@@ -526,7 +512,7 @@ func TestLoadDoesNotClobberRacingPut(t *testing.T) {
 	m := backend.NewMock(0)
 	m.Seed("k", backend.EncodeCols([][]byte{[]byte("from-backend")}))
 	release := m.Hang()
-	s := openLoaderStore(t, Config{Backend: m})
+	s := openAt(t, Config{Backend: m}, clock.Wall{})
 	ssLoad := s.Session(0)
 	done := make(chan *value.Value, 1)
 	go func() {

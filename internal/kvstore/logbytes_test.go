@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -54,8 +54,7 @@ func TestLogBytesPerPut(t *testing.T) {
 	} {
 		t.Run(sh.name, func(t *testing.T) {
 			dir := t.TempDir()
-			s := mustOpen(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: time.Hour})
-			defer s.Close()
+			s := openAt(t, Config{Dir: dir, Workers: 1}, clock.NewFake())
 			ss := s.Session(0)
 			keys := workload.UniqueKeys(workload.Decimal(1), n)
 			puts := make([]value.ColPut, sh.ncols)

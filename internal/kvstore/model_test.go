@@ -45,7 +45,7 @@ func (mr *mirror) matches(r *Store, label string) {
 	if err := mr.ref.Err(); err != nil {
 		fatalDump(mr.t, r, "%s: %v", label, err)
 	}
-	want, i := mr.ref.Range("", mr.ref.Len(), nowNanos()), 0
+	want, i := mr.ref.Range("", mr.ref.Len(), nanosIn(r, 0)), 0
 	r.Tree().Scan(nil, func(k []byte, v *value.Value) bool {
 		if expired(r.wall, v) {
 			return true
@@ -60,6 +60,9 @@ func (mr *mirror) matches(r *Store, label string) {
 		fatalDump(mr.t, r, "%s: %q missing, at %v", label, want[i].Key, want[i].State)
 	}
 }
+
+// now is the instant the model judges expiry at: the store's wall clock.
+func (mr *mirror) now() uint64 { return nanosIn(mr.s, 0) }
 
 // workerOf is the worker key is written through: the one it was last
 // written through, or for a key not seen before the next in turn. The
@@ -80,7 +83,7 @@ func (mr *mirror) check(what, key string, v *value.Value, found bool) {
 	if err := mr.ref.Err(); err != nil {
 		fatalDump(mr.t, mr.s, "%s of %q: %v", what, key, err)
 	}
-	want, ok := mr.ref.Get(key, nowNanos())
+	want, ok := mr.ref.Get(key, mr.now())
 	if found != ok || found && !stateOf(v).Equal(want) {
 		got := "absent"
 		if found {
@@ -102,7 +105,7 @@ func col(c int, data string) value.ColPut { return value.ColPut{Col: c, Data: []
 func (mr *mirror) putW(worker int, key string, puts ...value.ColPut) uint64 {
 	mr.worker[key] = worker
 	ver := mr.sess[worker].Put([]byte(key), puts)
-	mr.ref.Put(key, ver, nowNanos(), mputs(puts)...)
+	mr.ref.Put(key, ver, mr.now(), mputs(puts)...)
 	mr.readBack("put", worker, key)
 	return ver
 }
@@ -119,7 +122,7 @@ func (mr *mirror) putSimple(key, val string) { mr.put(key, col(0, val)) }
 func (mr *mirror) putTTLW(worker int, key string, expiresAt uint64, puts ...value.ColPut) uint64 {
 	mr.worker[key] = worker
 	ver := mr.sess[worker].PutTTL([]byte(key), puts, expiresAt)
-	mr.ref.PutTTL(key, ver, nowNanos(), expiresAt, mputs(puts)...)
+	mr.ref.PutTTL(key, ver, mr.now(), expiresAt, mputs(puts)...)
 	v, ok := mr.s.tree.Get([]byte(key))
 	mr.check("TTL put", key, v, ok && !expired(mr.s.wall, v))
 	return ver
@@ -134,7 +137,7 @@ func (mr *mirror) putTTL(key, val string, expiresAt uint64) {
 func (mr *mirror) casW(worker int, key string, expect uint64, puts ...value.ColPut) (uint64, bool) {
 	mr.worker[key] = worker
 	ver, ok := mr.sess[worker].CasPut([]byte(key), expect, puts)
-	if mver, mok := mr.ref.CasPut(key, expect, ver, nowNanos(), mputs(puts)...); ok != mok || ver != mver {
+	if mver, mok := mr.ref.CasPut(key, expect, ver, mr.now(), mputs(puts)...); ok != mok || ver != mver {
 		fatalDump(mr.t, mr.s, "CasPut(%q, %d) = %d, %v; the model's %d, %v", key, expect, ver, ok, mver, mok)
 	}
 	mr.readBack("CAS", worker, key)
@@ -145,7 +148,7 @@ func (mr *mirror) casW(worker int, key string, expect uint64, puts ...value.ColP
 func (mr *mirror) touchW(worker int, key string, expiresAt uint64) (uint64, bool) {
 	mr.worker[key] = worker
 	ver, ok := mr.sess[worker].Touch([]byte(key), expiresAt)
-	if mok := mr.ref.Touch(key, ver, nowNanos(), expiresAt); ok != mok {
+	if mok := mr.ref.Touch(key, ver, mr.now(), expiresAt); ok != mok {
 		fatalDump(mr.t, mr.s, "Touch(%q) applied %v, the model %v", key, ok, mok)
 	}
 	mr.readBack("touch", worker, key)
@@ -160,7 +163,7 @@ func (mr *mirror) batchW(worker int, keys []string, puts ...[]value.ColPut) []ui
 		bkeys[i], mr.worker[k] = []byte(k), worker
 	}
 	vers := slices.Clone(mr.sess[worker].PutBatchInto(bkeys, puts))
-	now := nowNanos()
+	now := mr.now()
 	for i, ver := range vers {
 		mr.ref.Put(keys[i], ver, now, mputs(puts[i])...)
 	}
@@ -173,7 +176,7 @@ func (mr *mirror) batchW(worker int, keys []string, puts ...[]value.ColPut) []ui
 // removeW removes key through worker.
 func (mr *mirror) removeW(worker int, key string) {
 	mr.worker[key] = worker
-	if got, want := mr.sess[worker].Remove([]byte(key)), mr.ref.Remove(key, nowNanos()); got != want {
+	if got, want := mr.sess[worker].Remove([]byte(key)), mr.ref.Remove(key, mr.now()); got != want {
 		fatalDump(mr.t, mr.s, "Remove(%q) reported %v, the model %v", key, got, want)
 	}
 }
@@ -198,7 +201,7 @@ func (mr *mirror) evict(key string) {
 func (mr *mirror) frame(worker int, ops ...frameOp) []frameResult {
 	sess := mr.sess[worker]
 	res := runFrame(sess, ops)
-	now := nowNanos()
+	now := mr.now()
 	for i, op := range ops {
 		if op.puts != nil {
 			mr.worker[op.key] = worker
@@ -219,16 +222,12 @@ func (mr *mirror) frame(worker int, ops ...frameOp) []frameResult {
 	return res
 }
 
-// restart closes s and opens cfg for the rest of the test.
+// restart closes s and opens cfg on s's wall clock for the rest of the
+// test.
 func restart(t *testing.T, s *Store, cfg Config) *Store {
 	t.Helper()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { r.Close() })
-	return r
+	return openAt(t, cfg, s.wall)
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/value"
@@ -77,11 +77,8 @@ func checkModels(t *testing.T, label string, models []*model.Model, got map[stri
 // keys, same column values, same versions.
 func TestMultiPartEqualsSinglePartQuiesced(t *testing.T) {
 	mem := vfs.NewMemFS()
-	open := func() *Store {
-		s := mustOpen(t, Config{Dir: tortureDir, Workers: 2, FS: mem, FlushInterval: time.Hour, MaintainEvery: -1})
-		return s
-	}
-	s := open()
+	cfg := Config{Dir: tortureDir, Workers: 2, FS: mem}
+	s := openAt(t, cfg, clock.NewFake())
 	ss := sessions(s, 2)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
@@ -97,23 +94,16 @@ func TestMultiPartEqualsSinglePartQuiesced(t *testing.T) {
 	if _, n, err := s.CheckpointN(4); err != nil || n != len(want) {
 		t.Fatalf("4-part checkpoint: n=%d err=%v (want %d entries)", n, err, len(want))
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Recover from the 4-part checkpoint (plus empty logs).
-	r1 := open()
+	r1 := restart(t, s, cfg)
 	diffStates(t, "recovered from 4 parts", want, snapshotState(r1))
 
 	// Checkpoint the recovered state with a single part and recover again.
 	if _, n, err := r1.CheckpointN(1); err != nil || n != len(want) {
 		t.Fatalf("1-part checkpoint: n=%d err=%v", n, err)
 	}
-	if err := r1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r2 := open()
-	defer r2.Close()
+	r2 := restart(t, r1, cfg)
 	diffStates(t, "recovered from 1 part", want, snapshotState(r2))
 }
 
@@ -124,11 +114,8 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parts=%d", parts), func(t *testing.T) {
 			mem := vfs.NewMemFS()
-			cfg := Config{Dir: tortureDir, Workers: 3, FS: mem, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1}
-			s, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := Config{Dir: tortureDir, Workers: 3, FS: mem}
+			s := openAt(t, cfg, clock.NewFake())
 			ss := sessions(s, 3)
 			for i := 0; i < 2000; i++ {
 				ss[i%3].PutSimple([]byte(fmt.Sprintf("pre-%05d", i)), []byte("seed"))
@@ -164,15 +151,7 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 			close(stop)
 			wg.Wait()
 			want := snapshotState(s)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			r, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
+			r := restart(t, s, cfg)
 			diffStates(t, "fuzzy checkpoint + log replay", want, snapshotState(r))
 		})
 	}
@@ -189,11 +168,8 @@ func TestMultiPartCheckpointUnderConcurrentWrites(t *testing.T) {
 func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		mem := vfs.NewMemFS()
-		cfg := Config{Dir: tortureDir, Workers: 3, FS: mem, FlushInterval: 2 * time.Millisecond, MaintainEvery: -1}
-		s, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := Config{Dir: tortureDir, Workers: 3, FS: mem}
+		s := openAt(t, cfg, clock.NewFake())
 		ss := sessions(s, 3)
 		// truth[w] is the model of the keys worker w writes below.
 		truth := []*model.Model{model.New(), model.New(), model.New()}
@@ -235,13 +211,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 		wg.Wait()
 
 		checkModels(t, fmt.Sprintf("round %d live", round), truth, snapshotState(s))
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := restart(t, s, cfg)
 		checkModels(t, fmt.Sprintf("round %d recovered", round), truth, snapshotState(r))
 		r.Close()
 	}
@@ -252,7 +222,7 @@ func TestFuzzyCheckpointGroundTruth(t *testing.T) {
 // a checkpoint written that way holds each key exactly once.
 func TestPartitionBoundsDisjointCover(t *testing.T) {
 	mem := vfs.NewMemFS()
-	s := mustOpen(t, Config{Dir: tortureDir, Workers: 1, FS: mem, FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: 8})
+	s := openAt(t, Config{Dir: tortureDir, Workers: 1, FS: mem}, clock.NewFake())
 	ss := sessions(s, 1)[0]
 	for i := 0; i < 4096; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("%05d", i)), []byte("x"))
@@ -266,14 +236,10 @@ func TestPartitionBoundsDisjointCover(t *testing.T) {
 			t.Fatalf("bounds not strictly increasing: %q >= %q", bounds[i-1], bounds[i])
 		}
 	}
-	if _, n, err := s.Checkpoint(); err != nil || n != 4096 {
+	if _, n, err := s.CheckpointN(8); err != nil || n != 4096 {
 		t.Fatalf("checkpoint wrote %d entries, err %v; want 4096 (each key exactly once)", n, err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := mustOpen(t, Config{Dir: tortureDir, Workers: 1, FS: mem, MaintainEvery: -1})
-	defer r.Close()
+	r := restart(t, s, Config{Dir: tortureDir, Workers: 1, FS: mem})
 	if r.Len() != 4096 {
 		t.Fatalf("recovered %d keys, want 4096", r.Len())
 	}
@@ -291,10 +257,7 @@ func TestTwigsSurviveRestart(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	sess := [2]*Session{s.Session(0), s.Session(1)}
 	tails := []string{"1", "22", "3-and-a-remainder-past-the-twig", "4\x00", "5"}
 	key := func(g, m int) []byte { return []byte(fmt.Sprintf("twig%04d%s", g, tails[m])) }
@@ -340,15 +303,8 @@ func TestTwigsSurviveRestart(t *testing.T) {
 		sess[(g+1)%2].Put(key(g, 2), []value.ColPut{{Col: 0, Data: []byte("new")}})
 	}
 	want := snapshotState(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := restart(t, s, chainCfg(mem))
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Fatalf("recovery stats %+v, want no broken chain and no missing log", st)
 	}
@@ -382,11 +338,8 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Dir: "d", FS: mem, Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: "d", FS: mem, Workers: 1}
+	s := openAt(t, cfg, clock.NewFake())
 	rng := rand.New(rand.NewSource(1))
 	put := func(n int) {
 		ss := s.Session(0)
@@ -396,16 +349,11 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 	}
 	reopen := func(label string) {
 		want := snapshotState(s)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if s, err = Open(cfg); err != nil {
-			t.Fatal(err)
-		}
+		s = restart(t, s, cfg)
 		diffStates(t, label, want, snapshotState(s))
-		l := treeShape(t, s).Layers[0]
-		if fill := float64(l.Keys+l.LayerLinks) / float64(l.BorderNodes); fill < 14.5 {
-			t.Errorf("%s: %d layer-0 borders hold %.2f of 15 slots each, want >= 14.5", label, l.BorderNodes, fill)
+		layers := treeShape(t, s).Layers
+		if fill := (core.ShapeStats{Layers: layers[:1]}).BorderFill(); fill < 14.5/15 {
+			t.Errorf("%s: %d layer-0 borders hold %.2f of 15 slots each, want >= 14.5", label, layers[0].BorderNodes, 15*fill)
 		}
 	}
 	put(keys)
@@ -417,5 +365,4 @@ func TestRestoredTreeIsPacked(t *testing.T) {
 		put(keys / 10)
 		reopen(fmt.Sprintf("restored from %d parts and a log tail", parts))
 	}
-	s.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -62,10 +63,10 @@ func runFrame(sess *Session, ops []frameOp) []frameResult {
 // what was there before the frame, versions ascend along a key — whatever
 // happens between different keys.
 func TestPointBatchFrameOrder(t *testing.T) {
-	mr := newMirror(t, openMem(t), 1)
+	mr := newMirror(t, openAt(t, Config{}, clock.NewFake()), 1)
 	mr.putW(0, "j", col(0, "j-old"))
 	mr.putW(0, "record", col(0, "a"), col(1, "b"), col(2, "c"))
-	mr.putTTLW(0, "lapsed", nowNanos()-uint64(time.Second), col(0, "dead"))
+	mr.putTTLW(0, "lapsed", nanosIn(mr.s, -time.Second), col(0, "dead"))
 	res := mr.frame(0,
 		putOp("k", col(0, "v1")), getOp("k"), putOp("k", col(0, "v2")), getOp("k"), // 0..3
 		getOp("j"), putOp("j", col(0, "w")), // 4, 5: a get ahead of its key's put
@@ -125,7 +126,7 @@ func randomFrames(rng *rand.Rand, frames, maxLen int) [][]frameOp {
 // the columns and version of the put the model says it follows, and the
 // store must end up equal to the model.
 func TestPointBatchMatchesOneAtATime(t *testing.T) {
-	batched := openMem(t)
+	batched := openAt(t, Config{}, clock.NewFake())
 	mr := newMirror(t, batched, 1)
 	fellBack := 0 // frames in which a wave handed a get to Get
 	for _, ops := range randomFrames(rand.New(rand.NewSource(11)), 300, 40) {
@@ -163,11 +164,7 @@ func TestPointBatchOneKind(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	sess := s.Session(0)
 	keys := [][]byte{[]byte("a"), []byte("b"), []byte("a")}
 	puts := [][]value.ColPut{col0("1"), col0("2"), col0("3")}
@@ -220,10 +217,7 @@ func TestMixedSegmentsReplay(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	sess := [2]*Session{s.Session(0), s.Session(1)}
 	puts := 0
 	for f, ops := range randomFrames(rand.New(rand.NewSource(5)), 200, 24) {
@@ -267,11 +261,7 @@ func TestMixedSegmentsReplay(t *testing.T) {
 		t.Fatalf("%d of %d records are anchors: the run was meant to mix handoffs and linked deltas", anchors, records)
 	}
 
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openAt(t, chainCfg(mem), clock.NewFake())
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Fatalf("recovery stats %+v, want no broken chain and no missing log", st)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/value"
 )
@@ -15,7 +16,7 @@ import (
 // scratch (subslices of a grown arena keep aliasing the old backing memory,
 // which is never rewritten).
 func TestGetRangeIntoMatchesGetRange(t *testing.T) {
-	_, ss := openSess(t)
+	ss := openAt(t, Config{}, clock.NewFake()).Session(0)
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("range-key-%05d", i))
 		ss.Put(k, []value.ColPut{
@@ -68,7 +69,7 @@ func TestGetRangeIntoMatchesGetRange(t *testing.T) {
 // empty, present, absent or beyond the last key, random n. A copied scratch
 // must fill itself, not the scratch it was copied from.
 func TestRangeMatchesSortedModel(t *testing.T) {
-	_, ss := openSess(t)
+	ss := openAt(t, Config{}, clock.NewFake()).Session(0)
 	rng := rand.New(rand.NewSource(1))
 	randKey := func() []byte {
 		stems := []string{"", "", "prefix08", "prefix08prefix16", "prefix08\x00\x00\x00\x00\x00\x00\x00\x00"}
@@ -82,7 +83,7 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 	m := model.New()
 	for i := 0; i < 1500; i++ {
 		k := randKey()
-		m.Put(string(k), ss.PutSimple(k, k), nowNanos(), model.ColPut{Data: k})
+		m.Put(string(k), ss.PutSimple(k, k), 0, model.ColPut{Data: k})
 	}
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
@@ -104,7 +105,7 @@ func TestRangeMatchesSortedModel(t *testing.T) {
 			start = randKey()
 		}
 		n := rng.Intn(40)
-		want := m.Range(string(start), n, nowNanos())
+		want := m.Range(string(start), n, 0)
 		if i%16 == 0 {
 			sc.Reset()
 		}

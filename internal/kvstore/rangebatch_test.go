@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/value"
 )
@@ -70,8 +71,7 @@ func samePairs(a, b []Pair) bool {
 // hundred pairs; all columns or a projection — returns window by window
 // exactly the pairs the same ranges return asked one at a time.
 func TestGetRangeBatchMatchesGetRange(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{}, clock.NewFake())
 	sess := s.Session(0)
 	present := rangeBatchKeys()
 	for _, k := range present {
@@ -141,8 +141,7 @@ func TestGetRangeBatchMatchesGetRange(t *testing.T) {
 // value, and every never-removed key between the first and last pair
 // present.
 func TestGetRangeBatchDuringRestructuring(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	defer s.Close()
+	s := openAt(t, Config{}, clock.NewFake())
 	family := func(i int) []byte {
 		switch i % 4 {
 		case 0:
@@ -167,7 +166,7 @@ func TestGetRangeBatchDuringRestructuring(t *testing.T) {
 	load := sessions(s, 1)[0]
 	for i, k := range keys {
 		if stable(i) {
-			stableKeys.Put(string(k), load.PutSimple(k, k), nowNanos(), model.ColPut{Data: k})
+			stableKeys.Put(string(k), load.PutSimple(k, k), 0, model.ColPut{Data: k})
 		}
 	}
 

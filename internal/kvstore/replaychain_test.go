@@ -16,11 +16,11 @@ import (
 	"repro/internal/wal"
 )
 
-// chainCfg opens a store over mem with logging armed and every background
-// loop disabled, so tests control exactly what reaches the logs.
+// chainCfg is a store over mem with synced logging. Opened on a fake clock
+// it runs no background flush or maintenance, so tests control exactly what
+// reaches the logs.
 func chainCfg(mem vfs.FS) Config {
-	return Config{Dir: "d", FS: mem, Workers: 2, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1}
+	return Config{Dir: "d", FS: mem, Workers: 2, SyncWrites: true}
 }
 
 // TestPreChainLogRefusesToOpen: a directory whose current log is in the
@@ -74,7 +74,8 @@ func TestUnlinkedPutStillReplaces(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	expiry := nowNanos() + uint64(time.Hour)
+	wall := clock.NewFake()
+	expiry := uint64(wall.Now().Add(time.Hour).UnixNano())
 	record := func(ts uint64, op wal.Op, expiry uint64, key string, cols ...string) []byte {
 		p := binary.LittleEndian.AppendUint64(nil, ts)
 		p = append(p, byte(op))
@@ -118,11 +119,7 @@ func TestUnlinkedPutStillReplaces(t *testing.T) {
 	f.Close()
 	mem.SyncDir("d")
 
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := openAt(t, chainCfg(mem), wall)
 	ss := s.Session(0)
 	for _, c := range []struct {
 		key, cols string
@@ -188,10 +185,7 @@ func TestWorkerTagRange(t *testing.T) {
 
 	mem := vfs.NewMemFS()
 	path := logAsWorker(t, mem, value.MaxWorker, fill)
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	ss := sessions(s, 2)
 	if v, ok := ss[0].GetValue(key); !ok || v.Worker() != value.MaxWorker || string(v.Col(0)) != "a" || string(v.Col(1)) != "b" {
 		t.Fatalf("replayed %v tagged worker %d (ok=%v), want {a, b} tagged %d", v, v.Worker(), ok, value.MaxWorker)
@@ -204,10 +198,7 @@ func TestWorkerTagRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem.SyncDir("d")
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openAt(t, chainCfg(mem), clock.NewFake())
 	rs := sessions(r, 1)[0]
 	v, ok := rs.GetValue(key)
 	cols := v.Cols()
@@ -226,7 +217,7 @@ func TestWorkerTagRange(t *testing.T) {
 		t.Fatalf("error %q does not name %s", err, path)
 	}
 
-	if s, err := Open(Config{Workers: value.MaxWorker + 2, MaintainEvery: -1}); err == nil {
+	if s, err := Open(Config{Workers: value.MaxWorker + 2}); err == nil {
 		s.Close()
 		t.Fatalf("Open accepted %d workers; their ids run past the tag's %d", value.MaxWorker+2, value.MaxWorker)
 	}
@@ -280,12 +271,8 @@ func TestBrokenChainRollsBackToAnchoredPrefix(t *testing.T) {
 	}
 	mem.SyncDir("d")
 
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	ss := sessions(s, 1)[0]
-	defer s.Close()
 	if _, ok := ss.GetValue([]byte("whole")); ok {
 		t.Error("key with no surviving anchor recovered non-absent: dangling record was applied")
 	}
@@ -314,27 +301,17 @@ func TestWidestColumnSurvivesRestart(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	mr := newMirror(t, s, 2)
 	wide := []value.ColPut{col(0, "first"), col(value.MaxCol, "last")}
 	mr.putW(0, "checkpointed", wide...)
-	if _, _, err := s.Checkpoint(); err != nil {
+	if _, _, err := s.CheckpointN(0); err != nil {
 		t.Fatal(err)
 	}
 	mr.putW(0, "anchored", wide...)
 	mr.putW(1, "anchored", col(1, "second")) // a handoff: logged column-complete
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := restart(t, s, chainCfg(mem))
 	mr.matches(r, "recovered")
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Fatalf("recovery stats %+v, want no broken chain and no missing log", st)
@@ -358,10 +335,7 @@ func TestPutPastMaxColRefused(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	ss := s.Session(0)
 	over := []value.ColPut{{Col: 0, Data: []byte("ok")}, {Col: value.MaxCol + 1, Data: []byte("over")}}
 	good := []value.ColPut{{Col: 0, Data: []byte("ok")}}
@@ -389,14 +363,7 @@ func TestPutPastMaxColRefused(t *testing.T) {
 		}
 	}
 	want := snapshotState(s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := restart(t, s, chainCfg(mem))
 	diffStates(t, "after the restart", want, snapshotState(r))
 }
 
@@ -409,12 +376,8 @@ func TestHandoffAnchorAllocs(t *testing.T) {
 	if err := mem.MkdirAll("d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(chainCfg(mem))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := openAt(t, chainCfg(mem), clock.NewFake())
 	ss := sessions(s, 2)
-	defer s.Close()
 	key := []byte("pingpong")
 	data := []byte("some-column-data")
 	puts := []value.ColPut{{Col: 0, Data: data}}

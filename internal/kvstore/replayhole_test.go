@@ -4,8 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -34,7 +34,7 @@ import (
 // this test used to document: serving column 1's delta without column 0's.
 func TestPartialColumnReplayHole(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1})
+	s := openAt(t, Config{Dir: dir, Workers: 2, SyncWrites: true}, clock.NewFake())
 	// Worker 0 writes column 0, worker 1 then writes column 1 of the same
 	// key: two partial-column deltas in two different logs, ts_a < ts_b.
 	mr := newMirror(t, s, 2)
@@ -62,8 +62,7 @@ func TestPartialColumnReplayHole(t *testing.T) {
 		}
 	}
 
-	r := mustOpen(t, Config{Dir: dir, Workers: 2, SyncWrites: true, FlushInterval: time.Hour, MaintainEvery: -1})
-	defer r.Close()
+	r := openAt(t, Config{Dir: dir, Workers: 2, SyncWrites: true}, clock.NewFake())
 	stats := r.RecoveryStats()
 	if stats.MissingLogs != 1 {
 		t.Errorf("RecoveryStats.MissingLogs = %d, want 1: exactly worker 0's log vanished", stats.MissingLogs)

@@ -70,16 +70,6 @@ type Config struct {
 	FlushInterval time.Duration
 	// SyncWrites forces logs to storage on each flush (fsync).
 	SyncWrites bool
-	// MaintainEvery is the maintenance loop's period: each tick collapses
-	// emptied trie layers, runs the cache-mode passes and marks the logs.
-	// Defaults to 50 ms; 0 uses the default, negative disables.
-	MaintainEvery time.Duration
-	// CheckpointParts is how many concurrent part writers a checkpoint
-	// uses — the key space is partitioned into that many disjoint ranges,
-	// written as one part file each (§5: checkpoints are taken by multiple
-	// threads over subranges), and recovery loads the parts concurrently.
-	// 0 defaults to GOMAXPROCS; 1 writes a single part.
-	CheckpointParts int
 	// FS is the filesystem seam for logs and checkpoints. Nil means the
 	// real filesystem; tests inject vfs.MemFS/vfs.Fault to model crashes
 	// at every write/fsync/rename boundary.
@@ -221,9 +211,6 @@ func open(cfg Config, wall clock.Clock) (*Store, error) {
 	if cfg.Workers-1 > value.MaxWorker {
 		return nil, fmt.Errorf("kvstore: %d workers exceed the value worker tag's range (at most %d)", cfg.Workers, value.MaxWorker+1)
 	}
-	if cfg.MaintainEvery == 0 {
-		cfg.MaintainEvery = 50 * time.Millisecond
-	}
 	if cfg.NegativeTTL == 0 {
 		cfg.NegativeTTL = time.Second
 	}
@@ -263,10 +250,8 @@ func open(cfg Config, wall clock.Clock) (*Store, error) {
 	// every recovered key and evict straight back down to the budget before
 	// serving.
 	s.seedCache()
-	if cfg.MaintainEvery > 0 {
-		s.wg.Add(1)
-		go s.maintainLoop(wall.NewTicker(cfg.MaintainEvery))
-	}
+	s.wg.Add(1)
+	go s.maintainLoop(wall.NewTicker(maintainTick))
 	return s, nil
 }
 
@@ -479,6 +464,11 @@ func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
 	}
 	return v, broken
 }
+
+// maintainTick is the maintenance loop's period on the store's wall clock:
+// each tick collapses emptied trie layers, runs the cache-mode passes and
+// marks the logs (§5.1's loose clock synchronization).
+const maintainTick = 50 * time.Millisecond
 
 // maintainLoop runs the maintenance tick on t, made before the loop starts so
 // the tick's phase is fixed when Open returns.
@@ -1043,20 +1033,15 @@ func (sc *RangeScratch) add(k []byte, v *value.Value) bool {
 	return sc.left > 0 && sc.visited < maxRangeScanVisits
 }
 
-// Checkpoint writes a checkpoint of all keys and values, then reclaims log
-// space and older checkpoints (§5). It runs in parallel with request
-// processing, with cfg.CheckpointParts concurrent part writers.
-func (s *Store) Checkpoint() (path string, n int, err error) {
-	return s.CheckpointN(s.cfg.CheckpointParts)
-}
-
-// CheckpointN is Checkpoint with an explicit part count: the key space is
-// partitioned into parts disjoint ranges at evenly spaced key ranks, each
-// range is scanned and written concurrently to its own part file (§5's
-// multi-threaded checkpoint), and the manifest commits them atomically.
-// The scans are fuzzy — they run in parallel with request processing over
-// the tree's immutable values — and log replay repairs whatever they miss.
-// parts <= 0 uses GOMAXPROCS. Returns the manifest path.
+// CheckpointN writes a checkpoint of all keys and values, then reclaims log
+// space and older checkpoints (§5). The key space is partitioned into parts
+// disjoint ranges at evenly spaced key ranks, each range is scanned and
+// written concurrently to its own part file (§5's multi-threaded
+// checkpoint), and the manifest commits them atomically; recovery loads the
+// parts concurrently. The scans are fuzzy — they run in parallel with
+// request processing over the tree's immutable values — and log replay
+// repairs whatever they miss. parts <= 0 uses GOMAXPROCS; 1 writes a single
+// part. Returns the manifest path.
 func (s *Store) CheckpointN(parts int) (path string, n int, err error) {
 	if s.cfg.Dir == "" {
 		return "", 0, fmt.Errorf("kvstore: checkpointing requires a persistence directory")

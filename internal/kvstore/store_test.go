@@ -11,33 +11,30 @@ import (
 	"repro/internal/value"
 )
 
-func openMem(t *testing.T) *Store {
-	t.Helper()
-	s := mustOpen(t, Config{MaintainEvery: -1})
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
-func openDir(t *testing.T, dir string) *Store {
-	t.Helper()
-	return mustOpen(t, Config{Dir: dir, Workers: 2, FlushInterval: 5 * time.Millisecond, MaintainEvery: -1})
-}
-
-// mustOpen opens a store with cfg, failing the test if it cannot.
-func mustOpen(t testing.TB, cfg Config) *Store {
-	t.Helper()
-	return openAt(t, cfg, clock.Wall{})
-}
-
-// openAt is mustOpen on the wall clock wall.
+// openAt opens a store with cfg on the wall clock wall, failing the test if
+// it cannot, and closes it when the test ends unless the test closed or
+// crashed it first. On a clock.Fake the store's maintenance tick and log
+// flushes wait for the test to advance the clock; only a cache-mode
+// overshoot wakes the maintenance loop without it.
 func openAt(t testing.TB, cfg Config, wall clock.Clock) *Store {
 	t.Helper()
 	s, err := open(cfg, wall)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		select {
+		case <-s.stop: // closed or crashed already
+		default:
+			s.Close()
+		}
+	})
 	return s
 }
+
+// nanosIn is the time d from now on s's wall clock, in unix nanoseconds: an
+// expiry, or with d = 0 the instant expiry is judged at.
+func nanosIn(s *Store, d time.Duration) uint64 { return uint64(s.wall.Now().Add(d).UnixNano()) }
 
 // sessions opens n sessions on s, the i-th bound to worker i.
 func sessions(s *Store, n int) []*Session {
@@ -48,15 +45,8 @@ func sessions(s *Store, n int) []*Session {
 	return ss
 }
 
-// openSess is openMem with a worker-0 session.
-func openSess(t *testing.T) (*Store, *Session) {
-	t.Helper()
-	s := openMem(t)
-	return s, sessions(s, 1)[0]
-}
-
 func TestBasicOps(t *testing.T) {
-	mr := newMirror(t, openMem(t), 1)
+	mr := newMirror(t, openAt(t, Config{}, clock.NewFake()), 1)
 	mr.putW(0, "k1", col(0, "v1"))
 	mr.readBack("get", 0, "nope")
 	mr.removeW(0, "k1")
@@ -64,7 +54,7 @@ func TestBasicOps(t *testing.T) {
 }
 
 func TestColumnOps(t *testing.T) {
-	_, ss := openSess(t)
+	ss := openAt(t, Config{}, clock.NewFake()).Session(0)
 	ss.Put([]byte("k"), []value.ColPut{{Col: 0, Data: []byte("a")}, {Col: 2, Data: []byte("c")}})
 	v, ok := ss.GetValue([]byte("k"))
 	got := AppendCols(nil, v, []int{2, 0})
@@ -80,7 +70,7 @@ func TestColumnOps(t *testing.T) {
 }
 
 func TestVersionsIncrease(t *testing.T) {
-	ss := sessions(openMem(t), 2)
+	ss := sessions(openAt(t, Config{}, clock.NewFake()), 2)
 	v1 := ss[0].PutSimple([]byte("k"), []byte("1"))
 	v2 := ss[0].PutSimple([]byte("k"), []byte("2"))
 	v3 := ss[1].PutSimple([]byte("other"), []byte("3"))
@@ -90,7 +80,7 @@ func TestVersionsIncrease(t *testing.T) {
 }
 
 func TestGetRange(t *testing.T) {
-	_, ss := openSess(t)
+	ss := openAt(t, Config{}, clock.NewFake()).Session(0)
 	for i := 0; i < 50; i++ {
 		ss.Put([]byte(fmt.Sprintf("key%03d", i)), []value.ColPut{
 			{Col: 0, Data: []byte(fmt.Sprintf("a%d", i))},
@@ -111,7 +101,7 @@ func TestGetRange(t *testing.T) {
 
 func TestRecoveryFromLogs(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	const n = 500
 	maxSeen := uint64(0)
@@ -120,12 +110,8 @@ func TestRecoveryFromLogs(t *testing.T) {
 	}
 	mr.removeW(0, "key0000")
 	maxSeen = max(maxSeen, mr.putW(1, "key0001", col(0, "updated")))
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	mr.matches(r, "recovered")
 	// New writes must get versions above everything recovered (the sharded
 	// clocks are seeded from the logs' maximum durable timestamp).
@@ -137,12 +123,12 @@ func TestRecoveryFromLogs(t *testing.T) {
 
 func TestRecoveryWithCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	for i := 0; i < 300; i++ {
 		mr.putW(0, fmt.Sprintf("key%04d", i), col(0, "pre"))
 	}
-	if _, n, err := s.Checkpoint(); err != nil || n != 300 {
+	if _, n, err := s.CheckpointN(0); err != nil || n != 300 {
 		t.Fatalf("checkpoint: n=%d err=%v", n, err)
 	}
 	// Post-checkpoint mutations live only in the logs.
@@ -150,16 +136,14 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 		mr.putW(1, fmt.Sprintf("key%04d", i), col(0, "post"))
 	}
 	mr.removeW(0, "key0000")
-	s.Close()
 
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	mr.matches(r, "recovered")
 }
 
 func TestCheckpointDuringWrites(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -169,15 +153,13 @@ func TestCheckpointDuringWrites(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 3; i++ {
-		if _, _, err := s.Checkpoint(); err != nil {
+		if _, _, err := s.CheckpointN(0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-done
-	s.Close()
 
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	rs := sessions(r, 1)[0]
 	if r.Len() != 2000 {
 		t.Fatalf("recovered %d keys, want 2000", r.Len())
@@ -193,7 +175,7 @@ func TestCheckpointDuringWrites(t *testing.T) {
 // re-insert of the same key (the global counter makes replay unambiguous).
 func TestRecoveryRemoveReinsert(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	for _, v := range []string{"first", "second", "third"} {
 		if v != "first" {
@@ -201,30 +183,26 @@ func TestRecoveryRemoveReinsert(t *testing.T) {
 		}
 		mr.putW(0, "k", col(0, v))
 	}
-	s.Close()
 
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	mr.matches(r, "recovered")
 }
 
 // TestRecoveryPartialColumns checks that column deltas replay correctly.
 func TestRecoveryPartialColumns(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	mr.putW(0, "k", col(0, "a"), col(1, "b"))
 	mr.putW(1, "k", col(1, "B"))
 	mr.putW(0, "k", col(2, "c"))
-	s.Close()
 
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	mr.matches(r, "recovered")
 }
 
 func TestSessionOps(t *testing.T) {
-	mr := newMirror(t, openMem(t), 1)
+	mr := newMirror(t, openAt(t, Config{}, clock.NewFake()), 1)
 	mr.putW(0, "k", col(0, "v"))
 	mr.removeW(0, "k")
 	if pairs := mr.sess[0].GetRangeInto(nil, 10, nil, new(RangeScratch)); len(pairs) != 0 {
@@ -234,31 +212,29 @@ func TestSessionOps(t *testing.T) {
 
 func TestCheckpointReclaimsLogs(t *testing.T) {
 	dir := t.TempDir()
-	s := openDir(t, dir)
+	s := openAt(t, Config{Dir: dir, Workers: 2}, clock.NewFake())
 	ss := sessions(s, 1)[0]
 	for i := 0; i < 100; i++ {
 		ss.PutSimple([]byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
 	s.Flush()
-	if _, _, err := s.Checkpoint(); err != nil {
+	if _, _, err := s.CheckpointN(0); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 	// Only the current (post-rotation) generation of logs should remain,
 	// and it should be nearly empty.
-	r := openDir(t, dir)
-	defer r.Close()
+	r := restart(t, s, Config{Dir: dir, Workers: 2})
 	if r.Len() != 100 {
 		t.Fatalf("recovered %d keys", r.Len())
 	}
 }
 
-// TestMaintainLoopCollapsesLayers: the maintenance tick alone collapses a
+// TestMaintainLoopCollapsesLayers: one maintenance tick alone collapses a
 // layer that removes emptied, while two other sessions read through it with
 // GetValue and GetRangeInto and see each key absent or at its value.
 func TestMaintainLoopCollapsesLayers(t *testing.T) {
-	s := mustOpen(t, Config{MaintainEvery: 2 * time.Millisecond})
-	defer s.Close()
+	wall := clock.NewFake()
+	s := openAt(t, Config{}, wall)
 	ss := sessions(s, 3)
 	// Five keys of one slice: one more than a twig holds, so a layer.
 	keys := []string{"01234567AB", "01234567CD", "01234567EF", "01234567GH", "01234567XY"}
@@ -302,14 +278,11 @@ func TestMaintainLoopCollapsesLayers(t *testing.T) {
 			t.Errorf("Remove(%q) found nothing", k)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().LayerCollapses != 1 {
-		if time.Now().After(deadline) {
-			t.Errorf("LayerCollapses = %d, want 1: the maintenance loop never collapsed the empty layer", s.Stats().LayerCollapses)
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if n := s.Stats().LayerCollapses; n != 0 {
+		t.Errorf("LayerCollapses = %d before the tick, want 0", n)
 	}
+	wall.Advance(maintainTick)
+	waitUntil(t, func() bool { return s.Stats().LayerCollapses == 1 })
 	stop.Store(true)
 	wg.Wait()
 }

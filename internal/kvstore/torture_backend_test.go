@@ -45,7 +45,7 @@ func (tt *torture) loaded(key string, v *value.Value) {
 	if v == nil {
 		return
 	}
-	now := nowNanos()
+	now := tt.now()
 	if st, ok := tt.ref.Get(key, now); !ok || st.Version != v.Version() {
 		payload, _ := tt.mock.Get(key)
 		cols, err := backend.DecodeCols(payload)

@@ -47,7 +47,7 @@ func (tt *torture) observeDrops() {
 // maintenance passes (eviction + sweep) with acknowledgment points between
 // them, under a byte budget small enough that every pass evicts.
 func (tt *torture) cacheWorkload() error {
-	now := uint64(time.Now().UnixNano())
+	now := nanosIn(tt.s, 0)
 	filler := strings.Repeat("0123456789abcdef", 16) // ~256 B values
 	val := func(tag string, i int) string {
 		return fmt.Sprintf("%s-%02d-%s", tag, i, filler)

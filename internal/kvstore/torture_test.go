@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/vfs"
@@ -47,7 +48,8 @@ type torture struct {
 	mirror  // of the store the workload drives, one session per simulated worker
 	workers int
 	parts   int
-	images  int // crash images recovered so far
+	images  int         // crash images recovered so far
+	wall    *clock.Fake // every store of the run reads it; nothing advances it
 	// The backend configuration's faulty tier, fresh for every run.
 	mock *backend.Mock
 	be   *backend.Wrapped
@@ -55,14 +57,11 @@ type torture struct {
 
 const tortureDir = "/data"
 
-// tortureConfig is the store every crash test opens: synced writes and no
-// background flush or maintenance, so the filesystem op stream is the
-// workload's own.
-func tortureConfig(fsys vfs.FS, workers, parts int) Config {
-	return Config{
-		Dir: tortureDir, Workers: workers, FS: fsys, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1, CheckpointParts: parts,
-	}
+// tortureConfig is the store every crash test opens: synced writes. On the
+// fake clock the run opens it on, no background flush or maintenance runs,
+// so the filesystem op stream is the workload's own.
+func tortureConfig(fsys vfs.FS, workers int) Config {
+	return Config{Dir: tortureDir, Workers: workers, FS: fsys, SyncWrites: true}
 }
 
 // fatalDump fails the run after dumping the store's flight recorder: the
@@ -141,12 +140,12 @@ func (cr crashRun) run(t *testing.T, crashAt int) (crashed bool, images int) {
 	mem := vfs.NewMemFS()
 	fault := vfs.NewFault(mem)
 	fault.CrashAt(crashAt)
-	tt := &torture{mirror: mirror{t: t, ref: model.NewHistory(), worker: map[string]int{}}, workers: cr.workers, parts: cr.parts}
-	cfg := tortureConfig(fault, cr.workers, cr.parts)
+	tt := &torture{mirror: mirror{t: t, ref: model.NewHistory(), worker: map[string]int{}}, workers: cr.workers, parts: cr.parts, wall: clock.NewFake()}
+	cfg := tortureConfig(fault, cr.workers)
 	if cr.start != nil {
 		cr.start(tt, &cfg)
 	}
-	s, err := Open(cfg)
+	s, err := open(cfg, tt.wall)
 	if err != nil {
 		if !errors.Is(err, vfs.ErrCrashed) {
 			fatalDump(t, nil, "crashAt=%d: open: %v", crashAt, err)
@@ -238,7 +237,7 @@ func (tt *torture) workload() error {
 	// A partial-column put over a value that has lapsed but is still in the
 	// tree (no sweep runs here): it builds on nothing, so the lapsed column 0
 	// must not come back, live or after a crash.
-	tt.putTTL("lapsed", "r2-dead", uint64(time.Now().Add(-time.Second).UnixNano()))
+	tt.putTTL("lapsed", "r2-dead", nanosIn(tt.s, -time.Second))
 	tt.put("lapsed", value.ColPut{Col: 1, Data: []byte("r2-c1")})
 	// A mixed frame over the same state: a same-key put pair of partial
 	// columns with a get between, a get of a removed key, an insert.
@@ -284,11 +283,11 @@ func (tt *torture) workload() error {
 // reopen recovers img as a store of this run's shape, with opts (if any)
 // applied on top.
 func (tt *torture) reopen(img vfs.FS, label string, opts func(*Config)) *Store {
-	cfg := tortureConfig(img, tt.workers, tt.parts)
+	cfg := tortureConfig(img, tt.workers)
 	if opts != nil {
 		opts(&cfg)
 	}
-	r, err := Open(cfg)
+	r, err := open(cfg, tt.wall)
 	if err != nil {
 		fatalDump(tt.t, tt.s, "%s: recovery failed: %v", label, err)
 	}

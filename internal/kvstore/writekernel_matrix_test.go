@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -113,14 +114,11 @@ func TestWriteKernelMatrix(t *testing.T) {
 
 func runMatrixCell(t *testing.T, c matrixCell) {
 	dir := t.TempDir()
-	cfg := Config{Dir: dir, Workers: 2, MaintainEvery: -1, FlushInterval: time.Hour}
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Config{Dir: dir, Workers: 2}
+	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	b0, b1 := col(0, "b0"), col(1, "b1")
-	future := nowNanos() + uint64(time.Hour)
+	future := nanosIn(s, time.Hour)
 	var baseVer uint64
 	switch c.base {
 	case sameWorkerBase:
@@ -128,11 +126,11 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	case otherWorkerBase:
 		baseVer = mr.putW(1, "k", b0, b1)
 	case expiredBase:
-		baseVer = mr.putTTLW(0, "k", nowNanos()-1, b0, b1)
+		baseVer = mr.putTTLW(0, "k", nanosIn(s, -1), b0, b1)
 	}
 	xVer := mr.putW(0, "x", col(0, "x-old"))
 	s.ttlUsed.Store(false) // the expired base armed it; the cell must arm it itself
-	before, _ := mr.ref.Get("k", nowNanos())
+	before, _ := mr.ref.Get("k", mr.now())
 
 	// Run the entry point through the mirror, which holds what the store
 	// reports and reads back to the model's answer over the same inputs —
@@ -158,7 +156,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	case "installLoaded":
 		got := s.installLoaded(0, []byte("k"), [][]byte{[]byte("L0"), []byte("L1")}, future)
 		ver, wantTTL = got.Version(), future
-		applied = mr.ref.Install("k", ver, nowNanos(), future, []byte("L0"), []byte("L1"))
+		applied = mr.ref.Install("k", ver, mr.now(), future, []byte("L0"), []byte("L1"))
 		if installed := ver != before.Version; installed != applied {
 			t.Fatalf("the store installed = %v, the model %v", installed, applied)
 		}
@@ -229,11 +227,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	}
 
 	// Recovery rebuilds what readers saw.
-	r, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openAt(t, cfg, clock.NewFake())
 	if st := r.RecoveryStats(); st.BrokenChains != 0 || st.MissingLogs != 0 {
 		t.Errorf("recovery stats %+v, want a clean replay", st)
 	}

@@ -20,12 +20,12 @@ import (
 func TestWriteKernelExpiryOnce(t *testing.T) {
 	dir := t.TempDir()
 	wall := &readClock{Fake: clock.NewFake()}
-	s := openAt(t, Config{Dir: dir, Workers: 1, MaintainEvery: -1, FlushInterval: 24 * time.Hour}, wall)
+	s := openAt(t, Config{Dir: dir, Workers: 1}, wall)
 	ss := sessions(s, 1)[0]
 	key := []byte("k")
-	deadline := uint64(wall.Fake.Now().Add(time.Hour).UnixNano())
+	// 1 ns out, so no maintenance tick or flush falls due on the way.
+	deadline := uint64(wall.Fake.Now().Add(1).UnixNano())
 	baseVer := ss.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("b0")}, {Col: 1, Data: []byte("b1")}}, deadline)
-	wall.Advance(time.Hour - 1)
 	wall.reads, wall.step = 0, 2 // the first read sees deadline-1, a second deadline+1
 	ver, ok := ss.CasPut(key, baseVer, col0("n0"))
 	if wall.reads != 1 {
@@ -64,8 +64,7 @@ func TestWriteKernelExpiryOnce(t *testing.T) {
 // pay a header load and a branch), exactly once over one that has.
 func TestWriteKernelClockReads(t *testing.T) {
 	wall := &readClock{Fake: clock.NewFake()}
-	s := openAt(t, Config{MaintainEvery: -1}, wall)
-	defer s.Close()
+	s := openAt(t, Config{}, wall)
 	ss := sessions(s, 1)[0]
 	future := uint64(wall.Fake.Now().Add(time.Hour).UnixNano())
 	plain, ttl, absent := []byte("plain"), []byte("ttl"), []byte("absent")

@@ -50,7 +50,7 @@ func adminWorkout(t *testing.T, srv *Server, sess *kvstore.Session) {
 // snapshots are identical, so every lat_* key must match across surfaces
 // value-for-value.
 func TestAdminSurfacesAgree(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{Workers: 2, MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func obsIsBucket(k string) bool {
 // store records eviction events, and the endpoint serves the merged
 // timeline as text.
 func TestAdminFlightRecorder(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaxBytes: 4 << 10, MaintainEvery: 1})
+	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaxBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

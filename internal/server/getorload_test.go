@@ -14,9 +14,6 @@ import (
 func startBackendServer(t *testing.T, cfg kvstore.Config, m *backend.Mock) (*Server, string) {
 	t.Helper()
 	cfg.Backend = m
-	if cfg.MaintainEvery == 0 {
-		cfg.MaintainEvery = time.Millisecond
-	}
 	store, err := kvstore.Open(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,7 @@ func TestIntegrationYCSBOverNetwork(t *testing.T) {
 	}
 
 	// Restart: every record must survive with all columns.
-	store2, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2, MaintainEvery: -1})
+	store2, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 		select {
 		case <-done:
 		default:
-			if _, _, err := store.Checkpoint(); err != nil {
+			if _, _, err := store.CheckpointN(0); err != nil {
 				t.Error(err)
 			}
 			ckpts++
@@ -185,7 +185,7 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 		t.Fatal("no checkpoint ran during load")
 	}
 
-	store2, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2, MaintainEvery: -1})
+	store2, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 // TestIntegrationValueColumnsAtomicOverNetwork verifies §4.7 end to end:
 // multi-column puts are never observed torn by concurrent network readers.
 func TestIntegrationValueColumnsAtomicOverNetwork(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -254,7 +254,7 @@ func testMixedFramesMatchOneAtATime(t *testing.T) {
 // one segment — at one packed value per put and nothing else: nothing per
 // get, nothing for the kinds, the hints or the responses.
 func TestMixedSegmentAllocs(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

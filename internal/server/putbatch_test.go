@@ -98,7 +98,7 @@ func TestPutRunFrameAliasing(t *testing.T) {
 // steady-state allocation count: one packed value per put and nothing else
 // (scratch, responses, and version slices are all reused).
 func TestServerPutPathAllocs(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestServerPutPathAllocs(t *testing.T) {
 // allocations in steady state: the store's pairs, the wire pairs and the
 // scanned keys all land in the connection scratch.
 func TestServerGetRangeAllocFree(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

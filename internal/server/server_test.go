@@ -18,7 +18,7 @@ import (
 
 func startServer(t *testing.T, dir string) (*Server, string) {
 	t.Helper()
-	cfg := kvstore.Config{MaintainEvery: -1}
+	cfg := kvstore.Config{}
 	if dir != "" {
 		cfg.Dir = dir
 		cfg.Workers = 2
@@ -163,7 +163,7 @@ func TestManyConcurrentClients(t *testing.T) {
 
 func TestServerPersistsThroughRestart(t *testing.T) {
 	dir := t.TempDir()
-	store, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2, MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestServerPersistsThroughRestart(t *testing.T) {
 	srv.Close()
 	store.Close()
 
-	store2, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2, MaintainEvery: -1})
+	store2, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

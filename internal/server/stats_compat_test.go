@@ -23,7 +23,7 @@ import (
 // and /varz all render collectStats — under its snake_case name and with
 // the store's value, so a counter added to core cannot be left unexported.
 func TestStatsCoverTreeCounters(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestFlushLastErrorInStats(t *testing.T) {
 	fault := vfs.NewFault(mem)
 	store, err := kvstore.Open(kvstore.Config{
 		Dir: "/data", Workers: 1, FS: fault, SyncWrites: true,
-		FlushInterval: time.Hour, MaintainEvery: -1,
+		FlushInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestFlushLastErrorInStats(t *testing.T) {
 // one put larger than the writers' retain cap, flushed — and reads it back as
 // the store's accessor and as flush_buffer_drops on the stats surface.
 func TestFlushBufferDropsStat(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour, MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{Dir: t.TempDir(), Workers: 1, FlushInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestFlushBufferDropsStat(t *testing.T) {
 func TestStatsNumericWithBreakerTripped(t *testing.T) {
 	m := backend.NewMock(0)
 	w := backend.Wrap(m, backend.WrapConfig{BreakerFailures: 1, BreakerOpenFor: time.Hour})
-	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaintainEvery: -1, Backend: w})
+	store, err := kvstore.Open(kvstore.Config{Workers: 1, Backend: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestStatsNumericWithBreakerTripped(t *testing.T) {
 // stats response every reader parses, so a non-numeric key here would
 // vanish from Conn.Stats without an error.
 func TestStatsHistogramKeysNumeric(t *testing.T) {
-	store, err := kvstore.Open(kvstore.Config{Workers: 1, MaintainEvery: -1})
+	store, err := kvstore.Open(kvstore.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,11 @@ import (
 	"repro/internal/kvstore"
 )
 
-// startCacheServer runs a server over a cache-mode store (bounded, with the
-// maintenance loop ticking fast so sweeps and evictions actually run).
+// startCacheServer runs a server over a cache-mode store, bounded at
+// maxBytes (0: unbounded), on the real clock's maintenance tick.
 func startCacheServer(t *testing.T, maxBytes int) (*Server, string) {
 	t.Helper()
-	store, err := kvstore.Open(kvstore.Config{
-		MaintainEvery: time.Millisecond,
-		MaxBytes:      maxBytes,
-	})
+	store, err := kvstore.Open(kvstore.Config{MaxBytes: maxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
