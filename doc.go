@@ -115,21 +115,26 @@
 // the paper benchmarks against (§1, §6): Config.MaxBytes bounds the
 // accounted live bytes — per-worker cache-line-padded counters fed by the
 // packed value sizes, one atomic add per put or remove. A value's size is
-// computed, not stored (value.Value.Size: a 13-byte header, 8 more for an
-// expiry, one end per column as narrow as the data allows, the data — 22
-// bytes for an 8-byte value), and the live deltas and the walk that seeds
-// the total on Open read the same figure. An S3-FIFO-inspired policy (small
+// computed, not stored (value.Value.Size: an 8-byte compact header for
+// columns of one short width, else a 13-byte one with one end per column as
+// narrow as the data allows; 8 more for an expiry; the data — 16 bytes for
+// an 8-byte value), and the live deltas and the walk that seeds the total
+// on Open read the same figure. An S3-FIFO-inspired policy (small
 // probationary FIFO, main FIFO, ghost list of evicted key hashes) evicts
-// cold keys from the maintenance loop, with over-budget writers throttled
-// into helping (HelpEnforce) so the bound holds even when writers outrun
-// the maintenance goroutine. The hot paths
-// feed the policy without locks it could contend on: puts append admission
-// events to per-worker double-buffered rings, gets store key hashes into
-// per-worker lossy access rings. TTLs ride in the packed value, eight bytes
-// behind the header of a value that has one and none otherwise
-// (value.BuildTTLAt): reads treat a lapsed value as absent immediately
-// (lazy expiry) and an incremental background sweep reclaims it.
-// The protocol carries PutTTL and Touch, and the Stats op reports bytes_live, evictions, expirations, and ghost_hits.
+// cold keys on the maintenance loop's tick, its only trigger. Between ticks
+// the writers answer for themselves: an overshoot probe or an admission
+// ring past half raises a flag, and the next writer drains the rings and,
+// over budget, evicts (HelpEnforce), so the bound holds even when writers
+// outrun the tick. The hot paths feed the policy without locks it could
+// contend on: puts append admission events to per-worker double-buffered
+// rings, gets store key hashes into per-worker lossy access rings. TTLs
+// ride in the packed value, eight bytes behind the header of a value that
+// has one and none otherwise (value.BuildTTLAt); a session's PutTTL and
+// Touch take a duration, which the store resolves into a deadline on its
+// own clock. Reads treat a lapsed value as absent immediately (lazy expiry)
+// and an incremental background sweep reclaims it. The protocol carries
+// PutTTL and Touch in seconds, and the Stats op reports bytes_live,
+// evictions, expirations, and ghost_hits.
 //
 // Cache-mode persistence semantics: evictions and expirations are clean
 // drops — they write no WAL remove — so a crash may replay a dropped key

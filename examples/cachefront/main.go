@@ -39,7 +39,6 @@ func main() {
 	// A cache-aside loop: get; on miss, "recompute" and fill with a TTL so
 	// stale entries age out even if they stay hot.
 	val := make([]byte, valSize)
-	ttl := uint64(time.Now().Add(time.Hour).UnixNano())
 	zipf := workload.ZipfKeys(7, nkeys)
 	hits, misses := 0, 0
 	for i := 0; i < ops; i++ {
@@ -49,7 +48,7 @@ func main() {
 			continue
 		}
 		misses++
-		sess.PutTTL(k, []value.ColPut{{Col: 0, Data: val}}, ttl)
+		sess.PutTTL(k, []value.ColPut{{Col: 0, Data: val}}, time.Hour)
 	}
 
 	st := store.CacheStats()
@@ -66,7 +65,7 @@ func main() {
 	// TTLs expire without explicit deletes: a short-lived entry vanishes
 	// from reads the moment its deadline passes (lazy expiry), and the
 	// background sweep reclaims it for good.
-	sess.PutTTL([]byte("session:42"), []value.ColPut{{Col: 0, Data: []byte("logged-in")}}, uint64(time.Now().Add(50*time.Millisecond).UnixNano()))
+	sess.PutTTL([]byte("session:42"), []value.ColPut{{Col: 0, Data: []byte("logged-in")}}, 50*time.Millisecond)
 	if _, ok := sess.GetValue([]byte("session:42")); !ok {
 		log.Fatal("fresh TTL key should be visible")
 	}

@@ -10,16 +10,19 @@
 // Accounting: per-worker cache-line-padded byte counters fed by the packed
 // value sizes (value.Value.Size). A put or remove costs exactly one atomic
 // add on the worker's own shard; the live total is summed only by the
-// maintenance loop, stats, and an occasional overshoot probe.
+// maintenance pass, stats, an occasional overshoot probe and a flagged
+// writer's HelpEnforce.
 //
-// Admission and access feeds: the policy structures are owned exclusively
-// by the store's maintenance goroutine, so the hot paths never lock them.
-// Puts record (hash, key, size) events into per-worker double-buffered
-// admission rings (a short per-worker mutex held only to append into a
-// reused arena — amortized zero allocations); gets record key hashes into
-// per-worker lossy access rings (one atomic add + one atomic store, no
-// lock at all, overwrites under pressure are deliberate). The maintenance
-// loop drains both and applies them to the policy.
+// Admission and access feeds: the policy structures sit behind one mutex
+// that the hot paths never take. Puts record (hash, key, size) events into
+// per-worker double-buffered admission rings (a short per-worker mutex held
+// only to append into a reused arena — amortized zero allocations); gets
+// record key hashes into per-worker lossy access rings (one atomic add + one
+// atomic store, no lock at all, overwrites under pressure are deliberate).
+// The store's maintenance pass, run on its clock's tick, drains both and
+// applies them to the policy. Between ticks the only response is the
+// writer's own: an overshoot probe or a ring past half raises a flag, and
+// the next writer to see it runs HelpEnforce.
 //
 // Eviction: S3-FIFO (Yang et al., "FIFO queues are all you need for cache
 // eviction", adapted from the sfcache exemplar): a small probationary FIFO
@@ -42,7 +45,10 @@ import (
 // Hash returns the policy's 64-bit key hash (FNV-1a, inlined so hashing a
 // key on the hot path costs no allocation and no interface dispatch). The
 // zero hash is reserved to mean "empty access-ring slot", so keys hashing
-// to 0 are nudged onto a fixed non-zero value.
+// to 0 are nudged onto a fixed non-zero value. The store's flight-recorder
+// events carry this hash too, so a dumped event names the policy's key.
+//
+//masstree:noalloc
 func Hash(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
@@ -79,8 +85,9 @@ const (
 )
 
 // admitRing is one worker's double-buffered admission feed. Producers
-// append under a short mutex into reused slices; the maintenance loop swaps
-// the buffers out and processes them without holding the producer side up.
+// append under a short mutex into reused slices; a drain (the maintenance
+// pass, or a flagged writer's HelpEnforce) swaps the buffers out and
+// processes them without holding the producer side up.
 type admitRing struct {
 	mu    sync.Mutex
 	ev    []admitEvent
@@ -110,7 +117,7 @@ type accessRing struct {
 	slots [accessRingSize]atomic.Uint64
 }
 
-// entry is one tracked key in small or main. Owned by the maintenance loop.
+// entry is one tracked key in small or main. Guarded by maintMu.
 type entry struct {
 	hash  uint64
 	key   []byte
@@ -164,16 +171,14 @@ type Cache struct {
 	shards   []byteShard
 	rings    []admitRing
 	access   []accessRing
-	wake     chan struct{}
-	// needHelp latches when an accounting probe sees the budget exceeded;
-	// writers observing it run HelpEnforce, the synchronous backpressure
-	// that bounds overshoot even when the maintenance goroutine is starved
-	// for CPU by the very writers causing the overshoot.
+	// needHelp latches when an accounting probe sees the budget exceeded or
+	// an admission ring passes half full; writers observing it run
+	// HelpEnforce, which drains the rings and evicts between maintenance
+	// ticks.
 	needHelp atomic.Bool
 
-	// Policy state, guarded by maintMu: normally only the store's
-	// maintenance loop takes it (uncontended), but an over-budget writer
-	// may TryLock it to evict inline (HelpEnforce).
+	// Policy state, guarded by maintMu: the store's maintenance pass takes
+	// it once a tick, and a flagged writer takes it in HelpEnforce.
 	maintMu             sync.Mutex
 	entries             map[uint64]*entry
 	small, main         fifo
@@ -207,10 +212,9 @@ func New(workers, maxBytes int) *Cache {
 	if maxBytes > 0 {
 		c.rings = make([]admitRing, workers)
 		c.access = make([]accessRing, workers)
-		c.wake = make(chan struct{}, 1)
 		c.entries = make(map[uint64]*entry)
 		c.ghost = make(map[uint64]struct{})
-		// Evict down to lowWater once over maxBytes, so each wakeup frees a
+		// Evict down to lowWater once over maxBytes, so each pass frees a
 		// batch instead of shaving single values; probe for overshoot at
 		// highWater. One "eviction batch" is therefore maxBytes/32.
 		c.lowWater = c.maxBytes - c.maxBytes/32
@@ -227,11 +231,6 @@ func (c *Cache) EvictionEnabled() bool { return c.maxBytes > 0 }
 // MaxBytes returns the configured byte budget (0 = unbounded).
 func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
-// Wake returns the channel the maintenance loop should select on for early
-// eviction wakeups; nil when eviction is disabled (a nil channel never
-// fires in a select, so callers need no special case).
-func (c *Cache) Wake() <-chan struct{} { return c.wake }
-
 // maintShard indexes the extra accounting shard reserved for contexts that
 // are no worker (recovery's seeding).
 func (c *Cache) maintShard() int { return len(c.shards) - 1 }
@@ -241,9 +240,9 @@ func (c *Cache) maintShard() int { return len(c.shards) - 1 }
 // expiry must pass through here with the packed-size delta it caused.
 // Workers out of range (recovery's seeding passes -1) use the reserved
 // shard. Occasionally (every 64 puts per shard) the live total is probed
-// and, if it exceeds the budget, the maintenance loop is woken early — the
-// backpressure that keeps overshoot to one eviction batch even when the
-// write rate outruns the maintenance tick.
+// and, if it exceeds the budget, needHelp is raised, so the writer's
+// HelpEnforce evicts — the backpressure that keeps overshoot to one
+// eviction batch even when the write rate outruns the maintenance tick.
 func (c *Cache) Account(worker int, delta int64) {
 	i := worker
 	if i < 0 || i >= len(c.shards)-1 {
@@ -256,39 +255,33 @@ func (c *Cache) Account(worker int, delta int64) {
 	}
 	if sh.ops.Add(1)&63 == 0 && c.BytesLive() > c.highWater {
 		c.needHelp.Store(true)
-		c.kick()
 	}
 }
 
-// HelpEnforce is the write path's synchronous backpressure: when an
-// accounting probe has flagged the budget exceeded, the calling writer
-// blocks on the maintenance mutex and evicts down to the low watermark
-// itself. Blocking (not TryLock) is the point — writers that outrun the
-// maintenance goroutine (a single CPU, or many writer cores against one
-// evictor) are throttled behind the eviction they necessitate, which is
-// what bounds overshoot to roughly one probe window plus one eviction
-// batch. One atomic load when the flag is clear, so the steady-state put
-// path pays nothing. evict is the same callback Maintain takes.
+// HelpEnforce is the write path's response between maintenance ticks: once
+// needHelp is raised (an overshoot probe, or a ring past half), the calling
+// writer drains the admission rings and evicts down to the low watermark
+// itself. Over budget it blocks on the maintenance mutex — the point of
+// the backpressure: writers that outrun the maintenance tick (a single
+// CPU, or many writer cores against one evictor) are throttled behind the
+// eviction they necessitate, which bounds overshoot to roughly one probe
+// window plus one eviction batch. Under budget it only TryLocks: a pass
+// holding the mutex drains the rings itself, so no writer waits. One
+// atomic load when the flag is clear, so the steady-state put path pays
+// nothing. evict is the same callback Maintain takes.
 func (c *Cache) HelpEnforce(evict func(key []byte) bool) {
 	if c.entries == nil || !c.needHelp.Load() {
 		return
 	}
-	c.maintMu.Lock()
+	if c.BytesLive() > c.maxBytes {
+		c.maintMu.Lock()
+	} else if !c.maintMu.TryLock() {
+		return
+	}
 	c.needHelp.Store(false)
 	c.drainAdmits()
 	c.enforce(evict) // no-op if a prior holder already got us under budget
 	c.maintMu.Unlock()
-}
-
-// kick wakes the maintenance loop without blocking.
-func (c *Cache) kick() {
-	if c.wake == nil {
-		return
-	}
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 // BytesLive sums the accounting shards.
@@ -319,22 +312,23 @@ func (c *Cache) NoteRemove(worker int, key []byte) {
 	c.note(worker, key, Hash(key), 0, evRemove)
 }
 
+// note appends one event to worker's admission ring. A ring at its cap
+// sheds the event (counted in drops); a ring past half raises needHelp, so
+// the writer's HelpEnforce drains it before it fills.
 func (c *Cache) note(worker int, key []byte, hash uint64, size int64, kind uint8) {
 	r := &c.rings[worker%len(c.rings)]
 	r.mu.Lock()
 	if len(r.ev) >= maxRingEvents {
 		r.drops++
-		r.mu.Unlock()
-		c.kick()
-		return
+	} else {
+		off := len(r.arena)
+		r.arena = append(r.arena, key...)
+		r.ev = append(r.ev, admitEvent{hash: hash, size: size, off: int32(off), klen: int32(len(key)), kind: kind})
 	}
-	off := len(r.arena)
-	r.arena = append(r.arena, key...)
-	r.ev = append(r.ev, admitEvent{hash: hash, size: size, off: int32(off), klen: int32(len(key)), kind: kind})
 	half := len(r.ev) >= maxRingEvents/2
 	r.mu.Unlock()
 	if half {
-		c.kick()
+		c.needHelp.Store(true)
 	}
 }
 

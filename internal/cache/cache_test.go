@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/workload"
 )
@@ -232,6 +233,47 @@ func TestRingOverflowDrops(t *testing.T) {
 	r.mu.Unlock()
 	if n != maxRingEvents {
 		t.Fatalf("ring holds %d events, want the cap %d", n, maxRingEvents)
+	}
+}
+
+// TestHelpEnforceUnderBudgetNeverWaits pins HelpEnforce's answer to a ring
+// past half while the budget holds: it does not wait for a pass that holds
+// the policy lock (the pass drains the ring itself), and with the lock free
+// it drains the ring.
+func TestHelpEnforceUnderBudgetNeverWaits(t *testing.T) {
+	c := New(1, 1<<30)
+	for i := 0; i < maxRingEvents/2; i++ {
+		c.NotePut(0, []byte("k"), 1)
+	}
+	ringLen := func() int {
+		r := &c.rings[0]
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.ev)
+	}
+	noEvict := func([]byte) bool { t.Error("evicted under budget"); return false }
+	c.maintMu.Lock() // a pass in progress
+	done := make(chan struct{})
+	go func() {
+		c.HelpEnforce(noEvict)
+		close(done)
+	}()
+	waited := false
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		waited = true
+	}
+	c.maintMu.Unlock()
+	if waited {
+		t.Fatal("HelpEnforce under budget waited for the policy lock")
+	}
+	if n := ringLen(); n != maxRingEvents/2 {
+		t.Fatalf("ring holds %d events with the lock held elsewhere, want all %d", n, maxRingEvents/2)
+	}
+	c.HelpEnforce(noEvict)
+	if n := ringLen(); n != 0 {
+		t.Fatalf("ring holds %d events after HelpEnforce, want it drained", n)
 	}
 }
 

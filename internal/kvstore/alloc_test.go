@@ -343,14 +343,13 @@ func TestPutAllocBytes(t *testing.T) {
 	for i := range ten {
 		ten[i] = value.ColPut{Col: i, Data: []byte("4444")}
 	}
-	future := nanosIn(s, time.Hour)
 	for _, tc := range []struct {
 		name  string
 		put   func()
 		class float64
 	}{
 		{"8-byte PutSimple", func() { sess.PutSimple(key, []byte("88888888")) }, 16},
-		{"8-byte PutTTL", func() { sess.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("88888888")}}, future) }, 24},
+		{"8-byte PutTTL", func() { sess.PutTTL(key, []value.ColPut{{Col: 0, Data: []byte("88888888")}}, time.Hour) }, 24},
 		{"ten 4-byte columns", func() { sess.Put(key, ten) }, 48},
 		{"one 4-byte column of ten", func() { sess.Put(key, ten[3:4]) }, 48},
 	} {

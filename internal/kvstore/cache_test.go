@@ -14,9 +14,9 @@ import (
 	"repro/internal/workload"
 )
 
-// putSimpleTTL stores data as column 0 of key with an expiry deadline.
-func putSimpleTTL(ss *Session, key, data []byte, expiresAt uint64) uint64 {
-	return ss.PutTTL(key, []value.ColPut{{Col: 0, Data: data}}, expiresAt)
+// putSimpleTTL stores data as column 0 of key with a time to live.
+func putSimpleTTL(ss *Session, key, data []byte, ttl time.Duration) uint64 {
+	return ss.PutTTL(key, []value.ColPut{{Col: 0, Data: data}}, ttl)
 }
 
 // TestTTLLazyExpiry pins the read-side TTL semantics: a lapsed value reads
@@ -28,10 +28,8 @@ func TestTTLLazyExpiry(t *testing.T) {
 	mr := newMirror(t, s, 1)
 	sess := mr.sess[0]
 
-	past := nanosIn(s, -time.Second)
-	future := nanosIn(s, time.Hour)
-	mr.putTTLW(0, "dead", past, col(0, "x"))
-	mr.putTTLW(0, "live", future, col(0, "y"))
+	mr.putTTLW(0, "dead", -time.Second, col(0, "x"))
+	mr.putTTLW(0, "live", time.Hour, col(0, "y"))
 	mr.putW(0, "plain", col(0, "z"))
 	if _, found := sess.GetBatchInto([][]byte{[]byte("dead"), []byte("live")}); found[0] || !found[1] {
 		t.Fatalf("batched lookup: dead=%v live=%v, want false/true", found[0], found[1])
@@ -46,15 +44,15 @@ func TestTTLLazyExpiry(t *testing.T) {
 	// A plain put over a TTL key clears the expiry, and Touch extends live
 	// keys and declines absent and expired ones: the model says so, and
 	// the mirror holds the store to it.
-	mr.putTTLW(0, "cleared", future, col(0, "a"))
+	mr.putTTLW(0, "cleared", time.Hour, col(0, "a"))
 	mr.putW(0, "cleared", col(0, "b"))
-	mr.touchW(0, "live", nanosIn(s, 2*time.Hour))
-	mr.touchW(0, "dead", future)
-	mr.touchW(0, "absent", future)
+	mr.touchW(0, "live", 2*time.Hour)
+	mr.touchW(0, "dead", time.Hour)
+	mr.touchW(0, "absent", time.Hour)
 
 	// Removing an expired key reports "did not exist", like every read path
 	// (the physical cleanup still happens).
-	mr.putTTLW(0, "dead-rm", past, col(0, "x"))
+	mr.putTTLW(0, "dead-rm", -time.Second, col(0, "x"))
 	mr.removeW(0, "dead-rm")
 	if _, ok := s.Tree().Get([]byte("dead-rm")); ok {
 		t.Fatal("remove of an expired key left it in the tree")
@@ -68,13 +66,11 @@ func TestTTLLazyExpiry(t *testing.T) {
 func TestTTLSweepRemoves(t *testing.T) {
 	s := openAt(t, Config{}, clock.NewFake())
 	sess := s.Session(0)
-	past := nanosIn(s, -1)
-	future := nanosIn(s, time.Hour)
 	const n = sweepBatchKeys + 100 // force more than one sweep batch
 	for i := 0; i < n; i++ {
-		putSimpleTTL(sess, []byte(fmt.Sprintf("dead-%05d", i)), []byte("x"), past)
+		putSimpleTTL(sess, []byte(fmt.Sprintf("dead-%05d", i)), []byte("x"), -1)
 	}
-	putSimpleTTL(sess, []byte("live"), []byte("y"), future)
+	putSimpleTTL(sess, []byte("live"), []byte("y"), time.Hour)
 	sess.PutSimple([]byte("plain"), []byte("z"))
 
 	// One maintenance pass suffices: the adaptive sweep chains batches while
@@ -102,11 +98,10 @@ func TestTTLSurvivesRecovery(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), Workers: 2}
 	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
-	future := nanosIn(s, time.Hour)
-	mr.putTTLW(1, "live", future, col(0, "y"))
-	mr.putTTLW(1, "dead", nanosIn(s, -1), col(0, "x"))
+	mr.putTTLW(1, "live", time.Hour, col(0, "y"))
+	mr.putTTLW(1, "dead", -1, col(0, "x"))
 	mr.putW(1, "plain", col(0, "z"))
-	mr.touchW(1, "plain", future)
+	mr.touchW(1, "plain", time.Hour)
 
 	// Log-only restart: everything replays, expiries intact.
 	r := restart(t, s, cfg)
@@ -157,8 +152,9 @@ func TestCacheBoundZipfian(t *testing.T) {
 	s := openAt(t, Config{Workers: workers, MaxBytes: maxBytes}, wall)
 
 	// One eviction batch is the enforce pass's low-watermark stride plus
-	// whatever lands between an overshoot probe and the wakeup; allow the
-	// batch (maxBytes/32) plus a probe window of worker puts.
+	// whatever lands between an overshoot probe and the writer's
+	// HelpEnforce; allow the batch (maxBytes/32) plus a probe window of
+	// worker puts.
 	slack := int64(maxBytes/32 + workers*64*valSize)
 	var maxSeen int64
 	var mu sync.Mutex
@@ -170,16 +166,15 @@ func TestCacheBoundZipfian(t *testing.T) {
 			sess := s.Session(w)
 			zipf := workload.ZipfKeys(int64(1000+w), nkeys)
 			val := make([]byte, valSize)
-			future := nanosIn(s, time.Hour)
 			for i := 0; i < opsPer; i++ {
 				k := zipf.Next()
 				if i%4 == 0 {
-					putSimpleTTL(sess, k, val, future)
+					putSimpleTTL(sess, k, val, time.Hour)
 				} else if _, ok := sess.GetValue(k); !ok {
 					sess.PutSimple(k, val)
 				}
 				if i%512 == 0 {
-					wall.Advance(maintainTick) // a tick's pass besides the overshoot wake-ups
+					wall.Advance(maintainTick) // a tick's pass besides the writers' HelpEnforce
 					live := s.CacheStats().BytesLive
 					mu.Lock()
 					if live > maxSeen {
@@ -191,8 +186,8 @@ func TestCacheBoundZipfian(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// The workers are done but the enforcer is not: an overshoot wakes it,
-	// and a total read before a pass and a walk made after it disagree.
+	// The workers are done but the last tick's pass may not be, and a total
+	// read before a pass and a walk made after it disagree.
 	// Close stops it and waits for it; the tree and the counters of an
 	// in-memory store stay readable.
 	if err := s.Close(); err != nil {
@@ -221,6 +216,59 @@ func TestCacheBoundZipfian(t *testing.T) {
 	}
 }
 
+// TestCacheMaintainsOnlyOnTick pins the maintenance loop's one trigger: on a
+// clock.Fake a cache-mode store runs no pass until the clock is advanced,
+// however far a writer fills an admission ring or overshoots the budget.
+// Between ticks the writer answers for itself: its HelpEnforce drains the
+// ring and evicts, holding the total within one eviction batch; the TTL
+// sweep is the pass's alone and waits for the tick.
+func TestCacheMaintainsOnlyOnTick(t *testing.T) {
+	const (
+		maxBytes = 1 << 20
+		half     = 40_000 // 8-byte values, 16 B each: past a ring's half mark, under budget
+		lapsed   = 10
+	)
+	wall := clock.NewFake()
+	s := openAt(t, Config{Workers: 1, MaxBytes: maxBytes}, wall)
+	sess := s.Session(0)
+	passes := func() uint64 { return s.obs.Hist(obs.HEvict).Snapshot().Count() }
+	passes0 := passes()
+	slack := int64(maxBytes/32 + 64*16) // one eviction batch plus a probe window
+	put := func(key string) {
+		sess.PutSimple([]byte(key), []byte("88888888"))
+		if live := s.CacheStats().BytesLive; live > maxBytes+slack {
+			t.Fatalf("bytes_live %d after %q: more than one eviction batch over the %d bound", live, key, maxBytes)
+		}
+	}
+	for i := 0; i < half; i++ {
+		put(fmt.Sprintf("k-%06d", i))
+	}
+	for i := half; i < 2*half; i++ { // 2x the budget: the overshoot probe fires
+		put(fmt.Sprintf("k-%06d", i))
+	}
+	for i := 0; i < lapsed; i++ { // sorted first, so the sweep's first batch meets them
+		putSimpleTTL(sess, []byte(fmt.Sprintf("a-lapsed-%02d", i)), []byte("x"), -1)
+	}
+	if s.CacheStats().Evictions == 0 {
+		t.Fatal("no evictions at twice the budget: the writers' HelpEnforce did not run")
+	}
+	// A pass started off the tick would run on the loop's goroutine; give it
+	// a bounded real-time window to show.
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if n, exp := passes(), s.CacheStats().Expirations; n != passes0 || exp != 0 {
+			t.Fatalf("before any tick: %d maintenance passes and %d expirations, want none", n-passes0, exp)
+		}
+	}
+	wall.Advance(maintainTick)
+	waitUntil(t, func() bool { return passes() > passes0 })
+	if err := s.Close(); err != nil { // waits out the tick's pass
+		t.Fatal(err)
+	}
+	if exp := s.CacheStats().Expirations; exp != lapsed {
+		t.Fatalf("the tick's sweep expired %d keys, want %d", exp, lapsed)
+	}
+}
+
 // TestCacheKeepsZipfHeadResident is cache mode's hit-rate property: the
 // bounded store keeps the zipfian head resident. Its yardstick is the trace's
 // own offline optimum: a cache that holds k keys and knows the whole trace in
@@ -245,25 +293,21 @@ func TestCacheKeepsZipfHeadResident(t *testing.T) {
 		trace[i] = zipf.Next()
 	}
 
-	// The trace advances the clock one maintenance tick every maintainOps
-	// operations and waits for the loop's pass, so the passes follow the
-	// trace rather than a timer. The cadence keeps each drain within the
+	// The maintenance pass runs every maintainOps operations, called
+	// directly: on a clock.Fake the loop runs none, so the hit rate is a
+	// function of the trace alone. The cadence keeps each drain within the
 	// access ring's 256 slots.
-	wall := clock.NewFake()
-	s := openAt(t, Config{Workers: 1, MaxBytes: maxBytes}, wall)
+	s := openAt(t, Config{Workers: 1, MaxBytes: maxBytes}, clock.NewFake())
 	sess := s.Session(0)
 	val := make([]byte, valSize)
-	future := nanosIn(s, time.Hour)
 	gets := make(map[string]int)
 	hits := 0
 	for i, k := range trace {
 		if i%maintainOps == 0 {
-			passes := s.obs.Hist(obs.HEvict).Snapshot().Count()
-			wall.Advance(maintainTick)
-			waitUntil(t, func() bool { return s.obs.Hist(obs.HEvict).Snapshot().Count() > passes })
+			s.cacheMaintain()
 		}
 		if i%10 == 0 {
-			putSimpleTTL(sess, k, val, future)
+			putSimpleTTL(sess, k, val, time.Hour)
 			continue
 		}
 		gets[string(k)]++
@@ -377,9 +421,8 @@ func TestCacheModeAllocs(t *testing.T) {
 
 	// TTL put: same discipline, one packed value.
 	s.cacheMaintain() // fresh swap buffer for the next measured block
-	future := nanosIn(s, time.Hour)
 	allocs = testing.AllocsPerRun(200, func() {
-		putSimpleTTL(sess, key, data, future)
+		putSimpleTTL(sess, key, data, time.Hour)
 	})
 	if allocs > 1 {
 		t.Fatalf("cache-mode PutTTL allocates %.1f times per run, want <= 1", allocs)
@@ -449,7 +492,6 @@ func TestCacheReadsFeedThePolicy(t *testing.T) {
 func TestBytesLiveAcrossRestart(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), Workers: 2, MaxBytes: 1 << 30}
 	s := openAt(t, cfg, clock.NewFake())
-	future := nanosIn(s, time.Hour)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("live-%03d", i)) }
 	ten := make([]value.ColPut, 10)
 	for i := range ten {
@@ -462,7 +504,7 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 			case 0:
 				sess.PutSimple(key(i), []byte("88888888"))
 			case 1:
-				putSimpleTTL(sess, key(i), []byte("88888888"), future)
+				putSimpleTTL(sess, key(i), []byte("88888888"), time.Hour)
 			case 2:
 				sess.Put(key(i), ten)
 			case 3:
@@ -484,7 +526,7 @@ func TestBytesLiveAcrossRestart(t *testing.T) {
 		sess.Put(key(i), ten[4:5])                          // grows columns, or overwrites one
 		sess.PutSimple(key(i+3), []byte("narrow"))          // 2-byte ends back to 1-byte
 		sess.Put(key(i+4), []value.ColPut{{Col: 2}})        // 4-byte ends kept, two empty columns more
-		sess.Touch(key(i+5), future)                        // gains an expiry
+		sess.Touch(key(i+5), time.Hour)                     // gains an expiry
 		sess.PutSimple(key(i+6), []byte("no longer a ttl")) // loses one
 		sess.Remove(key(i + 7))
 	}

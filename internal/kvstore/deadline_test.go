@@ -11,9 +11,9 @@ import (
 )
 
 // TestDeadlineRule pins one rule for the deadlines the wall clock governs: a
-// deadline has passed at its own instant, and not 1 ns before. (The log's
-// retry hold-back, the fifth, is pinned the same way by wal's
-// TestFlushRetryBackoff.)
+// deadline has passed at its own instant, and not 1 ns before. A session's
+// TTL resolves to such a deadline on the store's clock. (The log's retry
+// hold-back is pinned the same way by wal's TestFlushRetryBackoff.)
 func TestDeadlineRule(t *testing.T) {
 	const d = time.Second
 	// Each arm sets a deadline d past the clock's reading and returns a probe
@@ -29,6 +29,19 @@ func TestDeadlineRule(t *testing.T) {
 		{"kvstore.expired", func(t *testing.T, wall *clock.Fake) func() bool {
 			v := value.BuildTTLAt(nil, col0("v"), 1, 0, uint64(wall.Now().Add(d).UnixNano()))
 			return func() bool { return expired(wall, v) }
+		}},
+		{"Session.PutTTL", func(t *testing.T, wall *clock.Fake) func() bool {
+			ss := openAt(t, Config{}, wall).Session(0)
+			ss.PutTTL([]byte("k"), col0("v"), d)
+			return func() bool { _, ok := ss.GetValue([]byte("k")); return !ok }
+		}},
+		{"Session.Touch", func(t *testing.T, wall *clock.Fake) func() bool {
+			ss := openAt(t, Config{}, wall).Session(0)
+			ss.Put([]byte("k"), col0("v"))
+			if _, ok := ss.Touch([]byte("k"), d); !ok {
+				t.Fatal("Touch declined a live key")
+			}
+			return func() bool { _, ok := ss.GetValue([]byte("k")); return !ok }
 		}},
 		{"negative cache", func(t *testing.T, wall *clock.Fake) func() bool {
 			s := openAt(t, Config{Backend: backend.NewMock(0), NegativeTTL: d}, wall)

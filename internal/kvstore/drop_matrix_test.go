@@ -95,11 +95,11 @@ func runDropCell(t *testing.T, c dropCell) {
 	case sameWorkerBase:
 		baseVer = mr.putW(0, "k", b)
 	case liveTTLBase:
-		baseVer = mr.putTTLW(0, "k", nanosIn(s, time.Hour), b)
+		baseVer = mr.putTTLW(0, "k", time.Hour, b)
 	case expiredBase:
-		baseVer = mr.putTTLW(0, "k", nanosIn(s, -time.Hour), b)
+		baseVer = mr.putTTLW(0, "k", -time.Hour, b)
 	case staleReserveBase:
-		baseVer = mr.putTTLW(0, "k", nanosIn(s, -1), b)
+		baseVer = mr.putTTLW(0, "k", -1, b)
 	}
 	stats0 := s.CacheStats()
 
@@ -230,7 +230,7 @@ func TestDropRaces(t *testing.T) {
 				case 0:
 					ss.Remove(k)
 				case 1:
-					ss.PutTTL(k, []value.ColPut{{Col: 0, Data: k}}, nanosIn(s, time.Duration(rng.Intn(2000))*time.Microsecond))
+					ss.PutTTL(k, []value.ColPut{{Col: 0, Data: k}}, time.Duration(rng.Intn(2000))*time.Microsecond)
 				default:
 					ss.Put(k, []value.ColPut{{Col: op, Data: k}})
 				}

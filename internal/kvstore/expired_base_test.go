@@ -20,7 +20,7 @@ func TestExpiredBaseNotResurrected(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), Workers: 1}
 	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 1)
-	mr.putTTLW(0, "k", nanosIn(s, -1), col(0, "col0-old"), col(1, "col1-secret"))
+	mr.putTTLW(0, "k", -1, col(0, "col0-old"), col(1, "col1-secret"))
 	mr.putW(0, "k", col(0, "col0-new")) // lands on the absent key
 	mr.matches(s, "live")
 	mr.matches(restart(t, s, cfg), "recovered")
@@ -32,8 +32,8 @@ func TestExpiredBaseBatch(t *testing.T) {
 	cfg := Config{Dir: t.TempDir(), Workers: 1}
 	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 1)
-	mr.putTTLW(0, "dead", nanosIn(s, -1), col(0, "d0"), col(1, "d1"))
-	mr.putTTLW(0, "live", nanosIn(s, time.Hour), col(0, "l0"), col(1, "l1"))
+	mr.putTTLW(0, "dead", -1, col(0, "d0"), col(1, "d1"))
+	mr.putTTLW(0, "live", time.Hour, col(0, "l0"), col(1, "l1"))
 	mr.batchW(0, []string{"dead", "live"}, []value.ColPut{col(0, "d0-new")}, []value.ColPut{col(0, "l0-new")})
 	mr.matches(s, "live")
 	mr.matches(restart(t, s, cfg), "recovered")
@@ -53,11 +53,11 @@ func TestCleanDropThenPartialPutRecovery(t *testing.T) {
 			cfg := Config{Dir: t.TempDir(), Workers: 2, MaxBytes: 1 << 20}
 			s := openAt(t, cfg, clock.NewFake())
 			mr := newMirror(t, s, 2)
-			exp := nanosIn(s, -1) // already lapsed
+			ttl := time.Duration(-1) // already lapsed
 			if drop == "evict" {
-				exp = nanosIn(s, time.Hour)
+				ttl = time.Hour
 			}
-			mr.putTTLW(0, "k", exp, col(0, "old0"), col(1, "stale-secret"), col(5, "stale-tail"))
+			mr.putTTLW(0, "k", ttl, col(0, "old0"), col(1, "stale-secret"), col(5, "stale-tail"))
 			if drop == "sweep" {
 				s.cacheMaintain() // physically removes the lapsed value
 			} else if !s.evictKey([]byte("k")) {
@@ -100,7 +100,7 @@ func TestCleanDropThenBatchPutRecovery(t *testing.T) {
 func TestCasPutTreatsExpiredAsAbsent(t *testing.T) {
 	s := openAt(t, Config{}, clock.NewFake())
 	mr := newMirror(t, s, 1)
-	deadVer := mr.putTTLW(0, "k", nanosIn(s, -1), col(0, "old"))
+	deadVer := mr.putTTLW(0, "k", -1, col(0, "old"))
 	mr.casW(0, "k", deadVer, col(0, "x")) // the dead version is not CASable
 	mr.casW(0, "k", 5)                    // the conflict reports version 0
 	if ver, _ := mr.casW(0, "k", 0, col(0, "new")); ver <= deadVer {
@@ -119,7 +119,7 @@ func TestTouchRecordStandsAlone(t *testing.T) {
 	s := openAt(t, cfg, clock.NewFake())
 	mr := newMirror(t, s, 2)
 	mr.putW(0, "k", col(0, "c0"), col(1, "c1"))
-	mr.touchW(1, "k", nanosIn(s, time.Hour)) // different worker → different log
+	mr.touchW(1, "k", time.Hour) // different worker → different log
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/breaker"
+	"repro/internal/cache"
 	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/value"
@@ -128,7 +129,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 	l.noteBreaker(ss.worker)
 	if err != nil {
 		l.loadErrors.Add(1)
-		l.s.obs.Recorder().Record(ss.worker, obs.EvLoadError, obs.KeyHash(key), 0)
+		l.s.obs.Recorder().Record(ss.worker, obs.EvLoadError, cache.Hash(key), 0)
 		if v, _, ok := l.resident(ss, key, true); ok {
 			l.staleServed.Add(1)
 			return v, true, nil
@@ -146,7 +147,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 	}
 	var expiresAt uint64
 	if ttl > 0 {
-		expiresAt = uint64(l.s.wall.Now().Add(ttl).UnixNano())
+		expiresAt = l.s.deadline(ttl)
 	}
 	v := l.install(ss, key, cols, expiresAt)
 	l.loads.Add(1)

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/value"
@@ -64,6 +65,16 @@ func (mr *mirror) matches(r *Store, label string) {
 // now is the instant the model judges expiry at: the store's wall clock.
 func (mr *mirror) now() uint64 { return nanosIn(mr.s, 0) }
 
+// expiry is the deadline the model states for a TTL of ttl written now: 0
+// for none. The store resolves the TTL itself, so the clock must not move
+// between the write and this read (nothing advances it during a mirror call).
+func (mr *mirror) expiry(ttl time.Duration) uint64 {
+	if ttl == 0 {
+		return 0
+	}
+	return nanosIn(mr.s, ttl)
+}
+
 // workerOf is the worker key is written through: the one it was last
 // written through, or for a key not seen before the next in turn. The
 // multi-writer schedules (putW/removeW) pick one per op, deliberately
@@ -116,20 +127,20 @@ func (mr *mirror) put(key string, puts ...value.ColPut) {
 
 func (mr *mirror) putSimple(key, val string) { mr.put(key, col(0, val)) }
 
-// putTTLW is putW with an expiry. Its read-back goes to the tree itself: it
-// notes no access, and a put that has lapsed already is absent to every
-// reader.
-func (mr *mirror) putTTLW(worker int, key string, expiresAt uint64, puts ...value.ColPut) uint64 {
+// putTTLW is putW with a time to live. Its read-back goes to the tree
+// itself: it notes no access, and a put that has lapsed already is absent to
+// every reader.
+func (mr *mirror) putTTLW(worker int, key string, ttl time.Duration, puts ...value.ColPut) uint64 {
 	mr.worker[key] = worker
-	ver := mr.sess[worker].PutTTL([]byte(key), puts, expiresAt)
-	mr.ref.PutTTL(key, ver, mr.now(), expiresAt, mputs(puts)...)
+	ver := mr.sess[worker].PutTTL([]byte(key), puts, ttl)
+	mr.ref.PutTTL(key, ver, mr.now(), mr.expiry(ttl), mputs(puts)...)
 	v, ok := mr.s.tree.Get([]byte(key))
 	mr.check("TTL put", key, v, ok && !expired(mr.s.wall, v))
 	return ver
 }
 
-func (mr *mirror) putTTL(key, val string, expiresAt uint64) {
-	mr.putTTLW(mr.workerOf(key), key, expiresAt, col(0, val))
+func (mr *mirror) putTTL(key, val string, ttl time.Duration) {
+	mr.putTTLW(mr.workerOf(key), key, ttl, col(0, val))
 }
 
 // casW is CasPut through worker; the model says whether it applies and,
@@ -145,10 +156,10 @@ func (mr *mirror) casW(worker int, key string, expect uint64, puts ...value.ColP
 }
 
 // touchW is Touch through worker; the model says whether it applies.
-func (mr *mirror) touchW(worker int, key string, expiresAt uint64) (uint64, bool) {
+func (mr *mirror) touchW(worker int, key string, ttl time.Duration) (uint64, bool) {
 	mr.worker[key] = worker
-	ver, ok := mr.sess[worker].Touch([]byte(key), expiresAt)
-	if mok := mr.ref.Touch(key, ver, mr.now(), expiresAt); ok != mok {
+	ver, ok := mr.sess[worker].Touch([]byte(key), ttl)
+	if mok := mr.ref.Touch(key, ver, mr.now(), mr.expiry(ttl)); ok != mok {
 		fatalDump(mr.t, mr.s, "Touch(%q) applied %v, the model %v", key, ok, mok)
 	}
 	mr.readBack("touch", worker, key)

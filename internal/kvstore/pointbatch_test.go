@@ -66,7 +66,7 @@ func TestPointBatchFrameOrder(t *testing.T) {
 	mr := newMirror(t, openAt(t, Config{}, clock.NewFake()), 1)
 	mr.putW(0, "j", col(0, "j-old"))
 	mr.putW(0, "record", col(0, "a"), col(1, "b"), col(2, "c"))
-	mr.putTTLW(0, "lapsed", nanosIn(mr.s, -time.Second), col(0, "dead"))
+	mr.putTTLW(0, "lapsed", -time.Second, col(0, "dead"))
 	res := mr.frame(0,
 		putOp("k", col(0, "v1")), getOp("k"), putOp("k", col(0, "v2")), getOp("k"), // 0..3
 		getOp("j"), putOp("j", col(0, "w")), // 4, 5: a get ahead of its key's put

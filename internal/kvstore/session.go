@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/value"
@@ -93,23 +94,25 @@ func (ss *Session) PutSimple(key, data []byte) uint64 {
 	return ss.Put(key, []value.ColPut{{Col: 0, Data: data}})
 }
 
-// PutTTL is Put with an expiry deadline (unix nanoseconds; 0 behaves like
-// Put): after expiresAt the key reads as absent (lazy expiry on every get
-// and scan) and the maintenance loop's background sweep eventually removes
-// it physically — a clean drop that writes no WAL record, since the expiry
-// rides in the logged value itself (wal.OpPutTTL) and replay re-expires it.
+// PutTTL is Put with a time to live: the key expires ttl from now on the
+// store's clock (0 behaves like Put; a negative ttl writes a value already
+// lapsed). From its deadline on the key reads as absent (lazy expiry on
+// every get and scan), and the maintenance loop's background sweep
+// eventually removes it physically — a clean drop that writes no WAL record,
+// since the expiry rides in the logged value itself (wal.OpPutTTL) and
+// replay re-expires it.
 // A write over a lazily-expired value builds on an absent base (see step):
 // dead columns are never resurrected.
-func (ss *Session) PutTTL(key []byte, puts []value.ColPut, expiresAt uint64) uint64 {
-	return ss.s.write(ss.worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true}).ver
+func (ss *Session) PutTTL(key []byte, puts []value.ColPut, ttl time.Duration) uint64 {
+	return ss.s.write(ss.worker, key, writeOp{puts: puts, expiry: ss.s.deadline(ttl), ttl: true}).ver
 }
 
-// Touch resets key's expiry (unix nanoseconds; 0 = never expire again)
-// without changing its columns, publishing a fresh value under a new
-// version. Returns the new version and ok false if the key is absent (or
-// already expired — touching the dead does not revive them).
-func (ss *Session) Touch(key []byte, expiresAt uint64) (ver uint64, ok bool) {
-	r := ss.s.write(ss.worker, key, writeOp{expiry: expiresAt, ttl: true, base: onlyLive})
+// Touch resets key's expiry to ttl from now on the store's clock (0 = never
+// expire again) without changing its columns, publishing a fresh value
+// under a new version. Returns the new version and ok false if the key is
+// absent (or already expired — touching the dead does not revive them).
+func (ss *Session) Touch(key []byte, ttl time.Duration) (ver uint64, ok bool) {
+	r := ss.s.write(ss.worker, key, writeOp{expiry: ss.s.deadline(ttl), ttl: true, base: onlyLive})
 	return r.ver, r.nv != nil
 }
 
@@ -154,6 +157,7 @@ func (ss *Session) Remove(key []byte) bool {
 		b.End()
 	}
 	s.cache.NoteRemove(worker, key)
+	s.cache.HelpEnforce(s.evictKey) // drains a ring the remove took past half
 	// Read-through stores propagate the delete upstream (a tombstone in the
 	// write-behind queue); without it the next GetOrLoad would resurrect the
 	// removed key from the backend.

@@ -401,7 +401,7 @@ func (s *Store) restoreRange(es []checkpoint.Entry, recs []wal.Record) (maxVersi
 		v, broken := replay(v, recs[:n])
 		if broken {
 			brokenChains++
-			s.obs.Recorder().Record(recs[0].Worker, obs.EvChainBreak, obs.KeyHash(key), 0)
+			s.obs.Recorder().Record(recs[0].Worker, obs.EvChainBreak, cache.Hash(key), 0)
 		}
 		recs = recs[n:]
 		if v != nil {
@@ -471,19 +471,16 @@ func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
 const maintainTick = 50 * time.Millisecond
 
 // maintainLoop runs the maintenance tick on t, made before the loop starts so
-// the tick's phase is fixed when Open returns.
+// the tick's phase is fixed when Open returns. The tick is its only trigger:
+// between ticks a cache-mode overshoot or a filling admission ring is the
+// writer's to answer (cache.HelpEnforce), so on a clock.Fake no pass runs
+// that the clock's Advance did not cause.
 func (s *Store) maintainLoop(t clock.Ticker) {
 	defer s.wg.Done()
 	defer t.Stop()
 	lastMark := uint64(0)
 	for {
 		select {
-		case <-s.cache.Wake():
-			// A worker's accounting probe saw the byte budget exceeded:
-			// evict now instead of waiting out the tick, bounding overshoot
-			// to roughly one eviction batch. (Wake() is nil — and this case
-			// inert — when eviction is disabled.)
-			s.cacheMaintain()
 		case <-t.C():
 			s.cacheMaintain()
 			// Collapse the trie layers removes have emptied (§4.6.5). No
@@ -567,7 +564,7 @@ func (s *Store) evictKey(key []byte) bool {
 	if old == nil {
 		return false
 	}
-	s.obs.Recorder().Record(0, obs.EvEvict, obs.KeyHash(key), uint64(old.Size()))
+	s.obs.Recorder().Record(0, obs.EvEvict, cache.Hash(key), uint64(old.Size()))
 	if s.wb != nil && !expired(s.wall, old) {
 		s.wb.enqueue(key, old)
 	}
@@ -671,6 +668,17 @@ func expired(wall clock.Clock, v *value.Value) bool {
 // pastExpiry is expired's clock read, for a value that carries an expiry.
 func pastExpiry(wall clock.Clock, v *value.Value) bool {
 	return v.ExpiresAt() <= uint64(wall.Now().UnixNano())
+}
+
+// deadline resolves a time to live into the expiry a value written now
+// carries, in unix nanoseconds on the store's wall clock: 0 (no expiry) for
+// 0, and a deadline already past for a negative ttl. Every TTL handed to
+// the store resolves here, so deadlines follow the store's clock.
+func (s *Store) deadline(ttl time.Duration) uint64 {
+	if ttl == 0 {
+		return 0
+	}
+	return uint64(max(s.wall.Now().Add(ttl).UnixNano(), 1))
 }
 
 // AppendCols appends the requested columns of v (nil = all) to dst and

@@ -14,8 +14,8 @@ import (
 // openAt opens a store with cfg on the wall clock wall, failing the test if
 // it cannot, and closes it when the test ends unless the test closed or
 // crashed it first. On a clock.Fake the store's maintenance tick and log
-// flushes wait for the test to advance the clock; only a cache-mode
-// overshoot wakes the maintenance loop without it.
+// flushes wait for the test to advance the clock, so a test's own
+// cacheMaintain calls race no pass.
 func openAt(t testing.TB, cfg Config, wall clock.Clock) *Store {
 	t.Helper()
 	s, err := open(cfg, wall)

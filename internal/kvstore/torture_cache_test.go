@@ -47,7 +47,6 @@ func (tt *torture) observeDrops() {
 // maintenance passes (eviction + sweep) with acknowledgment points between
 // them, under a byte budget small enough that every pass evicts.
 func (tt *torture) cacheWorkload() error {
-	now := nanosIn(tt.s, 0)
 	filler := strings.Repeat("0123456789abcdef", 16) // ~256 B values
 	val := func(tag string, i int) string {
 		return fmt.Sprintf("%s-%02d-%s", tag, i, filler)
@@ -68,9 +67,9 @@ func (tt *torture) cacheWorkload() error {
 	// Phase 2: TTL writes — live ones and an already-lapsed one — then a
 	// maintenance pass that sweeps the lapsed key and keeps evicting.
 	for i := 0; i < 6; i++ {
-		tt.putTTL(fmt.Sprintf("e%02d", i), val("r2", i), now+uint64(time.Hour))
+		tt.putTTL(fmt.Sprintf("e%02d", i), val("r2", i), time.Hour)
 	}
-	tt.putTTL("x00", val("r2x", 0), now-uint64(time.Second))
+	tt.putTTL("x00", val("r2x", 0), -time.Second)
 	if err := tt.ack(); err != nil {
 		return err
 	}

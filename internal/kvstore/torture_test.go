@@ -237,7 +237,7 @@ func (tt *torture) workload() error {
 	// A partial-column put over a value that has lapsed but is still in the
 	// tree (no sweep runs here): it builds on nothing, so the lapsed column 0
 	// must not come back, live or after a crash.
-	tt.putTTL("lapsed", "r2-dead", nanosIn(tt.s, -time.Second))
+	tt.putTTL("lapsed", "r2-dead", -time.Second)
 	tt.put("lapsed", value.ColPut{Col: 1, Data: []byte("r2-c1")})
 	// A mixed frame over the same state: a same-key put pair of partial
 	// columns with a get between, a get of a removed key, an insert.

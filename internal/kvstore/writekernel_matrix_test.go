@@ -126,7 +126,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	case otherWorkerBase:
 		baseVer = mr.putW(1, "k", b0, b1)
 	case expiredBase:
-		baseVer = mr.putTTLW(0, "k", nanosIn(s, -1), b0, b1)
+		baseVer = mr.putTTLW(0, "k", -1, b0, b1)
 	}
 	xVer := mr.putW(0, "x", col(0, "x-old"))
 	s.ttlUsed.Store(false) // the expired base armed it; the cell must arm it itself
@@ -145,9 +145,9 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	case "Put":
 		ver = mr.putW(0, "k", n0)
 	case "PutTTL":
-		ver, wantTTL = mr.putTTLW(0, "k", future, n0), future
+		ver, wantTTL = mr.putTTLW(0, "k", time.Hour, n0), future
 	case "Touch":
-		ver, applied = mr.touchW(0, "k", future)
+		ver, applied = mr.touchW(0, "k", time.Hour)
 		wantTTL = future
 	case "CasPutHit":
 		ver, applied = mr.casW(0, "k", before.Version, n0)

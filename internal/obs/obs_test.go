@@ -117,10 +117,6 @@ func TestRecordPathsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { rec.Record(1, EvEvict, 42, 128) }); n != 0 {
 		t.Fatalf("Recorder.Record allocates %.1f/op, want 0", n)
 	}
-	key := []byte("some-key-material")
-	if n := testing.AllocsPerRun(1000, func() { _ = KeyHash(key) }); n != 0 {
-		t.Fatalf("KeyHash allocates %.1f/op, want 0", n)
-	}
 	r := NewRegistry(4)
 	if n := testing.AllocsPerRun(1000, func() {
 		r.Hist(HGet).Record(0, time.Microsecond)

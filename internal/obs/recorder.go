@@ -210,21 +210,3 @@ func (r *Recorder) DumpString() string {
 	}
 	return b.String()
 }
-
-// KeyHash hashes a key for event args — FNV-1a, cheap and alloc-free. It
-// deliberately matches no tree or ring hash: recorder hashes are for
-// correlating events in a dump, nothing else.
-//
-//masstree:noalloc
-func KeyHash(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range key {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}

@@ -53,7 +53,7 @@ func testMixedFrameOrder(t *testing.T) {
 	sess := srv.store.Session(0)
 	sess.PutSimple([]byte("j"), []byte("j-old"))
 	sess.Put([]byte("record"), []wire.ColData{cd(0, "a"), cd(1, "b"), cd(2, "c")})
-	sess.PutTTL([]byte("lapsed"), []wire.ColData{cd(0, "dead")}, uint64(time.Now().Add(-time.Second).UnixNano()))
+	sess.PutTTL([]byte("lapsed"), []wire.ColData{cd(0, "dead")}, -time.Second)
 
 	resps, err := c.Do([]wire.Request{
 		put("k", cd(0, "v1")), get("k"), put("k", cd(0, "v2")), get("k"),

@@ -494,23 +494,14 @@ func (s *Server) executeWrite(sess *kvstore.Session, r *wire.Request) wire.Respo
 		ver, ok = sess.CasPut(r.Key, r.ExpectVersion, r.Puts)
 		declined = wire.StatusConflict
 	case wire.OpPutTTL:
-		ver = sess.PutTTL(r.Key, r.Puts, expiryFromTTL(r.TTL))
+		ver = sess.PutTTL(r.Key, r.Puts, time.Duration(r.TTL)*time.Second)
 	case wire.OpTouch:
-		ver, ok = sess.Touch(r.Key, expiryFromTTL(r.TTL))
+		ver, ok = sess.Touch(r.Key, time.Duration(r.TTL)*time.Second)
 	}
 	if !ok {
 		return wire.Response{Status: declined, Version: ver}
 	}
 	return wire.Response{Status: wire.StatusOK, Version: ver}
-}
-
-// expiryFromTTL converts wire TTL seconds into the store's absolute expiry
-// deadline in unix nanoseconds (0 stays 0: never expires).
-func expiryFromTTL(ttl uint32) uint64 {
-	if ttl == 0 {
-		return 0
-	}
-	return uint64(time.Now().UnixNano()) + uint64(ttl)*uint64(time.Second)
 }
 
 // statsResponse reports store size, tree operation counters, batching

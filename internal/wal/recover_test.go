@@ -40,7 +40,7 @@ func TestTwoLogsReplayAsOneStream(t *testing.T) {
 			b.End()
 		},
 	} {
-		w, err := newWriter(mem, dir, worker, 1, true, DefaultFlushInterval, true, clock.Wall{})
+		w, err := newWriter(mem, dir, worker, 1, true, DefaultFlushInterval, clock.Wall{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,7 +56,7 @@ func TestFlushRetryBackoff(t *testing.T) {
 	// The fake clock never reaches the flush interval, so the ticker never
 	// races the test's explicit background flushes.
 	wall := clock.NewFake()
-	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, true, wall)
+	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, wall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestFlushRetryBackoffCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	wall := clock.NewFake()
-	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, true, wall)
+	w, err := newWriter(fsys, "wal", 0, 1, false, time.Hour, wall)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // subsequently appended records.
 func TestSyncFailureThenRecover(t *testing.T) {
 	dir := t.TempDir()
-	w, err := newWriter(vfs.OS{}, dir, 0, 1, true, 0, true, clock.Wall{})
+	w, err := newWriter(vfs.OS{}, dir, 0, 1, true, 0, clock.Wall{})
 	if err != nil {
 		t.Fatal(err)
 	}

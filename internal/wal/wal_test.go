@@ -365,7 +365,7 @@ func TestFlushFailureRetainsRecords(t *testing.T) {
 		t.Fatal("flush on a closed file should fail")
 	}
 	insertOne(w, 2, []byte("later"), []value.ColPut{{Col: 0, Data: []byte("v2")}})
-	if err := w.openFile(true); err != nil { // device "recovers"
+	if err := w.openFile(); err != nil { // device "recovers"
 		t.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {

@@ -116,7 +116,7 @@ const (
 
 // newWriter opens (creating or appending) the generation-gen log file for a
 // worker.
-func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool, flushEvery time.Duration, dirSync bool, wall clock.Clock) (*Writer, error) {
+func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool, flushEvery time.Duration, wall clock.Clock) (*Writer, error) {
 	if flushEvery <= 0 {
 		flushEvery = DefaultFlushInterval
 	}
@@ -130,7 +130,7 @@ func newWriter(fsys vfs.FS, dir string, worker int, gen uint64, syncWrites bool,
 		flushCh: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	if err := w.openFile(dirSync); err != nil {
+	if err := w.openFile(); err != nil {
 		return nil, err
 	}
 	w.wg.Add(1)
@@ -143,10 +143,11 @@ func LogFileName(worker int, gen uint64) string {
 	return fmt.Sprintf("log-%04d.%06d.wal", worker, gen)
 }
 
-// openFile opens (creating if needed) the current generation's file. When
-// dirSync is false the caller batches one directory sync for several
-// creations (OpenSetFS, Set.Rotate) instead of paying one per file.
-func (w *Writer) openFile(dirSync bool) error {
+// openFile opens (creating if needed) the current generation's file. The
+// directory sync that makes a creation durable is the caller's to batch over
+// several creations (OpenSetFS, Set.Rotate) instead of paying one per file;
+// until it runs, the writer's next flush syncs the directory itself.
+func (w *Writer) openFile() error {
 	path := filepath.Join(w.dir, LogFileName(w.worker, w.gen))
 	f, err := w.fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -162,18 +163,11 @@ func (w *Writer) openFile(dirSync bool) error {
 			f.Close()
 			return err
 		}
-		// Make the file's existence durable before anything is logged
+		// The file's existence must be durable before anything is logged
 		// through it: a synced record in a file whose directory entry a
 		// crash forgets is a lost acknowledged write. (The magic itself is
 		// covered by the first data flush's sync.)
-		if dirSync {
-			if err := w.fsys.SyncDir(w.dir); err != nil {
-				f.Close()
-				return err
-			}
-		} else {
-			w.needDirSync = true
-		}
+		w.needDirSync = true
 	}
 	w.f = f
 	return nil
@@ -406,7 +400,7 @@ func (w *Writer) flushLoop(t clock.Ticker) {
 	}
 }
 
-func (w *Writer) rotate(gen uint64, dirSync bool) error {
+func (w *Writer) rotate(gen uint64) error {
 	w.fmu.Lock()
 	defer w.fmu.Unlock()
 	if err := w.flushLocked(); err != nil {
@@ -416,7 +410,7 @@ func (w *Writer) rotate(gen uint64, dirSync bool) error {
 		w.f.Close()
 	}
 	w.gen = gen
-	return w.openFile(dirSync)
+	return w.openFile()
 }
 
 // dirSynced clears the deferred-directory-sync obligation after the Set's
@@ -466,7 +460,7 @@ func OpenSetFS(fsys vfs.FS, dir string, n int, gen uint64, syncWrites bool, flus
 	}
 	s := &Set{fsys: fsys, dir: dir, gen: gen}
 	for i := 0; i < n; i++ {
-		w, err := newWriter(fsys, dir, i, gen, syncWrites, flushEvery, false, wall)
+		w, err := newWriter(fsys, dir, i, gen, syncWrites, flushEvery, wall)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -521,7 +515,7 @@ func (s *Set) Rotate() (uint64, error) {
 	defer s.mu.Unlock()
 	s.gen++
 	for _, w := range s.writers {
-		if err := w.rotate(s.gen, false); err != nil {
+		if err := w.rotate(s.gen); err != nil {
 			return 0, err
 		}
 	}
