@@ -33,15 +33,17 @@ func (p permutation) check() error {
 //     successor;
 //   - no slot is left unstable, a suffix key has a suffix, and no value or
 //     link is nil;
-//   - lowkey(n) is -inf exactly when n has no predecessor: the leftmost
-//     border of a tree, and no other.
+//   - lowkey(n) is 0 (negative infinity: no slice is below it) exactly
+//     when n has no predecessor: the leftmost border of a tree, and no
+//     other. A split's right node starts at a slice above its left node's
+//     keys, so its lowkey is never 0.
 func checkBorder(n *borderNode) error {
 	perm := n.perm()
 	if err := perm.check(); err != nil {
 		return fmt.Errorf("border %p: %w", n, err)
 	}
-	if (n.prev.Load() == nil) != (n.lowOrd < 0) {
-		return fmt.Errorf("border %p: prev link %p and lowkey (%#x,%d): lowkey -inf is the leftmost border's alone", n, n.prev.Load(), n.lowSlice, n.lowOrd)
+	if (n.prev.Load() == nil) != (n.lowSlice == 0) {
+		return fmt.Errorf("border %p: prev link %p and lowkey %#x: lowkey 0 is the leftmost border's alone", n, n.prev.Load(), n.lowSlice)
 	}
 	next := n.next.Load()
 	var prevSlice uint64
@@ -59,7 +61,7 @@ func checkBorder(n *borderNode) error {
 			return fmt.Errorf("border %p: key (%#x,%d) at rank %d holds a nil value", n, ks, ko, r)
 		case r > 0 && cmpKey(prevSlice, prevOrd, ks, ko) >= 0:
 			return fmt.Errorf("border %p: keys out of order at rank %d: (%#x,%d) then (%#x,%d)", n, r, prevSlice, prevOrd, ks, ko)
-		case n.lowOrd >= 0 && ks < n.lowSlice:
+		case ks < n.lowSlice:
 			return fmt.Errorf("border %p: key (%#x,%d) at rank %d below lowkey %#x", n, ks, ko, r, n.lowSlice)
 		case next != nil && ks >= next.lowSlice:
 			return fmt.Errorf("border %p: key (%#x,%d) at rank %d at or above successor %p's lowkey %#x", n, ks, ko, r, next, next.lowSlice)

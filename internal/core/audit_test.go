@@ -76,9 +76,9 @@ func TestAuditCatches(t *testing.T) {
 		{"next link", func(tr *Tree) { n := first(tr); n.next.Store(n.next.Load().next.Load()) }},
 		{"rightmost", func(tr *Tree) {
 			n, _ := tr.findBorder(tr.rootHeader(), ^uint64(0))
-			n.next.Store(&borderNode{lowSlice: ^uint64(0), lowOrd: 8})
+			n.next.Store(&borderNode{lowSlice: ^uint64(0)})
 		}},
-		{"leftmost", func(tr *Tree) { first(tr).lowOrd = 0 }},
+		{"leftmost", func(tr *Tree) { first(tr).lowSlice = 1 }},
 		{"remainders out of order", func(tr *Tree) { twigAt(tr, "22", "1") }},
 		{"in cell 1", func(tr *Tree) { twigAt(tr, "1").cell(1).Store(v) }},
 		{"nil cell", func(tr *Tree) { twigAt(tr, "1", "22").cell(0).Store(nil) }},

@@ -88,11 +88,12 @@ type borderNode struct {
 	next atomic.Pointer[borderNode]
 	prev atomic.Pointer[borderNode]
 
-	// lowSlice/lowOrd form lowkey(n), the inclusive lower bound of the
-	// node's key range. lowkey is constant over a node's lifetime (§4.6.4);
-	// lowOrd == -1 means negative infinity (the tree's initial, leftmost
-	// node, which is never deleted while the tree exists). lowOrd sits
-	// below with usedMask, where it costs no padding.
+	// lowSlice is lowkey(n), the inclusive lower bound of the node's key
+	// range. A split never cuts the keys of one slice (§4.2), so the slice
+	// alone is the bound. lowkey is constant over a node's lifetime
+	// (§4.6.4). The tree's initial, leftmost node — never deleted while the
+	// tree exists, and the one border without a prev link — has lowSlice 0,
+	// which no slice is below: its lowkey is negative infinity.
 	lowSlice uint64
 
 	// suffixes points at the node's suffix bag (see suffixBag): the bytes
@@ -105,7 +106,6 @@ type borderNode struct {
 	// located the old key in this slot retry (§4.6.5). Protected by the
 	// node lock.
 	usedMask uint16
-	lowOrd   int8
 
 	// run is the node's ascending-run state, which splitInsert reads to pick
 	// its split point: the rank of the last insert in the low nibble and, in
@@ -339,7 +339,7 @@ func (n *borderNode) bag() suffixBag { return bagAt(n.suffixes.Load()) }
 // newBorder allocates a border node. rootTree marks it the root of a
 // (possibly new) B+-tree layer; locked determines whether it starts locked.
 func newBorder(rootTree, locked bool) *borderNode {
-	n := &borderNode{lowOrd: -1}
+	n := &borderNode{}
 	v := occ.BorderBit
 	if rootTree {
 		v |= occ.RootBit
@@ -406,12 +406,7 @@ func (n *borderNode) searchRank(p permutation, slice uint64, ord int) (rank int,
 // node), lowkey comparisons consider the slice alone: a node whose first key
 // is (S, len 3) still owns every key with slice S, including shorter ones
 // inserted later.
-func (n *borderNode) keyGEqLowkey(slice uint64) bool {
-	if n.lowOrd < 0 {
-		return true
-	}
-	return slice >= n.lowSlice
-}
+func (n *borderNode) keyGEqLowkey(slice uint64) bool { return slice >= n.lowSlice }
 
 // owns reports whether slice falls in n's key range: lowkey(n) <= slice, and
 // n's next sibling, if it has one, begins above it. On a locked, undeleted

@@ -93,14 +93,15 @@ restart:
 }
 
 // emptyBorder handles a border node that has just become empty. n is locked
-// on entry and unlocked on return. The initial leftmost node of a tree is
-// kept (it anchors lowkey = -inf); if it is the root of an empty layer-h
-// tree (h >= 1), a collapse task is scheduled instead (§4.6.5: full trees
-// are not cleaned up right away because that requires locking two layers).
+// on entry and unlocked on return. The initial leftmost node of a tree, the
+// one without a prev link, is kept (its lowkey 0 is negative infinity); if
+// it is the root of an empty layer-h tree (h >= 1), a collapse task is
+// scheduled instead (§4.6.5: full trees are not cleaned up right away
+// because that requires locking two layers).
 //
 //masstree:unlocks n
 func (t *Tree) emptyBorder(n *borderNode, key []byte, depth int) {
-	if n.lowOrd < 0 {
+	if n.prev.Load() == nil {
 		if depth > 0 && occ.Root(n.h.Load()) && n.next.Load() == nil {
 			t.scheduleCollapse(key[:depth*8])
 		}

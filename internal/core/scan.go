@@ -125,7 +125,7 @@ func (t *Tree) scanLayer(root *nodeHeader, pos scanPos, plen int, w *scanWalk) b
 	var snap [width]slotSnap
 	for {
 		if occ.Deleted(v) {
-			if n.lowOrd < 0 {
+			if n.prev.Load() == nil {
 				// A layer's leftmost node dies only with the layer itself
 				// (collapseLayer), which was then empty. Re-finding from its
 				// root would return this node forever.

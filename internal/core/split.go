@@ -70,7 +70,6 @@ func (t *Tree) splitInsert(n *borderNode, rank int, slice uint64, k []byte, v *v
 	n2 := newBorder(false, true) //masstree:acquires n2.h
 	n2.h.MarkSplitting()
 	n2.lowSlice = right[0].slice
-	n2.lowOrd = int8(ordOf(right[0].kl))
 
 	// The run state goes with the new key, at its rank in the node it joins.
 	if steps := n.nextRun(rank) &^ 0xf; rank < splitAt {

@@ -242,7 +242,7 @@ func TestRemoveKeepsParentsLeftmostChild(t *testing.T) {
 	parent := ph.interior()
 	b := parent.child[0].Load().border()
 	sibling := parent.child[1].Load().border()
-	if b.lowOrd < 0 || b.next.Load() != sibling {
+	if b.prev.Load() == nil || b.next.Load() != sibling {
 		t.Fatal("picked the wrong nodes")
 	}
 	empty := func(x *borderNode) (first string) {

@@ -93,22 +93,25 @@ func testMixedFrameOrder(t *testing.T) {
 }
 
 // TestPointRunSegments pins the segment rule and what it counts. A maximal
-// stretch of gets and puts is one segment however they alternate; every
-// other opcode is a barrier executed alone, in its place; a stretch of one is
-// not a segment. batched_gets + batched_puts is the length of the segments
-// served, a segment is one observation — in get_batch if it holds no put, in
-// put_batch otherwise — and nothing falls back on an idle store.
+// stretch of gets and puts is one segment however they alternate, and however
+// short; every other opcode is a barrier executed alone, in its place.
+// batched_gets + batched_puts counts every get and put, batched_scans every
+// scan. A segment is one observation — in get_batch if it holds no put, in
+// put_batch otherwise, and a segment of one where a lone request lands, in get
+// or put — and nothing falls back on an idle store.
 func TestPointRunSegments(t *testing.T) {
 	srv, addr := startServer(t, "")
 	c := dialConn(t, addr)
 	resps, err := c.Do([]wire.Request{
 		put("a", cd(0, "1")), get("a"), put("b", cd(0, "2")), get("b"), get("a"), // a segment of 5: 3 gets, 2 puts
 		{Op: wire.OpRemove, Key: []byte("a")}, // a barrier
-		get("a"),                              // a stretch of one: executed alone
+		get("a"),                              // a segment of one get
 		{Op: wire.OpCas, Key: []byte("c"), Puts: []wire.ColData{cd(0, "3")}}, // a barrier
 		get("a"), get("b"), get("c"), // a segment of 3 gets
-		{Op: wire.OpGetRange, Key: []byte("a"), N: 5}, // a scan alone
+		{Op: wire.OpGetRange, Key: []byte("a"), N: 5}, // a scan run of one
 		put("a", cd(0, "4")), put("c", cd(1, "5")),    // a segment of 2 puts
+		{Op: wire.OpRemove, Key: []byte("zz")}, // a barrier
+		put("d", cd(0, "6")),                   // a segment of one put
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,20 +125,23 @@ func TestPointRunSegments(t *testing.T) {
 	if len(resps[11].Pairs) != 2 || string(resps[11].Pairs[0].Key) != "b" {
 		t.Errorf("the scan between the segments saw %+v, want b and c", resps[11].Pairs)
 	}
+	if resps[15].Status != wire.StatusOK || resps[15].Version <= resps[13].Version {
+		t.Errorf("the lone put answered %+v, after a put at version %d", resps[15], resps[13].Version)
+	}
 	stats, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for key, want := range map[string]int64{
-		"batched_gets": 3 + 3, "batched_puts": 2 + 2, "batch_fallbacks": 0, "batched_scans": 0,
-		"lat_get_batch_count": 1, "lat_put_batch_count": 2, "lat_get_count": 1, "lat_scan_count": 1,
+		"batched_gets": 3 + 1 + 3, "batched_puts": 2 + 2 + 1, "batch_fallbacks": 0, "batched_scans": 1,
+		"lat_get_batch_count": 1, "lat_put_batch_count": 2, "lat_get_count": 1, "lat_put_count": 1, "lat_scan_count": 1,
 	} {
 		if stats[key] != want {
 			t.Errorf("%s = %d, want %d", key, stats[key], want)
 		}
 	}
-	if n := srv.batchedGets.Load() + srv.batchedPuts.Load(); n != 5+3+2 {
-		t.Errorf("batched_gets + batched_puts = %d, the segments held %d requests", n, 5+3+2)
+	if n := srv.batchedGets.Load() + srv.batchedPuts.Load(); n != 5+1+3+2+1 {
+		t.Errorf("batched_gets + batched_puts = %d, the segments held %d requests", n, 5+1+3+2+1)
 	}
 }
 
@@ -183,21 +189,41 @@ func (l *versionLedger) note(reqs []wire.Request, resps []wire.Response) []wire.
 	return out
 }
 
+// oneAtATime answers r as the store's single-key entry points do — the
+// reference the batched paths are held to; a barrier is executed as the
+// server executes it.
+func oneAtATime(srv *Server, sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
+	switch r.Op {
+	case wire.OpGet:
+		v, ok := sess.GetValue(r.Key)
+		if !ok {
+			return wire.Response{Status: wire.StatusNotFound}
+		}
+		return wire.Response{Status: wire.StatusOK, Version: v.Version(), Cols: kvstore.AppendCols(nil, v, r.Cols)}
+	case wire.OpPut:
+		return wire.Response{Status: wire.StatusOK, Version: sess.Put(r.Key, r.Puts)}
+	case wire.OpGetRange:
+		sc.rng.Reset()
+		return wire.Response{Status: wire.StatusOK, Pairs: sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng)}
+	}
+	return srv.execute(sess, r, sc)
+}
+
 // TestMixedFramesMatchOneAtATime is the differential test of the segment
 // path: random frames — gets and puts colliding on keys, on first slices and
 // two layers down, with removes, create-if-absent CASes and scans as
-// barriers among them — sent whole to one server and one request per message
-// to another. Every response must agree (versions compared by the put they
-// name). The subtest is named for the tagged (v2) framing its connections
-// speak.
+// barriers among them — sent whole to one server, and applied one request at
+// a time to another store through its single-key entry points (oneAtATime).
+// Every response must agree (versions compared by the put they name). The
+// subtest is named for the tagged (v2) framing its connection speaks.
 func TestMixedFramesMatchOneAtATime(t *testing.T) {
 	t.Run("v2", testMixedFramesMatchOneAtATime)
 }
 
 func testMixedFramesMatchOneAtATime(t *testing.T) {
 	framed, addrF := startServer(t, "")
-	_, addrS := startServer(t, "")
-	cf, cs := dialConn(t, addrF), dialConn(t, addrS)
+	single, _ := startServer(t, "")
+	cf, sess, sc := dialConn(t, addrF), single.store.Session(0), &connScratch{}
 	lf, ls := &versionLedger{origin: map[uint64]uint64{}}, &versionLedger{origin: map[uint64]uint64{}}
 	rng := rand.New(rand.NewSource(23))
 	key := func() string {
@@ -235,10 +261,7 @@ func testMixedFramesMatchOneAtATime(t *testing.T) {
 		}
 		got := lf.note(reqs, whole)
 		for i := range reqs {
-			one, err := cs.Do(reqs[i : i+1])
-			if err != nil {
-				t.Fatal(err)
-			}
+			one := []wire.Response{oneAtATime(single, sess, &reqs[i], sc)}
 			if want := ls.note(reqs[i:i+1], one)[0]; !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("frame %d request %d (op %d, key %q): sent whole it answered %+v, alone %+v (versions as put ordinals)",
 					f, i, reqs[i].Op, reqs[i].Key, got[i], want)

@@ -158,7 +158,7 @@ func TestServerGetRangeAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("server range path allocates %.1f per batch of a single scan and a run of 16, want 0", allocs)
 	}
-	if n := srv.batchedScans.Load(); n < 16*100 || n%16 != 0 {
-		t.Fatalf("batched_scans = %d after 100 and more batches with one run of 16 each", n)
+	if n := srv.batchedScans.Load(); n < 17*100 || n%17 != 0 {
+		t.Fatalf("batched_scans = %d after 100 and more batches with a scan alone and a run of 16 each", n)
 	}
 }

@@ -17,16 +17,17 @@
 // writes, and a client waiting on an answer is never held behind a frame it
 // has sent only part of.
 //
-// Execution is batch-aware, and the unit of batching is the frame's stretch
-// of point operations, not a run of one opcode: a maximal stretch of OpGet
-// and OpPut requests within one message, in any mix, is one segment served
-// through Session.PointBatchInto — one call, one wave in which every
-// key's next node is being fetched while the others take their hop (§4.8's
-// PALM-style batching), the gets answered from it, the puts applied from the
-// borders it found under shared border-node locks inside one log window. A
-// run of consecutive OpGetRange requests goes through
-// Session.GetRangeBatchInto, which starts each of its scans at a border that
-// is already in cache. Every other opcode is a barrier, executed alone.
+// Every get, put and scan is batched, and the unit of batching is the
+// frame's stretch of point operations, not a run of one opcode: a maximal
+// stretch of OpGet and OpPut requests within one message, in any mix and of
+// any length, is one segment served through Session.PointBatchInto — one
+// call, one wave in which every key's next node is being fetched while the
+// others take their hop (§4.8's PALM-style batching), the gets answered from
+// it, the puts applied from the borders it found under shared border-node
+// locks inside one log window. A run of consecutive OpGetRange requests goes
+// through Session.GetRangeBatchInto, which starts each of its scans at a
+// border that is already in cache. Every other opcode is a barrier, executed
+// alone.
 // Operations of one segment on different keys take effect in no particular
 // order; operations on one key take effect in frame order (see
 // kvstore.Session.PointBatchInto and the wire package comment).
@@ -154,11 +155,6 @@ type connScratch struct {
 	rng     kvstore.RangeScratch // range arenas; Response.Pairs alias them until the next frame's Reset
 }
 
-// minBatchRun is the shortest point segment or scan run routed through a
-// batched path; a single get, put or scan has no other descent to overlap
-// its misses with.
-const minBatchRun = 2
-
 // maxRetainedScratch bounds how much scratch one connection keeps between
 // messages: buffers grown past this by an unusually large message are
 // released afterwards rather than pinned for the connection's lifetime.
@@ -264,9 +260,9 @@ func (s *Server) serveConn(conn net.Conn, worker int) {
 // responses, the undecodable suffix answered with StatusError, so one bad
 // request fails alone instead of killing the connection mid-batch. The frame
 // is cut into segments (see segmentOf): a maximal stretch of OpGets and
-// OpPuts is served as one point run, a maximal run of OpGetRanges as one scan
-// run, when at least minBatchRun long; everything else executes one at a
-// time.
+// OpPuts is served as one point run and a maximal run of OpGetRanges as one
+// scan run, whatever their length, a lone request included; every barrier
+// executes alone.
 func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claimed int, sc *connScratch) {
 	if claimed < len(reqs) {
 		claimed = len(reqs)
@@ -283,15 +279,13 @@ func (s *Server) executeBatch(sess *kvstore.Session, reqs []wire.Request, claime
 		for seg != segSingle && j < len(reqs) && segmentOf(reqs[j].Op) == seg {
 			j++
 		}
-		switch {
-		case j-i < minBatchRun:
-			for k := i; k < j; k++ {
-				sc.resps[k] = s.execute(sess, &reqs[k], sc)
-			}
-		case seg == segPoint:
+		switch seg {
+		case segPoint:
 			s.executePointRun(sess, reqs[i:j], sc.resps[i:j], sc)
-		default:
+		case segScan:
 			s.executeScanRun(sess, reqs[i:j], sc.resps[i:j], sc)
+		default:
+			sc.resps[i] = s.execute(sess, &reqs[i], sc)
 		}
 		i = j
 	}
@@ -330,11 +324,13 @@ func segmentOf(op wire.OpCode) segment {
 // lock acquisition, all log records encoded under one log-buffer lock.
 // Response columns are appended to sc.cols, a per-message arena. The decoded
 // put data still aliases the frame — the store copies it into the packed
-// value and the log, so no per-put copy is made here. The whole stretch lands
-// as one observation, in the get_batch histogram if it holds no put and in
-// put_batch otherwise: the stretch is the unit the batched path amortizes
-// over, and a single time.Now pair per stretch keeps the instrumentation off
-// the per-key path.
+// value and the log, so no per-put copy is made here. A get reports its
+// value's version, so a client can chain an OpCas off a read. The whole
+// stretch lands as one observation, in the get_batch histogram if it holds
+// no put and in put_batch otherwise: the stretch is the unit the batched path
+// amortizes over, and a single time.Now pair per stretch keeps the
+// instrumentation off the per-key path. A stretch of one is a lone request's
+// latency, and lands in get or put.
 func (s *Server) executePointRun(sess *kvstore.Session, reqs []wire.Request, resps []wire.Response, sc *connScratch) {
 	runStart := time.Now()
 	sc.keys, sc.isPut, sc.putRuns = sc.keys[:0], sc.isPut[:0], sc.putRuns[:0]
@@ -365,7 +361,12 @@ func (s *Server) executePointRun(sess *kvstore.Session, reqs []wire.Request, res
 		}
 	}
 	hist := obs.HGetBatch
-	if nputs > 0 {
+	switch {
+	case len(reqs) == 1 && nputs > 0:
+		hist = obs.HPut
+	case len(reqs) == 1:
+		hist = obs.HGet
+	case nputs > 0:
 		hist = obs.HPutBatch
 	}
 	s.obs.Hist(hist).Record(sess.Worker(), time.Since(runStart))
@@ -391,27 +392,23 @@ func (s *Server) executeScanRun(sess *kvstore.Session, reqs []wire.Request, resp
 	s.obs.Hist(obs.HScan).RecordN(sess.Worker(), time.Since(runStart)/time.Duration(len(reqs)), len(reqs))
 }
 
-// histForOp maps a wire op to its server-side latency histogram; ok is
+// histForOp maps a barrier's op to its server-side latency histogram; ok is
 // false for ops that are not timed (Stats itself, Remove, unknown ops).
-// PutTTL and Touch fold into the put histogram: they take the same write
-// path, and the set of histograms (and of their stats keys) stays small.
+// PutTTL and Touch fold into the put histogram: they take the write path a
+// put takes, and the set of histograms (and of their stats keys) stays small.
 func histForOp(op wire.OpCode) (obs.HistID, bool) {
 	switch op {
-	case wire.OpGet:
-		return obs.HGet, true
-	case wire.OpPut, wire.OpPutTTL, wire.OpTouch:
+	case wire.OpPutTTL, wire.OpTouch:
 		return obs.HPut, true
 	case wire.OpCas:
 		return obs.HCas, true
 	case wire.OpGetOrLoad:
 		return obs.HGetOrLoad, true
-	case wire.OpGetRange:
-		return obs.HScan, true
 	}
 	return 0, false
 }
 
-// execute serves one request, timing it into the op's latency histogram.
+// execute serves one barrier, timing it into the op's latency histogram.
 // Responses may alias sc's arenas and the request's frame buffer; they are
 // valid until the next message.
 func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
@@ -426,18 +423,7 @@ func (s *Server) execute(sess *kvstore.Session, r *wire.Request, sc *connScratch
 
 func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScratch) wire.Response {
 	switch r.Op {
-	case wire.OpGet:
-		// Gets report the value's version so clients can chain OpCas off a
-		// read (versioned read-modify-write).
-		v, ok := sess.GetValue(r.Key)
-		if !ok {
-			return wire.Response{Status: wire.StatusNotFound}
-		}
-		start := len(sc.cols)
-		sc.cols = kvstore.AppendCols(sc.cols, v, r.Cols)
-		return wire.Response{Status: wire.StatusOK, Version: v.Version(),
-			Cols: sc.cols[start:len(sc.cols):len(sc.cols)]}
-	case wire.OpPut, wire.OpCas, wire.OpPutTTL, wire.OpTouch:
+	case wire.OpCas, wire.OpPutTTL, wire.OpTouch:
 		return s.executeWrite(sess, r)
 	case wire.OpGetOrLoad:
 		// Read-through get: a miss consults the store's backend tier, with
@@ -467,8 +453,6 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 			return wire.Response{Status: wire.StatusOK}
 		}
 		return wire.Response{Status: wire.StatusNotFound}
-	case wire.OpGetRange:
-		return wire.Response{Status: wire.StatusOK, Pairs: sess.GetRangeInto(r.Key, r.N, r.Cols, &sc.rng)}
 	case wire.OpStats:
 		return s.statsResponse()
 	default:
@@ -476,20 +460,18 @@ func (s *Server) executeOp(sess *kvstore.Session, r *wire.Request, sc *connScrat
 	}
 }
 
-// executeWrite serves the put family as one branch: the decoded request goes
-// to the session's matching write entry point as it is (its put data aliases
-// the connection's frame buffer; the store copies it into the packed value
-// and the log buffer before returning) and every outcome is a status and a
-// version. A declined write answers with what the client needs to retry: an
-// OpCas whose ExpectVersion mismatched under the border lock is
-// StatusConflict carrying the current version, an OpTouch of an absent or
-// expired key StatusNotFound.
+// executeWrite serves the conditional and TTL writes as one branch (a plain
+// put is a point segment's): the decoded request goes to the session's
+// matching write entry point as it is (its put data aliases the connection's
+// frame buffer; the store copies it into the packed value and the log buffer
+// before returning) and every outcome is a status and a version. A declined
+// write answers with what the client needs to retry: an OpCas whose
+// ExpectVersion mismatched under the border lock is StatusConflict carrying
+// the current version, an OpTouch of an absent or expired key StatusNotFound.
 func (s *Server) executeWrite(sess *kvstore.Session, r *wire.Request) wire.Response {
 	var ver uint64
 	ok, declined := true, wire.StatusNotFound
 	switch r.Op {
-	case wire.OpPut:
-		ver = sess.Put(r.Key, r.Puts)
 	case wire.OpCas:
 		ver, ok = sess.CasPut(r.Key, r.ExpectVersion, r.Puts)
 		declined = wire.StatusConflict

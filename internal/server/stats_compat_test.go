@@ -270,8 +270,8 @@ func TestStatsHistogramKeysNumeric(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Three scans in one frame are a run; a fourth sent alone is not. Both
-	// count one lat_scan observation per scan.
+	// Three scans in one frame are a run; a fourth sent alone is a run of
+	// one. Every scan counts as batched and as one lat_scan observation.
 	scan := wire.Request{Op: wire.OpGetRange, Key: []byte("compat-key-"), N: 3}
 	if resps, err := c.Do([]wire.Request{scan, scan, scan}); err != nil || len(resps[2].Pairs) != 3 {
 		t.Fatalf("scan run: %+v %v", resps, err)
@@ -283,11 +283,11 @@ func TestStatsHistogramKeysNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw["batched_scans"] != "3" || raw["lat_scan_count"] != "4" {
-		t.Fatalf("batched_scans=%q lat_scan_count=%q after a run of 3 and a single, want 3 and 4", raw["batched_scans"], raw["lat_scan_count"])
+	if raw["batched_scans"] != "4" || raw["lat_scan_count"] != "4" {
+		t.Fatalf("batched_scans=%q lat_scan_count=%q after a run of 3 and a run of one, want 4 and 4", raw["batched_scans"], raw["lat_scan_count"])
 	}
-	if raw["batched_gets"] != "0" || raw["batched_puts"] != "0" {
-		t.Fatalf("a scan run moved batched_gets=%q batched_puts=%q", raw["batched_gets"], raw["batched_puts"])
+	if raw["batched_gets"] != "8" || raw["batched_puts"] != "8" {
+		t.Fatalf("batched_gets=%q batched_puts=%q after 8 lone gets and 8 lone puts, want 8 and 8: a scan moves neither", raw["batched_gets"], raw["batched_puts"])
 	}
 	numericExceptFlushLastError(t, raw)
 	lat := 0

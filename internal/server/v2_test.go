@@ -272,8 +272,8 @@ func TestScanRunAnsweredInOrder(t *testing.T) {
 	for i := put; i < len(frame); i++ {
 		alone[i] = do(frame[i : i+1])[0]
 	}
-	if n := srv.batchedScans.Load(); n != 3 {
-		t.Fatalf("batched_scans = %d after a frame with a run of three scans and a single, want 3", n)
+	if n := srv.batchedScans.Load(); n != 4+4 {
+		t.Fatalf("batched_scans = %d after four scans sent alone and a frame of four, want 8: every scan is batched", n)
 	}
 	if got := together[5].Pairs; len(got) != 2 || string(got[1].Key) != "sr11" || string(got[1].Cols[0]) != "rewritten" {
 		t.Fatalf("scan after the put: %q", got)
