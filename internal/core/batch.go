@@ -60,7 +60,11 @@ func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc
 //
 // The batch is cut into groups of waveWidth keys and each group descends as
 // one wave: every key's next node is being fetched while the others take
-// their hop. What a wave finds is a lookup's answer and a put's hint.
+// their hop. What a wave finds is a lookup's answer and a put's hint. A
+// group of one — a one-key batch, or the last group of a batch one longer
+// than a multiple of waveWidth — has no other descent to overlap its misses
+// with and runs no wave: its lookup is Get's and its put has no hint, so a
+// lone key costs one descent, as through Get or Update.
 //
 // A lookup whose descent meets a concurrent writer is not retried here: it
 // is looked up again with Get once the wave is over (counted in
@@ -72,8 +76,8 @@ func (t *Tree) GetBatchInto(keys [][]byte, vals []*value.Value, found []bool, sc
 // The puts are then applied in tree order, so that every maximal run of
 // them that resolves to the same border node is applied under a single
 // acquisition of that node's lock, amortizing the lock word's cache-line
-// bounce across the run; and each run begins at the border the wave found
-// for its first key, locked and checked (lockHint), not at the root.
+// bounce across the run; and each run (putRun) begins at the border the wave
+// found for its first key, locked and checked (lockHint), not at the root.
 //
 // apply is called once per put, under the owning border node's lock, with
 // the key's original batch index and its current value (nil if absent), and
@@ -93,6 +97,16 @@ func (t *Tree) BatchInto(keys [][]byte, put []bool, vals []*value.Value, found [
 	}
 	for lo := 0; lo < len(keys); lo += waveWidth {
 		group := keys[lo:min(lo+waveWidth, len(keys))]
+		if len(group) == 1 {
+			// A group of one runs no wave (see wave): a lookup is Get's, and a
+			// put, with the zero hint, descends from the root.
+			if allPut || put != nil && put[lo] {
+				sc.hints[lo] = borderHint{}
+			} else {
+				vals[lo], found[lo] = t.Get(group[0])
+			}
+			continue
+		}
 		t.wave(group, &sc.cur)
 		for i, k := range group {
 			c := &sc.cur[i]
@@ -121,7 +135,8 @@ func (t *Tree) BatchInto(keys [][]byte, put []bool, vals []*value.Value, found [
 	}
 	sc.order(keys, put)
 	for pos := 0; pos < len(sc.idx); {
-		pos = t.putRun(keys, sc.idx, sc.hints, pos, apply)
+		i := sc.idx[pos]
+		_, _, pos = t.putRun(keys[i], i, sc.hints[i], keys, sc.idx, pos+1, apply)
 	}
 	// An idle scratch must not keep a batch's worth of borders reachable (the
 	// sixteen cursors, overwritten by the next wave, are the documented rest).
@@ -132,12 +147,15 @@ func (t *Tree) BatchInto(keys [][]byte, put []bool, vals []*value.Value, found [
 // discards what it finds: what it is for is the nodes on each key's path and
 // the value at its end arriving in cache together, ahead of a caller that
 // will then visit the keys one after another — a run of range scans
-// starting at them.
+// starting at them. Like BatchInto it runs no wave for a group of one: a
+// lone key's own visit descends anyway, and there is nothing to overlap.
 //
 //masstree:noalloc
 func (t *Tree) Prefetch(keys [][]byte, sc *BatchScratch) {
 	for lo := 0; lo < len(keys); lo += waveWidth {
-		t.wave(keys[lo:min(lo+waveWidth, len(keys))], &sc.cur)
+		if group := keys[lo:min(lo+waveWidth, len(keys))]; len(group) > 1 {
+			t.wave(group, &sc.cur)
+		}
 	}
 }
 
@@ -178,7 +196,8 @@ const (
 // round advances every unfinished cursor by one hop (hop), and a hop ends by
 // prefetching the node it chose, so a node's lines arrive while the other
 // keys take their turn — §4.2's one-round-trip node fetch and §4.8's
-// overlapped lookups. A lone Get waits out every level's miss in sequence.
+// overlapped lookups. One key alone would wait out every level's miss in
+// sequence, as Get does, so BatchInto and Prefetch send no group of one here.
 // The round after a cursor's hop found its slot, the key is looked up there
 // (lookup), in the suffix key or twig asked for a round before.
 //

@@ -374,6 +374,109 @@ func TestGetBatchDuringRestructuring(t *testing.T) {
 	checkInvariants(t, tr)
 }
 
+// TestLoneKeyRunsNoWave pins BatchInto's and Prefetch's rule for a group of
+// one key: it runs no wave, so the scratch's cursors stay as they were, and a
+// one-key lookup answers as Get does and a one-key put as Update does — in
+// every key family: inline, suffix, a twig of one to four keys, a layer deep.
+// Each family is probed at a key it holds and at one it does not, so the puts
+// overwrite, decline and insert (an insert beside a suffix key makes a twig,
+// a fifth twig key a layer). Two trees that start alike take the same
+// operations, one through the batch calls and one through Get and Update.
+func TestLoneKeyRunsNoWave(t *testing.T) {
+	tr, ref := New(), New()
+	both := func(k string) {
+		v := value.New([]byte(k))
+		tr.Put([]byte(k), v)
+		ref.Put([]byte(k), v)
+	}
+	both("inline")
+	both("suffix-key-alone")
+	for n := 1; n <= twigCap; n++ {
+		for j := 0; j < max(n, 2); j++ {
+			both(fmt.Sprintf("twig%d!!!%c-tail", n, 'a'+j))
+		}
+	}
+	tr.Remove([]byte("twig1!!!b-tail")) // a twig drained to one key stays a twig
+	ref.Remove([]byte("twig1!!!b-tail"))
+	for j := 0; j <= twigCap; j++ {
+		both(fmt.Sprintf("layered!%c-tail", 'a'+j))
+	}
+	// kind names the family key lives in: what its slot at layer 0 holds.
+	kind := func(tr *Tree, key string) string {
+		n, off := ownerOf(tr, []byte(key))
+		perm := n.perm()
+		rank, found := n.searchRank(perm, keySlice([]byte(key)[off:]), keyOrd([]byte(key)[off:]))
+		switch kl := n.keylen(perm.slot(rank)); {
+		case off > 0:
+			return "layer"
+		case !found:
+			return "absent"
+		case kl == klSuffix:
+			return "suffix"
+		case kl == klTwig:
+			return fmt.Sprintf("twig of %d", (*twig)(n.loadLV(perm.slot(rank))).keys().n())
+		default:
+			return "inline"
+		}
+	}
+	families := []struct{ in, out, kind string }{
+		{"inline", "inlin", "inline"},
+		{"suffix-key-alone", "suffix-key-other", "suffix"},
+		{"twig1!!!a-tail", "twig1!!!z-tail", "twig of 1"},
+		{"twig2!!!a-tail", "twig2!!!z-tail", "twig of 2"},
+		{"twig3!!!a-tail", "twig3!!!z-tail", "twig of 3"},
+		{"twig4!!!a-tail", "twig4!!!z-tail", "twig of 4"},
+		{"layered!a-tail", "layered!z-tail", "layer"},
+	}
+	var sc BatchScratch
+	vals, found := make([]*value.Value, 1), make([]bool, 1)
+	for _, f := range families {
+		if got := kind(tr, f.in); got != f.kind {
+			t.Fatalf("%q lives in a slot of kind %q, want %q", f.in, got, f.kind)
+		}
+		for _, k := range []string{f.in, f.out} {
+			key := [][]byte{[]byte(k)}
+			untouched := func(op string) {
+				t.Helper()
+				if sc.cur != ([waveWidth]waveCursor{}) {
+					t.Fatalf("%s of %q alone ran a wave: the scratch's cursors were written", op, k)
+				}
+			}
+			tr.GetBatchInto(key, vals, found, &sc)
+			untouched("GetBatchInto")
+			if v, ok := ref.Get(key[0]); vals[0] != v || found[0] != ok {
+				t.Fatalf("GetBatchInto(%q) = %p, %v; Get says %p, %v", k, vals[0], found[0], v, ok)
+			}
+			tr.Prefetch(key, &sc)
+			untouched("Prefetch")
+			for _, nv := range []*value.Value{nil, value.New([]byte(k + "+"))} {
+				var saw *value.Value
+				idx := -1
+				tr.PutBatchInto(key, &sc, func(i int, old *value.Value) *value.Value {
+					idx, saw = i, old
+					return nv
+				})
+				untouched("PutBatchInto")
+				refSaw, _ := ref.Update(key[0], func(*value.Value) *value.Value { return nv })
+				if idx != 0 || saw != refSaw {
+					t.Fatalf("PutBatchInto(%q) storing %p showed apply index %d and %p; Update showed %p", k, nv, idx, saw, refSaw)
+				}
+				got, gotOK := tr.Get(key[0])
+				if want, ok := ref.Get(key[0]); got != want || gotOK != ok {
+					t.Fatalf("after a put of %p, %q holds %p, %v; Update left %p, %v", nv, k, got, gotOK, want, ok)
+				}
+			}
+			if got, want := kind(tr, k), kind(ref, k); got != want {
+				t.Fatalf("after the puts %q lives in a slot of kind %q; Update left %q", k, got, want)
+			}
+		}
+	}
+	if tr.Len() != ref.Len() {
+		t.Fatalf("the batch calls left %d keys, Update %d", tr.Len(), ref.Len())
+	}
+	checkInvariants(t, tr)
+}
+
 func TestGetBatchEmpty(t *testing.T) {
 	tr := New()
 	vals, found := getBatch(tr, nil)

@@ -22,7 +22,8 @@ func hintFor(tr *Tree, key []byte) borderHint {
 }
 
 // ownerOf is the border a put of key would end up holding locked, found the
-// way put finds it — from the root, through lockBorder, layer by layer — and
+// way a put with no hint finds it — from the root, through lockBorder, layer
+// by layer — and
 // the bytes of key the layers above it consume. The tree must be quiescent.
 func ownerOf(tr *Tree, key []byte) (*borderNode, int) {
 	root, off := tr.rootHeader(), 0
@@ -163,7 +164,7 @@ func TestHintGoesStale(t *testing.T) {
 			t.Fatalf("lockHint accepted %p, the only node of a collapsed layer", got)
 		}
 		// And a put handed that hint finds its own way.
-		tr.putRun([][]byte{long(2)}, []int{0}, []borderHint{h}, 0, func(int, *value.Value) *value.Value {
+		tr.putRun(long(2), 0, h, nil, nil, 0, func(int, *value.Value) *value.Value {
 			return value.New(long(2))
 		})
 		mustGet(t, tr, string(long(2)), string(long(2)))

@@ -12,7 +12,7 @@ import (
 // reader retries (§4.6.1); inserting a new key publishes it with one atomic
 // permutation write (§4.6.2).
 func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool) {
-	old, _ = t.put(key, func(int, *value.Value) *value.Value { return v })
+	old, _, _ = t.putRun(key, 0, borderHint{}, nil, nil, 0, func(int, *value.Value) *value.Value { return v })
 	return old, old != nil
 }
 
@@ -25,9 +25,11 @@ func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool)
 // mismatch); the same
 // contract applies to PutBatchInto's per-key callback, so conditional writes
 // batch exactly like unconditional ones. It returns the value f observed and
-// the value it stored (nil when it declined).
+// the value it stored (nil when it declined). It is putRun's run of one key,
+// with no hint: the descent from the root.
 func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
-	return t.put(key, func(_ int, old *value.Value) *value.Value { return f(old) })
+	old, stored, _ = t.putRun(key, 0, borderHint{}, nil, nil, 0, func(_ int, old *value.Value) *value.Value { return f(old) })
+	return old, stored
 }
 
 // lockBorder descends from root to the border node responsible for slice
@@ -42,7 +44,7 @@ func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, s
 // hand-over-hand under lock until the node owns the slice. Returns nil —
 // with everything unlocked and the root retry counted — when the node was
 // deleted underneath us and the caller must restart from the tree root.
-// This is the one copy of the writer-side locking protocol, shared by put,
+// This is the one copy of the writer-side locking protocol, shared by
 // putRun, remove and collapseLayer.
 //
 //masstree:returns-locked
@@ -93,32 +95,6 @@ func (t *Tree) lockHint(n *borderNode, slice uint64) *borderNode {
 		return nil
 	}
 	return n
-}
-
-// put descends the trie to the border node responsible for key, locks it,
-// and lets putAt do there what the key needs.
-func (t *Tree) put(key []byte, apply func(int, *value.Value) *value.Value) (old, stored *value.Value) {
-restart:
-	root := t.rootHeader()
-	k := key
-	for {
-		n := t.lockBorder(root, keySlice(k))
-		if n == nil {
-			goto restart
-		}
-		old, stored, step, at := t.putAt(n, k, 0, apply)
-		switch step {
-		case stepLayer:
-			root, k = t.enterLayer(n, at), k[8:]
-			continue
-		case stepSplit:
-			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
-		default:
-			n.h.Unlock()
-		}
-		t.counted(old, stored)
-		return old, stored
-	}
 }
 
 // A putStep is what putAt leaves its caller to do.

@@ -16,26 +16,28 @@ func (t *Tree) PutBatchInto(keys [][]byte, sc *BatchScratch, apply func(i int, o
 	t.BatchInto(keys, nil, nil, nil, sc, apply)
 }
 
-// putRun performs the put for keys[idx[pos]] — put's protocol, except that
-// the first border tried is the one the wave found (lockHint) — and then,
-// while the border node lock is still held, greedily applies subsequent
-// batch keys that fall into the same node (see extendRun). Returns the
-// position after the last key applied.
-func (t *Tree) putRun(keys [][]byte, idx []int, hints []borderHint, pos int, apply func(int, *value.Value) *value.Value) int {
-	key := keys[idx[pos]]
+// putRun is the one loop that descends and locks for a put. It performs the
+// put of key, whose index apply is handed as i, then, while the border node
+// lock is still held, greedily applies the batch keys keys[idx[next]],
+// keys[idx[next+1]], ... that fall into the same node (see extendRun). The
+// first border tried is the one the hint names (lockHint); the zero hint, a
+// stale one or a node deleted under lockBorder sends the descent to the root
+// (lockBorder). Put and Update are its run of one: no hint, no idx. It
+// returns what apply saw and stored for key, and the position in idx after
+// the last key applied.
+func (t *Tree) putRun(key []byte, i int, h borderHint, keys [][]byte, idx []int, next int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value, end int) {
 	// k is what is left of the key at the layer n is in, depth layers down.
-	h := hints[idx[pos]]
 	k, depth := key[h.off:], h.off/8
 	n := t.lockHint(h.n, keySlice(k))
 	for {
 		if n == nil {
-			// No hint, or a stale one, or a node deleted under lockBorder:
-			// from the root.
 			k, depth = key, 0
 			n = t.lockBorder(t.rootHeader(), keySlice(k))
 			continue
 		}
-		old, stored, step, at := t.putAt(n, k, idx[pos], apply)
+		var step putStep
+		var at int
+		old, stored, step, at = t.putAt(n, k, i, apply)
 		if step == stepLayer {
 			k, depth = k[8:], depth+1
 			n = t.lockBorder(t.enterLayer(n, at), keySlice(k))
@@ -44,9 +46,9 @@ func (t *Tree) putRun(keys [][]byte, idx []int, hints []borderHint, pos int, app
 		t.counted(old, stored)
 		if step == stepSplit {
 			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
-			return pos + 1
+			return old, stored, next
 		}
-		return t.extendRun(n, keys, idx, pos+1, depth, key, apply)
+		return old, stored, t.extendRun(n, keys, idx, next, depth, key, apply)
 	}
 }
 

@@ -5,8 +5,9 @@ package core
 //   - linear vs binary search within a border node ("linear search has
 //     higher complexity ... but exhibits better locality"; the paper saw
 //     ±0-5% depending on architecture);
-//   - batched vs one-at-a-time lookups (PALM-style, §4.8), and short scans
-//     one at a time vs in runs behind a wave over their start keys;
+//   - batched vs one-at-a-time lookups and puts (PALM-style, §4.8), and
+//     short scans one at a time vs in runs behind a wave over their start
+//     keys;
 //   - value update via one atomic pointer write vs full put path.
 import (
 	"fmt"
@@ -92,35 +93,48 @@ func TestSearchBinaryMatchesLinear(t *testing.T) {
 	}
 }
 
-// BenchmarkGetVsGetBatch compares a loop of Gets with GetBatchInto on a
-// tree far beyond the caches — 2 M decimal keys, uniformly random batches —
-// by batch size, in ns per key. On a cache-resident tree (it once used
-// 100 000 keys) there are no misses to overlap and the two read alike.
-func BenchmarkGetVsGetBatch(b *testing.B) {
+// BenchmarkPointVsBatch compares a loop of single-key calls with the batched
+// call on a tree far beyond the caches — 2 M decimal keys, uniformly random
+// batches — by batch size, in ns per key: Get against GetBatchInto, and Put
+// against PutBatchInto. Each put stores the value the key already has, so
+// every row reads the same tree; both put rows fetch those values before the
+// call, so that neither pays for the fetch inside its descent or its lock. On
+// a cache-resident tree (it once used 100 000 keys) there are no misses to
+// overlap and the two read alike; at batch=1 the batched call runs no wave,
+// and the pair should read alike too.
+func BenchmarkPointVsBatch(b *testing.B) {
 	if testing.Short() {
 		b.Skip("loads 2M keys")
 	}
 	tr := New()
 	keys := workload.Keys(workload.Decimal(10), 2_000_000)
-	for _, k := range keys {
-		tr.Put(k, value.New(k))
+	own := make([]*value.Value, len(keys)) // own[i] is keys[i]'s value
+	for i, k := range keys {
+		own[i] = value.New(k)
+		tr.Put(k, own[i])
 	}
 	for _, size := range []int{1, 2, 4, 16, 64} {
-		batch := make([][]byte, size)
+		batch, at := make([][]byte, size), make([]int, size)
 		vals := make([]*value.Value, size)
 		found := make([]bool, size)
 		var sc BatchScratch
-		run := func(name string, lookup func()) {
+		run := func(name string, op func()) {
 			b.Run(fmt.Sprintf("%s/batch=%d", name, size), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(size)))
 				for i := 0; i < b.N; i++ {
 					for j := range batch {
-						batch[j] = keys[rng.Intn(len(keys))]
+						at[j] = rng.Intn(len(keys))
+						batch[j] = keys[at[j]]
 					}
-					lookup()
+					op()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
 			})
+		}
+		ownValues := func() {
+			for j := range batch {
+				vals[j] = own[at[j]]
+			}
 		}
 		run("get-loop", func() {
 			for j, k := range batch {
@@ -128,6 +142,16 @@ func BenchmarkGetVsGetBatch(b *testing.B) {
 			}
 		})
 		run("getbatch", func() { tr.GetBatchInto(batch, vals, found, &sc) })
+		run("put-loop", func() {
+			ownValues()
+			for j, k := range batch {
+				tr.Put(k, vals[j])
+			}
+		})
+		run("putbatch", func() {
+			ownValues()
+			tr.PutBatchInto(batch, &sc, func(j int, _ *value.Value) *value.Value { return vals[j] })
+		})
 	}
 }
 

@@ -232,8 +232,9 @@ func TestPutBatchIntoAllocs(t *testing.T) {
 }
 
 // TestPointBatchIntoAllocs pins a mixed frame — sixteen requests, gets and
-// puts alternating, one key hit by both — at one packed value per put and
-// nothing per get, logged and unlogged, once the scratch is warm.
+// puts alternating, one key hit by both — and a one-key frame of either kind
+// at one packed value per put and nothing per get, logged and unlogged, once
+// the scratch is warm.
 func TestPointBatchIntoAllocs(t *testing.T) {
 	mem := vfs.NewMemFS()
 	if err := mem.MkdirAll("d", 0o755); err != nil {
@@ -264,6 +265,24 @@ func TestPointBatchIntoAllocs(t *testing.T) {
 		if allocs != nputs {
 			t.Errorf("%s: Session.PointBatchInto allocates %.1f per frame of %d gets and %d puts, want %d (one packed value per put)",
 				name, allocs, batch-nputs, nputs, nputs)
+		}
+		// A one-key frame, which runs no wave: a get allocates nothing, a put
+		// its packed value.
+		for _, at := range []int{0, 1} { // keys[0] is a get, keys[1] a put
+			k, p, ps := keys[at:at+1], put[at:at+1], puts[at:at+1]
+			want := 0.0
+			if p[0] {
+				want = 1
+			}
+			sess.PointBatchInto(k, p, ps)
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, found, vers := sess.PointBatchInto(k, p, ps); !p[0] && !found[0] || p[0] && vers[0] == 0 {
+					t.Fatal("one-key frame failed")
+				}
+			})
+			if allocs != want {
+				t.Errorf("%s: Session.PointBatchInto allocates %.1f per one-key frame (put: %v), want %.0f", name, allocs, p[0], want)
+			}
 		}
 	}
 }

@@ -323,16 +323,13 @@ func (ss *Session) GetRangeInto(start []byte, n int, cols []int, sc *RangeScratc
 // keys first descend together (core.Tree.Prefetch: sixteen descents in
 // flight, found values discarded), so that each range, run in input order
 // exactly as GetRangeInto would run it alone, begins at a border node that
-// is already in cache. A lone range skips that descent: it has no other
-// descent to overlap its misses with, and its own scan descends anyway.
-// Window i of the result holds range i's pairs: the pairs live in sc until
-// sc.Reset, the slice of windows until the next call with sc.
+// is already in cache. Window i of the result holds range i's pairs: the
+// pairs live in sc until sc.Reset, the slice of windows until the next call
+// with sc.
 //
 //masstree:noalloc
 func (ss *Session) GetRangeBatchInto(starts [][]byte, ns []int, cols [][]int, sc *RangeScratch) [][]Pair {
-	if len(starts) > 1 {
-		ss.s.tree.Prefetch(starts, &ss.batch.core)
-	}
+	ss.s.tree.Prefetch(starts, &ss.batch.core)
 	sc.runs = sc.runs[:0]
 	for i, start := range starts {
 		sc.runs = append(sc.runs, ss.s.rangeInto(start, ns[i], cols[i], sc))
