@@ -83,12 +83,14 @@ type Conn struct {
 	slots chan struct{}
 
 	// flushCh wakes the flusher goroutine after a Go buffered a frame.
-	// Flushing out-of-line coalesces syscalls: while the flusher is inside
-	// one Flush, any number of Go calls append to the buffered writer, and
-	// the single pending signal (cap 1) flushes them all together. The
-	// invariant is that a signal is sent only after its frame is fully
-	// buffered under wmu, and the flusher takes wmu to flush, so every
-	// buffered frame is covered by a flush that starts after it.
+	// Flushing out-of-line coalesces syscalls: every frame buffered between
+	// a signal and the flusher taking wmu goes out in one Flush, and the
+	// single pending signal (cap 1) covers them all. The flusher holds wmu
+	// across Flush, so a Go that comes while it flushes waits for the write
+	// syscall to return before it appends its frame. The invariant is that
+	// a signal is sent only after its frame is fully buffered under wmu, and
+	// the flusher takes wmu to flush, so every buffered frame is covered by
+	// a flush that starts after it.
 	flushCh chan struct{}
 
 	mu      sync.Mutex

@@ -27,7 +27,7 @@
 // request once, alone, to its key's owner. A single GetRange is refused on
 // more than one node, because a range spans shards. There is no batch
 // call, so a Cluster over a single node answers exactly as a plain
-// client.Conn does (pinned by TestClusterSingleNodeEquivalence).
+// client.Conn does (both run internal/kvsuite against internal/model).
 package cluster
 
 import (

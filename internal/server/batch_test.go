@@ -97,44 +97,3 @@ func TestBatchedGetsMatchPerKeyGets(t *testing.T) {
 		t.Fatalf("batched path served %d gets, want >= %d — segments are not using Session.PointBatchInto", n, 50*batch)
 	}
 }
-
-// TestMixedBatchResponseArenas sends one message whose responses all share
-// the per-connection arenas (two range queries, interleaved gets, a put)
-// and checks nothing is clobbered before encoding.
-func TestMixedBatchResponseArenas(t *testing.T) {
-	_, addr := startServer(t, "")
-	c := dialConn(t, addr)
-	for i := 0; i < 10; i++ {
-		k := []byte(fmt.Sprintf("ra%02d", i))
-		if _, err := c.Put(k, []wire.ColData{{Col: 0, Data: append([]byte("v-"), k...)}, {Col: 1, Data: []byte("c1")}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	resps, err := c.Do([]wire.Request{
-		{Op: wire.OpGetRange, Key: []byte("ra00"), N: 3},
-		{Op: wire.OpGet, Key: []byte("ra05")},
-		{Op: wire.OpGet, Key: []byte("ra06"), Cols: []int{1}},
-		{Op: wire.OpPut, Key: []byte("ra99"), Puts: []wire.ColData{{Col: 0, Data: []byte("new")}}},
-		{Op: wire.OpGetRange, Key: []byte("ra07"), N: 2},
-		{Op: wire.OpGet, Key: []byte("ra99")},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resps[0].Pairs) != 3 || string(resps[0].Pairs[0].Key) != "ra00" || string(resps[0].Pairs[2].Cols[0]) != "v-ra02" {
-		t.Fatalf("first range clobbered: %+v", resps[0].Pairs)
-	}
-	if string(resps[1].Cols[0]) != "v-ra05" || string(resps[1].Cols[1]) != "c1" {
-		t.Fatalf("get all-cols: %q", resps[1].Cols)
-	}
-	if len(resps[2].Cols) != 1 || string(resps[2].Cols[0]) != "c1" {
-		t.Fatalf("get col 1: %q", resps[2].Cols)
-	}
-	if len(resps[4].Pairs) != 2 || string(resps[4].Pairs[1].Key) != "ra08" {
-		t.Fatalf("second range: %+v", resps[4].Pairs)
-	}
-	if string(resps[5].Cols[0]) != "new" {
-		t.Fatalf("get after put: %q", resps[5].Cols)
-	}
-}

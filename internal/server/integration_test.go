@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/kvstore"
+	"repro/internal/model"
 	"repro/internal/value"
 	"repro/internal/wire"
 	"repro/internal/ycsb"
@@ -126,8 +127,8 @@ func TestIntegrationYCSBOverNetwork(t *testing.T) {
 }
 
 // TestIntegrationCheckpointUnderNetworkLoad checkpoints while network
-// clients write, then recovers and cross-checks against client-side ground
-// truth.
+// clients write, then recovers and holds every key to the value and version
+// each client's internal/model holds for it.
 func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 	dir := t.TempDir()
 	store, err := kvstore.Open(kvstore.Config{Dir: dir, Workers: 2, FlushInterval: 5 * time.Millisecond})
@@ -141,9 +142,8 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 	addr := srv.Addr().String()
 
 	var wg sync.WaitGroup
-	truth := make([]map[string]string, 2)
-	for w := 0; w < 2; w++ {
-		truth[w] = map[string]string{}
+	models := []*model.Model{model.New(), model.New()}
+	for w := range models {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -156,11 +156,12 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				k := fmt.Sprintf("w%d-%05d", w, i%1500)
 				v := fmt.Sprintf("v%d", i)
-				if _, err := c.PutSimple([]byte(k), []byte(v)); err != nil {
+				ver, err := c.PutSimple([]byte(k), []byte(v))
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				truth[w][k] = v
+				models[w].Put(k, ver, 0, model.ColPut{Data: []byte(v)})
 			}
 		}(w)
 	}
@@ -191,11 +192,14 @@ func TestIntegrationCheckpointUnderNetworkLoad(t *testing.T) {
 	}
 	defer store2.Close()
 	sess := store2.Session(0)
-	for w := range truth {
-		for k, v := range truth[w] {
-			got, ok := sess.GetValue([]byte(k))
-			if !ok || string(got.Col(0)) != v {
-				t.Fatalf("key %q = %q,%v want %q after recovery (%d checkpoints ran)", k, got.Col(0), ok, v, ckpts)
+	for _, m := range models {
+		if err := m.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range m.Range("", m.Len(), 0) {
+			got, ok := sess.GetValue([]byte(p.Key))
+			if !ok || string(got.Col(0)) != string(p.Cols[0]) || got.Version() != p.Version {
+				t.Fatalf("key %q = %q version %d, %v; want %s after recovery (%d checkpoints ran)", p.Key, got.Col(0), got.Version(), ok, p.State, ckpts)
 			}
 		}
 	}

@@ -5,15 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/kvstore"
+	"repro/internal/model"
 	"repro/internal/wire"
 )
 
 // TestBatchedPutsMatchPerKeyPuts sends messages full of consecutive OpPuts
 // (an all-put segment of Session.PointBatchInto) and verifies the stored state and
-// returned versions match what per-key puts would produce: every key holds
-// its last write, versions are per-key increasing (including duplicates
-// inside one message, which must apply in request order), and the
-// batched_puts stat proves the batched path served them.
+// returned versions match what per-key puts would produce, as internal/model
+// holds them: every key holds its last write and version, versions are
+// per-key increasing (including duplicates inside one message, which must
+// apply in request order), and the batched_puts stat proves the batched path
+// served them.
 func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 	srv, addr := startServer(t, t.TempDir())
 	c := dialConn(t, addr)
@@ -21,7 +23,7 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 	const batch = 64
 	const rounds = 10
 	key := func(i int) []byte { return []byte(fmt.Sprintf("bp-key-%04d", i%48)) } // 48 keys → duplicates per message
-	lastVer := map[string]uint64{}
+	m := model.New()
 	reqs := make([]wire.Request, batch)
 	for round := 0; round < rounds; round++ {
 		for j := range reqs {
@@ -33,34 +35,21 @@ func TestBatchedPutsMatchPerKeyPuts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j, r := range resps {
-			if r.Status != wire.StatusOK || r.Version == 0 {
-				t.Fatalf("round %d req %d: status %d version %d", round, j, r.Status, r.Version)
+			if r.Status != wire.StatusOK {
+				t.Fatalf("round %d req %d: status %d", round, j, r.Status)
 			}
-			k := string(reqs[j].Key)
-			if r.Version <= lastVer[k] {
-				t.Fatalf("round %d req %d: key %q version %d not after %d", round, j, k, r.Version, lastVer[k])
+			m.Put(string(reqs[j].Key), r.Version, 0, model.ColPut{Data: reqs[j].Puts[0].Data})
+			if err := m.Err(); err != nil {
+				t.Fatalf("round %d req %d: %v", round, j, err)
 			}
-			lastVer[k] = r.Version
 		}
 	}
 
 	// Every key must hold its final write.
-	for i := 0; i < 48; i++ {
-		var lastData string
-		for round := rounds - 1; round >= 0 && lastData == ""; round-- {
-			for j := batch - 1; j >= 0; j-- {
-				if string(key(round*batch+j)) == string(key(i)) {
-					lastData = fmt.Sprintf("r%02d-j%02d", round, j)
-					break
-				}
-			}
-		}
-		got, _, ok, err := c.Get(key(i), nil)
-		if err != nil || !ok {
-			t.Fatalf("get %q: %v %v", key(i), ok, err)
-		}
-		if string(got[0]) != lastData {
-			t.Fatalf("key %q = %q, want last batched write %q", key(i), got[0], lastData)
+	for _, p := range m.Range("", m.Len(), 0) {
+		got, ver, ok, err := c.Get([]byte(p.Key), nil)
+		if err != nil || !ok || string(got[0]) != string(p.Cols[0]) || ver != p.Version {
+			t.Fatalf("key %q = %q version %d, %v %v; want last batched write %s", p.Key, got, ver, ok, err, p.State)
 		}
 	}
 

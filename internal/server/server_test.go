@@ -1,18 +1,17 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/kvstore"
+	"repro/internal/kvsuite"
 	"repro/internal/wire"
 )
 
@@ -38,127 +37,11 @@ func startServer(t *testing.T, dir string) (*Server, string) {
 	return srv, srv.Addr().String()
 }
 
-func TestEndToEnd(t *testing.T) {
+// TestKVSuite runs the wire suite against one server through two Conns, one
+// of which holds a single batch in flight at a time.
+func TestKVSuite(t *testing.T) {
 	_, addr := startServer(t, "")
-	c := dialConn(t, addr, client.WithWindow(1))
-
-	if _, err := c.PutSimple([]byte("hello"), []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	got, _, ok, err := c.Get([]byte("hello"), nil)
-	if err != nil || !ok || string(got[0]) != "world" {
-		t.Fatalf("get: %q %v %v", got, ok, err)
-	}
-	if _, _, ok, _ := c.Get([]byte("missing"), nil); ok {
-		t.Fatal("phantom key")
-	}
-	existed, err := c.Remove([]byte("hello"))
-	if err != nil || !existed {
-		t.Fatalf("remove: %v %v", existed, err)
-	}
-	if _, _, ok, _ := c.Get([]byte("hello"), nil); ok {
-		t.Fatal("key survived remove")
-	}
-}
-
-func TestBatchedQueries(t *testing.T) {
-	_, addr := startServer(t, "")
-	c := dialConn(t, addr)
-
-	const batch = 100
-	reqs := make([]wire.Request, batch)
-	for i := range reqs {
-		reqs[i] = wire.Request{
-			Op:   wire.OpPut,
-			Key:  []byte(fmt.Sprintf("k%03d", i)),
-			Puts: []wire.ColData{{Col: 0, Data: []byte(fmt.Sprintf("v%d", i))}},
-		}
-	}
-	resps, err := c.Do(reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if r.Status != wire.StatusOK {
-			t.Fatalf("put %d status %d", i, r.Status)
-		}
-	}
-	// Versions within one connection's batch must be increasing (same log).
-	for i := 1; i < batch; i++ {
-		if resps[i].Version <= resps[i-1].Version {
-			t.Fatalf("versions not increasing: %d then %d", resps[i-1].Version, resps[i].Version)
-		}
-	}
-	gets := make([]wire.Request, batch)
-	for i := range gets {
-		gets[i] = wire.Request{Op: wire.OpGet, Key: []byte(fmt.Sprintf("k%03d", i))}
-	}
-	resps, err = c.Do(gets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range resps {
-		if r.Status != wire.StatusOK || string(r.Cols[0]) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("get %d: %+v", i, r)
-		}
-	}
-}
-
-func TestRangeOverNetwork(t *testing.T) {
-	_, addr := startServer(t, "")
-	c := dialConn(t, addr)
-	for i := 0; i < 30; i++ {
-		c.Put([]byte(fmt.Sprintf("k%03d", i)), []wire.ColData{
-			{Col: 0, Data: []byte("a")}, {Col: 1, Data: []byte(fmt.Sprintf("b%d", i))},
-		})
-	}
-	pairs, err := c.GetRange([]byte("k010"), 5, []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 5 {
-		t.Fatalf("got %d pairs", len(pairs))
-	}
-	for i, p := range pairs {
-		if string(p.Key) != fmt.Sprintf("k%03d", 10+i) || string(p.Cols[0]) != fmt.Sprintf("b%d", 10+i) {
-			t.Fatalf("pair %d: %q %q", i, p.Key, p.Cols)
-		}
-	}
-}
-
-func TestManyConcurrentClients(t *testing.T) {
-	_, addr := startServer(t, "")
-	const clients = 8
-	const perClient = 300
-	var wg sync.WaitGroup
-	for ci := 0; ci < clients; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			c, err := client.DialConn(addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for i := 0; i < perClient; i++ {
-				k := []byte(fmt.Sprintf("c%d-%04d", ci, i))
-				if _, err := c.PutSimple(k, k); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			for i := 0; i < perClient; i++ {
-				k := []byte(fmt.Sprintf("c%d-%04d", ci, i))
-				got, _, ok, err := c.Get(k, nil)
-				if err != nil || !ok || !bytes.Equal(got[0], k) {
-					t.Errorf("get %q: %v %v %v", k, got, ok, err)
-					return
-				}
-			}
-		}(ci)
-	}
-	wg.Wait()
+	kvsuite.Run(t, kvsuite.Target{Conns: []*client.Conn{dialConn(t, addr), dialConn(t, addr, client.WithWindow(1))}, Ranges: true})
 }
 
 func TestServerPersistsThroughRestart(t *testing.T) {
@@ -275,7 +158,41 @@ func TestStatsOverNetwork(t *testing.T) {
 	if stats["splits"] < 1 {
 		t.Fatalf("stats splits = %d, expected at least one split", stats["splits"])
 	}
-	if _, ok := stats["root_retries"]; !ok {
-		t.Fatal("missing root_retries metric")
+	for _, k := range []string{"root_retries", "bytes_live", "max_bytes", "evictions", "expirations", "ghost_hits", "admit_drops", "flush_errors"} {
+		if _, ok := stats[k]; !ok {
+			t.Fatalf("missing %s metric", k)
+		}
+	}
+	if stats["bytes_live"] <= 0 {
+		t.Fatalf("bytes_live = %d, want > 0", stats["bytes_live"])
+	}
+}
+
+// TestTTLExpiresOverWire verifies a short-TTL key becomes invisible to
+// remote reads once its deadline passes (lazy expiry; no sweep needed), on a
+// store with no byte budget. The server computes deadlines from wire TTL
+// seconds, so the shortest expressible TTL is 1s — the test waits it out.
+func TestTTLExpiresOverWire(t *testing.T) {
+	_, addr := startServer(t, "")
+	conn := dialConn(t, addr)
+	if _, err := conn.PutSimpleTTL([]byte("blink"), []byte("v"), 1); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, _, ok, err := conn.Get([]byte("blink"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break // expired
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("key did not expire within 5s of a 1s TTL")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if _, ok, err := conn.Touch([]byte("blink"), 60); err != nil || ok {
+		t.Fatalf("touch revived an expired key: %v %v", ok, err)
 	}
 }

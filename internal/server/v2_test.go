@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/client"
@@ -19,84 +18,6 @@ func dialConn(t *testing.T, addr string, opts ...client.ConnOption) *client.Conn
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
-}
-
-func TestConnEndToEnd(t *testing.T) {
-	_, addr := startServer(t, "")
-	c := dialConn(t, addr)
-
-	v1, err := c.PutSimple([]byte("hello"), []byte("world"))
-	if err != nil || v1 == 0 {
-		t.Fatalf("put: %d %v", v1, err)
-	}
-	got, ver, ok, err := c.Get([]byte("hello"), nil)
-	if err != nil || !ok || string(got[0]) != "world" {
-		t.Fatalf("get: %q %v %v", got, ok, err)
-	}
-	if ver != v1 {
-		t.Fatalf("get version %d, put returned %d", ver, v1)
-	}
-	if _, _, ok, _ := c.Get([]byte("missing"), nil); ok {
-		t.Fatal("phantom key")
-	}
-
-	// CAS through the async client: success, then conflict.
-	v2, ok, err := c.CasPut([]byte("hello"), v1, []wire.ColData{{Col: 0, Data: []byte("world2")}})
-	if err != nil || !ok || v2 <= v1 {
-		t.Fatalf("cas: %d %v %v", v2, ok, err)
-	}
-	cur, ok, err := c.CasPut([]byte("hello"), v1, []wire.ColData{{Col: 0, Data: []byte("stale")}})
-	if err != nil || ok || cur != v2 {
-		t.Fatalf("stale cas: ver=%d ok=%v err=%v want ver=%d", cur, ok, err, v2)
-	}
-	if got, _, _, _ := c.Get([]byte("hello"), nil); string(got[0]) != "world2" {
-		t.Fatalf("stale cas mutated value: %q", got)
-	}
-
-	// Range + stats + remove round out the wrapper surface.
-	pairs, err := c.GetRange([]byte("h"), 10, nil)
-	if err != nil || len(pairs) != 1 || string(pairs[0].Key) != "hello" {
-		t.Fatalf("getrange: %v %v", pairs, err)
-	}
-	stats, err := c.Stats()
-	if err != nil || stats["keys"] != 1 {
-		t.Fatalf("stats: %v %v", stats, err)
-	}
-	existed, err := c.Remove([]byte("hello"))
-	if err != nil || !existed {
-		t.Fatalf("remove: %v %v", existed, err)
-	}
-}
-
-// Many goroutines share one Conn, each pipelining its own keys; tag
-// matching must route every response to its issuer.
-func TestConnConcurrent(t *testing.T) {
-	_, addr := startServer(t, "")
-	c := dialConn(t, addr, client.WithWindow(8))
-
-	const goroutines = 8
-	const rounds = 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				key := []byte(fmt.Sprintf("g%02d-key%03d", g, i))
-				val := []byte(fmt.Sprintf("g%02d-val%03d", g, i))
-				if _, err := c.PutSimple(key, val); err != nil {
-					t.Errorf("put: %v", err)
-					return
-				}
-				got, _, ok, err := c.Get(key, nil)
-				if err != nil || !ok || string(got[0]) != string(val) {
-					t.Errorf("get %q: %q %v %v", key, got, ok, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // A Go that outlives several others must still find its response: issue a
@@ -173,62 +94,6 @@ func TestMalformedRequestSurvivesV2(t *testing.T) {
 	}
 	if stats["errored_requests"] != 2 {
 		t.Fatalf("errored_requests = %d, want 2", stats["errored_requests"])
-	}
-}
-
-// CAS linearizability across the network: goroutines on separate
-// connections CAS-increment one key; no update may be lost. Run under
-// -race in CI.
-func TestCasIncrementOverNetwork(t *testing.T) {
-	_, addr := startServer(t, "")
-	seed := dialConn(t, addr)
-	if _, ok, err := seed.CasPut([]byte("ctr"), 0, []wire.ColData{{Col: 0, Data: []byte("0")}}); !ok || err != nil {
-		t.Fatalf("seed: %v %v", ok, err)
-	}
-
-	const goroutines = 4
-	const increments = 100
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := client.DialConn(addr)
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
-			defer c.Close()
-			for i := 0; i < increments; i++ {
-				for {
-					cols, ver, ok, err := c.Get([]byte("ctr"), nil)
-					if err != nil || !ok {
-						t.Errorf("get: %v %v", ok, err)
-						return
-					}
-					var n int
-					fmt.Sscanf(string(cols[0]), "%d", &n)
-					_, ok, err = c.CasPut([]byte("ctr"), ver,
-						[]wire.ColData{{Col: 0, Data: []byte(fmt.Sprint(n + 1))}})
-					if err != nil {
-						t.Errorf("cas: %v", err)
-						return
-					}
-					if ok {
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	cols, _, _, err := seed.Get([]byte("ctr"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprint(goroutines * increments); string(cols[0]) != want {
-		t.Fatalf("lost updates: counter %q want %q", cols[0], want)
 	}
 }
 
