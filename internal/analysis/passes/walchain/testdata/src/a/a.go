@@ -1,11 +1,12 @@
 // Package a is the walchain golden fixture: a miniature of the kvstore's
-// write kernel with the real one's names (tree write methods
-// Update/PutBatchInto taking func literals, a step method that alone
-// calls nextVersion and returns a writeResult, a logWrite method that alone
-// appends put records, a drop method whose second result is a remove's
-// timestamp, a worker lock named lockWorker, and WAL types named Writer and
-// Batch, whose Put, Insert and Remove are the record appends), exercising
-// the clean kernel and every diagnostic.
+// write kernel with the real one's names (the tree write method BatchInto,
+// whose func literal alone may run the step, and Update, which locks too but
+// may not; a step method that alone calls nextVersion and returns a
+// writeResult, a logWrite method that alone appends put records, a drop
+// method whose second result is a remove's timestamp, a worker lock named
+// lockWorker, and WAL types named Writer and Batch, whose Put, Insert and
+// Remove are the record appends), exercising the one clean driver and every
+// diagnostic.
 package a
 
 type Value struct{}
@@ -24,9 +25,9 @@ type ColPut struct {
 
 type Tree struct{}
 
-func (t *Tree) Update(key []byte, f func(*Value) *Value)               {}
-func (t *Tree) PutBatchInto(keys [][]byte, f func(int, *Value) *Value) {}
-func (t *Tree) RemoveIf(key []byte, f func(*Value) bool) *Value        { return nil }
+func (t *Tree) Update(key []byte, f func(*Value) *Value)            {}
+func (t *Tree) BatchInto(keys [][]byte, f func(int, *Value) *Value) {}
+func (t *Tree) RemoveIf(key []byte, f func(*Value) bool) *Value     { return nil }
 
 type Writer struct{}
 
@@ -58,8 +59,7 @@ func (s *Store) nextVersion(worker int, old *Value) uint64 { return 2 }
 func (s *Store) retire(worker int, old *Value) uint64      { return 3 }
 
 type writeOp struct {
-	puts []ColPut
-	ttl  bool
+	ttl bool
 }
 
 type writeResult struct {
@@ -69,7 +69,7 @@ type writeResult struct {
 }
 
 // step is the kernel's first stage: the one version draw, the one prev read.
-func (s *Store) step(worker int, op writeOp, old *Value) (r writeResult) {
+func (s *Store) step(worker int, op writeOp, puts []ColPut, old *Value) (r writeResult) {
 	r.prev = old.Version()
 	r.ver = s.nextVersion(worker, old)
 	r.nv = old
@@ -92,83 +92,78 @@ func (s *Store) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []write
 	b.End()
 }
 
-// write is the clean single-key driver: worker lock, step under the border
-// lock, log stage.
-func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	s.tree.Update(key, func(old *Value) *Value {
-		r = s.step(worker, op, old)
-		return r.nv
-	})
-	s.logWrite(worker, [][]byte{key}, [][]ColPut{op.puts}, []writeResult{r}, op.ttl)
-	return r
-}
-
 type scratch struct {
 	res []writeResult
 	out []uint64
 }
 
-// putBatch is the clean batch driver: the step results go to the log stage
-// as they are.
-func (s *Store) putBatch(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) []uint64 {
+// pointBatch is the one clean driver, for a batch and a single key alike:
+// worker lock, the steps under the border locks, and the step results go to
+// the log stage as they are.
+func (s *Store) pointBatch(worker int, op writeOp, keys [][]byte, puts [][]ColPut, sc *scratch) []uint64 {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
-	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
-		r := s.step(worker, writeOp{puts: puts[i]}, old)
+	s.tree.BatchInto(keys, func(i int, old *Value) *Value {
+		r := s.step(worker, op, puts[i], old)
 		sc.res[i], sc.out[i] = r, r.ver
 		return r.nv
 	})
-	s.logWrite(worker, keys, puts, sc.res, false)
+	s.logWrite(worker, keys, puts, sc.res, op.ttl)
 	return sc.out
+}
+
+// badUpdate runs the step under Update: a border lock, but not the driver's.
+func (s *Store) badUpdate(worker int, key []byte, op writeOp) {
+	s.tree.Update(key, func(old *Value) *Value {
+		return s.step(worker, op, nil, old).nv // want `step outside a tree-write critical section`
+	})
 }
 
 // badDraw draws a version outside the step, and runs the step outside any
 // tree write: both are unordered against the value they stamp.
-func (s *Store) badDraw(worker int, key []byte, op writeOp, cur *Value) {
+func (s *Store) badDraw(worker int, key []byte, op writeOp, puts []ColPut, cur *Value) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
-	_ = s.nextVersion(worker, cur) // want `nextVersion outside the kernel step`
-	r := s.step(worker, op, cur)   // want `step outside a tree-write critical section`
-	s.logWrite(worker, [][]byte{key}, [][]ColPut{op.puts}, []writeResult{r}, op.ttl)
+	_ = s.nextVersion(worker, cur)     // want `nextVersion outside the kernel step`
+	r := s.step(worker, op, puts, cur) // want `step outside a tree-write critical section`
+	s.logWrite(worker, [][]byte{key}, [][]ColPut{puts}, []writeResult{r}, op.ttl)
 }
 
 // badAppendOutside re-spells the record choice outside the log stage, with
 // the one-record append and with a batch of its own.
-func (s *Store) badAppendOutside(worker int, key []byte, op writeOp) {
+func (s *Store) badAppendOutside(worker int, key []byte, op writeOp, puts []ColPut) {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
 	var r writeResult
-	s.tree.Update(key, func(old *Value) *Value {
-		r = s.step(worker, op, old)
+	s.tree.BatchInto([][]byte{key}, func(_ int, old *Value) *Value {
+		r = s.step(worker, op, puts, old)
 		return r.nv
 	})
-	s.logs.Writer(worker).AppendPut(r.ver, r.prev, key, op.puts) // want `Writer.AppendPut outside the log stage`
+	s.logs.Writer(worker).AppendPut(r.ver, r.prev, key, puts) // want `Writer.AppendPut outside the log stage`
 	b := s.logs.Writer(worker).Begin()
-	b.Put(r.ver, r.prev, key, op.puts, false, 0) // want `Batch.Put outside the log stage`
-	b.Insert(r.ver, key, nil, r.nv, false, 0)    // want `Batch.Insert outside the log stage`
+	b.Put(r.ver, r.prev, key, puts, false, 0) // want `Batch.Put outside the log stage`
+	b.Insert(r.ver, key, nil, r.nv, false, 0) // want `Batch.Insert outside the log stage`
 	b.End()
 }
 
 // badNoLock reaches the log stage with no worker lock: nothing serializes
 // the draw-to-append window against the next writer.
 func (s *Store) badNoLock(worker int, keys [][]byte, puts [][]ColPut, sc *scratch) {
-	s.tree.PutBatchInto(keys, func(i int, old *Value) *Value {
-		sc.res[i] = s.step(worker, writeOp{}, old)
+	s.tree.BatchInto(keys, func(i int, old *Value) *Value {
+		sc.res[i] = s.step(worker, writeOp{}, puts[i], old)
 		return sc.res[i].nv
 	})
 	s.logWrite(worker, keys, puts, sc.res, false) // want `logWrite before lockWorker`
 }
 
 // badLockAfter takes the worker lock only after the append.
-func (s *Store) badLockAfter(worker int, key []byte, op writeOp) {
+func (s *Store) badLockAfter(worker int, key []byte, op writeOp, puts []ColPut) {
 	var r writeResult
-	s.tree.Update(key, func(old *Value) *Value {
-		r = s.step(worker, op, old)
+	s.tree.BatchInto([][]byte{key}, func(_ int, old *Value) *Value {
+		r = s.step(worker, op, puts, old)
 		return r.nv
 	})
-	s.logWrite(worker, [][]byte{key}, [][]ColPut{op.puts}, []writeResult{r}, op.ttl) // want `logWrite before lockWorker`
+	s.logWrite(worker, [][]byte{key}, [][]ColPut{puts}, []writeResult{r}, op.ttl) // want `logWrite before lockWorker`
 	mu := s.lockWorker(worker)
 	mu.Unlock()
 }

@@ -3,14 +3,15 @@
 // names exactly the version it replaced — holds because one function, the
 // step, draws the version and reads prev in the same border-lock critical
 // section, one function, the log stage, turns its result into a record, and
-// the worker lock spans both. A prev read anywhere else is a TOCTOU: a
-// racing writer slips between the read and the draw, the logged chain skips
-// a version, and replay counts it as broken. So the analyzer asserts the
-// kernel's shape rather than recognising write paths:
+// the worker lock spans both, all in one driver. A prev read anywhere else
+// is a TOCTOU: a racing writer slips between the read and the draw, the
+// logged chain skips a version, and replay counts it as broken. So the
+// analyzer asserts the kernel's shape rather than recognising write paths:
 //
 //   - nextVersion is called only in the step, and the step only inside a
-//     func literal passed to a tree write method (Update, PutBatchInto,
-//     BatchInto) — under the border lock of the key it stamps;
+//     func literal passed to the tree's BatchInto, the driver's call —
+//     under the border lock of the key it stamps (Update and PutBatchInto
+//     lock too, but no kvstore write runs a step under them);
 //   - a put record is appended (wal.Batch's Put and Insert, and the
 //     one-record Writer.AppendPut the benchmark keeps) only in the log
 //     stage, so the insert/delta choice exists once, for one key or a batch;
@@ -44,18 +45,16 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-// The kernel's names: the step and log-stage methods, and the step's result
-// type, whose ver and prev fields are the only sources a record may draw on.
+// The kernel's names: the step and log-stage methods, the step's result
+// type, whose ver and prev fields are the only sources a record may draw on,
+// and the tree write method whose func literal alone may run the step.
 const (
 	stepFunc   = "step"
 	logFunc    = "logWrite"
 	resultType = "writeResult"
 	dropFunc   = "drop" // its second result is a remove record's timestamp
+	treeWrite  = "BatchInto"
 )
-
-// treeWrites are the tree methods whose func-literal argument runs under
-// the border lock of the key it mutates.
-var treeWrites = map[string]bool{"Update": true, "PutBatchInto": true, "BatchInto": true}
 
 // putAppends maps the methods that append a put record, as Type.Method, to
 // the argument positions of (version, prev); -1 for a form with no link.
@@ -80,7 +79,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	fn := fd.Name.Name
 
 	// What the checks need from the function: the calls made under a border
-	// lock (inside a func literal passed to a tree write method), its first
+	// lock (inside a func literal passed to BatchInto), its first
 	// lockWorker call, and for every assigned variable or slice element what
 	// it was assigned from (see sourceOf).
 	locked := map[*ast.CallExpr]bool{}
@@ -93,7 +92,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			if ok && sel.Sel.Name == "lockWorker" && !lockPos.IsValid() {
 				lockPos = n.Pos()
 			}
-			if ok && treeWrites[sel.Sel.Name] {
+			if ok && sel.Sel.Name == treeWrite {
 				for _, arg := range n.Args {
 					if fl, ok := arg.(*ast.FuncLit); ok {
 						ast.Inspect(fl, func(m ast.Node) bool {
@@ -166,7 +165,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case name == "nextVersion" && fn != stepFunc:
 			pass.Reportf(call.Pos(), "nextVersion outside the kernel step: the only version draw is the one %s makes under the border lock", stepFunc)
 		case name == stepFunc && !locked[call]:
-			pass.Reportf(call.Pos(), "%s outside a tree-write critical section: the step must run inside the func literal passed to Update/PutBatchInto/BatchInto", stepFunc)
+			pass.Reportf(call.Pos(), "%s outside a tree-write critical section: the step must run inside the func literal passed to BatchInto", stepFunc)
 		case name == logFunc:
 			needLock(call.Pos(), logFunc)
 		default:

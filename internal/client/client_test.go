@@ -21,9 +21,3 @@ func TestDialRefused(t *testing.T) {
 		t.Fatal("a refused dial waited out its budget")
 	}
 }
-
-func TestDialConnRefused(t *testing.T) {
-	if _, err := DialConn("127.0.0.1:1"); err == nil {
-		t.Fatal("expected connection error")
-	}
-}

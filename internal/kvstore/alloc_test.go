@@ -111,22 +111,66 @@ func TestGetBatchMatchesGet(t *testing.T) {
 	}
 }
 
-// TestPutSimpleAllocs pins the logging-disabled put hot path at exactly one
-// allocation: the packed value (value.BuildAt). The tree descent, version
-// tick, and scratch are all allocation-free.
+// TestPutSimpleAllocs pins every single-key write face, unlogged and logged,
+// at one allocation where the write publishes — the packed value; the
+// descent, the version draw, the one-key key and column lists, the scratch
+// and the log encoding into a buffer that has the room are allocation-free —
+// and at none for a CasPut that declines. The logged store's buffers are
+// grown past the measured volume first and emptied before each row, so no
+// row reaches the log's kick level (see TestPutSimpleLoggedAllocs).
 func TestPutSimpleAllocs(t *testing.T) {
-	s := withAllocKeys(openAt(t, Config{}, clock.NewFake()), 1000)
-	sess := s.Session(0)
 	key := []byte("alloc-key-000123")
 	data := []byte("updated-column-data!")
-
-	allocs := testing.AllocsPerRun(200, func() {
-		if sess.PutSimple(key, data) == 0 {
-			t.Fatal("put failed")
+	two := []value.ColPut{{Col: 0, Data: data}, {Col: 1, Data: data}}
+	for _, logged := range []bool{false, true} {
+		name, cfg := "unlogged", Config{}
+		if logged {
+			name, cfg = "logged", Config{Dir: t.TempDir(), Workers: 1}
 		}
-	})
-	if allocs > 1 {
-		t.Fatalf("Session.PutSimple allocates %.1f times per run, want <= 1 (the packed value)", allocs)
+		s := withAllocKeys(openAt(t, cfg, clock.NewFake()), 1000)
+		sess := s.Session(0)
+		ver := sess.PutSimple(key, data)
+		rows := []struct {
+			name string
+			max  float64
+			run  func()
+		}{
+			{"PutSimple", 1, func() { ver = sess.PutSimple(key, data) }},
+			{"two-column Put", 1, func() { ver = sess.Put(key, two) }},
+			{"PutTTL", 1, func() { ver = sess.PutTTL(key, two[:1], time.Hour) }},
+			{"Touch", 1, func() { ver, _ = sess.Touch(key, time.Hour) }},
+			{"CasPut hit", 1, func() {
+				var ok bool
+				if ver, ok = sess.CasPut(key, ver, two[:1]); !ok {
+					t.Fatal("CasPut missed its own version")
+				}
+			}},
+			{"CasPut miss", 0, func() {
+				if _, ok := sess.CasPut(key, ver+1, two[:1]); ok {
+					t.Fatal("CasPut hit a version never drawn")
+				}
+			}},
+		}
+		for round := 0; logged && round < 2; round++ {
+			for _, r := range rows {
+				for i := 0; i < 300; i++ {
+					r.run()
+				}
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, r := range rows {
+			if logged {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := testing.AllocsPerRun(200, r.run); got > r.max {
+				t.Errorf("%s %s allocates %.1f times per run, want <= %.0f", name, r.name, got, r.max)
+			}
+		}
 	}
 }
 

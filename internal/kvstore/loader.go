@@ -120,7 +120,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 			if v == nil || expired(l.s.wall, v) {
 				return nil, false, nil // pending delete (or dead by TTL): miss
 			}
-			return l.install(ss, key, v.Cols(), v.ExpiresAt()), false, nil
+			return ss.installLoaded(key, v.Cols(), v.ExpiresAt()), false, nil
 		}
 	}
 	loadStart := l.s.wall.Now()
@@ -149,7 +149,7 @@ func (l *loader) runFlight(ctx context.Context, ss *Session, key []byte) (*value
 	if ttl > 0 {
 		expiresAt = l.s.deadline(ttl)
 	}
-	v := l.install(ss, key, cols, expiresAt)
+	v := ss.installLoaded(key, cols, expiresAt)
 	l.loads.Add(1)
 	return v, false, nil
 }
@@ -198,13 +198,24 @@ func (l *loader) resident(ss *Session, key []byte, allowStale bool) (v *value.Va
 	return nil, false, false
 }
 
-// install publishes a loaded value through the store's put path (logged as
-// an insert, cache-accounted) unless a racing real put
-// already made the key live — the put wins and is served instead.
-func (l *loader) install(ss *Session, key []byte, cols [][]byte, expiresAt uint64) *value.Value {
-	v := l.s.installLoaded(ss.worker, key, cols, expiresAt)
-	l.s.cache.NoteAccess(ss.worker, key)
-	return v
+// installLoaded publishes a backend-loaded value for key through the
+// session's log: built on an absent base (a load is by definition the key's
+// whole upstream state), versioned from the worker's clock, logged as an
+// insert so replay reconstructs it as a replacement, and cache-accounted
+// and noted as an access like any put and get. A racing real put wins — if
+// a live value is already resident the install declines and returns the
+// winner, so a load can never clobber a write that raced past it.
+func (ss *Session) installLoaded(key []byte, cols [][]byte, expiresAt uint64) *value.Value {
+	puts := make([]value.ColPut, len(cols))
+	for i := range cols {
+		puts[i] = value.ColPut{Col: i, Data: cols[i]}
+	}
+	r := ss.writeKey(writeOp{expiry: expiresAt, ttl: true, base: onlyDead}, key, puts)
+	ss.s.cache.NoteAccess(ss.worker, key)
+	if r.nv == nil {
+		return r.base
+	}
+	return r.nv
 }
 
 // negHit reports whether key is inside its negative-cache window.

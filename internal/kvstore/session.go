@@ -15,20 +15,19 @@ import (
 // only opens, checkpoints, flushes, reports and closes. A session binds its
 // operations to one worker's log (each query thread maintains its own log
 // file and in-memory log buffer, §5) and owns the scratch its batched calls
-// return results in.
+// return results in, which its single-key writes, batches of one, reuse.
 //
 // A Session is not safe for concurrent use; create one per worker goroutine.
 type Session struct {
 	s      *Store
 	worker int
 
-	batch batchScratch // PointBatchInto's scratch
+	batch batchScratch // pointBatch's scratch
 }
 
-// batchScratch holds a session's reusable state for PointBatchInto and its
-// all-get and all-put faces: the result slices and the core tree's batch
-// scratch. It makes steady-state batched reads and writes allocation-free
-// (beyond the packed values a put must build).
+// batchScratch holds a session's reusable state for pointBatch: the result
+// slices and the core tree's batch scratch. It makes steady-state reads and
+// writes allocation-free (beyond the packed values a put must build).
 type batchScratch struct {
 	vals  []*value.Value
 	found []bool
@@ -86,7 +85,7 @@ func (ss *Session) GetValue(key []byte) (*value.Value, bool) {
 // No replay chain ever spans log files without an anchor, so a vanished log
 // is always detectable at recovery.
 func (ss *Session) Put(key []byte, puts []value.ColPut) uint64 {
-	return ss.s.write(ss.worker, key, writeOp{puts: puts}).ver
+	return ss.writeKey(writeOp{}, key, puts).ver
 }
 
 // PutSimple stores data as column 0. Neither key nor data is retained.
@@ -104,7 +103,7 @@ func (ss *Session) PutSimple(key, data []byte) uint64 {
 // A write over a lazily-expired value builds on an absent base (see step):
 // dead columns are never resurrected.
 func (ss *Session) PutTTL(key []byte, puts []value.ColPut, ttl time.Duration) uint64 {
-	return ss.s.write(ss.worker, key, writeOp{puts: puts, expiry: ss.s.deadline(ttl), ttl: true}).ver
+	return ss.writeKey(writeOp{expiry: ss.s.deadline(ttl), ttl: true}, key, puts).ver
 }
 
 // Touch resets key's expiry to ttl from now on the store's clock (0 = never
@@ -112,8 +111,15 @@ func (ss *Session) PutTTL(key []byte, puts []value.ColPut, ttl time.Duration) ui
 // under a new version. Returns the new version and ok false if the key is
 // absent (or already expired — touching the dead does not revive them).
 func (ss *Session) Touch(key []byte, ttl time.Duration) (ver uint64, ok bool) {
-	r := ss.s.write(ss.worker, key, writeOp{expiry: ss.s.deadline(ttl), ttl: true, base: onlyLive})
+	r := ss.writeKey(writeOp{expiry: ss.s.deadline(ttl), ttl: true, base: onlyLive}, key, nil)
 	return r.ver, r.nv != nil
+}
+
+// writeKey is a single-key write, a batch of one; each entry point reads
+// its answer from the key's step result.
+func (ss *Session) writeKey(op writeOp, key []byte, puts []value.ColPut) writeResult {
+	_, _, _, r := ss.pointBatch(op, [][]byte{key}, nil, [][]value.ColPut{puts})
+	return r
 }
 
 // CasPut is a versioned conditional Put (Deuteronomy-style latch-free
@@ -131,7 +137,7 @@ func (ss *Session) Touch(key []byte, ttl time.Duration) (ver uint64, ok bool) {
 // livelocking on a version no read can observe. Neither puts nor their Data
 // slices are retained.
 func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver uint64, ok bool) {
-	r := ss.s.write(ss.worker, key, writeOp{puts: puts, cas: true, expect: expect})
+	r := ss.writeKey(writeOp{cas: true, expect: expect}, key, puts)
 	if r.nv == nil {
 		return r.base.Version(), false
 	}
@@ -220,8 +226,18 @@ func (ss *Session) GetOrLoad(ctx context.Context, key []byte) (*value.Value, boo
 //
 // vals and found report the gets, vers the puts' versions; all three are
 // indexed as keys is, live in the session's scratch and are valid until the
-// session's next batched call. No inputs are retained.
+// session's next batched call; vers only until its next write, since a
+// single-key write is a batch too. No inputs are retained.
 func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColPut) (vals []*value.Value, found []bool, vers []uint64) {
+	vals, found, vers, _ = ss.pointBatch(writeOp{}, keys, put, puts)
+	return vals, found, vers
+}
+
+// pointBatch is the one write driver, of PointBatchInto and of every
+// single-key write (writeKey): every put carries the call's op and its own
+// puts[i]. Unless every step declined, the records are appended and the
+// writes accounted together. first is keys[0]'s step result.
+func (ss *Session) pointBatch(op writeOp, keys [][]byte, put []bool, puts [][]value.ColPut) (vals []*value.Value, found []bool, vers []uint64, first writeResult) {
 	s, worker, sc := ss.s, ss.worker, &ss.batch
 	n, nputs := len(keys), 0
 	if put == nil && puts != nil {
@@ -259,9 +275,13 @@ func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColP
 			defer mu.Unlock()
 		}
 	}
+	applied := 0
 	s.tree.BatchInto(keys, put, vals, found, &sc.core, func(i int, old *value.Value) *value.Value {
-		r := s.step(worker, writeOp{puts: puts[i]}, old)
+		r := s.step(worker, op, puts[i], old)
 		sc.res[i], sc.out[i] = r, r.ver
+		if r.nv != nil {
+			applied++
+		}
 		return r.nv
 	})
 	for i := range vals {
@@ -278,13 +298,16 @@ func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColP
 		}
 	}
 	if nputs > 0 {
-		if s.logs != nil {
-			s.logWrite(worker, keys, puts, sc.res, false, 0)
+		if applied > 0 {
+			if s.logs != nil {
+				s.logWrite(worker, keys, puts, sc.res, op.ttl, op.expiry)
+			}
+			s.finishWrite(worker, keys, sc.res, op.expiry)
 		}
-		s.finishWrite(worker, keys, sc.res, 0)
+		first = sc.res[0]
 		clear(sc.res) // an idle scratch must not pin values later overwritten
 	}
-	return vals, found, vers
+	return vals, found, vers, first
 }
 
 // GetBatchInto is PointBatchInto with every key a get: the batched lookup,
@@ -298,8 +321,8 @@ func (ss *Session) GetBatchInto(keys [][]byte) ([]*value.Value, []bool) {
 
 // PutBatchInto is PointBatchInto with every key a put: puts[i] lists key
 // i's column modifications, and the returned versions (input order) are
-// valid until the session's next batched call. Duplicate keys apply in
-// input order.
+// valid until the session's next write or batched call. Duplicate keys apply
+// in input order.
 func (ss *Session) PutBatchInto(keys [][]byte, puts [][]value.ColPut) []uint64 {
 	_, _, vers := ss.PointBatchInto(keys, nil, puts)
 	return vers

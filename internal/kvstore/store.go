@@ -18,18 +18,17 @@
 // without the global clock cache line every writer used to bounce.
 //
 // Every write — Put, PutTTL, Touch, CasPut, a backend load's install, a
-// batch — is one kernel in three stages, and the entry points are
-// descriptors of it (writeOp). step, under the owning border node's lock,
-// decides the base once, draws the version, reads the chain link and builds
-// exactly one packed value (§4.7); logWrite appends the records, one key's or
-// a batch's under one buffer lock, encoded directly into the worker's own
-// double-buffered log (§5); finishWrite accounts. PointBatchInto runs the
-// same step over the puts of a batch — a frame's stretch of gets and puts,
-// all descending in one wave (§4.8) — in tree order, from the borders the
-// wave found, with one border-node lock acquisition per run of co-located
-// keys; PutBatchInto is the batch with no get in it. The put pipeline
-// allocates only the value itself, at any volume: the log's buffers survive
-// their flushes.
+// batch — is one kernel in three stages with one driver, and the entry
+// points are descriptors of it (writeOp). step, under the owning border
+// node's lock, decides the base once, draws the version, reads the chain
+// link and builds exactly one packed value (§4.7); logWrite appends the
+// records under one buffer lock, encoded directly into the worker's own
+// double-buffered log (§5); finishWrite accounts. The driver
+// (Session.pointBatch) runs the steps of a batch — a frame's stretch of
+// gets and puts, all descending in one wave (§4.8), or a single key — in
+// tree order, from the borders the wave found, with one border-node lock
+// acquisition per run of co-located keys. The put pipeline allocates only
+// the value itself, at any volume: the log's buffers survive their flushes.
 package kvstore
 
 import (
@@ -748,19 +747,19 @@ const (
 	onlyDead                   // decline if a live value is there (loads: a racing put wins)
 )
 
-// writeOp describes one key's write to the kernel (step, logWrite,
-// finishWrite); a write entry point is a descriptor and a reading of the result.
+// writeOp describes one call's writes to the kernel, shared by its keys,
+// whose column lists come beside it (none republishes the base's columns);
+// an entry point is a descriptor.
 type writeOp struct {
-	puts   []value.ColPut // column modifications; none republishes the base's columns
-	expiry uint64         // the new value's expiry in unix nanoseconds; 0 = never
-	ttl    bool           // the record carries the expiry (OpPutTTL/OpInsertTTL), zero included
-	cas    bool           // apply only if the base's version equals expect
-	expect uint64         // with cas: the version required; 0 = key absent
+	expiry uint64 // the new values' expiry in unix nanoseconds; 0 = never
+	ttl    bool   // the records carry the expiry (OpPutTTL/OpInsertTTL), zero included
+	cas    bool   // apply only if the base's version equals expect
+	expect uint64 // with cas: the version required; 0 = key absent
 	base   basePolicy
 }
 
 // writeResult is what one step decided, drew and built. It travels by
-// value: the border-lock func literal stores it into one stack slot.
+// value: the border-lock func literal stores it into the batch scratch.
 type writeResult struct {
 	nv     *value.Value // the value published; nil when the step declined
 	base   *value.Value // what the write saw as current; nil if absent or lazily expired
@@ -772,14 +771,14 @@ type writeResult struct {
 
 // step is the write kernel's first stage and the only place a version is
 // drawn. It runs under the owning border node's lock — inside the func
-// literal a tree write method calls — on the key's physical value old. It
+// literal the driver hands Tree.BatchInto — on the key's physical value old. It
 // decides once what the base is: a lapsed value reads as absent, so it is
 // absent for the version compare, the policy, the build and the record
 // alike, and the clock is read at most once, only for a value carrying an
 // expiry. Then it applies op's expected version and base policy (a nil nv:
 // declined, nothing changed), draws the version, reads the chain link and
 // builds the packed value.
-func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
+func (s *Store) step(worker int, op writeOp, puts []value.ColPut, old *value.Value) (r writeResult) {
 	r.base = old
 	if expired(s.wall, old) {
 		r.base = nil
@@ -799,7 +798,7 @@ func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 	}
 	r.prev = base.Version()
 	r.ver = s.nextVersion(worker, base)
-	r.nv = value.BuildTTLAt(base, op.puts, r.ver, uint32(worker), op.expiry)
+	r.nv = value.BuildTTLAt(base, puts, r.ver, uint32(worker), op.expiry)
 	r.delta = int64(r.nv.Size() - old.Size())
 	// An insert's columns make nv on their own: no base, or puts listing
 	// every column of nv in order. A cross-log handoff (see Put) and a write
@@ -807,7 +806,7 @@ func (s *Store) step(worker int, op writeOp, old *value.Value) (r writeResult) {
 	// vanished log's value replays onto nothing, and Touch's empty one as an
 	// empty value — found but blank, worse than absent.
 	r.insert = base == nil || base.Worker() != uint32(worker) || op.base == onlyLive ||
-		putsAreValue(op.puts, r.nv.NumCols())
+		putsAreValue(puts, r.nv.NumCols())
 	return r
 }
 
@@ -880,48 +879,6 @@ func checkCols(puts []value.ColPut) {
 			panic(fmt.Sprintf("kvstore: put to column %d, outside 0..%d", p.Col, value.MaxCol))
 		}
 	}
-}
-
-// write drives one key through the kernel: the step under the border lock
-// and then, unless it declined, the record and the accounting — all inside
-// worker's draw-to-append window when logging is on.
-func (s *Store) write(worker int, key []byte, op writeOp) (r writeResult) {
-	checkCols(op.puts)
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	s.tree.Update(key, func(old *value.Value) *value.Value {
-		r = s.step(worker, op, old)
-		return r.nv
-	})
-	if r.nv != nil {
-		keys, res := [][]byte{key}, []writeResult{r}
-		if s.logs != nil {
-			s.logWrite(worker, keys, [][]value.ColPut{op.puts}, res, op.ttl, op.expiry)
-		}
-		s.finishWrite(worker, keys, res, op.expiry)
-	}
-	return r
-}
-
-// installLoaded publishes a backend-loaded value for key: built on an
-// absent base (a load is by definition the key's whole upstream state),
-// versioned from the worker's clock, logged as an insert so replay
-// reconstructs it as a replacement, and cache-accounted like any put. A
-// racing real put wins — if a live value is already resident the install
-// declines and returns the winner, so a load can never clobber a write that
-// raced past it.
-func (s *Store) installLoaded(worker int, key []byte, cols [][]byte, expiresAt uint64) *value.Value {
-	puts := make([]value.ColPut, len(cols))
-	for i := range cols {
-		puts[i] = value.ColPut{Col: i, Data: cols[i]}
-	}
-	r := s.write(worker, key, writeOp{puts: puts, expiry: expiresAt, ttl: true, base: onlyDead})
-	if r.nv == nil {
-		return r.base
-	}
-	return r.nv
 }
 
 // lockWorker serializes worker's draw-to-append window; see workerMu.

@@ -154,7 +154,7 @@ func runMatrixCell(t *testing.T, c matrixCell) {
 	case "CasPutMiss":
 		ver, applied = mr.casW(0, "k", before.Version+1, n0)
 	case "installLoaded":
-		got := s.installLoaded(0, []byte("k"), [][]byte{[]byte("L0"), []byte("L1")}, future)
+		got := s.Session(0).installLoaded([]byte("k"), [][]byte{[]byte("L0"), []byte("L1")}, future)
 		ver, wantTTL = got.Version(), future
 		applied = mr.ref.Install("k", ver, mr.now(), future, []byte("L0"), []byte("L1"))
 		if installed := ver != before.Version; installed != applied {

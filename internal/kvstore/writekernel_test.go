@@ -83,7 +83,7 @@ func TestWriteKernelClockReads(t *testing.T) {
 		"Touch":  func(key []byte) { ss.Touch(key, time.Hour) },
 		"CasPut": func(key []byte) { ss.CasPut(key, 1, col0("x")) },
 		"installLoaded": func(key []byte) {
-			s.installLoaded(0, key, [][]byte{[]byte("x")}, future)
+			s.Session(0).installLoaded(key, [][]byte{[]byte("x")}, future)
 		},
 		"PutBatchInto": func(key []byte) {
 			ss.PutBatchInto([][]byte{key}, [][]value.ColPut{col0("x")})
