@@ -218,7 +218,7 @@ func parseCols(raw []string) []int {
 // statsGroupOrder fixes the display order of subsystem groups: data-plane
 // layers first (tree out through backend), observability-derived latency
 // next, cluster health last.
-var statsGroupOrder = []string{"tree", "server", "cache", "logging", "backend", "latency", "cluster", "other"}
+var statsGroupOrder = []string{"tree", "server", "cache", "logging", "memory", "backend", "latency", "cluster", "other"}
 
 // statsGroup maps a stat key to its subsystem group. Exact names are
 // matched before prefixes: node_deletes is a tree counter even though the
@@ -234,6 +234,8 @@ func statsGroup(name string) string {
 		return "cache"
 	case "flush_errors", "flush_retries", "flush_buffer_drops", "flush_last_error", "broken_chains", "missing_logs":
 		return "logging"
+	case "superpage_bytes", "superpage_refusals":
+		return "memory"
 	case "loads", "load_errors", "herd_coalesced", "stale_served", "negative_hits",
 		"breaker_state", "breaker_opens", "writebehind_depth", "writebehind_drops":
 		return "backend"
@@ -338,7 +340,9 @@ func usage() {
                                (lat_<op>_p50/p90/p99/p999, nanoseconds),
                                cache mode (bytes_live, evictions, ...),
                                logging health (flush_errors, flush_retries,
-                               flush_buffer_drops, flush_last_error), and
+                               flush_buffer_drops, flush_last_error),
+                               memory (superpage_bytes of heap moved onto
+                               2 MiB pages, superpage_refusals), and
                                the backend tier:
                                  loads             values loaded from the backend
                                  load_errors       backend loads that failed

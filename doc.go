@@ -59,6 +59,12 @@
 // together, as a get batch's keys go, then runs each scan as if alone.
 // DESIGN.md states which version validates which read.
 //
+// A hop between nodes also pays for its address translation. On Linux the
+// store's maintenance tick collapses the heap onto 2 MiB pages each time
+// the runtime's mapped memory has grown by 32 MiB (internal/superpage;
+// §6.2's +Superpage), chunk by chunk, skipping any chunk under half
+// resident, so a load or a restore is on superpages within a tick or two.
+//
 // The transport is one protocol (internal/wire): a hello exchange opens the
 // connection (one that opens any other way is closed before anything
 // executes), after which every frame carries a sequence tag and many

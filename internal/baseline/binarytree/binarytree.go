@@ -7,11 +7,12 @@
 //
 //   - WithIntCmp precomputes each key as big-endian 8-byte integer slices so
 //     comparisons are native uint64 compares ("+IntCmp", §4.2's trick).
-//   - WithArena allocates nodes from chunked slabs. The paper's "+Flow" and
-//     "+Superpage" steps swap in the Streamflow allocator and 2 MB pages; Go
-//     cannot swap its allocator, and slab placement is the closest analog —
-//     fewer allocations and denser node placement (documented substitution,
-//     DESIGN.md).
+//   - WithArena allocates nodes from chunked slabs. The paper's "+Flow"
+//     step swaps in the Streamflow allocator; Go cannot swap its allocator,
+//     and slab placement is the closest analog — fewer allocations and
+//     denser node placement (documented substitution #1, DESIGN.md). Its
+//     "+Superpage" step is this option with the heap collapsed onto 2 MB
+//     pages (internal/superpage).
 //
 // The tree does not rebalance (neither did the paper's; its keys are random,
 // which keeps expected depth logarithmic). It implements what Figure 8

@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline/btree"
 	"repro/internal/baseline/fourtree"
 	"repro/internal/core"
+	"repro/internal/superpage"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
@@ -27,13 +28,15 @@ func (a putAdapter) Put(k []byte, v *value.Value)      { a.put(k, v) }
 
 // fig8Rung is one rung of Figure 8's ladder: a named constructor, or the
 // name of the earlier rung Go builds it exactly as (same), which is not
-// measured again. The substitutions that make two rungs the same (+Flow/
-// +Superpage → node arena, +Prefetch → no prefetch) are flagged in the table
-// notes.
+// measured again. The substitution that makes two rungs the same
+// (+Prefetch → no prefetch) is flagged in the table notes. From +Superpage
+// on, a rung collapses the heap onto 2 MiB pages after its build
+// (superpage), so the ladder stays cumulative.
 type fig8Rung struct {
-	name string
-	mk   func() store
-	same string
+	name      string
+	mk        func() store
+	same      string
+	superpage bool
 }
 
 func fig8Ladder() []fig8Rung {
@@ -52,19 +55,19 @@ func fig8Ladder() []fig8Rung {
 	return []fig8Rung{
 		{name: "Binary", mk: wrapBin()},
 		{name: "+Flow", mk: wrapBin(binarytree.WithArena())},
-		{name: "+Superpage", same: "+Flow"},
-		{name: "+IntCmp", mk: wrapBin(binarytree.WithArena(), binarytree.WithIntCmp())},
+		{name: "+Superpage", mk: wrapBin(binarytree.WithArena()), superpage: true},
+		{name: "+IntCmp", mk: wrapBin(binarytree.WithArena(), binarytree.WithIntCmp()), superpage: true},
 		{name: "4-tree", mk: func() store {
 			t := fourtree.New()
 			return putAdapter{t.Get, func(k []byte, v *value.Value) { t.Put(k, v) }}
-		}},
-		{name: "B-tree", mk: wrapBtree()},
+		}, superpage: true},
+		{name: "B-tree", mk: wrapBtree(), superpage: true},
 		{name: "+Prefetch", same: "B-tree"},
-		{name: "+Permuter", mk: wrapBtree(btree.WithPermuter())},
+		{name: "+Permuter", mk: wrapBtree(btree.WithPermuter()), superpage: true},
 		{name: "Masstree", mk: func() store {
 			t := core.New()
 			return putAdapter{t.Get, func(k []byte, v *value.Value) { t.Put(k, v) }}
-		}},
+		}, superpage: true},
 	}
 }
 
@@ -79,7 +82,7 @@ func Fig8(sc Scale) *Table {
 		Title:   fmt.Sprintf("factor analysis, %d keys, %d workers (Figure 8)", sc.Keys, sc.Workers),
 		Headers: []string{"design", "get Mreq/s", "get rel", "put Mreq/s", "put rel"},
 		Notes: []string{
-			"+Flow/+Superpage realized as a chunked node arena (Go cannot swap allocators); the two rungs coincide here, so +Superpage's row is +Flow's, not measured again",
+			"+Flow realized as a chunked node arena (Go cannot swap allocators); +Superpage is +Flow with the heap collapsed onto 2 MiB pages (internal/superpage) after the put phase builds the tree, as is every later rung, so its get column reads from superpages and its put column, which is the build, still runs on 4 KiB pages",
 			"+Prefetch has no counterpart here: the B-tree baseline prefetches nothing (it does not import internal/core's prefetch stub), so its row is B-tree's, not measured again",
 			"the B-tree rungs compare each key's leading 8 bytes as an integer held in the node, so +IntCmp carries into the node",
 			"relative columns are normalized to Binary's get throughput, as in the paper",
@@ -93,7 +96,7 @@ func Fig8(sc Scale) *Table {
 		if rung.same != "" {
 			row = append([]string{rung.name}, rows[rung.same][1:]...)
 		} else {
-			getTput, putTput := fig8Measure(sc, rung.mk)
+			getTput, putTput := fig8Measure(sc, rung.mk, rung.superpage)
 			if rung.name == "Binary" {
 				baseGet = getTput
 			}
@@ -105,7 +108,7 @@ func Fig8(sc Scale) *Table {
 	return t
 }
 
-func fig8Measure(sc Scale, mk func() store) (getTput, putTput float64) {
+func fig8Measure(sc Scale, mk func() store, collapse bool) (getTput, putTput float64) {
 	// Pre-materialize per-worker key streams so workload generation cost is
 	// identical (and negligible) for every rung.
 	keysPerWorker := sc.Keys / sc.Workers
@@ -125,6 +128,10 @@ func fig8Measure(sc Scale, mk func() store) (getTput, putTput float64) {
 	putTput = measure(sc.Workers, keysPerWorker, func(w, i int) {
 		st.Put(keys[w][i], vals[w][i])
 	})
+
+	if collapse {
+		superpage.Collapse()
+	}
 
 	// Get workload: random hits against the populated store.
 	getTput = measure(sc.Workers, sc.Ops/sc.Workers, func(w, i int) {

@@ -116,8 +116,10 @@ func TestGetBatchMatchesGet(t *testing.T) {
 // descent, the version draw, the one-key key and column lists, the scratch
 // and the log encoding into a buffer that has the room are allocation-free —
 // and at none for a CasPut that declines. The logged store's buffers are
-// grown past the measured volume first and emptied before each row, so no
-// row reaches the log's kick level (see TestPutSimpleLoggedAllocs).
+// grown past the measured volume first and emptied before each row: a row's
+// 300 puts never reach the log's kick level, so no background flush swaps a
+// buffer here, and what a put costs at the volume where one does is
+// TestPutBatchVolumeAllocBytes' to pin.
 func TestPutSimpleAllocs(t *testing.T) {
 	key := []byte("alloc-key-000123")
 	data := []byte("updated-column-data!")
@@ -171,32 +173,6 @@ func TestPutSimpleAllocs(t *testing.T) {
 				t.Errorf("%s %s allocates %.1f times per run, want <= %.0f", name, r.name, got, r.max)
 			}
 		}
-	}
-}
-
-// TestPutSimpleLoggedAllocs pins the logged put path: one packed value plus
-// log encoding into a buffer that has the room. Its 300 puts never reach the
-// log's kick level, so no background flush swaps a buffer here; what a put
-// costs at the volume where they do is TestPutBatchVolumeAllocBytes' to pin.
-func TestPutSimpleLoggedAllocs(t *testing.T) {
-	s := openAt(t, Config{Dir: t.TempDir(), Workers: 1}, clock.NewFake())
-	sess := s.Session(0)
-	key := []byte("logged-alloc-key")
-	data := []byte("logged-column-data")
-	// Grow both log buffers past the measured append volume.
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 300; i++ {
-			sess.PutSimple(key, data)
-		}
-		if err := s.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		sess.PutSimple(key, data)
-	})
-	if allocs > 1 {
-		t.Fatalf("logged Session.PutSimple allocates %.1f times per run, want <= 1", allocs)
 	}
 }
 

@@ -369,8 +369,9 @@ func TestPutPastMaxColRefused(t *testing.T) {
 
 // TestHandoffAnchorAllocs pins the cross-log handoff write path at one
 // allocation per put, the packed value, like the plain logged path
-// (TestPutSimpleLoggedAllocs): the column-complete anchor is encoded from
-// the value's own packed columns, not from a ColPut slice built to list them.
+// (TestPutSimpleAllocs' logged PutSimple row): the column-complete anchor is
+// encoded from the value's own packed columns, not from a ColPut slice built
+// to list them.
 func TestHandoffAnchorAllocs(t *testing.T) {
 	mem := vfs.NewMemFS()
 	if err := mem.MkdirAll("d", 0o755); err != nil {

@@ -50,6 +50,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/obs"
+	"repro/internal/superpage"
 	"repro/internal/value"
 	"repro/internal/vfs"
 	"repro/internal/wal"
@@ -465,8 +466,9 @@ func replay(v *value.Value, recs []wal.Record) (_ *value.Value, broken bool) {
 }
 
 // maintainTick is the maintenance loop's period on the store's wall clock:
-// each tick collapses emptied trie layers, runs the cache-mode passes and
-// marks the logs (§5.1's loose clock synchronization).
+// each tick moves the heap's growth onto superpages, collapses emptied trie
+// layers, runs the cache-mode passes and marks the logs (§5.1's loose clock
+// synchronization).
 const maintainTick = 50 * time.Millisecond
 
 // maintainLoop runs the maintenance tick on t, made before the loop starts so
@@ -481,6 +483,10 @@ func (s *Store) maintainLoop(t clock.Ticker) {
 	for {
 		select {
 		case <-t.C():
+			// Once the heap has grown by superpage.Step, collapse it onto
+			// 2 MiB pages, so a node hop stops paying a 4 KiB page walk
+			// (§6.2's +Superpage, substitution #1).
+			superpage.Tick()
 			s.cacheMaintain()
 			// Collapse the trie layers removes have emptied (§4.6.5). No
 			// grace period is needed: the collapse marks the layer's root

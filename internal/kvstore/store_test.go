@@ -2,12 +2,15 @@ package kvstore
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/superpage"
 	"repro/internal/value"
 )
 
@@ -285,4 +288,53 @@ func TestMaintainLoopCollapsesLayers(t *testing.T) {
 	waitUntil(t, func() bool { return s.Stats().LayerCollapses == 1 })
 	stop.Store(true)
 	wg.Wait()
+}
+
+// TestSuperpagePassWaitsForGrowth: on clock.Fake, the maintenance tick runs
+// no superpage pass until the runtime's mapped memory has grown by
+// superpage.Step since the last pass, and the first tick after it has runs
+// one.
+func TestSuperpagePassWaitsForGrowth(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("superpage passes run on Linux only")
+	}
+	wall := clock.NewFake()
+	s := openAt(t, Config{}, wall)
+	ss := s.Session(0)
+	// tick advances one maintenance tick and waits until the tick has
+	// collapsed the layer emptied here, which it does after its superpage
+	// pass.
+	tick := func() {
+		keys := []string{"01234567AB", "01234567CD", "01234567EF", "01234567GH", "01234567XY"}
+		for _, k := range keys {
+			ss.PutSimple([]byte(k), []byte("v"))
+		}
+		for _, k := range keys {
+			ss.Remove([]byte(k))
+		}
+		n := s.Stats().LayerCollapses
+		wall.Advance(maintainTick)
+		waitUntil(t, func() bool { return s.Stats().LayerCollapses == n+1 })
+	}
+	mapped := []metrics.Sample{{Name: "/memory/classes/total:bytes"}}
+	readMapped := func() uint64 {
+		metrics.Read(mapped)
+		return mapped[0].Value.Uint64()
+	}
+	superpage.Collapse() // the step counts from here
+	base, passes := readMapped(), superpage.Passes()
+	tick()
+	tick()
+	if got := superpage.Passes(); got != passes {
+		t.Fatalf("%d passes ran before the heap grew", got-passes)
+	}
+	var grown [][]byte
+	for readMapped() < base+superpage.Step {
+		grown = append(grown, make([]byte, 1<<20))
+	}
+	tick()
+	runtime.KeepAlive(grown)
+	if superpage.Passes() == passes {
+		t.Fatalf("no pass ran on the tick after the heap grew by %d MiB", (readMapped()-base)>>20)
+	}
 }

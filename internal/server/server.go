@@ -56,6 +56,7 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/obs"
+	"repro/internal/superpage"
 	"repro/internal/wire"
 )
 
@@ -497,7 +498,8 @@ func (s *Server) executeWrite(sess *kvstore.Session, r *wire.Request) wire.Respo
 // the flushers keep up, climbing when puts pay to regrow them. bytes_live
 // is the accounted packed-value footprint; evictions, expirations,
 // ghost_hits, and admit_drops are the cache-mode counters (zero unless
-// MaxBytes/TTLs are in use).
+// MaxBytes/TTLs are in use). superpage_bytes and superpage_refusals count
+// the process's superpage passes, whichever store's tick ran them.
 func (s *Server) statsResponse() wire.Response {
 	stats, _ := s.collectStats()
 	pairs := make([]wire.Pair, 0, len(stats)+1)
@@ -563,6 +565,10 @@ func (s *Server) collectStats() ([]obs.Stat, []obs.HistSnapshot) {
 		{Name: "breaker_opens", Value: int64(ls.Backend.BreakerOpens)},
 		{Name: "writebehind_depth", Value: int64(ls.WriteBehindDepth)},
 		{Name: "writebehind_drops", Value: int64(ls.WriteBehindDrops)},
+		// The process's superpage passes (internal/superpage): bytes of
+		// heap moved onto 2 MiB pages, and chunks the kernel refused.
+		{Name: "superpage_bytes", Value: int64(superpage.Bytes())},
+		{Name: "superpage_refusals", Value: int64(superpage.Refusals())},
 	}
 	snaps := s.obs.Snapshots()
 	for _, hs := range snaps {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/breaker"
 	"repro/internal/client"
 	"repro/internal/kvstore"
+	"repro/internal/superpage"
 	"repro/internal/vfs"
 	"repro/internal/wire"
 )
@@ -305,6 +307,56 @@ func TestStatsHistogramKeysNumeric(t *testing.T) {
 	for _, k := range []string{"lat_get_count", "lat_get_p50", "lat_get_p999", "lat_put_count"} {
 		if raw[k] == "" || raw[k] == "0" {
 			t.Fatalf("%s=%q after traffic, want non-zero", k, raw[k])
+		}
+	}
+}
+
+// TestSuperpageStats reads superpage_bytes and superpage_refusals through
+// the wire Stats op after a superpage pass over a grown heap: each lies
+// between the process-wide counter's readings before and after the call.
+func TestSuperpageStats(t *testing.T) {
+	store, err := kvstore.Open(kvstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, 1)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		store.Close()
+	})
+	c, err := client.DialConn(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	grown := make([]byte, 8<<20)
+	for i := range grown {
+		grown[i] = 1
+	}
+	superpage.Collapse()
+	runtime.KeepAlive(grown)
+	bytes0, refusals0 := superpage.Bytes(), superpage.Refusals()
+	stats, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes1, refusals1 := superpage.Bytes(), superpage.Refusals()
+	t.Logf("superpage_bytes %d, superpage_refusals %d", stats["superpage_bytes"], stats["superpage_refusals"])
+	for _, s := range []struct {
+		name     string
+		min, max uint64
+	}{
+		{"superpage_bytes", bytes0, bytes1},
+		{"superpage_refusals", refusals0, refusals1},
+	} {
+		got, ok := stats[s.name]
+		if !ok {
+			t.Errorf("stats missing %s", s.name)
+		} else if uint64(got) < s.min || uint64(got) > s.max {
+			t.Errorf("%s = %d over the wire, the counter read %d before and %d after", s.name, got, s.min, s.max)
 		}
 	}
 }
