@@ -151,7 +151,7 @@
 // supersedes the logs a dropped key is gone for good. What cache mode never
 // does is lose an acked write it did not drop — the eviction-enabled crash
 // torture (TestCrashTortureEviction) proves that at every filesystem
-// boundary. A clean drop goes through the same drop kernel as Remove: it
+// boundary. A clean drop retires the value as Remove's write does: it
 // draws a departure timestamp past the dropped value's version and lifts
 // the remove floor under the border lock, so a re-inserted key's versions
 // stay above the dropped value's and replay order is preserved.

@@ -2,11 +2,10 @@
 // write kernel with the real one's names (the tree write method BatchInto,
 // whose func literal alone may run the step, and Update, which locks too but
 // may not; a step method that alone calls nextVersion and returns a
-// writeResult, a logWrite method that alone appends put records, a drop
-// method whose second result is a remove's timestamp, a worker lock named
-// lockWorker, and WAL types named Writer and Batch, whose Put, Insert and
-// Remove are the record appends), exercising the one clean driver and every
-// diagnostic.
+// writeResult, a logWrite method that alone appends records, a worker lock
+// named lockWorker, and WAL types named Writer and Batch, whose Put, Insert
+// and Remove are the record appends), exercising the one clean driver and
+// every diagnostic.
 package a
 
 type Value struct{}
@@ -66,6 +65,7 @@ type writeResult struct {
 	nv        *Value
 	ver, prev uint64
 	insert    bool
+	remove    bool
 }
 
 // step is the kernel's first stage: the one version draw, the one prev read.
@@ -78,11 +78,14 @@ func (s *Store) step(worker int, op writeOp, puts []ColPut, old *Value) (r write
 }
 
 // logWrite is the kernel's log stage: the record choice, written once, for
-// one key or a batch. The link is the step's prev; an insert carries none.
+// one key or a batch. The link is the step's prev; an insert and a remove
+// carry none, and a remove's timestamp is the step's ver like any other.
 func (s *Store) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []writeResult, ttl bool) {
 	b := s.logs.Writer(worker).Begin()
 	for i := range res {
 		switch r := &res[i]; {
+		case r.remove:
+			b.Remove(r.ver, keys[i])
 		case r.insert:
 			b.Insert(r.ver, keys[i], puts[i], nil, ttl, 0)
 		default:
@@ -175,7 +178,7 @@ type otherStore struct{ logs *Set }
 // the prev the chain invariant forbids — a link laundered through a local
 // that something besides the step's prev feeds, and forged constants: no
 // link is a constant, 0 included, since a record that needs none is an
-// insert.
+// insert. A remove's timestamp is held to the same rule as a put's version.
 func (o *otherStore) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []writeResult, cur *Value) {
 	b := o.logs.Writer(worker).Begin()
 	for i := range res {
@@ -193,7 +196,10 @@ func (o *otherStore) logWrite(worker int, keys [][]byte, puts [][]ColPut, res []
 		b.Put(r.prev, r.prev, keys[i], puts[i], false, 0)         // want `ver r.prev of Batch.Put is not sourced from the step's result`
 		b.Insert(r.ver+1, keys[i], puts[i], nil, false, 0)        // want `ver r.ver \+ 1 of Batch.Insert is not sourced from the step's result`
 		b.Insert(cur.Version(), keys[i], nil, r.nv, false, 0)     // want `ver cur.Version\(\) of Batch.Insert is not sourced from the step's result`
+		b.Remove(7, keys[i])                                      // want `ver 7 of Batch.Remove is not sourced from the step's result`
+		b.Remove(cur.Version(), keys[i])                          // want `ver cur.Version\(\) of Batch.Remove is not sourced from the step's result`
 		b.Put((res[i].ver), (r.prev), keys[i], puts[i], false, 0) // clean: the step's own fields
+		b.Remove((r.ver), keys[i])                                // clean: the step's own ver
 	}
 	b.End()
 	w := o.logs.Writer(worker)
@@ -208,8 +214,8 @@ func (s *Store) goodAllowed(worker int, key []byte, puts []ColPut, replayVer, re
 	s.logs.Writer(worker).AppendPut(replayVer, replayPrev, key, puts)
 }
 
-// drop is the drop kernel: the departure's timestamp is drawn under the
-// border lock of the key it removes.
+// drop takes a key out and hands its caller the departure's timestamp, drawn
+// under the border lock of the key it removes.
 func (s *Store) drop(worker int, key []byte) (old *Value, ver uint64) {
 	old = s.tree.RemoveIf(key, func(v *Value) bool {
 		ver = s.retire(worker, v)
@@ -218,7 +224,9 @@ func (s *Store) drop(worker int, key []byte) (old *Value, ver uint64) {
 	return old, ver
 }
 
-// remove is the clean remove: worker lock, drop, its timestamp appended.
+// remove is a remove with a driver of its own — worker lock, drop, its
+// timestamp appended — beside the one write driver: a second record path,
+// whose timestamp is not a step result's.
 func (s *Store) remove(worker int, key []byte) bool {
 	mu := s.lockWorker(worker)
 	defer mu.Unlock()
@@ -227,28 +235,20 @@ func (s *Store) remove(worker int, key []byte) bool {
 		return false
 	}
 	b := s.logs.Writer(worker).Begin()
-	b.Remove(ver, key)
+	b.Remove(ver, key) // want `Batch.Remove outside the log stage` `ver ver of Batch.Remove is not sourced from the step's result`
 	b.End()
 	return true
 }
 
-// badRemoveNoLock appends the remove record with no worker lock taken.
+// badRemoveNoLock appends a remove record outside the log stage with no
+// worker lock taken, its timestamp the step's own.
 func (s *Store) badRemoveNoLock(worker int, key []byte) {
-	_, ver := s.drop(worker, key)
+	var r writeResult
+	s.tree.BatchInto([][]byte{key}, func(_ int, old *Value) *Value {
+		r = s.step(worker, writeOp{}, nil, old)
+		return r.nv
+	})
 	b := s.logs.Writer(worker).Begin()
-	b.Remove(ver, key) // want `Batch.Remove before lockWorker`
-	b.End()
-}
-
-// badRemoveTS logs a timestamp drawn outside the border lock, once read off
-// the value the caller holds and once laundered through a local.
-func (s *Store) badRemoveTS(worker int, key []byte, cur *Value) {
-	mu := s.lockWorker(worker)
-	defer mu.Unlock()
-	ver := s.retire(worker, cur)
-	s.drop(worker, key)
-	b := s.logs.Writer(worker).Begin()
-	b.Remove(ver, key)           // want `timestamp ver of Batch.Remove is not sourced from drop: it must be the ver drop drew under the border lock`
-	b.Remove(cur.Version(), key) // want `timestamp cur.Version\(\) of Batch.Remove is not sourced from drop`
+	b.Remove(r.ver, key) // want `Batch.Remove outside the log stage` `Batch.Remove before lockWorker`
 	b.End()
 }

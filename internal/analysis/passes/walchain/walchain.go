@@ -1,28 +1,27 @@
 // Package walchain verifies the WAL version-chain discipline of the
 // kvstore's write kernel. The chain invariant — every linked record's prev
 // names exactly the version it replaced — holds because one function, the
-// step, draws the version and reads prev in the same border-lock critical
-// section, one function, the log stage, turns its result into a record, and
-// the worker lock spans both, all in one driver. A prev read anywhere else
-// is a TOCTOU: a racing writer slips between the read and the draw, the
-// logged chain skips a version, and replay counts it as broken. So the
-// analyzer asserts the kernel's shape rather than recognising write paths:
+// step, draws the version (or a remove's timestamp) and reads prev in the
+// same border-lock critical section, one function, the log stage, turns its
+// result into a record, and the worker lock spans both, all in one driver;
+// a remove is a write like any other. A prev read anywhere else is a
+// TOCTOU: a racing writer slips between the read and the draw, the logged
+// chain skips a version, and replay counts it as broken. So the analyzer
+// asserts the kernel's shape rather than recognising write paths:
 //
 //   - nextVersion is called only in the step, and the step only inside a
 //     func literal passed to the tree's BatchInto, the driver's call —
 //     under the border lock of the key it stamps (Update and PutBatchInto
 //     lock too, but no kvstore write runs a step under them);
-//   - a put record is appended (wal.Batch's Put and Insert, and the
+//   - a record is appended (wal.Batch's Put, Insert and Remove, and the
 //     one-record Writer.AppendPut the benchmark keeps) only in the log
-//     stage, so the insert/delta choice exists once, for one key or a batch;
+//     stage, so the record form is chosen once, for one key or a batch;
 //   - the version of every such record and the prev of every delta are a
 //     step result's ver and prev fields — directly, or through a variable
 //     assigned from nothing else; no link is a constant, since a record
 //     that needs none is an insert;
-//   - and a lockWorker call precedes, in its function, every log-stage call
-//     and every remove record (Batch.Remove), whose timestamp must be the
-//     ver the drop kernel drew under the border lock: the draw-to-append
-//     window is serialized.
+//   - and a lockWorker call precedes, in its function, every log-stage
+//     call: the draw-to-append window is serialized.
 //
 // The analysis is syntactic and per-function; values laundered through
 // helper calls are flagged conservatively (//lint:allow walchain with a
@@ -52,16 +51,16 @@ const (
 	stepFunc   = "step"
 	logFunc    = "logWrite"
 	resultType = "writeResult"
-	dropFunc   = "drop" // its second result is a remove record's timestamp
 	treeWrite  = "BatchInto"
 )
 
-// putAppends maps the methods that append a put record, as Type.Method, to
-// the argument positions of (version, prev); -1 for a form with no link.
-var putAppends = map[string][2]int{
+// appends maps the methods that append a record, as Type.Method, to the
+// argument positions of (version, prev); -1 for a form with no link.
+var appends = map[string][2]int{
 	"Writer.AppendPut": {0, 1},
 	"Batch.Put":        {0, 1},
 	"Batch.Insert":     {0, -1},
+	"Batch.Remove":     {0, -1},
 }
 
 func run(pass *analysis.Pass) {
@@ -109,10 +108,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				key, src := exprKey(lhs), "other"
 				if len(n.Lhs) == len(n.Rhs) {
 					src = sourceOf(info, n.Rhs[i])
-				} else if c, ok := n.Rhs[0].(*ast.CallExpr); ok && i == 1 {
-					if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == dropFunc {
-						src = dropFunc
-					}
 				}
 				if sources[key] == nil {
 					sources[key] = map[string]bool{}
@@ -123,9 +118,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return true
 	})
 
-	// check reports an append argument that is not the step result's field
-	// (or drop's timestamp): the field itself, or something assigned from it
-	// and from nothing else.
+	// check reports an append argument that is not the step result's field:
+	// the field itself, or something assigned from it and from nothing else.
 	check := func(e ast.Expr, field, site string) {
 		if lit, ok := ast.Unparen(e).(*ast.BasicLit); ok && field == "prev" {
 			pass.Reportf(e.Pos(), "constant prev %s in %s: a record that needs no link is an insert", lit.Value, site)
@@ -137,12 +131,8 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				break
 			}
 		}
-		from := "the step's result: it must be the " + field + " field the step set"
-		if field == dropFunc {
-			field, from = "timestamp", "drop: it must be the ver drop drew"
-		}
 		if !ok {
-			pass.Reportf(e.Pos(), "%s %s of %s is not sourced from %s under the border lock", field, types.ExprString(e), site, from)
+			pass.Reportf(e.Pos(), "%s %s of %s is not sourced from the step's result: it must be the %s field the step set under the border lock", field, types.ExprString(e), site, field)
 		}
 	}
 	needLock := func(pos token.Pos, what string) {
@@ -170,16 +160,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			needLock(call.Pos(), logFunc)
 		default:
 			site := namedType(info, sel.X) + "." + name
-			if site == "Batch.Remove" {
-				needLock(call.Pos(), site)
-				check(call.Args[0], dropFunc, site)
-			}
-			argIdx, ok := putAppends[site]
+			argIdx, ok := appends[site]
 			if !ok || len(call.Args) < 2 {
 				break
 			}
 			if fn != logFunc {
-				pass.Reportf(call.Pos(), "%s outside the log stage: put records belong to %s, where the insert/delta choice is made once", site, logFunc)
+				pass.Reportf(call.Pos(), "%s outside the log stage: records belong to %s, where their form is chosen once", site, logFunc)
 				needLock(call.Pos(), site)
 			}
 			check(call.Args[argIdx[0]], "ver", site)

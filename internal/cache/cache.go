@@ -206,7 +206,7 @@ func New(workers, maxBytes int) *Cache {
 		maxBytes: int64(maxBytes),
 		// One extra shard for recovery's seeding, which runs as no worker.
 		// (Maintenance drops account on worker 0's shard, the worker the
-		// store's drop kernel ticks for them.)
+		// store's clean drop ticks for them.)
 		shards: make([]byteShard, workers+1),
 	}
 	if maxBytes > 0 {

@@ -18,15 +18,16 @@ func (t *Tree) Put(key []byte, v *value.Value) (old *value.Value, replaced bool)
 
 // Update performs an atomic read-modify-write: f runs under the owning
 // border node's lock with the current value (nil if the key is absent) and
-// returns the value to store, or nil to decline, leaving the tree unchanged
-// — no store, no insert, and no reader retries. This is how multi-column
+// returns the value to store, nil to decline, leaving the tree unchanged
+// — no store, no insert, and no reader retries — or Removed to take the key
+// out, which declines too when the key is absent. This is how multi-column
 // puts are made atomic (§4.7) and the hook versioned compare-and-swap
 // builds on (a CAS inspects old's version under the lock and declines on
-// mismatch); the same
-// contract applies to PutBatchInto's per-key callback, so conditional writes
-// batch exactly like unconditional ones. It returns the value f observed and
-// the value it stored (nil when it declined). It is putRun's run of one key,
-// with no hint: the descent from the root.
+// mismatch); the same contract applies to BatchInto's per-key callback, so
+// conditional writes and removes batch exactly like unconditional puts. It
+// returns the value f observed and what it stored: nil when it declined,
+// Removed when the key left. It is putRun's run of one key, with no hint:
+// the descent from the root.
 func (t *Tree) Update(key []byte, f func(old *value.Value) *value.Value) (old, stored *value.Value) {
 	old, stored, _ = t.putRun(key, 0, borderHint{}, nil, nil, 0, func(_ int, old *value.Value) *value.Value { return f(old) })
 	return old, stored
@@ -101,20 +102,26 @@ func (t *Tree) lockHint(n *borderNode, slice uint64) *borderNode {
 type putStep uint8
 
 const (
-	stepDone  putStep = iota // nothing: the key is written, or apply declined
+	stepDone  putStep = iota // nothing: the key is written or removed, or apply declined
 	stepLayer                // the key lives in the layer under slot at: apply has not run
 	stepSplit                // apply's value belongs at rank at, and n is full: splitInsert
+	stepEmpty                // the key removed was n's last: emptyBorder, which ends the run
 )
+
+// Removed is what a write's apply returns to take the key it was shown out
+// of the tree (see Update). It is a sentinel, never stored.
+var Removed = new(value.Value)
 
 // putAt is the one statement of "act on the slot you found, under the lock":
 // n is locked and owns the slice of k, what is left of a key at n's layer.
 // It finds the key's place and runs apply(i, old) there — Update's contract
 // — storing what apply returns: over the old value (in lv or in its twig
 // cell), into a free slot, or beside the slice's other long keys, in a twig
-// (twig.go) or at a twig's fifth key a layer. Two things it leaves to the
-// caller, who knows what to do about its lock: descending a layer, and
-// splitting a full node. n stays locked. Counting is the caller's too
-// (counted): makeLayer moves keys through here that are not new.
+// (twig.go) or at a twig's fifth key a layer; or, for Removed, taking the
+// key out (removeAt). Three things it leaves to the caller, who knows what
+// to do about its lock: descending a layer, splitting a full node and
+// handing on a node it emptied. n stays locked. Counting is the caller's
+// too (counted): makeLayer moves keys through here that are not new.
 //
 //masstree:locked n
 func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value, step putStep, at int) {
@@ -122,8 +129,9 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 	perm := n.perm()
 	rank, found := n.searchRank(perm, slice, keyOrd(k))
 	if !found {
-		// Key absent: insert it — unless apply declines (conditional writes).
-		if stored = apply(i, nil); stored == nil {
+		// Key absent: insert it — unless apply declines (conditional writes)
+		// or asks to remove it.
+		if stored = apply(i, nil); stored == nil || stored == Removed {
 			return nil, nil, stepDone, 0
 		}
 		if perm.count() == width {
@@ -143,10 +151,12 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 		panic("core: unstable slot observed under lock")
 	}
 	old, tw, j, found := lookup(kl, lv, bag, slot, k)
-	if stored = apply(i, old); stored == nil {
+	if stored = apply(i, old); stored == nil || stored == Removed && !found {
 		return old, nil, stepDone, 0
 	}
 	switch {
+	case stored == Removed:
+		return old, stored, t.removeAt(n, perm, rank, tw, j), 0
 	case found && tw != nil:
 		tw.cell(j).Store(stored)
 	case found:
@@ -167,10 +177,46 @@ func (t *Tree) putAt(n *borderNode, k []byte, i int, apply func(int, *value.Valu
 	return old, stored, stepDone, 0
 }
 
+// removeAt takes the key at rank of the locked n's permutation perm out of
+// the tree (§4.6.5): from twig tw's cell j if it shares the slot, else with
+// the slot. The key and value memory are not cleared, so a concurrent get
+// may still return the removed value, which is correct for overlapping
+// operations. It returns stepEmpty if n has no key left.
+//
+//masstree:locked n
+func (t *Tree) removeAt(n *borderNode, perm permutation, rank int, tw *twig, j int) putStep {
+	if tw != nil && tw.keys().n() > 1 {
+		// The twig without the key is a new twig, swapped in like a new
+		// value (§4.6.1): a reader holding the old one still finds the key,
+		// as one that ran a moment earlier would have.
+		e := tw.entries()
+		e.remove(j)
+		n.storeLV(perm.slot(rank), unsafe.Pointer(e.build()))
+		return stepDone
+	}
+	// The slot's only key, a twig's last included: the slot leaves the
+	// permutation. Dirty the version before unlinking (§4.6.5): a concurrent
+	// reader or scanner that snapshotted the permutation while this key was
+	// live must fail its version validation and retry, or it would return
+	// (or checkpoint!) a key that no longer exists. The unlock increments
+	// vinsert, so post-remove validations fail too.
+	n.h.MarkInserting()
+	np := perm.remove(rank)
+	n.permutation.Store(uint64(np))
+	if np.count() == 0 {
+		return stepEmpty
+	}
+	return stepDone
+}
+
 // counted adds to the tree's key count what a putAt that was shown old and
-// stored stored amounts to: one key, if it saw none and stored one.
+// stored stored amounts to: one key, if it saw none and stored one, and one
+// less if it removed one.
 func (t *Tree) counted(old, stored *value.Value) {
-	if old == nil && stored != nil {
+	switch {
+	case stored == Removed:
+		t.count.Add(-1)
+	case old == nil && stored != nil:
 		t.count.Add(1)
 	}
 }

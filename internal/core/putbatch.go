@@ -16,15 +16,15 @@ func (t *Tree) PutBatchInto(keys [][]byte, sc *BatchScratch, apply func(i int, o
 	t.BatchInto(keys, nil, nil, nil, sc, apply)
 }
 
-// putRun is the one loop that descends and locks for a put. It performs the
-// put of key, whose index apply is handed as i, then, while the border node
-// lock is still held, greedily applies the batch keys keys[idx[next]],
+// putRun is the one loop that descends and locks for a write. It performs
+// the write of key, whose index apply is handed as i, then, while the border
+// node lock is still held, greedily applies the batch keys keys[idx[next]],
 // keys[idx[next+1]], ... that fall into the same node (see extendRun). The
 // first border tried is the one the hint names (lockHint); the zero hint, a
 // stale one or a node deleted under lockBorder sends the descent to the root
-// (lockBorder). Put and Update are its run of one: no hint, no idx. It
-// returns what apply saw and stored for key, and the position in idx after
-// the last key applied.
+// (lockBorder). Put, Update and RemoveIf are its run of one: no hint, no
+// idx. It returns what apply saw and stored for key, and the position in
+// idx after the last key applied.
 func (t *Tree) putRun(key []byte, i int, h borderHint, keys [][]byte, idx []int, next int, apply func(int, *value.Value) *value.Value) (old, stored *value.Value, end int) {
 	// k is what is left of the key at the layer n is in, depth layers down.
 	k, depth := key[h.off:], h.off/8
@@ -44,8 +44,12 @@ func (t *Tree) putRun(key []byte, i int, h borderHint, keys [][]byte, idx []int,
 			continue
 		}
 		t.counted(old, stored)
-		if step == stepSplit {
+		switch step {
+		case stepSplit:
 			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
+			return old, stored, next
+		case stepEmpty:
+			t.emptyBorder(n, key, depth) // unlocks
 			return old, stored, next
 		}
 		return old, stored, t.extendRun(n, keys, idx, next, depth, key, apply)
@@ -61,8 +65,9 @@ func (t *Tree) putRun(key []byte, i int, h borderHint, keys [][]byte, idx []int,
 // to the same layer), (b) falls inside n's key range (owns) and (c) needs no
 // layer descent. Anything else ends the run; the key is handled by its own
 // putRun, which keeps this loop free of nested locking (no deadlock: at most
-// one node lock is ever held). A key that splits n is applied and ends the
-// run with it, since the split gives up the lock.
+// one node lock is ever held). A key that splits n, or removes its last
+// key, is applied and ends the run with it, since the split or the empty
+// node's unlinking gives up the lock.
 //
 //masstree:unlocks n
 func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth int, prev []byte, apply func(int, *value.Value) *value.Value) int {
@@ -84,8 +89,12 @@ func (t *Tree) extendRun(n *borderNode, keys [][]byte, idx []int, pos int, depth
 		}
 		pos++
 		t.counted(old, stored)
-		if step == stepSplit {
+		switch step {
+		case stepSplit:
 			t.splitInsert(n, at, keySlice(k), k, stored) // unlocks
+			return pos
+		case stepEmpty:
+			t.emptyBorder(n, full, depth) // unlocks
 			return pos
 		}
 	}

@@ -1,20 +1,15 @@
 package core
 
 import (
-	"unsafe"
-
 	"repro/internal/occ"
 	"repro/internal/value"
 )
 
 // Remove deletes key from the tree, returning the removed value (§3:
-// remove; §4.6.5). Removal just shrinks the permutation — the key and value
-// memory are not cleared, so a concurrent get may still return the removed
-// value, which is correct for overlapping operations. Border nodes that
-// become empty are unlinked and deleted, except a parent's leftmost child
-// (which includes each B+-tree's initial node): see removeBorder. Empty trie
-// layers are collapsed later by Maintain (the paper's deferred
-// reclamation tasks).
+// remove; §4.6.5): see removeAt. Border nodes that become empty are
+// unlinked and deleted, except a parent's leftmost child (which includes
+// each B+-tree's initial node): see removeBorder. Empty trie layers are
+// collapsed later by Maintain (the paper's deferred reclamation tasks).
 func (t *Tree) Remove(key []byte) (*value.Value, bool) {
 	return t.RemoveIf(key, nil)
 }
@@ -22,74 +17,23 @@ func (t *Tree) Remove(key []byte) (*value.Value, bool) {
 // RemoveIf removes key only if pred, evaluated on the current value under
 // the owning border node's lock, returns true; a nil pred is Remove. Callers
 // decide on a value they read optimistically, and the predicate runs against
-// the value actually being unlinked. The kvstore's drop kernel is built on
-// it: its predicate, under the lock, re-checks what its caller asks (the TTL
-// sweep's expiry) and draws the departure's timestamp atomically with the
-// removal, so replay order matches execution order even across
-// remove/re-insert races (§5). Returns the removed value and whether the
+// the value actually being unlinked; it is never shown an absent key. It is
+// a write whose apply answers Removed: putRun's run of one. The kvstore's
+// clean drop is built on it: its predicate, under the lock, re-checks what
+// its caller asks (the TTL sweep's expiry) and retires the value, so that a
+// re-insert draws above it (§5). Returns the removed value and whether the
 // removal happened.
 func (t *Tree) RemoveIf(key []byte, pred func(old *value.Value) bool) (*value.Value, bool) {
-restart:
-	root := t.rootHeader()
-	k := key
-	depth := 0
-	for {
-		slice := keySlice(k)
-		ord := keyOrd(k)
-		n := t.lockBorder(root, slice)
-		if n == nil {
-			goto restart
+	old, stored, _ := t.putRun(key, 0, borderHint{}, nil, nil, 0, func(_ int, old *value.Value) *value.Value {
+		if old == nil || pred != nil && !pred(old) {
+			return nil
 		}
-		perm := n.perm()
-		rank, found := n.searchRank(perm, slice, ord)
-		if !found {
-			n.h.Unlock()
-			return nil, false
-		}
-		slot := perm.slot(rank)
-		kl, lv, bag := n.readSlot(slot)
-		switch kl {
-		case klLayer:
-			root, k = t.enterLayer(n, slot), k[8:]
-			depth++
-			continue
-		case klUnstable:
-			panic("core: unstable slot observed under lock")
-		}
-		old, tw, j, found := lookup(kl, lv, bag, slot, k)
-		if !found || pred != nil && !pred(old) {
-			n.h.Unlock()
-			return nil, false
-		}
-		if tw != nil && tw.keys().n() > 1 {
-			// The twig without the key is a new twig, swapped in like a new
-			// value (§4.6.1): a reader holding the old one still finds the
-			// key, as one that ran a moment earlier would have.
-			e := tw.entries()
-			e.remove(j)
-			n.storeLV(slot, unsafe.Pointer(e.build()))
-			t.count.Add(-1)
-			n.h.Unlock()
-			return old, true
-		}
-		// The slot's only key, a twig's last included: the slot leaves the
-		// permutation. Dirty the version before unlinking (§4.6.5): a
-		// concurrent reader or scanner that snapshotted the permutation
-		// while this key was live must fail its version validation and
-		// retry, or it would return (or checkpoint!) a key that no longer
-		// exists. The unlock increments vinsert, so post-remove validations
-		// fail too.
-		n.h.MarkInserting()
-		np := perm.remove(rank)
-		n.permutation.Store(uint64(np))
-		t.count.Add(-1)
-		if np.count() == 0 {
-			t.emptyBorder(n, key, depth) // unlocks n
-		} else {
-			n.h.Unlock()
-		}
-		return old, true
+		return Removed
+	})
+	if stored != Removed {
+		return nil, false
 	}
+	return old, true
 }
 
 // emptyBorder handles a border node that has just become empty. n is locked

@@ -71,8 +71,9 @@ func runFamilies() (keys [][]byte, runs [][][]byte) {
 // TestTwigModel drives every entry point over keys built to live in twigs, and
 // runs between keys of their borders, and compares each result with the
 // reference model: Put, Update that declines, Remove, RemoveIf either way, Get,
-// GetBatchInto, BatchInto with kinds mixed, scans that start inside, before
-// and past a twig, and stretches of a run put in ascending order.
+// GetBatchInto, BatchInto with kinds mixed and removals among its writes,
+// scans that start inside, before and past a twig, and stretches of a run put
+// in ascending order. Then batchRemovals' chosen shapes.
 func TestTwigModel(t *testing.T) {
 	keys, runs := runFamilies()
 	keys = append(keys, twigFamilies()...)
@@ -129,13 +130,17 @@ func TestTwigModel(t *testing.T) {
 				for i, k := range batch {
 					before[i], had[i] = valueOf(m, string(k))
 				}
-				decline := rng.Intn(4) == 0
+				decline, remove := rng.Intn(4) == 0, rng.Intn(3) == 0
 				tr.BatchInto(batch, put, vals, found, &sc, func(i int, old *value.Value) *value.Value {
 					if w, ok := valueOf(m, string(batch[i])); ok != (old != nil) || ok && string(old.Col(0)) != w {
 						t.Fatalf("seed %d op %d: batch put %d of %q was shown %v, model has %q (%v)", seed, op, i, batch[i], old, w, ok)
 					}
 					if decline && i%2 == 0 {
 						return nil
+					}
+					if remove && i%3 == 1 {
+						m.Remove(string(batch[i]), 0)
+						return Removed
 					}
 					v := fmt.Sprintf("b%d.%d", op, i)
 					set(m, string(batch[i]), v)
@@ -204,6 +209,118 @@ func TestTwigModel(t *testing.T) {
 		}
 		if shape.TotalKeys() != m.Len() {
 			t.Fatalf("seed %d: Shape counts %d keys, the model %d", seed, shape.TotalKeys(), m.Len())
+		}
+	}
+	batchRemovals(t)
+}
+
+// A write is one key of a batchRemovals batch: a put of a fresh value, or a
+// removal.
+type write struct {
+	key    string
+	remove bool
+}
+
+// batchRemovals runs TestTwigModel's batches whose apply answers Removed for
+// some keys, beside puts of the same keys and of their neighbours, in shapes
+// the random batches may miss: the removal that empties a border in the
+// middle of an extendRun run, a twig drained to one key and then to none,
+// and removals of absent keys, which decline. Each batch is checked against
+// the model, key by key as apply is shown the old value and as a whole
+// afterwards.
+func batchRemovals(t *testing.T) {
+	tr, m := New(), model.New()
+	var sc BatchScratch
+	batch := func(name string, ws ...write) {
+		t.Helper()
+		keys := make([][]byte, len(ws))
+		for i, w := range ws {
+			keys[i] = []byte(w.key)
+		}
+		tr.PutBatchInto(keys, &sc, func(i int, old *value.Value) *value.Value {
+			w := ws[i]
+			if want, ok := valueOf(m, w.key); ok != (old != nil) || ok && string(old.Col(0)) != want {
+				t.Fatalf("%s: write %d of %q was shown %v, model has %q (%v)", name, i, w.key, old, want, ok)
+			}
+			if w.remove {
+				m.Remove(w.key, 0)
+				return Removed
+			}
+			v := fmt.Sprintf("%s.%d", name, i)
+			set(m, w.key, v)
+			return value.New([]byte(v))
+		})
+		if tr.Len() != m.Len() {
+			t.Fatalf("%s: Len = %d, model has %d", name, tr.Len(), m.Len())
+		}
+		checkTree(t, tr, m)
+		checkInvariants(t, tr)
+	}
+	twigs := func() (n, keys int) {
+		shape, err := tr.Shape()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range shape.Layers {
+			n, keys = n+l.Twigs, keys+l.TwigKeys
+		}
+		return n, keys
+	}
+
+	// A border in the middle of the key space, and every key it holds. The
+	// batch removes them all, with a put and a removal of one of them, a put
+	// before them (the previous border's) and one after them in the emptied
+	// border's range. The run that starts at the border's first key empties
+	// it at its last, and the put after it descends again to the border the
+	// range went to.
+	key := func(i int) string { return fmt.Sprintf("e%03d", i) }
+	for i := 0; i < 100; i++ {
+		set(m, key(i), "0")
+		tr.Put([]byte(key(i)), value.New([]byte("0")))
+	}
+	x, _ := tr.findBorder(tr.rootHeader(), keySlice([]byte(key(50))))
+	var xs []int // the border's keys, by index
+	for i := 0; i < 100; i++ {
+		if n, _ := tr.findBorder(tr.rootHeader(), keySlice([]byte(key(i)))); n == x {
+			xs = append(xs, i)
+		}
+	}
+	if len(xs) < 2 || x.prev.Load() == nil {
+		t.Fatalf("the border of e050 holds keys %v and is the layer's first: no border to empty mid-run", xs)
+	}
+	ws := []write{{key(xs[0] - 1), false}, {key(xs[len(xs)-1]) + "x", false}, {key(xs[1]), false}}
+	for _, i := range xs {
+		ws = append(ws, write{key(i), true})
+	}
+	deletes := tr.Stats().NodeDeletes
+	batch("empty a border mid-run", ws...)
+	if got := tr.Stats().NodeDeletes - deletes; got != 1 {
+		t.Fatalf("emptying the border of keys %v unlinked %d nodes, want 1", xs, got)
+	}
+
+	// A twig of three keys beside its slice's inline key: drained to one key
+	// (with a put to the one it keeps), then to none, where a put and a
+	// removal of a fourth key meet the emptied slot.
+	p := "tdrain!!"
+	batch("fill a twig", write{p + "a", false}, write{p + "b", false}, write{p + "c", false}, write{p, false}, write{p[:7], false})
+	if n, keys := twigs(); n != 1 || keys != 3 {
+		t.Fatalf("filled: %d twigs of %d keys, want 1 of 3", n, keys)
+	}
+	batch("drain a twig to one key", write{p + "a", true}, write{p, false}, write{p + "c", true}, write{p + "b", false})
+	if n, keys := twigs(); n != 1 || keys != 1 {
+		t.Fatalf("drained to one: %d twigs of %d keys, want 1 of 1", n, keys)
+	}
+	batch("drain a twig to none", write{p + "b", true}, write{p + "d", false}, write{p + "d", true})
+	if n, keys := twigs(); n != 0 || keys != 0 {
+		t.Fatalf("drained to none: %d twigs of %d keys, want none", n, keys)
+	}
+
+	// Removals of absent keys decline: a key no slot holds, and a key whose
+	// slice's slot holds another remainder.
+	batch("remove absent keys", write{"e050", true}, write{p + "q", false}, write{p + "r", true}, write{"zzz", true})
+	for _, k := range []string{"e050", p + "r"} {
+		if old, stored := tr.Update([]byte(k), func(*value.Value) *value.Value { return Removed }); old != nil || stored != nil {
+			t.Fatalf("Update(%q) answering Removed over an absent key saw %v and stored %v, want a decline", k, old, stored)
 		}
 	}
 }

@@ -176,9 +176,10 @@ func TestPutSimpleAllocs(t *testing.T) {
 	}
 }
 
-// TestDropAllocFree pins the drop kernel's callers at zero allocations, with
-// logging off and on: Session.Remove (its record encoded into a log buffer
-// that has the room) and the eviction callback.
+// TestDropAllocFree pins both ways a key leaves at zero allocations, with
+// logging off and on: Session.Remove, a one-key write whose remove record is
+// encoded into a log buffer that has the room, and the eviction callback's
+// clean drop.
 func TestDropAllocFree(t *testing.T) {
 	for _, logged := range []bool{false, true} {
 		cfg := Config{Workers: 1}

@@ -144,37 +144,13 @@ func (ss *Session) CasPut(key []byte, expect uint64, puts []value.ColPut) (ver u
 	return r.ver, true
 }
 
-// Remove deletes key, logging through the session's log: the drop kernel,
-// its timestamp appended as the remove's record inside the worker's
-// draw-to-append window.
+// Remove deletes key, logging through the session's log: a write whose step
+// retires the value it finds and takes the key out, its record the
+// departure's timestamp. A lazily-expired value reads as absent on every
+// path, so removing it reports "did not exist" (memcached's delete-of-expired
+// is a miss), though it is removed and logged all the same.
 func (ss *Session) Remove(key []byte) bool {
-	s, worker := ss.s, ss.worker
-	if s.logs != nil {
-		mu := s.lockWorker(worker)
-		defer mu.Unlock()
-	}
-	old, ver := s.drop(worker, key, nil)
-	if old == nil {
-		return false
-	}
-	if s.logs != nil {
-		b := s.logs.Writer(worker).Begin()
-		b.Remove(ver, key)
-		b.End()
-	}
-	s.cache.NoteRemove(worker, key)
-	s.cache.HelpEnforce(s.evictKey) // drains a ring the remove took past half
-	// Read-through stores propagate the delete upstream (a tombstone in the
-	// write-behind queue); without it the next GetOrLoad would resurrect the
-	// removed key from the backend.
-	if s.wb != nil {
-		s.wb.enqueue(key, nil)
-	}
-	// A lazily-expired value reads as absent on every path, so removing it
-	// must report "did not exist" too (memcached's delete-of-expired is a
-	// miss). The physical removal and its log record still happen above —
-	// the remove is correct cleanup either way.
-	return !expired(s.wall, old)
+	return ss.writeKey(writeOp{remove: true}, key, nil).base != nil
 }
 
 // ErrNoBackend is returned by GetOrLoad when the store has no configured
@@ -234,9 +210,10 @@ func (ss *Session) PointBatchInto(keys [][]byte, put []bool, puts [][]value.ColP
 }
 
 // pointBatch is the one write driver, of PointBatchInto and of every
-// single-key write (writeKey): every put carries the call's op and its own
-// puts[i]. Unless every step declined, the records are appended and the
-// writes accounted together. first is keys[0]'s step result.
+// single-key write (writeKey), Remove included: every write carries the
+// call's op and its own puts[i]. Unless every step declined, the records are
+// appended and the writes accounted together. first is keys[0]'s step
+// result.
 func (ss *Session) pointBatch(op writeOp, keys [][]byte, put []bool, puts [][]value.ColPut) (vals []*value.Value, found []bool, vers []uint64, first writeResult) {
 	s, worker, sc := ss.s, ss.worker, &ss.batch
 	n, nputs := len(keys), 0

@@ -10,25 +10,27 @@
 // Version numbers and timestamps: the store draws both from per-worker
 // loosely synchronized clocks (§5.1, see shardedClock), assigned under the
 // owning border node's lock and lifted past the replaced value's version
-// (inserts: past every value the drop kernel retired). Sequential updates
+// (inserts: past every value a remove or a drop retired). Sequential updates
 // thus obtain distinct increasing versions, log records are totally ordered
 // per key (even across a drop and a re-insert), and recovery can apply
 // each key's updates in increasing version order after cutting off at
 // t = min over logs of the log's maximum durable timestamp (§5) — all
 // without the global clock cache line every writer used to bounce.
 //
-// Every write — Put, PutTTL, Touch, CasPut, a backend load's install, a
-// batch — is one kernel in three stages with one driver, and the entry
-// points are descriptors of it (writeOp). step, under the owning border
-// node's lock, decides the base once, draws the version, reads the chain
-// link and builds exactly one packed value (§4.7); logWrite appends the
-// records under one buffer lock, encoded directly into the worker's own
-// double-buffered log (§5); finishWrite accounts. The driver
-// (Session.pointBatch) runs the steps of a batch — a frame's stretch of
-// gets and puts, all descending in one wave (§4.8), or a single key — in
-// tree order, from the borders the wave found, with one border-node lock
-// acquisition per run of co-located keys. The put pipeline allocates only
-// the value itself, at any volume: the log's buffers survive their flushes.
+// Every write — Put, PutTTL, Touch, CasPut, Remove, a backend load's
+// install, a batch — is one kernel in three stages with one driver, and the
+// entry points are descriptors of it (writeOp). step, under the owning
+// border node's lock, decides the base once, draws the version, reads the
+// chain link and builds exactly one packed value (§4.7), or retires the
+// value a remove takes out; logWrite appends the records under one buffer
+// lock, encoded directly into the worker's own double-buffered log (§5);
+// finishWrite accounts. The driver (Session.pointBatch) runs the steps of a
+// batch — a frame's stretch of gets and puts, all descending in one wave
+// (§4.8), or a single key — in tree order, from the borders the wave found,
+// with one border-node lock acquisition per run of co-located keys. The put
+// pipeline allocates only the value itself, at any volume: the log's buffers
+// survive their flushes. Eviction and the TTL sweep take keys out by a clean
+// drop, which logs nothing.
 package kvstore
 
 import (
@@ -530,8 +532,7 @@ func (s *Store) maintainLoop(t clock.Ticker) {
 }
 
 // cacheMaintain runs one cache-mode maintenance pass: the incremental TTL
-// sweep, then the policy drain-and-evict. Both remove keys through the drop
-// kernel, as a session's Remove does.
+// sweep, then the policy drain-and-evict. Both remove keys by a clean drop.
 func (s *Store) cacheMaintain() {
 	if !s.ttlUsed.Load() && !s.cache.EvictionEnabled() {
 		return
@@ -556,8 +557,8 @@ func (s *Store) cacheMaintain() {
 	s.cache.Maintain(s.evictKey)
 }
 
-// evictKey is the policy's remove callback: a clean drop — Remove's drop
-// kernel, minus the WAL record. It drops whatever value is current — a put
+// evictKey is the policy's remove callback: a clean drop, which writes no
+// WAL record. It drops whatever value is current — a put
 // racing the eviction decision may see its value dropped immediately, which
 // cache semantics permit (indistinguishable from evicting the key a moment
 // after the put; the torture model's dropped-key rule covers exactly this).
@@ -565,7 +566,7 @@ func (s *Store) cacheMaintain() {
 // retaining the pointer is free) queues for the backend unless it is already
 // dead by TTL.
 func (s *Store) evictKey(key []byte) bool {
-	old, _ := s.drop(0, key, nil)
+	old := s.drop(key, nil)
 	if old == nil {
 		return false
 	}
@@ -630,7 +631,7 @@ func (s *Store) sweepExpired(now int64) int {
 	var dropped int64
 	lapsed := func(v *value.Value) bool { return v.Expired(now) }
 	for _, k := range s.sweepKeys {
-		if old, _ := s.drop(0, k, lapsed); old != nil {
+		if s.drop(k, lapsed) != nil {
 			s.cache.NoteRemove(0, k)
 			dropped++
 		}
@@ -713,34 +714,34 @@ func (s *Store) nextVersion(worker int, old *value.Value) uint64 {
 }
 
 // retire orders old's departure on the clock under the owning border node's
-// lock — drop's, and step's implicit remove of a lapsed value. It draws the
-// departure's timestamp past old's version and lifts the remove floor to it
-// before the lock is released: the tree forgets an unlinked key's versions,
-// so a racing re-insert must already see the floor, or it could draw below
-// the departure and replay in the wrong order (§5).
+// lock — a remove's, a clean drop's, and step's implicit remove of a lapsed
+// value. It draws the departure's timestamp past old's version and lifts the
+// remove floor to it before the lock is released: the tree forgets an
+// unlinked key's versions, so a racing re-insert must already see the floor,
+// or it could draw below the departure and replay in the wrong order (§5).
 func (s *Store) retire(worker int, old *value.Value) uint64 {
 	ver := s.clock.tick(worker, old.Version())
 	s.clock.noteRemove(ver)
 	return ver
 }
 
-// drop is the drop kernel, the one way a key leaves a serving store: it
-// removes key's value if pred accepts it (nil accepts any), retires it and
-// accounts its bytes. It returns the dropped value (nil if none) and the
-// departure's timestamp. Logging it is Remove's; eviction and the sweep are
-// clean drops.
-func (s *Store) drop(worker int, key []byte, pred func(*value.Value) bool) (old *value.Value, ver uint64) {
-	old, _ = s.tree.RemoveIf(key, func(v *value.Value) bool {
+// drop is the clean drop of eviction and the TTL sweep: it removes key's
+// value if pred accepts it (nil accepts any), retires it on worker 0's clock,
+// the maintenance context's, accounts its bytes and returns it (nil if none).
+// It logs nothing: an evicted key is not a removed one, and a lapsed value
+// re-expires on replay.
+func (s *Store) drop(key []byte, pred func(*value.Value) bool) *value.Value {
+	old, _ := s.tree.RemoveIf(key, func(v *value.Value) bool {
 		if pred != nil && !pred(v) {
 			return false
 		}
-		ver = s.retire(worker, v)
+		s.retire(0, v)
 		return true
 	})
 	if old != nil {
-		s.cache.Account(worker, -int64(old.Size()))
+		s.cache.Account(0, -int64(old.Size()))
 	}
-	return old, ver
+	return old
 }
 
 // basePolicy is what a write requires of the value it would replace: beside
@@ -757,6 +758,7 @@ const (
 // whose column lists come beside it (none republishes the base's columns);
 // an entry point is a descriptor.
 type writeOp struct {
+	remove bool   // take the key out (Remove): the other fields are unused
 	expiry uint64 // the new values' expiry in unix nanoseconds; 0 = never
 	ttl    bool   // the records carry the expiry (OpPutTTL/OpInsertTTL), zero included
 	cas    bool   // apply only if the base's version equals expect
@@ -767,9 +769,9 @@ type writeOp struct {
 // writeResult is what one step decided, drew and built. It travels by
 // value: the border-lock func literal stores it into the batch scratch.
 type writeResult struct {
-	nv     *value.Value // the value published; nil when the step declined
+	nv     *value.Value // the value published; core.Removed for a remove; nil when the step declined
 	base   *value.Value // what the write saw as current; nil if absent or lazily expired
-	ver    uint64       // nv's version
+	ver    uint64       // nv's version, or a remove's timestamp
 	prev   uint64       // base's version — a delta record's chain link
 	delta  int64        // change in accounted bytes: nv's size less the physical old value's
 	insert bool         // the record's columns make nv on their own: logged as an insert, no link
@@ -781,15 +783,22 @@ type writeResult struct {
 // decides once what the base is: a lapsed value reads as absent, so it is
 // absent for the version compare, the policy, the build and the record
 // alike, and the clock is read at most once, only for a value carrying an
-// expiry. Then it applies op's expected version and base policy (a nil nv:
-// declined, nothing changed), draws the version, reads the chain link and
-// builds the packed value.
+// expiry. A remove retires the physical value, lapsed or not, and answers
+// core.Removed (absent: declined). Any other write applies op's expected
+// version and base policy (a nil nv: declined, nothing changed), draws the
+// version, reads the chain link and builds the packed value.
 func (s *Store) step(worker int, op writeOp, puts []value.ColPut, old *value.Value) (r writeResult) {
 	r.base = old
 	if expired(s.wall, old) {
 		r.base = nil
 	}
 	base := r.base
+	if op.remove {
+		if old != nil {
+			r.nv, r.ver, r.delta = core.Removed, s.retire(worker, old), -int64(old.Size())
+		}
+		return r
+	}
 	if op.cas && base.Version() != op.expect || // Version is nil-safe: 0 for absent keys
 		op.base == onlyLive && base == nil ||
 		op.base == onlyDead && base != nil {
@@ -827,18 +836,20 @@ func putsAreValue(puts []value.ColPut, n int) bool {
 	return len(puts) == n
 }
 
-// logWrite is the kernel's second stage and the only place a put's record
+// logWrite is the kernel's second stage and the only place a write's record
 // form is chosen, for one key or a batch alike and under one log-buffer lock:
-// an insert (replays as a replacement; over a base, every column of the
-// published value, read from its packed allocation) or a delta linked to the
-// version it replaced. Its caller holds the lockWorker window that covered
-// the steps, so the records reach the log before any later draw on this
-// worker.
+// a remove, stamped with the departure's timestamp; an insert (replays as a
+// replacement; over a base, every column of the published value, read from
+// its packed allocation); or a delta linked to the version it replaced. Its
+// caller holds the lockWorker window that covered the steps, so the records
+// reach the log before any later draw on this worker.
 func (s *Store) logWrite(worker int, keys [][]byte, puts [][]value.ColPut, res []writeResult, ttl bool, expiry uint64) {
 	b := s.logs.Writer(worker).Begin()
 	for i := range res {
 		switch r := &res[i]; {
 		case r.nv == nil: // not a write (a get of a mixed batch): no record
+		case r.nv == core.Removed:
+			b.Remove(r.ver, keys[i])
 		case r.insert && r.base == nil:
 			b.Insert(r.ver, keys[i], puts[i], nil, ttl, expiry)
 		case r.insert:
@@ -853,21 +864,30 @@ func (s *Store) logWrite(worker int, keys [][]byte, puts [][]value.ColPut, res [
 // finishWrite is the kernel's last stage, after the append, over the keys one
 // call wrote and their step results: arm the expiry sweep, tell the
 // read-through tier the keys exist (negative-cache invalidation) and the
-// eviction policy their sizes, account the bytes in one add, help enforce.
+// eviction policy their sizes — or that they left, and queue the removes'
+// write-behind tombstones, lest a GetOrLoad resurrect them — account the
+// bytes in one add, help enforce.
 func (s *Store) finishWrite(worker int, keys [][]byte, res []writeResult, expiry uint64) {
 	if expiry != 0 {
 		s.ttlUsed.Store(true)
 	}
 	var delta int64
 	for i := range res {
-		if res[i].nv == nil {
+		switch nv := res[i].nv; {
+		case nv == nil:
 			continue // not a write (a get of a mixed batch)
+		case nv == core.Removed:
+			s.cache.NoteRemove(worker, keys[i])
+			if s.wb != nil {
+				s.wb.enqueue(keys[i], nil)
+			}
+		default:
+			if s.loader != nil {
+				s.loader.noteWrite(keys[i])
+			}
+			s.cache.NotePut(worker, keys[i], nv.Size())
 		}
 		delta += res[i].delta
-		if s.loader != nil {
-			s.loader.noteWrite(keys[i])
-		}
-		s.cache.NotePut(worker, keys[i], res[i].nv.Size())
 	}
 	s.cache.Account(worker, delta)
 	s.cache.HelpEnforce(s.evictKey)

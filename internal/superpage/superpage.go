@@ -40,10 +40,12 @@ var (
 // too and no page of it has been released since.
 func Bytes() uint64 { return collapsed.Load() }
 
-// Refusals reports the chunks whose collapse the kernel refused: EAGAIN when
-// it had no free 2 MiB page, EBUSY, EINVAL on a mapping marked
-// MADV_NOHUGEPAGE or before Linux 6.1. A chunk refused is tried again on
-// the next pass.
+// Refusals reports the chunks whose collapse the machine refused: EAGAIN or
+// ENOMEM when it had no free 2 MiB page, EBUSY when it could not move a
+// page. A chunk refused is tried again on the next pass. A mapping that
+// refuses superpages by its flags — EINVAL, on a mapping marked
+// MADV_NOHUGEPAGE or on any before Linux 6.1 — is not a refusal: the pass
+// counts nothing for it and visits no more of its chunks.
 func Refusals() uint64 { return refused.Load() }
 
 // Passes reports the passes run in this process.

@@ -103,7 +103,8 @@ func (p *passer) run(limit uint64) {
 
 // mapping visits the 2 MiB-aligned chunks of one maps line's mapping
 // ("start-end perms offset dev inode [path]") if it is private, anonymous,
-// read-write and no larger than limit.
+// read-write and no larger than limit, until one shows that the mapping
+// refuses superpages.
 func (p *passer) mapping(line []byte, limit uint64) {
 	span, line := field(line)
 	perms, line := field(line)
@@ -123,23 +124,29 @@ func (p *passer) mapping(line []byte, limit uint64) {
 		return
 	}
 	for c := (lo + chunk - 1) &^ (chunk - 1); c+chunk > c && c+chunk <= hi; c += chunk {
-		p.chunk(c)
+		if !p.chunk(c) {
+			return
+		}
 	}
 }
 
 // chunk collapses the chunk at c if at least half its pages are resident.
 // c reaches the kernel as an integer only: it was read from a file, and it
-// is never made a pointer.
-func (p *passer) chunk(c uintptr) {
+// is never made a pointer. It reports false when the kernel answers EINVAL,
+// its answer for a range no retry would collapse: above all a mapping whose
+// flags refuse superpages (MADV_NOHUGEPAGE, as the race runtime's metadata
+// is), where no other chunk would collapse either. That refusal is not the
+// machine's, and the pass leaves the mapping.
+func (p *passer) chunk(c uintptr) bool {
 	if _, _, e := syscall.Syscall(syscall.SYS_MINCORE, c, chunk, uintptr(unsafe.Pointer(&p.vec[0]))); e != 0 {
-		return // unmapped since the line was read
+		return true // unmapped since the line was read
 	}
 	resident := 0
 	for _, b := range p.vec {
 		resident += int(b & 1)
 	}
 	if 2*resident < len(p.vec) {
-		return
+		return true
 	}
 	for p.at < len(p.prev) && p.prev[p.at] < c {
 		p.at++
@@ -147,14 +154,19 @@ func (p *passer) chunk(c uintptr) {
 	// A chunk the last pass collapsed, still whole, is on a superpage yet:
 	// the call is a no-op and the bytes are not counted twice.
 	still := p.at < len(p.prev) && p.prev[p.at] == c && resident == len(p.vec)
-	if _, _, e := syscall.Syscall(syscall.SYS_MADVISE, c, chunk, madvCollapse); e != 0 {
+	switch _, _, e := syscall.Syscall(syscall.SYS_MADVISE, c, chunk, madvCollapse); e {
+	case 0:
+	case syscall.EINVAL:
+		return false
+	default:
 		refused.Add(1)
-		return
+		return true
 	}
 	p.cur = append(p.cur, c)
 	if !still {
 		collapsed.Add(chunk)
 	}
+	return true
 }
 
 // field splits the first space-separated field off line.

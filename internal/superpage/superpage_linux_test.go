@@ -3,6 +3,7 @@ package superpage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -147,6 +148,36 @@ func TestSparseChunksStay(t *testing.T) {
 		if got[c] != want[c] {
 			t.Errorf("chunk %d, %d pages touched: %d resident after the pass, want %d", c, touched[c], got[c], want[c])
 		}
+	}
+}
+
+// TestNoHugepageMappingIsNotARefusal: a mapping marked MADV_NOHUGEPAGE
+// refuses superpages by its flags (EINVAL), as the race runtime's metadata
+// does, so a pass's visit of it, every chunk fully resident, counts no
+// refusal: the count is left to the machine's (no free 2 MiB page).
+func TestNoHugepageMappingIsNotARefusal(t *testing.T) {
+	requireCollapse(t)
+	region := mapChunks(t, 4)
+	if err := syscall.Madvise(region, syscall.MADV_NOHUGEPAGE); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(region); i += pageSize {
+		region[i] = 1
+	}
+	// The pass's visit of this one mapping, as its maps line reads: the
+	// rest of the process's mappings may be refused for want of memory.
+	lo := uintptr(unsafe.Pointer(&region[0]))
+	line := fmt.Appendf(nil, "%x-%x rw-p 00000000 00:00 0", lo, lo+uintptr(len(region)))
+	pass.mu.Lock()
+	refused0 := Refusals()
+	pass.mapping(line, uint64(len(region)))
+	got := Refusals() - refused0
+	pass.mu.Unlock()
+	if got != 0 {
+		t.Errorf("a pass over a MADV_NOHUGEPAGE mapping of 4 resident chunks counted %d refusals, want 0", got)
+	}
+	if res := residentPages(t, region); res[0] != chunk/pageSize {
+		t.Fatalf("chunk 0 has %d of %d pages resident: the visit did not see it whole", res[0], chunk/pageSize)
 	}
 }
 
